@@ -33,6 +33,11 @@ from .simcomm import PARTICLE_BYTES, SimNetwork
 ComputeTimeHook = Callable[[int, int, int], float]
 
 
+def share_sizes(n_block: int, p: int) -> np.ndarray:
+    """Sizes of the p round-robin shares ``block[rank::p]`` of a block."""
+    return (n_block - np.arange(p) + p - 1) // p
+
+
 class CopyAlgorithm:
     """Replicated-system parallel force backend.
 
@@ -146,23 +151,12 @@ class CopyAlgorithm:
         """
         if self.p == 1:
             return
-        shares = [self.share(block, rank) for rank in range(self.p)]
-        self.network.tracer.count("net.exchange_particles", int(block.size))
+        n_b = int(block.size)
+        self.network.tracer.count("net.exchange_particles", n_b)
         # ring allgather: at shift s each rank forwards the share that
         # originated s-1 hops upstream, so after p-1 shifts everyone
         # has every share; each message carries that share's actual size
-        with self.network.exchange_phase(
-                "ring_allgather", n_particles=int(block.size)):
-            for shift in range(1, self.p):
-                for rank in range(self.p):
-                    origin = (rank - shift + 1) % self.p
-                    self.network.send(
-                        rank,
-                        (rank + 1) % self.p,
-                        shares[origin],
-                        int(shares[origin].size) * PARTICLE_BYTES,
-                        tag=1000 + shift,
-                    )
-                for rank in range(self.p):
-                    self.network.recv(rank, (rank - 1) % self.p, tag=1000 + shift)
+        with self.network.exchange_phase("ring_allgather", n_particles=n_b):
+            self.network.allgather(
+                None, share_sizes(n_b, self.p) * PARTICLE_BYTES, tag=1000)
         self.network.barrier()

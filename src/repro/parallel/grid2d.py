@@ -91,6 +91,21 @@ class Grid2DAlgorithm:
         self._publish_arrays = True
         self._subsets: list[np.ndarray] = []
         self._n = 0
+        self._peer_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _peers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Message-round index tables of diagonal processor p_ii, built
+        on first use: the other ranks of its row, and its row and
+        column peers interleaved (the order the coherence broadcast
+        reaches them)."""
+        peers = self._peer_tables.get(i)
+        if peers is None:
+            r = self.grid.r
+            others = np.delete(np.arange(r), i)
+            row = i * r + others
+            peers = self._peer_tables[i] = (
+                row, np.column_stack([row, others * r + i]).ravel())
+        return peers
 
     def set_j_particles(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
         """Load subset j into grid column j (by slice descriptor).
@@ -209,20 +224,16 @@ class Grid2DAlgorithm:
                         self.grid.rank(row, col),
                         self.compute_time_us(self.grid.rank(row, col), rows.size, n_local),
                     )
-                # reduction hop to the diagonal processor
-                if col != row:
-                    self.network.send(
-                        self.grid.rank(row, col),
-                        self.grid.rank(row, row),
-                        None,
-                        rows.size * FORCE_RECORD_BYTES,
-                        tag=3000 + row,
-                    )
-            for col in range(r):
-                if col != row:
-                    self.network.recv(
-                        self.grid.rank(row, row), self.grid.rank(row, col), tag=3000 + row
-                    )
+            # reduction to the diagonal processor: one many-to-one
+            # round, each partial leaving once its cell has computed
+            if r > 1:
+                senders, _ = self._peers(row)
+                self.network.message_round(
+                    senders,
+                    np.full(r - 1, self.grid.rank(row, row)),
+                    np.full(r - 1, rows.size * FORCE_RECORD_BYTES),
+                    tag=3000 + row,
+                )
 
             acc[rows] = partial_acc
             jerk[rows] = partial_jerk
@@ -261,16 +272,12 @@ class Grid2DAlgorithm:
                 members = block[(block >= subset[0]) & (block <= subset[-1])]
                 if members.size == 0:
                     continue
-                nbytes = int(members.size) * PARTICLE_BYTES
-                src = self.grid.rank(i, i)
-                for j in range(r):
-                    if j == i:
-                        continue
-                    self.network.send(src, self.grid.rank(i, j), None, nbytes, tag=4000 + i)
-                    self.network.send(src, self.grid.rank(j, i), None, nbytes, tag=5000 + i)
-                for j in range(r):
-                    if j == i:
-                        continue
-                    self.network.recv(self.grid.rank(i, j), src, tag=4000 + i)
-                    self.network.recv(self.grid.rank(j, i), src, tag=5000 + i)
+                # one one-to-many round down p_ii's row and column
+                _, receivers = self._peers(i)
+                self.network.message_round(
+                    np.full(receivers.size, self.grid.rank(i, i)),
+                    receivers,
+                    np.full(receivers.size, int(members.size) * PARTICLE_BYTES),
+                    tag=4000 + i,
+                )
         self.network.barrier()

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..config import NICConfig, NIC_NS83820
 from ..forces.kernels import ForceJerkResult
+from .copy_algorithm import share_sizes
 from .execution import ExecutionBackend, resolve_backend
 from .grid2d import Grid2DAlgorithm
 from .ledger import CommLedger
@@ -170,16 +171,11 @@ class HybridAlgorithm:
         block = np.asarray(block)
         if self.c > 1:
             # ring allgather of the updated shares between clusters
+            n_b = int(block.size)
             with self.inter_net.exchange_phase(
-                    "hybrid_inter", n_particles=int(block.size)):
-                for shift in range(1, self.c):
-                    for k in range(self.c):
-                        origin = (k - shift + 1) % self.c
-                        nbytes = int(self.share(block, origin).size) * PARTICLE_BYTES
-                        self.inter_net.send(k, (k + 1) % self.c, None, nbytes,
-                                            tag=7000 + shift)
-                    for k in range(self.c):
-                        self.inter_net.recv(k, (k - 1) % self.c, tag=7000 + shift)
+                    "hybrid_inter", n_particles=n_b):
+                self.inter_net.allgather(
+                    None, share_sizes(n_b, self.c) * PARTICLE_BYTES, tag=7000)
         # every cluster pushes the full updated block through its grid
         for grid in self.grids:
             grid.exchange_updated(block)
@@ -188,13 +184,9 @@ class HybridAlgorithm:
     def _global_sync(self) -> None:
         """All hosts block on the full-machine barrier: every virtual
         clock jumps to the global maximum."""
-        t_max = max(
-            [net.clock.elapsed for net in self.cluster_nets]
-            + [self.inter_net.clock.elapsed]
-        )
-        for net in self.cluster_nets + [self.inter_net]:
-            for r in range(net.n_ranks):
-                net.clock.wait_until(r, t_max)
+        t_max = self.elapsed_us
+        for net in self.networks:
+            net.clock.wait_all_until(t_max)
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -16,7 +16,10 @@ the other hosts wait for it.
   and size/flight-time histograms (kind separates point-to-point
   payload traffic from the 16-byte collective/barrier messages, so the
   latency/bandwidth structure stays fittable — mixing them would blur
-  the two regimes the linear NIC model distinguishes);
+  the two regimes the linear NIC model distinguishes).  Messages arrive
+  a whole round at a time (:meth:`CommLedger.record_round`) and live in
+  one struct-of-arrays :class:`LinkStore`; :class:`LinkStats` is a
+  projection of one of its rows;
 * **barrier attribution** per barrier, in virtual time: every rank's
   arrival, the straggler (who arrived last), the arrival skew, the
   per-butterfly-round clock spread, and the pure synchronisation cost
@@ -40,7 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+import numpy as np
+
 from ..telemetry import Histogram
+from ..telemetry.metrics import pow2_bins
 from ..telemetry.timeline import TRACE_PIDS
 
 #: Bump on breaking layout changes of the ledger export; the bench
@@ -51,6 +57,10 @@ COMM_LEDGER_SCHEMA = "repro.comm_ledger/1"
 #: (barrier/broadcast bookkeeping) messages sent with negative tags.
 KIND_P2P = "p2p"
 KIND_COLLECTIVE = "collective"
+
+#: Messages the round log holds before it is folded into the link
+#: store: the log's memory is fixed whatever the run length.
+ROUND_LOG_CAP = 4096
 
 #: Base trace process id for ledger events, from the central registry
 #: (:data:`repro.telemetry.timeline.TRACE_PIDS`): network ``i`` of a
@@ -72,7 +82,8 @@ class LedgerError(ValueError):
 
 @dataclass
 class LinkStats:
-    """Traffic ledger of one directed (src, dst) link, one kind."""
+    """Traffic ledger of one directed (src, dst) link, one kind (a
+    snapshot of one :class:`LinkStore` row)."""
 
     src: int
     dst: int
@@ -83,12 +94,6 @@ class LinkStats:
         default_factory=lambda: Histogram("link.bytes"))
     flight_hist: Histogram = field(
         default_factory=lambda: Histogram("link.flight_us"))
-
-    def record(self, nbytes: int, flight_us: float) -> None:
-        self.messages += 1
-        self.bytes += nbytes
-        self.size_hist.observe(nbytes)
-        self.flight_hist.observe(flight_us)
 
     @property
     def mean_bytes(self) -> float:
@@ -111,6 +116,150 @@ class LinkStats:
             "max_flight_us": self.flight_hist.max if self.messages else 0.0,
             "max_bytes": self.size_hist.max if self.messages else 0.0,
         }
+
+
+class _HistColumns:
+    """The fields of one :class:`Histogram` per link row."""
+
+    def __init__(self) -> None:
+        self.total = np.zeros(0)
+        self.sq_total = np.zeros(0)
+        self.min = np.zeros(0)
+        self.max = np.zeros(0)
+        self.bins = np.zeros((0, 1), dtype=np.int64)
+
+    def add_rows(self, n: int) -> None:
+        self.total = np.concatenate([self.total, np.zeros(n)])
+        self.sq_total = np.concatenate([self.sq_total, np.zeros(n)])
+        self.min = np.concatenate([self.min, np.full(n, np.inf)])
+        self.max = np.concatenate([self.max, np.full(n, -np.inf)])
+        self.bins = np.pad(self.bins, ((0, n), (0, 0)))
+
+    def fold(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """``Histogram.observe(values[i])`` on row ``rows[i]``, in order."""
+        np.add.at(self.total, rows, values)
+        np.add.at(self.sq_total, rows, values * values)
+        np.minimum.at(self.min, rows, values)
+        np.maximum.at(self.max, rows, values)
+        bins = pow2_bins(values)
+        missing = int(bins.max()) + 1 - self.bins.shape[1]
+        if missing > 0:
+            self.bins = np.pad(self.bins, ((0, 0), (0, missing)))
+        np.add.at(self.bins, (rows, bins), 1)
+
+    def histogram(self, row: int, name: str, count: int) -> Histogram:
+        hist = Histogram(name)
+        hist.count = count
+        hist.total = float(self.total[row])
+        hist.sq_total = float(self.sq_total[row])
+        hist.min = float(self.min[row])
+        hist.max = float(self.max[row])
+        counts = self.bins[row]
+        hist.bins = {int(b): int(counts[b]) for b in np.flatnonzero(counts)}
+        return hist
+
+
+class LinkStore:
+    """Struct-of-arrays link ledger: one row per (src, dst, kind) link
+    that has carried traffic, holding :class:`LinkStats`' fields.
+
+    Rounds are appended to a fixed-size log and folded into the rows
+    when it fills or when the store is read.  The fold uses the
+    unbuffered ``ufunc.at`` forms, which apply their operands one at a
+    time in log order, so every per-link float sum accumulates in
+    message order — the bits are those of one ``Histogram.observe``
+    per message.  Rows and bin columns are added as links and
+    magnitudes first appear; nothing is sized by ``n_ranks**2``.
+    """
+
+    def __init__(self, n_ranks: int) -> None:
+        self.n_ranks = n_ranks
+        self._log: tuple[np.ndarray, ...] | None = None
+        self.clear()
+
+    def clear(self) -> None:
+        self._pending = 0
+        #: Link id per row, ``(src * n_ranks + dst) * 2 + (kind is p2p)``:
+        #: ascending ids are ascending (src, dst, kind) triples.
+        self.key = np.zeros(0, dtype=np.int64)
+        self._by_key = np.zeros(0, dtype=np.intp)  # argsort of key
+        self.messages = np.zeros(0, dtype=np.int64)
+        self.bytes = np.zeros(0, dtype=np.int64)
+        self.size = _HistColumns()
+        self.flight = _HistColumns()
+
+    def record(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
+               flight_us: np.ndarray, collective: bool) -> None:
+        """Log one round; message ``i`` went ``src[i]`` -> ``dst[i]``."""
+        m = len(src)
+        if self._pending + m > ROUND_LOG_CAP:
+            self.fold()
+            if m > ROUND_LOG_CAP:
+                self._fold(src, dst, nbytes, flight_us, collective)
+                return
+        if self._log is None:
+            self._log = (
+                np.empty(ROUND_LOG_CAP, dtype=np.int64),
+                np.empty(ROUND_LOG_CAP, dtype=np.int64),
+                np.empty(ROUND_LOG_CAP, dtype=np.int64),
+                np.empty(ROUND_LOG_CAP),
+                np.empty(ROUND_LOG_CAP, dtype=bool),
+            )
+        entry = slice(self._pending, self._pending + m)
+        for column, values in zip(
+                self._log, (src, dst, nbytes, flight_us, collective)):
+            column[entry] = values
+        self._pending += m
+
+    def fold(self) -> None:
+        """Fold the logged rounds into the link rows and empty the log."""
+        if self._pending:
+            self._fold(*(column[:self._pending] for column in self._log))
+            self._pending = 0
+
+    def _fold(self, src, dst, nbytes, flight_us, collective) -> None:
+        src = np.asarray(src, dtype=np.int64)
+        keys = (src * self.n_ranks + dst) * 2 + np.logical_not(collective)
+        used, inverse = np.unique(keys, return_inverse=True)
+        new = np.setdiff1d(used, self.key, assume_unique=True)
+        if new.size:
+            self.key = np.concatenate([self.key, new])
+            self.messages = np.pad(self.messages, (0, new.size))
+            self.bytes = np.pad(self.bytes, (0, new.size))
+            self.size.add_rows(new.size)
+            self.flight.add_rows(new.size)
+            self._by_key = np.argsort(self.key)
+        rows = self._by_key[
+            np.searchsorted(self.key, used, sorter=self._by_key)][inverse]
+        np.add.at(self.messages, rows, 1)
+        np.add.at(self.bytes, rows, nbytes)
+        self.size.fold(rows, np.asarray(nbytes, dtype=float))
+        self.flight.fold(rows, flight_us)
+
+    def totals(self) -> tuple[int, int]:
+        """Messages and bytes over all links."""
+        self.fold()
+        return int(self.messages.sum()), int(self.bytes.sum())
+
+    def links(self) -> list[LinkStats]:
+        """Every row as a :class:`LinkStats`, sorted by (src, dst, kind)."""
+        self.fold()
+        out = []
+        for row in self._by_key:
+            link, p2p = divmod(int(self.key[row]), 2)
+            src, dst = divmod(link, self.n_ranks)
+            count = int(self.messages[row])
+            out.append(LinkStats(
+                src=src,
+                dst=dst,
+                kind=KIND_P2P if p2p else KIND_COLLECTIVE,
+                messages=count,
+                bytes=int(self.bytes[row]),
+                size_hist=self.size.histogram(row, "link.bytes", count),
+                flight_hist=self.flight.histogram(
+                    row, "link.flight_us", count),
+            ))
+        return out
 
 
 @dataclass(frozen=True)
@@ -198,22 +347,19 @@ class CommLedger:
     def __init__(self, n_ranks: int, nic: str = "?") -> None:
         self.n_ranks = int(n_ranks)
         self.nic = str(nic)
-        self._links: dict[tuple[int, int, str], LinkStats] = {}
+        self._store = LinkStore(self.n_ranks)
         self.barrier_records: list[BarrierRecord] = []
         self.exchange_records: list[ExchangeRecord] = []
 
     # -- recording -------------------------------------------------------------
 
-    def record_message(
-        self, src: int, dst: int, nbytes: int, flight_us: float,
-        collective: bool = False,
+    def record_round(
+        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
+        flight_us: np.ndarray, collective: bool = False,
     ) -> None:
-        kind = KIND_COLLECTIVE if collective else KIND_P2P
-        key = (src, dst, kind)
-        link = self._links.get(key)
-        if link is None:
-            link = self._links[key] = LinkStats(src=src, dst=dst, kind=kind)
-        link.record(nbytes, flight_us)
+        """Record one message round (index arrays of equal length; a
+        single message is a round of one)."""
+        self._store.record(src, dst, nbytes, flight_us, collective)
 
     def record_barrier(
         self,
@@ -249,7 +395,7 @@ class CommLedger:
 
     def reset(self) -> None:
         """Forget everything (fresh trial on a reused network)."""
-        self._links.clear()
+        self._store.clear()
         self.barrier_records.clear()
         self.exchange_records.clear()
 
@@ -257,15 +403,15 @@ class CommLedger:
 
     @property
     def links(self) -> list[LinkStats]:
-        return [self._links[k] for k in sorted(self._links)]
+        return self._store.links()
 
     @property
     def messages(self) -> int:
-        return sum(l.messages for l in self._links.values())
+        return self._store.totals()[0]
 
     @property
     def bytes(self) -> int:
-        return sum(l.bytes for l in self._links.values())
+        return self._store.totals()[1]
 
     @property
     def barrier_sync_us(self) -> float:

@@ -17,7 +17,9 @@ are dispatched as :class:`repro.parallel.execution.RankTask` batches to
 the configured :class:`~repro.parallel.execution.ExecutionBackend`; the
 hop-order accumulation, clock charges and systolic sends stay on the
 driver, preserving the exact reassociation order (and hence bitwise
-results) of the sequential loop on every backend.
+results) of the sequential loop on every backend.  A hop leaves only
+after the previous one has arrived and the rank has computed, so each
+hop is its own one-message round.
 """
 
 from __future__ import annotations
@@ -122,6 +124,8 @@ class RingAlgorithm:
         jerk = np.zeros((n_b, 3))
         pot = np.zeros(n_b)
         interactions = 0
+        ranks = np.arange(self.p)
+        nbytes = np.array([n_b * RING_RECORD_BYTES])
         for hop in range(self.p):
             rank = hop  # the block visits ranks 0..p-1 (order irrelevant
             # to cost: every hop happens once per blockstep)
@@ -137,10 +141,10 @@ class RingAlgorithm:
                 self.network.clock.advance(
                     rank, self.compute_time_us(rank, n_b, local.size)
                 )
-            if self.p > 1 and hop < self.p - 1:
-                nbytes = n_b * RING_RECORD_BYTES
-                self.network.send(rank, (rank + 1) % self.p, None, nbytes, tag=2000 + hop)
-                self.network.recv((rank + 1) % self.p, rank, tag=2000 + hop)
+            if hop < self.p - 1:
+                self.network.message_round(
+                    ranks[hop:hop + 1], ranks[hop + 1:hop + 2], nbytes,
+                    tag=2000 + hop)
 
         return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
 

@@ -13,10 +13,17 @@ pairwise exchanges, so a barrier costs ~log2(p) latencies — this is the
 1/N wall of figs. 16 and 18.
 
 The implementation executes rank programs step-by-step from a single
-driver (BSP style): ``send`` deposits the payload with its arrival
-time; ``recv`` advances the receiver clock to max(own, arrival).  The
-data really moves, so algorithms built on top are checked for
-correctness, not just cost.
+driver (BSP style).  Its one message mechanism is the *round*
+(:meth:`SimNetwork.message_round`): a set of messages posted together
+from the senders' current clocks, after which every receiver advances
+to max(own, arrival).  A ring shift or a butterfly stage is one round —
+a handful of array operations whatever the rank count, where the same
+traffic as ``p`` ``send``/``recv`` pairs costs ``p`` trips through the
+interpreter for microseconds of virtual time.  Scalar ``send``/``recv``
+remain for rank programs that talk one message at a time: ``send``
+posts a round of one and parks the payload in a mailbox until ``recv``
+advances the receiver.  The data really moves, so algorithms built on
+top are checked for correctness, not just cost.
 """
 
 from __future__ import annotations
@@ -24,7 +31,9 @@ from __future__ import annotations
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from ..config import NICConfig, NIC_NS83820
 from ..telemetry import T_BARRIER, Tracer, get_tracer
@@ -40,8 +49,8 @@ class MessageStats:
     bytes: int = 0
     barriers: int = 0
 
-    def record(self, nbytes: int) -> None:
-        self.messages += 1
+    def record(self, messages: int, nbytes: int) -> None:
+        self.messages += messages
         self.bytes += nbytes
 
     def reset(self) -> None:
@@ -56,6 +65,9 @@ class MessageStats:
 #: acceleration, jerk (4 x 3 doubles), mass, time, timestep, index —
 #: ~112 bytes; we round to the conventional 128-byte particle record.
 PARTICLE_BYTES: int = 128
+
+#: Payload of one butterfly-barrier message.
+BARRIER_BYTES: int = 16
 
 
 class SimNetwork:
@@ -94,6 +106,7 @@ class SimNetwork:
         self.ledger = CommLedger(n_ranks, nic=nic.name)
         self._tracer = tracer
         self._mailbox: dict[tuple[int, int, int], deque] = {}
+        self._shifts: dict[int, tuple[np.ndarray, ...]] = {}
 
     def reset_stats(self) -> None:
         """Zero the traffic counters and the communication ledger
@@ -119,30 +132,95 @@ class SimNetwork:
 
     # -- point to point -------------------------------------------------------
 
-    def message_time_us(self, nbytes: int) -> float:
-        """Post-to-arrival time of one message."""
+    def message_time_us(self, nbytes):
+        """Post-to-arrival time of one message (of each message, given
+        an array of sizes)."""
         return (
             self.nic.rtt_latency_us / 2.0
             + self.overhead_us
             + nbytes / self.nic.bandwidth_mbs  # MB/s == bytes/us
         )
 
+    def message_round(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        nbytes: np.ndarray,
+        tag: int = 0,
+        payloads: Sequence[Any] | None = None,
+        recv_order: np.ndarray | None = None,
+    ) -> np.ndarray | None:
+        """One round of messages: ``src[i]`` sends ``nbytes[i]`` bytes
+        to ``dst[i]``, all under one tag (negative: collective traffic).
+
+        Every message is posted from its sender's clock as the round
+        begins; then each receiver waits for its arrivals.  That is
+        what ``send`` for every message followed by ``recv`` for every
+        message does, and the clocks, counters, ledger and ``net.*``
+        metrics come out bit for bit the same.  A rank may send or
+        receive several messages in one round; a message that must
+        leave after another has arrived belongs in the next round.
+
+        ``recv_order`` permutes the messages into the order their
+        receivers call ``recv`` (default: the order given).  The clocks
+        do not depend on it; the order ``net.recv_wait_us`` sees its
+        observations in does.
+
+        With ``payloads`` (one object per message) the data moves too:
+        the result holds, per rank, the payload it received (``None``
+        where it received nothing, the last one where several).
+        """
+        src = np.asarray(src, dtype=np.intp)
+        dst = np.asarray(dst, dtype=np.intp)
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        if src.ndim != 1 or not src.shape == dst.shape == nbytes.shape:
+            raise ValueError("src, dst and nbytes must be 1-d and equally long")
+        if (src == dst).any():
+            raise ValueError("self-sends are not modelled")
+        if src.size:
+            tracer = self.tracer
+            arrive = self._post(src, dst, nbytes, tag, tracer)
+            if tracer.enabled:
+                order = slice(None) if recv_order is None else recv_order
+                waits = self._recv_waits(dst[order], arrive[order])
+                tracer.observe_many("net.recv_wait_us", waits[waits > 0])
+            self.clock.wait_until_many(dst, arrive)
+        if payloads is None:
+            return None
+        delivered = np.full(self.n_ranks, None, dtype=object)
+        delivered[dst] = np.fromiter(payloads, dtype=object, count=src.size)
+        return delivered
+
+    def shift_round(
+        self,
+        k: int,
+        nbytes: np.ndarray,
+        tag: int = 0,
+        payloads: Sequence[Any] | None = None,
+    ) -> np.ndarray | None:
+        """The round in which every rank ``r`` sends ``nbytes[r]`` bytes
+        to rank ``(r + k) % p``: a ring shift (``k = 1``) or one
+        butterfly stage (``k = 2**stage``); receives run in rank order."""
+        table = self._shifts.get(k)
+        if table is None:
+            src = np.arange(self.n_ranks)
+            table = self._shifts[k] = (
+                src, (src + k) % self.n_ranks, (src - k) % self.n_ranks)
+            for index in table:
+                index.flags.writeable = False
+        src, dst, by_receiver = table
+        return self.message_round(src, dst, nbytes, tag, payloads, by_receiver)
+
     def send(self, src: int, dst: int, payload: Any, nbytes: int, tag: int = 0) -> None:
-        """Non-blocking send: deposits the payload with its arrival time."""
+        """Non-blocking send: a round of one message whose delivery
+        waits in the mailbox for the matching :meth:`recv`."""
         if src == dst:
             raise ValueError("self-sends are not modelled")
-        flight_us = self.message_time_us(nbytes)
-        t_arrive = self.clock.now(src) + flight_us
-        self._mailbox.setdefault((src, dst, tag), deque()).append((t_arrive, payload))
-        self.stats.record(nbytes)
-        self.ledger.record_message(src, dst, nbytes, flight_us,
-                                   collective=tag < 0)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.count("net.messages")
-            tracer.count("net.bytes", nbytes)
-            tracer.observe("net.message_bytes", nbytes)
-            tracer.observe("net.message_us", flight_us)
+        arrive = self._post(
+            np.array([src]), np.array([dst]), np.array([nbytes]), tag,
+            self.tracer)
+        self._mailbox.setdefault((src, dst, tag), deque()).append(
+            (float(arrive[0]), payload))
 
     def recv(self, dst: int, src: int, tag: int = 0) -> Any:
         """Blocking receive: advances the receiver to the arrival time."""
@@ -157,6 +235,43 @@ class SimNetwork:
             tracer.observe("net.recv_wait_us", wait_us)
         return payload
 
+    def _post(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
+              tag: int, tracer: Tracer) -> np.ndarray:
+        """Account for a round's messages and return their arrival times."""
+        flight_us = self.message_time_us(nbytes)
+        total = int(nbytes.sum())
+        self.stats.record(src.size, total)
+        self.ledger.record_round(src, dst, nbytes, flight_us,
+                                 collective=tag < 0)
+        if tracer.enabled:
+            tracer.count("net.messages", src.size)
+            tracer.count("net.bytes", total)
+            tracer.observe_many("net.message_bytes", nbytes)
+            tracer.observe_many("net.message_us", flight_us)
+        return self.clock.now_many(src) + flight_us
+
+    def _recv_waits(self, dst: np.ndarray, arrive: np.ndarray) -> np.ndarray:
+        """How long each message's ``recv`` blocks when the receives run
+        in message order: a rank's n-th arrival waits from the later of
+        its clock and its earlier arrivals.  Each pass serves the first
+        outstanding message of every receiver."""
+        t = self.clock.snapshot()
+        if len(set(dst.tolist())) == dst.size:  # nobody receives twice
+            return arrive - t[dst]
+        waits = np.empty_like(arrive)
+        first = np.empty(self.n_ranks, dtype=np.intp)
+        pending = np.arange(dst.size)
+        while pending.size:
+            # later writes win, so writing back to front leaves each
+            # receiver's earliest outstanding message in its slot
+            first[dst[pending[::-1]]] = pending[::-1]
+            served = first[dst[pending]] == pending
+            now = pending[served]
+            waits[now] = arrive[now] - t[dst[now]]
+            t[dst[now]] = np.maximum(t[dst[now]], arrive[now])
+            pending = pending[~served]
+        return waits
+
     # -- collectives ------------------------------------------------------------
 
     def barrier(self) -> None:
@@ -170,25 +285,22 @@ class SimNetwork:
         if p == 1:
             return
         tracer = self.tracer
-        rounds = 0
         arrivals = self.clock.snapshot()
+        nbytes = np.full(p, BARRIER_BYTES)
         round_skews: list[float] = []
         with tracer.span("net.barrier", phase=T_BARRIER, p=p) as span:
             k = 1
             while k < p:
-                for r in range(p):
-                    self.send(r, (r + k) % p, None, 16, tag=-1 - k)
-                for r in range(p):
-                    self.recv(r, (r - k) % p, tag=-1 - k)
+                self.shift_round(k, nbytes, tag=-1 - k)
+                round_skews.append(self.clock.skew)
                 k *= 2
-                rounds += 1
-                snap = self.clock.snapshot()
-                round_skews.append(float(snap.max() - snap.min()))
+            rounds = len(round_skews)
             release = self.clock.synchronize()
             record = self.ledger.record_barrier(
                 arrivals, release, rounds, round_skews)
-            span.set(rounds=rounds, straggler=record.straggler,
-                     skew_us=record.skew_us, sync_us=record.sync_us)
+            if tracer.enabled:
+                span.set(rounds=rounds, straggler=record.straggler,
+                         skew_us=record.skew_us, sync_us=record.sync_us)
         self.stats.barriers += 1
         if tracer.enabled:
             tracer.count("net.barriers")
@@ -218,39 +330,60 @@ class SimNetwork:
         )
 
     def bcast(self, root: int, payload: Any, nbytes: int) -> list[Any]:
-        """Binomial-tree broadcast; returns the payload as seen by each rank."""
+        """Binomial-tree broadcast (one round per tree level); returns
+        the payload as seen by each rank."""
         p = self.n_ranks
-        received = [None] * p
+        received = np.full(p, None, dtype=object)
         received[root] = payload
-        have = [root]
+        reached = np.zeros(p, dtype=bool)
+        reached[root] = True
+        have = np.array([root])
         k = 1
-        while len(have) < p:
-            senders = list(have)
-            for s in senders:
-                dst = (s + k) % p
-                if received[dst] is None:
-                    self.send(s, dst, payload, nbytes, tag=-100)
-                    received[dst] = self.recv(dst, s, tag=-100)
-                    have.append(dst)
+        while have.size < p:
+            dst = (have + k) % p
+            fresh = ~reached[dst]
+            src, dst = have[fresh], dst[fresh]
+            delivered = self.message_round(
+                src, dst, np.full(src.size, nbytes), tag=-100,
+                payloads=received[src])
+            received[dst] = delivered[dst]
+            reached[dst] = True
+            have = np.concatenate([have, dst])
             k *= 2
-        return received
+        return received.tolist()
 
-    def allgather(self, payloads: list[Any], nbytes_each: int) -> list[list[Any]]:
-        """Ring allgather: p-1 shifts; every rank ends with all payloads."""
+    def allgather(
+        self,
+        payloads: Sequence[Any] | None,
+        nbytes_each: int | np.ndarray,
+        tag: int = -200,
+    ) -> list[list[Any]] | None:
+        """Ring allgather: p-1 shifts; every rank ends with all payloads.
+
+        ``nbytes_each`` is the size of every rank's contribution, or one
+        size per originating rank.  With ``payloads=None`` only the
+        traffic is simulated (the caller already holds the data).
+        """
         p = self.n_ranks
-        if len(payloads) != p:
-            raise ValueError("one payload per rank required")
-        if p == 1:
-            return [list(payloads)]
-        holding = [[(r, payloads[r])] for r in range(p)]
-        for _ in range(p - 1):
-            in_flight = [holding[r][-1] for r in range(p)]
-            for r in range(p):
-                self.send(r, (r + 1) % p, in_flight[r], nbytes_each, tag=-200)
-            for r in range(p):
-                holding[r].append(self.recv(r, (r - 1) % p, tag=-200))
-        result = []
-        for r in range(p):
-            by_origin = dict(holding[r])
-            result.append([by_origin[q] for q in range(p)])
-        return result
+        ranks = np.arange(p)
+        held = None
+        if payloads is not None:
+            if len(payloads) != p:
+                raise ValueError("one payload per rank required")
+            # held[r, q]: rank r's copy of the payload that originated at q
+            held = np.full((p, p), None, dtype=object)
+            held[ranks, ranks] = np.fromiter(payloads, dtype=object, count=p)
+        # at shift s each rank forwards what it received last, the
+        # contribution that originated s-1 hops upstream: the sizes of
+        # successive shifts are successive windows of the doubled array
+        sizes = np.empty(2 * p, dtype=np.int64)
+        sizes[:p] = sizes[p:] = nbytes_each
+        for shift in range(1, p):
+            in_flight = (
+                None if held is None
+                else held[ranks, (ranks - shift + 1) % p])
+            delivered = self.shift_round(
+                1, sizes[p - shift + 1:2 * p - shift + 1], tag, in_flight)
+            if held is not None:
+                held[ranks, (ranks - shift) % p] = delivered
+        return None if held is None else held.tolist()

@@ -40,6 +40,20 @@ class VirtualClock:
         """Block a rank until an event time (message arrival)."""
         self._t[rank] = max(self._t[rank], t_us)
 
+    def now_many(self, ranks: np.ndarray) -> np.ndarray:
+        """Clocks of several ranks at once (message-round form of
+        :meth:`now`)."""
+        return self._t[ranks]
+
+    def wait_until_many(self, ranks: np.ndarray, t_us: np.ndarray) -> None:
+        """Block each ``ranks[i]`` until ``t_us[i]``; a rank named more
+        than once ends at the latest of its event times."""
+        np.maximum.at(self._t, ranks, t_us)
+
+    def wait_all_until(self, t_us: float) -> None:
+        """Block every rank until one event time."""
+        np.maximum(self._t, t_us, out=self._t)
+
     def synchronize(self) -> float:
         """Barrier semantics: everyone jumps to the max; returns it."""
         t = float(self._t.max())
@@ -50,6 +64,11 @@ class VirtualClock:
     def elapsed(self) -> float:
         """Wall-clock so far: the slowest rank's time."""
         return float(self._t.max())
+
+    @property
+    def skew(self) -> float:
+        """Spread between the fastest and the slowest rank."""
+        return float(self._t.max() - self._t.min())
 
     def snapshot(self) -> np.ndarray:
         return self._t.copy()

@@ -266,6 +266,12 @@ class Tracer:
         if self.enabled:
             self.metrics.histogram(name).observe(value)
 
+    def observe_many(self, name: str, values) -> None:
+        """Array form of :meth:`observe` (same histogram, same bits; no
+        observations, no histogram)."""
+        if self.enabled and len(values):
+            self.metrics.histogram(name).observe_many(values)
+
     def gauge(self, name: str, value: float) -> None:
         if self.enabled:
             self.metrics.gauge(name).set(value)

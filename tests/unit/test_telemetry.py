@@ -11,6 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.io.runlog import read_runlog
+from repro.telemetry.metrics import pow2_bins
 from repro.telemetry import (
     InMemorySink,
     JSONLSink,
@@ -159,6 +160,35 @@ class TestMetrics:
         assert h.min == 1 and h.max == 8
         # power-of-two bins: 1 -> bin 0, 2 -> bin 2, 4 -> bin 3, 8 -> bin 4
         assert h.bins == {0: 1, 2: 1, 3: 1, 4: 2}
+
+    def test_bin_edges_one_ulp_either_side_of_powers_of_two(self):
+        """Bin b covers [2^(b-1), 2^b): the value one ulp below 2^k
+        belongs to bin k, and 2^k and the value one ulp above it to
+        bin k+1.  (``floor(log2(v))`` rounds the first up from k >= 7.)"""
+        for k in range(1, 61):
+            edge = 2.0 ** k
+            for value, want in ((np.nextafter(edge, 0.0), k),
+                                (edge, k + 1),
+                                (np.nextafter(edge, np.inf), k + 1)):
+                h = Metrics().histogram("h")
+                h.observe(value)
+                assert h.bins == {want: 1}, (k, value)
+                assert pow2_bins(np.array([value])).tolist() == [want]
+
+    def test_observe_many_equals_observing_in_order(self):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([
+            rng.lognormal(3.0, 4.0, 500),
+            [0.0, 0.5, 1.0, np.nextafter(128.0, 0.0), 128.0, 2.0 ** 40],
+        ])
+        one, many = Metrics().histogram("h"), Metrics().histogram("h")
+        for v in values:
+            one.observe(v)
+        many.observe_many(values[:200])
+        many.observe_many(values[200:])
+        many.observe_many(np.array([]))
+        for field in ("count", "total", "sq_total", "min", "max", "bins"):
+            assert getattr(one, field) == getattr(many, field), field
 
     def test_name_type_conflict_raises(self):
         m = Metrics()
