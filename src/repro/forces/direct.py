@@ -42,21 +42,18 @@ class ForceBackend(Protocol):
 
 
 class DirectSummation:
-    """Reference O(N^2) backend: float64, numpy-vectorised, chunked.
+    """Reference O(N^2) backend: float64, numpy-vectorised, i-tiled.
 
     Parameters
     ----------
     eps2:
         Softening length squared.
-    chunk:
-        i-particle chunk size for the blocked kernel.
     """
 
-    def __init__(self, eps2: float, chunk: int = 256) -> None:
+    def __init__(self, eps2: float) -> None:
         if eps2 < 0.0:
             raise ValueError("eps2 must be non-negative")
         self.eps2 = float(eps2)
-        self.chunk = int(chunk)
         self._xj: np.ndarray | None = None
         self._vj: np.ndarray | None = None
         self._mj: np.ndarray | None = None
@@ -91,7 +88,6 @@ class DirectSummation:
             self._mj,
             self.eps2,
             exclude_self=indices is not None,
-            chunk=self.chunk,
         )
         self.interaction_count += result.interactions
         return result

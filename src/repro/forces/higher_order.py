@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import G_NBODY
-from .kernels import acc_jerk_pot_on_targets
+from .kernels import (
+    acc_jerk_pot_on_targets,
+    component_major,
+    difference_tiles,
+    plane_dot,
+    softened_rinv,
+)
 
 
 @dataclass
@@ -42,58 +48,51 @@ def acc_jerk_snap_all(
     v: np.ndarray,
     m: np.ndarray,
     eps2: float,
-    chunk: int = 256,
 ) -> SnapResult:
     """Two-pass all-pairs evaluation of acc, jerk, snap and potential.
 
     Pass 1 computes Newtonian accelerations (float64 direct sum); pass 2
-    uses them for the relative-acceleration term of the snap.
+    uses them for the relative-acceleration term of the snap.  With
+    ``b = (v^2 + r.(a_j - a_i))/R^2`` (so ``beta = b + alpha^2``) the
+    pair term collapses to
+    ``a2_ij = m/R^3 [da - 6 alpha dv + (15 alpha^2 - 3 b) dr]``, which
+    pass 2 evaluates on the force kernel's component-major i-tiles.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    n = x.shape[0]
-
     first = acc_jerk_pot_on_targets(x, v, x, v, m, eps2, exclude_self=True)
-    a_all = first.acc
 
-    snap = np.empty((n, 3))
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dx = x[None, :, :] - x[lo:hi, None, :]
-        dv = v[None, :, :] - v[lo:hi, None, :]
-        da = a_all[None, :, :] - a_all[lo:hi, None, :]
-        r2 = np.einsum("ijk,ijk->ij", dx, dx) + eps2
-        self_mask = r2 <= eps2
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rinv2 = 1.0 / r2
-            rinv = np.sqrt(rinv2)
-        mrinv3 = G_NBODY * m[None, :] * rinv * rinv2
-        mrinv3 = np.where(self_mask, 0.0, mrinv3)
-
-        rv = np.einsum("ijk,ijk->ij", dx, dv)
-        v2 = np.einsum("ijk,ijk->ij", dv, dv)
-        ra = np.einsum("ijk,ijk->ij", dx, da)
-        with np.errstate(invalid="ignore"):
-            alpha = rv * rinv2
-            beta = (v2 + ra) * rinv2 + alpha * alpha
-        alpha = np.where(self_mask, 0.0, alpha)
-        beta = np.where(self_mask, 0.0, beta)
-
-        a_pair = mrinv3[:, :, None] * dx
-        j_pair = mrinv3[:, :, None] * dv - 3.0 * alpha[:, :, None] * a_pair
-        s_pair = (
-            mrinv3[:, :, None] * da
-            - 6.0 * alpha[:, :, None] * j_pair
-            - 3.0 * beta[:, :, None] * a_pair
-        )
-        snap[lo:hi] = s_pair.sum(axis=1)
+    c = component_major(x, v, first.acc)
+    gm = G_NBODY * np.asarray(m, dtype=np.float64)
+    snap = np.empty((3, c.shape[1]))
+    for rows, buf in difference_tiles(c, c, scratch=8):
+        dx, dv, da, tmp = buf[:3], buf[3:6], buf[6:9], buf[9:12]
+        rinv2, mrinv3, alpha, b, w = buf[12:]
+        rinv = softened_rinv(dx, tmp, eps2, mrinv3, mask_self=True)
+        np.multiply(rinv, rinv, out=rinv2)
+        mrinv3 *= rinv2
+        mrinv3 *= gm
+        plane_dot(dx, dv, tmp, alpha)
+        alpha *= rinv2
+        plane_dot(dv, dv, tmp, b)
+        b += plane_dot(dx, da, tmp, w)
+        b *= rinv2
+        b *= 3.0
+        np.multiply(alpha, alpha, out=w)
+        w *= 15.0
+        w -= b
+        w *= mrinv3  # coefficient of dr
+        alpha *= mrinv3
+        alpha *= -6.0  # coefficient of dv
+        da *= mrinv3
+        dv *= alpha
+        da += dv
+        dx *= w
+        da += dx
+        snap[:, rows] = da.sum(axis=2)
 
     return SnapResult(
         acc=first.acc,
         jerk=first.jerk,
-        snap=snap,
+        snap=np.ascontiguousarray(snap.T),
         pot=first.pot,
         interactions=first.interactions * 2,
     )

@@ -9,25 +9,47 @@ Implements equations (1)-(3) of the paper::
 
 with ``r_ij = x_j - x_i`` and ``v_ij = v_j - v_i``.
 
-The kernels are written the way the hpc-parallel guides recommend:
-vectorised with numpy broadcasting, chunked over i-particles so the
-(n_i x n_j x 3) intermediates stay cache-sized, and with in-place
-accumulation to avoid temporaries.  Flop accounting follows the paper's
-convention of 38 ops per force and 19 per jerk (57 total).
+Layout.  The kernel is component-major, like the GRAPE-6 datapath it
+stands in for: a fixed set of i-particles is held while the whole j-set
+streams past once.  Particle arrays are transposed to ``(3k, n)`` blocks
+(x, y, z, vx, vy, vz rows), one broadcast subtract builds the
+``(3k, n_i, n_j)`` difference block, the scalars of a pair (``r^2``,
+``r.v``, ``1/r``, ``m/r^3``, ``alpha``) are ``(n_i, n_j)`` planes of one
+tile buffer updated with ``out=``, and the weighted planes are reduced by
+a single ``sum(axis=2)`` over the contiguous j axis.  Every numpy call
+handles all components at once: tiny tiles are bound by the number of
+calls, big ones by bytes moved.
+
+Working set.  The i-particles are cut into tiles whose whole buffer
+(``planes x 8 B x n_j x rows``) fits :data:`TILE_BYTES`, so the ~25
+passes over a tile hit cache instead of DRAM.  The tile height is derived
+from ``n_j`` alone; there is no knob.
+
+Why no BLAS.  Results are bit-identical across any partition of the
+i-particles (rank decompositions, tile heights, execution backends),
+because each output row is elementwise IEEE arithmetic on that row
+followed by numpy's pairwise summation along a contiguous axis of length
+``n_j`` - both independent of how many other rows share the tile.
+``dot``/``matmul``/``einsum`` pick their blocking from the operand
+shapes and would break that.
+
+Flop accounting follows the paper's convention of 38 ops per force and
+19 per jerk (57 total).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..constants import FLOPS_PER_INTERACTION, G_NBODY
 
-#: Number of i-particles processed per chunk of the blocked kernel.
-#: 256 x N_j x 3 float64 intermediates stay within a few MB for the
-#: j-set sizes used in tests and examples.
-DEFAULT_CHUNK: int = 256
+#: Bytes of pairwise intermediates one i-tile may occupy.  Measured on
+#: the claim workloads' tile shapes (EXPERIMENTS.md, "Pairwise kernel"):
+#: 256 KiB and 2 MiB are 10-25 % slower, un-tiled 1.5-2x slower.
+TILE_BYTES: int = 1 << 20
 
 
 @dataclass
@@ -57,6 +79,70 @@ class ForceJerkResult:
         return self.interactions * FLOPS_PER_INTERACTION
 
 
+def component_major(*arrays: np.ndarray) -> np.ndarray:
+    """Stack ``(n, 3)`` arrays into one contiguous ``(3k, n)`` float64 block."""
+    out = np.empty((3 * len(arrays), len(arrays[0])))
+    for k, a in enumerate(arrays):
+        out[3 * k : 3 * k + 3] = np.asarray(a).T
+    return out
+
+
+def difference_tiles(
+    ci: np.ndarray, cj: np.ndarray, scratch: int
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Cut the i-particles into cache-sized tiles of pairwise differences.
+
+    ``ci`` and ``cj`` are component-major ``(k, n_i)`` / ``(k, n_j)``
+    blocks.  Yields ``(rows, buf)`` with ``buf`` a contiguous
+    ``(k + scratch, n_rows, n_j)`` buffer whose first ``k`` planes hold
+    ``cj - ci[:, rows]`` and whose last ``scratch`` planes are work
+    space; reduce planes with ``sum(axis=2)``.  The buffer is local to
+    the call and overwritten by the next tile.
+    """
+    k, n_i = ci.shape
+    n_j = cj.shape[1]
+    planes = k + scratch
+    height = max(1, min(n_i, TILE_BYTES // (8 * planes * max(n_j, 1))))
+    flat = np.empty(planes * height * n_j)  # one buffer, reused by every tile
+    for lo in range(0, n_i, height):
+        rows = slice(lo, min(lo + height, n_i))
+        n_rows = rows.stop - lo
+        buf = flat[: planes * n_rows * n_j].reshape(planes, n_rows, n_j)
+        np.subtract(cj[:, None, :], ci[:, rows, None], out=buf[:k])
+        yield rows, buf
+
+
+def plane_dot(
+    a: np.ndarray, b: np.ndarray, tmp: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``a[0] b[0] + a[1] b[1] + a[2] b[2]`` of two 3-plane blocks into the
+    plane ``out``; ``tmp`` is a 3-plane scratch block."""
+    np.multiply(a, b, out=tmp)
+    np.add(tmp[0], tmp[1], out=out)
+    out += tmp[2]
+    return out
+
+
+def softened_rinv(
+    dx: np.ndarray, tmp: np.ndarray, eps2: float, out: np.ndarray, mask_self: bool
+) -> np.ndarray:
+    """``1 / sqrt(dx.dx + eps2)`` into the plane ``out`` (``tmp``: 3-plane
+    scratch).
+
+    With ``mask_self`` the result is exactly 0 where ``r^2 <= eps2``
+    (zero separation): ``r^2`` is set to inf there before the root, so
+    nothing is divided by zero, and every weight derived from the result
+    (``m/r``, ``m/r^3``, ``alpha``) is exactly 0 for the self pair -
+    ``0 * inf`` cannot appear even at ``eps2 = 0``.
+    """
+    plane_dot(dx, dx, tmp, out)
+    out += eps2
+    if mask_self:
+        np.putmask(out, out <= eps2, np.inf)
+    np.sqrt(out, out=out)
+    return np.divide(1.0, out, out=out)
+
+
 def pairwise_acc_jerk_pot(
     xi: np.ndarray,
     vi: np.ndarray,
@@ -66,7 +152,7 @@ def pairwise_acc_jerk_pot(
     eps2: float,
     exclude_self: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense evaluation of eqs. (1)-(3) for one chunk of i-particles.
+    """Dense evaluation of eqs. (1)-(3) on targets i from sources j.
 
     Parameters
     ----------
@@ -85,43 +171,32 @@ def pairwise_acc_jerk_pot(
 
     Returns
     -------
-    acc, jerk, pot for the chunk.
+    acc (n_i, 3), jerk (n_i, 3), pot (n_i,).  Each row depends only on
+    that target and on the j-set: any row subset or partition of the
+    targets gives bitwise the same rows.
     """
-    # dx[i, j, :] = x_j - x_i  (note the sign convention of eq. 4)
-    dx = xj[None, :, :] - xi[:, None, :]
-    dv = vj[None, :, :] - vi[:, None, :]
-    r2 = np.einsum("ijk,ijk->ij", dx, dx) + eps2
-
-    if exclude_self:
-        # Pairs at exactly zero separation are the particle itself.
-        self_mask = r2 <= eps2
-    else:
-        self_mask = None
-
-    with np.errstate(divide="ignore"):  # self-pairs masked below
-        rinv = 1.0 / np.sqrt(r2)
-    rinv2 = rinv * rinv
-    # m_j / r^3 and m_j / r
-    mrinv = G_NBODY * mj[None, :] * rinv
-    mrinv3 = mrinv * rinv2
-
-    if self_mask is not None:
-        mrinv = np.where(self_mask, 0.0, mrinv)
-        mrinv3 = np.where(self_mask, 0.0, mrinv3)
-
-    # 3 (v.r) / r^2  -- the alpha factor of the jerk (eq. 2).
-    rv = np.einsum("ijk,ijk->ij", dx, dv)
-    with np.errstate(invalid="ignore"):
-        alpha = 3.0 * rv * rinv2
-    if self_mask is not None:
-        alpha = np.where(self_mask, 0.0, alpha)
-
-    acc = np.einsum("ij,ijk->ik", mrinv3, dx)
-    jerk = np.einsum("ij,ijk->ik", mrinv3, dv) - np.einsum(
-        "ij,ijk->ik", mrinv3 * alpha, dx
-    )
-    pot = -np.sum(mrinv, axis=1)
-    return acc, jerk, pot
+    ci = component_major(xi, vi)
+    gm = G_NBODY * np.asarray(mj, dtype=np.float64)
+    sums = np.empty((7, ci.shape[1]))  # j-sums of acc(3), jerk(3), m/r
+    for rows, buf in difference_tiles(ci, component_major(xj, vj), scratch=7):
+        dx, dv, mrinv, tmp = buf[:3], buf[3:6], buf[6], buf[7:10]
+        alpha, rinv2, mrinv3 = buf[10], buf[11], buf[12]
+        rinv = softened_rinv(dx, tmp, eps2, mrinv, exclude_self)
+        plane_dot(dx, dv, tmp, alpha)  # r.v
+        np.multiply(rinv, rinv, out=rinv2)
+        mrinv *= gm  # rinv -> m/r, the potential plane
+        np.multiply(mrinv, rinv2, out=mrinv3)
+        alpha *= 3.0
+        alpha *= rinv2  # 3 (v.r) / r^2 -- the alpha factor of the jerk (eq. 2)
+        np.multiply(mrinv3, alpha, out=rinv2)
+        np.multiply(dx, rinv2, out=tmp)
+        dv *= mrinv3
+        dv -= tmp
+        dx *= mrinv3
+        sums[:, rows] = buf[:7].sum(axis=2)
+    acc = np.ascontiguousarray(sums[:3].T)
+    jerk = np.ascontiguousarray(sums[3:6].T)
+    return acc, jerk, -sums[6]
 
 
 def acc_jerk_pot_on_targets(
@@ -132,61 +207,38 @@ def acc_jerk_pot_on_targets(
     mj: np.ndarray,
     eps2: float,
     exclude_self: bool = False,
-    chunk: int = DEFAULT_CHUNK,
 ) -> ForceJerkResult:
-    """Chunked evaluation of forces on arbitrary targets from arbitrary sources.
+    """Forces on arbitrary targets from arbitrary sources, with the
+    interaction count the flop accounting needs.
 
-    Splits the i-particles into chunks of ``chunk`` so that the pairwise
-    intermediates stay cache-resident (see the optimisation guide:
-    "Beware of cache effects").  This mirrors the GRAPE-6 execution
-    model, where the hardware processes i-particles 48-at-a-time while
-    streaming all j-particles from the on-board memories.
+    The kernel holds a cache-sized tile of i-particles while all
+    j-particles stream past, which mirrors the GRAPE-6 execution model:
+    the hardware processes i-particles 48-at-a-time while streaming all
+    j-particles from the on-board memories.
     """
-    xi = np.ascontiguousarray(xi, dtype=np.float64)
-    vi = np.ascontiguousarray(vi, dtype=np.float64)
-    xj = np.ascontiguousarray(xj, dtype=np.float64)
-    vj = np.ascontiguousarray(vj, dtype=np.float64)
-    mj = np.ascontiguousarray(mj, dtype=np.float64)
-    n_i = xi.shape[0]
-    n_j = xj.shape[0]
-
-    acc = np.empty((n_i, 3))
-    jerk = np.empty((n_i, 3))
-    pot = np.empty(n_i)
-    for lo in range(0, n_i, chunk):
-        hi = min(lo + chunk, n_i)
-        a, j, p = pairwise_acc_jerk_pot(
-            xi[lo:hi], vi[lo:hi], xj, vj, mj, eps2, exclude_self=exclude_self
-        )
-        acc[lo:hi] = a
-        jerk[lo:hi] = j
-        pot[lo:hi] = p
-
-    interactions = n_i * n_j - (n_i if exclude_self else 0)
+    acc, jerk, pot = pairwise_acc_jerk_pot(
+        xi, vi, xj, vj, mj, eps2, exclude_self=exclude_self
+    )
+    n_i = acc.shape[0]
+    interactions = n_i * len(mj) - (n_i if exclude_self else 0)
     return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
 
 
-def potential_energy(
-    x: np.ndarray, m: np.ndarray, eps2: float, chunk: int = DEFAULT_CHUNK
-) -> float:
+def potential_energy(x: np.ndarray, m: np.ndarray, eps2: float) -> float:
     """Total (softened) potential energy ``U = 1/2 sum_i m_i phi_i``.
 
     Uses the same pairwise softening as the force kernel so that the
     energy-conservation diagnostics are consistent with the dynamics.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    m = np.ascontiguousarray(m, dtype=np.float64)
-    n = x.shape[0]
+    cx = component_major(x)
+    m = np.asarray(m, dtype=np.float64)
+    gm = G_NBODY * m
     u = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        dx = x[None, :, :] - x[lo:hi, None, :]
-        r2 = np.einsum("ijk,ijk->ij", dx, dx) + eps2
-        with np.errstate(divide="ignore"):  # self-pairs masked below
-            mr = G_NBODY * m[None, :] / np.sqrt(r2)
-        mr[r2 <= eps2] = 0.0
-        u += -0.5 * np.sum(m[lo:hi, None] * mr)
-    return float(u)
+    for rows, buf in difference_tiles(cx, cx, scratch=4):
+        mrinv = softened_rinv(buf[:3], buf[3:6], eps2, buf[6], mask_self=True)
+        mrinv *= gm
+        u -= 0.5 * float(np.sum(m[rows] * mrinv.sum(axis=1)))
+    return u
 
 
 def kinetic_energy(v: np.ndarray, m: np.ndarray) -> float:

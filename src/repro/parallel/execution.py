@@ -61,7 +61,7 @@ try:  # POSIX only; samples carry zeros where rusage is unavailable
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
 
-from ..forces.kernels import DEFAULT_CHUNK, acc_jerk_pot_on_targets
+from ..forces.kernels import acc_jerk_pot_on_targets
 
 #: The selectable backend names, in preference order for docs/CLIs.
 EXEC_BACKENDS = ("inline", "thread", "process")
@@ -127,15 +127,15 @@ def forces_kernel(
     j_rows: RowSel = None,
     eps2: float,
     exclude_self: bool,
-    chunk: int = DEFAULT_CHUNK,
 ) -> dict[str, Any]:
     """Pairwise acc/jerk/pot of one rank's (i-subset, j-subset) tile.
 
     Reads targets from the ``ix``/``iv`` arena arrays and sources from
     ``jx``/``jv``/``jm``; the selectors say which tile this rank owns.
     Identical inputs to the old per-rank ``DirectSummation`` engines
-    (``acc_jerk_pot_on_targets`` normalises layout via
-    ``ascontiguousarray``), hence bitwise identical outputs.
+    (the kernel copies every layout into its own component-major
+    blocks, and each output row depends only on that target and the
+    j-subset), hence bitwise identical outputs.
     """
     res = acc_jerk_pot_on_targets(
         select_rows(arena["ix"], i_rows),
@@ -145,7 +145,6 @@ def forces_kernel(
         select_rows(arena["jm"], j_rows),
         eps2,
         exclude_self=exclude_self,
-        chunk=chunk,
     )
     return {
         "acc": res.acc,

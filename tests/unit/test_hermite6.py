@@ -55,11 +55,18 @@ class TestSnapKernel:
             fd / scale[:, None], res0.snap / scale[:, None], atol=2e-4
         )
 
-    def test_chunking_invariance(self, eps2):
+    def test_chunking_invariance(self, eps2, monkeypatch):
+        """The snap of a row is the same bits whether its i-tile holds
+        all 100 rows or 7 (the all-pairs API has no row argument, so the
+        partition is made by shrinking the kernel's working-set budget)."""
+        from repro.forces import kernels
+
         s = plummer_model(100, seed=62)
-        a = acc_jerk_snap_all(s.pos, s.vel, s.mass, eps2, chunk=1000)
-        b = acc_jerk_snap_all(s.pos, s.vel, s.mass, eps2, chunk=7)
+        a = acc_jerk_snap_all(s.pos, s.vel, s.mass, eps2)
+        monkeypatch.setattr(kernels, "TILE_BYTES", 8 * 17 * 100 * 7)
+        b = acc_jerk_snap_all(s.pos, s.vel, s.mass, eps2)
         np.testing.assert_array_equal(a.snap, b.snap)
+        np.testing.assert_array_equal(a.acc, b.acc)
 
 
 class TestHermite6:

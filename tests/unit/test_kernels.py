@@ -1,5 +1,7 @@
 """Force/jerk/potential kernels against analytic references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,20 +62,79 @@ class TestPairwiseAnalytic:
         assert np.all(pot == 0.0)
 
 
+class TestDegenerateTiles:
+    def test_unsoftened_self_pairs_are_exactly_zero(self):
+        """eps2 = 0 with the targets among the sources: the self pair is
+        masked on 1/r before any product, so no 0 * inf = NaN can leak
+        into acc, jerk or pot, and nothing warns."""
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(9, 3))
+        v = rng.normal(size=(9, 3))
+        m = rng.uniform(0.5, 2.0, 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, jerk, pot = pairwise_acc_jerk_pot(
+                x, v, x, v, m, eps2=0.0, exclude_self=True
+            )
+        for out in (acc, jerk, pot):
+            assert np.all(np.isfinite(out))
+        # each row is the sum over the *other* eight particles
+        for i in range(9):
+            others = np.arange(9) != i
+            a, j, p = pairwise_acc_jerk_pot(
+                x[i : i + 1], v[i : i + 1], x[others], v[others], m[others], 0.0
+            )
+            np.testing.assert_allclose(acc[i], a[0], rtol=1e-13)
+            np.testing.assert_allclose(jerk[i], j[0], rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(pot[i], p[0], rtol=1e-13)
+
+    def test_unsoftened_coincident_particles_only(self):
+        x = np.zeros((3, 3))
+        v = np.arange(9.0).reshape(3, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc, jerk, pot = pairwise_acc_jerk_pot(
+                x, v, x, v, np.ones(3), eps2=0.0, exclude_self=True
+            )
+            u = potential_energy(x, np.ones(3), eps2=0.0)
+        assert not acc.any() and not jerk.any() and not pot.any()
+        assert u == 0.0
+
+    @pytest.mark.parametrize("n_i, n_j", [(0, 5), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_empty_tiles(self, n_i, n_j, exclude_self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = acc_jerk_pot_on_targets(
+                np.ones((n_i, 3)), np.ones((n_i, 3)),
+                np.zeros((n_j, 3)), np.zeros((n_j, 3)), np.ones(n_j),
+                0.25, exclude_self=exclude_self,
+            )
+        assert res.acc.shape == (n_i, 3) and not res.acc.any()
+        assert res.jerk.shape == (n_i, 3) and not res.jerk.any()
+        assert res.pot.shape == (n_i,) and not res.pot.any()
+
+    def test_potential_energy_of_nothing(self):
+        assert potential_energy(np.zeros((0, 3)), np.zeros(0), 0.25) == 0.0
+
+
 class TestChunkedEvaluation:
     def test_chunking_does_not_change_results(self, medium_plummer, eps2):
+        """Evaluating the targets 17 rows at a time gives bitwise the rows
+        of the all-at-once evaluation (which tiles at its own height)."""
         s = medium_plummer
-        idx = np.arange(s.n)
         big = acc_jerk_pot_on_targets(
-            s.pos, s.vel, s.pos, s.vel, s.mass, eps2, exclude_self=True, chunk=1024
+            s.pos, s.vel, s.pos, s.vel, s.mass, eps2, exclude_self=True
         )
-        small = acc_jerk_pot_on_targets(
-            s.pos, s.vel, s.pos, s.vel, s.mass, eps2, exclude_self=True, chunk=17
-        )
-        del idx
-        np.testing.assert_array_equal(big.acc, small.acc)
-        np.testing.assert_array_equal(big.jerk, small.jerk)
-        np.testing.assert_array_equal(big.pot, small.pot)
+        for lo in range(0, s.n, 17):
+            rows = slice(lo, lo + 17)
+            small = acc_jerk_pot_on_targets(
+                s.pos[rows], s.vel[rows], s.pos, s.vel, s.mass, eps2,
+                exclude_self=True,
+            )
+            np.testing.assert_array_equal(big.acc[rows], small.acc)
+            np.testing.assert_array_equal(big.jerk[rows], small.jerk)
+            np.testing.assert_array_equal(big.pot[rows], small.pot)
 
     def test_interaction_count_with_self_exclusion(self, small_plummer, eps2):
         s = small_plummer
@@ -122,10 +183,18 @@ class TestEnergies:
         assert potential_energy(s.pos, s.mass, eps2) == pytest.approx(u_from_pot)
 
     def test_potential_chunking_consistency(self, medium_plummer, eps2):
+        """U assembled from the potentials of 13-row blocks of targets
+        agrees with the all-at-once energy to summation-order rounding."""
         s = medium_plummer
-        u1 = potential_energy(s.pos, s.mass, eps2, chunk=1000)
-        u2 = potential_energy(s.pos, s.mass, eps2, chunk=13)
-        assert u1 == pytest.approx(u2, rel=1e-14)
+        u = 0.0
+        for lo in range(0, s.n, 13):
+            rows = slice(lo, lo + 13)
+            pot = acc_jerk_pot_on_targets(
+                s.pos[rows], s.vel[rows], s.pos, s.vel, s.mass, eps2,
+                exclude_self=True,
+            ).pot
+            u += 0.5 * np.sum(s.mass[rows] * pot)
+        assert potential_energy(s.pos, s.mass, eps2) == pytest.approx(u, rel=1e-13)
 
 
 class TestValidation:
