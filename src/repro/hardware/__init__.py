@@ -28,10 +28,10 @@ chip, 4 chips + an FPGA summation unit per module, 8 modules per board,
 4 boards per host.
 """
 
-from .fixedpoint import FixedPointFormat, carry_save_sum, combine_lanes_exact, exact_int_sum
+from .fixedpoint import FixedPointFormat, exact_int_sum
 from .floatformat import FloatFormat
 from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow
-from .batched import CarrySavePartial, GatheredJSet, batched_partial_lanes, gather_chips
+from .batched import GatheredJSet, gather_chips
 from .chip import GrapeChip
 from .memory import JParticleMemory
 from .board import ProcessorBoard
@@ -48,11 +48,7 @@ __all__ = [
     "BlockFloatAccumulator",
     "BlockFloatOverflow",
     "exact_int_sum",
-    "carry_save_sum",
-    "combine_lanes_exact",
-    "CarrySavePartial",
     "GatheredJSet",
-    "batched_partial_lanes",
     "gather_chips",
     "EMULATION_MODES",
     "JParticleMemory",

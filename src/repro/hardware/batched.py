@@ -15,11 +15,12 @@ host — is exact integer addition.  The force is therefore a pure
 function of the **multiset** of quantised pairwise contributions; how
 they are partitioned over chips and in what order they are added
 cannot change a single bit.  So we may gather all chip memories into
-one contiguous j-array, evaluate the full (n_i, n_j) interaction tile
-in one numpy pass, and reduce it with a two-lane int64 carry-save sum
-(:func:`repro.hardware.fixedpoint.carry_save_sum`) — and the result is
-bit-identical to the per-chip schedule, enforced by the emulation-mode
-property tests.
+one contiguous j-array and evaluate the full (n_i, n_j) interaction in
+one call of the pipeline tile (:func:`repro.hardware.pipeline.partial_lanes`,
+the same function every chip of the faithful schedule runs on its own
+memory), keeping the two-lane int64 carry-save sums unrecombined — and
+the result is bit-identical to the per-chip schedule, enforced by the
+emulation-mode property tests.
 
 Cycle accounting is preserved: each chip is charged the cycles the
 real schedule would have cost it (``ceil(n_i/48) * vmp_ways * n_j``
@@ -31,21 +32,13 @@ loop expects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..core.predictor import predict_with_snap
-from .blockfloat import BlockFloatAccumulator
-from .chip import BlockExponents, GrapeChip
-from .fixedpoint import carry_save_sum
-from .pipeline import PipelineFormats, pairwise_contributions
-
-#: Target number of (i, j) pairs per evaluation tile.  The i-block is
-#: chunked so that the float64 temporaries of one tile stay cache- and
-#: RAM-friendly; chunk boundaries cannot change results (rows are
-#: independent and the j-reduction is exact).
-TILE_TARGET_PAIRS: int = 1 << 19
+from .chip import GrapeChip
+from .pipeline import PipelineFormats
 
 
 @dataclass
@@ -59,7 +52,9 @@ class GatheredJSet:
 
     ``chip_sizes`` records how many j-particles each chip holds, in
     machine order, for cycle accounting: the batched path charges each
-    chip what the faithful schedule would have.
+    chip what the faithful schedule would have.  ``cpos_q`` / ``cvel``
+    are the component-major (3, n) blocks the pipeline tile streams,
+    transposed here once per load instead of once per force call.
     """
 
     pos_q: np.ndarray
@@ -72,6 +67,12 @@ class GatheredJSet:
     t0: np.ndarray
     chip_sizes: tuple[int, ...]
     version: int
+    cpos_q: np.ndarray = field(init=False)
+    cvel: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.cpos_q = np.ascontiguousarray(self.pos_q.T)
+        self.cvel = np.ascontiguousarray(self.vel.T)
 
     @property
     def n(self) -> int:
@@ -115,91 +116,14 @@ def predict_gather(
     :func:`repro.hardware.predictor_unit.predict_memory` on the owning
     chip's memory — the predictor polynomial, the re-quantisation onto
     the fixed-point grid and the word rounding are all elementwise —
-    but evaluated for the whole machine in one vectorised call.
+    but evaluated for the whole machine in one vectorised call, and
+    returned component-major like ``cpos_q`` / ``cvel``.
     """
     x0 = formats.pos.dequantize(gather.pos_q)
     xp, vp = predict_with_snap(
         t, gather.t0, x0, gather.vel, gather.acc, gather.jerk, gather.snap
     )
-    return formats.pos.quantize(xp, saturate=True), formats.word.round(vp)
-
-
-@dataclass
-class CarrySavePartial:
-    """Exact partial sums in two-lane int64 carry-save form.
-
-    The value of each output element is ``hi * 2**32 + lo``; conversion
-    (and the total-overflow check) happens in
-    :meth:`~repro.hardware.blockfloat.BlockFloatAccumulator.to_float_lanes`.
-    """
-
-    acc_hi: np.ndarray
-    acc_lo: np.ndarray
-    jerk_hi: np.ndarray
-    jerk_lo: np.ndarray
-    pot_hi: np.ndarray
-    pot_lo: np.ndarray
-
-
-def batched_partial_lanes(
-    xi_q: np.ndarray,
-    vi: np.ndarray,
-    xj_q: np.ndarray,
-    vj: np.ndarray,
-    mj: np.ndarray,
-    host_index_j: np.ndarray,
-    exponents: BlockExponents,
-    eps2: float,
-    formats: PipelineFormats,
-    i_index: np.ndarray | None = None,
-) -> CarrySavePartial:
-    """Evaluate the full interaction tile and reduce it exactly.
-
-    One call replaces the whole board/module/chip traversal: pairwise
-    contributions and block-float quantisation run over (chunks of) the
-    complete (n_i, n_j) tile, and the j-reduction is the int64
-    carry-save sum.  Raises
-    :class:`~repro.hardware.blockfloat.BlockFloatOverflow` on
-    per-contribution saturation exactly where the faithful path would
-    (the caller charges chip cycles on return, so an attempt aborted by
-    saturation charges nothing — the faithful schedule would have
-    charged whatever passes ran before the saturating one, an
-    attempt-local difference that never affects results).
-    """
-    n_i = xi_q.shape[0]
-    n_j = xj_q.shape[0]
-
-    out = CarrySavePartial(
-        acc_hi=np.empty((n_i, 3), dtype=np.int64),
-        acc_lo=np.empty((n_i, 3), dtype=np.int64),
-        jerk_hi=np.empty((n_i, 3), dtype=np.int64),
-        jerk_lo=np.empty((n_i, 3), dtype=np.int64),
-        pot_hi=np.empty(n_i, dtype=np.int64),
-        pot_lo=np.empty(n_i, dtype=np.int64),
+    return (
+        np.ascontiguousarray(formats.pos.quantize(xp, saturate=True).T),
+        np.ascontiguousarray(formats.word.round(vp).T),
     )
-
-    chunk = max(1, TILE_TARGET_PAIRS // max(n_j, 1))
-    for lo in range(0, n_i, chunk):
-        hi = min(lo + chunk, n_i)
-        block = slice(lo, hi)
-        self_mask = (
-            i_index[block, None] == host_index_j[None, :]
-            if i_index is not None
-            else None
-        )
-        acc_c, jerk_c, pot_c = pairwise_contributions(
-            xi_q[block], vi[block], xj_q, vj, mj, eps2, formats, self_mask=self_mask
-        )
-        # Per-pair quantisation under the (n_i,)-shaped block exponents
-        # (broadcast over the j and component axes) — elementwise
-        # identical to the faithful per-chip quantisation, including
-        # the saturation check.
-        acc_q = BlockFloatAccumulator(exponents.acc[block, None, None]).quantize(acc_c)
-        jerk_q = BlockFloatAccumulator(exponents.jerk[block, None, None]).quantize(jerk_c)
-        pot_q = BlockFloatAccumulator(exponents.pot[block, None]).quantize(pot_c)
-
-        out.acc_hi[block], out.acc_lo[block] = carry_save_sum(acc_q, axis=1)
-        out.jerk_hi[block], out.jerk_lo[block] = carry_save_sum(jerk_q, axis=1)
-        out.pot_hi[block], out.pot_lo[block] = carry_save_sum(pot_q, axis=1)
-
-    return out

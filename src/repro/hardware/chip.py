@@ -21,10 +21,9 @@ import numpy as np
 
 from ..config import ChipConfig
 from ..telemetry import get_tracer
-from .blockfloat import BlockFloatAccumulator
-from .fixedpoint import exact_int_sum
+from .fixedpoint import combine_lanes_exact
 from .memory import JParticleMemory
-from .pipeline import PipelineFormats, pairwise_contributions
+from .pipeline import PipelineFormats, partial_lanes
 from .predictor_unit import predict_memory
 
 
@@ -57,6 +56,11 @@ class BlockExponents:
     acc: np.ndarray
     jerk: np.ndarray
     pot: np.ndarray
+
+    def stacked(self, rows: slice = slice(None)) -> np.ndarray:
+        """(7, n) exponents, one row per output plane of the pipeline
+        tile: acc x, y, z; jerk x, y, z; pot."""
+        return np.stack([self.acc[rows]] * 3 + [self.jerk[rows]] * 3 + [self.pot[rows]])
 
     def bump(self, amount: int = 4) -> "BlockExponents":
         """Larger-exponent retry after an overflow."""
@@ -145,58 +149,40 @@ class GrapeChip:
         """
         n_i = xi_q.shape[0]
         n_j = self.memory.n
-        if n_j == 0:
-            zero3 = np.zeros((n_i, 3), dtype=object)
-            return PartialForce(acc=zero3, jerk=zero3.copy(), pot=np.zeros(n_i, dtype=object))
+        sums = np.zeros((7, n_i), dtype=object)
+        if n_j:
+            xj_q, vj = self.predicted_j(t)
+            cj_q = np.ascontiguousarray(xj_q.T)
+            cj_v = np.ascontiguousarray(vj.T)
 
-        xj_q, vj = self.predicted_j(t)
-        mj = self.memory.mass
+            cycles_before = self.cycles
+            stride = self.config.iparallel
+            for lo in range(0, n_i, stride):
+                rows = slice(lo, min(lo + stride, n_i))
+                sums[:, rows] = combine_lanes_exact(
+                    *partial_lanes(
+                        xi_q[rows],
+                        vi[rows],
+                        cj_q,
+                        cj_v,
+                        self.memory.mass,
+                        self.memory.host_index,
+                        exponents.stacked(rows),
+                        self._eps2,
+                        self.formats,
+                        i_index=i_index[rows] if i_index is not None else None,
+                    )
+                )
+                # cycle accounting: one pass streams the whole memory; the
+                # 8-way VMP spends vmp_ways clocks per j-particle per pass
+                self.cycles += self.config.vmp_ways * n_j
 
-        acc_out = np.empty((n_i, 3), dtype=object)
-        jerk_out = np.empty((n_i, 3), dtype=object)
-        pot_out = np.empty(n_i, dtype=object)
+            tracer = get_tracer()
+            if tracer.enabled:
+                tracer.count("grape.pipeline_passes", -(-n_i // stride))
+                tracer.count("grape.cycles", self.cycles - cycles_before)
 
-        cycles_before = self.cycles
-        stride = self.config.iparallel
-        for lo in range(0, n_i, stride):
-            hi = min(lo + stride, n_i)
-            self_mask = (
-                i_index[lo:hi, None] == self.memory.host_index[None, :]
-                if i_index is not None
-                else None
-            )
-            acc_c, jerk_c, pot_c = pairwise_contributions(
-                xi_q[lo:hi],
-                vi[lo:hi],
-                xj_q,
-                vj,
-                mj,
-                self._eps2,
-                self.formats,
-                self_mask=self_mask,
-            )
-            # quantise per pair under the (n_i,)-shaped exponents
-            e_a = exponents.acc[lo:hi, None, None]
-            e_j = exponents.jerk[lo:hi, None, None]
-            e_p = exponents.pot[lo:hi, None]
-            acc_q = BlockFloatAccumulator(np.broadcast_to(e_a, acc_c.shape)).quantize(acc_c)
-            jerk_q = BlockFloatAccumulator(np.broadcast_to(e_j, jerk_c.shape)).quantize(jerk_c)
-            pot_q = BlockFloatAccumulator(np.broadcast_to(e_p, pot_c.shape)).quantize(pot_c)
-
-            acc_out[lo:hi] = exact_int_sum(acc_q, axis=1)
-            jerk_out[lo:hi] = exact_int_sum(jerk_q, axis=1)
-            pot_out[lo:hi] = exact_int_sum(pot_q, axis=1)
-
-            # cycle accounting: one pass streams the whole memory; the
-            # 8-way VMP spends vmp_ways clocks per j-particle per pass
-            self.cycles += self.config.vmp_ways * n_j
-
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("grape.pipeline_passes", -(-n_i // stride))
-            tracer.count("grape.cycles", self.cycles - cycles_before)
-
-        return PartialForce(acc=acc_out, jerk=jerk_out, pot=pot_out)
+        return PartialForce(acc=sums[:3].T, jerk=sums[3:6].T, pot=sums[6])
 
     # The softening register is set per force call by the owner system.
     _eps2: float = 0.0

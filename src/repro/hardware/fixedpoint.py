@@ -9,17 +9,14 @@ point buys two things the paper relies on:
 * sums are associative — the result cannot depend on summation order or
   on how the j-particles are partitioned over chips.
 
-``exact_int_sum`` provides the partition-independent big-integer
-summation used by the block-floating-point accumulator: int64 inputs
-are split into 32-bit halves whose partial sums cannot overflow, and
-the halves are recombined in Python integers (exact, unbounded).
-
-``carry_save_sum`` is the vectorised sibling used by the batched
-emulator datapath: it performs the same 32-bit split but keeps the two
-int64 lane sums *unrecombined* (a carry-save representation), so the
-whole reduction stays in native int64 arrays.  The lanes represent the
-exact value ``hi * 2**32 + lo``; recombination — and the only place the
-value could exceed 64 bits — is deferred to
+``carry_save_sum`` is the partition-independent summation used by the
+block-floating-point accumulator: int64 inputs are summed as 32-bit
+halves whose int64 lane sums cannot overflow, kept *unrecombined* (a
+carry-save representation) so the whole reduction stays in native int64
+arrays.  The lanes represent the exact value ``hi * 2**32 + lo``;
+``exact_int_sum`` recombines them in Python integers (exact,
+unbounded), the batched emulator datapath defers recombination — and
+the only place the value could exceed 64 bits — to
 :meth:`repro.hardware.blockfloat.BlockFloatAccumulator.to_float_lanes`.
 """
 
@@ -109,63 +106,47 @@ class FixedPointFormat:
         return self.dequantize(self.quantize(x, saturate=saturate))
 
 
-def exact_int_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Exact (big-integer) summation of int64 arrays along an axis.
-
-    Splits each value into a low 32-bit unsigned half and a high signed
-    half; int64 partial sums of each half cannot overflow for fewer
-    than 2^31 addends, and the recombination ``hi * 2^32 + lo`` happens
-    in Python integers.  Returns an object-dtype array of exact ints
-    (or a Python int for fully-reduced input).
-    """
-    v = np.asarray(values)
-    if v.dtype != np.int64:
-        raise TypeError("exact_int_sum expects int64 input")
-    if v.shape[axis] >= 2**31:
-        raise ValueError("too many addends for the 32-bit split")
-    lo = (v & np.int64(0xFFFFFFFF)).astype(np.int64)  # in [0, 2^32)
-    hi = v >> np.int64(32)  # arithmetic shift: floor division by 2^32
-    lo_sum = np.asarray(lo.sum(axis=axis, dtype=np.int64))
-    hi_sum = np.asarray(hi.sum(axis=axis, dtype=np.int64))
-    if lo_sum.shape == ():
-        # scalar path: force Python ints (0-d astype(object) would keep
-        # numpy scalars, whose arithmetic wraps at 64 bits)
-        return int(hi_sum) * (2**32) + int(lo_sum)
-    return np.asarray(hi_sum.astype(object) * (2**32) + lo_sum.astype(object))
-
-
-def carry_save_sum(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def carry_save_sum(
+    values: np.ndarray, axis: int = 0, scratch: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact int64 carry-save summation along an axis.
 
-    The same 32-bit split as :func:`exact_int_sum`, but the two lane
-    sums are returned as int64 arrays instead of being recombined into
-    big integers: the result represents ``hi * 2**32 + lo`` exactly,
-    with ``lo`` the (non-negative) sum of unsigned low halves and
-    ``hi`` the sum of arithmetic high halves.  Exact for fewer than
-    2^31 addends — far beyond any j-memory the hardware supports.
+    Each value splits into an arithmetic high half ``v >> 32`` and an
+    unsigned low 32-bit half; the int64 sums of either half cannot
+    overflow for fewer than 2^31 addends — far beyond any j-memory the
+    hardware supports — and are returned unrecombined: the result
+    represents ``hi * 2**32 + lo`` exactly, with ``lo`` non-negative.
+    The low lane is never split off: ``sum(lo_k) = sum(v_k) - 2^32
+    sum(hi_k)`` lies in ``[0, 2^63)``, so the wrapping int64 arithmetic
+    on the right lands on it.  ``scratch`` (int64, ``values``' shape)
+    receives the high halves; without it they are a temporary.
     """
     v = np.asarray(values)
     if v.dtype != np.int64:
         raise TypeError("carry_save_sum expects int64 input")
     if v.shape[axis] >= 2**31:
         raise ValueError("too many addends for the 32-bit split")
-    lo = (v & np.int64(0xFFFFFFFF)).astype(np.int64)  # in [0, 2^32)
-    hi = v >> np.int64(32)  # arithmetic shift: floor division by 2^32
-    return (
-        np.asarray(hi.sum(axis=axis, dtype=np.int64)),
-        np.asarray(lo.sum(axis=axis, dtype=np.int64)),
-    )
+    hi = np.asarray(np.right_shift(v, 32, out=scratch).sum(axis=axis))
+    return hi, np.asarray(v.sum(axis=axis) - (hi << 32))
 
 
 def combine_lanes_exact(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Recombine carry-save lanes into exact (object dtype) integers.
-
-    Reference/cross-check helper: ``hi * 2**32 + lo`` in unbounded
-    Python-int arithmetic, the value :func:`exact_int_sum` would have
-    produced directly.
+    """Recombine carry-save lanes into exact integers: ``hi * 2**32 +
+    lo`` in unbounded Python-int arithmetic (object dtype; a Python int
+    for 0-d lanes, whose numpy scalars would wrap at 64 bits).  This is
+    where the faithful datapath's chip partial sums become the big
+    integers the FPGA adder tree carries.
     """
     hi_a = np.asarray(hi)
     lo_a = np.asarray(lo)
     if hi_a.shape == () and lo_a.shape == ():
         return int(hi_a) * (2**32) + int(lo_a)
     return np.asarray(hi_a.astype(object) * (2**32) + lo_a.astype(object))
+
+
+def exact_int_sum(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Exact (big-integer) summation of int64 arrays along an axis:
+    the carry-save lanes, recombined.  Returns an object-dtype array of
+    exact ints (or a Python int for fully-reduced input).
+    """
+    return combine_lanes_exact(*carry_save_sum(values, axis=axis))

@@ -61,6 +61,32 @@ class FloatFormat:
         out = np.where(np.isfinite(x), rounded, x)
         return np.asarray(out)
 
+    def round_inplace(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """:meth:`round` of a float64 buffer, written back into it.
+
+        Works on the IEEE bit pattern: the ``53 - mantissa_bits`` low
+        mantissa bits are dropped after adding half of the last kept
+        unit, less one, plus that unit's own parity — round to nearest,
+        ties to even, on the magnitude field, so the sign plays no part
+        and a mantissa that rounds up carries into the exponent field
+        (the next binade, or inf from the top one).  Bitwise equal to
+        :meth:`round` on every finite normal number; zeros, infinities
+        and the default NaN pass through (their low bits are clear; the
+        NaN needs ``mantissa_bits >= 2`` to keep its quiet bit).
+        Subnormals are rounded at their fixed bit position instead of
+        to ``mantissa_bits`` significant bits.  ``scratch`` has ``x``'s
+        shape and item size; five passes, no allocation.
+        """
+        drop = 53 - self.mantissa_bits
+        if drop:
+            bits, odd = x.view(np.uint64), scratch.view(np.uint64)
+            np.right_shift(bits, drop, out=odd)
+            odd &= 1
+            odd += (1 << (drop - 1)) - 1
+            bits += odd
+            bits &= ~((1 << drop) - 1) & (2**64 - 1)
+        return x
+
     def spacing(self, x: np.ndarray) -> np.ndarray:
         """ULP of this format at the given values."""
         x = np.asarray(x, dtype=np.float64)

@@ -99,31 +99,33 @@ class JParticleMemory:
         pos_q: np.ndarray,
         vel: np.ndarray,
         mass: np.ndarray,
+        zero3: np.ndarray,
+        zero1: np.ndarray,
     ) -> None:
         """Load storage-format data quantised/rounded by the caller.
 
         The host library quantises the *whole* j-set once and stripes
         views of the result into the chip memories; since the storage
         formats are elementwise, the contents are identical to per-chip
-        :meth:`load` calls.  Higher derivatives and ``t0`` reset to
-        zero (pure force-evaluation mode), exactly as :meth:`load`
-        defaults them.
+        :meth:`load` calls.  Nothing is copied or allocated here: every
+        array, ``host_index`` included, is a view the caller owns and
+        replaces (never writes) on the next load.  ``zero3`` (n, 3) and
+        ``zero1`` (n,) are read-only zeros for the higher derivatives
+        and ``t0`` (pure force-evaluation mode, exactly as :meth:`load`
+        defaults them), shared by the three derivative slots.  The
+        caller accounts the DMA writes (``grape.jmem_writes``).
         """
         n = pos_q.shape[0]
         if n > self.capacity:
             raise ValueError(f"{n} particles exceed memory capacity {self.capacity}")
         self.n = n
-        self.host_index = np.asarray(host_index, dtype=np.int64).copy()
-        self.pos_q = np.asarray(pos_q, dtype=np.int64)
-        self.vel = np.asarray(vel, dtype=np.float64)
-        self.mass = np.asarray(mass, dtype=np.float64)
-        zeros = np.zeros((n, 3))
-        self.acc = zeros
-        self.jerk = zeros.copy()
-        self.snap = zeros.copy()
-        self.t0 = np.zeros(n)
+        self.host_index = host_index
+        self.pos_q = pos_q
+        self.vel = vel
+        self.mass = mass
+        self.acc = self.jerk = self.snap = zero3
+        self.t0 = zero1
         self.version += 1
-        get_tracer().count("grape.jmem_writes", n)
 
     def __len__(self) -> int:
         return self.n

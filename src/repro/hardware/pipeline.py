@@ -27,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fixedpoint import FixedPointFormat
+from ..forces.kernels import TILE_BYTES, plane_dot
+from .blockfloat import FRAC_BITS, BlockFloatOverflow
+from .fixedpoint import FixedPointFormat, carry_save_sum
 from .floatformat import FloatFormat
 
 
@@ -48,67 +50,117 @@ class PipelineFormats:
         )
 
 
-def pairwise_contributions(
+def partial_lanes(
     xi_q: np.ndarray,
     vi: np.ndarray,
-    xj_q: np.ndarray,
-    vj: np.ndarray,
+    cj_q: np.ndarray,
+    cj_v: np.ndarray,
     mj: np.ndarray,
+    host_index_j: np.ndarray,
+    exponents: np.ndarray,
     eps2: float,
     formats: PipelineFormats,
-    self_mask: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pair force, jerk and potential contributions.
+    i_index: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact j-sums of the quantised pair terms of eqs. (1)-(3).
 
     Parameters
     ----------
-    xi_q, xj_q:
-        Fixed-point positions (int64 grid integers) of targets/sources.
-    vi, vj, mj:
-        Velocities and masses already rounded to the word format.
-    eps2:
-        Softening squared.
-    formats:
-        Pipeline arithmetic formats.
+    xi_q, vi:
+        (n_i, 3) fixed-point positions (int64 grid integers) and
+        word-rounded velocities of the targets.
+    cj_q, cj_v, mj, host_index_j:
+        The sources, component-major: (3, n_j) int64 positions, (3, n_j)
+        velocities, (n_j,) masses and host indices.
+    exponents:
+        (7, n_i) declared block exponents, one row per output plane
+        (acc x, y, z; jerk x, y, z; pot).
+    i_index:
+        Host indices of the targets; a pair with equal indices is the
+        particle itself and contributes nothing.  So does any pair at
+        exactly zero grid distance, so that an unsoftened configuration
+        cannot divide by zero.
 
     Returns
     -------
-    (n_i, n_j, 3) acc and jerk contributions and (n_i, n_j) potential
-    contributions, each rounded to the pair format.  Pairs flagged in
-    ``self_mask`` (the particle itself, matched by host index) and
-    grid-identical pairs contribute zero.
+    ``(hi, lo)``, (7, n_i) int64 carry-save lanes of the sums over j
+    (:func:`repro.hardware.fixedpoint.carry_save_sum`).  Raises
+    :class:`~repro.hardware.blockfloat.BlockFloatOverflow` if a single
+    contribution does not fit the register (the saturation flag).
+
+    The fixed-point twin of :func:`repro.forces.kernels.pairwise_acc_jerk_pot`:
+    one buffer of 14 ``(rows, n_j)`` planes, sized by ``TILE_BYTES``
+    from ``n_j`` alone and reused by every i-tile.  The seven outputs
+    grow in place in its first half (dx -> acc, dv -> jerk, 1/r -> pot),
+    are rounded to the pair format there, scaled to accumulator quanta
+    by an exact power of two, range-checked, and ``rint``-ed into the
+    second half as int64, which is reduced over the contiguous j axis.
+    Rows are independent and the reduction is exact, so tile boundaries
+    cannot change a bit.
     """
-    # Exact fixed-point subtraction, then conversion to float.  The
-    # difference spans < 2^53 quanta for any pair within the supported
-    # coordinate range, so the float64 value of dx is exact.
-    dq = xj_q[None, :, :] - xi_q[:, None, :]
-    dx = dq.astype(np.float64) * formats.pos.resolution
-    dv = vj[None, :, :] - vi[:, None, :]
+    n_i, n_j = xi_q.shape[0], cj_q.shape[1]
+    ci_q = np.ascontiguousarray(xi_q.T)
+    ci_v = np.ascontiguousarray(vi.T)
+    # c / 2^(e-F) == c * 2^(F-e) bit for bit (also when the product
+    # under- or overflows) as long as both powers of two are normal
+    # numbers; exponents beyond that (an all-zero-mass j-set) divide
+    shift = FRAC_BITS - np.asarray(exponents, dtype=np.int64)
+    multiply = n_i == 0 or (shift.min() >= -1022 and shift.max() <= 1023)
+    scale = np.ldexp(1.0, shift if multiply else -shift)
+    hi = np.empty((7, n_i), dtype=np.int64)
+    lo = np.empty((7, n_i), dtype=np.int64)
 
-    r2 = np.einsum("ijk,ijk->ij", dx, dx) + eps2
-    # Self-pairs (flagged by host index) contribute nothing; pairs at
-    # exactly zero grid distance are also cut so that an unsoftened
-    # configuration cannot divide by zero.
-    self_pair = np.all(dq == 0, axis=2)
-    if self_mask is not None:
-        self_pair = self_pair | self_mask
+    height = max(1, min(n_i, TILE_BYTES // (8 * 14 * max(n_j, 1))))
+    flat = np.empty(14 * height * n_j)  # one buffer, reused by every tile
+    for start in range(0, n_i, height):
+        rows = slice(start, min(start + height, n_i))
+        n_rows = rows.stop - start
+        buf = flat[: 14 * n_rows * n_j].reshape(14, n_rows, n_j)
+        out, tmp = buf[:7], buf[7:]
+        dx, dv, mrinv = out[:3], out[3:6], out[6]
+        alpha, rinv2, mrinv3 = tmp[3], tmp[4], tmp[5]
 
-    with np.errstate(divide="ignore"):
-        rinv = 1.0 / np.sqrt(r2)
-    rinv2 = rinv * rinv
-    mrinv = mj[None, :] * rinv
-    mrinv3 = mrinv * rinv2
-    rv = np.einsum("ijk,ijk->ij", dx, dv)
-    with np.errstate(invalid="ignore"):
-        alpha = 3.0 * rv * rinv2
+        # exact fixed-point subtraction; the difference spans < 2^53
+        # quanta for any pair within the supported coordinate range, so
+        # its float64 value is exact too
+        dq = tmp[:3].view(np.int64)
+        np.subtract(cj_q[:, None, :], ci_q[:, rows, None], out=dq)
+        np.multiply(dq, formats.pos.resolution, out=dx)
+        np.subtract(cj_v[:, None, :], ci_v[:, rows, None], out=dv)
 
-    mrinv = np.where(self_pair, 0.0, mrinv)
-    mrinv3 = np.where(self_pair, 0.0, mrinv3)
-    alpha = np.where(self_pair, 0.0, alpha)
+        r2 = plane_dot(dx, dx, tmp[:3], mrinv)
+        cut = r2 == 0.0  # dx is exact: r^2 == 0 iff grid-identical
+        if i_index is not None:
+            cut |= i_index[rows, None] == host_index_j
+        r2 += eps2
+        # cut pairs get r = inf, so 1/r and every weight built on it is
+        # exactly 0 and nothing is divided by zero even at eps2 = 0
+        np.putmask(r2, cut, np.inf)
+        np.sqrt(r2, out=r2)
+        rinv = np.divide(1.0, r2, out=r2)
+        plane_dot(dx, dv, tmp[:3], alpha)  # r.v
+        np.multiply(rinv, rinv, out=rinv2)
+        mrinv *= mj  # 1/r -> m/r
+        np.multiply(mrinv, rinv2, out=mrinv3)
+        alpha *= 3.0
+        alpha *= rinv2  # 3 (v.r) / r^2 -- the alpha factor of the jerk (eq. 2)
+        np.multiply(mrinv3, alpha, out=rinv2)
+        np.multiply(dx, rinv2, out=tmp[:3])
+        dv *= mrinv3
+        dv -= tmp[:3]
+        dx *= mrinv3
+        np.negative(mrinv, out=mrinv)
 
-    acc_c = mrinv3[:, :, None] * dx
-    jerk_c = mrinv3[:, :, None] * dv - (mrinv3 * alpha)[:, :, None] * dx
-    pot_c = -mrinv
-
-    pair = formats.pair
-    return pair.round(acc_c), pair.round(jerk_c), pair.round(pot_c)
+        formats.pair.round_inplace(out, tmp)
+        if multiply:
+            out *= scale[:, rows, None]
+        else:
+            out /= scale[:, rows, None]
+        if out.size and max(out.max(), -out.min()) >= 2.0**62:
+            raise BlockFloatOverflow("pairwise contribution saturates the accumulator")
+        quanta = tmp.view(np.int64)
+        np.copyto(quanta, np.rint(out, out=out), casting="unsafe")
+        hi[:, rows], lo[:, rows] = carry_save_sum(
+            quanta, axis=2, scratch=out.view(np.int64)
+        )
+    return hi, lo

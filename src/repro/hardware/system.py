@@ -18,18 +18,20 @@ The force returned for a given particle set is bit-identical for any
 number of chips/modules/boards (tested property), because every level
 of the reduction is exact integer arithmetic.
 
-Two datapaths compute that same force:
+Two datapaths compute that same force, both through the one pipeline
+tile (:func:`repro.hardware.pipeline.partial_lanes`):
 
 ``emulation_mode="faithful"``
     walks the hardware schedule — per board, per module, per chip, in
-    passes of 48 i-particles — with object-dtype big-integer partial
-    sums.  Slow, but structurally the machine.
+    passes of 48 i-particles, one tile call per pass on the chip's own
+    memory — with object-dtype big-integer partial sums up the adder
+    tree.  Slow, but structurally the machine.
 ``emulation_mode="batched"`` (default)
     exploits the partition-independence property itself: because the
     force depends only on the *multiset* of quantised pairwise
     contributions, all chip memories are gathered into one contiguous
-    j-array (once per jmem load) and the whole (n_i, n_j) tile is
-    evaluated and carry-save-reduced in native int64 numpy
+    j-set (once per jmem load) and one tile call covers the whole
+    (n_i, n_j) interaction, its carry-save lanes staying native int64
     (:mod:`repro.hardware.batched`).  Bit-identical to the faithful
     path — enforced by the emulation-mode property tests — at an
     order of magnitude less host time.
@@ -45,17 +47,11 @@ import numpy as np
 from ..config import BoardConfig
 from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
-from .batched import (
-    GatheredJSet,
-    batched_partial_lanes,
-    gather_chips,
-    memory_version,
-    predict_gather,
-)
+from .batched import GatheredJSet, gather_chips, memory_version, predict_gather
 from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
 from .board import ProcessorBoard
 from .chip import BlockExponents
-from .pipeline import PipelineFormats
+from .pipeline import PipelineFormats, partial_lanes
 from .summation import reduce_partials
 
 #: Valid values of ``Grape6Emulator.emulation_mode``.
@@ -163,7 +159,6 @@ class Grape6Emulator:
             x = np.ascontiguousarray(x, dtype=np.float64)
             v = np.ascontiguousarray(v, dtype=np.float64)
             m = np.ascontiguousarray(m, dtype=np.float64)
-            n = x.shape[0]
             digest = self._jset_fingerprint(x, v, m)
             if (
                 digest == self._j_fingerprint
@@ -193,25 +188,30 @@ class Grape6Emulator:
         vel = self.formats.word.round(v)
         mass = self.formats.word.round(m)
         host_index = np.arange(n, dtype=np.int64)
-        sizes = []
+        # one block of zeros serves every chip's and the gather's
+        # higher derivatives and t0; read-only, so a stray in-place
+        # write cannot leak across the views
+        zero3 = np.zeros((n, 3))
+        zero1 = np.zeros(n)
+        zero3.flags.writeable = zero1.flags.writeable = False
         for c, chip in enumerate(self._all_chips):
             chip.memory.load_preformatted(
-                host_index[c::k], pos_q[c::k], vel[c::k], mass[c::k]
+                host_index[c::k], pos_q[c::k], vel[c::k], mass[c::k],
+                zero3[c::k], zero1[c::k],
             )
-            sizes.append(pos_q[c::k].shape[0])
+        get_tracer().count("grape.jmem_writes", n)
         # the quantised full arrays double as the gathered j-set — the
         # batched datapath needs no per-call concatenation at all
-        zeros = np.zeros((n, 3))
         self._gather = GatheredJSet(
             pos_q=pos_q,
             vel=vel,
             mass=mass,
             host_index=host_index,
-            acc=zeros,
-            jerk=zeros.copy(),
-            snap=zeros.copy(),
-            t0=np.zeros(n),
-            chip_sizes=tuple(sizes),
+            acc=zero3,
+            jerk=zero3,
+            snap=zero3,
+            t0=zero1,
+            chip_sizes=tuple(chip.memory.n for chip in self._all_chips),
             version=memory_version(self._all_chips),
         )
         self._j_fingerprint = digest
@@ -255,7 +255,7 @@ class Grape6Emulator:
             )
             exponents = self._initial_exponents(xi, vi, indices)
             retries = 0
-            for attempt in range(16):
+            for _ in range(16):
                 try:
                     acc, jerk, pot = self._evaluate_once(
                         xi_q, vi_w, exponents, t, i_index
@@ -320,17 +320,18 @@ class Grape6Emulator:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gather = self._gathered()
         if t is None:
-            xj_q, vj = gather.pos_q, gather.vel
+            cj_q, cj_v = gather.cpos_q, gather.cvel
         else:
-            xj_q, vj = predict_gather(gather, self.formats, t)
-        lanes = batched_partial_lanes(
+            cj_q, cj_v = predict_gather(gather, self.formats, t)
+        stacked = exponents.stacked()
+        hi, lo = partial_lanes(
             xi_q,
             vi_w,
-            xj_q,
-            vj,
+            cj_q,
+            cj_v,
             gather.mass,
             gather.host_index,
-            exponents,
+            stacked,
             self.eps2,
             self.formats,
             i_index=i_index,
@@ -338,20 +339,15 @@ class Grape6Emulator:
         # the pipelines have streamed: charge each chip the cycles the
         # faithful schedule would have cost it (also when the *total*
         # overflows below and the host retries — the hardware streams
-        # the whole memory before the saturation flag is read)
+        # the whole memory before the saturation flag is read; an
+        # attempt aborted by per-contribution saturation charges
+        # nothing, where the faithful schedule charges the passes before
+        # the saturating one — attempt-local, never in a result)
         n_i = xi_q.shape[0]
         for chip, n_j_chip in zip(self._all_chips, gather.chip_sizes):
             chip.charge_block(n_i, n_j_chip)
-        acc = BlockFloatAccumulator(exponents.acc[:, None]).to_float_lanes(
-            lanes.acc_hi, lanes.acc_lo
-        )
-        jerk = BlockFloatAccumulator(exponents.jerk[:, None]).to_float_lanes(
-            lanes.jerk_hi, lanes.jerk_lo
-        )
-        pot = BlockFloatAccumulator(exponents.pot).to_float_lanes(
-            lanes.pot_hi, lanes.pot_lo
-        )
-        return acc, jerk, pot
+        out = BlockFloatAccumulator(stacked).to_float_lanes(hi, lo)
+        return np.ascontiguousarray(out[:3].T), np.ascontiguousarray(out[3:6].T), out[6]
 
     def _gathered(self) -> GatheredJSet:
         """The contiguous j-set, rebuilt only when a memory changed.
@@ -443,7 +439,7 @@ class Grape6Emulator:
         acc = BlockFloatAccumulator(exponents.acc[:, None]).to_float(partial.acc)
         jerk = BlockFloatAccumulator(exponents.jerk[:, None]).to_float(partial.jerk)
         pot = BlockFloatAccumulator(exponents.pot).to_float(partial.pot)
-        return acc, jerk, pot
+        return np.ascontiguousarray(acc), np.ascontiguousarray(jerk), pot
 
     # -- introspection ------------------------------------------------------------
 

@@ -63,6 +63,74 @@ class TestFloatFormat:
         assert FloatFormat(24).eps == 2.0**-24
 
 
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def rounded_inplace(fmt, x):
+    x = np.array(x, dtype=np.float64)
+    out = fmt.round_inplace(x, np.empty_like(x))
+    assert out is x
+    return x
+
+
+class TestRoundInplace:
+    """The pipeline tile's bit-pattern rounding against the ``frexp``
+    form, compared as bit patterns (so -0.0 and NaN count)."""
+
+    @pytest.mark.parametrize("mantissa_bits", [24, 32, 11, 2, 53])
+    def test_random_normals_over_the_full_exponent_range(self, mantissa_bits):
+        fmt = FloatFormat(mantissa_bits)
+        rng = np.random.default_rng(mantissa_bits)
+        x = np.ldexp(rng.uniform(0.5, 1.0, 20000), rng.integers(-1021, 1025, 20000))
+        x *= rng.choice([-1.0, 1.0], x.shape)
+        with np.errstate(over="ignore"):  # the top binade may round to inf
+            want = fmt.round(x)
+        np.testing.assert_array_equal(bits(rounded_inplace(fmt, x)), bits(want))
+
+    def test_exact_ties_go_to_even_both_ways(self):
+        fmt = FloatFormat(24)
+        ulp = 2.0**-23  # of the 24-bit format in [1, 2)
+        x = np.array([1 + 0.5 * ulp, 1 + 1.5 * ulp, -(1 + 0.5 * ulp), -(1 + 1.5 * ulp)])
+        got = rounded_inplace(fmt, x)
+        np.testing.assert_array_equal(got, [1.0, 1 + 2 * ulp, -1.0, -(1 + 2 * ulp)])
+        np.testing.assert_array_equal(bits(got), bits(fmt.round(x)))
+        # one float64 ulp either side of a tie is no tie
+        near = np.array([np.nextafter(x[0], 2.0), np.nextafter(x[1], 0.0)])
+        np.testing.assert_array_equal(rounded_inplace(fmt, near), [1 + ulp, 1 + ulp])
+
+    def test_all_ones_mantissa_carries_into_the_next_binade(self):
+        fmt = FloatFormat(24)
+        x = np.array([np.nextafter(2.0, 0.0), -np.nextafter(4.0, 0.0), np.finfo(float).max])
+        got = rounded_inplace(fmt, x)
+        np.testing.assert_array_equal(got, [2.0, -4.0, np.inf])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(bits(got), bits(fmt.round(x)))
+
+    def test_zeros_and_nonfinite_unchanged(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+        for mantissa_bits in (2, 24, 52):  # at 1 the NaN's quiet bit is a tie
+            got = rounded_inplace(FloatFormat(mantissa_bits), x)
+            np.testing.assert_array_equal(bits(got), bits(x))
+
+    def test_idempotent(self):
+        fmt = FloatFormat(24)
+        x = np.random.default_rng(4).lognormal(0, 30, 5000)
+        once = rounded_inplace(fmt, x)
+        np.testing.assert_array_equal(bits(rounded_inplace(fmt, once)), bits(once))
+
+    def test_any_shape_and_no_other_write(self):
+        """A (planes, rows, n_j) block as the tile passes it; the scratch
+        is the only other memory touched."""
+        fmt = FloatFormat(24)
+        x = np.random.default_rng(5).normal(0, 1, (7, 5, 9))
+        want = fmt.round(x)
+        buf = np.full((2, 7, 5, 9), 7.0)
+        buf[0] = x
+        fmt.round_inplace(buf[0], buf[1])
+        np.testing.assert_array_equal(buf[0], want)
+
+
 class TestSuggestExponent:
     def test_bounds_magnitude(self):
         est = np.array([0.75, 3.0, 1e-10, 1e10])

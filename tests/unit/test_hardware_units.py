@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import BoardConfig, ChipConfig
 from repro.forces import DirectSummation
+from repro.hardware import pipeline
 from repro.hardware import (
     Grape6Emulator,
     GrapeChip,
@@ -14,9 +15,9 @@ from repro.hardware import (
     grape4_sum,
 )
 from repro.hardware.chip import BlockExponents
-from repro.hardware.blockfloat import suggest_exponent
+from repro.hardware.blockfloat import BlockFloatAccumulator, suggest_exponent
 from repro.hardware.floatformat import FloatFormat
-from repro.hardware.pipeline import PipelineFormats, pairwise_contributions
+from repro.hardware.pipeline import PipelineFormats, partial_lanes
 from repro.hardware.predictor_unit import predict_memory
 
 
@@ -69,6 +70,25 @@ class TestPredictorUnit:
         assert predicted[0, 0] == pytest.approx(0.25, abs=1e-9)
 
 
+def pair_terms(xi_q, vi, xj_q, vj, mj, eps2, fmt, i_index=None, host_index_j=None):
+    """Per-pair (n_i, n_j, 7) contributions (acc, jerk, pot) read out of
+    the pipeline tile by streaming one source at a time: the j-sum of a
+    single pair is that pair.  The declared exponent (2^12) puts the
+    quantum at 2^-43, far below the pair format's resolution here."""
+    n_i, n_j = xi_q.shape[0], xj_q.shape[0]
+    if host_index_j is None:
+        host_index_j = np.arange(n_j)
+    e = np.full((7, n_i), 12)
+    terms = np.empty((n_i, n_j, 7))
+    for j in range(n_j):
+        hi, lo = partial_lanes(
+            xi_q, vi, xj_q[j : j + 1].T, vj[j : j + 1].T, mj[j : j + 1],
+            host_index_j[j : j + 1], e, eps2, fmt, i_index=i_index,
+        )
+        terms[:, j] = BlockFloatAccumulator(e).to_float_lanes(hi, lo).T
+    return terms[:, :, :3], terms[:, :, 3:6], terms[:, :, 6]
+
+
 class TestPipeline:
     def test_matches_float64_to_pair_precision(self, eps2):
         fmt = PipelineFormats.default()
@@ -76,7 +96,7 @@ class TestPipeline:
         xq = fmt.pos.quantize(x)
         vw = fmt.word.round(v)
         mw = fmt.word.round(m)
-        acc_c, jerk_c, pot_c = pairwise_contributions(xq, vw, xq, vw, mw, eps2, fmt)
+        acc_c, jerk_c, pot_c = pair_terms(xq, vw, xq, vw, mw, eps2, fmt)
         # reference per-pair values
         dx = x[None] - x[:, None]
         r2 = np.einsum("ijk,ijk->ij", dx, dx) + eps2
@@ -92,22 +112,85 @@ class TestPipeline:
         fmt = PipelineFormats.default()
         x, v, m = tiny_setup(8)
         xq = fmt.pos.quantize(x)
-        acc_c, jerk_c, pot_c = pairwise_contributions(
-            xq, v, xq, v, m, eps2, fmt
-        )
+        acc_c, jerk_c, pot_c = pair_terms(xq, v, xq, v, m, eps2, fmt)
         np.testing.assert_array_equal(np.diagonal(pot_c), 0.0)
         assert np.all(np.abs(np.diagonal(acc_c, axis1=0, axis2=1)) == 0.0)
+        assert np.all(pot_c[~np.eye(8, dtype=bool)] < 0.0)
         del jerk_c
 
     def test_self_mask_by_index(self, eps2):
         fmt = PipelineFormats.default()
         x, v, m = tiny_setup(6)
         xq = fmt.pos.quantize(x)
-        mask = np.zeros((6, 6), dtype=bool)
-        mask[0, 3] = True  # pretend 0 and 3 are the same particle
-        _, _, pot = pairwise_contributions(xq, v, xq, v, m, eps2, fmt, self_mask=mask)
+        # pretend target 0 and source 3 are the same particle
+        i_index = np.arange(10, 16)
+        host_index_j = np.array([20, 21, 22, 10, 24, 25])
+        _, _, pot = pair_terms(
+            xq, v, xq, v, m, eps2, fmt, i_index=i_index, host_index_j=host_index_j
+        )
         assert pot[0, 3] == 0.0
         assert pot[1, 3] != 0.0
+
+
+class TestTileRowIndependence:
+    """A row of the pipeline tile depends only on that target, its
+    exponents and the j-set: the licence for cutting the i-block into
+    tiles, hardware passes and chips at will."""
+
+    N_J = 1500
+
+    def setup_method(self):
+        fmt = self.fmt = PipelineFormats.default()
+        x, v, m = tiny_setup(self.N_J, seed=9)
+        self.x, self.v = x, v
+        self.cj_q = np.ascontiguousarray(fmt.pos.quantize(x).T)
+        self.cj_v = np.ascontiguousarray(fmt.word.round(v).T)
+        self.mj = fmt.word.round(m)
+        # exponents that differ from row to row, all roomy enough
+        self.e = 8 + np.arange(7 * self.N_J).reshape(7, self.N_J) % 5
+
+    def lanes(self, rows, eps2):
+        rows = np.asarray(rows, dtype=np.int64)
+        return partial_lanes(
+            self.fmt.pos.quantize(self.x[rows]), self.fmt.word.round(self.v[rows]),
+            self.cj_q, self.cj_v, self.mj, np.arange(self.N_J),
+            self.e[:, rows], eps2, self.fmt, i_index=rows,
+        )
+
+    def height(self):
+        return pipeline.TILE_BYTES // (8 * 14 * self.N_J)
+
+    def test_across_the_tile_boundary(self, eps2):
+        """No rows, one row, one short of a tile, a tile, one over, and
+        several tiles with a ragged last one, against rows done alone."""
+        h = self.height()
+        assert 2 <= h < 20  # the sizes below straddle it
+        whole_hi, whole_lo = self.lanes(np.arange(3 * h + 1), eps2)
+        alone = [self.lanes([r], eps2) for r in range(3 * h + 1)]
+        np.testing.assert_array_equal(whole_hi, np.hstack([a[0] for a in alone]))
+        np.testing.assert_array_equal(whole_lo, np.hstack([a[1] for a in alone]))
+        for n_i in (0, 1, h - 1, h, h + 1):
+            hi, lo = self.lanes(np.arange(n_i), eps2)
+            assert hi.shape == lo.shape == (7, n_i)
+            np.testing.assert_array_equal(hi, whole_hi[:, :n_i])
+            np.testing.assert_array_equal(lo, whole_lo[:, :n_i])
+
+    def test_any_row_subset_in_any_order(self, eps2):
+        rows = np.random.default_rng(10).integers(0, self.N_J, 40)  # with repeats
+        whole_hi, whole_lo = self.lanes(np.arange(self.N_J), eps2)
+        hi, lo = self.lanes(rows, eps2)
+        np.testing.assert_array_equal(hi, whole_hi[:, rows])
+        np.testing.assert_array_equal(lo, whole_lo[:, rows])
+
+    @pytest.mark.parametrize("tile_bytes", [1, 1 << 18, 1 << 24])
+    def test_any_tile_height(self, eps2, monkeypatch, tile_bytes):
+        """One row per tile, a quarter of the shipped height, everything
+        in one tile."""
+        want = self.lanes(np.arange(50), eps2)
+        monkeypatch.setattr(pipeline, "TILE_BYTES", tile_bytes)
+        got = self.lanes(np.arange(50), eps2)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestChipAndHierarchy:
