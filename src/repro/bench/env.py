@@ -5,8 +5,9 @@ measured on (section 5 quotes host CPU, NIC model and library versions
 next to every Tflops figure; the fig. 19 tuning story *is* a change of
 environment).  Every ``BENCH_*.json`` therefore records enough of the
 substrate to tell "the code got slower" apart from "the machine
-changed": interpreter, platform, numpy, CPU count and the git revision
-the artifact was produced from.
+changed": interpreter, platform, numpy, CPU count, which tier of the
+pairwise kernel served (compiled or numpy: same bits, different speed)
+and the git revision the artifact was produced from.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import platform
 import sys
 from pathlib import Path
 from typing import Any
+
+from ..forces import kernels
 
 
 def _git_revision(start: Path) -> str | None:
@@ -59,5 +62,6 @@ def environment_fingerprint() -> dict[str, Any]:
         "processor": platform.processor() or None,
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
+        "kernel_tier": kernels.KERNEL_TIER,
         "git_revision": _git_revision(Path(__file__).resolve()),
     }

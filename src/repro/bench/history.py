@@ -70,9 +70,11 @@ DEFAULT_EFF_DROP_THRESHOLD = 0.10
 #: the virtual model says nothing changed.
 DEFAULT_SKEW_JUMP_THRESHOLD = 0.15
 
-#: Environment-fingerprint fields that define "the same machine".
+#: Environment-fingerprint fields that define "the same machine".  The
+#: kernel tier is one: the tiers agree bit for bit but not in speed, so
+#: medians from either side of a tier change are not one series.
 _ENV_KEY_FIELDS = ("python", "implementation", "platform", "machine",
-                   "cpu_count", "numpy")
+                   "cpu_count", "numpy", "kernel_tier")
 
 
 class HistoryError(ValueError):

@@ -185,7 +185,7 @@ class BlockTimestepIntegrator:
                 "blocksteps": int(self.stats.blocksteps),
                 "particle_steps": int(self.stats.particle_steps),
                 "interactions": int(self.stats.interactions),
-                "block_sizes": [int(b) for b in self.stats.block_sizes],
+                "block_sizes": np.array(self.stats.block_sizes, dtype=np.int64),
             },
             "scheduler_t_next": np.array(self.scheduler.t_next),
         }
@@ -222,7 +222,7 @@ class BlockTimestepIntegrator:
             blocksteps=int(st["blocksteps"]),
             particle_steps=int(st["particle_steps"]),
             interactions=int(st["interactions"]),
-            block_sizes=[int(b) for b in st["block_sizes"]],
+            block_sizes=np.asarray(st["block_sizes"], dtype=np.int64).tolist(),
         )
         integ._xp = np.empty_like(system.pos)
         integ._vp = np.empty_like(system.vel)

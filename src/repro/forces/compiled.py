@@ -1,0 +1,225 @@
+"""Build, cache and load the compiled pairwise tile (``pairwise_tile.c``).
+
+The C source ships inside this package and is built on first use with
+the system C compiler into a per-user cache, then loaded with
+:mod:`ctypes`.  Nothing here chooses between tiers:
+:func:`load_pairwise_tile` either returns the compiled tile, checked
+bit for bit against the reference it is given, or raises
+:class:`TileUnavailable` with the reason, and the caller
+(:mod:`repro.forces.kernels`) keeps the numpy tier.
+
+Cache.  ``$XDG_CACHE_HOME/repro-grape6`` (default ``~/.cache``).  The
+directory must belong to the user and be writable by nobody else, or it
+is refused: a shared library is code, and loading one another user
+could have written is running their code.  A user without a usable
+cache directory gets the numpy tier.  The file name carries a hash of
+source, flags, compiler (resolved path, size, mtime: its version
+without running it) and CPU, so a compiler upgrade or a home directory
+shared between machines rebuilds instead of loading a stale or foreign
+build; once built, an import starts no process.  A build goes to a
+temporary name in the same directory and is renamed into place, so
+concurrent first imports each build their own copy and the last rename
+wins; no reader ever sees a torn file.
+
+Flags (:data:`CFLAGS`).  ``-ffp-contract=off`` forbids fusing ``a * b +
+c`` into one rounding, which would change bits; there is no
+``-ffast-math``, so nothing is reassociated, and the j-reduction keeps
+numpy's pairwise order.  ``-fno-math-errno`` changes no value: it lets
+``sqrt`` be the hardware instruction instead of a libm call that may
+set ``errno``, without which the pair loop is not vectorised.
+``-march=native`` widens the vectors; IEEE add, multiply, divide and
+square root are correctly rounded at any width.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import tempfile
+from collections.abc import Callable
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("pairwise_tile.c")
+
+CFLAGS = (
+    "-O3",
+    "-march=native",
+    "-ffp-contract=off",
+    "-fno-math-errno",
+    "-shared",
+    "-fPIC",
+)
+
+#: ``(n_i, n_j)`` of the load-time self-check: around numpy's 8-wide
+#: unroll, its 128 block, and a halving whose halves halve again.
+SELF_CHECK_TILES = ((3, 7), (2, 9), (2, 128), (3, 129), (2, 300))
+
+TileSums = Callable[[np.ndarray, np.ndarray, np.ndarray, float, bool, np.ndarray], None]
+
+
+class TileUnavailable(RuntimeError):
+    """The compiled tile cannot be used; the message says why."""
+
+
+def find_compiler() -> str | None:
+    """Path of the system C compiler, or None."""
+    for name in ("cc", "gcc", "clang"):
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+def cache_root() -> Path:
+    """The user's cache directory (not created)."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+
+
+def cache_dir() -> Path:
+    """The directory compiled tiles live in, ``repro-grape6`` under the
+    user's cache: created 0700 if missing, and refused unless it is a
+    directory owned by this user that no one else can write to."""
+    path = cache_root() / "repro-grape6"
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = os.lstat(path)
+    except OSError as exc:
+        raise TileUnavailable(f"no cache directory: {exc}") from exc
+    if not stat.S_ISDIR(st.st_mode):
+        raise TileUnavailable(f"cache {path} is not a directory")
+    if st.st_uid != os.getuid():
+        raise TileUnavailable(f"cache {path} is owned by uid {st.st_uid}, not by this user")
+    if st.st_mode & 0o022:
+        raise TileUnavailable(
+            f"cache {path} is group- or world-writable (mode {stat.S_IMODE(st.st_mode):04o})"
+        )
+    return path
+
+
+def cpu_identity() -> str:
+    """What ``-march=native`` resolves to on this machine, as far as the
+    platform tells: architecture plus the CPU's feature flags."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = next(
+                (line for line in fh if line.startswith(("flags", "Features"))), ""
+            )
+    except OSError:
+        flags = platform.processor()
+    return f"{platform.machine()} {flags.strip()}"
+
+
+def compiler_identity(cc: str) -> str:
+    """Which compiler ``cc`` is, without running it: the resolved binary
+    with its size and modification time, which a compiler upgrade
+    changes.  (Running ``cc --version`` at every import would fork this
+    process once per run - 1.5 ms, and a child as large as the parent in
+    ``RUSAGE_CHILDREN``.)"""
+    real = os.path.realpath(cc)
+    try:
+        st = os.stat(real)
+    except OSError as exc:
+        raise TileUnavailable(f"cannot stat the compiler {real}: {exc}") from exc
+    return f"{real} {st.st_size} {st.st_mtime_ns}"
+
+
+def _build(cc: str, target: Path) -> None:
+    """Compile :data:`SOURCE` to ``target`` via a temporary name."""
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=300,
+        )
+        if proc.returncode != 0:
+            tail = proc.stderr.strip().splitlines()[-1:] or [""]
+            raise TileUnavailable(f"{cc} exited {proc.returncode}: {tail[0]}")
+        os.replace(tmp, target)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise TileUnavailable(f"building with {cc} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _bind(library: Path) -> TileSums:
+    """The library's ``pairwise_tile`` as a function of the arrays the
+    numpy tier takes.  ``ctypes.CDLL`` releases the GIL for the call."""
+    try:
+        fn = ctypes.CDLL(str(library)).pairwise_tile
+    except (OSError, AttributeError) as exc:
+        raise TileUnavailable(f"cannot load {library}: {exc}") from exc
+    fn.argtypes = [
+        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int, ctypes.c_void_p,
+    ]
+    fn.restype = None
+
+    # ``ndarray.ctypes.data`` costs 1 us an array, more than a small tile
+    pointer_to, first = ctypes.byref, ctypes.c_double.from_buffer
+
+    def tile_sums(ci, cj, gm, eps2, mask_self, sums) -> None:
+        n_i, n_j = ci.shape[1], cj.shape[1]
+        for a, shape in ((ci, (6, n_i)), (cj, (6, n_j)), (gm, (n_j,)), (sums, (7, n_i))):
+            if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise ValueError(f"pairwise tile wants contiguous float64 {shape}")
+        if n_i == 0 or n_j == 0:  # no first element to point at
+            sums.fill(0.0)
+            return
+        fn(pointer_to(first(ci)), n_i, pointer_to(first(cj)), pointer_to(first(gm)),
+           n_j, eps2, mask_self, pointer_to(first(sums)))
+
+    return tile_sums
+
+
+def _self_check(tile: TileSums, reference: TileSums) -> None:
+    """Refuse ``tile`` unless it reproduces ``reference`` bit for bit on
+    :data:`SELF_CHECK_TILES`, targets among the sources, both masks."""
+    for n_i, n_j in SELF_CHECK_TILES:
+        # irregular O(1) coordinates and masses (no RNG: importing
+        # numpy.random costs this import 7 MiB)
+        cj = np.sin(np.arange(1.0, 6 * n_j + 1).reshape(6, n_j) ** 2)
+        ci = np.ascontiguousarray(cj[:, :n_i])
+        gm = 0.1 + np.cos(np.arange(n_j)) ** 2
+        for mask_self in (False, True):
+            got, want = np.empty((7, n_i)), np.empty((7, n_i))
+            tile(ci, cj, gm, 2.0**-12, mask_self, got)
+            reference(ci, cj, gm, 2.0**-12, mask_self, want)
+            if got.tobytes() != want.tobytes():
+                raise TileUnavailable(
+                    f"self-check: compiled tile differs from the numpy tile "
+                    f"at {n_i}x{n_j}, mask_self={mask_self}"
+                )
+
+
+def load_pairwise_tile(reference: TileSums) -> tuple[TileSums, str]:
+    """The compiled tile and a line saying what was built and where.
+
+    Raises :class:`TileUnavailable` when there is no compiler, no usable
+    cache directory, the build or the load fails, or the result is not
+    bitwise equal to ``reference`` on the self-check tiles.
+    """
+    cc = find_compiler()
+    if cc is None:
+        raise TileUnavailable("no C compiler (cc, gcc, clang) on PATH")
+    try:
+        source = SOURCE.read_text()
+    except OSError as exc:
+        raise TileUnavailable(f"cannot read the tile's source: {exc}") from exc
+    key = hashlib.sha256(
+        "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
+    ).hexdigest()[:16]
+    library = cache_dir() / f"pairwise_tile-{key}.so"
+    if not library.exists():
+        _build(cc, library)
+    tile = _bind(library)
+    _self_check(tile, reference)
+    return tile, f"{cc} {' '.join(CFLAGS)} -> {library}"

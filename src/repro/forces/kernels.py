@@ -33,6 +33,19 @@ followed by numpy's pairwise summation along a contiguous axis of length
 ``dot``/``matmul``/``einsum`` pick their blocking from the operand
 shapes and would break that.
 
+Two tiers, one behaviour.  The tile above is the numpy tier
+(:func:`numpy_tile_sums`): the reference, and what runs where there is
+no C compiler.  Beneath :func:`pairwise_acc_jerk_pot` sits a compiled
+tier (``pairwise_tile.c``, built and loaded by :mod:`.compiled`) that
+holds one i-particle in registers while the j-set streams past, like the
+hardwired pipeline, and is **bitwise identical** to the numpy tier: the
+same IEEE operations in the same order per pair, no fused multiply-add,
+and the j-sum in numpy's pairwise-summation order.  It is checked against
+the numpy tier when it is loaded and refused on any difference, so every
+bit-identity pin holds on either tier and nothing selects one:
+:data:`KERNEL_TIER` and :data:`KERNEL_TIER_REASON` say which tier serves
+this process and why.
+
 Flop accounting follows the paper's convention of 38 ops per force and
 19 per jerk (57 total).
 """
@@ -45,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import FLOPS_PER_INTERACTION, G_NBODY
+from .compiled import TileSums, TileUnavailable, load_pairwise_tile
 
 #: Bytes of pairwise intermediates one i-tile may occupy.  Measured on
 #: the claim workloads' tile shapes (EXPERIMENTS.md, "Pairwise kernel"):
@@ -143,6 +157,62 @@ def softened_rinv(
     return np.divide(1.0, out, out=out)
 
 
+def numpy_tile_sums(
+    ci: np.ndarray,
+    cj: np.ndarray,
+    gm: np.ndarray,
+    eps2: float,
+    mask_self: bool,
+    sums: np.ndarray,
+) -> None:
+    """The numpy tier, and the reference the compiled tier must match bit
+    for bit: j-sums of acc(3), jerk(3) and ``m/r`` into ``sums`` ``(7, n_i)``
+    from component-major targets ``ci`` ``(6, n_i)``, sources ``cj``
+    ``(6, n_j)`` and ``gm = G m_j``."""
+    for rows, buf in difference_tiles(ci, cj, scratch=7):
+        dx, dv, mrinv, tmp = buf[:3], buf[3:6], buf[6], buf[7:10]
+        alpha, rinv2, mrinv3 = buf[10], buf[11], buf[12]
+        rinv = softened_rinv(dx, tmp, eps2, mrinv, mask_self)
+        plane_dot(dx, dv, tmp, alpha)  # r.v
+        np.multiply(rinv, rinv, out=rinv2)
+        mrinv *= gm  # rinv -> m/r, the potential plane
+        np.multiply(mrinv, rinv2, out=mrinv3)
+        alpha *= 3.0
+        alpha *= rinv2  # 3 (v.r) / r^2 -- the alpha factor of the jerk (eq. 2)
+        np.multiply(mrinv3, alpha, out=rinv2)
+        np.multiply(dx, rinv2, out=tmp)
+        dv *= mrinv3
+        dv -= tmp
+        dx *= mrinv3
+        sums[:, rows] = buf[:7].sum(axis=2)
+
+
+def resolve_kernel_tier() -> tuple[TileSums, str, str]:
+    """``(tile, KERNEL_TIER, KERNEL_TIER_REASON)``: the compiled tile if it
+    can be built, loaded and matches :func:`numpy_tile_sums` bitwise,
+    else the numpy tile and why.  There is nothing to configure.
+
+    This runs at import, so nothing the loader meets may escape it: a
+    platform it did not foresee (no home directory, no ``os.getuid``)
+    is one more reason for the numpy tier, not a package that cannot be
+    imported."""
+    try:
+        tile, built = load_pairwise_tile(numpy_tile_sums)
+    except TileUnavailable as exc:
+        return numpy_tile_sums, "numpy", str(exc)
+    except Exception as exc:
+        return numpy_tile_sums, "numpy", f"loader failed: {exc!r}"
+    return tile, "c", built
+
+
+#: Which tier serves :func:`pairwise_acc_jerk_pot` in this process (``"c"``
+#: or ``"numpy"``) and why.  Resolved once, at import, so that no build,
+#: ``dlopen`` or self-check falls inside anything a caller times and
+#: forked pool workers inherit the loaded library.  The tiers differ in
+#: speed only; every bit of every result is the same.
+_tile_sums, KERNEL_TIER, KERNEL_TIER_REASON = resolve_kernel_tier()
+
+
 def pairwise_acc_jerk_pot(
     xi: np.ndarray,
     vi: np.ndarray,
@@ -176,24 +246,12 @@ def pairwise_acc_jerk_pot(
     targets gives bitwise the same rows.
     """
     ci = component_major(xi, vi)
+    cj = component_major(xj, vj)
     gm = G_NBODY * np.asarray(mj, dtype=np.float64)
+    if gm.shape != (cj.shape[1],):
+        raise ValueError(f"mj has shape {gm.shape}, want ({cj.shape[1]},)")
     sums = np.empty((7, ci.shape[1]))  # j-sums of acc(3), jerk(3), m/r
-    for rows, buf in difference_tiles(ci, component_major(xj, vj), scratch=7):
-        dx, dv, mrinv, tmp = buf[:3], buf[3:6], buf[6], buf[7:10]
-        alpha, rinv2, mrinv3 = buf[10], buf[11], buf[12]
-        rinv = softened_rinv(dx, tmp, eps2, mrinv, exclude_self)
-        plane_dot(dx, dv, tmp, alpha)  # r.v
-        np.multiply(rinv, rinv, out=rinv2)
-        mrinv *= gm  # rinv -> m/r, the potential plane
-        np.multiply(mrinv, rinv2, out=mrinv3)
-        alpha *= 3.0
-        alpha *= rinv2  # 3 (v.r) / r^2 -- the alpha factor of the jerk (eq. 2)
-        np.multiply(mrinv3, alpha, out=rinv2)
-        np.multiply(dx, rinv2, out=tmp)
-        dv *= mrinv3
-        dv -= tmp
-        dx *= mrinv3
-        sums[:, rows] = buf[:7].sum(axis=2)
+    _tile_sums(ci, cj, gm, float(eps2), bool(exclude_self), sums)
     acc = np.ascontiguousarray(sums[:3].T)
     jerk = np.ascontiguousarray(sums[3:6].T)
     return acc, jerk, -sums[6]

@@ -22,6 +22,7 @@ the very crash it guards against never shadows its intact predecessor.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -47,15 +48,25 @@ class CheckpointError(ValueError):
     """Raised for unreadable checkpoints and schema violations."""
 
 
-def checkpoint_provenance() -> dict[str, Any]:
-    """Environment fingerprint + git revision for the header.
+@functools.cache
+def _process_environment() -> dict[str, Any]:
+    """This process's environment fingerprint, taken once rather than at
+    every checkpoint write: the platform does not change under a live
+    process, and the revision read at first use is the one whose code it
+    imported.
 
     Imported lazily from :mod:`repro.bench.env` so ``repro.io`` keeps
     no import-time dependency on the bench package.
     """
     from ..bench.env import environment_fingerprint
 
-    env = environment_fingerprint()
+    return environment_fingerprint()
+
+
+def checkpoint_provenance() -> dict[str, Any]:
+    """Environment fingerprint + git revision for the header (a fresh
+    copy per call; the fingerprint behind it is computed once)."""
+    env = dict(_process_environment())
     return {"environment": env, "git_revision": env.get("git_revision")}
 
 
@@ -97,6 +108,8 @@ def write_checkpoint(
     """
     state = integrator.state_dict()
     t_next = state.pop("scheduler_t_next")
+    # one entry per blockstep so far: an array member, not header JSON
+    block_sizes = state["stats"].pop("block_sizes")
     meta: dict[str, Any] = {
         "schema": CHECKPOINT_SCHEMA,
         "n": integrator.system.n,
@@ -119,6 +132,7 @@ def write_checkpoint(
             fh,
             header=np.frombuffer(header.encode(), dtype=np.uint8),
             scheduler_t_next=t_next,
+            block_sizes=block_sizes,
             **arrays,
         )
         fh.flush()
@@ -161,6 +175,10 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 
         state = dict(meta["integrator"])
         state["scheduler_t_next"] = np.array(data["scheduler_t_next"])
+        if "block_sizes" in data:  # else the older layout: a list in the header
+            state["stats"] = {
+                **state["stats"], "block_sizes": np.array(data["block_sizes"])
+            }
 
     rng = meta.get("rng")
     if rng is not None and not isinstance(rng, np.random.Generator):

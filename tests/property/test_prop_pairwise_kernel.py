@@ -14,8 +14,17 @@ rows were evaluated with it, nor on the memory layout the caller passed.
 (b) accuracy is pinned as a distribution against an ``np.longdouble``
     reference, in the spirit of the GRAPE-3 accuracy study
     (astro-ph/9709246), not as a single-seed tolerance;
-(c) Newton's third law and ``potential_energy == 1/2 sum m pot``.
+(c) Newton's third law and ``potential_energy == 1/2 sum m pot``;
+(d) the kernel has two tiers, compiled C and numpy, whose contract is
+    **bit identity**, not a tolerance: hypothesis draws shapes around
+    the boundaries of numpy's pairwise summation (8, 128, the halving),
+    masks, degenerate inputs and input layouts/dtypes and demands equal
+    bits.  (a)-(c) run on whichever tier this process resolved; CI runs
+    this file once per tier, the second time with no compiler on PATH.
 """
+
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -68,6 +77,21 @@ def relayout(a: np.ndarray, how: str) -> np.ndarray:
 def assert_rows_equal(got, want, rows):
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w[rows])
+
+
+@contextmanager
+def numpy_tier():
+    """Serve the kernel from the numpy tier, as when no compiled tile
+    could be built."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_tile_sums", kernels.numpy_tile_sums)
+        yield
+
+
+needs_compiled_tier = pytest.mark.skipif(
+    kernels.KERNEL_TIER != "c",
+    reason=f"this process runs the numpy tier: {kernels.KERNEL_TIER_REASON}",
+)
 
 
 class TestRowIndependence:
@@ -246,3 +270,95 @@ def test_third_law_and_potential_energy(seed, n):
         assert np.abs(m @ f).max() <= 1e-13 * scale
     u = potential_energy(x, m, EPS2)
     assert u == pytest.approx(0.5 * np.sum(m * res.pot), rel=1e-13)
+
+
+# -- (d) compiled tier == numpy tier, bit for bit -----------------------------
+
+#: n_j around numpy's pairwise-summation boundaries: the 8-wide unroll,
+#: the 128 block, the first halving (257 -> 128 + 129, so a second one)
+#: and a deep tree with a ragged tail.
+BOUNDARY_N_J = [0, 1, 7, 8, 9, 127, 128, 129, 255, 257, 2049]
+
+
+def same_bits(got, want):
+    """Equal bit patterns; where a result is NaN (only eps2 = 0 on an
+    unmasked coincident pair makes one) both tiers must say NaN."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+        nan = np.isnan(w)
+        np.testing.assert_array_equal(np.isnan(g), nan)
+        np.testing.assert_array_equal(
+            g[~nan].view(np.uint64), w[~nan].view(np.uint64)
+        )
+
+
+def as_dtype(a: np.ndarray, how: str) -> np.ndarray:
+    """Inputs the kernel must convert itself: float32, and integers
+    (which makes coincident particles common)."""
+    if how == "float32":
+        return a.astype(np.float32)
+    if how == "int":
+        return np.rint(3 * a).astype(np.int64)
+    return a
+
+
+@needs_compiled_tier
+class TestCompiledTierIsTheNumpyTier:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_i=st.sampled_from([0, 1, 2, 5, 17]),
+        n_j=st.sampled_from(BOUNDARY_N_J) | st.integers(0, 2100),
+        subset=st.booleans(),
+        exclude_self=st.booleans(),
+        eps2=st.sampled_from([EPS2, 0.0, 1.0]),
+        massless=st.booleans(),
+        layout=st.sampled_from(["c", "fortran", "strided", "readonly"]),
+        dtype=st.sampled_from(["float64", "float32", "int"]),
+    )
+    def test_bitwise(
+        self, seed, n_i, n_j, subset, exclude_self, eps2, massless, layout, dtype
+    ):
+        xi, vi, xj, vj, mj = particles(seed, n_i, n_j, subset)
+        if massless:
+            mj[:: 2] = 0.0
+        if n_j > 1:
+            xj[-1], vj[-1] = xj[0], vj[0]  # a coincident pair that is not (i, i)
+        args = [relayout(as_dtype(a, dtype), layout) for a in (xi, vi, xj, vj)]
+        args += [relayout(mj, layout), eps2, exclude_self]
+        with warnings.catch_warnings():
+            # eps2 = 0 without the mask divides by zero on both tiers
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = pairwise_acc_jerk_pot(*args)
+            with numpy_tier():
+                want = pairwise_acc_jerk_pot(*args)
+        same_bits(got, want)
+
+    @pytest.mark.parametrize("n_j", BOUNDARY_N_J + [20000])
+    @pytest.mark.parametrize("exclude_self", [False, True])
+    def test_every_boundary(self, n_j, exclude_self):
+        xi, vi, xj, vj, mj = particles(n_j, 3, n_j, subset=True)
+        got = pairwise_acc_jerk_pot(xi, vi, xj, vj, mj, EPS2, exclude_self)
+        with numpy_tier():
+            want = pairwise_acc_jerk_pot(xi, vi, xj, vj, mj, EPS2, exclude_self)
+        same_bits(got, want)
+
+    @pytest.mark.parametrize("n_i, n_j", CLAIM_TILES)
+    def test_claim_tiles(self, n_i, n_j):
+        s = plummer_model(n_j, seed=n_j)
+        args = (s.pos[:n_i], s.vel[:n_i], s.pos, s.vel, s.mass, EPS2, True)
+        got = pairwise_acc_jerk_pot(*args)
+        with numpy_tier():
+            want = pairwise_acc_jerk_pot(*args)
+        same_bits(got, want)
+
+
+def test_mismatched_masses_are_refused_on_either_tier():
+    """The compiled tile reads ``n_j`` masses through a bare pointer, so
+    a wrong count is refused before either tier sees it."""
+    xi, vi, xj, vj, mj = particles(1, 2, 10, subset=False)
+    for bad in (mj[:9], np.ones(1), 1.0):
+        with pytest.raises(ValueError):
+            pairwise_acc_jerk_pot(xi, vi, xj, vj, bad, EPS2)
+        with numpy_tier(), pytest.raises(ValueError):
+            pairwise_acc_jerk_pot(xi, vi, xj, vj, bad, EPS2)

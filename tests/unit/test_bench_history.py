@@ -18,6 +18,7 @@ from repro.bench import (
     HistoryError,
     artifact_row,
     env_key,
+    environment_fingerprint,
     ingest_artifact,
     read_history,
     render_history_plot,
@@ -79,6 +80,13 @@ class TestEnvKey:
 
     def test_ignores_git_revision(self):
         assert env_key(ENV_A) == env_key({**ENV_A, "git_revision": "other"})
+
+    def test_kernel_tier_starts_a_new_series(self):
+        """Same box, same bits, other speed: medians from the compiled
+        and the numpy tier of the pairwise kernel are not comparable."""
+        compiled, fallback = ({**ENV_A, "kernel_tier": t} for t in ("c", "numpy"))
+        assert len({env_key(ENV_A), env_key(compiled), env_key(fallback)}) == 3
+        assert environment_fingerprint()["kernel_tier"] in ("c", "numpy")
 
 
 class TestIngest:

@@ -9,6 +9,8 @@ end-to-end resume bit-identity property lives in
 ``tests/property/test_prop_checkpoint_resume.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -90,11 +92,67 @@ class TestRoundTrip:
         assert read_checkpoint(ckpt_path).meta["metadata"]["job"] == "demo"
 
 
+class TestBlockSizes:
+    """One entry per blockstep so far: an ``.npz`` member, so the JSON
+    header does not grow with the length of the run."""
+
+    def test_header_size_independent_of_blocksteps(self, tmp_path):
+        sizes = []
+        for steps in (1, 40):
+            path = write_checkpoint(tmp_path / f"{steps}.npz", make_integrator(steps=steps))
+            with np.load(path) as data:
+                assert data["block_sizes"].dtype == np.int64
+                assert len(data["block_sizes"]) == steps
+                header = json.loads(bytes(data["header"]).decode())
+            assert "block_sizes" not in header["integrator"]["stats"]
+            header["provenance"] = header["integrator"] = None  # float reprs vary
+            sizes.append(len(json.dumps(header)))
+        assert sizes[0] == sizes[1]
+
+    def test_restored_as_list(self, ckpt_path):
+        integ = make_integrator(steps=9)
+        write_checkpoint(ckpt_path, integ)
+        clone = restore_integrator(read_checkpoint(ckpt_path))
+        assert clone.stats.block_sizes == integ.stats.block_sizes
+        assert all(type(b) is int for b in clone.stats.block_sizes)
+
+    def test_reads_the_layout_with_the_list_in_the_header(self, ckpt_path, tmp_path):
+        """Checkpoints written before the member existed carry the list
+        in the header; same schema, still readable."""
+        integ = make_integrator(steps=6)
+        write_checkpoint(ckpt_path, integ)
+        with np.load(ckpt_path) as data:
+            arrays = dict(data)
+        header = json.loads(bytes(arrays["header"]).decode())
+        header["integrator"]["stats"]["block_sizes"] = arrays.pop("block_sizes").tolist()
+        arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        old = tmp_path / "old.npz"
+        np.savez(old, **arrays)
+        clone = restore_integrator(read_checkpoint(old))
+        assert clone.stats.block_sizes == integ.stats.block_sizes
+        integ.step()
+        clone.step()
+        assert np.array_equal(clone.system.pos, integ.system.pos)
+
+
 class TestProvenance:
     def test_fingerprint_and_revision(self):
         prov = checkpoint_provenance()
         assert "environment" in prov and "python" in prov["environment"]
         assert "git_revision" in prov
+
+    def test_computed_once_and_handed_out_as_copies(self, monkeypatch):
+        import repro.bench.env as env
+
+        first = checkpoint_provenance()
+        monkeypatch.setattr(
+            env, "environment_fingerprint",
+            lambda: pytest.fail("fingerprint rebuilt for a second checkpoint"),
+        )
+        first["environment"]["python"] = "scribbled"
+        again = checkpoint_provenance()
+        assert again["environment"]["python"] != "scribbled"
+        assert again["environment"]["kernel_tier"] in ("c", "numpy")
 
     def test_written_into_header(self, ckpt_path):
         write_checkpoint(ckpt_path, make_integrator())
