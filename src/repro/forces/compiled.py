@@ -1,12 +1,16 @@
-"""Build, cache and load the compiled pairwise tile (``pairwise_tile.c``).
+"""Build, cache and load the compiled tiles (:data:`SOURCES`).
 
-The C source ships inside this package and is built on first use with
-the system C compiler into a per-user cache, then loaded with
-:mod:`ctypes`.  Nothing here chooses between tiers:
-:func:`load_pairwise_tile` either returns the compiled tile, checked
-bit for bit against the reference it is given, or raises
-:class:`TileUnavailable` with the reason, and the caller
-(:mod:`repro.forces.kernels`) keeps the numpy tier.
+Each C source ships inside the package of the module that owns its
+numpy twin and is built on first use with the system C compiler into a
+per-user cache, then loaded with :mod:`ctypes`: one path for every
+tile, :func:`load_tile`, of which an owner adds only its argument
+types, a binder that validates arrays before pointing into them, and a
+self-check.  Nothing here chooses between tiers: a loader (here
+:func:`load_pairwise_tile`; the pipeline tile's is in
+:mod:`repro.hardware.pipeline`) either returns the compiled tile,
+checked bit for bit against the reference, or raises
+:class:`TileUnavailable` with the reason, and the owner keeps the numpy
+tier.
 
 Cache.  ``$XDG_CACHE_HOME/repro-grape6`` (default ``~/.cache``).  The
 directory must belong to the user and be writable by nobody else, or it
@@ -46,7 +50,11 @@ from pathlib import Path
 
 import numpy as np
 
-SOURCE = Path(__file__).with_name("pairwise_tile.c")
+#: The compiled tiles, by the name their entry point and library carry.
+SOURCES = {
+    "pairwise_tile": Path(__file__).with_name("pairwise_tile.c"),
+    "pipeline_tile": Path(__file__).parents[1] / "hardware" / "pipeline_tile.c",
+}
 
 CFLAGS = (
     "-O3",
@@ -130,13 +138,13 @@ def compiler_identity(cc: str) -> str:
     return f"{real} {st.st_size} {st.st_mtime_ns}"
 
 
-def _build(cc: str, target: Path) -> None:
-    """Compile :data:`SOURCE` to ``target`` via a temporary name."""
+def _build(cc: str, source: Path, target: Path) -> None:
+    """Compile ``source`` to ``target`` via a temporary name."""
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=".build-", suffix=".so")
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+            [cc, *CFLAGS, "-o", tmp, str(source), "-lm"],
             capture_output=True, text=True, timeout=300,
         )
         if proc.returncode != 0:
@@ -150,20 +158,46 @@ def _build(cc: str, target: Path) -> None:
             os.unlink(tmp)
 
 
-def _bind(library: Path) -> TileSums:
-    """The library's ``pairwise_tile`` as a function of the arrays the
-    numpy tier takes.  ``ctypes.CDLL`` releases the GIL for the call."""
+def load_tile(name: str, argtypes: list, restype=None):
+    """Entry point ``name`` of the library built from ``SOURCES[name]``,
+    and a line saying what was built and where.  ``ctypes.CDLL``
+    releases the GIL for the call.
+
+    Raises :class:`TileUnavailable` when there is no compiler, no usable
+    cache directory, or the build or the load fails.
+    """
+    cc = find_compiler()
+    if cc is None:
+        raise TileUnavailable("no C compiler (cc, gcc, clang) on PATH")
     try:
-        fn = ctypes.CDLL(str(library)).pairwise_tile
+        source = SOURCES[name].read_text()
+    except OSError as exc:
+        raise TileUnavailable(f"cannot read the tile's source: {exc}") from exc
+    key = hashlib.sha256(
+        "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
+    ).hexdigest()[:16]
+    library = cache_dir() / f"{name}-{key}.so"
+    if not library.exists():
+        _build(cc, SOURCES[name], library)
+    try:
+        fn = getattr(ctypes.CDLL(str(library)), name)
     except (OSError, AttributeError) as exc:
         raise TileUnavailable(f"cannot load {library}: {exc}") from exc
-    fn.argtypes = [
-        ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_ssize_t, ctypes.c_double, ctypes.c_int, ctypes.c_void_p,
-    ]
-    fn.restype = None
+    fn.argtypes, fn.restype = argtypes, restype
+    return fn, f"{cc} {' '.join(CFLAGS)} -> {library}"
 
-    # ``ndarray.ctypes.data`` costs 1 us an array, more than a small tile
+
+def address(a: np.ndarray):
+    """Pointer to the first element of a non-empty array.  Through the
+    buffer protocol where it can be (``ndarray.ctypes.data`` costs 1 us
+    an array, more than a small tile); a read-only array has only that."""
+    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+
+
+def _bind(fn) -> TileSums:
+    """``pairwise_tile`` as a function of the arrays the numpy tier takes."""
+    # its four arrays are made by the caller, float64 and writable, and a
+    # one-row tile is 9 us: no call to, and no test in, :func:`address`
     pointer_to, first = ctypes.byref, ctypes.c_double.from_buffer
 
     def tile_sums(ci, cj, gm, eps2, mask_self, sums) -> None:
@@ -203,23 +237,15 @@ def _self_check(tile: TileSums, reference: TileSums) -> None:
 def load_pairwise_tile(reference: TileSums) -> tuple[TileSums, str]:
     """The compiled tile and a line saying what was built and where.
 
-    Raises :class:`TileUnavailable` when there is no compiler, no usable
-    cache directory, the build or the load fails, or the result is not
-    bitwise equal to ``reference`` on the self-check tiles.
+    Raises :class:`TileUnavailable` as :func:`load_tile` does, or when
+    the result is not bitwise equal to ``reference`` on the self-check
+    tiles.
     """
-    cc = find_compiler()
-    if cc is None:
-        raise TileUnavailable("no C compiler (cc, gcc, clang) on PATH")
-    try:
-        source = SOURCE.read_text()
-    except OSError as exc:
-        raise TileUnavailable(f"cannot read the tile's source: {exc}") from exc
-    key = hashlib.sha256(
-        "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
-    ).hexdigest()[:16]
-    library = cache_dir() / f"pairwise_tile-{key}.so"
-    if not library.exists():
-        _build(cc, library)
-    tile = _bind(library)
+    void_p, ssize_t = ctypes.c_void_p, ctypes.c_ssize_t
+    fn, built = load_tile(
+        "pairwise_tile",
+        [void_p, ssize_t, void_p, void_p, ssize_t, ctypes.c_double, ctypes.c_int, void_p],
+    )
+    tile = _bind(fn)
     _self_check(tile, reference)
-    return tile, f"{cc} {' '.join(CFLAGS)} -> {library}"
+    return tile, built

@@ -105,29 +105,6 @@ class GrapeChip:
             return self.memory.pos_q, self.memory.vel
         return predict_memory(self.memory, t)
 
-    # -- cycle accounting -----------------------------------------------------
-
-    def charge_block(self, n_i: int, n_j: int | None = None) -> None:
-        """Charge the cycles one i-block costs on this chip.
-
-        Used by the batched datapath, which computes the forces outside
-        the chip but must account machine time as if the chip had
-        streamed its memory itself: ``ceil(n_i / iparallel)`` passes,
-        ``vmp_ways`` clocks per stored j-particle per pass — the same
-        arithmetic the faithful :meth:`partial_forces` schedule accrues
-        pass by pass.
-        """
-        n_j = self.memory.n if n_j is None else n_j
-        if n_i <= 0 or n_j == 0:
-            return
-        passes = -(-n_i // self.config.iparallel)
-        cycles = passes * self.config.vmp_ways * n_j
-        self.cycles += cycles
-        tracer = get_tracer()
-        if tracer.enabled:
-            tracer.count("grape.pipeline_passes", passes)
-            tracer.count("grape.cycles", cycles)
-
     # -- force side ----------------------------------------------------------
 
     def partial_forces(
@@ -189,3 +166,30 @@ class GrapeChip:
 
     def set_eps2(self, eps2: float) -> None:
         self._eps2 = float(eps2)
+
+
+def charge_block(chips: list[GrapeChip], n_i: int, sizes: tuple[int, ...]) -> None:
+    """Charge each chip the cycles one i-block costs it.
+
+    Used by the batched datapath, which computes the forces outside the
+    chips but must account machine time as if each (holding ``sizes[k]``
+    j-particles) had streamed its memory itself: ``ceil(n_i /
+    iparallel)`` passes, ``vmp_ways`` clocks per stored j-particle per
+    pass - the same arithmetic the faithful
+    :meth:`GrapeChip.partial_forces` schedule accrues pass by pass, and
+    the same counter totals, in one pass over the machine.
+    """
+    if n_i <= 0:
+        return
+    total_passes = total_cycles = 0
+    for chip, n_j in zip(chips, sizes):
+        if n_j:
+            passes = -(-n_i // chip.config.iparallel)
+            cycles = passes * chip.config.vmp_ways * n_j
+            chip.cycles += cycles
+            total_passes += passes
+            total_cycles += cycles
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.count("grape.pipeline_passes", total_passes)
+        tracer.count("grape.cycles", total_cycles)

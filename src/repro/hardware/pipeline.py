@@ -23,10 +23,12 @@ relies on are preserved exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ctypes import c_double, c_int, c_ssize_t, c_void_p
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..forces.compiled import TileUnavailable, address, load_tile
 from ..forces.kernels import TILE_BYTES, plane_dot
 from .blockfloat import FRAC_BITS, BlockFloatOverflow
 from .fixedpoint import FixedPointFormat, carry_save_sum
@@ -50,7 +52,10 @@ class PipelineFormats:
         )
 
 
-def partial_lanes(
+SATURATES = "pairwise contribution saturates the accumulator"
+
+
+def numpy_partial_lanes(
     xi_q: np.ndarray,
     vi: np.ndarray,
     cj_q: np.ndarray,
@@ -88,15 +93,17 @@ def partial_lanes(
     :class:`~repro.hardware.blockfloat.BlockFloatOverflow` if a single
     contribution does not fit the register (the saturation flag).
 
-    The fixed-point twin of :func:`repro.forces.kernels.pairwise_acc_jerk_pot`:
-    one buffer of 14 ``(rows, n_j)`` planes, sized by ``TILE_BYTES``
-    from ``n_j`` alone and reused by every i-tile.  The seven outputs
-    grow in place in its first half (dx -> acc, dv -> jerk, 1/r -> pot),
-    are rounded to the pair format there, scaled to accumulator quanta
-    by an exact power of two, range-checked, and ``rint``-ed into the
-    second half as int64, which is reduced over the contiguous j axis.
-    Rows are independent and the reduction is exact, so tile boundaries
-    cannot change a bit.
+    The fixed-point twin of :func:`repro.forces.kernels.pairwise_acc_jerk_pot`,
+    and like it two tiers with one behaviour (:data:`partial_lanes`).
+    This is the numpy tier, and the reference the compiled tier must
+    match integer for integer: one buffer of 14 ``(rows, n_j)`` planes,
+    sized by ``TILE_BYTES`` from ``n_j`` alone and reused by every
+    i-tile.  The seven outputs grow in place in its first half (dx ->
+    acc, dv -> jerk, 1/r -> pot), are rounded to the pair format there,
+    scaled to accumulator quanta by an exact power of two,
+    range-checked, and ``rint``-ed into the second half as int64, which
+    is reduced over the contiguous j axis.  Rows are independent and the
+    reduction is exact, so tile boundaries cannot change a bit.
     """
     n_i, n_j = xi_q.shape[0], cj_q.shape[1]
     ci_q = np.ascontiguousarray(xi_q.T)
@@ -156,11 +163,114 @@ def partial_lanes(
             out *= scale[:, rows, None]
         else:
             out /= scale[:, rows, None]
-        if out.size and max(out.max(), -out.min()) >= 2.0**62:
-            raise BlockFloatOverflow("pairwise contribution saturates the accumulator")
+        # "not below", so that a NaN term (a non-finite word in j-memory)
+        # raises the flag too instead of being cast to an integer
+        if out.size and not max(out.max(), -out.min()) < 2.0**62:
+            raise BlockFloatOverflow(SATURATES)
         quanta = tmp.view(np.int64)
         np.copyto(quanta, np.rint(out, out=out), casting="unsafe")
         hi[:, rows], lo[:, rows] = carry_save_sum(
             quanta, axis=2, scratch=out.view(np.int64)
         )
     return hi, lo
+
+
+def _bind(fn):
+    """``pipeline_tile`` behind :func:`numpy_partial_lanes`' signature."""
+
+    def compiled_partial_lanes(
+        xi_q, vi, cj_q, cj_v, mj, host_index_j, exponents, eps2, formats, i_index=None
+    ):
+        n_i, n_j = xi_q.shape[0], cj_q.shape[1]
+        lanes = np.zeros((2, 7, n_i), dtype=np.int64)
+        arrays = [
+            (xi_q, np.int64, (n_i, 3)), (vi, np.float64, (n_i, 3)),
+            (cj_q, np.int64, (3, n_j)), (cj_v, np.float64, (3, n_j)),
+            (mj, np.float64, (n_j,)), (host_index_j, np.int64, (n_j,)),
+            (np.asarray(exponents, dtype=np.int64), np.int64, (7, n_i)),
+            (lanes, np.int64, (2, 7, n_i)),
+        ]
+        if i_index is not None:
+            arrays.append((i_index, np.int64, (n_i,)))
+        for a, dtype, shape in arrays:
+            if a.dtype != dtype or a.shape != shape:
+                raise ValueError(f"pipeline tile wants {np.dtype(dtype)} {shape}")
+        if n_i and n_j:  # else there is no first element to point at: the sums are 0
+            held = [np.ascontiguousarray(a) for a, _, _ in arrays]  # alive for the call
+            pointers = [address(a) for a in held]
+            if i_index is None:
+                pointers.append(None)
+            drop = 53 - formats.pair.mantissa_bits
+            if fn(*pointers, n_i, n_j, FRAC_BITS, formats.pos.resolution, eps2, drop):
+                raise BlockFloatOverflow(SATURATES)
+        return lanes[0], lanes[1]
+
+    return compiled_partial_lanes
+
+
+#: ``(n_i, n_j, pair mantissa, eps2, block exponent, mass scale)`` of the
+#: load-time self-check: around the 128-pair block, both pair widths,
+#: exponents that saturate, fit, and take the dividing branch.
+SELF_CHECK_TILES = (
+    (3, 7, 24, 2.0**-12, 12, 1.0), (2, 128, 53, 0.0, 12, 1.0), (3, 129, 24, 0.0, 8, 1.0),
+    (2, 300, 24, 2.0**-12, -30, 1.0), (2, 9, 24, 2.0**-12, -990, 2.0**-1000),
+)
+
+
+def lanes_or_overflow(tile, *args) -> bytes | None:
+    """What a tile answers, comparably: its lanes' bytes, or None if it
+    raised :class:`BlockFloatOverflow`."""
+    try:
+        return np.stack(tile(*args)).tobytes()
+    except BlockFloatOverflow:
+        return None
+
+
+def _self_check(tile) -> None:
+    """Refuse ``tile`` unless it answers as :func:`numpy_partial_lanes`
+    does on :data:`SELF_CHECK_TILES`: targets among the sources, two
+    sources on one grid point, without host indices and with those of
+    the next source (which only the index cuts)."""
+    for n_i, n_j, bits, eps2, exponent, mass in SELF_CHECK_TILES:
+        formats = replace(PipelineFormats.default(), pair=FloatFormat(bits))
+        # irregular O(1) coordinates and masses (no RNG: see forces.compiled)
+        wave = np.sin(np.arange(1.0, 6 * n_j + 1).reshape(6, n_j) ** 2)
+        cj_q, cj_v, mj = formats.pos.quantize(wave[:3]), wave[3:], mass * (0.1 + wave[0] ** 2)
+        cj_q[:, n_j // 2] = cj_q[:, 0]
+        xi_q, vi = cj_q[:, :n_i].T.copy(), cj_v[:, :n_i].T.copy()
+        exponents = np.full((7, n_i), exponent)
+        for i_index in (None, np.arange(1, n_i + 1)):
+            args = (xi_q, vi, cj_q, cj_v, mj, np.arange(n_j), exponents, eps2, formats, i_index)
+            if lanes_or_overflow(tile, *args) != lanes_or_overflow(numpy_partial_lanes, *args):
+                raise TileUnavailable(
+                    f"self-check: compiled tile differs from the numpy tile at "
+                    f"{n_i}x{n_j}, pair width {bits}, exponent {exponent}"
+                )
+
+
+def resolve_pipeline_tier():
+    """``(tile, PIPELINE_TIER, PIPELINE_TIER_REASON)``: the compiled tile
+    if it builds, loads and passes :func:`_self_check`, else the numpy
+    tile and why.  As :func:`repro.forces.kernels.resolve_kernel_tier`:
+    run once, at import, and nothing the loader meets may escape it."""
+    try:
+        fn, built = load_tile(
+            "pipeline_tile",
+            [c_void_p] * 9 + [c_ssize_t, c_ssize_t, c_int, c_double, c_double, c_int],
+            c_int,
+        )
+        tile = _bind(fn)
+        _self_check(tile)
+    except TileUnavailable as exc:
+        return numpy_partial_lanes, "numpy", str(exc)
+    except Exception as exc:
+        return numpy_partial_lanes, "numpy", f"loader failed: {exc!r}"
+    return tile, "c", built
+
+
+#: The pipeline tile serving this process - :func:`numpy_partial_lanes`,
+#: or ``pipeline_tile.c`` behind the same signature: one target held
+#: while the j-set streams past, the same IEEE operations per pair and
+#: the terms summed as integers, so the tiers agree exactly and nothing
+#: selects one - and which tier it is (``"c"`` | ``"numpy"``) and why.
+partial_lanes, PIPELINE_TIER, PIPELINE_TIER_REASON = resolve_pipeline_tier()

@@ -50,7 +50,7 @@ from ..telemetry import T_PIPE, get_tracer
 from .batched import GatheredJSet, gather_chips, memory_version, predict_gather
 from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
 from .board import ProcessorBoard
-from .chip import BlockExponents
+from .chip import BlockExponents, charge_block
 from .pipeline import PipelineFormats, partial_lanes
 from .summation import reduce_partials
 
@@ -265,7 +265,7 @@ class Grape6Emulator:
                     self.stats.exponent_retries += 1
                     retries += 1
                     exponents = exponents.bump(8)
-            else:  # pragma: no cover - 16 bumps of 8 cover the whole float range
+            else:  # 128 bits above the first guess: a pair term is not finite
                 raise BlockFloatOverflow("exponent retry loop failed to converge")
             if retries:
                 span.set(exponent_retries=retries)
@@ -343,9 +343,7 @@ class Grape6Emulator:
         # attempt aborted by per-contribution saturation charges
         # nothing, where the faithful schedule charges the passes before
         # the saturating one — attempt-local, never in a result)
-        n_i = xi_q.shape[0]
-        for chip, n_j_chip in zip(self._all_chips, gather.chip_sizes):
-            chip.charge_block(n_i, n_j_chip)
+        charge_block(self._all_chips, xi_q.shape[0], gather.chip_sizes)
         out = BlockFloatAccumulator(stacked).to_float_lanes(hi, lo)
         return np.ascontiguousarray(out[:3].T), np.ascontiguousarray(out[3:6].T), out[6]
 

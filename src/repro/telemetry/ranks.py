@@ -405,6 +405,12 @@ class RankLedger:
                 "p50_task_us": hist.percentile(50.0),
                 "max_task_us": hist.max if hist.count else 0.0,
             })
+        # a span too short for its tasks' own clock readings (a denormal
+        # against microseconds) overflows the ratio: nothing to report,
+        # as for an empty span
+        utilisation = (
+            self.busy_total_us / self.rank_span_us if self.rank_span_us > 0 else 0.0
+        )
         out: dict[str, Any] = {
             "schema": RANK_SAMPLE_SCHEMA,
             "kind": "summary",
@@ -418,10 +424,7 @@ class RankLedger:
             "busy_us": self.busy_total_us,
             "idle_us": self.idle_total_us,
             "cpu_us": self.cpu_total_us,
-            "utilisation": (
-                self.busy_total_us / self.rank_span_us
-                if self.rank_span_us > 0 else 0.0
-            ),
+            "utilisation": utilisation if math.isfinite(utilisation) else 0.0,
             "publish_bytes": self.publish_bytes,
             "attach_bytes": self.attach_bytes,
             "publish_bytes_per_step": (

@@ -32,9 +32,13 @@ from repro.telemetry import SOURCE_SPAN, T_HOST, T_PIPE, validate_timeline
 
 @pytest.fixture(scope="module")
 def recording():
+    """A run long enough for some eighty 2 ms samples, a dozen of them
+    on the host side: since the force tiles are compiled the ``micro``
+    size lasts two samples and even ``full`` leaves the host phase one
+    to five, which the assertions below cannot be read from."""
     bench = REGISTRY.get("blockstep_phase_breakdown")
     return flight_record_benchmark(
-        bench, bench.params_for("micro"), interval_s=0.002
+        bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
     )
 
 

@@ -13,10 +13,15 @@ arithmetic itself - the two would drift together.  This file does:
     particles, predictor mode, and under-declared exponents (same
     ``BlockFloatOverflow``, same retry count);
 (b) blake2b digests of forces and of a short block-timestep trajectory,
-    recorded at the commit before the tile existed.
+    recorded at the commit before the tile existed;
+(c) the compiled tier (``pipeline_tile.c``) against the numpy tier it
+    must equal integer for integer, raise for raise.  (a) and (b) run
+    on whichever tier the process resolved; CI runs this file once
+    more with no compiler on PATH.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +32,15 @@ from repro.core import BlockTimestepIntegrator
 from repro.hardware import Grape6Emulator
 from repro.hardware.blockfloat import BlockFloatAccumulator, BlockFloatOverflow
 from repro.hardware.chip import BlockExponents
+from repro.hardware import pipeline
 from repro.hardware.fixedpoint import exact_int_sum
-from repro.hardware.pipeline import partial_lanes
+from repro.hardware.floatformat import FloatFormat
+from repro.hardware.pipeline import (
+    PipelineFormats,
+    lanes_or_overflow,
+    numpy_partial_lanes,
+    partial_lanes,
+)
 from repro.models import plummer_model
 
 EPS2 = 1.0 / 4096.0
@@ -292,3 +304,126 @@ def test_force_digests_match_the_parent_commit(case):
 @pytest.mark.parametrize("boards", sorted(GOLDEN_TRAJECTORY))
 def test_trajectory_digest_matches_the_parent_commit(boards):
     assert golden_trajectory(boards) == GOLDEN_TRAJECTORY[boards]
+
+
+# -- (c) compiled tier == numpy tier ------------------------------------------
+
+
+needs_compiled_tier = pytest.mark.skipif(
+    pipeline.PIPELINE_TIER != "c",
+    reason=f"this process runs the numpy tier: {pipeline.PIPELINE_TIER_REASON}",
+)
+
+#: block exponents at which some pair terms of :func:`tile_arguments`
+#: saturate the register and most do not (measured: see
+#: ``test_both_outcomes_occur``)
+NOMINAL = 0
+
+
+def relayout(a, how):
+    """The same values, strided or read-only."""
+    if how == "strided":
+        wide = np.zeros((2 * a.shape[0],) + a.shape[1:], dtype=a.dtype)
+        wide[::2] = a
+        return wide[::2]
+    if how == "readonly":
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+def tile_arguments(
+    seed, n_i, n_j, bits=24, eps2=EPS2, index=True, masses="all", offset=3, layout="c"
+):
+    """Arguments of the tile: targets drawn from the sources (so every
+    one meets itself) with a source coincident with source 0; ``masses``
+    "some" zeroes every other one, "none" all of them, "tiny" scales
+    them by 2^-1000 - the last two with exponents so small that the tile
+    divides by the quantum instead of multiplying."""
+    fmt = replace(PipelineFormats.default(), pair=FloatFormat(bits))
+    rng = np.random.default_rng(seed)
+    x, v = rng.normal(0, 1, (n_j, 3)), rng.normal(0, 0.5, (n_j, 3))
+    m = rng.uniform(0.1, 1.0, n_j) / max(n_j, 1)
+    if n_j > 1:
+        x[-1] = x[0]
+    if masses == "some":
+        m[::2] = 0.0
+    m *= {"none": 0.0, "tiny": 2.0**-1000}.get(masses, 1.0)
+    rows = rng.integers(0, n_j, n_i if n_j else 0)
+    base = -1000 if masses in ("none", "tiny") else NOMINAL
+    exponents = base + offset + rng.integers(0, 3, (7, len(rows)))
+    pos_q, vel = fmt.pos.quantize(x), fmt.word.round(v)
+    arrays = [
+        pos_q[rows], vel[rows], np.ascontiguousarray(pos_q.T),
+        np.ascontiguousarray(vel.T), fmt.word.round(m), np.arange(n_j), exponents,
+    ]
+    arrays = [relayout(a, layout) for a in arrays]
+    return (*arrays, eps2, fmt, relayout(rows, layout) if index else None)
+
+
+@needs_compiled_tier
+class TestCompiledTierIsTheNumpyTier:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_i=st.sampled_from([0, 1, 2, 31, 49]),
+        n_j=st.sampled_from([0, 1, 127, 128, 129, 257]) | st.integers(0, 700),
+        bits=st.sampled_from([24, 53]),
+        eps2=st.sampled_from([EPS2, 0.0]),
+        index=st.booleans(),
+        masses=st.sampled_from(["all", "all", "some", "none", "tiny"]),
+        offset=st.integers(-14, 3),
+        layout=st.sampled_from(["c", "strided", "readonly"]),
+    )
+    def test_same_lanes_or_same_overflow(self, **drawn):
+        args = tile_arguments(**drawn)
+        got = lanes_or_overflow(partial_lanes, *args)
+        assert got == lanes_or_overflow(numpy_partial_lanes, *args)
+        if got is not None:
+            assert len(got) == 2 * 7 * 8 * len(args[0])
+
+    @pytest.mark.parametrize("masses", ["all", "tiny"])
+    def test_both_outcomes_occur(self, masses):
+        """Across the drawn exponent offsets the tile goes from
+        saturating to fitting, on the multiplying and the dividing
+        branch, and the tiers change over at the same offset."""
+        outcomes = []
+        for offset in range(-14, 4):
+            args = tile_arguments(3, 31, 257, masses=masses, offset=offset)
+            outcomes.append(lanes_or_overflow(partial_lanes, *args))
+            assert outcomes[-1] == lanes_or_overflow(numpy_partial_lanes, *args)
+        assert outcomes[0] is None and outcomes[-1] is not None
+
+    def test_the_workload_tile(self):
+        s = plummer_model(256, seed=2003)
+        emu = Grape6Emulator(1.0 / 4096.0, boards=2)
+        emu.set_j_particles(s.pos, s.vel, s.mass)
+        gather, fmt = emu._gathered(), emu.formats
+        idx = np.arange(31)
+        args = (
+            fmt.pos.quantize(s.pos[idx]), fmt.word.round(s.vel[idx]), gather.cpos_q,
+            gather.cvel, gather.mass, gather.host_index,
+            emu._initial_exponents(s.pos[idx], s.vel[idx], idx).stacked(), emu.eps2, fmt, idx,
+        )
+        got = lanes_or_overflow(partial_lanes, *args)
+        assert got is not None and got == lanes_or_overflow(numpy_partial_lanes, *args)
+
+
+@pytest.mark.parametrize("tile", [partial_lanes, numpy_partial_lanes])
+@pytest.mark.parametrize("bad", ["dtype", "n_j", "n_i"])
+def test_mismatched_arrays_are_refused(tile, bad):
+    """The compiled tile reads through bare pointers, so a wrong type or
+    count is refused before it - also exponents or host indices that the
+    numpy tile would broadcast over the targets."""
+    args = list(tile_arguments(1, 2, 10))
+    if bad == "dtype":
+        args[0] = args[0].astype(np.float64)
+    elif bad == "n_j":
+        args[4] = args[4][:9]
+    else:
+        args[6], args[9] = args[6][:, :1], args[9][:1]
+    if bad == "n_i" and (tile is numpy_partial_lanes or pipeline.PIPELINE_TIER != "c"):
+        tile(*args)
+    else:
+        with pytest.raises((ValueError, TypeError)):
+            tile(*args)

@@ -1,12 +1,15 @@
-"""The compiled pairwise tile's loader (repro.forces.compiled).
+"""The compiled tiles' loader (repro.forces.compiled).
 
 The loader has one job with two outcomes: hand out a compiled tile that
 matches the numpy tier bit for bit, or say why it cannot - in which
-case :mod:`repro.forces.kernels` serves the same bits from numpy, and
-says so.  Every way it can fail is forced here, with the compiler lookup
-and the cache location patched: no compiler, a compiler that fails, a
-build that computes something else, a cache directory someone else
-could write to, and several processes building at once.
+case the owner (:mod:`repro.forces.kernels` for the pairwise tile,
+:mod:`repro.hardware.pipeline` for the pipeline tile) serves the same
+bits from numpy, and says so.  Every way it can fail is forced here,
+with the compiler lookup and the cache location patched: no compiler, a
+compiler that fails, a build that computes something else, a cache
+directory someone else could write to, and several processes building
+at once.  There is one loader, so every case runs over every tile of
+:data:`TILES` (inside the test: the test names are pinned).
 """
 
 import os
@@ -14,17 +17,73 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from repro.forces import compiled, kernels
-from repro.forces.compiled import TileUnavailable, load_pairwise_tile
+from repro.forces.compiled import TileUnavailable
+from repro.hardware import pipeline
+from repro.hardware.blockfloat import BlockFloatOverflow
+from repro.hardware.pipeline import PipelineFormats
 
 SRC = Path(kernels.__file__).resolve().parents[2]
 
 needs_compiler = pytest.mark.skipif(
     compiled.find_compiler() is None, reason="no C compiler on PATH"
+)
+
+
+def forces(tile):
+    """The kernel's results with ``tile`` serving, on a fixed tile."""
+    rng = np.random.default_rng(5)
+    x, v, m = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)), rng.uniform(0.1, 1, 300)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_tile_sums", tile)
+        out = kernels.pairwise_acc_jerk_pot(x[:9], v[:9], x, v, m, 2.0**-12, True)
+    return b"".join(a.tobytes() for a in out)
+
+
+def lanes(tile):
+    """The pipeline tile's lanes from ``tile``, on a fixed tile."""
+    rng = np.random.default_rng(5)
+    fmt = PipelineFormats.default()
+    x_q, v = fmt.pos.quantize(rng.normal(size=(300, 3))), rng.normal(size=(300, 3))
+    return pipeline.lanes_or_overflow(
+        tile, x_q[:9], v[:9], np.ascontiguousarray(x_q.T), np.ascontiguousarray(v.T),
+        rng.uniform(0.1, 1, 300), np.arange(300), np.full((7, 9), 14), 2.0**-12, fmt,
+        np.arange(9),
+    )
+
+
+class Tile(NamedTuple):
+    """A row of ``compiled.SOURCES`` as its owner module presents it."""
+
+    name: str
+    resolve: Callable  # () -> (tile, tier, reason)
+    reference: Callable  # the numpy tier
+    serving: Callable  # () -> the tile this process resolved at import
+    answer: Callable  # tile -> bytes, on a fixed problem
+    #: an edit of the source that is within an ulp of right
+    sabotage: tuple[str, str]
+
+
+TILES = (
+    Tile(
+        "pairwise_tile", kernels.resolve_kernel_tier, kernels.numpy_tile_sums,
+        lambda: kernels._tile_sums, forces,
+        # the eight accumulators left to right: what a compiler free to
+        # reassociate might do
+        ("((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))",
+         "r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7]"),
+    ),
+    Tile(
+        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.numpy_partial_lanes,
+        lambda: pipeline.partial_lanes, lanes,
+        # the pair format truncated instead of rounded to nearest
+        ("b += ((b >> drop) & odd) + half_less_one;", ""),
+    ),
 )
 
 
@@ -43,28 +102,32 @@ def fake_compiler(tmp_path, status: int) -> str:
     return str(path)
 
 
-def forces(tile):
-    """The kernel's results with ``tile`` serving, on a fixed tile."""
-    rng = np.random.default_rng(5)
-    x, v, m = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)), rng.uniform(0.1, 1, 300)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_tile_sums", tile)
-        out = kernels.pairwise_acc_jerk_pot(x[:9], v[:9], x, v, m, 2.0**-12, True)
-    return b"".join(a.tobytes() for a in out)
+def assert_numpy_tier(reason: str, tiles=TILES):
+    """Every tile fell back, said why, and computes what the process's
+    tier does."""
+    for t in tiles:
+        tile, tier, why = t.resolve()
+        assert tile is t.reference and tier == "numpy", t.name
+        assert reason in why, t.name
+        assert t.answer(tile) == t.answer(t.serving()), t.name
 
 
-def assert_numpy_tier(resolved, reason: str):
-    """Fell back, said why, and computes what the process's tier does."""
-    tile, tier, why = resolved
-    assert tile is kernels.numpy_tile_sums and tier == "numpy"
-    assert reason in why
-    assert forces(tile) == forces(kernels._tile_sums)
+def assert_compiled_tier(tiles=TILES) -> list[str]:
+    """Every tile built, passed its self-check, and computes what the
+    numpy tier does; the lines saying what was built."""
+    built = []
+    for t in tiles:
+        tile, tier, why = t.resolve()
+        assert tier == "c", (t.name, why)
+        assert t.answer(tile) == t.answer(t.reference), t.name
+        built.append(why)
+    return built
 
 
 class TestFallback:
     def test_no_compiler(self, cache, monkeypatch):
         monkeypatch.setattr(compiled, "find_compiler", lambda: None)
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "no C compiler")
+        assert_numpy_tier("no C compiler")
         assert not cache.exists()
 
     def test_compiler_lookup_reads_path(self, monkeypatch, tmp_path):
@@ -76,36 +139,40 @@ class TestFallback:
 
     def test_compiler_exits_nonzero(self, cache, monkeypatch, tmp_path):
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 1))
-        assert_numpy_tier(
-            kernels.resolve_kernel_tier(), "exited 1: fakecc: internal error"
-        )
+        assert_numpy_tier("exited 1: fakecc: internal error")
         assert list(cache.iterdir()) == []  # no library, no temporary left
 
     def test_compiler_writes_no_library(self, cache, monkeypatch, tmp_path):
         """Exit status 0 and an empty output file: not loadable."""
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "cannot load")
+        assert_numpy_tier("cannot load")
 
     def test_missing_source(self, cache, monkeypatch, tmp_path):
         """Installed without its package data."""
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
-        monkeypatch.setattr(compiled, "SOURCE", tmp_path / "absent.c")
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "absent.c")
+        for name in compiled.SOURCES:
+            monkeypatch.setitem(compiled.SOURCES, name, tmp_path / "absent.c")
+        assert_numpy_tier("absent.c")
+
+    def test_the_table_is_the_shipped_sources(self):
+        assert set(compiled.SOURCES) == {t.name for t in TILES}
+        for name, source in compiled.SOURCES.items():
+            assert source.is_file() and source.name == f"{name}.c"
 
     @needs_compiler
     def test_self_check_mismatch(self, cache, monkeypatch, tmp_path):
-        """A build that adds the eight accumulators left to right - what
-        a compiler free to reassociate might do - is within an ulp of
-        right and is refused."""
-        pairwise = "((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))"
-        source = compiled.SOURCE.read_text()
-        assert pairwise in source
-        wrong = tmp_path / "reassociated.c"
-        wrong.write_text(
-            source.replace(pairwise, "r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7]")
-        )
-        monkeypatch.setattr(compiled, "SOURCE", wrong)
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "self-check")
+        """A build within an ulp of right is refused - and only it: the
+        other tile still compiles."""
+        for t in TILES:
+            right, wrong = t.sabotage
+            source = compiled.SOURCES[t.name].read_text()
+            assert right in source
+            edited = tmp_path / f"edited_{t.name}.c"
+            edited.write_text(source.replace(right, wrong))
+            with monkeypatch.context() as patch:
+                patch.setitem(compiled.SOURCES, t.name, edited)
+                assert_numpy_tier("self-check", [t])
+                assert_compiled_tier([other for other in TILES if other is not t])
 
     def test_self_check_catches_a_wrong_mask(self):
         def unmasked(ci, cj, gm, eps2, mask_self, sums):
@@ -114,6 +181,24 @@ class TestFallback:
         compiled._self_check(kernels.numpy_tile_sums, kernels.numpy_tile_sums)
         with pytest.raises(TileUnavailable, match="mask_self=True"):
             compiled._self_check(unmasked, kernels.numpy_tile_sums)
+
+    def test_self_check_catches_a_dropped_index_or_flag(self):
+        """The pipeline tile's: host indices ignored, or a saturating
+        term let through as garbage lanes."""
+        def unindexed(*args):
+            return pipeline.numpy_partial_lanes(*args[:9], None)
+
+        def unflagged(*args):
+            try:
+                return pipeline.numpy_partial_lanes(*args)
+            except BlockFloatOverflow:
+                n_i = args[0].shape[0]
+                return np.zeros((7, n_i), np.int64), np.zeros((7, n_i), np.int64)
+
+        pipeline._self_check(pipeline.numpy_partial_lanes)
+        for wrong in (unindexed, unflagged):
+            with pytest.raises(TileUnavailable, match="self-check"):
+                pipeline._self_check(wrong)
 
 
 class TestCacheDirectory:
@@ -128,7 +213,7 @@ class TestCacheDirectory:
         with pytest.raises(TileUnavailable, match="writable"):
             compiled.cache_dir()
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "writable")
+        assert_numpy_tier("writable")
         assert list(cache.iterdir()) == []  # nothing was built into it
 
     def test_owned_by_someone_else_is_refused(self, cache, monkeypatch, tmp_path):
@@ -138,7 +223,7 @@ class TestCacheDirectory:
         with pytest.raises(TileUnavailable, match=f"owned by uid {owner}"):
             compiled.cache_dir()
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "owned by uid")
+        assert_numpy_tier("owned by uid")
 
     def test_a_symlink_is_refused(self, cache, tmp_path):
         (tmp_path / "elsewhere").mkdir(mode=0o700)
@@ -154,11 +239,11 @@ class TestCacheDirectory:
         with pytest.raises(TileUnavailable, match="no cache directory"):
             compiled.cache_dir()
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "no cache directory")
+        assert_numpy_tier("no cache directory")
 
 
 class TestUnforeseenPlatform:
-    """The tier is resolved at import: whatever the loader meets, the
+    """The tiers are resolved at import: whatever the loader meets, the
     package imports on the numpy tier and records what happened."""
 
     def test_no_home_directory(self, monkeypatch, tmp_path):
@@ -168,39 +253,37 @@ class TestUnforeseenPlatform:
 
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
         monkeypatch.setattr(compiled, "cache_root", no_home)
-        assert_numpy_tier(
-            kernels.resolve_kernel_tier(), "RuntimeError('Could not determine home directory.')"
-        )
+        assert_numpy_tier("RuntimeError('Could not determine home directory.')")
 
     def test_no_getuid(self, cache, monkeypatch, tmp_path):
         """Windows with a gcc on PATH."""
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
         monkeypatch.delattr(compiled.os, "getuid")
-        assert_numpy_tier(kernels.resolve_kernel_tier(), "AttributeError")
+        assert_numpy_tier("AttributeError")
 
 
 @needs_compiler
 class TestBuild:
     def test_builds_once_then_loads_from_the_cache(self, cache, monkeypatch):
-        tile, built = load_pairwise_tile(kernels.numpy_tile_sums)
-        (library,) = cache.iterdir()
-        assert library.name.startswith("pairwise_tile-") and str(library) in built
-        assert "-ffp-contract=off" in built and "fast-math" not in built
-        assert forces(tile) == forces(kernels.numpy_tile_sums)
+        built = assert_compiled_tier()
+        libraries = sorted(cache.iterdir())
+        assert [lib.name.split("-")[0] for lib in libraries] == sorted(t.name for t in TILES)
+        for line in built:
+            assert "-ffp-contract=off" in line and "fast-math" not in line
+            assert sum(str(lib) in line for lib in libraries) == 1
 
         monkeypatch.setattr(compiled, "_build", lambda *a: pytest.fail("rebuilt"))
-        again, _ = load_pairwise_tile(kernels.numpy_tile_sums)
-        assert forces(again) == forces(kernels.numpy_tile_sums)
+        assert assert_compiled_tier() == built
 
     def test_the_key_covers_flags_compiler_and_cpu(self, cache, monkeypatch):
-        load_pairwise_tile(kernels.numpy_tile_sums)
+        assert_compiled_tier()
         monkeypatch.setattr(compiled, "cpu_identity", lambda: "another machine")
-        load_pairwise_tile(kernels.numpy_tile_sums)
+        assert_compiled_tier()
         monkeypatch.setattr(compiled, "compiler_identity", lambda cc: "an upgraded cc")
-        load_pairwise_tile(kernels.numpy_tile_sums)
+        assert_compiled_tier()
         monkeypatch.setattr(compiled, "CFLAGS", (*compiled.CFLAGS, "-DOTHER"))
-        load_pairwise_tile(kernels.numpy_tile_sums)
-        assert len(list(cache.iterdir())) == 4
+        assert_compiled_tier()
+        assert len(list(cache.iterdir())) == 4 * len(TILES)
 
     def test_compiler_identity_follows_links_and_sees_an_upgrade(self, tmp_path):
         real = tmp_path / "gcc-12"
@@ -212,7 +295,7 @@ class TestBuild:
         assert compiled.compiler_identity(str(tmp_path / "cc")) != before
 
     def test_the_tile_refuses_arrays_it_cannot_point_into(self, cache):
-        tile, _ = load_pairwise_tile(kernels.numpy_tile_sums)
+        tile, _ = compiled.load_pairwise_tile(kernels.numpy_tile_sums)
         ci, cj, gm, sums = np.zeros((6, 2)), np.ones((6, 5)), np.ones(5), np.empty((7, 2))
         tile(ci, cj, gm, 0.25, False, sums)
         for bad in (
@@ -227,11 +310,13 @@ class TestBuild:
     def test_processes_building_at_once_leave_one_library(self, tmp_path):
         """More first imports than cores, on an empty cache: each builds
         under a temporary name and renames, so every one ends on the
-        compiled tier and the directory holds one whole library."""
+        compiled tier and the directory holds one whole library a tile."""
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
         code = (
             "from repro.forces import kernels as k\n"
+            "from repro.hardware import pipeline as p\n"
             "print(k.KERNEL_TIER, k.KERNEL_TIER_REASON)\n"
+            "print(p.PIPELINE_TIER, p.PIPELINE_TIER_REASON)\n"
         )
         procs = [
             subprocess.Popen(
@@ -242,6 +327,8 @@ class TestBuild:
         ]
         outs = [p.communicate(timeout=300) for p in procs]
         assert [p.returncode for p in procs] == [0] * 6, outs
-        (library,) = (tmp_path / "repro-grape6").iterdir()
+        libraries = sorted((tmp_path / "repro-grape6").iterdir())
+        assert len(libraries) == len(TILES), libraries
         for out, _ in outs:
-            assert out.startswith("c ") and str(library) in out, outs
+            for line, library in zip(out.splitlines(), libraries):
+                assert line.startswith("c ") and str(library) in line, outs

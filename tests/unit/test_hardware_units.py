@@ -14,11 +14,17 @@ from repro.hardware import (
     ProcessorModule,
     grape4_sum,
 )
+from repro.hardware import chip as chip_module
 from repro.hardware.chip import BlockExponents
-from repro.hardware.blockfloat import BlockFloatAccumulator, suggest_exponent
+from repro.hardware.blockfloat import (
+    BlockFloatAccumulator,
+    BlockFloatOverflow,
+    suggest_exponent,
+)
 from repro.hardware.floatformat import FloatFormat
-from repro.hardware.pipeline import PipelineFormats, partial_lanes
+from repro.hardware.pipeline import PipelineFormats, numpy_partial_lanes, partial_lanes
 from repro.hardware.predictor_unit import predict_memory
+from repro.telemetry import Tracer, set_tracer
 
 
 def tiny_setup(n=16, seed=0):
@@ -132,6 +138,40 @@ class TestPipeline:
         assert pot[1, 3] != 0.0
 
 
+class TestNonFiniteTerms:
+    """A word in j-memory that is not a number makes pair terms that
+    are not numbers: no exponent holds them, so the saturation flag must
+    rise (``nan >= 2^62`` is false; cast to an integer it would be
+    garbage lanes) and the host must give up by name."""
+
+    @pytest.mark.parametrize("tile", [partial_lanes, numpy_partial_lanes])
+    @pytest.mark.parametrize("word", [np.nan, np.inf])
+    def test_the_tile_raises_the_saturation_flag(self, eps2, tile, word):
+        fmt = PipelineFormats.default()
+        x, v, m = tiny_setup(12, seed=4)
+        cj_v = np.ascontiguousarray(fmt.word.round(v).T)
+        cj_v[1, 5] = word
+        xq = fmt.pos.quantize(x)
+        args = (
+            xq[:4], fmt.word.round(v[:4]), np.ascontiguousarray(xq.T), cj_v, m,
+            np.arange(12), np.full((7, 4), 200), eps2, fmt,
+        )
+        with pytest.raises(BlockFloatOverflow, match="saturates"), np.errstate(invalid="ignore"):
+            tile(*args)
+
+    @pytest.mark.parametrize("mode", ["batched", "faithful"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_the_host_retry_loop_gives_up_by_name(self, eps2, mode):
+        x, v, m = tiny_setup(12, seed=4)
+        v[5, 1] = np.nan
+        emu = Grape6Emulator(eps2, emulation_mode=mode)
+        emu.set_j_particles(x, v, m)
+        with pytest.raises(BlockFloatOverflow, match="failed to converge"):
+            emu.forces_on(x[:4], v[:4], np.arange(4))
+        assert emu.stats.exponent_retries == 16
+        assert emu.stats.force_evaluations == 0
+
+
 class TestTileRowIndependence:
     """A row of the pipeline tile depends only on that target, its
     exponents and the j-set: the licence for cutting the i-block into
@@ -208,6 +248,36 @@ class TestChipAndHierarchy:
         chip.partial_forces(fmt.pos.quantize(x[:60]), fmt.word.round(v[:60]), e)
         # 60 i-particles -> 2 passes of 48; each pass = 8 * 100 cycles
         assert chip.cycles == 2 * 8 * 100
+
+    def test_batched_charges_what_the_faithful_schedule_accrues(self, eps2, monkeypatch):
+        """Per-chip cycles and the pass / cycle counter totals, with one
+        tracer lookup for the whole machine where the schedule has one a
+        chip."""
+        x, v, m = tiny_setup(100, seed=5)  # 64 chips: 36 hold 2, 28 hold 1
+        lookups, cycles, counters = {}, {}, {}
+        for mode in ("batched", "faithful"):
+            emu = Grape6Emulator(eps2, boards=2, emulation_mode=mode)
+            emu.set_j_particles(x, v, m)
+            tracer = Tracer(enabled=True)
+            calls = []
+            monkeypatch.setattr(chip_module, "get_tracer", lambda: calls.append(1) or tracer)
+            old = set_tracer(tracer)
+            try:
+                emu.forces_on(x[:60], v[:60], np.arange(60))
+            finally:
+                set_tracer(old)
+            lookups[mode] = len(calls)
+            cycles[mode] = [c.cycles for c in emu._all_chips]
+            counters[mode] = {
+                name: tracer.metrics.counter(name).value
+                for name in ("grape.pipeline_passes", "grape.cycles")
+            }
+        assert cycles["batched"] == cycles["faithful"]
+        assert counters["batched"] == counters["faithful"]
+        assert counters["batched"] == {
+            "grape.pipeline_passes": 2 * 64, "grape.cycles": 2 * 8 * 100,
+        }
+        assert lookups == {"batched": 1, "faithful": 64}
 
     def test_module_board_chip_counts(self):
         module = ProcessorModule()

@@ -155,6 +155,15 @@ class TestRankLedger:
         assert rows[0]["mean_task_us"] == 35.0
         assert doc["backend_task_us"]["thread"]["tasks"] == 4
 
+    def test_a_denormal_span_has_no_utilisation(self):
+        """Found by the property suite (span 5e-324 us around a 1 us
+        task): busy / span overflowed and the section did not validate."""
+        ledger = RankLedger()
+        ledger.observe(report([sample(0, 1.0)], span=5e-324))
+        doc = ledger.summary()
+        validate_rank_section(doc)
+        assert doc["utilisation"] == 0.0
+
     def test_summary_folds_pending_dispatches(self):
         ledger = RankLedger()
         ledger.observe(report([sample(0, 5.0)], span=10.0))
