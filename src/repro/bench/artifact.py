@@ -24,23 +24,56 @@ import json
 from pathlib import Path
 from typing import Any
 
+from ..io.runlog import write_json_atomic
 from ..parallel.ledger import COMM_LEDGER_SCHEMA
-from ..telemetry import (
-    EfficiencyError,
-    RankError,
-    SignatureError,
-    validate_efficiency,
-    validate_rank_section,
-    validate_signature_summary,
-)
+from ..schema import check, list_of, opt
+from ..telemetry.efficiency import EFFICIENCY_SPEC
+from ..telemetry.ranks import RANK_SECTION_SPEC
+from ..telemetry.signatures import SIGNATURE_SUMMARY_SPEC
 
 #: Bump on breaking layout changes; the comparator refuses mismatches.
 SCHEMA = "repro.bench/1"
 
-#: Keys every per-benchmark entry must carry.
-_REQUIRED_BENCH_KEYS = ("name", "paper_ref", "params", "trials", "stats", "phases")
-#: Keys the artifact root must carry.
-_REQUIRED_ROOT_KEYS = ("schema", "label", "suite", "environment", "benchmarks")
+def _unique_names(artifact: dict[str, Any]) -> str | None:
+    seen: set[str] = set()
+    for entry in artifact["benchmarks"]:
+        if entry["name"] in seen:
+            return f"duplicate benchmark name {entry['name']!r}"
+        seen.add(entry["name"])
+
+
+#: The artifact layout.  The observatory sections are checked against
+#: their own specs in place, so a bad one is an :class:`ArtifactError`
+#: naming the benchmark it sits in.
+ARTIFACT_SPEC = {
+    "what": "artifact root",
+    "schema": SCHEMA,
+    "fields": {
+        "label": None,
+        "suite": None,
+        "environment": None,
+        "seed": opt(int),
+        "tag": opt(str),
+        "notes": opt(str),
+        "exec_backend": opt(str),
+        "benchmarks": list_of({"fields": {
+            "name": None,
+            "paper_ref": None,
+            "params": None,
+            "trials": {"fields": {"wall_s": None}},
+            "stats": {"fields": {"wall_s": None}},
+            "phases": {"fields": {"wall_us": None}},
+            "comm": opt({
+                "schema": COMM_LEDGER_SCHEMA,
+                "fields": {"networks": list},
+            }),
+            "signatures": opt(SIGNATURE_SUMMARY_SPEC),
+            "efficiency": opt(EFFICIENCY_SPEC),
+            "rank": opt(RANK_SECTION_SPEC),
+        }}, nonempty=True),
+    },
+    "rules": (_unique_names,),
+}
 
 
 class ArtifactError(ValueError):
@@ -49,102 +82,7 @@ class ArtifactError(ValueError):
 
 def validate_artifact(obj: Any, source: str = "artifact") -> dict[str, Any]:
     """Check ``obj`` against the schema; returns it on success."""
-    if not isinstance(obj, dict):
-        raise ArtifactError(f"{source}: artifact root must be an object")
-    for key in _REQUIRED_ROOT_KEYS:
-        if key not in obj:
-            raise ArtifactError(f"{source}: missing required key {key!r}")
-    if obj["schema"] != SCHEMA:
-        raise ArtifactError(
-            f"{source}: schema {obj['schema']!r} not supported (need {SCHEMA!r})"
-        )
-    seed = obj.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ArtifactError(f"{source}: 'seed' must be an integer when present")
-    tag = obj.get("tag")
-    if tag is not None and not isinstance(tag, str):
-        raise ArtifactError(f"{source}: 'tag' must be a string when present")
-    notes = obj.get("notes")
-    if notes is not None and not isinstance(notes, str):
-        raise ArtifactError(f"{source}: 'notes' must be a string when present")
-    exec_backend = obj.get("exec_backend")
-    if exec_backend is not None and not isinstance(exec_backend, str):
-        raise ArtifactError(
-            f"{source}: 'exec_backend' must be a string when present"
-        )
-    benchmarks = obj["benchmarks"]
-    if not isinstance(benchmarks, list) or not benchmarks:
-        raise ArtifactError(f"{source}: 'benchmarks' must be a non-empty list")
-    seen: set[str] = set()
-    for i, entry in enumerate(benchmarks):
-        if not isinstance(entry, dict):
-            raise ArtifactError(f"{source}: benchmarks[{i}] must be an object")
-        for key in _REQUIRED_BENCH_KEYS:
-            if key not in entry:
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] missing required key {key!r}"
-                )
-        name = entry["name"]
-        if name in seen:
-            raise ArtifactError(f"{source}: duplicate benchmark name {name!r}")
-        seen.add(name)
-        trials = entry["trials"]
-        if not isinstance(trials, dict) or "wall_s" not in trials:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] trials must carry a 'wall_s' list"
-            )
-        stats = entry["stats"]
-        if not isinstance(stats, dict) or "wall_s" not in stats:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] stats must carry a 'wall_s' summary"
-            )
-        phases = entry["phases"]
-        if not isinstance(phases, dict) or "wall_us" not in phases:
-            raise ArtifactError(
-                f"{source}: benchmarks[{i}] phases must carry a 'wall_us' split"
-            )
-        comm = entry.get("comm")
-        if comm is not None:
-            if not isinstance(comm, dict):
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] 'comm' must be an object"
-                )
-            if comm.get("schema") != COMM_LEDGER_SCHEMA:
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] comm schema "
-                    f"{comm.get('schema')!r} not supported "
-                    f"(need {COMM_LEDGER_SCHEMA!r})"
-                )
-            if not isinstance(comm.get("networks"), list):
-                raise ArtifactError(
-                    f"{source}: benchmarks[{i}] comm must carry a "
-                    "'networks' list"
-                )
-        signatures = entry.get("signatures")
-        if signatures is not None:
-            try:
-                validate_signature_summary(
-                    signatures, source=f"{source}: benchmarks[{i}] signatures"
-                )
-            except SignatureError as exc:
-                raise ArtifactError(str(exc)) from exc
-        efficiency = entry.get("efficiency")
-        if efficiency is not None:
-            try:
-                validate_efficiency(
-                    efficiency, source=f"{source}: benchmarks[{i}] efficiency"
-                )
-            except EfficiencyError as exc:
-                raise ArtifactError(str(exc)) from exc
-        rank = entry.get("rank")
-        if rank is not None:
-            try:
-                validate_rank_section(
-                    rank, source=f"{source}: benchmarks[{i}] rank"
-                )
-            except RankError as exc:
-                raise ArtifactError(str(exc)) from exc
-    return obj
+    return check(obj, ARTIFACT_SPEC, source, ArtifactError)
 
 
 def benchmark_entry(artifact: dict[str, Any], name: str) -> dict[str, Any] | None:
@@ -158,11 +96,7 @@ def benchmark_entry(artifact: dict[str, Any], name: str) -> dict[str, Any] | Non
 def write_artifact(artifact: dict[str, Any], path: str | Path) -> Path:
     """Validate and write one artifact (atomic rename, trailing newline)."""
     validate_artifact(artifact, source=str(path))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return write_json_atomic(artifact, path)
 
 
 def read_artifact(path: str | Path) -> dict[str, Any]:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-import json
-
+from ..io.runlog import write_json_atomic
 from ..parallel.ledger import (
     COMM_LEDGER_SCHEMA,
     COMM_PID,
@@ -55,10 +54,7 @@ class CommCapture:
         }
 
     def write(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.write_text(json.dumps(self.as_dict(), indent=2,
-                                   sort_keys=True) + "\n")
-        return path
+        return write_json_atomic(self.as_dict(), path)
 
     def write_timeline(self, path: str | Path) -> Path:
         """Span film + ledger lanes in one Chrome-trace document."""

@@ -38,6 +38,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from ..io.tables import format_table
+from ..schema import check
 from ..telemetry import BUCKETS
 from .artifact import validate_artifact
 
@@ -210,12 +211,8 @@ def read_history(path: str | Path) -> list[dict[str, Any]]:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise HistoryError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(row, dict) or row.get("schema") != HISTORY_SCHEMA:
-            raise HistoryError(
-                f"{path}:{lineno}: schema {row.get('schema')!r} not supported "
-                f"(need {HISTORY_SCHEMA!r})"
-            )
-        rows.append(row)
+        rows.append(check(row, {"what": "row", "schema": HISTORY_SCHEMA},
+                          f"{path}:{lineno}", HistoryError))
     return rows
 
 

@@ -3,11 +3,12 @@
 Each trial runs under its own enabled tracer (installed as the
 process-wide default for the duration, so the instrumented integrators
 and simulated networks report into it), is wall-clock timed, and is
-rolled up through :class:`repro.telemetry.PhaseAggregator` into the
-paper's phase taxonomy.  Setup (model sampling, network construction)
-runs before the clock starts, so trial scatter in the artifact is
-timing noise, not workload noise — the workloads themselves are seeded
-(see ``params['seed']`` in :mod:`repro.bench.suites`).
+rolled up through one :class:`repro.telemetry.SpanFold` pass into the
+paper's phase taxonomy, signatures and flops account.  Setup (model
+sampling, network construction) runs before the clock starts, so trial
+scatter in the artifact is timing noise, not workload noise — the
+workloads themselves are seeded (see ``params['seed']`` in
+:mod:`repro.bench.suites`).
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from typing import Any
 
 from ..parallel.ledger import merge_comm_summaries
 from ..telemetry import (
+    FlopsLedger,
     InMemorySink,
-    PhaseAggregator,
     PHASES,
     RegimeTracker,
+    SignatureRecorder,
     Tracer,
-    efficiency_from_events,
+    replay,
     set_tracer,
-    signatures_from_events,
 )
 from .efficiency import per_regime_efficiency
 from .env import environment_fingerprint
@@ -47,7 +48,17 @@ def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
         wall_s = time.perf_counter() - t0
     finally:
         set_tracer(old)
-    breakdown = PhaseAggregator().consume(sink.events).breakdown()
+    # one replay of the retained events serves all three observatories:
+    # phase totals, per-blockstep signatures clustered into regimes, and
+    # the flops ledger priced against the hardware the trial declared
+    # (ctx.hardware, default single host)
+    regimes = RegimeTracker()
+    ledger = FlopsLedger(hardware=ctx.hardware)
+    breakdown = replay(
+        sink.events,
+        SignatureRecorder(callback=regimes.update, keep=False),
+        ledger,
+    ).breakdown()
     out: dict[str, Any] = {
         "wall_s": wall_s,
         "derived": dict(derived or {}),
@@ -61,26 +72,14 @@ def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
         out["comm"] = merge_comm_summaries(
             net.ledger.summary() for net in ctx.networks
         )
-    # phase observatory: fold the retained span events back into
-    # per-blockstep signatures and cluster them into regimes; only
-    # benchmarks that actually step an integrator produce any
-    sigs = signatures_from_events(sink.events)
-    regimes = None
-    if sigs:
-        regimes = RegimeTracker()
-        for sig in sigs:
-            regimes.update(sig)
-        out["signatures"] = regimes.summary()
-    # efficiency observatory: replay the same span stream through the
-    # flops ledger, priced against the hardware the trial declared
-    # (ctx.hardware, default single host), refined by the comm ledgers
-    ledger = efficiency_from_events(sink.events, hardware=ctx.hardware)
+    # only benchmarks that actually step an integrator produce
+    # blocksteps; the waterfall is refined by the comm ledgers
     if ledger.count:
+        out["signatures"] = regimes.summary()
         efficiency = ledger.summary(comm=out.get("comm"))
-        if regimes is not None:
-            regime_rows = per_regime_efficiency(ledger.records, regimes)
-            if regime_rows:
-                efficiency["regimes"] = regime_rows
+        regime_rows = per_regime_efficiency(ledger.records, regimes)
+        if regime_rows:
+            efficiency["regimes"] = regime_rows
         out["efficiency"] = efficiency
     # rank observatory: real-execution telemetry the trial attached,
     # cross-attributed against the primary network's virtual barriers

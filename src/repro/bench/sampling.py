@@ -54,6 +54,8 @@ import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
 from ..forces.direct import DirectSummation
+from ..io.runlog import write_json_atomic
+from ..schema import check, list_of
 from ..service.jobs import build_backend, build_system, resolve_eps2
 from ..telemetry import (
     InMemorySink,
@@ -66,9 +68,9 @@ from ..telemetry import (
     Tracer,
     regime_trace_events,
     schedule_signature,
-    validate_signature_summary,
     write_timeline,
 )
+from ..telemetry.signatures import SIGNATURE_SUMMARY_SPEC
 from .env import environment_fingerprint
 
 #: ``kind`` of a sampled-run estimate artifact (schema stays
@@ -181,60 +183,39 @@ class SampledEstimate:
         return validate_sample_artifact(art)
 
 
+def _estimate_inside_ci(art: dict[str, Any]) -> str | None:
+    if not art["ci_low_us"] <= art["estimated_total_us"] <= art["ci_high_us"]:
+        return "estimate must sit inside its confidence interval"
+
+
+#: A sampled-run estimate artifact.
+SAMPLE_ARTIFACT_SPEC = {
+    "what": "artifact root",
+    "schema": SIGNATURE_SCHEMA,
+    "kind": SAMPLE_KIND,
+    "fields": {
+        **dict.fromkeys(
+            ("params", "scout_blocksteps", "prefix_blocksteps",
+             "projected_blocksteps", "simulated_fraction",
+             "estimated_total_us", "ci_low_us", "ci_high_us")),
+        "regimes": list_of({"fields": dict.fromkeys(
+            ("regime", "n_observed", "n_projected", "mean_wall_us",
+             "ci_low_us", "ci_high_us"))}, nonempty=True),
+        "signatures": SIGNATURE_SUMMARY_SPEC,
+    },
+    "rules": (_estimate_inside_ci,),
+}
+
+
 def validate_sample_artifact(obj: Any, source: str = "sample") -> dict[str, Any]:
     """Structural check of a sampled-run artifact; returns it."""
-    if not isinstance(obj, dict):
-        raise SignatureError(f"{source}: artifact root must be an object")
-    if obj.get("schema") != SIGNATURE_SCHEMA:
-        raise SignatureError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {SIGNATURE_SCHEMA!r})"
-        )
-    if obj.get("kind") != SAMPLE_KIND:
-        raise SignatureError(
-            f"{source}: kind {obj.get('kind')!r} not supported "
-            f"(need {SAMPLE_KIND!r})"
-        )
-    for key in (
-        "params",
-        "scout_blocksteps",
-        "prefix_blocksteps",
-        "projected_blocksteps",
-        "simulated_fraction",
-        "estimated_total_us",
-        "ci_low_us",
-        "ci_high_us",
-        "regimes",
-        "signatures",
-    ):
-        if key not in obj:
-            raise SignatureError(f"{source}: missing required key {key!r}")
-    if not (obj["ci_low_us"] <= obj["estimated_total_us"] <= obj["ci_high_us"]):
-        raise SignatureError(
-            f"{source}: estimate must sit inside its confidence interval"
-        )
-    regimes = obj["regimes"]
-    if not isinstance(regimes, list) or not regimes:
-        raise SignatureError(f"{source}: 'regimes' must be a non-empty list")
-    for i, reg in enumerate(regimes):
-        for key in ("regime", "n_observed", "n_projected",
-                    "mean_wall_us", "ci_low_us", "ci_high_us"):
-            if key not in reg:
-                raise SignatureError(
-                    f"{source}: regimes[{i}] missing required key {key!r}"
-                )
-    validate_signature_summary(obj["signatures"], source=f"{source}.signatures")
-    return obj
+    return check(obj, SAMPLE_ARTIFACT_SPEC, source, SignatureError)
 
 
 def write_sample_artifact(artifact: dict[str, Any], path: str | Path) -> Path:
     """Validate and write one sampled-run artifact (atomic rename)."""
     validate_sample_artifact(artifact, source=str(path))
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return write_json_atomic(artifact, path)
 
 
 def read_sample_artifact(path: str | Path) -> dict[str, Any]:

@@ -17,7 +17,12 @@ from .checkpoint import (
     restore_integrator,
     write_checkpoint,
 )
-from .runlog import RunLogger, read_runlog, read_runlog_records
+from .runlog import (
+    RunLogger,
+    read_runlog,
+    read_runlog_records,
+    write_json_atomic,
+)
 from .tables import format_table
 
 __all__ = [
@@ -37,5 +42,6 @@ __all__ = [
     "RunLogger",
     "read_runlog",
     "read_runlog_records",
+    "write_json_atomic",
     "format_table",
 ]

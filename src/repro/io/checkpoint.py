@@ -33,6 +33,7 @@ import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
 from ..core.particles import ParticleSystem
+from ..schema import check
 from .snapshot import decode_json_safe, encode_json_safe
 
 #: Bump on breaking layout changes; readers refuse mismatches.
@@ -153,11 +154,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             meta = decode_json_safe(json.loads(bytes(data["header"]).decode()))
         except (KeyError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("schema") != CHECKPOINT_SCHEMA:
-            raise CheckpointError(
-                f"{path}: schema {meta.get('schema')!r} not supported "
-                f"(need {CHECKPOINT_SCHEMA!r})"
-            )
+        check(meta, {"what": "header", "schema": CHECKPOINT_SCHEMA},
+              str(path), CheckpointError)
         missing = [
             k for k in (*_SYSTEM_ARRAYS, "scheduler_t_next") if k not in data
         ]

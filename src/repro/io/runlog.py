@@ -100,6 +100,17 @@ def _coerce(obj: Any):
     raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
 
 
+def write_json_atomic(doc: Any, path: str | Path) -> Path:
+    """Write one whole JSON document (artifact, calibration, job state):
+    stable key order, trailing newline, written beside ``path`` and
+    renamed over it so a reader never sees a torn file."""
+    path = Path(path)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    tmp.replace(path)
+    return path
+
+
 def read_runlog(path: str | Path) -> tuple[dict, dict[str, list]]:
     """Load a run log; returns (header, columns-of-samples)."""
     header, columns, _ = read_runlog_records(path)

@@ -45,9 +45,10 @@ from typing import Any, Iterable
 
 import numpy as np
 
+from ..schema import check, list_of
 from ..telemetry import Histogram
 from ..telemetry.metrics import pow2_bins
-from ..telemetry.timeline import TRACE_PIDS
+from ..telemetry.timeline import TRACE_PIDS, trace_event, trace_lane
 
 #: Bump on breaking layout changes of the ledger export; the bench
 #: ``ledger`` CLI and the calibration fit refuse mismatches.
@@ -68,12 +69,20 @@ ROUND_LOG_CAP = 4096
 #: lanes never interleave with span rows or the regime/efficiency lanes.
 COMM_PID = TRACE_PIDS["comm"]
 
-#: Keys every ledger export must carry (validation contract).
-_REQUIRED_LEDGER_KEYS = (
-    "schema", "nic", "n_ranks", "messages", "bytes", "barriers",
-    "barrier_rounds", "barrier_sync_us", "barrier_wait_us", "links",
-    "exchanges",
-)
+#: A :meth:`CommLedger.as_dict` export (validation contract).
+COMM_LEDGER_SPEC = {
+    "what": "ledger root",
+    "schema": COMM_LEDGER_SCHEMA,
+    "fields": {
+        **dict.fromkeys(
+            ("nic", "n_ranks", "messages", "bytes", "barriers",
+             "barrier_rounds", "barrier_sync_us", "barrier_wait_us")),
+        "links": list_of({"fields": dict.fromkeys(
+            ("src", "dst", "kind", "messages", "bytes", "mean_bytes",
+             "mean_flight_us"))}),
+        "exchanges": dict,
+    },
+}
 
 
 class LedgerError(ValueError):
@@ -497,25 +506,13 @@ class CommLedger:
         and passes :func:`repro.telemetry.timeline.validate_timeline`.
         """
         name = label or f"comm[{self.nic}]"
-        out: list[dict[str, Any]] = [{
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": f"{name} ledger (virtual clock)"},
-        }]
+        out: list[dict[str, Any]] = []
         for b in self.barrier_records:
             for rank, (arrival, wait) in enumerate(
                     zip(b.arrivals_us, b.wait_us)):
-                record: dict[str, Any] = {
-                    "name": "net.barrier.wait",
-                    "cat": "barrier",
-                    "ph": "X",
-                    "ts": arrival,
-                    "dur": wait,
-                    "pid": pid,
-                    "tid": rank,
-                    "args": {
+                out.append(trace_event(
+                    "net.barrier.wait", "barrier", arrival, wait, pid, rank,
+                    {
                         "barrier": b.index,
                         "rank": rank,
                         "straggler": b.straggler,
@@ -523,63 +520,24 @@ class CommLedger:
                         "sync_us": b.sync_us,
                         "rounds": b.rounds,
                     },
-                }
-                if wait <= 0.0:
-                    record.pop("dur")
-                    record["ph"] = "i"
-                    record["s"] = "t"
-                out.append(record)
+                ))
         for e in self.exchange_records:
-            record = {
-                "name": f"net.exchange.{e.kind}",
-                "cat": "exchange",
-                "ph": "X",
-                "ts": e.t_start_us,
-                "dur": e.dur_us,
-                "pid": pid,
-                "tid": self.n_ranks,
-                "args": {
+            out.append(trace_event(
+                f"net.exchange.{e.kind}", "exchange", e.t_start_us, e.dur_us,
+                pid, self.n_ranks,
+                {
                     "kind": e.kind,
                     "messages": e.messages,
                     "bytes": e.bytes,
                     "n_particles": e.n_particles,
                 },
-            }
-            if e.dur_us <= 0.0:
-                record.pop("dur")
-                record["ph"] = "i"
-                record["s"] = "t"
-            out.append(record)
-        out.sort(key=lambda r: (0 if r["ph"] == "M" else 1, r.get("ts", 0.0)))
-        return out
+            ))
+        return trace_lane(pid, f"{name} ledger (virtual clock)", out)
 
 
 def validate_comm_ledger(obj: Any, source: str = "ledger") -> dict[str, Any]:
     """Check a ledger export against its schema; returns it on success."""
-    if not isinstance(obj, dict):
-        raise LedgerError(f"{source}: ledger root must be an object")
-    if obj.get("schema") != COMM_LEDGER_SCHEMA:
-        raise LedgerError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {COMM_LEDGER_SCHEMA!r})"
-        )
-    for key in _REQUIRED_LEDGER_KEYS:
-        if key not in obj:
-            raise LedgerError(f"{source}: missing required key {key!r}")
-    links = obj["links"]
-    if not isinstance(links, list):
-        raise LedgerError(f"{source}: 'links' must be a list")
-    for i, link in enumerate(links):
-        if not isinstance(link, dict):
-            raise LedgerError(f"{source}: links[{i}] must be an object")
-        for key in ("src", "dst", "kind", "messages", "bytes",
-                    "mean_bytes", "mean_flight_us"):
-            if key not in link:
-                raise LedgerError(
-                    f"{source}: links[{i}] missing required key {key!r}")
-    if not isinstance(obj["exchanges"], dict):
-        raise LedgerError(f"{source}: 'exchanges' must be an object")
-    return obj
+    return check(obj, COMM_LEDGER_SPEC, source, LedgerError)
 
 
 def merge_comm_summaries(

@@ -39,8 +39,20 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from ..io.runlog import write_json_atomic
+from ..schema import check
+
 #: Bump on breaking layout changes of the calibration file.
 CALIBRATION_SCHEMA = "repro.perfmodel.calibration/1"
+
+#: The calibration file: one fit per environment key.
+CALIBRATION_SPEC = {
+    "what": "root",
+    "schema": CALIBRATION_SCHEMA,
+    "fields": {"environments": {
+        "values": {"fields": {"nics": None, "model_anchors": None}},
+    }},
+}
 
 #: Where the fitted constants live, next to baseline.json.
 DEFAULT_CALIBRATION_PATH = Path("benchmarks") / "calibration.json"
@@ -212,25 +224,7 @@ def calibrate_artifacts(
 
 def validate_calibration(obj: Any, source: str = "calibration") -> dict[str, Any]:
     """Check a calibration document; returns it on success."""
-    if not isinstance(obj, dict):
-        raise CalibrationError(f"{source}: root must be an object")
-    if obj.get("schema") != CALIBRATION_SCHEMA:
-        raise CalibrationError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {CALIBRATION_SCHEMA!r})"
-        )
-    envs = obj.get("environments")
-    if not isinstance(envs, dict):
-        raise CalibrationError(f"{source}: 'environments' must be an object")
-    for key, entry in envs.items():
-        if not isinstance(entry, dict):
-            raise CalibrationError(
-                f"{source}: environments[{key!r}] must be an object")
-        for required in ("nics", "model_anchors"):
-            if required not in entry:
-                raise CalibrationError(
-                    f"{source}: environments[{key!r}] missing {required!r}")
-    return obj
+    return check(obj, CALIBRATION_SPEC, source, CalibrationError)
 
 
 def load_calibration(path: str | Path) -> dict[str, Any]:
@@ -265,10 +259,7 @@ def save_calibration(calibration: dict[str, Any], path: str | Path) -> Path:
     validate_calibration(calibration, source=str(path))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(calibration, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
-    return path
+    return write_json_atomic(calibration, path)
 
 
 def calibrated_environment(

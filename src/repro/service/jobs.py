@@ -39,6 +39,8 @@ from typing import Any, Callable
 
 from ..core.particles import ParticleSystem
 from ..core.softening import constant_softening
+from ..io.runlog import write_json_atomic
+from ..schema import check
 from ..models import (
     cold_sphere,
     king_model,
@@ -119,13 +121,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, doc: Any, source: str = "job spec") -> "JobSpec":
-        if not isinstance(doc, dict):
-            raise JobError(f"{source}: spec must be an object")
-        if doc.get("schema") != JOB_SCHEMA:
-            raise JobError(
-                f"{source}: schema {doc.get('schema')!r} not supported "
-                f"(need {JOB_SCHEMA!r})"
-            )
+        check(doc, {"what": "spec", "schema": JOB_SCHEMA}, source, JobError)
         kind = doc.get("kind")
         if kind not in JOB_KINDS:
             raise JobError(
@@ -327,9 +323,7 @@ def write_state(paths: JobPaths, status: str, **fields: Any) -> dict[str, Any]:
         **fields,
     }
     paths.root.mkdir(parents=True, exist_ok=True)
-    tmp = paths.state.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n")
-    tmp.replace(paths.state)
+    write_json_atomic(state, paths.state)
     return state
 
 
@@ -340,12 +334,8 @@ def read_state(paths: JobPaths) -> dict[str, Any]:
         raise JobError(f"{paths.state}: cannot read state: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise JobError(f"{paths.state}: not valid JSON: {exc}") from exc
-    if not isinstance(state, dict) or state.get("schema") != STATE_SCHEMA:
-        raise JobError(
-            f"{paths.state}: schema {state.get('schema') if isinstance(state, dict) else None!r} "
-            f"not supported (need {STATE_SCHEMA!r})"
-        )
-    return state
+    return check(state, {"what": "state", "schema": STATE_SCHEMA},
+                 str(paths.state), JobError)
 
 
 # -- workload construction --------------------------------------------------

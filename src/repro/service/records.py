@@ -54,6 +54,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..schema import check
+
 #: Bump on breaking record-layout changes.
 SNAPSHOT_RECORD_SCHEMA = "repro.snapshot_record/1"
 
@@ -111,13 +113,8 @@ class SnapshotRecord:
 
     @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "SnapshotRecord":
-        if not isinstance(rec, dict):
-            raise RecordError("record must be an object")
-        if rec.get("schema") != SNAPSHOT_RECORD_SCHEMA:
-            raise RecordError(
-                f"record schema {rec.get('schema')!r} not supported "
-                f"(need {SNAPSHOT_RECORD_SCHEMA!r})"
-            )
+        check(rec, {"what": "record", "schema": SNAPSHOT_RECORD_SCHEMA},
+              "record", RecordError)
         kind = rec.get("kind")
         if kind not in RECORD_KINDS:
             raise RecordError(f"unknown record kind {kind!r}")

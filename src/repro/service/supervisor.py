@@ -50,7 +50,7 @@ from ..telemetry import (
     RankLedger,
     RegimeTracker,
     SignatureRecorder,
-    StreamingPhaseSink,
+    SpanFold,
     Tracer,
     set_tracer,
 )
@@ -178,7 +178,6 @@ class Supervisor:
 
     def _execute_run(self, spec: JobSpec, bus: SnapshotBus, resume: bool) -> str:
         params = spec.params
-        phase_sink = StreamingPhaseSink()
         # phase observatory: O(1)-per-blockstep signature capture and
         # streaming regime clustering (keep=False — a week-long run must
         # not accumulate per-blockstep state)
@@ -193,7 +192,11 @@ class Supervisor:
             hardware=backend if hasattr(backend, "peak_flops") else None,
             keep=False,
         )
-        tracer = Tracer(enabled=True, sinks=[phase_sink, sig_recorder, eff])
+        # one pass over the span stream serves all three: the fold's own
+        # totals are the `phases` record, the recorder and the ledger
+        # each project its per-blockstep records
+        fold = SpanFold([sig_recorder, eff])
+        tracer = Tracer(enabled=True, sinks=[fold])
         # a parallel run's virtual-time results are bit-identical on
         # every execution backend (property-pinned), so the spec's
         # exec_backend — and even a resume that switches it — is purely
@@ -287,7 +290,7 @@ class Supervisor:
                 KIND_CHECKPOINT, t=integ.t, path=str(path),
                 blockstep=integ.stats.blocksteps, reason=reason,
             )
-            bus.emit(KIND_PHASES, t=integ.t, **phase_sink.snapshot())
+            bus.emit(KIND_PHASES, t=integ.t, **fold.snapshot())
             if regimes.count:
                 bus.emit(KIND_SIGNATURE, t=integ.t,
                          **_signature_payload(regimes))

@@ -12,11 +12,13 @@ reproduction's real code paths:
   timestamps, near-free when disabled (the default);
 * :class:`Metrics` — counters/gauges/histograms for run quantities
   (block sizes, interactions, bytes per message, exponent retries);
-* :class:`PhaseAggregator` — rolls spans up into the section-4
-  taxonomy and :func:`render_breakdown` prints the fig. 14/16/18-style
-  budget;
+* :class:`SpanFold` — the one streaming self-time fold: rolls spans up
+  into the section-4 taxonomy (:class:`PhaseAggregator` feeds it a
+  retained list; :func:`render_breakdown` prints the fig. 14/16/18-style
+  budget) and hands each closed blockstep to its consumers as one
+  :class:`BlockstepRecord`;
 * sinks — in-memory, crash-safe JSONL (through
-  :mod:`repro.io.runlog`), and streaming summary;
+  :mod:`repro.io.runlog`), and the fold itself;
 * :class:`SamplingProfiler` — background-thread sampler whose samples
   are attributed to the *currently open span* first and to module-path
   rules only as a fallback (the flight recorder's profiler);
@@ -49,18 +51,20 @@ from .phases import (
     T_HOST,
     T_OTHER,
     T_PIPE,
+    BlockstepRecord,
     PhaseAggregator,
     PhaseBreakdown,
     PhaseTotals,
+    SpanFold,
     SpanSummary,
+    replay,
+    resolve_phase,
 )
 from .report import breakdown_json, render_breakdown, render_metrics
 from .sinks import (
     InMemorySink,
     JSONLSink,
-    Sink,
     StreamingPhaseSink,
-    SummarySink,
     read_spans,
 )
 from .signatures import (
@@ -143,6 +147,10 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "SpanFold",
+    "BlockstepRecord",
+    "replay",
+    "resolve_phase",
     "PhaseAggregator",
     "PhaseBreakdown",
     "PhaseTotals",
@@ -155,10 +163,8 @@ __all__ = [
     "T_COMM",
     "T_BARRIER",
     "T_OTHER",
-    "Sink",
     "InMemorySink",
     "JSONLSink",
-    "SummarySink",
     "StreamingPhaseSink",
     "read_spans",
     "PhaseSignature",

@@ -35,23 +35,31 @@ shortfall to named loss buckets:
     zeros, never NaN (mirroring the phase-signature guards).
 
 Like :class:`~repro.telemetry.signatures.SignatureRecorder`, the
-ledger is a streaming tracer sink: exact subtree self-times via child
-subtraction, one record cut per closing ``blockstep`` span, O(tree
-depth) memory, safe always-on for week-long runs.  Durations prefer
-the virtual clock (what the paper's figures plot) and fall back to the
-wall clock when no simulated network drives one.
+ledger consumes the span fold's per-blockstep records
+(:class:`~repro.telemetry.phases.BlockstepRecord`): one account per
+closing ``blockstep`` span, O(tree depth) memory, safe always-on for
+week-long runs.  Durations prefer the virtual clock (what the paper's
+figures plot) and fall back to the wall clock when no simulated
+network drives one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..constants import FLOPS_PER_INTERACTION
-from .phases import DEFAULT_SPAN_PHASES, T_BARRIER, T_COMM, T_OTHER, T_PIPE
-from .signatures import ROOT_SPAN
-from .timeline import TRACE_PIDS
+from ..schema import FINITE, check, number, sums_to
+from .phases import (
+    JMEM,
+    T_BARRIER,
+    T_COMM,
+    T_PIPE,
+    BlockstepRecord,
+    SpanFold,
+    replay,
+)
+from .timeline import TRACE_PIDS, trace_event, trace_lane
 from .tracer import SpanEvent
 
 #: Bump on breaking efficiency-record/section layout changes.
@@ -71,9 +79,6 @@ BUCKETS = (
 
 #: Trace process id of the efficiency lane (central registry).
 EFFICIENCY_PID = TRACE_PIDS["efficiency"]
-
-#: Span name whose subtree self-time is the j-memory load bucket.
-JMEM_SPAN = "grape.jmem_load"
 
 
 class EfficiencyError(ValueError):
@@ -179,6 +184,77 @@ class BlockstepEfficiency:
         """Real/peak; 0.0 (never NaN) for degenerate blocksteps."""
         return self.real_flops / self.peak_flops if self.peak_flops > 0 else 0.0
 
+    @classmethod
+    def from_blockstep(
+        cls, record: BlockstepRecord, hw: HardwareProfile
+    ) -> "BlockstepEfficiency":
+        """The flops account of one blockstep on ``hw``: a pure
+        projection of the fold's record."""
+        block_size, n = record.n_block, record.n
+        use_virtual = record.virtual_us is not None
+        column = 1 if use_virtual else 0
+        dur = max(
+            float(record.virtual_us if use_virtual else record.wall_us), 0.0)
+
+        rate = hw.flops_per_us
+        peak = rate * dur
+        work = float(FLOPS_PER_INTERACTION) * block_size * n
+        real = min(work, peak)
+
+        # pipeline under-population: passes of `lanes` i-slots stream
+        # the whole j-memory whether or not the slots are filled
+        lanes = hw.lanes_per_chip
+        if block_size > 0 and lanes > 0:
+            passes = -(-block_size // lanes)
+            util = block_size / (passes * lanes)
+        else:
+            util = 1.0
+
+        # self-time by loss category: everything that is not pipeline,
+        # j-memory, communication or barrier time is the host's
+        us = {JMEM: 0.0, T_PIPE: 0.0, T_COMM: 0.0, T_BARRIER: 0.0}
+        host_us = 0.0
+        for key, pair in record.self_us.items():
+            if key in us:
+                us[key] = pair[column]
+            else:
+                host_us += pair[column]
+
+        # pipeline idle: time the pipelines were busy beyond the work
+        # they retired (empty lanes, streaming passes); when the span
+        # stream carries no pipe spans (clock not advanced under them)
+        # the lane-population lower bound of fig. 13 stands in
+        idle_lanes = real * (1.0 / util - 1.0) if util > 0.0 else 0.0
+        raw = {
+            "pipeline_idle": max(idle_lanes, rate * us[T_PIPE] - real),
+            "jmem": rate * us[JMEM],
+            "retry": work * record.retries,
+            "host": rate * host_us,
+            "comm": rate * us[T_COMM],
+            "barrier": rate * us[T_BARRIER],
+        }
+        budget = max(peak - real, 0.0)
+        buckets: dict[str, float] = {}
+        for name in BUCKETS[:-1]:
+            take = min(max(raw[name], 0.0), budget)
+            buckets[name] = take
+            budget -= take
+        buckets["other"] = max(budget, 0.0)
+
+        return cls(
+            blockstep=record.index,
+            t=record.t,
+            n=n,
+            block_size=block_size,
+            dur_us=dur,
+            wall_us=record.wall_us,
+            clock="virtual" if use_virtual else "wall",
+            peak_flops=peak,
+            real_flops=real,
+            buckets=buckets,
+            t_start_us=record.t_start_us,
+        )
+
     def as_record(self) -> dict[str, Any]:
         rec: dict[str, Any] = {
             "schema": EFFICIENCY_SCHEMA,
@@ -202,8 +278,13 @@ class BlockstepEfficiency:
 
 
 class FlopsLedger:
-    """Tracer sink cutting one :class:`BlockstepEfficiency` per
-    blockstep and keeping running totals for the run-level waterfall.
+    """Cuts one :class:`BlockstepEfficiency` per blockstep and keeps
+    running totals for the run-level waterfall.
+
+    A consumer of the span fold, like
+    :class:`~repro.telemetry.signatures.SignatureRecorder`: given to a
+    fold with other consumers it shares that fold's single pass; used
+    directly as a tracer sink it owns a private one.
 
     Parameters
     ----------
@@ -216,8 +297,6 @@ class FlopsLedger:
     keep:
         Retain records in :attr:`records` (default).  Turn off for
         unbounded runs where only the totals matter.
-    root_span, span_phases:
-        As for :class:`~repro.telemetry.signatures.SignatureRecorder`.
     """
 
     def __init__(
@@ -225,23 +304,10 @@ class FlopsLedger:
         hardware: Any = None,
         callback: Callable[[BlockstepEfficiency], None] | None = None,
         keep: bool = True,
-        root_span: str = ROOT_SPAN,
-        span_phases: dict[str, str] | None = None,
     ) -> None:
         self.hardware = HardwareProfile.detect(hardware)
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
         self._callback = callback
         self._keep = bool(keep)
-        self._root = root_span
-        # streaming child subtraction, in both clock domains at once:
-        # span_id -> [wall_us, virt_us] of already-folded children
-        self._child: dict[int, list[float]] = {}
-        # span_id -> {category: [wall_us, virt_us]} subtree self-times
-        self._subtree: dict[int, dict[str, list[float]]] = {}
-        # span_id -> subtree exponent-retry count
-        self._retries: dict[int, int] = {}
         self.records: list[BlockstepEfficiency] = []
         self.count = 0
         self.latest: BlockstepEfficiency | None = None
@@ -251,136 +317,20 @@ class FlopsLedger:
         self.bucket_flops: dict[str, float] = {b: 0.0 for b in BUCKETS}
         self.span_us = 0.0
         self._clocks: set[str] = set()
-        # attributed self-time of top-level spans *outside* any
-        # blockstep (startup force, coherence exchanges, barriers),
-        # by category, each span in its own best clock
-        self._outside_us: dict[str, float] = {}
-
-    # -- streaming capture ---------------------------------------------------
-
-    def _category(self, event: SpanEvent) -> str:
-        if event.name == JMEM_SPAN:
-            return "jmem"
-        phase = event.phase or self._span_phases.get(event.name, T_OTHER)
-        if phase == T_PIPE:
-            return "pipe"
-        if phase == T_COMM:
-            return "comm"
-        if phase == T_BARRIER:
-            return "barrier"
-        return "host"
+        self.fold = SpanFold([self])
 
     def emit(self, event: SpanEvent) -> None:
-        wall = float(event.dur_us)
-        virt = event.v_dur_us
-        child = self._child.pop(event.span_id, None) or [0.0, 0.0]
-        self_wall = max(wall - child[0], 0.0)
-        self_virt = max((virt or 0.0) - child[1], 0.0)
-        subtree = self._subtree.pop(event.span_id, None) or {}
-        acc = subtree.setdefault(self._category(event), [0.0, 0.0])
-        acc[0] += self_wall
-        acc[1] += self_virt
-        retries = self._retries.pop(event.span_id, 0) + int(
-            event.attrs.get("exponent_retries", 0) or 0
-        )
+        self.fold.emit(event)
 
-        if event.name == self._root:
-            self._cut(event, subtree, retries)
-        if event.parent_id is not None:
-            pc = self._child.setdefault(event.parent_id, [0.0, 0.0])
-            pc[0] += wall
-            pc[1] += virt or 0.0
-            if event.name != self._root:
-                parent = self._subtree.setdefault(event.parent_id, {})
-                for cat, (w, v) in subtree.items():
-                    pacc = parent.setdefault(cat, [0.0, 0.0])
-                    pacc[0] += w
-                    pacc[1] += v
-                if retries:
-                    self._retries[event.parent_id] = (
-                        self._retries.get(event.parent_id, 0) + retries
-                    )
-        elif event.name != self._root:
-            # top-level non-blockstep span: its subtree is run overhead
-            # outside any blockstep (startup force evaluation, the
-            # driver's coherence exchange, scaffolding) — charged to
-            # the run-level waterfall at summary time
-            dom = 1 if virt is not None else 0
-            for cat, times in subtree.items():
-                self._outside_us[cat] = self._outside_us.get(cat, 0.0) + times[dom]
-
-    def _cut(
-        self, event: SpanEvent, subtree: dict[str, list[float]], retries: int
-    ) -> None:
-        attrs = event.attrs
-        block_size = int(attrs.get("n_block", 0) or 0)
-        n = int(attrs.get("n", 0) or 0)
-        t = attrs.get("t")
-        use_virtual = event.v_dur_us is not None
-        dom = 1 if use_virtual else 0
-        dur = float(event.v_dur_us if use_virtual else event.dur_us)
-        dur = max(dur, 0.0)
-
-        hw = self.hardware
-        rate = hw.flops_per_us
-        peak = rate * dur
-        real = min(float(FLOPS_PER_INTERACTION) * block_size * n, peak)
-
-        # pipeline under-population: passes of `lanes` i-slots stream
-        # the whole j-memory whether or not the slots are filled
-        lanes = hw.lanes_per_chip
-        if block_size > 0 and lanes > 0:
-            passes = -(-block_size // lanes)
-            util = block_size / (passes * lanes)
-        else:
-            util = 1.0
-
-        def cat_us(name: str) -> float:
-            times = subtree.get(name)
-            return times[dom] if times is not None else 0.0
-
-        # pipeline idle: time the pipelines were busy beyond the work
-        # they retired (empty lanes, streaming passes); when the span
-        # stream carries no pipe spans (clock not advanced under them)
-        # the lane-population lower bound of fig. 13 stands in
-        idle_lanes = real * (1.0 / util - 1.0) if util > 0.0 else 0.0
-        pipe_excess = rate * cat_us("pipe") - real
-        raw = {
-            "pipeline_idle": max(idle_lanes, pipe_excess),
-            "jmem": rate * cat_us("jmem"),
-            "retry": float(FLOPS_PER_INTERACTION) * block_size * n * retries,
-            "host": rate * cat_us("host"),
-            "comm": rate * cat_us("comm"),
-            "barrier": rate * cat_us("barrier"),
-        }
-        budget = max(peak - real, 0.0)
-        buckets: dict[str, float] = {}
-        for name in BUCKETS[:-1]:
-            take = min(max(raw.get(name, 0.0), 0.0), budget)
-            buckets[name] = take
-            budget -= take
-        buckets["other"] = max(budget, 0.0)
-
-        rec = BlockstepEfficiency(
-            blockstep=self.count,
-            t=None if t is None else float(t),
-            n=n,
-            block_size=block_size,
-            dur_us=dur,
-            wall_us=float(event.dur_us),
-            clock="virtual" if use_virtual else "wall",
-            peak_flops=peak,
-            real_flops=real,
-            buckets=buckets,
-            t_start_us=float(event.t_start_us),
-        )
+    def on_blockstep(self, record: BlockstepRecord) -> None:
+        rec = BlockstepEfficiency.from_blockstep(record, self.hardware)
         self.count += 1
         self.latest = rec
-        self.peak_flops += peak
-        self.real_flops += real
-        self.span_us += dur
+        self.peak_flops += rec.peak_flops
+        self.real_flops += rec.real_flops
+        self.span_us += rec.dur_us
         for b in BUCKETS:
-            self.bucket_flops[b] += buckets[b]
+            self.bucket_flops[b] += rec.buckets[b]
         self._clocks.add(rec.clock)
         if self._keep:
             self.records.append(rec)
@@ -422,8 +372,8 @@ class FlopsLedger:
         peak = self.peak_flops
         real = self.real_flops
         span_us = self.span_us
-        for cat, us in sorted(self._outside_us.items()):
-            target = cat if cat in ("comm", "barrier") else "other"
+        for key, us in sorted(self.fold.outside_us.items()):
+            target = key if key in (T_COMM, T_BARRIER) else "other"
             flops = rate * max(us, 0.0)
             buckets[target] += flops
             peak += flops
@@ -475,89 +425,63 @@ def _comm_ledger_times(comm: dict[str, Any]) -> tuple[float, float]:
 # -- validation --------------------------------------------------------------
 
 
+def _sums_to_peak(obj: dict[str, Any]) -> str | None:
+    total = obj["real_flops"] + sum(
+        obj["buckets"][b]["flops"] for b in BUCKETS)
+    if not sums_to(total, obj["peak_flops"], rel=1e-6, floor=1e-3):
+        return (f"buckets + real = {total} do not sum to "
+                f"peak = {obj['peak_flops']}")
+
+
+#: A :meth:`FlopsLedger.summary` document.
+EFFICIENCY_SPEC = {
+    "what": "efficiency section",
+    "schema": EFFICIENCY_SCHEMA,
+    "fields": {
+        "blocksteps": FINITE,
+        "peak_flops": FINITE,
+        "real_flops": FINITE,
+        "fraction_of_peak": FINITE,
+        "buckets": {"fields": {
+            b: {"fields": {
+                "flops": FINITE,
+                "fraction": number(0.0, 1.0, slack=1e-9),
+            }}
+            for b in BUCKETS
+        }},
+    },
+    "rules": (_sums_to_peak,),
+}
+
+
 def validate_efficiency(obj: Any, source: str = "efficiency") -> dict[str, Any]:
     """Structural + arithmetic check of a :meth:`FlopsLedger.summary`
     document: schema, all buckets present and finite, fractions within
     [0, 1], and ``real + sum(buckets) == peak`` within float tolerance.
     """
-    if not isinstance(obj, dict):
-        raise EfficiencyError(f"{source}: efficiency section must be an object")
-    if obj.get("schema") != EFFICIENCY_SCHEMA:
-        raise EfficiencyError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {EFFICIENCY_SCHEMA!r})"
-        )
-    for key in ("blocksteps", "peak_flops", "real_flops", "fraction_of_peak"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise EfficiencyError(f"{source}: {key!r} must be a finite number")
-    buckets = obj.get("buckets")
-    if not isinstance(buckets, dict):
-        raise EfficiencyError(f"{source}: must carry a 'buckets' object")
-    total = float(obj["real_flops"])
-    for b in BUCKETS:
-        entry = buckets.get(b)
-        if not isinstance(entry, dict):
-            raise EfficiencyError(f"{source}: bucket {b!r} missing")
-        flops, frac = entry.get("flops"), entry.get("fraction")
-        for key, val in (("flops", flops), ("fraction", frac)):
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise EfficiencyError(
-                    f"{source}: bucket {b!r} {key!r} must be a finite number"
-                )
-        if not -1e-9 <= float(frac) <= 1.0 + 1e-9:
-            raise EfficiencyError(
-                f"{source}: bucket {b!r} fraction {frac} outside [0, 1]"
-            )
-        total += float(flops)
-    peak = float(obj["peak_flops"])
-    if abs(total - peak) > max(1e-6 * max(abs(peak), 1.0), 1e-3):
-        raise EfficiencyError(
-            f"{source}: buckets + real = {total} do not sum to peak = {peak}"
-        )
-    return obj
+    return check(obj, EFFICIENCY_SPEC, source, EfficiencyError)
 
 
 # -- timeline lane -----------------------------------------------------------
 
 
-def efficiency_trace_events(
-    ledger: FlopsLedger, pid: int = EFFICIENCY_PID
-) -> list[dict[str, Any]]:
+def efficiency_trace_events(ledger: FlopsLedger) -> list[dict[str, Any]]:
     """The efficiency lane: one complete ("X") event per kept
     blockstep record in the wall-clock time base, labelled with its
     fraction of peak, under the registry's efficiency pid."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "efficiency (fraction of peak)"},
-        }
-    ]
-    for rec in ledger.records:
-        event: dict[str, Any] = {
-            "name": f"eff {rec.fraction_of_peak:.0%}",
-            "cat": "efficiency",
-            "ph": "X",
-            "ts": rec.t_start_us,
-            "dur": rec.wall_us,
-            "pid": pid,
-            "tid": 1,
-            "args": {
+    return trace_lane(EFFICIENCY_PID, "efficiency (fraction of peak)", [
+        trace_event(
+            f"eff {rec.fraction_of_peak:.0%}", "efficiency",
+            rec.t_start_us, rec.wall_us, EFFICIENCY_PID, 1,
+            {
                 "blockstep": rec.blockstep,
                 "block_size": rec.block_size,
                 "fraction_of_peak": rec.fraction_of_peak,
                 "clock": rec.clock,
             },
-        }
-        if rec.wall_us <= 0.0:
-            event.pop("dur")
-            event["ph"] = "i"
-            event["s"] = "t"
-        events.append(event)
-    return events
+        )
+        for rec in ledger.records
+    ])
 
 
 # -- convenience -------------------------------------------------------------
@@ -568,6 +492,5 @@ def efficiency_from_events(
 ) -> FlopsLedger:
     """Replay a retained event list through a fresh ledger."""
     ledger = FlopsLedger(**ledger_kwargs)
-    for e in events:
-        ledger.emit(e)
+    replay(events, ledger)
     return ledger

@@ -1,13 +1,13 @@
-"""The paper's section-4 phase taxonomy and the span-to-phase roll-up.
+"""The paper's section-4 phase taxonomy and the one span fold.
 
 Eq. (10) decomposes the time per blockstep as
 
     T = T_host + T_comm + T_GRAPE
 
 and section 4.4 further isolates the synchronisation (barrier) term
-that becomes the 1/N wall of figs. 16 and 18.  The aggregator here
-rolls raw :class:`repro.telemetry.tracer.SpanEvent` streams up into
-exactly that taxonomy:
+that becomes the 1/N wall of figs. 16 and 18.  :class:`SpanFold` rolls
+raw :class:`repro.telemetry.tracer.SpanEvent` streams up into exactly
+that taxonomy:
 
 * ``T_host``    — host arithmetic: prediction, correction, timestep
   selection, scheduling;
@@ -20,15 +20,22 @@ exactly that taxonomy:
 
 Attribution uses **self time**: a span's duration minus the durations
 of its direct children, so nested instrumentation ("blockstep"
-containing "predict"/"force"/"correct") never double-counts.  A span
-with no explicit phase inherits its nearest ancestor's phase, falling
-back to the span-name map and then to ``other``.
+containing "predict"/"force"/"correct") never double-counts.  A span's
+phase is its explicit tag, else the span-name map, else its nearest
+resolvable ancestor's, else ``other`` (:func:`resolve_phase`).
+
+The fold is the only code in the package that subtracts children from
+a span.  Everything that reads self-time is a view of it: run totals
+(:class:`PhaseBreakdown`, the service's ``phases`` record) and, per
+closing ``blockstep`` span, one in-memory :class:`BlockstepRecord`
+handed to the fold's consumers — the phase signature and the flops
+account are pure projections of that record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
 from .tracer import SpanEvent
 
@@ -51,8 +58,18 @@ PAPER_PHASE_NAMES: dict[str, str] = {
     T_OTHER: "other",
 }
 
-#: Default span-name -> phase map for the instrumented code paths.
-#: Explicit ``phase=`` arguments on spans always win over this table.
+#: Span name that delimits one blockstep (the block-timestep
+#: integrator's per-blockstep root span).
+ROOT_SPAN = "blockstep"
+
+#: Span name whose ``T_pipe`` self-time a blockstep record keeps apart
+#: under the key :data:`JMEM` (the efficiency waterfall's j-memory
+#: bucket; the phase view adds it back into ``T_pipe``).
+JMEM_SPAN = "grape.jmem_load"
+JMEM = "jmem"
+
+#: Span-name -> phase map for the instrumented code paths.  Explicit
+#: ``phase=`` arguments on spans always win over this table.
 DEFAULT_SPAN_PHASES: dict[str, str] = {
     "predict": T_HOST,
     "correct": T_HOST,
@@ -60,12 +77,27 @@ DEFAULT_SPAN_PHASES: dict[str, str] = {
     "schedule": T_HOST,
     "force": T_PIPE,
     "grape.force": T_PIPE,
-    "grape.jmem_load": T_PIPE,
+    JMEM_SPAN: T_PIPE,
     "net.send": T_COMM,
     "net.recv": T_COMM,
     "net.exchange": T_COMM,
     "net.barrier": T_BARRIER,
+    # an untagged blockstep root never inherits: its record is cut the
+    # moment it closes, before any ancestor has (the integrators tag it
+    # T_host explicitly)
+    ROOT_SPAN: T_OTHER,
 }
+
+
+def resolve_phase(name: str, phase: str | None) -> str | None:
+    """A span's own phase: its explicit tag, else the span-name map.
+
+    ``None`` means *inherit*: the nearest ancestor that resolves
+    decides, and a span with no such ancestor is ``other``.  Every
+    reader — the fold, the timeline's categories, the sampler — asks
+    here, so they cannot disagree.
+    """
+    return phase or DEFAULT_SPAN_PHASES.get(name)
 
 
 @dataclass
@@ -74,9 +106,6 @@ class PhaseTotals:
     (wall clock or virtual clock)."""
 
     totals: dict[str, float] = field(default_factory=lambda: {p: 0.0 for p in PHASES})
-
-    def add(self, phase: str, us: float) -> None:
-        self.totals[phase] = self.totals.get(phase, 0.0) + us
 
     @property
     def total_us(self) -> float:
@@ -139,8 +168,200 @@ class PhaseBreakdown:
         return out
 
 
+@dataclass(slots=True)
+class BlockstepRecord:
+    """One closed ``blockstep`` span as the fold hands it to its
+    consumers.  In-memory only: it never leaves the process, so it has
+    no schema tag and no validator."""
+
+    index: int
+    t: float | None
+    n: int
+    n_block: int
+    t_start_us: float
+    wall_us: float
+    #: None unless the tracer was wired to a simulated network's clock.
+    virtual_us: float | None
+    #: Subtree self-times ``key -> [wall us, virtual us]``; the keys are
+    #: the phases plus :data:`JMEM`, and each column sums to the root's
+    #: duration in that clock.
+    self_us: dict[str, list[float]]
+    #: Block-exponent overflow retries anywhere in the subtree.
+    retries: int
+    #: j-memory load/elision counter deltas over the blockstep.
+    jmem_loads: int
+    jmem_elided: int
+
+    def phase_us(self, virtual: bool = False) -> dict[str, float]:
+        """Self-times by *phase* in one clock (j-memory loads are
+        ``T_pipe`` time)."""
+        column = 1 if virtual else 0
+        out = {key: pair[column] for key, pair in self.self_us.items()}
+        jmem = out.pop(JMEM, None)
+        if jmem is not None:
+            out[T_PIPE] = out.get(T_PIPE, 0.0) + jmem
+        return out
+
+
+class SpanFold:
+    """The streaming self-time fold: a tracer sink, O(tree depth) state.
+
+    Spans close children-before-parents, so when a span arrives every
+    child has already left its duration (to subtract) and its subtree's
+    self-times (to carry upward) under the parent's id.  Self-time of a
+    span that cannot resolve a phase itself rides up with its subtree
+    until an ancestor resolves it, which is how the streaming fold gives
+    the ancestor rule's answer without a retained tree.
+
+    ``consumers`` are objects with ``on_blockstep(record)``; the fold
+    sets ``consumer.fold`` so a consumer can read the run-level views
+    (:attr:`outside_us`).  Used bare it is the service's O(1)-memory
+    phase attribution (``StreamingPhaseSink``).
+    """
+
+    def __init__(self, consumers: Iterable[Any] = ()) -> None:
+        self.consumers = list(consumers)
+        for consumer in self.consumers:
+            consumer.fold = self
+        self.n_events = 0
+        self.blocksteps = 0
+        #: Run self-time by phase, wall clock.
+        self.totals_us: dict[str, float] = {}
+        #: Run self-time by phase, virtual clock (spans that carry one).
+        self.virtual_totals_us: dict[str, float] = {}
+        #: Self-time under top-level spans *outside* any blockstep
+        #: (startup force, coherence exchange, barriers), by record key,
+        #: each top-level span in its own best clock.
+        self.outside_us: dict[str, float] = {}
+        # (name, phase) -> [count, self wall us, total wall us]
+        self._spans: dict[tuple[str, str], list] = {}
+        # open span id -> what its closed children left behind:
+        # [their wall us, their virtual us, subtree retries, subtree
+        #  self-times by key, subtree spans still waiting for a phase]
+        self._open: dict[int, list] = {}
+
+    def emit(self, event: SpanEvent) -> None:
+        self.n_events += 1
+        name, wall, virt = event.name, event.dur_us, event.v_dur_us
+        kids_wall, kids_virt, retries, times, waiting = self._open.pop(
+            event.span_id, None) or (0.0, 0.0, 0, {}, [])
+        more = event.attrs.get("exponent_retries")
+        if more:
+            retries += int(more)
+        self_wall = max(wall - kids_wall, 0.0)
+        self_virt = None if virt is None else max(virt - kids_virt, 0.0)
+        phase = resolve_phase(name, event.phase)
+        if phase is None and event.parent_id is None:
+            phase = T_OTHER
+        if phase is None:
+            waiting.append((name, wall, self_wall, self_virt))
+        else:  # resolves itself and all that waits beneath it
+            key = JMEM if name == JMEM_SPAN and phase == T_PIPE else phase
+            acc = times.setdefault(key, [0.0, 0.0])
+            self._book(phase, acc, name, wall, self_wall, self_virt)
+            for span in waiting:
+                self._book(phase, acc, *span)
+            waiting = []
+
+        if name == ROOT_SPAN:
+            # a blockstep's subtree is its record's, not its parent's
+            self._cut(event, times, retries)
+            retries, times = 0, {}
+        if event.parent_id is None:
+            outside, column = self.outside_us, 0 if virt is None else 1
+            for key, pair in times.items():
+                outside[key] = outside.get(key, 0.0) + pair[column]
+            return
+        up = self._open.get(event.parent_id)
+        if up is None:  # the first child to close donates its state
+            self._open[event.parent_id] = [
+                wall, virt or 0.0, retries, times, waiting]
+            return
+        up[0] += wall
+        up[1] += virt or 0.0
+        up[2] += retries
+        for key, pair in times.items():
+            acc = up[3].setdefault(key, [0.0, 0.0])
+            acc[0] += pair[0]
+            acc[1] += pair[1]
+        up[4] += waiting
+
+    def _book(self, phase: str, acc: list[float], name: str, dur: float,
+              self_wall: float, self_virt: float | None) -> None:
+        """Credit one span's self-time to ``phase``: the subtree
+        accumulator of the span that resolved it, the run totals and
+        the per-name summary."""
+        acc[0] += self_wall
+        self.totals_us[phase] = self.totals_us.get(phase, 0.0) + self_wall
+        if self_virt is not None:
+            acc[1] += self_virt
+            self.virtual_totals_us[phase] = (
+                self.virtual_totals_us.get(phase, 0.0) + self_virt)
+        summary = self._spans.setdefault((name, phase), [0, 0.0, 0.0])
+        summary[0] += 1
+        summary[1] += self_wall
+        summary[2] += dur
+
+    def _cut(self, event: SpanEvent, times: dict[str, list[float]],
+             retries: int) -> None:
+        self.blocksteps += 1
+        if not self.consumers:
+            return
+        attrs = event.attrs
+        t = attrs.get("t")
+        record = BlockstepRecord(
+            index=self.blocksteps - 1,
+            t=None if t is None else float(t),
+            n=int(attrs.get("n", 0) or 0),
+            n_block=int(attrs.get("n_block", 0) or 0),
+            t_start_us=float(event.t_start_us),
+            wall_us=float(event.dur_us),
+            virtual_us=event.v_dur_us,
+            self_us=times,
+            retries=retries,
+            jmem_loads=int(attrs.get("jmem_loads", 0) or 0),
+            jmem_elided=int(attrs.get("jmem_elided", 0) or 0),
+        )
+        for consumer in self.consumers:
+            consumer.on_blockstep(record)
+
+    # -- views ----------------------------------------------------------------
+
+    def snapshot(self) -> dict[str, Any]:
+        """Cumulative wall self-time by phase so far — cheap and safe at
+        any cadence (the service's periodic ``phases`` bus record)."""
+        return {"n_events": self.n_events, "wall_us": dict(self.totals_us)}
+
+    def breakdown(self) -> PhaseBreakdown:
+        """The run totals in both clocks plus the per-span-name table."""
+        zero = dict.fromkeys(PHASES, 0.0)
+        spans = [
+            SpanSummary(name, phase, *summary)
+            for (name, phase), summary in self._spans.items()
+        ]
+        spans.sort(key=lambda s: -s.self_us)
+        return PhaseBreakdown(
+            wall=PhaseTotals({**zero, **self.totals_us}),
+            virtual=(
+                PhaseTotals({**zero, **self.virtual_totals_us})
+                if self.virtual_totals_us else None
+            ),
+            spans=spans,
+            n_events=self.n_events,
+        )
+
+
+def replay(events: Iterable[SpanEvent], *consumers: Any) -> SpanFold:
+    """Feed a retained, children-first event list (what a tracer
+    delivers) through a fresh fold serving ``consumers``."""
+    fold = SpanFold(consumers)
+    for event in events:
+        fold.emit(event)
+    return fold
+
+
 class PhaseAggregator:
-    """Rolls a span-event stream up into the paper's phase taxonomy.
+    """Post-hoc roll-up of a retained span-event list.
 
     Usage::
 
@@ -148,85 +369,19 @@ class PhaseAggregator:
         agg.consume(sink.events)
         breakdown = agg.breakdown()
 
-    Events may arrive in any order; aggregation happens at
-    :meth:`breakdown` time from the retained event list.
+    Events may arrive in any order: :meth:`breakdown` puts children
+    before parents (a stable sort on depth) and feeds the fold.
     """
 
-    def __init__(self, span_phases: dict[str, str] | None = None) -> None:
-        self.span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self.span_phases.update(span_phases)
+    def __init__(self) -> None:
         self._events: list[SpanEvent] = []
 
     def consume(self, events: Iterable[SpanEvent]) -> "PhaseAggregator":
         self._events.extend(events)
         return self
 
-    # -- attribution ----------------------------------------------------------
-
-    def _phase_of(self, event: SpanEvent, by_id: dict[int, SpanEvent]) -> str:
-        if event.phase is not None:
-            return event.phase
-        mapped = self.span_phases.get(event.name)
-        if mapped is not None:
-            return mapped
-        # inherit from the nearest ancestor with a resolvable phase
-        parent_id = event.parent_id
-        guard = 0
-        while parent_id is not None and guard < 10_000:
-            parent = by_id.get(parent_id)
-            if parent is None:
-                break
-            if parent.phase is not None:
-                return parent.phase
-            mapped = self.span_phases.get(parent.name)
-            if mapped is not None:
-                return mapped
-            parent_id = parent.parent_id
-            guard += 1
-        return T_OTHER
-
     def breakdown(self) -> PhaseBreakdown:
         """Compute self-times, attribute phases, and total per phase."""
-        events = self._events
-        by_id = {e.span_id: e for e in events}
-
-        child_wall: dict[int, float] = {}
-        child_virtual: dict[int, float] = {}
-        for e in events:
-            if e.parent_id is not None and e.parent_id in by_id:
-                child_wall[e.parent_id] = child_wall.get(e.parent_id, 0.0) + e.dur_us
-                if e.v_dur_us is not None:
-                    child_virtual[e.parent_id] = (
-                        child_virtual.get(e.parent_id, 0.0) + e.v_dur_us
-                    )
-
-        wall = PhaseTotals()
-        virtual = PhaseTotals()
-        any_virtual = False
-        spans: dict[tuple[str, str], SpanSummary] = {}
-
-        for e in events:
-            phase = self._phase_of(e, by_id)
-            self_wall = max(e.dur_us - child_wall.get(e.span_id, 0.0), 0.0)
-            wall.add(phase, self_wall)
-            if e.v_dur_us is not None:
-                any_virtual = True
-                self_virtual = max(e.v_dur_us - child_virtual.get(e.span_id, 0.0), 0.0)
-                virtual.add(phase, self_virtual)
-
-            key = (e.name, phase)
-            summary = spans.get(key)
-            if summary is None:
-                summary = spans[key] = SpanSummary(name=e.name, phase=phase)
-            summary.count += 1
-            summary.self_us += self_wall
-            summary.total_us += e.dur_us
-
-        ordered = sorted(spans.values(), key=lambda s: -s.self_us)
-        return PhaseBreakdown(
-            wall=wall,
-            virtual=virtual if any_virtual else None,
-            spans=ordered,
-            n_events=len(events),
-        )
+        return replay(
+            sorted(self._events, key=lambda e: -e.depth)
+        ).breakdown()

@@ -48,8 +48,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+from ..schema import FINITE, NONNEG, check, list_of, opt, sums_to
 from .metrics import Histogram
-from .timeline import TRACE_PIDS
+from .timeline import TRACE_PIDS, trace_event, trace_lane
 
 #: Bump on breaking rank-sample/record/section layout changes.
 RANK_SAMPLE_SCHEMA = "repro.rank_sample/1"
@@ -578,200 +579,129 @@ def _virtual_skews(comm: Any, count: int) -> list[float]:
 # -- validation --------------------------------------------------------------
 
 
+def _busy_plus_idle_is_span(rec: dict[str, Any]) -> str | None:
+    busy, idle, span = rec["busy_us"], rec["idle_us"], rec["span_wall_us"]
+    if len(busy) != len(idle):
+        return (f"busy_us ({len(busy)}) and idle_us ({len(idle)}) "
+                "must have one entry per rank")
+    for r, (b, i) in enumerate(zip(busy, idle)):
+        if not sums_to(b + i, span):
+            return (f"rank {r} busy + idle = {b + i} "
+                    f"does not equal span_wall_us = {span}")
+
+
+def _busy_plus_idle_is_budget(doc: dict[str, Any]) -> str | None:
+    total = doc["busy_us"] + doc["idle_us"]
+    if not sums_to(total, doc["rank_span_us"]):
+        return (f"busy + idle = {total} does not sum to "
+                f"rank_span_us = {doc['rank_span_us']}")
+
+
+def _placement_sums_to_idle(placement: dict[str, Any]) -> str | None:
+    idle = _finite(placement.get("idle_us"))
+    total = sum(placement["buckets"][name]["us"] for name in IDLE_BUCKETS)
+    if not sums_to(total, idle):
+        return f"buckets = {total} do not sum to idle_us = {idle}"
+
+
+#: One :meth:`RankBlockstep.as_record` record.
+RANK_RECORD_SPEC = {
+    "what": "rank record",
+    "schema": RANK_SAMPLE_SCHEMA,
+    "fields": {
+        **dict.fromkeys(
+            ("blockstep", "n_ranks", "dispatches", "tasks", "span_wall_us",
+             "real_skew_us", "publish_bytes"), FINITE),
+        "busy_us": list_of(FINITE),
+        "idle_us": list_of(FINITE),
+    },
+    "rules": (_busy_plus_idle_is_span,),
+}
+
+#: A :meth:`RankLedger.summary` section.
+RANK_SECTION_SPEC = {
+    "what": "rank section",
+    "schema": RANK_SAMPLE_SCHEMA,
+    "fields": {
+        **dict.fromkeys(
+            ("blocksteps", "dispatches", "tasks", "n_ranks", "span_wall_us",
+             "rank_span_us", "busy_us", "idle_us", "cpu_us", "utilisation",
+             "publish_bytes", "attach_bytes", "publish_bytes_per_step"),
+            FINITE),
+        "real_skew_us": {
+            "fields": dict.fromkeys(("mean", "max", "total"), NONNEG)},
+        "ranks": list_of({"fields": dict.fromkeys(
+            ("rank", "tasks", "busy_us", "mean_task_us"), FINITE)}),
+        "placement": opt({
+            "fields": {"buckets": {"fields": {
+                name: {"fields": {"us": FINITE}} for name in IDLE_BUCKETS
+            }}},
+            "rules": (_placement_sums_to_idle,),
+        }),
+    },
+    "rules": (_busy_plus_idle_is_budget,),
+}
+
+
 def validate_rank_record(obj: Any, source: str = "rank") -> dict[str, Any]:
     """Structural + arithmetic check of one blockstep record: schema,
     finite numerics (zero-valued degenerates pass, NaN never does), and
     the per-rank identity ``busy[r] + idle[r] == span_wall_us``."""
-    if not isinstance(obj, dict):
-        raise RankError(f"{source}: rank record must be an object")
-    if obj.get("schema") != RANK_SAMPLE_SCHEMA:
-        raise RankError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {RANK_SAMPLE_SCHEMA!r})"
-        )
-    for key in ("blockstep", "n_ranks", "dispatches", "tasks",
-                "span_wall_us", "real_skew_us", "publish_bytes"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(f"{source}: {key!r} must be a finite number")
-    busy, idle = obj.get("busy_us"), obj.get("idle_us")
-    if not isinstance(busy, list) or not isinstance(idle, list):
-        raise RankError(f"{source}: must carry 'busy_us'/'idle_us' lists")
-    if len(busy) != len(idle):
-        raise RankError(
-            f"{source}: busy_us ({len(busy)}) and idle_us ({len(idle)}) "
-            "must have one entry per rank"
-        )
-    span = float(obj["span_wall_us"])
-    tol = max(1e-9 * max(abs(span), 1.0), 1e-6)
-    for r, (b, i) in enumerate(zip(busy, idle)):
-        for key, val in (("busy_us", b), ("idle_us", i)):
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise RankError(
-                    f"{source}: rank {r} {key!r} must be a finite number"
-                )
-        if abs(float(b) + float(i) - span) > tol:
-            raise RankError(
-                f"{source}: rank {r} busy + idle = {float(b) + float(i)} "
-                f"does not equal span_wall_us = {span}"
-            )
-    return obj
+    return check(obj, RANK_RECORD_SPEC, source, RankError)
 
 
 def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
     """Check a :meth:`RankLedger.summary` section: schema, finite
     numerics, the run-level identity ``busy + idle == rank_span``, and
     (when present) that the placement buckets sum to idle exactly."""
-    if not isinstance(obj, dict):
-        raise RankError(f"{source}: rank section must be an object")
-    if obj.get("schema") != RANK_SAMPLE_SCHEMA:
-        raise RankError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {RANK_SAMPLE_SCHEMA!r})"
-        )
-    for key in ("blocksteps", "dispatches", "tasks", "n_ranks",
-                "span_wall_us", "rank_span_us", "busy_us", "idle_us",
-                "cpu_us", "utilisation", "publish_bytes", "attach_bytes",
-                "publish_bytes_per_step"):
-        val = obj.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(f"{source}: {key!r} must be a finite number")
-    skew = obj.get("real_skew_us")
-    if not isinstance(skew, dict):
-        raise RankError(f"{source}: must carry a 'real_skew_us' object")
-    for key in ("mean", "max", "total"):
-        val = skew.get(key)
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise RankError(
-                f"{source}: real_skew_us {key!r} must be a finite number"
-            )
-        if val < 0.0:
-            raise RankError(f"{source}: real_skew_us {key!r} is negative")
-    ranks = obj.get("ranks")
-    if not isinstance(ranks, list):
-        raise RankError(f"{source}: must carry a 'ranks' list")
-    for i, row in enumerate(ranks):
-        if not isinstance(row, dict):
-            raise RankError(f"{source}: ranks[{i}] must be an object")
-        for key in ("rank", "tasks", "busy_us", "mean_task_us"):
-            val = row.get(key)
-            if not isinstance(val, (int, float)) or not math.isfinite(val):
-                raise RankError(
-                    f"{source}: ranks[{i}] {key!r} must be a finite number"
-                )
-    budget = float(obj["rank_span_us"])
-    total = float(obj["busy_us"]) + float(obj["idle_us"])
-    if abs(total - budget) > max(1e-9 * max(abs(budget), 1.0), 1e-6):
-        raise RankError(
-            f"{source}: busy + idle = {total} does not sum to "
-            f"rank_span_us = {budget}"
-        )
-    placement = obj.get("placement")
-    if placement is not None:
-        if not isinstance(placement, dict):
-            raise RankError(f"{source}: 'placement' must be an object")
-        buckets = placement.get("buckets")
-        if not isinstance(buckets, dict):
-            raise RankError(f"{source}: placement must carry 'buckets'")
-        idle = _finite(placement.get("idle_us"))
-        bucket_total = 0.0
-        for name in IDLE_BUCKETS:
-            entry = buckets.get(name)
-            if not isinstance(entry, dict):
-                raise RankError(f"{source}: placement bucket {name!r} missing")
-            us = entry.get("us")
-            if not isinstance(us, (int, float)) or not math.isfinite(us):
-                raise RankError(
-                    f"{source}: placement bucket {name!r} 'us' must be "
-                    "a finite number"
-                )
-            bucket_total += float(us)
-        if abs(bucket_total - idle) > max(1e-9 * max(abs(idle), 1.0), 1e-6):
-            raise RankError(
-                f"{source}: placement buckets = {bucket_total} do not "
-                f"sum to idle_us = {idle}"
-            )
-    return obj
+    return check(obj, RANK_SECTION_SPEC, source, RankError)
 
 
 # -- timeline lane -----------------------------------------------------------
 
 
-def rank_trace_events(
-    ledger: RankLedger, pid: int = RANK_PID, t0_us: float | None = None
-) -> list[dict[str, Any]]:
+def rank_trace_events(ledger: RankLedger) -> list[dict[str, Any]]:
     """Per-rank real-clock lanes under the registry's ranks pid.
 
     One complete ("X") event per instrumented task on its rank's lane
     (tid = rank), plus one blockstep marker per kept record on the lane
     past the last rank, labelled with the real skew.  Timestamps are
-    re-based to the earliest task start (or ``t0_us``), so the lane
-    group starts at zero like the span film.
+    re-based to the earliest task start, so the lane group starts at
+    zero like the span film.
     """
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "ranks (real clock)"},
-        }
-    ]
-    if t0_us is None:
-        starts = [
-            task[2]
-            for rec in ledger.records
-            for task in rec.task_events
-            if task[2] > 0.0
-        ]
-        t0_us = min(starts) if starts else 0.0
+    t0_us = min(
+        (task[2] for rec in ledger.records for task in rec.task_events
+         if task[2] > 0.0),
+        default=0.0,
+    )
     marker_tid = max(ledger.n_ranks, 1)
+    events: list[dict[str, Any]] = []
     for rec in ledger.records:
         for rank, worker_pid, ts, wall, cpu in rec.task_events:
-            event: dict[str, Any] = {
-                "name": "rank.task",
-                "cat": "rank",
-                "ph": "X",
-                "ts": max(ts - t0_us, 0.0),
-                "dur": wall,
-                "pid": pid,
-                "tid": int(rank),
-                "args": {
+            events.append(trace_event(
+                "rank.task", "rank", max(ts - t0_us, 0.0), wall, RANK_PID,
+                int(rank),
+                {
                     "blockstep": rec.blockstep,
                     "rank": int(rank),
                     "backend": rec.backend,
                     "worker_pid": int(worker_pid),
                     "cpu_us": cpu,
                 },
-            }
-            if wall <= 0.0:
-                event.pop("dur")
-                event["ph"] = "i"
-                event["s"] = "t"
-            events.append(event)
-        marker: dict[str, Any] = {
-            "name": f"blockstep {rec.blockstep}",
-            "cat": "rank",
-            "ph": "X",
-            "ts": max(rec.t_start_us - t0_us, 0.0),
-            "dur": rec.span_wall_us,
-            "pid": pid,
-            "tid": marker_tid,
-            "args": {
+            ))
+        events.append(trace_event(
+            f"blockstep {rec.blockstep}", "rank",
+            max(rec.t_start_us - t0_us, 0.0), rec.span_wall_us, RANK_PID,
+            marker_tid,
+            {
                 "blockstep": rec.blockstep,
                 "backend": rec.backend,
                 "real_skew_us": rec.real_skew_us,
                 "straggler": rec.straggler,
                 "publish_bytes": rec.publish_bytes,
             },
-        }
-        if rec.span_wall_us <= 0.0:
-            marker.pop("dur")
-            marker["ph"] = "i"
-            marker["s"] = "t"
-        events.append(marker)
-    events.sort(key=lambda r: (0 if r["ph"] == "M" else 1, r.get("ts", 0.0)))
-    return events
+        ))
+    return trace_lane(RANK_PID, "ranks (real clock)", events)
 
 
 # -- convenience -------------------------------------------------------------

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..io.tables import format_table
-from .phases import DEFAULT_SPAN_PHASES, PAPER_PHASE_NAMES, PHASES, T_OTHER
+from .phases import PAPER_PHASE_NAMES, PHASES, T_OTHER, resolve_phase
 from .tracer import Tracer
 
 #: Attribution provenance of one sample.
@@ -168,7 +168,6 @@ class SamplerReport:
 def attribute_sample(
     open_spans: Sequence[tuple[str, str | None]],
     frames: Sequence[FrameRef],
-    span_phases: dict[str, str] | None = None,
     frame_rules: Sequence[tuple[str, str | None, str]] | None = None,
 ) -> tuple[str, str, str]:
     """Attribute one (span stack, frame stack) observation.
@@ -180,10 +179,9 @@ def attribute_sample(
     it just declared no phase.  Only with *no* span open do the path
     rules inspect the frame stack, innermost frame first.
     """
-    names = DEFAULT_SPAN_PHASES if span_phases is None else span_phases
     if open_spans:
         for name, phase in reversed(open_spans):  # innermost first
-            resolved = phase if phase is not None else names.get(name)
+            resolved = resolve_phase(name, phase)
             if resolved is not None:
                 return resolved, SOURCE_SPAN, name
         return T_OTHER, SOURCE_SPAN, open_spans[-1][0]
@@ -229,7 +227,6 @@ class SamplingProfiler:
         tracer: Tracer,
         interval_s: float = 0.002,
         clock=None,
-        span_phases: dict[str, str] | None = None,
         frame_rules: Sequence[tuple[str, str | None, str]] | None = None,
         max_samples: int = 200_000,
     ) -> None:
@@ -239,9 +236,6 @@ class SamplingProfiler:
         self.interval_s = float(interval_s)
         self._clock = time.perf_counter if clock is None else clock
         self._epoch = tracer._epoch if clock is None else self._clock()
-        self.span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self.span_phases.update(span_phases)
         self.frame_rules = frame_rules
         self.max_samples = int(max_samples)
         self.samples: list[Sample] = []
@@ -280,7 +274,7 @@ class SamplingProfiler:
             # tracer; other threads fall through to the path rules
             spans = open_spans if (owner is None or tid == owner) else ()
             phase, source, label = attribute_sample(
-                spans, frames, self.span_phases, self.frame_rules
+                spans, frames, self.frame_rules
             )
             new.append(Sample(now_us, tid, phase, source, label))
         room = self.max_samples - len(self.samples)

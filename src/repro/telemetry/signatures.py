@@ -16,9 +16,9 @@ streams:
   active fraction, a power-of-two block-size bucket, per-phase
   T_host/T_pipe/T_comm/T_barrier self-time *shares*, and the
   emulator's j-memory load/elision counters;
-* :class:`SignatureRecorder` — a tracer sink that cuts one signature
-  per closing ``blockstep`` span in O(1) memory (exact subtree
-  self-times via streaming child subtraction, no retained event list);
+* :class:`SignatureRecorder` — cuts one signature per
+  :class:`~repro.telemetry.phases.BlockstepRecord` the span fold hands
+  it (O(1) memory, no retained event list);
 * :class:`StreamingKMeans` / :class:`RegimeTracker` — deterministic
   online clustering of the signature stream into **regimes** with
   hold-window regime-change detection;
@@ -42,8 +42,9 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .phases import DEFAULT_SPAN_PHASES, PHASES, T_OTHER
-from .timeline import TRACE_PIDS
+from ..schema import check, list_of, number, opt
+from .phases import PHASES, BlockstepRecord, SpanFold, replay
+from .timeline import TRACE_PIDS, trace_event, trace_lane
 from .tracer import SpanEvent
 
 #: Bump on breaking signature-record/artifact layout changes.
@@ -59,10 +60,6 @@ N_BUCKETS = 24
 #: (:data:`repro.telemetry.timeline.TRACE_PIDS`) so it can never
 #: collide with the clock-domain, comm-ledger or efficiency lanes.
 REGIME_PID = TRACE_PIDS["regimes"]
-
-#: Span name the recorder cuts signatures on (the block-timestep
-#: integrator's per-blockstep root span).
-ROOT_SPAN = "blockstep"
 
 
 class SignatureError(ValueError):
@@ -160,14 +157,25 @@ class PhaseSignature:
         return rec
 
     @classmethod
+    def from_blockstep(cls, record: BlockstepRecord) -> "PhaseSignature":
+        """The signature of one blockstep: a pure projection of the
+        fold's record (wall-clock phase shares)."""
+        return cls(
+            blockstep=record.index,
+            t=record.t,
+            n=record.n,
+            block_size=record.n_block,
+            wall_us=record.wall_us,
+            shares=normalise_shares(record.phase_us()),
+            jmem_loads=record.jmem_loads,
+            jmem_elided=record.jmem_elided,
+            t_start_us=record.t_start_us,
+        )
+
+    @classmethod
     def from_record(cls, rec: dict[str, Any]) -> "PhaseSignature":
-        if not isinstance(rec, dict):
-            raise SignatureError("signature record must be an object")
-        if rec.get("schema") != SIGNATURE_SCHEMA:
-            raise SignatureError(
-                f"signature schema {rec.get('schema')!r} not supported "
-                f"(need {SIGNATURE_SCHEMA!r})"
-            )
+        check(rec, {"what": "record", "schema": SIGNATURE_SCHEMA},
+              "signature", SignatureError)
         return cls(
             blockstep=int(rec["blockstep"]),
             t=None if rec.get("t") is None else float(rec["t"]),
@@ -199,19 +207,17 @@ def normalise_shares(totals_us: dict[str, float]) -> dict[str, float]:
 
 
 class SignatureRecorder:
-    """Tracer sink cutting one :class:`PhaseSignature` per blockstep.
+    """Cuts one :class:`PhaseSignature` per blockstep.
 
-    Spans close children-before-parents, so the recorder can maintain
-    each open span's *subtree* phase totals incrementally: when a span
-    closes, its self-time (duration minus already-folded children) is
-    added to its own subtree totals, and the whole subtree folds into
-    its parent.  When a span named ``root_span`` closes, its subtree
-    totals *are* the blockstep's exact phase attribution — identical to
-    what :class:`repro.telemetry.PhaseAggregator` computes post hoc
-    from a retained event list — and the recorder cuts a signature.
-    Memory is O(tree depth), so it is safe on week-long runs; spans
-    outside any blockstep (startup force evaluation, benchmark
-    scaffolding) are discarded, never folded into a signature.
+    A consumer of the span fold (:class:`~repro.telemetry.phases.SpanFold`):
+    every closing ``blockstep`` span reaches it as one
+    :class:`~repro.telemetry.phases.BlockstepRecord` whose subtree
+    self-times *are* the blockstep's exact phase attribution.  Given to
+    a fold with other consumers it shares that fold's single pass; used
+    directly as a tracer sink it owns a private one.  Memory is O(tree
+    depth), so it is safe on week-long runs; spans outside any blockstep
+    (startup force evaluation, benchmark scaffolding) never reach a
+    signature.
 
     Parameters
     ----------
@@ -221,70 +227,25 @@ class SignatureRecorder:
     keep:
         Retain cut signatures in :attr:`signatures` (default).  Turn
         off for unbounded runs where a callback consumes the stream.
-    root_span:
-        Span name that delimits one blockstep.
-    span_phases:
-        Extra span-name -> phase mappings on top of the defaults.
     """
 
     def __init__(
         self,
         callback: Callable[[PhaseSignature], None] | None = None,
         keep: bool = True,
-        root_span: str = ROOT_SPAN,
-        span_phases: dict[str, str] | None = None,
     ) -> None:
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
         self._callback = callback
         self._keep = bool(keep)
-        self._root = root_span
-        self._child_us: dict[int, float] = {}
-        self._subtree: dict[int, dict[str, float]] = {}
         self.signatures: list[PhaseSignature] = []
         self.count = 0
         self.latest: PhaseSignature | None = None
+        self.fold = SpanFold([self])
 
     def emit(self, event: SpanEvent) -> None:
-        phase = event.phase or self._span_phases.get(event.name, T_OTHER)
-        self_us = max(event.dur_us - self._child_us.pop(event.span_id, 0.0), 0.0)
-        subtree = self._subtree.pop(event.span_id, None)
-        if subtree is None:
-            subtree = {}
-        subtree[phase] = subtree.get(phase, 0.0) + self_us
+        self.fold.emit(event)
 
-        if event.name == self._root:
-            self._cut(event, subtree)
-            # the blockstep's time still folds into any enclosing span
-            # for other sinks' benefit, but its subtree dict is done
-        if event.parent_id is not None:
-            self._child_us[event.parent_id] = (
-                self._child_us.get(event.parent_id, 0.0) + event.dur_us
-            )
-            if event.name != self._root:
-                parent = self._subtree.setdefault(event.parent_id, {})
-                for p, us in subtree.items():
-                    parent[p] = parent.get(p, 0.0) + us
-        # top-level non-blockstep spans (startup force, scaffolding)
-        # simply drop their subtree totals here
-
-    def _cut(self, event: SpanEvent, subtree: dict[str, float]) -> None:
-        attrs = event.attrs
-        block_size = int(attrs.get("n_block", 0) or 0)
-        n = int(attrs.get("n", 0) or 0)
-        t = attrs.get("t")
-        sig = PhaseSignature(
-            blockstep=self.count,
-            t=None if t is None else float(t),
-            n=n,
-            block_size=block_size,
-            wall_us=float(event.dur_us),
-            shares=normalise_shares(subtree),
-            jmem_loads=int(attrs.get("jmem_loads", 0) or 0),
-            jmem_elided=int(attrs.get("jmem_elided", 0) or 0),
-            t_start_us=float(event.t_start_us),
-        )
+    def on_blockstep(self, record: BlockstepRecord) -> None:
+        sig = PhaseSignature.from_blockstep(record)
         self.count += 1
         self.latest = sig
         if self._keep:
@@ -526,69 +487,44 @@ class RegimeTracker:
         }
 
 
+#: A :meth:`RegimeTracker.summary` document.
+SIGNATURE_SUMMARY_SPEC = {
+    "what": "summary",
+    "schema": SIGNATURE_SCHEMA,
+    "fields": {
+        "regimes": list_of({"fields": {
+            "regime": None,
+            "count": None,
+            "share": opt(number(0.0, 1.0)),
+        }}),
+    },
+}
+
+
 def validate_signature_summary(obj: Any, source: str = "signatures") -> dict:
     """Structural check of a :meth:`RegimeTracker.summary` document."""
-    if not isinstance(obj, dict):
-        raise SignatureError(f"{source}: summary must be an object")
-    if obj.get("schema") != SIGNATURE_SCHEMA:
-        raise SignatureError(
-            f"{source}: schema {obj.get('schema')!r} not supported "
-            f"(need {SIGNATURE_SCHEMA!r})"
-        )
-    regimes = obj.get("regimes")
-    if not isinstance(regimes, list):
-        raise SignatureError(f"{source}: summary must carry a 'regimes' list")
-    for i, reg in enumerate(regimes):
-        if not isinstance(reg, dict) or "regime" not in reg or "count" not in reg:
-            raise SignatureError(
-                f"{source}: regimes[{i}] must carry 'regime' and 'count'"
-            )
-        share = reg.get("share")
-        if share is not None and not (
-            isinstance(share, (int, float)) and 0.0 <= float(share) <= 1.0
-        ):
-            raise SignatureError(
-                f"{source}: regimes[{i}] 'share' must be within [0, 1]"
-            )
-    return obj
+    return check(obj, SIGNATURE_SUMMARY_SPEC, source, SignatureError)
 
 
 # -- timeline lane ----------------------------------------------------------
 
 
-def regime_trace_events(
-    tracker: RegimeTracker, pid: int = REGIME_PID
-) -> list[dict[str, Any]]:
+def regime_trace_events(tracker: RegimeTracker) -> list[dict[str, Any]]:
     """The regime lane: one complete ("X") event per contiguous regime
     run, in the wall-clock time base of the span timeline, under its
     own trace process so Perfetto renders it as a separate lane."""
-    events: list[dict[str, Any]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": "blockstep regimes"},
-        }
-    ]
-    for run in tracker.runs:
-        events.append(
+    return trace_lane(REGIME_PID, "blockstep regimes", [
+        trace_event(
+            f"regime {run.regime}", "regime",
+            run.t_start_us, run.t_end_us - run.t_start_us, REGIME_PID, 1,
             {
-                "name": f"regime {run.regime}",
-                "cat": "regime",
-                "ph": "X",
-                "ts": run.t_start_us,
-                "dur": max(run.t_end_us - run.t_start_us, 0.0),
-                "pid": pid,
-                "tid": 1,
-                "args": {
-                    "regime": run.regime,
-                    "blocksteps": run.count,
-                    "start_blockstep": run.start_blockstep,
-                },
-            }
+                "regime": run.regime,
+                "blocksteps": run.count,
+                "start_blockstep": run.start_blockstep,
+            },
         )
-    return events
+        for run in tracker.runs
+    ])
 
 
 # -- convenience ------------------------------------------------------------
@@ -599,8 +535,7 @@ def signatures_from_events(
 ) -> list[PhaseSignature]:
     """Replay a retained event list through a fresh recorder."""
     rec = SignatureRecorder(**recorder_kwargs)
-    for e in events:
-        rec.emit(e)
+    replay(events, rec)
     return rec.signatures
 
 

@@ -1,10 +1,9 @@
-"""Span-event sinks: in-memory, JSONL-on-disk, and streaming summary.
+"""Span-event sinks: in-memory, JSONL-on-disk, and the streaming fold.
 
 A sink is anything with ``emit(event)``; optionally it may also accept
 a metrics snapshot (``emit_metrics(snapshot)``) and release resources
 (``close()``).  The tracer delivers every finished span to each of its
-sinks in order, so sinks must stay cheap — the expensive roll-ups live
-in :mod:`repro.telemetry.phases` and run after the fact.
+sinks in order, so sinks must stay cheap.
 
 The JSONL sink writes through :class:`repro.io.runlog.RunLogger` with
 per-record flushing, so a killed run keeps its trace — the same
@@ -15,17 +14,11 @@ were drawn from.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 from ..io.runlog import RunLogger, read_runlog_records
+from .phases import SpanFold
 from .tracer import SpanEvent
-
-
-@runtime_checkable
-class Sink(Protocol):
-    """Minimal sink interface."""
-
-    def emit(self, event: SpanEvent) -> None: ...
 
 
 class InMemorySink:
@@ -74,71 +67,11 @@ class JSONLSink:
         self._log.close()
 
 
-class SummarySink:
-    """O(1)-memory aggregation: per-span-name counts and totals.
-
-    For long runs where retaining every event is too heavy; feeds the
-    quick ``{name: {count, total_us}}`` view without a second pass.
-    """
-
-    def __init__(self) -> None:
-        self.totals: dict[str, dict[str, float]] = {}
-
-    def emit(self, event: SpanEvent) -> None:
-        entry = self.totals.get(event.name)
-        if entry is None:
-            entry = self.totals[event.name] = {"count": 0, "total_us": 0.0}
-        entry["count"] += 1
-        entry["total_us"] += event.dur_us
-
-
-class StreamingPhaseSink:
-    """O(1)-memory phase attribution for arbitrarily long runs.
-
-    :class:`repro.telemetry.PhaseAggregator` retains every event and
-    aggregates post hoc — right for bounded benchmark trials, wrong for
-    a week-long service run.  This sink computes self-times on the fly:
-    spans close children-before-parents, so when a parent arrives all
-    its children's durations have already been accumulated against its
-    span id and can be subtracted immediately.  Phase resolution uses
-    the event's own phase tag or the default span-name map (ancestor
-    inheritance needs the retained tree, which is exactly what this
-    sink exists to avoid; the instrumented integrators tag or name
-    every hot span, so the difference lands in ``T_other`` only for
-    exotic custom spans).
-
-    ``snapshot()`` is cheap and safe to call at any record cadence —
-    the service supervisor turns it into periodic ``phases`` records on
-    the snapshot bus.
-    """
-
-    def __init__(self, span_phases: dict[str, str] | None = None) -> None:
-        from .phases import DEFAULT_SPAN_PHASES, T_OTHER
-
-        self._span_phases = dict(DEFAULT_SPAN_PHASES)
-        if span_phases:
-            self._span_phases.update(span_phases)
-        self._other = T_OTHER
-        self._child_us: dict[int, float] = {}
-        self.totals_us: dict[str, float] = {}
-        self.n_events = 0
-
-    def emit(self, event: SpanEvent) -> None:
-        phase = event.phase or self._span_phases.get(event.name, self._other)
-        self_us = max(event.dur_us - self._child_us.pop(event.span_id, 0.0), 0.0)
-        self.totals_us[phase] = self.totals_us.get(phase, 0.0) + self_us
-        if event.parent_id is not None:
-            self._child_us[event.parent_id] = (
-                self._child_us.get(event.parent_id, 0.0) + event.dur_us
-            )
-        self.n_events += 1
-
-    def snapshot(self) -> dict[str, Any]:
-        """Cumulative phase totals so far (microseconds, by phase)."""
-        return {
-            "n_events": self.n_events,
-            "wall_us": dict(self.totals_us),
-        }
+#: O(1)-memory phase attribution for arbitrarily long runs: the span
+#: fold used bare, with no per-blockstep consumers.  ``snapshot()`` is
+#: cheap and safe at any record cadence — the service supervisor turns
+#: it into periodic ``phases`` records on the snapshot bus.
+StreamingPhaseSink = SpanFold
 
 
 def read_spans(path: str | Path) -> tuple[dict, list[SpanEvent], dict[str, Any]]:

@@ -29,7 +29,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .phases import PhaseAggregator
+from ..schema import check, list_of
+from .phases import T_OTHER, resolve_phase
 from .sampler import Sample
 from .tracer import SpanEvent
 
@@ -59,7 +60,11 @@ VIRTUAL_PID = TRACE_PIDS["virtual"]
 _DISPLAY_UNIT = "ms"
 
 
-def _metadata_event(pid: int, name: str) -> dict[str, Any]:
+# -- the lane builder ---------------------------------------------------------
+
+
+def process_name_event(pid: int, name: str) -> dict[str, Any]:
+    """The metadata ("M") event naming trace process ``pid``."""
     return {
         "name": "process_name",
         "ph": "M",
@@ -69,12 +74,55 @@ def _metadata_event(pid: int, name: str) -> dict[str, Any]:
     }
 
 
+def trace_event(name: str, cat: str, ts: float, dur: float, pid: int,
+                tid: int, args: dict[str, Any]) -> dict[str, Any]:
+    """One complete ("X") event — or, when there is no duration to
+    draw, a thread-scoped instant ("i") instead of a zero-width
+    rectangle."""
+    event: dict[str, Any] = {
+        "name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur,
+        "pid": pid, "tid": tid, "args": args,
+    }
+    if dur <= 0.0:
+        del event["dur"]
+        event["ph"] = "i"
+        event["s"] = "t"
+    return event
+
+
+def _by_ts(event: dict[str, Any]) -> tuple[float, float]:
+    """Sort key: by timestamp, the longer (enclosing) event first."""
+    return event["ts"], -event.get("dur", 0.0)
+
+
+def trace_lane(pid: int, name: str,
+               events: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:
+    """One lane group: its ``process_name`` metadata event first, then
+    ``events`` in time order."""
+    return [process_name_event(pid, name)] + sorted(events, key=_by_ts)
+
+
+# -- span film ----------------------------------------------------------------
+
+
+def _span_phase(event: SpanEvent, by_id: dict[int, SpanEvent]) -> str:
+    """The ancestor rule on a retained list: the nearest span, from
+    ``event`` outward, that resolves a phase."""
+    for _ in range(10_000):  # a corrupt trace may loop; a real one is shallow
+        phase = resolve_phase(event.name, event.phase)
+        if phase is not None:
+            return phase
+        event = by_id.get(event.parent_id)
+        if event is None:
+            break
+    return T_OTHER
+
+
 def timeline_events(
     events: Sequence[SpanEvent],
     clock: str = "wall",
     pid: int | None = None,
     tid: int = 1,
-    span_phases: dict[str, str] | None = None,
 ) -> list[dict[str, Any]]:
     """Complete ("X") trace events for one clock domain, sorted by ts.
 
@@ -87,7 +135,6 @@ def timeline_events(
         raise ValueError(f"unknown clock {clock!r} (want 'wall' or 'virtual')")
     if pid is None:
         pid = WALL_PID if clock == "wall" else VIRTUAL_PID
-    agg = PhaseAggregator(span_phases)
     by_id = {e.span_id: e for e in events}
     out: list[dict[str, Any]] = []
     for e in events:
@@ -97,23 +144,11 @@ def timeline_events(
             ts, dur = e.v_start_us, e.v_dur_us or 0.0
         else:
             ts, dur = e.t_start_us, e.dur_us
-        phase = agg._phase_of(e, by_id)
-        record: dict[str, Any] = {
-            "name": e.name,
-            "cat": phase,
-            "ph": "X",
-            "ts": ts,
-            "dur": dur,
-            "pid": pid,
-            "tid": tid,
-            "args": {"span_id": e.span_id, "depth": e.depth, **e.attrs},
-        }
-        if dur <= 0.0:
-            record.pop("dur")
-            record["ph"] = "i"
-            record["s"] = "t"
-        out.append(record)
-    out.sort(key=lambda r: (r["ts"], -r.get("dur", 0.0)))
+        out.append(trace_event(
+            e.name, _span_phase(e, by_id), ts, dur, pid, tid,
+            {"span_id": e.span_id, "depth": e.depth, **e.attrs},
+        ))
+    out.sort(key=_by_ts)
     return out
 
 
@@ -122,16 +157,10 @@ def sample_events(
 ) -> list[dict[str, Any]]:
     """Sampler ticks as thread-scoped instant ("i") events."""
     return [
-        {
-            "name": f"sample:{s.phase}",
-            "cat": "sampler",
-            "ph": "i",
-            "ts": s.t_us,
-            "pid": pid,
-            "tid": s.thread_id,
-            "s": "t",
-            "args": {"phase": s.phase, "source": s.source, "label": s.label},
-        }
+        trace_event(
+            f"sample:{s.phase}", "sampler", s.t_us, 0.0, pid, s.thread_id,
+            {"phase": s.phase, "source": s.source, "label": s.label},
+        )
         for s in samples
     ]
 
@@ -140,7 +169,6 @@ def build_timeline(
     events: Sequence[SpanEvent],
     samples: Iterable[Sample] | None = None,
     metadata: dict[str, Any] | None = None,
-    span_phases: dict[str, str] | None = None,
     extra_events: Iterable[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """The full trace document: both clock domains plus sampler ticks.
@@ -154,11 +182,12 @@ def build_timeline(
     ``displayTimeUnit`` and free-form ``otherData``) — the shape both
     ``chrome://tracing`` and Perfetto load directly.
     """
-    trace: list[dict[str, Any]] = [_metadata_event(WALL_PID, "wall clock")]
-    trace += timeline_events(events, clock="wall", span_phases=span_phases)
-    virtual = timeline_events(events, clock="virtual", span_phases=span_phases)
+    trace = [process_name_event(WALL_PID, "wall clock"),
+             *timeline_events(events)]
+    virtual = timeline_events(events, clock="virtual")
     if virtual:
-        trace.append(_metadata_event(VIRTUAL_PID, "virtual clock (simulated machine)"))
+        trace.append(process_name_event(
+            VIRTUAL_PID, "virtual clock (simulated machine)"))
         trace += virtual
     if samples is not None:
         trace += sample_events(samples)
@@ -176,15 +205,51 @@ def write_timeline(
     events: Sequence[SpanEvent],
     samples: Iterable[Sample] | None = None,
     metadata: dict[str, Any] | None = None,
-    span_phases: dict[str, str] | None = None,
     extra_events: Iterable[dict[str, Any]] | None = None,
 ) -> Path:
     """Build and write one trace document; returns the path."""
     doc = build_timeline(events, samples=samples, metadata=metadata,
-                         span_phases=span_phases, extra_events=extra_events)
+                         extra_events=extra_events)
     path = Path(path)
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
     return path
+
+
+def _event_shape(ev: dict[str, Any]) -> str | None:
+    ph = ev.get("ph")
+    if ph not in ("X", "B", "E", "i", "M", "C"):
+        return f"has unknown ph {ph!r}"
+    if ph == "M":
+        return None
+    for key in ("ts", "pid", "tid"):
+        if not isinstance(ev.get(key), (int, float)):
+            return f"missing numeric {key!r}"
+    if ph == "X" and not isinstance(ev.get("dur"), (int, float)):
+        return "'X' event lacks 'dur'"
+
+
+def _one_name_per_pid(doc: dict[str, Any]) -> str | None:
+    pid_names: dict[Any, str] = {}
+    for ev in doc["traceEvents"]:
+        if ev["ph"] != "M" or ev.get("name") != "process_name":
+            continue
+        pid, name = ev.get("pid"), (ev.get("args") or {}).get("name")
+        if name is None or pid is None:
+            continue
+        if pid_names.setdefault(pid, name) != name:
+            return (
+                f"pid {pid} claimed by two processes ({pid_names[pid]!r} "
+                f"and {name!r}); assign lanes from "
+                "telemetry.timeline.TRACE_PIDS"
+            )
+
+
+#: The Trace Event contract the viewers rely on.
+TIMELINE_SPEC = {
+    "what": "timeline",
+    "fields": {"traceEvents": list_of({"rules": (_event_shape,)})},
+    "rules": (_one_name_per_pid,),
+}
 
 
 def validate_timeline(doc: Any, source: str = "timeline") -> dict[str, Any]:
@@ -196,35 +261,7 @@ def validate_timeline(doc: Any, source: str = "timeline") -> dict[str, Any]:
     no pid is claimed by two differently-named trace processes (the
     collision a hand-assigned pid outside :data:`TRACE_PIDS` risks).
     """
-    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
-        raise ValueError(f"{source}: expected object with a 'traceEvents' list")
-    pid_names: dict[Any, str] = {}
-    for i, ev in enumerate(doc["traceEvents"]):
-        if not isinstance(ev, dict):
-            raise ValueError(f"{source}: traceEvents[{i}] is not an object")
-        ph = ev.get("ph")
-        if ph not in ("X", "B", "E", "i", "M", "C"):
-            raise ValueError(f"{source}: traceEvents[{i}] has unknown ph {ph!r}")
-        if ph == "M":
-            if ev.get("name") == "process_name":
-                pid, name = ev.get("pid"), (ev.get("args") or {}).get("name")
-                if name is not None and pid is not None:
-                    if pid_names.get(pid, name) != name:
-                        raise ValueError(
-                            f"{source}: pid {pid} claimed by two processes "
-                            f"({pid_names[pid]!r} and {name!r}); assign lanes "
-                            f"from telemetry.timeline.TRACE_PIDS"
-                        )
-                    pid_names[pid] = name
-            continue
-        for key in ("ts", "pid", "tid"):
-            if not isinstance(ev.get(key), (int, float)):
-                raise ValueError(
-                    f"{source}: traceEvents[{i}] missing numeric {key!r}"
-                )
-        if ph == "X" and not isinstance(ev.get("dur"), (int, float)):
-            raise ValueError(f"{source}: traceEvents[{i}] 'X' event lacks 'dur'")
-    return doc
+    return check(doc, TIMELINE_SPEC, source, ValueError)
 
 
 class TimelineSink:

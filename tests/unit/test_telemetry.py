@@ -13,12 +13,14 @@ from repro import telemetry
 from repro.io.runlog import read_runlog
 from repro.telemetry.metrics import pow2_bins
 from repro.telemetry import (
+    FlopsLedger,
     InMemorySink,
     JSONLSink,
     Metrics,
     PhaseAggregator,
+    SignatureRecorder,
     SpanEvent,
-    SummarySink,
+    SpanFold,
     T_BARRIER,
     T_COMM,
     T_HOST,
@@ -282,20 +284,44 @@ class TestPhaseAggregation:
         (summary,) = b.spans
         assert summary.name == "predict"
         assert summary.count == 4
+        assert summary.total_us > 0.0
         assert summary.phase == T_HOST  # from the default name map
         assert summary.mean_us == pytest.approx(summary.total_us / 4)
 
 
-class TestSinks:
-    def test_summary_sink_aggregates(self):
-        sink = SummarySink()
-        tracer = Tracer(enabled=True, sinks=[sink])
-        for _ in range(5):
-            with tracer.span("force"):
-                pass
-        assert sink.totals["force"]["count"] == 5
-        assert sink.totals["force"]["total_us"] > 0.0
+class TestOneAnswer:
+    def test_four_readers_agree_on_an_unphased_child(self):
+        """blockstep(host) > grape.force > an unphased, unmapped 2 ms
+        child: the child's time is pipe time by the ancestor rule, and
+        the post-hoc breakdown, the streaming totals, the signature
+        shares and the flops buckets all say so (they used to read
+        pipe / other / other / host)."""
+        sink = InMemorySink()
+        recorder, ledger = SignatureRecorder(), FlopsLedger()
+        fold = SpanFold([recorder, ledger])
+        tracer = Tracer(enabled=True, sinks=[sink, fold])
+        with tracer.span("blockstep", phase=T_HOST, n_block=1, n=2):
+            with tracer.span("grape.force"):
+                with tracer.span("unmapped-child"):
+                    time.sleep(0.002)
 
+        posthoc = PhaseAggregator().consume(sink.events).breakdown()
+        assert posthoc.wall.fraction(T_PIPE) > 0.9
+        streaming = fold.snapshot()["wall_us"]
+        assert streaming[T_PIPE] / sum(streaming.values()) > 0.9
+        assert T_OTHER not in streaming
+        assert recorder.latest.shares[T_PIPE] > 0.9
+        assert recorder.latest.shares[T_OTHER] == 0.0
+        account = ledger.latest
+        assert account.buckets["pipeline_idle"] > 0.9 * account.peak_flops
+        assert account.buckets["host"] < 0.1 * account.peak_flops
+        # and they are the same numbers, not merely the same verdict
+        assert posthoc.wall.totals[T_PIPE] == pytest.approx(streaming[T_PIPE])
+        (child,) = [s for s in posthoc.spans if s.name == "unmapped-child"]
+        assert child.phase == T_PIPE
+
+
+class TestSinks:
     def test_jsonl_sink_round_trips_through_read_runlog(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JSONLSink(path, run="unit")
