@@ -48,7 +48,6 @@ from .compare import (
 )
 from .env import environment_fingerprint
 from .history import (
-    DEFAULT_EFF_DROP_THRESHOLD,
     DEFAULT_HISTORY_PATH,
     HISTORY_SCHEMA,
     HistoryError,
@@ -110,7 +109,6 @@ __all__ = [
     "environment_fingerprint",
     "HISTORY_SCHEMA",
     "DEFAULT_HISTORY_PATH",
-    "DEFAULT_EFF_DROP_THRESHOLD",
     "HistoryError",
     "TrajectoryPoint",
     "artifact_row",

@@ -34,15 +34,11 @@ from ..telemetry import (
 )
 from .artifact import ArtifactError, read_artifact, write_artifact
 from .comm import capture_comm_ledger
-from .compare import (
-    DEFAULT_DRIFT_THRESHOLD,
-    DEFAULT_IQR_FACTOR,
-    DEFAULT_REL_THRESHOLD,
-    compare_artifacts,
-)
+from .compare import compare_artifacts
 from .history import (
+    DEFAULT_DRIFT_THRESHOLD,
     DEFAULT_HISTORY_PATH,
-    DEFAULT_SHIFT_THRESHOLD,
+    DEFAULT_REL_THRESHOLD,
     HistoryError,
     ingest_artifact,
     prune_history,
@@ -119,7 +115,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         current,
         baseline,
         rel_threshold=args.threshold,
-        iqr_factor=args.iqr_factor,
         drift_threshold=None if args.no_drift else args.drift_threshold,
         calibration=calibration,
     )
@@ -364,8 +359,6 @@ def _cmd_history(args: argparse.Namespace) -> int:
                 fmt=args.format,
                 suite=args.suite,
                 env=args.env,
-                drift_threshold=args.drift_threshold,
-                shift_threshold=args.shift_threshold,
             )
         )
         return 0
@@ -451,8 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("baseline")
     p_cmp.add_argument("--threshold", type=float, default=DEFAULT_REL_THRESHOLD,
                        help="relative slowdown threshold (default 0.5)")
-    p_cmp.add_argument("--iqr-factor", type=float, default=DEFAULT_IQR_FACTOR,
-                       help="noise floor as a multiple of the relative IQR")
     p_cmp.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0 (CI soft gate)")
     p_cmp.add_argument("--drift-threshold", type=float,
@@ -598,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict to one suite")
     p_tab.add_argument("--env", default=None,
                        help="restrict to one environment fingerprint key")
-    p_tab.add_argument("--drift-threshold", type=float,
-                       default=DEFAULT_DRIFT_THRESHOLD)
-    p_tab.add_argument("--shift-threshold", type=float,
-                       default=DEFAULT_SHIFT_THRESHOLD,
-                       help="regime-mix total-variation distance between "
-                       "consecutive ingests that raises the SHIFT flag "
-                       "(default 0.25)")
     p_tab.add_argument("--format", choices=("text", "markdown"),
                        default="text")
     _hist_common(p_tab)

@@ -1,70 +1,71 @@
 """Noise-aware regression gate between two ``BENCH_*.json`` artifacts.
 
-The decision rule mirrors how the paper treats re-measurements of the
+The gate is the trajectory's delta engine (:func:`repro.bench.history.judge`
+over :data:`~repro.bench.history.RULES`) run on one pair: the baseline
+is the predecessor, the current artifact the point.  This module adds
+only the *policy* — which flags fail — and the verdict records.
+
+The median rule mirrors how the paper treats re-measurements of the
 same sweep across tuning iterations (section 5): a change only counts
 when it clears both a relative threshold *and* the run-to-run scatter
-of the measurement itself.  Per benchmark we compare medians and build
-the noise floor from the inter-quartile ranges of both artifacts:
+of the measurement itself,
 
-    effective_threshold = max(rel_threshold,
-                              iqr_factor * max(rel_iqr_base, rel_iqr_cur))
+    band = max(rel_threshold, IQR_FACTOR * max(rel_iqr_base, rel_iqr_cur))
 
-``ratio = median_current / median_baseline`` then yields
+and ``ratio = median_current / median_baseline`` then yields
 
-* ``REGRESSED``  if ratio > 1 + effective_threshold,
-* ``IMPROVED``   if ratio < 1 / (1 + effective_threshold),
+* ``REGRESSED``  if ratio > 1 + band,
+* ``IMPROVED``   if ratio < 1 / (1 + band),
 * ``PASS``       otherwise;
 
 benchmarks present on only one side report ``NEW`` / ``MISSING``
 (informational, never failing).  Schema mismatches raise — a gate that
 silently mis-reads an artifact is worse than no gate.
 
-On top of the wall-time gate sits the **model-drift check** (a ROADMAP
-open item): benchmarks that publish a ``model_over_measured`` derived
-value (the analytic eq. 10 model's prediction over the measured
-median) must keep that ratio stable between baseline and current.  A
-uniform slowdown moves the ratio and the median together and is caught
-above; a *drift* of the ratio alone means the analytic perfmodel and
-the implementation no longer describe the same machine — which is a
-correctness problem for every model-derived figure, not a performance
-problem.  The check only runs when both artifacts carry the same
+On top of the wall-time rule sits the **model-drift rule**: benchmarks
+that publish a ``model_over_measured`` derived value (the analytic
+eq. 10 model's prediction over the measured median) must keep that
+ratio stable between baseline and current.  A uniform slowdown moves
+the ratio and the median together and is caught above; a *drift* of
+the ratio alone means the analytic perfmodel and the implementation no
+longer describe the same machine — which is a correctness problem for
+every model-derived figure, not a performance problem.  Like every rule
+but the median's it only runs when both artifacts carry the same
 environment fingerprint (a new machine legitimately re-anchors the
-ratio) and reports ``DRIFT``, which fails the gate like a regression.
+ratio); it reports ``DRIFT``, which fails the gate like a regression.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .artifact import validate_artifact
-from .stats import TrialStats
+from .history import (
+    CALIBRATED_DRIFT_THRESHOLD,
+    COLUMNS,
+    DEFAULT_DRIFT_THRESHOLD,
+    DEFAULT_REL_THRESHOLD,
+    DRIFT,
+    IMPROVED,
+    IQR_FACTOR,
+    REGRESSED,
+    RULES,
+    bench_values,
+    entry_bench,
+    env_key,
+    judge,
+    noise_band,
+)
 
 PASS = "PASS"
-REGRESSED = "REGRESSED"
-IMPROVED = "IMPROVED"
 NEW = "NEW"
 MISSING = "MISSING"
-DRIFT = "DRIFT"
 
-#: Default relative threshold on the median wall time.  Wide on
-#: purpose: the gate is for algorithmic regressions (2x and worse),
-#: and sustained background load on a shared runner routinely shifts
-#: whole runs by 30-40%.  Tighten with ``--threshold`` on quiet hosts.
-DEFAULT_REL_THRESHOLD = 0.5
-#: The noise floor is this many relative IQRs wide.
-DEFAULT_IQR_FACTOR = 3.0
-#: Relative change of ``model_over_measured`` that counts as drift.
-#: Wall-clock medians scatter ~30% on shared runners, and the ratio
-#: inherits that scatter, so the default is deliberately wide; the
-#: virtual-clock benchmarks (deterministic measured side) can be held
-#: much tighter with ``--drift-threshold``.
-DEFAULT_DRIFT_THRESHOLD = 0.5
-#: Drift threshold applied instead when the current artifact's
-#: environment has a ledger-fed calibration entry
-#: (:mod:`repro.perfmodel.calibrate`): on a machine the model was
-#: actually fitted to, the ratio is expected stable to 10%.
-CALIBRATED_DRIFT_THRESHOLD = 0.1
+#: The policy: flags that fail the gate, loudest first.  A regression
+#: outranks a drift (the more actionable finding); every other flag
+#: the rules raise is informational here.
+FAILING = (REGRESSED, DRIFT)
 
 
 @dataclass(frozen=True)
@@ -73,26 +74,23 @@ class Verdict:
 
     name: str
     status: str
-    ratio: float | None
-    baseline_median_s: float | None
-    current_median_s: float | None
-    threshold: float | None
+    ratio: float | None = None
+    baseline_median_s: float | None = None
+    current_median_s: float | None = None
+    threshold: float | None = None
     note: str = ""
+    #: Every flag the rules raised for the pair (``status`` is the one
+    #: the policy picked).
+    flags: tuple[str, ...] = ()
 
     @property
     def failed(self) -> bool:
-        return self.status in (REGRESSED, DRIFT)
+        return self.status in FAILING
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "ratio": self.ratio,
-            "baseline_median_s": self.baseline_median_s,
-            "current_median_s": self.current_median_s,
-            "threshold": self.threshold,
-            "note": self.note,
-        }
+        out = asdict(self)
+        del out["flags"]  # the policy's pick is the verdict's public face
+        return out
 
 
 @dataclass(frozen=True)
@@ -115,16 +113,12 @@ class ComparisonResult:
         return [v for v in self.verdicts if v.status == REGRESSED]
 
     @property
-    def improved(self) -> list[Verdict]:
-        return [v for v in self.verdicts if v.status == IMPROVED]
-
-    @property
     def drifted(self) -> list[Verdict]:
         return [v for v in self.verdicts if v.status == DRIFT]
 
     @property
     def ok(self) -> bool:
-        return not self.regressed and not self.drifted
+        return not any(v.failed for v in self.verdicts)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -138,90 +132,75 @@ class ComparisonResult:
         }
 
 
-def _stats_of(entry: dict[str, Any]) -> TrialStats:
-    return TrialStats.from_dict(entry["stats"]["wall_s"])
-
-
-def _model_ratio(entry: dict[str, Any]) -> float | None:
-    value = entry.get("derived", {}).get("model_over_measured")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    return float(value)
+def _verdict(
+    name: str,
+    cur: dict[str, Any],
+    base: dict[str, Any],
+    thresholds: dict[str, float | None],
+) -> Verdict:
+    """Judge one pair of column-value dicts and apply the policy."""
+    rel_threshold = thresholds["median_s"]
+    deltas, flags = judge(base, cur, thresholds)
+    medians = dict(baseline_median_s=base["median_s"],
+                   current_median_s=cur["median_s"])
+    if "median_s" not in deltas:
+        return Verdict(
+            name, PASS, **medians,
+            note="degenerate timing (zero median); not comparable")
+    band = noise_band(base, cur, rel_threshold)
+    status = next(
+        (f for f in (*FAILING, IMPROVED) if f in flags), PASS)
+    if status == DRIFT:
+        show = COLUMNS["model_over_measured"].show
+        note = (
+            f"model/measured {show(base['model_over_measured'])} -> "
+            f"{show(cur['model_over_measured'])} "
+            f"({deltas['model_over_measured']:+.1%}): analytic perfmodel no "
+            f"longer tracks the measurement"
+        )
+    elif status == PASS:
+        note = "within noise floor" if band > rel_threshold else ""
+    else:
+        note = f"{deltas['median_s']:+.1%} vs baseline"
+    return Verdict(
+        name=name, status=status, ratio=cur["median_s"] / base["median_s"],
+        threshold=band, note=note, flags=flags, **medians)
 
 
 def compare_benchmark(
     current: dict[str, Any],
     baseline: dict[str, Any],
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    iqr_factor: float = DEFAULT_IQR_FACTOR,
     drift_threshold: float | None = None,
 ) -> Verdict:
-    """Verdict for one benchmark entry pair (same name assumed).
+    """Verdict for one benchmark entry pair (same name and environment
+    assumed): both entries are distilled through the history columns
+    and judged as predecessor and point.
 
-    ``drift_threshold`` enables the model-drift check: when both
-    entries publish ``model_over_measured`` and the ratio-of-ratios
-    leaves ``[1/(1+t), 1+t]``, the verdict is ``DRIFT`` (failing)
-    unless the wall gate already regressed (the louder finding wins).
+    ``drift_threshold`` enables the model-drift rule: when both entries
+    publish ``model_over_measured`` and the ratio-of-ratios leaves
+    ``[1/(1+t), 1+t]``, the verdict is ``DRIFT`` (failing) unless the
+    wall gate already regressed (the louder finding wins).
     """
-    cur, base = _stats_of(current), _stats_of(baseline)
-    if base.median <= 0.0 or cur.median <= 0.0:
-        return Verdict(
-            name=current["name"],
-            status=PASS,
-            ratio=None,
-            baseline_median_s=base.median,
-            current_median_s=cur.median,
-            threshold=None,
-            note="degenerate timing (zero median); not comparable",
-        )
-    noise = iqr_factor * max(base.rel_iqr, cur.rel_iqr)
-    threshold = max(rel_threshold, noise)
-    ratio = cur.median / base.median
-    if ratio > 1.0 + threshold:
-        status, note = REGRESSED, f"{(ratio - 1.0) * 100.0:+.1f}% vs baseline"
-    elif ratio < 1.0 / (1.0 + threshold):
-        status, note = IMPROVED, f"{(ratio - 1.0) * 100.0:+.1f}% vs baseline"
-    else:
-        status, note = PASS, "within noise floor" if noise > rel_threshold else ""
-    if status != REGRESSED and drift_threshold is not None:
-        cur_model, base_model = _model_ratio(current), _model_ratio(baseline)
-        if cur_model is not None and base_model:
-            drift = cur_model / base_model - 1.0
-            if not (1.0 / (1.0 + drift_threshold)
-                    <= cur_model / base_model
-                    <= 1.0 + drift_threshold):
-                status = DRIFT
-                note = (
-                    f"model/measured {base_model:.3g} -> {cur_model:.3g} "
-                    f"({drift * 100.0:+.1f}%): analytic perfmodel no longer "
-                    f"tracks the measurement"
-                )
-    return Verdict(
-        name=current["name"],
-        status=status,
-        ratio=ratio,
-        baseline_median_s=base.median,
-        current_median_s=cur.median,
-        threshold=threshold,
-        note=note,
-    )
+    cur, base = (bench_values(entry_bench(e)) for e in (current, baseline))
+    return _verdict(current["name"], cur, base, {
+        "median_s": rel_threshold, "model_over_measured": drift_threshold})
 
 
 def compare_artifacts(
     current: dict[str, Any],
     baseline: dict[str, Any],
     rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    iqr_factor: float = DEFAULT_IQR_FACTOR,
     drift_threshold: float | None = DEFAULT_DRIFT_THRESHOLD,
     calibration: dict[str, Any] | None = None,
 ) -> ComparisonResult:
     """Compare every benchmark by name; validates both artifacts.
 
-    The model-drift check runs only when both artifacts carry the same
-    environment fingerprint: on a different machine the measured side
-    of ``model_over_measured`` legitimately changes, so drift against a
-    foreign baseline would be pure noise.  Pass ``drift_threshold=None``
-    to disable the check outright.
+    Every rule but the median's runs only when both artifacts carry the
+    same environment fingerprint: on a different machine the measured
+    side of ``model_over_measured`` legitimately changes, so drift
+    against a foreign baseline would be pure noise.  Pass
+    ``drift_threshold=None`` to disable the drift rule outright.
 
     ``calibration`` is a loaded calibration document
     (:func:`repro.perfmodel.calibrate.load_calibration`); when it
@@ -231,65 +210,43 @@ def compare_artifacts(
     """
     validate_artifact(current, source="current")
     validate_artifact(baseline, source="baseline")
-    check_drift = drift_threshold is not None
+    same_env = env_key(current["environment"]) == env_key(
+        baseline["environment"])
+    check_drift = drift_threshold is not None and same_env
     calibrated = False
-    if check_drift:
-        from .history import env_key  # local: history imports artifact too
+    if check_drift and calibration is not None:
+        from ..perfmodel.calibrate import calibrated_environment
 
-        check_drift = env_key(current["environment"]) == env_key(
-            baseline["environment"]
-        )
-        if check_drift and calibration is not None:
-            from ..perfmodel.calibrate import calibrated_environment
-
-            calibrated = calibrated_environment(
-                calibration, current["environment"]) is not None
-            if calibrated:
-                drift_threshold = min(
-                    drift_threshold, CALIBRATED_DRIFT_THRESHOLD)
-    effective_drift = drift_threshold if check_drift else None
-    cur_by_name = {e["name"]: e for e in current["benchmarks"]}
-    base_by_name = {e["name"]: e for e in baseline["benchmarks"]}
+        calibrated = calibrated_environment(
+            calibration, current["environment"]) is not None
+        if calibrated:
+            drift_threshold = min(
+                drift_threshold, CALIBRATED_DRIFT_THRESHOLD)
+    thresholds = {"median_s": rel_threshold,
+                  "model_over_measured": drift_threshold}
+    if not same_env:
+        thresholds.update({r.column: None for r in RULES if not r.any_env})
+    cur_by_name, base_by_name = (
+        {e["name"]: bench_values(entry_bench(e)) for e in art["benchmarks"]}
+        for art in (current, baseline))
 
     verdicts: list[Verdict] = []
-    for name, entry in cur_by_name.items():
+    for name, cur in cur_by_name.items():
         base = base_by_name.get(name)
-        if base is None:
-            verdicts.append(
-                Verdict(
-                    name=name,
-                    status=NEW,
-                    ratio=None,
-                    baseline_median_s=None,
-                    current_median_s=_stats_of(entry).median,
-                    threshold=None,
-                    note="no baseline entry; run with --update-baseline to adopt",
-                )
-            )
-            continue
         verdicts.append(
-            compare_benchmark(
-                entry, base, rel_threshold, iqr_factor,
-                drift_threshold=effective_drift,
-            )
-        )
-    for name in base_by_name:
-        if name not in cur_by_name:
-            verdicts.append(
-                Verdict(
-                    name=name,
-                    status=MISSING,
-                    ratio=None,
-                    baseline_median_s=_stats_of(base_by_name[name]).median,
-                    current_median_s=None,
-                    threshold=None,
-                    note="present in baseline but not in current artifact",
-                )
-            )
+            Verdict(
+                name, NEW, current_median_s=cur["median_s"],
+                note="no baseline entry; run with --update-baseline to adopt",
+            ) if base is None else _verdict(name, cur, base, thresholds))
+    verdicts += [
+        Verdict(name, MISSING, baseline_median_s=base["median_s"],
+                note="present in baseline but not in current artifact")
+        for name, base in base_by_name.items() if name not in cur_by_name
+    ]
     return ComparisonResult(
         verdicts=verdicts,
         rel_threshold=rel_threshold,
-        iqr_factor=iqr_factor,
+        iqr_factor=IQR_FACTOR,
         drift_threshold=drift_threshold,
         drift_checked=check_drift,
         calibrated=calibrated,

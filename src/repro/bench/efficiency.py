@@ -22,7 +22,7 @@ from ..config import cluster_machine
 from ..models import plummer_model
 from ..parallel import CopyAlgorithm, SimNetwork
 from ..perfmodel import MachineModel
-from ..telemetry import BUCKETS, FlopsLedger, efficiency_from_events
+from ..telemetry import BUCKETS, HEADLINE, FlopsLedger, efficiency_from_events
 from .registry import REGISTRY, BenchContext
 from .suites import DEFAULT_SEED, _EPS2, _measured_run, _model_compute_hook
 
@@ -115,10 +115,10 @@ def efficiency_sweep(ctx: BenchContext, state: Any) -> dict[str, Any]:
             ctx.sink.events[start:], hardware=machine
         )
         summary = ledger.summary(comm=net.ledger.summary())
-        frac = summary["fraction_of_peak"]
-        fracs.append(frac)
-        out[f"frac_peak_n{n}"] = frac
-        out[f"real_gflops_n{n}"] = summary["real_gflops"]
+        headline = HEADLINE["efficiency"].read(summary)
+        fracs.append(headline["fraction_of_peak"])
+        out[f"frac_peak_n{n}"] = headline["fraction_of_peak"]
+        out[f"real_gflops_n{n}"] = headline["real_gflops"]
         last_summary = summary
     out["best_fraction_of_peak"] = max(fracs)
     out["monotone_in_n"] = float(

@@ -30,16 +30,16 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 try:  # POSIX; on platforms without it ingest degrades to lockless
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from ..io.tables import format_table
-from ..schema import check
-from ..telemetry import BUCKETS
+from ..io.tables import format_table, markdown_table
+from ..schema import Column, Section, check
+from ..telemetry import BUCKETS, HEADLINE
 from .artifact import validate_artifact
 
 #: Bump on breaking row-layout changes.
@@ -48,28 +48,32 @@ HISTORY_SCHEMA = "repro.bench.history/1"
 #: Where CI and the CLI keep the trajectory by default.
 DEFAULT_HISTORY_PATH = Path("benchmarks") / "history.jsonl"
 
-#: Relative change of ``model_over_measured`` between consecutive rows
-#: (or artifact pairs) that counts as model drift.  Wall-clock medians
-#: on shared runners scatter ~30%, so the flag is deliberately wider.
+REGRESSED = "REGRESSED"
+IMPROVED = "IMPROVED"
+DRIFT = "DRIFT"
+
+#: Relative threshold on the median wall time.  Wide on purpose: the
+#: flag is for algorithmic regressions (2x and worse), and sustained
+#: background load on a shared runner routinely shifts whole runs by
+#: 30-40%.  Tighten with ``compare --threshold`` on quiet hosts.
+DEFAULT_REL_THRESHOLD = 0.5
+
+#: The median's noise floor is this many relative IQRs wide.
+IQR_FACTOR = 3.0
+
+#: Relative change of ``model_over_measured`` between a point and its
+#: predecessor that counts as model drift.  Wall-clock medians scatter
+#: ~30% on shared runners and the ratio inherits that scatter, so the
+#: flag is deliberately wide; the virtual-clock benchmarks
+#: (deterministic measured side) can be held much tighter with
+#: ``compare --drift-threshold``.
 DEFAULT_DRIFT_THRESHOLD = 0.5
 
-#: Total-variation distance between consecutive regime mixes (the
-#: share of blocksteps each regime claims) that counts as a regime-mix
-#: shift.  0.25 means a quarter of the run's blocksteps moved to a
-#: different regime — the workload changed character, not just speed.
-DEFAULT_SHIFT_THRESHOLD = 0.25
-
-#: Absolute drop of fraction-of-peak between consecutive rows that
-#: raises the EFF flag: the run got a tenth of the machine *less*
-#: efficient — real Tflops regressed even if wall medians look fine.
-DEFAULT_EFF_DROP_THRESHOLD = 0.10
-
-#: Absolute jump of the real-skew fraction (total real straggler skew
-#: over total dispatch span, from the rank observatory) between
-#: consecutive rows that raises the SKEW flag: the real machine's
-#: load balance got materially worse since the previous ingest even if
-#: the virtual model says nothing changed.
-DEFAULT_SKEW_JUMP_THRESHOLD = 0.15
+#: Drift threshold ``compare`` applies instead when the current
+#: artifact's environment has a ledger-fed calibration entry
+#: (:mod:`repro.perfmodel.calibrate`): on a machine the model was
+#: actually fitted to, the ratio is expected stable to 10%.
+CALIBRATED_DRIFT_THRESHOLD = 0.1
 
 #: Environment-fingerprint fields that define "the same machine".  The
 #: kernel tier is one: the tiers agree bit for bit but not in speed, so
@@ -91,81 +95,57 @@ def env_key(environment: dict[str, Any]) -> str:
     return hashlib.sha256(basis.encode()).hexdigest()[:12]
 
 
+# -- columns ----------------------------------------------------------------
+
+
+def model_ratio(entry: dict[str, Any]) -> float | None:
+    """A benchmark entry's ``model_over_measured`` (the analytic eq. 10
+    model's prediction over the measured median), if it publishes one."""
+    value = (entry.get("derived") or {}).get("model_over_measured")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
+#: The artifact-level columns, read from a benchmark entry itself; the
+#: observatory sections (``repro.telemetry.HEADLINE``) are read from the
+#: entry's summary documents.  Together they are everything a history
+#: row keeps of a benchmark.
+BENCH = Section(None, columns=(
+    Column("median_s", read=("stats", "wall_s", "median"), history=True),
+    Column("iqr_s", read=("stats", "wall_s", "iqr"), history=True),
+    Column("n", read=("stats", "wall_s", "n"), history=True),
+    Column("model_over_measured", "{:.3g}", model_ratio, history=True),
+))
+SECTIONS = (BENCH, *HEADLINE.values())
+
+#: Every column a history row keeps, by name.
+COLUMNS = {c.name: c for s in SECTIONS for c in s.columns if c.history}
+
+
+def entry_bench(entry: dict[str, Any]) -> dict[str, Any]:
+    """Distil one benchmark entry into its history-row object: the
+    artifact-level columns flat, each observatory section that read
+    anything as a nested object."""
+    bench: dict[str, Any] = {}
+    for s in SECTIONS:
+        doc = entry.get(s.name) if s.name else entry
+        bench.update(s.project("history", s.read(doc)))
+    return bench
+
+
+def bench_values(bench: dict[str, Any]) -> dict[str, Any]:
+    """Column values, by column name, out of one history-row object."""
+    values: dict[str, Any] = {}
+    for s in SECTIONS:
+        values.update(s.collect("history", bench))
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def artifact_row(artifact: dict[str, Any]) -> dict[str, Any]:
     """Distil one validated artifact into one history row."""
     validate_artifact(artifact, source="history ingest")
     env = artifact["environment"]
-    benchmarks: dict[str, dict[str, Any]] = {}
-    for entry in artifact["benchmarks"]:
-        stats = entry["stats"]["wall_s"]
-        bench: dict[str, Any] = {
-            "median_s": float(stats["median"]),
-            "iqr_s": float(stats.get("iqr", 0.0)),
-            "n": int(stats.get("n", 0)),
-        }
-        ratio = entry.get("derived", {}).get("model_over_measured")
-        if isinstance(ratio, (int, float)) and not isinstance(ratio, bool):
-            bench["model_over_measured"] = float(ratio)
-        signatures = entry.get("signatures")
-        if isinstance(signatures, dict) and signatures.get("regimes"):
-            # phase-observatory distillation: enough to render the
-            # per-regime columns and compare the mix across ingests.
-            # The mix is keyed by the regime's log2 block-size bucket,
-            # not its id — ids are assigned in discovery order, so a
-            # reordered schedule would relabel identical regimes and
-            # read as a spurious shift.
-            mix: dict[str, int] = {}
-            for reg in signatures["regimes"]:
-                mean = float(reg.get("mean_block_size", 0.0))
-                bucket = int(mean).bit_length() - 1 if mean >= 1.0 else -1
-                key = f"b{bucket}"
-                mix[key] = mix.get(key, 0) + int(reg["count"])
-            bench["regimes"] = {
-                "n": int(signatures.get("n_regimes",
-                                        len(signatures["regimes"]))),
-                "dominant": signatures.get("dominant_regime"),
-                "dominant_share": float(signatures.get("dominant_share", 0.0)),
-                "mix": mix,
-            }
-        efficiency = entry.get("efficiency")
-        if isinstance(efficiency, dict) and "fraction_of_peak" in efficiency:
-            # efficiency-observatory distillation: the achieved fraction
-            # of peak and the per-bucket loss fractions (of peak), so
-            # the trajectory can show where the flops went per ingest
-            bench["efficiency"] = {
-                "fraction_of_peak": float(efficiency["fraction_of_peak"]),
-                "real_gflops": float(efficiency.get("real_gflops", 0.0)),
-                "buckets": {
-                    b: float((efficiency.get("buckets") or {})
-                             .get(b, {}).get("fraction", 0.0))
-                    for b in BUCKETS
-                },
-            }
-        rank = entry.get("rank")
-        if isinstance(rank, dict) and "real_skew_us" in rank:
-            # rank-observatory distillation: enough to render the
-            # real-execution columns and flag skew jumps across ingests.
-            # The fraction normalises total straggler skew by the total
-            # dispatch span so runs of different lengths compare.
-            skew = rank.get("real_skew_us") or {}
-            span = float(rank.get("span_wall_us", 0.0))
-            distilled: dict[str, Any] = {
-                "real_skew_us_mean": float(skew.get("mean", 0.0)),
-                "skew_fraction": (
-                    float(skew.get("total", 0.0)) / span if span > 0 else 0.0
-                ),
-                "utilisation": float(rank.get("utilisation", 0.0)),
-                "publish_bytes_per_step": float(
-                    rank.get("publish_bytes_per_step", 0.0)
-                ),
-            }
-            placement = rank.get("placement")
-            if isinstance(placement, dict):
-                distilled["placement_gap_us_mean"] = float(
-                    (placement.get("gap_us") or {}).get("mean", 0.0)
-                )
-            bench["rank"] = distilled
-        benchmarks[entry["name"]] = bench
     row = {
         "schema": HISTORY_SCHEMA,
         "label": artifact["label"],
@@ -176,7 +156,10 @@ def artifact_row(artifact: dict[str, Any]) -> dict[str, Any]:
         "env_key": env_key(env),
         "seed": artifact.get("seed"),
         "tag": artifact.get("tag"),
-        "benchmarks": benchmarks,
+        "benchmarks": {
+            entry["name"]: entry_bench(entry)
+            for entry in artifact["benchmarks"]
+        },
     }
     notes = artifact.get("notes")
     if notes is not None:
@@ -342,9 +325,9 @@ def regime_mix_shift(
     """Total-variation distance between two regime mixes in [0, 1].
 
     Mixes are blockstep counts per log2 block-size bucket (the
-    label-stable regime fingerprint :func:`artifact_row` distils from
-    a signature summary); 0.0 means identical share distributions, 1.0
-    means disjoint bucket sets.
+    label-stable regime fingerprint a history row keeps of a signature
+    summary); 0.0 means identical share distributions, 1.0 means
+    disjoint bucket sets.
     """
     p_total = sum(prev.values()) or 1
     c_total = sum(current.values()) or 1
@@ -354,9 +337,104 @@ def regime_mix_shift(
     )
 
 
+def noise_band(
+    prev: dict[str, Any], cur: dict[str, Any], threshold: float
+) -> float:
+    """The median rule's band: a change only counts when it clears both
+    the relative threshold *and* the run-to-run scatter of the
+    measurement itself (the IQRs of both sides)."""
+    noise = IQR_FACTOR * max(
+        v.get("iqr_s", 0.0) / v["median_s"] for v in (prev, cur))
+    return max(threshold, noise)
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One delta rule: how a column's value is compared with its
+    predecessor's, and the flag a change beyond the threshold raises.
+
+    Without ``change`` the rule is a symmetric ratio band: the delta is
+    ``current / previous - 1`` and the flag is ``up`` above
+    ``1 + band``, ``down`` below ``1 / (1 + band)``.  With it the delta
+    is ``change(previous, current)`` and ``up`` flags it above the
+    threshold (one-sided: the good direction is not an alert).
+    """
+
+    column: str
+    threshold: float
+    up: str
+    down: str | None = None
+    change: Callable[[Any, Any], float] | None = None
+    band: Callable[[dict[str, Any], dict[str, Any], float], float] | None = None
+    #: Holds across machines too (``compare`` against a foreign
+    #: baseline); every other rule needs one environment fingerprint.
+    any_env: bool = False
+
+
+#: Every flag of the trajectory table and the regression gate, each
+#: threshold stated once.
+RULES = (
+    Rule("median_s", DEFAULT_REL_THRESHOLD, REGRESSED, IMPROVED,
+         band=noise_band, any_env=True),
+    Rule("model_over_measured", DEFAULT_DRIFT_THRESHOLD, DRIFT, DRIFT),
+    # total-variation distance between consecutive regime mixes (the
+    # share of blocksteps each regime claims): 0.25 means a quarter of
+    # the run's blocksteps moved to a different regime — the workload
+    # changed character, not just speed
+    Rule("mix", 0.25, "SHIFT", change=regime_mix_shift),
+    # absolute drop of fraction-of-peak: the run got a tenth of the
+    # machine *less* efficient — real Tflops regressed even if wall
+    # medians look fine
+    Rule("fraction_of_peak", 0.10, "EFF", change=lambda prev, cur: prev - cur),
+    # absolute jump of the real-skew fraction (total real straggler skew
+    # over total dispatch span, from the rank observatory): the real
+    # machine's load balance got materially worse since the previous
+    # ingest even if the virtual model says nothing changed
+    Rule("skew_fraction", 0.15, "SKEW", change=lambda prev, cur: cur - prev),
+)
+
+
+def judge(
+    prev: dict[str, Any],
+    cur: dict[str, Any],
+    thresholds: dict[str, float | None] | None = None,
+) -> tuple[dict[str, float], tuple[str, ...]]:
+    """Run every rule over one (predecessor, current) pair of column
+    values; returns ``(deltas, flags)`` keyed / ordered as :data:`RULES`.
+
+    A rule whose column is absent on either side (or not positive, for
+    a ratio) yields neither.  ``thresholds`` overrides a rule's
+    threshold by column; ``None`` there switches the rule off.
+    """
+    deltas: dict[str, float] = {}
+    flags: list[str] = []
+    for rule in RULES:
+        threshold = (thresholds or {}).get(rule.column, rule.threshold)
+        p, c = prev.get(rule.column), cur.get(rule.column)
+        if threshold is None or p is None or c is None:
+            continue
+        if rule.change is not None:
+            delta = rule.change(p, c)
+            flag = rule.up if delta > threshold else None
+        elif p > 0.0 and c > 0.0:
+            band = rule.band(prev, cur, threshold) if rule.band else threshold
+            ratio = c / p
+            delta = ratio - 1.0
+            flag = (rule.up if ratio > 1.0 + band
+                    else rule.down if ratio < 1.0 / (1.0 + band) else None)
+        else:
+            continue
+        deltas[rule.column] = delta
+        if flag:
+            flags.append(flag)
+    return deltas, tuple(flags)
+
+
 @dataclass(frozen=True)
 class TrajectoryPoint:
-    """One benchmark's state in one history row, with deltas."""
+    """One benchmark's state in one history row: its column values, the
+    deltas against its predecessor on the same machine, and the flags
+    those deltas raised (see :data:`RULES`)."""
 
     benchmark: str
     suite: str
@@ -364,32 +442,9 @@ class TrajectoryPoint:
     git_revision: str | None
     tag: str | None
     seed: Any
-    median_s: float
-    iqr_s: float
-    delta: float | None           # (median / previous median) - 1
-    model_over_measured: float | None
-    model_drift: float | None     # (ratio / previous ratio) - 1
-    regime_count: int | None = None
-    dominant_share: float | None = None
-    regime_shift: float | None = None   # TV distance vs previous mix
-    fraction_of_peak: float | None = None
-    bucket_fractions: dict[str, float] | None = None
-    eff_drop: float | None = None       # previous frac - current frac
-    skew_fraction: float | None = None  # total real skew / total span
-    rank_utilisation: float | None = None
-    skew_jump: float | None = None      # current fraction - previous
-
-    def drifted(self, threshold: float = DEFAULT_DRIFT_THRESHOLD) -> bool:
-        return self.model_drift is not None and abs(self.model_drift) > threshold
-
-    def shifted(self, threshold: float = DEFAULT_SHIFT_THRESHOLD) -> bool:
-        return self.regime_shift is not None and self.regime_shift > threshold
-
-    def eff_dropped(self, threshold: float = DEFAULT_EFF_DROP_THRESHOLD) -> bool:
-        return self.eff_drop is not None and self.eff_drop > threshold
-
-    def skewed(self, threshold: float = DEFAULT_SKEW_JUMP_THRESHOLD) -> bool:
-        return self.skew_jump is not None and self.skew_jump > threshold
+    values: dict[str, Any]
+    deltas: dict[str, float]
+    flags: tuple[str, ...]
 
 
 def trajectory(
@@ -401,87 +456,26 @@ def trajectory(
 
     Deltas compare consecutive points of the *same* benchmark on the
     *same* environment fingerprint, so a machine change starts a fresh
-    baseline instead of reading as a regression.
+    baseline instead of reading as a regression.  The predecessor of a
+    column is the last row that carried it.
     """
     series: dict[str, list[TrajectoryPoint]] = {}
-    last_median: dict[tuple[str, str], float] = {}
-    last_ratio: dict[tuple[str, str], float] = {}
-    last_mix: dict[tuple[str, str], dict[str, int]] = {}
-    last_frac: dict[tuple[str, str], float] = {}
-    last_skew: dict[tuple[str, str], float] = {}
+    last: dict[tuple[str, str], dict[str, Any]] = {}
     for row in rows:
         if suite is not None and row.get("suite") != suite:
             continue
         if env is not None and row.get("env_key") != env:
             continue
         for name, bench in sorted(row.get("benchmarks", {}).items()):
-            key = (row.get("env_key", ""), name)
-            median = float(bench["median_s"])
-            prev = last_median.get(key)
-            delta = (median / prev - 1.0) if prev and prev > 0 else None
-            ratio = bench.get("model_over_measured")
-            prev_ratio = last_ratio.get(key)
-            drift = None
-            if ratio is not None and prev_ratio:
-                drift = ratio / prev_ratio - 1.0
-            regimes = bench.get("regimes") or {}
-            mix = regimes.get("mix") or None
-            prev_mix = last_mix.get(key)
-            shift = None
-            if mix and prev_mix:
-                shift = regime_mix_shift(prev_mix, mix)
-            efficiency = bench.get("efficiency") or {}
-            frac = efficiency.get("fraction_of_peak")
-            prev_frac = last_frac.get(key)
-            eff_drop = None
-            if frac is not None and prev_frac is not None:
-                eff_drop = prev_frac - float(frac)
-            rank = bench.get("rank") or {}
-            skew_fraction = rank.get("skew_fraction")
-            prev_skew = last_skew.get(key)
-            skew_jump = None
-            if skew_fraction is not None and prev_skew is not None:
-                skew_jump = float(skew_fraction) - prev_skew
-            series.setdefault(name, []).append(
-                TrajectoryPoint(
-                    benchmark=name,
-                    suite=row.get("suite", "?"),
-                    env_key=row.get("env_key", ""),
-                    git_revision=row.get("git_revision"),
-                    tag=row.get("tag"),
-                    seed=row.get("seed"),
-                    median_s=median,
-                    iqr_s=float(bench.get("iqr_s", 0.0)),
-                    delta=delta,
-                    model_over_measured=ratio,
-                    model_drift=drift,
-                    regime_count=(
-                        int(regimes["n"]) if "n" in regimes else None
-                    ),
-                    dominant_share=regimes.get("dominant_share"),
-                    regime_shift=shift,
-                    fraction_of_peak=(
-                        float(frac) if frac is not None else None
-                    ),
-                    bucket_fractions=efficiency.get("buckets") or None,
-                    eff_drop=eff_drop,
-                    skew_fraction=(
-                        float(skew_fraction)
-                        if skew_fraction is not None else None
-                    ),
-                    rank_utilisation=rank.get("utilisation"),
-                    skew_jump=skew_jump,
-                )
-            )
-            last_median[key] = median
-            if ratio is not None:
-                last_ratio[key] = ratio
-            if mix:
-                last_mix[key] = mix
-            if frac is not None:
-                last_frac[key] = float(frac)
-            if skew_fraction is not None:
-                last_skew[key] = float(skew_fraction)
+            values = bench_values(bench)
+            prev = last.setdefault((row.get("env_key", ""), name), {})
+            deltas, flags = judge(prev, values)
+            series.setdefault(name, []).append(TrajectoryPoint(
+                name, row.get("suite", "?"), row.get("env_key", ""),
+                row.get("git_revision"), row.get("tag"), row.get("seed"),
+                values, deltas, flags,
+            ))
+            prev.update(values)
     return series
 
 
@@ -489,76 +483,51 @@ def _sha(rev: str | None) -> str:
     return (rev or "-")[:10]
 
 
-def _traj_rows(
-    series: dict[str, list[TrajectoryPoint]],
-    drift_threshold: float,
-    shift_threshold: float = DEFAULT_SHIFT_THRESHOLD,
-    eff_threshold: float = DEFAULT_EFF_DROP_THRESHOLD,
-    skew_threshold: float = DEFAULT_SKEW_JUMP_THRESHOLD,
-) -> list[tuple]:
+#: Trajectory-table header -> the column shown under it.
+_TRAJ_COLUMNS = {"model/meas": "model_over_measured", "regimes": "n_regimes",
+                 "dom": "dominant_share", "eff": "fraction_of_peak",
+                 "skew": "skew_fraction"}
+
+_TRAJ_HEADERS = ("benchmark", "#", "revision", "tag", "median [ms]",
+                 "delta", *_TRAJ_COLUMNS, "flags")
+
+
+def _traj_rows(series: dict[str, list[TrajectoryPoint]]) -> list[tuple]:
     rows: list[tuple] = []
     for name in sorted(series):
         for i, pt in enumerate(series[name]):
-            flags = []
-            if pt.drifted(drift_threshold):
-                flags.append("DRIFT")
-            if pt.shifted(shift_threshold):
-                flags.append("SHIFT")
-            if pt.eff_dropped(eff_threshold):
-                flags.append("EFF")
-            if pt.skewed(skew_threshold):
-                flags.append("SKEW")
+            delta = pt.deltas.get("median_s")
             rows.append(
                 (
                     name if i == 0 else "",
                     i + 1,
                     _sha(pt.git_revision),
                     pt.tag or "-",
-                    pt.median_s * 1.0e3,
-                    f"{pt.delta * 100.0:+.1f}%" if pt.delta is not None else "-",
-                    f"{pt.model_over_measured:.3g}"
-                    if pt.model_over_measured is not None
-                    else "-",
-                    str(pt.regime_count)
-                    if pt.regime_count is not None
-                    else "-",
-                    f"{pt.dominant_share * 100.0:.0f}%"
-                    if pt.dominant_share is not None
-                    else "-",
-                    f"{pt.fraction_of_peak:.2%}"
-                    if pt.fraction_of_peak is not None
-                    else "-",
-                    f"{pt.skew_fraction:.1%}"
-                    if pt.skew_fraction is not None
-                    else "-",
-                    " ".join(flags),
+                    pt.values["median_s"] * 1.0e3,
+                    "-" if delta is None else f"{delta:+.1%}",
+                    *(COLUMNS[c].show(pt.values.get(c))
+                      for c in _TRAJ_COLUMNS.values()),
+                    " ".join(pt.flags),
                 )
             )
     return rows
 
 
-_TRAJ_HEADERS = ("benchmark", "#", "revision", "tag", "median [ms]",
-                 "delta", "model/meas", "regimes", "dom", "eff", "skew",
-                 "flags")
-
-
 def _eff_rows(series: dict[str, list[TrajectoryPoint]]) -> list[tuple]:
     """Efficiency-observatory block: the per-bucket loss fractions of
     each point that carried a flops waterfall (one column per bucket)."""
+    show = COLUMNS["fraction_of_peak"].show
     rows: list[tuple] = []
     for name in sorted(series):
-        points = [p for p in series[name] if p.bucket_fractions is not None]
+        points = [p for p in series[name] if "buckets" in p.values]
         for i, pt in enumerate(points):
-            buckets = pt.bucket_fractions or {}
             rows.append(
                 (
                     name if i == 0 else "",
                     i + 1,
                     _sha(pt.git_revision),
-                    f"{pt.fraction_of_peak:.2%}"
-                    if pt.fraction_of_peak is not None
-                    else "-",
-                    *(f"{buckets.get(b, 0.0):.2%}" for b in BUCKETS),
+                    show(pt.values.get("fraction_of_peak")),
+                    *(show(pt.values["buckets"].get(b, 0.0)) for b in BUCKETS),
                 )
             )
     return rows
@@ -572,57 +541,41 @@ def render_history_table(
     fmt: str = "text",
     suite: str | None = None,
     env: str | None = None,
-    drift_threshold: float = DEFAULT_DRIFT_THRESHOLD,
-    shift_threshold: float = DEFAULT_SHIFT_THRESHOLD,
 ) -> str:
     """The per-suite trajectory table (text or markdown).
 
     One block per suite present in the history; each benchmark's points
     appear in ingest order with the delta against its previous
-    measurement on the same machine, the model-vs-measured DRIFT flag,
-    and — where artifacts carried phase signatures — the regime count,
-    dominant-regime share, and a SHIFT flag when the regime mix moved
-    by more than ``shift_threshold`` (total variation) since the
-    previous ingest.  The paper's Table 1 presentation for this repo's
-    own tuning arc.
+    measurement on the same machine, the headline columns of whichever
+    observatory sections its artifacts carried, and the flags its
+    deltas raised (:data:`RULES`).  The paper's Table 1 presentation
+    for this repo's own tuning arc.
     """
     rows = list(rows)
     suites = [suite] if suite is not None else sorted(
         {r.get("suite", "?") for r in rows}
     )
+    if fmt == "markdown":
+        table = markdown_table
+        titles = ("### Trajectory — suite `{}` ({} points)",
+                  "#### Efficiency buckets — suite `{}`")
+    else:
+        table = format_table
+        titles = ("# trajectory — suite {!r} ({} points)",
+                  "## efficiency buckets — suite {!r}")
     blocks: list[str] = []
     for s in suites:
         series = trajectory(rows, suite=s, env=env)
         if not series:
             continue
-        table_rows = _traj_rows(series, drift_threshold, shift_threshold)
-        eff_rows = _eff_rows(series)
         n_points = sum(len(v) for v in series.values())
-        if fmt == "markdown":
-            head = [f"### Trajectory — suite `{s}` ({n_points} points)", ""]
-            md = ["| " + " | ".join(_TRAJ_HEADERS) + " |",
-                  "|" + "|".join(" --- " for _ in _TRAJ_HEADERS) + "|"]
-            for r in table_rows:
-                cells = [f"{c:.4g}" if isinstance(c, float) else str(c) for c in r]
-                md.append("| " + " | ".join(cells) + " |")
-            if eff_rows:
-                md += ["", f"#### Efficiency buckets — suite `{s}`", "",
-                       "| " + " | ".join(_EFF_HEADERS) + " |",
-                       "|" + "|".join(" --- " for _ in _EFF_HEADERS) + "|"]
-                md += ["| " + " | ".join(str(c) for c in r) + " |"
-                       for r in eff_rows]
-            blocks.append("\n".join(head + md))
-        else:
-            block = (
-                f"# trajectory — suite {s!r} ({n_points} points)\n\n"
-                + format_table(_TRAJ_HEADERS, table_rows)
-            )
-            if eff_rows:
-                block += (
-                    f"\n\n## efficiency buckets — suite {s!r}\n\n"
-                    + format_table(_EFF_HEADERS, eff_rows)
-                )
-            blocks.append(block)
+        block = [titles[0].format(s, n_points), "",
+                 table(_TRAJ_HEADERS, _traj_rows(series))]
+        eff_rows = _eff_rows(series)
+        if eff_rows:
+            block += ["", titles[1].format(s), "",
+                      table(_EFF_HEADERS, eff_rows)]
+        blocks.append("\n".join(block))
     if not blocks:
         return "(history is empty)"
     return "\n\n".join(blocks)
@@ -660,12 +613,12 @@ def render_history_plot(
     out_rows = []
     for name in sorted(series):
         points = series[name]
-        medians = [p.median_s * 1.0e3 for p in points]
+        medians = [p.values["median_s"] * 1.0e3 for p in points]
         # regime columns only where artifacts carried phase signatures
-        counts = [p.regime_count for p in points if p.regime_count is not None]
-        shares = [
-            p.dominant_share for p in points if p.dominant_share is not None
-        ]
+        counts = [p.values["n_regimes"] for p in points
+                  if "n_regimes" in p.values]
+        shares = [p.values["dominant_share"] for p in points
+                  if "dominant_share" in p.values]
         out_rows.append(
             (
                 name,

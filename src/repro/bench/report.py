@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..io.tables import format_table
-from ..telemetry import BUCKETS, PAPER_PHASE_NAMES, PHASES
+from ..io.tables import format_table, markdown_table
+from ..telemetry import BUCKETS, HEADLINE, PAPER_PHASE_NAMES, PHASES
 from .compare import ComparisonResult
 from .profiling import ProfileAttribution
 
@@ -111,11 +111,8 @@ def _share_bar(share: float, width: int = 8) -> str:
     return bar or "▁"
 
 
-def _regime_rows(entry: dict[str, Any]) -> list[tuple]:
+def _regime_rows(summary: dict[str, Any]) -> list[tuple]:
     """Phase-observatory rows: one per regime, dominant first."""
-    summary = entry.get("signatures")
-    if not summary:
-        return []
     rows = []
     for reg in sorted(
         summary.get("regimes", []), key=lambda r: -r.get("count", 0)
@@ -139,13 +136,10 @@ _REGIME_HEADERS = (
 )
 
 
-def _waterfall_rows(entry: dict[str, Any]) -> list[tuple]:
+def _waterfall_rows(eff: dict[str, Any]) -> list[tuple]:
     """Efficiency-observatory waterfall: peak at the top, one row per
     loss bucket, achieved ("real") flops at the bottom — the §6 "real
     Tflops" account rendered fig. 13-style as fractions of peak."""
-    eff = entry.get("efficiency")
-    if not eff:
-        return []
     peak = eff.get("peak_flops", 0.0)
     rows: list[tuple] = [("peak", f"{peak:.4g}", "100.0%", _share_bar(1.0))]
     for bucket in BUCKETS:
@@ -156,7 +150,7 @@ def _waterfall_rows(entry: dict[str, Any]) -> list[tuple]:
         rows.append(
             (f"- {bucket}", f"{flops:.4g}", f"{frac:.2%}", _share_bar(frac))
         )
-    frac = eff.get("fraction_of_peak", 0.0)
+    frac = HEADLINE["efficiency"].read(eff)["fraction_of_peak"] or 0.0
     rows.append(
         ("= real", f"{eff.get('real_flops', 0.0):.4g}", f"{frac:.2%}",
          _share_bar(frac))
@@ -167,12 +161,9 @@ def _waterfall_rows(entry: dict[str, Any]) -> list[tuple]:
 _WATERFALL_HEADERS = ("waterfall", "flops", "of peak", "bar")
 
 
-def _rank_rows(entry: dict[str, Any]) -> list[tuple]:
+def _rank_rows(rank: dict[str, Any]) -> list[tuple]:
     """Rank-observatory rows: one per rank, real busy time and task
     distribution — the per-host table the paper's §4 tuning reads."""
-    rank = entry.get("rank")
-    if not rank:
-        return []
     rows = []
     busy_total = max(rank.get("busy_us", 0.0), 1e-12)
     for row in rank.get("ranks", []):
@@ -196,62 +187,52 @@ _RANK_HEADERS = (
 )
 
 
-def _rank_lines(entry: dict[str, Any], table: str) -> list[str]:
-    rank = entry.get("rank")
-    if not rank:
-        return []
-    skew = rank.get("real_skew_us", {})
-    lines = [
-        "",
-        f"ranks: {rank.get('n_ranks', 0)} on "
-        f"{'/'.join(rank.get('backends', []) or ['?'])} — "
-        f"utilisation {rank.get('utilisation', 0.0):.1%}, "
-        f"real skew mean {skew.get('mean', 0.0):.0f} us "
-        f"(max {skew.get('max', 0.0):.0f}), "
-        f"publish {rank.get('publish_bytes_per_step', 0.0):.0f} B/step",
-    ]
-    placement = rank.get("placement")
-    if placement:
-        gap = placement.get("gap_us", {}).get("mean", 0.0)
-        buckets = placement.get("buckets", {})
-        lines.append(
-            f"placement gap (real - virtual skew): {gap:+.0f} us/blockstep; "
-            "idle split "
-            f"imbalance {buckets.get('imbalance', {}).get('fraction', 0.0):.1%} / "
-            f"overhead {buckets.get('overhead', {}).get('fraction', 0.0):.1%}"
-        )
-    if table:
-        lines += ["", table]
+#: Per observatory section of a benchmark entry: the table under its
+#: headline sentence.
+_SECTION_TABLES = {
+    "signatures": (_REGIME_HEADERS, _regime_rows),
+    "efficiency": (_WATERFALL_HEADERS, _waterfall_rows),
+    "rank": (_RANK_HEADERS, _rank_rows),
+}
+
+
+def _entry_tables(entry: dict[str, Any], table: Any, code: str = "{}") -> list[str]:
+    """Everything under one benchmark's heading, each table rendered by
+    ``table(headers, rows)`` (``code`` quotes a key name): the phase
+    budget, derived values, histograms, then every observatory section
+    the entry carries — its headline sentence (the registry's ``report``
+    template over the registry's formats) and its table."""
+    lines = ["", table(_phase_headers(entry), _phase_rows(entry))]
+    derived = entry.get("derived", {})
+    if derived:
+        lines += ["", table(
+            ("derived", "value"),
+            [(code.format(k), _fmt_derived(v)) for k, v in sorted(derived.items())],
+        )]
+    hist_rows = _histogram_rows(entry)
+    if hist_rows:
+        lines += ["", table(
+            _HISTOGRAM_HEADERS, [(code.format(r[0]), *r[1:]) for r in hist_rows])]
+    for name, (headers, rows_of) in _SECTION_TABLES.items():
+        doc = entry.get(name)
+        if not doc:
+            continue
+        section = HEADLINE[name]
+        shown = section.shown(section.read(doc))
+        lines += ["", section.report.format(**shown)]
+        placement = doc.get("placement")  # the rank section's, with a comm ledger
+        if placement:
+            buckets = placement.get("buckets", {})
+            lines.append(
+                "placement gap (real - virtual skew): "
+                f"{shown['placement_gap_us_mean']} us/blockstep; idle split "
+                f"imbalance {buckets.get('imbalance', {}).get('fraction', 0.0):.1%} / "
+                f"overhead {buckets.get('overhead', {}).get('fraction', 0.0):.1%}"
+            )
+        rows = rows_of(doc)
+        if rows:
+            lines += ["", table(headers, rows)]
     return lines
-
-
-def _efficiency_lines(entry: dict[str, Any], table: str) -> list[str]:
-    eff = entry.get("efficiency")
-    if not eff:
-        return []
-    return [
-        "",
-        f"efficiency: {eff.get('fraction_of_peak', 0.0):.2%} of peak "
-        f"({eff.get('real_gflops', 0.0):.4g} real Gflops) over "
-        f"{eff.get('blocksteps', 0)} blocksteps, {eff.get('clock')} clock",
-        "",
-        table,
-    ]
-
-
-def _signature_lines(entry: dict[str, Any], table: str) -> list[str]:
-    summary = entry.get("signatures")
-    if not summary:
-        return []
-    return [
-        "",
-        f"regimes: {summary.get('n_regimes', 0)} over "
-        f"{summary.get('count', 0)} blocksteps, "
-        f"{summary.get('changes', 0)} change(s); "
-        f"lane {summary.get('lane', '')}",
-        "",
-        table,
-    ]
 
 
 def render_artifact_text(artifact: dict[str, Any]) -> str:
@@ -274,47 +255,9 @@ def render_artifact_text(artifact: dict[str, Any]) -> str:
             f"wall: median {stats['median'] * 1e3:.2f} ms "
             f"(min {stats['min'] * 1e3:.2f}, IQR {stats['iqr'] * 1e3:.2f}, "
             f"n={stats['n']})",
-            "",
-            format_table(_phase_headers(entry), _phase_rows(entry)),
+            *_entry_tables(entry, format_table),
         ]
-        derived = entry.get("derived", {})
-        if derived:
-            lines += [
-                "",
-                format_table(
-                    ("derived", "value"),
-                    [(k, _fmt_derived(v)) for k, v in sorted(derived.items())],
-                ),
-            ]
-        hist_rows = _histogram_rows(entry)
-        if hist_rows:
-            lines += ["", format_table(_HISTOGRAM_HEADERS, hist_rows)]
-        regime_rows = _regime_rows(entry)
-        if regime_rows:
-            lines += _signature_lines(
-                entry, format_table(_REGIME_HEADERS, regime_rows)
-            )
-        waterfall = _waterfall_rows(entry)
-        if waterfall:
-            lines += _efficiency_lines(
-                entry, format_table(_WATERFALL_HEADERS, waterfall)
-            )
-        rank_rows = _rank_rows(entry)
-        if rank_rows or entry.get("rank"):
-            lines += _rank_lines(
-                entry,
-                format_table(_RANK_HEADERS, rank_rows) if rank_rows else "",
-            )
     return "\n".join(lines)
-
-
-def _md_table(headers: list[str], rows: list[tuple]) -> str:
-    out = ["| " + " | ".join(headers) + " |",
-           "|" + "|".join(" --- " for _ in headers) + "|"]
-    for row in rows:
-        cells = [f"{c:.4g}" if isinstance(c, float) else str(c) for c in row]
-        out.append("| " + " | ".join(cells) + " |")
-    return "\n".join(out)
 
 
 def render_artifact_markdown(artifact: dict[str, Any]) -> str:
@@ -341,7 +284,7 @@ def render_artifact_markdown(artifact: dict[str, Any]) -> str:
         )
     lines += [
         "",
-        _md_table(
+        markdown_table(
             ["benchmark", "paper ref", "median [ms]", "IQR [ms]", "trials"],
             summary_rows,
         ),
@@ -350,43 +293,8 @@ def render_artifact_markdown(artifact: dict[str, Any]) -> str:
         lines += [
             "",
             f"### `{entry['name']}` — time budget (fig. 14 style)",
-            "",
-            _md_table(_phase_headers(entry), _phase_rows(entry)),
+            *_entry_tables(entry, markdown_table, "`{}`"),
         ]
-        derived = entry.get("derived", {})
-        if derived:
-            lines += [
-                "",
-                _md_table(
-                    ["derived", "value"],
-                    [(f"`{k}`", _fmt_derived(v)) for k, v in sorted(derived.items())],
-                ),
-            ]
-        hist_rows = _histogram_rows(entry)
-        if hist_rows:
-            lines += [
-                "",
-                _md_table(
-                    list(_HISTOGRAM_HEADERS),
-                    [(f"`{r[0]}`", *r[1:]) for r in hist_rows],
-                ),
-            ]
-        regime_rows = _regime_rows(entry)
-        if regime_rows:
-            lines += _signature_lines(
-                entry, _md_table(list(_REGIME_HEADERS), regime_rows)
-            )
-        waterfall = _waterfall_rows(entry)
-        if waterfall:
-            lines += _efficiency_lines(
-                entry, _md_table(list(_WATERFALL_HEADERS), waterfall)
-            )
-        rank_rows = _rank_rows(entry)
-        if rank_rows or entry.get("rank"):
-            lines += _rank_lines(
-                entry,
-                _md_table(list(_RANK_HEADERS), rank_rows) if rank_rows else "",
-            )
     return "\n".join(lines)
 
 
@@ -455,7 +363,7 @@ def render_compare_markdown(result: ComparisonResult) -> str:
     head = "## Benchmark regression gate — " + ("OK" if result.ok else "FAILED")
     return "\n".join(
         [head, "", f"*{_drift_line(result)}*", "",
-         _md_table(["benchmark", "status", "ratio", "threshold", "note"], rows)]
+         markdown_table(["benchmark", "status", "ratio", "threshold", "note"], rows)]
     )
 
 

@@ -18,6 +18,7 @@ from typing import Any
 
 from ..parallel.ledger import merge_comm_summaries
 from ..telemetry import (
+    HEADLINE,
     FlopsLedger,
     InMemorySink,
     PHASES,
@@ -157,22 +158,14 @@ def run_benchmark(
     virtual_trials = [t["virtual_us"] for t in trials if "virtual_us" in t]
     if virtual_trials:
         entry["phases"]["virtual_us"] = _median_across(virtual_trials)
-    # comm ledgers are deterministic per trial (virtual time), so the
-    # last trial's harvest represents them all
-    if "comm" in trials[-1]:
-        entry["comm"] = trials[-1]["comm"]
-    # regime structure (counts, shares, lane) is schedule-driven and
-    # the schedule is seeded, so the last trial stands in for all
-    if "signatures" in trials[-1]:
-        entry["signatures"] = trials[-1]["signatures"]
-    # the flops waterfall is virtual-clock arithmetic on the seeded
-    # schedule — deterministic per trial, last trial represents all
-    if "efficiency" in trials[-1]:
-        entry["efficiency"] = trials[-1]["efficiency"]
-    # real-execution rank telemetry: wall-clock measurements vary per
-    # trial like wall_s does; the last trial is one honest sample
-    if "rank" in trials[-1]:
-        entry["rank"] = trials[-1]["rank"]
+    # comm ledgers (virtual time), regime structure (counts, shares,
+    # lane) and the flops waterfall are arithmetic on the seeded
+    # schedule — deterministic per trial, so the last trial's harvest
+    # represents them all; real-execution rank telemetry varies per
+    # trial like wall_s does, and the last trial is one honest sample
+    for section in ("comm", *HEADLINE):
+        if section in trials[-1]:
+            entry[section] = trials[-1][section]
     return entry
 
 

@@ -58,6 +58,7 @@ from ..io.runlog import write_json_atomic
 from ..schema import check, list_of
 from ..service.jobs import build_backend, build_system, resolve_eps2
 from ..telemetry import (
+    HEADLINE,
     InMemorySink,
     SCHEDULE_FEATURES,
     SIGNATURE_SCHEMA,
@@ -776,6 +777,8 @@ def validate_sampling(
 def render_estimate_text(estimate: SampledEstimate) -> str:
     """Human-readable estimate report for the CLI."""
     p = estimate.params
+    regimes = HEADLINE["signatures"]
+    shown = regimes.shown(regimes.read(estimate.summary))
     lines = [
         f"sampled-run estimate ({p.get('model', 'plummer')} n={p.get('n')}, "
         f"backend {p.get('backend', 'direct')}, t_end={estimate.t_end:g})",
@@ -790,9 +793,8 @@ def render_estimate_text(estimate: SampledEstimate) -> str:
         f"[{estimate.ci_low_us / 1e3:.2f}, {estimate.ci_high_us / 1e3:.2f}] "
         f"(95% bootstrap, B={estimate.n_bootstrap})",
         f"  regimes: {len(estimate.regimes)} "
-        f"(dominant {estimate.summary.get('dominant_regime')} at "
-        f"{estimate.summary.get('dominant_share', 0.0):.0%}); "
-        f"lane {estimate.summary.get('lane', '')}",
+        f"(dominant {shown['dominant_regime']} at "
+        f"{shown['dominant_share']}); lane {shown['lane']}",
     ]
     for reg in estimate.regimes:
         lines.append(

@@ -60,7 +60,7 @@ from ..parallel import (
 )
 from ..perfmodel import MachineModel
 from ..perfmodel.flops import speed_gflops
-from ..telemetry import RankLedger, T_HOST, T_PIPE
+from ..telemetry import HEADLINE, RankLedger, T_HOST, T_PIPE
 from .registry import REGISTRY, BenchContext
 
 #: Workload seed shared by the suites (fixed: determinism satellite).
@@ -459,8 +459,7 @@ def exec_observatory(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]
         state["exec"], exec_spec, net_exec, led_exec)
     ctx.attach_rank_ledger(led_exec)
 
-    summary = led_exec.summary(comm=net_exec.ledger)
-    placement = summary.get("placement") or {}
+    headline = HEADLINE["rank"].read(led_exec.summary(comm=net_exec.ledger))
     bit_identical = all(
         np.array_equal(getattr(state["inline"], f), getattr(state[k], f))
         for k in ("thread", "exec")
@@ -470,18 +469,18 @@ def exec_observatory(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]
         np.array_equal(net_inline.clock.snapshot(), net.clock.snapshot())
         for net in (net_thread, net_exec)
     )
-    ctx.tracer.count("bench.rank_tasks", summary["tasks"])
+    ctx.tracer.count("bench.rank_tasks", headline["tasks"])
     return {
         "exec_backend": exec_spec,
-        "blocksteps": summary["blocksteps"],
-        "rank_tasks": summary["tasks"],
+        "blocksteps": headline["blocksteps"],
+        "rank_tasks": headline["tasks"],
         "inline_wall_s": wall_inline,
         "thread_wall_s": wall_thread,
         "exec_wall_s": wall_exec,
-        "real_skew_us": summary["real_skew_us"]["mean"],
-        "publish_bytes_per_step": summary["publish_bytes_per_step"],
-        "placement_gap": (placement.get("gap_us") or {}).get("mean", 0.0),
-        "utilisation": summary["utilisation"],
+        "real_skew_us": headline["real_skew_us_mean"],
+        "publish_bytes_per_step": headline["publish_bytes_per_step"],
+        "placement_gap": headline["placement_gap_us_mean"] or 0.0,
+        "utilisation": headline["utilisation"],
         "bit_identical": float(bit_identical),
         "virtual_identical": float(virtual_identical),
     }

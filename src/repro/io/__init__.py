@@ -23,7 +23,7 @@ from .runlog import (
     read_runlog_records,
     write_json_atomic,
 )
-from .tables import format_table
+from .tables import format_table, markdown_table
 
 __all__ = [
     "write_snapshot",
@@ -44,4 +44,5 @@ __all__ = [
     "read_runlog_records",
     "write_json_atomic",
     "format_table",
+    "markdown_table",
 ]

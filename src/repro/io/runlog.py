@@ -101,12 +101,22 @@ def _coerce(obj: Any):
 
 
 def write_json_atomic(doc: Any, path: str | Path) -> Path:
-    """Write one whole JSON document (artifact, calibration, job state):
-    stable key order, trailing newline, written beside ``path`` and
-    renamed over it so a reader never sees a torn file."""
+    """Write one whole JSON document (artifact, calibration, job spec
+    and state): stable key order, trailing newline, written beside
+    ``path`` and renamed over it so a reader never sees a torn file.
+
+    A non-finite number is refused here (``ValueError`` naming the
+    document): ``Infinity`` / ``NaN`` are not RFC 8259 JSON, and what
+    strict readers — ``jq``, Prometheus, a browser — cannot parse must
+    not reach the disk.  A producer that trips this reports 0.0 or omits
+    the key, as the observatories' summaries do."""
     path = Path(path)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(text + "\n")
     tmp.replace(path)
     return path
 

@@ -1,12 +1,17 @@
-"""Plain-text table formatting for benchmark output.
+"""Plain-text and markdown table formatting for benchmark output.
 
 The benchmark harness prints the same rows/series the paper's figures
-plot; this helper keeps that output aligned and diff-friendly.
+plot; these helpers keep that output aligned and diff-friendly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+
+def _cells(row: Sequence[object], float_format: str) -> list[str]:
+    return [float_format.format(v) if isinstance(v, float) else str(v)
+            for v in row]
 
 
 def format_table(
@@ -18,15 +23,8 @@ def format_table(
 
     Floats go through ``float_format``; everything else through str().
     """
-    rendered: list[list[str]] = [[str(h) for h in headers]]
-    for row in rows:
-        cells = []
-        for value in row:
-            if isinstance(value, float):
-                cells.append(float_format.format(value))
-            else:
-                cells.append(str(value))
-        rendered.append(cells)
+    rendered = [[str(h) for h in headers]]
+    rendered += [_cells(row, float_format) for row in rows]
     if any(len(r) != len(rendered[0]) for r in rendered):
         raise ValueError("ragged table rows")
 
@@ -36,4 +34,14 @@ def format_table(
         lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def markdown_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]]
+) -> str:
+    """The same rows as a markdown table (PR summaries)."""
+    lines = ["| " + " | ".join(headers) + " |",
+             "|" + "|".join(" --- " for _ in headers) + "|"]
+    lines += ["| " + " | ".join(_cells(row, "{:.4g}")) + " |" for row in rows]
     return "\n".join(lines)

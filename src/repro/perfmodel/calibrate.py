@@ -118,7 +118,8 @@ def fit_environment(artifacts: list[dict[str, Any]]) -> dict[str, Any]:
     groups; :func:`calibrate_artifacts` does this).  Returns the
     environment entry of the calibration file.
     """
-    from ..bench.history import env_key  # deferred: bench imports perfmodel
+    # deferred: bench imports perfmodel
+    from ..bench.history import env_key, model_ratio
 
     if not artifacts:
         raise CalibrationError("no artifacts to calibrate from")
@@ -156,11 +157,11 @@ def fit_environment(artifacts: list[dict[str, Any]]) -> dict[str, Any]:
             derived = entry.get("derived", {})
             model_us = derived.get("model_us_per_step")
             measured_us = _measured_us(entry)
-            ratio = derived.get("model_over_measured")
+            ratio = model_ratio(entry)
             if isinstance(model_us, (int, float)) and measured_us:
                 model_pairs.append((float(model_us), measured_us))
-            if isinstance(ratio, (int, float)) and not isinstance(ratio, bool):
-                anchors[entry["name"]] = float(ratio)
+            if ratio is not None:
+                anchors[entry["name"]] = ratio
 
     nics: dict[str, dict[str, Any]] = {}
     for nic in sorted(set(barrier_points) | set(link_points)):

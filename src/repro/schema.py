@@ -18,11 +18,19 @@ use it.  A **rule** says what one value must be:
   for every value of a free-keyed mapping) and ``rules`` (callables
   ``f(obj) -> complaint | None`` run once the fields hold: the
   arithmetic identities).
+
+Beside its spec each summary document keeps its **headline table**: a
+:class:`Section` of :class:`Column` rows, one per number worth quoting,
+each saying how it is read *out of the document* and under which key or
+name every consumer — bus record, ``state.json``, status line, gauge,
+history row, report — carries it.  Consumers project the table; none of
+them picks a key by hand, so none of them can disagree.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Any, Callable
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list",
@@ -116,3 +124,97 @@ def _check_object(value: Any, spec: dict, where: str) -> None:
         complaint = rule(value)
         if complaint:
             raise _Mismatch(prefix + complaint)
+
+
+# -- headline tables ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Column:
+    """One headline number of a summary document.
+
+    ``read`` is the key path into the document (default: the top-level
+    key ``name``), or a function of it for a derived column (which must
+    return ``None``, not raise, when its inputs are absent).  The other
+    fields are the column's *faces* — where it is carried, and under
+    which key: ``True`` means under its own name, a falsy value that
+    the face does not carry it.
+    """
+
+    name: str
+    #: Display format (status line, reports, history table).
+    fmt: str = "{}"
+    read: tuple[str, ...] | Callable[[dict[str, Any]], Any] | None = None
+    #: A flat scalar of the section's bus record.
+    bus: bool = True
+    #: ``state.json``.
+    state: str | bool = False
+    #: A ``repro.bench.history/1`` row.
+    history: str | bool = False
+    #: Gauge exported from a summary document (artifact, ``--metrics``).
+    gauge: str | None = None
+    #: Gauge exported from a job's ``state.json`` (``service metrics``).
+    job_gauge: str | None = None
+
+    def key(self, face: str) -> Any:
+        key = getattr(self, face)
+        return self.name if key is True else key
+
+    def value(self, doc: Any) -> Any:
+        """The column read from ``doc``; ``None`` where it is absent."""
+        if callable(self.read):
+            return self.read(doc) if isinstance(doc, dict) else None
+        for key in self.read or (self.name,):
+            doc = doc.get(key) if isinstance(doc, dict) else None
+        return doc
+
+    def show(self, value: Any) -> str:
+        return "-" if value is None else self.fmt.format(value)
+
+
+@dataclass(frozen=True)
+class Section:
+    """The headline table of one summary document.  ``state`` and
+    ``history``, where set, are the key of the object those faces nest
+    the section's columns under."""
+
+    #: Key of the document in a ``repro.bench/1`` benchmark entry.
+    name: str | None
+    columns: tuple[Column, ...]
+    #: Bus record kind the document travels under.
+    kind: str = ""
+    #: Status-line and report sentences over the shown columns.
+    status: str = ""
+    report: str = ""
+    state: str | None = None
+    history: str | None = None
+
+    def read(self, doc: Any) -> dict[str, Any]:
+        """Every column, by name, read from one summary document."""
+        return {c.name: c.value(doc) for c in self.columns}
+
+    def project(self, face: str, values: dict[str, Any]) -> dict[str, Any]:
+        """``values`` as ``face`` carries them: keyed by the face's keys,
+        columns without the face or without a value left out."""
+        fields = {
+            c.key(face): values[c.name] for c in self.columns
+            if c.key(face) and values.get(c.name) is not None
+        }
+        nest = getattr(self, face, None)
+        if not nest:
+            return fields
+        return {nest: fields} if fields else {}
+
+    def collect(self, face: str, held: dict[str, Any]) -> dict[str, Any]:
+        """The inverse: column values, by name, out of a document keyed
+        as ``face`` keys them (empty where the section is absent)."""
+        nest = getattr(self, face, None)
+        held = held.get(nest) if nest else held
+        if not isinstance(held, dict):
+            return {}
+        return {c.name: held[c.key(face)] for c in self.columns
+                if c.key(face) in held}
+
+    def shown(self, values: dict[str, Any]) -> dict[str, str]:
+        """Every column formatted for display (``-`` where absent)."""
+        return {c.name: c.show(values.get(c.name)) for c in self.columns}

@@ -22,7 +22,12 @@ from pathlib import Path
 from typing import Sequence
 
 from ..bench.history import DEFAULT_HISTORY_PATH
-from ..telemetry import job_metrics, render_openmetrics, write_openmetrics
+from ..telemetry import (
+    HEADLINE,
+    job_metrics,
+    render_openmetrics,
+    write_openmetrics,
+)
 from .consumers import read_archive
 from .jobs import JobError, JobPaths, JobSpec, load_job, read_state
 from .supervisor import Supervisor
@@ -113,25 +118,10 @@ def _status_line(st: dict) -> str:
         line += f" blocksteps={st['blocksteps']}"
     if "wall_s" in st:
         line += f" wall={st['wall_s']:.1f}s"
-    if "regime" in st:
-        line += (
-            f" regime={st['regime']}"
-            f" ({st.get('n_regimes', 0)} seen,"
-            f" dominant {st.get('dominant_regime')}"
-            f" at {st.get('dominant_share', 0.0):.0%})"
-        )
-    if "fraction_of_peak" in st:
-        line += (
-            f" eff={st['fraction_of_peak']:.2%}"
-            f" ({st.get('real_gflops', 0.0):.3g} Gflops)"
-        )
-    rank = st.get("rank")
-    if isinstance(rank, dict):
-        line += (
-            f" ranks={rank.get('n_ranks', 0)}"
-            f" util={rank.get('utilisation', 0.0):.0%}"
-            f" skew={rank.get('real_skew_us_mean', 0.0):.0f}us"
-        )
+    for section in HEADLINE.values():
+        values = section.collect("state", st)
+        if values:
+            line += section.status.format(**section.shown(values))
     line += (
         f" checkpoints={len(st['checkpoints'])}"
         f" records={st['archive_records']}"

@@ -13,22 +13,14 @@ afterwards:
     Cumulative telemetry phase totals (the paper's
     T_host/T_pipe/T_comm/T_barrier taxonomy) forwarded from the
     streaming phase sink.
-``signature``
-    Phase-observatory snapshot: the current blockstep regime, regime
-    counts/shares and the compact regime lane, plus the full
-    ``repro.phase_signature/1`` summary document (nested under
-    ``summary``; the flat scalars exist so ``tail`` shows them).
-``efficiency``
-    Efficiency-observatory snapshot: the run's fraction of peak, real
-    Gflops and loss-bucket fractions so far, plus the full
-    ``repro.efficiency/1`` waterfall (nested under ``summary``; the
-    flat scalars exist so ``tail`` shows them).
-``rank``
-    Rank-observatory snapshot: real-execution telemetry from the
-    dispatch observer — blocksteps/tasks dispatched so far, busy/idle
-    rank-time, utilisation, mean/max real straggler skew and publish
-    bytes per step (the flat scalars ``tail`` shows), plus the full
-    ``repro.rank_sample/1`` summary nested under ``summary``.
+``signature`` / ``efficiency`` / ``rank``
+    One observatory's snapshot at a checkpoint: its headline columns as
+    flat scalars (so ``tail`` shows them) plus the full summary
+    document (``repro.phase_signature/1`` / ``repro.efficiency/1`` /
+    ``repro.rank_sample/1``) nested under ``summary``.  Which scalars,
+    and that ``state.json`` carries the same values, is the headline
+    registry's business (:data:`repro.telemetry.HEADLINE`; the table is
+    in ``docs/observability.md``).
 ``checkpoint``
     A durable checkpoint hit disk (path, blockstep, t).
 ``discontinuity``
@@ -55,28 +47,25 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..schema import check
+from ..telemetry import HEADLINE
 
 #: Bump on breaking record-layout changes.
 SNAPSHOT_RECORD_SCHEMA = "repro.snapshot_record/1"
 
 KIND_STATE = "state"
 KIND_PHASES = "phases"
-KIND_SIGNATURE = "signature"
-KIND_EFFICIENCY = "efficiency"
-KIND_RANK = "rank"
 KIND_CHECKPOINT = "checkpoint"
 KIND_DISCONTINUITY = "discontinuity"
 KIND_JOB = "job"
 KIND_BENCH_ARTIFACT = "bench_artifact"
 
 #: Every kind the bus will emit; consumers may rely on this being
-#: exhaustive for the schema version above.
+#: exhaustive for the schema version above.  The observatories' kinds
+#: (``signature``, ``efficiency``, ``rank``) are the headline registry's.
 RECORD_KINDS = (
     KIND_STATE,
     KIND_PHASES,
-    KIND_SIGNATURE,
-    KIND_EFFICIENCY,
-    KIND_RANK,
+    *(section.kind for section in HEADLINE.values()),
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_JOB,

@@ -44,8 +44,10 @@ from ..io.checkpoint import (
     restore_integrator,
     write_checkpoint,
 )
+from ..io.runlog import write_json_atomic
 from ..io.snapshot import write_snapshot
 from ..telemetry import (
+    HEADLINE,
     FlopsLedger,
     RankLedger,
     RegimeTracker,
@@ -72,11 +74,8 @@ from .records import (
     KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
-    KIND_EFFICIENCY,
     KIND_JOB,
     KIND_PHASES,
-    KIND_RANK,
-    KIND_SIGNATURE,
     KIND_STATE,
 )
 
@@ -138,11 +137,7 @@ class Supervisor:
         if paths.spec.exists():
             raise JobError(f"{paths.spec}: job already exists")
         paths.root.mkdir(parents=True, exist_ok=True)
-        import json
-
-        paths.spec.write_text(
-            json.dumps(spec.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write_json_atomic(spec.as_dict(), paths.spec)
         write_state(paths, "queued", name=spec.name, kind=spec.kind)
         return sup
 
@@ -207,6 +202,8 @@ class Supervisor:
         # unbounded runs (no per-blockstep records, so no placement
         # cross-attribution here — the bench harness does that)
         ranks = RankLedger(keep=False) if algorithm is not None else None
+        # keyed as the headline registry keys its sections
+        observatories = {"signatures": regimes, "efficiency": eff, "rank": ranks}
 
         if resume:
             ck_path = self.paths.latest_checkpoint()
@@ -276,7 +273,9 @@ class Supervisor:
         def total_wall() -> float:
             return wall_consumed + (time.perf_counter() - segment_t0)
 
-        def checkpoint(reason: str) -> Path:
+        def checkpoint(reason: str) -> dict[str, Any]:
+            """Write one durable checkpoint and publish it; returns the
+            ``state.json`` fields written beside it."""
             nonlocal last_ck_wall
             path = self.paths.checkpoint_path(integ.stats.blocksteps)
             write_checkpoint(
@@ -291,23 +290,14 @@ class Supervisor:
                 blockstep=integ.stats.blocksteps, reason=reason,
             )
             bus.emit(KIND_PHASES, t=integ.t, **fold.snapshot())
-            if regimes.count:
-                bus.emit(KIND_SIGNATURE, t=integ.t,
-                         **_signature_payload(regimes))
-            if eff.count:
-                bus.emit(KIND_EFFICIENCY, t=integ.t,
-                         **_efficiency_payload(eff))
-            if ranks is not None and ranks.count:
-                bus.emit(KIND_RANK, t=integ.t, **_rank_payload(ranks))
-            write_state(
-                self.paths, "running", name=spec.name, kind=spec.kind,
-                t=integ.t, blocksteps=integ.stats.blocksteps,
-                wall_s=total_wall(), last_checkpoint=str(path),
-                **_regime_state(regimes),
-                **_efficiency_state(eff),
-                **_rank_state(ranks),
-            )
-            return path
+            fields: dict[str, Any] = {
+                **publish_headlines(bus, integ.t, observatories),
+                "t": integ.t, "blocksteps": integ.stats.blocksteps,
+                "wall_s": total_wall(), "last_checkpoint": str(path),
+            }
+            write_state(self.paths, "running", name=spec.name,
+                        kind=spec.kind, **fields)
+            return fields
 
         interrupted: str | None = None
         old_tracer = set_tracer(tracer)
@@ -354,21 +344,16 @@ class Supervisor:
                 algorithm.executor.close()
 
         if interrupted is not None:
-            path = checkpoint("interrupt")
+            fields = checkpoint("interrupt")
             bus.emit(KIND_JOB, t=integ.t, status="interrupted",
                      detail=interrupted)
             write_state(
                 self.paths, "interrupted", name=spec.name, kind=spec.kind,
-                t=integ.t, blocksteps=integ.stats.blocksteps,
-                wall_s=total_wall(), reason=interrupted,
-                last_checkpoint=str(path),
-                **_regime_state(regimes),
-                **_efficiency_state(eff),
-                **_rank_state(ranks),
+                **{**fields, "wall_s": total_wall(), "reason": interrupted},
             )
             return "interrupted"
 
-        path = checkpoint("final")
+        fields = checkpoint("final")
         self._emit_state(bus, integ)
         write_snapshot(
             self.paths.final_snapshot, integ.system, t=integ.t,
@@ -381,12 +366,8 @@ class Supervisor:
                         f"{integ.stats.particle_steps} particle steps")
         write_state(
             self.paths, "completed", name=spec.name, kind=spec.kind,
-            t=integ.t, blocksteps=integ.stats.blocksteps,
-            wall_s=total_wall(), last_checkpoint=str(path),
-            final_snapshot=str(self.paths.final_snapshot),
-            **_regime_state(regimes),
-            **_efficiency_state(eff),
-            **_rank_state(ranks),
+            **{**fields, "wall_s": total_wall(),
+               "final_snapshot": str(self.paths.final_snapshot)},
         )
         return "completed"
 
@@ -490,103 +471,27 @@ class Supervisor:
         }
 
 
-def _signature_payload(regimes: "RegimeTracker") -> dict[str, Any]:
-    """Bus payload of the phase observatory's current view: flat
-    scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.phase_signature/1`` summary document."""
-    dominant, share = regimes.dominant_regime()
-    return {
-        "regime": regimes.current,
-        "n_regimes": regimes.n_regimes,
-        "dominant_regime": dominant,
-        "dominant_share": share,
-        "blocksteps": regimes.count,
-        "changes": len(regimes.changes),
-        "lane": regimes.lane(),
-        "summary": regimes.summary(),
-    }
+def publish_headlines(
+    bus: SnapshotBus, t: float, observatories: dict[str, Any]
+) -> dict[str, Any]:
+    """Publish one bus record per observatory that has seen a blockstep
+    (keyed as :data:`repro.telemetry.HEADLINE` keys its sections) and
+    return the matching ``state.json`` fields.
 
-
-def _efficiency_payload(eff: "FlopsLedger") -> dict[str, Any]:
-    """Bus payload of the efficiency observatory's running account:
-    flat scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.efficiency/1`` waterfall document."""
-    summary = eff.summary()
-    return {
-        "fraction_of_peak": summary["fraction_of_peak"],
-        "real_gflops": summary["real_gflops"],
-        "blocksteps": summary["blocksteps"],
-        "clock": summary["clock"],
-        "top_loss": max(
-            summary["buckets"],
-            key=lambda b: summary["buckets"][b]["fraction"],
-        ),
-        "summary": summary,
-    }
-
-
-def _rank_payload(ranks: "RankLedger") -> dict[str, Any]:
-    """Bus payload of the rank observatory's running account: flat
-    scalars (so ``tail``'s text mode shows them) plus the nested
-    ``repro.rank_sample/1`` summary document."""
-    summary = ranks.summary()
-    return {
-        "blocksteps": summary["blocksteps"],
-        "tasks": summary["tasks"],
-        "n_ranks": summary["n_ranks"],
-        "utilisation": summary["utilisation"],
-        "real_skew_us_mean": summary["real_skew_us"]["mean"],
-        "real_skew_us_max": summary["real_skew_us"]["max"],
-        "publish_bytes_per_step": summary["publish_bytes_per_step"],
-        "summary": summary,
-    }
-
-
-def _rank_state(ranks: "RankLedger | None") -> dict[str, Any]:
-    """The ``state.json`` face of the rank observatory (``status``
-    shows it; ``service metrics`` projects it into gauges)."""
-    if ranks is None or not ranks.count:
-        return {}
-    return {
-        "rank": {
-            "n_ranks": ranks.n_ranks,
-            "real_skew_us_mean": ranks.mean_real_skew_us(),
-            "utilisation": (
-                ranks.busy_total_us / ranks.rank_span_us
-                if ranks.rank_span_us > 0 else 0.0
-            ),
-            "publish_bytes_per_step": (
-                ranks.publish_bytes / ranks.count if ranks.count else 0.0
-            ),
-        },
-    }
-
-
-def _efficiency_state(eff: "FlopsLedger") -> dict[str, Any]:
-    """The ``state.json`` face of the flops account (``status`` shows it)."""
-    if not eff.count:
-        return {}
-    return {
-        "fraction_of_peak": eff.fraction_of_peak,
-        "real_gflops": (
-            eff.real_flops / eff.span_us * 1.0e6 / 1.0e9
-            if eff.span_us > 0 else 0.0
-        ),
-    }
-
-
-def _regime_state(regimes: "RegimeTracker") -> dict[str, Any]:
-    """The ``state.json`` face of the observatory (``status`` shows it)."""
-    if not regimes.count:
-        return {}
-    dominant, share = regimes.dominant_regime()
-    return {
-        "regime": regimes.current,
-        "n_regimes": regimes.n_regimes,
-        "dominant_regime": dominant,
-        "dominant_share": share,
-        "regime_lane": regimes.lane(max_runs=8),
-    }
+    Each ``summary()`` is taken once; the record's flat scalars and the
+    state fields are both projections of that one document through the
+    section's headline columns, so the bus, ``state.json``, ``status``
+    and ``metrics`` cannot disagree.
+    """
+    fields: dict[str, Any] = {}
+    for name, observatory in observatories.items():
+        if observatory is not None and observatory.count:
+            section, doc = HEADLINE[name], observatory.summary()
+            values = section.read(doc)
+            bus.emit(section.kind, t=t, **section.project("bus", values),
+                     summary=doc)
+            fields.update(section.project("state", values))
+    return fields
 
 
 def _count_lines(path: Path) -> int:

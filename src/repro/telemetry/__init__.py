@@ -71,6 +71,7 @@ from .signatures import (
     N_BUCKETS,
     REGIME_PID,
     SCHEDULE_FEATURES,
+    SIGNATURE_HEADLINE,
     SIGNATURE_SCHEMA,
     PhaseSignature,
     RegimeChange,
@@ -105,6 +106,7 @@ from .timeline import (
 )
 from .efficiency import (
     BUCKETS,
+    EFFICIENCY_HEADLINE,
     EFFICIENCY_PID,
     EFFICIENCY_SCHEMA,
     BlockstepEfficiency,
@@ -117,6 +119,7 @@ from .efficiency import (
 )
 from .ranks import (
     IDLE_BUCKETS,
+    RANK_HEADLINE,
     RANK_PID,
     RANK_SAMPLE_SCHEMA,
     RankBlockstep,
@@ -127,7 +130,18 @@ from .ranks import (
     validate_rank_record,
     validate_rank_section,
 )
-from .openmetrics import (
+
+#: The headline registry: each observatory's :class:`repro.schema.Section`
+#: keyed by the name its summary document has in a benchmark entry.  Bus
+#: payloads, ``state.json``, the status line, gauges, history rows and
+#: reports are projections of it.  (Defined before ``openmetrics`` is
+#: imported: the gauge projections read it.)
+HEADLINE = {
+    section.name: section
+    for section in (SIGNATURE_HEADLINE, EFFICIENCY_HEADLINE, RANK_HEADLINE)
+}
+
+from .openmetrics import (  # noqa: E402
     OpenMetricsError,
     artifact_metrics,
     job_metrics,
@@ -220,6 +234,7 @@ __all__ = [
     "ranks_from_reports",
     "validate_rank_record",
     "validate_rank_section",
+    "HEADLINE",
     "OpenMetricsError",
     "render_openmetrics",
     "parse_openmetrics",

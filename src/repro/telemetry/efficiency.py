@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from ..constants import FLOPS_PER_INTERACTION
-from ..schema import FINITE, check, number, sums_to
+from ..schema import FINITE, Column, Section, check, number, sums_to
 from .phases import (
     JMEM,
     T_BARRIER,
@@ -349,10 +349,6 @@ class FlopsLedger:
             return next(iter(self._clocks))
         return "mixed"
 
-    @property
-    def fraction_of_peak(self) -> float:
-        return self.real_flops / self.peak_flops if self.peak_flops > 0 else 0.0
-
     def summary(self, comm: dict[str, Any] | None = None) -> dict[str, Any]:
         """The run-level ``repro.efficiency/1`` waterfall document.
 
@@ -460,6 +456,40 @@ def validate_efficiency(obj: Any, source: str = "efficiency") -> dict[str, Any]:
     [0, 1], and ``real + sum(buckets) == peak`` within float tolerance.
     """
     return check(obj, EFFICIENCY_SPEC, source, EfficiencyError)
+
+
+def _bucket_fractions(doc: dict[str, Any]) -> dict[str, float] | None:
+    """Per-bucket loss fractions (of peak), so the trajectory can show
+    where the flops went per ingest."""
+    buckets = doc.get("buckets")
+    if not buckets:
+        return None
+    return {b: float(buckets.get(b, {}).get("fraction", 0.0)) for b in BUCKETS}
+
+
+def _top_loss(doc: dict[str, Any]) -> str | None:
+    fractions = _bucket_fractions(doc)
+    return max(fractions, key=fractions.get) if fractions else None
+
+
+#: Headline columns of a :meth:`FlopsLedger.summary` document.
+EFFICIENCY_HEADLINE = Section(
+    "efficiency", kind="efficiency", history="efficiency",
+    status=" eff={fraction_of_peak} ({real_gflops} Gflops)",
+    report=("efficiency: {fraction_of_peak} of peak ({real_gflops} real "
+            "Gflops) over {blocksteps} blocksteps, {clock} clock"),
+    columns=(
+        Column("fraction_of_peak", "{:.2%}", state=True, history=True,
+               gauge="repro_bench_fraction_of_peak",
+               job_gauge="repro_job_fraction_of_peak"),
+        Column("real_gflops", "{:.4g}", state=True, history=True,
+               gauge="repro_bench_real_gflops"),
+        Column("blocksteps"),
+        Column("clock"),
+        Column("top_loss", read=_top_loss),
+        Column("buckets", read=_bucket_fractions, bus=False, history=True),
+    ),
+)
 
 
 # -- timeline lane -----------------------------------------------------------

@@ -22,6 +22,8 @@ import math
 import re
 from typing import Any, Iterable
 
+from . import HEADLINE
+
 #: One exported sample: (metric name, labels, value).
 MetricSample = "tuple[str, dict[str, str], float]"
 
@@ -150,6 +152,10 @@ def write_openmetrics(path, samples, help_text=None):
 
 
 # -- projections -------------------------------------------------------------
+#
+# Which numbers become gauges, and under which names, is the headline
+# registry's business (``repro.telemetry.HEADLINE``): the functions
+# below only walk it.
 
 
 def _num(value: Any, default: float = 0.0) -> float:
@@ -160,53 +166,35 @@ def _num(value: Any, default: float = 0.0) -> float:
     return v if math.isfinite(v) else default
 
 
+def _gauges(
+    section: Any, face: str, values: dict[str, Any], labels: dict[str, str]
+) -> list[tuple[str, dict[str, str], float]]:
+    """One sample per column of ``section`` with a gauge name on
+    ``face`` (``gauge`` / ``job_gauge``) and a value."""
+    return [(name, labels, _num(value))
+            for name, value in section.project(face, values).items()]
+
+
 def rank_summary_metrics(
     summary: dict[str, Any], labels: dict[str, str] | None = None
 ) -> list[tuple[str, dict[str, str], float]]:
     """Gauges from a ``repro.rank_sample/1`` section."""
     labels = dict(labels or {})
-    out = [
-        ("repro_rank_blocksteps", labels, _num(summary.get("blocksteps"))),
-        ("repro_rank_tasks", labels, _num(summary.get("tasks"))),
-        ("repro_rank_busy_us", labels, _num(summary.get("busy_us"))),
-        ("repro_rank_idle_us", labels, _num(summary.get("idle_us"))),
-        ("repro_rank_utilisation", labels, _num(summary.get("utilisation"))),
-        ("repro_rank_publish_bytes", labels, _num(summary.get("publish_bytes"))),
-        (
-            "repro_rank_publish_bytes_per_step",
-            labels,
-            _num(summary.get("publish_bytes_per_step")),
-        ),
-        (
-            "repro_rank_real_skew_us_mean",
-            labels,
-            _num((summary.get("real_skew_us") or {}).get("mean")),
-        ),
+    rank = HEADLINE["rank"]
+    return _gauges(rank, "gauge", rank.read(summary), labels) + [
+        ("repro_rank_busy_us_by_rank",
+         {**labels, "rank": str(row.get("rank", "?"))},
+         _num(row.get("busy_us")))
+        for row in summary.get("ranks") or [] if isinstance(row, dict)
     ]
-    placement = summary.get("placement")
-    if isinstance(placement, dict):
-        out.append((
-            "repro_rank_placement_gap_us_mean",
-            labels,
-            _num((placement.get("gap_us") or {}).get("mean")),
-        ))
-    for row in summary.get("ranks") or []:
-        if isinstance(row, dict):
-            rank_labels = {**labels, "rank": str(row.get("rank", "?"))}
-            out.append((
-                "repro_rank_busy_us_by_rank",
-                rank_labels,
-                _num(row.get("busy_us")),
-            ))
-    return out
 
 
 def artifact_metrics(
     artifact: dict[str, Any],
 ) -> list[tuple[str, dict[str, str], float]]:
     """Gauges from a ``repro.bench/1`` artifact (the ``bench run
-    --metrics`` projection): per benchmark the median wall, the
-    efficiency headline, and the rank-observatory headline numbers."""
+    --metrics`` projection): per benchmark the median wall and every
+    observatory section's headline gauges."""
     suite = str(artifact.get("suite", "?"))
     out: list[tuple[str, dict[str, str], float]] = []
     for entry in artifact.get("benchmarks") or []:
@@ -219,21 +207,13 @@ def artifact_metrics(
             labels,
             _num(stats.get("median")),
         ))
-        eff = entry.get("efficiency")
-        if isinstance(eff, dict):
-            out.append((
-                "repro_bench_fraction_of_peak",
-                labels,
-                _num(eff.get("fraction_of_peak")),
-            ))
-            out.append((
-                "repro_bench_real_gflops",
-                labels,
-                _num(eff.get("real_gflops")),
-            ))
-        rank = entry.get("rank")
-        if isinstance(rank, dict):
-            out.extend(rank_summary_metrics(rank, labels))
+        for name, section in HEADLINE.items():
+            doc = entry.get(name)
+            if not isinstance(doc, dict):
+                continue
+            out.extend(
+                rank_summary_metrics(doc, labels) if name == "rank"
+                else _gauges(section, "gauge", section.read(doc), labels))
     return out
 
 
@@ -256,22 +236,7 @@ def job_metrics(
             else _num(checkpoints),
         ),
     ]
-    if status.get("fraction_of_peak") is not None:
-        out.append((
-            "repro_job_fraction_of_peak",
-            labels,
-            _num(status.get("fraction_of_peak")),
-        ))
-    rank = status.get("rank")
-    if isinstance(rank, dict):
-        out.append((
-            "repro_job_real_skew_us_mean",
-            labels,
-            _num(rank.get("real_skew_us_mean")),
-        ))
-        out.append((
-            "repro_job_rank_utilisation",
-            labels,
-            _num(rank.get("utilisation")),
-        ))
+    for section in HEADLINE.values():
+        out.extend(_gauges(
+            section, "job_gauge", section.collect("state", status), labels))
     return out

@@ -48,7 +48,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from ..schema import FINITE, NONNEG, check, list_of, opt, sums_to
+from ..schema import (
+    FINITE,
+    NONNEG,
+    Column,
+    Section,
+    check,
+    list_of,
+    opt,
+    sums_to,
+)
 from .metrics import Histogram
 from .timeline import TRACE_PIDS, trace_event, trace_lane
 
@@ -655,6 +664,52 @@ def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
     numerics, the run-level identity ``busy + idle == rank_span``, and
     (when present) that the placement buckets sum to idle exactly."""
     return check(obj, RANK_SECTION_SPEC, source, RankError)
+
+
+def _skew_fraction(doc: dict[str, Any]) -> float | None:
+    """Total real straggler skew over total dispatch span, so runs of
+    different lengths compare (0.0 for an empty span)."""
+    skew = doc.get("real_skew_us")
+    if not skew:
+        return None
+    span = float(doc.get("span_wall_us", 0.0))
+    return float(skew.get("total", 0.0)) / span if span > 0 else 0.0
+
+
+#: Headline columns of a :meth:`RankLedger.summary` section.  The
+#: ``repro_job_*`` pair keeps its historical (unsystematic) names.
+RANK_HEADLINE = Section(
+    "rank", kind="rank", state="rank", history="rank",
+    status=" ranks={n_ranks} util={utilisation} skew={real_skew_us_mean}us",
+    report=("ranks: {n_ranks} on {backends} — utilisation {utilisation}, "
+            "real skew mean {real_skew_us_mean} us (max {real_skew_us_max}),"
+            " publish {publish_bytes_per_step} B/step"),
+    columns=(
+        Column("blocksteps", gauge="repro_rank_blocksteps"),
+        Column("tasks", gauge="repro_rank_tasks"),
+        Column("n_ranks", state=True),
+        Column("utilisation", "{:.1%}", state=True, history=True,
+               gauge="repro_rank_utilisation",
+               job_gauge="repro_job_rank_utilisation"),
+        Column("real_skew_us_mean", "{:.0f}", ("real_skew_us", "mean"),
+               state=True, history=True,
+               gauge="repro_rank_real_skew_us_mean",
+               job_gauge="repro_job_real_skew_us_mean"),
+        Column("real_skew_us_max", "{:.0f}", ("real_skew_us", "max")),
+        Column("publish_bytes_per_step", "{:.0f}", state=True, history=True,
+               gauge="repro_rank_publish_bytes_per_step"),
+        Column("skew_fraction", "{:.1%}", _skew_fraction, bus=False,
+               history=True),
+        Column("placement_gap_us_mean", "{:+.0f}",
+               ("placement", "gap_us", "mean"), bus=False, history=True,
+               gauge="repro_rank_placement_gap_us_mean"),
+        Column("busy_us", bus=False, gauge="repro_rank_busy_us"),
+        Column("idle_us", bus=False, gauge="repro_rank_idle_us"),
+        Column("publish_bytes", bus=False, gauge="repro_rank_publish_bytes"),
+        Column("backends", bus=False,
+               read=lambda doc: "/".join(doc.get("backends") or ()) or None),
+    ),
+)
 
 
 # -- timeline lane -----------------------------------------------------------

@@ -42,7 +42,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..schema import check, list_of, number, opt
+from ..schema import Column, Section, check, list_of, number, opt
 from .phases import PHASES, BlockstepRecord, SpanFold, replay
 from .timeline import TRACE_PIDS, trace_event, trace_lane
 from .tracer import SpanEvent
@@ -479,6 +479,7 @@ class RegimeTracker:
             "kind": "summary",
             "count": self.count,
             "n_regimes": self.n_regimes,
+            "current_regime": self.current,
             "dominant_regime": dominant,
             "dominant_share": share,
             "changes": len(self.changes),
@@ -504,6 +505,39 @@ SIGNATURE_SUMMARY_SPEC = {
 def validate_signature_summary(obj: Any, source: str = "signatures") -> dict:
     """Structural check of a :meth:`RegimeTracker.summary` document."""
     return check(obj, SIGNATURE_SUMMARY_SPEC, source, SignatureError)
+
+
+def _regime_mix(doc: dict[str, Any]) -> dict[str, int] | None:
+    """Blockstep counts per log2 block-size bucket: the regime mix a
+    history row keeps.  Keyed by bucket, not regime id — ids are
+    assigned in discovery order, so a reordered schedule would relabel
+    identical regimes and read as a spurious shift."""
+    mix: dict[str, int] = {}
+    for reg in doc.get("regimes") or ():
+        mean = float(reg.get("mean_block_size", 0.0))
+        key = f"b{int(mean).bit_length() - 1 if mean >= 1.0 else -1}"
+        mix[key] = mix.get(key, 0) + int(reg["count"])
+    return mix or None
+
+
+#: Headline columns of a :meth:`RegimeTracker.summary` document.
+SIGNATURE_HEADLINE = Section(
+    "signatures", kind="signature", history="regimes",
+    status=(" regime={regime} ({n_regimes} seen, dominant"
+            " {dominant_regime} at {dominant_share})"),
+    report=("regimes: {n_regimes} over {blocksteps} blocksteps, "
+            "{changes} change(s); lane {lane}"),
+    columns=(
+        Column("regime", read=("current_regime",), state=True),
+        Column("n_regimes", state=True, history="n"),
+        Column("dominant_regime", state=True, history="dominant"),
+        Column("dominant_share", "{:.0%}", state=True, history=True),
+        Column("blocksteps", read=("count",)),
+        Column("changes"),
+        Column("lane", state="regime_lane"),
+        Column("mix", read=_regime_mix, bus=False, history=True),
+    ),
+)
 
 
 # -- timeline lane ----------------------------------------------------------

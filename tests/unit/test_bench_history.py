@@ -198,8 +198,8 @@ class TestTrajectory:
             [({"k": 1.0}, ENV_A, None), ({"k": 0.8}, ENV_A, None)],
         )
         (points,) = trajectory(rows).values()
-        assert points[0].delta is None
-        assert points[1].delta == pytest.approx(-0.2)
+        assert "median_s" not in points[0].deltas
+        assert points[1].deltas["median_s"] == pytest.approx(-0.2)
 
     def test_env_change_restarts_baseline(self, tmp_path):
         """A faster machine is not an improvement: delta resets."""
@@ -208,7 +208,7 @@ class TestTrajectory:
             [({"k": 1.0}, ENV_A, None), ({"k": 0.5}, ENV_B, None)],
         )
         (points,) = trajectory(rows).values()
-        assert points[1].delta is None
+        assert "median_s" not in points[1].deltas
 
     def test_model_drift_flag(self, tmp_path):
         rows = ingest_sequence(
@@ -220,9 +220,10 @@ class TestTrajectory:
             ],
         )
         (points,) = trajectory(rows).values()
-        assert not points[1].drifted(DEFAULT_DRIFT_THRESHOLD)
-        assert points[2].drifted(DEFAULT_DRIFT_THRESHOLD)
-        assert points[2].model_drift == pytest.approx(1.0)
+        assert points[1].deltas["model_over_measured"] < DEFAULT_DRIFT_THRESHOLD
+        assert "DRIFT" not in points[1].flags
+        assert "DRIFT" in points[2].flags
+        assert points[2].deltas["model_over_measured"] == pytest.approx(1.0)
 
 
 class TestPrune:
@@ -365,10 +366,10 @@ class TestRegimeColumns:
             ],
         )
         (points,) = trajectory(rows).values()
-        assert points[0].regime_shift is None
-        assert points[1].shifted()
-        assert points[1].regime_shift == pytest.approx(0.6)
-        assert not points[2].shifted()
+        assert "mix" not in points[0].deltas
+        assert "SHIFT" in points[1].flags
+        assert points[1].deltas["mix"] == pytest.approx(0.6)
+        assert "SHIFT" not in points[2].flags
 
     def test_shift_ignores_regime_relabelling(self, tmp_path):
         """The same mix discovered in a different order is no shift."""
@@ -377,7 +378,7 @@ class TestRegimeColumns:
             [[64] * 10 + [2] * 10, [2] * 10 + [64] * 10],
         )
         (points,) = trajectory(rows).values()
-        assert points[1].regime_shift == pytest.approx(0.0)
+        assert points[1].deltas["mix"] == pytest.approx(0.0)
 
     def test_table_renders_regime_columns(self, tmp_path):
         rows = ingest_signed_sequence(
@@ -461,10 +462,10 @@ class TestSkewColumns:
             [50.0, 300.0, 300.0],
         )
         (points,) = trajectory(rows).values()
-        assert points[0].skew_jump is None
-        assert points[1].skewed()
-        assert points[1].skew_jump == pytest.approx(0.25)
-        assert not points[2].skewed()
+        assert "skew_fraction" not in points[0].deltas
+        assert "SKEW" in points[1].flags
+        assert points[1].deltas["skew_fraction"] == pytest.approx(0.25)
+        assert "SKEW" not in points[2].flags
 
     def test_skew_easing_is_not_flagged(self, tmp_path):
         """The flag is one-sided: the machine getting *more* balanced
@@ -473,8 +474,8 @@ class TestSkewColumns:
             tmp_path / "h.jsonl", [300.0, 50.0]
         )
         (points,) = trajectory(rows).values()
-        assert points[1].skew_jump == pytest.approx(-0.25)
-        assert not points[1].skewed()
+        assert points[1].deltas["skew_fraction"] == pytest.approx(-0.25)
+        assert "SKEW" not in points[1].flags
 
     def test_table_renders_skew_column_and_flag(self, tmp_path):
         rows = ingest_ranked_sequence(

@@ -244,17 +244,19 @@ class TestPerfmodelBuckets:
 
 class TestHistoryEffFlag:
     def test_eff_drop_raises_flag(self):
-        from repro.bench.history import TrajectoryPoint, _traj_rows
+        from repro.bench.history import TrajectoryPoint, _traj_rows, judge
 
-        def point(frac, drop):
+        def point(prev, frac):
+            values = {"median_s": 1.0, "fraction_of_peak": frac}
+            deltas, flags = judge(prev, values)
             return TrajectoryPoint(
                 benchmark="b", suite="s", env_key="e", git_revision=None,
-                tag=None, seed=None, median_s=1.0, iqr_s=0.0, delta=None,
-                model_over_measured=None, model_drift=None,
-                fraction_of_peak=frac, eff_drop=drop,
+                tag=None, seed=None, values=values, deltas=deltas,
+                flags=flags,
             )
 
-        rows = _traj_rows({"b": [point(0.5, None), point(0.3, 0.2)]}, 0.5)
+        first = point({}, 0.5)
+        rows = _traj_rows({"b": [first, point(first.values, 0.3)]})
         assert "EFF" in rows[1][-1]
-        rows = _traj_rows({"b": [point(0.5, None), point(0.45, 0.05)]}, 0.5)
+        rows = _traj_rows({"b": [first, point(first.values, 0.45)]})
         assert "EFF" not in rows[1][-1]
