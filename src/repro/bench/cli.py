@@ -26,6 +26,7 @@ from ..perfmodel.calibrate import (
     merge_calibration,
     save_calibration,
 )
+from ..service.jobs import RUN_PARAMS
 from ..telemetry import (
     SignatureError,
     artifact_metrics,
@@ -58,11 +59,9 @@ from .report import (
 from .runner import run_suite
 from .sampling import (
     DEFAULT_BOOTSTRAP,
-    DEFAULT_BOOTSTRAP_SEED,
     DEFAULT_MAX_ERROR,
     DEFAULT_MIN_PREFIX,
     DEFAULT_PREFIX_FRACTION,
-    DEFAULT_PROBE_WINDOWS,
     DEFAULT_VALIDATE_REPEATS,
     render_estimate_text,
     sampled_estimate,
@@ -251,6 +250,8 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    # the run flags are a run job's params: sampling checks them against
+    # the service's table, so a bad value is the JobError submit gives
     params: dict[str, Any] = {
         "model": args.model,
         "n": args.n,
@@ -261,12 +262,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.eps is not None:
         params["eps"] = args.eps
     common = dict(
-        prefix_fraction=args.prefix_fraction,
         min_prefix=args.min_prefix,
-        n_windows=args.windows,
-        k_max=args.k_max,
         n_bootstrap=args.bootstrap,
-        bootstrap_seed=args.bootstrap_seed,
         timeline=args.timeline,
     )
     try:
@@ -303,10 +300,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        if fraction > args.prefix_fraction + 0.05:
+        if fraction > DEFAULT_PREFIX_FRACTION + 0.05:
             print(
                 f"validation FAILED: simulated {fraction:.1%} of blocksteps "
-                f"(budget {args.prefix_fraction:.0%})",
+                f"(budget {DEFAULT_PREFIX_FRACTION:.0%})",
                 file=sys.stderr,
             )
             return 1
@@ -499,27 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_smp.add_argument("--n", type=int, default=64)
     p_smp.add_argument("--seed", type=int, default=13)
     p_smp.add_argument("--t-end", type=float, default=1.0, dest="t_end")
-    p_smp.add_argument("--eta", type=float, default=0.02)
+    p_smp.add_argument("--eta", type=float,
+                       default=RUN_PARAMS["eta"].default)
     p_smp.add_argument("--eps", type=float, default=None,
-                       help="softening (defaults to the N-scaled law)")
+                       help="softening (defaults to the constant 1/64 law)")
     p_smp.add_argument("--backend", default="grape",
-                       choices=("direct", "grape"),
                        help="target backend to price (default grape)")
-    p_smp.add_argument("--prefix-fraction", type=float,
-                       default=DEFAULT_PREFIX_FRACTION,
-                       help="fraction of the scouted schedule to simulate "
-                       f"(default {DEFAULT_PREFIX_FRACTION})")
     p_smp.add_argument("--min-prefix", type=int, default=DEFAULT_MIN_PREFIX,
                        help="blockstep floor for the probe budget")
-    p_smp.add_argument("--windows", type=int, default=DEFAULT_PROBE_WINDOWS,
-                       help="probe windows the budget is spread over "
-                       f"(default {DEFAULT_PROBE_WINDOWS})")
-    p_smp.add_argument("--k-max", type=int, default=8,
-                       help="regime cluster cap (default 8)")
     p_smp.add_argument("--bootstrap", type=int, default=DEFAULT_BOOTSTRAP,
                        help="bootstrap resamples for the error bars")
-    p_smp.add_argument("--bootstrap-seed", type=int,
-                       default=DEFAULT_BOOTSTRAP_SEED)
     p_smp.add_argument("--validate", action="store_true",
                        help="also run the workload exhaustively and gate on "
                        "the median estimator error (CI mode)")

@@ -6,28 +6,30 @@ hours, 2M-particle BH binary) are untouchable per-push — yet their
 blockstep streams cycle through a handful of recurring regimes.  This
 module is the LoopPoint recipe (functional fast-forward for basic-block
 vectors, detailed simulation only for cluster representatives)
-transplanted to blockstep streams:
+transplanted to blockstep streams.  The run is named by a serial
+``repro.job/1`` ``params`` dict and built by the service's own
+:func:`~repro.service.jobs.build_integrator`, so what is priced is the
+run the service would execute from the same params:
 
-1. **scout pass** — run the workload once on the cheap direct-summation
-   backend with telemetry off, keeping only the per-blockstep block
-   sizes.  The blockstep *schedule* is a property of the integrator,
-   not of how forces are computed, so this functional pass yields the
-   (near-)exact block-size sequence of the expensive run at a fraction
-   of its cost — no frozen-timestep extrapolation, no projection error
-   (the emulator's fixed-point forces can nudge a timestep across a
-   quantisation boundary at some seeds; the residual mismatch is
-   measured and reported as ``schedule_match``);
+1. **scout pass** — run it once on the cheap direct-summation backend
+   with telemetry off, keeping only the per-blockstep block sizes.  The
+   blockstep *schedule* is a property of the integrator, not of how
+   forces are computed, so this functional pass yields the (near-)exact
+   block-size sequence of the expensive run at a fraction of its cost —
+   no frozen-timestep extrapolation, no projection error (the emulator's
+   fixed-point forces can nudge a timestep across a quantisation
+   boundary at some seeds; the residual mismatch is measured and
+   reported as ``schedule_match``);
 2. **probe windows** — replay the *target* backend (e.g. the GRAPE
-   emulator datapath) over ``prefix_fraction`` of the scouted
-   blocksteps, split into several short windows spread across the whole
-   run and resumed from scout checkpoints
-   (:meth:`~repro.core.individual.BlockTimestepIntegrator.from_state`),
-   each under the :class:`repro.telemetry.SignatureRecorder`,
-   clustering the signature stream into regimes online.  Windows —
-   rather than one contiguous prefix — matter twice: they sample every
-   phase of the workload's regime mix, and they average out the
-   slow cost drift (governor ramps, cache warm-up) that makes the first
-   quarter of a run systematically more expensive than the rest;
+   emulator datapath) over a quarter of the scouted blocksteps, split
+   into short windows spread across the whole run and resumed from
+   scout checkpoints, each under a
+   :class:`repro.telemetry.SignatureRecorder`, and cluster the signature
+   stream into regimes.  Windows — rather than one contiguous prefix —
+   matter twice: they sample every phase of the workload's regime mix,
+   and they average out the slow cost drift (governor ramps, cache
+   warm-up) that makes the first quarter of a run systematically more
+   expensive than the rest;
 3. **price the remainder** — assign each unsimulated scouted blockstep
    to its nearest regime by *schedule features* alone (a scout knows
    sizes, not durations) and charge the regime's mean measured cost,
@@ -46,17 +48,21 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
-from ..forces.direct import DirectSummation
 from ..io.runlog import write_json_atomic
 from ..schema import check, list_of
-from ..service.jobs import build_backend, build_system, resolve_eps2
+from ..service.jobs import (
+    build_backend,
+    build_integrator,
+    build_system,
+    validate_run_params,
+)
 from ..telemetry import (
     HEADLINE,
     InMemorySink,
@@ -104,17 +110,6 @@ class RegimeEstimate:
     ci_high_us: float
     mean_block_size: float
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "regime": self.regime,
-            "n_observed": self.n_observed,
-            "n_projected": self.n_projected,
-            "mean_wall_us": self.mean_wall_us,
-            "ci_low_us": self.ci_low_us,
-            "ci_high_us": self.ci_high_us,
-            "mean_block_size": self.mean_block_size,
-        }
-
 
 @dataclass
 class SampledEstimate:
@@ -148,39 +143,22 @@ class SampledEstimate:
     def simulated_fraction(self) -> float:
         """Share of the scouted blockstep schedule actually simulated
         on the target backend."""
-        return (
-            self.prefix_blocksteps / self.scout_blocksteps
-            if self.scout_blocksteps
-            else 0.0
-        )
+        return self.prefix_blocksteps / self.scout_blocksteps
 
     def as_artifact(self) -> dict[str, Any]:
+        """Every field under its own name (``summary`` as ``signatures``,
+        an absent ``validation`` left out), tagged and validated."""
         art: dict[str, Any] = {
             "schema": SIGNATURE_SCHEMA,
             "kind": SAMPLE_KIND,
             "created_unix": time.time(),
             "environment": environment_fingerprint(),
-            "params": dict(self.params),
-            "t_end": self.t_end,
-            "scout_blocksteps": self.scout_blocksteps,
-            "scout_wall_s": self.scout_wall_s,
-            "prefix_blocksteps": self.prefix_blocksteps,
-            "prefix_wall_us": self.prefix_wall_us,
-            "projected_blocksteps": self.projected_blocksteps,
-            "windows": [list(w) for w in self.windows],
-            "schedule_match": self.schedule_match,
+            **asdict(self),
             "simulated_fraction": self.simulated_fraction,
-            "estimated_total_us": self.estimated_total_us,
-            "ci_low_us": self.ci_low_us,
-            "ci_high_us": self.ci_high_us,
-            "n_bootstrap": self.n_bootstrap,
-            "bootstrap_seed": self.bootstrap_seed,
-            "estimator_wall_s": self.estimator_wall_s,
-            "regimes": [r.as_dict() for r in self.regimes],
-            "signatures": self.summary,
         }
-        if self.validation is not None:
-            art["validation"] = dict(self.validation)
+        art["signatures"] = art.pop("summary")
+        if self.validation is None:
+            del art["validation"]
         return validate_sample_artifact(art)
 
 
@@ -230,81 +208,73 @@ def read_sample_artifact(path: str | Path) -> dict[str, Any]:
     return validate_sample_artifact(obj, source=str(path))
 
 
-# -- instrumented runs ------------------------------------------------------
+# -- the scout ----------------------------------------------------------------
 
 
-@dataclass
-class _InstrumentedRun:
-    """An integrator wired to a signature recorder and regime tracker."""
+def _scout(
+    params: dict[str, Any], t_end: float, capture_at: tuple[int, ...] = ()
+) -> tuple[list[int], dict[int, tuple[Any, dict]], float]:
+    """The functional pass: the run ``params`` describe, built by the
+    service's own :func:`~repro.service.jobs.build_integrator`, on the
+    direct float64 backend with telemetry off.
 
-    integrator: BlockTimestepIntegrator
-    recorder: SignatureRecorder
-    tracker: RegimeTracker
-    sink: InMemorySink | None
-
-
-def _build_run(
-    params: dict[str, Any],
-    k_max: int = 8,
-    spawn_distance: float = 0.6,
-    hold: int = 3,
-    keep_events: bool = False,
-) -> _InstrumentedRun:
-    system = build_system(params)
-    tracker = RegimeTracker(k_max=k_max, spawn_distance=spawn_distance, hold=hold)
-    recorder = SignatureRecorder(callback=tracker.update)
-    sink = InMemorySink() if keep_events else None
-    sinks: list[Any] = [recorder] + ([sink] if sink is not None else [])
-    tracer = Tracer(enabled=True, sinks=sinks)
-    integrator = BlockTimestepIntegrator(
-        system,
-        eps2=resolve_eps2(params),
-        eta=float(params.get("eta", 0.02)),
-        backend=build_backend(params),
-        tracer=tracer,
-    )
-    return _InstrumentedRun(integrator, recorder, tracker, sink)
-
-
-def _step_until(
-    integ: BlockTimestepIntegrator,
-    t_end: float,
-    max_blocksteps: int | None = None,
-) -> int:
-    """Step until ``t_end`` or the blockstep budget; returns steps taken."""
-    steps = 0
-    while True:
-        t_next, _ = integ.scheduler.next_block()
-        if t_next > t_end:
-            break
-        integ.step()
-        steps += 1
-        if max_blocksteps is not None and steps >= max_blocksteps:
-            break
-    return steps
+    Returns ``(block sizes, checkpoints, wall seconds)``; ``checkpoints``
+    maps each blockstep index in ``capture_at`` to the ``(system,
+    integrator state)`` a probe window resumes from.  ``params`` are
+    checked as a job's would be, and a parallel spec is refused rather
+    than priced as the serial run it is not.
+    """
+    validate_run_params({**params, "t_end": t_end}, "sample")
+    if params.get("algorithm") is not None:
+        raise ValueError(
+            f"sample: params.algorithm is {params['algorithm']!r} — the "
+            "estimator prices serial runs only"
+        )
+    t0 = time.perf_counter()
+    integ = build_integrator(
+        build_system(params), params, tracer=Tracer(enabled=False))
+    checkpoints: dict[int, tuple[Any, dict]] = {}
+    for stop in sorted(capture_at):
+        if stop > integ.stats.blocksteps:
+            integ.run(t_end, max_blocksteps=stop - integ.stats.blocksteps)
+        checkpoints[stop] = (integ.system.copy(), integ.state_dict())
+    integ.run(t_end)
+    wall_s = time.perf_counter() - t0
+    return [int(b) for b in integ.stats.block_sizes], checkpoints, wall_s
 
 
 def scout_schedule(params: dict[str, Any], t_end: float) -> tuple[list[int], float]:
-    """The functional pass: the full blockstep schedule, cheaply.
+    """The full blockstep schedule, cheaply: ``(block sizes, wall
+    seconds)`` of one :func:`_scout` pass.
 
-    Runs the workload on the direct-summation float64 backend with
-    telemetry off and returns ``(block sizes, wall seconds)``.  The
-    schedule depends only on the corrected timesteps, so this matches
+    The schedule depends only on the corrected timesteps, so this matches
     the expensive backend's schedule except where fixed-point force
     differences cross a power-of-two quantisation boundary (measured
     downstream as ``schedule_match``).
     """
-    t0 = time.perf_counter()
-    system = build_system(params)
-    integ = BlockTimestepIntegrator(
-        system,
-        eps2=resolve_eps2(params),
-        eta=float(params.get("eta", 0.02)),
-        backend=DirectSummation(resolve_eps2(params)),
-        tracer=Tracer(enabled=False),
-    )
-    _step_until(integ, t_end)
-    return [int(b) for b in integ.stats.block_sizes], time.perf_counter() - t0
+    sizes, _, wall_s = _scout(params, t_end)
+    return sizes, wall_s
+
+
+@dataclass
+class _Plan:
+    """What both estimator forms fix before any target-backend step:
+    the scouted schedule and the probe windows laid over it."""
+
+    params: dict[str, Any]
+    t_end: float
+    scout_sizes: list[int]
+    scout_wall_s: float
+    windows: list[tuple[int, int]]
+
+
+def _plan(params: dict[str, Any], t_end: float, min_prefix: int) -> _Plan:
+    """Scout the schedule, then spread :data:`DEFAULT_PREFIX_FRACTION`
+    of its blocksteps (at least ``min_prefix``) over the probe windows."""
+    sizes, _, wall_s = _scout(params, t_end)
+    budget = max(min_prefix, int(DEFAULT_PREFIX_FRACTION * len(sizes)))
+    return _Plan(dict(params), float(t_end), sizes, wall_s,
+                 probe_windows(len(sizes), budget))
 
 
 # -- probe windows ----------------------------------------------------------
@@ -322,7 +292,7 @@ def probe_windows(
     both ends instead of extrapolated from one.
     """
     if total < 1:
-        raise ValueError("schedule must have at least one blockstep")
+        raise ValueError("no blocksteps scheduled — nothing to sample")
     budget = max(1, min(budget, total))
     m = max(1, min(n_windows, budget))
     base = budget // m
@@ -340,85 +310,56 @@ def probe_windows(
     return windows
 
 
-def _scout_checkpoints(
-    params: dict[str, Any], t_end: float, starts: list[int]
-) -> tuple[dict[int, tuple[Any, dict]], float]:
-    """Second functional pass: capture ``(system, integrator state)``
-    checkpoints at the given blockstep indices (telemetry off, direct
-    backend — the schedule replays pass 1 deterministically)."""
-    wanted = {int(s) for s in starts}
-    t0 = time.perf_counter()
-    system = build_system(params)
-    integ = BlockTimestepIntegrator(
-        system,
-        eps2=resolve_eps2(params),
-        eta=float(params.get("eta", 0.02)),
-        backend=DirectSummation(resolve_eps2(params)),
-        tracer=Tracer(enabled=False),
-    )
-    checkpoints: dict[int, tuple[Any, dict]] = {}
-    steps = 0
-    if steps in wanted:
-        checkpoints[steps] = (integ.system.copy(), integ.state_dict())
-    while len(checkpoints) < len(wanted):
-        t_next, _ = integ.scheduler.next_block()
-        if t_next > t_end:
-            break
-        integ.step()
-        steps += 1
-        if steps in wanted:
-            checkpoints[steps] = (integ.system.copy(), integ.state_dict())
-    return checkpoints, time.perf_counter() - t0
+# -- recorded target-backend runs ---------------------------------------------
 
 
-@dataclass
-class _ProbeResult:
-    """Concatenated window signatures plus their regime clustering."""
-
-    signatures: list[PhaseSignature] = field(default_factory=list)
-    tracker: RegimeTracker | None = None
-    events: list[Any] = field(default_factory=list)
+def _recording_tracer(
+    keep_events: bool,
+) -> tuple[SignatureRecorder, list[Any], Tracer]:
+    """An enabled tracer feeding a fresh signature recorder, and the
+    list its span events land in (only kept for a timeline)."""
+    recorder, film = SignatureRecorder(), InMemorySink()
+    sinks = [recorder, film] if keep_events else [recorder]
+    return recorder, film.events, Tracer(enabled=True, sinks=sinks)
 
 
 def _run_probe_windows(
-    params: dict[str, Any],
-    t_end: float,
-    windows: list[tuple[int, int]],
-    checkpoints: dict[int, tuple[Any, dict]],
-    k_max: int,
-    spawn_distance: float,
-    hold: int,
-    keep_events: bool,
-) -> _ProbeResult:
-    """Resume the *target* backend from each scout checkpoint and run
-    that window's blocksteps under a signature recorder.
+    plan: _Plan, checkpoints: dict[int, tuple[Any, dict]], keep_events: bool
+) -> tuple[list[PhaseSignature], list[Any]]:
+    """Resume the target backend from each scout checkpoint and record
+    that window's blocksteps; returns the signatures (re-numbered to
+    their global blockstep indices) and, for a timeline, the span events.
 
     One backend instance serves every window (each blockstep re-uploads
-    the full j-side, so there is no stale state to carry over), and the
-    signatures are re-numbered to their global blockstep indices before
-    regime clustering.
+    the full j-side, so there is no stale state to carry over).
     """
-    backend = build_backend(params)
-    tracker = RegimeTracker(k_max=k_max, spawn_distance=spawn_distance, hold=hold)
-    out = _ProbeResult(tracker=tracker)
-    for start, length in windows:
-        if start not in checkpoints:
-            continue  # scout ended before this window (schedule mismatch)
-        system, state = checkpoints[start]
-        recorder = SignatureRecorder()
-        sink = InMemorySink() if keep_events else None
-        sinks: list[Any] = [recorder] + ([sink] if sink is not None else [])
+    backend = build_backend(plan.params)
+    signatures: list[PhaseSignature] = []
+    events: list[Any] = []
+    for start, length in plan.windows:
+        recorder, film, tracer = _recording_tracer(keep_events)
         integ = BlockTimestepIntegrator.from_state(
-            system, state, backend=backend, tracer=Tracer(enabled=True, sinks=sinks)
+            *checkpoints[start], backend=backend, tracer=tracer)
+        integ.run(plan.t_end, max_blocksteps=length)
+        signatures.extend(
+            replace(sig, blockstep=start + j)
+            for j, sig in enumerate(recorder.signatures)
         )
-        _step_until(integ, t_end, max_blocksteps=length)
-        for j, sig in enumerate(recorder.signatures):
-            sig = replace(sig, blockstep=start + j)
-            out.signatures.append(sig)
-            tracker.update(sig)
-        if sink is not None:
-            out.events.extend(sink.events)
-    return out
+        events.extend(film)
+    return signatures, events
+
+
+def _run_exhaustive(
+    plan: _Plan, keep_events: bool = False
+) -> tuple[list[PhaseSignature], list[Any]]:
+    """Record the whole target-backend run: the ground truth validation
+    slices its probe windows out of."""
+    recorder, film, tracer = _recording_tracer(keep_events)
+    integ = build_integrator(
+        build_system(plan.params), plan.params,
+        backend=build_backend(plan.params), tracer=tracer)
+    integ.run(plan.t_end)
+    return recorder.signatures, film
 
 
 # -- pricing ----------------------------------------------------------------
@@ -510,8 +451,6 @@ def _schedule_match(probe_sigs: list[PhaseSignature],
                     scout_sizes: list[int]) -> float:
     """Fraction of probed blocksteps whose size the scout predicted
     (matched by global blockstep index)."""
-    if not probe_sigs:
-        return 0.0
     hits = sum(
         1
         for sig in probe_sigs
@@ -524,123 +463,99 @@ def _schedule_match(probe_sigs: list[PhaseSignature],
 # -- the estimator ----------------------------------------------------------
 
 
-def sampled_estimate(
-    params: dict[str, Any],
-    t_end: float,
-    prefix_fraction: float = DEFAULT_PREFIX_FRACTION,
-    min_prefix: int = DEFAULT_MIN_PREFIX,
-    burn_in: int = DEFAULT_BURN_IN,
-    n_windows: int = DEFAULT_PROBE_WINDOWS,
-    k_max: int = 8,
-    spawn_distance: float = 0.6,
-    hold: int = 3,
-    n_bootstrap: int = DEFAULT_BOOTSTRAP,
-    bootstrap_seed: int = DEFAULT_BOOTSTRAP_SEED,
-    timeline: str | Path | None = None,
-    _scout: tuple[list[int], float] | None = None,
+def _cluster(signatures: list[PhaseSignature]) -> RegimeTracker:
+    """The regime clustering of a signature stream, in stream order."""
+    tracker = RegimeTracker()
+    for sig in signatures:
+        tracker.update(sig)
+    return tracker
+
+
+def _assemble(
+    plan: _Plan, probe_sigs: list[PhaseSignature], n_bootstrap: int, wall_t0: float
 ) -> SampledEstimate:
-    """Estimate the full-run blockstep wall time of ``params``'s
-    workload, simulating only probe windows on its (expensive) backend.
-
-    The probe budget is ``prefix_fraction`` of the scouted blockstep
-    count, floored at ``min_prefix`` and split into ``n_windows``
-    windows spread over the schedule; the estimator never sees ground
-    truth.  ``timeline`` writes the probe's span film with the regime
-    lane attached.
-    """
-    if not 0.0 < prefix_fraction <= 1.0:
-        raise ValueError("prefix_fraction must be in (0, 1]")
-    wall_t0 = time.perf_counter()
-    scout_sizes, scout_wall_s = (
-        _scout if _scout is not None else scout_schedule(params, t_end)
-    )
-    if not scout_sizes:
-        raise ValueError(
-            f"workload has no blocksteps before t_end={t_end} — nothing to sample"
-        )
-    budget = min(
-        max(min_prefix, int(prefix_fraction * len(scout_sizes))),
-        len(scout_sizes),
-    )
-    windows = probe_windows(len(scout_sizes), budget, n_windows)
-    checkpoints, ckpt_wall_s = _scout_checkpoints(
-        params, t_end, [start for start, _ in windows]
-    )
-
-    probe = _run_probe_windows(
-        params,
-        t_end,
-        windows,
-        checkpoints,
-        k_max=k_max,
-        spawn_distance=spawn_distance,
-        hold=hold,
-        keep_events=timeline is not None,
-    )
-    probe_sigs = probe.signatures
-    if not probe_sigs:
-        raise ValueError("probe pass produced no blocksteps")
-    prefix_wall_us = float(sum(s.wall_us for s in probe_sigs))
-
+    """Cluster the probe signatures, price every unprobed scouted
+    blockstep by its regime and add the measured probe time."""
+    tracker = _cluster(probe_sigs)
     probed = {sig.blockstep for sig in probe_sigs}
-    remainder = [
-        size for i, size in enumerate(scout_sizes) if i not in probed
-    ]
+    remainder = [b for i, b in enumerate(plan.scout_sizes) if i not in probed]
     remainder_us, ci_low_r, ci_high_r, regimes = _price_schedule(
-        probe_sigs,
-        probe.tracker,
-        remainder,
-        n=int(params["n"]),
-        burn_in=burn_in,
-        n_bootstrap=n_bootstrap,
-        bootstrap_seed=bootstrap_seed,
+        probe_sigs, tracker, remainder, n=int(plan.params["n"]),
+        burn_in=DEFAULT_BURN_IN, n_bootstrap=n_bootstrap,
+        bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
     )
-
-    estimate = SampledEstimate(
-        params=dict(params),
-        t_end=float(t_end),
-        scout_blocksteps=len(scout_sizes),
-        scout_wall_s=float(scout_wall_s + ckpt_wall_s),
+    prefix_wall_us = float(sum(s.wall_us for s in probe_sigs))
+    return SampledEstimate(
+        params=plan.params,
+        t_end=plan.t_end,
+        scout_blocksteps=len(plan.scout_sizes),
+        scout_wall_s=float(plan.scout_wall_s),
         prefix_blocksteps=len(probe_sigs),
         prefix_wall_us=prefix_wall_us,
         projected_blocksteps=len(remainder),
-        schedule_match=_schedule_match(probe_sigs, scout_sizes),
+        schedule_match=_schedule_match(probe_sigs, plan.scout_sizes),
         estimated_total_us=prefix_wall_us + remainder_us,
         ci_low_us=prefix_wall_us + ci_low_r,
         ci_high_us=prefix_wall_us + ci_high_r,
         regimes=regimes,
-        summary=probe.tracker.summary(),
-        windows=[[int(s), int(ln)] for s, ln in windows],
+        summary=tracker.summary(),
+        windows=[list(window) for window in plan.windows],
         n_bootstrap=int(n_bootstrap),
-        bootstrap_seed=int(bootstrap_seed),
+        bootstrap_seed=DEFAULT_BOOTSTRAP_SEED,
         estimator_wall_s=time.perf_counter() - wall_t0,
     )
 
-    if timeline is not None and probe.events:
+
+def _write_film(
+    timeline: str | Path | None,
+    events: list[Any],
+    signatures: list[PhaseSignature],
+    plan: _Plan,
+    **metadata: Any,
+) -> None:
+    """The span film of a recorded run with its regime lane attached."""
+    if timeline is not None and events:
         write_timeline(
-            timeline,
-            probe.events,
-            metadata={"kind": SAMPLE_KIND, "params": dict(params),
-                      "t_end": float(t_end)},
-            extra_events=regime_trace_events(probe.tracker),
+            timeline, events,
+            metadata={"kind": SAMPLE_KIND, "params": plan.params,
+                      "t_end": plan.t_end, **metadata},
+            extra_events=regime_trace_events(_cluster(signatures)),
         )
+
+
+def sampled_estimate(
+    params: dict[str, Any],
+    t_end: float,
+    min_prefix: int = DEFAULT_MIN_PREFIX,
+    n_bootstrap: int = DEFAULT_BOOTSTRAP,
+    timeline: str | Path | None = None,
+) -> SampledEstimate:
+    """Estimate the blockstep wall time of the run the service would
+    execute from ``params`` (a serial ``repro.job/1`` run description),
+    simulating only probe windows on its (expensive) backend.
+
+    The windows resume from checkpoints a second scout pass captures at
+    their starts; the estimator never sees ground truth.  ``timeline``
+    writes the probe's span film with the regime lane attached.
+    """
+    wall_t0 = time.perf_counter()
+    plan = _plan(params, t_end, min_prefix)
+    _, checkpoints, ckpt_wall_s = _scout(
+        params, t_end, capture_at=tuple(start for start, _ in plan.windows))
+    plan.scout_wall_s += ckpt_wall_s
+    probe_sigs, events = _run_probe_windows(
+        plan, checkpoints, keep_events=timeline is not None)
+    estimate = _assemble(plan, probe_sigs, n_bootstrap, wall_t0)
+    _write_film(timeline, events, probe_sigs, plan)
     return estimate
 
 
 def validate_sampling(
     params: dict[str, Any],
     t_end: float,
-    prefix_fraction: float = DEFAULT_PREFIX_FRACTION,
     min_prefix: int = DEFAULT_MIN_PREFIX,
-    burn_in: int = DEFAULT_BURN_IN,
-    n_windows: int = DEFAULT_PROBE_WINDOWS,
     repeats: int = DEFAULT_VALIDATE_REPEATS,
-    warmup: bool = True,
-    k_max: int = 8,
-    spawn_distance: float = 0.6,
-    hold: int = 3,
     n_bootstrap: int = DEFAULT_BOOTSTRAP,
-    bootstrap_seed: int = DEFAULT_BOOTSTRAP_SEED,
     timeline: str | Path | None = None,
 ) -> SampledEstimate:
     """Sampled-vs-exhaustive validation; attaches a ``validation``
@@ -649,126 +564,44 @@ def validate_sampling(
     Each repeat runs the target workload **exhaustively** and replays
     the estimator against the same window slices of that run: the
     estimator sees exactly what a standalone :func:`sampled_estimate`
-    would have measured (scouted schedule, ``prefix_fraction`` of
-    blocksteps in ``n_windows`` windows), but prediction and ground
+    would have measured (the same plan), but prediction and ground
     truth come from the same measurement window, so the reported error
     is the estimator's, not the machine's minute-to-minute drift.  The
     headline number is the **median** relative error over ``repeats``;
     individual errors are kept so a noisy outlier stays visible.
     """
-    scout = scout_schedule(params, t_end)
-    scout_sizes, scout_wall_s = scout
-    if not scout_sizes:
-        raise ValueError(
-            f"workload has no blocksteps before t_end={t_end} — nothing to sample"
-        )
-    budget = min(
-        max(min_prefix, int(prefix_fraction * len(scout_sizes))),
-        len(scout_sizes),
-    )
-    windows = probe_windows(len(scout_sizes), budget, n_windows)
+    plan = _plan(params, t_end, min_prefix)
+    # warm-up: allocator, caches and clock governor settle outside
+    # every measured repeat
+    _run_exhaustive(plan)
 
-    if warmup:
-        run = _build_run(params)
-        _step_until(run.integrator, t_end)
-
+    repeats = max(repeats, 1)
     errors: list[float] = []
     totals: list[float] = []
     covers: list[bool] = []
-    estimate: SampledEstimate | None = None
-    measured_blocksteps = 0
-    probe_blocksteps = 0
-    for _ in range(max(repeats, 1)):
+    for _ in range(repeats):
         wall_t0 = time.perf_counter()
-        run = _build_run(
-            params,
-            k_max=k_max,
-            spawn_distance=spawn_distance,
-            hold=hold,
-            keep_events=timeline is not None,
-        )
-        _step_until(run.integrator, t_end)
-        sigs = run.recorder.signatures
+        sigs, events = _run_exhaustive(plan, keep_events=timeline is not None)
         measured_us = float(sum(s.wall_us for s in sigs))
-        measured_blocksteps = len(sigs)
-
-        # replay the estimator against this run's own window slices
-        probe_sigs = [
-            sigs[i]
-            for start, length in windows
-            for i in range(start, min(start + length, len(sigs)))
-        ]
-        probe_blocksteps = len(probe_sigs)
-        probe_tracker = RegimeTracker(
-            k_max=k_max, spawn_distance=spawn_distance, hold=hold
+        estimate = _assemble(
+            plan,
+            [sig for start, length in plan.windows
+             for sig in sigs[start:start + length]],
+            n_bootstrap,
+            wall_t0,
         )
-        for sig in probe_sigs:
-            probe_tracker.update(sig)
-        prefix_wall_us = float(sum(s.wall_us for s in probe_sigs))
-        probed = {sig.blockstep for sig in probe_sigs}
-        remainder = [
-            scout_sizes[i] if i < len(scout_sizes) else sigs[i].block_size
-            for i in range(len(sigs))
-            if i not in probed
-        ]
-        remainder_us, ci_low_r, ci_high_r, regimes = _price_schedule(
-            probe_sigs,
-            probe_tracker,
-            remainder,
-            n=int(run.integrator.system.n),
-            burn_in=burn_in,
-            n_bootstrap=n_bootstrap,
-            bootstrap_seed=bootstrap_seed,
-        )
-        estimated = prefix_wall_us + remainder_us
-        ci_low = prefix_wall_us + ci_low_r
-        ci_high = prefix_wall_us + ci_high_r
         errors.append(
-            abs(estimated - measured_us) / measured_us
-            if measured_us > 0
-            else float("inf")
-        )
+            abs(estimate.estimated_total_us - measured_us) / measured_us)
         totals.append(measured_us)
-        covers.append(ci_low <= measured_us <= ci_high)
-        estimate = SampledEstimate(
-            params=dict(params),
-            t_end=float(t_end),
-            scout_blocksteps=len(scout_sizes),
-            scout_wall_s=float(scout_wall_s),
-            prefix_blocksteps=len(probe_sigs),
-            prefix_wall_us=prefix_wall_us,
-            projected_blocksteps=len(remainder),
-            schedule_match=_schedule_match(probe_sigs, scout_sizes),
-            estimated_total_us=estimated,
-            ci_low_us=ci_low,
-            ci_high_us=ci_high,
-            regimes=regimes,
-            summary=probe_tracker.summary(),
-            windows=[[int(s), int(ln)] for s, ln in windows],
-            n_bootstrap=int(n_bootstrap),
-            bootstrap_seed=int(bootstrap_seed),
-            estimator_wall_s=time.perf_counter() - wall_t0,
-        )
-        if timeline is not None and run.sink is not None:
-            write_timeline(
-                timeline,
-                run.sink.events,
-                metadata={"kind": SAMPLE_KIND, "params": dict(params),
-                          "t_end": float(t_end), "validation": True},
-                extra_events=regime_trace_events(run.tracker),
-            )
-    assert estimate is not None
+        covers.append(estimate.ci_low_us <= measured_us <= estimate.ci_high_us)
+    _write_film(timeline, events, sigs, plan, validation=True)  # the last repeat's
     estimate.validation = {
-        "repeats": int(max(repeats, 1)),
+        "repeats": repeats,
         "errors": errors,
         "median_rel_error": float(np.median(errors)),
         "measured_total_us": float(np.median(totals)),
-        "measured_blocksteps": measured_blocksteps,
-        "simulated_fraction": (
-            estimate.prefix_blocksteps / measured_blocksteps
-            if measured_blocksteps
-            else 0.0
-        ),
+        "measured_blocksteps": len(sigs),
+        "simulated_fraction": estimate.prefix_blocksteps / len(sigs),
         "ci_covers": int(sum(covers)),
     }
     return estimate

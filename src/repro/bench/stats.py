@@ -54,11 +54,6 @@ class TrialStats:
     def iqr(self) -> float:
         return self.q3 - self.q1
 
-    @property
-    def rel_iqr(self) -> float:
-        """IQR relative to the median — the artifact's noise figure."""
-        return self.iqr / self.median if self.median > 0 else 0.0
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "n": self.n,
@@ -71,19 +66,6 @@ class TrialStats:
             "q3": self.q3,
             "iqr": self.iqr,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "TrialStats":
-        return cls(
-            n=int(d["n"]),
-            min=float(d["min"]),
-            max=float(d["max"]),
-            mean=float(d["mean"]),
-            std=float(d["std"]),
-            median=float(d["median"]),
-            q1=float(d["q1"]),
-            q3=float(d["q3"]),
-        )
 
 
 def trial_stats(values: Sequence[float]) -> TrialStats:

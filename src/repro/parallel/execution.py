@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from multiprocessing import get_context, shared_memory
@@ -538,6 +539,35 @@ class ProcessBackend(ExecutionBackend):
             pass
 
 
+def parse_backend_spec(spec: Any) -> tuple[str, int | None]:
+    """Split a backend spec string into ``(name, workers | None)``.
+
+    ``spec`` is a name from :data:`EXEC_BACKENDS` with an optional
+    ``:N`` worker count, ``N`` a plain decimal integer >= 1
+    (``"process:4"``).  Anything else — an unknown name, ``"thread:0"``,
+    ``"thread:+2"``, ``"thread: 2"``, ``"thread:2_0"`` — is a
+    ``ValueError`` naming the offending spec, raised before any pool or
+    thread exists.  The one parser: :func:`resolve_backend` builds from
+    its result and the job-spec validator only calls it.
+    """
+    if not isinstance(spec, str):
+        raise ValueError(f"not an execution backend: {spec!r}")
+    name, colon, suffix = spec.partition(":")
+    if name not in EXEC_BACKENDS:
+        raise ValueError(
+            f"unknown execution backend {name!r} in spec {spec!r} "
+            f"(have {', '.join(EXEC_BACKENDS)})"
+        )
+    if not colon:
+        return name, None
+    if not re.fullmatch(r"[1-9][0-9]*", suffix):
+        raise ValueError(
+            f"malformed or non-positive worker count in backend spec "
+            f"{spec!r} (need a plain decimal integer >= 1)"
+        )
+    return name, int(suffix)
+
+
 def resolve_backend(
     spec: "str | ExecutionBackend | None",
     workers: int | None = None,
@@ -545,39 +575,15 @@ def resolve_backend(
     """Build (or pass through) an execution backend.
 
     ``spec`` is an :class:`ExecutionBackend` instance, ``None``
-    (inline), or a string ``"inline" | "thread" | "process"`` with an
-    optional ``:N`` worker-count suffix (``"process:4"``); an explicit
-    suffix wins over the ``workers`` argument.  A non-positive worker
-    count (``"thread:0"``, ``"process:-1"``) is rejected up front with
-    the offending spec named, instead of surfacing later as a bare
-    pool-construction error.
+    (inline), or a spec string as :func:`parse_backend_spec` reads it;
+    an explicit ``:N`` suffix wins over the ``workers`` argument.
     """
     if isinstance(spec, ExecutionBackend):
         return spec
     if spec is None:
         return InlineBackend()
-    if not isinstance(spec, str):
-        raise ValueError(f"not an execution backend: {spec!r}")
-    name, _, suffix = spec.partition(":")
-    if suffix:
-        try:
-            workers = int(suffix)
-        except ValueError:
-            raise ValueError(
-                f"bad worker count in backend spec {spec!r}"
-            ) from None
-        if workers < 1:
-            raise ValueError(
-                f"non-positive worker count in backend spec {spec!r} "
-                "(need at least 1)"
-            )
+    name, suffix = parse_backend_spec(spec)
     if name == "inline":
         return InlineBackend()
-    if name == "thread":
-        return ThreadBackend(workers)
-    if name == "process":
-        return ProcessBackend(workers)
-    raise ValueError(
-        f"unknown execution backend {name!r} "
-        f"(have {', '.join(EXEC_BACKENDS)})"
-    )
+    cls = ThreadBackend if name == "thread" else ProcessBackend
+    return cls(workers if suffix is None else suffix)

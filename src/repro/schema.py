@@ -8,8 +8,10 @@ use it.  A **rule** says what one value must be:
 * ``None`` — anything, but present;
 * a type (``str``, ``int``, ``list``, ``dict``) — an instance of it
   (``int`` refuses ``bool``);
-* :data:`FINITE`, :data:`NONNEG`, :func:`number` — a finite number
-  (inside a closed interval);
+* :data:`FINITE`, :data:`NONNEG`, :data:`POSITIVE`, :func:`number`,
+  :func:`integer` — a finite number (an integer) inside a closed
+  interval; a ``bool`` is never a number;
+* :func:`one_of` — one of an enumeration of values;
 * :func:`opt` — the inner rule, unless the key is absent or ``None``;
 * :func:`list_of` — a list whose items each satisfy a rule;
 * a ``dict`` — an **object spec** with any of the keys ``what`` (the
@@ -39,11 +41,23 @@ _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list",
 
 def number(lo: float = -math.inf, hi: float = math.inf, slack: float = 0.0) -> tuple:
     """A finite number inside ``[lo, hi]``, give or take ``slack``."""
-    return ("number", lo, hi, slack)
+    return ("number", lo, hi, slack, False)
+
+
+def integer(lo: float = -math.inf, hi: float = math.inf) -> tuple:
+    """An integer inside ``[lo, hi]``."""
+    return ("number", lo, hi, 0.0, True)
 
 
 FINITE = number()
 NONNEG = number(0.0)
+#: Strictly positive: the closed bound is the smallest float above zero.
+POSITIVE = number(math.ulp(0.0))
+
+
+def one_of(values: Any) -> tuple:
+    """One of ``values`` (any iterable of names; a mapping gives its keys)."""
+    return ("one_of", tuple(values))
 
 
 def opt(rule: Any) -> tuple:
@@ -92,13 +106,21 @@ def _check(value: Any, rule: Any, where: str) -> None:
                 f"{where} must be a {'non-empty ' if nonempty else ''}list")
         for i, entry in enumerate(value):
             _check(entry, item, f"{where}[{i}]")
+    elif rule[0] == "one_of":
+        if value not in rule[1]:
+            raise _Mismatch(
+                f"{where} {value!r} not one of {', '.join(map(str, rule[1]))}")
     else:
-        _, lo, hi, slack = rule
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise _Mismatch(f"{where} must be a finite number")
+        _, lo, hi, slack, integral = rule
+        if (isinstance(value, bool)
+                or not isinstance(value, int if integral else (int, float))
+                or not math.isfinite(value)):
+            raise _Mismatch(f"{where} must be "
+                            f"{'an integer' if integral else 'a finite number'}")
         if not lo - slack <= value <= hi + slack:
             raise _Mismatch(
                 f"{where} is negative" if value < 0.0 <= lo
+                else f"{where} must be positive" if rule is POSITIVE
                 else f"{where} {value} outside [{lo:g}, {hi:g}]")
 
 

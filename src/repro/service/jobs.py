@@ -29,18 +29,23 @@ creates)::
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
+from ..config import NIC_NS83820, NICS
+from ..core.individual import BlockTimestepIntegrator
 from ..core.particles import ParticleSystem
 from ..core.softening import constant_softening
+from ..core.timestep import DEFAULT_ETA, DEFAULT_ETA_START
 from ..io.runlog import write_json_atomic
-from ..schema import check
+from ..parallel.execution import parse_backend_spec
+from ..schema import NONNEG, POSITIVE, check, integer, one_of, opt
 from ..models import (
     cold_sphere,
     king_model,
@@ -166,7 +171,7 @@ class JobSpec:
         if spec.notes is not None and not isinstance(spec.notes, str):
             raise JobError(f"{source}: 'notes' must be a string")
         if kind == "run":
-            _validate_run_params(spec.params, source)
+            validate_run_params(spec.params, source)
         elif kind == "sweep":
             if not isinstance(spec.params.get("suite", "smoke"), str):
                 raise JobError(f"{source}: sweep 'suite' must be a string")
@@ -185,75 +190,92 @@ class JobSpec:
 RUN_ALGORITHMS = ("copy", "ring", "grid2d")
 
 
-def _validate_exec_backend(spec: str, source: str) -> None:
-    """Check an execution-backend spec string (``name`` or ``name:N``)."""
-    if not isinstance(spec, str):
-        raise JobError(f"{source}: 'exec_backend' must be a string")
-    name, _, suffix = spec.partition(":")
-    if name not in ("inline", "thread", "process"):
-        raise JobError(
-            f"{source}: exec_backend {name!r} not one of "
-            "inline, thread, process"
-        )
-    if suffix and (not suffix.isdigit() or int(suffix) < 1):
-        raise JobError(
-            f"{source}: exec_backend worker count {suffix!r} must be a "
-            "positive integer"
-        )
+class Param(NamedTuple):
+    """One run parameter: the rule a value must satisfy
+    (:mod:`repro.schema` vocabulary) and what an absent one means."""
+
+    rule: Any
+    default: Any = None
 
 
-def _validate_run_params(params: dict[str, Any], source: str) -> None:
-    model = params.get("model", "plummer")
-    if model not in MODELS:
-        raise JobError(
-            f"{source}: model {model!r} not one of {', '.join(sorted(MODELS))}"
-        )
-    n = params.get("n")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise JobError(f"{source}: run 'n' must be an int >= 2")
-    t_end = params.get("t_end")
-    if isinstance(t_end, bool) or not isinstance(t_end, (int, float)) or t_end <= 0:
-        raise JobError(f"{source}: run 't_end' must be a positive number")
-    backend = params.get("backend", "direct")
-    if backend not in ("direct", "grape"):
-        raise JobError(f"{source}: backend {backend!r} not 'direct' or 'grape'")
-    mode = params.get("emulation_mode", "batched")
-    if mode not in ("batched", "faithful"):
-        raise JobError(
-            f"{source}: emulation_mode {mode!r} not 'batched' or 'faithful'"
-        )
+_CORE_DEFAULTS = inspect.signature(BlockTimestepIntegrator.__init__).parameters
+
+#: What a ``run`` job's ``params`` may say, and the only statement of
+#: it: :func:`validate_run_params` checks a document against the rules,
+#: every builder below reads absent keys through :func:`run_param`, and
+#: the table in ``docs/service.md`` is pinned to the key set.  ``n`` and
+#: ``t_end`` are required; an absent ``eps`` is the paper's constant
+#: law (:func:`resolve_eps2`), an absent ``algorithm`` a serial run.
+RUN_PARAMS: dict[str, Param] = {
+    "model": Param(opt(one_of(MODELS)), "plummer"),
+    "model_args": Param(opt(dict), {}),
+    "n": Param(integer(2)),
+    "seed": Param(opt(integer(0)), 1),
+    "t_end": Param(POSITIVE),
+    "eta": Param(opt(POSITIVE), DEFAULT_ETA),
+    "eta_start": Param(opt(POSITIVE), DEFAULT_ETA_START),
+    "dt_max": Param(opt(POSITIVE), _CORE_DEFAULTS["dt_max"].default),
+    "dt_min": Param(opt(POSITIVE), _CORE_DEFAULTS["dt_min"].default),
+    "eps": Param(opt(NONNEG)),
+    "backend": Param(opt(one_of(("direct", "grape"))), "direct"),
+    "boards": Param(opt(integer(1)), 1),
+    "emulation_mode": Param(opt(one_of(("batched", "faithful"))), "batched"),
+    "algorithm": Param(opt(one_of(RUN_ALGORITHMS))),
+    "ranks": Param(opt(integer(1)), 2),
+    "nic": Param(opt(one_of(NICS)), NIC_NS83820.name),
+}
+
+
+def run_param(params: dict[str, Any], key: str) -> Any:
+    """``params[key]``, or the table's default where it is absent."""
+    value = params.get(key)
+    return RUN_PARAMS[key].default if value is None else value
+
+
+def _cross_field_rules(params: dict[str, Any]) -> str | None:
+    """The cross-field rules (each field already satisfies its own)."""
+    dt_min, dt_max = run_param(params, "dt_min"), run_param(params, "dt_max")
+    if dt_min > dt_max:
+        return f"dt_min {dt_min:g} exceeds dt_max {dt_max:g}"
     algorithm = params.get("algorithm")
     if algorithm is None:
-        if "ranks" in params:
-            raise JobError(
-                f"{source}: run 'ranks' needs an 'algorithm' "
-                f"({', '.join(RUN_ALGORITHMS)})"
-            )
-        return
-    if algorithm not in RUN_ALGORITHMS:
-        raise JobError(
-            f"{source}: algorithm {algorithm!r} not one of "
-            f"{', '.join(RUN_ALGORITHMS)}"
-        )
-    if backend != "direct":
-        raise JobError(
-            f"{source}: parallel algorithms require backend 'direct'"
-        )
-    ranks = params.get("ranks", 2)
-    if isinstance(ranks, bool) or not isinstance(ranks, int) or ranks < 1:
-        raise JobError(f"{source}: run 'ranks' must be an int >= 1")
+        if params.get("ranks") is not None:
+            return ("'ranks' needs an 'algorithm' "
+                    f"({', '.join(RUN_ALGORITHMS)})")
+        return None
+    if run_param(params, "backend") != "direct":
+        return "parallel algorithms require backend 'direct'"
+    ranks = run_param(params, "ranks")
     if algorithm == "grid2d" and int(ranks ** 0.5 + 0.5) ** 2 != ranks:
-        raise JobError(
-            f"{source}: grid2d needs a square rank count, got {ranks}"
-        )
-    nic = params.get("nic")
-    if nic is not None:
-        from ..config import NICS
+        return f"grid2d needs a square rank count, got {ranks}"
+    return None
 
-        if nic not in NICS:
+
+_RUN_SPEC = {"fields": {"params": {
+    "fields": {key: param.rule for key, param in RUN_PARAMS.items()},
+    "rules": (_cross_field_rules,),
+}}}
+
+
+def validate_run_params(params: dict[str, Any], source: str) -> None:
+    """Refuse (``JobError``, naming ``params.<key>``) a run description
+    the builders below could not construct."""
+    for key in params:
+        if key not in RUN_PARAMS:
             raise JobError(
-                f"{source}: nic {nic!r} not one of {', '.join(sorted(NICS))}"
+                f"{source}: params.{key} is not a run parameter "
+                f"(have {', '.join(RUN_PARAMS)})"
             )
+    check({"params": params}, _RUN_SPEC, source, JobError)
+
+
+def _validate_exec_backend(spec: Any, source: str) -> None:
+    """Check an execution-backend spec string (``name`` or ``name:N``)
+    with the resolver's own parser; builds no pool or thread."""
+    try:
+        parse_backend_spec(spec)
+    except ValueError as exc:
+        raise JobError(f"{source}: exec_backend: {exc}") from None
 
 
 def load_job(path: str | Path) -> JobSpec:
@@ -343,15 +365,9 @@ def read_state(paths: JobPaths) -> dict[str, Any]:
 
 def build_system(params: dict[str, Any]) -> ParticleSystem:
     """Sample the run job's initial model (seeded, reproducible)."""
-    name = params.get("model", "plummer")
-    try:
-        model = MODELS[name]
-    except KeyError:
-        raise JobError(
-            f"unknown model {name!r} (have {', '.join(sorted(MODELS))})"
-        ) from None
-    kwargs = dict(params.get("model_args", {}))
-    return model(params["n"], seed=params.get("seed", 1), **kwargs)
+    model = MODELS[run_param(params, "model")]
+    return model(params["n"], seed=run_param(params, "seed"),
+                 **run_param(params, "model_args"))
 
 
 def resolve_eps2(params: dict[str, Any]) -> float:
@@ -365,14 +381,14 @@ def resolve_eps2(params: dict[str, Any]) -> float:
 
 def build_backend(params: dict[str, Any]):
     """The force backend the spec asks for (None = direct float64)."""
-    if params.get("backend", "direct") != "grape":
+    if run_param(params, "backend") != "grape":
         return None
     from ..hardware.system import Grape6Emulator
 
     return Grape6Emulator(
         resolve_eps2(params),
-        boards=int(params.get("boards", 1)),
-        emulation_mode=params.get("emulation_mode", "batched"),
+        boards=int(run_param(params, "boards")),
+        emulation_mode=run_param(params, "emulation_mode"),
     )
 
 
@@ -388,7 +404,6 @@ def build_parallel(params: dict[str, Any], exec_backend: str = "inline"):
     algorithm = params.get("algorithm")
     if algorithm is None:
         return None
-    from ..config import NICS, NIC_NS83820
     from ..parallel import (
         CopyAlgorithm,
         Grid2DAlgorithm,
@@ -396,12 +411,40 @@ def build_parallel(params: dict[str, Any], exec_backend: str = "inline"):
         SimNetwork,
     )
 
-    eps2 = resolve_eps2(params)
-    nic = NICS[params["nic"]] if params.get("nic") else NIC_NS83820
-    network = SimNetwork(int(params.get("ranks", 2)), nic)
+    network = SimNetwork(
+        int(run_param(params, "ranks")), NICS[run_param(params, "nic")])
     cls = {
         "copy": CopyAlgorithm,
         "ring": RingAlgorithm,
         "grid2d": Grid2DAlgorithm,
     }[algorithm]
-    return cls(network, eps2, executor=exec_backend)
+    return cls(network, resolve_eps2(params), executor=exec_backend)
+
+
+def build_integrator(
+    system: ParticleSystem,
+    params: dict[str, Any],
+    *,
+    backend=None,
+    algorithm=None,
+    tracer=None,
+) -> BlockTimestepIntegrator:
+    """The integrator ``params`` describe, started on ``system``.
+
+    The one place a run description becomes a constructor call, so the
+    supervisor and the sampled-run estimator cannot mean different runs
+    by the same ``params``.  ``backend`` is the force backend (None =
+    direct float64 summation, as :func:`build_backend` returns for a
+    direct spec); ``algorithm`` (from :func:`build_parallel`) makes it
+    the parallel driver instead.
+    """
+    accuracy = {key: float(run_param(params, key))
+                for key in ("eta", "eta_start", "dt_max", "dt_min")}
+    eps2 = resolve_eps2(params)
+    if algorithm is not None:
+        from ..parallel.driver import ParallelBlockIntegrator
+
+        return ParallelBlockIntegrator(
+            system, eps2, algorithm, tracer=tracer, **accuracy)
+    return BlockTimestepIntegrator(
+        system, eps2=eps2, backend=backend, tracer=tracer, **accuracy)

@@ -37,7 +37,6 @@ from typing import Any, IO
 import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
-from ..core.timestep import DEFAULT_ETA, DEFAULT_ETA_START
 from ..io.checkpoint import (
     checkpoint_provenance,
     read_checkpoint,
@@ -63,11 +62,12 @@ from .jobs import (
     JobPaths,
     JobSpec,
     build_backend,
+    build_integrator,
     build_parallel,
     build_system,
     load_job,
     read_state,
-    resolve_eps2,
+    run_param,
     write_state,
 )
 from .records import (
@@ -224,32 +224,11 @@ class Supervisor:
                 resume_provenance=checkpoint_provenance(),
             )
         else:
-            system = build_system(params)
-            if algorithm is not None:
-                from ..parallel.driver import ParallelBlockIntegrator
-
-                integ = ParallelBlockIntegrator(
-                    system,
-                    resolve_eps2(params),
-                    algorithm,
-                    eta=float(params.get("eta", DEFAULT_ETA)),
-                    eta_start=float(params.get("eta_start", DEFAULT_ETA_START)),
-                    dt_max=float(params.get("dt_max", 0.125)),
-                    dt_min=float(params.get("dt_min", 2.0**-40)),
-                    tracer=tracer,
-                )
-            else:
-                integ = BlockTimestepIntegrator(
-                    system,
-                    eps2=resolve_eps2(params),
-                    eta=float(params.get("eta", DEFAULT_ETA)),
-                    eta_start=float(params.get("eta_start", DEFAULT_ETA_START)),
-                    backend=backend,
-                    dt_max=float(params.get("dt_max", 0.125)),
-                    dt_min=float(params.get("dt_min", 2.0**-40)),
-                    tracer=tracer,
-                )
-            rng = np.random.default_rng(params.get("seed", 1))
+            integ = build_integrator(
+                build_system(params), params,
+                backend=backend, algorithm=algorithm, tracer=tracer,
+            )
+            rng = np.random.default_rng(run_param(params, "seed"))
             wall_consumed = 0.0
 
         if ranks is not None and hasattr(integ, "observe_ranks"):

@@ -82,7 +82,6 @@ from .signatures import (
     normalise_shares,
     regime_trace_events,
     schedule_signature,
-    signatures_from_events,
     validate_signature_summary,
 )
 from .sampler import (
@@ -93,7 +92,6 @@ from .sampler import (
     SamplerReport,
     SamplingProfiler,
     attribute_sample,
-    sample_records,
 )
 from .timeline import (
     TRACE_PIDS,
@@ -126,7 +124,6 @@ from .ranks import (
     RankError,
     RankLedger,
     rank_trace_events,
-    ranks_from_reports,
     validate_rank_record,
     validate_rank_section,
 )
@@ -194,7 +191,6 @@ __all__ = [
     "normalise_shares",
     "regime_trace_events",
     "schedule_signature",
-    "signatures_from_events",
     "validate_signature_summary",
     "render_breakdown",
     "render_metrics",
@@ -203,7 +199,6 @@ __all__ = [
     "Sample",
     "SamplerReport",
     "attribute_sample",
-    "sample_records",
     "SOURCE_SPAN",
     "SOURCE_FRAMES",
     "SOURCE_NONE",
@@ -231,7 +226,6 @@ __all__ = [
     "RANK_PID",
     "IDLE_BUCKETS",
     "rank_trace_events",
-    "ranks_from_reports",
     "validate_rank_record",
     "validate_rank_section",
     "HEADLINE",

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from ..schema import (
     FINITE,
@@ -758,16 +758,3 @@ def rank_trace_events(ledger: RankLedger) -> list[dict[str, Any]]:
         ))
     return trace_lane(RANK_PID, "ranks (real clock)", events)
 
-
-# -- convenience -------------------------------------------------------------
-
-
-def ranks_from_reports(
-    reports: Iterable[dict[str, Any]], **ledger_kwargs: Any
-) -> RankLedger:
-    """Replay retained dispatch reports through a fresh ledger (one
-    blockstep per report batch is *not* assumed — callers advance)."""
-    ledger = RankLedger(**ledger_kwargs)
-    for rep in reports:
-        ledger.observe(rep)
-    return ledger

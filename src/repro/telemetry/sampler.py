@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..io.tables import format_table
 from .phases import PAPER_PHASE_NAMES, PHASES, T_OTHER, resolve_phase
@@ -80,15 +80,6 @@ class Sample:
     source: str
     #: span name (span source) or "file:func" (frame source) that won.
     label: str
-
-    def as_record(self) -> dict[str, Any]:
-        return {
-            "t_us": self.t_us,
-            "thread_id": self.thread_id,
-            "phase": self.phase,
-            "source": self.source,
-            "label": self.label,
-        }
 
 
 @dataclass
@@ -335,7 +326,3 @@ class SamplingProfiler:
             label_counts=label_counts,
         )
 
-
-def sample_records(samples: Iterable[Sample]) -> list[dict[str, Any]]:
-    """JSON-ready dump of a sample list (runlogs, timeline export)."""
-    return [s.as_record() for s in samples]

@@ -38,12 +38,12 @@ alone, which is all a dry-run of the scheduler can know.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
 from ..schema import Column, Section, check, list_of, number, opt
-from .phases import PHASES, BlockstepRecord, SpanFold, replay
+from .phases import PHASES, BlockstepRecord, SpanFold
 from .timeline import TRACE_PIDS, trace_event, trace_lane
 from .tracer import SpanEvent
 
@@ -562,15 +562,6 @@ def regime_trace_events(tracker: RegimeTracker) -> list[dict[str, Any]]:
 
 
 # -- convenience ------------------------------------------------------------
-
-
-def signatures_from_events(
-    events: Iterable[SpanEvent], **recorder_kwargs: Any
-) -> list[PhaseSignature]:
-    """Replay a retained event list through a fresh recorder."""
-    rec = SignatureRecorder(**recorder_kwargs)
-    replay(events, rec)
-    return rec.signatures
 
 
 def schedule_signature(

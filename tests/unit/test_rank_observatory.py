@@ -24,7 +24,6 @@ from repro.telemetry import (
     parse_openmetrics,
     rank_summary_metrics,
     rank_trace_events,
-    ranks_from_reports,
     render_openmetrics,
     validate_rank_record,
     validate_rank_section,
@@ -197,9 +196,9 @@ class TestRankLedger:
         assert rec.backend == "mixed"
         assert ledger.backends == {"thread", "process"}
 
-    def test_ranks_from_reports_replay(self):
-        reports = [report([sample(0, 60.0), sample(1, 40.0)], span=100.0)]
-        ledger = ranks_from_reports(reports)
+    def test_observed_busy_lands_in_the_cut_record(self):
+        ledger = RankLedger()
+        ledger.observe(report([sample(0, 60.0), sample(1, 40.0)], span=100.0))
         rec = ledger.advance()
         assert rec.busy_us == (60.0, 40.0)
 

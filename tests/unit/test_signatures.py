@@ -29,8 +29,8 @@ from repro.telemetry import (
     Tracer,
     normalise_shares,
     regime_trace_events,
+    replay,
     schedule_signature,
-    signatures_from_events,
     validate_signature_summary,
 )
 
@@ -202,9 +202,10 @@ class TestSignatureRecorder:
 
     def test_replay_from_events(self):
         rec, sink = self.run_instrumented(steps=6)
-        replayed = signatures_from_events(sink.events)
-        assert len(replayed) == len(rec.signatures)
-        for a, b in zip(replayed, rec.signatures):
+        replayed = SignatureRecorder()
+        replay(sink.events, replayed)
+        assert len(replayed.signatures) == len(rec.signatures)
+        for a, b in zip(replayed.signatures, rec.signatures):
             np.testing.assert_array_equal(a.vector(), b.vector())
 
 

@@ -24,7 +24,6 @@ from repro.telemetry import (
     SamplingProfiler,
     Tracer,
     attribute_sample,
-    sample_records,
 )
 
 #: A frame stack that the path rules unambiguously call pipeline time.
@@ -197,11 +196,6 @@ class TestSamplerReport:
         assert d["n_samples"] == 10
         assert d["phase_counts"][T_PIPE] == 8
         assert d["span_fraction"] == pytest.approx(0.9)
-
-    def test_sample_records_are_json_ready(self):
-        records = sample_records(self._run().samples)
-        assert len(records) == 10
-        assert records[0].keys() == {"t_us", "thread_id", "phase", "source", "label"}
 
 
 class TestBackgroundThread:
