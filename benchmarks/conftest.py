@@ -24,7 +24,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.figures import FIGURES, rows
+from repro.io import format_table
 from repro.models import plummer_model
+from repro.perfmodel.report import Anchor, check_figure, format_report
 
 #: Root seed for every random workload in the benchmark suite.
 BENCH_SEED: int = 2003
@@ -45,13 +48,27 @@ def make_plummer(n: int, offset: int = 0, **kwargs):
     return plummer_model(n, seed=bench_seed(offset), **kwargs)
 
 
-def log_grid(lo: float, hi: float, points: int = 9) -> list[int]:
-    """Logarithmic N grid like the paper's figure axes."""
-    return [int(n) for n in np.logspace(np.log10(lo), np.log10(hi), points)]
-
-
 def emit(title: str, table: str) -> None:
     """Print one reproduced artefact (visible with pytest -s; also kept
     in the captured output of the benchmark run)."""
     print(f"\n=== {title} ===")
     print(table)
+
+
+def regenerate(benchmark, key: str, points: int) -> list[list]:
+    """Time the regeneration of one figure from the figure table
+    (:data:`repro.figures.FIGURES`), print it with its paper anchors,
+    and return its ``[N, one value per series]`` rows."""
+    figure = FIGURES[key]
+    table = benchmark(rows, figure, points)
+    emit(figure.heading, format_table(figure.labels, table))
+    if figure.anchors:
+        print(format_report(check_figure(figure)))
+    return table
+
+
+def anchor(key: str) -> Anchor:
+    """The figure's one paper anchor, evaluated: the paper's number,
+    the model's, and the tolerance stated beside the figure."""
+    (found,) = check_figure(FIGURES[key])
+    return found

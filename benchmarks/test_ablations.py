@@ -8,9 +8,8 @@
 * synchronisation ablation: butterfly vs MPICH barrier (section 4.4).
 """
 
-import numpy as np
-
 from repro.config import NIC_NS83820, single_node_machine
+from repro.figures import FIGURES
 from repro.io import format_table
 from repro.parallel import (
     CopyAlgorithm,
@@ -20,10 +19,10 @@ from repro.parallel import (
     SimNetwork,
 )
 from repro.parallel.barrier import butterfly_barrier_us, mpich_barrier_us
-from repro.perfmodel import MachineModel
+from repro.perfmodel import MachineModel, crossover
 from repro.perfmodel.comm_model import SyncModel
 
-from .conftest import emit, make_plummer
+from .conftest import anchor, emit, make_plummer
 
 EPS2 = (1.0 / 64.0) ** 2
 
@@ -117,20 +116,13 @@ def test_sync_flights_calibration_sensitivity(benchmark):
     constant (flights per blockstep): documents the model's robustness."""
 
     def crossovers():
-        from repro.config import cluster_machine
-
+        figure = FIGURES["fig15_const"]
+        one, two = figure.model("gflops_1node"), figure.model("gflops_2node")
         out = {}
         for flights in (2.0, 3.0, 4.0):
-            m1 = MachineModel(single_node_machine())
-            m2 = MachineModel(cluster_machine(2))
             # rebuild the sync model with the ablated constant
-            m2.sync = SyncModel(m2.machine.nic, flights=flights)
-            x = None
-            for n in np.unique(np.logspace(2.7, 5, 150).astype(int)):
-                if m2.speed_gflops(int(n)) > m1.speed_gflops(int(n)):
-                    x = int(n)
-                    break
-            out[flights] = x
+            two.sync = SyncModel(two.machine.nic, flights=flights)
+            out[flights] = crossover(two, one, figure.lo, figure.hi)
         return out
 
     xs = benchmark(crossovers)
@@ -141,7 +133,8 @@ def test_sync_flights_calibration_sensitivity(benchmark):
     # more per-blockstep latency pushes the crossover to larger N,
     # and the paper's ~3000 sits inside the plausible band
     assert xs[2.0] < xs[3.0] < xs[4.0]
-    assert 1_000 < xs[3.0] < 8_000
+    calibrated = anchor("fig15_const")
+    assert xs[3.0] == calibrated.reproduced and calibrated.within_band
 
 
 def test_tcpip_bypass_ablation(benchmark):

@@ -9,7 +9,7 @@ and a real small-scale run showing the binary forming.
 import numpy as np
 import pytest
 
-from repro.config import HOST_P4, NIC_INTEL82540EM, full_machine
+from repro.config import tuned_machine
 from repro.core import BlockTimestepIntegrator
 from repro.io import format_table
 from repro.models import binary_black_hole_model
@@ -52,9 +52,7 @@ def test_bbh_is_the_best_application_speed(benchmark):
 
 
 def test_bbh_model_prediction(benchmark):
-    model = MachineModel(
-        full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
-    )
+    model = MachineModel(tuned_machine())
 
     def predict():
         return predict_sustained_tflops(BINARY_BH_RUN, model)

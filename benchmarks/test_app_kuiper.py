@@ -7,7 +7,7 @@ that wall time, and a real laptop-scale run of the same physics.
 
 import pytest
 
-from repro.config import HOST_P4, NIC_INTEL82540EM, full_machine
+from repro.config import tuned_machine
 from repro.core import BlockTimestepIntegrator
 from repro.io import format_table
 from repro.models import kuiper_belt_model
@@ -18,7 +18,7 @@ from .conftest import emit
 
 
 def tuned_model():
-    return MachineModel(full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4))
+    return MachineModel(tuned_machine())
 
 
 def test_kuiper_accounting(benchmark):

@@ -5,34 +5,17 @@ three softening choices; >1 Tflops at N = 2e5; speed practically
 independent of the softening.
 """
 
-import pytest
-
-from repro.config import single_node_machine
+from repro.figures import FIGURES, grid
 from repro.io import format_table
-from repro.perfmodel import MachineModel
 
-from .conftest import emit, log_grid
-
-SOFTENINGS = ("constant", "n13", "4overN")
-
-
-def regenerate():
-    models = {s: MachineModel(single_node_machine(), softening=s) for s in SOFTENINGS}
-    grid = log_grid(256, 2.0e6, 12)
-    rows = [
-        [n] + [models[s].speed_gflops(n) for s in SOFTENINGS] for n in grid
-    ]
-    return grid, rows, models
+from .conftest import anchor, emit, regenerate
 
 
 def test_fig13_single_node_speed(benchmark):
-    grid, rows, models = benchmark(regenerate)
-    emit(
-        "Figure 13: 1-host 4-board speed [Gflops] vs N",
-        format_table(["N", "eps=1/64", "eps=1/(8(2N)^1/3)", "eps=4/N"], rows),
-    )
+    rows = regenerate(benchmark, "fig13", 12)
     # anchor: better than 1 Tflops at N = 2e5
-    assert models["constant"].speed_gflops(200_000) > 1000.0
+    tflop = anchor("fig13")
+    assert tflop.within_band and tflop.reproduced > tflop.paper_value
     # speed practically independent of the softening choice
     for row in rows:
         speeds = row[1:]
@@ -43,18 +26,16 @@ def test_fig13_single_node_speed(benchmark):
 
 
 def test_fig13_speed_vs_peak(benchmark):
-    model = MachineModel(single_node_machine())
+    model = FIGURES["fig13"].model("gflops_eps_const")
+    ns = grid(1000, 2.0e6, 8)
 
     def efficiency_curve():
-        return [model.efficiency(n) for n in log_grid(1000, 2.0e6, 8)]
+        return [model.efficiency(n) for n in ns]
 
     effs = benchmark(efficiency_curve)
     emit(
         "Figure 13 supplement: fraction of the 3.94 Tflops single-node peak",
-        format_table(
-            ["N", "efficiency"],
-            list(zip(log_grid(1000, 2.0e6, 8), effs)),
-        ),
+        format_table(["N", "efficiency"], list(zip(ns, effs))),
     )
     assert effs[-1] > 0.5  # the machine is well-used at large N
     assert all(0 < e < 1 for e in effs)

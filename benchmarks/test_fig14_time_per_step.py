@@ -5,41 +5,15 @@ model), the constant-T_host fit (dashed), and the cache-hit-rate model
 (dotted); the small-N DMA floor.
 """
 
-from repro.config import single_node_machine
+from repro.figures import FIGURES
 from repro.io import format_table
-from repro.perfmodel import BlockstepDES, MachineModel
+from repro.perfmodel import BlockstepDES
 
-from .conftest import emit, log_grid
-
-
-def regenerate():
-    model = MachineModel(single_node_machine())
-    grid = log_grid(256, 2.0e6, 12)
-    rows = []
-    for n in grid:
-        b = model.step_time_breakdown(n)
-        rows.append(
-            (
-                n,
-                b.total_us,
-                model.time_per_step_constant_host_us(n),
-                b.host_us,
-                b.hif_us,
-                b.grape_us,
-            )
-        )
-    return model, grid, rows
+from .conftest import emit, regenerate
 
 
 def test_fig14_time_per_step(benchmark):
-    model, grid, rows = benchmark(regenerate)
-    emit(
-        "Figure 14: 1-node time per particle-step [us] vs N",
-        format_table(
-            ["N", "cache model", "const-T_host fit", "T_host", "T_comm", "T_GRAPE"],
-            rows,
-        ),
-    )
+    rows = regenerate(benchmark, "fig14", 12)
     # eq. 10's decomposition holds
     for n, total, _, host, hif, grape in rows:
         assert abs(total - (host + hif + grape)) < 1e-9
@@ -55,7 +29,7 @@ def test_fig14_time_per_step(benchmark):
 def test_fig14_des_cross_check(benchmark):
     """The DES over the block-size distribution must agree with the
     mean-block analytic curve to well within a factor of 2."""
-    model = MachineModel(single_node_machine())
+    model = FIGURES["fig14"].model("us_cache_model")
     des = BlockstepDES(model)
 
     def run_des():

@@ -4,74 +4,25 @@ Paper content reproduced: 1/2/4-node curves; the two-node crossover at
 N ~ 3000 for constant softening moving to N ~ 3e4 for eps = 4/N.
 """
 
-import numpy as np
-
-from repro.config import cluster_machine, single_node_machine
-from repro.io import format_table
-from repro.perfmodel import MachineModel
-
-from .conftest import emit, log_grid
-
-
-def crossover(fast, slow, lo=300, hi=2.0e6):
-    for n in np.unique(np.logspace(np.log10(lo), np.log10(hi), 400).astype(int)):
-        if fast.speed_gflops(int(n)) > slow.speed_gflops(int(n)):
-            return int(n)
-    return None
-
-
-def regenerate(softening: str):
-    models = [
-        MachineModel(single_node_machine(), softening=softening),
-        MachineModel(cluster_machine(2), softening=softening),
-        MachineModel(cluster_machine(4), softening=softening),
-    ]
-    rows = [
-        [n] + [m.speed_gflops(n) for m in models] for n in log_grid(1000, 1.0e6, 10)
-    ]
-    return models, rows
+from .conftest import anchor, regenerate
 
 
 def test_fig15_left_panel_constant_softening(benchmark):
-    models, rows = benchmark(regenerate, "constant")
-    emit(
-        "Figure 15 (left): speed [Gflops] vs N, eps = 1/64",
-        format_table(["N", "1 node", "2 nodes", "4 nodes"], rows),
-    )
-    x = crossover(models[1], models[0])
-    print(f"2-node/1-node crossover: N ~ {x} (paper: ~3000)")
-    assert x is not None and 1_000 <= x <= 8_000
+    rows = regenerate(benchmark, "fig15_const", 10)
+    assert anchor("fig15_const").within_band
     # 4 nodes win at the large end
     assert rows[-1][3] > rows[-1][2] > rows[-1][1]
 
 
 def test_fig15_right_panel_strong_softening(benchmark):
-    models, rows = benchmark(regenerate, "4overN")
-    emit(
-        "Figure 15 (right): speed [Gflops] vs N, eps = 4/N",
-        format_table(["N", "1 node", "2 nodes", "4 nodes"], rows),
-    )
-    x = crossover(models[1], models[0])
-    print(f"2-node/1-node crossover: N ~ {x} (paper: ~30000)")
-    assert x is not None and 10_000 <= x <= 80_000
+    regenerate(benchmark, "fig15_4overN", 10)
+    assert anchor("fig15_4overN").within_band
 
 
 def test_fig15_crossover_shift(benchmark):
     def both():
-        out = {}
-        for soft in ("constant", "4overN"):
-            m1 = MachineModel(single_node_machine(), softening=soft)
-            m2 = MachineModel(cluster_machine(2), softening=soft)
-            out[soft] = crossover(m2, m1)
-        return out
+        return [anchor(key).reproduced for key in ("fig15_const", "fig15_4overN")]
 
-    xs = benchmark(both)
-    emit(
-        "Figure 15: crossover shift with softening",
-        format_table(
-            ["softening", "crossover N", "paper"],
-            [("constant", xs["constant"], "~3,000"), ("4overN", xs["4overN"], "~30,000")],
-        ),
-    )
+    constant, strong = benchmark(both)
     # an order of magnitude apart, like the paper's panels
-    assert xs["4overN"] > 4 * xs["constant"]
+    assert strong > 4 * constant

@@ -8,35 +8,20 @@ blockstep, dominates the total cost in this regime."
 
 import numpy as np
 
-from repro.config import cluster_machine
+from repro.figures import FIGURES
 from repro.io import format_table
-from repro.perfmodel import MachineModel
 
-from .conftest import emit, log_grid
-
-
-def regenerate():
-    model = MachineModel(cluster_machine(4))
-    grid = log_grid(1000, 1.0e6, 10)
-    rows = []
-    for n in grid:
-        b = model.step_time_breakdown(n)
-        rows.append((n, b.total_us, b.sync_us, b.sync_us / b.total_us))
-    return model, rows
+from .conftest import emit, regenerate
 
 
 def test_fig16_four_node_wall(benchmark):
-    model, rows = benchmark(regenerate)
-    emit(
-        "Figure 16: 4-node time per particle-step [us] vs N",
-        format_table(["N", "time/step", "sync part", "sync fraction"], rows),
-    )
+    rows = regenerate(benchmark, "fig16", 10)
     # latency wall: sync dominates at small N ...
-    assert rows[0][3] > 0.5
+    assert rows[0][2] / rows[0][1] > 0.5
     # ... and becomes negligible at large N
-    assert rows[-1][3] < 0.1
+    assert rows[-1][2] / rows[-1][1] < 0.1
     # near-1/N fall-off at small N: fit the log-log slope over N<1e4
-    small = [(n, t) for n, t, _, _ in rows if n <= 10_000]
+    small = [(n, t) for n, t, _ in rows if n <= 10_000]
     slope = np.polyfit(
         np.log([n for n, _ in small]), np.log([t for _, t in small]), 1
     )[0]
@@ -47,7 +32,7 @@ def test_fig16_four_node_wall(benchmark):
 def test_fig16_sync_is_pure_latency(benchmark):
     # the sync component is independent of N per blockstep; per step it
     # must scale exactly as 1/n_b
-    model = MachineModel(cluster_machine(4))
+    model = FIGURES["fig16"].model("us_sync")
 
     def sync_per_blockstep():
         return [

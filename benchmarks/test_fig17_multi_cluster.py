@@ -6,30 +6,14 @@ N = 1e6 the multi-cluster speedup is "significantly smaller than the
 ideal speedup".
 """
 
-import numpy as np
-
-from repro.config import full_machine
+from repro.figures import FIGURES
 from repro.io import format_table
-from repro.perfmodel import MachineModel
 
-from .conftest import emit, log_grid
-
-
-def regenerate():
-    models = {c: MachineModel(full_machine(c)) for c in (1, 2, 4)}
-    grid = log_grid(3000, 2.0e6, 10)
-    rows = [
-        [n] + [models[c].speed_gflops(n) / 1e3 for c in (1, 2, 4)] for n in grid
-    ]
-    return models, rows
+from .conftest import anchor, emit, regenerate
 
 
 def test_fig17_multi_cluster_speed(benchmark):
-    models, rows = benchmark(regenerate)
-    emit(
-        "Figure 17: speed [Tflops] vs N for 4/8/16 nodes",
-        format_table(["N", "4 nodes", "8 nodes", "16 nodes"], rows),
-    )
+    rows = regenerate(benchmark, "fig17", 10)
     # small N: single cluster wins (crossover is high)
     assert rows[0][1] > rows[0][3]
     # large N: full machine wins, ordering 4 < 8 < 16
@@ -37,25 +21,18 @@ def test_fig17_multi_cluster_speed(benchmark):
 
 
 def test_fig17_crossover_location(benchmark):
-    def find():
-        m4 = MachineModel(full_machine(1))
-        m16 = MachineModel(full_machine(4))
-        for n in np.unique(np.logspace(4, 6.3, 300).astype(int)):
-            if m16.speed_gflops(int(n)) > m4.speed_gflops(int(n)):
-                return int(n)
-        return None
-
-    x = benchmark(find)
-    print(f"16-node vs 4-node crossover: N ~ {x} (paper: ~1e5, 'rather high')")
-    assert x is not None and x >= 80_000
+    assert benchmark(anchor, "fig17").within_band
 
 
 def test_fig17_speedup_below_ideal(benchmark):
+    figure = FIGURES["fig17"]
+
     def speedups():
         n = 1_000_000
-        s4 = MachineModel(full_machine(1)).speed_gflops(n)
+        s4 = figure.model("tflops_4node").speed_gflops(n)
         return {
-            c: MachineModel(full_machine(c)).speed_gflops(n) / s4 for c in (2, 4)
+            c: figure.model(f"tflops_{4 * c}node").speed_gflops(n) / s4
+            for c in (2, 4)
         }
 
     sp = benchmark(speedups)

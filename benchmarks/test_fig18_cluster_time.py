@@ -7,34 +7,18 @@ overhead "far more severe" than the single-cluster case.
 
 import numpy as np
 
-from repro.config import full_machine
+from repro.figures import FIGURES
 from repro.io import format_table
-from repro.perfmodel import MachineModel
 
-from .conftest import emit, log_grid
-
-
-def regenerate():
-    model = MachineModel(full_machine(4))
-    grid = log_grid(3000, 2.0e6, 10)
-    rows = []
-    for n in grid:
-        b = model.step_time_breakdown(n)
-        overhead = b.sync_us + b.exchange_us
-        rows.append((n, b.total_us, overhead, overhead / b.total_us))
-    return model, rows
+from .conftest import emit, regenerate
 
 
 def test_fig18_full_machine_wall(benchmark):
-    model, rows = benchmark(regenerate)
-    emit(
-        "Figure 18: 16-node time per particle-step [us] vs N",
-        format_table(["N", "time/step", "sync+exchange", "overhead fraction"], rows),
-    )
+    rows = regenerate(benchmark, "fig18", 10)
     # overhead dominated at small N
-    assert rows[0][3] > 0.5
+    assert rows[0][2] / rows[0][1] > 0.5
     # latency region: steep fall-off below 1e5
-    small = [(n, t) for n, t, _, _ in rows if n <= 100_000]
+    small = [(n, t) for n, t, _ in rows if n <= 100_000]
     slope = np.polyfit(
         np.log([n for n, _ in small]), np.log([t for _, t in small]), 1
     )[0]
@@ -47,11 +31,12 @@ def test_fig18_multi_cluster_overhead_severity(benchmark):
     the calculation speed itself becomes faster, (b) overhead of one
     synchronization operation becomes larger, and (c) the number of
     synchronization operations itself is larger'."""
+    one_cluster = FIGURES["fig16"].model("us_total")
+    four_clusters = FIGURES["fig18"].model("us_total")
 
     def compare(n=30_000):
-        single = MachineModel(full_machine(1)).step_time_breakdown(n)
-        multi = MachineModel(full_machine(4)).step_time_breakdown(n)
-        return single, multi
+        return (one_cluster.step_time_breakdown(n),
+                four_clusters.step_time_breakdown(n))
 
     single, multi = benchmark(compare)
     ov_single = single.sync_us

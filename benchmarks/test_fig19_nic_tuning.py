@@ -6,45 +6,23 @@ by more at small N; 36.0 Tflops at N = 1.8M; Tigon 2 helps bandwidth
 but barely helps latency-bound speed.
 """
 
-import pytest
-
-from repro.config import (
-    HOST_P4,
-    NIC_INTEL82540EM,
-    NIC_MYRINET,
-    NIC_TIGON2,
-    full_machine,
-)
+from repro.config import NICS, full_machine
 from repro.io import format_table
 from repro.perfmodel import MachineModel
 
-from .conftest import emit, log_grid
-
-
-def regenerate():
-    base = MachineModel(full_machine(4))
-    tuned = MachineModel(full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4))
-    rows = []
-    for n in log_grid(10_000, 1.8e6, 10):
-        s0 = base.speed_gflops(n) / 1e3
-        s1 = tuned.speed_gflops(n) / 1e3
-        rows.append((n, s0, s1, 100.0 * (s1 / s0 - 1.0)))
-    return base, tuned, rows
+from .conftest import anchor, emit, regenerate
 
 
 def test_fig19_nic_tuning(benchmark):
-    base, tuned, rows = benchmark(regenerate)
-    emit(
-        "Figure 19: NS83820+Athlon vs Intel82540EM+P4 [Tflops]",
-        format_table(["N", "NS 83820", "Intel 82540EM", "gain %"], rows),
-    )
+    rows = regenerate(benchmark, "fig19", 10)
+    gains = [100.0 * (tuned / base - 1.0) for _, base, tuned in rows]
     # upper curve dominates everywhere
-    assert all(s1 > s0 for _, s0, s1, _ in rows)
+    assert all(gain > 0 for gain in gains)
     # improvement larger at small N
-    assert rows[0][3] > rows[-1][3]
-    assert rows[0][3] > 50.0
+    assert gains[0] > gains[-1]
+    assert gains[0] > 50.0
     # headline: ~36 Tflops at 1.8M
-    assert tuned.speed_gflops(1_800_000) / 1e3 == pytest.approx(36.0, rel=0.15)
+    assert anchor("fig19").within_band
 
 
 def test_fig19_nic_survey(benchmark):
@@ -52,12 +30,10 @@ def test_fig19_nic_survey(benchmark):
     latency buys little; Myrinet (unaffordable that year) would have."""
 
     def survey(n=30_000):
-        out = {}
-        for nic in (None, NIC_TIGON2, NIC_INTEL82540EM, NIC_MYRINET):
-            machine = full_machine(4) if nic is None else full_machine(4).with_nic(nic)
-            name = "ns83820" if nic is None else nic.name
-            out[name] = MachineModel(machine).speed_gflops(n)
-        return out
+        return {
+            name: MachineModel(full_machine(4).with_nic(nic)).speed_gflops(n)
+            for name, nic in NICS.items()
+        }
 
     speeds = benchmark(survey)
     emit(

@@ -1,12 +1,10 @@
 """T1 — performance tuning as a tool: configuration choice and the
 section-4.4 upgrade ladder (the paper's title, quantified)."""
 
-import pytest
-
 from repro.io import format_table
 from repro.perfmodel import best_configuration, crossover_table, tuning_ladder
 
-from .conftest import emit
+from .conftest import anchor, emit
 
 
 def test_configuration_choice(benchmark):
@@ -47,7 +45,8 @@ def test_tuning_ladder_headline(benchmark):
     myri = speeds["Myrinet + P4 (unaffordable that year)"]
     # the paper's measured ordering and headline
     assert base < tuned
-    assert tuned == pytest.approx(36.0, rel=0.15)
+    headline = anchor("fig19")
+    assert tuned == headline.reproduced and headline.within_band
     # the title: "towards 40 'real' Tflops" — the Myrinet rung gets close
     assert myri > tuned
     assert myri > 35.0

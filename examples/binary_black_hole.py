@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import BlockTimestepIntegrator, binary_black_hole_model
 from repro.analysis import lagrangian_radii
-from repro.config import HOST_P4, NIC_INTEL82540EM, full_machine
+from repro.config import tuned_machine
 from repro.perfmodel import BINARY_BH_RUN, MachineModel
 from repro.perfmodel.applications import predict_sustained_tflops, predict_wall_hours
 
@@ -63,8 +63,7 @@ def main(n_stars: int = 510) -> None:
     run = BINARY_BH_RUN
     print(f"measured   : {run.wall_hours:.2f} h -> {run.sustained_tflops:.1f} Tflops"
           " (paper: 37.19 h, 35.3 Tflops)")
-    machine = full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
-    model = MachineModel(machine)
+    model = MachineModel(tuned_machine())
     print(f"model pred : {predict_wall_hours(run, model):.2f} h"
           f" -> {predict_sustained_tflops(run, model):.1f} Tflops")
     print("\ncontext: the largest published direct-summation run of this type "

@@ -2,130 +2,34 @@
 """Regenerate every figure of the paper's evaluation as text tables.
 
 One command, the full evaluation section: figs. 13-19 as printed
-series plus the section-5 application numbers.  This is the same code
-the benchmark suite runs; here it is packaged as a single report.
+series, each with the anchors the paper quotes for it, plus the
+section-5 application numbers.  Everything is read from the one figure
+table (``repro.figures.FIGURES``) that the CSV export, the benchmark
+suite and the reproduction report read too.
 
 Usage:  python examples/figure_sweep.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.config import (
-    HOST_P4,
-    NIC_INTEL82540EM,
-    cluster_machine,
-    full_machine,
-    single_node_machine,
-)
+from repro.figures import FIGURES, application_rows, rows
 from repro.io import format_table
-from repro.perfmodel import (
-    BINARY_BH_RUN,
-    KUIPER_BELT_RUN,
-    MachineModel,
-    treecode_comparison,
-)
-from repro.perfmodel.applications import predict_sustained_tflops
-
-
-def n_grid(lo: float, hi: float, points: int = 10) -> list[int]:
-    return [int(n) for n in np.logspace(np.log10(lo), np.log10(hi), points)]
-
-
-def fig13() -> None:
-    print("### Figure 13 — single-node (1 host, 4 boards) speed vs N")
-    models = {s: MachineModel(single_node_machine(), softening=s)
-              for s in ("constant", "n13", "4overN")}
-    rows = [
-        [n] + [models[s].speed_gflops(n) for s in ("constant", "n13", "4overN")]
-        for n in n_grid(256, 2.0e6)
-    ]
-    print(format_table(
-        ("N", "eps=1/64 [Gflops]", "eps=1/(8(2N)^1/3)", "eps=4/N"), rows))
-    print()
-
-
-def fig14() -> None:
-    print("### Figure 14 — single-node CPU time per step vs N")
-    model = MachineModel(single_node_machine())
-    rows = [
-        (n, model.time_per_step_us(n), model.time_per_step_constant_host_us(n))
-        for n in n_grid(256, 2.0e6)
-    ]
-    print(format_table(("N", "cache model [us]", "constant-T_host fit [us]"), rows))
-    print()
-
-
-def fig15() -> None:
-    print("### Figure 15 — 1/2/4-node speed vs N (left: eps=1/64, right: eps=4/N)")
-    for soft in ("constant", "4overN"):
-        models = [MachineModel(single_node_machine(), softening=soft),
-                  MachineModel(cluster_machine(2), softening=soft),
-                  MachineModel(cluster_machine(4), softening=soft)]
-        rows = [[n] + [m.speed_gflops(n) for m in models] for n in n_grid(1000, 1.0e6)]
-        print(f"softening = {soft}")
-        print(format_table(("N", "1 node [Gflops]", "2 nodes", "4 nodes"), rows))
-        print()
-
-
-def fig16() -> None:
-    print("### Figure 16 — 4-node time per step vs N (the 1/N latency wall)")
-    model = MachineModel(cluster_machine(4))
-    rows = [(n, model.time_per_step_us(n),
-             model.step_time_breakdown(n).sync_us) for n in n_grid(1000, 1.0e6)]
-    print(format_table(("N", "time/step [us]", "of which sync [us]"), rows))
-    print()
-
-
-def fig17() -> None:
-    print("### Figure 17 — multi-cluster speed vs N (4/8/16 nodes)")
-    models = [MachineModel(full_machine(c)) for c in (1, 2, 4)]
-    rows = [[n] + [m.speed_gflops(n) / 1e3 for m in models]
-            for n in n_grid(3000, 2.0e6)]
-    print(format_table(("N", "4 nodes [Tflops]", "8 nodes", "16 nodes"), rows))
-    print()
-
-
-def fig18() -> None:
-    print("### Figure 18 — 16-node time per step vs N")
-    model = MachineModel(full_machine(4))
-    rows = [(n, model.time_per_step_us(n),
-             model.step_time_breakdown(n).sync_us
-             + model.step_time_breakdown(n).exchange_us) for n in n_grid(3000, 2.0e6)]
-    print(format_table(("N", "time/step [us]", "sync+exchange [us]"), rows))
-    print()
-
-
-def fig19() -> None:
-    print("### Figure 19 — NIC tuning (NS 83820 + Athlon vs Intel 82540EM + P4)")
-    base = MachineModel(full_machine(4))
-    tuned = MachineModel(full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4))
-    rows = []
-    for n in n_grid(10_000, 1.8e6):
-        s0, s1 = base.speed_gflops(n), tuned.speed_gflops(n)
-        rows.append((n, s0 / 1e3, s1 / 1e3, 100.0 * (s1 / s0 - 1.0)))
-    print(format_table(("N", "NS83820 [Tflops]", "Intel82540EM", "gain [%]"), rows))
-    print(f"tuned speed at N=1.8M: {tuned.speed_gflops(1_800_000)/1e3:.1f} Tflops "
-          "(paper: 36.0)\n")
-
-
-def applications() -> None:
-    print("### Section 5 — production applications")
-    tuned = MachineModel(full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4))
-    rows = []
-    for run, paper in ((KUIPER_BELT_RUN, 33.4), (BINARY_BH_RUN, 35.3)):
-        rows.append((run.name, f"{run.n:,}", run.sustained_tflops,
-                     predict_sustained_tflops(run, tuned), paper))
-    print(format_table(
-        ("run", "N", "accounting [Tflops]", "model [Tflops]", "paper"), rows))
-    print()
-    print("### Section 5 — treecode comparison")
-    rows = [(name, f"{rate:,.3g}", f"{frac:.1%}")
-            for name, rate, frac in treecode_comparison()]
-    print(format_table(("system", "effective steps/s", "vs GRAPE-6"), rows))
-
+from repro.perfmodel import treecode_comparison
+from repro.perfmodel.report import check_figure, format_report
 
 if __name__ == "__main__":
-    for section in (fig13, fig14, fig15, fig16, fig17, fig18, fig19, applications):
-        section()
+    for figure in FIGURES.values():
+        print(f"### {figure.heading}")
+        print(format_table(figure.labels, rows(figure, 10)))
+        if figure.anchors:
+            print(format_report(check_figure(figure)))
+        print()
+    print("### Section 5 — production applications")
+    runs = application_rows()
+    print(format_table(list(runs[0]), [run.values() for run in runs]))
+    print()
+    print("### Section 5 — treecode comparison")
+    print(format_table(
+        ("system", "effective steps/s", "vs GRAPE-6"),
+        [(name, f"{rate:,.3g}", f"{frac:.1%}")
+         for name, rate, frac in treecode_comparison()]))

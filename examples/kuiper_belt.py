@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import BlockTimestepIntegrator, kuiper_belt_model
 from repro.analysis import run_speed
-from repro.config import HOST_P4, NIC_INTEL82540EM, full_machine
+from repro.config import tuned_machine
 from repro.perfmodel import KUIPER_BELT_RUN, MachineModel
 from repro.perfmodel.applications import predict_sustained_tflops, predict_wall_hours
 
@@ -63,8 +63,7 @@ def main(n: int = 400) -> None:
     run = KUIPER_BELT_RUN
     print(f"measured   : {run.wall_hours:.2f} h  -> {run.sustained_tflops:.1f} Tflops"
           " (paper: 16.30 h, 33.4 Tflops)")
-    machine = full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
-    model = MachineModel(machine)
+    model = MachineModel(tuned_machine())
     print(f"model pred : {predict_wall_hours(run, model):.2f} h"
           f" -> {predict_sustained_tflops(run, model):.1f} Tflops")
 

@@ -8,7 +8,8 @@ Three views of the same machine:
    trajectory;
 2. the *performance model* regenerates the speed-vs-N curves for the
    configurations of figs. 13-18;
-3. the crossovers the paper highlights are located numerically.
+3. the crossovers the paper highlights, as the reproduction report
+   states them (one search, ``repro.perfmodel.crossover``).
 
 Usage:  python examples/parallel_scaling.py
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constant_softening, plummer_model
-from repro.config import NIC_NS83820, cluster_machine, full_machine, single_node_machine
+from repro.config import NIC_NS83820
 from repro.core import BlockTimestepIntegrator
 from repro.io import format_table
 from repro.parallel import (
@@ -29,6 +30,8 @@ from repro.parallel import (
     SimNetwork,
 )
 from repro.perfmodel import MachineModel
+from repro.perfmodel.report import build_report, format_report
+from repro.perfmodel.tuning import STANDARD_CONFIGURATIONS
 
 
 def functional_demo(n: int = 128, t_end: float = 0.125) -> None:
@@ -63,43 +66,18 @@ def functional_demo(n: int = 128, t_end: float = 0.125) -> None:
 
 def model_curves() -> None:
     print("## performance-model speed curves (constant softening)")
-    configs = [
-        ("1 node", MachineModel(single_node_machine())),
-        ("2 nodes", MachineModel(cluster_machine(2))),
-        ("4 nodes", MachineModel(cluster_machine(4))),
-        ("8 nodes", MachineModel(full_machine(2))),
-        ("16 nodes", MachineModel(full_machine(4))),
-    ]
     n_grid = [1_000, 10_000, 100_000, 1_000_000]
-    rows = []
-    for label, model in configs:
-        rows.append(
-            [label] + [model.speed_gflops(n) for n in n_grid]
-        )
+    rows = [
+        [label] + [MachineModel(machine()).speed_gflops(n) for n in n_grid]
+        for label, machine in STANDARD_CONFIGURATIONS.items()
+    ]
     print(format_table(["config"] + [f"S(N={n:,}) Gflops" for n in n_grid], rows))
     print()
 
 
 def crossovers() -> None:
     print("## crossover points (model) vs the paper")
-    pairs = [
-        ("2-node vs 1-node, eps=1/64", MachineModel(cluster_machine(2)),
-         MachineModel(single_node_machine()), "~3,000"),
-        ("2-node vs 1-node, eps=4/N",
-         MachineModel(cluster_machine(2), softening="4overN"),
-         MachineModel(single_node_machine(), softening="4overN"), "~30,000"),
-        ("16-node vs 4-node", MachineModel(full_machine(4)),
-         MachineModel(full_machine(1)), ">100,000"),
-    ]
-    rows = []
-    for label, fast, slow, paper in pairs:
-        found = "none"
-        for n in np.unique(np.logspace(2.5, 6.3, 300).astype(int)):
-            if fast.speed_gflops(int(n)) > slow.speed_gflops(int(n)):
-                found = f"{int(n):,}"
-                break
-        rows.append((label, found, paper))
-    print(format_table(("comparison", "model crossover N", "paper"), rows))
+    print(format_report([a for a in build_report() if "crossover" in a.statement]))
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from ..parallel import CopyAlgorithm, SimNetwork
 from ..perfmodel import MachineModel
 from ..telemetry import BUCKETS, HEADLINE, FlopsLedger, efficiency_from_events
 from .registry import REGISTRY, BenchContext
-from .suites import DEFAULT_SEED, _EPS2, _measured_run, _model_compute_hook
+from .suites import DEFAULT_SEED, _EPS2, _measured_run
 
 
 def per_regime_efficiency(
@@ -100,7 +100,6 @@ def _sweep_setup(params: dict[str, Any]) -> dict[str, Any]:
 def efficiency_sweep(ctx: BenchContext, state: Any) -> dict[str, Any]:
     machine = cluster_machine(1)
     ctx.hardware = machine
-    hook = _model_compute_hook(machine)
     model = MachineModel(machine)
     n_values = list(ctx.params["n_values"])
     out: dict[str, Any] = {}
@@ -108,7 +107,8 @@ def efficiency_sweep(ctx: BenchContext, state: Any) -> dict[str, Any]:
     last_summary: dict[str, Any] | None = None
     for n in n_values:
         net = SimNetwork(1, machine.nic)
-        algorithm = CopyAlgorithm(net, _EPS2, compute_time_us=hook)
+        algorithm = CopyAlgorithm(
+            net, _EPS2, compute_time_us=model.compute_hook(n))
         start = len(ctx.sink.events)
         _measured_run(ctx, state["systems"][n], algorithm, ctx.params["t_end"])
         ledger = efficiency_from_events(

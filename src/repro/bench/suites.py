@@ -21,8 +21,9 @@ with the measurements behind the paper's evaluation:
   over the section-4.4 NIC models, exposing the sustained-speed knee;
 * ``blockstep_phase_breakdown`` — fig. 14: the per-particle-step time
   budget split into the eq. 10 phases;
-* ``model_sweep``             — the cost of regenerating the analytic
-  fig. 13-18 curves themselves (the perfmodel hot path).
+* ``model_sweep``             — the cost of regenerating a figure's
+  analytic curves from the figure table (:data:`repro.figures.FIGURES`;
+  fig. 13's three) — the perfmodel hot path.
 
 Every workload generator takes an explicit ``seed`` from the params,
 so the trial scatter in ``BENCH_*.json`` reflects timing noise only,
@@ -39,15 +40,10 @@ from typing import Any
 import numpy as np
 
 from ..analysis import run_speed
-from ..config import (
-    NICS,
-    MachineConfig,
-    cluster_machine,
-    full_machine,
-    single_node_machine,
-)
+from ..config import NICS, cluster_machine, full_machine, single_node_machine
 from ..constants import FLOPS_PER_INTERACTION
 from ..core import BlockTimestepIntegrator
+from ..figures import FIGURES, rows
 from ..forces import DirectSummation
 from ..hardware import Grape6Emulator
 from ..models import plummer_model
@@ -489,29 +485,6 @@ def exec_observatory(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]
 # -- measured multi-cluster sweeps (figs. 17-19) ---------------------------
 
 
-def _model_compute_hook(machine: MachineConfig):
-    """Per-host compute-cost hook derived from the analytic machine
-    model: a force call on ``n_i`` targets against ``n_j`` sources
-    charges the eq. 10 host + pipeline + interface terms to that rank's
-    virtual clock.  Communication and synchronisation are *not*
-    modelled here — the simulated network measures them — so the run's
-    sustained speed is a measurement whose comm side is real (simulated)
-    traffic, and ``model_over_measured`` checks the closed loop.
-    """
-    model = MachineModel(machine)
-
-    def hook(rank: int, n_i: int, n_j: int) -> float:
-        if n_i <= 0 or n_j <= 0:
-            return 0.0
-        return (
-            n_i * model.host_model.t_step_us(n_j)
-            + model.grape.blockstep_us(n_j, n_i)
-            + model.hif.blockstep_us(n_i)
-        )
-
-    return hook
-
-
 def _measured_run(ctx: BenchContext, system, algorithm, t_end: float):
     """Integrate ``system`` under ``algorithm`` and return
     ``(stats, virtual_us)`` (slowest clock across all of the
@@ -554,14 +527,18 @@ def multi_cluster_speed(ctx: BenchContext, state: dict[str, Any]) -> dict[str, A
     Both variants span ``4 * clusters`` hosts: the flat copy algorithm
     (every host exchanges with every other over the NIC ring) versus
     the hybrid (2-D grid inside each cluster, copy ring between
-    clusters).  Compute cost comes from the analytic model via
-    :func:`_model_compute_hook`; communication and barriers are
-    measured by the comm ledger in virtual time.
+    clusters).  Compute cost is eq. 10's per-host terms
+    (:meth:`MachineModel.compute_hook`); communication and barriers are
+    *not* modelled — the simulated network pays them and the comm
+    ledger measures them in virtual time — so the run's sustained speed
+    is a measurement whose comm side is real (simulated) traffic, and
+    ``model_over_measured`` checks the closed loop.
     """
     n, clusters = ctx.params["n"], ctx.params["clusters"]
     t_end = ctx.params["t_end"]
     machine = full_machine(clusters)
-    hook = _model_compute_hook(machine)
+    model = MachineModel(machine)
+    hook = model.compute_hook(n)
 
     copy_net = SimNetwork(4 * clusters, machine.nic)
     copy_alg = CopyAlgorithm(copy_net, _EPS2, compute_time_us=hook)
@@ -575,7 +552,7 @@ def multi_cluster_speed(ctx: BenchContext, state: dict[str, Any]) -> dict[str, A
         ctx, state["system_hybrid"], hybrid_alg, t_end)
     hyb_steps = max(hyb_stats.particle_steps, 1)
 
-    model_us = MachineModel(machine).time_per_step_us(n)
+    model_us = model.time_per_step_us(n)
     copy_ledger = copy_net.ledger
     hyb_sync = sum(l.barrier_sync_us for l in hybrid_alg.ledgers)
     hyb_bytes = sum(l.bytes for l in hybrid_alg.ledgers)
@@ -631,7 +608,7 @@ def nic_survey(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
     time; the 82540EM beats the NS 83820 because its round trip is 3x
     shorter."""
     n, ranks, t_end = ctx.params["n"], ctx.params["ranks"], ctx.params["t_end"]
-    hook = _model_compute_hook(single_node_machine())
+    hook = MachineModel(single_node_machine()).compute_hook(n)
     out: dict[str, Any] = {}
     speeds: dict[str, float] = {}
     for nic_name in ctx.params["nics"]:
@@ -698,7 +675,7 @@ def blockstep_phase_breakdown(ctx: BenchContext, state: dict[str, Any]) -> dict[
 @REGISTRY.register(
     name="model_sweep",
     title="analytic perfmodel curve regeneration",
-    paper_ref="figs. 13-18 (model curves)",
+    paper_ref="fig. 13 (model curves, from the figure table)",
     suites={
         "micro": {"points": 4, "sweeps": 1},
         "smoke": {"points": 12, "sweeps": 25},
@@ -711,20 +688,16 @@ def model_sweep(ctx: BenchContext, state: Any) -> dict[str, Any]:
     # sub-millisecond, which would drown the regression gate in noise).
     points = ctx.params["points"]
     sweeps = ctx.params.get("sweeps", 1)
-    grid = [int(x) for x in np.logspace(np.log10(256), np.log10(2.0e6), points)]
+    figure = FIGURES["fig13"]
     t0 = time.perf_counter()
     with ctx.tracer.span("model.sweep", phase=T_HOST, points=points):
         for _ in range(sweeps):
-            single = MachineModel(single_node_machine())
-            cluster = MachineModel(cluster_machine(4))
-            speeds = [single.speed_gflops(n) for n in grid]
-            for n in grid:
-                single.step_time_breakdown(n)
-                cluster.step_time_breakdown(n)
+            table = rows(figure, points)
     elapsed = time.perf_counter() - t0
+    (tflop,) = figure.anchors
     return {
         "points": points,
         "us_per_point": elapsed * 1.0e6 / (points * sweeps),
-        "speed_at_2e5_gflops": single.speed_gflops(200_000),
-        "max_speed_gflops": max(speeds),
+        "speed_at_2e5_gflops": tflop.reproduce(figure),
+        "max_speed_gflops": max(row[1] for row in table),
     }

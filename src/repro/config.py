@@ -225,6 +225,13 @@ def full_machine(clusters: int = 4, **kwargs) -> MachineConfig:
     return MachineConfig(nodes_per_cluster=4, clusters=clusters, **kwargs)
 
 
+def tuned_machine() -> MachineConfig:
+    """The tuned system of section 4.4 — the full machine with the
+    Intel 82540EM NICs and the P4 hosts: fig. 19's upper curve and the
+    machine the section-5 production runs were timed on."""
+    return full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
+
+
 def grape6a_machine(**kwargs) -> MachineConfig:
     """A single-board, single-host system — the configuration later
     productised as GRAPE-6A (one 4-chip module per PCI card in the

@@ -17,7 +17,9 @@ calibrated, documented model:
   copy-algorithm exchange;
 * :mod:`machine_model` — the per-configuration T_step(N) model that
   produces every speed curve (figs. 13, 15, 17, 19) and time-per-step
-  curve (figs. 14, 16, 18);
+  curve (figs. 14, 16, 18); eq. 10's per-host terms are stated once
+  there (``MachineModel.force_call_us``), and so is the crossover
+  search (``crossover``);
 * :mod:`des` — a discrete-event blockstep simulation over a synthetic
   timestep-level population (cross-validates the analytic model and
   captures block-to-block variability);
@@ -45,7 +47,7 @@ from .blockstats import (
 from .host_model import HostTimeModel
 from .grape_time import GrapeTimeModel, HostInterfaceModel
 from .comm_model import SyncModel, ClusterExchangeModel
-from .machine_model import MachineModel, StepTimeBreakdown
+from .machine_model import MachineModel, StepTimeBreakdown, crossover
 from .des import BlockstepDES, LevelPopulation
 from .applications import (
     ApplicationRun,
@@ -85,6 +87,7 @@ __all__ = [
     "ClusterExchangeModel",
     "MachineModel",
     "StepTimeBreakdown",
+    "crossover",
     "BlockstepDES",
     "LevelPopulation",
     "ApplicationRun",

@@ -12,9 +12,14 @@ blockstep of n_b particles costs, per host (eq. 10 extended)::
 with ``share = n_b / h``, and the time per particle-step is
 ``T_bs / n_b``.  Speed follows eq. (9): S = 57 N / T_step.
 
-:class:`MachineModel` evaluates this with the mean block size from
-:mod:`blockstats`; :class:`repro.perfmodel.des.BlockstepDES` evaluates
-the same per-blockstep cost over a sampled block-size distribution.
+The first three lines — what one host pays for one force call — are
+stated once, in :meth:`MachineModel.force_call_us`.  The analytic
+curves evaluate it at the mean block size from :mod:`blockstats`,
+:class:`repro.perfmodel.des.BlockstepDES` over a sampled block-size
+distribution, and the simulated-cluster runs charge it per rank through
+:meth:`MachineModel.compute_hook`, so the three renderings of the
+machine price compute identically and differ only in how they pay for
+communication.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import MachineConfig
+from ..constants import FLOPS_PER_INTERACTION
 from .blockstats import BLOCK_MODELS, BlockStatModel
 from .comm_model import ClusterExchangeModel, SyncModel
 from .flops import speed_gflops
@@ -89,21 +95,56 @@ class MachineModel:
         #: bench.
         self.host_grape_overlap = float(host_grape_overlap)
 
-    # -- per-blockstep cost (shared with the DES) ------------------------------
+    # -- eq. 10, stated once ---------------------------------------------------
+
+    def force_call_us(
+        self, n: int, n_i: float, n_j: float
+    ) -> tuple[float, float, float]:
+        """The per-host part of eq. 10: (host, interface, pipeline)
+        microseconds of one host's force call on ``n_i`` targets
+        against ``n_j`` sources in a system of ``n`` particles.
+
+        Host work is per integrated particle at the system's cache
+        footprint, ``n_i * t_host(N)``; the interface moves the
+        targets' records and pays one DMA invocation; the pipelines
+        need ``ceil(n_i / 48)`` passes over the ``n_j`` stored sources.
+        The ``host_grape_overlap`` credit is taken here, against the
+        host component.
+        """
+        host = n_i * self.host_model.t_step_us(n)
+        grape = self.grape.blockstep_us(n_j, n_i)
+        host -= self.host_grape_overlap * min(host, grape)
+        return host, self.hif.blockstep_us(n_i), grape
+
+    def compute_hook(self, n: int):
+        """The ``(rank, n_i, n_j) -> microseconds`` compute charge the
+        parallel algorithms take (``compute_time_us=``) for a run of
+        ``n`` particles: :meth:`force_call_us` on that rank's tile.
+        Communication and synchronisation are not in it — the
+        simulated network pays those with its own messages."""
+
+        def hook(rank: int, n_i: int, n_j: int) -> float:
+            del rank
+            host, hif, grape = self.force_call_us(n, n_i, n_j)
+            return host + grape + hif
+
+        return hook
+
+    def _blockstep_terms_us(self, n: int, n_b: float) -> tuple[float, ...]:
+        """(host, interface, pipeline, sync, exchange) of one blockstep
+        of ``n_b`` particles on the slowest host: its share's force
+        call against all N sources plus the two network terms."""
+        m = self.machine
+        return (
+            *self.force_call_us(n, n_b / m.nodes, n),
+            self.sync.blockstep_us(m.nodes),
+            self.exchange.blockstep_us(n_b, m.clusters, m.nodes_per_cluster),
+        )
 
     def blockstep_us(self, n: int, n_b: float) -> float:
         """Wall time of one blockstep of n_b particles (slowest host)."""
-        hosts = self.machine.nodes
-        share = n_b / hosts
-        t_host = share * self.host_model.t_step_us(n)
-        t_grape = self.grape.blockstep_us(n, share)
-        t = t_host + t_grape - self.host_grape_overlap * min(t_host, t_grape)
-        t += self.hif.blockstep_us(share)
-        t += self.sync.blockstep_us(hosts)
-        t += self.exchange.blockstep_us(
-            n_b, self.machine.clusters, self.machine.nodes_per_cluster
-        )
-        return t
+        host, hif, grape, sync, exchange = self._blockstep_terms_us(n, n_b)
+        return host + grape + hif + sync + exchange
 
     # -- figure-level quantities ---------------------------------------------
 
@@ -112,24 +153,9 @@ class MachineModel:
         if n < 2:
             raise ValueError("need at least two particles")
         self.grape.check_capacity(n)
-        hosts = self.machine.nodes
         n_b = min(self.blocks.mean_block_size(n), float(n))
-        share = n_b / hosts
-        host_bs = share * self.host_model.t_step_us(n)
-        grape_bs = self.grape.blockstep_us(n, share)
-        # the overlap credit is reported against the host component
-        overlap_bs = self.host_grape_overlap * min(host_bs, grape_bs)
         return StepTimeBreakdown(
-            n=n,
-            block_size=n_b,
-            host_us=(host_bs - overlap_bs) / n_b,
-            hif_us=self.hif.blockstep_us(share) / n_b,
-            grape_us=grape_bs / n_b,
-            sync_us=self.sync.blockstep_us(hosts) / n_b,
-            exchange_us=self.exchange.blockstep_us(
-                n_b, self.machine.clusters, self.machine.nodes_per_cluster
-            )
-            / n_b,
+            n, n_b, *(t / n_b for t in self._blockstep_terms_us(n, n_b))
         )
 
     def time_per_step_us(self, n: int) -> float:
@@ -170,7 +196,7 @@ class MachineModel:
             return {"real": 0.0, "pipeline_idle": 0.0, "jmem": 0.0, "retry": 0.0,
                     "host": 0.0, "comm": 0.0, "barrier": 0.0, "other": 0.0}
         rate_per_us = self.machine.peak_flops / 1.0e6
-        useful_us = 57.0 * n / rate_per_us
+        useful_us = FLOPS_PER_INTERACTION * n / rate_per_us
         real = min(useful_us, total) / total
         out = {
             "real": real,
@@ -187,3 +213,41 @@ class MachineModel:
     def sweep(self, n_values) -> list[StepTimeBreakdown]:
         """Evaluate the model over a grid of N (one figure's curve)."""
         return [self.step_time_breakdown(int(n)) for n in n_values]
+
+
+#: Step ratio of :func:`crossover`'s bracketing scan (24 points a decade).
+_BRACKET_RATIO = 1.1
+
+
+def crossover(
+    fast: MachineModel, slow: MachineModel, lo: float, hi: float
+) -> int | None:
+    """The N in ``[lo, hi]`` from which ``fast`` outruns ``slow`` — the
+    crossover the paper reads off figs. 15 and 17 — as the model's own
+    integer: ``fast`` is faster at the returned N and not at N - 1.
+
+    A geometric scan up from ``lo`` brackets the first sign change and
+    bisection resolves it to one particle.  ``None`` when ``fast`` is
+    still behind at ``hi``; ``ValueError`` when either machine's
+    j-memory cannot hold ``hi`` particles.
+    """
+    for model in (fast, slow):
+        model.grape.check_capacity(int(hi))
+
+    def ahead(n: int) -> bool:
+        return fast.speed_gflops(n) > slow.speed_gflops(n)
+
+    behind, n = None, int(lo)
+    while not ahead(n):
+        if n >= int(hi):
+            return None
+        behind, n = n, min(max(n + 1, int(n * _BRACKET_RATIO)), int(hi))
+    if behind is None:  # ahead from lo on
+        return n
+    while n - behind > 1:
+        mid = (behind + n) // 2
+        if ahead(mid):
+            n = mid
+        else:
+            behind = mid
+    return n

@@ -5,22 +5,15 @@ EXPERIMENTS.md's table, regenerable: each :class:`Anchor` carries the
 paper's statement, the paper's value, the reproduced value and the
 acceptance band, so the whole reproduction status can be printed (or
 asserted) in one call.  ``python -m repro.perfmodel.report`` prints it.
+The figure anchors are stated beside their figure in
+:data:`repro.figures.FIGURES`; this module evaluates them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 
-from ..config import (
-    HOST_P4,
-    NIC_INTEL82540EM,
-    cluster_machine,
-    full_machine,
-    single_node_machine,
-)
-from .applications import BINARY_BH_RUN, KUIPER_BELT_RUN, predict_sustained_tflops
-from .machine_model import MachineModel
+from ..figures import FIGURES, Figure, application_rows
 
 
 @dataclass(frozen=True)
@@ -44,90 +37,28 @@ class Anchor:
         )
 
 
-def _crossover(fast: MachineModel, slow: MachineModel, lo=300.0, hi=2.0e6) -> float:
-    for n in np.unique(np.logspace(np.log10(lo), np.log10(hi), 400).astype(int)):
-        if fast.speed_gflops(int(n)) > slow.speed_gflops(int(n)):
-            return float(n)
-    return float("nan")
+def check_figure(figure: Figure) -> list[Anchor]:
+    """The figure's anchors (:data:`repro.figures.FIGURES`) evaluated."""
+    return [
+        Anchor(f"fig{figure.number}", claim.statement, claim.paper_value,
+               claim.reproduce(figure), claim.rel_tolerance)
+        for claim in figure.anchors
+    ]
 
 
 def build_report() -> list[Anchor]:
     """Evaluate every headline anchor; returns the full list."""
-    single = MachineModel(single_node_machine())
-    tuned = MachineModel(
-        full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
-    )
-    anchors = [
-        Anchor(
-            "fig13",
-            "single node speed at N=2e5 [Gflops] (paper: 'better than 1 Tflops')",
-            1000.0,
-            single.speed_gflops(200_000),
-            0.25,
-        ),
-        Anchor(
-            "fig15",
-            "2-node crossover N, eps=1/64",
-            3000.0,
-            _crossover(MachineModel(cluster_machine(2)), single),
-            0.6,
-        ),
-        Anchor(
-            "fig15",
-            "2-node crossover N, eps=4/N",
-            30_000.0,
-            _crossover(
-                MachineModel(cluster_machine(2), softening="4overN"),
-                MachineModel(single_node_machine(), softening="4overN"),
-            ),
-            0.6,
-        ),
-        Anchor(
-            "fig17",
-            "16-node vs 4-node crossover N (paper: 'rather high, ~1e5')",
-            1.0e5,
-            _crossover(
-                MachineModel(full_machine(4)), MachineModel(full_machine(1)),
-                lo=1.0e4,
-            ),
-            1.0,
-        ),
-        Anchor(
-            "fig19",
-            "tuned speed at N=1.8M [Tflops]",
-            36.0,
-            tuned.speed_gflops(1_800_000) / 1.0e3,
-            0.15,
-        ),
-        Anchor(
-            "sec5",
-            "Kuiper-belt sustained [Tflops] (accounting)",
-            33.4,
-            KUIPER_BELT_RUN.sustained_tflops,
-            0.01,
-        ),
-        Anchor(
-            "sec5",
-            "binary-BH sustained [Tflops] (accounting)",
-            35.3,
-            BINARY_BH_RUN.sustained_tflops,
-            0.01,
-        ),
-        Anchor(
-            "sec5",
-            "Kuiper-belt sustained [Tflops] (model prediction)",
-            33.4,
-            predict_sustained_tflops(KUIPER_BELT_RUN, tuned),
-            0.25,
-        ),
-        Anchor(
-            "sec5",
-            "binary-BH sustained [Tflops] (model prediction)",
-            35.3,
-            predict_sustained_tflops(BINARY_BH_RUN, tuned),
-            0.25,
-        ),
-    ]
+    anchors = [a for figure in FIGURES.values() for a in check_figure(figure)]
+    runs = application_rows()
+    for column, kind, tolerance in (
+        ("tflops_accounting", "accounting", 0.01),
+        ("tflops_model", "model prediction", 0.25),
+    ):
+        anchors += [
+            Anchor("sec5", f"{run['run']} sustained [Tflops] ({kind})",
+                   run["tflops_paper"], run[column], tolerance)
+            for run in runs
+        ]
     return anchors
 
 

@@ -19,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 import numpy as np
 
-from ..config import MachineConfig, NICConfig, cluster_machine, single_node_machine
+from ..config import (
+    MachineConfig,
+    NICConfig,
+    cluster_machine,
+    single_node_machine,
+    tuned_machine,
+)
 from .blockstats import BLOCK_MODELS, BlockStatModel, PowerLaw
 from .comm_model import SyncModel
-from .machine_model import MachineModel
+from .machine_model import MachineModel, crossover
 
 
 @dataclass(frozen=True)
@@ -52,10 +58,7 @@ def _two_node_crossover(
     slow = MachineModel(machine_slow, block_model=block_model)
     if sync is not None:
         fast.sync = sync
-    for n in np.unique(np.logspace(2.7, 5.5, 300).astype(int)):
-        if fast.speed_gflops(int(n)) > slow.speed_gflops(int(n)):
-            return float(n)
-    return float("nan")
+    return crossover(fast, slow, 500, 3.0e5) or float("nan")
 
 
 def crossover_sensitivity(scales: tuple[float, ...] = (0.5, 2.0)) -> list[SensitivityRow]:
@@ -114,17 +117,15 @@ def headline_speed_sensitivity(
 ) -> list[SensitivityRow]:
     """How the fig. 19 tuned headline responds to host speed, NIC
     bandwidth and the hardware clock."""
-    from ..config import HOST_P4, NIC_INTEL82540EM, full_machine
-
-    tuned = full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
+    tuned = tuned_machine()
     baseline = MachineModel(tuned).speed_gflops(n)
     rows: list[SensitivityRow] = []
 
     for s in scales:
         host = replace(
-            HOST_P4,
-            t_step_base_us=HOST_P4.t_step_base_us * s,
-            t_step_miss_us=HOST_P4.t_step_miss_us * s,
+            tuned.node.host,
+            t_step_base_us=tuned.node.host.t_step_base_us * s,
+            t_step_miss_us=tuned.node.host.t_step_miss_us * s,
         )
         rows.append(
             SensitivityRow(
@@ -135,9 +136,7 @@ def headline_speed_sensitivity(
 
     for s in scales:
         nic = NICConfig(
-            "scaled",
-            NIC_INTEL82540EM.rtt_latency_us,
-            NIC_INTEL82540EM.bandwidth_mbs * s,
+            "scaled", tuned.nic.rtt_latency_us, tuned.nic.bandwidth_mbs * s
         )
         rows.append(
             SensitivityRow(

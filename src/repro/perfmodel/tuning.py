@@ -16,9 +16,9 @@ here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..config import (
-    HOST_P4,
     MachineConfig,
     NIC_INTEL82540EM,
     NIC_MYRINET,
@@ -27,8 +27,9 @@ from ..config import (
     cluster_machine,
     full_machine,
     single_node_machine,
+    tuned_machine,
 )
-from .machine_model import MachineModel
+from .machine_model import MachineModel, crossover
 
 
 @dataclass(frozen=True)
@@ -40,14 +41,17 @@ class ConfigurationChoice:
     speed_gflops: float
 
 
-#: The machine sizes the paper benchmarks (figs. 13, 15, 17).
-STANDARD_CONFIGURATIONS: tuple[tuple[str, object], ...] = (
-    ("1 node", single_node_machine),
-    ("2 nodes", lambda: cluster_machine(2)),
-    ("4 nodes (1 cluster)", lambda: cluster_machine(4)),
-    ("8 nodes (2 clusters)", lambda: full_machine(2)),
-    ("16 nodes (4 clusters)", lambda: full_machine(4)),
-)
+#: The machine sizes the paper benchmarks (figs. 13, 15, 17), label ->
+#: factory, smallest first.  The figure table's series
+#: (:data:`repro.figures.FIGURES`) draw their machines and display
+#: labels from here.
+STANDARD_CONFIGURATIONS: dict[str, Callable[[], MachineConfig]] = {
+    "1 node": single_node_machine,
+    "2 nodes": lambda: cluster_machine(2),
+    "4 nodes (1 cluster)": lambda: cluster_machine(4),
+    "8 nodes (2 clusters)": lambda: full_machine(2),
+    "16 nodes (4 clusters)": lambda: full_machine(4),
+}
 
 
 def best_configuration(
@@ -59,7 +63,7 @@ def best_configuration(
     j-memory cannot hold N are skipped.
     """
     choices = []
-    for label, factory in STANDARD_CONFIGURATIONS:
+    for label, factory in STANDARD_CONFIGURATIONS.items():
         machine = factory()
         model = MachineModel(machine, softening=softening, **model_kwargs)
         try:
@@ -75,26 +79,15 @@ def best_configuration(
 def crossover_table(softening: str = "constant") -> list[tuple[str, int | None]]:
     """N above which each configuration first beats the previous size
     (the machine operator's cheat sheet implied by figs. 15/17)."""
-    import numpy as np
-
-    out: list[tuple[str, int | None]] = []
-    prev_model: MachineModel | None = None
-    prev_label = ""
-    for label, factory in STANDARD_CONFIGURATIONS:
-        model = MachineModel(factory(), softening=softening)
-        if prev_model is not None:
-            found = None
-            for n in np.unique(np.logspace(2.7, 6.3, 300).astype(int)):
-                try:
-                    if model.speed_gflops(int(n)) > prev_model.speed_gflops(int(n)):
-                        found = int(n)
-                        break
-                except ValueError:
-                    break
-            out.append((f"{label} > {prev_label}", found))
-        prev_model = model
-        prev_label = label
-    return out
+    models = {
+        label: MachineModel(factory(), softening=softening)
+        for label, factory in STANDARD_CONFIGURATIONS.items()
+    }
+    labels = list(models)
+    return [
+        (f"{label} > {prev}", crossover(models[label], models[prev], 500, 2.0e6))
+        for prev, label in zip(labels, labels[1:])
+    ]
 
 
 def tuning_ladder(n: int = 1_800_000) -> list[tuple[str, float]]:
@@ -107,19 +100,14 @@ def tuning_ladder(n: int = 1_800_000) -> list[tuple[str, float]]:
         ("NS 83820 + Athlon (original)", full_machine(4)),
         ("Tigon 2 + Athlon", full_machine(4).with_nic(NIC_TIGON2)),
         ("Intel 82540EM + Athlon", full_machine(4).with_nic(NIC_INTEL82540EM)),
-        (
-            "Intel 82540EM + P4 2.85 (the paper's tuned system)",
-            full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4),
-        ),
+        ("Intel 82540EM + P4 2.85 (the paper's tuned system)", tuned_machine()),
         (
             "+ TCP/IP bypass (GAMMA/VIA, untried)",
-            full_machine(4)
-            .with_nic(bypass_tcpip(NIC_INTEL82540EM, 0.4))
-            .with_host(HOST_P4),
+            tuned_machine().with_nic(bypass_tcpip(NIC_INTEL82540EM, 0.4)),
         ),
         (
             "Myrinet + P4 (unaffordable that year)",
-            full_machine(4).with_nic(NIC_MYRINET).with_host(HOST_P4),
+            tuned_machine().with_nic(NIC_MYRINET),
         ),
     ]
     out = []

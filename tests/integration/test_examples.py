@@ -43,6 +43,9 @@ class TestExamplesRun:
         out = run_example("figure_sweep.py", capsys=capsys)
         for marker in ("Figure 13", "Figure 17", "Figure 19", "treecode comparison"):
             assert marker in out
+        # the anchors beside their figures, crossovers as the model's own N
+        for anchor in ("2513", "18402", "187360", "33.4"):
+            assert anchor in out
 
     def test_kuiper_belt(self, capsys):
         out = run_example("kuiper_belt.py", "60", capsys=capsys)
@@ -55,6 +58,9 @@ class TestExamplesRun:
     def test_parallel_scaling(self, capsys):
         out = run_example("parallel_scaling.py", capsys=capsys)
         assert "crossover" in out
+        # the same numbers the report and figure_sweep print
+        for n in ("2513", "18402", "187360"):
+            assert n in out
 
     def test_telemetry_demo(self, capsys):
         out = run_example("telemetry_demo.py", "24", capsys=capsys)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import HOST_P4, NIC_INTEL82540EM, full_machine
+from repro.config import tuned_machine
 from repro.perfmodel import BINARY_BH_RUN, KUIPER_BELT_RUN, MachineModel
 from repro.perfmodel.applications import (
     ApplicationRun,
@@ -42,8 +42,7 @@ class TestPaperAccounting:
 class TestModelPrediction:
     @pytest.fixture
     def tuned_model(self):
-        machine = full_machine(4).with_nic(NIC_INTEL82540EM).with_host(HOST_P4)
-        return MachineModel(machine)
+        return MachineModel(tuned_machine())
 
     def test_predicted_wall_time_close_to_measured(self, tuned_model):
         for run in (KUIPER_BELT_RUN, BINARY_BH_RUN):

@@ -165,9 +165,9 @@ class TestFiguresCLI:
     def test_csv_columns(self, tmp_path):
         import csv
 
-        from repro.figures import export_fig17
+        from repro.figures import FIGURES, export_figure
 
-        path = export_fig17(tmp_path)
+        path = export_figure(FIGURES["fig17"], tmp_path)
         with path.open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["N", "tflops_4node", "tflops_8node", "tflops_16node"]
