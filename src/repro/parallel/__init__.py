@@ -28,6 +28,7 @@ from .execution import (
     ProcessBackend,
     RankTask,
     ThreadBackend,
+    WorkerLost,
     resolve_backend,
 )
 from .ledger import (
@@ -55,6 +56,7 @@ __all__ = [
     "InlineBackend",
     "ThreadBackend",
     "ProcessBackend",
+    "WorkerLost",
     "RankTask",
     "resolve_backend",
     "SimNetwork",

@@ -16,33 +16,30 @@ one blockstep into the two things it is actually made of:
 
 That split is the bit-identity argument: the numeric kernels are
 deterministic given identical inputs (same numpy, same process image),
-the driver gathers their results in rank order, and every virtual
+the driver gathers their results in task order, and every virtual
 clock/ledger operation happens in exactly the interleaving the old
 central loops used.  Virtual-time trajectories, blockstep schedules,
 comm-ledger summaries and final particle state are therefore bitwise
 equal across all three backends (property-pinned in
-``tests/property/test_prop_execution_backends.py``, like the
-batched-vs-faithful emulator pin) — while wall-clock on the
-``process`` backend scales with cores.
+``tests/property/test_prop_execution_backends.py``).
 
 Backends
 --------
 ``inline``
-    Sequential execution in the driver thread — the reference, and the
-    default.  Zero overhead; this is exactly the pre-refactor code
-    path.
+    Sequential execution in the driver thread — the reference and the
+    default; a dispatch is one list comprehension over the kernels.
 ``thread``
-    A ``ThreadPoolExecutor`` of rank workers.  The numpy kernels
-    release the GIL inside the big einsum/reduce ops, so there is
-    modest overlap; pure-Python overhead still serializes (see the
-    GIL caveat in ``docs/benchmarking.md``).
+    A ``ThreadPoolExecutor`` of rank workers over the same arrays.  The
+    compiled pairwise tile releases the GIL for the whole tile; the
+    per-task Python around it still serializes.
 ``process``
-    A persistent ``multiprocessing`` pool.  The j-particle arrays
-    (the big operands: N x 3 positions/velocities plus masses) travel
-    through POSIX shared memory, published once per blockstep, so the
-    128-byte-per-particle exchanges never pickle full systems — each
-    task ships only a few index scalars and receives n_b/p rows of
-    acc/jerk/pot back.
+    Persistent worker processes, each on a private pipe.  Operands
+    travel through POSIX shared memory published once per blockstep; a
+    dispatch is ONE message per worker (a contiguous slice of the
+    tasks: row selectors and scalars) and ONE reply per worker (a few
+    integers — the acc/jerk/pot rows come back through each worker's
+    shared output segment), so its cost is per worker, not per rank.
+    Measured floors and the crossover N are in ``docs/benchmarking.md``.
 """
 
 from __future__ import annotations
@@ -414,28 +411,17 @@ def _attach_arena(
     return arena, attached_bytes
 
 
-def _worker_call(payload) -> Any:
-    """Pool target: attach the arena, run one kernel, return its result."""
-    fn_key, arena_meta, kwargs = payload
-    arena, _ = _attach_arena(arena_meta)
-    return KERNELS[fn_key](arena, **kwargs)
-
-
-def _worker_call_instrumented(payload) -> tuple[Any, dict[str, Any]]:
-    """Observed pool target: same kernel call, plus the sidecar sample."""
-    fn_key, arena_meta, kwargs, rank = payload
-    arena, attach_bytes = _attach_arena(arena_meta)
-    return _instrumented_call(
-        fn_key, arena, kwargs, rank, attach_bytes=attach_bytes
-    )
+class WorkerLost(RuntimeError):
+    """A process-backend worker died; the backend has closed itself."""
 
 
 class _Segment:
-    """One published array living in a shared-memory block."""
+    """One shared-memory block: created, or attached by ``name``."""
 
-    def __init__(self, nbytes: int) -> None:
-        self.shm = shared_memory.SharedMemory(create=True, size=max(nbytes, 1))
+    def __init__(self, nbytes: int = 0, name: str | None = None) -> None:
         self.capacity = max(nbytes, 1)
+        self.shm = shared_memory.SharedMemory(
+            name=name, create=name is None, size=self.capacity)
         self.dtype = ""
         self.shape: tuple[int, ...] = ()
 
@@ -453,15 +439,90 @@ class _Segment:
             pass
 
 
-class ProcessBackend(ExecutionBackend):
-    """Multiprocessing pool with a shared-memory arena.
+def _place(results: list[Any], seg: "_Segment | None"):
+    """Worker side of the result arena: move every array of the result
+    dicts (plain numeric dtypes; anything else stays in the pickle) into
+    this worker's output segment, replaced by a larger one under a new
+    name when too small, so the reply pickles a few integers per tile.
+    Returns the segment, its bytes in use and the layout: ``(result
+    index, key, offset, dtype, shape)`` per array."""
+    arrays, layout, used = [], [], 0
+    for i, res in enumerate(results):
+        for key, val in res.items() if isinstance(res, dict) else ():
+            if isinstance(val, np.ndarray) and val.dtype.kind in "biufc":
+                res[key] = None
+                arrays.append((used, val))
+                layout.append((i, key, used, val.dtype.str, val.shape))
+                used += -(-val.nbytes // 16) * 16
+    if seg is None or seg.capacity < used:
+        if seg is not None:
+            seg.destroy()
+        seg = _Segment(2 * used)
+    for offset, val in arrays:
+        np.ndarray(val.shape, val.dtype, seg.shm.buf, offset)[...] = val
+    return seg, used, layout
 
-    The pool is created lazily (``fork`` where available, so workers
-    inherit the loaded interpreter; ``spawn`` otherwise) and persists
-    across blocksteps.  ``publish`` memcpys each array into its
-    segment — ~56 bytes/particle for the j-side per blockstep, far
-    below the O(n_b x N) kernel work it unlocks — and tasks carry only
-    the segment names.
+
+def _worker_loop(conn, driver_ends) -> None:
+    """Worker main: one message in, one reply out, until the sentinel.
+
+    A message is ``(observed, arena_meta, [(fn, kwargs, rank), ...])``;
+    the reply ``(True, (segment name, bytes used, layout, results,
+    samples))`` in slice order (``samples`` empty unless observed,
+    ``attach_bytes`` charged to the slice's first task) or ``(False,
+    exception)``.  A forked worker inherits the driver-side ends of
+    every pipe opened before it and closes them first: holding one, it
+    would never read a killed driver as EOF and would outlive it,
+    segments and all.
+    """
+    for end in driver_ends:
+        end.close()
+    out = None  # this worker's output segment
+    try:
+        while True:
+            try:
+                message = conn.recv()
+            except (EOFError, OSError):  # the driver is gone
+                return
+            if message is None:
+                return
+            observed, arena_meta, calls = message
+            try:
+                arena, attach_bytes = _attach_arena(arena_meta)
+                results, samples = [], []
+                for fn_key, kwargs, rank in calls:
+                    if observed:
+                        result, sample = _instrumented_call(
+                            fn_key, arena, kwargs, rank, attach_bytes)
+                        samples.append(sample)
+                        attach_bytes = 0
+                    else:
+                        result = KERNELS[fn_key](arena, **kwargs)
+                    results.append(result)
+                out, used, layout = _place(results, out)
+                reply = True, (out.shm.name, used, layout, results, samples)
+            except Exception as exc:  # a kernel's own: the driver re-raises it
+                reply = False, exc
+            conn.send(reply)
+    finally:
+        if out is not None:
+            out.destroy()
+
+
+class ProcessBackend(ExecutionBackend):
+    """Persistent worker processes on private pipes, shared-memory arena.
+
+    Workers start lazily (``fork`` where available, so they inherit the
+    loaded interpreter; ``spawn`` otherwise) and persist across
+    blocksteps.  ``publish`` memcpys each array into its segment — ~56
+    bytes/particle for the j-side per blockstep.  ``run_tasks`` cuts the
+    task list into one contiguous slice per worker (the algorithms emit
+    near-equal tiles in rank order, so that balances to within a tile)
+    and reads the replies in worker order, hence in task order.
+
+    A kernel's exception is re-raised here with its own type once every
+    reply of the dispatch has been read, and the backend stays usable; a
+    dead worker raises :class:`WorkerLost` and the backend closes itself.
     """
 
     name = "process"
@@ -471,20 +532,26 @@ class ProcessBackend(ExecutionBackend):
         if self.workers < 1:
             raise ValueError("need at least one worker")
         self._segments: dict[str, _Segment] = {}
-        self._pool = None
+        self._outputs: dict[int, _Segment] = {}  # attached, by worker index
+        self._procs: list = []
+        self._conns: list = []
         self._closed = False
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> list:
         if self._closed:
             raise RuntimeError("backend is closed")
-        if self._pool is None:
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            self._pool = get_context(method).Pool(processes=self.workers)
-        return self._pool
+        if not self._procs:
+            methods = multiprocessing.get_all_start_methods()
+            ctx = get_context("fork" if "fork" in methods else "spawn")
+            for _ in range(self.workers):
+                ours, theirs = ctx.Pipe()
+                self._conns.append(ours)
+                proc = ctx.Process(target=_worker_loop, daemon=True,
+                                   args=(theirs, list(self._conns)))
+                proc.start()
+                theirs.close()  # held by its worker alone, its death is our EOF
+                self._procs.append(proc)
+        return self._conns
 
     def publish(self, **arrays: np.ndarray) -> None:
         if self._closed:
@@ -502,35 +569,82 @@ class ProcessBackend(ExecutionBackend):
 
     def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
         observed = self._observer is not None
-        if not tasks:
-            if observed:
-                self._report(_monotonic_us(), [])
-            return []
         t0 = _monotonic_us() if observed else 0.0
-        pool = self._ensure_pool()
-        meta = {
-            key: (seg.shm.name, seg.dtype, seg.shape)
-            for key, seg in self._segments.items()
-        }
-        if not observed:
-            payloads = [(t.fn, meta, t.kwargs) for t in tasks]
-            return pool.map(_worker_call, payloads, chunksize=1)
-        payloads = [(t.fn, meta, t.kwargs, t.rank) for t in tasks]
-        pairs = pool.map(_worker_call_instrumented, payloads, chunksize=1)
-        self._report(t0, [s for _, s in pairs])
-        return [r for r, _ in pairs]
+        results: list[Any] = []
+        samples: list[dict[str, Any]] = []
+        if tasks:
+            conns = self._ensure_pool()
+            meta = {
+                key: (seg.shm.name, seg.dtype, seg.shape)
+                for key, seg in self._segments.items()
+            }
+            k = min(self.workers, len(tasks))
+            bounds = [len(tasks) * w // k for w in range(k + 1)]
+            try:
+                for w in range(k):
+                    conns[w].send((observed, meta, [
+                        (t.fn, t.kwargs, t.rank)
+                        for t in tasks[bounds[w]:bounds[w + 1]]
+                    ]))
+                replies = []
+                for w in range(k):  # a plain loop: ``w`` names the lost worker
+                    replies.append(conns[w].recv())
+            except (EOFError, OSError) as exc:
+                proc = self._procs[w]
+                proc.join(1.0)  # reaped, so the exit code is known
+                self.close()
+                raise WorkerLost(
+                    f"process backend worker {w} (pid {proc.pid}) died "
+                    f"with exit code {proc.exitcode}"
+                ) from exc
+            for w, (ok, payload) in enumerate(replies):
+                if not ok:
+                    raise payload
+                name, used, layout, part, part_samples = payload
+                self._collect(w, name, used, layout, part)
+                results += part
+                samples += part_samples
+        if observed:
+            self._report(t0, samples)
+        return results
+
+    def _collect(self, w, name, used, layout, results) -> None:
+        """Driver side of the result arena: copy worker ``w``'s output
+        bytes out once (it overwrites them on its next slice) and put
+        each array back into its result, as a view of that copy."""
+        seg = self._outputs.get(w)
+        if seg is None or seg.shm.name != name:
+            if seg is not None:
+                seg.shm.close()
+            seg = self._outputs[w] = _Segment(name=name)
+        data = bytearray(seg.shm.buf[:used])
+        for i, key, offset, dtype, shape in layout:
+            results[i][key] = np.ndarray(shape, dtype, data, offset)
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-        for seg in self._segments.values():
+        for conn in self._conns:
+            try:
+                conn.send(None)
+            except OSError:  # that worker is already gone
+                pass
+        for proc in self._procs:
+            proc.join(1.0)
+            if proc.is_alive():  # SIGKILL: a forked worker may have
+                proc.kill()      # inherited a handler that ignores SIGTERM
+                proc.join()
+        for conn in self._conns:
+            conn.close()
+        self._procs.clear()
+        self._conns.clear()
+        # a worker unlinks its output segment on the way out; a killed
+        # one could not, so the driver destroys what it attached as well
+        for seg in (*self._segments.values(), *self._outputs.values()):
             seg.destroy()
         self._segments.clear()
+        self._outputs.clear()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

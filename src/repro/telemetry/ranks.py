@@ -1,10 +1,11 @@
 """Real-execution rank telemetry (the rank observatory).
 
-Since the execution engine landed, simulated ranks run on real cores
-(:mod:`repro.parallel.execution`), but every other observatory still
-watches the driver's *virtual* clocks: ``pool.map`` returned bare
-results, so real stragglers, GIL contention and shared-memory publish
-costs were invisible.  This module closes that gap, in the
+Simulated ranks run on real cores (:mod:`repro.parallel.execution`),
+but every other observatory watches the driver's *virtual* clocks: a
+dispatch returns bare results, so real stragglers, GIL contention,
+the per-worker message round trip of the process backend and
+shared-memory publish costs are invisible to them.  This module closes
+that gap, in the
 measurement-first spirit of the paper's §4-§6 — you cannot tune what
 you did not measure.
 

@@ -309,6 +309,56 @@ class TestParallelRunJob:
         records = read_archive(jobdir / "bus.jsonl")
         assert len([r for r in records if r.kind == "discontinuity"]) == 1
 
+    def test_lost_worker_is_a_failed_resumable_job(self, tmp_path, monkeypatch):
+        """A worker process killed between blocksteps ends the job
+        ``failed`` with a named error — not a hang — and a resume from
+        the last checkpoint lands on the uninterrupted inline run's
+        bits."""
+        import multiprocessing
+
+        from repro.parallel import WorkerLost
+        from repro.service import supervisor
+        from repro.service.jobs import JobSpec
+
+        def submit(name, exec_backend):
+            spec = JobSpec.from_dict({
+                "schema": "repro.job/1", "kind": "run", "name": name,
+                "params": dict(PARALLEL_PARAMS, ranks=4),
+                "checkpoint_every": 4, "sample_every": 8,
+                "exec_backend": exec_backend,
+            })
+            return supervisor.Supervisor.submit(spec, tmp_path / name)
+
+        reference = submit("lost-ref", "inline")
+        assert reference.execute() == "completed"
+
+        written = []
+        write_checkpoint = supervisor.write_checkpoint
+
+        def kill_after_second(path, *args, **kwargs):
+            write_checkpoint(path, *args, **kwargs)
+            written.append(path)
+            if len(written) == 2:
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(2.0)
+
+        sup = submit("lost", "process:2")
+        monkeypatch.setattr(supervisor, "write_checkpoint", kill_after_second)
+        with pytest.raises(WorkerLost):
+            sup.execute()
+        monkeypatch.undo()
+        assert not multiprocessing.active_children()
+        state = json.loads((sup.paths.root / "state.json").read_text())
+        assert state["status"] == "failed"
+        assert state["error"].startswith("WorkerLost:")
+        failed = [r for r in read_archive(sup.paths.root / "bus.jsonl")
+                  if r.kind == "job" and r.payload.get("status") == "failed"]
+        assert len(failed) == 1
+
+        assert sup.execute(resume=True) == "completed"
+        assert_final_identical(sup.paths.root, reference.paths.root)
+
     def test_bad_exec_backend_rejected(self, tmp_path, capsys):
         spec = write_parallel_spec(tmp_path / "bad.json",
                                    exec_backend="mpi:4")

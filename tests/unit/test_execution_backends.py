@@ -7,6 +7,14 @@ the process backend, and the driver's one-scan-per-blockstep property
 (the scheduler fix that rode along with the engine).
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -22,7 +30,7 @@ from repro.parallel import (
     ThreadBackend,
     resolve_backend,
 )
-from repro.parallel.execution import select_rows
+from repro.parallel.execution import KERNELS, WorkerLost, kernel, select_rows
 
 EPS2 = (1.0 / 64.0) ** 2
 
@@ -419,3 +427,207 @@ class TestDriverSchedulerScans:
         np.testing.assert_array_equal(
             np.sort(np.flatnonzero(system.t == t_block)), np.sort(seen[0])
         )
+
+
+# -- the process backend's dispatch contract and failure semantics ----------
+
+
+@pytest.fixture
+def test_kernels():
+    """Two throw-away kernels, registered before the workers fork (they
+    inherit the registry) and removed afterwards."""
+
+    @kernel("test_sleep")
+    def _sleep(arena, *, seconds):
+        time.sleep(seconds)
+        return {"slept": seconds}
+
+    @kernel("test_boom")
+    def _boom(arena, *, fail):
+        if fail:
+            raise ValueError("boom")
+        return {"ok": True}
+
+    yield
+    del KERNELS["test_sleep"], KERNELS["test_boom"]
+
+
+def _force_tasks(n, count):
+    return [
+        RankTask("forces", r, {
+            "i_rows": ("stride", r, n, max(count, 1)), "j_rows": None,
+            "eps2": EPS2, "exclude_self": True,
+        })
+        for r in range(count)
+    ]
+
+
+def _publish_system(backend, system):
+    backend.publish(ix=system.pos, iv=system.vel,
+                    jx=system.pos, jv=system.vel, jm=system.mass)
+
+
+def _assert_same_results(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for key in ("acc", "jerk", "pot"):
+            np.testing.assert_array_equal(a[key], b[key])
+        assert a["interactions"] == b["interactions"]
+
+
+class TestProcessDispatchContract:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_send_per_worker_and_inline_bits(self, workers):
+        """Contiguous slices, one message per worker per dispatch,
+        results in task order and bitwise the inline backend's —
+        observed or not."""
+        system = plummer_model(27, seed=31)
+        inline = InlineBackend()
+        _publish_system(inline, system)
+        backend = ProcessBackend(workers)
+        sends = []
+        try:
+            _publish_system(backend, system)
+            for w, conn in enumerate(backend._ensure_pool()):
+                original = conn.send
+                conn.send = lambda msg, w=w, original=original: (
+                    sends.append(w), original(msg))[-1]
+            for observer in (None, lambda report: None):
+                backend.attach_observer(observer)
+                for count in (0, 1, 2, 3, 7, 8, 9):
+                    tasks = _force_tasks(27, count)
+                    del sends[:]
+                    got = backend.run_tasks(tasks)
+                    assert sends == list(range(min(workers, count)))
+                    _assert_same_results(got, inline.run_tasks(tasks))
+        finally:
+            backend.close()
+
+    def test_kernel_error_keeps_its_type_and_the_backend(self, test_kernels):
+        backend = ProcessBackend(2)
+        try:
+            backend.publish(jm=np.ones(4))
+            tasks = [RankTask("test_boom", r, {"fail": r == 2})
+                     for r in range(4)]
+            with pytest.raises(ValueError, match="boom"):
+                backend.run_tasks(tasks)
+            ok = [RankTask("test_boom", r, {"fail": False}) for r in range(4)]
+            assert backend.run_tasks(ok) == [{"ok": True}] * 4
+        finally:
+            backend.close()
+
+    def test_attach_bytes_on_a_workers_first_slice_only(self):
+        system = plummer_model(16, seed=33)
+        backend = ProcessBackend(2)
+        reports = []
+        backend.attach_observer(reports.append)
+        try:
+            _publish_system(backend, system)
+            backend.run_tasks(_force_tasks(16, 4))
+            backend.run_tasks(_force_tasks(16, 4))
+        finally:
+            backend.close()
+        cold = [s["attach_bytes"] for s in reports[0]["samples"]]
+        assert cold[0] > 0 and cold[2] > 0  # each worker's first task
+        assert cold[1] == 0 and cold[3] == 0
+        assert [s["attach_bytes"] for s in reports[1]["samples"]] == [0] * 4
+        pids = [s["pid"] for s in reports[0]["samples"]]
+        assert pids[0] == pids[1] != pids[2] == pids[3]
+
+
+def _alive(pid):
+    """False once ``pid`` is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestProcessBackendFaults:
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_dead_worker_raises_worker_lost(self, test_kernels, victim):
+        """A worker SIGKILLed mid-dispatch is a named error within 2 s
+        and a closed backend — never a hang, a stray child or a leaked
+        segment.  The dispatch runs under a watchdog thread so that a
+        hang is this test's failure, not a stuck suite."""
+        shm_before = set(os.listdir("/dev/shm"))
+        children_before = set(multiprocessing.active_children())
+        backend = ProcessBackend(2)
+        backend.publish(jm=np.ones(4))
+
+        def sleepers(seconds):
+            return [RankTask("test_sleep", r, {"seconds": seconds})
+                    for r in range(2)]
+
+        backend.run_tasks(sleepers(0.0))  # slice w runs on worker w
+        workers = sorted(
+            set(multiprocessing.active_children()) - children_before,
+            key=lambda proc: proc.pid)  # forked in worker order
+        assert len(workers) == 2
+        pid = workers[victim].pid
+        outcome = {}
+
+        def dispatch():
+            try:
+                outcome["result"] = backend.run_tasks(sleepers(0.6))
+            except BaseException as exc:
+                outcome["error"] = exc
+
+        watchdog = threading.Thread(target=dispatch, daemon=True)
+        watchdog.start()
+        time.sleep(0.2)
+        os.kill(pid, signal.SIGKILL)
+        watchdog.join(2.0)
+        assert not watchdog.is_alive(), "run_tasks hung on a dead worker"
+        error = outcome.get("error")
+        assert isinstance(error, WorkerLost), outcome
+        assert f"worker {victim}" in str(error)
+        assert f"pid {pid}" in str(error)
+        assert "exit code -9" in str(error)
+        with pytest.raises(RuntimeError, match="backend is closed"):
+            backend.run_tasks(sleepers(0.0))
+        backend.close()
+        assert set(multiprocessing.active_children()) <= children_before
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+    def test_killed_driver_leaves_no_worker_and_no_segment(self, tmp_path):
+        """Carried over from ``multiprocessing.Pool``: SIGKILL the
+        *driver* and within 2 s its workers are gone and so is every
+        segment it created."""
+        script = tmp_path / "driver.py"
+        script.write_text(
+            "import multiprocessing, os, sys, time\n"
+            "import numpy as np\n"
+            "from repro.parallel import ProcessBackend, RankTask\n"
+            "before = set(os.listdir('/dev/shm'))\n"
+            "backend = ProcessBackend(2)\n"
+            "x = np.zeros((8, 3)); x[:, 0] = np.arange(8)\n"
+            "backend.publish(ix=x, iv=x, jx=x, jv=x, jm=np.ones(8))\n"
+            "backend.run_tasks([RankTask('forces', r, dict(\n"
+            "    i_rows=('stride', r, 8, 2), j_rows=None, eps2=0.01,\n"
+            "    exclude_self=True)) for r in range(2)])\n"
+            "print(*[p.pid for p in multiprocessing.active_children()])\n"
+            "print(*sorted(set(os.listdir('/dev/shm')) - before))\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        driver = subprocess.Popen(
+            [sys.executable, str(script)], stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, text=True, env=env)
+        try:
+            pids = [int(p) for p in driver.stdout.readline().split()]
+            segments = driver.stdout.readline().split()
+            assert len(pids) == 2 and len(segments) >= 5
+        finally:
+            driver.kill()
+            driver.wait()
+        deadline = time.perf_counter() + 2.0
+        while time.perf_counter() < deadline and (
+            any(_alive(p) for p in pids)
+            or set(segments) & set(os.listdir("/dev/shm"))
+        ):
+            time.sleep(0.02)
+        assert not [p for p in pids if _alive(p)]
+        assert not set(segments) & set(os.listdir("/dev/shm"))
