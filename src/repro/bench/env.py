@@ -6,9 +6,9 @@ next to every Tflops figure; the fig. 19 tuning story *is* a change of
 environment).  Every ``BENCH_*.json`` therefore records enough of the
 substrate to tell "the code got slower" apart from "the machine
 changed": interpreter, platform, numpy, CPU count, which tier of the
-pairwise and pipeline tiles served (compiled or numpy: same bits,
-different speed; one field, ``"c"`` only when every tile compiled) and
-the git revision the artifact was produced from.
+pairwise, pipeline and Hermite tiles served (compiled or numpy: same
+bits, different speed; one field, ``"c"`` only when every tile compiled)
+and the git revision the artifact was produced from.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from ..core import hermite_tile
 from ..forces import kernels
 from ..hardware import pipeline
 
@@ -64,6 +65,10 @@ def environment_fingerprint() -> dict[str, Any]:
         "processor": platform.processor() or None,
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
-        "kernel_tier": "c" if kernels.KERNEL_TIER == pipeline.PIPELINE_TIER == "c" else "numpy",
+        "kernel_tier": (
+            "c"
+            if kernels.KERNEL_TIER == pipeline.PIPELINE_TIER == hermite_tile.HERMITE_TIER == "c"
+            else "numpy"
+        ),
         "git_revision": _git_revision(Path(__file__).resolve()),
     }

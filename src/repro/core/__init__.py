@@ -9,6 +9,8 @@ follows the classic structure of Aarseth-style codes:
 * :mod:`corrector` — the Hermite corrector (Makino & Aarseth 1992),
 * :mod:`timestep` — the Aarseth timestep criterion and the power-of-two
   block quantisation,
+* :mod:`hermite_tile` — the three above as the host's two calls per
+  blockstep (predict all, advance the block), numpy or ``hermite_tile.c``,
 * :mod:`scheduler` — the block-timestep scheduler,
 * :mod:`hermite` — shared-timestep Hermite integrator,
 * :mod:`individual` — the individual/block timestep integrator used in
@@ -30,6 +32,7 @@ from .individual import BlockTimestepIntegrator, StepStatistics
 from .ahmad_cohen import ACStatistics, AhmadCohenIntegrator
 from .neighbors import NeighborLists
 from .diagnostics import EnergyDiagnostics
+from .timestep import NonFiniteForce
 
 __all__ = [
     "ParticleSystem",
@@ -41,6 +44,7 @@ __all__ = [
     "NeighborLists",
     "StepStatistics",
     "EnergyDiagnostics",
+    "NonFiniteForce",
     "constant_softening",
     "n_dependent_softening",
     "strong_softening",

@@ -306,8 +306,7 @@ class AhmadCohenIntegrator:
         """Integrate until the earliest pending block time passes t_end."""
         steps = 0
         while True:
-            t_next, _ = self.scheduler.next_block()
-            if t_next > t_end:
+            if self.scheduler.next_time() > t_end:
                 break
             self.step()
             steps += 1

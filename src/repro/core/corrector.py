@@ -17,6 +17,11 @@ the 4th/5th-order correction terms::
 The derivatives ``a2`` (evaluated at the end of the step,
 ``a2_end = a2 + dt a3``) and ``a3`` also feed the Aarseth timestep
 criterion (:mod:`repro.core.timestep`).
+
+:func:`hermite_correct` is the reference: the block integrator reaches
+it through :func:`repro.core.hermite_tile.advance_block`, whose compiled
+tier repeats the expressions below operation for operation (and whose
+numpy tier calls this function).
 """
 
 from __future__ import annotations

@@ -150,8 +150,7 @@ class AccretionSimulation:
         simulation time (merger clock restarts included)."""
         steps = 0
         while True:
-            t_next, _ = self._integ.scheduler.next_block()
-            if self._t_offset + t_next > t_end:
+            if self._t_offset + self._integ.scheduler.next_time() > t_end:
                 break
             t_block, _ = self._integ.step()
             self.t = self._t_offset + t_block

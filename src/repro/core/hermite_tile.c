@@ -1,0 +1,201 @@
+/* Compiled tile for the host's share of a blockstep: the same bits as
+ * the numpy code.
+ *
+ * Two entry points, the fast tier beneath repro.core.hermite_tile:
+ *
+ *   hermite_predict        eqs. (6)-(7) truncated after the jerk term, all
+ *                          N particles (numpy_predict_hermite);
+ *   hermite_advance_block  per block particle: the Hermite corrector, the
+ *                          Aarseth criterion, the block quantisation and
+ *                          the scatter into the particle arrays
+ *                          (numpy_advance_block = hermite_correct +
+ *                          aarseth_dt + quantize_block_dt).
+ *
+ * As for the other tiles the contract is bit identity with the numpy
+ * twins, which stay the reference; the loader checks both against each
+ * other before it hands this one out.  What makes that possible here:
+ *
+ * 1. Every expression below is the numpy expression with its Python
+ *    association spelled out, one IEEE-754 operation for one ufunc
+ *    call.  -ffp-contract=off keeps a * b + c two roundings and nothing
+ *    is reassociated (no -ffast-math); add, multiply, divide and sqrt
+ *    are correctly rounded in both tiers.
+ *
+ * 2. numpy evaluates h**2 as h * h and h**3 .. h**5 through pow().
+ *    Block steps are powers of two, for which a product of powers is
+ *    exact (or underflows to the same value), so h2 .. h5 are products
+ *    here and no pow() is called.  A step that is not a power of two
+ *    is not served: the entry point says so and the numpy twin runs.
+ *
+ * 3. |x| of a 3-vector is numpy.linalg.norm's sqrt(add.reduce(x * x)),
+ *    and over the short last axis of a contiguous (n, 3) array
+ *    add.reduce adds column by column, (s0 + s1) + s2 - not the
+ *    pairwise order of a long axis.  The floor to a power of two hides
+ *    the criterion's last bit except at a boundary, so the loader also
+ *    asks numpy directly which order it uses.
+ *
+ * 4. The floor to a power of two is frexp / ldexp, the calls numpy makes.
+ *
+ * Nothing is written to the particle arrays until every block particle
+ * has been computed and found good, so a refusal leaves them untouched.
+ */
+#include <float.h>
+#include <math.h>
+#include <stddef.h>
+#include <stdint.h>
+
+/* what hermite_advance_block answers, in its low three bits; the
+ * position in the block of the particle concerned is in the bits above */
+enum {
+    ADVANCED = 0,
+    STEP_NOT_POSITIVE = 1, /* the corrector's ValueError */
+    NOT_FINITE = 2,        /* a NaN criterion or a non-finite potential */
+    STEP_NOT_POWER_OF_TWO = 3, /* not served: the numpy twin's case */
+    CLAMPED_STEP_NOT_POSITIVE = 4, /* floor_power_of_two's ValueError */
+    INDEX_OUT_OF_RANGE = 5,
+};
+
+#define ANSWER(code, k) (((ptrdiff_t)(k) << 3) | (code))
+
+void hermite_predict(double t_now, ptrdiff_t n, const double *t0,
+                     const double *restrict x0, const double *restrict v0,
+                     const double *restrict a0, const double *restrict j0,
+                     double *restrict xp, double *restrict vp)
+{
+    /* each particle's dt, once per component, kept in vp until vp itself
+     * is computed: the two loops below then run over 3 n contiguous
+     * elements and vectorise, which a per-particle loop does not */
+    for (ptrdiff_t i = 0; i < n; i++)
+        vp[3 * i] = vp[3 * i + 1] = vp[3 * i + 2] = t_now - t0[i];
+    for (ptrdiff_t k = 0; k < 3 * n; k++) {
+        /* Horner: x = ((j*dt/6 + a/2)*dt + v)*dt + x */
+        const double dt = vp[k];
+        double x = j0[k] * (dt / 6.0);
+        x += 0.5 * a0[k];
+        x *= dt;
+        x += v0[k];
+        x *= dt;
+        x += x0[k];
+        xp[k] = x;
+    }
+    for (ptrdiff_t k = 0; k < 3 * n; k++) {
+        const double dt = vp[k];
+        double v = j0[k] * (dt / 2.0);
+        v += a0[k];
+        v *= dt;
+        v += v0[k];
+        vp[k] = v;
+    }
+}
+
+static inline double norm3(const double *x)
+{
+    const double s0 = x[0] * x[0], s1 = x[1] * x[1], s2 = x[2] * x[2];
+    return sqrt((s0 + s1) + s2);
+}
+
+/* numpy.minimum / numpy.maximum, which hand a NaN first argument on */
+static inline double np_minimum(double a, double b)
+{
+    return (a < b || isnan(a)) ? a : b;
+}
+
+static inline double np_maximum(double a, double b)
+{
+    return (a > b || isnan(a)) ? a : b;
+}
+
+enum { POS = 0, VEL = 3, SNAP = 6, CRACKLE = 9, WORK = 12 };
+
+/* block: (n_b,) indices into the (n, 3) and (n,) particle arrays;
+ * xp, vp: (n, 3) predictions at t_block; acc1, jerk1, pot1: the force on
+ * the block, (n_b, 3), (n_b, 3), (n_b,); work: (n_b, WORK) scratch;
+ * dt_new: (n_b,) the new steps, also scattered into dt. */
+ptrdiff_t hermite_advance_block(
+    ptrdiff_t n, ptrdiff_t n_b, const int64_t *block, double t_block,
+    const double *xp, const double *vp,
+    const double *acc1, const double *jerk1, const double *pot1,
+    double eta, double dt_max, double dt_min,
+    double *pos, double *vel, double *acc, double *jerk, double *snap,
+    double *crackle, double *pot, double *t, double *dt,
+    double *work, double *dt_new)
+{
+    ptrdiff_t not_finite = -1, not_positive = -1;
+    int exponent;
+
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        if (block[k] < 0 || block[k] >= n)
+            return ANSWER(INDEX_OUT_OF_RANGE, k);
+    }
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        const double h = t_block - t[block[k]];
+        if (h <= 0.0)
+            return ANSWER(STEP_NOT_POSITIVE, k);
+        if (frexp(h, &exponent) != 0.5) /* the twin decides, also on NaN */
+            return ANSWER(STEP_NOT_POWER_OF_TWO, k);
+    }
+
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        const ptrdiff_t i = block[k];
+        const double h = t_block - t[i];
+        const double h2 = h * h, h3 = h2 * h, h4 = h3 * h, h5 = h4 * h;
+        const double h3_6 = h3 / 6.0, h4_24 = h4 / 24.0, h5_120 = h5 / 120.0;
+        const double *a0 = acc + 3 * i, *j0 = jerk + 3 * i;
+        const double *a1 = acc1 + 3 * k, *j1 = jerk1 + 3 * k;
+        double *w = work + WORK * k;
+
+        for (int c = 0; c < 3; c++) {
+            const double da = a0[c] - a1[c];
+            const double a2 =
+                (-6.0 * da - h * (4.0 * j0[c] + 2.0 * j1[c])) / h2;
+            const double a3 = (12.0 * da + (6.0 * h) * (j0[c] + j1[c])) / h3;
+            w[VEL + c] = (vp[3 * i + c] + h3_6 * a2) + h4_24 * a3;
+            w[POS + c] = (xp[3 * i + c] + h4_24 * a2) + h5_120 * a3;
+            w[SNAP + c] = a2 + h * a3;
+            w[CRACKLE + c] = a3;
+        }
+
+        /* Aarseth: sqrt(eta (|a||a2| + |j|^2) / (|j||a3| + |a2|^2)) */
+        const double a = norm3(a1), j = norm3(j1);
+        const double s = norm3(w + SNAP), c = norm3(w + CRACKLE);
+        const double num = a * s + j * j, den = j * c + s * s;
+        const double ideal = sqrt(eta * (num + DBL_MIN) / (den + DBL_MIN));
+        if (not_finite < 0 && (isnan(ideal) || !isfinite(pot1[k])))
+            not_finite = k;
+
+        /* onto the block hierarchy: clamp, floor to a power of two, at
+         * most one doubling and only on a commensurable boundary */
+        double q = np_maximum(np_minimum(ideal, dt_max), dt_min);
+        if (not_positive < 0 && q <= 0.0)
+            not_positive = k;
+        frexp(q, &exponent);
+        q = np_minimum(ldexp(0.5, exponent), 2.0 * h);
+        if (q > h) {
+            const double steps = t_block / q;
+            if (steps != floor(steps))
+                q = h;
+        }
+        dt_new[k] = q;
+    }
+    if (not_finite >= 0)
+        return ANSWER(NOT_FINITE, not_finite);
+    if (not_positive >= 0)
+        return ANSWER(CLAMPED_STEP_NOT_POSITIVE, not_positive);
+
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        const ptrdiff_t i = block[k];
+        const double *w = work + WORK * k;
+        for (int c = 0; c < 3; c++) {
+            pos[3 * i + c] = w[POS + c];
+            vel[3 * i + c] = w[VEL + c];
+            acc[3 * i + c] = acc1[3 * k + c];
+            jerk[3 * i + c] = jerk1[3 * k + c];
+            snap[3 * i + c] = w[SNAP + c];
+            crackle[3 * i + c] = w[CRACKLE + c];
+        }
+        pot[i] = pot1[k];
+        t[i] = t_block;
+        dt[i] = dt_new[k];
+    }
+    return ADVANCED;
+}

@@ -1,0 +1,404 @@
+"""The host's share of a blockstep, in two calls and two tiers.
+
+On GRAPE-6 the host's work per blockstep is O(n_b): the chips predict
+the j-particles (eqs. 6-7) and the host corrects the block it got
+forces for and picks its next steps - the ``t_host`` term of the
+paper's eq. 10.  Here that share is two functions,
+
+* :func:`predict_hermite` - all N particles to the block time, the
+  Hermite truncation of eqs. (6)-(7);
+* :func:`advance_block` - per block particle the Hermite corrector
+  (:func:`~repro.core.corrector.hermite_correct`), the Aarseth criterion
+  (:func:`~repro.core.timestep.aarseth_dt`), the block quantisation
+  (:func:`~repro.core.timestep.quantize_block_dt`) and the scatter into
+  the particle arrays,
+
+and like the two force tiles (:mod:`repro.forces.kernels`,
+:mod:`repro.hardware.pipeline`) each is two tiers with one behaviour.
+The numpy tier (:data:`NUMPY_TILE`) is the reference and what runs
+without a compiler; ``hermite_tile.c`` computes the same bits in one
+call each, where numpy dispatches some forty small-array operations
+(about 100 us a blockstep at every N, for 1 us of arithmetic).  Why the
+bits agree is argued at the top of the C file; that they agree is
+checked when the tile is loaded (:func:`_self_check`), and
+:data:`HERMITE_TIER` / :data:`HERMITE_TIER_REASON` say which tier serves
+this process.  Nothing selects one.
+
+The compiled tier points into the caller's arrays, so both tiers refuse
+what it could not point into - anything but C-contiguous float64 of the
+right shape, a block that is not int64 or indexes outside the system -
+on every call, and addresses are taken per call: no pointer outlives
+the array it came from.  A refusal, like a non-positive step or a
+:class:`~repro.core.timestep.NonFiniteForce`, leaves the system
+untouched.
+"""
+
+from __future__ import annotations
+
+from ctypes import c_double, c_ssize_t, c_void_p
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from ..forces.compiled import TileUnavailable, address, entry_point, load_library
+from .corrector import hermite_correct
+from .timestep import NonFiniteForce, aarseth_dt, quantize_block_dt
+
+_F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
+
+#: The (N, 3) and (N,) arrays of a particle system a block is scattered into.
+STATE_VECTORS = ("pos", "vel", "acc", "jerk", "snap", "crackle")
+STATE_SCALARS = ("pot", "t", "dt")
+
+
+def numpy_predict_hermite(
+    t_now: float,
+    t0: np.ndarray,
+    x0: np.ndarray,
+    v0: np.ndarray,
+    a0: np.ndarray,
+    j0: np.ndarray,
+    out_x: np.ndarray | None = None,
+    out_v: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Standard Hermite predictor: Taylor series through the jerk term.
+
+    Parameters
+    ----------
+    t_now:
+        System time to predict to.
+    t0:
+        (N,) per-particle times of the stored derivatives.
+    x0, v0, a0, j0:
+        (N, 3) stored position, velocity, acceleration, jerk.
+    out_x, out_v:
+        Optional output buffers (avoids allocation in the hot loop);
+        they must not overlap the inputs.
+
+    Returns
+    -------
+    Predicted positions and velocities, shape (N, 3).
+    """
+    dt = (t_now - t0)[:, None]
+    if out_x is None:
+        out_x = np.empty_like(x0)
+    if out_v is None:
+        out_v = np.empty_like(v0)
+    # Horner evaluation: x = ((j*dt/6 + a/2)*dt + v)*dt + x
+    np.multiply(j0, dt / 6.0, out=out_x)
+    out_x += 0.5 * a0
+    out_x *= dt
+    out_x += v0
+    out_x *= dt
+    out_x += x0
+
+    np.multiply(j0, dt / 2.0, out=out_v)
+    out_v += a0
+    out_v *= dt
+    out_v += v0
+    return out_x, out_v
+
+
+def _unpointable(arrays, shapes):
+    """The shape wanted of the first of ``arrays`` the compiled tile could
+    not point into - anything but a C-contiguous float64 ``ndarray`` of
+    its shape in ``shapes`` - or None if it can point into all."""
+    for a, shape in zip(arrays, shapes):
+        if (
+            type(a) is not np.ndarray or a.dtype != _F8 or a.shape != shape
+            or not a.flags.c_contiguous
+        ):
+            return shape
+    return None
+
+
+def _pointable(system, block, xp, vp, acc1, jerk1, pot1) -> tuple:
+    """The fourteen float64 arrays of one :func:`advance_block` call, in
+    the tile's order, or ValueError if one of them (or ``block``) is not
+    what the compiled tile can point into."""
+    if (
+        type(block) is not np.ndarray or block.dtype != _I8 or block.ndim != 1
+        or not block.flags.c_contiguous
+    ):
+        raise ValueError("advance_block wants a contiguous 1-D int64 block")
+    n, n_b = system.n, block.shape[0]
+    arrays = (
+        xp, vp, acc1, jerk1, pot1,
+        system.pos, system.vel, system.acc, system.jerk, system.snap, system.crackle,
+        system.pot, system.t, system.dt,
+    )
+    shapes = (
+        (n, 3), (n, 3), (n_b, 3), (n_b, 3), (n_b,),
+        (n, 3), (n, 3), (n, 3), (n, 3), (n, 3), (n, 3),
+        (n,), (n,), (n,),
+    )
+    wanted = _unpointable(arrays, shapes)
+    if wanted is not None:
+        raise ValueError(f"advance_block wants contiguous float64 {wanted}")
+    return arrays
+
+
+def _not_finite(block, k, t_block, blockstep) -> NonFiniteForce:
+    where = "a blockstep" if blockstep is None else f"blockstep {blockstep}"
+    particle = int(block[k])
+    return NonFiniteForce(
+        f"non-finite force on particle {particle} in {where} at t = {t_block!r}",
+        particle=particle, blockstep=blockstep,
+    )
+
+
+def numpy_advance_block(
+    system,
+    block: np.ndarray,
+    t_block: float,
+    xp: np.ndarray,
+    vp: np.ndarray,
+    acc1: np.ndarray,
+    jerk1: np.ndarray,
+    pot1: np.ndarray,
+    eta: float,
+    dt_max: float,
+    dt_min: float,
+    blockstep: int | None = None,
+) -> np.ndarray:
+    """Correct ``block`` to ``t_block`` and choose its next steps.
+
+    Parameters
+    ----------
+    system:
+        The :class:`~repro.core.particles.ParticleSystem`; its ``pos vel
+        acc jerk snap crackle pot t dt`` rows of ``block`` are replaced.
+    block:
+        (n_b,) int64 indices of the particles whose time has come.
+    t_block:
+        The block time; each particle's step is ``t_block - system.t``.
+    xp, vp:
+        (N, 3) predictions of all particles at ``t_block``.
+    acc1, jerk1, pot1:
+        (n_b, 3), (n_b, 3), (n_b,) force on the block at the predicted
+        state.
+    eta, dt_max, dt_min:
+        The Aarseth accuracy parameter and the block-hierarchy bounds.
+    blockstep:
+        The blockstep's ordinal, for the error message only.
+
+    Returns
+    -------
+    (n_b,) the new, quantised steps (also written to ``system.dt``).
+
+    Raises ValueError for arrays the compiled tier could not point into
+    and for a non-positive step, IndexError for a block index outside
+    the system, and :class:`~repro.core.timestep.NonFiniteForce` when a
+    particle's criterion is NaN (a non-finite ``acc1`` or ``jerk1``
+    always makes it so) or its potential is not finite - all before
+    anything is written.
+    """
+    s = system
+    _pointable(s, block, xp, vp, acc1, jerk1, pot1)
+    if block.size and not 0 <= block.min() <= block.max() < s.n:
+        raise IndexError(f"block index outside the {s.n}-particle system")
+    dt_block = t_block - s.t[block]
+    corr = hermite_correct(
+        dt_block, xp[block], vp[block], s.acc[block], s.jerk[block], acc1, jerk1
+    )
+    dt_ideal = aarseth_dt(acc1, jerk1, corr.snap_end, corr.crackle, eta)
+    bad = np.isnan(dt_ideal) | ~np.isfinite(pot1)
+    if bad.any():
+        raise _not_finite(block, int(np.argmax(bad)), t_block, blockstep)
+    dt_new = quantize_block_dt(
+        dt_ideal, t_block, dt_old=dt_block, dt_max=dt_max, dt_min=dt_min
+    )
+    s.pos[block] = corr.pos
+    s.vel[block] = corr.vel
+    s.acc[block] = acc1
+    s.jerk[block] = jerk1
+    s.snap[block] = corr.snap_end
+    s.crackle[block] = corr.crackle
+    s.pot[block] = pot1
+    s.t[block] = t_block
+    s.dt[block] = dt_new
+    return dt_new
+
+
+class HermiteTile(NamedTuple):
+    """One tier of the pair: :func:`predict_hermite`, :func:`advance_block`."""
+
+    predict: Callable
+    advance: Callable
+
+
+#: The numpy tier: the reference, and what runs without a compiler.
+NUMPY_TILE = HermiteTile(numpy_predict_hermite, numpy_advance_block)
+
+# hermite_advance_block's answers (the enum in hermite_tile.c)
+_STEP_NOT_POSITIVE, _NOT_FINITE, _STEP_NOT_POWER_OF_TWO = 1, 2, 3
+_CLAMPED_STEP_NOT_POSITIVE, _INDEX_OUT_OF_RANGE = 4, 5
+_WORK = 12  # doubles of scratch per block particle
+
+
+def _bind(predict_fn, advance_fn) -> HermiteTile:
+    """``hermite_tile.c`` behind the numpy tier's two signatures."""
+
+    def predict_hermite(t_now, t0, x0, v0, a0, j0, out_x=None, out_v=None):
+        if out_x is None:
+            out_x = np.empty_like(x0)
+        if out_v is None:
+            out_v = np.empty_like(v0)
+        rows = out_x.shape
+        n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
+        arrays = (t0, x0, v0, a0, j0, out_x, out_v)
+        if _unpointable(arrays, ((n,), rows, rows, rows, rows, rows, rows)) is not None:
+            # numpy broadcasts, casts and strides: its tier serves
+            return numpy_predict_hermite(t_now, *arrays)
+        if n:
+            predict_fn(t_now, n, *map(address, arrays))
+        return out_x, out_v
+
+    def advance_block(
+        system, block, t_block, xp, vp, acc1, jerk1, pot1, eta, dt_max, dt_min,
+        blockstep=None,
+    ):
+        arrays = _pointable(system, block, xp, vp, acc1, jerk1, pot1)
+        n_b = block.shape[0]
+        dt_new = np.empty(n_b)
+        if n_b == 0:  # no first element to point at
+            return dt_new
+        work = np.empty(_WORK * n_b)
+        answer = advance_fn(
+            system.n, n_b, address(block), t_block, *map(address, arrays[:5]),
+            eta, dt_max, dt_min, *map(address, arrays[5:]),
+            address(work), address(dt_new),
+        )
+        if answer == 0:
+            return dt_new
+        code, k = answer & 7, answer >> 3
+        if code == _STEP_NOT_POWER_OF_TWO:  # outside the block scheme: pow()
+            return numpy_advance_block(
+                system, block, t_block, xp, vp, acc1, jerk1, pot1,
+                eta, dt_max, dt_min, blockstep,
+            )
+        if code == _NOT_FINITE:
+            raise _not_finite(block, k, t_block, blockstep)
+        if code == _INDEX_OUT_OF_RANGE:
+            raise IndexError(f"block index outside the {system.n}-particle system")
+        if code == _STEP_NOT_POSITIVE:
+            raise ValueError("corrector requires positive timesteps")
+        if code == _CLAMPED_STEP_NOT_POSITIVE:
+            raise ValueError("timesteps must be positive")
+        raise RuntimeError(f"hermite_advance_block answered {answer}")
+
+    return HermiteTile(predict_hermite, advance_block)
+
+
+#: ``(n, n_b, t_block, poison)`` of the load-time self-check: block sizes
+#: around numpy's 8-wide unroll; block times that grant a doubling (a
+#: multiple of every step) and refuse one (3/8 is none of 1/4); one
+#: block with a NaN force.
+SELF_CHECK_BLOCKS = (
+    (12, 1, 1.0, False), (12, 7, 1.0, False), (12, 8, 0.375, False),
+    (12, 9, 1.0, False), (12, 9, 1.0, True), (5, 5, 0.375, False),
+)
+
+
+def _self_check_system(n: int, n_b: int, t_block: float):
+    """A system with a block due at ``t_block`` and the force on it:
+    steps 2^-3 .. 2^-40 inside one block, and force changes that put the
+    criterion from far below the old step to far above it."""
+    # irregular O(1) values (no RNG: see forces.compiled)
+    wave = np.sin(np.arange(1.0, 24 * n + 1).reshape(8, n, 3) ** 2)
+    s = SimpleNamespace(n=n, **dict(zip(STATE_VECTORS, wave[:6].copy())))
+    s.pot, s.t, s.dt = wave[6, :, 0].copy(), np.zeros(n), np.full(n, 2.0**-3)
+    block = np.arange(0, n, max(n // n_b, 1))[:n_b]
+    h = 2.0 ** -np.array([3, 40, 5, 17, 3, 9, 4, 3, 28])[:n_b]
+    s.t[block], s.dt[block] = t_block - h, h
+    size = (10.0 ** np.arange(-4, 5))[:n_b, None]  # of the unpredicted change
+    jerk1 = s.jerk[block] + h[:, None] * size * wave[7, block]
+    acc1 = s.acc[block] + h[:, None] * s.jerk[block] + h[:, None] ** 2 * size * wave[6, block]
+    if n_b > 4:  # a constant force: zero snap and crackle, the `tiny` floor
+        s.jerk[block[4]] = jerk1[4] = 0.0
+        acc1[4] = s.acc[block[4]]
+    return s, block, acc1, jerk1, wave[7, block, 0].copy()
+
+
+def state_bytes(system, *more) -> bytes:
+    """The nine state arrays of ``system``, then ``more``, as bytes: what
+    the tiers are compared on."""
+    arrays = [getattr(system, name) for name in STATE_VECTORS + STATE_SCALARS]
+    return b"".join(a.tobytes() for a in (*arrays, *more))
+
+
+def _self_check(tile: HermiteTile) -> None:
+    """Refuse ``tile`` unless it leaves every array as :data:`NUMPY_TILE`
+    does, byte for byte, on :data:`SELF_CHECK_BLOCKS` - and, given a NaN
+    force, raises as it does with nothing written.
+
+    The new step is a floor to a power of two, which shows the last bit
+    of the criterion only when it lies within an ulp of one; so the one
+    thing the criterion's last bit hangs on that is numpy's choice and
+    not IEEE's, the order in which ``norm`` adds three squares, is asked
+    of numpy itself."""
+    sq = np.sin(np.arange(1.0, 97.0).reshape(32, 3) ** 2) ** 2  # the orders differ in 5 rows
+    if np.add.reduce(sq, axis=-1).tobytes() != ((sq[:, 0] + sq[:, 1]) + sq[:, 2]).tobytes():
+        raise TileUnavailable(
+            "self-check: numpy adds the squares of a 3-vector in another order "
+            "than hermite_tile.c"
+        )
+    for n, n_b, t_block, poison in SELF_CHECK_BLOCKS:
+        answers = []
+        for predict, advance in (tile, NUMPY_TILE):
+            s, block, acc1, jerk1, pot1 = _self_check_system(n, n_b, t_block)
+            if poison:
+                acc1[-1, 1] = np.nan
+            xp, vp = predict(t_block, s.t, s.pos, s.vel, s.acc, s.jerk)
+            try:
+                dt_new = advance(
+                    s, block, t_block, xp, vp, acc1, jerk1, pot1, 0.02, 0.25, 2.0**-40
+                )
+            except NonFiniteForce as exc:
+                dt_new = np.array([exc.particle], dtype=np.float64)
+            answers.append(state_bytes(s, xp, vp, dt_new))
+        if answers[0] != answers[1]:
+            raise TileUnavailable(
+                f"self-check: compiled tile differs from the numpy code at "
+                f"block {n_b} of {n}, t = {t_block}, NaN force: {poison}"
+            )
+
+
+def resolve_hermite_tier() -> tuple[HermiteTile, str, str]:
+    """``(tile, HERMITE_TIER, HERMITE_TIER_REASON)``: the compiled pair if
+    it builds, loads and passes :func:`_self_check`, else the numpy pair
+    and why.  As :func:`repro.forces.kernels.resolve_kernel_tier`: run
+    once, at import, and nothing the loader meets may escape it."""
+    void_p, ssize_t, double = c_void_p, c_ssize_t, c_double
+    try:
+        library, built = load_library("hermite_tile")
+        tile = _bind(
+            entry_point(library, "hermite_predict", [double, ssize_t] + [void_p] * 7),
+            entry_point(
+                library, "hermite_advance_block",
+                [ssize_t, ssize_t, void_p, double] + [void_p] * 5 + [double] * 3
+                + [void_p] * 11,
+                ssize_t,
+            ),
+        )
+        _self_check(tile)
+    except TileUnavailable as exc:
+        return NUMPY_TILE, "numpy", str(exc)
+    except Exception as exc:
+        return NUMPY_TILE, "numpy", f"loader failed: {exc!r}"
+    return tile, "c", built
+
+
+#: The pair serving this process - :data:`NUMPY_TILE`, or ``hermite_tile.c``
+#: behind the same signatures - and which tier it is (``"c"`` | ``"numpy"``)
+#: and why.  Resolved once, at import; the tiers differ in speed only.
+_tile, HERMITE_TIER, HERMITE_TIER_REASON = resolve_hermite_tier()
+
+#: Eqs. (6)-(7) through the jerk term for all N particles
+#: (:func:`numpy_predict_hermite` documents the signature).
+predict_hermite = _tile.predict
+
+#: Corrector, timestep criterion, quantisation and scatter for one block
+#: (:func:`numpy_advance_block` documents the signature).
+advance_block = _tile.advance

@@ -14,6 +14,10 @@ Aarseth individual-timestep scheme in its blockstep form, with the
 4. apply the Hermite corrector to the block, choose new quantised
    timesteps, and update the schedule.
 
+Steps 2 and 4 are the host's share of the blockstep - the ``t_host``
+term of the paper's eq. 10 - and one call each into
+:mod:`repro.core.hermite_tile`.
+
 The integrator records per-blockstep statistics (block sizes, step
 counts, interaction counts) because these are exactly the quantities
 the paper's performance model is built from: speed
@@ -29,17 +33,11 @@ import numpy as np
 
 from ..forces.direct import DirectSummation, ForceBackend
 from ..telemetry import T_HOST, T_PIPE, Tracer, get_tracer
-from .corrector import hermite_correct
+from .hermite_tile import advance_block, predict_hermite
 from .particles import ParticleSystem
-from .predictor import predict_hermite, predict_taylor
+from .predictor import predict_taylor
 from .scheduler import BlockScheduler
-from .timestep import (
-    DEFAULT_ETA,
-    DEFAULT_ETA_START,
-    aarseth_dt,
-    initial_dt,
-    quantize_block_dt,
-)
+from .timestep import DEFAULT_ETA, DEFAULT_ETA_START, initial_dt, quantize_block_dt
 
 
 @dataclass
@@ -261,33 +259,18 @@ class BlockTimestepIntegrator:
                 self.backend.set_j_particles(xp, vp, s.mass)
                 res = self.backend.forces_on(xp[block], vp[block], block)
 
+            # Corrector, timestep criterion, quantisation and the scatter
+            # into the particle arrays: the host's O(n_b) share, one call.
             with tracer.span("correct"):
-                dt_block = t_block - s.t[block]
-                corr = hermite_correct(
-                    dt_block, xp[block], vp[block],
-                    s.acc[block], s.jerk[block], res.acc, res.jerk,
-                )
-                s.pos[block] = corr.pos
-                s.vel[block] = corr.vel
-                s.acc[block] = res.acc
-                s.jerk[block] = res.jerk
-                s.snap[block] = corr.snap_end
-                s.crackle[block] = corr.crackle
-                s.pot[block] = res.pot
-                s.t[block] = t_block
-
-                dt_ideal = aarseth_dt(
-                    res.acc, res.jerk, corr.snap_end, corr.crackle, self.eta
-                )
-                dt_new = quantize_block_dt(
-                    dt_ideal,
-                    t_block,
-                    dt_old=np.asarray(dt_block),
-                    dt_max=self.dt_max,
-                    dt_min=self.dt_min,
+                dt_new = advance_block(
+                    s, block, t_block, xp, vp,
+                    np.ascontiguousarray(res.acc, dtype=np.float64),
+                    np.ascontiguousarray(res.jerk, dtype=np.float64),
+                    np.ascontiguousarray(res.pot, dtype=np.float64),
+                    self.eta, self.dt_max, self.dt_min,
+                    blockstep=self.stats.blocksteps,
                 )
             with tracer.span("schedule"):
-                s.dt[block] = dt_new
                 self.scheduler.update(block, t_block, dt_new)
 
             if backend_stats is not None:
@@ -320,8 +303,7 @@ class BlockTimestepIntegrator:
         """
         steps = 0
         while True:
-            t_next, _ = self.scheduler.next_block()
-            if t_next > t_end:
+            if self.scheduler.next_time() > t_end:
                 break
             self.step()
             steps += 1

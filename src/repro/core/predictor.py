@@ -19,59 +19,19 @@ truncates both expansions after the jerk term, which is what
 terms like the hardware.)
 
 All functions are vectorised over particles and allocate nothing when
-given ``out`` buffers.
+given ``out`` buffers.  ``predict_hermite`` is the one every integrator
+calls once per blockstep, so it is one of the two entry points of the
+compiled Hermite tile: it lives, with its numpy reference, in
+:mod:`repro.core.hermite_tile` and is re-exported here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .hermite_tile import predict_hermite
 
-def predict_hermite(
-    t_now: float,
-    t0: np.ndarray,
-    x0: np.ndarray,
-    v0: np.ndarray,
-    a0: np.ndarray,
-    j0: np.ndarray,
-    out_x: np.ndarray | None = None,
-    out_v: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Standard Hermite predictor: Taylor series through the jerk term.
-
-    Parameters
-    ----------
-    t_now:
-        System time to predict to.
-    t0:
-        (N,) per-particle times of the stored derivatives.
-    x0, v0, a0, j0:
-        (N, 3) stored position, velocity, acceleration, jerk.
-    out_x, out_v:
-        Optional output buffers (avoids allocation in the hot loop).
-
-    Returns
-    -------
-    Predicted positions and velocities, shape (N, 3).
-    """
-    dt = (t_now - t0)[:, None]
-    if out_x is None:
-        out_x = np.empty_like(x0)
-    if out_v is None:
-        out_v = np.empty_like(v0)
-    # Horner evaluation: x = ((j*dt/6 + a/2)*dt + v)*dt + x
-    np.multiply(j0, dt / 6.0, out=out_x)
-    out_x += 0.5 * a0
-    out_x *= dt
-    out_x += v0
-    out_x *= dt
-    out_x += x0
-
-    np.multiply(j0, dt / 2.0, out=out_v)
-    out_v += a0
-    out_v *= dt
-    out_v += v0
-    return out_x, out_v
+__all__ = ["predict_hermite", "predict_with_snap", "predict_taylor"]
 
 
 def predict_with_snap(

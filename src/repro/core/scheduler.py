@@ -11,9 +11,15 @@ i-parallelism usable and that puts the 1/N synchronisation wall into
 figs. 16 and 18.
 
 The implementation keeps a vectorised ``t_next`` array; selection is an
-O(N) argmin-scan per blockstep (numpy), which profiling shows is
-negligible next to force evaluation for the problem sizes the library
-integrates for real.
+O(N) scan per blockstep (numpy: a ``min``, an ``==`` and a
+``flatnonzero``).  That is small beside a force evaluation at large N
+but not beside the rest of a blockstep at small N: measured,
+:meth:`BlockScheduler.next_block` is 2.4-3.1 us at N = 128 and 5.7-5.9 us
+at N = 1024, of the 45-50 us a blockstep costs outside the force call
+since the corrector is compiled (:mod:`repro.core.hermite_tile`).  So a
+run loop that only needs the time asks :meth:`BlockScheduler.next_time`
+(the ``min`` alone, 0.8-1.9 us) and the block is extracted once per
+blockstep, by ``step()``.
 """
 
 from __future__ import annotations
@@ -64,6 +70,11 @@ class BlockScheduler:
         v = self._t_next.view()
         v.flags.writeable = False
         return v
+
+    def next_time(self) -> float:
+        """The next block time alone: what a run loop compares with its
+        end time before :meth:`next_block` is asked for the block."""
+        return float(self._t_next.min())
 
     def next_block(self) -> tuple[float, np.ndarray]:
         """Return (t_block, indices) of the next block to integrate.

@@ -34,6 +34,26 @@ DEFAULT_ETA: float = 0.02
 DEFAULT_ETA_START: float = 0.01
 
 
+class NonFiniteForce(ValueError):
+    """A block particle's force is not finite.
+
+    The criterion of such a particle is NaN, which the quantisation would
+    turn into the *longest* legal step (``frexp(nan)`` has exponent 0, so
+    the floor is 0.5 and the one-doubling rule makes it ``2 dt_old``) and
+    the run would continue on garbage.  :func:`repro.core.hermite_tile
+    .advance_block` raises this instead, before it writes anything;
+    ``particle`` is the system index and ``blockstep`` the ordinal of
+    the blockstep, where the caller gave one.
+    """
+
+    def __init__(
+        self, message: str, particle: int | None = None, blockstep: int | None = None
+    ) -> None:
+        super().__init__(message)
+        self.particle = particle
+        self.blockstep = blockstep
+
+
 def aarseth_dt(
     acc: np.ndarray,
     jerk: np.ndarray,

@@ -3,11 +3,13 @@
 Each C source ships inside the package of the module that owns its
 numpy twin and is built on first use with the system C compiler into a
 per-user cache, then loaded with :mod:`ctypes`: one path for every
-tile, :func:`load_tile`, of which an owner adds only its argument
-types, a binder that validates arrays before pointing into them, and a
-self-check.  Nothing here chooses between tiers: a loader (here
+tile, :func:`load_library` (:func:`load_tile` where the library is one
+function), of which an owner adds only its argument types, a binder
+that validates arrays before pointing into them, and a self-check.
+Nothing here chooses between tiers: a loader (here
 :func:`load_pairwise_tile`; the pipeline tile's is in
-:mod:`repro.hardware.pipeline`) either returns the compiled tile,
+:mod:`repro.hardware.pipeline`, the Hermite tile's in
+:mod:`repro.core.hermite_tile`) either returns the compiled tile,
 checked bit for bit against the reference, or raises
 :class:`TileUnavailable` with the reason, and the owner keeps the numpy
 tier.
@@ -54,6 +56,7 @@ import numpy as np
 SOURCES = {
     "pairwise_tile": Path(__file__).with_name("pairwise_tile.c"),
     "pipeline_tile": Path(__file__).parents[1] / "hardware" / "pipeline_tile.c",
+    "hermite_tile": Path(__file__).parents[1] / "core" / "hermite_tile.c",
 }
 
 CFLAGS = (
@@ -158,10 +161,9 @@ def _build(cc: str, source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
-def load_tile(name: str, argtypes: list, restype=None):
-    """Entry point ``name`` of the library built from ``SOURCES[name]``,
-    and a line saying what was built and where.  ``ctypes.CDLL``
-    releases the GIL for the call.
+def load_library(name: str):
+    """The library built from ``SOURCES[name]``, and a line saying what
+    was built and where.  ``ctypes.CDLL`` releases the GIL for a call.
 
     Raises :class:`TileUnavailable` when there is no compiler, no usable
     cache directory, or the build or the load fails.
@@ -176,15 +178,31 @@ def load_tile(name: str, argtypes: list, restype=None):
     key = hashlib.sha256(
         "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
     ).hexdigest()[:16]
-    library = cache_dir() / f"{name}-{key}.so"
-    if not library.exists():
-        _build(cc, SOURCES[name], library)
+    path = cache_dir() / f"{name}-{key}.so"
+    if not path.exists():
+        _build(cc, SOURCES[name], path)
     try:
-        fn = getattr(ctypes.CDLL(str(library)), name)
-    except (OSError, AttributeError) as exc:
-        raise TileUnavailable(f"cannot load {library}: {exc}") from exc
+        library = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise TileUnavailable(f"cannot load {path}: {exc}") from exc
+    return library, f"{cc} {' '.join(CFLAGS)} -> {path}"
+
+
+def entry_point(library, symbol: str, argtypes: list, restype=None):
+    """``symbol`` of ``library`` with its C signature declared."""
+    try:
+        fn = getattr(library, symbol)
+    except AttributeError as exc:
+        raise TileUnavailable(f"{library._name} has no {symbol}") from exc
     fn.argtypes, fn.restype = argtypes, restype
-    return fn, f"{cc} {' '.join(CFLAGS)} -> {library}"
+    return fn
+
+
+def load_tile(name: str, argtypes: list, restype=None):
+    """Entry point ``name`` of :func:`load_library`'s ``name``, for a
+    library that is one function, and the line saying what was built."""
+    library, built = load_library(name)
+    return entry_point(library, name, argtypes, restype), built
 
 
 def address(a: np.ndarray):

@@ -286,8 +286,7 @@ class Supervisor:
                     if stop.triggered:
                         interrupted = f"signal {stop.signum}"
                         break
-                    t_next, _ = integ.scheduler.next_block()
-                    if t_next > t_end:
+                    if integ.scheduler.next_time() > t_end:
                         break
                     integ.step()
                     n_done = integ.stats.blocksteps

@@ -27,6 +27,13 @@ from repro.bench import (
 )
 from repro.bench.history import prune_history
 from repro.bench.stats import trial_stats
+from repro.core import hermite_tile
+from repro.forces import kernels
+from repro.hardware import pipeline
+
+TILE_TIERS = [
+    (kernels, "KERNEL_TIER"), (pipeline, "PIPELINE_TIER"), (hermite_tile, "HERMITE_TIER"),
+]
 
 ENV_A = {
     "python": "3.12.0", "implementation": "CPython", "platform": "linux",
@@ -87,6 +94,17 @@ class TestEnvKey:
         compiled, fallback = ({**ENV_A, "kernel_tier": t} for t in ("c", "numpy"))
         assert len({env_key(ENV_A), env_key(compiled), env_key(fallback)}) == 3
         assert environment_fingerprint()["kernel_tier"] in ("c", "numpy")
+
+    @pytest.mark.parametrize("fallen", range(3))
+    def test_kernel_tier_speaks_for_every_tile(self, monkeypatch, fallen):
+        """One field for three tiles: ``"c"`` only if all of them compiled,
+        so a resume or a history row across any one falling back is a
+        recorded discontinuity."""
+        for module, name in TILE_TIERS:
+            monkeypatch.setattr(module, name, "c")
+        assert environment_fingerprint()["kernel_tier"] == "c"
+        monkeypatch.setattr(*TILE_TIERS[fallen], "numpy")
+        assert environment_fingerprint()["kernel_tier"] == "numpy"
 
 
 class TestIngest:

@@ -53,7 +53,13 @@ class TestAttribution:
         """Acceptance bar: the profiling hook must attribute >= 80% of
         profiled self time to a paper phase for the single-host sweep."""
         bench = REGISTRY.get("single_host_speed")
-        attr = profile_benchmark(bench, bench.params_for("micro"))
+        # at the sweep's own size (N = 1024, 0.2 s): the tracer the hook
+        # switches on costs ~13 us a span under cProfile, which the rules
+        # file under "other" on purpose, and since the host's share of a
+        # blockstep became two compiled calls that is a quarter of the
+        # 11-blockstep "micro" run - a statement about the observer,
+        # not about how much of the program the rules cover
+        attr = profile_benchmark(bench, bench.params_for("full"))
         assert attr.total_s > 0.0
         assert attr.attributed_fraction >= 0.8
         # the sweep is host + pipe work; both must be visible

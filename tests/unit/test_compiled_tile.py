@@ -3,7 +3,8 @@
 The loader has one job with two outcomes: hand out a compiled tile that
 matches the numpy tier bit for bit, or say why it cannot - in which
 case the owner (:mod:`repro.forces.kernels` for the pairwise tile,
-:mod:`repro.hardware.pipeline` for the pipeline tile) serves the same
+:mod:`repro.hardware.pipeline` for the pipeline tile,
+:mod:`repro.core.hermite_tile` for the Hermite tile) serves the same
 bits from numpy, and says so.  Every way it can fail is forced here,
 with the compiler lookup and the cache location patched: no compiler, a
 compiler that fails, a build that computes something else, a cache
@@ -22,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pytest
 
+from repro.core import hermite_tile
 from repro.forces import compiled, kernels
 from repro.forces.compiled import TileUnavailable
 from repro.hardware import pipeline
@@ -57,6 +59,15 @@ def lanes(tile):
     )
 
 
+def blockstep(tile):
+    """Every array one predict + advance of ``tile`` leaves, on the
+    largest block of its own self-check."""
+    s, block, acc1, jerk1, pot1 = hermite_tile._self_check_system(12, 9, 1.0)
+    xp, vp = tile.predict(1.0, s.t, s.pos, s.vel, s.acc, s.jerk)
+    dt_new = tile.advance(s, block, 1.0, xp, vp, acc1, jerk1, pot1, 0.02, 0.25, 2.0**-40)
+    return hermite_tile.state_bytes(s, xp, vp, dt_new)
+
+
 class Tile(NamedTuple):
     """A row of ``compiled.SOURCES`` as its owner module presents it."""
 
@@ -83,6 +94,12 @@ TILES = (
         lambda: pipeline.partial_lanes, lanes,
         # the pair format truncated instead of rounded to nearest
         ("b += ((b >> drop) & odd) + half_less_one;", ""),
+    ),
+    Tile(
+        "hermite_tile", hermite_tile.resolve_hermite_tier, hermite_tile.NUMPY_TILE,
+        lambda: hermite_tile._tile, blockstep,
+        # the velocity correction reassociated
+        ("(vp[3 * i + c] + h3_6 * a2) + h4_24 * a3", "vp[3 * i + c] + (h3_6 * a2 + h4_24 * a3)"),
     ),
 )
 
@@ -312,9 +329,11 @@ class TestBuild:
         under a temporary name and renames, so every one ends on the
         compiled tier and the directory holds one whole library a tile."""
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
-        code = (
+        code = (  # printed in the order the libraries' names sort
+            "from repro.core import hermite_tile as h\n"
             "from repro.forces import kernels as k\n"
             "from repro.hardware import pipeline as p\n"
+            "print(h.HERMITE_TIER, h.HERMITE_TIER_REASON)\n"
             "print(k.KERNEL_TIER, k.KERNEL_TIER_REASON)\n"
             "print(p.PIPELINE_TIER, p.PIPELINE_TIER_REASON)\n"
         )

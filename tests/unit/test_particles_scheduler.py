@@ -57,6 +57,13 @@ class TestBlockScheduler:
         assert t_block == 0.125
         np.testing.assert_array_equal(idx, [1, 2])
 
+    def test_next_time_is_the_block_time_without_the_block(self):
+        sched = BlockScheduler(np.array([0.0, 0.25, 0.0]), np.array([0.5, 0.125, 0.375]))
+        assert sched.next_time() == sched.next_block()[0] == 0.375
+        assert isinstance(sched.next_time(), float)
+        sched.update(np.array([1, 2]), 0.375, np.array([0.125, 0.25]))
+        assert sched.next_time() == sched.next_block()[0] == 0.5
+
     def test_update_advances_schedule(self):
         t = np.zeros(3)
         dt = np.array([0.25, 0.125, 0.5])

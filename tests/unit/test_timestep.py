@@ -1,9 +1,12 @@
 """Aarseth timestep criterion and block quantisation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.core.timestep import (
+    NonFiniteForce,
     aarseth_dt,
     commensurable,
     floor_power_of_two,
@@ -120,3 +123,21 @@ class TestCommensurable:
         assert commensurable(0.0, 0.125)
         assert not commensurable(0.375, 0.25)
         assert commensurable(0.375, 0.125)
+
+
+class TestNonFiniteForce:
+    def test_why_it_exists_a_nan_criterion_quantises_to_the_longest_step(self):
+        """The helpers are unchanged: a NaN acceleration is a NaN
+        criterion, and the quantisation makes ``2 dt_old`` of it.
+        ``advance_block`` raises before it gets there."""
+        nan = np.full((1, 3), np.nan)
+        ideal = aarseth_dt(nan, np.ones((1, 3)), np.ones((1, 3)), np.ones((1, 3)))
+        assert np.isnan(ideal[0])
+        dt = quantize_block_dt(ideal, t_now=1.0, dt_old=np.array([2.0**-5]))
+        assert dt[0] == 2.0**-4
+
+    def test_names_the_particle_and_survives_pickling(self):
+        exc = NonFiniteForce("non-finite force on particle 3", particle=3, blockstep=12)
+        assert isinstance(exc, ValueError)
+        again = pickle.loads(pickle.dumps(exc))
+        assert (again.particle, again.blockstep, str(again)) == (3, 12, str(exc))
