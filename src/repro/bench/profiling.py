@@ -15,7 +15,11 @@ Attribution works on the profiler's call graph:
 2. everything else (numpy internals, builtins) inherits the dominant
    phase of its callers, propagated to a fixed point — first demanding
    all callers known, then accepting partial knowledge so cycles and
-   mixed call sites resolve.
+   mixed call sites resolve.  So does ``repro`` code that works for
+   whoever calls it (a rule whose phase is None): the loader and binder
+   the three compiled tiles share, and the opening and closing of a
+   span - which the tracer's own self times (``core.step_self_s``) also
+   charge to the span they happen in.
 
 Self time (``tottime``) is what gets summed per phase, so the split is
 exact: every profiled microsecond lands in exactly one phase bucket.
@@ -46,15 +50,20 @@ from ..telemetry import (
 from .registry import Benchmark, BenchContext
 
 #: Ordered direct-attribution rules: (path fragment, function name or
-#: None for any, phase).  First match wins; paths are '/'-normalised.
-ATTRIBUTION_RULES: list[tuple[str, str | None, str]] = [
+#: None for any, phase or None for "as its callers").  First match wins;
+#: paths are '/'-normalised.
+ATTRIBUTION_RULES: list[tuple[str, str | None, str | None]] = [
     ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
     ("repro/parallel/barrier.py", None, T_BARRIER),
     ("repro/parallel/simcomm.py", None, T_COMM),
     ("repro/parallel/virtualtime.py", None, T_COMM),
     ("repro/parallel/", None, T_COMM),
+    ("repro/forces/compiled.py", None, None),
     ("repro/forces/", None, T_PIPE),
     ("repro/hardware/", None, T_PIPE),
+    ("repro/telemetry/tracer.py", "span", None),
+    ("repro/telemetry/tracer.py", "__enter__", None),
+    ("repro/telemetry/tracer.py", "__exit__", None),
     ("repro/telemetry/", None, T_OTHER),
     ("repro/core/", None, T_HOST),
     ("repro/perfmodel/", None, T_HOST),

@@ -24,8 +24,8 @@
  * 2. numpy evaluates h**2 as h * h and h**3 .. h**5 through pow().
  *    Block steps are powers of two, for which a product of powers is
  *    exact (or underflows to the same value), so h2 .. h5 are products
- *    here and no pow() is called.  A step that is not a power of two
- *    is not served: the entry point says so and the numpy twin runs.
+ *    here and no pow() is called.  A step that is not a positive power
+ *    of two has no place in the block scheme: both tiers refuse it.
  *
  * 3. |x| of a 3-vector is numpy.linalg.norm's sqrt(add.reduce(x * x)),
  *    and over the short last axis of a contiguous (n, 3) array
@@ -48,11 +48,10 @@
  * position in the block of the particle concerned is in the bits above */
 enum {
     ADVANCED = 0,
-    STEP_NOT_POSITIVE = 1, /* the corrector's ValueError */
+    STEP_NOT_A_POWER_OF_TWO = 1, /* nor, then, positive */
     NOT_FINITE = 2,        /* a NaN criterion or a non-finite potential */
-    STEP_NOT_POWER_OF_TWO = 3, /* not served: the numpy twin's case */
-    CLAMPED_STEP_NOT_POSITIVE = 4, /* floor_power_of_two's ValueError */
-    INDEX_OUT_OF_RANGE = 5,
+    CLAMPED_STEP_NOT_POSITIVE = 3, /* floor_power_of_two's ValueError */
+    INDEX_OUT_OF_RANGE = 4,
 };
 
 #define ANSWER(code, k) (((ptrdiff_t)(k) << 3) | (code))
@@ -128,11 +127,9 @@ ptrdiff_t hermite_advance_block(
             return ANSWER(INDEX_OUT_OF_RANGE, k);
     }
     for (ptrdiff_t k = 0; k < n_b; k++) {
-        const double h = t_block - t[block[k]];
-        if (h <= 0.0)
-            return ANSWER(STEP_NOT_POSITIVE, k);
-        if (frexp(h, &exponent) != 0.5) /* the twin decides, also on NaN */
-            return ANSWER(STEP_NOT_POWER_OF_TWO, k);
+        /* 0.5 for a positive power of two alone: not for h <= 0, NaN, inf */
+        if (frexp(t_block - t[block[k]], &exponent) != 0.5)
+            return ANSWER(STEP_NOT_A_POWER_OF_TWO, k);
     }
 
     for (ptrdiff_t k = 0; k < n_b; k++) {

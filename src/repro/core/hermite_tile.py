@@ -26,9 +26,10 @@ this process.  Nothing selects one.
 
 The compiled tier points into the caller's arrays, so both tiers refuse
 what it could not point into - anything but C-contiguous float64 of the
-right shape, a block that is not int64 or indexes outside the system -
-on every call, and addresses are taken per call: no pointer outlives
-the array it came from.  A refusal, like a non-positive step or a
+right shape, writeable where it is written, a block that is not int64
+or indexes outside the system - on every call, and addresses are taken
+per call: no pointer outlives the array it came from.  A refusal, like
+a step that is not a positive power of two or a
 :class:`~repro.core.timestep.NonFiniteForce`, leaves the system
 untouched.
 """
@@ -100,16 +101,18 @@ def numpy_predict_hermite(
     return out_x, out_v
 
 
-def _unpointable(arrays, shapes):
-    """The shape wanted of the first of ``arrays`` the compiled tile could
+def _unpointable(arrays, shapes, written):
+    """What is wanted of the first of ``arrays`` the compiled tile could
     not point into - anything but a C-contiguous float64 ``ndarray`` of
-    its shape in ``shapes`` - or None if it can point into all."""
-    for a, shape in zip(arrays, shapes):
+    its shape in ``shapes``, writeable if it is one of the last
+    ``written`` - or None if it can point into all."""
+    read = len(arrays) - written
+    for k, (a, shape) in enumerate(zip(arrays, shapes)):
         if (
             type(a) is not np.ndarray or a.dtype != _F8 or a.shape != shape
-            or not a.flags.c_contiguous
+            or not a.flags.c_contiguous or (k >= read and not a.flags.writeable)
         ):
-            return shape
+            return f"{'writeable ' if k >= read else ''}contiguous float64 {shape}"
     return None
 
 
@@ -133,9 +136,9 @@ def _pointable(system, block, xp, vp, acc1, jerk1, pot1) -> tuple:
         (n, 3), (n, 3), (n, 3), (n, 3), (n, 3), (n, 3),
         (n,), (n,), (n,),
     )
-    wanted = _unpointable(arrays, shapes)
+    wanted = _unpointable(arrays, shapes, written=len(STATE_VECTORS + STATE_SCALARS))
     if wanted is not None:
-        raise ValueError(f"advance_block wants contiguous float64 {wanted}")
+        raise ValueError(f"advance_block wants {wanted}")
     return arrays
 
 
@@ -188,8 +191,10 @@ def numpy_advance_block(
     (n_b,) the new, quantised steps (also written to ``system.dt``).
 
     Raises ValueError for arrays the compiled tier could not point into
-    and for a non-positive step, IndexError for a block index outside
-    the system, and :class:`~repro.core.timestep.NonFiniteForce` when a
+    and for a step that is not a positive power of two (every step of
+    the block scheme is one, and the tile's ``h**3 .. h**5`` are exact
+    for nothing else), IndexError for a block index outside the system,
+    and :class:`~repro.core.timestep.NonFiniteForce` when a
     particle's criterion is NaN (a non-finite ``acc1`` or ``jerk1``
     always makes it so) or its potential is not finite - all before
     anything is written.
@@ -199,6 +204,8 @@ def numpy_advance_block(
     if block.size and not 0 <= block.min() <= block.max() < s.n:
         raise IndexError(f"block index outside the {s.n}-particle system")
     dt_block = t_block - s.t[block]
+    if not np.all(np.frexp(dt_block)[0] == 0.5):
+        raise ValueError("block steps must be positive powers of two")
     corr = hermite_correct(
         dt_block, xp[block], vp[block], s.acc[block], s.jerk[block], acc1, jerk1
     )
@@ -232,8 +239,8 @@ class HermiteTile(NamedTuple):
 NUMPY_TILE = HermiteTile(numpy_predict_hermite, numpy_advance_block)
 
 # hermite_advance_block's answers (the enum in hermite_tile.c)
-_STEP_NOT_POSITIVE, _NOT_FINITE, _STEP_NOT_POWER_OF_TWO = 1, 2, 3
-_CLAMPED_STEP_NOT_POSITIVE, _INDEX_OUT_OF_RANGE = 4, 5
+_STEP_NOT_A_POWER_OF_TWO, _NOT_FINITE = 1, 2
+_CLAMPED_STEP_NOT_POSITIVE, _INDEX_OUT_OF_RANGE = 3, 4
 _WORK = 12  # doubles of scratch per block particle
 
 
@@ -248,8 +255,10 @@ def _bind(predict_fn, advance_fn) -> HermiteTile:
         rows = out_x.shape
         n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
         arrays = (t0, x0, v0, a0, j0, out_x, out_v)
-        if _unpointable(arrays, ((n,), rows, rows, rows, rows, rows, rows)) is not None:
-            # numpy broadcasts, casts and strides: its tier serves
+        shapes = ((n,), rows, rows, rows, rows, rows, rows)
+        if _unpointable(arrays, shapes, written=2) is not None:
+            # numpy broadcasts, casts, strides and refuses a read-only
+            # buffer: its tier serves
             return numpy_predict_hermite(t_now, *arrays)
         if n:
             predict_fn(t_now, n, *map(address, arrays))
@@ -273,17 +282,12 @@ def _bind(predict_fn, advance_fn) -> HermiteTile:
         if answer == 0:
             return dt_new
         code, k = answer & 7, answer >> 3
-        if code == _STEP_NOT_POWER_OF_TWO:  # outside the block scheme: pow()
-            return numpy_advance_block(
-                system, block, t_block, xp, vp, acc1, jerk1, pot1,
-                eta, dt_max, dt_min, blockstep,
-            )
         if code == _NOT_FINITE:
             raise _not_finite(block, k, t_block, blockstep)
         if code == _INDEX_OUT_OF_RANGE:
             raise IndexError(f"block index outside the {system.n}-particle system")
-        if code == _STEP_NOT_POSITIVE:
-            raise ValueError("corrector requires positive timesteps")
+        if code == _STEP_NOT_A_POWER_OF_TWO:
+            raise ValueError("block steps must be positive powers of two")
         if code == _CLAMPED_STEP_NOT_POSITIVE:
             raise ValueError("timesteps must be positive")
         raise RuntimeError(f"hermite_advance_block answered {answer}")

@@ -85,7 +85,8 @@ class BlockScheduler:
         particles in the same block).
         """
         t_block = float(self._t_next.min())
-        indices = np.flatnonzero(self._t_next == t_block)
+        # int64 whatever the platform's intp: what advance_block points into
+        indices = np.flatnonzero(self._t_next == t_block).astype(np.int64, copy=False)
         return t_block, indices
 
     def update(self, indices: np.ndarray, t_new: float, dt_new: np.ndarray) -> None:

@@ -15,12 +15,13 @@ code it must equal.  Pinned here:
     state arrays plus the new steps: block sizes around the reduce's
     unroll, steps 2^-3 .. 2^-40 inside one block, a doubling granted
     and refused, both clamps, the ``tiny`` floor, criteria one ulp
-    either side of a power of two, and a step that is no power of two;
-(c) refusals - a non-positive step, a non-finite force, a block index
-    outside the system, arrays the tile could not point into - raise
-    the same error on both tiers and leave the system untouched;
-(d) ``predict_hermite`` with and without ``out`` buffers and for inputs
-    only numpy can walk.
+    either side of a power of two;
+(c) refusals - a step that is not a positive power of two, a non-finite
+    force, a block index outside the system, arrays the tile could not
+    point into or may not write - raise the same error on both tiers
+    and leave the system untouched;
+(d) ``predict_hermite`` with and without ``out`` buffers, for inputs
+    only numpy can walk and for buffers nobody may write.
 """
 
 import hashlib
@@ -178,11 +179,6 @@ class TestCompiledTierIsTheNumpyTier:
             flips += len(steps) == 2
         assert flips > 20  # the boundary was really straddled
 
-    def test_a_step_that_is_no_power_of_two_is_served_by_numpy(self):
-        case = Case(6, 12, np.arange(6), [4])
-        case.system.t[case.block[2]] -= 2.0**-7  # h = 2^-4 + 2^-7
-        agree(case)
-
     def test_duplicate_block_indices_scatter_like_numpy(self):
         agree(Case(7, 12, [1, 4, 4, 9], [4, 5, 5, 6]))
 
@@ -243,6 +239,16 @@ class TestRefusalsLeaveTheSystemUntouched:
         case.system.t[5] = case.t_block + 2.0**-5
         refused(tile, case, ValueError)
 
+    def test_a_step_that_is_no_power_of_two(self, tile):
+        """No caller makes one (startup is at t = 0 and every new step
+        is a floor to a power of two); the tile's h^3 .. h^5 are exact
+        for nothing else."""
+        for h in (2.0**-4 + 2.0**-7, 3 * 2.0**-6, np.nan, np.inf):
+            case = self.case()
+            case.system.t[11] = case.t_block - h
+            exc = refused(tile, case, ValueError)
+            assert "powers of two" in str(exc)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")  # numpy on inf - inf
     @pytest.mark.parametrize("what", ["acc1", "jerk1", "pot1"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -290,6 +296,30 @@ class TestRefusalsLeaveTheSystemUntouched:
             s = case.system.copy()
             setattr(s, name, rebind(getattr(s, name)))
             refused(tile, case, ValueError, system=s)
+
+    @pytest.mark.parametrize("name", STATE)
+    def test_a_state_array_it_may_not_write(self, tile, name):
+        """numpy refuses to assign into a read-only array; a pointer
+        would not ask."""
+        case = self.case()
+        s = case.system.copy()
+        getattr(s, name).flags.writeable = False
+        exc = refused(tile, case, ValueError, system=s)
+        assert "writeable" in str(exc)
+        frozen = np.frombuffer(getattr(s, name).tobytes()).reshape(getattr(s, name).shape)
+        setattr(s, name, frozen)  # immutable bytes underneath
+        refused(tile, case, ValueError, system=s)
+
+    def test_arguments_it_only_reads_may_be_read_only(self, tile):
+        case = self.case()
+        want, _ = case.advance(NUMPY_TILE)
+        s = case.system.copy()
+        xp, vp = NUMPY_TILE.predict(1.0, s.t, s.pos, s.vel, s.acc, s.jerk)
+        for a in (xp, vp, case.acc1, case.jerk1, case.pot1, case.block):
+            a.flags.writeable = False
+        dt_new = tile.advance(s, case.block, 1.0, xp, vp, case.acc1, case.jerk1, case.pot1,
+                              0.02, 0.125, 2.0**-40)
+        assert state_bytes(s, xp, vp, dt_new) == want
 
     def test_a_rebound_state_array_it_can_point_into_is_followed(self, tile):
         """Addresses are taken per call: nothing remembers the old array."""
@@ -409,6 +439,23 @@ class TestPredictHermite:
         out_x, out_v = strided(np.empty((20, 3))), strided(np.empty((20, 3)))
         xp, vp = hermite_tile.predict_hermite(1.0, *args, out_x, out_v)
         assert xp is out_x and vp is out_v and xp.tobytes() + vp.tobytes() == want
+
+    @pytest.mark.parametrize("which", ["out_x", "out_v"])
+    def test_a_read_only_out_buffer_is_refused_as_numpy_refuses_it(self, which):
+        args = predictor_inputs(12, 20)
+        out = {"out_x": np.full((20, 3), 7.0), "out_v": np.full((20, 3), 7.0)}
+        out[which].flags.writeable = False
+        with pytest.raises(ValueError, match="read-only"):
+            hermite_tile.predict_hermite(1.0, *args, **out)
+        assert np.all(out[which] == 7.0)
+
+    def test_read_only_inputs_are_served(self):
+        args = predictor_inputs(13, 20)
+        want = b"".join(a.tobytes() for a in NUMPY_TILE.predict(1.0, *args))
+        for a in args:
+            a.flags.writeable = False
+        xp, vp = hermite_tile.predict_hermite(1.0, *args)
+        assert xp.tobytes() + vp.tobytes() == want
 
     def test_a_scalar_time_still_broadcasts(self):
         """The shared-step integrators predict from one common time."""

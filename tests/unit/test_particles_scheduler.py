@@ -64,6 +64,12 @@ class TestBlockScheduler:
         sched.update(np.array([1, 2]), 0.375, np.array([0.125, 0.25]))
         assert sched.next_time() == sched.next_block()[0] == 0.5
 
+    def test_the_block_is_int64_on_every_platform(self):
+        """``advance_block`` points a C ``int64_t *`` at it."""
+        sched = BlockScheduler(np.zeros(3), np.array([0.5, 0.125, 0.125]))
+        block = sched.next_block()[1]
+        assert block.dtype == np.int64 and block.flags.c_contiguous
+
     def test_update_advances_schedule(self):
         t = np.zeros(3)
         dt = np.array([0.25, 0.125, 0.5])
