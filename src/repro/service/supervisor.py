@@ -206,6 +206,13 @@ class Supervisor:
         observatories = {"signatures": regimes, "efficiency": eff, "rank": ranks}
 
         if resume:
+            # a kill between an atomic write's temp file and its rename
+            # leaves the temp file; nothing reads one, nothing else
+            # removes one
+            torn = [*self.paths.root.glob("*.tmp"),
+                    *self.paths.checkpoints.glob("*.tmp")]
+            for path in torn:
+                path.unlink()
             ck_path = self.paths.latest_checkpoint()
             if ck_path is None:
                 raise JobError(f"{self.paths.root}: no checkpoint to resume from")
@@ -222,6 +229,7 @@ class Supervisor:
                 path=str(ck_path),
                 checkpoint_provenance=ck.provenance,
                 resume_provenance=checkpoint_provenance(),
+                **({"torn_writes_removed": len(torn)} if torn else {}),
             )
         else:
             integ = build_integrator(

@@ -154,6 +154,77 @@ class HardwareProfile:
 # -- per-blockstep record ----------------------------------------------------
 
 
+def _account(
+    record: BlockstepRecord, hw: HardwareProfile
+) -> tuple[float, str, float, float, tuple[float, ...]]:
+    """One blockstep priced on ``hw``: ``(duration us, clock, peak,
+    real, losses)`` with the losses in :data:`BUCKETS` order.  The one
+    statement of the account — the ledger's running totals and
+    :class:`BlockstepEfficiency` both read it, so they agree to the
+    bit."""
+    block_size, n = record.n_block, record.n
+    rate, lanes = hw.flops_per_us, hw.lanes_per_chip
+    if record.virtual_us is not None:
+        clock, column, dur = "virtual", 1, float(record.virtual_us)
+    else:
+        clock, column, dur = "wall", 0, float(record.wall_us)
+    if dur < 0.0:
+        dur = 0.0
+
+    peak = rate * dur
+    work = float(FLOPS_PER_INTERACTION) * block_size * n
+    real = peak if peak < work else work
+
+    # pipeline under-population: passes of `lanes` i-slots stream
+    # the whole j-memory whether or not the slots are filled
+    if block_size > 0 and lanes > 0:
+        passes = -(-block_size // lanes)
+        util = block_size / (passes * lanes)
+    else:
+        util = 1.0
+
+    # self-time by loss category: everything that is not pipeline,
+    # j-memory, communication or barrier time is the host's
+    pipe_us = jmem_us = comm_us = barrier_us = host_us = 0.0
+    for key, pair in record.self_us.items():
+        us = pair[column]
+        if key == T_PIPE:
+            pipe_us = us
+        elif key == JMEM:
+            jmem_us = us
+        elif key == T_COMM:
+            comm_us = us
+        elif key == T_BARRIER:
+            barrier_us = us
+        else:
+            host_us += us
+
+    # pipeline idle: time the pipelines were busy beyond the work
+    # they retired (empty lanes, streaming passes); when the span
+    # stream carries no pipe spans (clock not advanced under them)
+    # the lane-population lower bound of fig. 13 stands in
+    idle = real * (1.0 / util - 1.0) if util > 0.0 else 0.0
+    busy = rate * pipe_us - real
+    if busy > idle:
+        idle = busy
+
+    # each loss takes what is left of the shortfall, waterfall order;
+    # `other` is the remainder, so the buckets sum to peak exactly
+    budget = peak - real
+    if budget < 0.0:
+        budget = 0.0
+    losses = []
+    for raw in (idle, rate * jmem_us, work * record.retries,
+                rate * host_us, rate * comm_us, rate * barrier_us):
+        if raw < 0.0:
+            raw = 0.0
+        take = budget if budget < raw else raw
+        losses.append(take)
+        budget -= take
+    losses.append(0.0 if budget < 0.0 else budget)
+    return dur, clock, peak, real, tuple(losses)
+
+
 @dataclass(frozen=True)
 class BlockstepEfficiency:
     """One blockstep's flops account.
@@ -190,68 +261,22 @@ class BlockstepEfficiency:
     ) -> "BlockstepEfficiency":
         """The flops account of one blockstep on ``hw``: a pure
         projection of the fold's record."""
-        block_size, n = record.n_block, record.n
-        use_virtual = record.virtual_us is not None
-        column = 1 if use_virtual else 0
-        dur = max(
-            float(record.virtual_us if use_virtual else record.wall_us), 0.0)
+        return cls._of(record, *_account(record, hw))
 
-        rate = hw.flops_per_us
-        peak = rate * dur
-        work = float(FLOPS_PER_INTERACTION) * block_size * n
-        real = min(work, peak)
-
-        # pipeline under-population: passes of `lanes` i-slots stream
-        # the whole j-memory whether or not the slots are filled
-        lanes = hw.lanes_per_chip
-        if block_size > 0 and lanes > 0:
-            passes = -(-block_size // lanes)
-            util = block_size / (passes * lanes)
-        else:
-            util = 1.0
-
-        # self-time by loss category: everything that is not pipeline,
-        # j-memory, communication or barrier time is the host's
-        us = {JMEM: 0.0, T_PIPE: 0.0, T_COMM: 0.0, T_BARRIER: 0.0}
-        host_us = 0.0
-        for key, pair in record.self_us.items():
-            if key in us:
-                us[key] = pair[column]
-            else:
-                host_us += pair[column]
-
-        # pipeline idle: time the pipelines were busy beyond the work
-        # they retired (empty lanes, streaming passes); when the span
-        # stream carries no pipe spans (clock not advanced under them)
-        # the lane-population lower bound of fig. 13 stands in
-        idle_lanes = real * (1.0 / util - 1.0) if util > 0.0 else 0.0
-        raw = {
-            "pipeline_idle": max(idle_lanes, rate * us[T_PIPE] - real),
-            "jmem": rate * us[JMEM],
-            "retry": work * record.retries,
-            "host": rate * host_us,
-            "comm": rate * us[T_COMM],
-            "barrier": rate * us[T_BARRIER],
-        }
-        budget = max(peak - real, 0.0)
-        buckets: dict[str, float] = {}
-        for name in BUCKETS[:-1]:
-            take = min(max(raw[name], 0.0), budget)
-            buckets[name] = take
-            budget -= take
-        buckets["other"] = max(budget, 0.0)
-
+    @classmethod
+    def _of(cls, record: BlockstepRecord, dur: float, clock: str, peak: float,
+            real: float, losses: tuple[float, ...]) -> "BlockstepEfficiency":
         return cls(
             blockstep=record.index,
             t=record.t,
-            n=n,
-            block_size=block_size,
+            n=record.n,
+            block_size=record.n_block,
             dur_us=dur,
             wall_us=record.wall_us,
-            clock="virtual" if use_virtual else "wall",
+            clock=clock,
             peak_flops=peak,
             real_flops=real,
-            buckets=buckets,
+            buckets=dict(zip(BUCKETS, losses)),
             t_start_us=record.t_start_us,
         )
 
@@ -310,34 +335,46 @@ class FlopsLedger:
         self._keep = bool(keep)
         self.records: list[BlockstepEfficiency] = []
         self.count = 0
-        self.latest: BlockstepEfficiency | None = None
         # run totals (accounting-clock domain of each record)
         self.peak_flops = 0.0
         self.real_flops = 0.0
         self.bucket_flops: dict[str, float] = {b: 0.0 for b in BUCKETS}
         self.span_us = 0.0
         self._clocks: set[str] = set()
+        self._latest: BlockstepRecord | None = None
         self.fold = SpanFold([self])
 
     def emit(self, event: SpanEvent) -> None:
         self.fold.emit(event)
 
     def on_blockstep(self, record: BlockstepRecord) -> None:
-        rec = BlockstepEfficiency.from_blockstep(record, self.hardware)
+        account = _account(record, self.hardware)
+        dur, clock, peak, real, losses = account
         self.count += 1
-        self.latest = rec
-        self.peak_flops += rec.peak_flops
-        self.real_flops += rec.real_flops
-        self.span_us += rec.dur_us
-        for b in BUCKETS:
-            self.bucket_flops[b] += rec.buckets[b]
-        self._clocks.add(rec.clock)
-        if self._keep:
-            self.records.append(rec)
-        if self._callback is not None:
-            self._callback(rec)
+        self._latest = record
+        self.peak_flops += peak
+        self.real_flops += real
+        self.span_us += dur
+        totals = self.bucket_flops
+        for bucket, loss in zip(BUCKETS, losses):
+            totals[bucket] += loss
+        self._clocks.add(clock)
+        # the frozen per-blockstep record is for whoever asks for it
+        if self._keep or self._callback is not None:
+            rec = BlockstepEfficiency._of(record, *account)
+            if self._keep:
+                self.records.append(rec)
+            if self._callback is not None:
+                self._callback(rec)
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def latest(self) -> BlockstepEfficiency | None:
+        """The newest blockstep's account (None before the first)."""
+        if self._latest is None:
+            return None
+        return BlockstepEfficiency.from_blockstep(self._latest, self.hardware)
 
     @property
     def clock(self) -> str:

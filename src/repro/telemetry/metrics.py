@@ -177,11 +177,12 @@ class Metrics:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get(self, name: str, cls):
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = cls(name)
-            self._instruments[name] = inst
-        elif not isinstance(inst, cls):
+        try:
+            inst = self._instruments[name]
+        except KeyError:
+            inst = self._instruments[name] = cls(name)
+            return inst
+        if not isinstance(inst, cls):
             raise TypeError(
                 f"metric {name!r} already registered as {type(inst).__name__}"
             )

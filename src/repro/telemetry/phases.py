@@ -34,6 +34,7 @@ account are pure projections of that record.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -226,15 +227,16 @@ class SpanFold:
         self.n_events = 0
         self.blocksteps = 0
         #: Run self-time by phase, wall clock.
-        self.totals_us: dict[str, float] = {}
+        self.totals_us: dict[str, float] = defaultdict(float)
         #: Run self-time by phase, virtual clock (spans that carry one).
-        self.virtual_totals_us: dict[str, float] = {}
+        self.virtual_totals_us: dict[str, float] = defaultdict(float)
         #: Self-time under top-level spans *outside* any blockstep
         #: (startup force, coherence exchange, barriers), by record key,
         #: each top-level span in its own best clock.
         self.outside_us: dict[str, float] = {}
         # (name, phase) -> [count, self wall us, total wall us]
-        self._spans: dict[tuple[str, str], list] = {}
+        self._spans: dict[tuple[str, str], list] = defaultdict(
+            lambda: [0, 0.0, 0.0])
         # open span id -> what its closed children left behind:
         # [their wall us, their virtual us, subtree retries, subtree
         #  self-times by key, subtree spans still waiting for a phase]
@@ -243,48 +245,67 @@ class SpanFold:
     def emit(self, event: SpanEvent) -> None:
         self.n_events += 1
         name, wall, virt = event.name, event.dur_us, event.v_dur_us
-        kids_wall, kids_virt, retries, times, waiting = self._open.pop(
-            event.span_id, None) or (0.0, 0.0, 0, {}, [])
-        more = event.attrs.get("exponent_retries")
-        if more:
-            retries += int(more)
-        self_wall = max(wall - kids_wall, 0.0)
-        self_virt = None if virt is None else max(virt - kids_virt, 0.0)
+        parent = event.parent_id
+        attrs = event.attrs
+        more = attrs.get("exponent_retries") if attrs else None
+        retries = int(more) if more else 0
+        below = self._open.pop(event.span_id, None)
+        if below is None:  # childless, the common case: nothing to subtract
+            self_wall, self_virt, times, waiting = wall, virt, {}, []
+        else:
+            self_wall = wall - below[0]
+            self_virt = None if virt is None else virt - below[1]
+            retries += below[2]
+            times, waiting = below[3], below[4]
+        # clamped as max(x, 0.0) does, NaN included
+        if self_wall < 0.0:
+            self_wall = 0.0
+        if self_virt is not None and self_virt < 0.0:
+            self_virt = 0.0
         phase = resolve_phase(name, event.phase)
-        if phase is None and event.parent_id is None:
+        if phase is None and parent is None:
             phase = T_OTHER
         if phase is None:
             waiting.append((name, wall, self_wall, self_virt))
         else:  # resolves itself and all that waits beneath it
             key = JMEM if name == JMEM_SPAN and phase == T_PIPE else phase
-            acc = times.setdefault(key, [0.0, 0.0])
+            if key in times:
+                acc = times[key]
+            else:
+                acc = times[key] = [0.0, 0.0]
             self._book(phase, acc, name, wall, self_wall, self_virt)
-            for span in waiting:
-                self._book(phase, acc, *span)
-            waiting = []
+            if waiting:
+                for span in waiting:
+                    self._book(phase, acc, *span)
+                waiting = []
 
         if name == ROOT_SPAN:
             # a blockstep's subtree is its record's, not its parent's
             self._cut(event, times, retries)
             retries, times = 0, {}
-        if event.parent_id is None:
-            outside, column = self.outside_us, 0 if virt is None else 1
-            for key, pair in times.items():
-                outside[key] = outside.get(key, 0.0) + pair[column]
+        if parent is None:
+            if times:
+                outside, column = self.outside_us, 0 if virt is None else 1
+                for key, pair in times.items():
+                    outside[key] = outside.get(key, 0.0) + pair[column]
             return
-        up = self._open.get(event.parent_id)
+        up = self._open.get(parent)
         if up is None:  # the first child to close donates its state
-            self._open[event.parent_id] = [
-                wall, virt or 0.0, retries, times, waiting]
+            self._open[parent] = [wall, virt or 0.0, retries, times, waiting]
             return
         up[0] += wall
         up[1] += virt or 0.0
         up[2] += retries
+        mine = up[3]
         for key, pair in times.items():
-            acc = up[3].setdefault(key, [0.0, 0.0])
-            acc[0] += pair[0]
-            acc[1] += pair[1]
-        up[4] += waiting
+            if key in mine:
+                acc = mine[key]
+                acc[0] += pair[0]
+                acc[1] += pair[1]
+            else:  # 0.0 + x: the pair itself
+                mine[key] = pair
+        if waiting:
+            up[4] += waiting
 
     def _book(self, phase: str, acc: list[float], name: str, dur: float,
               self_wall: float, self_virt: float | None) -> None:
@@ -292,12 +313,11 @@ class SpanFold:
         accumulator of the span that resolved it, the run totals and
         the per-name summary."""
         acc[0] += self_wall
-        self.totals_us[phase] = self.totals_us.get(phase, 0.0) + self_wall
+        self.totals_us[phase] += self_wall
         if self_virt is not None:
             acc[1] += self_virt
-            self.virtual_totals_us[phase] = (
-                self.virtual_totals_us.get(phase, 0.0) + self_virt)
-        summary = self._spans.setdefault((name, phase), [0, 0.0, 0.0])
+            self.virtual_totals_us[phase] += self_virt
+        summary = self._spans[name, phase]
         summary[0] += 1
         summary[1] += self_wall
         summary[2] += dur
@@ -309,18 +329,19 @@ class SpanFold:
             return
         attrs = event.attrs
         t = attrs.get("t")
+        # positional, in BlockstepRecord's field order
         record = BlockstepRecord(
-            index=self.blocksteps - 1,
-            t=None if t is None else float(t),
-            n=int(attrs.get("n", 0) or 0),
-            n_block=int(attrs.get("n_block", 0) or 0),
-            t_start_us=float(event.t_start_us),
-            wall_us=float(event.dur_us),
-            virtual_us=event.v_dur_us,
-            self_us=times,
-            retries=retries,
-            jmem_loads=int(attrs.get("jmem_loads", 0) or 0),
-            jmem_elided=int(attrs.get("jmem_elided", 0) or 0),
+            self.blocksteps - 1,
+            None if t is None else float(t),
+            int(attrs.get("n", 0) or 0),
+            int(attrs.get("n_block", 0) or 0),
+            float(event.t_start_us),
+            float(event.dur_us),
+            event.v_dur_us,
+            times,
+            retries,
+            int(attrs.get("jmem_loads", 0) or 0),
+            int(attrs.get("jmem_elided", 0) or 0),
         )
         for consumer in self.consumers:
             consumer.on_blockstep(record)

@@ -37,13 +37,14 @@ alone, which is all a dry-run of the scheduler can know.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from ..schema import Column, Section, check, list_of, number, opt
-from .phases import PHASES, BlockstepRecord, SpanFold
+from .phases import JMEM, PHASES, T_PIPE, BlockstepRecord, SpanFold
 from .timeline import TRACE_PIDS, trace_event, trace_lane
 from .tracer import SpanEvent
 
@@ -55,6 +56,17 @@ SIGNATURE_SCHEMA = "repro.phase_signature/1"
 #: everything larger, so paper-scale N (2M -> bucket 21) stays in
 #: range.  An empty block (degenerate) lights no bucket at all.
 N_BUCKETS = 24
+
+#: Length of :meth:`PhaseSignature.vector`: active fraction, the
+#: block-size buckets, one share per phase, the elision fraction.
+VECTOR_LENGTH = 1 + N_BUCKETS + len(PHASES) + 1
+
+#: Where each phase's share sits in the vector, and where a blockstep
+#: record's self-time keys land in :data:`PHASES` order (j-memory loads
+#: are ``T_pipe`` time).
+_SHARE_SLOT = {p: 1 + N_BUCKETS + i for i, p in enumerate(PHASES)}
+_PHASE_SLOT = {**{p: i for i, p in enumerate(PHASES)},
+               JMEM: PHASES.index(T_PIPE)}
 
 #: Trace process id for the regime lane, from the central pid registry
 #: (:data:`repro.telemetry.timeline.TRACE_PIDS`) so it can never
@@ -121,21 +133,29 @@ class PhaseSignature:
         across checkpoint/resume, because the block schedule itself is
         (property-pinned).
         """
-        v = np.zeros(1 + N_BUCKETS, dtype=np.float64)
-        v[0] = self.active_fraction
-        bucket = self.log2_bucket
-        if bucket >= 0:
-            v[1 + bucket] = 1.0
-        return v
+        return self.vector()[: 1 + N_BUCKETS]
 
     def vector(self) -> np.ndarray:
         """The full clustering vector: schedule part + per-phase
         self-time shares + j-memory elision fraction."""
-        timing = np.array(
-            [self.shares.get(p, 0.0) for p in PHASES] + [self.elision_fraction],
-            dtype=np.float64,
-        )
-        return np.concatenate([self.schedule_vector(), timing])
+        v = np.empty(VECTOR_LENGTH, dtype=np.float64)
+        self._write_vector(v)
+        return v
+
+    def _write_vector(self, v: np.ndarray) -> None:
+        """:meth:`vector` written over ``v`` (the regime tracker's one
+        reused buffer): zeroed, then the few entries that are not."""
+        v[:] = 0.0
+        v[0] = self.active_fraction
+        bucket = self.log2_bucket
+        if bucket >= 0:
+            v[1 + bucket] = 1.0
+        for phase, share in self.shares.items():
+            if share and phase in _SHARE_SLOT:
+                v[_SHARE_SLOT[phase]] = share
+        elision = self.elision_fraction
+        if elision:
+            v[-1] = elision
 
     # -- records ------------------------------------------------------------
 
@@ -159,17 +179,23 @@ class PhaseSignature:
     @classmethod
     def from_blockstep(cls, record: BlockstepRecord) -> "PhaseSignature":
         """The signature of one blockstep: a pure projection of the
-        fold's record (wall-clock phase shares)."""
+        fold's record (wall-clock phase shares, which are
+        ``normalise_shares(record.phase_us())`` taken in one pass)."""
+        us = [0.0] * len(PHASES)
+        for key, pair in record.self_us.items():
+            if key in _PHASE_SLOT:
+                us[_PHASE_SLOT[key]] += pair[0]
+        for i, phase_us in enumerate(us):
+            if phase_us < 0.0:
+                us[i] = 0.0
+        total = sum(us)
+        if total <= 0.0:
+            shares = dict.fromkeys(PHASES, 0.0)
+        else:
+            shares = {p: phase_us / total for p, phase_us in zip(PHASES, us)}
         return cls(
-            blockstep=record.index,
-            t=record.t,
-            n=record.n,
-            block_size=record.n_block,
-            wall_us=record.wall_us,
-            shares=normalise_shares(record.phase_us()),
-            jmem_loads=record.jmem_loads,
-            jmem_elided=record.jmem_elided,
-            t_start_us=record.t_start_us,
+            record.index, record.t, record.n, record.n_block, record.wall_us,
+            shares, record.jmem_loads, record.jmem_elided, record.t_start_us,
         )
 
     @classmethod
@@ -274,12 +300,38 @@ class StreamingKMeans:
             raise ValueError("k_max must be at least 1")
         self.k_max = int(k_max)
         self.spawn_distance = float(spawn_distance)
-        self.centroids: list[np.ndarray] = []
         self.counts: list[int] = []
+        # the centroids are the first k rows of one (k_max, d) array,
+        # made when the first vector says what d is
+        self._rows: np.ndarray | None = None
 
     @property
     def k(self) -> int:
-        return len(self.centroids)
+        return len(self.counts)
+
+    @property
+    def centroids(self) -> list[np.ndarray]:
+        """The centroids in discovery order (views of the model's rows)."""
+        return [] if self._rows is None else list(self._rows[: self.k])
+
+    def _checked(self, v: np.ndarray) -> np.ndarray:
+        """``v`` as a float64 vector of the model's length."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim != 1:
+            raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+        if self._rows is not None and v.size != self._rows.shape[1]:
+            raise ValueError(
+                f"vector has length {v.size}, the model's centroids "
+                f"have length {self._rows.shape[1]}")
+        return v
+
+    def _nearest(self, rows: np.ndarray, v: np.ndarray) -> tuple[int, float]:
+        # one expression for every centroid; argmin keeps the first of
+        # equal distances, as a strict < scan does
+        diff = rows - v
+        d2 = (diff * diff).sum(axis=1)
+        best = int(d2.argmin())
+        return best, math.sqrt(d2[best])
 
     def nearest(
         self, v: np.ndarray, features: slice | None = None
@@ -288,37 +340,34 @@ class StreamingKMeans:
 
         ``features`` restricts the distance to a feature subspace —
         the sampled-run estimator assigns *projected* blocksteps using
-        only the schedule-visible features.  Raises on an empty model.
+        only the schedule-visible features.  Raises on an empty model
+        and on a vector of another length than the model's.
         """
-        if not self.centroids:
+        if self._rows is None:
             raise ValueError("no clusters yet")
-        v = np.asarray(v, dtype=np.float64)
-        best, best_d = 0, np.inf
-        for i, c in enumerate(self.centroids):
-            if features is not None:
-                d = float(np.linalg.norm(v[features] - c[features]))
-            else:
-                d = float(np.linalg.norm(v - c))
-            if d < best_d:
-                best, best_d = i, d
-        return best, best_d
+        v = self._checked(v)
+        rows = self._rows[: self.k]
+        if features is not None:
+            rows, v = rows[:, features], v[features]
+        return self._nearest(rows, v)
 
     def update(self, v: np.ndarray) -> int:
         """Assign ``v`` to a (possibly new) cluster and learn; returns
         the cluster index."""
-        v = np.asarray(v, dtype=np.float64)
-        if not self.centroids:
-            self.centroids.append(v.copy())
-            self.counts.append(1)
-            return 0
-        idx, dist = self.nearest(v)
-        if dist > self.spawn_distance and self.k < self.k_max:
-            self.centroids.append(v.copy())
-            self.counts.append(1)
-            return self.k - 1
-        self.counts[idx] += 1
-        self.centroids[idx] += (v - self.centroids[idx]) / self.counts[idx]
-        return idx
+        v = self._checked(v)
+        k = self.k
+        if k:
+            idx, dist = self._nearest(self._rows[:k], v)
+            if not (dist > self.spawn_distance and k < self.k_max):
+                self.counts[idx] += 1
+                row = self._rows[idx]
+                row += (v - row) / self.counts[idx]
+                return idx
+        else:
+            self._rows = np.zeros((self.k_max, v.size), dtype=np.float64)
+        self._rows[k] = v
+        self.counts.append(1)
+        return k
 
 
 # -- regime tracking --------------------------------------------------------
@@ -343,6 +392,20 @@ class _RegimeRun:
     count: int = 0
     t_start_us: float = 0.0
     t_end_us: float = 0.0
+
+
+@dataclass(slots=True)
+class _RegimeAccount:
+    """Running sums over the blocksteps one regime was given."""
+
+    count: int = 0
+    wall_us: float = 0.0
+    block: float = 0.0
+    active: float = 0.0
+    shares: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    jmem_loads: int = 0
+    jmem_elided: int = 0
 
 
 class RegimeTracker:
@@ -370,26 +433,28 @@ class RegimeTracker:
         self.count = 0
         self._pending: int | None = None
         self._pending_count = 0
-        # per-regime accumulators: count, wall_us, block, active, shares
-        self._acc: dict[int, dict[str, Any]] = {}
+        self._acc: dict[int, _RegimeAccount] = {}
+        # every signature's vector is written here and learnt from
+        self._buffer = np.empty(VECTOR_LENGTH, dtype=np.float64)
 
     def update(self, sig: PhaseSignature) -> int:
         """Feed one signature; returns the (smoothed) current regime."""
-        raw = self.kmeans.update(sig.vector())
-        acc = self._acc.setdefault(
-            raw,
-            {"count": 0, "wall_us": 0.0, "block": 0.0, "active": 0.0,
-             "shares": {p: 0.0 for p in PHASES},
-             "jmem_loads": 0, "jmem_elided": 0},
-        )
-        acc["count"] += 1
-        acc["wall_us"] += sig.wall_us
-        acc["block"] += sig.block_size
-        acc["active"] += sig.active_fraction
-        for p in PHASES:
-            acc["shares"][p] += sig.shares.get(p, 0.0)
-        acc["jmem_loads"] += sig.jmem_loads
-        acc["jmem_elided"] += sig.jmem_elided
+        sig._write_vector(self._buffer)
+        raw = self.kmeans.update(self._buffer)
+        if raw in self._acc:
+            acc = self._acc[raw]
+        else:
+            acc = self._acc[raw] = _RegimeAccount()
+        acc.count += 1
+        acc.wall_us += sig.wall_us
+        acc.block += sig.block_size
+        acc.active += sig.active_fraction
+        shares = acc.shares
+        for phase, share in sig.shares.items():
+            if phase in shares:
+                shares[phase] += share
+        acc.jmem_loads += sig.jmem_loads
+        acc.jmem_elided += sig.jmem_elided
 
         if self.current is None:
             self._switch(raw, sig)
@@ -413,14 +478,15 @@ class RegimeTracker:
         return self.current  # type: ignore[return-value]
 
     def _switch(self, regime: int, sig: PhaseSignature) -> None:
-        self.changes.append(
-            RegimeChange(
-                blockstep=sig.blockstep,
-                t=sig.t,
-                from_regime=self.current,
-                to_regime=regime,
+        if self.current is not None:
+            self.changes.append(
+                RegimeChange(
+                    blockstep=sig.blockstep,
+                    t=sig.t,
+                    from_regime=self.current,
+                    to_regime=regime,
+                )
             )
-        ) if self.current is not None else None
         self.current = regime
         self._pending = None
         self._pending_count = 0
@@ -443,8 +509,8 @@ class RegimeTracker:
         """(regime id, share of blocksteps) of the most common regime."""
         if not self._acc or self.count == 0:
             return None, 0.0
-        regime = max(self._acc, key=lambda r: self._acc[r]["count"])
-        return regime, self._acc[regime]["count"] / self.count
+        regime = max(self._acc, key=lambda r: self._acc[r].count)
+        return regime, self._acc[regime].count / self.count
 
     def lane(self, max_runs: int = 24) -> str:
         """Compact run-length regime sequence, e.g. ``0x41 1x7 0x12``
@@ -459,19 +525,19 @@ class RegimeTracker:
         regimes = []
         for regime in sorted(self._acc):
             acc = self._acc[regime]
-            c = acc["count"]
+            c = acc.count
             regimes.append(
                 {
                     "regime": regime,
                     "count": c,
                     "share": c / self.count if self.count else 0.0,
-                    "mean_block_size": acc["block"] / c if c else 0.0,
-                    "mean_active_fraction": acc["active"] / c if c else 0.0,
-                    "mean_wall_us": acc["wall_us"] / c if c else 0.0,
-                    "shares": {p: acc["shares"][p] / c if c else 0.0
+                    "mean_block_size": acc.block / c if c else 0.0,
+                    "mean_active_fraction": acc.active / c if c else 0.0,
+                    "mean_wall_us": acc.wall_us / c if c else 0.0,
+                    "shares": {p: acc.shares[p] / c if c else 0.0
                                for p in PHASES},
-                    "jmem_loads": acc["jmem_loads"],
-                    "jmem_elided": acc["jmem_elided"],
+                    "jmem_loads": acc.jmem_loads,
+                    "jmem_elided": acc.jmem_elided,
                 }
             )
         return {

@@ -32,9 +32,9 @@ threading a tracer handle through every constructor, mirroring the
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
+from threading import get_ident
+from time import perf_counter
 from typing import Any, Callable
 
 from .metrics import Metrics
@@ -135,32 +135,37 @@ class _Span:
         tr._serial += 1
         self.span_id = tr._serial
         stack = tr._stack
-        self.parent_id = stack[-1].span_id if stack else None
-        self.depth = len(stack)
-        tr._owner_thread = threading.get_ident()
+        if stack:
+            self.parent_id = stack[-1].span_id
+            self.depth = len(stack)
+        else:
+            # only a top-level span can be the first a thread opens:
+            # the stack belongs to one thread while it is non-empty
+            self.parent_id = None
+            self.depth = 0
+            tr._owner_thread = get_ident()
         stack.append(self)
-        self._v0 = tr._virtual_now()
-        self._t0 = time.perf_counter()
+        clock = tr.virtual_clock
+        self._v0 = None if clock is None else float(clock())
+        self._t0 = perf_counter()
         return self
 
     def __exit__(self, *exc) -> bool:
-        t1 = time.perf_counter()
+        t1 = perf_counter()
         tr = self._tracer
-        v1 = tr._virtual_now()
+        clock = tr.virtual_clock
+        v0 = self._v0
         tr._stack.pop()
+        t0 = self._t0
+        # positional, in SpanEvent's field order
         event = SpanEvent(
-            name=self.name,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            depth=self.depth,
-            t_start_us=(self._t0 - tr._epoch) * 1.0e6,
-            dur_us=(t1 - self._t0) * 1.0e6,
-            phase=self.phase,
-            v_start_us=self._v0,
-            v_dur_us=None if v1 is None else v1 - (self._v0 or 0.0),
-            attrs=self.attrs,
+            self.name, self.span_id, self.parent_id, self.depth,
+            (t0 - tr._epoch) * 1.0e6, (t1 - t0) * 1.0e6, self.phase,
+            v0, None if clock is None else float(clock()) - (v0 or 0.0),
+            self.attrs,
         )
-        tr._emit(event)
+        for sink in tr.sinks:
+            sink.emit(event)
         return False
 
 
@@ -195,7 +200,7 @@ class Tracer:
         self.metrics = Metrics()
         self._stack: list[_Span] = []
         self._serial = 0
-        self._epoch = time.perf_counter()
+        self._epoch = perf_counter()
         self._owner_thread: int | None = None
 
     # -- spans ----------------------------------------------------------------
@@ -215,22 +220,23 @@ class Tracer:
         """Record an instantaneous (zero-duration) event."""
         if not self.enabled:
             return
-        t = time.perf_counter()
+        t = perf_counter()
         self._serial += 1
-        self._emit(
-            SpanEvent(
-                name=name,
-                span_id=self._serial,
-                parent_id=self._stack[-1].span_id if self._stack else None,
-                depth=len(self._stack),
-                t_start_us=(t - self._epoch) * 1.0e6,
-                dur_us=0.0,
-                phase=phase,
-                v_start_us=self._virtual_now(),
-                v_dur_us=0.0 if self.virtual_clock is not None else None,
-                attrs=dict(attrs),
-            )
+        clock = self.virtual_clock
+        event = SpanEvent(
+            name=name,
+            span_id=self._serial,
+            parent_id=self._stack[-1].span_id if self._stack else None,
+            depth=len(self._stack),
+            t_start_us=(t - self._epoch) * 1.0e6,
+            dur_us=0.0,
+            phase=phase,
+            v_start_us=None if clock is None else float(clock()),
+            v_dur_us=None if clock is None else 0.0,
+            attrs=dict(attrs),
         )
+        for sink in self.sinks:
+            sink.emit(event)
 
     # -- introspection (the sampling profiler's view) -------------------------
 
@@ -293,16 +299,6 @@ class Tracer:
             close = getattr(sink, "close", None)
             if close is not None:
                 close()
-
-    # -- internals ------------------------------------------------------------
-
-    def _virtual_now(self) -> float | None:
-        vc = self.virtual_clock
-        return None if vc is None else float(vc())
-
-    def _emit(self, event: SpanEvent) -> None:
-        for sink in self.sinks:
-            sink.emit(event)
 
 
 #: Process-wide default tracer: disabled until an application opts in.

@@ -129,6 +129,37 @@ class TestBudgetInterruptResume:
         assert payload["blockstep"] == 16
         assert "environment" in payload["checkpoint_provenance"]
         assert "environment" in payload["resume_provenance"]
+        assert "torn_writes_removed" not in payload  # none: not mentioned
+
+    def test_a_kill_inside_a_write_leaves_no_litter(
+            self, reference_job, tmp_path):
+        """SIGKILL between an atomic write's temp file and its rename
+        leaves the temp file for ever: resume removes them, says how
+        many, and continues from the newest *whole* checkpoint."""
+        spec = write_spec(tmp_path / "job.json", name="torn",
+                          max_blocksteps=24)
+        jobs = tmp_path / "jobs"
+        assert main(["submit", str(spec), "--dir", str(jobs)]) == 3
+        jobdir = jobs / "torn"
+        whole = sorted((jobdir / "checkpoints").glob("ckpt_*.npz"))
+        # a checkpoint torn mid-write, newer than every real one, and
+        # a state.json the kill caught before its rename
+        torn = jobdir / "checkpoints" / "ckpt_0000000032.npz.tmp"
+        torn.write_bytes(whole[-1].read_bytes()[:1000])
+        (jobdir / "state.json.tmp").write_text('{"status": "runn')
+
+        doc = json.loads((jobdir / "job.json").read_text())
+        del doc["max_blocksteps"]
+        (jobdir / "job.json").write_text(json.dumps(doc))
+        assert main(["resume", str(jobdir)]) == 0
+
+        assert_final_identical(jobdir, reference_job)
+        assert not list(jobdir.rglob("*.tmp"))
+        (seam,) = [r for r in read_archive(jobdir / "bus.jsonl")
+                   if r.kind == "discontinuity"]
+        assert seam.payload["torn_writes_removed"] == 2
+        assert seam.payload["blockstep"] == 24
+        assert seam.payload["path"] == str(whole[-1])
 
     def test_resume_completed_is_noop(self, reference_job):
         assert main(["resume", str(reference_job)]) == 0

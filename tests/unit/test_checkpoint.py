@@ -9,7 +9,9 @@ end-to-end resume bit-identity property lives in
 ``tests/property/test_prop_checkpoint_resume.py``.
 """
 
+import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -133,6 +135,90 @@ class TestBlockSizes:
         integ.step()
         clone.step()
         assert np.array_equal(clone.system.pos, integ.system.pos)
+
+
+class TestContainer:
+    """The ``.npz`` is written member by member: deflate where it
+    shrinks the member (header text, masses, times, steps, block
+    sizes), stored where it only costs time (phase space and the force
+    derivatives are mantissa noise)."""
+
+    DEFLATED = {"header", "mass", "t", "dt", "scheduler_t_next", "block_sizes"}
+
+    @staticmethod
+    def members(integ):
+        """What ``write_checkpoint`` puts in the container, by name."""
+        state = integ.state_dict()
+        return {
+            "scheduler_t_next": state["scheduler_t_next"],
+            "block_sizes": state["stats"]["block_sizes"],
+            **{name: getattr(integ.system, name) for name in ARRAYS},
+        }
+
+    def test_the_parent_layout_reads_and_resumes_bit_identically(
+            self, ckpt_path, tmp_path):
+        """A file as ``np.savez_compressed`` wrote it before the
+        per-member writer (every member deflated, same schema)."""
+        integ = make_integrator(steps=12)
+        write_checkpoint(ckpt_path, integ, rng=np.random.default_rng(4))
+        with np.load(ckpt_path) as data:
+            arrays = dict(data)
+        old = tmp_path / "parent_layout.npz"
+        with old.open("wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        with zipfile.ZipFile(old) as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED}
+        ckpt = read_checkpoint(old)
+        assert ckpt.rng.bit_generator.state == (
+            np.random.default_rng(4).bit_generator.state)
+        clone = restore_integrator(ckpt)
+        for _ in range(20):
+            integ.step()
+            clone.step()
+        for name in ARRAYS:
+            assert np.array_equal(
+                getattr(clone.system, name), getattr(integ.system, name)), name
+        assert np.array_equal(clone.scheduler.t_next, integ.scheduler.t_next)
+
+    def test_bare_numpy_opens_it_and_only_the_named_members_are_deflated(
+            self, ckpt_path):
+        integ = make_integrator(n=128, steps=30)
+        write_checkpoint(ckpt_path, integ)
+        wrote = self.members(integ)
+        with np.load(ckpt_path) as data:  # no repro code on this path
+            assert set(data.files) == {"header", *wrote}
+            for name, value in wrote.items():
+                assert np.array_equal(data[name], value), name
+            assert json.loads(bytes(data["header"]).decode())[
+                "schema"] == CHECKPOINT_SCHEMA
+        with zipfile.ZipFile(ckpt_path) as archive:
+            assert archive.testzip() is None
+            how = {i.filename.removesuffix(".npy"): i.compress_type
+                   for i in archive.infolist()}
+        assert {n for n, c in how.items() if c == zipfile.ZIP_DEFLATED} == (
+            self.DEFLATED)
+        assert {n for n, c in how.items() if c == zipfile.ZIP_STORED} == (
+            set(how) - self.DEFLATED)
+
+    @pytest.mark.parametrize("n", [128, 1024])
+    def test_at_most_a_tenth_larger_than_all_deflated(self, n, ckpt_path):
+        """Once every particle has taken a step (until then its
+        higher derivatives are zeros, which deflate to nothing)."""
+        integ = make_integrator(n=n)
+        integ.run(0.125)
+        assert integ.system.t.min() > 0.0
+        write_checkpoint(ckpt_path, integ)
+        with np.load(ckpt_path) as data:
+            arrays = dict(data)
+        all_deflated = io.BytesIO()
+        np.savez_compressed(all_deflated, **arrays)
+        size = ckpt_path.stat().st_size
+        assert size <= 1.10 * all_deflated.getbuffer().nbytes
+        # and the members left stored would not have repaid deflating
+        all_stored = io.BytesIO()
+        np.savez(all_stored, **arrays)
+        assert size < all_stored.getbuffer().nbytes
 
 
 class TestProvenance:
