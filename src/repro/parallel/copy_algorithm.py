@@ -82,10 +82,6 @@ class CopyAlgorithm:
         self._n = x.shape[0]
         self.executor.publish(jx=x, jv=v, jm=m)
 
-    def share(self, block: np.ndarray, rank: int) -> np.ndarray:
-        """Indices of the block updated by ``rank`` (round-robin split)."""
-        return np.asarray(block[rank :: self.p])
-
     def forces_on(
         self,
         xi: np.ndarray,
@@ -128,14 +124,13 @@ class CopyAlgorithm:
         pot = np.empty(n_b)
         interactions = 0
         for rank, res in zip(active, results):
-            rows = np.arange(rank, n_b, self.p)
-            acc[rows] = res["acc"]
-            jerk[rows] = res["jerk"]
-            pot[rows] = res["pot"]
+            acc[rank::self.p] = res["acc"]
+            jerk[rank::self.p] = res["jerk"]
+            pot[rank::self.p] = res["pot"]
             interactions += int(res["interactions"])
             if self.compute_time_us is not None:
                 self.network.clock.advance(
-                    rank, self.compute_time_us(rank, rows.size, self._n)
+                    rank, self.compute_time_us(rank, len(res["pot"]), self._n)
                 )
         return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
 

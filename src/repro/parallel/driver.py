@@ -14,7 +14,7 @@ bitwise.
 
 from __future__ import annotations
 
-from ..core.individual import BlockTimestepIntegrator, StepStatistics
+from ..core.individual import BlockTimestepIntegrator
 from ..core.particles import ParticleSystem
 from ..telemetry import T_COMM
 
@@ -110,7 +110,3 @@ class ParallelBlockIntegrator(BlockTimestepIntegrator):
     def virtual_time_us(self) -> float:
         """Simulated wall-clock of the parallel run so far."""
         return self.algorithm.network.clock.elapsed
-
-    def run(self, t_end: float, max_blocksteps: int | None = None) -> StepStatistics:
-        stats = super().run(t_end, max_blocksteps=max_blocksteps)
-        return stats

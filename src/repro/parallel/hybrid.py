@@ -111,10 +111,6 @@ class HybridAlgorithm:
         for grid in self.grids:
             grid.set_j_particles(x, v, m)
 
-    def share(self, block: np.ndarray, cluster: int) -> np.ndarray:
-        """Block members integrated by the given cluster (round-robin)."""
-        return np.asarray(block[cluster :: self.c])
-
     def forces_on(
         self,
         xi: np.ndarray,

@@ -17,7 +17,8 @@ the other hosts wait for it.
   payload traffic from the 16-byte collective/barrier messages, so the
   latency/bandwidth structure stays fittable — mixing them would blur
   the two regimes the linear NIC model distinguishes).  Messages arrive
-  a whole round at a time (:meth:`CommLedger.record_round`) and live in
+  a whole round, or a whole schedule of rounds, at a time
+  (:meth:`CommLedger.record_round`) and live in
   one struct-of-arrays :class:`LinkStore`; :class:`LinkStats` is a
   projection of one of its rows;
 * **barrier attribution** per barrier, in virtual time: every rank's
@@ -198,8 +199,9 @@ class LinkStore:
         self.flight = _HistColumns()
 
     def record(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
-               flight_us: np.ndarray, collective: bool) -> None:
-        """Log one round; message ``i`` went ``src[i]`` -> ``dst[i]``."""
+               flight_us: np.ndarray, collective: bool | np.ndarray) -> None:
+        """Log messages in order; message ``i`` went ``src[i]`` ->
+        ``dst[i]``, collective for all of them or per message."""
         m = len(src)
         if self._pending + m > ROUND_LOG_CAP:
             self.fold()
@@ -364,10 +366,12 @@ class CommLedger:
 
     def record_round(
         self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
-        flight_us: np.ndarray, collective: bool = False,
+        flight_us: np.ndarray, collective: bool | np.ndarray = False,
     ) -> None:
-        """Record one message round (index arrays of equal length; a
-        single message is a round of one)."""
+        """Record message rounds (index arrays of equal length, in
+        message order: a single message is a round of one, a schedule of
+        rounds is their concatenation with one ``collective`` flag per
+        message)."""
         self._store.record(src, dst, nbytes, flight_us, collective)
 
     def record_barrier(

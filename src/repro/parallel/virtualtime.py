@@ -50,6 +50,25 @@ class VirtualClock:
         than once ends at the latest of its event times."""
         np.maximum.at(self._t, ranks, t_us)
 
+    def shift_rounds(self, flight_us: np.ndarray,
+                     by_receiver: np.ndarray) -> np.ndarray:
+        """Run R permutation rounds back to back: in round ``i`` every
+        rank posts at its clock, message ``r`` taking ``flight_us[i, r]``,
+        and rank ``r`` waits for message ``by_receiver[i, r]``.
+
+        Returns the clocks before the first round and after each one,
+        ``(R + 1, n_ranks)``.  Per round this is ``arrive = t +
+        flight``, then ``t = max(t, arrive[by_receiver])``: exactly
+        :meth:`wait_until_many` of a round whose receivers are a
+        permutation of the ranks."""
+        history = np.empty((len(flight_us) + 1, self.n_ranks))
+        history[0] = self._t
+        for i, by in enumerate(by_receiver):
+            np.maximum(history[i], (history[i] + flight_us[i])[by],
+                       out=history[i + 1])
+        self._t[:] = history[-1]
+        return history
+
     def wait_all_until(self, t_us: float) -> None:
         """Block every rank until one event time."""
         np.maximum(self._t, t_us, out=self._t)

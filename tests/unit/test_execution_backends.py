@@ -2,9 +2,11 @@
 
 Backends only decide *where* rank kernels run; these tests pin the
 contract that makes that safe: spec parsing, row selectors, identical
-kernel results on every backend, shared-memory arena reuse/growth on
-the process backend, and the driver's one-scan-per-blockstep property
-(the scheduler fix that rode along with the engine).
+kernel results on every backend, grouped tiles equal to one call per
+tile (and exactly as many kernel calls as the dispatch allows),
+shared-memory arena reuse/growth on the process backend, and the
+driver's one-scan-per-blockstep property (the scheduler fix that rode
+along with the engine).
 """
 
 import multiprocessing
@@ -22,15 +24,24 @@ from repro.forces.kernels import acc_jerk_pot_on_targets
 from repro.models import plummer_model
 from repro.parallel import (
     CopyAlgorithm,
+    Grid2DAlgorithm,
     InlineBackend,
     ParallelBlockIntegrator,
     ProcessBackend,
     RankTask,
+    RingAlgorithm,
     SimNetwork,
     ThreadBackend,
+    execution,
     resolve_backend,
 )
-from repro.parallel.execution import KERNELS, WorkerLost, kernel, select_rows
+from repro.parallel.execution import (
+    KERNELS,
+    WorkerLost,
+    kernel,
+    run_slice,
+    select_rows,
+)
 
 EPS2 = (1.0 / 64.0) ** 2
 
@@ -473,6 +484,98 @@ def _assert_same_results(got, want):
         for key in ("acc", "jerk", "pot"):
             np.testing.assert_array_equal(a[key], b[key])
         assert a["interactions"] == b["interactions"]
+
+
+def _copy_calls(n_b, p, exclude_self):
+    """The copy algorithm's rank tiles as ``(fn, kwargs, rank)`` calls."""
+    return [
+        ("forces", {"i_rows": ("stride", r, n_b, p), "j_rows": None,
+                    "eps2": EPS2, "exclude_self": exclude_self}, r)
+        for r in range(min(p, n_b))
+    ]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch, tmp_path):
+    """Count ``acc_jerk_pot_on_targets`` calls per process: the wrapper
+    appends its pid to a file, so workers forked after it was installed
+    are counted too.  Returns a function giving ``{pid: calls}``."""
+    log = tmp_path / "calls"
+    log.touch()
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return acc_jerk_pot_on_targets(*args, **kwargs)
+
+    monkeypatch.setattr(execution, "acc_jerk_pot_on_targets", counted)
+
+    def calls():
+        pids = [int(line) for line in log.read_text().split()]
+        log.write_text("")
+        return {pid: pids.count(pid) for pid in pids}
+
+    return calls
+
+
+class TestGroupedTiles:
+    """Tiles that share a j-set run as one kernel call when nothing times
+    them one by one; each task still gets its own rows and count."""
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("p", [1, 5, 16])
+    def test_grouped_equals_per_task(self, p, exclude_self):
+        system = plummer_model(64, seed=41)
+        for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
+            block = np.random.default_rng(n_b).choice(64, n_b, replace=False)
+            arena = {"ix": system.pos[block], "iv": system.vel[block],
+                     "jx": system.pos, "jv": system.vel, "jm": system.mass}
+            calls = _copy_calls(n_b, p, exclude_self)
+            per_task = [KERNELS[fn](arena, **kw) for fn, kw, _ in calls]
+            _assert_same_results(run_slice(arena, calls), per_task)
+
+    def test_unobserved_inline_dispatch_is_one_kernel_call(self, kernel_calls):
+        system = plummer_model(64, seed=43)
+        backend = InlineBackend()
+        _publish_system(backend, system)
+        tasks = _force_tasks(64, 16)
+        backend.run_tasks(tasks)
+        assert kernel_calls() == {os.getpid(): 1}
+        backend.attach_observer(lambda report: None)
+        backend.run_tasks(tasks)
+        assert kernel_calls() == {os.getpid(): 16}
+
+    def test_process_dispatch_is_one_kernel_call_per_worker(self, kernel_calls):
+        system = plummer_model(64, seed=45)
+        backend = ProcessBackend(2)
+        try:
+            _publish_system(backend, system)
+            got = backend.run_tasks(_force_tasks(64, 16))
+            calls = kernel_calls()
+            backend.attach_observer(lambda report: None)
+            backend.run_tasks(_force_tasks(64, 16))
+            observed = kernel_calls()
+        finally:
+            backend.close()
+        assert sorted(calls.values()) == [1, 1] and os.getpid() not in calls
+        assert sorted(observed.values()) == [8, 8]
+        inline = InlineBackend()
+        _publish_system(inline, system)
+        _assert_same_results(got, inline.run_tasks(_force_tasks(64, 16)))
+
+    def test_ring_and_grid_tiles_run_one_by_one(self, kernel_calls):
+        system = plummer_model(32, seed=47)
+        block = np.arange(0, 32, 3)
+        ring = RingAlgorithm(SimNetwork(4), EPS2)
+        grid = Grid2DAlgorithm(SimNetwork(4), EPS2)
+        for algo in (ring, grid):
+            algo.set_j_particles(system.pos, system.vel, system.mass)
+        ring.forces_on(system.pos[block], system.vel[block], block)
+        assert kernel_calls() == {os.getpid(): 4}
+        plan = grid.plan_forces(system.pos[block], system.vel[block], block)
+        grid.finish_forces(plan, grid.executor.run_tasks(plan.tasks))
+        assert kernel_calls() == {os.getpid(): len(plan.tasks)}
+        assert len(plan.tasks) == 4
 
 
 class TestProcessDispatchContract:
