@@ -12,7 +12,8 @@ EXPERIMENTS.md is this file's output::
     PYTHONPATH=src python benchmarks/test_sink_budget.py
 
 Point ``PYTHONPATH`` at another checkout's ``src`` to read that commit
-with the same script (only public names are used).
+with the same script (only public names are used; the chain itself is
+``repro.service.always_on_sinks``, so the commit must export it).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ import pstats
 import time
 
 from repro.io import format_table
+from repro.service import always_on_sinks
 from repro.telemetry import (
     T_HOST,
     T_PIPE,
-    FlopsLedger,
     RegimeTracker,
     SignatureRecorder,
     SpanFold,
@@ -77,9 +78,8 @@ def supervisor_tracer() -> Tracer:
     """The tracer ``Supervisor._execute_run`` installs for a run job on
     direct summation: one fold serving the signature recorder (feeding
     the regime tracker) and the flops ledger, nothing retained."""
-    recorder = SignatureRecorder(callback=RegimeTracker().update, keep=False)
-    return Tracer(enabled=True, sinks=[
-        SpanFold([recorder, FlopsLedger(keep=False)])])
+    fold, _, _ = always_on_sinks()
+    return Tracer(enabled=True, sinks=[fold])
 
 
 #: The chain grown one stage at a time: (stage name, tracer factory).

@@ -31,6 +31,11 @@ class FixedPointOverflow(ValueError):
     """A value does not fit in the fixed-point format."""
 
 
+class NonFiniteValue(FixedPointOverflow):
+    """A NaN or infinite value: it has no fixed-point representation,
+    not even a saturated one."""
+
+
 @dataclass(frozen=True)
 class FixedPointFormat:
     """Signed two's-complement fixed point with ``frac_bits`` fractional
@@ -85,16 +90,20 @@ class FixedPointFormat:
 
         Raises :class:`FixedPointOverflow` on out-of-range input unless
         ``saturate`` is set, in which case values clamp to the range
-        ends (what the hardware does).
+        ends (what the hardware does).  A NaN or infinite input raises
+        :class:`NonFiniteValue` either way.
         """
         x = np.asarray(x, dtype=np.float64)
         q = np.rint(x * self.scale)
-        if saturate:
+        # every comparison with NaN is false, so NaN fails the range too
+        if not (np.all(q <= self.max_int) and np.all(q >= self.min_int)):
+            if not np.isfinite(x).all():
+                raise NonFiniteValue("NaN or infinite value cannot be quantised")
+            if not saturate:
+                raise FixedPointOverflow(
+                    f"value out of range for {self.total_bits}.{self.frac_bits} fixed point"
+                )
             q = np.clip(q, float(self.min_int), float(self.max_int))
-        elif np.any(q > self.max_int) or np.any(q < self.min_int):
-            raise FixedPointOverflow(
-                f"value out of range for {self.total_bits}.{self.frac_bits} fixed point"
-            )
         return q.astype(np.int64)
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:

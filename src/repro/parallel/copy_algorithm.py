@@ -153,5 +153,5 @@ class CopyAlgorithm:
         # has every share; each message carries that share's actual size
         with self.network.exchange_phase("ring_allgather", n_particles=n_b):
             self.network.allgather(
-                None, share_sizes(n_b, self.p) * PARTICLE_BYTES, tag=1000)
+                share_sizes(n_b, self.p) * PARTICLE_BYTES, tag=1000)
         self.network.barrier()

@@ -7,10 +7,12 @@ j-side).  One blockstep:
 1. every p_ij computes partial forces on the block's members from
    subset i, using subset j as sources;
 2. partials are reduced across each row to the diagonal processor
-   p_ii (r-1 messages of force records per row);
+   p_ii (r-1 messages of force records per row, all rows in one
+   many-to-one round);
 3. p_ii corrects its block members;
 4. the updated particles are broadcast along row i and column i so both
-   copies stay coherent (2(r-1) messages of particle records).
+   copies stay coherent (2(r-1) messages of particle records per
+   diagonal, all diagonals in one one-to-many round).
 
 "The amount of communication for one node is O(N/r) ... the effective
 communication bandwidth is increased by a factor r."  In GRAPE-6 the
@@ -95,9 +97,9 @@ class Grid2DAlgorithm:
 
     def _peers(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Message-round index tables of diagonal processor p_ii, built
-        on first use: the other ranks of its row, and its row and
-        column peers interleaved (the order the coherence broadcast
-        reaches them)."""
+        on first use: the other ranks of its row (the senders of its
+        reduction), and its row and column peers interleaved (the
+        receivers of its coherence broadcast, in message order)."""
         peers = self._peer_tables.get(i)
         if peers is None:
             r = self.grid.r
@@ -187,9 +189,12 @@ class Grid2DAlgorithm:
         )
 
     def finish_forces(self, plan: GridPlan, results: list) -> ForceJerkResult:
-        """Reduce cell partials to the diagonal, replaying every clock
-        charge and reduction message in grid (row-major, then column)
-        order — the exact interleaving of the sequential loop."""
+        """Reduce cell partials to the diagonal: sum each row's
+        partials in column order and replay every cell's compute charge
+        in grid (row-major) order, then post all rows' reductions as one
+        many-to-one round.  Each partial leaves once its cell has
+        computed, and no sender of one row's reduction receives in
+        another's, so the one round is the rows' rounds back to back."""
         n_b = plan.n_b
         indices = plan.indices
         acc = np.empty((n_b, 3))
@@ -198,6 +203,7 @@ class Grid2DAlgorithm:
         interactions = 0
         r = self.grid.r
         by_cell = dict(zip(plan.cells, results))
+        reduced = []  # (row, targets) of every row with targets
 
         for row in range(r):
             rows = plan.row_targets.get(row)
@@ -224,21 +230,19 @@ class Grid2DAlgorithm:
                         self.grid.rank(row, col),
                         self.compute_time_us(self.grid.rank(row, col), rows.size, n_local),
                     )
-            # reduction to the diagonal processor: one many-to-one
-            # round, each partial leaving once its cell has computed
-            if r > 1:
-                senders, _ = self._peers(row)
-                self.network.message_round(
-                    senders,
-                    np.full(r - 1, self.grid.rank(row, row)),
-                    np.full(r - 1, rows.size * FORCE_RECORD_BYTES),
-                    tag=3000 + row,
-                )
-
+            reduced.append((row, rows.size))
             acc[rows] = partial_acc
             jerk[rows] = partial_jerk
             pot[rows] = partial_pot
 
+        if r > 1 and reduced:
+            diag, targets = np.array(reduced).T
+            self.network.message_round(
+                np.concatenate([self._peers(i)[0] for i in diag]),
+                np.repeat(diag * (r + 1), r - 1),  # p_ii is rank i(r + 1)
+                np.repeat(targets * FORCE_RECORD_BYTES, r - 1),
+                tag=3000,
+            )
         return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
 
     def forces_on(
@@ -258,26 +262,33 @@ class Grid2DAlgorithm:
 
     def exchange_updated(self, block: np.ndarray) -> None:
         """Broadcast updated particles along each diagonal's row and
-        column, then barrier."""
+        column, then barrier.
+
+        All diagonals' broadcasts are one one-to-many round: no
+        diagonal processor receives in it, so every broadcast leaves
+        from its sender's clock exactly as it would in a round of its
+        own, and a peer reached from two diagonals receives in
+        diagonal order.
+        """
         r = self.grid.r
         if r == 1:
             return
         block = np.asarray(block)
         with self.network.exchange_phase(
                 "grid_bcast", n_particles=int(block.size)):
-            for i in range(r):
-                subset = self._subsets[i]
-                if subset.size == 0:
-                    continue
-                members = block[(block >= subset[0]) & (block <= subset[-1])]
-                if members.size == 0:
-                    continue
-                # one one-to-many round down p_ii's row and column
-                _, receivers = self._peers(i)
+            updated = []  # (diagonal, members) of every updated subset
+            for i, subset in enumerate(self._subsets):
+                if subset.size:
+                    members = np.count_nonzero(
+                        (block >= subset[0]) & (block <= subset[-1]))
+                    if members:
+                        updated.append((i, members))
+            if updated:
+                diag, members = np.array(updated).T
                 self.network.message_round(
-                    np.full(receivers.size, self.grid.rank(i, i)),
-                    receivers,
-                    np.full(receivers.size, int(members.size) * PARTICLE_BYTES),
-                    tag=4000 + i,
+                    np.repeat(diag * (r + 1), 2 * (r - 1)),
+                    np.concatenate([self._peers(i)[1] for i in diag]),
+                    np.repeat(members * PARTICLE_BYTES, 2 * (r - 1)),
+                    tag=4000,
                 )
         self.network.barrier()

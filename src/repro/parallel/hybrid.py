@@ -171,7 +171,7 @@ class HybridAlgorithm:
             with self.inter_net.exchange_phase(
                     "hybrid_inter", n_particles=n_b):
                 self.inter_net.allgather(
-                    None, share_sizes(n_b, self.c) * PARTICLE_BYTES, tag=7000)
+                    share_sizes(n_b, self.c) * PARTICLE_BYTES, tag=7000)
         # every cluster pushes the full updated block through its grid
         for grid in self.grids:
             grid.exchange_updated(block)

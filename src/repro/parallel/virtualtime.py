@@ -23,9 +23,6 @@ class VirtualClock:
     def n_ranks(self) -> int:
         return self._t.shape[0]
 
-    def now(self, rank: int) -> float:
-        return float(self._t[rank])
-
     def advance(self, rank: int, dt_us: float) -> None:
         """Local computation on one rank."""
         if dt_us < 0:
@@ -36,13 +33,8 @@ class VirtualClock:
         """Same (or per-rank) local computation on every rank."""
         self._t += dt_us
 
-    def wait_until(self, rank: int, t_us: float) -> None:
-        """Block a rank until an event time (message arrival)."""
-        self._t[rank] = max(self._t[rank], t_us)
-
     def now_many(self, ranks: np.ndarray) -> np.ndarray:
-        """Clocks of several ranks at once (message-round form of
-        :meth:`now`)."""
+        """Clocks of several ranks at once."""
         return self._t[ranks]
 
     def wait_until_many(self, ranks: np.ndarray, t_us: np.ndarray) -> None:

@@ -56,7 +56,7 @@ from .jobs import (
     read_state,
     write_state,
 )
-from .supervisor import GracefulShutdown, Supervisor
+from .supervisor import GracefulShutdown, Supervisor, always_on_sinks
 
 __all__ = [
     "SNAPSHOT_RECORD_SCHEMA",
@@ -89,4 +89,5 @@ __all__ = [
     "write_state",
     "GracefulShutdown",
     "Supervisor",
+    "always_on_sinks",
 ]

@@ -173,24 +173,9 @@ class Supervisor:
 
     def _execute_run(self, spec: JobSpec, bus: SnapshotBus, resume: bool) -> str:
         params = spec.params
-        # phase observatory: O(1)-per-blockstep signature capture and
-        # streaming regime clustering (keep=False — a week-long run must
-        # not accumulate per-blockstep state)
-        regimes = RegimeTracker()
-        sig_recorder = SignatureRecorder(callback=regimes.update, keep=False)
         backend = build_backend(params)
-        # efficiency observatory: always-on flops accounting, priced
-        # against the emulator backend's introspected peak (or the
-        # paper's single host when running on direct summation);
-        # keep=False — running totals only, O(1) for unbounded runs
-        eff = FlopsLedger(
-            hardware=backend if hasattr(backend, "peak_flops") else None,
-            keep=False,
-        )
-        # one pass over the span stream serves all three: the fold's own
-        # totals are the `phases` record, the recorder and the ledger
-        # each project its per-blockstep records
-        fold = SpanFold([sig_recorder, eff])
+        fold, regimes, eff = always_on_sinks(
+            backend if hasattr(backend, "peak_flops") else None)
         tracer = Tracer(enabled=True, sinks=[fold])
         # a parallel run's virtual-time results are bit-identical on
         # every execution backend (property-pinned), so the spec's
@@ -455,6 +440,25 @@ class Supervisor:
             "checkpoints": checkpoints,
             "archive_records": _count_lines(self.paths.archive),
         }
+
+
+def always_on_sinks(
+    hardware: Any = None,
+) -> tuple[SpanFold, RegimeTracker, FlopsLedger]:
+    """The sink chain every run job traces into, and the two
+    observatories it feeds.
+
+    One pass over the span stream serves all three: the fold's own
+    totals are the ``phases`` record; the signature recorder (feeding
+    the streaming regime tracker) and the flops ledger, priced against
+    ``hardware``'s introspected peak (or the paper's single host), each
+    project their per-blockstep records.  Nothing is kept per
+    blockstep, so a week-long run stays O(1).
+    """
+    regimes = RegimeTracker()
+    eff = FlopsLedger(hardware=hardware, keep=False)
+    recorder = SignatureRecorder(callback=regimes.update, keep=False)
+    return SpanFold([recorder, eff]), regimes, eff
 
 
 def publish_headlines(

@@ -6,6 +6,8 @@ emulator's corners are the format ranges.  These tests pin down the
 behaviour at each edge: either it works, or it fails loudly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.core import BlockTimestepIntegrator, EnergyDiagnostics
 from repro.core.particles import ParticleSystem
 from repro.forces import DirectSummation
 from repro.hardware import Grape6Emulator
-from repro.hardware.fixedpoint import FixedPointOverflow
+from repro.hardware.fixedpoint import FixedPointOverflow, NonFiniteValue
 from repro.models import plummer_model
 from repro.treecode import Octree, tree_force
 
@@ -104,6 +106,18 @@ class TestFormatEdges:
         emu.set_j_particles(s.pos, s.vel, s.mass)
         with pytest.raises(FixedPointOverflow):
             emu.forces_on(np.array([[1.0e9, 0, 0]]), np.zeros((1, 3)))
+
+    def test_nan_position_is_a_named_error(self, eps2):
+        # a NaN coordinate must stop the run before any force comes
+        # back, not become INT64_MIN behind a RuntimeWarning
+        s = plummer_model(16, seed=59)
+        s.pos[5, 1] = np.nan
+        emu = Grape6Emulator(eps2, boards=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                BlockTimestepIntegrator(s, eps2, backend=emu).run(0.125)
+        assert emu.stats.force_evaluations == 0
 
     def test_far_separated_clusters_still_work(self, eps2):
         # near the format edge but inside: |x| ~ 2^20

@@ -1,16 +1,16 @@
 """Property: a message round is exactly its messages sent one by one.
 
-:meth:`SimNetwork.message_round` replaces ``p`` Python ``send``/``recv``
-pairs by a few array operations, and the comm ledger folds whole rounds
-into a struct-of-arrays store.  Neither may move a bit: hypothesis
-drives random round sequences (permutations, one-to-many, many-to-one
-with repeated receivers, zero-byte messages, sizes one off a power of
-two, schedules of up to 20 shift rounds in one call, rank counts 1..17,
-tiny log caps so folds land mid-sequence) through the primitive and
-through a scalar oracle written here with per-message ``max``/``+`` and
-``Histogram.observe``; clocks, counters, the full ledger export and the
-``net.*`` metrics must come out equal.  The ring allgather (with and
-without payloads) and the barrier, each one schedule, must equal their
+:meth:`SimNetwork.message_round` prices ``p`` messages with a few array
+operations, and the comm ledger folds whole rounds into a
+struct-of-arrays store.  Neither may move a bit: hypothesis drives
+random round sequences (single shifts, permutations, one-to-many,
+many-to-one with repeated receivers, zero-byte messages, sizes one off
+a power of two, schedules of up to 20 shift rounds in one call, rank
+counts 1..17, tiny log caps so folds land mid-sequence) through the
+primitive and through a scalar oracle written here with per-message
+``max``/``+`` and ``Histogram.observe``; clocks, counters, the full
+ledger export and the ``net.*`` metrics must come out equal.  The ring
+allgather and the barrier, each one schedule, must equal their
 one-round-per-call form.
 
 The golden matrix below pins the same thing end to end: ledger and
@@ -188,7 +188,7 @@ def test_rounds_equal_the_scalar_oracle(program):
                 net.message_round(src, dst, nbytes, tag)
                 oracle.round(src, dst, nbytes, tag)
             else:
-                net.shift_round(shift, np.array(nbytes), tag)
+                net.shift_rounds([shift], [nbytes], [tag])
                 oracle.round(src, dst, nbytes, tag,
                              recv_order=[(r - shift) % p for r in range(p)])
         export = net.ledger.as_dict()
@@ -201,26 +201,18 @@ def test_rounds_equal_the_scalar_oracle(program):
 # -- collectives against their per-round form --------------------------------
 
 
-def per_round_allgather(net, payloads, nbytes_each, tag):
-    """The ring allgather as one ``shift_round`` per shift, the payloads
-    (if any) riding on each round."""
+def per_round_allgather(net, nbytes_each, tag):
+    """The ring allgather as one one-row ``shift_rounds`` per shift."""
     p = net.n_ranks
-    ranks = np.arange(p)
     sizes = np.empty(2 * p, dtype=np.int64)
     sizes[:p] = sizes[p:] = nbytes_each
-    held = np.full((p, p), None, dtype=object)
-    if payloads is not None:
-        held[ranks, ranks] = np.fromiter(payloads, dtype=object, count=p)
     for shift in range(1, p):
-        held[ranks, (ranks - shift) % p] = net.shift_round(
-            1, sizes[p - shift + 1:2 * p - shift + 1], tag,
-            None if payloads is None else held[ranks, (ranks - shift + 1) % p])
-    return None if payloads is None else held.tolist()
+        net.shift_rounds([1], [sizes[p - shift + 1:2 * p - shift + 1]], [tag])
 
 
 def per_round_barrier(net):
-    """The butterfly barrier as one ``shift_round`` per stage, each
-    stage's clock spread read off the clock after it."""
+    """The butterfly barrier as one one-row ``shift_rounds`` per stage,
+    each stage's clock spread read off the clock after it."""
     p = net.n_ranks
     tracer = net.tracer
     arrivals = net.clock.snapshot()
@@ -228,7 +220,7 @@ def per_round_barrier(net):
     with tracer.span("net.barrier", phase=T_BARRIER, p=p) as span:
         k = 1
         while k < p:
-            net.shift_round(k, np.full(p, BARRIER_BYTES), tag=-1 - k)
+            net.shift_rounds([k], [np.full(p, BARRIER_BYTES)], [-1 - k])
             skews.append(net.clock.skew)
             k *= 2
         release = net.clock.synchronize()
@@ -251,7 +243,7 @@ def collective_programs(draw):
     steps = []
     for _ in range(draw(st.integers(1, 4))):
         nbytes = draw(st.one_of(st.integers(0, 10 ** 6), sizes(p)))
-        op = draw(st.sampled_from(["allgather", "allgather_objects", "barrier"]))
+        op = draw(st.sampled_from(["allgather", "barrier"]))
         steps.append((draw(skew), op, nbytes, draw(st.sampled_from([-200, 1000]))))
     return p, steps, draw(st.booleans()), draw(st.sampled_from([1, 3, 4096]))
 
@@ -264,17 +256,15 @@ def test_collectives_equal_their_per_round_form(program):
         net, ref = (SimNetwork(p, NIC, per_message_overhead_us=OVERHEAD_US)
                     for _ in range(2))
         tracers = [n.attach_tracer(Tracer(enabled=traced)) for n in (net, ref)]
-        for step, (skew, op, nbytes, tag) in enumerate(steps):
+        for skew, op, nbytes, tag in steps:
             for n in (net, ref):
                 n.clock.advance_all(np.array(skew))
             if op == "barrier":
                 net.barrier()
                 per_round_barrier(ref)
             else:
-                payloads = ([(step, r) for r in range(p)]
-                            if op == "allgather_objects" else None)
-                assert net.allgather(payloads, np.array(nbytes), tag=tag) \
-                    == per_round_allgather(ref, payloads, np.array(nbytes), tag)
+                net.allgather(np.array(nbytes), tag=tag)
+                per_round_allgather(ref, np.array(nbytes), tag)
         exports = [n.ledger.as_dict() for n in (net, ref)]
     assert net.clock.snapshot().tobytes() == ref.clock.snapshot().tobytes()
     assert net.stats == ref.stats

@@ -20,9 +20,7 @@ from repro.telemetry.timeline import validate_timeline
 class TestLinkLedger:
     def test_send_records_per_link(self):
         net = SimNetwork(3, NIC_NS83820)
-        net.send(0, 1, "a", nbytes=600)
-        net.send(0, 1, "b", nbytes=1200)
-        net.send(1, 2, "c", nbytes=60)
+        net.message_round([0, 0, 1], [1, 1, 2], [600, 1200, 60])
         links = {(l.src, l.dst, l.kind): l for l in net.ledger.links}
         l01 = links[(0, 1, KIND_P2P)]
         assert l01.messages == 2
@@ -34,14 +32,14 @@ class TestLinkLedger:
 
     def test_negative_tag_traffic_is_collective(self):
         net = SimNetwork(2, NIC_NS83820)
-        net.send(0, 1, None, nbytes=16, tag=-1)
+        net.message_round([0], [1], [16], tag=-1)
         (link,) = net.ledger.links
         assert link.kind == KIND_COLLECTIVE
         assert link.messages == 1
 
     def test_ledger_totals_match_message_stats(self):
         net = SimNetwork(4, NIC_INTEL82540EM)
-        net.allgather([f"p{r}" for r in range(4)], nbytes_each=640)
+        net.allgather(nbytes_each=640)
         assert net.ledger.messages == net.stats.messages
         assert net.ledger.bytes == net.stats.bytes
 
@@ -90,8 +88,7 @@ class TestExchangeRecords:
     def test_exchange_phase_brackets_traffic(self):
         net = SimNetwork(2, NIC_NS83820)
         with net.exchange_phase("test_xchg", n_particles=7):
-            net.send(0, 1, "x", nbytes=6000)
-            net.recv(1, 0)
+            net.message_round([0], [1], [6000])
         (rec,) = net.ledger.exchange_records
         assert rec.kind == "test_xchg"
         assert rec.messages == 1
@@ -106,8 +103,7 @@ class TestExchangeRecords:
 class TestReset:
     def test_ledger_reset(self):
         net = SimNetwork(2, NIC_NS83820)
-        net.send(0, 1, "x", nbytes=100)
-        net.recv(1, 0)
+        net.message_round([0], [1], [100])
         net.barrier()
         net.reset_stats()
         assert net.ledger.messages == 0
@@ -116,8 +112,7 @@ class TestReset:
 
     def test_message_stats_reset(self):
         net = SimNetwork(2, NIC_NS83820)
-        net.send(0, 1, "x", nbytes=100)
-        net.recv(1, 0)
+        net.message_round([0], [1], [100])
         net.barrier()
         net.reset_stats()
         assert net.stats.messages == 0
@@ -129,7 +124,7 @@ class TestExportAndValidation:
     def _run(self):
         net = SimNetwork(4, NIC_INTEL82540EM)
         with net.exchange_phase("ring", n_particles=3):
-            net.allgather([r for r in range(4)], nbytes_each=180)
+            net.allgather(nbytes_each=180)
         net.clock.advance(0, 50.0)
         net.barrier()
         return net

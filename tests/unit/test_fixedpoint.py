@@ -6,6 +6,7 @@ import pytest
 from repro.hardware.fixedpoint import (
     FixedPointFormat,
     FixedPointOverflow,
+    NonFiniteValue,
     carry_save_sum,
     combine_lanes_exact,
     exact_int_sum,
@@ -39,6 +40,16 @@ class TestFixedPointFormat:
         q = fmt.quantize(np.array([1.0e6, -1.0e6]), saturate=True)
         assert q[0] == fmt.max_int
         assert q[1] == fmt.min_int
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("saturate", [False, True])
+    def test_non_finite_is_a_named_error(self, bad, saturate, recwarn):
+        # NaN once cast to INT64_MIN behind a RuntimeWarning, and
+        # saturation clamped an infinity to a range end
+        fmt = FixedPointFormat(64, 40)
+        with pytest.raises(NonFiniteValue):
+            fmt.quantize(np.array([0.5, bad, 1.0]), saturate=saturate)
+        assert not recwarn.list
 
     def test_validation(self):
         with pytest.raises(ValueError):

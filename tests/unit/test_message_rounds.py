@@ -9,6 +9,7 @@ from repro.config import NIC_INTEL82540EM, NIC_NS83820
 from repro.models import plummer_model
 from repro.parallel import (
     CopyAlgorithm,
+    Grid2DAlgorithm,
     ParallelBlockIntegrator,
     SimNetwork,
     validate_comm_ledger,
@@ -22,6 +23,9 @@ EPS2 = (1.0 / 64.0) ** 2
 
 class TestRoundPrimitive:
     def test_round_equals_send_all_then_recv_all(self):
+        """Clocks as if every message were sent from its sender's clock
+        and then every one received; counters and ledger as if each
+        message were a round of its own (neither depends on clocks)."""
         rounds = [
             ([0, 1, 2, 3], [1, 2, 3, 0], [100, 0, 127, 128], 7),
             ([1, 2, 3], [0, 0, 0], [56, 560, 5600], 3000),     # many to one
@@ -29,24 +33,17 @@ class TestRoundPrimitive:
         ]
         net, twin = SimNetwork(4, NIC_NS83820), SimNetwork(4, NIC_NS83820)
         net.clock.advance(2, 33.25)
-        twin.clock.advance(2, 33.25)
+        t = [0.0, 0.0, 33.25, 0.0]
         for src, dst, nbytes, tag in rounds:
             net.message_round(src, dst, nbytes, tag)
+            arrive = [t[s] + (100.0 + n / 60.0) for s, n in zip(src, nbytes)]
+            for d, a in zip(dst, arrive):
+                t[d] = max(t[d], a)
             for s, d, n in zip(src, dst, nbytes):
-                twin.send(s, d, None, n, tag=tag)
-            for s, d in zip(src, dst):
-                twin.recv(d, s, tag=tag)
-        assert net.clock.snapshot().tobytes() == twin.clock.snapshot().tobytes()
+                twin.message_round([s], [d], [n], tag)
+        assert net.clock.snapshot().tobytes() == np.array(t).tobytes()
         assert net.stats == twin.stats
         assert net.ledger.as_dict() == twin.ledger.as_dict()
-
-    def test_payloads_arrive_at_their_receivers(self):
-        net = SimNetwork(4)
-        delivered = net.message_round(
-            [0, 3], [2, 1], [8, 8], payloads=[["a", "list"], "b"])
-        assert delivered.tolist() == [None, "b", ["a", "list"], None]
-        assert net.shift_round(1, np.full(4, 8), payloads="wxyz").tolist() \
-            == ["z", "w", "x", "y"]
 
     def test_self_sends_and_ragged_rounds_rejected(self):
         net = SimNetwork(3)
@@ -73,25 +70,21 @@ class TestRoundPrimitive:
         assert net.ledger.links == []
         assert net.clock.elapsed == 0.0
 
-    def test_scalar_send_and_rounds_share_one_store(self):
+    def test_rounds_and_schedules_share_one_store(self):
         net = SimNetwork(2, NIC_NS83820)
-        net.send(0, 1, "x", nbytes=600)
-        net.recv(1, 0)
+        net.shift_rounds([1], [[600, 0]], [0])
         net.message_round([0], [1], [1200])
-        (link,) = net.ledger.links
-        assert (link.messages, link.bytes) == (2, 1800)
+        link, _ = net.ledger.links
+        assert (link.src, link.messages, link.bytes) == (0, 2, 1800)
         assert link.flight_hist.total == 110.0 + 120.0
 
     def test_collectives_without_a_per_message_path(self):
         net = SimNetwork(5, NIC_INTEL82540EM)
-        assert net.bcast(root=3, payload=("t", 1), nbytes=100) == [("t", 1)] * 5
-        assert net.stats.messages == 4
-        gathered = net.allgather([[r] for r in range(5)], nbytes_each=64)
-        assert gathered == [[[q] for q in range(5)]] * 5
-        assert net.stats.messages == 4 + 5 * 4
-        # cost-only form, one size per originating rank
+        net.allgather(nbytes_each=64)
+        assert net.stats.messages == 5 * 4
+        # one size per originating rank
         sizes = np.array([0, 128, 256, 384, 512])
-        assert net.allgather(None, sizes, tag=9) is None
+        net.allgather(sizes, tag=9)
         p2p = [l for l in net.ledger.links if l.kind == KIND_P2P]
         assert sum(l.bytes for l in p2p) == 4 * sizes.sum()
         assert {l.bytes for l in p2p} == {sizes.sum() - s for s in sizes}
@@ -102,8 +95,8 @@ class TestLinkStore:
         rng = np.random.default_rng(11)
         for _ in range(40):
             k = int(rng.integers(1, net.n_ranks))
-            net.shift_round(k, rng.integers(0, 5000, net.n_ranks),
-                            tag=int(rng.choice([-3, 5])))
+            net.shift_rounds([k], [rng.integers(0, 5000, net.n_ranks)],
+                             [int(rng.choice([-3, 5]))])
         return net.ledger.as_dict()
 
     @pytest.mark.parametrize("cap", [1, 5, 6, 64])
@@ -118,7 +111,7 @@ class TestLinkStore:
         net, twin = SimNetwork(4), SimNetwork(4)
         for i in range(30):
             for n in (net, twin):
-                n.shift_round(1 + i % 3, np.arange(4) * 77 + i)
+                n.shift_rounds([1 + i % 3], [np.arange(4) * 77 + i], [0])
             net.ledger.summary()
         assert net.ledger.as_dict() == twin.ledger.as_dict()
 
@@ -155,11 +148,9 @@ class TestLinkStore:
 
 
 class TestOpCount:
-    def test_exchange_and_barrier_issue_rounds_not_sends(self, monkeypatch):
-        """One blockstep's coherence traffic at p = 16 is two network
-        calls: the ring allgather's 15 shifts and the barrier's 4
-        butterfly stages, each one schedule of rounds.  A per-round
-        loop would show as single rounds, a per-message one as sends."""
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every network call, as (method, its first argument's length)."""
         calls = []
 
         def counted(name):
@@ -171,17 +162,37 @@ class TestOpCount:
 
             monkeypatch.setattr(SimNetwork, name, wrapper)
 
-        for name in ("shift_rounds", "message_round", "send"):
+        for name in ("shift_rounds", "message_round"):
             counted(name)
+        return calls
+
+    def test_exchange_and_barrier_issue_rounds_not_sends(self, calls):
+        """One blockstep's coherence traffic at p = 16 is two network
+        calls: the ring allgather's 15 shifts and the barrier's 4
+        butterfly stages, each one schedule of rounds.  A per-round
+        loop would show as one-row schedules."""
         net = SimNetwork(16)
         CopyAlgorithm(net, EPS2).exchange_updated(np.arange(40))
         assert calls == [("shift_rounds", 15), ("shift_rounds", 4)]
         assert net.stats.messages == (15 + 4) * 16
         assert net.stats.barriers == 1
-        # payloads ride along in memory: the same one schedule
-        calls.clear()
-        net.allgather(list(range(16)), 640)
-        assert calls == [("shift_rounds", 15)]
+
+    def test_grid_blockstep_is_two_rounds_and_a_barrier(self, calls):
+        """The 4 x 4 grid's forces and exchange: all rows' reductions
+        (3 partials each) in one many-to-one round, all diagonals'
+        broadcasts (3 row + 3 column peers each) in one one-to-many
+        round, and the barrier's 4 stages in one schedule."""
+        s = plummer_model(40, seed=5)
+        net = SimNetwork(16)
+        grid = Grid2DAlgorithm(net, EPS2)
+        grid.set_j_particles(s.pos, s.vel, s.mass)
+        block = np.arange(0, 40, 3)  # members in every subset
+        grid.forces_on(s.pos[block], s.vel[block], block)
+        grid.exchange_updated(block)
+        assert calls == [("message_round", 4 * 3), ("message_round", 4 * 6),
+                         ("shift_rounds", 4)]
+        assert net.stats.messages == 4 * 3 + 4 * 6 + 4 * 16
+        assert net.stats.barriers == 1
 
 
 #: ``net.*`` metrics of :func:`traced_copy_run` at the commit before
@@ -224,10 +235,55 @@ PARENT_NET_METRICS = {
 }
 
 
-def traced_copy_run():
-    net = SimNetwork(5)
+#: ``net.*`` metrics of :func:`traced_grid_run` at the commit before
+#: the grid posted all rows' reductions, and all diagonals' broadcasts,
+#: as one round each (one round per row and per diagonal), bit for bit.
+PARENT_GRID_NET_METRICS = {
+    "net.barrier_rounds": {"type": "counter", "value": 48},
+    "net.barrier_skew_us": {
+        "type": "histogram", "count": 12, "total": 1369.1166666666668,
+        "mean": 114.09305555555557, "std": 8.153967474241705,
+        "min": 104.88333333333335, "max": 127.79166666666697,
+        "p50": 127.79166666666697, "p90": 127.79166666666697,
+        "p99": 127.79166666666697, "bins": {"7": 12}},
+    "net.barrier_sync_us": {
+        "type": "histogram", "count": 12, "total": 4812.7999999999965,
+        "mean": 401.0666666666664, "std": 5.3947966093944364e-06,
+        "min": 401.0666666666657, "max": 401.0666666666675,
+        "p50": 401.0666666666675, "p90": 401.0666666666675,
+        "p99": 401.0666666666675, "bins": {"9": 12}},
+    "net.barriers": {"type": "counter", "value": 12},
+    "net.bytes": {"type": "counter", "value": 103200},
+    "net.message_bytes": {
+        "type": "histogram", "count": 648, "total": 103200.0,
+        "mean": 159.25925925925927, "std": 283.52811508542806,
+        "min": 16.0, "max": 1024.0, "p50": 32.0, "p90": 1024.0,
+        "p99": 1024.0,
+        "bins": {"5": 432, "6": 20, "7": 8, "8": 50, "9": 70, "10": 32,
+                 "11": 36}},
+    "net.message_us": {
+        "type": "histogram", "count": 648, "total": 66520.00000000065,
+        "mean": 102.65432098765532, "std": 4.725468584722215,
+        "min": 100.26666666666667, "max": 117.06666666666666,
+        "p50": 117.06666666666666, "p90": 117.06666666666666,
+        "p99": 117.06666666666666, "bins": {"7": 648}},
+    "net.messages": {"type": "counter", "value": 648},
+    "net.recv_wait_us": {
+        "type": "histogram", "count": 540, "total": 63047.24166666658,
+        "mean": 116.75415123456774, "std": 71.1861365300788,
+        "min": 0.375, "max": 227.7833333333333,
+        "p50": 128.0, "p90": 227.7833333333333, "p99": 227.7833333333333,
+        "bins": {"0": 56, "1": 14, "2": 8, "3": 10, "4": 6, "5": 2,
+                 "7": 276, "8": 168}},
+}
+
+
+def traced_run(algorithm, p):
+    """The tracer of plummer N = 24 run to t = 1/16 on ``algorithm``
+    over p simulated hosts, with a compute-cost hook."""
+    net = SimNetwork(p)
     tracer = net.attach_tracer(Tracer(enabled=True))
-    algo = CopyAlgorithm(
+    algo = algorithm(
         net, EPS2,
         compute_time_us=lambda rank, n_i, n_j: 0.25 * n_i * n_j + 0.375 * rank)
     integ = ParallelBlockIntegrator(
@@ -236,11 +292,25 @@ def traced_copy_run():
     return tracer
 
 
+def traced_copy_run():
+    return traced_run(CopyAlgorithm, 5)
+
+
+def traced_grid_run():
+    return traced_run(Grid2DAlgorithm, 9)
+
+
+def net_metrics(tracer):
+    return {k: v for k, v in tracer.metrics.snapshot().items()
+            if k.startswith("net.")}
+
+
 class TestTracedMetrics:
     def test_net_metrics_match_the_scalar_implementation(self):
-        snapshot = traced_copy_run().metrics.snapshot()
-        net = {k: v for k, v in snapshot.items() if k.startswith("net.")}
-        assert net == PARENT_NET_METRICS
+        assert net_metrics(traced_copy_run()) == PARENT_NET_METRICS
+
+    def test_grid_net_metrics_match_one_round_per_row_and_diagonal(self):
+        assert net_metrics(traced_grid_run()) == PARENT_GRID_NET_METRICS
 
     def test_no_wait_no_histogram(self):
         """A receiver already past the arrival time observes nothing,
@@ -267,9 +337,8 @@ class TestTracedMetrics:
         net = SimNetwork(16)
         net.barrier()
         assert lookups["tracer"] == 2
-        net.allgather(None, 640)
-        net.allgather(list(range(16)), 640)
-        assert lookups["tracer"] == 4
+        net.allgather(640)
+        assert lookups["tracer"] == 3
         net.shift_rounds([1, 2, 3], np.zeros((3, 16)), [5, -5, 5])
         net.message_round([0, 1], [2, 3], [8, 8])
-        assert lookups["tracer"] == 6
+        assert lookups["tracer"] == 5

@@ -14,23 +14,23 @@ class TestVirtualClock:
         clock = VirtualClock(3)
         clock.advance(0, 100.0)
         clock.advance(1, 50.0)
-        assert clock.now(0) == 100.0
+        assert clock.snapshot().tolist() == [100.0, 50.0, 0.0]
         assert clock.elapsed == 100.0
 
     def test_wait_until_never_rewinds(self):
         clock = VirtualClock(2)
         clock.advance(0, 100.0)
-        clock.wait_until(0, 50.0)
-        assert clock.now(0) == 100.0
-        clock.wait_until(0, 150.0)
-        assert clock.now(0) == 150.0
+        clock.wait_until_many(np.array([0, 1]), np.array([50.0, 50.0]))
+        assert clock.snapshot().tolist() == [100.0, 50.0]
+        clock.wait_until_many(np.array([0, 0]), np.array([150.0, 120.0]))
+        assert clock.snapshot().tolist() == [150.0, 50.0]
 
     def test_synchronize_jumps_to_max(self):
         clock = VirtualClock(3)
         clock.advance(2, 77.0)
         t = clock.synchronize()
         assert t == 77.0
-        assert all(clock.now(r) == 77.0 for r in range(3))
+        assert clock.snapshot().tolist() == [77.0] * 3
 
     def test_negative_advance_rejected(self):
         clock = VirtualClock(1)
@@ -45,52 +45,35 @@ class TestSimNetwork:
         assert net.message_time_us(0) == pytest.approx(100.0)
         assert net.message_time_us(6000) == pytest.approx(200.0)
 
-    def test_send_recv_moves_data_and_time(self):
+    def test_message_round_moves_time(self):
         net = SimNetwork(2, NIC_NS83820)
-        net.send(0, 1, {"hello": 1}, nbytes=600)
-        payload = net.recv(1, 0)
-        assert payload == {"hello": 1}
-        assert net.clock.now(1) == pytest.approx(110.0)
+        net.message_round([0], [1], [600])
+        assert net.clock.snapshot().tolist() == pytest.approx([0.0, 110.0])
         assert net.stats.messages == 1
         assert net.stats.bytes == 600
-
-    def test_recv_without_send_fails(self):
-        net = SimNetwork(2)
-        with pytest.raises(RuntimeError):
-            net.recv(1, 0)
 
     def test_self_send_rejected(self):
         net = SimNetwork(2)
         with pytest.raises(ValueError):
-            net.send(0, 0, None, 8)
-
-    def test_fifo_per_channel(self):
-        net = SimNetwork(2)
-        net.send(0, 1, "a", 8, tag=5)
-        net.send(0, 1, "b", 8, tag=5)
-        assert net.recv(1, 0, tag=5) == "a"
-        assert net.recv(1, 0, tag=5) == "b"
+            net.message_round([0], [0], [8])
 
     def test_barrier_synchronises_clocks(self):
         net = SimNetwork(4, NIC_NS83820)
         net.clock.advance(2, 500.0)
         net.barrier()
-        times = {net.clock.now(r) for r in range(4)}
-        assert len(times) == 1
+        assert len(set(net.clock.snapshot().tolist())) == 1
         assert net.stats.barriers == 1
         # barrier must cost at least the straggler + rounds * latency
         assert net.clock.elapsed >= 500.0 + 2 * 100.0
 
-    def test_bcast_delivers_everywhere(self):
-        net = SimNetwork(8)
-        seen = net.bcast(root=3, payload="data", nbytes=100)
-        assert all(p == "data" for p in seen)
-
     def test_allgather(self):
+        # p - 1 shifts: every rank receives every other rank's share
         net = SimNetwork(4)
-        result = net.allgather([f"p{r}" for r in range(4)], nbytes_each=64)
-        for r in range(4):
-            assert result[r] == ["p0", "p1", "p2", "p3"]
+        net.allgather(nbytes_each=64)
+        assert net.stats.messages == 4 * 3
+        assert {(l.src, l.dst) for l in net.ledger.links} == {
+            (r, (r + 1) % 4) for r in range(4)}
+        assert {l.bytes for l in net.ledger.links} == {3 * 64}
 
     def test_faster_nic_is_faster(self):
         slow = SimNetwork(4, NIC_NS83820)

@@ -34,7 +34,7 @@ def _network_summary(nic, p, payload_bytes):
     """Measured ledger of one allgather + one barrier on ``nic``."""
     net = SimNetwork(p, nic)
     with net.exchange_phase("ring"):
-        net.allgather(list(range(p)), nbytes_each=payload_bytes)
+        net.allgather(nbytes_each=payload_bytes)
     net.barrier()
     return net.ledger.summary()
 
