@@ -214,30 +214,20 @@ class Grape6Library:
 
     def _sync_emulator(self) -> None:
         """Push the host mirror into the emulated chip memories with
-        full predictor data (only when dirty)."""
+        full predictor data (only when dirty), in one machine-wide load
+        striped round-robin over the chips."""
         if not self._dirty:
             return
         idx = np.flatnonzero(self._present)
-        emu = self._emulator
-        k = emu.n_chips
-        for c, chip in enumerate(emu._all_chips):
-            sel = idx[c::k]  # round-robin stripe, zero-copy view
-            chip.load_j_particles(
-                sel,
-                self._x[sel],
-                self._v[sel],
-                self._mass[sel],
-                a=self._a[sel],
-                jdot=self._jerk[sel],
-                snap=self._snap[sel],
-                t0=self._tj[sel],
-            )
-        emu._n_j = idx.size
-        emu._mass_total = float(self._mass[idx].sum())
-        emu._j_com = (
-            self._mass[idx] @ self._x[idx] / emu._mass_total
-            if emu._mass_total > 0
-            else np.zeros(3)
+        self._emulator.load_j_particles(
+            idx,
+            self._x[idx],
+            self._v[idx],
+            self._mass[idx],
+            a=self._a[idx],
+            jdot=self._jerk[idx],
+            snap=self._snap[idx],
+            t0=self._tj[idx],
         )
         self._dirty = False
 

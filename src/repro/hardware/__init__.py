@@ -31,9 +31,9 @@ chip, 4 chips + an FPGA summation unit per module, 8 modules per board,
 from .fixedpoint import FixedPointFormat, exact_int_sum
 from .floatformat import FloatFormat
 from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow
-from .batched import GatheredJSet, gather_chips
+from .batched import gather_chips
 from .chip import GrapeChip
-from .memory import JParticleMemory
+from .memory import GatheredJSet, JParticleMemory
 from .board import ProcessorBoard
 from .module import ProcessorModule
 from .system import EMULATION_MODES, Grape6Emulator, EmulatorStats

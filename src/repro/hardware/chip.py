@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ChipConfig
 from ..telemetry import get_tracer
 from .fixedpoint import combine_lanes_exact
-from .memory import JParticleMemory
+from .memory import JParticleMemory, StripedStore
 from .pipeline import PipelineFormats, partial_lanes
 from .predictor_unit import predict_memory
 
@@ -49,24 +49,37 @@ class PartialForce:
         )
 
 
-@dataclass
-class BlockExponents:
-    """Declared per-i-particle block exponents for the three outputs."""
+#: Which of acc, jerk, pot each output plane of the pipeline tile
+#: declares (acc x, y, z; jerk x, y, z; pot), as a column for indexing
+#: a (3, n) exponent table into the tile's (7, n) stack.
+PLANE_OUTPUTS = np.array([[0], [0], [0], [1], [1], [1], [2]])
 
-    acc: np.ndarray
-    jerk: np.ndarray
-    pot: np.ndarray
+
+class BlockExponents:
+    """Declared per-i-particle block exponents for the three outputs,
+    held as the (7, n) plane stack the pipeline tile reads."""
+
+    def __init__(self, acc: np.ndarray, jerk: np.ndarray, pot: np.ndarray) -> None:
+        self.planes = np.stack([acc] * 3 + [jerk] * 3 + [pot])
+
+    @classmethod
+    def from_planes(cls, planes: np.ndarray) -> "BlockExponents":
+        exponents = cls.__new__(cls)
+        exponents.planes = planes
+        return exponents
+
+    acc = property(lambda self: self.planes[0])
+    jerk = property(lambda self: self.planes[3])
+    pot = property(lambda self: self.planes[6])
 
     def stacked(self, rows: slice = slice(None)) -> np.ndarray:
         """(7, n) exponents, one row per output plane of the pipeline
         tile: acc x, y, z; jerk x, y, z; pot."""
-        return np.stack([self.acc[rows]] * 3 + [self.jerk[rows]] * 3 + [self.pot[rows]])
+        return self.planes[:, rows]
 
     def bump(self, amount: int = 4) -> "BlockExponents":
         """Larger-exponent retry after an overflow."""
-        return BlockExponents(
-            acc=self.acc + amount, jerk=self.jerk + amount, pot=self.pot + amount
-        )
+        return BlockExponents.from_planes(self.planes + amount)
 
 
 class GrapeChip:
@@ -90,8 +103,25 @@ class GrapeChip:
             pos_format=self.formats.pos,
             word_format=self.formats.word,
         )
-        #: Cumulative emulated clock cycles spent streaming the memory.
-        self.cycles: int = 0
+
+    # The chip's registers are its slot of the machine's store.
+
+    @property
+    def cycles(self) -> int:
+        """Cumulative emulated clock cycles spent streaming the memory."""
+        return int(self.memory.store.cycles[self.memory.stripe])
+
+    @cycles.setter
+    def cycles(self, value: int) -> None:
+        self.memory.store.cycles[self.memory.stripe] = value
+
+    @property
+    def _eps2(self) -> float:
+        """The softening register, set per force call by the owner system."""
+        return float(self.memory.store.eps2[self.memory.stripe])
+
+    def set_eps2(self, eps2: float) -> None:
+        self.memory.store.eps2[self.memory.stripe] = eps2
 
     # -- memory side ---------------------------------------------------------
 
@@ -161,35 +191,25 @@ class GrapeChip:
 
         return PartialForce(acc=sums[:3].T, jerk=sums[3:6].T, pot=sums[6])
 
-    # The softening register is set per force call by the owner system.
-    _eps2: float = 0.0
 
-    def set_eps2(self, eps2: float) -> None:
-        self._eps2 = float(eps2)
-
-
-def charge_block(chips: list[GrapeChip], n_i: int, sizes: tuple[int, ...]) -> None:
-    """Charge each chip the cycles one i-block costs it.
+def charge_block(store: StripedStore, config: ChipConfig, n_i: int) -> None:
+    """Charge each chip of ``store`` the cycles one i-block costs it.
 
     Used by the batched datapath, which computes the forces outside the
-    chips but must account machine time as if each (holding ``sizes[k]``
-    j-particles) had streamed its memory itself: ``ceil(n_i /
-    iparallel)`` passes, ``vmp_ways`` clocks per stored j-particle per
-    pass - the same arithmetic the faithful
+    chips but must account machine time as if each (holding
+    ``store.sizes[c]`` j-particles) had streamed its memory itself:
+    ``ceil(n_i / iparallel)`` passes, ``vmp_ways`` clocks per stored
+    j-particle per pass - the same arithmetic the faithful
     :meth:`GrapeChip.partial_forces` schedule accrues pass by pass, and
-    the same counter totals, in one pass over the machine.
+    the same counter totals (a chip holding nothing makes no pass), as
+    one array operation over the machine's chips, which share
+    ``config``.
     """
     if n_i <= 0:
         return
-    total_passes = total_cycles = 0
-    for chip, n_j in zip(chips, sizes):
-        if n_j:
-            passes = -(-n_i // chip.config.iparallel)
-            cycles = passes * chip.config.vmp_ways * n_j
-            chip.cycles += cycles
-            total_passes += passes
-            total_cycles += cycles
+    passes = -(-n_i // config.iparallel)
+    store.cycles += passes * config.vmp_ways * store.sizes
     tracer = get_tracer()
     if tracer.enabled:
-        tracer.count("grape.pipeline_passes", total_passes)
-        tracer.count("grape.cycles", total_cycles)
+        tracer.count("grape.pipeline_passes", passes * int(np.count_nonzero(store.sizes)))
+        tracer.count("grape.cycles", passes * config.vmp_ways * store.used)

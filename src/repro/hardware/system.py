@@ -7,11 +7,14 @@ integrator can run on the emulated hardware unchanged.  It
 
 * stripes the j-particles round-robin over all chips (the host library
   writes each particle to exactly one chip memory — the local-memory
-  design of section 3.4),
+  design of section 3.4): the machine's memories are one
+  :class:`~repro.hardware.memory.StripedStore`, chip ``c`` of ``k``
+  reading rows ``c::k`` of it, so a load is one quantise-and-install,
 * quantises the i-block and broadcasts it to every board,
 * declares per-i-particle block exponents — reusing each particle's
-  exponent from its previous force evaluation, "almost always okay" —
-  and retries with larger exponents on overflow,
+  exponent from its previous force evaluation, "almost always okay",
+  from one (3, N) table — and retries with larger exponents on
+  overflow,
 * reduces the boards' exact partial sums and converts to float.
 
 The force returned for a given particle set is bit-identical for any
@@ -29,17 +32,17 @@ tile (:func:`repro.hardware.pipeline.partial_lanes`):
 ``emulation_mode="batched"`` (default)
     exploits the partition-independence property itself: because the
     force depends only on the *multiset* of quantised pairwise
-    contributions, all chip memories are gathered into one contiguous
-    j-set (once per jmem load) and one tile call covers the whole
-    (n_i, n_j) interaction, its carry-save lanes staying native int64
+    contributions, the striped store's rows are the machine's whole
+    j-set and one tile call covers the whole (n_i, n_j) interaction,
+    its carry-save lanes staying native int64
     (:mod:`repro.hardware.batched`).  Bit-identical to the faithful
     path — enforced by the emulation-mode property tests — at an
-    order of magnitude less host time.
+    order of magnitude less host time, and at a host cost per call
+    that does not grow with the chip count.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +50,19 @@ import numpy as np
 from ..config import BoardConfig
 from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
-from .batched import GatheredJSet, gather_chips, memory_version, predict_gather
+from .batched import GatheredJSet, gather_chips, predict_gather
 from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
 from .board import ProcessorBoard
-from .chip import BlockExponents, charge_block
+from .chip import PLANE_OUTPUTS, BlockExponents, charge_block
+from .memory import StripedStore, storage_rows
 from .pipeline import PipelineFormats, partial_lanes
 from .summation import reduce_partials
 
 #: Valid values of ``Grape6Emulator.emulation_mode``.
 EMULATION_MODES = ("batched", "faithful")
+
+#: Exponent-cache entry of a particle no force was evaluated on yet.
+UNCACHED = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -66,7 +73,7 @@ class EmulatorStats:
     interactions: int = 0
     exponent_retries: int = 0
     jmem_loads: int = 0
-    #: jmem loads elided because the j-set fingerprint was unchanged.
+    #: jmem loads elided because the resident j-set was unchanged.
     jmem_loads_elided: int = 0
 
 
@@ -111,27 +118,31 @@ class Grape6Emulator:
         self.eps2 = float(eps2)
         self.formats = formats if formats is not None else PipelineFormats.default()
         self.boards = [ProcessorBoard(board_config, self.formats) for _ in range(boards)]
+        self._all_chips = [c for b in self.boards for c in b.all_chips]
+        #: The machine's memories and chip registers as one striped store.
+        self.jmem = StripedStore(
+            len(self._all_chips), min(c.memory.capacity for c in self._all_chips)
+        )
+        for c, chip in enumerate(self._all_chips):
+            chip.memory.attach(self.jmem, c)
         for b in self.boards:
             b.set_eps2(self.eps2)
         self.exponent_guard = int(exponent_guard)
         self.emulation_mode = emulation_mode
         self.stats = EmulatorStats()
 
-        self._all_chips = [c for b in self.boards for c in b.all_chips]
-        self._n_j = 0
         self._mass_total = 0.0
         self._j_com = np.zeros(3)
-        # cached per-host-particle exponents from the previous call,
-        # stored as flat int64 arrays indexed by host id (grown on
-        # demand) so lookup and write-back are single fancy-index ops
-        self._exp_valid = np.zeros(0, dtype=bool)
-        self._exp_acc = np.zeros(0, dtype=np.int64)
-        self._exp_jerk = np.zeros(0, dtype=np.int64)
-        self._exp_pot = np.zeros(0, dtype=np.int64)
-        # gathered j-set cache (batched datapath) and jmem fingerprint
+        # the last load's mass as given (bytes); its rounding is _mass
+        self._mass_in: bytes | None = None
+        # (generation, shapes, x bytes, v bytes) of set_j_particles' last load
+        self._resident: tuple = (-1, None, None, None)
+        # per-host-particle exponents (acc, jerk, pot) from the previous
+        # call, UNCACHED where none was declared yet; grown on demand
+        self._exp = np.full((3, 0), UNCACHED)
+        # the chip memories gathered after a direct chip load, at a generation
         self._gather: GatheredJSet | None = None
-        self._j_fingerprint: bytes | None = None
-        self._j_fingerprint_version: int = -1
+        self._gather_generation = -1
 
     # -- ForceBackend interface ----------------------------------------------
 
@@ -147,84 +158,52 @@ class Grape6Emulator:
         predictor mode is exercised through the ``g6_*`` host library
         or by passing ``t`` to :meth:`forces_on`.
 
-        The whole j-set is quantised once and the chips receive
-        zero-copy strided views (chip ``c`` holds rows ``c::k`` — the
-        same round-robin stripe as per-chip index builds, without the
-        per-chip allocations).  A reload whose (x, v, m) fingerprint
-        matches the data already resident in the memories is elided
-        entirely.
+        A reload of exactly the resident j-set is elided entirely: when
+        nothing wrote the memories since this method loaded them and the
+        inputs equal the resident ones bit for bit (shapes, then x
+        first, stopping at the first difference).
         """
         tracer = get_tracer()
         with tracer.span("grape.jmem_load", phase=T_PIPE, n_j=x.shape[0]):
             x = np.ascontiguousarray(x, dtype=np.float64)
             v = np.ascontiguousarray(v, dtype=np.float64)
             m = np.ascontiguousarray(m, dtype=np.float64)
-            digest = self._jset_fingerprint(x, v, m)
+            held = (self.jmem.generation, (x.shape, v.shape, m.shape), x.tobytes())
             if (
-                digest == self._j_fingerprint
-                and self._j_fingerprint_version == memory_version(self._all_chips)
+                held == self._resident[:3]
+                and v.tobytes() == self._resident[3]
+                and m.tobytes() == self._mass_in
             ):
-                # memories already hold exactly this j-set (and nobody
-                # wrote them since): skip the re-quantisation
                 self.stats.jmem_loads_elided += 1
                 tracer.count("grape.jmem_load_skips")
             else:
-                self._load_j_set(x, v, m, digest)
+                self.load_j_particles(np.arange(x.shape[0]), x, v, m)
+                self._resident = (self.jmem.generation, *held[1:], v.tobytes())
         self.stats.jmem_loads += 1
         tracer.count("grape.jmem_loads")
-        tracer.gauge("grape.jmem_used", self.jmem_used)
+        tracer.gauge("grape.jmem_used", self.jmem.used)
 
-    def _load_j_set(
-        self, x: np.ndarray, v: np.ndarray, m: np.ndarray, digest: bytes
-    ) -> None:
-        n = x.shape[0]
-        self._n_j = n
+    def load_j_particles(self, host_index, x, v, m, **derivs) -> None:
+        """Write a j-set into the machine's memories (the ``g6_*`` upload).
+
+        Takes what :meth:`~repro.hardware.chip.GrapeChip.load_j_particles`
+        takes (derivatives ``a`` / ``jdot`` / ``snap`` and ``t0``
+        optional).  The whole set is quantised once and installed as the
+        striped store, chip ``c`` of ``k`` holding rows ``c::k``: the
+        words per-chip loads of the same stripes would hold, since every
+        storage format is elementwise.  A mass array bitwise equal to the
+        last one loaded is not re-rounded.
+        """
+        m = np.ascontiguousarray(m, dtype=np.float64)
+        mass_in = m.tobytes()
+        if mass_in != self._mass_in:
+            self._mass_in, self._mass = mass_in, self.formats.word.round(m)
+            self._mass.flags.writeable = False  # shared by later loads
+        fmt = self.formats
+        self.jmem.load(storage_rows(fmt.pos, fmt.word, host_index, x, v, self._mass, **derivs))
         self._mass_total = float(m.sum())
-        self._j_com = (
-            (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
-        )
-        k = self.n_chips
-        pos_q = self.formats.pos.quantize(x)
-        vel = self.formats.word.round(v)
-        mass = self.formats.word.round(m)
-        host_index = np.arange(n, dtype=np.int64)
-        # one block of zeros serves every chip's and the gather's
-        # higher derivatives and t0; read-only, so a stray in-place
-        # write cannot leak across the views
-        zero3 = np.zeros((n, 3))
-        zero1 = np.zeros(n)
-        zero3.flags.writeable = zero1.flags.writeable = False
-        for c, chip in enumerate(self._all_chips):
-            chip.memory.load_preformatted(
-                host_index[c::k], pos_q[c::k], vel[c::k], mass[c::k],
-                zero3[c::k], zero1[c::k],
-            )
-        get_tracer().count("grape.jmem_writes", n)
-        # the quantised full arrays double as the gathered j-set — the
-        # batched datapath needs no per-call concatenation at all
-        self._gather = GatheredJSet(
-            pos_q=pos_q,
-            vel=vel,
-            mass=mass,
-            host_index=host_index,
-            acc=zero3,
-            jerk=zero3,
-            snap=zero3,
-            t0=zero1,
-            chip_sizes=tuple(chip.memory.n for chip in self._all_chips),
-            version=memory_version(self._all_chips),
-        )
-        self._j_fingerprint = digest
-        self._j_fingerprint_version = self._gather.version
-
-    @staticmethod
-    def _jset_fingerprint(x: np.ndarray, v: np.ndarray, m: np.ndarray) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(repr((x.shape, v.shape, m.shape)).encode())
-        h.update(x)
-        h.update(v)
-        h.update(m)
-        return h.digest()
+        self._j_com = (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
+        get_tracer().count("grape.jmem_writes", m.shape[0])
 
     def forces_on(
         self,
@@ -238,22 +217,25 @@ class Grape6Emulator:
         With ``t`` given, the (emulated) on-chip predictor pipelines
         extrapolate the stored j-particles to that time first — the
         hardware-accurate mode the ``g6_*`` host library drives.
+        ``indices`` are the targets' host indices (non-negative).
         """
-        if self._n_j == 0:
+        n_j = self.jmem.used
+        if n_j == 0:
             raise RuntimeError("set_j_particles() must be called first")
         xi = np.asarray(xi, dtype=np.float64)
         vi = np.asarray(vi, dtype=np.float64)
         n_i = xi.shape[0]
+        i_index = None
+        if indices is not None:
+            i_index = np.asarray(indices, dtype=np.int64)
+            if i_index.size and i_index.min() < 0:
+                raise ValueError(f"negative particle index {i_index.min()} in indices")
 
         tracer = get_tracer()
-        with tracer.span("grape.force", phase=T_PIPE, n_i=n_i, n_j=self._n_j) as span:
+        with tracer.span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
             xi_q = self.formats.pos.quantize(xi)
             vi_w = self.formats.word.round(vi)
-
-            i_index = (
-                np.asarray(indices, dtype=np.int64) if indices is not None else None
-            )
-            exponents = self._initial_exponents(xi, vi, indices)
+            exponents = self._initial_exponents(xi, vi, i_index)
             retries = 0
             for _ in range(16):
                 try:
@@ -271,9 +253,10 @@ class Grape6Emulator:
                 span.set(exponent_retries=retries)
                 tracer.count("grape.exponent_retries", retries)
 
-        self._remember_exponents(indices, exponents)
+        if i_index is not None:  # remember the declared exponents
+            self._exp[:, i_index] = exponents.planes[::3]
         self.stats.force_evaluations += 1
-        interactions = n_i * self._n_j - (n_i if indices is not None else 0)
+        interactions = n_i * n_j - (n_i if indices is not None else 0)
         self.stats.interactions += interactions
         tracer.count("grape.interactions", interactions)
         return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
@@ -300,9 +283,7 @@ class Grape6Emulator:
         the self-test injects) drops back to the faithful per-chip
         schedule so the degradation stays observable.
         """
-        if self.emulation_mode == "batched" and all(
-            chip._eps2 == self.eps2 for chip in self._all_chips
-        ):
+        if self.emulation_mode == "batched" and (self.jmem.eps2 == self.eps2).all():
             return self._evaluate_batched(xi_q, vi_w, exponents, t, i_index)
         partial = reduce_partials(
             board.partial_forces(xi_q, vi_w, exponents, t=t, i_index=i_index)
@@ -323,7 +304,6 @@ class Grape6Emulator:
             cj_q, cj_v = gather.cpos_q, gather.cvel
         else:
             cj_q, cj_v = predict_gather(gather, self.formats, t)
-        stacked = exponents.stacked()
         hi, lo = partial_lanes(
             xi_q,
             vi_w,
@@ -331,7 +311,7 @@ class Grape6Emulator:
             cj_v,
             gather.mass,
             gather.host_index,
-            stacked,
+            exponents.planes,
             self.eps2,
             self.formats,
             i_index=i_index,
@@ -343,21 +323,24 @@ class Grape6Emulator:
         # attempt aborted by per-contribution saturation charges
         # nothing, where the faithful schedule charges the passes before
         # the saturating one — attempt-local, never in a result)
-        charge_block(self._all_chips, xi_q.shape[0], gather.chip_sizes)
-        out = BlockFloatAccumulator(stacked).to_float_lanes(hi, lo)
+        charge_block(self.jmem, self._all_chips[0].config, xi_q.shape[0])
+        out = BlockFloatAccumulator(exponents.planes).to_float_lanes(hi, lo)
         return np.ascontiguousarray(out[:3].T), np.ascontiguousarray(out[3:6].T), out[6]
 
     def _gathered(self) -> GatheredJSet:
-        """The contiguous j-set, rebuilt only when a memory changed.
+        """The machine's j-set as contiguous arrays.
 
-        Plain :meth:`set_j_particles` loads install the gather
-        directly; direct chip loads (the ``g6_*`` library's predictor
-        uploads, tests poking memories) bump the memory write
-        generations and trigger a rebuild here.
+        While every chip reads its stripe, that is the striped store's
+        own rows.  After a direct chip load (tests poking one memory)
+        the chip memories are gathered instead, once per store write
+        generation.
         """
-        version = memory_version(self._all_chips)
-        if self._gather is None or self._gather.version != version:
+        store = self.jmem
+        if not store.detached:
+            return store.rows
+        if self._gather_generation != store.generation:
             self._gather = gather_chips(self._all_chips)
+            self._gather_generation = store.generation
         return self._gather
 
     # -- exponent management ---------------------------------------------------
@@ -367,67 +350,44 @@ class Grape6Emulator:
     ) -> BlockExponents:
         """Previous-step exponents where cached, heuristic guess elsewhere.
 
-        The heuristic treats the j-set as a point mass at its barycentre:
-        |a| ~ M/(d^2+eps^2), |phi| ~ M/d, |jdot| ~ |a| * v/d — crude, but
-        the retry loop makes any guess safe, and after the first call the
-        cache takes over (the paper: "the value of the exponent at the
-        previous timestep is almost always okay").
+        The cached rows are one take from the (3, N) table, straight
+        into the tile's (7, n_i) stack; only rows the table lacks run
+        the heuristic, and after the first call the cache takes over
+        (the paper: "the value of the exponent at the previous timestep
+        is almost always okay").
         """
+        if indices is None:
+            return self._guess_exponents(xi, vi)
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and idx.max() >= self._exp.shape[1]:
+            grown = np.full((3, max(idx.max() + 1, 2 * self._exp.shape[1], 64)), UNCACHED)
+            grown[:, : self._exp.shape[1]] = self._exp
+            self._exp = grown
+        planes = self._exp[PLANE_OUTPUTS, idx]
+        rows = np.flatnonzero(planes[0] == UNCACHED)
+        if rows.size:
+            planes[:, rows] = self._guess_exponents(xi[rows], vi[rows]).planes
+        return BlockExponents.from_planes(planes)
+
+    def _guess_exponents(self, xi: np.ndarray, vi: np.ndarray) -> BlockExponents:
+        """The heuristic treats the j-set as a point mass at its
+        barycentre: |a| ~ M/(d^2+eps^2), |phi| ~ M/d, |jdot| ~ |a| * v/d —
+        crude, but the retry loop makes any guess safe."""
         d2 = np.sum((xi - self._j_com) ** 2, axis=1) + self.eps2 + 1e-300
         d = np.sqrt(d2)
         vmag = np.linalg.norm(vi, axis=1) + 1e-300
         acc_est = self._mass_total / d2
-        pot_est = self._mass_total / d
-        jerk_est = acc_est * vmag / d
-
         guard = self.exponent_guard
-        e_acc = suggest_exponent(acc_est) + guard
-        e_pot = suggest_exponent(pot_est) + guard
-        e_jerk = suggest_exponent(jerk_est) + guard
-
-        if indices is not None:
-            idx = np.asarray(indices, dtype=np.int64)
-            in_range = idx < self._exp_valid.size
-            cached = np.zeros(idx.shape, dtype=bool)
-            cached[in_range] = self._exp_valid[idx[in_range]]
-            rows = np.flatnonzero(cached)
-            if rows.size:
-                src = idx[rows]
-                e_acc[rows] = self._exp_acc[src]
-                e_jerk[rows] = self._exp_jerk[src]
-                e_pot[rows] = self._exp_pot[src]
-        return BlockExponents(acc=e_acc, jerk=e_jerk, pot=e_pot)
-
-    def _remember_exponents(
-        self, indices: np.ndarray | None, exponents: BlockExponents
-    ) -> None:
-        if indices is None:
-            return
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size == 0:
-            return
-        need = int(idx.max()) + 1
-        if need > self._exp_valid.size:
-            self._grow_exp_cache(need)
-        self._exp_acc[idx] = exponents.acc
-        self._exp_jerk[idx] = exponents.jerk
-        self._exp_pot[idx] = exponents.pot
-        self._exp_valid[idx] = True
-
-    def _grow_exp_cache(self, need: int) -> None:
-        size = max(need, 2 * self._exp_valid.size, 64)
-        for name in ("_exp_acc", "_exp_jerk", "_exp_pot"):
-            grown = np.zeros(size, dtype=np.int64)
-            grown[: getattr(self, name).size] = getattr(self, name)
-            setattr(self, name, grown)
-        valid = np.zeros(size, dtype=bool)
-        valid[: self._exp_valid.size] = self._exp_valid
-        self._exp_valid = valid
+        return BlockExponents(
+            acc=suggest_exponent(acc_est) + guard,
+            jerk=suggest_exponent(acc_est * vmag / d) + guard,
+            pot=suggest_exponent(self._mass_total / d) + guard,
+        )
 
     @property
     def exp_cache_entries(self) -> int:
         """Number of host particles with a cached block exponent."""
-        return int(self._exp_valid.sum())
+        return int(np.count_nonzero(self._exp[0] != UNCACHED))
 
     # -- conversion -------------------------------------------------------------
 
@@ -444,11 +404,11 @@ class Grape6Emulator:
     @property
     def total_cycles(self) -> int:
         """Emulated busy cycles of the slowest chip (machine time)."""
-        return max(chip.cycles for chip in self._all_chips)
+        return int(self.jmem.cycles.max())
 
     @property
     def jmem_used(self) -> int:
-        return sum(chip.memory.n for chip in self._all_chips)
+        return self.jmem.used
 
     @property
     def lanes_per_chip(self) -> int:
