@@ -1,0 +1,130 @@
+"""B1 — what the host-tile boundary costs, crossing by crossing.
+
+The compiled tiles are called from Python: the emulator's j-load and
+force call (``set_j_particles``, ``forces_on``) and the host's Hermite
+pair (``predict_hermite``, ``advance_block``).  This file reports the
+*floor* of each crossing - the minimum over calls, what it costs when
+nothing else has the core - on the ``serial_grape`` workload's shape:
+Plummer N = 256 on two emulated boards, blocks of 31 targets, every
+exponent cached.  ``forces_on`` at n_i = 1 is the force call's fixed
+cost.  The per-part table of EXPERIMENTS.md is this file's output::
+
+    PYTHONPATH=src python benchmarks/test_boundary_floors.py
+
+Point ``PYTHONPATH`` at another checkout's ``src`` to read that commit
+with the same script (only public names are used).
+"""
+
+from __future__ import annotations
+
+import time
+
+import numpy as np
+
+from repro.core import BlockTimestepIntegrator
+from repro.core.hermite_tile import advance_block, predict_hermite
+from repro.hardware import Grape6Emulator
+from repro.io import format_table
+from repro.models import plummer_model
+
+try:
+    from benchmarks.test_sink_budget import YARDSTICK_REF_S, yardstick
+except ModuleNotFoundError:  # run as a script: this directory is on the path
+    from test_sink_budget import YARDSTICK_REF_S, yardstick
+
+EPS2 = (1.0 / 64.0) ** 2
+N, BOARDS, N_B = 256, 2, 31
+
+#: Calls per round, and rounds interleaved across the crossings (3 000
+#: calls of each in all, spread so that one round meets a quiet moment).
+CALLS, ROUNDS = 200, 15
+
+#: Bound on the four fixed costs together - forces_on at n_i = 1,
+#: set_j_particles, advance_block and predict_hermite [us] - on the
+#: reference box, undisturbed (40 measured there; 89 before they were
+#: bound).
+BUDGET_US = 60.0
+
+
+def crossings() -> dict:
+    """Each crossing as a ``(call, reset)`` pair: ``reset`` runs before
+    every call, outside its timing."""
+    s = plummer_model(N, seed=2003)
+    emu = Grape6Emulator(EPS2, boards=BOARDS, emulation_mode="batched")
+    integ = BlockTimestepIntegrator(s, EPS2, backend=emu)
+    integ.run(1.0 / 32.0)  # every exponent cached
+    xp, vp = np.empty((N, 3)), np.empty((N, 3))
+    predict_hermite(1.0, s.t, s.pos, s.vel, s.acc, s.jerk, xp, vp)
+    emu.set_j_particles(xp, vp, s.mass)
+    rows = np.arange(0, N, N // N_B)[:N_B]
+    shifted = xp.copy()
+    shifted[0, 0] += 1.0e-9  # a j-set that differs: no load is elided
+
+    def load():
+        loads.reverse()
+        emu.set_j_particles(loads[0], vp, s.mass)
+
+    loads = [xp, shifted]
+    res = emu.forces_on(xp[rows], vp[rows], rows)
+    acc1, jerk1, pot1 = res.acc.copy(), res.jerk.copy(), res.pot.copy()
+    s.t[...], h = 0.0, 2.0**-8
+
+    def due():
+        s.t[rows] = 1.0 - h
+
+    targets = {n_i: (xp[rows[:n_i]], vp[rows[:n_i]], rows[:n_i]) for n_i in (1, N_B)}
+    return {
+        "forces_on n_i = 1": (lambda: emu.forces_on(*targets[1]), None),
+        f"forces_on n_i = {N_B}": (lambda: emu.forces_on(*targets[N_B]), None),
+        f"set_j_particles N = {N}": (load, None),
+        f"advance_block n_b = {N_B}": (
+            lambda: advance_block(s, rows, 1.0, xp, vp, acc1, jerk1, pot1, 0.02, 0.125,
+                                  2.0**-40), due),
+        f"predict_hermite N = {N}": (
+            lambda: predict_hermite(1.0, s.t, s.pos, s.vel, s.acc, s.jerk, xp, vp), None),
+    }
+
+
+def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
+    """Floor of every crossing [us] and the machine's speed index over
+    the same rounds (1.0 = the undisturbed reference box)."""
+    parts = crossings()
+    best = dict.fromkeys(parts, float("inf"))
+    fastest_yardstick = float("inf")
+    clock = time.perf_counter
+    for _ in range(rounds):
+        fastest_yardstick = min(fastest_yardstick, yardstick())
+        for name, (call, reset) in parts.items():
+            for _ in range(CALLS):
+                if reset is not None:
+                    reset()
+                t0 = clock()
+                call()
+                best[name] = min(best[name], clock() - t0)
+    return {k: v * 1.0e6 for k, v in best.items()}, fastest_yardstick / YARDSTICK_REF_S
+
+
+def fixed_cost(us: dict) -> float:
+    """The four fixed costs together [us]."""
+    return sum(v for k, v in us.items() if not k.startswith(f"forces_on n_i = {N_B}"))
+
+
+def table(us: dict) -> str:
+    return format_table(["crossing", "floor [us]"], [(k, f"{v:.1f}") for k, v in us.items()])
+
+
+def test_the_boundary_costs_what_its_budget_allows():
+    us, speed_index = floors()
+    print(f"\n=== Host-tile boundary floors, N = {N}, {BOARDS} boards ===")
+    print(table(us))
+    print(f"machine speed index {speed_index:.2f}")
+    cost = fixed_cost(us) / max(speed_index, 1.0)
+    assert cost <= BUDGET_US, (
+        f"the boundary's fixed costs sum to {fixed_cost(us):.1f} us at speed index "
+        f"{speed_index:.2f} (budget {BUDGET_US:g})")
+
+
+if __name__ == "__main__":
+    us, speed_index = floors()
+    print(table(us))
+    print(f"fixed costs {fixed_cost(us):.1f} us, machine speed index {speed_index:.2f}")

@@ -11,6 +11,10 @@
  *                          (numpy_advance_block = hermite_correct +
  *                          aarseth_dt + quantize_block_dt).
  *
+ * Each reads the arrays that outlive a call - a system's state, the
+ * predictions - through a struct the caller bound once (struct
+ * predicted, struct block_state); a call passes only what is new in it.
+ *
  * As for the other tiles the contract is bit identity with the numpy
  * twins, which stay the reference; the loader checks both against each
  * other before it hands this one out.  What makes that possible here:
@@ -56,11 +60,21 @@ enum {
 
 #define ANSWER(code, k) (((ptrdiff_t)(k) << 3) | (code))
 
-void hermite_predict(double t_now, ptrdiff_t n, const double *t0,
-                     const double *restrict x0, const double *restrict v0,
-                     const double *restrict a0, const double *restrict j0,
-                     double *restrict xp, double *restrict vp)
+/* what hermite_predict reads and writes: (n,) times, (n, 3) stored
+ * derivatives, (n, 3) predictions */
+struct predicted {
+    ptrdiff_t n;
+    const double *t0, *x0, *v0, *a0, *j0;
+    double *xp, *vp;
+};
+
+void hermite_predict(double t_now, const struct predicted *p)
 {
+    const ptrdiff_t n = p->n;
+    const double *t0 = p->t0;
+    const double *restrict x0 = p->x0, *restrict v0 = p->v0, *restrict a0 = p->a0,
+                 *restrict j0 = p->j0;
+    double *restrict xp = p->xp, *restrict vp = p->vp;
     /* each particle's dt, once per component, kept in vp until vp itself
      * is computed: the two loops below then run over 3 n contiguous
      * elements and vectorise, which a per-particle loop does not */
@@ -106,19 +120,27 @@ static inline double np_maximum(double a, double b)
 
 enum { POS = 0, VEL = 3, SNAP = 6, CRACKLE = 9, WORK = 12 };
 
-/* block: (n_b,) indices into the (n, 3) and (n,) particle arrays;
- * xp, vp: (n, 3) predictions at t_block; acc1, jerk1, pot1: the force on
- * the block, (n_b, 3), (n_b, 3), (n_b,); work: (n_b, WORK) scratch;
- * dt_new: (n_b,) the new steps, also scattered into dt. */
+/* what hermite_advance_block reads and scatters into: xp, vp the (n, 3)
+ * predictions at the block time; the (n, 3) and (n,) particle arrays */
+struct block_state {
+    ptrdiff_t n;
+    const double *xp, *vp;
+    double *pos, *vel, *acc, *jerk, *snap, *crackle, *pot, *t, *dt;
+};
+
+/* block: (n_b,) indices into s's arrays; acc1, jerk1, pot1: the force on
+ * the block, (n_b, 3), (n_b, 3), (n_b,); dt_new: (n_b,) the new steps,
+ * also scattered into dt, followed by (n_b, WORK) scratch. */
 ptrdiff_t hermite_advance_block(
-    ptrdiff_t n, ptrdiff_t n_b, const int64_t *block, double t_block,
-    const double *xp, const double *vp,
+    const struct block_state *s, ptrdiff_t n_b, const int64_t *block, double t_block,
     const double *acc1, const double *jerk1, const double *pot1,
-    double eta, double dt_max, double dt_min,
-    double *pos, double *vel, double *acc, double *jerk, double *snap,
-    double *crackle, double *pot, double *t, double *dt,
-    double *work, double *dt_new)
+    double eta, double dt_max, double dt_min, double *dt_new)
 {
+    const ptrdiff_t n = s->n;
+    const double *xp = s->xp, *vp = s->vp;
+    double *pos = s->pos, *vel = s->vel, *acc = s->acc, *jerk = s->jerk, *snap = s->snap,
+           *crackle = s->crackle, *pot = s->pot, *t = s->t, *dt = s->dt;
+    double *work = dt_new + n_b;
     ptrdiff_t not_finite = -1, not_positive = -1;
     int exponent;
 

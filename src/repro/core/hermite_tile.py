@@ -27,16 +27,24 @@ this process.  Nothing selects one.
 The compiled tier points into the caller's arrays, so both tiers refuse
 what it could not point into - anything but C-contiguous float64 of the
 right shape, writeable where it is written, a block that is not int64
-or indexes outside the system - on every call, and addresses are taken
-per call: no pointer outlives the array it came from.  A refusal, like
-a step that is not a positive power of two or a
+or indexes outside the system.  The arrays that outlive a call (the
+system's state, the predictions buffers) are bound once, keyed on their
+identity: validated, their addresses written into a ``ctypes.Structure``
+the C entry point reads, and held by the binding, so no pointer
+outlives the array it came from (:class:`_Bound`).  A call re-checks
+only that the arrays are the bound ones, of the bound shapes, and that
+those written are still writeable; a swapped, reshaped or read-only
+array makes it validate afresh, and bind or refuse.  What is new in a
+call - the block and the force on it - is validated and addressed per
+call.  A refusal, like a step that is not a positive power of two or a
 :class:`~repro.core.timestep.NonFiniteForce`, leaves the system
 untouched.
 """
 
 from __future__ import annotations
 
-from ctypes import c_double, c_ssize_t, c_void_p
+from ctypes import Structure, byref, c_double, c_ssize_t, c_void_p
+from operator import attrgetter, is_
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -47,6 +55,7 @@ from .corrector import hermite_correct
 from .timestep import NonFiniteForce, aarseth_dt, quantize_block_dt
 
 _F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
+_shape, _writeable = attrgetter("shape"), attrgetter("flags.writeable")
 
 #: The (N, 3) and (N,) arrays of a particle system a block is scattered into.
 STATE_VECTORS = ("pos", "vel", "acc", "jerk", "snap", "crackle")
@@ -116,30 +125,46 @@ def _unpointable(arrays, shapes, written):
     return None
 
 
-def _pointable(system, block, xp, vp, acc1, jerk1, pot1) -> tuple:
-    """The fourteen float64 arrays of one :func:`advance_block` call, in
-    the tile's order, or ValueError if one of them (or ``block``) is not
-    what the compiled tile can point into."""
+def _per_call(block, acc1, jerk1, pot1) -> int:
+    """``n_b``, or ValueError if ``block`` (int64) or the force on it
+    (float64) is not what the compiled tile can point into."""
     if (
         type(block) is not np.ndarray or block.dtype != _I8 or block.ndim != 1
         or not block.flags.c_contiguous
     ):
         raise ValueError("advance_block wants a contiguous 1-D int64 block")
-    n, n_b = system.n, block.shape[0]
-    arrays = (
-        xp, vp, acc1, jerk1, pot1,
-        system.pos, system.vel, system.acc, system.jerk, system.snap, system.crackle,
-        system.pot, system.t, system.dt,
+    n_b = block.shape[0]
+    for a, shape in ((acc1, (n_b, 3)), (jerk1, (n_b, 3)), (pot1, (n_b,))):
+        if (
+            type(a) is not np.ndarray or a.dtype != _F8 or a.shape != shape
+            or not a.flags.c_contiguous
+        ):
+            raise ValueError(f"advance_block wants contiguous float64 {shape}")
+    return n_b
+
+
+def _block_state(system, xp, vp) -> tuple:
+    """The eleven arrays of :func:`advance_block` that outlive a call:
+    the predictions, then the state it scatters into, in the tile's
+    order (:func:`_block_shapes` gives the shapes it reads them as)."""
+    s = system
+    return xp, vp, s.pos, s.vel, s.acc, s.jerk, s.snap, s.crackle, s.pot, s.t, s.dt
+
+
+def _block_shapes(n: int) -> list:
+    return [(n, 3)] * 8 + [(n,)] * 3
+
+
+def _pointable(system, block, xp, vp, acc1, jerk1, pot1) -> None:
+    """ValueError unless the compiled tile could point into every array
+    of one :func:`advance_block` call, and write the ones it writes."""
+    _per_call(block, acc1, jerk1, pot1)
+    wanted = _unpointable(
+        _block_state(system, xp, vp), _block_shapes(system.n),
+        written=len(STATE_VECTORS + STATE_SCALARS),
     )
-    shapes = (
-        (n, 3), (n, 3), (n_b, 3), (n_b, 3), (n_b,),
-        (n, 3), (n, 3), (n, 3), (n, 3), (n, 3), (n, 3),
-        (n,), (n,), (n,),
-    )
-    wanted = _unpointable(arrays, shapes, written=len(STATE_VECTORS + STATE_SCALARS))
     if wanted is not None:
         raise ValueError(f"advance_block wants {wanted}")
-    return arrays
 
 
 def _not_finite(block, k, t_block, blockstep) -> NonFiniteForce:
@@ -244,43 +269,94 @@ _CLAMPED_STEP_NOT_POSITIVE, _INDEX_OUT_OF_RANGE = 3, 4
 _WORK = 12  # doubles of scratch per block particle
 
 
+class _Predicted(Structure):
+    """``struct predicted`` of ``hermite_tile.c``."""
+
+    _fields_ = [("n", c_ssize_t)] + [
+        (name, c_void_p) for name in ("t0", "x0", "v0", "a0", "j0", "xp", "vp")
+    ]
+
+
+class _BlockState(Structure):
+    """``struct block_state`` of ``hermite_tile.c``."""
+
+    _fields_ = [("n", c_ssize_t)] + [
+        (name, c_void_p) for name in ("xp", "vp", *STATE_VECTORS, *STATE_SCALARS)
+    ]
+
+
+class _Bound:
+    """Arrays an entry point reads across calls, validated and addressed
+    once: the struct of their addresses, and references to them, so that
+    no pointer outlives its array.  A binding is never changed; a call
+    that meets other arrays makes a new one."""
+
+    __slots__ = ("arrays", "shapes", "written", "pointer")
+
+    def __init__(self, struct_type, n: int, arrays: tuple, shapes: list, written: int):
+        self.arrays, self.shapes = arrays, shapes
+        self.written = arrays[len(arrays) - written :]
+        self.pointer = byref(struct_type(n, *map(address, arrays)))
+
+    def holds(self, arrays: tuple) -> bool:
+        """``arrays`` are the bound ones, of the bound shapes, and those
+        written may still be: what a swapped array, an in-place
+        ``a.shape = ...`` or a flip to read-only changes."""
+        return (
+            all(map(is_, arrays, self.arrays))
+            and list(map(_shape, arrays)) == self.shapes
+            and all(map(_writeable, self.written))
+        )
+
+
 def _bind(predict_fn, advance_fn) -> HermiteTile:
-    """``hermite_tile.c`` behind the numpy tier's two signatures."""
+    """``hermite_tile.c`` behind the numpy tier's two signatures, each
+    bound to the arrays it was last called on (:class:`_Bound`)."""
+    predicted = block_state = None
 
     def predict_hermite(t_now, t0, x0, v0, a0, j0, out_x=None, out_v=None):
+        nonlocal predicted
         if out_x is None:
             out_x = np.empty_like(x0)
         if out_v is None:
             out_v = np.empty_like(v0)
-        rows = out_x.shape
-        n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
         arrays = (t0, x0, v0, a0, j0, out_x, out_v)
-        shapes = ((n,), rows, rows, rows, rows, rows, rows)
-        if _unpointable(arrays, shapes, written=2) is not None:
-            # numpy broadcasts, casts, strides and refuses a read-only
-            # buffer: its tier serves
-            return numpy_predict_hermite(t_now, *arrays)
-        if n:
-            predict_fn(t_now, n, *map(address, arrays))
+        bound = predicted
+        if bound is None or not bound.holds(arrays):
+            rows = out_x.shape
+            n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
+            shapes = [(n,), rows, rows, rows, rows, rows, rows]
+            if _unpointable(arrays, shapes, written=2) is not None:
+                # numpy broadcasts, casts, strides and refuses a read-only
+                # buffer: its tier serves
+                return numpy_predict_hermite(t_now, *arrays)
+            bound = predicted = _Bound(_Predicted, n, arrays, shapes, written=2)
+        predict_fn(t_now, bound.pointer)
         return out_x, out_v
 
     def advance_block(
         system, block, t_block, xp, vp, acc1, jerk1, pot1, eta, dt_max, dt_min,
         blockstep=None,
     ):
-        arrays = _pointable(system, block, xp, vp, acc1, jerk1, pot1)
-        n_b = block.shape[0]
-        dt_new = np.empty(n_b)
+        nonlocal block_state
+        n_b = _per_call(block, acc1, jerk1, pot1)
+        arrays = _block_state(system, xp, vp)
+        bound = block_state
+        if bound is None or not bound.holds(arrays):
+            shapes, written = _block_shapes(system.n), len(STATE_VECTORS + STATE_SCALARS)
+            wanted = _unpointable(arrays, shapes, written)
+            if wanted is not None:
+                raise ValueError(f"advance_block wants {wanted}")
+            bound = block_state = _Bound(_BlockState, system.n, arrays, shapes, written)
         if n_b == 0:  # no first element to point at
-            return dt_new
-        work = np.empty(_WORK * n_b)
+            return np.empty(0)
+        dt_new = np.empty((1 + _WORK) * n_b)  # the new steps, then scratch
         answer = advance_fn(
-            system.n, n_b, address(block), t_block, *map(address, arrays[:5]),
-            eta, dt_max, dt_min, *map(address, arrays[5:]),
-            address(work), address(dt_new),
+            bound.pointer, n_b, address(block), t_block, address(acc1), address(jerk1),
+            address(pot1), eta, dt_max, dt_min, address(dt_new),
         )
         if answer == 0:
-            return dt_new
+            return dt_new[:n_b]
         code, k = answer & 7, answer >> 3
         if code == _NOT_FINITE:
             raise _not_finite(block, k, t_block, blockstep)
@@ -378,11 +454,10 @@ def resolve_hermite_tier() -> tuple[HermiteTile, str, str]:
     try:
         library, built = load_library("hermite_tile")
         tile = _bind(
-            entry_point(library, "hermite_predict", [double, ssize_t] + [void_p] * 7),
+            entry_point(library, "hermite_predict", [double, void_p]),
             entry_point(
                 library, "hermite_advance_block",
-                [ssize_t, ssize_t, void_p, double] + [void_p] * 5 + [double] * 3
-                + [void_p] * 11,
+                [void_p, ssize_t, void_p, double] + [void_p] * 3 + [double] * 3 + [void_p],
                 ssize_t,
             ),
         )

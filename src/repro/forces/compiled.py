@@ -6,6 +6,12 @@ per-user cache, then loaded with :mod:`ctypes`: one path for every
 tile, :func:`load_library` (:func:`load_tile` where the library is one
 function), of which an owner adds only its argument types, a binder
 that validates arrays before pointing into them, and a self-check.
+Arrays that live longer than a call - a particle system's state, a
+machine's j-memory - are bound once: validated, addressed into a
+``ctypes.Structure`` and held, so that the pointers cannot outlive them
+(:mod:`repro.core.hermite_tile`, :func:`repro.hardware.pipeline.bind_j_set`);
+a call then validates and addresses (:func:`address`) only what is new
+in it.
 Nothing here chooses between tiers: a loader (here
 :func:`load_pairwise_tile`; the pipeline tile's is in
 :mod:`repro.hardware.pipeline`, the Hermite tile's in
@@ -205,11 +211,19 @@ def load_tile(name: str, argtypes: list, restype=None):
     return entry_point(library, name, argtypes, restype), built
 
 
-def address(a: np.ndarray):
-    """Pointer to the first element of a non-empty array.  Through the
+_addressof, _first_byte = ctypes.addressof, ctypes.c_char.from_buffer
+
+
+def address(a: np.ndarray) -> int:
+    """Address of an array's first element, for a ``c_void_p`` argument
+    or a pointer field of a bound ``ctypes.Structure``.  Through the
     buffer protocol where it can be (``ndarray.ctypes.data`` costs 1 us
-    an array, more than a small tile); a read-only array has only that."""
-    return ctypes.byref(ctypes.c_char.from_buffer(a)) if a.flags.writeable else a.ctypes.data
+    an array, more than a small tile); a read-only or empty array has
+    only that."""
+    try:
+        return _addressof(_first_byte(a))
+    except (TypeError, ValueError):  # read-only (or strided), or empty
+        return a.ctypes.data
 
 
 def _bind(fn) -> TileSums:

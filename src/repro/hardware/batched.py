@@ -16,17 +16,19 @@ function of the **multiset** of quantised pairwise contributions; how
 they are partitioned over chips and in what order they are added
 cannot change a single bit.  So we may evaluate the full (n_i, n_j)
 interaction over all chip memories at once in one call of the pipeline
-tile (:func:`repro.hardware.pipeline.partial_lanes`, the same function
-every chip of the faithful schedule runs on its own memory), keeping
-the two-lane int64 carry-save sums unrecombined — and the result is
-bit-identical to the per-chip schedule, enforced by the emulation-mode
-property tests.
+tile (:func:`repro.hardware.pipeline.forces`: the sums of
+:func:`~repro.hardware.pipeline.partial_lanes`, the function every chip
+of the faithful schedule runs on its own memory, kept as two-lane int64
+carry-save sums and range-checked and converted to forces beside the
+tile) — and the result is bit-identical to the per-chip schedule,
+enforced by the emulation-mode property tests.
 
 The j-set the tile streams costs nothing to assemble: the machine's
 memories are one :class:`~repro.hardware.memory.StripedStore` whose
-rows, in host order, *are* that j-set.  Only after a direct chip load
-(the store no longer describes every chip) are the memories gathered,
-by :func:`gather_chips`.
+rows, in host order, *are* that j-set, bound for the tile once per write
+generation (``GatheredJSet.tile``).  Only after a direct chip load (the
+store no longer describes every chip) are the memories gathered, by
+:func:`gather_chips`.
 
 Cycle accounting is preserved: each chip is charged the cycles the
 real schedule would have cost it (``ceil(n_i/48) * vmp_ways * n_j``
@@ -46,7 +48,7 @@ import numpy as np
 from ..core.predictor import predict_with_snap
 from .chip import GrapeChip
 from .memory import GatheredJSet
-from .pipeline import PipelineFormats
+from .pipeline import PipelineFormats, quantize, round_float
 
 
 def gather_chips(chips: list[GrapeChip]) -> GatheredJSet:
@@ -71,14 +73,15 @@ def predict_gather(
     :func:`repro.hardware.predictor_unit.predict_memory` on the owning
     chip's memory — the predictor polynomial, the re-quantisation onto
     the fixed-point grid and the word rounding are all elementwise —
-    but evaluated for the whole machine in one vectorised call, and
-    returned component-major like ``cpos_q`` / ``cvel``.
+    but evaluated for the whole machine in one vectorised call (the
+    formats through their compiled twins), and returned component-major
+    like ``cpos_q`` / ``cvel``.
     """
     x0 = formats.pos.dequantize(gather.pos_q)
     xp, vp = predict_with_snap(
         t, gather.t0, x0, gather.vel, gather.acc, gather.jerk, gather.snap
     )
     return (
-        np.ascontiguousarray(formats.pos.quantize(xp, saturate=True).T),
-        np.ascontiguousarray(formats.word.round(vp).T),
+        np.ascontiguousarray(quantize(formats.pos, xp, saturate=True).T),
+        np.ascontiguousarray(round_float(formats.word, vp).T),
     )

@@ -49,6 +49,10 @@ class BlockFloatOverflow(ArithmeticError):
     range; the host must retry with a larger exponent."""
 
 
+#: What :class:`BlockFloatOverflow` says of a total outside the register.
+OVERFLOWS = "accumulated total overflows the declared exponent"
+
+
 def suggest_exponent(estimate: np.ndarray) -> np.ndarray:
     """Initial block-exponent guess from a magnitude estimate.
 
@@ -115,13 +119,13 @@ class BlockFloatAccumulator:
         (object-dtype) big integers from :func:`exact_int_sum`, so the
         range check runs elementwise on Python ints — but in one
         vectorised ``np.any`` rather than a Python generator loop.
-        The batched datapath uses :meth:`to_float_lanes` instead,
+        The batched datapath converts as :meth:`to_float_lanes` does,
         which never leaves native int64.
         """
         total_obj = np.asarray(total, dtype=object)
         limit = 2**63
         if total_obj.size and bool(np.any(np.abs(total_obj) >= limit)):
-            raise BlockFloatOverflow("accumulated total overflows the declared exponent")
+            raise BlockFloatOverflow(OVERFLOWS)
         as_float = total_obj.astype(np.float64)
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         return np.asarray(as_float * q)
@@ -139,7 +143,10 @@ class BlockFloatAccumulator:
         numpy — no Python-int loop — and for in-range totals the int64
         recombination plus float64 cast rounds identically (nearest
         even) to the faithful path's big-int-to-float conversion, so
-        the two paths stay bit-identical.
+        the two paths stay bit-identical.  This method is the reference
+        of the pipeline library's conversion, which the batched
+        datapath runs beside the tile
+        (:func:`repro.hardware.pipeline.lanes_to_forces`).
         """
         hi = np.asarray(hi, dtype=np.int64)
         lo = np.asarray(lo, dtype=np.int64)
@@ -149,7 +156,7 @@ class BlockFloatAccumulator:
         half = np.int64(2**31)
         bad = (hi_tot >= half) | (hi_tot < -half) | ((hi_tot == -half) & (lo_rem == 0))
         if np.any(bad):
-            raise BlockFloatOverflow("accumulated total overflows the declared exponent")
+            raise BlockFloatOverflow(OVERFLOWS)
         total = hi_tot * np.int64(2**32) + lo_rem
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         return np.asarray(total.astype(np.float64) * q)

@@ -17,7 +17,8 @@ arrays.  The lanes represent the exact value ``hi * 2**32 + lo``;
 ``exact_int_sum`` recombines them in Python integers (exact,
 unbounded), the batched emulator datapath defers recombination — and
 the only place the value could exceed 64 bits — to
-:meth:`repro.hardware.blockfloat.BlockFloatAccumulator.to_float_lanes`.
+:meth:`repro.hardware.blockfloat.BlockFloatAccumulator.to_float_lanes`
+(in its compiled twin, beside the tile).
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ class FixedPointOverflow(ValueError):
 class NonFiniteValue(FixedPointOverflow):
     """A NaN or infinite value: it has no fixed-point representation,
     not even a saturated one."""
+
+
+NOT_FINITE = "NaN or infinite value cannot be quantised"
 
 
 @dataclass(frozen=True)
@@ -92,19 +96,33 @@ class FixedPointFormat:
         ``saturate`` is set, in which case values clamp to the range
         ends (what the hardware does).  A NaN or infinite input raises
         :class:`NonFiniteValue` either way.
+
+        The range is ``[-2^(total_bits-1), 2^(total_bits-1))`` quanta,
+        bounded by the exact power of two: ``float(max_int)`` rounds up
+        to 2^63 for a 64-bit word, where the cast would wrap.  This
+        method is the reference of the emulator's compiled twin,
+        :func:`repro.hardware.pipeline.quantize`.
         """
         x = np.asarray(x, dtype=np.float64)
         q = np.rint(x * self.scale)
+        top = 2.0 ** (self.total_bits - 1)
         # every comparison with NaN is false, so NaN fails the range too
-        if not (np.all(q <= self.max_int) and np.all(q >= self.min_int)):
+        if not (np.all(q < top) and np.all(q >= -top)):
             if not np.isfinite(x).all():
-                raise NonFiniteValue("NaN or infinite value cannot be quantised")
+                raise NonFiniteValue(NOT_FINITE)
             if not saturate:
-                raise FixedPointOverflow(
-                    f"value out of range for {self.total_bits}.{self.frac_bits} fixed point"
-                )
-            q = np.clip(q, float(self.min_int), float(self.max_int))
+                raise self.out_of_range()
+            over, under = q >= top, q < -top
+            q = np.where(over | under, 0.0, q).astype(np.int64)
+            q[over], q[under] = self.max_int, self.min_int
+            return q
         return q.astype(np.int64)
+
+    def out_of_range(self) -> FixedPointOverflow:
+        """The error :meth:`quantize` raises for a value outside the range."""
+        return FixedPointOverflow(
+            f"value out of range for {self.total_bits}.{self.frac_bits} fixed point"
+        )
 
     def dequantize(self, q: np.ndarray) -> np.ndarray:
         """Convert grid integers back to float64 values."""

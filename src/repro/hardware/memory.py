@@ -24,13 +24,14 @@ its own until the next machine-wide load re-stripes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from ..telemetry import get_tracer
 from .fixedpoint import FixedPointFormat
 from .floatformat import FloatFormat
+from .pipeline import bind_j_set, quantize, round_float
 
 
 @dataclass
@@ -41,7 +42,9 @@ class GatheredJSet:
     :func:`repro.hardware.batched.gather_chips` over its chips) or the
     rows one bank holds of its own.  ``cpos_q`` / ``cvel`` are the
     component-major (3, n) blocks the pipeline tile streams, transposed
-    once, on first use.
+    once, on first use, and ``tile`` is the j-set bound for the tile
+    (:func:`~repro.hardware.pipeline.bind_j_set`), also once: a
+    machine's rows are one write generation of its memories.
     """
 
     pos_q: np.ndarray
@@ -61,6 +64,10 @@ class GatheredJSet:
     def cvel(self) -> np.ndarray:
         return np.ascontiguousarray(self.vel.T)
 
+    @cached_property
+    def tile(self):
+        return bind_j_set(self.cpos_q, self.cvel, self.mass, self.host_index)
+
     @property
     def n(self) -> int:
         return self.pos_q.shape[0]
@@ -76,25 +83,29 @@ def storage_rows(
     derivatives and ``t0`` default to one block of read-only zeros (pure
     force-evaluation mode, where the host has already predicted the
     coordinates).  Every format is elementwise, so the rows of any
-    stripe equal those of a load of that stripe alone.
+    stripe equal those of a load of that stripe alone.  The formats are
+    the compiled twins of the format methods
+    (:func:`~repro.hardware.pipeline.quantize`,
+    :func:`~repro.hardware.pipeline.round_float`).
     """
     n = x.shape[0]
-    zero3, zero1 = np.zeros((n, 3)), np.zeros(n)
-    zero3.flags.writeable = zero1.flags.writeable = False
 
     def word(d):
-        return zero3 if d is None else word_format.round(d)
+        return _zeros((n, 3)) if d is None else round_float(word_format, d)
 
     return GatheredJSet(
-        pos_q=pos_format.quantize(x),
-        vel=word_format.round(v),
-        mass=mass,
-        host_index=np.array(host_index, dtype=np.int64),
-        acc=word(a),
-        jerk=word(jdot),
-        snap=word(snap),
-        t0=zero1 if t0 is None else np.array(t0, dtype=np.float64),
+        quantize(pos_format, x), round_float(word_format, v), mass,
+        np.array(host_index, dtype=np.int64), word(a), word(jdot), word(snap),
+        _zeros((n,)) if t0 is None else np.array(t0, dtype=np.float64),
     )
+
+
+@lru_cache(maxsize=8)
+def _zeros(shape: tuple) -> np.ndarray:
+    """One read-only block of zeros of ``shape``, shared by every load."""
+    zeros = np.zeros(shape)
+    zeros.flags.writeable = False
+    return zeros
 
 
 _NO_ROWS = GatheredJSet(
@@ -225,7 +236,7 @@ class JParticleMemory:
             raise ValueError(f"{n} particles exceed memory capacity {self.capacity}")
         rows = storage_rows(
             self.pos_format, self.word_format, host_index, x, v,
-            self.word_format.round(m), a, jdot, snap, t0,
+            round_float(self.word_format, m), a, jdot, snap, t0,
         )
         self.store.detach(self, rows)
         get_tracer().count("grape.jmem_writes", n)

@@ -1,9 +1,19 @@
-/* Compiled GRAPE-6 pipeline tile: the same integers as the numpy tile.
+/* Compiled GRAPE-6 pipeline tile: the same integers as the numpy tile,
+ * and the host's side of its boundary in the same bits as numpy.
  *
- * This file is the fast tier beneath repro.hardware.pipeline
- * .partial_lanes.  Its contract is identity with the numpy tier
- * (pipeline.numpy_partial_lanes), which stays the reference: the loader
- * checks both against each other before it hands this one out.
+ * This file is the fast tier beneath repro.hardware.pipeline.  Its
+ * contract is identity with the numpy tier, which stays the reference:
+ * the loader checks both against each other before it hands this one
+ * out.  Five entry points:
+ *
+ *   pipeline_tile        the j-sums as carry-save lanes
+ *                        (pipeline.numpy_partial_lanes);
+ *   pipeline_forces      the same sums range-checked and converted to
+ *                        acc, jerk, pot (numpy_partial_lanes, then
+ *                        BlockFloatAccumulator.to_float_lanes);
+ *   pipeline_to_forces   that conversion alone, of given lanes;
+ *   fixed_point_quantize FixedPointFormat.quantize, both branches;
+ *   float_format_round   FloatFormat.round.
  *
  * Unlike the float tile (forces/pairwise_tile.c) there is no summation
  * order to reproduce.  Elementwise, a pair goes through exactly the
@@ -15,6 +25,8 @@
  * scaling and the same round-half-even to an integer.  From there on
  * the values are integers and their sum is exact in any order, so equal
  * pair terms give equal lanes whatever the block size or vector width.
+ * The conversions call what numpy calls: rint, frexp, ldexp, the int64
+ * to double cast and one multiply, each exact or correctly rounded.
  *
  * Like the chip it stands in for, the tile holds one i-particle while
  * the j-memory streams past in blocks of at most BLOCK pairs; the seven
@@ -34,6 +46,22 @@
 #define MAGNITUDE UINT64_C(0x7fffffffffffffff)
 #define TWO_62 UINT64_C(0x43d0000000000000)
 
+/* what the tile entry points answer */
+enum { FITS = 0, SATURATES = 1, TOTAL_OVERFLOWS = 2 };
+
+/* what fixed_point_quantize answers */
+enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
+
+/* The j-memory one call streams: bound once per j-set by the caller
+ * (pipeline.bind_j_set), component-major, contiguous. */
+struct j_set {
+    ptrdiff_t n_j;
+    const int64_t *cj_q;   /* (3, n_j) grid integers */
+    const double *cj_v;    /* (3, n_j) velocities */
+    const double *mj;      /* (n_j,) masses */
+    const int64_t *host_j; /* (n_j,) host indices */
+};
+
 static inline uint64_t bits_of(double x)
 {
     uint64_t b;
@@ -48,32 +76,64 @@ static inline double double_of(uint64_t b)
     return x;
 }
 
-/* xi_q (n_i, 3) grid integers and vi (n_i, 3) velocities of the targets;
- * cj_q, cj_v (3, n_j), mj, host_j (n_j,) the sources, component-major;
- * exponents (7, n_i) the declared block exponents, under which a term c
- * becomes round(c / 2^(e - frac_bits)) quanta; lanes (2, 7, n_i)
- * receives the carry-save lanes hi, lo of the j-sums; i_index (n_i,)
- * host indices of the targets or NULL; `drop` low mantissa bits are
- * rounded away (nearest even) first.  All contiguous.  Returns 1, with
- * lanes unspecified, if a term does not fit the accumulator or is not
- * finite - tested before any conversion to an integer, so that none is
- * ever out of range. */
-int pipeline_tile(const int64_t *xi_q, const double *vi, const int64_t *cj_q,
-                  const double *cj_v, const double *mj, const int64_t *host_j,
-                  const int64_t *exponents, int64_t *lanes,
-                  const int64_t *i_index, ptrdiff_t n_i, ptrdiff_t n_j,
-                  int frac_bits, double resolution, double eps2, int drop)
+/* 2^shift as ldexp gives it; far outside the float range that is 0 or
+ * inf anyway, and numpy clamps an exponent beyond int the same way */
+static inline double power_of_two(int64_t shift)
 {
-    int64_t *hi = lanes, *lo = lanes + 7 * n_i;
-    const int64_t *restrict qx = cj_q, *restrict qy = cj_q + n_j,
-                  *restrict qz = cj_q + 2 * n_j;
-    const double *restrict u = cj_v, *restrict v = cj_v + n_j,
-                 *restrict w = cj_v + 2 * n_j;
+    shift = shift > 4096 ? 4096 : shift < -4096 ? -4096 : shift;
+    return ldexp(1.0, (int)shift);
+}
+
+/* BlockFloatAccumulator.to_float_lanes of one total hi 2^32 + lo: after
+ * the carry out of the low lane, the total fits the signed 64-bit
+ * register iff the carried high lane is in [-2^31, 2^31), the -2^63
+ * edge excluded.  Returns 1, writing nothing, if it does not fit. */
+static inline int to_float(int64_t hi, int64_t lo, double quantum, double *x)
+{
+    const int64_t half = INT64_C(1) << 31;
+    const int64_t lo_rem = lo & INT64_C(0xFFFFFFFF);
+    const int64_t carried = (int64_t)((uint64_t)hi + (uint64_t)(lo >> 32));
+    if (carried >= half || carried < -half || (carried == -half && lo_rem == 0))
+        return 1;
+    *x = (double)(int64_t)(((uint64_t)carried << 32) + (uint64_t)lo_rem) * quantum;
+    return 0;
+}
+
+/* Where plane q of target i lands in forces: acc (n_i, 3), jerk (n_i,
+ * 3), pot (n_i,), one after the other. */
+static inline ptrdiff_t force_slot(int q, ptrdiff_t i, ptrdiff_t n_i)
+{
+    return q < 3 ? 3 * i + q : q < 6 ? 3 * n_i + 3 * i + (q - 3) : 6 * n_i + i;
+}
+
+/* xi_q (n_i, 3) grid integers and vi (n_i, 3) velocities of the targets;
+ * exponents (7, n_i) the declared block exponents, under which a term c
+ * becomes round(c / 2^(e - frac_bits)) quanta; i_index (n_i,) host
+ * indices of the targets or NULL; `drop` low mantissa bits are rounded
+ * away (nearest even) first.  All contiguous.  Exactly one of lanes
+ * (2, 7, n_i: the carry-save lanes hi, lo of the j-sums) and forces
+ * (7 n_i: force_slot) receives the sums.  Returns SATURATES, with the
+ * outputs unspecified, if a term does not fit the accumulator or is not
+ * finite - tested before any conversion to an integer, so that none is
+ * ever out of range - and TOTAL_OVERFLOWS if a sum does not fit it. */
+static int stream(const struct j_set *j, const int64_t *xi_q, const double *vi,
+                  const int64_t *exponents, const int64_t *i_index,
+                  ptrdiff_t n_i, int frac_bits, double resolution, double eps2,
+                  int drop, int64_t *lanes, double *forces)
+{
+    const ptrdiff_t n_j = j->n_j;
+    const int64_t *restrict qx = j->cj_q, *restrict qy = j->cj_q + n_j,
+                  *restrict qz = j->cj_q + 2 * n_j;
+    const double *restrict u = j->cj_v, *restrict v = j->cj_v + n_j,
+                 *restrict w = j->cj_v + 2 * n_j;
+    const double *restrict mj = j->mj;
+    const int64_t *restrict host_j = j->host_j;
     const int by_index = i_index != NULL;
     /* drop == 0 rounds nothing: the parity bit must not be added */
     const uint64_t odd = drop ? 1 : 0;
     const uint64_t half_less_one = drop ? (UINT64_C(1) << (drop - 1)) - 1 : 0;
     const uint64_t keep = ~((UINT64_C(1) << drop) - 1);
+    int overflow = 0;
     /* c / 2^(e-F) == c * 2^(F-e) bit for bit (also when the product
      * under- or overflows) as long as both powers of two are normal
      * numbers; one exponent beyond that (an all-zero-mass j-set) and
@@ -93,10 +153,8 @@ int pipeline_tile(const int64_t *xi_q, const double *vi, const int64_t *cj_q,
         int64_t sum_hi[7] = {0};
         uint64_t sum[7] = {0};
         for (int q = 0; q < 7; q++) {
-            /* far outside the float range ldexp gives 0 or inf anyway */
-            int64_t shift = frac_bits - exponents[q * n_i + i];
-            shift = shift > 4096 ? 4096 : shift < -4096 ? -4096 : shift;
-            s[q] = ldexp(1.0, (int)(multiply ? shift : -shift));
+            const int64_t shift = frac_bits - exponents[q * n_i + i];
+            s[q] = power_of_two(multiply ? shift : -shift);
         }
 
         for (ptrdiff_t j0 = 0; j0 < n_j; j0 += BLOCK) {
@@ -105,21 +163,21 @@ int pipeline_tile(const int64_t *xi_q, const double *vi, const int64_t *cj_q,
             uint64_t largest = 0;
 
             for (ptrdiff_t k = 0; k < n; k++) {
-                const ptrdiff_t j = j0 + k;
+                const ptrdiff_t jj = j0 + k;
                 /* wrapping fixed-point subtraction, exact as a double */
-                double dx = (double)(int64_t)((uint64_t)qx[j] - xi) * resolution;
-                double dy = (double)(int64_t)((uint64_t)qy[j] - yi) * resolution;
-                double dz = (double)(int64_t)((uint64_t)qz[j] - zi) * resolution;
-                double du = u[j] - ui, dv = v[j] - vi_, dw = w[j] - wi;
+                double dx = (double)(int64_t)((uint64_t)qx[jj] - xi) * resolution;
+                double dy = (double)(int64_t)((uint64_t)qy[jj] - yi) * resolution;
+                double dz = (double)(int64_t)((uint64_t)qz[jj] - zi) * resolution;
+                double du = u[jj] - ui, dv = v[jj] - vi_, dw = w[jj] - wi;
                 double r2 = (dx * dx + dy * dy) + dz * dz;
                 /* the pair is cut at zero grid distance or equal host
                  * index: r = inf, so 1/r and every weight are exactly 0 */
-                int cut = (r2 == 0.0) | (by_index & (host_j[j] == self));
+                int cut = (r2 == 0.0) | (by_index & (host_j[jj] == self));
                 r2 = cut ? (double)INFINITY : r2 + eps2;
                 double rinv = 1.0 / sqrt(r2);
                 double rv = (dx * du + dy * dv) + dz * dw;
                 double rinv2 = rinv * rinv;
-                double mrinv = rinv * mj[j];
+                double mrinv = rinv * mj[jj];
                 double mrinv3 = mrinv * rinv2;
                 double alpha = rv * 3.0;
                 alpha *= rinv2;
@@ -151,7 +209,7 @@ int pipeline_tile(const int64_t *xi_q, const double *vi, const int64_t *cj_q,
                 }
             }
             if (largest >= TWO_62)
-                return 1;
+                return SATURATES;
             for (int q = 0; q < 7; q++) {
                 const double *restrict tq = t[q];
                 int64_t h = 0;
@@ -166,9 +224,116 @@ int pipeline_tile(const int64_t *xi_q, const double *vi, const int64_t *cj_q,
             }
         }
         for (int q = 0; q < 7; q++) {
-            hi[q * n_i + i] = sum_hi[q];
-            lo[q * n_i + i] = (int64_t)(sum[q] - ((uint64_t)sum_hi[q] << 32));
+            const int64_t lo = (int64_t)(sum[q] - ((uint64_t)sum_hi[q] << 32));
+            if (lanes != NULL) {
+                lanes[q * n_i + i] = sum_hi[q];
+                lanes[(7 + q) * n_i + i] = lo;
+            } else {
+                /* the quantum, 2^(e - frac_bits), as to_float_lanes scales */
+                const double quantum = power_of_two(exponents[q * n_i + i] - frac_bits);
+                overflow |= to_float(sum_hi[q], lo, quantum, forces + force_slot(q, i, n_i));
+            }
         }
     }
-    return 0;
+    return overflow ? TOTAL_OVERFLOWS : FITS;
+}
+
+int pipeline_tile(const struct j_set *j, const int64_t *xi_q, const double *vi,
+                  const int64_t *exponents, const int64_t *i_index, ptrdiff_t n_i,
+                  int frac_bits, double resolution, double eps2, int drop,
+                  int64_t *lanes)
+{
+    return stream(j, xi_q, vi, exponents, i_index, n_i, frac_bits, resolution, eps2,
+                  drop, lanes, NULL);
+}
+
+int pipeline_forces(const struct j_set *j, const int64_t *xi_q, const double *vi,
+                    const int64_t *exponents, const int64_t *i_index, ptrdiff_t n_i,
+                    int frac_bits, double resolution, double eps2, int drop,
+                    double *forces)
+{
+    return stream(j, xi_q, vi, exponents, i_index, n_i, frac_bits, resolution, eps2,
+                  drop, NULL, forces);
+}
+
+/* lanes (2, 7, n_i) and exponents (7, n_i) -> forces (force_slot);
+ * TOTAL_OVERFLOWS if a total does not fit the register. */
+int pipeline_to_forces(const int64_t *lanes, const int64_t *exponents, ptrdiff_t n_i,
+                       int frac_bits, double *forces)
+{
+    int overflow = 0;
+    for (int q = 0; q < 7; q++) {
+        for (ptrdiff_t i = 0; i < n_i; i++) {
+            const double quantum = power_of_two(exponents[q * n_i + i] - frac_bits);
+            overflow |= to_float(lanes[q * n_i + i], lanes[(7 + q) * n_i + i], quantum,
+                                 forces + force_slot(q, i, n_i));
+        }
+    }
+    return overflow ? TOTAL_OVERFLOWS : FITS;
+}
+
+/* FixedPointFormat.quantize of x (n,) into q (n,): rint(x 2^frac_bits)
+ * on the grid of a total_bits two's-complement word, whose range is
+ * [-2^(total_bits-1), 2^(total_bits-1)) exactly.  NOT_FINITE if an x is
+ * NaN or infinite (either branch); else OUT_OF_RANGE if a value is
+ * outside the range, unless `saturate`, which clamps it to the range
+ * ends.  q is unspecified unless ON_GRID is answered.  The first pass
+ * is branch-free (an out-of-range value is cast as 0, never out of the
+ * int64 range); only a value outside the range costs a second one. */
+int fixed_point_quantize(const double *x, ptrdiff_t n, int frac_bits, int total_bits,
+                         int saturate, int64_t *q)
+{
+    const double scale = ldexp(1.0, frac_bits), top = ldexp(1.0, total_bits - 1);
+    const int64_t max_int = (int64_t)((UINT64_C(1) << (total_bits - 1)) - 1);
+    int outside = 0;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        const double r = rint(x[k] * scale);
+        const int fits = (r < top) & (r >= -top);
+        outside |= !fits;
+        q[k] = (int64_t)(fits ? r : 0.0);
+    }
+    if (!outside)
+        return ON_GRID;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        if (!isfinite(x[k]))
+            return NOT_FINITE;
+    }
+    if (!saturate)
+        return OUT_OF_RANGE;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        const double r = rint(x[k] * scale);
+        if (!(r < top && r >= -top))
+            q[k] = r > 0.0 ? max_int : -max_int - 1;
+    }
+    return ON_GRID;
+}
+
+/* FloatFormat.round of x (n,) into out (n,): x = m 2^e, 0.5 <= |m| < 1,
+ * m rounded to mantissa_bits bits (nearest even) and scaled back;
+ * zeros, infinities and NaNs pass through.  A normal number is rounded
+ * on its bit pattern, as FloatFormat.round_inplace does, which equals
+ * frexp / rint / ldexp there: nearest even on the significand, a
+ * carry running into the exponent (the next binade, or inf from the
+ * top one).  With one bit kept, that bit is the implicit one, odd, so
+ * a tie rounds up as rint(1.5) does.  Zeros and subnormals take the
+ * frexp / ldexp path numpy takes. */
+void float_format_round(const double *x, ptrdiff_t n, int mantissa_bits, double *out)
+{
+    const int drop = 53 - mantissa_bits;
+    const uint64_t half_less_one = drop ? (UINT64_C(1) << (drop - 1)) - 1 : 0;
+    const uint64_t keep = ~((UINT64_C(1) << drop) - 1);
+    for (ptrdiff_t k = 0; k < n; k++) {
+        uint64_t b = bits_of(x[k]);
+        const uint64_t biased = (b >> 52) & 0x7ff;
+        if (biased == 0x7ff || drop == 0) {
+            out[k] = x[k];
+        } else if (biased == 0) {
+            int e;
+            const double m = frexp(x[k], &e);
+            out[k] = ldexp(rint(ldexp(m, mantissa_bits)), e - mantissa_bits);
+        } else {
+            b += (drop == 52 ? 1 : (b >> drop) & 1) + half_less_one;
+            out[k] = double_of(b & keep);
+        }
+    }
 }

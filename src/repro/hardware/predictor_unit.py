@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.predictor import predict_with_snap
 from .memory import JParticleMemory
+from .pipeline import quantize, round_float
 
 
 def predict_memory(
@@ -38,6 +39,6 @@ def predict_memory(
     xp, vp = predict_with_snap(
         t, mem.t0, x0, mem.vel, mem.acc, mem.jerk, mem.snap
     )
-    pos_q = mem.pos_format.quantize(xp, saturate=True)
-    vel = mem.word_format.round(vp)
+    pos_q = quantize(mem.pos_format, xp, saturate=True)
+    vel = round_float(mem.word_format, vp)
     return pos_q, vel

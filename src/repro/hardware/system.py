@@ -10,7 +10,10 @@ integrator can run on the emulated hardware unchanged.  It
   design of section 3.4): the machine's memories are one
   :class:`~repro.hardware.memory.StripedStore`, chip ``c`` of ``k``
   reading rows ``c::k`` of it, so a load is one quantise-and-install,
-* quantises the i-block and broadcasts it to every board,
+* quantises the i-block and broadcasts it to every board (the storage
+  formats through their compiled twins,
+  :func:`repro.hardware.pipeline.quantize` /
+  :func:`~repro.hardware.pipeline.round_float`),
 * declares per-i-particle block exponents — reusing each particle's
   exponent from its previous force evaluation, "almost always okay",
   from one (3, N) table — and retries with larger exponents on
@@ -33,9 +36,11 @@ tile (:func:`repro.hardware.pipeline.partial_lanes`):
     exploits the partition-independence property itself: because the
     force depends only on the *multiset* of quantised pairwise
     contributions, the striped store's rows are the machine's whole
-    j-set and one tile call covers the whole (n_i, n_j) interaction,
-    its carry-save lanes staying native int64
-    (:mod:`repro.hardware.batched`).  Bit-identical to the faithful
+    j-set, bound for the tile once per write generation, and one tile
+    call covers the whole (n_i, n_j) interaction, its carry-save lanes
+    range-checked and converted to forces inside it
+    (:func:`repro.hardware.pipeline.forces`,
+    :mod:`repro.hardware.batched`).  Bit-identical to the faithful
     path — enforced by the emulation-mode property tests — at an
     order of magnitude less host time, and at a host cost per call
     that does not grow with the chip count.
@@ -51,11 +56,11 @@ from ..config import BoardConfig
 from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
 from .batched import GatheredJSet, gather_chips, predict_gather
-from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
+from .blockfloat import OVERFLOWS, BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
 from .board import ProcessorBoard
 from .chip import PLANE_OUTPUTS, BlockExponents, charge_block
 from .memory import StripedStore, storage_rows
-from .pipeline import PipelineFormats, partial_lanes
+from .pipeline import PipelineFormats, bind_j_set, forces, quantize, round_float
 from .summation import reduce_partials
 
 #: Valid values of ``Grape6Emulator.emulation_mode``.
@@ -133,7 +138,8 @@ class Grape6Emulator:
 
         self._mass_total = 0.0
         self._j_com = np.zeros(3)
-        # the last load's mass as given (bytes); its rounding is _mass
+        # the last load's mass as given (bytes); its rounding is _mass,
+        # its sum _mass_total
         self._mass_in: bytes | None = None
         # (generation, shapes, x bytes, v bytes) of set_j_particles' last load
         self._resident: tuple = (-1, None, None, None)
@@ -192,16 +198,16 @@ class Grape6Emulator:
         striped store, chip ``c`` of ``k`` holding rows ``c::k``: the
         words per-chip loads of the same stripes would hold, since every
         storage format is elementwise.  A mass array bitwise equal to the
-        last one loaded is not re-rounded.
+        last one loaded is not re-rounded, nor summed again.
         """
         m = np.ascontiguousarray(m, dtype=np.float64)
         mass_in = m.tobytes()
         if mass_in != self._mass_in:
-            self._mass_in, self._mass = mass_in, self.formats.word.round(m)
+            self._mass_in, self._mass = mass_in, round_float(self.formats.word, m)
             self._mass.flags.writeable = False  # shared by later loads
+            self._mass_total = float(m.sum())
         fmt = self.formats
         self.jmem.load(storage_rows(fmt.pos, fmt.word, host_index, x, v, self._mass, **derivs))
-        self._mass_total = float(m.sum())
         self._j_com = (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
         get_tracer().count("grape.jmem_writes", m.shape[0])
 
@@ -233,8 +239,8 @@ class Grape6Emulator:
 
         tracer = get_tracer()
         with tracer.span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
-            xi_q = self.formats.pos.quantize(xi)
-            vi_w = self.formats.word.round(vi)
+            xi_q = quantize(self.formats.pos, xi)
+            vi_w = round_float(self.formats.word, vi)
             exponents = self._initial_exponents(xi, vi, i_index)
             retries = 0
             for _ in range(16):
@@ -300,32 +306,23 @@ class Grape6Emulator:
         i_index: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         gather = self._gathered()
-        if t is None:
-            cj_q, cj_v = gather.cpos_q, gather.cvel
+        if t is None:  # the j-set as loaded: bound once per write generation
+            j_set = gather.tile
         else:
             cj_q, cj_v = predict_gather(gather, self.formats, t)
-        hi, lo = partial_lanes(
-            xi_q,
-            vi_w,
-            cj_q,
-            cj_v,
-            gather.mass,
-            gather.host_index,
-            exponents.planes,
-            self.eps2,
-            self.formats,
-            i_index=i_index,
-        )
+            j_set = bind_j_set(cj_q, cj_v, gather.mass, gather.host_index)
+        out = forces(j_set, xi_q, vi_w, exponents.planes, self.eps2, self.formats, i_index)
         # the pipelines have streamed: charge each chip the cycles the
-        # faithful schedule would have cost it (also when the *total*
-        # overflows below and the host retries — the hardware streams
-        # the whole memory before the saturation flag is read; an
-        # attempt aborted by per-contribution saturation charges
+        # faithful schedule would have cost it (also when a *total*
+        # overflows and the host retries - the hardware streams the
+        # whole memory before the saturation flag is read; an attempt
+        # aborted by per-contribution saturation, raised above, charges
         # nothing, where the faithful schedule charges the passes before
-        # the saturating one — attempt-local, never in a result)
+        # the saturating one - attempt-local, never in a result)
         charge_block(self.jmem, self._all_chips[0].config, xi_q.shape[0])
-        out = BlockFloatAccumulator(exponents.planes).to_float_lanes(hi, lo)
-        return np.ascontiguousarray(out[:3].T), np.ascontiguousarray(out[3:6].T), out[6]
+        if out is None:
+            raise BlockFloatOverflow(OVERFLOWS)
+        return out
 
     def _gathered(self) -> GatheredJSet:
         """The machine's j-set as contiguous arrays.
@@ -364,8 +361,8 @@ class Grape6Emulator:
             grown[:, : self._exp.shape[1]] = self._exp
             self._exp = grown
         planes = self._exp[PLANE_OUTPUTS, idx]
-        rows = np.flatnonzero(planes[0] == UNCACHED)
-        if rows.size:
+        if idx.size and planes[0].min() == UNCACHED:  # the least int64: one is uncached
+            rows = np.flatnonzero(planes[0] == UNCACHED)
             planes[:, rows] = self._guess_exponents(xi[rows], vi[rows]).planes
         return BlockExponents.from_planes(planes)
 

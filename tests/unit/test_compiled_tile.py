@@ -10,7 +10,8 @@ with the compiler lookup and the cache location patched: no compiler, a
 compiler that fails, a build that computes something else, a cache
 directory someone else could write to, and several processes building
 at once.  There is one loader, so every case runs over every tile of
-:data:`TILES` (inside the test: the test names are pinned).
+:data:`TILES` (inside the test: the test names are pinned).  A library
+with two self-checks has a row for each, under its one name.
 """
 
 import os
@@ -47,16 +48,27 @@ def forces(tile):
     return b"".join(a.tobytes() for a in out)
 
 
-def lanes(tile):
-    """The pipeline tile's lanes from ``tile``, on a fixed tile."""
+def lanes(tier):
+    """The pipeline tile's lanes from ``tier``, on a fixed tile, and its
+    forces on the same tile."""
     rng = np.random.default_rng(5)
     fmt = PipelineFormats.default()
     x_q, v = fmt.pos.quantize(rng.normal(size=(300, 3))), rng.normal(size=(300, 3))
-    return pipeline.lanes_or_overflow(
-        tile, x_q[:9], v[:9], np.ascontiguousarray(x_q.T), np.ascontiguousarray(v.T),
-        rng.uniform(0.1, 1, 300), np.arange(300), np.full((7, 9), 14), 2.0**-12, fmt,
-        np.arange(9),
-    )
+    j_set = (np.ascontiguousarray(x_q.T), np.ascontiguousarray(v.T), rng.uniform(0.1, 1, 300),
+             np.arange(300))
+    args = (x_q[:9], v[:9], *j_set, np.full((7, 9), 14), 2.0**-12, fmt, np.arange(9))
+    forces = tier.forces(tier.bind_j_set(*j_set), *args[:2], *args[6:])
+    return pipeline.lanes_or_overflow(tier.partial_lanes, *args) + b"".join(
+        a.tobytes() for a in forces)
+
+
+def formats(tier):
+    """The storage formats of ``tier`` on values around the position
+    word's range ends, saturated."""
+    fmt = PipelineFormats.default()
+    x = np.array([2.0**23 - 2.0**-41, 2.0**23, -2.0**23, -2.0**23 - 1.0, 1e10, 0.5 * 2.0**-40])
+    return (tier.quantize(fmt.pos, x, True).tobytes()
+            + tier.round_float(fmt.word, x).tobytes())
 
 
 def blockstep(tile):
@@ -90,10 +102,16 @@ TILES = (
          "r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7]"),
     ),
     Tile(
-        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.numpy_partial_lanes,
-        lambda: pipeline.partial_lanes, lanes,
+        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.NUMPY_PIPELINE,
+        lambda: pipeline._tier, lanes,
         # the pair format truncated instead of rounded to nearest
         ("b += ((b >> drop) & odd) + half_less_one;", ""),
+    ),
+    Tile(
+        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.NUMPY_PIPELINE,
+        lambda: pipeline._tier, formats,
+        # the fixed-point range closed at its top end: 2^63 quanta wrap
+        ("(r < top) & (r >= -top)", "(r <= top) & (r >= -top)"),
     ),
     Tile(
         "hermite_tile", hermite_tile.resolve_hermite_tier, hermite_tile.NUMPY_TILE,
@@ -189,7 +207,7 @@ class TestFallback:
             with monkeypatch.context() as patch:
                 patch.setitem(compiled.SOURCES, t.name, edited)
                 assert_numpy_tier("self-check", [t])
-                assert_compiled_tier([other for other in TILES if other is not t])
+                assert_compiled_tier([other for other in TILES if other.name != t.name])
 
     def test_self_check_catches_a_wrong_mask(self):
         def unmasked(ci, cj, gm, eps2, mask_self, sums):
@@ -284,7 +302,7 @@ class TestBuild:
     def test_builds_once_then_loads_from_the_cache(self, cache, monkeypatch):
         built = assert_compiled_tier()
         libraries = sorted(cache.iterdir())
-        assert [lib.name.split("-")[0] for lib in libraries] == sorted(t.name for t in TILES)
+        assert [lib.name.split("-")[0] for lib in libraries] == sorted({t.name for t in TILES})
         for line in built:
             assert "-ffp-contract=off" in line and "fast-math" not in line
             assert sum(str(lib) in line for lib in libraries) == 1
@@ -300,7 +318,7 @@ class TestBuild:
         assert_compiled_tier()
         monkeypatch.setattr(compiled, "CFLAGS", (*compiled.CFLAGS, "-DOTHER"))
         assert_compiled_tier()
-        assert len(list(cache.iterdir())) == 4 * len(TILES)
+        assert len(list(cache.iterdir())) == 4 * len(compiled.SOURCES)
 
     def test_compiler_identity_follows_links_and_sees_an_upgrade(self, tmp_path):
         real = tmp_path / "gcc-12"
@@ -347,7 +365,7 @@ class TestBuild:
         outs = [p.communicate(timeout=300) for p in procs]
         assert [p.returncode for p in procs] == [0] * 6, outs
         libraries = sorted((tmp_path / "repro-grape6").iterdir())
-        assert len(libraries) == len(TILES), libraries
+        assert len(libraries) == len(compiled.SOURCES), libraries
         for out, _ in outs:
             for line, library in zip(out.splitlines(), libraries):
                 assert line.startswith("c ") and str(library) in line, outs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hardware import pipeline
 from repro.hardware.fixedpoint import (
     FixedPointFormat,
     FixedPointOverflow,
@@ -11,6 +12,13 @@ from repro.hardware.fixedpoint import (
     combine_lanes_exact,
     exact_int_sum,
 )
+
+#: Both tiers of the format: the reference method, and the twin the
+#: emulator calls (compiled where this process resolved the C tier).
+TIERS = [
+    pytest.param(FixedPointFormat.quantize, id="numpy"),
+    pytest.param(pipeline.quantize, id=f"served-{pipeline.PIPELINE_TIER}"),
+]
 
 
 class TestFixedPointFormat:
@@ -71,6 +79,47 @@ class TestFixedPointFormat:
         np.testing.assert_array_equal(
             dx / fmt.resolution, np.rint(dx / fmt.resolution)
         )
+
+
+@pytest.mark.parametrize("quantize", TIERS)
+class TestRangeEnds:
+    """The range is [-2^(bits-1), 2^(bits-1)) quanta, bounded by the exact
+    power of two.  A 64-bit word's ``float(max_int)`` is 2^63, and the
+    cast of 2^63 quanta wrapped to INT64_MIN behind a RuntimeWarning:
+    a particle flown past +2^23 came back at -2^23."""
+
+    POS = FixedPointFormat(64, 40)
+
+    @pytest.mark.parametrize("x", [2.0**23 - 2.0**-40, 2.0**23, 2.0**24, -(2.0**23) - 2.0**-29])
+    def test_the_top_of_a_64_bit_word_overflows(self, quantize, x, recwarn):
+        assert 2.0**23 - 2.0**-40 == 2.0**23  # one quantum below is not a float64
+        with pytest.raises(FixedPointOverflow) as raised:
+            quantize(self.POS, np.array([x]))
+        assert type(raised.value) is FixedPointOverflow
+        assert not recwarn.list
+
+    def test_saturation_lands_on_the_range_ends(self, quantize, recwarn):
+        q = quantize(self.POS, np.array([1e10, -1e10, 2.0**23, -(2.0**23) - 1.0]), True)
+        assert q.tolist() == [self.POS.max_int, self.POS.min_int, self.POS.max_int,
+                              self.POS.min_int]
+        assert not recwarn.list
+
+    def test_the_bottom_end_is_in_range(self, quantize):
+        q = quantize(self.POS, np.array([-(2.0**23), np.nextafter(2.0**23, 0.0)]))
+        assert q.tolist() == [self.POS.min_int, 2**63 - 2**10]
+
+    def test_a_32_bit_word_is_unchanged(self, quantize):
+        fmt = FixedPointFormat(32, 16)
+        top = 2.0**15
+        edges = np.array([top - 2.0**-16, -top, top - 2.0**-16 - 2.0**-18, -top - 2.0**-18])
+        assert quantize(fmt, edges).tolist() == [fmt.max_int, fmt.min_int, fmt.max_int,
+                                                 fmt.min_int]
+        # half a quantum below the top rounds (to even) onto it
+        for x in (top, top - 2.0**-17, -top - 2.0**-16):
+            with pytest.raises(FixedPointOverflow):
+                quantize(fmt, np.array([x]))
+        assert quantize(fmt, np.array([1e6, -1e6]), True).tolist() == [fmt.max_int,
+                                                                         fmt.min_int]
 
 
 class TestExactIntSum:
