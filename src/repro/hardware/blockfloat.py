@@ -88,12 +88,13 @@ class BlockFloatAccumulator:
         """Convert float contributions to accumulator integers (int64).
 
         Raises :class:`BlockFloatOverflow` if any single contribution
-        does not fit the register (the hardware's saturation flag).
+        does not fit the register (the hardware's saturation flag, "not
+        (finite and below 2^62)": a NaN contribution saturates too).
         """
         c = np.asarray(contributions, dtype=np.float64)
         q = np.ldexp(1.0, (self.exponents - FRAC_BITS).astype(np.int64))
         scaled = c / q
-        if np.any(np.abs(scaled) >= 2.0**62):
+        if not (np.abs(scaled) < 2.0**62).all():
             raise BlockFloatOverflow("pairwise contribution saturates the accumulator")
         return np.rint(scaled).astype(np.int64)
 

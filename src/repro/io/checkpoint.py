@@ -224,7 +224,7 @@ def restore_integrator(
 
     The returned integrator continues the interrupted run bit
     identically (property-pinned in
-    ``tests/property/test_prop_checkpoint_resume.py``).  ``backend``
+    ``tests/property/test_prop_invariants.py``).  ``backend``
     must match the interrupted run's configuration — the checkpoint
     header's ``metadata`` is the natural place for callers to record
     it.  Passing ``algorithm`` (a parallel force backend) rebuilds a

@@ -20,8 +20,8 @@ the driver gathers their results in task order, and every virtual
 clock/ledger operation happens in exactly the interleaving the old
 central loops used.  Virtual-time trajectories, blockstep schedules,
 comm-ledger summaries and final particle state are therefore bitwise
-equal across all three backends (property-pinned in
-``tests/property/test_prop_execution_backends.py``).
+equal across all three backends (property-pinned by the invariants
+matrix, ``tests/property/test_prop_invariants.py``).
 
 Where nothing times the tiles one by one, :func:`run_slice` runs
 consecutive tiles that share a j-set (the copy algorithm's rank tiles:

@@ -14,8 +14,8 @@ through its lifecycle.  For ``run`` jobs the loop is:
   ``completed`` state.
 
 ``execute(resume=True)`` restores the newest checkpoint and continues
-**bit identically** (the property pin in
-``tests/property/test_prop_checkpoint_resume.py``), publishing a
+**bit identically** (the kill-point cells of
+``tests/property/test_prop_invariants.py``), publishing a
 ``discontinuity`` record first: the archive downstream of a resume is
 explicit about the records that never happened, and about whether the
 resuming process runs the same commit/machine the checkpoint came

@@ -42,6 +42,8 @@ from repro.hardware.fixedpoint import FixedPointFormat
 from repro.hardware.floatformat import FloatFormat
 from repro.models import plummer_model
 
+pytestmark = pytest.mark.tiers
+
 SERVING = hermite_tile.HermiteTile(hermite_tile.predict_hermite, hermite_tile.advance_block)
 TIERS = [pytest.param(NUMPY_TILE, id="numpy")] + (
     [pytest.param(SERVING, id="c")] if hermite_tile.HERMITE_TIER == "c" else []

@@ -19,6 +19,8 @@ from repro.config import BoardConfig
 from repro.forces.grape_api import Grape6Library
 from repro.hardware import Grape6Emulator
 
+pytestmark = pytest.mark.tiers
+
 EPS2 = 1.0 / 4096.0
 
 #: The partitions the acceptance criteria name: one single-chip board,

@@ -3,14 +3,11 @@
 The host's share of a blockstep is two calls into
 :mod:`repro.core.hermite_tile` - ``predict_hermite`` and
 ``advance_block`` - each served by ``hermite_tile.c`` or by the numpy
-code it must equal.  Pinned here:
+code it must equal.  Pinned here (the digest of a whole run recorded
+before the tile existed, "the same bits as before", is a golden cell of
+``test_prop_invariants.py``, which CI runs once more with no compiler on
+PATH):
 
-(a) a blake2b digest of a whole run (Plummer N = 64, seed 2003,
-    eps = 1/64, to t = 1: 1 057 blocksteps), recorded at the commit
-    before the tile existed, when ``BlockTimestepIntegrator.step`` was
-    numpy inline - so "the same bits as before", not only "the tiers
-    agree".  It runs on whichever tier the process resolved; CI runs
-    this file once more with no compiler on PATH;
 (b) the compiled tier against the numpy tier on the bytes of all nine
     state arrays plus the new steps: block sizes around the reduce's
     unroll, steps 2^-3 .. 2^-40 inside one block, a doubling granted
@@ -24,8 +21,6 @@ code it must equal.  Pinned here:
     only numpy can walk and for buffers nobody may write.
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +32,8 @@ from repro.core.timestep import NonFiniteForce, aarseth_dt
 from repro.forces import DirectSummation
 from repro.hardware import Grape6Emulator
 from repro.models import plummer_model
+
+pytestmark = pytest.mark.tiers
 
 EPS2 = (1.0 / 64.0) ** 2
 STATE = STATE_VECTORS + STATE_SCALARS
@@ -51,20 +48,6 @@ needs_compiled_tier = pytest.mark.skipif(
 TIERS = [pytest.param(NUMPY_TILE, id="numpy")] + (
     [pytest.param(SERVING, id="c")] if hermite_tile.HERMITE_TIER == "c" else []
 )
-
-
-# -- (a) the run the parent commit made --------------------------------------
-
-GOLDEN_RUN = "b9b7865acbbd6a23f2f656ab76d73d2f"
-
-
-def test_run_digest_matches_the_parent_commit():
-    s = plummer_model(64, seed=2003)
-    integ = BlockTimestepIntegrator(s, EPS2)
-    stats = integ.run(1.0)
-    assert (stats.blocksteps, stats.particle_steps, stats.interactions) == (1057, 8985, 570087)
-    digest = hashlib.blake2b(state_bytes(s, integ.scheduler.t_next), digest_size=16)
-    assert digest.hexdigest() == GOLDEN_RUN
 
 
 # -- (b) compiled tier == numpy tier ------------------------------------------

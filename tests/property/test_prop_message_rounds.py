@@ -13,13 +13,11 @@ ledger export and the ``net.*`` metrics must come out equal.  The ring
 allgather and the barrier, each one schedule, must equal their
 one-round-per-call form.
 
-The golden matrix below pins the same thing end to end: ledger and
-clock digests of all four algorithms, recorded at the commit before
-message rounds existed.
+The same thing end to end - ledger and clock digests of all four
+algorithms, recorded at the commit before message rounds existed - is
+the golden column of ``test_prop_invariants.py``.
 """
 
-import hashlib
-import json
 from unittest import mock
 
 import numpy as np
@@ -28,20 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NICConfig
-from repro.models import plummer_model
-from repro.parallel import (
-    CommLedger,
-    CopyAlgorithm,
-    Grid2DAlgorithm,
-    HybridAlgorithm,
-    ParallelBlockIntegrator,
-    RingAlgorithm,
-    SimNetwork,
-)
+from repro.parallel import CommLedger, SimNetwork
 from repro.parallel import ledger as ledger_module
 from repro.parallel.ledger import KIND_COLLECTIVE, KIND_P2P, LinkStats
 from repro.parallel.simcomm import BARRIER_BYTES
 from repro.telemetry import T_BARRIER, Metrics, Tracer
+
+pytestmark = pytest.mark.tiers
 
 NIC = NICConfig(name="prop", rtt_latency_us=67.0, bandwidth_mbs=105.0)
 OVERHEAD_US = 1.7
@@ -270,83 +261,3 @@ def test_collectives_equal_their_per_round_form(program):
     assert net.stats == ref.stats
     assert exports[0] == exports[1]
     assert tracers[0].metrics.snapshot() == tracers[1].metrics.snapshot()
-
-
-# -- golden matrix ---------------------------------------------------------------
-
-EPS2 = (1.0 / 64.0) ** 2
-
-
-def compute_hook(rank, n_i, n_j):
-    return 0.25 * n_i * n_j + 0.375 * rank
-
-
-def build_algorithm(name, size, cost):
-    if name == "copy":
-        return CopyAlgorithm(SimNetwork(size), EPS2, compute_time_us=cost)
-    if name == "ring":
-        return RingAlgorithm(SimNetwork(size), EPS2, compute_time_us=cost)
-    if name == "grid2d":
-        return Grid2DAlgorithm(SimNetwork(size), EPS2, compute_time_us=cost)
-    return HybridAlgorithm(size, EPS2, compute_time_us=cost)
-
-
-def digest(chunks):
-    h = hashlib.sha256()
-    for chunk in chunks:
-        h.update(chunk)
-    return h.hexdigest()[:16]
-
-
-#: (ledger digest, clock digest) of plummer N=24 seed 23 run to t=1/16,
-#: per algorithm, size and compute-cost hook, recorded at the parent
-#: commit.  Sizes are rank counts {1, 3, 4, 16}; grid2d needs a square,
-#: so its 3 is the grid side (9 ranks); hybrid's size is clusters of 4.
-GOLDEN = {
-    ("copy", 1, "free"): ("e3e295308ba92228", "af5570f5a1810b7a"),
-    ("copy", 1, "hook"): ("e3e295308ba92228", "c2008ba6240cd289"),
-    ("copy", 3, "free"): ("f793afa728e772fd", "d6e2025ed9f55b42"),
-    ("copy", 3, "hook"): ("4cd6c64a2e98078c", "fc5b2e1b1b90de8c"),
-    ("copy", 4, "free"): ("4d4fdcb10dd4b2be", "efa68e26ab0f997a"),
-    ("copy", 4, "hook"): ("0a3c0b3400224a83", "7045f955ba38b041"),
-    ("copy", 16, "free"): ("f0ec3706ba62bc94", "be33d64441ea0881"),
-    ("copy", 16, "hook"): ("a10f9481c3e1646a", "b7bf0009ecc82939"),
-    ("ring", 1, "free"): ("e3e295308ba92228", "af5570f5a1810b7a"),
-    ("ring", 1, "hook"): ("e3e295308ba92228", "c2008ba6240cd289"),
-    ("ring", 3, "free"): ("c89ce908b896c639", "47af3cb7287ad026"),
-    ("ring", 3, "hook"): ("34f532d895a251b6", "fdd5f7bdb948f0b3"),
-    ("ring", 4, "free"): ("ff3640ab81d4edaa", "fd93aec5173b9785"),
-    ("ring", 4, "hook"): ("64fce9dece5095d5", "9092037178e5f362"),
-    ("ring", 16, "free"): ("328d5ed8c7566a47", "a1749256f7c56158"),
-    ("ring", 16, "hook"): ("7e1e7a21e38a0367", "4e6241e72bd2fbbd"),
-    ("grid2d", 1, "free"): ("e3e295308ba92228", "af5570f5a1810b7a"),
-    ("grid2d", 1, "hook"): ("e3e295308ba92228", "c2008ba6240cd289"),
-    ("grid2d", 4, "free"): ("87cfab7b4f9f0dce", "632ff2d3f7d68df2"),
-    ("grid2d", 4, "hook"): ("8b80b318b27922e8", "ac728abdeeb72dec"),
-    ("grid2d", 9, "free"): ("22c1ff7ca5ec43db", "748b7364583073b1"),
-    ("grid2d", 9, "hook"): ("ce2638ffc1cee0f4", "ddf670680184de15"),
-    ("grid2d", 16, "free"): ("a122dc17952a91b7", "6b6e4e0d97816337"),
-    ("grid2d", 16, "hook"): ("69e440a9ccfa9f4f", "64a8eaafa11a9e59"),
-    ("hybrid", 1, "free"): ("3ede3195543a5081", "b018aaa580aa7a06"),
-    ("hybrid", 1, "hook"): ("88466d17ffc9db6e", "396643513fb134c0"),
-    ("hybrid", 3, "free"): ("7afaf2822131c60c", "7b3b123400736cfd"),
-    ("hybrid", 3, "hook"): ("488b2ae3e6bfa8e0", "8ac752594276195c"),
-    ("hybrid", 4, "free"): ("1c1d80848a31a9fe", "0d87b198737d7cd2"),
-    ("hybrid", 4, "hook"): ("4b2617d321b3a4d4", "a082c1c77577e36d"),
-    ("hybrid", 16, "free"): ("313d2f5da5c5ef09", "430f0ca6d77d6050"),
-    ("hybrid", 16, "hook"): ("d53ca14dd71eed44", "430f0ca6d77d6050"),
-}
-
-
-@pytest.mark.parametrize("name,size,cost", sorted(GOLDEN))
-def test_ledger_and_clock_digests_match_the_parent_commit(name, size, cost):
-    algo = build_algorithm(
-        name, size, compute_hook if cost == "hook" else None)
-    integ = ParallelBlockIntegrator(plummer_model(24, seed=23), EPS2, algo)
-    integ.run(1.0 / 16.0)
-    networks = getattr(algo, "networks", None) or [algo.network]
-    ledger = digest(
-        json.dumps(net.ledger.as_dict(), sort_keys=True).encode()
-        for net in networks)
-    clock = digest(net.clock.snapshot().tobytes() for net in networks)
-    assert (ledger, clock) == GOLDEN[name, size, cost]

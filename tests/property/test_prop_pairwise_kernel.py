@@ -39,6 +39,8 @@ from repro.forces.kernels import (
 )
 from repro.models import plummer_model
 
+pytestmark = pytest.mark.tiers
+
 EPS2 = (1.0 / 64.0) ** 2
 
 

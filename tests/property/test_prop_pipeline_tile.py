@@ -12,8 +12,9 @@ arithmetic itself - the two would drift together.  This file does:
     machine sizes, self-exclusion on/off, ``eps2 = 0`` with coincident
     particles, predictor mode, and under-declared exponents (same
     ``BlockFloatOverflow``, same retry count);
-(b) blake2b digests of forces and of a short block-timestep trajectory,
-    recorded at the commit before the tile existed;
+(b) blake2b digests of forces recorded at the commit before the tile
+    existed (that of a short block-timestep trajectory is a golden cell
+    of ``test_prop_invariants.py``);
 (c) the compiled tier (``pipeline_tile.c``) against the numpy tier it
     must equal integer for integer, raise for raise.  (a) and (b) run
     on whichever tier the process resolved; CI runs this file once
@@ -28,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BlockTimestepIntegrator
 from repro.hardware import Grape6Emulator
 from repro.hardware.blockfloat import BlockFloatAccumulator, BlockFloatOverflow
 from repro.hardware.chip import BlockExponents
@@ -42,6 +42,8 @@ from repro.hardware.pipeline import (
     partial_lanes,
 )
 from repro.models import plummer_model
+
+pytestmark = pytest.mark.tiers
 
 EPS2 = 1.0 / 4096.0
 
@@ -197,31 +199,47 @@ class TestAgainstOracle:
 
     def test_oracle_raises_where_the_tile_raises(self):
         """One attempt under exponents declared 40 bits too small."""
+        self.raise_alike(None)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_term_saturates_oracle_and_tile(self, poison):
+        """A target velocity that makes some jerk terms NaN or infinite:
+        the register saturates on "not (finite and below 2^62)", in the
+        tile and in the oracle's quantisation of that one term."""
+        self.raise_alike(poison)
+
+    def raise_alike(self, poison):
         x, v, m = system(12, 6)
         emu = Grape6Emulator(EPS2)
         emu.set_j_particles(x, v, m)
         fmt = emu.formats
         gather = emu._gathered()
         xi_q, vi_w = fmt.pos.quantize(x), fmt.word.round(v)
+        good = emu._initial_exponents(x, v, None)
+        if poison is None:
+            bad = BlockExponents(acc=good.acc - 40, jerk=good.jerk, pot=good.pot)
+        else:
+            bad, vi_w[3, 1] = good, poison
 
-        def oracle(exponents):
+        def oracle(exponents, vi):
             oracle_attempt(
-                xi_q, vi_w, gather.pos_q, gather.vel, gather.mass,
+                xi_q, vi, gather.pos_q, gather.vel, gather.mass,
                 gather.host_index, exponents, EPS2, fmt, None,
             )
 
-        def tile(exponents):
+        def tile(exponents, vi):
             partial_lanes(
-                xi_q, vi_w, gather.cpos_q, gather.cvel, gather.mass,
+                xi_q, vi, gather.cpos_q, gather.cvel, gather.mass,
                 gather.host_index, exponents.stacked(), EPS2, fmt,
             )
 
-        good = emu._initial_exponents(x, v, None)
-        bad = BlockExponents(acc=good.acc - 40, jerk=good.jerk, pot=good.pot)
-        for attempt in (oracle, tile):
-            attempt(good)
-            with pytest.raises(BlockFloatOverflow):
-                attempt(bad)
+        def term(exponents, vi):  # the oracle's quantisation of the bad term
+            BlockFloatAccumulator(exponents.jerk[:1]).quantize(vi[3, 1:2])
+
+        for attempt in (oracle, tile) + ((term,) if poison is not None else ()):
+            attempt(good, fmt.word.round(v))
+            with pytest.raises(BlockFloatOverflow), np.errstate(invalid="ignore"):
+                attempt(bad, vi_w)
 
 
 # -- (b) golden digests -------------------------------------------------------
@@ -264,15 +282,6 @@ GOLDEN_FORCES = {
     (2, 97, "external", True, None): "da5ca20d1b2721dc",
 }
 
-#: boards -> digest of pos, vel, acc, jerk, t, dt of plummer N=32 seed 29
-#: integrated to t = 1/16 on the emulator, recorded at the parent commit.
-GOLDEN_TRAJECTORY = {
-    1: "e8575c7da2193909",
-    2: "e8575c7da2193909",
-    4: "e8575c7da2193909",
-}
-
-
 def golden_forces(boards, n, targets, unsoftened, t):
     x, v, m = system(n, 1000 + n, coincident=unsoftened)
     emu = Grape6Emulator(0.0 if unsoftened else EPS2, boards=boards)
@@ -287,23 +296,10 @@ def golden_forces(boards, n, targets, unsoftened, t):
     return digest(res.acc, res.jerk, res.pot)
 
 
-def golden_trajectory(boards):
-    sys_ = plummer_model(32, seed=29)
-    integ = BlockTimestepIntegrator(
-        sys_, eps2=EPS2, backend=Grape6Emulator(EPS2, boards=boards)
-    )
-    integ.run(1.0 / 16.0)
-    return digest(sys_.pos, sys_.vel, sys_.acc, sys_.jerk, sys_.t, sys_.dt)
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN_FORCES, key=repr))
 def test_force_digests_match_the_parent_commit(case):
     assert golden_forces(*case) == GOLDEN_FORCES[case]
 
-
-@pytest.mark.parametrize("boards", sorted(GOLDEN_TRAJECTORY))
-def test_trajectory_digest_matches_the_parent_commit(boards):
-    assert golden_trajectory(boards) == GOLDEN_TRAJECTORY[boards]
 
 
 # -- (c) compiled tier == numpy tier ------------------------------------------

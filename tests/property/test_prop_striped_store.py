@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 from repro import plummer_model
 from repro.hardware import EMULATION_MODES, Grape6Emulator, JParticleMemory
 
+pytestmark = pytest.mark.tiers
+
 EPS2 = 1.0 / 4096.0
 FIELDS = ("pos_q", "vel", "mass", "host_index", "acc", "jerk", "snap", "t0")
 

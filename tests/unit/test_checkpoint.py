@@ -5,8 +5,8 @@ state (particles, per-particle times/steps, scheduler, statistics),
 restoring reproduces that state bit-exactly, RNG and virtual clocks
 ride along, provenance (environment fingerprint + git revision) is
 stamped, and corrupt or foreign files are rejected loudly.  The
-end-to-end resume bit-identity property lives in
-``tests/property/test_prop_checkpoint_resume.py``.
+end-to-end resume bit-identity property is the kill-point axis of
+``tests/property/test_prop_invariants.py``.
 """
 
 import io

@@ -31,6 +31,8 @@ from repro.hardware import pipeline
 from repro.hardware.blockfloat import BlockFloatOverflow
 from repro.hardware.pipeline import PipelineFormats
 
+pytestmark = pytest.mark.tiers
+
 SRC = Path(kernels.__file__).resolve().parents[2]
 
 needs_compiler = pytest.mark.skipif(

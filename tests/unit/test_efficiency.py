@@ -260,3 +260,20 @@ class TestHistoryEffFlag:
         assert "EFF" in rows[1][-1]
         rows = _traj_rows({"b": [first, point(first.values, 0.45)]})
         assert "EFF" not in rows[1][-1]
+
+
+class TestSweepMonotone:
+    def test_smoke_fraction_of_peak_monotone_in_n(self):
+        """The fig. 13 shape: fraction of peak must not fall as N
+        grows on the smoke parameterisation (acceptance criterion)."""
+        from repro.bench import REGISTRY, run_benchmark
+
+        bench = REGISTRY.get("efficiency_sweep")
+        params = bench.params_for("smoke")
+        entry = run_benchmark(bench, params, repeats=1, warmup=0)
+        derived = entry["derived"]
+        assert derived["monotone_in_n"] == 1.0
+        fracs = [derived[f"frac_peak_n{n}"] for n in params["n_values"]]
+        assert all(b >= a - 1e-12 for a, b in zip(fracs, fracs[1:]))
+        assert all(0.0 <= f <= 1.0 for f in fracs)
+        validate_efficiency(entry["efficiency"])

@@ -518,6 +518,7 @@ def kernel_calls(monkeypatch, tmp_path):
     return calls
 
 
+@pytest.mark.tiers
 class TestGroupedTiles:
     """Tiles that share a j-set run as one kernel call when nothing times
     them one by one; each task still gets its own rows and count."""

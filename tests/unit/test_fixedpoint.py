@@ -13,6 +13,8 @@ from repro.hardware.fixedpoint import (
     exact_int_sum,
 )
 
+pytestmark = pytest.mark.tiers
+
 #: Both tiers of the format: the reference method, and the twin the
 #: emulator calls (compiled where this process resolved the C tier).
 TIERS = [

@@ -26,6 +26,8 @@ from repro.hardware.pipeline import PipelineFormats, numpy_partial_lanes, partia
 from repro.hardware.predictor_unit import predict_memory
 from repro.telemetry import Tracer, set_tracer
 
+pytestmark = pytest.mark.tiers
+
 
 def tiny_setup(n=16, seed=0):
     rng = np.random.default_rng(seed)

@@ -12,6 +12,8 @@ from repro.forces.kernels import (
     potential_energy,
 )
 
+pytestmark = pytest.mark.tiers
+
 
 def two_particle_setup():
     xi = np.array([[0.0, 0.0, 0.0]])

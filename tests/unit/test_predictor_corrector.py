@@ -6,6 +6,8 @@ import pytest
 from repro.core.corrector import hermite_correct
 from repro.core.predictor import predict_hermite, predict_taylor, predict_with_snap
 
+pytestmark = pytest.mark.tiers
+
 
 def polynomial_trajectory(t, x0, v0, a0, j0):
     """Exact trajectory under constant jerk (cubic in t)."""

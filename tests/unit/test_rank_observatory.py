@@ -11,6 +11,8 @@ round-trips through the parser.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     IDLE_BUCKETS,
@@ -413,3 +415,48 @@ class TestOpenMetrics:
         }
         assert by_name["repro_job_t"] == 0.0
         assert "repro_job_fraction_of_peak" not in by_name
+
+
+samples = st.fixed_dictionaries({
+    "rank": st.integers(0, 3),
+    "wall_us": st.floats(0.0, 1.0e5, allow_nan=False),
+    "cpu_us": st.floats(0.0, 1.0e5, allow_nan=False),
+    "attach_bytes": st.integers(0, 1 << 20),
+})
+reports = st.fixed_dictionaries({
+    "backend": st.sampled_from(["inline", "thread", "process"]),
+    "span_wall_us": st.floats(0.0, 1.0e6, allow_nan=False),
+    "t_start_us": st.floats(0.0, 1.0e9, allow_nan=False),
+    "publish_bytes": st.integers(0, 1 << 24),
+    "samples": st.lists(samples, max_size=6),
+})
+blocksteps = st.lists(st.lists(reports, max_size=3), min_size=1, max_size=6)
+
+
+def exact(a, b):
+    """Equal up to float re-association (the validators' tolerance)."""
+    return abs(a - b) <= max(1e-9 * max(abs(b), 1.0), 1e-6)
+
+
+class TestLedgerArithmeticProperties:
+    """The ledger's arithmetic on adversarial inputs: the ``busy + idle
+    == span`` identity is exact, the placement split is sum-preserving,
+    and no input produces NaN."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(blocksteps)
+    def test_identity_and_placement_split_are_exact(self, steps):
+        ledger = RankLedger()
+        for step in steps:
+            for rep in step:
+                ledger.observe(rep)
+            rec = ledger.advance()
+            for busy, idle in zip(rec.busy_us, rec.idle_us):
+                assert exact(busy + idle, rec.span_wall_us)
+            validate_rank_record(rec.as_record())
+        doc = ledger.summary(comm={"mean_barrier_skew_us": 1.0})
+        validate_rank_section(doc)
+        placement = doc["placement"]
+        buckets = placement["buckets"]
+        total = buckets["imbalance"]["us"] + buckets["overhead"]["us"]
+        assert exact(total, placement["idle_us"])  # sum-preserving split

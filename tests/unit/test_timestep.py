@@ -14,6 +14,8 @@ from repro.core.timestep import (
     quantize_block_dt,
 )
 
+pytestmark = pytest.mark.tiers
+
 
 class TestAarsethCriterion:
     def test_dimensional_scaling(self):
