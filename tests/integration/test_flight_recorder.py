@@ -15,6 +15,7 @@ The acceptance properties pinned here:
 
 import copy
 import json
+import sys
 
 import pytest
 
@@ -35,11 +36,24 @@ def recording():
     """A run long enough for some eighty 2 ms samples, a dozen of them
     on the host side: since the force tiles are compiled the ``micro``
     size lasts two samples and even ``full`` leaves the host phase one
-    to five, which the assertions below cannot be read from."""
+    to five, which the assertions below cannot be read from.
+
+    The sampler thread ticks when it next holds the GIL.  At the default
+    5 ms switch interval that is at the next tile call, which releases
+    it; where the woken thread is slow to be scheduled it misses the host
+    tile's ~15 us calls and catches only the emulator's ~200 us ones, and
+    a whole recording lands in ``pipe`` (seen: 78 of 78 samples, with the
+    host 23 % of the wall).  At 0.1 ms the main thread hands the GIL over
+    wherever it is."""
     bench = REGISTRY.get("blockstep_phase_breakdown")
-    return flight_record_benchmark(
-        bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
-    )
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        return flight_record_benchmark(
+            bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
+        )
+    finally:
+        sys.setswitchinterval(switch)
 
 
 class TestFlightRecording:
