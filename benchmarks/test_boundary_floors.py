@@ -7,7 +7,11 @@ pair (``predict_hermite``, ``advance_block``).  This file reports the
 nothing else has the core - on the ``serial_grape`` workload's shape:
 Plummer N = 256 on two emulated boards, blocks of 31 targets, every
 exponent cached.  ``forces_on`` at n_i = 1 is the force call's fixed
-cost.  The per-part table of EXPERIMENTS.md is this file's output::
+cost.  Beside them, outside the budget, it floors the copy algorithm's
+two calls a blockstep on the ``cluster_latency`` workload's shape (N =
+128 on 16 simulated hosts, inline, blocks of 15): ``forces_on`` and the
+coherence exchange ``exchange_updated``, printed in reference-box
+units.  The per-part tables of EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_boundary_floors.py
 
@@ -26,6 +30,7 @@ from repro.core.hermite_tile import advance_block, predict_hermite
 from repro.hardware import Grape6Emulator
 from repro.io import format_table
 from repro.models import plummer_model
+from repro.parallel import CopyAlgorithm, SimNetwork
 
 try:
     from benchmarks.test_sink_budget import YARDSTICK_REF_S, yardstick
@@ -34,6 +39,9 @@ except ModuleNotFoundError:  # run as a script: this directory is on the path
 
 EPS2 = (1.0 / 64.0) ** 2
 N, BOARDS, N_B = 256, 2, 31
+
+#: The ``cluster_latency`` shape of the copy crossings.
+COPY_N, COPY_P, COPY_N_B = 128, 16, 15
 
 #: Calls per round, and rounds interleaved across the crossings (3 000
 #: calls of each in all, spread so that one round meets a quiet moment).
@@ -85,10 +93,26 @@ def crossings() -> dict:
     }
 
 
+def copy_crossings() -> dict:
+    """The copy algorithm's force call and coherence exchange, in the
+    ``(call, reset)`` form of :func:`crossings`.  The exchange's floor
+    leaves out the ledger's fold, which runs once every ~13 calls."""
+    s = plummer_model(COPY_N, seed=2003)
+    copy = CopyAlgorithm(SimNetwork(COPY_P), EPS2)
+    copy.set_j_particles(s.pos, s.vel, s.mass)
+    block = np.arange(0, COPY_N, COPY_N // COPY_N_B)[:COPY_N_B]
+    xi, vi = s.pos[block], s.vel[block]
+    return {
+        f"copy forces_on n_b = {COPY_N_B}": (lambda: copy.forces_on(xi, vi, block), None),
+        f"copy exchange_updated n_b = {COPY_N_B}": (
+            lambda: copy.exchange_updated(block), None),
+    }
+
+
 def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
     """Floor of every crossing [us] and the machine's speed index over
     the same rounds (1.0 = the undisturbed reference box)."""
-    parts = crossings()
+    parts = {**crossings(), **copy_crossings()}
     best = dict.fromkeys(parts, float("inf"))
     fastest_yardstick = float("inf")
     clock = time.perf_counter
@@ -106,17 +130,20 @@ def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
 
 def fixed_cost(us: dict) -> float:
     """The four fixed costs together [us]."""
-    return sum(v for k, v in us.items() if not k.startswith(f"forces_on n_i = {N_B}"))
+    return sum(v for k, v in us.items()
+               if not k.startswith((f"forces_on n_i = {N_B}", "copy ")))
 
 
-def table(us: dict) -> str:
-    return format_table(["crossing", "floor [us]"], [(k, f"{v:.1f}") for k, v in us.items()])
+def table(us: dict, speed_index: float) -> str:
+    return format_table(
+        ["crossing", "floor [us]", "reference box [us]"],
+        [(k, f"{v:.1f}", f"{v / speed_index:.1f}") for k, v in us.items()])
 
 
 def test_the_boundary_costs_what_its_budget_allows():
     us, speed_index = floors()
     print(f"\n=== Host-tile boundary floors, N = {N}, {BOARDS} boards ===")
-    print(table(us))
+    print(table(us, speed_index))
     print(f"machine speed index {speed_index:.2f}")
     cost = fixed_cost(us) / max(speed_index, 1.0)
     assert cost <= BUDGET_US, (
@@ -126,5 +153,5 @@ def test_the_boundary_costs_what_its_budget_allows():
 
 if __name__ == "__main__":
     us, speed_index = floors()
-    print(table(us))
+    print(table(us, speed_index))
     print(f"fixed costs {fixed_cost(us):.1f} us, machine speed index {speed_index:.2f}")

@@ -12,11 +12,14 @@ The class is a :class:`repro.forces.direct.ForceBackend`, so it plugs
 straight into the block-timestep integrator via
 :class:`repro.parallel.driver.ParallelBlockIntegrator`.
 
-Each rank's force tile is a :class:`repro.parallel.execution.RankTask`
-dispatched through an :class:`~repro.parallel.execution.ExecutionBackend`
-(inline by default; pass ``executor="process:4"`` to run ranks on real
-cores); the virtual-time accounting is replayed by the driver in rank
-order, so results are bit-identical across backends.
+Rank ``r`` owns the contiguous rows ``bounds[r]:bounds[r+1]`` of the
+block (``bounds`` the running sum of :func:`share_sizes`), so the shares'
+forces in rank order are the block's and nothing is scattered back.  The
+shares run through :meth:`~repro.parallel.execution.ExecutionBackend.run_shares`
+(inline by default; ``executor="process:4"`` runs them on real cores),
+one kernel call per worker or, under an observer, per rank; the driver
+replays the virtual-time accounting in rank order, so results are
+bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from ..forces.kernels import ForceJerkResult
-from .execution import ExecutionBackend, RankTask, resolve_backend
+from .execution import ExecutionBackend, resolve_backend
 from .simcomm import PARTICLE_BYTES, SimNetwork
 
 #: Cost hook signature: (rank, n_i, n_j) -> microseconds of local compute.
@@ -34,7 +37,9 @@ ComputeTimeHook = Callable[[int, int, int], float]
 
 
 def share_sizes(n_block: int, p: int) -> np.ndarray:
-    """Sizes of the p round-robin shares ``block[rank::p]`` of a block."""
+    """Sizes of the p near-equal shares of a block of ``n_block``, in rank
+    order: the first ``n_block % p`` hold one more (the sizes of the
+    round-robin shares ``block[rank::p]``)."""
     return (n_block - np.arange(p) + p - 1) // p
 
 
@@ -68,6 +73,7 @@ class CopyAlgorithm:
         self.compute_time_us = compute_time_us
         self.executor = resolve_backend(executor)
         self._n = 0
+        self._share_table: dict[int, tuple] = {}
 
     # -- ForceBackend ----------------------------------------------------------
 
@@ -97,42 +103,33 @@ class CopyAlgorithm:
         """
         n_b = xi.shape[0]
         self.executor.publish(ix=xi, iv=vi)
-        # one tile per rank with a non-empty share, in rank order;
+        sizes, bounds, _ = self._shares(n_b)
         # targets always coincide with j-copies, so self-interactions
         # are excluded positionally on every rank
-        active = [r for r in range(self.p) if r < n_b]
-        tasks = [
-            RankTask(
-                "forces",
-                rank,
-                {
-                    "i_rows": ("stride", rank, n_b, self.p),
-                    "j_rows": None,
-                    "eps2": self.eps2,
-                    "exclude_self": True,
-                },
-            )
-            for rank in active
-        ]
-        results = self.executor.run_tasks(tasks)
-
-        # driver-side finish: assemble rank results and replay the
-        # virtual-time charges in rank-major order (identical on every
-        # execution backend)
-        acc = np.empty((n_b, 3))
-        jerk = np.empty((n_b, 3))
-        pot = np.empty(n_b)
-        interactions = 0
-        for rank, res in zip(active, results):
-            acc[rank::self.p] = res["acc"]
-            jerk[rank::self.p] = res["jerk"]
-            pot[rank::self.p] = res["pot"]
-            interactions += int(res["interactions"])
-            if self.compute_time_us is not None:
+        res = self.executor.run_shares(
+            "forces", bounds, j_rows=None, eps2=self.eps2, exclude_self=True)
+        # driver-side finish: replay the virtual-time charges in rank
+        # order (identical on every execution backend)
+        if self.compute_time_us is not None:
+            for rank in range(min(self.p, n_b)):
                 self.network.clock.advance(
-                    rank, self.compute_time_us(rank, len(res["pot"]), self._n)
-                )
-        return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
+                    rank, self.compute_time_us(rank, sizes[rank], self._n))
+        return ForceJerkResult(acc=res["acc"], jerk=res["jerk"], pot=res["pot"],
+                               interactions=int(res["interactions"]))
+
+    def _shares(self, n_b: int) -> tuple[list[int], list[int], np.ndarray]:
+        """The shares of an ``n_b`` block, built once per block size:
+        every rank's share size, the row bounds (rank ``r`` owns rows
+        ``bounds[r]:bounds[r+1]``, contiguous, in rank order) and every
+        share's bytes on the wire."""
+        shares = self._share_table.get(n_b)
+        if shares is None:
+            sizes = share_sizes(n_b, self.p)
+            nbytes = sizes * PARTICLE_BYTES
+            nbytes.flags.writeable = False
+            shares = self._share_table[n_b] = (
+                sizes.tolist(), [0, *np.cumsum(sizes).tolist()], nbytes)
+        return shares
 
     # -- coherence traffic ---------------------------------------------------------
 
@@ -152,6 +149,5 @@ class CopyAlgorithm:
         # originated s-1 hops upstream, so after p-1 shifts everyone
         # has every share; each message carries that share's actual size
         with self.network.exchange_phase("ring_allgather", n_particles=n_b):
-            self.network.allgather(
-                share_sizes(n_b, self.p) * PARTICLE_BYTES, tag=1000)
+            self.network.allgather(self._shares(n_b)[2], tag=1000)
         self.network.barrier()

@@ -23,33 +23,32 @@ comm-ledger summaries and final particle state are therefore bitwise
 equal across all three backends (property-pinned by the invariants
 matrix, ``tests/property/test_prop_invariants.py``).
 
-Where nothing times the tiles one by one, :func:`run_slice` runs
-consecutive tiles that share a j-set (the copy algorithm's rank tiles:
-all j-particles, strided i-rows) as one kernel call over their
-concatenated i-rows, handing each task its own rows back.  Rows are
-independent on both kernel tiers, so results never differ from one
-call per tile; an attached observer (the rank observatory, which
-measures each rank's tile) gets one call per task.  Ring and 2-D grid
-tiles differ in their j-sets and always run one by one.
+Row-split work — the copy algorithm's contiguous rank shares of one
+block against all j-particles — goes through
+:meth:`ExecutionBackend.run_shares`, which cuts the ranks into one
+contiguous run per worker when nothing times them one by one: one
+kernel call inline, one per worker on a pool.  Rows are independent on
+both kernel tiers, so results never differ from one call per rank; an
+attached observer (the rank observatory, which measures each rank's
+tile) gets one call per rank.  Ring and 2-D grid tiles differ in their
+j-sets and run one task each through :meth:`ExecutionBackend.run_tasks`.
 
 Backends
 --------
 ``inline``
     Sequential execution in the driver thread — the reference and the
-    default; an unobserved dispatch is one :func:`run_slice`.
+    default.
 ``thread``
     A ``ThreadPoolExecutor`` of rank workers over the same arrays.  The
     compiled pairwise tile releases the GIL for the whole tile; the
-    per-task Python around it still serializes.  Its tiles are its unit
-    of concurrency, so it keeps one task per tile.
+    per-task Python around it still serializes.
 ``process``
     Persistent worker processes, each on a private pipe.  Operands
     travel through POSIX shared memory published once per blockstep; a
     dispatch is ONE message per worker (a contiguous slice of the
-    tasks: row selectors and scalars, run by :func:`run_slice`) and ONE
-    reply per worker (a few integers — the acc/jerk/pot rows come back
-    through each worker's shared output segment), so its cost is per
-    worker, not per rank.
+    tasks: row selectors and scalars) and ONE reply per worker (a few
+    integers — the acc/jerk/pot rows come back through each worker's
+    shared output segment), so its cost is per worker, not per rank.
     Measured floors and the crossover N are in ``docs/benchmarking.md``.
 """
 
@@ -60,7 +59,6 @@ import os
 import re
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
 from multiprocessing import get_context, shared_memory
 from typing import Any, Callable, Mapping
 
@@ -138,87 +136,39 @@ def forces_kernel(
     eps2: float,
     exclude_self: bool,
 ) -> dict[str, Any]:
-    """Pairwise acc/jerk/pot of one rank's (i-subset, j-subset) tile.
+    """Pairwise acc/jerk/pot of one (i-subset, j-subset) tile.
 
     Reads targets from the ``ix``/``iv`` arena arrays and sources from
-    ``jx``/``jv``/``jm``; the selectors say which tile this rank owns.
+    ``jx``/``jv``/``jm``; the selectors say which tile this call owns.
     Identical inputs to the old per-rank ``DirectSummation`` engines
     (the kernel copies every layout into its own component-major
     blocks, and each output row depends only on that target and the
-    j-subset), hence bitwise identical outputs.
+    j-subset, on both kernel tiers), hence bitwise identical outputs —
+    however the i-rows are cut into calls.
     """
-    return forces_tiles(arena, [i_rows], j_rows, eps2, exclude_self)[0]
-
-
-def forces_tiles(
-    arena: Mapping[str, np.ndarray],
-    i_rows: list[RowSel],
-    j_rows: RowSel,
-    eps2: float,
-    exclude_self: bool,
-) -> list[dict[str, Any]]:
-    """The ``forces`` tiles of the i-selectors ``i_rows`` against one
-    j-set, as one kernel call over their concatenated i-rows; each tile
-    gets back its own rows and its own interaction count, in order.
-    Every output row depends only on its target and the j-set, on both
-    kernel tiers, so the bits are those of one call per tile."""
-    xi = [select_rows(arena["ix"], rows) for rows in i_rows]
     res = acc_jerk_pot_on_targets(
-        np.concatenate(xi),
-        np.concatenate([select_rows(arena["iv"], rows) for rows in i_rows]),
+        select_rows(arena["ix"], i_rows),
+        select_rows(arena["iv"], i_rows),
         select_rows(arena["jx"], j_rows),
         select_rows(arena["jv"], j_rows),
         select_rows(arena["jm"], j_rows),
         eps2,
         exclude_self=exclude_self,
     )
-    per_row = res.interactions // max(len(res.pot), 1)
-    tiles, lo = [], 0
-    for rows in xi:
-        hi = lo + len(rows)
-        tiles.append({
-            "acc": res.acc[lo:hi],
-            "jerk": res.jerk[lo:hi],
-            "pot": res.pot[lo:hi],
-            "interactions": per_row * len(rows),
-        })
-        lo = hi
-    return tiles
+    return {"acc": res.acc, "jerk": res.jerk, "pot": res.pot,
+            "interactions": res.interactions}
 
 
-def _j_set(call: tuple[str, dict[str, Any], int]) -> Any:
-    """What a call shares with its neighbours when they may run as one
-    kernel call: a ``forces`` tile's j-selector, softening and self
-    exclusion.  Any other call — or a tile whose j-selector is an index
-    array — gets a key equal to nothing else, so it runs alone."""
-    fn_key, kwargs, _ = call
-    j_rows = kwargs.get("j_rows")
-    if fn_key != "forces" or isinstance(j_rows, np.ndarray):
-        return object()
-    return j_rows, kwargs.get("eps2"), kwargs.get("exclude_self")
-
-
-def run_slice(
-    arena: Mapping[str, np.ndarray],
-    calls: list[tuple[str, dict[str, Any], int]],
-) -> list[Any]:
-    """Run ``(fn, kwargs, rank)`` calls in order; their results, in order.
-
-    Consecutive ``forces`` tiles that share a j-set are one
-    :func:`forces_tiles` call.  This is how a slice runs when nothing
-    times its tiles one by one: an attached observer measures each
-    rank's tile, so observed dispatches keep one call per task.
-    """
-    results: list[Any] = []
-    for j_set, group in groupby(calls, _j_set):
-        group = list(group)
-        if len(group) == 1:
-            fn_key, kwargs, _ = group[0]
-            results.append(KERNELS[fn_key](arena, **kwargs))
-        else:
-            results += forces_tiles(
-                arena, [kw.get("i_rows") for _, kw, _ in group], *j_set)
-    return results
+def _in_row_order(parts: list[dict[str, Any]]) -> dict[str, Any]:
+    """The parts of a row-split result as one: arrays concatenated in
+    part order, counts summed."""
+    if len(parts) == 1:
+        return parts[0]
+    return {
+        key: np.concatenate([part[key] for part in parts])
+        if isinstance(value, np.ndarray) else sum(part[key] for part in parts)
+        for key, value in parts[0].items()
+    }
 
 
 # -- rank-observatory instrumentation ---------------------------------------
@@ -282,6 +232,8 @@ class ExecutionBackend:
     * :meth:`run_tasks` executes the tasks and returns their results
       **in task order** — the deterministic merge the bit-identity pin
       relies on.
+    * :meth:`run_shares` runs one kernel over contiguous rank shares of
+      the i-rows and returns the rows' result in block order.
     * :meth:`close` releases workers and shared memory; calling any
       method after ``close`` is an error for pooled backends.
 
@@ -310,6 +262,31 @@ class ExecutionBackend:
 
     def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
         raise NotImplementedError
+
+    def run_shares(self, fn: str, bounds: list[int], **kwargs: Any) -> Any:
+        """Run kernel ``fn`` over the i-rows ``bounds[0]:bounds[-1]``,
+        rank ``r`` owning the contiguous share ``bounds[r]:bounds[r+1]``;
+        the rows' result in block order (arrays concatenated, counts
+        summed).  ``kwargs`` are the kernel's other arguments.
+
+        Rows are independent, so how they are cut into calls never
+        changes a bit.  Unobserved, the ranks with rows are cut into one
+        contiguous run per worker — one kernel call inline, ``k`` on
+        ``thread:k`` or ``process:k``; with an observer attached every
+        such rank is its own task, so each rank's tile is timed.
+        """
+        p = len(bounds) - 1
+        owners = [r for r in range(p) if bounds[r + 1] > bounds[r]] or [0]
+        if self._observer is None:
+            k = min(self.workers, len(owners))
+            cuts = [0, *(owners[len(owners) * w // k] for w in range(1, k)), p]
+        else:
+            cuts = [*owners, owners[-1] + 1]
+        tasks = [
+            RankTask(fn, lo, {"i_rows": ("range", bounds[lo], bounds[hi]), **kwargs})
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        return _in_row_order(self.run_tasks(tasks))
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -371,8 +348,7 @@ class InlineBackend(ExecutionBackend):
 
     def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
         if self._observer is None:
-            return run_slice(
-                self._arena, [(t.fn, t.kwargs, t.rank) for t in tasks])
+            return [KERNELS[t.fn](self._arena, **t.kwargs) for t in tasks]
         t0 = _monotonic_us()
         results: list[Any] = []
         samples: list[dict[str, Any]] = []
@@ -537,8 +513,8 @@ def _worker_loop(conn, driver_ends) -> None:
     """Worker main: one message in, one reply out, until the sentinel.
 
     A message is ``(observed, arena_meta, [(fn, kwargs, rank), ...])``,
-    run by :func:`run_slice` unless observed; the reply ``(True,
-    (segment name, bytes used, layout, results,
+    each call timed by the rank-observatory clocks when observed; the
+    reply ``(True, (segment name, bytes used, layout, results,
     samples))`` in slice order (``samples`` empty unless observed,
     ``attach_bytes`` charged to the slice's first task) or ``(False,
     exception)``.  A forked worker inherits the driver-side ends of
@@ -562,7 +538,8 @@ def _worker_loop(conn, driver_ends) -> None:
                 arena, attach_bytes = _attach_arena(arena_meta)
                 results, samples = [], []
                 if not observed:
-                    results = run_slice(arena, calls)
+                    results = [KERNELS[fn_key](arena, **kwargs)
+                               for fn_key, kwargs, _ in calls]
                 else:  # one call per task: the observer times each
                     for fn_key, kwargs, rank in calls:
                         result, sample = _instrumented_call(

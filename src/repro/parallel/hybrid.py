@@ -204,12 +204,6 @@ class HybridAlgorithm:
         return [net.ledger for net in self.networks]
 
     @property
-    def total_bytes(self) -> int:
-        return self.inter_net.stats.bytes + sum(
-            net.stats.bytes for net in self.cluster_nets
-        )
-
-    @property
     def elapsed_us(self) -> float:
         return max(
             [net.clock.elapsed for net in self.cluster_nets]

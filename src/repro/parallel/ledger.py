@@ -128,6 +128,15 @@ class LinkStats:
         }
 
 
+def _spread(column: np.ndarray, old_rows: np.ndarray, n: int,
+            empty: float = 0) -> np.ndarray:
+    """``column`` laid over ``n`` rows, row ``i`` moved to
+    ``old_rows[i]``; the other rows hold ``empty``."""
+    out = np.full((n, *column.shape[1:]), empty, dtype=column.dtype)
+    out[old_rows] = column
+    return out
+
+
 class _HistColumns:
     """The fields of one :class:`Histogram` per link row."""
 
@@ -138,15 +147,17 @@ class _HistColumns:
         self.max = np.zeros(0)
         self.bins = np.zeros((0, 1), dtype=np.int64)
 
-    def add_rows(self, n: int) -> None:
-        self.total = np.concatenate([self.total, np.zeros(n)])
-        self.sq_total = np.concatenate([self.sq_total, np.zeros(n)])
-        self.min = np.concatenate([self.min, np.full(n, np.inf)])
-        self.max = np.concatenate([self.max, np.full(n, -np.inf)])
-        self.bins = np.pad(self.bins, ((0, n), (0, 0)))
+    def spread(self, old_rows: np.ndarray, n: int) -> None:
+        """Lay the columns over ``n`` rows (:func:`_spread`)."""
+        self.total, self.sq_total, self.bins = (
+            _spread(c, old_rows, n) for c in (self.total, self.sq_total, self.bins))
+        self.min = _spread(self.min, old_rows, n, np.inf)
+        self.max = _spread(self.max, old_rows, n, -np.inf)
 
     def fold(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """``Histogram.observe(values[i])`` on row ``rows[i]``, in order."""
+        """``Histogram.observe(values[i])`` on row ``rows[i]``, in order:
+        the float sums in message order, the bin counts (integers, whose
+        sum has no order) as one ``bincount``."""
         np.add.at(self.total, rows, values)
         np.add.at(self.sq_total, rows, values * values)
         np.minimum.at(self.min, rows, values)
@@ -155,7 +166,9 @@ class _HistColumns:
         missing = int(bins.max()) + 1 - self.bins.shape[1]
         if missing > 0:
             self.bins = np.pad(self.bins, ((0, 0), (0, missing)))
-        np.add.at(self.bins, (rows, bins), 1)
+        self.bins += np.bincount(
+            rows * self.bins.shape[1] + bins, minlength=self.bins.size
+        ).reshape(self.bins.shape)
 
     def histogram(self, row: int, name: str, count: int) -> Histogram:
         hist = Histogram(name)
@@ -174,12 +187,13 @@ class LinkStore:
     that has carried traffic, holding :class:`LinkStats`' fields.
 
     Rounds are appended to a fixed-size log and folded into the rows
-    when it fills or when the store is read.  The fold uses the
-    unbuffered ``ufunc.at`` forms, which apply their operands one at a
-    time in log order, so every per-link float sum accumulates in
-    message order — the bits are those of one ``Histogram.observe``
-    per message.  Rows and bin columns are added as links and
-    magnitudes first appear; nothing is sized by ``n_ranks**2``.
+    when it fills or when the store is read.  The fold sums floats with
+    the unbuffered ``ufunc.at`` forms, one operand at a time in log
+    order, so the bits are those of one ``Histogram.observe`` per
+    message; counts are integers, whose sums have no order, and are
+    taken by ``bincount``.  Rows stay sorted by link id (one ``searchsorted``
+    finds a message's row) and rows and bin columns are added as links
+    and magnitudes first appear; nothing is sized by ``n_ranks**2``.
     """
 
     def __init__(self, n_ranks: int) -> None:
@@ -189,10 +203,10 @@ class LinkStore:
 
     def clear(self) -> None:
         self._pending = 0
-        #: Link id per row, ``(src * n_ranks + dst) * 2 + (kind is p2p)``:
-        #: ascending ids are ascending (src, dst, kind) triples.
+        #: Link id per row, ascending, ``(src * n_ranks + dst) * 2 +
+        #: (kind is p2p)``: ascending ids are ascending (src, dst, kind)
+        #: triples.
         self.key = np.zeros(0, dtype=np.int64)
-        self._by_key = np.zeros(0, dtype=np.intp)  # argsort of key
         self.messages = np.zeros(0, dtype=np.int64)
         self.bytes = np.zeros(0, dtype=np.int64)
         self.size = _HistColumns()
@@ -231,21 +245,27 @@ class LinkStore:
     def _fold(self, src, dst, nbytes, flight_us, collective) -> None:
         src = np.asarray(src, dtype=np.int64)
         keys = (src * self.n_ranks + dst) * 2 + np.logical_not(collective)
-        used, inverse = np.unique(keys, return_inverse=True)
-        new = np.setdiff1d(used, self.key, assume_unique=True)
-        if new.size:
-            self.key = np.concatenate([self.key, new])
-            self.messages = np.pad(self.messages, (0, new.size))
-            self.bytes = np.pad(self.bytes, (0, new.size))
-            self.size.add_rows(new.size)
-            self.flight.add_rows(new.size)
-            self._by_key = np.argsort(self.key)
-        rows = self._by_key[
-            np.searchsorted(self.key, used, sorter=self._by_key)][inverse]
-        np.add.at(self.messages, rows, 1)
+        rows = np.searchsorted(self.key, keys)
+        if not (self.key.size and (self.key.take(rows, mode="clip") == keys).all()):
+            self._add_links(keys)
+            rows = np.searchsorted(self.key, keys)
+        self.messages += np.bincount(rows, minlength=self.messages.size)
         np.add.at(self.bytes, rows, nbytes)
         self.size.fold(rows, np.asarray(nbytes, dtype=float))
         self.flight.fold(rows, flight_us)
+
+    def _add_links(self, keys: np.ndarray) -> None:
+        """Rows for the links among ``keys`` that have none yet.  (Sorted
+        by hand: ``np.union1d`` would import ``numpy.ma``, a MiB a
+        process.)"""
+        key = np.sort(np.concatenate((self.key, keys)))
+        key = key[np.diff(key, prepend=-1) != 0]
+        old_rows = np.searchsorted(key, self.key)
+        self.messages, self.bytes = (
+            _spread(c, old_rows, key.size) for c in (self.messages, self.bytes))
+        self.size.spread(old_rows, key.size)
+        self.flight.spread(old_rows, key.size)
+        self.key = key
 
     def totals(self) -> tuple[int, int]:
         """Messages and bytes over all links."""
@@ -256,8 +276,8 @@ class LinkStore:
         """Every row as a :class:`LinkStats`, sorted by (src, dst, kind)."""
         self.fold()
         out = []
-        for row in self._by_key:
-            link, p2p = divmod(int(self.key[row]), 2)
+        for row, key in enumerate(self.key.tolist()):
+            link, p2p = divmod(key, 2)
             src, dst = divmod(link, self.n_ranks)
             count = int(self.messages[row])
             out.append(LinkStats(
@@ -383,10 +403,10 @@ class CommLedger:
     ) -> BarrierRecord:
         rec = BarrierRecord(
             index=len(self.barrier_records),
-            arrivals_us=tuple(float(a) for a in arrivals_us),
+            arrivals_us=tuple(np.asarray(arrivals_us, dtype=float).tolist()),
             release_us=float(release_us),
             rounds=int(rounds),
-            round_skew_us=tuple(float(s) for s in round_skew_us),
+            round_skew_us=tuple(np.asarray(round_skew_us, dtype=float).tolist()),
         )
         self.barrier_records.append(rec)
         return rec

@@ -62,10 +62,6 @@ class RingAlgorithm:
         self._local_idx: list[np.ndarray] = []
         self._n = 0
 
-    def owner_of(self, index: np.ndarray) -> np.ndarray:
-        """Owning rank of each global particle index (round-robin)."""
-        return np.asarray(index) % self.p
-
     def set_j_particles(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
         """Distribute the predicted system over the owners.
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -104,7 +105,7 @@ class SimNetwork:
         self.stats = MessageStats()
         self.ledger = CommLedger(n_ranks, nic=nic.name)
         self._tracer = tracer
-        self._shifts: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._shifts: dict[tuple, tuple[np.ndarray, ...]] = {}
 
     def reset_stats(self) -> None:
         """Zero the traffic counters and the communication ledger
@@ -184,12 +185,12 @@ class SimNetwork:
         sender order and receiving in receiver order.  Returns the
         clocks before the first round and after each one, ``(R + 1, p)``.
         """
-        src, dst, by_receiver = self._shift_table(tuple(shifts))
+        src, dst, by_receiver, collective = self._shift_table(
+            tuple(shifts), tuple(tag < 0 for tag in tags))
         nbytes = np.asarray(nbytes, dtype=np.int64)
         if nbytes.shape != by_receiver.shape or len(tags) != len(by_receiver):
             raise ValueError("need one row of n_ranks sizes and one tag per round")
-        flight_us = self._post(
-            src, dst, nbytes, np.repeat(np.asarray(tags) < 0, self.n_ranks))
+        flight_us = self._post(src, dst, nbytes, collective)
         history = self.clock.shift_rounds(flight_us, by_receiver)
         tracer = self.tracer
         if tracer.enabled:
@@ -197,20 +198,22 @@ class SimNetwork:
                 self._observe(tracer, nb, flight, (t + flight)[by] - t)
         return history
 
-    def _shift_table(self, shifts: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-        """Index tables of consecutive shift rounds, built on first use:
-        every message's sender and receiver in round order, and per
-        round the message each rank receives, ``(R, p)``."""
-        table = self._shifts.get(shifts)
+    def _shift_table(self, shifts: tuple[int, ...],
+                     collective: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
+        """Index tables of consecutive shift rounds, built on first use
+        of each shift list and tag signs: every message's sender,
+        receiver and collective flag in round order, and per round the
+        message each rank receives, ``(R, p)``."""
+        table = self._shifts.get((shifts, collective))
         if table is None:
             p = self.n_ranks
             k = np.array(shifts, dtype=np.intp)[:, None]
             if (k % p == 0).any():
                 raise ValueError("self-sends are not modelled")
             ranks = np.arange(p)
-            table = self._shifts[shifts] = (
+            table = self._shifts[shifts, collective] = (
                 np.tile(ranks, k.size), ((ranks + k) % p).ravel(),
-                (ranks - k) % p)
+                (ranks - k) % p, np.repeat(np.array(collective, dtype=bool), p))
             for index in table:
                 index.flags.writeable = False
         return table
@@ -275,13 +278,11 @@ class SimNetwork:
         p = self.n_ranks
         if p == 1:
             return
+        shifts, sizes, tags = self._barrier_schedule
+        rounds = len(shifts)
         tracer = self.tracer
-        rounds = butterfly_rounds(p)
-        shifts = [1 << stage for stage in range(rounds)]
         with tracer.span("net.barrier", phase=T_BARRIER, p=p) as span:
-            clocks = self.shift_rounds(
-                shifts, np.full((rounds, p), BARRIER_BYTES),
-                [-1 - k for k in shifts])
+            clocks = self.shift_rounds(shifts, sizes, tags)
             after = clocks[1:]
             release = self.clock.synchronize()
             record = self.ledger.record_barrier(
@@ -326,12 +327,26 @@ class SimNetwork:
         size per originating rank.  Only the traffic is simulated; the
         caller already holds the data.
         """
-        p = self.n_ranks
-        ranks = np.arange(p)
-        # at shift s each rank forwards what it received last, the
-        # contribution that originated s-1 hops upstream: row s-1 of the
-        # size table holds those contributions' sizes
-        sizes = np.empty(p, dtype=np.int64)
+        shifts, origin = self._ring_schedule
+        sizes = np.empty(self.n_ranks, dtype=np.int64)
         sizes[:] = nbytes_each
-        table = sizes[(ranks - ranks[:p - 1, None]) % p]
-        self.shift_rounds([1] * (p - 1), table, [tag] * (p - 1))
+        self.shift_rounds(shifts, sizes[origin], (tag,) * len(shifts))
+
+    @cached_property
+    def _barrier_schedule(self) -> tuple:
+        """The barrier's butterfly stages: shifts, ``(R, p)`` sizes, tags."""
+        shifts = tuple(1 << stage for stage in range(butterfly_rounds(self.n_ranks)))
+        sizes = np.full((len(shifts), self.n_ranks), BARRIER_BYTES)
+        sizes.flags.writeable = False
+        return shifts, sizes, tuple(-1 - k for k in shifts)
+
+    @cached_property
+    def _ring_schedule(self) -> tuple:
+        """The ring allgather's p - 1 unit shifts, and per shift the rank
+        whose contribution each rank forwards: at shift s it is the one
+        that originated s - 1 hops upstream, what the rank received
+        last."""
+        ranks = np.arange(self.n_ranks)
+        origin = (ranks - ranks[:-1, None]) % self.n_ranks
+        origin.flags.writeable = False
+        return (1,) * (self.n_ranks - 1), origin

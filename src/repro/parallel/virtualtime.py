@@ -29,10 +29,6 @@ class VirtualClock:
             raise ValueError("time cannot run backwards")
         self._t[rank] += dt_us
 
-    def advance_all(self, dt_us: float | np.ndarray) -> None:
-        """Same (or per-rank) local computation on every rank."""
-        self._t += dt_us
-
     def now_many(self, ranks: np.ndarray) -> np.ndarray:
         """Clocks of several ranks at once."""
         return self._t[ranks]
@@ -75,11 +71,6 @@ class VirtualClock:
     def elapsed(self) -> float:
         """Wall-clock so far: the slowest rank's time."""
         return float(self._t.max())
-
-    @property
-    def skew(self) -> float:
-        """Spread between the fastest and the slowest rank."""
-        return float(self._t.max() - self._t.min())
 
     def snapshot(self) -> np.ndarray:
         return self._t.copy()

@@ -27,13 +27,6 @@ class TestSimNetworkOverhead:
 
 
 class TestVirtualClockHelpers:
-    def test_advance_all_scalar_and_vector(self):
-        clock = VirtualClock(3)
-        clock.advance_all(10.0)
-        assert clock.snapshot().tolist() == [10.0, 10.0, 10.0]
-        clock.advance_all(np.array([1.0, 2.0, 3.0]))
-        assert clock.snapshot().tolist() == [11.0, 12.0, 13.0]
-
     def test_snapshot_is_a_copy(self):
         clock = VirtualClock(2)
         snap = clock.snapshot()

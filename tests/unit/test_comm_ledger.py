@@ -1,6 +1,6 @@
 """The per-link communication ledger (section 4.4 measurement substrate)."""
 
-
+import numpy as np
 import pytest
 
 from repro.config import NIC_INTEL82540EM, NIC_NS83820
@@ -13,7 +13,8 @@ from repro.parallel import (
     validate_comm_ledger,
 )
 from repro.parallel.barrier import butterfly_rounds
-from repro.parallel.ledger import KIND_COLLECTIVE, KIND_P2P
+from repro.parallel import ledger as ledger_module
+from repro.parallel.ledger import KIND_COLLECTIVE, KIND_P2P, LinkStats, LinkStore
 from repro.telemetry.timeline import validate_timeline
 
 
@@ -42,6 +43,53 @@ class TestLinkLedger:
         net.allgather(nbytes_each=640)
         assert net.ledger.messages == net.stats.messages
         assert net.ledger.bytes == net.stats.bytes
+
+
+class TestFold:
+    def test_fold_equals_one_observe_per_message(self, monkeypatch):
+        """Counts by ``bincount``, float sums by ``ufunc.at`` in message
+        order: over folds of a tiny log, with links and bin columns that
+        first appear between folds, every link equals a
+        :class:`LinkStats` fed one ``Histogram.observe`` per message."""
+        monkeypatch.setattr(ledger_module, "ROUND_LOG_CAP", 4)
+        folds = []
+        fold = LinkStore._fold
+        monkeypatch.setattr(LinkStore, "_fold", lambda store, src, *rest: (
+            folds.append(len(src)), fold(store, src, *rest))[1])
+        ledger = CommLedger(4)
+        reference = {}
+        rng = np.random.default_rng(17)
+        links = []
+        for new_links, top in (([(0, 1, False)], 2.0 ** 4),
+                               ([(2, 0, False), (1, 3, True)], 2.0 ** 12),
+                               ([(3, 2, True), (0, 1, True)], 2.0 ** 40)):
+            first = np.arange(len(links), len(links) + len(new_links))
+            links += new_links
+            for pick in [first] + [rng.integers(0, len(links), int(rng.integers(1, 7)))
+                                   for _ in range(3)]:
+                src, dst, collective = (np.array(column) for column in
+                                        zip(*(links[i] for i in pick)))
+                nbytes = rng.integers(0, int(top), pick.size)
+                flight = rng.uniform(0.0, top / 100.0, pick.size)
+                ledger.record_round(src, dst, nbytes, flight, collective)
+                for s, d, c, nb, fl in zip(src.tolist(), dst.tolist(), collective.tolist(),
+                                           nbytes.tolist(), flight.tolist()):
+                    kind = KIND_COLLECTIVE if c else KIND_P2P
+                    link = reference.setdefault(
+                        (s, d, kind), LinkStats(src=s, dst=d, kind=kind))
+                    link.messages += 1
+                    link.bytes += nb
+                    link.size_hist.observe(nb)
+                    link.flight_hist.observe(fl)
+        got = ledger.links
+        assert len(folds) >= 3
+        want = [reference[key] for key in sorted(reference)]
+        assert [l.as_dict() for l in got] == [l.as_dict() for l in want]
+        for a, b in zip(got, want):
+            for hist in ("size_hist", "flight_hist"):
+                ha, hb = getattr(a, hist), getattr(b, hist)
+                assert (ha.count, ha.total, ha.sq_total, ha.min, ha.max, ha.bins) == (
+                    hb.count, hb.total, hb.sq_total, hb.min, hb.max, hb.bins)
 
 
 class TestBarrierAttribution:

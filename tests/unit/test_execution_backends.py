@@ -2,8 +2,8 @@
 
 Backends only decide *where* rank kernels run; these tests pin the
 contract that makes that safe: spec parsing, row selectors, identical
-kernel results on every backend, grouped tiles equal to one call per
-tile (and exactly as many kernel calls as the dispatch allows),
+kernel results on every backend, contiguous rank shares equal to one
+call per rank (and exactly as many kernel calls as the dispatch allows),
 shared-memory arena reuse/growth on the process backend, and the
 driver's one-scan-per-blockstep property (the scheduler fix that rode
 along with the engine).
@@ -35,11 +35,11 @@ from repro.parallel import (
     execution,
     resolve_backend,
 )
+from repro.parallel.copy_algorithm import share_sizes
 from repro.parallel.execution import (
     KERNELS,
     WorkerLost,
     kernel,
-    run_slice,
     select_rows,
 )
 
@@ -486,13 +486,23 @@ def _assert_same_results(got, want):
         assert a["interactions"] == b["interactions"]
 
 
-def _copy_calls(n_b, p, exclude_self):
-    """The copy algorithm's rank tiles as ``(fn, kwargs, rank)`` calls."""
-    return [
-        ("forces", {"i_rows": ("stride", r, n_b, p), "j_rows": None,
-                    "eps2": EPS2, "exclude_self": exclude_self}, r)
-        for r in range(min(p, n_b))
+def _share_bounds(n_b, p):
+    """The copy algorithm's contiguous rank shares of an ``n_b`` block."""
+    return [0, *np.cumsum(share_sizes(n_b, p)).tolist()]
+
+
+def _per_rank(arena, bounds, exclude_self):
+    """One kernel call per rank with rows, its results in rank order."""
+    parts = [
+        acc_jerk_pot_on_targets(
+            arena["ix"][lo:hi], arena["iv"][lo:hi], arena["jx"], arena["jv"],
+            arena["jm"], EPS2, exclude_self=exclude_self)
+        for lo, hi in zip(bounds, bounds[1:]) if hi > lo
     ]
+    return {"acc": np.concatenate([r.acc for r in parts]),
+            "jerk": np.concatenate([r.jerk for r in parts]),
+            "pot": np.concatenate([r.pot for r in parts]),
+            "interactions": sum(r.interactions for r in parts)}
 
 
 @pytest.fixture
@@ -520,49 +530,67 @@ def kernel_calls(monkeypatch, tmp_path):
 
 @pytest.mark.tiers
 class TestGroupedTiles:
-    """Tiles that share a j-set run as one kernel call when nothing times
-    them one by one; each task still gets its own rows and count."""
+    """Share dispatch: a block's contiguous rank shares run as one kernel
+    call per worker when nothing times them one by one and as one call
+    per rank when an observer does; either way the rows come back, bit
+    for bit, as one call per rank gives them."""
 
     @pytest.mark.parametrize("exclude_self", [True, False])
     @pytest.mark.parametrize("p", [1, 5, 16])
-    def test_grouped_equals_per_task(self, p, exclude_self):
+    def test_grouped_equals_per_task(self, p, exclude_self, kernel_calls):
         system = plummer_model(64, seed=41)
-        for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
-            block = np.random.default_rng(n_b).choice(64, n_b, replace=False)
-            arena = {"ix": system.pos[block], "iv": system.vel[block],
-                     "jx": system.pos, "jv": system.vel, "jm": system.mass}
-            calls = _copy_calls(n_b, p, exclude_self)
-            per_task = [KERNELS[fn](arena, **kw) for fn, kw, _ in calls]
-            _assert_same_results(run_slice(arena, calls), per_task)
+        for spec in ("inline", "thread:2", "process:2"):
+            backend = resolve_backend(spec)
+            try:
+                for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
+                    block = np.random.default_rng(n_b).choice(64, n_b, replace=False)
+                    arena = {"ix": system.pos[block], "iv": system.vel[block],
+                             "jx": system.pos, "jv": system.vel, "jm": system.mass}
+                    backend.publish(**arena)
+                    bounds = _share_bounds(n_b, p)
+                    want = _per_rank(arena, bounds, exclude_self)
+                    owners = min(p, n_b)
+                    for observer in (None, lambda report: None):
+                        backend.attach_observer(observer)
+                        got = backend.run_shares("forces", bounds, j_rows=None,
+                                                 eps2=EPS2, exclude_self=exclude_self)
+                        _assert_same_results([got], [want])
+                        calls = kernel_calls()
+                        assert sum(calls.values()) == (
+                            owners if observer else min(backend.workers, owners))
+                        assert (os.getpid() in calls) == (spec != "process:2")
+            finally:
+                backend.close()
 
     def test_unobserved_inline_dispatch_is_one_kernel_call(self, kernel_calls):
         system = plummer_model(64, seed=43)
-        backend = InlineBackend()
-        _publish_system(backend, system)
-        tasks = _force_tasks(64, 16)
-        backend.run_tasks(tasks)
+        copy = CopyAlgorithm(SimNetwork(16), EPS2)
+        copy.set_j_particles(system.pos, system.vel, system.mass)
+        copy.forces_on(system.pos, system.vel, np.arange(64))
         assert kernel_calls() == {os.getpid(): 1}
-        backend.attach_observer(lambda report: None)
-        backend.run_tasks(tasks)
+        copy.executor.attach_observer(lambda report: None)
+        copy.forces_on(system.pos, system.vel, np.arange(64))
         assert kernel_calls() == {os.getpid(): 16}
 
     def test_process_dispatch_is_one_kernel_call_per_worker(self, kernel_calls):
         system = plummer_model(64, seed=45)
-        backend = ProcessBackend(2)
+        copy = CopyAlgorithm(SimNetwork(16), EPS2, executor="process:2")
         try:
-            _publish_system(backend, system)
-            got = backend.run_tasks(_force_tasks(64, 16))
+            copy.set_j_particles(system.pos, system.vel, system.mass)
+            got = copy.forces_on(system.pos, system.vel, np.arange(64))
             calls = kernel_calls()
-            backend.attach_observer(lambda report: None)
-            backend.run_tasks(_force_tasks(64, 16))
+            copy.executor.attach_observer(lambda report: None)
+            copy.forces_on(system.pos, system.vel, np.arange(64))
             observed = kernel_calls()
         finally:
-            backend.close()
+            copy.executor.close()
         assert sorted(calls.values()) == [1, 1] and os.getpid() not in calls
         assert sorted(observed.values()) == [8, 8]
-        inline = InlineBackend()
-        _publish_system(inline, system)
-        _assert_same_results(got, inline.run_tasks(_force_tasks(64, 16)))
+        inline = CopyAlgorithm(SimNetwork(16), EPS2)
+        inline.set_j_particles(system.pos, system.vel, system.mass)
+        want = inline.forces_on(system.pos, system.vel, np.arange(64))
+        for key in ("acc", "jerk", "pot", "interactions"):
+            np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
 
     def test_ring_and_grid_tiles_run_one_by_one(self, kernel_calls):
         system = plummer_model(32, seed=47)

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from repro.config import NIC_INTEL82540EM, NIC_NS83820
-from repro.parallel import Grid2D, SimNetwork, VirtualClock
+from repro.models import plummer_model
+from repro.parallel import CopyAlgorithm, Grid2D, SimNetwork, VirtualClock
+from repro.parallel.copy_algorithm import share_sizes
 from repro.parallel.barrier import butterfly_barrier_us, butterfly_rounds, mpich_barrier_us
+from repro.parallel.simcomm import PARTICLE_BYTES
 
 
 class TestVirtualClock:
@@ -176,3 +179,35 @@ class TestBarrierCosts:
         assert mpich_barrier_us(p, NIC_NS83820) == pytest.approx(
             2.0 * sync, rel=1e-9
         )
+
+
+class TestCopyShares:
+    """Contiguous shares keep every rank's share size, so every virtual
+    charge is the one the round-robin shares ``block[rank::p]`` made."""
+
+    @pytest.mark.parametrize("p", [1, 5, 16])
+    def test_charges_and_exchange_sizes_per_rank(self, p, monkeypatch):
+        system = plummer_model(64, seed=9)
+        charges = []
+        copy = CopyAlgorithm(
+            SimNetwork(p), (1.0 / 64.0) ** 2,
+            compute_time_us=lambda *call: charges.append(call) or 1.0)
+        gathered = []
+        original = SimNetwork.allgather
+        monkeypatch.setattr(SimNetwork, "allgather", lambda net, nbytes, tag=-200: (
+            gathered.append(np.array(nbytes)), original(net, nbytes, tag))[1])
+        copy.set_j_particles(system.pos, system.vel, system.mass)
+        for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
+            block = np.arange(n_b)
+            del charges[:], gathered[:]
+            copy.forces_on(system.pos[block], system.vel[block], block)
+            copy.exchange_updated(block)
+            assert charges == [(rank, len(block[rank::p]), 64)
+                               for rank in range(min(p, n_b))]
+            assert all(type(v) is int for call in charges for v in call)
+            if p > 1:
+                (sizes,) = gathered
+                np.testing.assert_array_equal(
+                    sizes, share_sizes(n_b, p) * PARTICLE_BYTES)
+                np.testing.assert_array_equal(
+                    sizes, [len(block[rank::p]) * PARTICLE_BYTES for rank in range(p)])
