@@ -10,7 +10,8 @@ exponent cached.  ``forces_on`` at n_i = 1 is the force call's fixed
 cost.  Beside them, outside the budget, it floors the copy algorithm's
 two calls a blockstep on the ``cluster_latency`` workload's shape (N =
 128 on 16 simulated hosts, inline, blocks of 15): ``forces_on`` and the
-coherence exchange ``exchange_updated``, printed in reference-box
+coherence exchange ``exchange_updated``, and the ledger's fold of one
+full round log of that workload's messages, printed in reference-box
 units.  The per-part tables of EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_boundary_floors.py
@@ -30,7 +31,10 @@ from repro.core.hermite_tile import advance_block, predict_hermite
 from repro.hardware import Grape6Emulator
 from repro.io import format_table
 from repro.models import plummer_model
+from repro.config import NIC_NS83820
 from repro.parallel import CopyAlgorithm, SimNetwork
+from repro.parallel.barrier import message_time_us
+from repro.parallel.ledger import ROUND_LOG_CAP, LinkStore
 
 try:
     from benchmarks.test_sink_budget import YARDSTICK_REF_S, yardstick
@@ -109,10 +113,33 @@ def copy_crossings() -> dict:
     }
 
 
+def fold_crossing() -> dict:
+    """The ledger's fold of one full round log of ``cluster_latency``
+    blocksteps - each a ring allgather of the 15-block's shares and a
+    butterfly barrier - into link rows that exist, in the ``(call,
+    reset)`` form of :func:`crossings`: ``reset`` logs the messages."""
+    ranks = np.arange(COPY_P)
+    shares = (COPY_N_B - ranks + COPY_P - 1) // COPY_P * 128
+    rounds = [(1, shares[(ranks - s) % COPY_P], False) for s in range(COPY_P - 1)]
+    rounds += [(1 << k, np.full(COPY_P, 16), True) for k in range(4)]
+    columns = [np.concatenate(c) for c in zip(*(
+        (ranks, (ranks + shift) % COPY_P, nbytes, np.full(COPY_P, collective))
+        for shift, nbytes, collective in rounds))]
+    src, dst, nbytes, collective = (np.resize(c, ROUND_LOG_CAP) for c in columns)
+    flight = message_time_us(NIC_NS83820, 0.0, nbytes)
+    store = LinkStore(COPY_P)
+    store.record(src, dst, nbytes, flight, collective)
+    store.fold()  # every link has its row
+    return {
+        f"ledger fold of {ROUND_LOG_CAP} messages": (
+            store.fold, lambda: store.record(src, dst, nbytes, flight, collective)),
+    }
+
+
 def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
     """Floor of every crossing [us] and the machine's speed index over
     the same rounds (1.0 = the undisturbed reference box)."""
-    parts = {**crossings(), **copy_crossings()}
+    parts = {**crossings(), **copy_crossings(), **fold_crossing()}
     best = dict.fromkeys(parts, float("inf"))
     fastest_yardstick = float("inf")
     clock = time.perf_counter
@@ -131,7 +158,7 @@ def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
 def fixed_cost(us: dict) -> float:
     """The four fixed costs together [us]."""
     return sum(v for k, v in us.items()
-               if not k.startswith((f"forces_on n_i = {N_B}", "copy ")))
+               if not k.startswith((f"forces_on n_i = {N_B}", "copy ", "ledger ")))
 
 
 def table(us: dict, speed_index: float) -> str:

@@ -22,6 +22,7 @@ from typing import Any
 from ..core import hermite_tile
 from ..forces import kernels
 from ..hardware import pipeline
+from ..parallel import network_tile
 
 
 def _git_revision(start: Path) -> str | None:
@@ -67,7 +68,8 @@ def environment_fingerprint() -> dict[str, Any]:
         "numpy": numpy_version,
         "kernel_tier": (
             "c"
-            if kernels.KERNEL_TIER == pipeline.PIPELINE_TIER == hermite_tile.HERMITE_TIER == "c"
+            if kernels.KERNEL_TIER == pipeline.PIPELINE_TIER == hermite_tile.HERMITE_TIER
+            == network_tile.NETWORK_TIER == "c"
             else "numpy"
         ),
         "git_revision": _git_revision(Path(__file__).resolve()),

@@ -17,7 +17,7 @@ Attribution works on the profiler's call graph:
    all callers known, then accepting partial knowledge so cycles and
    mixed call sites resolve.  So does ``repro`` code that works for
    whoever calls it (a rule whose phase is None): the loader and binder
-   the three compiled tiles share, and the opening and closing of a
+   the compiled tiles share, and the opening and closing of a
    span - which the tracer's own self times (``core.step_self_s``) also
    charge to the span they happen in.
 

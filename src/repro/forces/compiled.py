@@ -7,15 +7,17 @@ tile, :func:`load_library` (:func:`load_tile` where the library is one
 function), of which an owner adds only its argument types, a binder
 that validates arrays before pointing into them, and a self-check.
 Arrays that live longer than a call - a particle system's state, a
-machine's j-memory - are bound once: validated, addressed into a
+machine's j-memory, a simulated network's clock, round log and
+schedules - are bound once: validated, addressed into a
 ``ctypes.Structure`` and held, so that the pointers cannot outlive them
-(:mod:`repro.core.hermite_tile`, :func:`repro.hardware.pipeline.bind_j_set`);
-a call then validates and addresses (:func:`address`) only what is new
-in it.
+(:mod:`repro.core.hermite_tile`, :func:`repro.hardware.pipeline.bind_j_set`,
+:mod:`repro.parallel.network_tile`); a call then validates and
+addresses (:func:`address`) only what is new in it.
 Nothing here chooses between tiers: a loader (here
 :func:`load_pairwise_tile`; the pipeline tile's is in
 :mod:`repro.hardware.pipeline`, the Hermite tile's in
-:mod:`repro.core.hermite_tile`) either returns the compiled tile,
+:mod:`repro.core.hermite_tile`, the network tile's in
+:mod:`repro.parallel.network_tile`) either returns the compiled tile,
 checked bit for bit against the reference, or raises
 :class:`TileUnavailable` with the reason, and the owner keeps the numpy
 tier.
@@ -63,6 +65,7 @@ SOURCES = {
     "pairwise_tile": Path(__file__).with_name("pairwise_tile.c"),
     "pipeline_tile": Path(__file__).parents[1] / "hardware" / "pipeline_tile.c",
     "hermite_tile": Path(__file__).parents[1] / "core" / "hermite_tile.c",
+    "network_tile": Path(__file__).parents[1] / "parallel" / "network_tile.c",
 }
 
 CFLAGS = (

@@ -41,6 +41,7 @@ from .ledger import (
     merge_comm_summaries,
     validate_comm_ledger,
 )
+from .network_tile import MessageSizeError
 from .simcomm import MessageStats, SimNetwork
 from .topology import Grid2D
 from .copy_algorithm import CopyAlgorithm
@@ -61,6 +62,7 @@ __all__ = [
     "resolve_backend",
     "SimNetwork",
     "MessageStats",
+    "MessageSizeError",
     "COMM_LEDGER_SCHEMA",
     "CommLedger",
     "LinkStats",

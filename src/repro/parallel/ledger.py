@@ -156,12 +156,18 @@ class _HistColumns:
 
     def fold(self, rows: np.ndarray, values: np.ndarray) -> None:
         """``Histogram.observe(values[i])`` on row ``rows[i]``, in order:
-        the float sums in message order, the bin counts (integers, whose
-        sum has no order) as one ``bincount``."""
+        the float sums in message order (the numpy tier of the network
+        tile's ``fold``, :mod:`repro.parallel.network_tile`), then
+        :meth:`count`."""
         np.add.at(self.total, rows, values)
         np.add.at(self.sq_total, rows, values * values)
         np.minimum.at(self.min, rows, values)
         np.maximum.at(self.max, rows, values)
+        self.count(rows, values)
+
+    def count(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """The bin counts of ``values`` on ``rows``: integers, whose sum
+        has no order, as one ``bincount``."""
         bins = pow2_bins(values)
         missing = int(bins.max()) + 1 - self.bins.shape[1]
         if missing > 0:
@@ -186,14 +192,18 @@ class LinkStore:
     """Struct-of-arrays link ledger: one row per (src, dst, kind) link
     that has carried traffic, holding :class:`LinkStats`' fields.
 
-    Rounds are appended to a fixed-size log and folded into the rows
-    when it fills or when the store is read.  The fold sums floats with
-    the unbuffered ``ufunc.at`` forms, one operand at a time in log
-    order, so the bits are those of one ``Histogram.observe`` per
-    message; counts are integers, whose sums have no order, and are
-    taken by ``bincount``.  Rows stay sorted by link id (one ``searchsorted``
-    finds a message's row) and rows and bin columns are added as links
-    and magnitudes first appear; nothing is sized by ``n_ranks**2``.
+    Rounds are appended to a fixed-size log (a schedule of shift rounds
+    by the network tile's one call) and folded into the rows when it
+    fills or when the store is read.  The fold adds bytes and the float
+    sums and takes the extrema one message at a time in log order (the
+    network tile's ``fold``, :mod:`repro.parallel.network_tile`: one
+    compiled loop, or the unbuffered ``ufunc.at`` forms of
+    ``_HistColumns.fold``), so the bits are those of one
+    ``Histogram.observe`` per message; counts are
+    integers, whose sums have no order, and are taken by ``bincount``.
+    Rows stay sorted by link id (one ``searchsorted`` finds a message's
+    row) and rows and bin columns are added as links and magnitudes
+    first appear; nothing is sized by ``n_ranks**2``.
     """
 
     def __init__(self, n_ranks: int) -> None:
@@ -212,17 +222,15 @@ class LinkStore:
         self.size = _HistColumns()
         self.flight = _HistColumns()
 
-    def record(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
-               flight_us: np.ndarray, collective: bool | np.ndarray) -> None:
-        """Log messages in order; message ``i`` went ``src[i]`` ->
-        ``dst[i]``, collective for all of them or per message."""
-        m = len(src)
+    def reserve(self, m: int) -> int | None:
+        """Where the log takes ``m`` more messages - folding it first if
+        they do not fit - or None if it never can."""
         if self._pending + m > ROUND_LOG_CAP:
             self.fold()
             if m > ROUND_LOG_CAP:
-                self._fold(src, dst, nbytes, flight_us, collective)
-                return
+                return None
         if self._log is None:
+            #: src, dst, nbytes, flight_us and the collective flag
             self._log = (
                 np.empty(ROUND_LOG_CAP, dtype=np.int64),
                 np.empty(ROUND_LOG_CAP, dtype=np.int64),
@@ -230,11 +238,24 @@ class LinkStore:
                 np.empty(ROUND_LOG_CAP),
                 np.empty(ROUND_LOG_CAP, dtype=bool),
             )
-        entry = slice(self._pending, self._pending + m)
+        return self._pending
+
+    def record(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
+               flight_us: np.ndarray, collective: bool | np.ndarray) -> None:
+        """Log messages in order; message ``i`` went ``src[i]`` ->
+        ``dst[i]``, collective for all of them or per message.  (A
+        schedule of shift rounds is logged by
+        :mod:`repro.parallel.network_tile`.)"""
+        m = len(src)
+        offset = self.reserve(m)
+        if offset is None:
+            self._fold(src, dst, nbytes, flight_us, collective)
+            return
+        entry = slice(offset, offset + m)
         for column, values in zip(
                 self._log, (src, dst, nbytes, flight_us, collective)):
             column[entry] = values
-        self._pending += m
+        self._pending = offset + m
 
     def fold(self) -> None:
         """Fold the logged rounds into the link rows and empty the log."""
@@ -250,9 +271,10 @@ class LinkStore:
             self._add_links(keys)
             rows = np.searchsorted(self.key, keys)
         self.messages += np.bincount(rows, minlength=self.messages.size)
-        np.add.at(self.bytes, rows, nbytes)
-        self.size.fold(rows, np.asarray(nbytes, dtype=float))
-        self.flight.fold(rows, flight_us)
+        # imported here: the tile's load-time self-check folds a LinkStore
+        from . import network_tile
+
+        network_tile._tile.fold(self, rows, nbytes, flight_us)
 
     def _add_links(self, keys: np.ndarray) -> None:
         """Rows for the links among ``keys`` that have none yet.  (Sorted

@@ -20,9 +20,17 @@ to max(own, arrival).  A ring shift, a butterfly stage, the 2-D grid's
 row reductions or its row and column broadcasts are one round each — a
 handful of array operations whatever the rank count.  A schedule of
 consecutive shift rounds (a ring allgather's ``p - 1`` shifts, a
-barrier's butterfly stages) is one call, :meth:`SimNetwork.shift_rounds`:
-one size table, one ledger record, and only the clock recurrence left
-as a loop over rounds.
+barrier's butterfly stages) is one call, :meth:`SimNetwork.shift_rounds`,
+served by :mod:`repro.parallel.network_tile`: every message's flight
+time, the clock recurrence, the clock readings the barrier record and
+the exchange bracket keep, and the ledger's log, in one compiled call
+per schedule (a loop of numpy operations per round on the numpy tier).
+The schedules are built once per network.
+
+A message size that cannot be real - negative, not an integer, not
+finite - is refused with
+:class:`~repro.parallel.network_tile.MessageSizeError` on every posting
+path, with nothing recorded.
 """
 
 from __future__ import annotations
@@ -36,8 +44,10 @@ import numpy as np
 
 from ..config import NICConfig, NIC_NS83820
 from ..telemetry import T_BARRIER, Tracer, get_tracer
+from . import network_tile
 from .barrier import butterfly_rounds, message_time_us
 from .ledger import CommLedger
+from .network_tile import Schedule, integral_sizes, refuse_negative
 from .virtualtime import VirtualClock
 
 
@@ -105,7 +115,7 @@ class SimNetwork:
         self.stats = MessageStats()
         self.ledger = CommLedger(n_ranks, nic=nic.name)
         self._tracer = tracer
-        self._shifts: dict[tuple, tuple[np.ndarray, ...]] = {}
+        self._shifts: dict[tuple, Schedule] = {}
 
     def reset_stats(self) -> None:
         """Zero the traffic counters and the communication ledger
@@ -156,14 +166,17 @@ class SimNetwork:
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
-        nbytes = np.asarray(nbytes, dtype=np.int64)
+        nbytes = integral_sizes(nbytes).astype(np.int64)
         if src.ndim != 1 or not src.shape == dst.shape == nbytes.shape:
             raise ValueError("src, dst and nbytes must be 1-d and equally long")
         if (src == dst).any():
             raise ValueError("self-sends are not modelled")
+        refuse_negative(nbytes)
         if src.size:
             tracer = self.tracer
-            flight_us = self._post(src, dst, nbytes, tag < 0)
+            flight_us = self.message_time_us(nbytes)
+            self.stats.record(src.size, int(nbytes.sum()))
+            self.ledger.record_round(src, dst, nbytes, flight_us, collective=tag < 0)
             arrive = self.clock.now_many(src) + flight_us
             if tracer.enabled:
                 self._observe(tracer, nbytes, flight_us,
@@ -185,50 +198,32 @@ class SimNetwork:
         sender order and receiving in receiver order.  Returns the
         clocks before the first round and after each one, ``(R + 1, p)``.
         """
-        src, dst, by_receiver, collective = self._shift_table(
-            tuple(shifts), tuple(tag < 0 for tag in tags))
-        nbytes = np.asarray(nbytes, dtype=np.int64)
-        if nbytes.shape != by_receiver.shape or len(tags) != len(by_receiver):
+        shifts, tags = tuple(shifts), tuple(tags)
+        if len(tags) != len(shifts):
             raise ValueError("need one row of n_ranks sizes and one tag per round")
-        flight_us = self._post(src, dst, nbytes, collective)
-        history = self.clock.shift_rounds(flight_us, by_receiver)
+        schedule = self._schedule(shifts, tags)
+        nbytes = integral_sizes(nbytes)
+        if nbytes.shape != schedule.nbytes.shape:
+            raise ValueError("need one row of n_ranks sizes and one tag per round")
+        schedule.nbytes[...] = nbytes
         tracer = self.tracer
+        nbytes_total = network_tile._tile.shift_rounds(
+            schedule, self.clock, self.ledger._store, self.nic, self.overhead_us)
+        self.stats.record(schedule.m, nbytes_total)
         if tracer.enabled:
-            for t, flight, nb, by in zip(history, flight_us, nbytes, by_receiver):
+            for t, flight, nb, by in zip(schedule.history, schedule.flight,
+                                         schedule.nbytes, schedule.by_receiver):
                 self._observe(tracer, nb, flight, (t + flight)[by] - t)
-        return history
+        return schedule.history.copy()
 
-    def _shift_table(self, shifts: tuple[int, ...],
-                     collective: tuple[bool, ...]) -> tuple[np.ndarray, ...]:
-        """Index tables of consecutive shift rounds, built on first use
-        of each shift list and tag signs: every message's sender,
-        receiver and collective flag in round order, and per round the
-        message each rank receives, ``(R, p)``."""
-        table = self._shifts.get((shifts, collective))
-        if table is None:
-            p = self.n_ranks
-            k = np.array(shifts, dtype=np.intp)[:, None]
-            if (k % p == 0).any():
-                raise ValueError("self-sends are not modelled")
-            ranks = np.arange(p)
-            table = self._shifts[shifts, collective] = (
-                np.tile(ranks, k.size), ((ranks + k) % p).ravel(),
-                (ranks - k) % p, np.repeat(np.array(collective, dtype=bool), p))
-            for index in table:
-                index.flags.writeable = False
-        return table
-
-    def _post(self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray,
-              collective: bool | np.ndarray) -> np.ndarray:
-        """Count and ledger messages (``nbytes`` in the shape of their
-        rounds, ``src``/``dst`` flat in the same order) and return their
-        flight times in that shape — the one posting path of every round
-        and schedule."""
-        flight_us = self.message_time_us(nbytes)
-        self.stats.record(src.size, int(nbytes.sum()))
-        self.ledger.record_round(src, dst, nbytes.ravel(), flight_us.ravel(),
-                                 collective=collective)
-        return flight_us
+    def _schedule(self, shifts: tuple[int, ...], tags: tuple[int, ...]) -> Schedule:
+        """The schedule of consecutive shift rounds with these shifts and
+        tags, built on first use (:class:`~repro.parallel.network_tile.Schedule`)."""
+        schedule = self._shifts.get((shifts, tags))
+        if schedule is None:
+            schedule = self._shifts[shifts, tags] = Schedule(
+                self.n_ranks, shifts, [tag < 0 for tag in tags])
+        return schedule
 
     @staticmethod
     def _observe(tracer: Tracer, nbytes: np.ndarray, flight_us: np.ndarray,
@@ -272,22 +267,21 @@ class SimNetwork:
         used (rank exchanges with (rank +/- 2^k) mod p), which has the
         same ceil(log2 p)-round cost
         (:func:`~repro.parallel.barrier.butterfly_rounds`).  The stages
-        are one :meth:`shift_rounds` schedule; each stage's clock spread
-        is read from the clocks it returns.
+        are one :meth:`shift_rounds` schedule; the arrivals, each stage's
+        clock spread and the release are among the readings it leaves.
         """
         p = self.n_ranks
         if p == 1:
             return
         shifts, sizes, tags = self._barrier_schedule
         rounds = len(shifts)
+        schedule = self._schedule(shifts, tags)
         tracer = self.tracer
         with tracer.span("net.barrier", phase=T_BARRIER, p=p) as span:
             clocks = self.shift_rounds(shifts, sizes, tags)
-            after = clocks[1:]
             release = self.clock.synchronize()
             record = self.ledger.record_barrier(
-                clocks[0], release, rounds,
-                after.max(axis=1) - after.min(axis=1))
+                clocks[0], release, rounds, schedule.readings[1:-1])
             if tracer.enabled:
                 span.set(rounds=rounds, straggler=record.straggler,
                          skew_us=record.skew_us, sync_us=record.sync_us)
@@ -329,7 +323,7 @@ class SimNetwork:
         """
         shifts, origin = self._ring_schedule
         sizes = np.empty(self.n_ranks, dtype=np.int64)
-        sizes[:] = nbytes_each
+        sizes[:] = integral_sizes(nbytes_each)
         self.shift_rounds(shifts, sizes[origin], (tag,) * len(shifts))
 
     @cached_property

@@ -136,6 +136,34 @@ class TestParallelRunBreakdown:
         assert "T_barrier" in report
 
 
+#: Interleaved repeats of each timing ratio below: the run and the
+#: replay take turns, and each side's floor (its fastest repeat) is
+#: compared, so one busy moment on a shared box cannot trip a bound.
+REPEATS = 3
+
+
+def timed_run() -> tuple[float, int]:
+    """Seconds and blocksteps of the 2048-particle Hermite run, with the
+    process's (disabled) tracer."""
+    system = plummer_model(2048, seed=42)
+    t0 = time.perf_counter()
+    integ = BlockTimestepIntegrator(system, eps2=EPS2)
+    integ.run(0.03125)
+    return time.perf_counter() - t0, integ.stats.blocksteps
+
+
+def floors(replay) -> tuple[float, float, int]:
+    """The floors of :func:`timed_run` and of ``replay(blocksteps)`` (its
+    seconds) over :data:`REPEATS` interleaved repeats, and the run's
+    blocksteps."""
+    t_run = t_overhead = float("inf")
+    for _ in range(REPEATS):
+        elapsed, blocksteps = timed_run()
+        t_run = min(t_run, elapsed)
+        t_overhead = min(t_overhead, replay(blocksteps))
+    return t_run, t_overhead, blocksteps
+
+
 class TestDisabledOverhead:
     def test_disabled_tracer_overhead_under_5_percent(self):
         """The permanent instrumentation must be near-free when off.
@@ -143,36 +171,32 @@ class TestDisabledOverhead:
         Measures a real 2048-particle Hermite run with the (default)
         disabled tracer, then measures the cost of every span/metric
         call that run issued, re-played against the same disabled
-        tracer.  The replay must cost <5% of the run.  (The replay
-        grows with the blocksteps, the run with blocksteps x N: at
-        2048 particles it reads 0.3-0.6 %, so the bound trips on the
-        instrumentation getting ten times dearer, not on a busy box;
-        at 256 the compiled kernel had brought it to 2-4 %.)
+        tracer.  The replay's floor must cost <5% of the run's (floors
+        over interleaved repeats).  (The replay grows with the
+        blocksteps, the run with blocksteps x N: at 2048 particles it
+        reads 0.3-0.6 %, so the bound trips on the instrumentation
+        getting ten times dearer, not on a busy box; at 256 the
+        compiled kernel had brought it to 2-4 %.)
         """
         tracer = get_tracer()
         assert not tracer.enabled  # the process default
 
-        system = plummer_model(2048, seed=42)
-        t0 = time.perf_counter()
-        integ = BlockTimestepIntegrator(system, eps2=EPS2)
-        integ.run(0.03125)
-        t_run = time.perf_counter() - t0
-        blocksteps = integ.stats.blocksteps
+        def replay(blocksteps):
+            # per blockstep: 5 spans (blockstep/predict/force/correct/
+            # schedule) + 3 metric helpers; generously double it
+            n_calls = 16 * (blocksteps + 1)
+            t0 = time.perf_counter()
+            for _ in range(n_calls):
+                with tracer.span("blockstep", phase=T_HOST, n_block=8):
+                    pass
+                tracer.count("core.interactions", 1)
+            return time.perf_counter() - t0
+
+        t_run, t_overhead, blocksteps = floors(replay)
         assert blocksteps > 0
-
-        # per blockstep: 5 spans (blockstep/predict/force/correct/
-        # schedule) + 3 metric helpers; generously double it
-        n_calls = 16 * (blocksteps + 1)
-        t0 = time.perf_counter()
-        for _ in range(n_calls):
-            with tracer.span("blockstep", phase=T_HOST, n_block=8):
-                pass
-            tracer.count("core.interactions", 1)
-        t_overhead = time.perf_counter() - t0
-
         assert t_overhead < 0.05 * t_run, (
             f"disabled-tracer overhead {t_overhead:.4f}s is >=5% of the "
-            f"{t_run:.4f}s run ({blocksteps} blocksteps)"
+            f"{t_run:.4f}s run ({blocksteps} blocksteps; floors of {REPEATS})"
         )
 
     def test_supervisor_sink_set_overhead_under_10_percent(self):
@@ -180,26 +204,23 @@ class TestDisabledOverhead:
         replay: the span and metric calls of the 2048-particle run
         through the sink set the job supervisor installs (fold,
         signature recorder, regime tracker, flops ledger) must cost
-        <10% of the run.  Reads about 4 %: the set costs 30-40 us a
-        blockstep whatever N is, the run about 1 ms a blockstep here.
+        <10% of the run (floors over interleaved repeats).  Reads about
+        4 %: the set costs 30-40 us a blockstep whatever N is, the run
+        about 1 ms a blockstep here.
         """
-        system = plummer_model(2048, seed=42)
-        t0 = time.perf_counter()
-        integ = BlockTimestepIntegrator(system, eps2=EPS2)
-        integ.run(0.03125)
-        t_run = time.perf_counter() - t0
-        blocksteps = integ.stats.blocksteps
+        def replay(blocksteps):
+            tracer = supervisor_tracer()
+            t0 = time.perf_counter()
+            replay_blocksteps(tracer, blocksteps + 1)  # + the startup pass
+            elapsed = time.perf_counter() - t0
+            (fold,) = tracer.sinks
+            assert fold.blocksteps == blocksteps + 1
+            return elapsed
 
-        tracer = supervisor_tracer()
-        t0 = time.perf_counter()
-        replay_blocksteps(tracer, blocksteps + 1)  # + the startup pass
-        t_overhead = time.perf_counter() - t0
-
-        (fold,) = tracer.sinks
-        assert fold.blocksteps == blocksteps + 1
+        t_run, t_overhead, blocksteps = floors(replay)
         assert t_overhead < 0.10 * t_run, (
             f"the supervisor's sink set costs {t_overhead:.4f}s, >=10% of "
-            f"the {t_run:.4f}s run ({blocksteps} blocksteps)"
+            f"the {t_run:.4f}s run ({blocksteps} blocksteps; floors of {REPEATS})"
         )
 
     def test_disabled_run_leaves_no_events_or_metrics(self, tmp_path):

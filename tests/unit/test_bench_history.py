@@ -30,9 +30,11 @@ from repro.bench.stats import trial_stats
 from repro.core import hermite_tile
 from repro.forces import kernels
 from repro.hardware import pipeline
+from repro.parallel import network_tile
 
 TILE_TIERS = [
     (kernels, "KERNEL_TIER"), (pipeline, "PIPELINE_TIER"), (hermite_tile, "HERMITE_TIER"),
+    (network_tile, "NETWORK_TIER"),
 ]
 
 ENV_A = {
@@ -95,9 +97,9 @@ class TestEnvKey:
         assert len({env_key(ENV_A), env_key(compiled), env_key(fallback)}) == 3
         assert environment_fingerprint()["kernel_tier"] in ("c", "numpy")
 
-    @pytest.mark.parametrize("fallen", range(3))
+    @pytest.mark.parametrize("fallen", range(len(TILE_TIERS)))
     def test_kernel_tier_speaks_for_every_tile(self, monkeypatch, fallen):
-        """One field for three tiles: ``"c"`` only if all of them compiled,
+        """One field for four tiles: ``"c"`` only if all of them compiled,
         so a resume or a history row across any one falling back is a
         recorded discontinuity."""
         for module, name in TILE_TIERS:

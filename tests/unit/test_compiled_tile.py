@@ -4,8 +4,9 @@ The loader has one job with two outcomes: hand out a compiled tile that
 matches the numpy tier bit for bit, or say why it cannot - in which
 case the owner (:mod:`repro.forces.kernels` for the pairwise tile,
 :mod:`repro.hardware.pipeline` for the pipeline tile,
-:mod:`repro.core.hermite_tile` for the Hermite tile) serves the same
-bits from numpy, and says so.  Every way it can fail is forced here,
+:mod:`repro.core.hermite_tile` for the Hermite tile,
+:mod:`repro.parallel.network_tile` for the network tile) serves the
+same bits from numpy, and says so.  Every way it can fail is forced here,
 with the compiler lookup and the cache location patched: no compiler, a
 compiler that fails, a build that computes something else, a cache
 directory someone else could write to, and several processes building
@@ -30,6 +31,7 @@ from repro.forces.compiled import TileUnavailable
 from repro.hardware import pipeline
 from repro.hardware.blockfloat import BlockFloatOverflow
 from repro.hardware.pipeline import PipelineFormats
+from repro.parallel import network_tile
 
 pytestmark = pytest.mark.tiers
 
@@ -82,6 +84,12 @@ def blockstep(tile):
     return hermite_tile.state_bytes(s, xp, vp, dt_new)
 
 
+def bookkeeping(tile):
+    """Every array the network tile's own self-check programs leave with
+    ``tile`` serving: schedules on 16 ranks, then three folds."""
+    return network_tile._self_check_run(tile, 16, False) + network_tile._self_check_fold(tile)
+
+
 class Tile(NamedTuple):
     """A row of ``compiled.SOURCES`` as its owner module presents it."""
 
@@ -120,6 +128,13 @@ TILES = (
         lambda: hermite_tile._tile, blockstep,
         # the velocity correction reassociated
         ("(vp[3 * i + c] + h3_6 * a2) + h4_24 * a3", "vp[3 * i + c] + (h3_6 * a2 + h4_24 * a3)"),
+    ),
+    Tile(
+        "network_tile", network_tile.resolve_network_tier, network_tile.NUMPY_TILE,
+        lambda: network_tile._tile, bookkeeping,
+        # the division by the bandwidth as a multiplication by its
+        # reciprocal: what -ffast-math would make of it
+        ("net->base + (double)nb / net->bandwidth", "net->base + (double)nb * (1.0 / net->bandwidth)"),
     ),
 )
 
@@ -353,7 +368,9 @@ class TestBuild:
             "from repro.core import hermite_tile as h\n"
             "from repro.forces import kernels as k\n"
             "from repro.hardware import pipeline as p\n"
+            "from repro.parallel import network_tile as n\n"
             "print(h.HERMITE_TIER, h.HERMITE_TIER_REASON)\n"
+            "print(n.NETWORK_TIER, n.NETWORK_TIER_REASON)\n"
             "print(k.KERNEL_TIER, k.KERNEL_TIER_REASON)\n"
             "print(p.PIPELINE_TIER, p.PIPELINE_TIER_REASON)\n"
         )

@@ -35,6 +35,28 @@ class TestVirtualClock:
         assert t == 77.0
         assert clock.snapshot().tolist() == [77.0] * 3
 
+    def test_elapsed_follows_every_change(self):
+        """``elapsed`` is reduced once per change of the clocks: every
+        way of changing them, and every schedule the network runs, leaves
+        it the slowest clock."""
+        net = SimNetwork(4, NIC_NS83820)
+        clock = net.clock
+        changes = [
+            lambda: clock.advance(1, 30.0),
+            lambda: clock.wait_until_many(np.array([2, 3]), np.array([45.0, 12.5])),
+            lambda: clock.wait_all_until(60.0),
+            lambda: clock.shift_rounds(np.full((1, 4), 7.0), np.array([[3, 0, 1, 2]])),
+            lambda: net.allgather(np.array([0, 640, 1280, 64])),
+            lambda: net.barrier(),
+            lambda: net.message_round([0], [3], [6000]),
+            lambda: net.shift_rounds([1, 3], np.full((2, 4), 128), [0, 0]),
+            lambda: clock.advance(2, 1000.0),
+            lambda: clock.synchronize(),
+        ]
+        for change in changes:
+            change()
+            assert clock.elapsed == float(clock.snapshot().max())
+
     def test_negative_advance_rejected(self):
         clock = VirtualClock(1)
         with pytest.raises(ValueError):
