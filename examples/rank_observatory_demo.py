@@ -4,7 +4,7 @@
 The virtual-time machinery prices what an ideal GRAPE-6 cluster
 *would* do; the rank observatory measures what the host actually did
 while simulating it.  Every ``run_tasks`` dispatch is bracketed with
-real clocks (``time.perf_counter``, ``os.times``) and OS counters
+real clocks (``time.perf_counter``, ``time.thread_time``) and OS counters
 (``getrusage``: maxrss, context switches, page faults), folded into
 one ``repro.rank_sample/1`` record per blockstep.  This demo:
 

@@ -26,8 +26,8 @@ from .execution import (
     ExecutionBackend,
     InlineBackend,
     ProcessBackend,
-    RankTask,
     ThreadBackend,
+    Tile,
     WorkerLost,
     resolve_backend,
 )
@@ -58,7 +58,7 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "WorkerLost",
-    "RankTask",
+    "Tile",
     "resolve_backend",
     "SimNetwork",
     "MessageStats",

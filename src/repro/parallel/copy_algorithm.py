@@ -15,11 +15,12 @@ straight into the block-timestep integrator via
 Rank ``r`` owns the contiguous rows ``bounds[r]:bounds[r+1]`` of the
 block (``bounds`` the running sum of :func:`share_sizes`), so the shares'
 forces in rank order are the block's and nothing is scattered back.  The
-shares run through :meth:`~repro.parallel.execution.ExecutionBackend.run_shares`
+shares are one :class:`~repro.parallel.execution.Tile` per rank with rows,
+dispatched by :meth:`~repro.parallel.execution.ExecutionBackend.run_tasks`
 (inline by default; ``executor="process:4"`` runs them on real cores),
-one kernel call per worker or, under an observer, per rank; the driver
-replays the virtual-time accounting in rank order, so results are
-bit-identical across backends.
+which runs them as one kernel call per worker or, under an observer, one
+per rank; the driver replays the virtual-time accounting in rank order,
+so results are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from ..forces.kernels import ForceJerkResult
-from .execution import ExecutionBackend, resolve_backend
+from .execution import ExecutionBackend, Tile, resolve_backend
 from .simcomm import PARTICLE_BYTES, SimNetwork
 
 #: Cost hook signature: (rank, n_i, n_j) -> microseconds of local compute.
@@ -103,32 +104,33 @@ class CopyAlgorithm:
         """
         n_b = xi.shape[0]
         self.executor.publish(ix=xi, iv=vi)
-        sizes, bounds, _ = self._shares(n_b)
-        # targets always coincide with j-copies, so self-interactions
-        # are excluded positionally on every rank
-        res = self.executor.run_shares(
-            "forces", bounds, j_rows=None, eps2=self.eps2, exclude_self=True)
+        sizes, tiles, _ = self._shares(n_b)
+        res = self.executor.run_tasks(tiles, self.eps2)
         # driver-side finish: replay the virtual-time charges in rank
         # order (identical on every execution backend)
         if self.compute_time_us is not None:
             for rank in range(min(self.p, n_b)):
                 self.network.clock.advance(
                     rank, self.compute_time_us(rank, sizes[rank], self._n))
-        return ForceJerkResult(acc=res["acc"], jerk=res["jerk"], pot=res["pot"],
-                               interactions=int(res["interactions"]))
+        return res
 
-    def _shares(self, n_b: int) -> tuple[list[int], list[int], np.ndarray]:
+    def _shares(self, n_b: int) -> tuple[list[int], tuple[Tile, ...], np.ndarray]:
         """The shares of an ``n_b`` block, built once per block size:
-        every rank's share size, the row bounds (rank ``r`` owns rows
-        ``bounds[r]:bounds[r+1]``, contiguous, in rank order) and every
-        share's bytes on the wire."""
+        every rank's share size, the tile of every rank with rows (rank
+        ``r`` owns rows ``bounds[r]:bounds[r+1]``, contiguous, in rank
+        order) and every share's bytes on the wire."""
         shares = self._share_table.get(n_b)
         if shares is None:
             sizes = share_sizes(n_b, self.p)
+            bounds = [0, *np.cumsum(sizes).tolist()]
+            # targets always coincide with j-copies, so self-interactions
+            # are excluded positionally on every rank
+            tiles = tuple(Tile(rank, slice(lo, hi), slice(None), True)
+                          for rank, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+                          if hi > lo)
             nbytes = sizes * PARTICLE_BYTES
             nbytes.flags.writeable = False
-            shares = self._share_table[n_b] = (
-                sizes.tolist(), [0, *np.cumsum(sizes).tolist()], nbytes)
+            shares = self._share_table[n_b] = (sizes.tolist(), tiles, nbytes)
         return shares
 
     # -- coherence traffic ---------------------------------------------------------

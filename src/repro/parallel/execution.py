@@ -1,37 +1,39 @@
-"""Execution backends: run simulated ranks on real cores.
+"""Execution backends: where the force tiles of a blockstep run.
 
-The parallel algorithms in this package used to interleave every
-simulated rank inside central ``for r in range(p)`` loops — a
-16-host sweep was serialized p-fold on the driver.  This module splits
-one blockstep into the two things it is actually made of:
+The paper's parallel algorithms (section 3.2: copy, ring, 2-D grid) all
+cut one computation — the O(n_b x N) force sum on a block — into tiles,
+and the GRAPE-6 host library gives the host one force call.  This
+module is that one call for the simulated ranks.  A blockstep is made
+of two things:
 
-* **rank compute** — the pure O(n_b x N / p) force kernels each rank
-  evaluates.  These are side-effect-free array->array functions
-  (registered in :data:`KERNELS`), so they can run anywhere: the
-  driver thread, a thread pool, or real worker processes.
+* **rank compute** — the force tiles, pure array->array calls of
+  :func:`repro.forces.kernels.acc_jerk_pot_on_targets`, so they can run
+  anywhere: the driver thread, a thread pool, or real worker processes.
 * **virtual-time accounting** — sends, recvs, barriers, clock
   advances, ledger records, tracer spans.  This is cheap and
   order-sensitive, so it is *always* replayed by the single driver in
   deterministic rank-major order, regardless of where the compute ran.
 
-That split is the bit-identity argument: the numeric kernels are
-deterministic given identical inputs (same numpy, same process image),
-the driver gathers their results in task order, and every virtual
-clock/ledger operation happens in exactly the interleaving the old
-central loops used.  Virtual-time trajectories, blockstep schedules,
+That split is the bit-identity argument: the kernel is deterministic
+given identical inputs (same numpy, same process image), each output
+row depends only on its target and the tile's j-set (on both kernel
+tiers), the dispatch hands the rows back in tile order, and every
+virtual clock/ledger operation happens in exactly the interleaving the
+sequential loops use.  Virtual-time trajectories, blockstep schedules,
 comm-ledger summaries and final particle state are therefore bitwise
 equal across all three backends (property-pinned by the invariants
 matrix, ``tests/property/test_prop_invariants.py``).
 
-Row-split work — the copy algorithm's contiguous rank shares of one
-block against all j-particles — goes through
-:meth:`ExecutionBackend.run_shares`, which cuts the ranks into one
-contiguous run per worker when nothing times them one by one: one
-kernel call inline, one per worker on a pool.  Rows are independent on
-both kernel tiers, so results never differ from one call per rank; an
-attached observer (the rank observatory, which measures each rank's
-tile) gets one call per rank.  Ring and 2-D grid tiles differ in their
-j-sets and run one task each through :meth:`ExecutionBackend.run_tasks`.
+The one dispatch is :meth:`ExecutionBackend.run_tasks`: a list of
+:class:`Tile` records over the published arrays, answered by one
+:class:`~repro.forces.kernels.ForceJerkResult` holding every tile's rows
+in tile order.  The tiles are cut into one contiguous run per worker.
+Unobserved, adjacent tiles of a run that continue each other's i rows
+over one j-set — the copy algorithm's contiguous rank shares — are one
+kernel call: one call inline, one per worker on ``thread:k`` and
+``process:k``.  An attached observer (the rank observatory, which
+measures each rank's tile) gets one call per tile.  Ring and 2-D grid
+tiles differ in their j-sets and are one call each.
 
 Backends
 --------
@@ -39,28 +41,30 @@ Backends
     Sequential execution in the driver thread — the reference and the
     default.
 ``thread``
-    A ``ThreadPoolExecutor`` of rank workers over the same arrays.  The
-    compiled pairwise tile releases the GIL for the whole tile; the
-    per-task Python around it still serializes.
+    A ``ThreadPoolExecutor`` running one run of calls per worker over
+    the same arrays.  The compiled pairwise tile releases the GIL for
+    the whole tile; the Python around it still serializes.
 ``process``
-    Persistent worker processes, each on a private pipe.  Operands
-    travel through POSIX shared memory published once per blockstep; a
-    dispatch is ONE message per worker (a contiguous slice of the
-    tasks: row selectors and scalars) and ONE reply per worker (a few
-    integers — the acc/jerk/pot rows come back through each worker's
-    shared output segment), so its cost is per worker, not per rank.
-    Measured floors and the crossover N are in ``docs/benchmarking.md``.
+    Persistent worker processes, each on a private pipe, over one POSIX
+    shared-memory arena that the driver owns: it holds every published
+    array and every tile's output rows.  A dispatch is ONE message per
+    worker (its run of calls: row slices or index arrays, flags and
+    output offsets) and ONE reply per worker (its interaction count,
+    and samples when observed); the worker writes its rows into the
+    arena in place and creates no segment, so its cost is per worker,
+    not per rank.  Measured floors and the crossover N are in
+    ``docs/benchmarking.md``.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import re
 import time
-from dataclasses import dataclass, field
-from multiprocessing import get_context, shared_memory
-from typing import Any, Callable, Mapping
+from multiprocessing import get_context, resource_tracker, shared_memory
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,109 +73,81 @@ try:  # POSIX only; samples carry zeros where rusage is unavailable
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
 
-from ..forces.kernels import acc_jerk_pot_on_targets
+from ..forces.kernels import ForceJerkResult, acc_jerk_pot_on_targets
 
 #: The selectable backend names, in preference order for docs/CLIs.
 EXEC_BACKENDS = ("inline", "thread", "process")
 
-#: Registered compute kernels, keyed by name.  Process workers import
-#: this module and look tasks up here, so only the key crosses the
-#: pipe — kernels must be module-level and deterministic.
-KERNELS: dict[str, Callable[..., Any]] = {}
+#: The output rows of a dispatch, in the order a call writes them.
+_OUTPUTS = (("acc", 3), ("jerk", 3), ("pot", None))
+_FLOAT64 = np.dtype(np.float64)
 
 
-def kernel(name: str) -> Callable[[Callable], Callable]:
-    """Register a compute kernel under ``name`` (decorator)."""
+class Tile(NamedTuple):
+    """One force tile: the targets ``i_rows`` of the published
+    ``ix``/``iv`` against the sources ``j_rows`` of ``jx``/``jv``/``jm``,
+    computed for ``rank``.
 
-    def register(fn: Callable) -> Callable:
-        KERNELS[name] = fn
-        return fn
-
-    return register
-
-
-#: Row selectors are picklable descriptions of array subsets, so a
-#: task never carries the subset itself: ``None`` (all rows),
-#: ``("range", lo, hi)``, ``("stride", start, stop, step)``, or an
-#: explicit integer index array (small: at most one entry per block
-#: member).
-RowSel = Any
-
-
-def select_rows(arr: np.ndarray, rows: RowSel) -> np.ndarray:
-    """Apply a row selector to an array."""
-    if rows is None:
-        return arr
-    if isinstance(rows, tuple):
-        if rows[0] == "range":
-            return arr[rows[1]:rows[2]]
-        if rows[0] == "stride":
-            return arr[rows[1]:rows[2]:rows[3]]
-        raise ValueError(f"unknown row selector {rows[0]!r}")
-    return arr[rows]
-
-
-@dataclass(frozen=True)
-class RankTask:
-    """One rank's compute work for one blockstep phase.
-
-    ``fn`` keys into :data:`KERNELS`; ``rank`` is the logical rank the
-    result belongs to (the driver replays its accounting in rank-major
-    order); ``kwargs`` are small picklable arguments — row selectors
-    and scalars, never particle arrays (those live in the published
-    arena).
+    ``i_rows`` is a ``slice(lo, hi)`` (explicit bounds, unit step) or an
+    integer index array; ``j_rows`` is a slice.  With ``exclude_self``
+    the kernel drops coincident pairs — set it when targets are also
+    sources.
     """
 
-    fn: str
     rank: int
-    kwargs: dict[str, Any] = field(default_factory=dict)
+    i_rows: Any
+    j_rows: slice
+    exclude_self: bool
 
 
-@kernel("forces")
-def forces_kernel(
-    arena: Mapping[str, np.ndarray],
-    *,
-    i_rows: RowSel = None,
-    j_rows: RowSel = None,
-    eps2: float,
-    exclude_self: bool,
-) -> dict[str, Any]:
-    """Pairwise acc/jerk/pot of one (i-subset, j-subset) tile.
+def _forces(arena: Mapping[str, np.ndarray], tile: Tile, i_rows: Any,
+            eps2: float) -> ForceJerkResult:
+    """The one kernel call: rows ``i_rows`` against ``tile``'s j-set.
 
-    Reads targets from the ``ix``/``iv`` arena arrays and sources from
-    ``jx``/``jv``/``jm``; the selectors say which tile this call owns.
-    Identical inputs to the old per-rank ``DirectSummation`` engines
-    (the kernel copies every layout into its own component-major
-    blocks, and each output row depends only on that target and the
-    j-subset, on both kernel tiers), hence bitwise identical outputs —
-    however the i-rows are cut into calls.
+    ``acc_jerk_pot_on_targets`` is looked up when called, so a test can
+    replace the module attribute (a slow, failing or counting kernel)
+    before a pool's workers fork.
     """
-    res = acc_jerk_pot_on_targets(
-        select_rows(arena["ix"], i_rows),
-        select_rows(arena["iv"], i_rows),
-        select_rows(arena["jx"], j_rows),
-        select_rows(arena["jv"], j_rows),
-        select_rows(arena["jm"], j_rows),
-        eps2,
-        exclude_self=exclude_self,
-    )
-    return {"acc": res.acc, "jerk": res.jerk, "pot": res.pot,
-            "interactions": res.interactions}
+    j = tile.j_rows
+    return acc_jerk_pot_on_targets(
+        arena["ix"][i_rows], arena["iv"][i_rows],
+        arena["jx"][j], arena["jv"][j], arena["jm"][j],
+        eps2, exclude_self=tile.exclude_self)
 
 
-def _in_row_order(parts: list[dict[str, Any]]) -> dict[str, Any]:
-    """The parts of a row-split result as one: arrays concatenated in
-    part order, counts summed."""
-    if len(parts) == 1:
-        return parts[0]
-    return {
-        key: np.concatenate([part[key] for part in parts])
-        if isinstance(value, np.ndarray) else sum(part[key] for part in parts)
-        for key, value in parts[0].items()
-    }
+def _plan(tiles: list[Tile], workers: int, merge: bool):
+    """Cut ``tiles`` into at most ``workers`` contiguous runs of kernel
+    calls ``[tile, i_rows, first output row]``, the rows laid out in
+    tile order.  With ``merge``, a tile that continues the previous
+    call's i slice over the same j-set joins that call (rows are
+    independent, so how they are cut into calls never changes a bit).
+    Returns the runs and the number of output rows."""
+    n = len(tiles)
+    k = min(workers, n)
+    runs, row = [], 0
+    for w in range(k):
+        calls: list[list] = []
+        for tile in tiles[n * w // k:n * (w + 1) // k]:
+            i = tile.i_rows
+            is_slice = i.__class__ is slice
+            last = calls[-1] if merge and calls and is_slice else None
+            if (last is not None and last[1].__class__ is slice
+                    and last[1].stop == i.start
+                    and last[0].j_rows == tile.j_rows
+                    and last[0].exclude_self == tile.exclude_self):
+                last[1] = slice(last[1].start, i.stop)
+            else:
+                calls.append([tile, i, row])
+            row += i.stop - i.start if is_slice else len(i)
+        runs.append(calls)
+    return runs, row
 
 
 # -- rank-observatory instrumentation ---------------------------------------
+
+#: Per-thread rusage where the platform has it (Linux), so a sample's
+#: context switches and faults are its own thread's, not the process's.
+_RUSAGE_WHO = getattr(resource, "RUSAGE_THREAD", getattr(resource, "RUSAGE_SELF", 0))
 
 
 def _monotonic_us() -> float:
@@ -180,71 +156,76 @@ def _monotonic_us() -> float:
     return time.perf_counter() * 1.0e6
 
 
-def _instrumented_call(
-    fn_key: str,
-    arena: Mapping[str, np.ndarray],
-    kwargs: dict[str, Any],
-    rank: int,
-    attach_bytes: int = 0,
-) -> tuple[Any, dict[str, Any]]:
-    """Run one kernel bracketed by the rank-observatory clocks.
+def _run(arena, out, calls, eps2, observed, attach_bytes=0):
+    """One worker's run of calls, each call's rows written into the
+    ``out`` arrays (acc, jerk, pot) from its first output row on.
+    Returns the interactions and, when observed, one
+    ``repro.rank_sample/1`` sample per call, ``attach_bytes`` (the arena
+    bytes the worker newly attached) charged to the first.
 
-    The kernel invocation is *exactly* the uninstrumented one — the
-    measurement only surrounds it, which is the bit-identity argument
-    for observatory-on vs observatory-off runs.  Returns the result
-    plus a ``repro.rank_sample/1`` sidecar dict: real wall
-    (``time.perf_counter``), CPU time (``os.times`` user+system),
-    ``resource.getrusage`` deltas, and the bytes of shared memory this
-    call newly attached.
+    An observed call is *exactly* the unobserved one — the clocks only
+    surround it, which is the bit-identity argument for observatory-on
+    vs observatory-off runs: real wall (``time.perf_counter``), this
+    thread's CPU time (``time.thread_time``, a nanosecond clock that does
+    not charge concurrent tiles on a pool each other's time) and
+    ``getrusage`` deltas.
     """
-    ru0 = resource.getrusage(resource.RUSAGE_SELF) if resource else None
-    cpu0 = os.times()
-    t0 = _monotonic_us()
-    result = KERNELS[fn_key](arena, **kwargs)
-    wall_us = _monotonic_us() - t0
-    cpu1 = os.times()
-    ru1 = resource.getrusage(resource.RUSAGE_SELF) if resource else None
-    sample = {
-        "rank": int(rank),
-        "pid": os.getpid(),
-        "t_start_us": t0,
-        "wall_us": wall_us,
-        "cpu_us": max(
-            (cpu1.user - cpu0.user) + (cpu1.system - cpu0.system), 0.0
-        ) * 1.0e6,
-        "maxrss_kb": float(ru1.ru_maxrss) if ru1 else 0.0,
-        "vol_ctx_switches": int(ru1.ru_nvcsw - ru0.ru_nvcsw) if ru1 else 0,
-        "invol_ctx_switches": int(ru1.ru_nivcsw - ru0.ru_nivcsw) if ru1 else 0,
-        "minor_faults": int(ru1.ru_minflt - ru0.ru_minflt) if ru1 else 0,
-        "major_faults": int(ru1.ru_majflt - ru0.ru_majflt) if ru1 else 0,
-        "attach_bytes": int(attach_bytes),
-    }
-    return result, sample
+    interactions, samples = 0, []
+    for tile, i_rows, row in calls:
+        if not observed:
+            res = _forces(arena, tile, i_rows, eps2)
+        else:
+            ru0 = resource.getrusage(_RUSAGE_WHO) if resource else None
+            t0 = _monotonic_us()
+            cpu0 = time.thread_time()
+            res = _forces(arena, tile, i_rows, eps2)
+            cpu_us = (time.thread_time() - cpu0) * 1.0e6
+            wall_us = _monotonic_us() - t0
+            ru1 = resource.getrusage(_RUSAGE_WHO) if resource else None
+            samples.append({
+                "rank": int(tile.rank),
+                "pid": os.getpid(),
+                "t_start_us": t0,
+                "wall_us": wall_us,
+                "cpu_us": cpu_us,
+                "maxrss_kb": float(ru1.ru_maxrss) if ru1 else 0.0,
+                "vol_ctx_switches": int(ru1.ru_nvcsw - ru0.ru_nvcsw) if ru1 else 0,
+                "invol_ctx_switches": int(ru1.ru_nivcsw - ru0.ru_nivcsw) if ru1 else 0,
+                "minor_faults": int(ru1.ru_minflt - ru0.ru_minflt) if ru1 else 0,
+                "major_faults": int(ru1.ru_majflt - ru0.ru_majflt) if ru1 else 0,
+                "attach_bytes": int(attach_bytes),
+            })
+            attach_bytes = 0
+        end = row + len(res.pot)
+        out[0][row:end] = res.acc
+        out[1][row:end] = res.jerk
+        out[2][row:end] = res.pot
+        interactions += res.interactions
+    return interactions, samples
 
 
 class ExecutionBackend:
-    """Where rank compute tasks run; see the module docstring.
+    """Where the force tiles run; see the module docstring.
 
     The contract every implementation honours:
 
-    * :meth:`publish` makes named arrays visible to the kernels (the
-      "arena"); re-publishing a name replaces it.
-    * :meth:`run_tasks` executes the tasks and returns their results
-      **in task order** — the deterministic merge the bit-identity pin
-      relies on.
-    * :meth:`run_shares` runs one kernel over contiguous rank shares of
-      the i-rows and returns the rows' result in block order.
-    * :meth:`close` releases workers and shared memory; calling any
-      method after ``close`` is an error for pooled backends.
+    * :meth:`publish` makes named arrays visible to the kernel (``ix``
+      / ``iv`` the targets, ``jx`` / ``jv`` / ``jm`` the sources);
+      re-publishing a name replaces it.
+    * :meth:`run_tasks` evaluates a list of :class:`Tile` records and
+      returns their rows **in tile order** — the deterministic merge
+      the bit-identity pin relies on.
+    * :meth:`close` releases workers and shared memory; calling
+      :meth:`publish` or :meth:`run_tasks` after ``close`` is a
+      ``RuntimeError`` for pooled backends.
 
     Observability (:mod:`repro.telemetry.ranks`) is opt-in: with an
     observer attached (:meth:`attach_observer`), every ``run_tasks``
-    dispatch additionally measures each task on its worker and hands
-    the observer one report dict — backend name, driver-side dispatch
-    wall, bytes published into the arena since the previous dispatch,
-    and one sidecar sample per task.  Without an observer the dispatch
-    path is byte-for-byte the uninstrumented one; with one, only the
-    measurement brackets change — results never do (property-pinned).
+    hands it one report dict — backend name, driver-side dispatch wall,
+    bytes published into the arena since the previous dispatch, and one
+    sample per tile, each tile its own timed call.  Only the cut into
+    calls and the clocks around them change; results never do
+    (property-pinned).
     """
 
     name: str = "?"
@@ -256,37 +237,55 @@ class ExecutionBackend:
     _publish_pending: int = 0
     #: Arena bytes published over the backend's lifetime.
     publish_bytes: int = 0
+    _closed: bool = False
 
     def publish(self, **arrays: np.ndarray) -> None:
         raise NotImplementedError
 
-    def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
-        raise NotImplementedError
+    def run_tasks(self, tiles: "list[Tile] | tuple[Tile, ...]",
+                  eps2: float) -> ForceJerkResult:
+        """Evaluate ``tiles`` with softening ``eps2``: one result whose
+        acc/jerk/pot rows are every tile's rows, tile after tile, and
+        whose ``interactions`` is their sum.
 
-    def run_shares(self, fn: str, bounds: list[int], **kwargs: Any) -> Any:
-        """Run kernel ``fn`` over the i-rows ``bounds[0]:bounds[-1]``,
-        rank ``r`` owning the contiguous share ``bounds[r]:bounds[r+1]``;
-        the rows' result in block order (arrays concatenated, counts
-        summed).  ``kwargs`` are the kernel's other arguments.
-
-        Rows are independent, so how they are cut into calls never
-        changes a bit.  Unobserved, the ranks with rows are cut into one
-        contiguous run per worker — one kernel call inline, ``k`` on
-        ``thread:k`` or ``process:k``; with an observer attached every
-        such rank is its own task, so each rank's tile is timed.
+        Unobserved, a worker's run of tiles that continue each other's
+        i slices over one j-set is one kernel call — one inline, ``k``
+        on ``thread:k`` or ``process:k`` for a block's contiguous rank
+        shares; with an observer attached every tile is its own call,
+        so each rank's tile is timed.  A tuple of tiles is cut into
+        calls once and the cut kept, so pass a tuple for a tile set
+        that recurs (the copy algorithm's shares of one block size) and
+        a list otherwise.
         """
-        p = len(bounds) - 1
-        owners = [r for r in range(p) if bounds[r + 1] > bounds[r]] or [0]
-        if self._observer is None:
-            k = min(self.workers, len(owners))
-            cuts = [0, *(owners[len(owners) * w // k] for w in range(1, k)), p]
+        if self._closed:
+            raise RuntimeError("backend is closed")
+        observed = self._observer is not None
+        t0 = _monotonic_us() if observed else 0.0
+        if tiles.__class__ is tuple:  # cannot change: cut into calls once
+            key = id(tiles), observed  # the entry keeps ``tiles``, and so its id
+            if key not in self._plans:
+                self._plans[key] = (tiles, *_plan(tiles, self.workers, not observed))
+            _, runs, rows = self._plans[key]
         else:
-            cuts = [*owners, owners[-1] + 1]
-        tasks = [
-            RankTask(fn, lo, {"i_rows": ("range", bounds[lo], bounds[hi]), **kwargs})
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
-        return _in_row_order(self.run_tasks(tasks))
+            runs, rows = _plan(tiles, self.workers, not observed)
+        if runs:
+            result, samples = self._dispatch(runs, rows, eps2, observed)
+        else:
+            result = ForceJerkResult(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), 0)
+            samples = []
+        if observed:
+            report = {
+                "backend": self.name,
+                "workers": self.workers,
+                "n_tasks": len(samples),
+                "t_start_us": t0,
+                "span_wall_us": _monotonic_us() - t0,
+                "publish_bytes": self._publish_pending,
+                "samples": samples,
+            }
+            self._publish_pending = 0
+            self._observer(report)
+        return result
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -306,113 +305,62 @@ class ExecutionBackend:
         self.publish_bytes += nbytes
         self._publish_pending += nbytes
 
-    def _report(
-        self,
-        t_start_us: float,
-        samples: list[dict[str, Any]],
-    ) -> None:
-        observer = self._observer
-        if observer is None:  # pragma: no cover - guarded by callers
-            return
-        report = {
-            "backend": self.name,
-            "workers": self.workers,
-            "n_tasks": len(samples),
-            "t_start_us": t_start_us,
-            "span_wall_us": _monotonic_us() - t_start_us,
-            "publish_bytes": self._publish_pending,
-            "samples": samples,
-        }
-        self._publish_pending = 0
-        observer(report)
-
-    def __enter__(self) -> "ExecutionBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 class InlineBackend(ExecutionBackend):
     """Sequential in-driver execution (the default and reference)."""
 
     name = "inline"
-    workers = 1
 
     def __init__(self) -> None:
         self._arena: dict[str, np.ndarray] = {}
+        self._plans: dict = {}
 
     def publish(self, **arrays: np.ndarray) -> None:
+        if self._closed:
+            raise RuntimeError("backend is closed")
         self._arena.update(arrays)
         self._note_publish(arrays)
 
-    def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
-        if self._observer is None:
-            return [KERNELS[t.fn](self._arena, **t.kwargs) for t in tasks]
-        t0 = _monotonic_us()
-        results: list[Any] = []
-        samples: list[dict[str, Any]] = []
-        for t in tasks:
-            result, sample = _instrumented_call(
-                t.fn, self._arena, t.kwargs, t.rank
-            )
-            results.append(result)
-            samples.append(sample)
-        self._report(t0, samples)
-        return results
+    def _dispatch(self, runs, rows, eps2, observed):
+        if len(runs) == 1 and len(runs[0]) == 1 and not observed:
+            tile, i_rows, _ = runs[0][0]  # one call: its rows are the result
+            return _forces(self._arena, tile, i_rows, eps2), []
+        out = (np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows))
+        parts = self._map(runs, out, eps2, observed)
+        return (ForceJerkResult(*out, sum(n for n, _ in parts)),
+                [s for _, run_samples in parts for s in run_samples])
+
+    def _map(self, runs, out, eps2, observed):
+        return [_run(self._arena, out, calls, eps2, observed) for calls in runs]
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool of rank workers over the shared arena (zero-copy)."""
+class ThreadBackend(InlineBackend):
+    """Thread-pool of rank workers over the driver's arrays (zero-copy):
+    the inline backend with its runs spread over ``workers`` threads."""
 
     name = "thread"
 
     def __init__(self, workers: int | None = None) -> None:
+        super().__init__()
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        self._arena: dict[str, np.ndarray] = {}
         self._pool = None
 
-    def publish(self, **arrays: np.ndarray) -> None:
-        self._arena.update(arrays)
-        self._note_publish(arrays)
+    def _map(self, runs, out, eps2, observed):
+        if len(runs) == 1:
+            return super()._map(runs, out, eps2, observed)
+        if self._pool is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-    def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
-        observed = self._observer is not None
-        t0 = _monotonic_us() if observed else 0.0
-        if len(tasks) <= 1:
-            if not observed:
-                return [KERNELS[t.fn](self._arena, **t.kwargs) for t in tasks]
-            pairs = [
-                _instrumented_call(t.fn, self._arena, t.kwargs, t.rank)
-                for t in tasks
-            ]
-        else:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-rank",
-                )
-            if not observed:
-                futures = [
-                    self._pool.submit(KERNELS[t.fn], self._arena, **t.kwargs)
-                    for t in tasks
-                ]
-                return [f.result() for f in futures]
-            futures = [
-                self._pool.submit(
-                    _instrumented_call, t.fn, self._arena, t.kwargs, t.rank
-                )
-                for t in tasks
-            ]
-            pairs = [f.result() for f in futures]
-        self._report(t0, [s for _, s in pairs])
-        return [r for r, _ in pairs]
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-rank")
+        futures = [self._pool.submit(_run, self._arena, out, calls, eps2, observed)
+                   for calls in runs]
+        return [f.result() for f in futures]
 
     def close(self) -> None:
+        self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -420,153 +368,140 @@ class ThreadBackend(ExecutionBackend):
 
 # -- process backend ---------------------------------------------------------
 
-#: Worker-side cache of attached shared-memory segments, keyed by the
-#: kernel-visible block name.  Replaced when the driver reallocates a
-#: segment (its shm name changes) and evicted when the driver stops
-#: publishing the name — both stale handles are *closed*, or a
-#: long-running worker leaks one fd per segment growth/retirement.
-_ATTACHED: dict[str, shared_memory.SharedMemory] = {}
-
-
-def _attach_arena(
-    arena_meta: dict[str, tuple[str, str, tuple[int, ...]]],
-) -> tuple[dict[str, np.ndarray], int]:
-    """Attach (or re-use) the published segments in this worker.
-
-    Returns the kernel-visible arena plus the bytes newly attached by
-    this call (0 on the warm path — the figure the rank observatory
-    reports as ``attach_bytes``).  Stale cache entries — a key whose
-    segment was reallocated under a new shm name, or a key the driver
-    no longer publishes — are closed and dropped, so the worker's fd
-    table stays bounded over arbitrarily long jobs.
-    """
-    for key in list(_ATTACHED):
-        if key not in arena_meta:
-            _ATTACHED.pop(key).close()
-    arena: dict[str, np.ndarray] = {}
-    attached_bytes = 0
-    for key, (shm_name, dtype, shape) in arena_meta.items():
-        shm = _ATTACHED.get(key)
-        if shm is None or shm.name != shm_name:
-            if shm is not None:
-                shm.close()
-            shm = shared_memory.SharedMemory(name=shm_name)
-            _ATTACHED[key] = shm
-            attached_bytes += shm.size
-        arena[key] = np.ndarray(shape, dtype=dtype, buffer=shm.buf)
-    return arena, attached_bytes
-
 
 class WorkerLost(RuntimeError):
     """A process-backend worker died; the backend has closed itself."""
 
 
-class _Segment:
-    """One shared-memory block: created, or attached by ``name``."""
-
-    def __init__(self, nbytes: int = 0, name: str | None = None) -> None:
-        self.capacity = max(nbytes, 1)
-        self.shm = shared_memory.SharedMemory(
-            name=name, create=name is None, size=self.capacity)
-        self.dtype = ""
-        self.shape: tuple[int, ...] = ()
-
-    def write(self, arr: np.ndarray) -> None:
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=self.shm.buf)
-        view[...] = arr
-        self.dtype = arr.dtype.str
-        self.shape = arr.shape
-
-    def destroy(self) -> None:
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except (FileNotFoundError, OSError):  # already gone (interpreter exit)
-            pass
+def _destroy(shm: shared_memory.SharedMemory) -> None:
+    """Close and unlink a segment this process created.  One already
+    unlinked from outside is dropped from the resource tracker instead,
+    which would otherwise report it as leaked at exit."""
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        resource_tracker.unregister(shm._name, "shared_memory")
 
 
-def _place(results: list[Any], seg: "_Segment | None"):
-    """Worker side of the result arena: move every array of the result
-    dicts (plain numeric dtypes; anything else stays in the pickle) into
-    this worker's output segment, replaced by a larger one under a new
-    name when too small, so the reply pickles a few integers per tile.
-    Returns the segment, its bytes in use and the layout: ``(result
-    index, key, offset, dtype, shape)`` per array."""
-    arrays, layout, used = [], [], 0
-    for i, res in enumerate(results):
-        for key, val in res.items() if isinstance(res, dict) else ():
-            if isinstance(val, np.ndarray) and val.dtype.kind in "biufc":
-                res[key] = None
-                arrays.append((used, val))
-                layout.append((i, key, used, val.dtype.str, val.shape))
-                used += -(-val.nbytes // 16) * 16
-    if seg is None or seg.capacity < used:
-        if seg is not None:
-            seg.destroy()
-        seg = _Segment(2 * used)
-    for offset, val in arrays:
-        np.ndarray(val.shape, val.dtype, seg.shm.buf, offset)[...] = val
-    return seg, used, layout
+class _Arena:
+    """The driver's one shared-memory segment: named arrays at fixed
+    offsets, ``layout`` mapping each name to ``(offset, dtype, shape)``.
+
+    A name that outgrows its room moves the whole arena to a new, larger
+    segment under a new name — a grown room at least doubles, so a
+    creeping block size costs a logarithmic number of moves — and the
+    workers re-attach by name at their next dispatch.
+    """
+
+    def __init__(self) -> None:
+        self.shm: shared_memory.SharedMemory | None = None
+        self.rooms: dict[str, tuple[int, int]] = {}  # name -> (offset, bytes)
+        self.layout: dict[str, tuple[int, str, tuple[int, ...]]] = {}
+
+    def reserve(self, specs: Mapping[str, tuple[tuple[int, ...], np.dtype]]) -> None:
+        """Give every name of ``specs`` (its shape and dtype) room and
+        a layout entry, in at most one move."""
+        grow = {}
+        for key, (shape, dtype) in specs.items():
+            nbytes = math.prod(shape) * dtype.itemsize
+            room = self.rooms.get(key, (0, -1))[1]
+            if room < nbytes:
+                grow[key] = max(nbytes, 2 * room)
+        if grow or self.shm is None:
+            self._move(grow)
+        for key, (shape, dtype) in specs.items():
+            self.layout[key] = (self.rooms[key][0], dtype.str, shape)
+
+    def array(self, key: str) -> np.ndarray:
+        offset, dtype, shape = self.layout[key]
+        return np.ndarray(shape, dtype, self.shm.buf, offset)
+
+    def _move(self, grow: dict[str, int]) -> None:
+        sizes = {key: room for key, (_, room) in self.rooms.items()}
+        sizes.update(grow)
+        rooms, end = {}, 0
+        for key, nbytes in sizes.items():
+            rooms[key] = (end, nbytes)
+            end += -(-nbytes // 64) * 64
+        old, self.shm = self.shm, shared_memory.SharedMemory(create=True, size=max(end, 1))
+        if old is not None:
+            for key, (offset, dtype, shape) in self.layout.items():
+                if key not in grow:  # a grown name is about to be rewritten
+                    np.ndarray(shape, dtype, self.shm.buf, rooms[key][0])[...] = \
+                        np.ndarray(shape, dtype, old.buf, offset)
+            _destroy(old)
+        self.rooms = rooms
+
+    def close(self) -> None:
+        if self.shm is not None:
+            _destroy(self.shm)
+            self.shm = None
 
 
-def _worker_loop(conn, driver_ends) -> None:
+def _attached_run(buf, layout, calls, eps2, observed, attach_bytes):
+    """A worker's run over the arena views of ``layout`` in ``buf``; the
+    views die with this frame, so the segment can be closed later."""
+    arena = {key: np.ndarray(shape, dtype, buf, offset)
+             for key, (offset, dtype, shape) in layout.items()}
+    out = [arena[key] for key, _ in _OUTPUTS]
+    return _run(arena, out, calls, eps2, observed, attach_bytes)
+
+
+def _worker_loop(conn, inherited) -> None:
     """Worker main: one message in, one reply out, until the sentinel.
 
-    A message is ``(observed, arena_meta, [(fn, kwargs, rank), ...])``,
-    each call timed by the rank-observatory clocks when observed; the
-    reply ``(True, (segment name, bytes used, layout, results,
-    samples))`` in slice order (``samples`` empty unless observed,
-    ``attach_bytes`` charged to the slice's first task) or ``(False,
-    exception)``.  A forked worker inherits the driver-side ends of
-    every pipe opened before it and closes them first: holding one, it
-    would never read a killed driver as EOF and would outlive it,
-    segments and all.
+    A message is ``(arena name, layout, eps2, observed, calls)``; the
+    worker attaches the arena when its name is new (closing the one it
+    held), writes every call's rows into it in place and replies
+    ``(True, (interactions, samples))`` — ``samples`` empty unless
+    observed, ``attach_bytes`` charged to the run's first call — or
+    ``(False, exception)``.  A forked worker inherits the driver-side
+    ends of every pipe opened before it and the driver's mapping of the
+    arena, and closes them first: holding a pipe end, it would never
+    read a killed driver as EOF and would outlive it; holding the
+    mapping, it would keep that segment's memory alive after the arena
+    moved.
     """
-    for end in driver_ends:
-        end.close()
-    out = None  # this worker's output segment
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):  # the driver is gone
-                return
-            if message is None:
-                return
-            observed, arena_meta, calls = message
-            try:
-                arena, attach_bytes = _attach_arena(arena_meta)
-                results, samples = [], []
-                if not observed:
-                    results = [KERNELS[fn_key](arena, **kwargs)
-                               for fn_key, kwargs, _ in calls]
-                else:  # one call per task: the observer times each
-                    for fn_key, kwargs, rank in calls:
-                        result, sample = _instrumented_call(
-                            fn_key, arena, kwargs, rank, attach_bytes)
-                        results.append(result)
-                        samples.append(sample)
-                        attach_bytes = 0
-                out, used, layout = _place(results, out)
-                reply = True, (out.shm.name, used, layout, results, samples)
-            except Exception as exc:  # a kernel's own: the driver re-raises it
-                reply = False, exc
-            conn.send(reply)
-    finally:
-        if out is not None:
-            out.destroy()
+    for handle in inherited:
+        handle.close()
+    shm = None  # the attached arena; exiting unmaps it
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):  # the driver is gone
+            return
+        if message is None:
+            return
+        name, layout, eps2, observed, calls = message
+        try:
+            attach_bytes = 0
+            if shm is None or shm.name != name:
+                if shm is not None:
+                    shm.close()
+                    shm = None
+                shm = shared_memory.SharedMemory(name=name)
+                attach_bytes = shm.size
+            reply = True, _attached_run(
+                shm.buf, layout, calls, eps2, observed, attach_bytes)
+        except Exception as exc:  # a kernel's own: the driver re-raises it
+            reply = False, exc
+        conn.send(reply)
+        reply = None  # an error's traceback holds arena views
 
 
 class ProcessBackend(ExecutionBackend):
-    """Persistent worker processes on private pipes, shared-memory arena.
+    """Persistent worker processes on private pipes over one
+    driver-owned shared-memory arena.
 
     Workers start lazily (``fork`` where available, so they inherit the
     loaded interpreter; ``spawn`` otherwise) and persist across
-    blocksteps.  ``publish`` memcpys each array into its segment — ~56
-    bytes/particle for the j-side per blockstep.  ``run_tasks`` cuts the
-    task list into one contiguous slice per worker (the algorithms emit
-    near-equal tiles in rank order, so that balances to within a tile)
-    and reads the replies in worker order, hence in task order.
+    blocksteps.  ``publish`` memcpys each array into the arena — ~56
+    bytes/particle for the j-side per blockstep.  ``run_tasks`` sends
+    each worker its contiguous run of calls (the algorithms emit
+    near-equal tiles in rank order, so that balances to within a tile),
+    reads the replies in worker order and copies the rows out of the
+    arena once.
 
     A kernel's exception is re-raised here with its own type once every
     reply of the dispatch has been read, and the backend stays usable; a
@@ -579,15 +514,12 @@ class ProcessBackend(ExecutionBackend):
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("need at least one worker")
-        self._segments: dict[str, _Segment] = {}
-        self._outputs: dict[int, _Segment] = {}  # attached, by worker index
+        self._arena = _Arena()
+        self._plans: dict = {}
         self._procs: list = []
         self._conns: list = []
-        self._closed = False
 
     def _ensure_pool(self) -> list:
-        if self._closed:
-            raise RuntimeError("backend is closed")
         if not self._procs:
             methods = multiprocessing.get_all_start_methods()
             ctx = get_context("fork" if "fork" in methods else "spawn")
@@ -595,7 +527,7 @@ class ProcessBackend(ExecutionBackend):
                 ours, theirs = ctx.Pipe()
                 self._conns.append(ours)
                 proc = ctx.Process(target=_worker_loop, daemon=True,
-                                   args=(theirs, list(self._conns)))
+                                   args=(theirs, [*self._conns, self._arena.shm]))
                 proc.start()
                 theirs.close()  # held by its worker alone, its death is our EOF
                 self._procs.append(proc)
@@ -604,70 +536,40 @@ class ProcessBackend(ExecutionBackend):
     def publish(self, **arrays: np.ndarray) -> None:
         if self._closed:
             raise RuntimeError("backend is closed")
-        for key, value in arrays.items():
-            arr = np.ascontiguousarray(value)
-            seg = self._segments.get(key)
-            if seg is None or seg.capacity < arr.nbytes:
-                if seg is not None:
-                    seg.destroy()
-                seg = _Segment(arr.nbytes)
-                self._segments[key] = seg
-            seg.write(arr)
+        arrays = {key: np.asarray(value) for key, value in arrays.items()}
+        self._arena.reserve({key: (a.shape, a.dtype) for key, a in arrays.items()})
+        for key, arr in arrays.items():
+            self._arena.array(key)[...] = arr
         self._note_publish(arrays)
 
-    def run_tasks(self, tasks: list[RankTask]) -> list[Any]:
-        observed = self._observer is not None
-        t0 = _monotonic_us() if observed else 0.0
-        results: list[Any] = []
-        samples: list[dict[str, Any]] = []
-        if tasks:
-            conns = self._ensure_pool()
-            meta = {
-                key: (seg.shm.name, seg.dtype, seg.shape)
-                for key, seg in self._segments.items()
-            }
-            k = min(self.workers, len(tasks))
-            bounds = [len(tasks) * w // k for w in range(k + 1)]
-            try:
-                for w in range(k):
-                    conns[w].send((observed, meta, [
-                        (t.fn, t.kwargs, t.rank)
-                        for t in tasks[bounds[w]:bounds[w + 1]]
-                    ]))
-                replies = []
-                for w in range(k):  # a plain loop: ``w`` names the lost worker
-                    replies.append(conns[w].recv())
-            except (EOFError, OSError) as exc:
-                proc = self._procs[w]
-                proc.join(1.0)  # reaped, so the exit code is known
-                self.close()
-                raise WorkerLost(
-                    f"process backend worker {w} (pid {proc.pid}) died "
-                    f"with exit code {proc.exitcode}"
-                ) from exc
-            for w, (ok, payload) in enumerate(replies):
-                if not ok:
-                    raise payload
-                name, used, layout, part, part_samples = payload
-                self._collect(w, name, used, layout, part)
-                results += part
-                samples += part_samples
-        if observed:
-            self._report(t0, samples)
-        return results
-
-    def _collect(self, w, name, used, layout, results) -> None:
-        """Driver side of the result arena: copy worker ``w``'s output
-        bytes out once (it overwrites them on its next slice) and put
-        each array back into its result, as a view of that copy."""
-        seg = self._outputs.get(w)
-        if seg is None or seg.shm.name != name:
-            if seg is not None:
-                seg.shm.close()
-            seg = self._outputs[w] = _Segment(name=name)
-        data = bytearray(seg.shm.buf[:used])
-        for i, key, offset, dtype, shape in layout:
-            results[i][key] = np.ndarray(shape, dtype, data, offset)
+    def _dispatch(self, runs, rows, eps2, observed):
+        arena = self._arena
+        # the arena exists before the first fork, so the workers share
+        # the driver's resource tracker instead of starting their own
+        arena.reserve({key: ((rows, 3) if width else (rows,), _FLOAT64)
+                       for key, width in _OUTPUTS})
+        conns = self._ensure_pool()
+        message = arena.shm.name, arena.layout, eps2, observed
+        try:
+            for w, calls in enumerate(runs):
+                conns[w].send((*message, calls))
+            replies = []
+            for w in range(len(runs)):  # a plain loop: ``w`` names the lost worker
+                replies.append(conns[w].recv())
+        except (EOFError, OSError) as exc:
+            proc = self._procs[w]
+            proc.join(1.0)  # reaped, so the exit code is known
+            self.close()
+            raise WorkerLost(
+                f"process backend worker {w} (pid {proc.pid}) died "
+                f"with exit code {proc.exitcode}"
+            ) from exc
+        for ok, payload in replies:
+            if not ok:
+                raise payload
+        out = [arena.array(key).copy() for key, _ in _OUTPUTS]
+        return (ForceJerkResult(*out, sum(n for _, (n, _) in replies)),
+                [s for _, (_, run_samples) in replies for s in run_samples])
 
     def close(self) -> None:
         if self._closed:
@@ -687,12 +589,7 @@ class ProcessBackend(ExecutionBackend):
             conn.close()
         self._procs.clear()
         self._conns.clear()
-        # a worker unlinks its output segment on the way out; a killed
-        # one could not, so the driver destroys what it attached as well
-        for seg in (*self._segments.values(), *self._outputs.values()):
-            seg.destroy()
-        self._segments.clear()
-        self._outputs.clear()
+        self._arena.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net
         try:

@@ -22,12 +22,13 @@ much better than multi-cluster (fig. 17).
 
 The r x r cell computations are independent, so :meth:`forces_on` is
 split into :meth:`plan_forces` (build one
-:class:`~repro.parallel.execution.RankTask` per grid cell),
-dispatch on the :class:`~repro.parallel.execution.ExecutionBackend`,
-and :meth:`finish_forces` (driver-side row/column reduction replaying
-all virtual-time charges in grid order).  The split also lets
+:class:`~repro.parallel.execution.Tile` per grid cell), one
+:meth:`~repro.parallel.execution.ExecutionBackend.run_tasks` dispatch
+(one kernel call per cell: the cells' i- or j-sets differ), and
+:meth:`finish_forces` (driver-side row/column reduction replaying all
+virtual-time charges in grid order).  The split also lets
 :class:`repro.parallel.hybrid.HybridAlgorithm` fan the cells of *all*
-clusters into one task batch.
+clusters into one dispatch.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from ..forces.kernels import ForceJerkResult
-from .execution import ExecutionBackend, RankTask, resolve_backend
+from .execution import ExecutionBackend, Tile, resolve_backend
 from .simcomm import PARTICLE_BYTES, SimNetwork
 from .topology import Grid2D
 
@@ -50,17 +51,18 @@ FORCE_RECORD_BYTES: int = 7 * 8
 class GridPlan:
     """One blockstep's worth of grid-cell compute, ready to dispatch.
 
-    ``tasks[k]`` computes the (``cells[k]`` = (row, col)) partial tile;
-    ``row_targets[row]`` are the block rows grid row ``row`` handles
-    (in the caller's local frame); ``indices`` are the targets' global
-    indices (for self-pair counting in the finish phase).
+    ``tiles`` holds every cell's partial tile, row-major over the grid
+    rows with targets; ``row_targets[row]`` are the block rows grid row
+    ``row`` handles (in the caller's local frame); ``indices`` are the
+    targets' global indices (for self-pair counting in the finish
+    phase).  The dispatch answers with ``rows`` output rows.
     """
 
     n_b: int
     indices: np.ndarray
     row_targets: dict[int, np.ndarray]
-    cells: list[tuple[int, int]]
-    tasks: list[RankTask]
+    tiles: list[Tile]
+    rows: int
 
 
 class Grid2DAlgorithm:
@@ -120,12 +122,12 @@ class Grid2DAlgorithm:
         if self._publish_arrays:
             self.executor.publish(jx=x, jv=v, jm=m)
 
-    def _col_rows(self, col: int):
-        """Row selector for grid column ``col``'s j-subset (contiguous)."""
+    def _col_rows(self, col: int) -> slice:
+        """Grid column ``col``'s j-subset (contiguous) as a slice."""
         subset = self._subsets[col]
         if subset.size == 0:
-            return ("range", 0, 0)
-        return ("range", int(subset[0]), int(subset[-1]) + 1)
+            return slice(0, 0)
+        return slice(int(subset[0]), int(subset[-1]) + 1)
 
     def plan_forces(
         self,
@@ -134,7 +136,7 @@ class Grid2DAlgorithm:
         indices: np.ndarray | None = None,
         i_base: np.ndarray | None = None,
     ) -> GridPlan:
-        """Route block targets to grid rows and emit one task per cell.
+        """Route block targets to grid rows and emit one tile per cell.
 
         ``indices`` must be the global indices of the targets (required
         to route them to rows); targets outside the system
@@ -153,8 +155,7 @@ class Grid2DAlgorithm:
         r = self.grid.r
 
         row_targets: dict[int, np.ndarray] = {}
-        cells: list[tuple[int, int]] = []
-        tasks: list[RankTask] = []
+        tiles: list[Tile] = []
         for row in range(r):
             subset = self._subsets[row]
             if subset.size:
@@ -169,32 +170,21 @@ class Grid2DAlgorithm:
                 continue
             row_targets[row] = rows
             i_rows = rows if i_base is None else np.asarray(i_base)[rows]
-            for col in range(r):
-                cells.append((row, col))
-                tasks.append(
-                    RankTask(
-                        "forces",
-                        self.grid.rank(row, col),
-                        {
-                            "i_rows": i_rows,
-                            "j_rows": self._col_rows(col),
-                            "eps2": self.eps2,
-                            "exclude_self": True,
-                        },
-                    )
-                )
+            tiles += [Tile(self.grid.rank(row, col), i_rows, self._col_rows(col), True)
+                      for col in range(r)]
         return GridPlan(
-            n_b=n_b, indices=indices, row_targets=row_targets,
-            cells=cells, tasks=tasks,
+            n_b=n_b, indices=indices, row_targets=row_targets, tiles=tiles,
+            rows=r * sum(rows.size for rows in row_targets.values()),
         )
 
-    def finish_forces(self, plan: GridPlan, results: list) -> ForceJerkResult:
+    def finish_forces(self, plan: GridPlan, res: ForceJerkResult) -> ForceJerkResult:
         """Reduce cell partials to the diagonal: sum each row's
         partials in column order and replay every cell's compute charge
         in grid (row-major) order, then post all rows' reductions as one
-        many-to-one round.  Each partial leaves once its cell has
-        computed, and no sender of one row's reduction receives in
-        another's, so the one round is the rows' rounds back to back."""
+        many-to-one round.  ``res`` holds the plan's tile rows in tile
+        order.  Each partial leaves once its cell has computed, and no
+        sender of one row's reduction receives in another's, so the one
+        round is the rows' rounds back to back."""
         n_b = plan.n_b
         indices = plan.indices
         acc = np.empty((n_b, 3))
@@ -202,7 +192,7 @@ class Grid2DAlgorithm:
         pot = np.empty(n_b)
         interactions = 0
         r = self.grid.r
-        by_cell = dict(zip(plan.cells, results))
+        lo = 0  # first output row of the next cell
         reduced = []  # (row, targets) of every row with targets
 
         for row in range(r):
@@ -213,10 +203,11 @@ class Grid2DAlgorithm:
             partial_jerk = np.zeros((rows.size, 3))
             partial_pot = np.zeros(rows.size)
             for col in range(r):
-                res = by_cell[(row, col)]
-                partial_acc += res["acc"]
-                partial_jerk += res["jerk"]
-                partial_pot += res["pot"]
+                cell = slice(lo, lo + rows.size)
+                lo += rows.size
+                partial_acc += res.acc[cell]
+                partial_jerk += res.jerk[cell]
+                partial_pot += res.pot[cell]
                 n_local = self._subsets[col].size
                 self_pairs = int(
                     np.count_nonzero(
@@ -257,8 +248,7 @@ class Grid2DAlgorithm:
         of subset i are handled by grid row i (see :meth:`plan_forces`).
         """
         plan = self.plan_forces(xi, vi, indices)
-        results = self.executor.run_tasks(plan.tasks)
-        return self.finish_forces(plan, results)
+        return self.finish_forces(plan, self.executor.run_tasks(plan.tiles, self.eps2))
 
     def exchange_updated(self, block: np.ndarray) -> None:
         """Broadcast updated particles along each diagonal's row and

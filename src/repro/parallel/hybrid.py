@@ -14,11 +14,12 @@ block-timestep integrator drives a functional simulation of the whole
 16-host machine.
 
 All clusters share one :class:`~repro.parallel.execution.ExecutionBackend`
-and their grid-cell tasks are fanned out in a single batch — on the
-``process`` backend every simulated host of the machine runs
+and their grid-cell tiles go out in a single
+:meth:`~repro.parallel.execution.ExecutionBackend.run_tasks` dispatch —
+on the ``process`` backend every simulated host of the machine runs
 concurrently on real cores — while the per-cluster finish phases replay
-the virtual-time accounting in cluster order, bit-identical to the
-sequential reference.
+the virtual-time accounting in cluster order, each on its own slice of
+the dispatch's rows, bit-identical to the sequential reference.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class HybridAlgorithm:
         """Each cluster computes complete forces for its share using its
         internal 2-D grid; shares are disjoint, so assembly is exact.
 
-        All clusters' grid-cell tasks go out in one batch — the full
+        All clusters' grid-cell tiles go out in one dispatch — the full
         machine's concurrency — and the finish phases run in cluster
         order so clocks, ledgers and sums replay deterministically.
         """
@@ -131,7 +132,7 @@ class HybridAlgorithm:
         self.executor.publish(ix=xi, iv=vi)
 
         plans = []
-        all_tasks = []
+        tiles = []
         for k in range(self.c):
             rows = np.arange(k, n_b, self.c)
             if rows.size == 0:
@@ -139,18 +140,20 @@ class HybridAlgorithm:
             plan = self.grids[k].plan_forces(
                 xi[rows], vi[rows], indices[rows], i_base=rows
             )
-            plans.append((k, rows, plan, len(all_tasks)))
-            all_tasks.extend(plan.tasks)
-        results = self.executor.run_tasks(all_tasks)
+            plans.append((k, rows, plan))
+            tiles += plan.tiles
+        out = self.executor.run_tasks(tiles, self.eps2)
 
         acc = np.empty((n_b, 3))
         jerk = np.empty((n_b, 3))
         pot = np.empty(n_b)
         interactions = 0
-        for k, rows, plan, offset in plans:
-            res = self.grids[k].finish_forces(
-                plan, results[offset:offset + len(plan.tasks)]
-            )
+        lo = 0  # first output row of the next cluster's tiles
+        for k, rows, plan in plans:
+            cells = slice(lo, lo + plan.rows)
+            lo += plan.rows
+            res = self.grids[k].finish_forces(plan, ForceJerkResult(
+                out.acc[cells], out.jerk[cells], out.pot[cells], 0))
             acc[rows] = res.acc
             jerk[rows] = res.jerk
             pot[rows] = res.pot

@@ -12,14 +12,18 @@ the partial force from its local j-subset.  The per-blockstep
 communication is again independent of p, but the payload now includes
 the partial accumulators, and every hop pays a latency.
 
-The per-hop partial-force tiles are independent of one another, so they
-are dispatched as :class:`repro.parallel.execution.RankTask` batches to
-the configured :class:`~repro.parallel.execution.ExecutionBackend`; the
-hop-order accumulation, clock charges and systolic sends stay on the
-driver, preserving the exact reassociation order (and hence bitwise
-results) of the sequential loop on every backend.  A hop leaves only
-after the previous one has arrived and the rank has computed, so each
-hop is its own one-message round.
+The per-hop partial-force tiles are independent of one another, so
+all p of them go to the configured
+:class:`~repro.parallel.execution.ExecutionBackend` in one
+:meth:`~repro.parallel.execution.ExecutionBackend.run_tasks` dispatch
+(one kernel call per hop: their j-sets differ); the hop-order
+accumulation, clock charges and systolic sends stay on the driver,
+preserving the exact reassociation order (and hence bitwise results) of
+the sequential loop on every backend.  Ownership is arithmetic on the
+global index (rank ``r`` owns ``r, r + p, ...``), so a hop's j-set is
+the slice ``r::p`` and its self-pairs are the targets whose index is
+``r`` mod p.  A hop leaves only after the previous one has arrived and
+the rank has computed, so each hop is its own one-message round.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from ..forces.kernels import ForceJerkResult
-from .execution import ExecutionBackend, RankTask, resolve_backend
+from .execution import ExecutionBackend, Tile, resolve_backend
 from .simcomm import SimNetwork
 
 #: Bytes per circulating i-particle: predicted position + velocity
@@ -59,7 +63,6 @@ class RingAlgorithm:
         self.eps2 = float(eps2)
         self.compute_time_us = compute_time_us
         self.executor = resolve_backend(executor)
-        self._local_idx: list[np.ndarray] = []
         self._n = 0
 
     def set_j_particles(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
@@ -68,11 +71,9 @@ class RingAlgorithm:
         Only the owner stores each particle; prediction is local (each
         node predicts its own subset), so no traffic is charged here.
         The full predicted arrays go to the execution arena once — each
-        rank's task selects its strided subset by descriptor.
+        hop's tile selects its owner's strided subset by slice.
         """
         self._n = x.shape[0]
-        all_idx = np.arange(self._n)
-        self._local_idx = [all_idx[all_idx % self.p == r] for r in range(self.p)]
         self.executor.publish(jx=x, jv=v, jm=m)
 
     def forces_on(
@@ -83,35 +84,24 @@ class RingAlgorithm:
     ) -> ForceJerkResult:
         """Circulate the block around the ring, accumulating partials.
 
-        Self-interactions are excluded by comparing global indices
-        against each hop's local subset.
+        Self-interactions are excluded on the hops that own one of the
+        targets (global index modulo p); external targets (index -1,
+        or ``indices=None``) never coincide with a source.
         """
         n_b = xi.shape[0]
-        if indices is None:
-            indices = np.full(n_b, -1)  # external targets: no self-pairs
+        p = self.p
         self.executor.publish(ix=xi, iv=vi)
-
-        overlaps = []
-        tasks = []
-        for hop in range(self.p):
-            local = self._local_idx[hop]
-            # self-exclusion via the position-coincidence convention of
-            # the kernels: exclude only if targets overlap locals
-            overlap = np.isin(indices, local, assume_unique=False)
-            overlaps.append(overlap)
-            tasks.append(
-                RankTask(
-                    "forces",
-                    hop,
-                    {
-                        "i_rows": None,
-                        "j_rows": ("stride", hop, self._n, self.p),
-                        "eps2": self.eps2,
-                        "exclude_self": bool(overlap.any()),
-                    },
-                )
-            )
-        results = self.executor.run_tasks(tasks)
+        if indices is None:
+            overlaps = np.zeros(p, dtype=np.int64)
+        else:
+            indices = np.asarray(indices)
+            owned = indices[(indices >= 0) & (indices < self._n)]
+            overlaps = np.bincount(owned % p, minlength=p)
+        # self-exclusion via the position-coincidence convention of the
+        # kernels: exclude only on hops whose locals include targets
+        res = self.executor.run_tasks(
+            [Tile(hop, slice(0, n_b), slice(hop, self._n, p), bool(overlaps[hop]))
+             for hop in range(p)], self.eps2)
 
         # driver-side finish: sum the partials in hop order (the exact
         # reassociation order of the systolic circulation) and replay
@@ -120,24 +110,24 @@ class RingAlgorithm:
         jerk = np.zeros((n_b, 3))
         pot = np.zeros(n_b)
         interactions = 0
-        ranks = np.arange(self.p)
+        ranks = np.arange(p)
         nbytes = np.array([n_b * RING_RECORD_BYTES])
-        for hop in range(self.p):
+        for hop in range(p):
             rank = hop  # the block visits ranks 0..p-1 (order irrelevant
             # to cost: every hop happens once per blockstep)
-            local = self._local_idx[rank]
-            res = results[hop]
-            acc += res["acc"]
-            jerk += res["jerk"]
-            pot += res["pot"]
+            n_local = len(range(rank, self._n, p))
+            rows = slice(hop * n_b, (hop + 1) * n_b)
+            acc += res.acc[rows]
+            jerk += res.jerk[rows]
+            pot += res.pot[rows]
             # count true pair interactions: n_b * n_local minus the
             # self-pairs actually present on this hop
-            interactions += n_b * local.size - int(overlaps[hop].sum())
+            interactions += n_b * n_local - int(overlaps[hop])
             if self.compute_time_us is not None:
                 self.network.clock.advance(
-                    rank, self.compute_time_us(rank, n_b, local.size)
+                    rank, self.compute_time_us(rank, n_b, n_local)
                 )
-            if hop < self.p - 1:
+            if hop < p - 1:
                 self.network.message_round(
                     ranks[hop:hop + 1], ranks[hop + 1:hop + 2], nbytes,
                     tag=2000 + hop)

@@ -11,11 +11,12 @@ you did not measure.
 
 The pieces:
 
-* **samples** — each instrumented task returns a
-  ``repro.rank_sample/1`` sidecar dict next to its result: real wall
-  and CPU time (``time.perf_counter`` / ``os.times``),
-  ``resource.getrusage`` deltas (maxrss, voluntary/involuntary context
-  switches, page faults) and segment-attach byte counts.  The kernels
+* **samples** — each instrumented tile returns a
+  ``repro.rank_sample/1`` sidecar dict next to its rows: real wall and
+  the calling thread's CPU time (``time.perf_counter`` /
+  ``time.thread_time``), ``resource.getrusage`` deltas (per thread
+  where the platform has ``RUSAGE_THREAD``: maxrss, voluntary/involuntary
+  context switches, page faults) and arena-attach byte counts.  The kernels
   themselves are untouched — observability must not change a single
   output bit (property-pinned across backends).
 * **dispatch reports** — the driver wraps each ``run_tasks`` call with

@@ -22,6 +22,14 @@ the frame stack when no span is open.  A sample therefore lands in
 ``T_host`` when taken inside ``with tracer.span("pack", phase=T_HOST)``
 even if the executing frame lives in ``repro/forces/direct.py``.
 
+The live thread ticks only when it next holds the GIL.  At Python's
+default 5 ms switch interval that is mostly at the next C call that
+releases it (a compiled tile), so the host's ~15 us tile calls could be
+missed altogether and a whole recording land in one phase.  While it
+runs the sampler therefore lowers the interpreter's switch interval to
+:data:`SWITCH_INTERVAL_S`, so the traced thread hands the GIL over
+wherever it is, and restores the old value when it stops.
+
 Determinism for tests: :meth:`SamplingProfiler.tick` is the whole
 sampling step and takes injectable timestamps and frame stacks, so a
 test can drive the sampler with a fake clock and synthetic frames —
@@ -47,6 +55,10 @@ SOURCE_NONE = "unattributed"    # neither view could place the sample
 
 #: One extracted stack frame: (filename, function name), innermost first.
 FrameRef = tuple[str, str]
+
+#: GIL switch interval (s) while a sampler runs; a smaller one already
+#: set is kept.
+SWITCH_INTERVAL_S = 1e-4
 
 
 def _default_frame_rules() -> Sequence[tuple[str, str | None, str]]:
@@ -286,13 +298,18 @@ class SamplingProfiler:
             target=self._run, name="repro-sampler", daemon=True
         )
         self._thread.start()
+        self._switch = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._switch, SWITCH_INTERVAL_S))
         return self
 
     def stop(self) -> "SamplingProfiler":
         if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join()
-            self._thread = None
+            try:
+                self._stop_event.set()
+                self._thread.join()
+            finally:
+                self._thread = None
+                sys.setswitchinterval(self._switch)
         return self
 
     def _run(self) -> None:

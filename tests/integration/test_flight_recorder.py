@@ -15,7 +15,6 @@ The acceptance properties pinned here:
 
 import copy
 import json
-import sys
 
 import pytest
 
@@ -43,17 +42,13 @@ def recording():
     it; where the woken thread is slow to be scheduled it misses the host
     tile's ~15 us calls and catches only the emulator's ~200 us ones, and
     a whole recording lands in ``pipe`` (seen: 78 of 78 samples, with the
-    host 23 % of the wall).  At 0.1 ms the main thread hands the GIL over
+    host 23 % of the wall).  The sampler lowers the switch interval to
+    0.1 ms itself while it runs, so the main thread hands the GIL over
     wherever it is."""
     bench = REGISTRY.get("blockstep_phase_breakdown")
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-4)
-    try:
-        return flight_record_benchmark(
-            bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
-        )
-    finally:
-        sys.setswitchinterval(switch)
+    return flight_record_benchmark(
+        bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
+    )
 
 
 class TestFlightRecording:

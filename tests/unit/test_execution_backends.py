@@ -1,12 +1,12 @@
 """Unit tests for the execution engine (repro.parallel.execution).
 
-Backends only decide *where* rank kernels run; these tests pin the
-contract that makes that safe: spec parsing, row selectors, identical
-kernel results on every backend, contiguous rank shares equal to one
-call per rank (and exactly as many kernel calls as the dispatch allows),
-shared-memory arena reuse/growth on the process backend, and the
-driver's one-scan-per-blockstep property (the scheduler fix that rode
-along with the engine).
+Backends only decide *where* force tiles run; these tests pin the
+contract that makes that safe: spec parsing, identical tile rows on
+every backend, contiguous rank shares equal to one call per rank (and
+exactly as many kernel calls as the dispatch allows), the process
+backend's one driver-owned arena (reuse, growth, re-attach, faults), a
+closed pool staying closed, and the driver's one-scan-per-blockstep
+property (the scheduler fix that rode along with the engine).
 """
 
 import multiprocessing
@@ -28,22 +28,18 @@ from repro.parallel import (
     InlineBackend,
     ParallelBlockIntegrator,
     ProcessBackend,
-    RankTask,
     RingAlgorithm,
     SimNetwork,
     ThreadBackend,
+    Tile,
     execution,
     resolve_backend,
 )
 from repro.parallel.copy_algorithm import share_sizes
-from repro.parallel.execution import (
-    KERNELS,
-    WorkerLost,
-    kernel,
-    select_rows,
-)
+from repro.parallel.execution import WorkerLost
 
 EPS2 = (1.0 / 64.0) ** 2
+ALL = slice(None)
 
 
 class TestResolveBackend:
@@ -90,132 +86,101 @@ class TestResolveBackend:
             resolve_backend(spec)
 
 
-class TestSelectRows:
-    def test_selectors(self):
-        arr = np.arange(20.0).reshape(10, 2)
-        np.testing.assert_array_equal(select_rows(arr, None), arr)
-        np.testing.assert_array_equal(
-            select_rows(arr, ("range", 2, 5)), arr[2:5])
-        np.testing.assert_array_equal(
-            select_rows(arr, ("stride", 1, 10, 3)), arr[1:10:3])
-        np.testing.assert_array_equal(
-            select_rows(arr, np.array([7, 0, 3])), arr[[7, 0, 3]])
-
-    def test_unknown_selector_rejected(self):
-        with pytest.raises(ValueError, match="unknown row selector"):
-            select_rows(np.zeros(3), ("slice", 0, 1))
-
-
 def _reference_tile(system, i_rows, j_rows, exclude_self):
     return acc_jerk_pot_on_targets(
-        select_rows(system.pos, i_rows), select_rows(system.vel, i_rows),
-        select_rows(system.pos, j_rows), select_rows(system.vel, j_rows),
-        select_rows(system.mass, j_rows), EPS2, exclude_self=exclude_self,
+        system.pos[i_rows], system.vel[i_rows],
+        system.pos[j_rows], system.vel[j_rows],
+        system.mass[j_rows], EPS2, exclude_self=exclude_self,
     )
+
+
+def _tiles(n, count):
+    """``count`` tiles of strided targets against every source."""
+    return [Tile(r, np.arange(r, n, max(count, 1)), ALL, True)
+            for r in range(count)]
+
+
+def _publish_system(backend, system):
+    backend.publish(ix=system.pos, iv=system.vel,
+                    jx=system.pos, jv=system.vel, jm=system.mass)
+
+
+def _assert_same_results(got, want):
+    for key in ("acc", "jerk", "pot"):
+        np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+    assert got.interactions == want.interactions
+
+
+def _new_segments(before):
+    return sorted(set(os.listdir("/dev/shm")) - before)
 
 
 @pytest.mark.parametrize("spec", ["inline", "thread:2", "process:2"])
 class TestBackendsRunKernels:
-    def _publish(self, backend, system):
-        backend.publish(
-            ix=system.pos, iv=system.vel,
-            jx=system.pos, jv=system.vel, jm=system.mass,
-        )
-
     def test_forces_kernel_matches_direct_call(self, spec):
         system = plummer_model(24, seed=3)
         backend = resolve_backend(spec)
         try:
-            self._publish(backend, system)
-            tasks = [
-                RankTask("forces", r, {
-                    "i_rows": ("stride", r, 24, 3),
-                    "j_rows": None,
-                    "eps2": EPS2,
-                    "exclude_self": True,
-                })
-                for r in range(3)
-            ]
-            results = backend.run_tasks(tasks)
+            _publish_system(backend, system)
+            tiles = _tiles(24, 3)
+            res = backend.run_tasks(tiles, EPS2)
         finally:
             backend.close()
-        assert len(results) == 3
-        for r, res in enumerate(results):
-            ref = _reference_tile(system, ("stride", r, 24, 3), None, True)
-            np.testing.assert_array_equal(res["acc"], ref.acc)
-            np.testing.assert_array_equal(res["jerk"], ref.jerk)
-            np.testing.assert_array_equal(res["pot"], ref.pot)
-            assert res["interactions"] == ref.interactions
+        assert res.acc.shape == (24, 3)
+        interactions = 0
+        for tile in tiles:
+            rows = slice(8 * tile.rank, 8 * tile.rank + 8)
+            ref = _reference_tile(system, tile.i_rows, ALL, True)
+            np.testing.assert_array_equal(res.acc[rows], ref.acc)
+            np.testing.assert_array_equal(res.jerk[rows], ref.jerk)
+            np.testing.assert_array_equal(res.pot[rows], ref.pot)
+            interactions += ref.interactions
+        assert res.interactions == interactions
 
     def test_results_come_back_in_task_order(self, spec):
         system = plummer_model(16, seed=5)
         backend = resolve_backend(spec)
         try:
-            self._publish(backend, system)
-            # deliberately scrambled rank order: results must follow the
-            # task list, not completion order
+            _publish_system(backend, system)
+            # deliberately scrambled rank order: rows must follow the
+            # tile list, not completion order
             order = [3, 0, 2, 1]
-            tasks = [
-                RankTask("forces", r, {
-                    "i_rows": np.array([r]), "j_rows": None,
-                    "eps2": EPS2, "exclude_self": True,
-                })
-                for r in order
-            ]
-            results = backend.run_tasks(tasks)
+            res = backend.run_tasks(
+                [Tile(r, np.array([r]), ALL, True) for r in order], EPS2)
         finally:
             backend.close()
-        for r, res in zip(order, results):
-            ref = _reference_tile(system, np.array([r]), None, True)
-            np.testing.assert_array_equal(res["acc"], ref.acc)
+        for k, r in enumerate(order):
+            ref = _reference_tile(system, np.array([r]), ALL, True)
+            np.testing.assert_array_equal(res.acc[k:k + 1], ref.acc)
 
     def test_empty_task_list(self, spec):
         backend = resolve_backend(spec)
         try:
-            assert backend.run_tasks([]) == []
+            res = backend.run_tasks([], EPS2)
         finally:
             backend.close()
+        assert res.acc.shape == res.jerk.shape == (0, 3)
+        assert res.pot.shape == (0,) and res.interactions == 0
 
     def test_republish_replaces_arrays(self, spec):
         a = plummer_model(12, seed=7)
         b = plummer_model(12, seed=8)
         backend = resolve_backend(spec)
         try:
-            self._publish(backend, a)
-            self._publish(backend, b)
-            task = RankTask("forces", 0, {
-                "i_rows": None, "j_rows": None,
-                "eps2": EPS2, "exclude_self": True,
-            })
-            (res,) = backend.run_tasks([task])
+            _publish_system(backend, a)
+            _publish_system(backend, b)
+            res = backend.run_tasks([Tile(0, slice(0, 12), ALL, True)], EPS2)
         finally:
             backend.close()
-        ref = _reference_tile(b, None, None, True)
-        np.testing.assert_array_equal(res["acc"], ref.acc)
+        ref = _reference_tile(b, ALL, ALL, True)
+        np.testing.assert_array_equal(res.acc, ref.acc)
 
 
 @pytest.mark.parametrize("spec", ["inline", "thread:2", "process:2"])
 class TestDispatchObserver:
     """The rank observatory's capture layer: every ``run_tasks`` with an
-    observer attached yields one report dict with per-task sidecar
-    samples, and the kernel results are unchanged by observation."""
-
-    def _publish(self, backend, system):
-        backend.publish(
-            ix=system.pos, iv=system.vel,
-            jx=system.pos, jv=system.vel, jm=system.mass,
-        )
-
-    def _tasks(self, n, ranks):
-        return [
-            RankTask("forces", r, {
-                "i_rows": ("stride", r, n, ranks),
-                "j_rows": None,
-                "eps2": EPS2,
-                "exclude_self": True,
-            })
-            for r in range(ranks)
-        ]
+    observer attached yields one report dict with one sidecar sample per
+    tile, and the rows are unchanged by observation."""
 
     def test_report_shape_and_samples(self, spec):
         system = plummer_model(18, seed=21)
@@ -223,11 +188,11 @@ class TestDispatchObserver:
         reports = []
         backend.attach_observer(reports.append)
         try:
-            self._publish(backend, system)
-            results = backend.run_tasks(self._tasks(18, 2))
+            _publish_system(backend, system)
+            res = backend.run_tasks(_tiles(18, 2), EPS2)
         finally:
             backend.close()
-        assert len(results) == 2
+        assert res.acc.shape == (18, 3)
         assert len(reports) == 1
         rep = reports[0]
         assert rep["backend"] == spec.partition(":")[0]
@@ -235,8 +200,8 @@ class TestDispatchObserver:
         assert rep["span_wall_us"] >= 0.0
         assert rep["t_start_us"] > 0.0
         assert len(rep["samples"]) == 2
-        for sample, task in zip(rep["samples"], self._tasks(18, 2)):
-            assert sample["rank"] == task.rank
+        for sample, tile in zip(rep["samples"], _tiles(18, 2)):
+            assert sample["rank"] == tile.rank
             assert sample["pid"] > 0
             assert sample["wall_us"] >= 0.0 and np.isfinite(sample["wall_us"])
             assert sample["cpu_us"] >= 0.0 and np.isfinite(sample["cpu_us"])
@@ -249,25 +214,21 @@ class TestDispatchObserver:
         observed = resolve_backend(spec)
         observed.attach_observer(lambda rep: None)
         try:
-            self._publish(bare, system)
-            self._publish(observed, system)
-            res_bare = bare.run_tasks(self._tasks(20, 2))
-            res_obs = observed.run_tasks(self._tasks(20, 2))
+            _publish_system(bare, system)
+            _publish_system(observed, system)
+            res_bare = bare.run_tasks(_tiles(20, 2), EPS2)
+            res_obs = observed.run_tasks(_tiles(20, 2), EPS2)
         finally:
             bare.close()
             observed.close()
-        for a, b in zip(res_bare, res_obs):
-            np.testing.assert_array_equal(a["acc"], b["acc"])
-            np.testing.assert_array_equal(a["jerk"], b["jerk"])
-            np.testing.assert_array_equal(a["pot"], b["pot"])
-            assert a["interactions"] == b["interactions"]
+        _assert_same_results(res_obs, res_bare)
 
     def test_empty_dispatch_reports_zero_tasks(self, spec):
         backend = resolve_backend(spec)
         reports = []
         backend.attach_observer(reports.append)
         try:
-            assert backend.run_tasks([]) == []
+            assert backend.run_tasks([], EPS2).interactions == 0
         finally:
             backend.close()
         assert len(reports) == 1
@@ -283,10 +244,10 @@ class TestDispatchObserver:
         reports = []
         backend.attach_observer(reports.append)
         try:
-            self._publish(backend, system)
-            backend.run_tasks(self._tasks(16, 2))
+            _publish_system(backend, system)
+            backend.run_tasks(_tiles(16, 2), EPS2)
             # no publish between dispatches: the second report owes 0
-            backend.run_tasks(self._tasks(16, 2))
+            backend.run_tasks(_tiles(16, 2), EPS2)
         finally:
             backend.close()
         assert reports[0]["publish_bytes"] == nbytes
@@ -299,74 +260,95 @@ class TestDispatchObserver:
         reports = []
         backend.attach_observer(reports.append)
         try:
-            self._publish(backend, system)
-            backend.run_tasks(self._tasks(12, 2))
+            _publish_system(backend, system)
+            backend.run_tasks(_tiles(12, 2), EPS2)
             backend.detach_observer()
-            backend.run_tasks(self._tasks(12, 2))
+            backend.run_tasks(_tiles(12, 2), EPS2)
         finally:
             backend.close()
         assert len(reports) == 1
 
 
+def test_thread_samples_charge_each_tile_its_own_cpu():
+    """``cpu_us`` is the tile's own thread's CPU time: with two tiles
+    running at once on ``thread:2`` neither is charged the other's, and
+    a nanosecond clock never rounds a tile to zero or to 10 ms."""
+    system = plummer_model(2048, seed=29)
+    backend = ThreadBackend(2)
+    reports = []
+    backend.attach_observer(reports.append)
+    try:
+        _publish_system(backend, system)
+        for _ in range(3):
+            backend.run_tasks([Tile(0, slice(0, 256), ALL, True),
+                               Tile(1, slice(256, 512), ALL, True)], EPS2)
+    finally:
+        backend.close()
+    samples = [s for rep in reports for s in rep["samples"]]
+    assert len(samples) == 6
+    for s in samples:
+        assert 0.0 < s["cpu_us"] <= s["wall_us"] + 100.0, s
+
+
+@pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+def test_a_closed_pool_stays_closed(spec):
+    """Any call after ``close()`` is an error for a pooled backend; a
+    closed thread backend used to build itself a new pool that nothing
+    shut down."""
+    system = plummer_model(8, seed=30)
+    backend = resolve_backend(spec)
+    _publish_system(backend, system)
+    backend.run_tasks(_tiles(8, 2), EPS2)
+    backend.close()
+    with pytest.raises(RuntimeError, match="backend is closed"):
+        backend.run_tasks(_tiles(8, 2), EPS2)
+    with pytest.raises(RuntimeError, match="backend is closed"):
+        _publish_system(backend, system)
+    assert getattr(backend, "_pool", None) is None
+
+
 class TestWorkerArenaCache:
-    """The worker-side shared-memory cache (``_attach_arena``) must not
-    leak handles: a key the driver stops publishing is closed and
-    evicted, not abandoned (regression — it used to linger forever)."""
+    """A worker holds one attached arena at a time: the one it held
+    before a move is closed (unmapped), not abandoned, and re-attaching
+    the arena it holds costs nothing."""
 
-    def _segment(self, values):
-        from multiprocessing import shared_memory
-
-        arr = np.asarray(values, dtype=np.float64)
-        shm = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)[...] = arr
-        return shm, (shm.name, arr.dtype.str, arr.shape)
-
-    def test_stale_key_is_closed_and_evicted(self):
-        from repro.parallel import execution
-
-        shm_a, meta_a = self._segment([1.0, 2.0, 3.0])
-        shm_b, meta_b = self._segment([4.0, 5.0])
-        saved = dict(execution._ATTACHED)
-        execution._ATTACHED.clear()
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_stale_arena_is_closed_on_regrowth(self):
+        small, big = plummer_model(8, seed=1), plummer_model(64, seed=2)
+        backend = ProcessBackend(1)
         try:
-            arena, attached = execution._attach_arena({"a": meta_a})
-            np.testing.assert_array_equal(arena["a"], [1.0, 2.0, 3.0])
-            assert attached >= 24
-            cached_a = execution._ATTACHED["a"]
-
-            # driver stops publishing "a": the handle must be closed,
-            # not just dropped from the returned arena
-            arena, _ = execution._attach_arena({"b": meta_b})
-            assert set(execution._ATTACHED) == {"b"}
-            assert "a" not in arena
-            assert cached_a.buf is None  # closed, not merely dropped
+            _publish_system(backend, small)
+            backend.run_tasks(_tiles(8, 2), EPS2)
+            old = backend._arena.shm.name
+            (worker,) = backend._procs
+            _publish_system(backend, big)
+            backend.run_tasks(_tiles(64, 2), EPS2)
+            new = backend._arena.shm.name
+            with open(f"/proc/{worker.pid}/maps") as fh:
+                maps = fh.read()
         finally:
-            for shm in execution._ATTACHED.values():
-                shm.close()
-            execution._ATTACHED.clear()
-            execution._ATTACHED.update(saved)
-            for shm in (shm_a, shm_b):
-                shm.close()
-                shm.unlink()
+            backend.close()
+        assert new != old
+        assert new in maps and old not in maps
+        assert old not in os.listdir("/dev/shm")
 
     def test_warm_reattach_is_free(self):
-        from repro.parallel import execution
-
-        shm, meta = self._segment([7.0, 8.0])
-        saved = dict(execution._ATTACHED)
-        execution._ATTACHED.clear()
+        """Blocksteps of one size republish into the same arena: after a
+        worker's first dispatch no sample reports attach bytes."""
+        system = plummer_model(16, seed=3)
+        backend = ProcessBackend(2)
+        reports = []
+        backend.attach_observer(reports.append)
         try:
-            _, cold = execution._attach_arena({"x": meta})
-            _, warm = execution._attach_arena({"x": meta})
-            assert cold >= 16
-            assert warm == 0
+            for _ in range(3):
+                _publish_system(backend, system)
+                backend.run_tasks(_tiles(16, 4), EPS2)
         finally:
-            for cached in execution._ATTACHED.values():
-                cached.close()
-            execution._ATTACHED.clear()
-            execution._ATTACHED.update(saved)
-            shm.close()
-            shm.unlink()
+            backend.close()
+        cold, *warm = [[s["attach_bytes"] for s in rep["samples"]]
+                       for rep in reports]
+        assert sum(cold) > 0
+        assert warm == [[0] * 4] * 2
 
 
 class TestProcessBackendArena:
@@ -376,17 +358,11 @@ class TestProcessBackendArena:
         backend = ProcessBackend(workers=2)
         try:
             for system in (small, big):
-                backend.publish(
-                    ix=system.pos, iv=system.vel,
-                    jx=system.pos, jv=system.vel, jm=system.mass,
-                )
-                task = RankTask("forces", 0, {
-                    "i_rows": None, "j_rows": None,
-                    "eps2": EPS2, "exclude_self": True,
-                })
-                (res,) = backend.run_tasks([task])
-                ref = _reference_tile(system, None, None, True)
-                np.testing.assert_array_equal(res["acc"], ref.acc)
+                _publish_system(backend, system)
+                n = len(system.mass)
+                res = backend.run_tasks([Tile(0, slice(0, n), ALL, True)], EPS2)
+                ref = _reference_tile(system, ALL, ALL, True)
+                np.testing.assert_array_equal(res.acc, ref.acc)
         finally:
             backend.close()
 
@@ -397,6 +373,194 @@ class TestProcessBackendArena:
         backend.close()
         with pytest.raises(RuntimeError, match="closed"):
             backend.publish(jm=np.ones(4))
+
+    def test_copy_path_holds_one_segment(self):
+        """One arena per open ``process:k`` backend, created by the
+        driver: the published arrays and the output rows share it, and
+        the workers create no segment of their own."""
+        before = set(os.listdir("/dev/shm"))
+        system = plummer_model(64, seed=4)
+        copy = CopyAlgorithm(SimNetwork(16), EPS2, executor="process:2")
+        try:
+            for observer in (None, lambda report: None):
+                copy.executor.attach_observer(observer)
+                copy.set_j_particles(system.pos, system.vel, system.mass)
+                copy.forces_on(system.pos, system.vel, np.arange(64))
+                assert _new_segments(before) == [copy.executor._arena.shm.name]
+        finally:
+            copy.executor.close()
+        assert _new_segments(before) == []
+
+    def test_larger_block_reattaches_once_per_worker(self):
+        """A block larger than any before moves the arena to a larger
+        segment: every worker re-attaches, each reporting the segment's
+        bytes once, and the old segment is gone."""
+        before = set(os.listdir("/dev/shm"))
+        small, big = plummer_model(12, seed=5), plummer_model(96, seed=6)
+        backend = ProcessBackend(2)
+        reports = []
+        backend.attach_observer(reports.append)
+        try:
+            _publish_system(backend, small)
+            backend.run_tasks(_tiles(12, 4), EPS2)
+            old = backend._arena.shm.name
+            _publish_system(backend, big)
+            res = backend.run_tasks(_tiles(96, 4), EPS2)
+            size = backend._arena.shm.size
+            assert _new_segments(before) == [backend._arena.shm.name] != [old]
+        finally:
+            backend.close()
+        inline = InlineBackend()
+        _publish_system(inline, big)
+        _assert_same_results(res, inline.run_tasks(_tiles(96, 4), EPS2))
+        samples = reports[1]["samples"]
+        assert [s["attach_bytes"] for s in samples] == [size, 0, size, 0]
+        assert samples[0]["pid"] != samples[2]["pid"]
+        assert _new_segments(before) == []
+
+
+def _share_bounds(n_b, p):
+    """The copy algorithm's contiguous rank shares of an ``n_b`` block."""
+    return [0, *np.cumsum(share_sizes(n_b, p)).tolist()]
+
+
+def _share_tiles(bounds, exclude_self):
+    return [Tile(r, slice(lo, hi), ALL, exclude_self)
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+
+def _per_rank(arena, bounds, exclude_self):
+    """One kernel call per rank with rows, its rows in rank order."""
+    parts = [
+        acc_jerk_pot_on_targets(
+            arena["ix"][lo:hi], arena["iv"][lo:hi], arena["jx"], arena["jv"],
+            arena["jm"], EPS2, exclude_self=exclude_self)
+        for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+    ]
+    return execution.ForceJerkResult(
+        np.concatenate([r.acc for r in parts]),
+        np.concatenate([r.jerk for r in parts]),
+        np.concatenate([r.pot for r in parts]),
+        sum(r.interactions for r in parts))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch, tmp_path):
+    """Count ``acc_jerk_pot_on_targets`` calls per process: the wrapper
+    appends its pid to a file, so workers forked after it was installed
+    are counted too.  Returns a function giving ``{pid: calls}``."""
+    log = tmp_path / "calls"
+    log.touch()
+
+    def counted(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return acc_jerk_pot_on_targets(*args, **kwargs)
+
+    monkeypatch.setattr(execution, "acc_jerk_pot_on_targets", counted)
+
+    def calls():
+        pids = [int(line) for line in log.read_text().split()]
+        log.write_text("")
+        return {pid: pids.count(pid) for pid in pids}
+
+    return calls
+
+
+@pytest.fixture
+def slow_or_failing_kernel(monkeypatch):
+    """The module-level force function replaced before any pool forks
+    (the workers inherit it): a tile without ``exclude_self`` raises
+    ``ValueError("boom")``, any other sleeps ``eps2`` seconds first."""
+
+    def kernel(xi, vi, xj, vj, mj, eps2, exclude_self=False):
+        if not exclude_self:
+            raise ValueError("boom")
+        time.sleep(eps2)
+        return acc_jerk_pot_on_targets(xi, vi, xj, vj, mj, EPS2, exclude_self=True)
+
+    monkeypatch.setattr(execution, "acc_jerk_pot_on_targets", kernel)
+
+
+@pytest.mark.tiers
+class TestGroupedTiles:
+    """Share dispatch: a block's contiguous rank shares run as one kernel
+    call per worker when nothing times them one by one and as one call
+    per rank when an observer does; either way the rows come back, bit
+    for bit, as one call per rank gives them."""
+
+    @pytest.mark.parametrize("exclude_self", [True, False])
+    @pytest.mark.parametrize("p", [1, 5, 16])
+    def test_grouped_equals_per_task(self, p, exclude_self, kernel_calls):
+        system = plummer_model(64, seed=41)
+        for spec in ("inline", "thread:2", "process:2"):
+            backend = resolve_backend(spec)
+            try:
+                for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
+                    block = np.random.default_rng(n_b).choice(64, n_b, replace=False)
+                    arena = {"ix": system.pos[block], "iv": system.vel[block],
+                             "jx": system.pos, "jv": system.vel, "jm": system.mass}
+                    backend.publish(**arena)
+                    bounds = _share_bounds(n_b, p)
+                    want = _per_rank(arena, bounds, exclude_self)
+                    owners = min(p, n_b)
+                    shares = tuple(_share_tiles(bounds, exclude_self))
+                    for observer in (None, lambda report: None, None):
+                        backend.attach_observer(observer)
+                        # a list is cut afresh; a tuple's cut is kept
+                        for tiles in (list(shares), shares, shares):
+                            got = backend.run_tasks(tiles, EPS2)
+                            _assert_same_results(got, want)
+                            calls = kernel_calls()
+                            assert sum(calls.values()) == (
+                                owners if observer else min(backend.workers, owners))
+                            assert (os.getpid() in calls) == (spec != "process:2")
+            finally:
+                backend.close()
+
+    def test_unobserved_inline_dispatch_is_one_kernel_call(self, kernel_calls):
+        system = plummer_model(64, seed=43)
+        copy = CopyAlgorithm(SimNetwork(16), EPS2)
+        copy.set_j_particles(system.pos, system.vel, system.mass)
+        copy.forces_on(system.pos, system.vel, np.arange(64))
+        assert kernel_calls() == {os.getpid(): 1}
+        copy.executor.attach_observer(lambda report: None)
+        copy.forces_on(system.pos, system.vel, np.arange(64))
+        assert kernel_calls() == {os.getpid(): 16}
+
+    def test_process_dispatch_is_one_kernel_call_per_worker(self, kernel_calls):
+        system = plummer_model(64, seed=45)
+        copy = CopyAlgorithm(SimNetwork(16), EPS2, executor="process:2")
+        try:
+            copy.set_j_particles(system.pos, system.vel, system.mass)
+            got = copy.forces_on(system.pos, system.vel, np.arange(64))
+            calls = kernel_calls()
+            copy.executor.attach_observer(lambda report: None)
+            copy.forces_on(system.pos, system.vel, np.arange(64))
+            observed = kernel_calls()
+        finally:
+            copy.executor.close()
+        assert sorted(calls.values()) == [1, 1] and os.getpid() not in calls
+        assert sorted(observed.values()) == [8, 8]
+        inline = CopyAlgorithm(SimNetwork(16), EPS2)
+        inline.set_j_particles(system.pos, system.vel, system.mass)
+        want = inline.forces_on(system.pos, system.vel, np.arange(64))
+        for key in ("acc", "jerk", "pot", "interactions"):
+            np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
+
+    def test_ring_and_grid_tiles_run_one_by_one(self, kernel_calls):
+        system = plummer_model(32, seed=47)
+        block = np.arange(0, 32, 3)
+        ring = RingAlgorithm(SimNetwork(4), EPS2)
+        grid = Grid2DAlgorithm(SimNetwork(4), EPS2)
+        for algo in (ring, grid):
+            algo.set_j_particles(system.pos, system.vel, system.mass)
+        ring.forces_on(system.pos[block], system.vel[block], block)
+        assert kernel_calls() == {os.getpid(): 4}
+        plan = grid.plan_forces(system.pos[block], system.vel[block], block)
+        grid.finish_forces(plan, grid.executor.run_tasks(plan.tiles, EPS2))
+        assert kernel_calls() == {os.getpid(): len(plan.tiles)}
+        assert len(plan.tiles) == 4
 
 
 class TestDriverSchedulerScans:
@@ -443,176 +607,11 @@ class TestDriverSchedulerScans:
 # -- the process backend's dispatch contract and failure semantics ----------
 
 
-@pytest.fixture
-def test_kernels():
-    """Two throw-away kernels, registered before the workers fork (they
-    inherit the registry) and removed afterwards."""
-
-    @kernel("test_sleep")
-    def _sleep(arena, *, seconds):
-        time.sleep(seconds)
-        return {"slept": seconds}
-
-    @kernel("test_boom")
-    def _boom(arena, *, fail):
-        if fail:
-            raise ValueError("boom")
-        return {"ok": True}
-
-    yield
-    del KERNELS["test_sleep"], KERNELS["test_boom"]
-
-
-def _force_tasks(n, count):
-    return [
-        RankTask("forces", r, {
-            "i_rows": ("stride", r, n, max(count, 1)), "j_rows": None,
-            "eps2": EPS2, "exclude_self": True,
-        })
-        for r in range(count)
-    ]
-
-
-def _publish_system(backend, system):
-    backend.publish(ix=system.pos, iv=system.vel,
-                    jx=system.pos, jv=system.vel, jm=system.mass)
-
-
-def _assert_same_results(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for key in ("acc", "jerk", "pot"):
-            np.testing.assert_array_equal(a[key], b[key])
-        assert a["interactions"] == b["interactions"]
-
-
-def _share_bounds(n_b, p):
-    """The copy algorithm's contiguous rank shares of an ``n_b`` block."""
-    return [0, *np.cumsum(share_sizes(n_b, p)).tolist()]
-
-
-def _per_rank(arena, bounds, exclude_self):
-    """One kernel call per rank with rows, its results in rank order."""
-    parts = [
-        acc_jerk_pot_on_targets(
-            arena["ix"][lo:hi], arena["iv"][lo:hi], arena["jx"], arena["jv"],
-            arena["jm"], EPS2, exclude_self=exclude_self)
-        for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
-    return {"acc": np.concatenate([r.acc for r in parts]),
-            "jerk": np.concatenate([r.jerk for r in parts]),
-            "pot": np.concatenate([r.pot for r in parts]),
-            "interactions": sum(r.interactions for r in parts)}
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch, tmp_path):
-    """Count ``acc_jerk_pot_on_targets`` calls per process: the wrapper
-    appends its pid to a file, so workers forked after it was installed
-    are counted too.  Returns a function giving ``{pid: calls}``."""
-    log = tmp_path / "calls"
-    log.touch()
-
-    def counted(*args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return acc_jerk_pot_on_targets(*args, **kwargs)
-
-    monkeypatch.setattr(execution, "acc_jerk_pot_on_targets", counted)
-
-    def calls():
-        pids = [int(line) for line in log.read_text().split()]
-        log.write_text("")
-        return {pid: pids.count(pid) for pid in pids}
-
-    return calls
-
-
-@pytest.mark.tiers
-class TestGroupedTiles:
-    """Share dispatch: a block's contiguous rank shares run as one kernel
-    call per worker when nothing times them one by one and as one call
-    per rank when an observer does; either way the rows come back, bit
-    for bit, as one call per rank gives them."""
-
-    @pytest.mark.parametrize("exclude_self", [True, False])
-    @pytest.mark.parametrize("p", [1, 5, 16])
-    def test_grouped_equals_per_task(self, p, exclude_self, kernel_calls):
-        system = plummer_model(64, seed=41)
-        for spec in ("inline", "thread:2", "process:2"):
-            backend = resolve_backend(spec)
-            try:
-                for n_b in sorted({1, p - 1, p, 3 * p + 1} - {0}):
-                    block = np.random.default_rng(n_b).choice(64, n_b, replace=False)
-                    arena = {"ix": system.pos[block], "iv": system.vel[block],
-                             "jx": system.pos, "jv": system.vel, "jm": system.mass}
-                    backend.publish(**arena)
-                    bounds = _share_bounds(n_b, p)
-                    want = _per_rank(arena, bounds, exclude_self)
-                    owners = min(p, n_b)
-                    for observer in (None, lambda report: None):
-                        backend.attach_observer(observer)
-                        got = backend.run_shares("forces", bounds, j_rows=None,
-                                                 eps2=EPS2, exclude_self=exclude_self)
-                        _assert_same_results([got], [want])
-                        calls = kernel_calls()
-                        assert sum(calls.values()) == (
-                            owners if observer else min(backend.workers, owners))
-                        assert (os.getpid() in calls) == (spec != "process:2")
-            finally:
-                backend.close()
-
-    def test_unobserved_inline_dispatch_is_one_kernel_call(self, kernel_calls):
-        system = plummer_model(64, seed=43)
-        copy = CopyAlgorithm(SimNetwork(16), EPS2)
-        copy.set_j_particles(system.pos, system.vel, system.mass)
-        copy.forces_on(system.pos, system.vel, np.arange(64))
-        assert kernel_calls() == {os.getpid(): 1}
-        copy.executor.attach_observer(lambda report: None)
-        copy.forces_on(system.pos, system.vel, np.arange(64))
-        assert kernel_calls() == {os.getpid(): 16}
-
-    def test_process_dispatch_is_one_kernel_call_per_worker(self, kernel_calls):
-        system = plummer_model(64, seed=45)
-        copy = CopyAlgorithm(SimNetwork(16), EPS2, executor="process:2")
-        try:
-            copy.set_j_particles(system.pos, system.vel, system.mass)
-            got = copy.forces_on(system.pos, system.vel, np.arange(64))
-            calls = kernel_calls()
-            copy.executor.attach_observer(lambda report: None)
-            copy.forces_on(system.pos, system.vel, np.arange(64))
-            observed = kernel_calls()
-        finally:
-            copy.executor.close()
-        assert sorted(calls.values()) == [1, 1] and os.getpid() not in calls
-        assert sorted(observed.values()) == [8, 8]
-        inline = CopyAlgorithm(SimNetwork(16), EPS2)
-        inline.set_j_particles(system.pos, system.vel, system.mass)
-        want = inline.forces_on(system.pos, system.vel, np.arange(64))
-        for key in ("acc", "jerk", "pot", "interactions"):
-            np.testing.assert_array_equal(getattr(got, key), getattr(want, key))
-
-    def test_ring_and_grid_tiles_run_one_by_one(self, kernel_calls):
-        system = plummer_model(32, seed=47)
-        block = np.arange(0, 32, 3)
-        ring = RingAlgorithm(SimNetwork(4), EPS2)
-        grid = Grid2DAlgorithm(SimNetwork(4), EPS2)
-        for algo in (ring, grid):
-            algo.set_j_particles(system.pos, system.vel, system.mass)
-        ring.forces_on(system.pos[block], system.vel[block], block)
-        assert kernel_calls() == {os.getpid(): 4}
-        plan = grid.plan_forces(system.pos[block], system.vel[block], block)
-        grid.finish_forces(plan, grid.executor.run_tasks(plan.tasks))
-        assert kernel_calls() == {os.getpid(): len(plan.tasks)}
-        assert len(plan.tasks) == 4
-
-
 class TestProcessDispatchContract:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_one_send_per_worker_and_inline_bits(self, workers):
-        """Contiguous slices, one message per worker per dispatch,
-        results in task order and bitwise the inline backend's —
-        observed or not."""
+        """Contiguous runs, one message per worker per dispatch, rows in
+        tile order and bitwise the inline backend's — observed or not."""
         system = plummer_model(27, seed=31)
         inline = InlineBackend()
         _publish_system(inline, system)
@@ -627,26 +626,28 @@ class TestProcessDispatchContract:
             for observer in (None, lambda report: None):
                 backend.attach_observer(observer)
                 for count in (0, 1, 2, 3, 7, 8, 9):
-                    tasks = _force_tasks(27, count)
+                    tiles = _tiles(27, count)
                     del sends[:]
-                    got = backend.run_tasks(tasks)
+                    got = backend.run_tasks(tiles, EPS2)
                     assert sends == list(range(min(workers, count)))
-                    _assert_same_results(got, inline.run_tasks(tasks))
+                    _assert_same_results(got, inline.run_tasks(tiles, EPS2))
         finally:
             backend.close()
 
-    def test_kernel_error_keeps_its_type_and_the_backend(self, test_kernels):
+    def test_kernel_error_keeps_its_type_and_the_backend(self, slow_or_failing_kernel):
+        system = plummer_model(16, seed=32)
         backend = ProcessBackend(2)
         try:
-            backend.publish(jm=np.ones(4))
-            tasks = [RankTask("test_boom", r, {"fail": r == 2})
-                     for r in range(4)]
+            _publish_system(backend, system)
+            tiles = [Tile(r, np.arange(r, 16, 4), ALL, r != 2) for r in range(4)]
             with pytest.raises(ValueError, match="boom"):
-                backend.run_tasks(tasks)
-            ok = [RankTask("test_boom", r, {"fail": False}) for r in range(4)]
-            assert backend.run_tasks(ok) == [{"ok": True}] * 4
+                backend.run_tasks(tiles, 0.0)
+            ok = backend.run_tasks(_tiles(16, 4), 0.0)
         finally:
             backend.close()
+        inline = InlineBackend()
+        _publish_system(inline, system)
+        _assert_same_results(ok, inline.run_tasks(_tiles(16, 4), 0.0))
 
     def test_attach_bytes_on_a_workers_first_slice_only(self):
         system = plummer_model(16, seed=33)
@@ -655,12 +656,12 @@ class TestProcessDispatchContract:
         backend.attach_observer(reports.append)
         try:
             _publish_system(backend, system)
-            backend.run_tasks(_force_tasks(16, 4))
-            backend.run_tasks(_force_tasks(16, 4))
+            backend.run_tasks(_tiles(16, 4), EPS2)
+            backend.run_tasks(_tiles(16, 4), EPS2)
         finally:
             backend.close()
         cold = [s["attach_bytes"] for s in reports[0]["samples"]]
-        assert cold[0] > 0 and cold[2] > 0  # each worker's first task
+        assert cold[0] > 0 and cold[2] > 0  # each worker's first tile
         assert cold[1] == 0 and cold[3] == 0
         assert [s["attach_bytes"] for s in reports[1]["samples"]] == [0] * 4
         pids = [s["pid"] for s in reports[0]["samples"]]
@@ -678,7 +679,7 @@ def _alive(pid):
 
 class TestProcessBackendFaults:
     @pytest.mark.parametrize("victim", [0, 1])
-    def test_dead_worker_raises_worker_lost(self, test_kernels, victim):
+    def test_dead_worker_raises_worker_lost(self, slow_or_failing_kernel, victim):
         """A worker SIGKILLed mid-dispatch is a named error within 2 s
         and a closed backend — never a hang, a stray child or a leaked
         segment.  The dispatch runs under a watchdog thread so that a
@@ -686,13 +687,12 @@ class TestProcessBackendFaults:
         shm_before = set(os.listdir("/dev/shm"))
         children_before = set(multiprocessing.active_children())
         backend = ProcessBackend(2)
-        backend.publish(jm=np.ones(4))
+        _publish_system(backend, plummer_model(4, seed=34))
 
-        def sleepers(seconds):
-            return [RankTask("test_sleep", r, {"seconds": seconds})
-                    for r in range(2)]
+        def sleepers(seconds):  # run w, one tile, sleeps on worker w
+            return backend.run_tasks(_tiles(4, 2), seconds)
 
-        backend.run_tasks(sleepers(0.0))  # slice w runs on worker w
+        sleepers(0.0)
         workers = sorted(
             set(multiprocessing.active_children()) - children_before,
             key=lambda proc: proc.pid)  # forked in worker order
@@ -702,7 +702,7 @@ class TestProcessBackendFaults:
 
         def dispatch():
             try:
-                outcome["result"] = backend.run_tasks(sleepers(0.6))
+                outcome["result"] = sleepers(0.6)
             except BaseException as exc:
                 outcome["error"] = exc
 
@@ -718,8 +718,51 @@ class TestProcessBackendFaults:
         assert f"pid {pid}" in str(error)
         assert "exit code -9" in str(error)
         with pytest.raises(RuntimeError, match="backend is closed"):
-            backend.run_tasks(sleepers(0.0))
+            sleepers(0.0)
         backend.close()
+        assert set(multiprocessing.active_children()) <= children_before
+        assert set(os.listdir("/dev/shm")) <= shm_before
+
+    def test_unlinked_arena_matches_inline_or_raises(self):
+        """The arena's name unlinked from ``/dev/shm`` between dispatches
+        (a cleaner, an operator): the workers keep their mapping, so
+        every later dispatch matches inline bitwise — a larger block
+        moves the arena to a new segment — or raises a named error; none
+        hangs.  ``close()`` leaves no segment and no child."""
+        shm_before = set(os.listdir("/dev/shm"))
+        children_before = set(multiprocessing.active_children())
+        system = plummer_model(48, seed=35)
+        inline = InlineBackend()
+        backend = ProcessBackend(2)
+        try:
+            for n_b in (16, 16, 16, 40, 40):
+                arena = {"ix": system.pos[:n_b], "iv": system.vel[:n_b],
+                         "jx": system.pos, "jv": system.vel, "jm": system.mass}
+                inline.publish(**arena)
+                backend.publish(**arena)
+                tiles = _tiles(n_b, 4)
+                outcome = {}
+
+                def dispatch():
+                    try:
+                        outcome["result"] = backend.run_tasks(tiles, EPS2)
+                    except Exception as exc:
+                        outcome["error"] = exc
+
+                watchdog = threading.Thread(target=dispatch, daemon=True)
+                watchdog.start()
+                watchdog.join(10.0)
+                assert not watchdog.is_alive(), "run_tasks hung on an unlinked arena"
+                if "error" in outcome:
+                    assert isinstance(outcome["error"], (WorkerLost, OSError)), outcome
+                else:
+                    _assert_same_results(outcome["result"],
+                                         inline.run_tasks(tiles, EPS2))
+                name = backend._arena.shm.name
+                if name in os.listdir("/dev/shm"):  # not yet unlinked
+                    os.unlink(f"/dev/shm/{name}")
+        finally:
+            backend.close()
         assert set(multiprocessing.active_children()) <= children_before
         assert set(os.listdir("/dev/shm")) <= shm_before
 
@@ -731,14 +774,13 @@ class TestProcessBackendFaults:
         script.write_text(
             "import multiprocessing, os, sys, time\n"
             "import numpy as np\n"
-            "from repro.parallel import ProcessBackend, RankTask\n"
+            "from repro.parallel import ProcessBackend, Tile\n"
             "before = set(os.listdir('/dev/shm'))\n"
             "backend = ProcessBackend(2)\n"
             "x = np.zeros((8, 3)); x[:, 0] = np.arange(8)\n"
             "backend.publish(ix=x, iv=x, jx=x, jv=x, jm=np.ones(8))\n"
-            "backend.run_tasks([RankTask('forces', r, dict(\n"
-            "    i_rows=('stride', r, 8, 2), j_rows=None, eps2=0.01,\n"
-            "    exclude_self=True)) for r in range(2)])\n"
+            "backend.run_tasks([Tile(r, np.arange(r, 8, 2), slice(None), True)\n"
+            "                   for r in range(2)], 0.01)\n"
             "print(*[p.pid for p in multiprocessing.active_children()])\n"
             "print(*sorted(set(os.listdir('/dev/shm')) - before))\n"
             "sys.stdout.flush()\n"
@@ -751,7 +793,7 @@ class TestProcessBackendFaults:
         try:
             pids = [int(p) for p in driver.stdout.readline().split()]
             segments = driver.stdout.readline().split()
-            assert len(pids) == 2 and len(segments) >= 5
+            assert len(pids) == 2 and len(segments) == 1  # the one arena
         finally:
             driver.kill()
             driver.wait()

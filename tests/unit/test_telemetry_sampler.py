@@ -8,6 +8,7 @@ drive :meth:`SamplingProfiler.tick` with a fake clock and synthetic
 frame stacks, so there is no thread and no timing dependence.
 """
 
+import sys
 import threading
 
 import pytest
@@ -25,6 +26,7 @@ from repro.telemetry import (
     Tracer,
     attribute_sample,
 )
+from repro.telemetry.sampler import SWITCH_INTERVAL_S
 
 #: A frame stack that the path rules unambiguously call pipeline time.
 FORCES_FRAMES = [
@@ -216,6 +218,26 @@ class TestBackgroundThread:
         mine = [s for s in sampler.samples if s.thread_id == tracer.owner_thread]
         for s in mine:
             assert s.phase == T_PIPE and s.source == SOURCE_SPAN
+
+    def test_switch_interval_short_while_running_then_restored(self):
+        """The sampler's thread can only tick when it gets the GIL: it
+        runs with a 0.1 ms switch interval and gives the caller's value
+        back on stop, also when the traced code raised."""
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(0.004)
+        try:
+            sampler = SamplingProfiler(Tracer(enabled=True), interval_s=0.01)
+            with pytest.raises(ZeroDivisionError):
+                with sampler:
+                    assert sys.getswitchinterval() == pytest.approx(SWITCH_INTERVAL_S)
+                    1 / 0
+            assert sys.getswitchinterval() == pytest.approx(0.004)
+            sampler.start()
+            assert sys.getswitchinterval() == pytest.approx(SWITCH_INTERVAL_S)
+            sampler.stop()
+            assert sys.getswitchinterval() == pytest.approx(0.004)
+        finally:
+            sys.setswitchinterval(previous)
 
     def test_double_start_raises(self):
         sampler = SamplingProfiler(Tracer(enabled=True), interval_s=0.01)
