@@ -64,7 +64,7 @@ import os
 import re
 import time
 from multiprocessing import get_context, resource_tracker, shared_memory
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,7 +115,7 @@ def _forces(arena: Mapping[str, np.ndarray], tile: Tile, i_rows: Any,
         eps2, exclude_self=tile.exclude_self)
 
 
-def _plan(tiles: list[Tile], workers: int, merge: bool):
+def _plan(tiles: Sequence[Tile], workers: int, merge: bool):
     """Cut ``tiles`` into at most ``workers`` contiguous runs of kernel
     calls ``[tile, i_rows, first output row]``, the rows laid out in
     tile order.  With ``merge``, a tile that continues the previous
@@ -129,8 +129,15 @@ def _plan(tiles: list[Tile], workers: int, merge: bool):
         calls: list[list] = []
         for tile in tiles[n * w // k:n * (w + 1) // k]:
             i = tile.i_rows
-            is_slice = i.__class__ is slice
-            last = calls[-1] if merge and calls and is_slice else None
+            if i.__class__ is not slice:
+                calls.append([tile, i, row])
+                row += len(i)
+                continue
+            # the rows a slice reserves must be the rows the kernel writes
+            if i.start is None or i.stop is None or i.step not in (None, 1) or i.stop < i.start:
+                raise ValueError(f"tile of rank {tile.rank}: i rows {i!r} are not "
+                                 "a slice(lo, hi) with lo <= hi and unit step")
+            last = calls[-1] if merge and calls else None
             if (last is not None and last[1].__class__ is slice
                     and last[1].stop == i.start
                     and last[0].j_rows == tile.j_rows
@@ -138,7 +145,7 @@ def _plan(tiles: list[Tile], workers: int, merge: bool):
                 last[1] = slice(last[1].start, i.stop)
             else:
                 calls.append([tile, i, row])
-            row += i.stop - i.start if is_slice else len(i)
+            row += i.stop - i.start
         runs.append(calls)
     return runs, row
 
@@ -242,8 +249,7 @@ class ExecutionBackend:
     def publish(self, **arrays: np.ndarray) -> None:
         raise NotImplementedError
 
-    def run_tasks(self, tiles: "list[Tile] | tuple[Tile, ...]",
-                  eps2: float) -> ForceJerkResult:
+    def run_tasks(self, tiles: "Sequence[Tile]", eps2: float) -> ForceJerkResult:
         """Evaluate ``tiles`` with softening ``eps2``: one result whose
         acc/jerk/pot rows are every tile's rows, tile after tile, and
         whose ``interactions`` is their sum.
@@ -252,22 +258,14 @@ class ExecutionBackend:
         i slices over one j-set is one kernel call — one inline, ``k``
         on ``thread:k`` or ``process:k`` for a block's contiguous rank
         shares; with an observer attached every tile is its own call,
-        so each rank's tile is timed.  A tuple of tiles is cut into
-        calls once and the cut kept, so pass a tuple for a tile set
-        that recurs (the copy algorithm's shares of one block size) and
-        a list otherwise.
+        so each rank's tile is timed.  A slice ``i_rows`` without
+        explicit bounds and unit step is a ``ValueError``.
         """
         if self._closed:
             raise RuntimeError("backend is closed")
         observed = self._observer is not None
         t0 = _monotonic_us() if observed else 0.0
-        if tiles.__class__ is tuple:  # cannot change: cut into calls once
-            key = id(tiles), observed  # the entry keeps ``tiles``, and so its id
-            if key not in self._plans:
-                self._plans[key] = (tiles, *_plan(tiles, self.workers, not observed))
-            _, runs, rows = self._plans[key]
-        else:
-            runs, rows = _plan(tiles, self.workers, not observed)
+        runs, rows = _plan(tiles, self.workers, not observed)
         if runs:
             result, samples = self._dispatch(runs, rows, eps2, observed)
         else:
@@ -313,7 +311,6 @@ class InlineBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self._arena: dict[str, np.ndarray] = {}
-        self._plans: dict = {}
 
     def publish(self, **arrays: np.ndarray) -> None:
         if self._closed:
@@ -515,7 +512,6 @@ class ProcessBackend(ExecutionBackend):
         if self.workers < 1:
             raise ValueError("need at least one worker")
         self._arena = _Arena()
-        self._plans: dict = {}
         self._procs: list = []
         self._conns: list = []
 

@@ -162,6 +162,22 @@ class TestBackendsRunKernels:
         assert res.acc.shape == res.jerk.shape == (0, 3)
         assert res.pot.shape == (0,) and res.interactions == 0
 
+    @pytest.mark.parametrize("i_rows", [slice(0, 12, 2), slice(None, 12),
+                                        slice(0, None), slice(8, 4)])
+    def test_slice_without_bounds_or_unit_step_is_rejected(self, spec, i_rows):
+        system = plummer_model(12, seed=9)
+        backend = resolve_backend(spec)
+        try:
+            _publish_system(backend, system)
+            with pytest.raises(ValueError, match="unit step"):
+                backend.run_tasks([Tile(0, slice(0, 4), ALL, True),
+                                   Tile(1, i_rows, ALL, True)], EPS2)
+            # the refusal comes before any dispatch: the backend is usable
+            res = backend.run_tasks([Tile(0, slice(0, 12), ALL, True)], EPS2)
+        finally:
+            backend.close()
+        _assert_same_results(res, _reference_tile(system, ALL, ALL, True))
+
     def test_republish_replaces_arrays(self, spec):
         a = plummer_model(12, seed=7)
         b = plummer_model(12, seed=8)
@@ -504,17 +520,15 @@ class TestGroupedTiles:
                     bounds = _share_bounds(n_b, p)
                     want = _per_rank(arena, bounds, exclude_self)
                     owners = min(p, n_b)
-                    shares = tuple(_share_tiles(bounds, exclude_self))
+                    shares = _share_tiles(bounds, exclude_self)
                     for observer in (None, lambda report: None, None):
                         backend.attach_observer(observer)
-                        # a list is cut afresh; a tuple's cut is kept
-                        for tiles in (list(shares), shares, shares):
-                            got = backend.run_tasks(tiles, EPS2)
-                            _assert_same_results(got, want)
-                            calls = kernel_calls()
-                            assert sum(calls.values()) == (
-                                owners if observer else min(backend.workers, owners))
-                            assert (os.getpid() in calls) == (spec != "process:2")
+                        got = backend.run_tasks(shares, EPS2)
+                        _assert_same_results(got, want)
+                        calls = kernel_calls()
+                        assert sum(calls.values()) == (
+                            owners if observer else min(backend.workers, owners))
+                        assert (os.getpid() in calls) == (spec != "process:2")
             finally:
                 backend.close()
 
