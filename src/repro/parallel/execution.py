@@ -127,25 +127,28 @@ def _plan(tiles: Sequence[Tile], workers: int, merge: bool):
     runs, row = [], 0
     for w in range(k):
         calls: list[list] = []
+        end = j_rows = exclude = None  # the last call's i stop while it can grow
         for tile in tiles[n * w // k:n * (w + 1) // k]:
-            i = tile.i_rows
+            _, i, j, exclude_self = tile
             if i.__class__ is not slice:
                 calls.append([tile, i, row])
                 row += len(i)
+                end = None
                 continue
+            lo, hi = i.start, i.stop
             # the rows a slice reserves must be the rows the kernel writes
-            if i.start is None or i.stop is None or i.step not in (None, 1) or i.stop < i.start:
+            if lo is None or hi is None or hi < lo or i.step not in (None, 1):
                 raise ValueError(f"tile of rank {tile.rank}: i rows {i!r} are not "
                                  "a slice(lo, hi) with lo <= hi and unit step")
-            last = calls[-1] if merge and calls else None
-            if (last is not None and last[1].__class__ is slice
-                    and last[1].stop == i.start
-                    and last[0].j_rows == tile.j_rows
-                    and last[0].exclude_self == tile.exclude_self):
-                last[1] = slice(last[1].start, i.stop)
+            if lo == end and exclude_self == exclude and j == j_rows:
+                last = calls[-1]
+                last[1] = slice(last[1].start, hi)
             else:
                 calls.append([tile, i, row])
-            row += i.stop - i.start
+                j_rows, exclude = j, exclude_self
+            if merge:
+                end = hi
+            row += hi - lo
         runs.append(calls)
     return runs, row
 
