@@ -12,7 +12,11 @@ two calls a blockstep on the ``cluster_latency`` workload's shape (N =
 128 on 16 simulated hosts, inline, blocks of 15): ``forces_on`` and the
 coherence exchange ``exchange_updated``, and the ledger's fold of one
 full round log of that workload's messages, printed in reference-box
-units.  The per-part tables of EXPERIMENTS.md are this file's output::
+units.  Also outside the budget, the two halves of a checkpoint on the
+``service_resume`` workload's shape (Plummer N = 128, every particle
+stepped): the stepping thread's encode and the durable-writer thread's
+write (open, write, fsync, close, rename).  The per-part tables of
+EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_boundary_floors.py
 
@@ -22,7 +26,9 @@ with the same script (only public names are used).
 
 from __future__ import annotations
 
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -46,6 +52,9 @@ N, BOARDS, N_B = 256, 2, 31
 
 #: The ``cluster_latency`` shape of the copy crossings.
 COPY_N, COPY_P, COPY_N_B = 128, 16, 15
+
+#: The ``service_resume`` shape of the checkpoint halves.
+CKPT_N = 128
 
 #: Calls per round, and rounds interleaved across the crossings (3 000
 #: calls of each in all, spread so that one round meets a quiet moment).
@@ -136,10 +145,34 @@ def fold_crossing() -> dict:
     }
 
 
+def checkpoint_crossings(tmp: Path) -> dict:
+    """A checkpoint's encode on the stepping thread and its durable write
+    on the writer thread, in the ``(call, reset)`` form of
+    :func:`crossings`; none on a commit that writes in one call."""
+    try:
+        from repro.io.checkpoint import encode_checkpoint, write_durable
+    except ImportError:
+        return {}
+    integ = BlockTimestepIntegrator(plummer_model(CKPT_N, seed=2003), EPS2)
+    while integ.system.t.min() == 0.0:  # a developed state
+        integ.step()
+    data, path = encode_checkpoint(integ), tmp / "ckpt.npz"
+    return {
+        f"checkpoint encode N = {CKPT_N}": (lambda: encode_checkpoint(integ), None),
+        f"checkpoint durable write N = {CKPT_N}": (
+            lambda: write_durable(path, data), None),
+    }
+
+
 def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
     """Floor of every crossing [us] and the machine's speed index over
     the same rounds (1.0 = the undisturbed reference box)."""
-    parts = {**crossings(), **copy_crossings(), **fold_crossing()}
+    with tempfile.TemporaryDirectory() as tmp:
+        return _floors(rounds, {**crossings(), **copy_crossings(),
+                                **fold_crossing(), **checkpoint_crossings(Path(tmp))})
+
+
+def _floors(rounds: int, parts: dict) -> tuple[dict, float]:
     best = dict.fromkeys(parts, float("inf"))
     fastest_yardstick = float("inf")
     clock = time.perf_counter
@@ -158,7 +191,8 @@ def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
 def fixed_cost(us: dict) -> float:
     """The four fixed costs together [us]."""
     return sum(v for k, v in us.items()
-               if not k.startswith((f"forces_on n_i = {N_B}", "copy ", "ledger ")))
+               if not k.startswith((f"forces_on n_i = {N_B}", "copy ", "ledger ",
+                                    "checkpoint ")))
 
 
 def table(us: dict, speed_index: float) -> str:

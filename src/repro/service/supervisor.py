@@ -6,20 +6,31 @@ through its lifecycle.  For ``run`` jobs the loop is:
 * step the block-timestep integrator;
 * every ``sample_every`` blocksteps publish a ``state`` record;
 * every ``checkpoint_every`` blocksteps (or ``checkpoint_every_s``
-  wall seconds) write a durable checkpoint and publish ``checkpoint``
-  + ``phases`` records;
+  wall seconds) publish ``phases`` and the headline records, encode a
+  checkpoint and hand it to the job's durable-writer thread
+  (:class:`repro.service.jobs.DurableWriter`);
 * on SIGTERM/SIGINT, wall-budget or blockstep-budget exhaustion:
   checkpoint, mark the job ``interrupted`` and exit cleanly;
 * on completion: final checkpoint, raw ``final.npz`` snapshot,
   ``completed`` state.
 
-``execute(resume=True)`` restores the newest checkpoint and continues
-**bit identically** (the kill-point cells of
+The writer thread writes, fsyncs and renames each checkpoint and only
+then rewrites ``state.json``, so a boundary does not wait on the disk
+and ``state.json`` never names a checkpoint that is not on disk.  The
+stepping thread joins the write in flight before the next hand-off,
+before any ``interrupted`` / ``completed`` / ``failed`` state and
+before ``execute`` returns or raises.  It publishes the write's
+``checkpoint`` record at that join, so the record still means
+*durable* (and lands at the next boundary); a writer error is raised
+there and fails the job.
+
+``execute(resume=True)`` restores the newest readable checkpoint and
+continues **bit identically** (the kill-point cells of
 ``tests/property/test_prop_invariants.py``), publishing a
 ``discontinuity`` record first: the archive downstream of a resume is
-explicit about the records that never happened, and about whether the
-resuming process runs the same commit/machine the checkpoint came
-from.
+explicit about the records that never happened, about checkpoints it
+had to pass over, and about whether the resuming process runs the same
+commit/machine the checkpoint came from.
 
 Wall budgets are cumulative: each checkpoint carries the wall seconds
 consumed so far in its ``clocks`` block, so a job killed and resumed
@@ -28,6 +39,8 @@ five times still respects one total budget.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import signal
 import threading
 import time
@@ -38,6 +51,7 @@ import numpy as np
 
 from ..core.individual import BlockTimestepIntegrator
 from ..io.checkpoint import (
+    CheckpointError,
     checkpoint_provenance,
     read_checkpoint,
     restore_integrator,
@@ -58,6 +72,7 @@ from ..telemetry import (
 from .bus import SnapshotBus
 from .consumers import ArchiveWriter, BenchHistoryIngester, ProgressReporter
 from .jobs import (
+    DurableWriter,
     JobError,
     JobPaths,
     JobSpec,
@@ -198,10 +213,18 @@ class Supervisor:
                     *self.paths.checkpoints.glob("*.tmp")]
             for path in torn:
                 path.unlink()
-            ck_path = self.paths.latest_checkpoint()
-            if ck_path is None:
-                raise JobError(f"{self.paths.root}: no checkpoint to resume from")
-            ck = read_checkpoint(ck_path)
+            # newest first, past any a disk or a kill has damaged
+            unreadable = 0
+            for ck_path in reversed(self.paths.checkpoint_files()):
+                try:
+                    ck = read_checkpoint(ck_path)
+                    break
+                except CheckpointError:
+                    unreadable += 1
+            else:
+                raise JobError(
+                    f"{self.paths.root}: no checkpoint to resume from"
+                    + (f" ({unreadable} unreadable)" if unreadable else ""))
             integ = restore_integrator(
                 ck, backend=backend, tracer=tracer, algorithm=algorithm
             )
@@ -215,6 +238,8 @@ class Supervisor:
                 checkpoint_provenance=ck.provenance,
                 resume_provenance=checkpoint_provenance(),
                 **({"torn_writes_removed": len(torn)} if torn else {}),
+                **({"unreadable_checkpoints_skipped": unreadable}
+                   if unreadable else {}),
             )
         else:
             integ = build_integrator(
@@ -241,67 +266,115 @@ class Supervisor:
         t_end = float(params["t_end"])
         segment_t0 = time.perf_counter()
         last_ck_wall = segment_t0
+        writer = DurableWriter(self.paths, name=spec.name, kind=spec.kind)
 
         def total_wall() -> float:
             return wall_consumed + (time.perf_counter() - segment_t0)
 
+        def publish_checkpoint() -> None:
+            """Wait for the checkpoint write in flight and, its file now
+            durable, publish its ``checkpoint`` record."""
+            record = writer.join()
+            if record is not None:
+                bus.emit(KIND_CHECKPOINT, **record)
+
         def checkpoint(reason: str) -> dict[str, Any]:
-            """Write one durable checkpoint and publish it; returns the
-            ``state.json`` fields written beside it."""
+            """Publish the previous checkpoint, encode this one and hand
+            it to the writer; returns the ``state.json`` fields the
+            writer writes once the file is durable."""
             nonlocal last_ck_wall
-            path = self.paths.checkpoint_path(integ.stats.blocksteps)
-            write_checkpoint(
-                path, integ, rng=rng,
-                clocks={"wall_s": total_wall(), "t": float(integ.t)},
-                metadata={"job": spec.name, "reason": reason,
-                          "params": dict(params)},
-            )
-            last_ck_wall = time.perf_counter()
-            bus.emit(
-                KIND_CHECKPOINT, t=integ.t, path=str(path),
-                blockstep=integ.stats.blocksteps, reason=reason,
-            )
+            publish_checkpoint()
             bus.emit(KIND_PHASES, t=integ.t, **fold.snapshot())
+            path = self.paths.checkpoint_path(integ.stats.blocksteps)
             fields: dict[str, Any] = {
                 **publish_headlines(bus, integ.t, observatories),
                 "t": integ.t, "blocksteps": integ.stats.blocksteps,
                 "wall_s": total_wall(), "last_checkpoint": str(path),
             }
-            write_state(self.paths, "running", name=spec.name,
-                        kind=spec.kind, **fields)
+            record = {"t": integ.t, "path": str(path),
+                      "blockstep": integ.stats.blocksteps, "reason": reason}
+            write_checkpoint(
+                path, integ, rng=rng,
+                clocks={"wall_s": total_wall(), "t": float(integ.t)},
+                metadata={"job": spec.name, "reason": reason,
+                          "params": dict(params)},
+                write=functools.partial(writer.submit, record=record,
+                                        fields=fields),
+            )
+            last_ck_wall = time.perf_counter()
             return fields
 
         interrupted: str | None = None
-        old_tracer = set_tracer(tracer)
         try:
-            with GracefulShutdown() as stop:
-                while True:
-                    if stop.triggered:
-                        interrupted = f"signal {stop.signum}"
-                        break
-                    if integ.scheduler.next_time() > t_end:
-                        break
-                    integ.step()
-                    n_done = integ.stats.blocksteps
-                    if n_done % spec.sample_every == 0:
-                        self._emit_state(bus, integ)
-                    if spec.max_blocksteps is not None and (
-                        n_done >= spec.max_blocksteps
-                    ):
-                        interrupted = f"blockstep budget ({spec.max_blocksteps})"
-                        break
-                    if spec.max_wall_s is not None and (
-                        total_wall() >= spec.max_wall_s
-                    ):
-                        interrupted = f"wall budget ({spec.max_wall_s:g} s)"
-                        break
-                    if n_done % spec.checkpoint_every == 0 or (
-                        spec.checkpoint_every_s is not None
-                        and time.perf_counter() - last_ck_wall
-                        >= spec.checkpoint_every_s
-                    ):
-                        checkpoint("cadence")
+            old_tracer = set_tracer(tracer)
+            try:
+                with GracefulShutdown() as stop:
+                    while True:
+                        if stop.triggered:
+                            interrupted = f"signal {stop.signum}"
+                            break
+                        if integ.scheduler.next_time() > t_end:
+                            break
+                        integ.step()
+                        n_done = integ.stats.blocksteps
+                        if n_done % spec.sample_every == 0:
+                            self._emit_state(bus, integ)
+                        if spec.max_blocksteps is not None and (
+                            n_done >= spec.max_blocksteps
+                        ):
+                            interrupted = (
+                                f"blockstep budget ({spec.max_blocksteps})")
+                            break
+                        if spec.max_wall_s is not None and (
+                            total_wall() >= spec.max_wall_s
+                        ):
+                            interrupted = f"wall budget ({spec.max_wall_s:g} s)"
+                            break
+                        if n_done % spec.checkpoint_every == 0 or (
+                            spec.checkpoint_every_s is not None
+                            and time.perf_counter() - last_ck_wall
+                            >= spec.checkpoint_every_s
+                        ):
+                            checkpoint("cadence")
+            finally:
+                set_tracer(old_tracer)
+                if algorithm is not None:
+                    algorithm.executor.close()
+
+            if interrupted is not None:
+                fields = checkpoint("interrupt")
+                publish_checkpoint()
+                bus.emit(KIND_JOB, t=integ.t, status="interrupted",
+                         detail=interrupted)
+                write_state(
+                    self.paths, "interrupted", name=spec.name, kind=spec.kind,
+                    **{**fields, "wall_s": total_wall(), "reason": interrupted},
+                )
+                return "interrupted"
+
+            fields = checkpoint("final")
+            self._emit_state(bus, integ)
+            write_snapshot(
+                self.paths.final_snapshot, integ.system, t=integ.t,
+                metadata={"job": spec.name, "blocksteps": integ.stats.blocksteps,
+                          "rng": rng} if rng is not None
+                else {"job": spec.name, "blocksteps": integ.stats.blocksteps},
+            )
+            publish_checkpoint()
+            bus.emit(KIND_JOB, t=integ.t, status="completed",
+                     detail=f"{integ.stats.blocksteps} blocksteps, "
+                            f"{integ.stats.particle_steps} particle steps")
+            write_state(
+                self.paths, "completed", name=spec.name, kind=spec.kind,
+                **{**fields, "wall_s": total_wall(),
+                   "final_snapshot": str(self.paths.final_snapshot)},
+            )
+            return "completed"
         except Exception as exc:
+            # a write in flight lands (and is published) before the job
+            # is marked failed; one that fails too is second to ``exc``
+            with contextlib.suppress(Exception):
+                publish_checkpoint()
             write_state(
                 self.paths, "failed", name=spec.name, kind=spec.kind,
                 error=f"{type(exc).__name__}: {exc}",
@@ -310,37 +383,7 @@ class Supervisor:
                      detail=f"{type(exc).__name__}: {exc}")
             raise
         finally:
-            set_tracer(old_tracer)
-            if algorithm is not None:
-                algorithm.executor.close()
-
-        if interrupted is not None:
-            fields = checkpoint("interrupt")
-            bus.emit(KIND_JOB, t=integ.t, status="interrupted",
-                     detail=interrupted)
-            write_state(
-                self.paths, "interrupted", name=spec.name, kind=spec.kind,
-                **{**fields, "wall_s": total_wall(), "reason": interrupted},
-            )
-            return "interrupted"
-
-        fields = checkpoint("final")
-        self._emit_state(bus, integ)
-        write_snapshot(
-            self.paths.final_snapshot, integ.system, t=integ.t,
-            metadata={"job": spec.name, "blocksteps": integ.stats.blocksteps,
-                      "rng": rng} if rng is not None
-            else {"job": spec.name, "blocksteps": integ.stats.blocksteps},
-        )
-        bus.emit(KIND_JOB, t=integ.t, status="completed",
-                 detail=f"{integ.stats.blocksteps} blocksteps, "
-                        f"{integ.stats.particle_steps} particle steps")
-        write_state(
-            self.paths, "completed", name=spec.name, kind=spec.kind,
-            **{**fields, "wall_s": total_wall(),
-               "final_snapshot": str(self.paths.final_snapshot)},
-        )
-        return "completed"
+            writer.close()
 
     @staticmethod
     def _emit_state(bus: SnapshotBus, integ: BlockTimestepIntegrator) -> None:

@@ -283,6 +283,24 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             read_checkpoint(bad)
 
+    @pytest.mark.parametrize("damage", ["bit_flip", "truncated", "empty"])
+    def test_a_damaged_file_is_a_checkpoint_error_naming_it(
+            self, ckpt_path, damage):
+        """What a disk or a kill can do to a written file never escapes
+        as ``zipfile.BadZipFile`` or ``EOFError``."""
+        write_checkpoint(ckpt_path, make_integrator(steps=5))
+        data = bytearray(ckpt_path.read_bytes())
+        if damage == "bit_flip":
+            with zipfile.ZipFile(ckpt_path) as archive:
+                info = archive.getinfo("pos.npy")
+            # a bit of the stored positions, past the member's headers
+            data[info.header_offset + 30 + len(info.filename) + 20 + 200] ^= 0x10
+        data = {"bit_flip": data, "truncated": data[: len(data) // 2],
+                "empty": b""}[damage]
+        ckpt_path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=str(ckpt_path)):
+            read_checkpoint(ckpt_path)
+
     def test_write_is_atomic(self, ckpt_path):
         """No partial file left behind: the .npz appears only complete."""
         write_checkpoint(ckpt_path, make_integrator())

@@ -24,6 +24,7 @@ from repro.core import BlockTimestepIntegrator
 from repro.io import write_json_atomic
 from repro.models import plummer_model
 from repro.parallel import CopyAlgorithm, ParallelBlockIntegrator, SimNetwork
+from repro.service import jobs as jobs_mod
 from repro.service import supervisor as supervisor_mod
 from repro.service.bus import SnapshotBus
 from repro.service.consumers import read_archive
@@ -103,6 +104,8 @@ def test_bus_state_and_gauges_agree_at_every_checkpoint(
         return state
 
     monkeypatch.setattr(supervisor_mod, "write_state", checking_write_state)
+    # a checkpoint's running state is written by the durable-writer thread
+    monkeypatch.setattr(jobs_mod, "write_state", checking_write_state)
     assert sup.execute() == "completed"
     n_checkpoints = sum(
         r.kind == "checkpoint" for r in read_archive(sup.paths.archive))
