@@ -1,4 +1,4 @@
-"""Snapshot I/O, checkpoints, run logging and table formatting."""
+"""Snapshot I/O, checkpoints, atomic JSON writes and table formatting."""
 
 from .snapshot import (
     decode_json_safe,
@@ -17,12 +17,7 @@ from .checkpoint import (
     restore_integrator,
     write_checkpoint,
 )
-from .runlog import (
-    RunLogger,
-    read_runlog,
-    read_runlog_records,
-    write_json_atomic,
-)
+from .runlog import write_json_atomic
 from .tables import format_table, markdown_table
 
 __all__ = [
@@ -39,9 +34,6 @@ __all__ = [
     "read_checkpoint",
     "restore_integrator",
     "write_checkpoint",
-    "RunLogger",
-    "read_runlog",
-    "read_runlog_records",
     "write_json_atomic",
     "format_table",
     "markdown_table",

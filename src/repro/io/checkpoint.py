@@ -80,10 +80,11 @@ def _process_environment() -> dict[str, Any]:
     process, and the revision read at first use is the one whose code it
     imported.
 
-    Imported lazily from :mod:`repro.bench.env` so ``repro.io`` keeps
-    no import-time dependency on the bench package.
+    Imported lazily from :mod:`repro.provenance`, so importing
+    ``repro.io`` does not import the four tiles the fingerprint reports
+    on.
     """
-    from ..bench.env import environment_fingerprint
+    from ..provenance import environment_fingerprint
 
     return environment_fingerprint()
 

@@ -5,14 +5,14 @@ hardware (§5: 1.8M-particle Kuiper belt over ~400 wall-clock hours,
 2M-particle BH binary) — the regime where one-shot scripts die and
 take their state with them.  This package turns a run into a job:
 
-* :mod:`repro.service.jobs` — JSON job specs (``repro.job/1``:
-  run / sweep / calibrate) and the on-disk job directory;
+* :mod:`repro.service.jobs` — JSON run-job specs (``repro.job/1``)
+  and the on-disk job directory;
 * :mod:`repro.service.records` / :mod:`repro.service.bus` — a single
   producer streaming schema-tagged :class:`SnapshotRecord`\\ s to
   independent consumers over bounded queues (a slow consumer drops,
   never stalls the integrator);
-* :mod:`repro.service.consumers` — archive writer, live progress
-  reporter, bench-history ingester;
+* :mod:`repro.service.consumers` — archive writer and live progress
+  reporter;
 * :mod:`repro.service.supervisor` — checkpoint cadence, wall/step
   budgets, SIGTERM -> checkpoint-and-exit, crash-resume with an
   explicit ``discontinuity`` record (bit-identical continuation,
@@ -20,12 +20,14 @@ take their state with them.  This package turns a run into a job:
 * ``python -m repro.service`` — ``submit`` / ``status`` / ``resume``
   / ``tail``.
 
+Nothing here imports :mod:`repro.bench`: a benchmark sweep is
+``python -m repro.bench run``, not a job.
+
 Checkpoint serialisation itself lives in :mod:`repro.io.checkpoint`
 (``repro.checkpoint/1``).
 """
 
 from .records import (
-    KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_JOB,
@@ -38,14 +40,8 @@ from .records import (
     make_record,
 )
 from .bus import DEFAULT_QUEUE_CAPACITY, SnapshotBus, SnapshotConsumer
-from .consumers import (
-    ArchiveWriter,
-    BenchHistoryIngester,
-    ProgressReporter,
-    read_archive,
-)
+from .consumers import ArchiveWriter, ProgressReporter, read_archive
 from .jobs import (
-    JOB_KINDS,
     JOB_SCHEMA,
     STATE_SCHEMA,
     STATUSES,
@@ -66,7 +62,6 @@ __all__ = [
     "KIND_CHECKPOINT",
     "KIND_DISCONTINUITY",
     "KIND_JOB",
-    "KIND_BENCH_ARTIFACT",
     "SnapshotRecord",
     "RecordError",
     "make_record",
@@ -75,11 +70,9 @@ __all__ = [
     "DEFAULT_QUEUE_CAPACITY",
     "ArchiveWriter",
     "ProgressReporter",
-    "BenchHistoryIngester",
     "read_archive",
     "JOB_SCHEMA",
     "STATE_SCHEMA",
-    "JOB_KINDS",
     "STATUSES",
     "JobSpec",
     "JobError",

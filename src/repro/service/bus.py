@@ -1,10 +1,9 @@
 """Single-producer, multi-consumer snapshot bus with bounded queues.
 
 The architecture constraint (ROADMAP: the signal-recorder pattern) is
-that consumers are **independent**: the archive writer, the live
-progress reporter and the bench-history ingester share nothing but the
-record stream, and a slow or broken consumer must never stall the
-integrator.  Concretely:
+that consumers are **independent**: the archive writer and the live
+progress reporter share nothing but the record stream, and a slow or
+broken consumer must never stall the integrator.  Concretely:
 
 * each consumer gets its own bounded queue and worker thread;
 * ``publish`` is a non-blocking ``put`` — when a consumer's queue is

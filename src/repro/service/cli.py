@@ -21,7 +21,6 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from ..bench.history import DEFAULT_HISTORY_PATH
 from ..telemetry import (
     HEADLINE,
     job_metrics,
@@ -56,10 +55,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     jobdir = Path(args.dir) / (args.id or spec.name)
     try:
-        sup = Supervisor.submit(
-            spec, jobdir,
-            history_path=args.history if args.ingest_history else None,
-        )
+        sup = Supervisor.submit(spec, jobdir)
     except JobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -70,10 +66,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
-    sup = Supervisor(
-        args.jobdir,
-        history_path=args.history if args.ingest_history else None,
-    )
+    sup = Supervisor(args.jobdir)
     if not sup.paths.spec.exists():
         print(f"error: {sup.paths.spec}: no such job", file=sys.stderr)
         return 2
@@ -84,8 +77,8 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     if state.get("status") == "completed":
         print(f"job already completed [{sup.paths.root}]")
         return 0
-    # a queued job (submit --no-run) or a non-run kind has no checkpoint
-    # yet: "resume" degrades to a fresh execution
+    # a queued job (submit --no-run) has no checkpoint yet: "resume"
+    # degrades to a fresh execution
     return _execute(sup, resume=sup.paths.latest_checkpoint() is not None)
 
 
@@ -232,13 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _runner_common(p):
-        p.add_argument("--history", default=str(DEFAULT_HISTORY_PATH),
-                       help="bench history file the sweep-artifact "
-                       f"consumer appends to (default {DEFAULT_HISTORY_PATH})")
-        p.add_argument("--ingest-history", action="store_true",
-                       help="attach the bench-history consumer to the bus")
-
     p_sub = sub.add_parser("submit", help="create a job directory from a "
                            "spec and execute it")
     p_sub.add_argument("spec", help="job spec JSON (repro.job/1)")
@@ -248,14 +234,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="job directory name (default: the spec's name)")
     p_sub.add_argument("--no-run", action="store_true",
                        help="enqueue only (status 'queued'); execute later "
-                       "with 'resume' for run jobs")
-    _runner_common(p_sub)
+                       "with 'resume'")
     p_sub.set_defaults(func=_cmd_submit)
 
     p_res = sub.add_parser("resume", help="continue an interrupted job from "
                            "its newest checkpoint")
     p_res.add_argument("jobdir")
-    _runner_common(p_res)
     p_res.set_defaults(func=_cmd_resume)
 
     p_st = sub.add_parser("status", help="summarise job state")

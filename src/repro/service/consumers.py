@@ -1,4 +1,4 @@
-"""The built-in bus consumers: archive, live progress, history ingest.
+"""The built-in bus consumers: archive and live progress.
 
 Each consumer is self-contained — no consumer imports, references or
 depends on another, and all of them are driven purely by the record
@@ -10,11 +10,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import IO, Any
+from typing import IO
 
-from ..bench.history import DEFAULT_HISTORY_PATH, ingest_artifact
 from .records import (
-    KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_JOB,
@@ -109,30 +107,4 @@ class ProgressReporter:
 
     def close(self) -> None:
         # the reporter does not own its stream
-        pass
-
-
-class BenchHistoryIngester:
-    """Feeds completed sweep artifacts into ``benchmarks/history.jsonl``.
-
-    This is the "dedicated quiet runner" hook the ROADMAP asks for:
-    when a service-run sweep finishes, its artifact becomes a history
-    row through the same atomic, idempotent append CI uses — nothing
-    else on the bus knows or cares.
-    """
-
-    def __init__(self, history_path: str | Path = DEFAULT_HISTORY_PATH) -> None:
-        self.name = "history"
-        self.path = Path(history_path)
-        self.ingested: list[str] = []
-
-    def accept(self, record: SnapshotRecord) -> None:
-        if record.kind != KIND_BENCH_ARTIFACT:
-            return
-        artifact: dict[str, Any] = record.payload["artifact"]
-        row, appended = ingest_artifact(artifact, self.path)
-        if appended:
-            self.ingested.append(str(row.get("label")))
-
-    def close(self) -> None:
         pass

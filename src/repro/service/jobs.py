@@ -1,19 +1,11 @@
 """Job specifications (``repro.job/1``) and the on-disk job directory.
 
-A job is one JSON document.  Three kinds:
-
-``run``
-    A checkpointed integration: sample a model (or load a snapshot),
-    integrate to ``t_end`` under the block-timestep Hermite scheme,
-    emitting snapshot-bus records and periodic checkpoints.  This is
-    the paper's production workload (§5) made survivable.
-``sweep``
-    One benchmark-suite execution through :mod:`repro.bench`, its
-    artifact written into the job directory and published on the bus
-    (the history consumer ingests it).
-``calibrate``
-    Fit perfmodel constants from artifact files
-    (:mod:`repro.perfmodel.calibrate`).
+A job is one JSON document of the one kind ``run``: a checkpointed
+integration that samples a model, integrates it to ``t_end`` under the
+block-timestep Hermite scheme and emits snapshot-bus records and
+periodic checkpoints.  This is the paper's production workload (§5)
+made survivable.  Benchmark sweeps and calibration are the bench CLI's
+(``python -m repro.bench run`` / ``calibrate``), not job kinds.
 
 Job directory layout (all relative to the directory ``submit``
 creates)::
@@ -24,7 +16,6 @@ creates)::
     progress.log      the progress reporter's lines
     checkpoints/      ckpt_<blockstep>.npz, newest wins on resume
     final.npz         the completed run's raw particle state
-    BENCH_*.json      sweep artifacts
 """
 
 from __future__ import annotations
@@ -61,8 +52,6 @@ from ..models import (
 JOB_SCHEMA = "repro.job/1"
 #: Bump on breaking state-layout changes.
 STATE_SCHEMA = "repro.job_state/1"
-
-JOB_KINDS = ("run", "sweep", "calibrate")
 
 #: Job lifecycle states.  ``interrupted`` always implies a usable
 #: checkpoint exists (SIGTERM, wall/step budget); ``failed`` does not.
@@ -102,12 +91,12 @@ class JobSpec:
     #: wall seconds).
     max_wall_s: float | None = None
     max_blocksteps: int | None = None
-    #: Free-text provenance, forwarded into sweep artifacts (--notes).
+    #: Free-text provenance, kept in ``job.json``.
     notes: str | None = None
     #: Execution backend for rank compute (run jobs with a parallel
-    #: algorithm, sweep jobs): ``inline`` | ``thread[:N]`` |
-    #: ``process[:N]``.  Purely a placement choice — results are
-    #: bit-identical across backends, so resume may legally switch it.
+    #: algorithm): ``inline`` | ``thread[:N]`` | ``process[:N]``.
+    #: Purely a placement choice — results are bit-identical across
+    #: backends, so resume may legally switch it.
     exec_backend: str = "inline"
 
     def as_dict(self) -> dict[str, Any]:
@@ -131,60 +120,50 @@ class JobSpec:
     def from_dict(cls, doc: Any, source: str = "job spec") -> "JobSpec":
         check(doc, {"what": "spec", "schema": JOB_SCHEMA}, source, JobError)
         kind = doc.get("kind")
-        if kind not in JOB_KINDS:
+        if kind != "run":
             raise JobError(
-                f"{source}: kind {kind!r} not one of {', '.join(JOB_KINDS)}"
+                f"{source}: kind {kind!r} is not 'run', the only job kind; "
+                "a benchmark sweep is `python -m repro.bench run --out X.json` "
+                "(then `python -m repro.bench history ingest X.json`), a "
+                "calibration `python -m repro.bench calibrate`"
             )
         name = doc.get("name")
         if not isinstance(name, str) or not re.fullmatch(r"[\w.-]{1,64}", name):
             raise JobError(
                 f"{source}: 'name' must be 1-64 word characters/dots/dashes"
             )
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise JobError(f"{source}: 'params' must be an object")
+        # an absent cadence takes its default; a null one is refused
+        doc = {"params": {}, "checkpoint_every": cls.checkpoint_every,
+               "sample_every": cls.sample_every, **doc}
+        check(doc, _SPEC_FIELDS, source, JobError)
         spec = cls(
             kind=kind,
             name=name,
-            params=dict(params),
-            checkpoint_every=int(doc.get("checkpoint_every", 64)),
+            params=dict(doc["params"]),
+            checkpoint_every=doc["checkpoint_every"],
             checkpoint_every_s=doc.get("checkpoint_every_s"),
-            sample_every=int(doc.get("sample_every", 16)),
+            sample_every=doc["sample_every"],
             max_wall_s=doc.get("max_wall_s"),
             max_blocksteps=doc.get("max_blocksteps"),
             notes=doc.get("notes"),
             exec_backend=doc.get("exec_backend", "inline"),
         )
         _validate_exec_backend(spec.exec_backend, source)
-        if spec.checkpoint_every < 1 or spec.sample_every < 1:
-            raise JobError(f"{source}: cadences must be positive")
-        for key in ("checkpoint_every_s", "max_wall_s"):
-            value = getattr(spec, key)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-                or value <= 0
-            ):
-                raise JobError(f"{source}: {key!r} must be a positive number")
-        if spec.max_blocksteps is not None and (
-            isinstance(spec.max_blocksteps, bool)
-            or not isinstance(spec.max_blocksteps, int)
-            or spec.max_blocksteps < 1
-        ):
-            raise JobError(f"{source}: 'max_blocksteps' must be a positive int")
-        if spec.notes is not None and not isinstance(spec.notes, str):
-            raise JobError(f"{source}: 'notes' must be a string")
-        if kind == "run":
-            validate_run_params(spec.params, source)
-        elif kind == "sweep":
-            if not isinstance(spec.params.get("suite", "smoke"), str):
-                raise JobError(f"{source}: sweep 'suite' must be a string")
-        elif kind == "calibrate":
-            arts = spec.params.get("artifacts")
-            if not isinstance(arts, list) or not arts:
-                raise JobError(
-                    f"{source}: calibrate needs a non-empty 'artifacts' list"
-                )
+        validate_run_params(spec.params, source)
         return spec
+
+
+#: The rules of a spec's own keys (the run's ``params`` are
+#: :data:`RUN_PARAMS`'), in the :mod:`repro.schema` vocabulary.
+_SPEC_FIELDS = {"fields": {
+    "params": dict,
+    "checkpoint_every": integer(1),
+    "sample_every": integer(1),
+    "checkpoint_every_s": opt(POSITIVE),
+    "max_wall_s": opt(POSITIVE),
+    "max_blocksteps": opt(integer(1)),
+    "notes": opt(str),
+}}
 
 
 #: Parallel algorithms a run job may name (hybrid is driven through

@@ -31,9 +31,6 @@ afterwards:
 ``job``
     Lifecycle edges (submitted / started / interrupted / completed /
     failed) with status detail.
-``bench_artifact``
-    A completed sweep's validated ``BENCH_*.json`` artifact body, for
-    the history-ingest consumer.
 
 Records are JSON-ready dicts on the wire (``as_record`` /
 ``from_record``), schema-tagged so archives from future layouts are
@@ -57,7 +54,6 @@ KIND_PHASES = "phases"
 KIND_CHECKPOINT = "checkpoint"
 KIND_DISCONTINUITY = "discontinuity"
 KIND_JOB = "job"
-KIND_BENCH_ARTIFACT = "bench_artifact"
 
 #: Every kind the bus will emit; consumers may rely on this being
 #: exhaustive for the schema version above.  The observatories' kinds
@@ -69,7 +65,6 @@ RECORD_KINDS = (
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_JOB,
-    KIND_BENCH_ARTIFACT,
 )
 
 

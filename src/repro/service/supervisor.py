@@ -1,7 +1,7 @@
 """The job supervisor: budgets, checkpoints, signals, resume.
 
-One :class:`Supervisor` owns one job directory and drives one job
-through its lifecycle.  For ``run`` jobs the loop is:
+One :class:`Supervisor` owns one job directory and drives one run job
+through its lifecycle.  The loop is:
 
 * step the block-timestep integrator;
 * every ``sample_every`` blocksteps publish a ``state`` record;
@@ -70,7 +70,7 @@ from ..telemetry import (
     set_tracer,
 )
 from .bus import SnapshotBus
-from .consumers import ArchiveWriter, BenchHistoryIngester, ProgressReporter
+from .consumers import ArchiveWriter, ProgressReporter
 from .jobs import (
     DurableWriter,
     JobError,
@@ -86,7 +86,6 @@ from .jobs import (
     write_state,
 )
 from .records import (
-    KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_JOB,
@@ -131,14 +130,8 @@ class GracefulShutdown:
 class Supervisor:
     """Owns one job directory; see the module docstring."""
 
-    def __init__(
-        self,
-        jobdir: str | Path,
-        history_path: str | Path | None = None,
-        threaded_bus: bool = True,
-    ) -> None:
+    def __init__(self, jobdir: str | Path, threaded_bus: bool = True) -> None:
         self.paths = JobPaths(Path(jobdir))
-        self._history_path = history_path
         self._threaded_bus = bool(threaded_bus)
 
     # -- lifecycle ----------------------------------------------------------
@@ -164,21 +157,12 @@ class Supervisor:
         """
         spec = load_job(self.paths.spec)
         progress_fh: IO[str] = self.paths.progress.open("a")
-        consumers = [
-            ArchiveWriter(self.paths.archive),
-            ProgressReporter(progress_fh),
-        ]
-        if self._history_path is not None:
-            consumers.append(BenchHistoryIngester(self._history_path))
-        bus = SnapshotBus(consumers, threaded=self._threaded_bus)
+        bus = SnapshotBus(
+            [ArchiveWriter(self.paths.archive), ProgressReporter(progress_fh)],
+            threaded=self._threaded_bus,
+        )
         try:
-            if spec.kind == "run":
-                return self._execute_run(spec, bus, resume)
-            if resume:
-                raise JobError(f"{spec.kind!r} jobs are not resumable")
-            if spec.kind == "sweep":
-                return self._execute_oneshot(spec, bus, self._run_sweep)
-            return self._execute_oneshot(spec, bus, self._run_calibrate)
+            return self._execute_run(spec, bus, resume)
         finally:
             stats = bus.close()
             progress_fh.write(f"bus: {stats}\n")
@@ -406,66 +390,6 @@ class Supervisor:
             kinetic=kinetic,
             potential=potential,
         )
-
-    # -- one-shot jobs (sweep / calibrate) ----------------------------------
-
-    def _execute_oneshot(self, spec: JobSpec, bus: SnapshotBus, body) -> str:
-        bus.emit(KIND_JOB, status="started", detail=spec.name)
-        write_state(self.paths, "running", name=spec.name, kind=spec.kind)
-        try:
-            detail = body(spec, bus)
-        except Exception as exc:
-            write_state(
-                self.paths, "failed", name=spec.name, kind=spec.kind,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            bus.emit(KIND_JOB, status="failed",
-                     detail=f"{type(exc).__name__}: {exc}")
-            raise
-        bus.emit(KIND_JOB, status="completed", detail=detail)
-        write_state(self.paths, "completed", name=spec.name, kind=spec.kind)
-        return "completed"
-
-    def _run_sweep(self, spec: JobSpec, bus: SnapshotBus) -> str:
-        from ..bench.artifact import write_artifact
-        from ..bench.runner import run_suite
-
-        # registration side effect: populate the benchmark registry
-        from ..bench import suites as _suites  # noqa: F401
-        from ..bench import efficiency as _efficiency  # noqa: F401
-
-        params = spec.params
-        artifact = run_suite(
-            params.get("suite", "smoke"),
-            repeats=int(params.get("repeats", 3)),
-            warmup=int(params.get("warmup", 1)),
-            label=params.get("label", spec.name),
-            names=params.get("benchmarks"),
-            seed=params.get("seed"),
-            tag=params.get("tag"),
-            notes=spec.notes,
-            exec_backend=(
-                spec.exec_backend if spec.exec_backend != "inline" else None
-            ),
-        )
-        path = write_artifact(artifact, self.paths.root / f"BENCH_{spec.name}.json")
-        bus.emit(KIND_BENCH_ARTIFACT, artifact=artifact, path=str(path))
-        return f"{len(artifact['benchmarks'])} benchmarks -> {path.name}"
-
-    def _run_calibrate(self, spec: JobSpec, bus: SnapshotBus) -> str:
-        from ..bench.artifact import read_artifact
-        from ..perfmodel.calibrate import (
-            calibrate_artifacts,
-            load_calibration,
-            merge_calibration,
-            save_calibration,
-        )
-
-        artifacts = [read_artifact(p) for p in spec.params["artifacts"]]
-        update = calibrate_artifacts(artifacts)
-        out = Path(spec.params.get("out", self.paths.root / "calibration.json"))
-        save_calibration(merge_calibration(load_calibration(out), update), out)
-        return f"{len(update['environments'])} environment(s) -> {out}"
 
     # -- inspection ---------------------------------------------------------
 

@@ -17,8 +17,7 @@ reproduction's real code paths:
   retained list; :func:`render_breakdown` prints the fig. 14/16/18-style
   budget) and hands each closed blockstep to its consumers as one
   :class:`BlockstepRecord`;
-* sinks — in-memory, crash-safe JSONL (through
-  :mod:`repro.io.runlog`), and the fold itself;
+* sinks — in-memory, and the fold itself;
 * :class:`SamplingProfiler` — background-thread sampler whose samples
   are attributed to the *currently open span* first and to module-path
   rules only as a fallback (the flight recorder's profiler);
@@ -61,12 +60,7 @@ from .phases import (
     resolve_phase,
 )
 from .report import breakdown_json, render_breakdown, render_metrics
-from .sinks import (
-    InMemorySink,
-    JSONLSink,
-    StreamingPhaseSink,
-    read_spans,
-)
+from .sinks import InMemorySink, StreamingPhaseSink
 from .signatures import (
     N_BUCKETS,
     REGIME_PID,
@@ -175,9 +169,7 @@ __all__ = [
     "T_BARRIER",
     "T_OTHER",
     "InMemorySink",
-    "JSONLSink",
     "StreamingPhaseSink",
-    "read_spans",
     "PhaseSignature",
     "SignatureRecorder",
     "SignatureError",

@@ -18,7 +18,7 @@ span stream as Trace Event JSON loadable in ``chrome://tracing`` or
   spans they were attributed to.
 
 The exporter consumes retained :class:`SpanEvent` lists (an
-:class:`InMemorySink`, or :func:`read_spans` of a JSONL trace);
+:class:`InMemorySink`);
 :class:`TimelineSink` streams into the same file shape directly from a
 tracer for zero-ceremony capture.
 """

@@ -59,40 +59,6 @@ class SpanEvent:
     v_dur_us: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
 
-    def as_record(self) -> dict[str, Any]:
-        """Flat JSON-ready dict (for the JSONL sink / run logs)."""
-        rec: dict[str, Any] = {
-            "name": self.name,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "depth": self.depth,
-            "t_start_us": self.t_start_us,
-            "dur_us": self.dur_us,
-        }
-        if self.phase is not None:
-            rec["phase"] = self.phase
-        if self.v_start_us is not None:
-            rec["v_start_us"] = self.v_start_us
-            rec["v_dur_us"] = self.v_dur_us
-        if self.attrs:
-            rec["attrs"] = self.attrs
-        return rec
-
-    @classmethod
-    def from_record(cls, rec: dict[str, Any]) -> "SpanEvent":
-        return cls(
-            name=rec["name"],
-            span_id=int(rec["span_id"]),
-            parent_id=None if rec.get("parent_id") is None else int(rec["parent_id"]),
-            depth=int(rec["depth"]),
-            t_start_us=float(rec["t_start_us"]),
-            dur_us=float(rec["dur_us"]),
-            phase=rec.get("phase"),
-            v_start_us=rec.get("v_start_us"),
-            v_dur_us=rec.get("v_dur_us"),
-            attrs=dict(rec.get("attrs", {})),
-        )
-
 
 class _NullSpan:
     """Shared no-op context manager returned by a disabled tracer."""

@@ -5,8 +5,10 @@ mid-flight (budget in-process, SIGTERM out-of-process), resume from
 the newest checkpoint, and land on a final snapshot **bit-identical**
 to an uninterrupted reference — with an explicit ``discontinuity``
 record carrying both provenance fingerprints at the resume point.
-Also pins the CLI surface: exit codes, status/tail/validate, and the
-sweep job kind feeding the bench-history consumer.
+Also pins the CLI surface: exit codes, status/tail/validate, the
+retired sweep and calibrate kinds refused before a job directory
+exists, and the layering: a checkpointed run job loads no
+``repro.bench`` module.
 """
 
 import json
@@ -20,7 +22,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.history import read_history
 from repro.io.snapshot import read_snapshot
 from repro.service.cli import main
 from repro.service.consumers import read_archive
@@ -213,25 +214,51 @@ class TestSigtermResume:
         assert_final_identical(jobdir, reference_job)
 
 
-class TestSweepJob:
-    def test_sweep_feeds_history(self, tmp_path, capsys):
-        spec = tmp_path / "sweep.json"
-        spec.write_text(json.dumps({
-            "schema": "repro.job/1", "kind": "sweep", "name": "sweep1",
-            "params": {"suite": "micro", "repeats": 2, "warmup": 0},
-            "notes": "service smoke sweep",
-        }))
-        history = tmp_path / "history.jsonl"
-        code = main(["submit", str(spec), "--dir", str(tmp_path / "jobs"),
-                     "--ingest-history", "--history", str(history)])
-        assert code == 0
-        jobdir = tmp_path / "jobs" / "sweep1"
-        artifact = json.loads((jobdir / "BENCH_sweep1.json").read_text())
-        assert artifact["notes"] == "service smoke sweep"
-        rows = read_history(history)
-        assert len(rows) == 1 and rows[0]["notes"] == "service smoke sweep"
-        records = read_archive(jobdir / "bus.jsonl")
-        assert any(r.kind == "bench_artifact" for r in records)
+class TestRetiredKinds:
+    COMMANDS = {"sweep": "python -m repro.bench run",
+                "calibrate": "python -m repro.bench calibrate"}
+
+    @pytest.mark.parametrize("kind", COMMANDS)
+    def test_refused_before_a_job_directory_exists(self, tmp_path, capsys, kind):
+        """A sweep or calibrate spec is the bench CLI's work: ``validate``
+        and ``submit`` refuse it (exit 2) naming that command."""
+        command = self.COMMANDS[kind]
+        spec = write_spec(tmp_path / "job.json", kind=kind)
+        jobs = tmp_path / "jobs"
+        for argv in (["validate", str(spec)],
+                     ["submit", str(spec), "--dir", str(jobs)]):
+            assert main(argv) == 2
+            assert command in capsys.readouterr().err
+        assert not jobs.exists()
+
+
+class TestLayering:
+    def test_a_checkpointed_run_loads_no_bench_module(self, tmp_path):
+        """The service is not the harness: in a fresh interpreter, a run
+        job through two or more checkpoints (whose headers carry the
+        environment fingerprint) imports no ``repro.bench`` module."""
+        script = f"""
+import sys
+from pathlib import Path
+import repro.service as service
+from repro.io import read_checkpoint
+spec = service.JobSpec.from_dict({{
+    "schema": "repro.job/1", "kind": "run", "name": "layers",
+    "params": {{"n": 16, "seed": 2, "t_end": 0.0625}},
+    "checkpoint_every": 4, "sample_every": 4}})
+sup = service.Supervisor.submit(spec, Path({str(tmp_path / "job")!r}))
+assert sup.execute() == "completed"
+files = sup.paths.checkpoint_files()
+assert len(files) >= 2, files
+assert read_checkpoint(files[0]).provenance["environment"]["python"]
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "bench"]))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestPhaseObservatory:

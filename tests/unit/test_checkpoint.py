@@ -228,11 +228,11 @@ class TestProvenance:
         assert "git_revision" in prov
 
     def test_computed_once_and_handed_out_as_copies(self, monkeypatch):
-        import repro.bench.env as env
+        import repro.provenance as provenance
 
         first = checkpoint_provenance()
         monkeypatch.setattr(
-            env, "environment_fingerprint",
+            provenance, "environment_fingerprint",
             lambda: pytest.fail("fingerprint rebuilt for a second checkpoint"),
         )
         first["environment"]["python"] = "scribbled"

@@ -1,4 +1,4 @@
-"""Kepler utilities, radial profiles, run logging, and the tuner."""
+"""Kepler utilities, radial profiles, and the tuner."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.core.kepler import (
     solve_kepler,
     state_from_elements,
 )
-from repro.io import RunLogger, read_runlog
 from repro.models import plummer_model
 from repro.perfmodel import best_configuration, crossover_table, tuning_ladder
 from tests.conftest import make_two_body
@@ -103,31 +102,6 @@ class TestRadialProfile:
         s = plummer_model(64, seed=14)
         with pytest.raises(ValueError):
             radial_profile(s, n_bins=0)
-
-
-class TestRunLogger:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with RunLogger(path, run="test", n=64) as log:
-            log.sample(t=0.0, energy=-0.25)
-            log.sample(t=0.5, energy=-0.2500001, blocksteps=np.int64(10))
-        header, cols = read_runlog(path)
-        assert header == {"run": "test", "n": 64}
-        assert cols["t"] == [0.0, 0.5]
-        assert cols["blocksteps"] == [10]
-
-    def test_numpy_coercion(self, tmp_path):
-        path = tmp_path / "np.jsonl"
-        with RunLogger(path) as log:
-            log.sample(vec=np.array([1.0, 2.0]), count=np.int32(7))
-        _, cols = read_runlog(path)
-        assert cols["vec"] == [[1.0, 2.0]]
-        assert cols["count"] == [7]
-
-    def test_use_outside_context_fails(self, tmp_path):
-        log = RunLogger(tmp_path / "x.jsonl")
-        with pytest.raises(RuntimeError):
-            log.sample(t=0.0)
 
 
 class TestTuning:

@@ -4,7 +4,7 @@ Properties pinned here: schema-tagged record round-trips, monotone
 sequence numbering, fan-out to every consumer, drop-on-full (a slow
 consumer loses records, never stalls the producer), consumer exception
 isolation, duplicate-name rejection, and the built-in consumers
-(archive round-trip, progress throttling, bench-history ingest).
+(archive round-trip, progress throttling).
 """
 
 import io
@@ -14,16 +14,9 @@ import time
 
 import pytest
 
-from repro.bench.history import read_history
 from repro.service.bus import SnapshotBus
-from repro.service.consumers import (
-    ArchiveWriter,
-    BenchHistoryIngester,
-    ProgressReporter,
-    read_archive,
-)
+from repro.service.consumers import ArchiveWriter, ProgressReporter, read_archive
 from repro.service.records import (
-    KIND_BENCH_ARTIFACT,
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
     KIND_STATE,
@@ -33,8 +26,6 @@ from repro.service.records import (
     SnapshotRecord,
     make_record,
 )
-
-from .test_bench_history import make_artifact
 
 
 class Collector:
@@ -197,14 +188,3 @@ class TestProgressReporter:
         # 2 of 4 throttled states + the checkpoint line
         assert len(lines) == 3
         assert "checkpoint" in lines[-1]
-
-
-class TestBenchHistoryIngester:
-    def test_ingests_artifact_records(self, tmp_path):
-        history = tmp_path / "history.jsonl"
-        ing = BenchHistoryIngester(history)
-        with SnapshotBus([ing], threaded=False) as bus:
-            bus.emit(KIND_BENCH_ARTIFACT, artifact=make_artifact({"k": 0.5}))
-            bus.emit(KIND_STATE, t=0.0)  # ignored
-        rows = read_history(history)
-        assert len(rows) == 1 and ing.ingested == [rows[0]["label"]]

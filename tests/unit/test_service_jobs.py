@@ -1,7 +1,7 @@
 """Job specs and the on-disk job directory (repro.service.jobs).
 
-Properties pinned here: strict ``repro.job/1`` validation (kinds,
-name syntax, cadences, budgets, run params), spec round-trips through
+Properties pinned here: strict ``repro.job/1`` validation (the one
+kind, name syntax, cadences, budgets, run params), spec round-trips through
 ``as_dict``/``from_dict``, deterministic checkpoint naming with
 newest-wins resolution, atomic state rewrites, and workload
 construction (model sampling, softening resolution, backend choice).
@@ -16,7 +16,6 @@ from repro.core.softening import constant_softening
 from repro.forces.direct import DirectSummation
 from repro.hardware.system import Grape6Emulator
 from repro.service.jobs import (
-    JOB_KINDS,
     JOB_SCHEMA,
     STATE_SCHEMA,
     JobError,
@@ -55,8 +54,8 @@ class TestSpecValidation:
         assert clone.notes == "hi" and clone.max_blocksteps == 100
 
     def test_kinds(self):
-        assert set(JOB_KINDS) == {"run", "sweep", "calibrate"}
-        with pytest.raises(JobError):
+        assert JobSpec.from_dict(make_doc()).kind == "run"
+        with pytest.raises(JobError, match="only job kind"):
             JobSpec.from_dict(make_doc(kind="dance"))
 
     def test_foreign_schema(self):
@@ -81,6 +80,15 @@ class TestSpecValidation:
         with pytest.raises(JobError):
             JobSpec.from_dict(make_doc(**{field: value}))
 
+    @pytest.mark.parametrize("field", ["checkpoint_every", "sample_every"])
+    @pytest.mark.parametrize("value", [2.7, True, "8", "x", None, 0])
+    def test_cadence_is_a_positive_integer(self, field, value):
+        """A cadence is taken as written or refused naming its key: never
+        truncated (2.7), coerced (true, "8") or a raw traceback ("x",
+        null)."""
+        with pytest.raises(JobError, match=field):
+            JobSpec.from_dict(make_doc(**{field: value}))
+
     @pytest.mark.parametrize("params", [
         {"model": "spiral"},
         {"n": 1},
@@ -94,16 +102,15 @@ class TestSpecValidation:
             JobSpec.from_dict(make_doc(params=params))
 
     def test_sweep_and_calibrate(self):
-        sweep = JobSpec.from_dict({
-            "schema": JOB_SCHEMA, "kind": "sweep", "name": "s",
-            "params": {"suite": "smoke"},
-        })
-        assert sweep.kind == "sweep"
-        with pytest.raises(JobError):
-            JobSpec.from_dict({
-                "schema": JOB_SCHEMA, "kind": "calibrate", "name": "c",
-                "params": {"artifacts": []},
-            })
+        """The retired kinds are refused, naming the bench command that
+        does their work."""
+        for kind, command in [("sweep", "python -m repro.bench run"),
+                              ("calibrate", "python -m repro.bench calibrate")]:
+            with pytest.raises(JobError, match=command):
+                JobSpec.from_dict({
+                    "schema": JOB_SCHEMA, "kind": kind, "name": "s",
+                    "params": {"suite": "smoke"},
+                })
 
     def test_load_job(self, tmp_path):
         path = tmp_path / "job.json"

@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.io.runlog import read_runlog
 from repro.telemetry.metrics import pow2_bins
 from repro.telemetry import (
     FlopsLedger,
     InMemorySink,
-    JSONLSink,
     Metrics,
     PhaseAggregator,
     SignatureRecorder,
@@ -29,7 +27,6 @@ from repro.telemetry import (
     Tracer,
     breakdown_json,
     get_tracer,
-    read_spans,
     render_breakdown,
     render_metrics,
     set_tracer,
@@ -321,48 +318,6 @@ class TestOneAnswer:
         assert child.phase == T_PIPE
 
 
-class TestSinks:
-    def test_jsonl_sink_round_trips_through_read_runlog(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = JSONLSink(path, run="unit")
-        tracer = Tracer(enabled=True, sinks=[sink])
-        with tracer.span("blockstep", phase=T_HOST, n_block=8):
-            with tracer.span("force", phase=T_PIPE):
-                pass
-        tracer.count("core.interactions", 64)
-        tracer.close()
-
-        # raw runlog view
-        header, columns = read_runlog(path)
-        assert header == {"run": "unit"}
-        assert set(columns["name"]) == {"blockstep", "force"}
-
-        # typed round trip
-        header2, events, snapshot = read_spans(path)
-        assert header2 == {"run": "unit"}
-        assert len(events) == 2
-        by_name = {e.name: e for e in events}
-        assert by_name["force"].parent_id == by_name["blockstep"].span_id
-        assert by_name["blockstep"].attrs == {"n_block": 8}
-        assert by_name["blockstep"].phase == T_HOST
-        assert snapshot["core.interactions"]["value"] == 64
-
-        # and the aggregator runs off the reloaded events
-        b = PhaseAggregator().consume(events).breakdown()
-        assert b.wall.total_us == pytest.approx(by_name["blockstep"].dur_us)
-
-    def test_jsonl_sink_is_crash_safe(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        sink = JSONLSink(path, run="crashy")
-        tracer = Tracer(enabled=True, sinks=[sink])
-        with tracer.span("force"):
-            pass
-        # no close(): records must already be on disk
-        _, events, _ = read_spans(path)
-        assert [e.name for e in events] == ["force"]
-        sink.close()
-
-
 class TestReport:
     def _breakdown(self):
         tracer, sink = make_tracer()
@@ -391,59 +346,6 @@ class TestReport:
         text = render_metrics(m)
         assert "net.messages" in text
         assert "counter" in text and "histogram" in text
-
-
-class TestRunlogCoercion:
-    def test_numpy_scalars_coerce(self, tmp_path):
-        """Regression: np.bool_ (and np.generic scalars) must serialise."""
-        from repro.io.runlog import RunLogger
-
-        path = tmp_path / "log.jsonl"
-        with RunLogger(path, run="coerce") as log:
-            log.sample(
-                converged=np.bool_(True),
-                n=np.int32(3),
-                x=np.float32(1.5),
-                arr=np.arange(3),
-            )
-        _, columns = read_runlog(path)
-        assert columns["converged"] == [True]
-        assert columns["n"] == [3]
-        assert columns["x"] == [1.5]
-        assert columns["arr"] == [[0, 1, 2]]
-
-    def test_unserialisable_still_raises(self, tmp_path):
-        from repro.io.runlog import RunLogger
-
-        with RunLogger(tmp_path / "log.jsonl") as log:
-            with pytest.raises(TypeError):
-                log.sample(bad=object())
-
-    def test_flush_makes_records_visible_before_close(self, tmp_path):
-        from repro.io.runlog import RunLogger
-
-        path = tmp_path / "log.jsonl"
-        log = RunLogger(path, run="durable").open()
-        log.sample(t=0.5, blocksteps=np.int64(7))
-        # a crash here would lose nothing: the record is already on disk
-        header, columns = read_runlog(path)
-        assert header == {"run": "durable"}
-        assert columns["t"] == [0.5]
-        assert columns["blocksteps"] == [7]
-        log.close()
-
-    def test_read_runlog_records_partitions_kinds(self, tmp_path):
-        from repro.io.runlog import RunLogger, read_runlog_records
-
-        path = tmp_path / "log.jsonl"
-        with RunLogger(path, run="kinds") as log:
-            log.sample(t=1.0)
-            log.record("span", name="force", dur_us=3.0)
-        header, columns, by_kind = read_runlog_records(path)
-        assert header == {"run": "kinds"}
-        assert [r["name"] for r in by_kind["span"]] == ["force"]
-        assert by_kind["sample"] == [{"t": 1.0}]
-        assert columns["t"] == [1.0]
 
 
 class TestHistogramPercentiles:
