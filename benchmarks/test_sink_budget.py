@@ -1,8 +1,8 @@
 """S1 — what the supervisor's always-on sink set costs a blockstep.
 
-Replays the span and metric calls one blockstep of
-``BlockTimestepIntegrator.step`` issues (five spans, three metric
-helpers, no physics) through the tracer the job supervisor installs,
+Replays the tracer calls one blockstep of
+``BlockTimestepIntegrator.step`` issues (five spans and the ``observe``
+hook, no physics) through the tracer the job supervisor installs,
 one stage of the sink chain at a time, and reports the blockstep
 *floor* of every stage: the minimum over rounds of the mean over a
 400-blockstep replay, which is what the chain costs when nothing else
@@ -56,7 +56,7 @@ YARDSTICK_REF_S = 3.05e-3 / 20
 
 def replay_blocksteps(tracer: Tracer, blocksteps: int = BLOCKSTEPS) -> None:
     """The tracer calls of ``blocksteps`` direct-summation blocksteps."""
-    span, observe, count = tracer.span, tracer.observe, tracer.count
+    span, observe = tracer.span, tracer.observe
     sizes, n_sizes = BLOCK_SIZES, len(BLOCK_SIZES)
     for i in range(blocksteps):
         n_b = sizes[i % n_sizes]
@@ -70,8 +70,6 @@ def replay_blocksteps(tracer: Tracer, blocksteps: int = BLOCKSTEPS) -> None:
             with span("schedule"):
                 pass
         observe("core.block_size", n_b)
-        count("core.interactions", n_b * (N - 1))
-        count("core.particle_steps", n_b)
 
 
 def supervisor_tracer() -> Tracer:
@@ -84,7 +82,7 @@ def supervisor_tracer() -> Tracer:
 
 #: The chain grown one stage at a time: (stage name, tracer factory).
 STAGES = (
-    ("span open/close + metric helpers",
+    ("span open/close + observe hook",
      lambda: Tracer(enabled=True)),
     ("SpanFold.emit x 5",
      lambda: Tracer(enabled=True, sinks=[SpanFold()])),

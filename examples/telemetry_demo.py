@@ -13,8 +13,9 @@ reproduction's real code paths:
 2. the same workload on a 4-host simulated cluster (copy algorithm),
    where the *virtual* clock attribution shows the communication and
    barrier terms the single host does not have;
-3. the metrics registry: block-size distribution, interactions,
-   NIC message statistics, exponent retries.
+3. the run quantities - block sizes, interactions, NIC messages,
+   exponent retries - read from the stats objects that count them
+   (the tracer records spans only).
 
 Usage:  python examples/telemetry_demo.py [N]
 """
@@ -25,13 +26,14 @@ import sys
 
 from repro import BlockTimestepIntegrator, constant_softening, plummer_model, telemetry
 from repro.hardware import Grape6Emulator
+from repro.io import format_table
 from repro.parallel.copy_algorithm import CopyAlgorithm
 from repro.parallel.driver import ParallelBlockIntegrator
 from repro.parallel.simcomm import SimNetwork
 
 
 def traced_run(make_integrator, t_end: float, virtual_clock=None):
-    """Run one workload under a fresh tracer; returns (breakdown, tracer)."""
+    """Run one workload under a fresh tracer; returns (breakdown, integrator)."""
     sink = telemetry.InMemorySink()
     tracer = telemetry.Tracer(enabled=True, sinks=[sink], virtual_clock=virtual_clock)
     old = telemetry.set_tracer(tracer)
@@ -41,7 +43,11 @@ def traced_run(make_integrator, t_end: float, virtual_clock=None):
     finally:
         telemetry.set_tracer(old)
     breakdown = telemetry.PhaseAggregator().consume(sink.events).breakdown()
-    return breakdown, tracer
+    return breakdown, integ
+
+
+def quantity_table(rows) -> str:
+    return format_table(("quantity", "read from", "value"), rows)
 
 
 def main(n: int = 64) -> None:
@@ -52,9 +58,10 @@ def main(n: int = 64) -> None:
 
     # 1. single host + emulated GRAPE ----------------------------------------
     print("## single host, emulated GRAPE-6 (wall-clock attribution)\n")
-    breakdown, tracer = traced_run(
+    emulator = Grape6Emulator(eps2)
+    breakdown, integ = traced_run(
         lambda: BlockTimestepIntegrator(
-            plummer_model(n, seed=4), eps2=eps2, backend=Grape6Emulator(eps2)
+            plummer_model(n, seed=4), eps2=eps2, backend=emulator
         ),
         t_end,
     )
@@ -65,7 +72,7 @@ def main(n: int = 64) -> None:
     print("## 4 hosts, copy algorithm over simulated NICs "
           "(virtual-clock attribution)\n")
     network = SimNetwork(4)
-    breakdown_p, tracer_p = traced_run(
+    breakdown_p, integ_p = traced_run(
         lambda: ParallelBlockIntegrator(
             plummer_model(n, seed=4), eps2, CopyAlgorithm(network, eps2)
         ),
@@ -80,13 +87,29 @@ def main(n: int = 64) -> None:
     print("   T_comm/T_barrier terms behind the 1/N wall of figs. 16/18)")
     print()
 
-    # 3. the metrics registry -------------------------------------------------
-    print("## run metrics (emulated-hardware leg)\n")
-    print(telemetry.render_metrics(tracer.metrics))
+    # 3. the run quantities, from the stats objects that count them ---------
+    print("## run quantities (emulated-hardware leg)\n")
+    print(quantity_table([
+        ("core.blocksteps", "integ.stats", integ.stats.blocksteps),
+        ("core.block_size (mean)", "integ.stats", f"{integ.stats.mean_block_size:.4g}"),
+        ("core.interactions", "integ.stats", integ.stats.interactions),
+        ("grape.jmem_loads", "emulator.stats", emulator.stats.jmem_loads),
+        ("grape.jmem_loads_elided", "emulator.stats", emulator.stats.jmem_loads_elided),
+        ("grape.exponent_retries", "emulator.stats", emulator.stats.exponent_retries),
+    ]))
     print()
-    print("## run metrics (cluster leg)\n")
-    print(telemetry.render_metrics(tracer_p.metrics))
-
+    print("## run quantities (cluster leg)\n")
+    comm = network.ledger.summary()
+    print(quantity_table([
+        ("core.block_size (mean)", "integ.stats", f"{integ_p.stats.mean_block_size:.4g}"),
+        ("net.messages", "net.stats", network.stats.messages),
+        ("net.bytes", "net.stats", network.stats.bytes),
+        ("net.barriers", "net.stats", network.stats.barriers),
+        ("net.barrier_rounds", "net.ledger.summary()", comm["barrier_rounds"]),
+        ("net.barrier_sync_us", "net.ledger.summary()", f"{comm['barrier_sync_us']:.4g}"),
+        ("net.mean_barrier_skew_us", "net.ledger.summary()",
+         f"{comm['mean_barrier_skew_us']:.4g}"),
+    ]))
 
 if __name__ == "__main__":
     main(int(sys.argv[1]) if len(sys.argv) > 1 else 64)

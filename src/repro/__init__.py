@@ -13,7 +13,7 @@ The package provides four layers:
   the paper's parallel algorithms (copy / ring / 2-D hybrid);
 * :mod:`repro.perfmodel` — the performance model and discrete-event
   simulator that regenerate every figure of the paper's evaluation;
-* :mod:`repro.telemetry` — tracing, metrics and phase attribution that
+* :mod:`repro.telemetry` — tracing and phase attribution that
   measure the real code paths the way section 4 measured the machine
   (``T_host`` / ``T_pipe`` / ``T_comm`` / ``T_barrier``).
 

@@ -3,8 +3,7 @@
 One artifact is one execution of one suite: an environment
 fingerprint, and per benchmark the trial timings with order
 statistics, the telemetry phase breakdown (the paper's
-T_host/T_pipe/T_comm/T_barrier split of eq. 10), the metrics snapshot
-(interactions/step, bytes/message, block sizes), and the
+T_host/T_pipe/T_comm/T_barrier split of eq. 10) and the
 benchmark-defined derived values (speeds in the eq. 9 convention,
 model-vs-measured ratios).  The schema is versioned so the regression
 gate can refuse artifacts it does not understand instead of

@@ -33,12 +33,9 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..telemetry import (
+    ATTRIBUTION_RULES,
     PHASES,
-    T_BARRIER,
-    T_COMM,
-    T_HOST,
     T_OTHER,
-    T_PIPE,
     InMemorySink,
     Sample,
     SamplerReport,
@@ -48,27 +45,6 @@ from ..telemetry import (
     set_tracer,
 )
 from .registry import Benchmark, BenchContext
-
-#: Ordered direct-attribution rules: (path fragment, function name or
-#: None for any, phase or None for "as its callers").  First match wins;
-#: paths are '/'-normalised.
-ATTRIBUTION_RULES: list[tuple[str, str | None, str | None]] = [
-    ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
-    ("repro/parallel/barrier.py", None, T_BARRIER),
-    ("repro/parallel/simcomm.py", None, T_COMM),
-    ("repro/parallel/virtualtime.py", None, T_COMM),
-    ("repro/parallel/", None, T_COMM),
-    ("repro/forces/compiled.py", None, None),
-    ("repro/forces/", None, T_PIPE),
-    ("repro/hardware/", None, T_PIPE),
-    ("repro/telemetry/tracer.py", "span", None),
-    ("repro/telemetry/tracer.py", "__enter__", None),
-    ("repro/telemetry/tracer.py", "__exit__", None),
-    ("repro/telemetry/", None, T_OTHER),
-    ("repro/core/", None, T_HOST),
-    ("repro/perfmodel/", None, T_HOST),
-    ("repro/models/", None, T_HOST),
-]
 
 #: (filename, lineno, funcname) — pstats' function key.
 FuncKey = tuple[str, int, str]

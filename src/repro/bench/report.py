@@ -73,30 +73,6 @@ def _fmt_derived(value: Any) -> str:
     return str(value)
 
 
-def _histogram_rows(entry: dict[str, Any]) -> list[tuple]:
-    """Distribution metrics (block sizes, bytes/message) with tail
-    percentiles; p99 tolerates pre-p99 artifacts via the p90 fallback."""
-    rows = []
-    for name, inst in sorted(entry.get("metrics", {}).items()):
-        if not isinstance(inst, dict) or inst.get("type") != "histogram":
-            continue
-        rows.append(
-            (
-                name,
-                inst.get("count", 0),
-                f"{inst.get('mean', 0.0):.4g}",
-                f"{inst.get('p50', 0.0):.4g}",
-                f"{inst.get('p90', 0.0):.4g}",
-                f"{inst.get('p99', inst.get('p90', 0.0)):.4g}",
-                f"{inst.get('max', 0.0):.4g}",
-            )
-        )
-    return rows
-
-
-_HISTOGRAM_HEADERS = ("metric", "n", "mean", "p50", "p90", "p99", "max")
-
-
 _SHARE_SPARK = "▁▂▃▄▅▆▇█"
 
 
@@ -199,7 +175,7 @@ _SECTION_TABLES = {
 def _entry_tables(entry: dict[str, Any], table: Any, code: str = "{}") -> list[str]:
     """Everything under one benchmark's heading, each table rendered by
     ``table(headers, rows)`` (``code`` quotes a key name): the phase
-    budget, derived values, histograms, then every observatory section
+    budget, derived values, then every observatory section
     the entry carries — its headline sentence (the registry's ``report``
     template over the registry's formats) and its table."""
     lines = ["", table(_phase_headers(entry), _phase_rows(entry))]
@@ -209,10 +185,6 @@ def _entry_tables(entry: dict[str, Any], table: Any, code: str = "{}") -> list[s
             ("derived", "value"),
             [(code.format(k), _fmt_derived(v)) for k, v in sorted(derived.items())],
         )]
-    hist_rows = _histogram_rows(entry)
-    if hist_rows:
-        lines += ["", table(
-            _HISTOGRAM_HEADERS, [(code.format(r[0]), *r[1:]) for r in hist_rows])]
     for name, (headers, rows_of) in _SECTION_TABLES.items():
         doc = entry.get(name)
         if not doc:

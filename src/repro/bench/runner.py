@@ -36,8 +36,8 @@ from .stats import percentile, trial_stats
 
 
 def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
-    """One timed trial: returns wall seconds, phase split, metrics,
-    and the benchmark's derived values."""
+    """One timed trial: returns wall seconds, phase split and the
+    benchmark's derived values."""
     state = bench.setup(params) if bench.setup is not None else None
     sink = InMemorySink()
     tracer = Tracer(enabled=True, sinks=[sink])
@@ -63,7 +63,6 @@ def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
     out: dict[str, Any] = {
         "wall_s": wall_s,
         "derived": dict(derived or {}),
-        "metrics": tracer.metrics.snapshot(),
         "n_events": breakdown.n_events,
         "wall_us": dict(breakdown.wall.totals),
     }
@@ -152,7 +151,6 @@ def run_benchmark(
             },
             "n_events": int(percentile([t["n_events"] for t in trials], 50.0)),
         },
-        "metrics": trials[-1]["metrics"],
         "derived": _merge_derived(trials),
     }
     virtual_trials = [t["virtual_us"] for t in trials if "virtual_us" in t]

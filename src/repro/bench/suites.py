@@ -95,7 +95,6 @@ def kernel_throughput(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any
             res = backend.forces_on(system.pos, system.vel, idx)
     elapsed = time.perf_counter() - t0
     interactions = res.interactions * calls
-    ctx.tracer.count("bench.interactions", interactions)
     rate = interactions / elapsed if elapsed > 0 else 0.0
     return {
         "interactions_per_call": res.interactions,
@@ -172,7 +171,6 @@ def emulated_host_force(ctx: BenchContext, state: dict[str, Any]) -> dict[str, A
     with ctx.tracer.span("grape.force", phase=T_PIPE, n_i=system.n):
         res = emu.forces_on(system.pos, system.vel, idx)
     elapsed = time.perf_counter() - t0
-    ctx.tracer.count("bench.exponent_retries", emu.stats.exponent_retries)
     return {
         "interactions": res.interactions,
         "exponent_retries": emu.stats.exponent_retries,
@@ -274,8 +272,6 @@ def cluster_speed(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
     msgs = max(network.stats.messages, 1)
     model_us = MachineModel(cluster_machine(ranks)).time_per_step_us(n)
     measured_us_per_step = virtual_us / steps
-    ctx.tracer.count("bench.messages", network.stats.messages)
-    ctx.tracer.count("bench.bytes", network.stats.bytes)
     ledger = network.ledger
     return {
         "exec_backend": executor.name,
@@ -465,7 +461,6 @@ def exec_observatory(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]
         np.array_equal(net_inline.clock.snapshot(), net.clock.snapshot())
         for net in (net_thread, net_exec)
     )
-    ctx.tracer.count("bench.rank_tasks", headline["tasks"])
     return {
         "exec_backend": exec_spec,
         "blocksteps": headline["blocksteps"],

@@ -83,7 +83,6 @@ class HermiteIntegrator:
         with self.tracer.span("force", phase=T_PIPE, n_i=s.n, startup=True):
             self.backend.set_j_particles(s.pos, s.vel, s.mass)
             res = self.backend.forces_on(s.pos, s.vel, self._all_indices())
-        self.tracer.count("core.interactions", res.interactions)
         s.acc[...] = res.acc
         s.jerk[...] = res.jerk
         s.pot[...] = res.pot
@@ -177,8 +176,6 @@ class HermiteIntegrator:
         self.stats.steps += 1
         self.stats.particle_steps += s.n
         self.stats.interactions += res.interactions
-        tracer.count("core.interactions", res.interactions)
-        tracer.count("core.particle_steps", s.n)
         return self.t
 
     def run(self, t_end: float) -> SharedStepStatistics:

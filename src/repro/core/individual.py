@@ -145,7 +145,6 @@ class BlockTimestepIntegrator:
         with self.tracer.span("force", phase=T_PIPE, n_i=s.n, startup=True):
             self.backend.set_j_particles(s.pos, s.vel, s.mass)
             res = self.backend.forces_on(s.pos, s.vel, np.arange(s.n))
-        self.tracer.count("core.interactions", res.interactions)
         s.acc[...] = res.acc
         s.jerk[...] = res.jerk
         s.pot[...] = res.pot
@@ -289,8 +288,6 @@ class BlockTimestepIntegrator:
         if self.record_block_sizes:
             self.stats.block_sizes.append(n_b)
         tracer.observe("core.block_size", n_b)
-        tracer.count("core.interactions", res.interactions)
-        tracer.count("core.particle_steps", n_b)
         return t_block, n_b
 
     def run(self, t_end: float, max_blocksteps: int | None = None) -> StepStatistics:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import ChipConfig
-from ..telemetry import get_tracer
 from .fixedpoint import combine_lanes_exact
 from .memory import JParticleMemory, StripedStore
 from .pipeline import PipelineFormats, partial_lanes
@@ -162,7 +161,6 @@ class GrapeChip:
             cj_q = np.ascontiguousarray(xj_q.T)
             cj_v = np.ascontiguousarray(vj.T)
 
-            cycles_before = self.cycles
             stride = self.config.iparallel
             for lo in range(0, n_i, stride):
                 rows = slice(lo, min(lo + stride, n_i))
@@ -184,11 +182,6 @@ class GrapeChip:
                 # 8-way VMP spends vmp_ways clocks per j-particle per pass
                 self.cycles += self.config.vmp_ways * n_j
 
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.count("grape.pipeline_passes", -(-n_i // stride))
-                tracer.count("grape.cycles", self.cycles - cycles_before)
-
         return PartialForce(acc=sums[:3].T, jerk=sums[3:6].T, pot=sums[6])
 
 
@@ -209,7 +202,3 @@ def charge_block(store: StripedStore, config: ChipConfig, n_i: int) -> None:
         return
     passes = -(-n_i // config.iparallel)
     store.cycles += passes * config.vmp_ways * store.sizes
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.count("grape.pipeline_passes", passes * int(np.count_nonzero(store.sizes)))
-        tracer.count("grape.cycles", passes * config.vmp_ways * store.used)

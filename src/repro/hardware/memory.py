@@ -28,7 +28,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ..telemetry import get_tracer
 from .fixedpoint import FixedPointFormat
 from .floatformat import FloatFormat
 from .pipeline import bind_j_set, quantize, round_float
@@ -239,7 +238,6 @@ class JParticleMemory:
             round_float(self.word_format, m), a, jdot, snap, t0,
         )
         self.store.detach(self, rows)
-        get_tracer().count("grape.jmem_writes", n)
 
     def __len__(self) -> int:
         return self.n

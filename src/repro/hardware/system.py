@@ -169,8 +169,7 @@ class Grape6Emulator:
         inputs equal the resident ones bit for bit (shapes, then x
         first, stopping at the first difference).
         """
-        tracer = get_tracer()
-        with tracer.span("grape.jmem_load", phase=T_PIPE, n_j=x.shape[0]):
+        with get_tracer().span("grape.jmem_load", phase=T_PIPE, n_j=x.shape[0]):
             x = np.ascontiguousarray(x, dtype=np.float64)
             v = np.ascontiguousarray(v, dtype=np.float64)
             m = np.ascontiguousarray(m, dtype=np.float64)
@@ -181,13 +180,10 @@ class Grape6Emulator:
                 and m.tobytes() == self._mass_in
             ):
                 self.stats.jmem_loads_elided += 1
-                tracer.count("grape.jmem_load_skips")
             else:
                 self.load_j_particles(np.arange(x.shape[0]), x, v, m)
                 self._resident = (self.jmem.generation, *held[1:], v.tobytes())
         self.stats.jmem_loads += 1
-        tracer.count("grape.jmem_loads")
-        tracer.gauge("grape.jmem_used", self.jmem.used)
 
     def load_j_particles(self, host_index, x, v, m, **derivs) -> None:
         """Write a j-set into the machine's memories (the ``g6_*`` upload).
@@ -209,7 +205,6 @@ class Grape6Emulator:
         fmt = self.formats
         self.jmem.load(storage_rows(fmt.pos, fmt.word, host_index, x, v, self._mass, **derivs))
         self._j_com = (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
-        get_tracer().count("grape.jmem_writes", m.shape[0])
 
     def forces_on(
         self,
@@ -237,8 +232,7 @@ class Grape6Emulator:
             if i_index.size and i_index.min() < 0:
                 raise ValueError(f"negative particle index {i_index.min()} in indices")
 
-        tracer = get_tracer()
-        with tracer.span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
+        with get_tracer().span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
             xi_q = quantize(self.formats.pos, xi)
             vi_w = round_float(self.formats.word, vi)
             exponents = self._initial_exponents(xi, vi, i_index)
@@ -257,14 +251,12 @@ class Grape6Emulator:
                 raise BlockFloatOverflow("exponent retry loop failed to converge")
             if retries:
                 span.set(exponent_retries=retries)
-                tracer.count("grape.exponent_retries", retries)
 
         if i_index is not None:  # remember the declared exponents
             self._exp[:, i_index] = exponents.planes[::3]
         self.stats.force_evaluations += 1
         interactions = n_i * n_j - (n_i if indices is not None else 0)
         self.stats.interactions += interactions
-        tracer.count("grape.interactions", interactions)
         return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
 
     # -- datapaths --------------------------------------------------------------

@@ -146,7 +146,6 @@ class CopyAlgorithm:
         if self.p == 1:
             return
         n_b = int(block.size)
-        self.network.tracer.count("net.exchange_particles", n_b)
         # ring allgather: at shift s each rank forwards the share that
         # originated s-1 hops upstream, so after p-1 shifts everyone
         # has every share; each message carries that share's actual size

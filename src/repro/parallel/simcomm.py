@@ -158,11 +158,11 @@ class SimNetwork:
 
         Every message is posted from its sender's clock as the round
         begins; then each receiver waits for its arrivals, in message
-        order.  The clocks, counters, ledger and ``net.*`` metrics are
-        bit for bit those of sending every message one at a time and
-        then receiving every one.  A rank may send or receive several
-        messages in one round; a message that must leave after another
-        has arrived belongs in the next round.
+        order.  The clocks, counters and ledger are bit for bit those of
+        sending every message one at a time and then receiving every
+        one.  A rank may send or receive several messages in one round;
+        a message that must leave after another has arrived belongs in
+        the next round.
         """
         src = np.asarray(src, dtype=np.intp)
         dst = np.asarray(dst, dtype=np.intp)
@@ -173,15 +173,10 @@ class SimNetwork:
             raise ValueError("self-sends are not modelled")
         refuse_negative(nbytes)
         if src.size:
-            tracer = self.tracer
             flight_us = self.message_time_us(nbytes)
             self.stats.record(src.size, int(nbytes.sum()))
             self.ledger.record_round(src, dst, nbytes, flight_us, collective=tag < 0)
-            arrive = self.clock.now_many(src) + flight_us
-            if tracer.enabled:
-                self._observe(tracer, nbytes, flight_us,
-                              self._recv_waits(dst, arrive))
-            self.clock.wait_until_many(dst, arrive)
+            self.clock.wait_until_many(dst, self.clock.now_many(src) + flight_us)
 
     def shift_rounds(
         self,
@@ -193,10 +188,10 @@ class SimNetwork:
         rank ``r`` sends ``nbytes[i, r]`` bytes to ``(r + shifts[i]) %
         p`` under ``tags[i]``, once the previous round has arrived.
 
-        Clocks, counters, ledger and ``net.*`` metrics are bit for bit
-        those of the R rounds posted one at a time, each sending in
-        sender order and receiving in receiver order.  Returns the
-        clocks before the first round and after each one, ``(R + 1, p)``.
+        Clocks, counters and ledger are bit for bit those of the R
+        rounds posted one at a time, each sending in sender order and
+        receiving in receiver order.  Returns the clocks before the
+        first round and after each one, ``(R + 1, p)``.
         """
         shifts, tags = tuple(shifts), tuple(tags)
         if len(tags) != len(shifts):
@@ -206,14 +201,9 @@ class SimNetwork:
         if nbytes.shape != schedule.nbytes.shape:
             raise ValueError("need one row of n_ranks sizes and one tag per round")
         schedule.nbytes[...] = nbytes
-        tracer = self.tracer
         nbytes_total = network_tile._tile.shift_rounds(
             schedule, self.clock, self.ledger._store, self.nic, self.overhead_us)
         self.stats.record(schedule.m, nbytes_total)
-        if tracer.enabled:
-            for t, flight, nb, by in zip(schedule.history, schedule.flight,
-                                         schedule.nbytes, schedule.by_receiver):
-                self._observe(tracer, nb, flight, (t + flight)[by] - t)
         return schedule.history.copy()
 
     def _schedule(self, shifts: tuple[int, ...], tags: tuple[int, ...]) -> Schedule:
@@ -224,39 +214,6 @@ class SimNetwork:
             schedule = self._shifts[shifts, tags] = Schedule(
                 self.n_ranks, shifts, [tag < 0 for tag in tags])
         return schedule
-
-    @staticmethod
-    def _observe(tracer: Tracer, nbytes: np.ndarray, flight_us: np.ndarray,
-                 waits: np.ndarray) -> None:
-        """One round's ``net.*`` metrics, in the order its sends and then
-        its receives (``waits``, in receive order) would record them."""
-        tracer.count("net.messages", nbytes.size)
-        tracer.count("net.bytes", int(nbytes.sum()))
-        tracer.observe_many("net.message_bytes", nbytes)
-        tracer.observe_many("net.message_us", flight_us)
-        tracer.observe_many("net.recv_wait_us", waits[waits > 0])
-
-    def _recv_waits(self, dst: np.ndarray, arrive: np.ndarray) -> np.ndarray:
-        """How long each message's receive blocks when the receives run
-        in message order: a rank's n-th arrival waits from the later of
-        its clock and its earlier arrivals.  Each pass serves the first
-        outstanding message of every receiver."""
-        t = self.clock.snapshot()
-        if len(set(dst.tolist())) == dst.size:  # nobody receives twice
-            return arrive - t[dst]
-        waits = np.empty_like(arrive)
-        first = np.empty(self.n_ranks, dtype=np.intp)
-        pending = np.arange(dst.size)
-        while pending.size:
-            # later writes win, so writing back to front leaves each
-            # receiver's earliest outstanding message in its slot
-            first[dst[pending[::-1]]] = pending[::-1]
-            served = first[dst[pending]] == pending
-            now = pending[served]
-            waits[now] = arrive[now] - t[dst[now]]
-            t[dst[now]] = np.maximum(t[dst[now]], arrive[now])
-            pending = pending[~served]
-        return waits
 
     # -- collectives ------------------------------------------------------------
 
@@ -286,11 +243,6 @@ class SimNetwork:
                 span.set(rounds=rounds, straggler=record.straggler,
                          skew_us=record.skew_us, sync_us=record.sync_us)
         self.stats.barriers += 1
-        if tracer.enabled:
-            tracer.count("net.barriers")
-            tracer.count("net.barrier_rounds", rounds)
-            tracer.observe("net.barrier_skew_us", record.skew_us)
-            tracer.observe("net.barrier_sync_us", record.sync_us)
 
     @contextmanager
     def exchange_phase(self, kind: str, n_particles: int = 0):

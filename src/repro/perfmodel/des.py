@@ -143,8 +143,7 @@ class BlockstepDES:
 
     def run(self, n: int, population: LevelPopulation | None = None) -> DESResult:
         """Evaluate the blockstep schedule for system size N."""
-        tracer = get_tracer()
-        with tracer.span("des.run", phase=T_HOST, n=n):
+        with get_tracer().span("des.run", phase=T_HOST, n=n):
             pop = (
                 population
                 if population is not None
@@ -159,12 +158,6 @@ class BlockstepDES:
                 blocksteps += rate
                 psteps += rate * n_b
             t_step = wall_us / psteps
-        if tracer.enabled:
-            tracer.count("des.evaluations")
-            tracer.count("des.census_entries", len(census))
-            tracer.count("des.blocksteps_per_unit_time", blocksteps)
-            for _, rate, n_b in census:
-                tracer.observe("des.block_size", n_b)
         return DESResult(
             n=n,
             time_per_step_us=t_step,

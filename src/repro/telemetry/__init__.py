@@ -1,4 +1,4 @@
-"""Unified tracing, metrics and phase attribution.
+"""Unified tracing and phase attribution.
 
 The paper's evaluation method *is* instrumentation: attribute every
 microsecond of a run to host computation (``T_host``), GRAPE pipeline
@@ -9,9 +9,13 @@ This package makes the same attribution observable on the
 reproduction's real code paths:
 
 * :class:`Tracer` — span context managers with wall- and virtual-clock
-  timestamps, near-free when disabled (the default);
-* :class:`Metrics` — counters/gauges/histograms for run quantities
-  (block sizes, interactions, bytes per message, exponent retries);
+  timestamps, near-free when disabled (the default).  It records spans
+  only: a run quantity (interactions, block sizes, messages, exponent
+  retries) is read from the stats object that counts it
+  (``integ.stats``, ``emulator.stats``, ``network.stats`` and
+  ``network.ledger``);
+* :class:`Histogram` — the power-of-two distribution those ledgers
+  keep (bytes and flight time per link, task wall times per rank);
 * :class:`SpanFold` — the one streaming self-time fold: rolls spans up
   into the section-4 taxonomy (:class:`PhaseAggregator` feeds it a
   retained list; :func:`render_breakdown` prints the fig. 14/16/18-style
@@ -39,7 +43,7 @@ Quick start::
 # import order matters: tracer/phases must land in the package
 # namespace before report/sinks pull in repro.io (which closes an
 # import cycle back through repro.core's instrumented integrators)
-from .metrics import Counter, Gauge, Histogram, Metrics
+from .metrics import Histogram
 from .tracer import SpanEvent, Tracer, configure, get_tracer, set_tracer
 from .phases import (
     DEFAULT_SPAN_PHASES,
@@ -59,7 +63,7 @@ from .phases import (
     replay,
     resolve_phase,
 )
-from .report import breakdown_json, render_breakdown, render_metrics
+from .report import breakdown_json, render_breakdown
 from .sinks import InMemorySink, StreamingPhaseSink
 from .signatures import (
     N_BUCKETS,
@@ -79,6 +83,7 @@ from .signatures import (
     validate_signature_summary,
 )
 from .sampler import (
+    ATTRIBUTION_RULES,
     SOURCE_FRAMES,
     SOURCE_NONE,
     SOURCE_SPAN,
@@ -148,9 +153,6 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "configure",
-    "Metrics",
-    "Counter",
-    "Gauge",
     "Histogram",
     "SpanFold",
     "BlockstepRecord",
@@ -185,9 +187,9 @@ __all__ = [
     "schedule_signature",
     "validate_signature_summary",
     "render_breakdown",
-    "render_metrics",
     "breakdown_json",
     "SamplingProfiler",
+    "ATTRIBUTION_RULES",
     "Sample",
     "SamplerReport",
     "attribute_sample",

@@ -1,18 +1,15 @@
-"""Counters, gauges and histograms for run-level quantities.
+"""The power-of-two histogram the run ledgers keep distributions in.
 
-The paper's analysis rests on a handful of distributions and counters
-measured from real runs: the block-size distribution (sets the
-communication efficiency of figs. 13-18), interactions per step (the
-flops accounting of eq. 9), bytes per NIC message and exponent-retry
-counts.  :class:`Metrics` is the registry those instruments live in;
-instances are cheap plain-Python objects so the registry can stay
-attached to the (possibly disabled) tracer at all times.
+Distributions measured from real runs - bytes and flight time per NIC
+message, a rank's task wall times - are kept by the stats object that
+owns the quantity (:class:`repro.parallel.ledger.CommLedger`,
+:class:`repro.telemetry.RankLedger`) in a :class:`Histogram`, or folded
+with :func:`pow2_bins` into the same bin layout.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator
 
 import numpy as np
 
@@ -24,34 +21,6 @@ def pow2_bins(values: np.ndarray) -> np.ndarray:
     exponent ``math.frexp`` does, so array folds agree with
     :meth:`Histogram.observe` by construction."""
     return np.where(values <= 1.0, 0, np.frexp(values)[1])
-
-
-class Counter:
-    """Monotonically increasing count (interactions, messages, retries)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def inc(self, n: int | float = 1) -> None:
-        if n < 0:
-            raise ValueError("counters only go up")
-        self.value += n
-
-
-class Gauge:
-    """Last-value instrument (j-memory occupancy, current N, ...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float | None = None
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -164,60 +133,3 @@ class Histogram:
             "p90": self.percentile(90.0),
             "p99": self.percentile(99.0),
         }
-
-
-class Metrics:
-    """Get-or-create registry of named instruments.
-
-    A name identifies exactly one instrument; asking for the same name
-    with a different type is an error (it would silently split data).
-    """
-
-    def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
-
-    def _get(self, name: str, cls):
-        try:
-            inst = self._instruments[name]
-        except KeyError:
-            inst = self._instruments[name] = cls(name)
-            return inst
-        if not isinstance(inst, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(inst).__name__}"
-            )
-        return inst
-
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get(name, Histogram)
-
-    def __iter__(self) -> Iterator[Counter | Gauge | Histogram]:
-        return iter(self._instruments.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def snapshot(self) -> dict[str, Any]:
-        """JSON-ready dump of every instrument's current state."""
-        out: dict[str, Any] = {}
-        for name, inst in sorted(self._instruments.items()):
-            if isinstance(inst, Counter):
-                out[name] = {"type": "counter", "value": inst.value}
-            elif isinstance(inst, Gauge):
-                out[name] = {"type": "gauge", "value": inst.value}
-            else:
-                out[name] = {
-                    "type": "histogram",
-                    **inst.summary(),
-                    "bins": {str(k): v for k, v in sorted(inst.bins.items())},
-                }
-        return out
-
-    def reset(self) -> None:
-        self._instruments.clear()

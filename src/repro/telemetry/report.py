@@ -10,10 +10,8 @@ table (both clock domains when available), and
 from __future__ import annotations
 
 import json
-from typing import Any
 
 from ..io.tables import format_table
-from .metrics import Metrics
 from .phases import PAPER_PHASE_NAMES, PHASES, PhaseBreakdown
 
 
@@ -82,28 +80,6 @@ def render_breakdown(
     return "\n".join(lines)
 
 
-def render_metrics(metrics: Metrics) -> str:
-    """Aligned dump of the metrics registry (counters first)."""
-    snapshot = metrics.snapshot()
-    rows = []
-    for name, entry in snapshot.items():
-        if entry["type"] == "histogram":
-            value = (
-                f"n={entry['count']} mean={entry['mean']:.4g} "
-                f"p50={entry['p50']:.4g} p90={entry['p90']:.4g} "
-                f"p99={entry['p99']:.4g} max={entry['max']:.4g}"
-            )
-        else:
-            value = str(entry["value"])
-        rows.append((name, entry["type"], value))
-    return format_table(("metric", "type", "value"), rows)
-
-
-def breakdown_json(
-    breakdown: PhaseBreakdown, metrics: Metrics | None = None, indent: int | None = 2
-) -> str:
-    """Machine-readable report (phases + optional metrics snapshot)."""
-    payload: dict[str, Any] = breakdown.as_dict()
-    if metrics is not None:
-        payload["metrics"] = metrics.snapshot()
-    return json.dumps(payload, indent=indent, sort_keys=True)
+def breakdown_json(breakdown: PhaseBreakdown, indent: int | None = 2) -> str:
+    """Machine-readable report of the phase budget."""
+    return json.dumps(breakdown.as_dict(), indent=indent, sort_keys=True)

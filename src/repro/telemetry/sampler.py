@@ -17,10 +17,11 @@ wakes every ``interval_s`` and snapshots, for every thread,
 Each sample is attributed **first** to the innermost open span with a
 resolvable phase — the instrumentation says what the program is doing,
 regardless of which file the interpreter happens to be executing — and
-only falls back to the ``repro.bench.profiling`` path rules applied to
-the frame stack when no span is open.  A sample therefore lands in
-``T_host`` when taken inside ``with tracer.span("pack", phase=T_HOST)``
-even if the executing frame lives in ``repro/forces/direct.py``.
+only falls back to the path rules (:data:`ATTRIBUTION_RULES`, which
+``repro.bench.profiling`` shares) applied to the frame stack when no
+span is open.  A sample therefore lands in ``T_host`` when taken inside
+``with tracer.span("pack", phase=T_HOST)`` even if the executing frame
+lives in ``repro/forces/direct.py``.
 
 The live thread ticks only when it next holds the GIL.  At Python's
 default 5 ms switch interval that is mostly at the next C call that
@@ -45,7 +46,16 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from ..io.tables import format_table
-from .phases import PAPER_PHASE_NAMES, PHASES, T_OTHER, resolve_phase
+from .phases import (
+    PAPER_PHASE_NAMES,
+    PHASES,
+    T_BARRIER,
+    T_COMM,
+    T_HOST,
+    T_OTHER,
+    T_PIPE,
+    resolve_phase,
+)
 from .tracer import Tracer
 
 #: Attribution provenance of one sample.
@@ -61,15 +71,28 @@ FrameRef = tuple[str, str]
 SWITCH_INTERVAL_S = 1e-4
 
 
-def _default_frame_rules() -> Sequence[tuple[str, str | None, str]]:
-    """The bench path rules, imported lazily (bench imports telemetry,
-    so a module-level import here would be a cycle)."""
-    try:
-        from ..bench.profiling import ATTRIBUTION_RULES
-
-        return ATTRIBUTION_RULES
-    except ImportError:  # pragma: no cover - bench is part of this repo
-        return ()
+#: Ordered direct-attribution rules by module path, shared by the
+#: sampler's frame fallback and ``repro.bench.profiling``'s cProfile
+#: attribution: (path fragment, function name or None for any, phase or
+#: None for "as its callers").  First match wins; paths are
+#: '/'-normalised.
+ATTRIBUTION_RULES: list[tuple[str, str | None, str | None]] = [
+    ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
+    ("repro/parallel/barrier.py", None, T_BARRIER),
+    ("repro/parallel/simcomm.py", None, T_COMM),
+    ("repro/parallel/virtualtime.py", None, T_COMM),
+    ("repro/parallel/", None, T_COMM),
+    ("repro/forces/compiled.py", None, None),
+    ("repro/forces/", None, T_PIPE),
+    ("repro/hardware/", None, T_PIPE),
+    ("repro/telemetry/tracer.py", "span", None),
+    ("repro/telemetry/tracer.py", "__enter__", None),
+    ("repro/telemetry/tracer.py", "__exit__", None),
+    ("repro/telemetry/", None, T_OTHER),
+    ("repro/core/", None, T_HOST),
+    ("repro/perfmodel/", None, T_HOST),
+    ("repro/models/", None, T_HOST),
+]
 
 
 def frame_chain(frame, limit: int = 64) -> list[FrameRef]:
@@ -188,7 +211,7 @@ def attribute_sample(
             if resolved is not None:
                 return resolved, SOURCE_SPAN, name
         return T_OTHER, SOURCE_SPAN, open_spans[-1][0]
-    rules = _default_frame_rules() if frame_rules is None else frame_rules
+    rules = ATTRIBUTION_RULES if frame_rules is None else frame_rules
     for filename, funcname in frames:
         normalized = filename.replace("\\", "/")
         for fragment, wanted, phase in rules:

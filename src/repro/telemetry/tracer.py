@@ -37,8 +37,6 @@ from threading import get_ident
 from time import perf_counter
 from typing import Any, Callable
 
-from .metrics import Metrics
-
 
 @dataclass
 class SpanEvent:
@@ -136,13 +134,18 @@ class _Span:
 
 
 class Tracer:
-    """Span source with pluggable sinks and an attached metrics registry.
+    """Span source with pluggable sinks.
+
+    A tracer records spans and nothing else: every run quantity
+    (interactions, block sizes, messages, exponent retries) is counted
+    once, by the stats object that owns it (``integ.stats``,
+    ``emulator.stats``, ``network.stats`` / ``network.ledger``).
 
     Parameters
     ----------
     enabled:
         Master switch.  When False, :meth:`span` returns a shared no-op
-        context manager and the metric helpers return immediately.
+        context manager.
     sinks:
         Objects with ``emit(event)`` (see :mod:`repro.telemetry.sinks`);
         every finished span is delivered to each in order.
@@ -163,7 +166,6 @@ class Tracer:
         self.enabled = bool(enabled)
         self.sinks: list = list(sinks) if sinks is not None else []
         self.virtual_clock = virtual_clock
-        self.metrics = Metrics()
         self._stack: list[_Span] = []
         self._serial = 0
         self._epoch = perf_counter()
@@ -181,28 +183,6 @@ class Tracer:
         if not self.enabled:
             return _NULL_SPAN
         return _Span(self, name, phase, attrs)
-
-    def event(self, name: str, phase: str | None = None, **attrs: Any) -> None:
-        """Record an instantaneous (zero-duration) event."""
-        if not self.enabled:
-            return
-        t = perf_counter()
-        self._serial += 1
-        clock = self.virtual_clock
-        event = SpanEvent(
-            name=name,
-            span_id=self._serial,
-            parent_id=self._stack[-1].span_id if self._stack else None,
-            depth=len(self._stack),
-            t_start_us=(t - self._epoch) * 1.0e6,
-            dur_us=0.0,
-            phase=phase,
-            v_start_us=None if clock is None else float(clock()),
-            v_dur_us=None if clock is None else 0.0,
-            attrs=dict(attrs),
-        )
-        for sink in self.sinks:
-            sink.emit(event)
 
     # -- introspection (the sampling profiler's view) -------------------------
 
@@ -228,39 +208,21 @@ class Tracer:
         """
         return self._owner_thread
 
-    # -- metric helpers (no-ops when disabled) --------------------------------
-
-    def count(self, name: str, n: int | float = 1) -> None:
-        if self.enabled:
-            self.metrics.counter(name).inc(n)
+    # -- the per-blockstep hook -----------------------------------------------
 
     def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.histogram(name).observe(value)
-
-    def observe_many(self, name: str, values) -> None:
-        """Array form of :meth:`observe` (same histogram, same bits; no
-        observations, no histogram)."""
-        if self.enabled and len(values):
-            self.metrics.histogram(name).observe_many(values)
-
-    def gauge(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.gauge(name).set(value)
+        """Called once at the end of every
+        :meth:`~repro.core.individual.BlockTimestepIntegrator.step`, with
+        the block size, whether or not the tracer is enabled.  The base
+        method does nothing (the size is in ``integ.stats``); it exists
+        so a subclass handed in through the integrator's ``tracer=``
+        argument can act per blockstep - a benchmark harness stamps the
+        clock here - without a span or a sink."""
 
     # -- lifecycle ------------------------------------------------------------
 
-    def flush(self) -> None:
-        """Push the current metrics snapshot to sinks that accept one."""
-        snapshot = self.metrics.snapshot()
-        for sink in self.sinks:
-            emit_metrics = getattr(sink, "emit_metrics", None)
-            if emit_metrics is not None and snapshot:
-                emit_metrics(snapshot)
-
     def close(self) -> None:
-        """Flush metrics and close every sink."""
-        self.flush()
+        """Close every sink that has a ``close()``."""
         for sink in self.sinks:
             close = getattr(sink, "close", None)
             if close is not None:

@@ -49,7 +49,7 @@ def enabled_tracer():
 
 class TestEmulatedRunBreakdown:
     def test_hermite_on_emulator_attributes_host_and_pipe(self, enabled_tracer):
-        tracer, sink = enabled_tracer
+        _, sink = enabled_tracer
         system = plummer_model(32, seed=11)
         integ = BlockTimestepIntegrator(
             system, eps2=EPS2, backend=Grape6Emulator(EPS2, boards=1)
@@ -68,15 +68,16 @@ class TestEmulatedRunBreakdown:
         roots = sum(e.dur_us for e in sink.events if e.parent_id is None)
         assert b.wall.total_us == pytest.approx(roots, rel=1e-9)
 
-        # metrics captured the run quantities the paper histograms
-        metrics = tracer.metrics
-        assert metrics.counter("core.interactions").value == integ.stats.interactions
-        hist = metrics.histogram("core.block_size")
-        assert hist.count == integ.stats.blocksteps
-        assert hist.mean == pytest.approx(integ.stats.mean_block_size)
-        assert metrics.counter("grape.exponent_retries").value == (
-            integ.backend.stats.exponent_retries
+        # the spans agree with the counts the stats objects keep
+        blocksteps = [e for e in sink.events if e.name == "blockstep"]
+        assert len(blocksteps) == integ.stats.blocksteps
+        assert sum(e.attrs["n_block"] for e in blocksteps) == (
+            integ.stats.particle_steps
         )
+        assert sum(
+            e.attrs.get("exponent_retries", 0)
+            for e in sink.events if e.name == "grape.force"
+        ) == integ.backend.stats.exponent_retries
 
         report = render_breakdown(b)
         assert "T_host" in report and "T_pipe" in report
@@ -124,12 +125,15 @@ class TestParallelRunBreakdown:
             network.clock.elapsed, rel=1e-9
         )
 
-        # message/barrier metrics agree with the network's own counters
-        m = tracer.metrics
-        assert m.counter("net.messages").value == network.stats.messages
-        assert m.counter("net.bytes").value == network.stats.bytes
-        assert m.counter("net.barriers").value == network.stats.barriers
-        assert m.histogram("net.message_us").count == network.stats.messages
+        # one barrier span per barrier the network counts, and the
+        # ledger's traffic is the network's
+        barriers = [e for e in sink.events if e.name == "net.barrier"]
+        assert len(barriers) == network.stats.barriers
+        assert sum(e.attrs["rounds"] for e in barriers) == (
+            network.ledger.barrier_rounds
+        )
+        assert network.ledger.messages == network.stats.messages
+        assert network.ledger.bytes == network.stats.bytes
 
         report = render_breakdown(b)
         assert "virtual [ms]" in report
@@ -169,7 +173,7 @@ class TestDisabledOverhead:
         """The permanent instrumentation must be near-free when off.
 
         Measures a real 2048-particle Hermite run with the (default)
-        disabled tracer, then measures the cost of every span/metric
+        disabled tracer, then measures the cost of every span and hook
         call that run issued, re-played against the same disabled
         tracer.  The replay's floor must cost <5% of the run's (floors
         over interleaved repeats).  (The replay grows with the
@@ -183,13 +187,13 @@ class TestDisabledOverhead:
 
         def replay(blocksteps):
             # per blockstep: 5 spans (blockstep/predict/force/correct/
-            # schedule) + 3 metric helpers; generously double it
+            # schedule) + the observe hook; over-count it generously
             n_calls = 16 * (blocksteps + 1)
             t0 = time.perf_counter()
             for _ in range(n_calls):
                 with tracer.span("blockstep", phase=T_HOST, n_block=8):
                     pass
-                tracer.count("core.interactions", 1)
+                tracer.observe("core.block_size", 8)
             return time.perf_counter() - t0
 
         t_run, t_overhead, blocksteps = floors(replay)
@@ -201,7 +205,7 @@ class TestDisabledOverhead:
 
     def test_supervisor_sink_set_overhead_under_10_percent(self):
         """The stated bound with all observatories on, by the same
-        replay: the span and metric calls of the 2048-particle run
+        replay: the span and hook calls of the 2048-particle run
         through the sink set the job supervisor installs (fold,
         signature recorder, regime tracker, flops ledger) must cost
         <10% of the run (floors over interleaved repeats).  Reads about
@@ -223,13 +227,15 @@ class TestDisabledOverhead:
             f"the {t_run:.4f}s run ({blocksteps} blocksteps; floors of {REPEATS})"
         )
 
-    def test_disabled_run_leaves_no_events_or_metrics(self, tmp_path):
-        tracer = get_tracer()
-        assert not tracer.enabled
-        before = {inst.name for inst in tracer.metrics}
-        system = plummer_model(16, seed=9)
-        BlockTimestepIntegrator(system, eps2=EPS2).run(0.0625)
-        assert {inst.name for inst in tracer.metrics} == before
+    def test_disabled_run_leaves_no_events(self):
+        sink = InMemorySink()
+        old = set_tracer(Tracer(enabled=False, sinks=[sink]))
+        try:
+            system = plummer_model(16, seed=9)
+            BlockTimestepIntegrator(system, eps2=EPS2).run(0.0625)
+        finally:
+            set_tracer(old)
+        assert sink.events == []
 
 
 class TestTracedTrajectoriesUnchanged:

@@ -8,10 +8,10 @@ many-to-one with repeated receivers, zero-byte messages, sizes one off
 a power of two, schedules of up to 20 shift rounds in one call, rank
 counts 1..17, tiny log caps so folds land mid-sequence) through the
 primitive and through a scalar oracle written here with per-message
-``max``/``+`` and ``Histogram.observe``; clocks, counters, the full
-ledger export and the ``net.*`` metrics must come out equal.  The ring
-allgather and the barrier, each one schedule, must equal their
-one-round-per-call form.
+``max``/``+`` and ``Histogram.observe``; clocks, counters and the full
+ledger export must come out equal.  The ring allgather and the
+barrier, each one schedule, must equal their one-round-per-call form,
+barrier spans included.
 
 The same thing end to end - ledger and clock digests of all four
 algorithms, recorded at the commit before message rounds existed - is
@@ -30,7 +30,7 @@ from repro.parallel import CommLedger, SimNetwork
 from repro.parallel import ledger as ledger_module
 from repro.parallel.ledger import KIND_COLLECTIVE, KIND_P2P, LinkStats
 from repro.parallel.simcomm import BARRIER_BYTES
-from repro.telemetry import T_BARRIER, Metrics, Tracer
+from repro.telemetry import T_BARRIER, InMemorySink, Tracer
 
 pytestmark = pytest.mark.tiers
 
@@ -47,7 +47,6 @@ class ScalarOracle:
         self.messages = 0
         self.bytes = 0
         self.links = {}
-        self.metrics = Metrics()
 
     def round(self, src, dst, nbytes, tag, recv_order=None):
         arrivals = []
@@ -62,15 +61,8 @@ class ScalarOracle:
             link.bytes += n
             link.size_hist.observe(n)
             link.flight_hist.observe(flight)
-            self.metrics.counter("net.messages").inc()
-            self.metrics.counter("net.bytes").inc(n)
-            self.metrics.histogram("net.message_bytes").observe(n)
-            self.metrics.histogram("net.message_us").observe(flight)
         for i in range(len(src)) if recv_order is None else recv_order:
-            wait = arrivals[i] - self.t[dst[i]]
             self.t[dst[i]] = max(self.t[dst[i]], arrivals[i])
-            if wait > 0:
-                self.metrics.histogram("net.recv_wait_us").observe(wait)
 
     def ledger_export(self):
         return {
@@ -159,7 +151,7 @@ def test_rounds_equal_the_scalar_oracle(program):
     ranks = list(range(p))
     with mock.patch.object(ledger_module, "ROUND_LOG_CAP", log_cap):
         net = SimNetwork(p, NIC, per_message_overhead_us=OVERHEAD_US)
-        tracer = net.attach_tracer(Tracer(enabled=True))
+        net.attach_tracer(Tracer(enabled=True))
         for step in steps:
             if step[0] == "advance":
                 _, rank, dt = step
@@ -186,7 +178,6 @@ def test_rounds_equal_the_scalar_oracle(program):
     assert net.clock.snapshot().tobytes() == np.array(oracle.t).tobytes()
     assert (net.stats.messages, net.stats.bytes) == (oracle.messages, oracle.bytes)
     assert export == oracle.ledger_export()
-    assert tracer.metrics.snapshot() == oracle.metrics.snapshot()
 
 
 # -- collectives against their per-round form --------------------------------
@@ -221,11 +212,6 @@ def per_round_barrier(net):
             span.set(rounds=len(skews), straggler=record.straggler,
                      skew_us=record.skew_us, sync_us=record.sync_us)
     net.stats.barriers += 1
-    if tracer.enabled:
-        tracer.count("net.barriers")
-        tracer.count("net.barrier_rounds", len(skews))
-        tracer.observe("net.barrier_skew_us", record.skew_us)
-        tracer.observe("net.barrier_sync_us", record.sync_us)
 
 
 @st.composite
@@ -247,7 +233,9 @@ def test_collectives_equal_their_per_round_form(program):
     with mock.patch.object(ledger_module, "ROUND_LOG_CAP", log_cap):
         net, ref = (SimNetwork(p, NIC, per_message_overhead_us=OVERHEAD_US)
                     for _ in range(2))
-        tracers = [n.attach_tracer(Tracer(enabled=traced)) for n in (net, ref)]
+        sinks = [InMemorySink() for _ in (net, ref)]
+        for n, sink in zip((net, ref), sinks):
+            n.attach_tracer(Tracer(enabled=traced, sinks=[sink]))
         for skew, op, nbytes, tag in steps:
             for n in (net, ref):
                 for rank, dt in enumerate(skew):
@@ -262,4 +250,6 @@ def test_collectives_equal_their_per_round_form(program):
     assert net.clock.snapshot().tobytes() == ref.clock.snapshot().tobytes()
     assert net.stats == ref.stats
     assert exports[0] == exports[1]
-    assert tracers[0].metrics.snapshot() == tracers[1].metrics.snapshot()
+    spans = [[(e.name, e.v_start_us, e.v_dur_us, e.attrs) for e in sink.events]
+             for sink in sinks]
+    assert spans[0] == spans[1]

@@ -15,6 +15,7 @@ from repro.hardware import (
     grape4_sum,
 )
 from repro.hardware import chip as chip_module
+from repro.hardware import system as system_module
 from repro.hardware.chip import BlockExponents
 from repro.hardware.blockfloat import (
     BlockFloatAccumulator,
@@ -252,17 +253,19 @@ class TestChipAndHierarchy:
         assert chip.cycles == 2 * 8 * 100
 
     def test_batched_charges_what_the_faithful_schedule_accrues(self, eps2, monkeypatch):
-        """Per-chip cycles and the pass / cycle counter totals, with one
-        tracer lookup for the whole machine where the schedule has one a
+        """Per-chip cycles and their total, with one tracer lookup for the
+        whole force call in both schedules: the machine's span, none a
         chip."""
         x, v, m = tiny_setup(100, seed=5)  # 64 chips: 36 hold 2, 28 hold 1
-        lookups, cycles, counters = {}, {}, {}
+        lookups, cycles = {}, {}
         for mode in ("batched", "faithful"):
             emu = Grape6Emulator(eps2, boards=2, emulation_mode=mode)
             emu.set_j_particles(x, v, m)
             tracer = Tracer(enabled=True)
             calls = []
-            monkeypatch.setattr(chip_module, "get_tracer", lambda: calls.append(1) or tracer)
+            for module in (system_module, chip_module):
+                monkeypatch.setattr(module, "get_tracer",
+                                    lambda: calls.append(1) or tracer, raising=False)
             old = set_tracer(tracer)
             try:
                 emu.forces_on(x[:60], v[:60], np.arange(60))
@@ -270,16 +273,9 @@ class TestChipAndHierarchy:
                 set_tracer(old)
             lookups[mode] = len(calls)
             cycles[mode] = [c.cycles for c in emu._all_chips]
-            counters[mode] = {
-                name: tracer.metrics.counter(name).value
-                for name in ("grape.pipeline_passes", "grape.cycles")
-            }
         assert cycles["batched"] == cycles["faithful"]
-        assert counters["batched"] == counters["faithful"]
-        assert counters["batched"] == {
-            "grape.pipeline_passes": 2 * 64, "grape.cycles": 2 * 8 * 100,
-        }
-        assert lookups == {"batched": 1, "faithful": 64}
+        assert sum(cycles["batched"]) == 2 * 8 * 100
+        assert lookups == {"batched": 1, "faithful": 1}
 
     def test_module_board_chip_counts(self):
         module = ProcessorModule()

@@ -195,92 +195,27 @@ class TestOpCount:
         assert net.stats.barriers == 1
 
 
-#: ``net.*`` metrics of :func:`traced_copy_run` at the commit before
-#: message rounds (scalar send/recv per message), bit for bit.
-PARENT_NET_METRICS = {
-    "net.barrier_rounds": {"type": "counter", "value": 36},
-    "net.barrier_skew_us": {
-        "type": "histogram", "count": 12, "total": 181.52499999999532,
-        "mean": 15.127083333332942, "std": 1.5646859708901601,
-        "min": 14.158333333332848, "max": 19.783333333333303,
-        "p50": 16.0, "p90": 16.0, "p99": 19.783333333333303,
-        "bins": {"4": 11, "5": 1}},
-    "net.barrier_sync_us": {
-        "type": "histogram", "count": 12, "total": 3609.5999999999967,
-        "mean": 300.7999999999997, "std": 0.0,
-        "min": 300.7999999999993, "max": 300.80000000000064,
-        "p50": 300.80000000000064, "p90": 300.80000000000064,
-        "p99": 300.80000000000064, "bins": {"9": 12}},
-    "net.barriers": {"type": "counter", "value": 12},
-    "net.bytes": {"type": "counter", "value": 79680},
-    "net.exchange_particles": {"type": "counter", "value": 150},
-    "net.message_bytes": {
-        "type": "histogram", "count": 420, "total": 79680.0,
-        "mean": 189.71428571428572, "std": 227.62164573133674,
-        "min": 0.0, "max": 640.0, "p50": 256.0, "p90": 640.0, "p99": 640.0,
-        "bins": {"0": 28, "5": 180, "8": 76, "9": 48, "10": 88}},
-    "net.message_us": {
-        "type": "histogram", "count": 420, "total": 43328.00000000015,
-        "mean": 103.16190476190512, "std": 3.793694095512261,
-        "min": 100.0, "max": 110.66666666666667,
-        "p50": 110.66666666666667, "p90": 110.66666666666667,
-        "p99": 110.66666666666667, "bins": {"7": 420}},
-    "net.messages": {"type": "counter", "value": 420},
-    "net.recv_wait_us": {
-        "type": "histogram", "count": 420, "total": 43327.999999999854,
-        "mean": 103.16190476190441, "std": 8.820848646407406,
-        "min": 80.48333333333335, "max": 122.6916666666666,
-        "p50": 122.6916666666666, "p90": 122.6916666666666,
-        "p99": 122.6916666666666, "bins": {"7": 420}},
+#: Network counts of :func:`traced_run` of the copy algorithm on 5 hosts
+#: at the commit before message rounds (scalar send/recv per message),
+#: bit for bit.
+PARENT_NET_COUNTS = {
+    "messages": 420, "bytes": 79680, "barriers": 12, "barrier_rounds": 36,
+    "barrier_skew_us": 181.52499999999532, "barrier_sync_us": 3609.5999999999967,
 }
 
-
-#: ``net.*`` metrics of :func:`traced_grid_run` at the commit before
-#: the grid posted all rows' reductions, and all diagonals' broadcasts,
-#: as one round each (one round per row and per diagonal), bit for bit.
-PARENT_GRID_NET_METRICS = {
-    "net.barrier_rounds": {"type": "counter", "value": 48},
-    "net.barrier_skew_us": {
-        "type": "histogram", "count": 12, "total": 1369.1166666666668,
-        "mean": 114.09305555555557, "std": 8.153967474241705,
-        "min": 104.88333333333335, "max": 127.79166666666697,
-        "p50": 127.79166666666697, "p90": 127.79166666666697,
-        "p99": 127.79166666666697, "bins": {"7": 12}},
-    "net.barrier_sync_us": {
-        "type": "histogram", "count": 12, "total": 4812.7999999999965,
-        "mean": 401.0666666666664, "std": 5.3947966093944364e-06,
-        "min": 401.0666666666657, "max": 401.0666666666675,
-        "p50": 401.0666666666675, "p90": 401.0666666666675,
-        "p99": 401.0666666666675, "bins": {"9": 12}},
-    "net.barriers": {"type": "counter", "value": 12},
-    "net.bytes": {"type": "counter", "value": 103200},
-    "net.message_bytes": {
-        "type": "histogram", "count": 648, "total": 103200.0,
-        "mean": 159.25925925925927, "std": 283.52811508542806,
-        "min": 16.0, "max": 1024.0, "p50": 32.0, "p90": 1024.0,
-        "p99": 1024.0,
-        "bins": {"5": 432, "6": 20, "7": 8, "8": 50, "9": 70, "10": 32,
-                 "11": 36}},
-    "net.message_us": {
-        "type": "histogram", "count": 648, "total": 66520.00000000065,
-        "mean": 102.65432098765532, "std": 4.725468584722215,
-        "min": 100.26666666666667, "max": 117.06666666666666,
-        "p50": 117.06666666666666, "p90": 117.06666666666666,
-        "p99": 117.06666666666666, "bins": {"7": 648}},
-    "net.messages": {"type": "counter", "value": 648},
-    "net.recv_wait_us": {
-        "type": "histogram", "count": 540, "total": 63047.24166666658,
-        "mean": 116.75415123456774, "std": 71.1861365300788,
-        "min": 0.375, "max": 227.7833333333333,
-        "p50": 128.0, "p90": 227.7833333333333, "p99": 227.7833333333333,
-        "bins": {"0": 56, "1": 14, "2": 8, "3": 10, "4": 6, "5": 2,
-                 "7": 276, "8": 168}},
+#: Network counts of :func:`traced_run` of the 3 x 3 grid at the commit
+#: before the grid posted all rows' reductions, and all diagonals'
+#: broadcasts, as one round each (one round per row and per diagonal),
+#: bit for bit.
+PARENT_GRID_NET_COUNTS = {
+    "messages": 648, "bytes": 103200, "barriers": 12, "barrier_rounds": 48,
+    "barrier_skew_us": 1369.1166666666668, "barrier_sync_us": 4812.7999999999965,
 }
 
 
 def traced_run(algorithm, p):
-    """The tracer of plummer N = 24 run to t = 1/16 on ``algorithm``
-    over p simulated hosts, with a compute-cost hook."""
+    """The network of plummer N = 24 run to t = 1/16 on ``algorithm``
+    over p simulated hosts, traced, with a compute-cost hook."""
     net = SimNetwork(p)
     tracer = net.attach_tracer(Tracer(enabled=True))
     algo = algorithm(
@@ -289,43 +224,36 @@ def traced_run(algorithm, p):
     integ = ParallelBlockIntegrator(
         plummer_model(24, seed=23), EPS2, algo, tracer=tracer)
     integ.run(1.0 / 16.0)
-    return tracer
+    return net
 
 
-def traced_copy_run():
-    return traced_run(CopyAlgorithm, 5)
-
-
-def traced_grid_run():
-    return traced_run(Grid2DAlgorithm, 9)
-
-
-def net_metrics(tracer):
-    return {k: v for k, v in tracer.metrics.snapshot().items()
-            if k.startswith("net.")}
+def net_counts(net):
+    """The run's counts as the network's stats and ledger keep them; the
+    barrier times summed in barrier order."""
+    barriers = net.ledger.barrier_records
+    return {
+        "messages": net.stats.messages,
+        "bytes": net.stats.bytes,
+        "barriers": net.stats.barriers,
+        "barrier_rounds": net.ledger.barrier_rounds,
+        "barrier_skew_us": sum(b.skew_us for b in barriers),
+        "barrier_sync_us": net.ledger.barrier_sync_us,
+    }
 
 
 class TestTracedMetrics:
     def test_net_metrics_match_the_scalar_implementation(self):
-        assert net_metrics(traced_copy_run()) == PARENT_NET_METRICS
+        net = traced_run(CopyAlgorithm, 5)
+        assert net_counts(net) == PARENT_NET_COUNTS
+        assert sum(e.n_particles for e in net.ledger.exchange_records) == 150
 
     def test_grid_net_metrics_match_one_round_per_row_and_diagonal(self):
-        assert net_metrics(traced_grid_run()) == PARENT_GRID_NET_METRICS
-
-    def test_no_wait_no_histogram(self):
-        """A receiver already past the arrival time observes nothing,
-        as a scalar ``recv`` would not."""
-        net = SimNetwork(2)
-        tracer = net.attach_tracer(Tracer(enabled=True))
-        net.clock.advance(1, 1.0e6)
-        net.message_round([0], [1], [64])
-        assert "net.recv_wait_us" not in tracer.metrics
-        assert tracer.metrics.histogram("net.message_us").count == 1
+        assert net_counts(traced_run(Grid2DAlgorithm, 9)) == PARENT_GRID_NET_COUNTS
 
     def test_tracer_resolved_once_per_call(self, monkeypatch):
-        """The tracer property costs a global lookup; a network call
-        resolves it once, however many rounds and messages it carries;
-        the barrier adds one for its span."""
+        """The tracer property costs a global lookup; only the barrier
+        resolves it, once, for its span; rounds and schedules never do,
+        however many messages they carry."""
         lookups = collections.Counter()
         original = SimNetwork.tracer.fget
 
@@ -336,9 +264,9 @@ class TestTracedMetrics:
         monkeypatch.setattr(SimNetwork, "tracer", property(counting))
         net = SimNetwork(16)
         net.barrier()
-        assert lookups["tracer"] == 2
+        assert lookups["tracer"] == 1
         net.allgather(640)
-        assert lookups["tracer"] == 3
+        assert lookups["tracer"] == 1
         net.shift_rounds([1, 2, 3], np.zeros((3, 16)), [5, -5, 5])
         net.message_round([0, 1], [2, 3], [8, 8])
-        assert lookups["tracer"] == 5
+        assert lookups["tracer"] == 1

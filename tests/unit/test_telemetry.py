@@ -1,4 +1,4 @@
-"""Unit tests for :mod:`repro.telemetry`: tracer, metrics, phase
+"""Unit tests for :mod:`repro.telemetry`: tracer, histogram, phase
 aggregation, sinks, and the report renderers."""
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from repro import telemetry
 from repro.telemetry.metrics import pow2_bins
 from repro.telemetry import (
     FlopsLedger,
+    Histogram,
     InMemorySink,
-    Metrics,
     PhaseAggregator,
     SignatureRecorder,
     SpanEvent,
@@ -28,7 +28,6 @@ from repro.telemetry import (
     breakdown_json,
     get_tracer,
     render_breakdown,
-    render_metrics,
     set_tracer,
 )
 
@@ -92,25 +91,23 @@ class TestTracer:
         tracer.enabled = False
         with tracer.span("ghost") as span:
             span.set(x=1)  # null span tolerates the same interface
-        tracer.count("c")
-        tracer.observe("h", 1.0)
-        tracer.gauge("g", 1.0)
+        tracer.observe("core.block_size", 1.0)
         assert sink.events == []
-        assert "c" not in tracer.metrics
-        assert "h" not in tracer.metrics
-        assert "g" not in tracer.metrics
+
+    def test_tracer_carries_spans_only(self):
+        """Run quantities live in the stats objects that count them; the
+        tracer has no metric registry, and the per-blockstep hook records
+        nothing."""
+        tracer, sink = make_tracer()
+        tracer.observe("core.block_size", 8)
+        assert sink.events == []
+        assert not hasattr(tracer, "metrics")
+        for name in ("Metrics", "Counter", "Gauge", "render_metrics"):
+            assert not hasattr(telemetry, name), name
 
     def test_disabled_span_is_shared_singleton(self):
         tracer = Tracer(enabled=False)
         assert tracer.span("a") is tracer.span("b")
-
-    def test_event_is_zero_duration(self):
-        tracer, sink = make_tracer()
-        tracer.event("mark", phase=T_COMM, tag=7)
-        (event,) = sink.events
-        assert event.dur_us == 0.0
-        assert event.phase == T_COMM
-        assert event.attrs == {"tag": 7}
 
     def test_virtual_clock_stamps(self):
         vt = {"now": 10.0}
@@ -138,20 +135,10 @@ class TestTracer:
 
 
 class TestMetrics:
-    def test_counter_and_gauge(self):
-        m = Metrics()
-        m.counter("c").inc()
-        m.counter("c").inc(4)
-        m.gauge("g").set(2.5)
-        assert m.counter("c").value == 5
-        assert m.gauge("g").value == 2.5
-
-    def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Metrics().counter("c").inc(-1)
+    """:mod:`repro.telemetry.metrics`: the histogram the ledgers keep."""
 
     def test_histogram_moments_and_bins(self):
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         for v in (1, 2, 4, 8, 8):
             h.observe(v)
         assert h.count == 5
@@ -169,7 +156,7 @@ class TestMetrics:
             for value, want in ((np.nextafter(edge, 0.0), k),
                                 (edge, k + 1),
                                 (np.nextafter(edge, np.inf), k + 1)):
-                h = Metrics().histogram("h")
+                h = Histogram("h")
                 h.observe(value)
                 assert h.bins == {want: 1}, (k, value)
                 assert pow2_bins(np.array([value])).tolist() == [want]
@@ -180,7 +167,7 @@ class TestMetrics:
             rng.lognormal(3.0, 4.0, 500),
             [0.0, 0.5, 1.0, np.nextafter(128.0, 0.0), 128.0, 2.0 ** 40],
         ])
-        one, many = Metrics().histogram("h"), Metrics().histogram("h")
+        one, many = Histogram("h"), Histogram("h")
         for v in values:
             one.observe(v)
         many.observe_many(values[:200])
@@ -189,20 +176,11 @@ class TestMetrics:
         for field in ("count", "total", "sq_total", "min", "max", "bins"):
             assert getattr(one, field) == getattr(many, field), field
 
-    def test_name_type_conflict_raises(self):
-        m = Metrics()
-        m.counter("x")
-        with pytest.raises(TypeError):
-            m.histogram("x")
-
     def test_snapshot_is_json_serialisable(self):
-        m = Metrics()
-        m.counter("c").inc(2)
-        m.gauge("g").set(1.0)
-        m.histogram("h").observe(3.0)
-        snap = json.loads(json.dumps(m.snapshot()))
-        assert snap["c"] == {"type": "counter", "value": 2}
-        assert snap["h"]["count"] == 1
+        h = Histogram("h")
+        h.observe(3.0)
+        snap = json.loads(json.dumps(h.summary()))
+        assert snap["count"] == 1 and snap["max"] == 3.0
 
 
 class TestPhaseAggregation:
@@ -324,36 +302,28 @@ class TestReport:
         with tracer.span("blockstep", phase=T_HOST):
             with tracer.span("force", phase=T_PIPE):
                 pass
-        return PhaseAggregator().consume(sink.events).breakdown(), tracer
+        return PhaseAggregator().consume(sink.events).breakdown()
 
     def test_render_breakdown_mentions_paper_phases(self):
-        b, _ = self._breakdown()
+        b = self._breakdown()
         text = render_breakdown(b)
         assert "T_host" in text and "T_pipe" in text
         assert "wall [ms]" in text
         assert "blockstep" in text  # span table
 
     def test_breakdown_json_parses(self):
-        b, tracer = self._breakdown()
-        payload = json.loads(breakdown_json(b, metrics=tracer.metrics))
+        b = self._breakdown()
+        payload = json.loads(breakdown_json(b))
         assert payload["wall_total_us"] == pytest.approx(b.wall.total_us)
         assert "wall_us" in payload and "spans" in payload
 
-    def test_render_metrics(self):
-        m = Metrics()
-        m.counter("net.messages").inc(12)
-        m.histogram("net.message_us").observe(100.0)
-        text = render_metrics(m)
-        assert "net.messages" in text
-        assert "counter" in text and "histogram" in text
-
 
 class TestHistogramPercentiles:
-    """The pow2-bin percentile helpers feeding bench artifacts and
-    render_metrics (octave resolution, clamped to observed extrema)."""
+    """The pow2-bin percentile helpers feeding the comm and rank
+    ledgers (octave resolution, clamped to observed extrema)."""
 
     def test_empty_histogram(self):
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         assert h.percentile(0.0) == 0.0
         assert h.percentile(50.0) == 0.0
         assert h.percentile(100.0) == 0.0
@@ -363,21 +333,21 @@ class TestHistogramPercentiles:
     def test_extrema_are_exact_not_bin_edges(self):
         """q=0/q=100 report the observed min/max even when both sit
         deep inside a bin (the bin walk would say 8 for a min of 5)."""
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         for v in (5.0, 6.0, 7.0, 100.0):
             h.observe(v)
         assert h.percentile(0.0) == 5.0
         assert h.percentile(100.0) == 100.0
 
     def test_single_observation_single_bucket(self):
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         h.observe(5.0)  # bin 3 covers [4, 8); clamp must report 5, not 8
         assert h.percentile(0.0) == 5.0
         assert h.percentile(50.0) == 5.0
         assert h.percentile(100.0) == 5.0
 
     def test_percentiles_are_monotone_and_bounded(self):
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         for v in (1, 2, 4, 8, 8, 64, 128):
             h.observe(v)
         qs = [h.percentile(q) for q in (0, 25, 50, 75, 90, 100)]
@@ -388,21 +358,18 @@ class TestHistogramPercentiles:
         assert 8.0 / 2 <= h.percentile(50.0) <= 8.0 * 2
 
     def test_out_of_range_q_raises(self):
-        h = Metrics().histogram("h")
+        h = Histogram("h")
         h.observe(1.0)
         with pytest.raises(ValueError):
             h.percentile(-1.0)
         with pytest.raises(ValueError):
             h.percentile(101.0)
 
-    def test_summary_and_render_use_percentiles(self):
-        m = Metrics()
-        h = m.histogram("core.block_size")
+    def test_summary_uses_percentiles(self):
+        h = Histogram("core.block_size")
         for v in (2, 2, 4, 16):
             h.observe(v)
         s = h.summary()
         assert s["p50"] in (2.0, 4.0)
         assert s["p90"] == 16.0
         assert s["p99"] == 16.0
-        text = render_metrics(m)
-        assert "p50=" in text and "p90=" in text and "p99=" in text

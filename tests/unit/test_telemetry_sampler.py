@@ -8,13 +8,17 @@ drive :meth:`SamplingProfiler.tick` with a fake clock and synthetic
 frame stacks, so there is no thread and no timing dependence.
 """
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.bench.profiling import ATTRIBUTION_RULES
+from repro.bench import profiling
 from repro.telemetry import (
+    ATTRIBUTION_RULES,
     SOURCE_FRAMES,
     SOURCE_NONE,
     SOURCE_SPAN,
@@ -91,10 +95,31 @@ class TestAttributeSample:
     def test_rules_table_matches_bench_rules(self):
         """The default fallback is literally the bench table (one
         source of truth for path attribution)."""
+        assert profiling.ATTRIBUTION_RULES is ATTRIBUTION_RULES
         phase, _, _ = attribute_sample(
             (), FORCES_FRAMES, frame_rules=ATTRIBUTION_RULES
         )
         assert phase == attribute_sample((), FORCES_FRAMES)[0]
+
+    def test_frame_fallback_loads_no_bench_module(self):
+        """The path rules live in ``repro.telemetry``: in a fresh
+        interpreter, a tick attributed by the frame fallback imports no
+        ``repro.bench`` module (the harness would cost the sampler
+        thread's first tick a hundred-odd milliseconds)."""
+        script = """
+import sys
+from repro.telemetry import SOURCE_FRAMES, SamplingProfiler, Tracer
+samples = SamplingProfiler(Tracer(enabled=True)).tick()
+assert samples and all(s.source == SOURCE_FRAMES for s in samples), samples
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "bench"]))
+"""
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class FakeClock:
