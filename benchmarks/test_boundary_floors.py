@@ -14,8 +14,8 @@ coherence exchange ``exchange_updated``, and the ledger's fold of one
 full round log of that workload's messages, printed in reference-box
 units.  Also outside the budget, the two halves of a checkpoint on the
 ``service_resume`` workload's shape (Plummer N = 128, every particle
-stepped): the stepping thread's encode and the durable-writer thread's
-write (open, write, fsync, close, rename).  The per-part tables of
+stepped): the encode and the durable write (open, write, fsync, close,
+rename), both on the thread that steps a job.  The per-part tables of
 EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_boundary_floors.py
@@ -146,9 +146,9 @@ def fold_crossing() -> dict:
 
 
 def checkpoint_crossings(tmp: Path) -> dict:
-    """A checkpoint's encode on the stepping thread and its durable write
-    on the writer thread, in the ``(call, reset)`` form of
-    :func:`crossings`; none on a commit that writes in one call."""
+    """A checkpoint's encode and its durable write, in the ``(call,
+    reset)`` form of :func:`crossings`; none on a commit that writes in
+    one call."""
     try:
         from repro.io.checkpoint import encode_checkpoint, write_durable
     except ImportError:

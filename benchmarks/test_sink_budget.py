@@ -24,14 +24,7 @@ import time
 
 from repro.io import format_table
 from repro.service import always_on_sinks
-from repro.telemetry import (
-    T_HOST,
-    T_PIPE,
-    RegimeTracker,
-    SignatureRecorder,
-    SpanFold,
-    Tracer,
-)
+from repro.telemetry import T_HOST, T_PIPE, RegimeTracker, SpanFold, Tracer
 
 #: Particle count and block sizes of the replayed stream (the sizes
 #: cycle, so every stage sees the same mix of regimes).
@@ -74,8 +67,8 @@ def replay_blocksteps(tracer: Tracer, blocksteps: int = BLOCKSTEPS) -> None:
 
 def supervisor_tracer() -> Tracer:
     """The tracer ``Supervisor._execute_run`` installs for a run job on
-    direct summation: one fold serving the signature recorder (feeding
-    the regime tracker) and the flops ledger, nothing retained."""
+    direct summation: one fold serving the regime tracker and the flops
+    ledger, nothing retained."""
     fold, _, _ = always_on_sinks()
     return Tracer(enabled=True, sinks=[fold])
 
@@ -86,12 +79,8 @@ STAGES = (
      lambda: Tracer(enabled=True)),
     ("SpanFold.emit x 5",
      lambda: Tracer(enabled=True, sinks=[SpanFold()])),
-    ("BlockstepRecord + PhaseSignature.from_blockstep",
-     lambda: Tracer(enabled=True, sinks=[
-         SpanFold([SignatureRecorder(keep=False)])])),
-    ("RegimeTracker.update",
-     lambda: Tracer(enabled=True, sinks=[SpanFold([SignatureRecorder(
-         callback=RegimeTracker().update, keep=False)])])),
+    ("BlockstepRecord + RegimeTracker.on_blockstep",
+     lambda: Tracer(enabled=True, sinks=[SpanFold([RegimeTracker()])])),
     ("FlopsLedger.on_blockstep", supervisor_tracer),
 )
 

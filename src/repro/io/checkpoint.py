@@ -25,8 +25,8 @@ members (pinned against it in the tests).  :func:`write_durable` then
 makes the bytes the file: one open, write, fsync and close of a temp
 file beside it, and a rename, so a checkpoint interrupted by the very
 crash it guards against never shadows its intact predecessor.
-:func:`write_checkpoint` is the two in a row; the job supervisor hands
-the second half to its durable-writer thread.
+:func:`write_checkpoint` is the two in a row, and returns once the file
+is on disk; the job supervisor calls it at each checkpoint boundary.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -180,17 +180,12 @@ def write_checkpoint(
     rng: np.random.Generator | None = None,
     clocks: dict[str, float] | None = None,
     metadata: dict[str, Any] | None = None,
-    *,
-    write: Callable[[Path, bytes], Any] = write_durable,
 ) -> Path:
     """Encode ``integrator``'s state (:func:`encode_checkpoint`) and
-    hand the bytes to ``write``.  The default, :func:`write_durable`,
-    returns once the file is on disk; a caller that passes its own
-    writer (the supervisor's durable-writer thread) owns the moment it
-    becomes durable."""
-    path = Path(path)
-    write(path, encode_checkpoint(integrator, rng, clocks, metadata))
-    return path
+    make the bytes ``path`` (:func:`write_durable`); returns once the
+    file is on disk."""
+    return write_durable(
+        path, encode_checkpoint(integrator, rng, clocks, metadata))
 
 
 # -- the container ----------------------------------------------------------

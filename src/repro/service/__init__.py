@@ -9,8 +9,8 @@ take their state with them.  This package turns a run into a job:
   and the on-disk job directory;
 * :mod:`repro.service.records` / :mod:`repro.service.bus` — a single
   producer streaming schema-tagged :class:`SnapshotRecord`\\ s to
-  independent consumers over bounded queues (a slow consumer drops,
-  never stalls the integrator);
+  independent consumers, delivered in place on the stepping thread (a
+  consumer that raises is counted, never stops the integrator);
 * :mod:`repro.service.consumers` — archive writer and live progress
   reporter;
 * :mod:`repro.service.supervisor` — checkpoint cadence, wall/step
@@ -39,7 +39,7 @@ from .records import (
     SnapshotRecord,
     make_record,
 )
-from .bus import DEFAULT_QUEUE_CAPACITY, SnapshotBus, SnapshotConsumer
+from .bus import SnapshotBus, SnapshotConsumer
 from .consumers import ArchiveWriter, ProgressReporter, read_archive
 from .jobs import (
     JOB_SCHEMA,
@@ -67,7 +67,6 @@ __all__ = [
     "make_record",
     "SnapshotBus",
     "SnapshotConsumer",
-    "DEFAULT_QUEUE_CAPACITY",
     "ArchiveWriter",
     "ProgressReporter",
     "read_archive",

@@ -62,6 +62,25 @@ def read_archive(path: str | Path) -> list[SnapshotRecord]:
     return records
 
 
+def next_seq(path: str | Path) -> int:
+    """The sequence number after an archive's last record (0 when there
+    is none), read from its last line alone."""
+    try:
+        fh = Path(path).open("rb")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        size, span = fh.seek(0, 2), 4096
+        while True:
+            fh.seek(max(size - span, 0))
+            tail = fh.read().rstrip()
+            if b"\n" in tail or span >= size:
+                break
+            span *= 2
+    last = tail.rpartition(b"\n")[2]
+    return json.loads(last)["seq"] + 1 if last else 0
+
+
 class ProgressReporter:
     """Live one-line progress: the terminal face of a running job.
 

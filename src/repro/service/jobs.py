@@ -23,9 +23,7 @@ from __future__ import annotations
 import inspect
 import json
 import os
-import queue
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +34,6 @@ from ..core.individual import BlockTimestepIntegrator
 from ..core.particles import ParticleSystem
 from ..core.softening import constant_softening
 from ..core.timestep import DEFAULT_ETA, DEFAULT_ETA_START
-from ..io.checkpoint import write_durable
 from ..io.runlog import write_json_atomic
 from ..parallel.execution import parse_backend_spec
 from ..schema import NONNEG, POSITIVE, check, integer, one_of, opt
@@ -334,69 +331,6 @@ def write_state(paths: JobPaths, status: str, **fields: Any) -> dict[str, Any]:
     paths.root.mkdir(parents=True, exist_ok=True)
     write_json_atomic(state, paths.state)
     return state
-
-
-class DurableWriter:
-    """A run job's durable-writer thread: at most one checkpoint write
-    in flight.
-
-    The stepping thread encodes a checkpoint and hands its bytes over
-    with :meth:`submit`.  This thread writes, fsyncs and renames the
-    file (:func:`repro.io.checkpoint.write_durable`) and only then
-    rewrites ``state.json`` to name it, so ``state.json`` never names a
-    checkpoint that is not on disk.  :meth:`join` waits for the write,
-    re-raises its error on the stepping thread and returns the
-    ``checkpoint`` record the caller publishes: a record is never
-    published before its file is durable.
-    """
-
-    def __init__(self, paths: JobPaths, **identity: Any) -> None:
-        self._paths = paths
-        self._identity = identity  # the name and kind every state carries
-        self._queue: queue.Queue = queue.Queue()
-        self._record: dict[str, Any] | None = None
-        self._error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="durable-writer", daemon=True)
-        self._thread.start()
-
-    def submit(self, path: Path, data: bytes, *, record: dict[str, Any],
-               fields: dict[str, Any]) -> None:
-        """Write ``data`` to ``path``, then the ``running`` state with
-        ``fields``; ``record`` is what :meth:`join` hands back."""
-        if self._record is not None:
-            raise RuntimeError("a checkpoint write is in flight: join it first")
-        self._record = record
-        self._queue.put((path, data, fields))
-
-    def join(self) -> dict[str, Any] | None:
-        """Wait for the write in flight (if any); return its record."""
-        self._queue.join()
-        record, self._record = self._record, None
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
-        return record
-
-    def close(self) -> None:
-        """Finish the write in flight and stop the thread."""
-        self._queue.put(None)
-        self._thread.join()
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            try:
-                if item is None:
-                    return
-                path, data, fields = item
-                write_durable(path, data)
-                write_state(self._paths, "running", **self._identity, **fields)
-            except BaseException as exc:  # raised again at the join
-                self._error = exc
-            finally:
-                item = data = None  # hold no checkpoint's bytes while idle
-                self._queue.task_done()
 
 
 def read_state(paths: JobPaths) -> dict[str, Any]:

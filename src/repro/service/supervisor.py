@@ -1,28 +1,24 @@
 """The job supervisor: budgets, checkpoints, signals, resume.
 
 One :class:`Supervisor` owns one job directory and drives one run job
-through its lifecycle.  The loop is:
+through its lifecycle, on the one thread that steps the integrator.
+The loop is:
 
 * step the block-timestep integrator;
 * every ``sample_every`` blocksteps publish a ``state`` record;
 * every ``checkpoint_every`` blocksteps (or ``checkpoint_every_s``
-  wall seconds) publish ``phases`` and the headline records, encode a
-  checkpoint and hand it to the job's durable-writer thread
-  (:class:`repro.service.jobs.DurableWriter`);
+  wall seconds) publish ``phases`` and the headline records, then
+  write the checkpoint durably (write, fsync, rename), rewrite
+  ``state.json`` to name it and publish its ``checkpoint`` record;
 * on SIGTERM/SIGINT, wall-budget or blockstep-budget exhaustion:
   checkpoint, mark the job ``interrupted`` and exit cleanly;
 * on completion: final checkpoint, raw ``final.npz`` snapshot,
   ``completed`` state.
 
-The writer thread writes, fsyncs and renames each checkpoint and only
-then rewrites ``state.json``, so a boundary does not wait on the disk
-and ``state.json`` never names a checkpoint that is not on disk.  The
-stepping thread joins the write in flight before the next hand-off,
-before any ``interrupted`` / ``completed`` / ``failed`` state and
-before ``execute`` returns or raises.  It publishes the write's
-``checkpoint`` record at that join, so the record still means
-*durable* (and lands at the next boundary); a writer error is raised
-there and fails the job.
+Because the write returns only once the file is on disk, a
+``checkpoint`` record always names a durable file and ``state.json``
+never names one that is missing; a write error is raised at the
+boundary and fails the job.
 
 ``execute(resume=True)`` restores the newest readable checkpoint and
 continues **bit identically** (the kill-point cells of
@@ -30,7 +26,8 @@ continues **bit identically** (the kill-point cells of
 ``discontinuity`` record first: the archive downstream of a resume is
 explicit about the records that never happened, about checkpoints it
 had to pass over, and about whether the resuming process runs the same
-commit/machine the checkpoint came from.
+commit/machine the checkpoint came from.  Its records continue the
+archive's sequence numbers.
 
 Wall budgets are cumulative: each checkpoint carries the wall seconds
 consumed so far in its ``clocks`` block, so a job killed and resumed
@@ -39,10 +36,7 @@ five times still respects one total budget.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import signal
-import threading
 import time
 from pathlib import Path
 from typing import Any, IO
@@ -64,15 +58,13 @@ from ..telemetry import (
     FlopsLedger,
     RankLedger,
     RegimeTracker,
-    SignatureRecorder,
     SpanFold,
     Tracer,
     set_tracer,
 )
 from .bus import SnapshotBus
-from .consumers import ArchiveWriter, ProgressReporter
+from .consumers import ArchiveWriter, ProgressReporter, next_seq
 from .jobs import (
-    DurableWriter,
     JobError,
     JobPaths,
     JobSpec,
@@ -101,7 +93,8 @@ class GracefulShutdown:
     blockstep, checkpoints, and exits on its own schedule, which is
     what makes the interruption resumable instead of corrupting.
     Outside the main thread (some test runners) signal handlers cannot
-    be installed; the manager degrades to a never-triggered flag.
+    be installed (``signal.signal`` raises ``ValueError``); the manager
+    degrades to a never-triggered flag.
     """
 
     SIGNALS = (signal.SIGTERM, signal.SIGINT)
@@ -116,9 +109,11 @@ class GracefulShutdown:
         self.signum = signum
 
     def __enter__(self) -> "GracefulShutdown":
-        if threading.current_thread() is threading.main_thread():
-            for sig in self.SIGNALS:
+        for sig in self.SIGNALS:
+            try:
                 self._old[sig] = signal.signal(sig, self._handle)
+            except ValueError:  # not the main thread
+                break
         return self
 
     def __exit__(self, *exc) -> None:
@@ -130,17 +125,16 @@ class GracefulShutdown:
 class Supervisor:
     """Owns one job directory; see the module docstring."""
 
-    def __init__(self, jobdir: str | Path, threaded_bus: bool = True) -> None:
+    def __init__(self, jobdir: str | Path) -> None:
         self.paths = JobPaths(Path(jobdir))
-        self._threaded_bus = bool(threaded_bus)
 
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def submit(cls, spec: JobSpec, jobdir: str | Path, **kwargs) -> "Supervisor":
+    def submit(cls, spec: JobSpec, jobdir: str | Path) -> "Supervisor":
         """Create the job directory and enqueue ``spec`` (status
         ``queued``); does not execute."""
-        sup = cls(jobdir, **kwargs)
+        sup = cls(jobdir)
         paths = sup.paths
         if paths.spec.exists():
             raise JobError(f"{paths.spec}: job already exists")
@@ -158,14 +152,13 @@ class Supervisor:
         spec = load_job(self.paths.spec)
         progress_fh: IO[str] = self.paths.progress.open("a")
         bus = SnapshotBus(
-            [ArchiveWriter(self.paths.archive), ProgressReporter(progress_fh)],
-            threaded=self._threaded_bus,
-        )
+            [ArchiveWriter(self.paths.archive), ProgressReporter(progress_fh)])
+        bus.seq = next_seq(self.paths.archive)
         try:
             return self._execute_run(spec, bus, resume)
         finally:
             stats = bus.close()
-            progress_fh.write(f"bus: {stats}\n")
+            progress_fh.write(f"consumers: {stats}\n")
             progress_fh.close()
 
     # -- run jobs -----------------------------------------------------------
@@ -250,41 +243,33 @@ class Supervisor:
         t_end = float(params["t_end"])
         segment_t0 = time.perf_counter()
         last_ck_wall = segment_t0
-        writer = DurableWriter(self.paths, name=spec.name, kind=spec.kind)
 
         def total_wall() -> float:
             return wall_consumed + (time.perf_counter() - segment_t0)
 
-        def publish_checkpoint() -> None:
-            """Wait for the checkpoint write in flight and, its file now
-            durable, publish its ``checkpoint`` record."""
-            record = writer.join()
-            if record is not None:
-                bus.emit(KIND_CHECKPOINT, **record)
-
         def checkpoint(reason: str) -> dict[str, Any]:
-            """Publish the previous checkpoint, encode this one and hand
-            it to the writer; returns the ``state.json`` fields the
-            writer writes once the file is durable."""
+            """Publish ``phases`` and the headlines, make the checkpoint
+            durable, name it in ``state.json`` and only then publish its
+            ``checkpoint`` record; returns the ``state.json`` fields."""
             nonlocal last_ck_wall
-            publish_checkpoint()
             bus.emit(KIND_PHASES, t=integ.t, **fold.snapshot())
-            path = self.paths.checkpoint_path(integ.stats.blocksteps)
+            blockstep = integ.stats.blocksteps
+            path = self.paths.checkpoint_path(blockstep)
             fields: dict[str, Any] = {
                 **publish_headlines(bus, integ.t, observatories),
-                "t": integ.t, "blocksteps": integ.stats.blocksteps,
+                "t": integ.t, "blocksteps": blockstep,
                 "wall_s": total_wall(), "last_checkpoint": str(path),
             }
-            record = {"t": integ.t, "path": str(path),
-                      "blockstep": integ.stats.blocksteps, "reason": reason}
             write_checkpoint(
                 path, integ, rng=rng,
                 clocks={"wall_s": total_wall(), "t": float(integ.t)},
                 metadata={"job": spec.name, "reason": reason,
                           "params": dict(params)},
-                write=functools.partial(writer.submit, record=record,
-                                        fields=fields),
             )
+            write_state(self.paths, "running", name=spec.name, kind=spec.kind,
+                        **fields)
+            bus.emit(KIND_CHECKPOINT, t=integ.t, path=str(path),
+                     blockstep=blockstep, reason=reason)
             last_ck_wall = time.perf_counter()
             return fields
 
@@ -327,7 +312,6 @@ class Supervisor:
 
             if interrupted is not None:
                 fields = checkpoint("interrupt")
-                publish_checkpoint()
                 bus.emit(KIND_JOB, t=integ.t, status="interrupted",
                          detail=interrupted)
                 write_state(
@@ -336,15 +320,14 @@ class Supervisor:
                 )
                 return "interrupted"
 
-            fields = checkpoint("final")
             self._emit_state(bus, integ)
+            fields = checkpoint("final")
             write_snapshot(
                 self.paths.final_snapshot, integ.system, t=integ.t,
                 metadata={"job": spec.name, "blocksteps": integ.stats.blocksteps,
                           "rng": rng} if rng is not None
                 else {"job": spec.name, "blocksteps": integ.stats.blocksteps},
             )
-            publish_checkpoint()
             bus.emit(KIND_JOB, t=integ.t, status="completed",
                      detail=f"{integ.stats.blocksteps} blocksteps, "
                             f"{integ.stats.particle_steps} particle steps")
@@ -355,10 +338,6 @@ class Supervisor:
             )
             return "completed"
         except Exception as exc:
-            # a write in flight lands (and is published) before the job
-            # is marked failed; one that fails too is second to ``exc``
-            with contextlib.suppress(Exception):
-                publish_checkpoint()
             write_state(
                 self.paths, "failed", name=spec.name, kind=spec.kind,
                 error=f"{type(exc).__name__}: {exc}",
@@ -366,8 +345,6 @@ class Supervisor:
             bus.emit(KIND_JOB, status="failed",
                      detail=f"{type(exc).__name__}: {exc}")
             raise
-        finally:
-            writer.close()
 
     @staticmethod
     def _emit_state(bus: SnapshotBus, integ: BlockTimestepIntegrator) -> None:
@@ -416,16 +393,15 @@ def always_on_sinks(
     observatories it feeds.
 
     One pass over the span stream serves all three: the fold's own
-    totals are the ``phases`` record; the signature recorder (feeding
-    the streaming regime tracker) and the flops ledger, priced against
-    ``hardware``'s introspected peak (or the paper's single host), each
-    project their per-blockstep records.  Nothing is kept per
-    blockstep, so a week-long run stays O(1).
+    totals are the ``phases`` record; the streaming regime tracker and
+    the flops ledger, priced against ``hardware``'s introspected peak
+    (or the paper's single host), each reduce the fold's per-blockstep
+    records.  Nothing is kept per blockstep, so a week-long run stays
+    O(1).
     """
     regimes = RegimeTracker()
     eff = FlopsLedger(hardware=hardware, keep=False)
-    recorder = SignatureRecorder(callback=regimes.update, keep=False)
-    return SpanFold([recorder, eff]), regimes, eff
+    return SpanFold([regimes, eff]), regimes, eff
 
 
 def publish_headlines(

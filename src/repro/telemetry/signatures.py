@@ -61,10 +61,10 @@ N_BUCKETS = 24
 #: block-size buckets, one share per phase, the elision fraction.
 VECTOR_LENGTH = 1 + N_BUCKETS + len(PHASES) + 1
 
-#: Where each phase's share sits in the vector, and where a blockstep
-#: record's self-time keys land in :data:`PHASES` order (j-memory loads
-#: are ``T_pipe`` time).
-_SHARE_SLOT = {p: 1 + N_BUCKETS + i for i, p in enumerate(PHASES)}
+#: Where the first phase's share sits in the vector (the rest follow
+#: in :data:`PHASES` order), and where a blockstep record's self-time
+#: keys land in that order (j-memory loads are ``T_pipe`` time).
+_SHARE_0 = 1 + N_BUCKETS
 _PHASE_SLOT = {**{p: i for i, p in enumerate(PHASES)},
                JMEM: PHASES.index(T_PIPE)}
 
@@ -79,6 +79,56 @@ class SignatureError(ValueError):
 
 
 # -- the signature ----------------------------------------------------------
+
+
+def _active_fraction(block_size: int, n: int) -> float:
+    if n <= 0 or block_size <= 0:
+        return 0.0
+    return block_size / n
+
+
+def _log2_bucket(block_size: int) -> int:
+    if block_size <= 0:
+        return -1
+    return min(block_size.bit_length() - 1, N_BUCKETS - 1)
+
+
+def _elision_fraction(loads: int, elided: int) -> float:
+    total = loads + elided
+    return elided / total if total > 0 else 0.0
+
+
+def _phase_shares(record: BlockstepRecord) -> list[float]:
+    """A blockstep record's wall-clock phase shares in :data:`PHASES`
+    order: ``normalise_shares(record.phase_us())`` taken in one pass."""
+    us = [0.0] * len(PHASES)
+    for key, pair in record.self_us.items():
+        if key in _PHASE_SLOT:
+            us[_PHASE_SLOT[key]] += pair[0]
+    for i, phase_us in enumerate(us):
+        if phase_us < 0.0:
+            us[i] = 0.0
+    total = sum(us)
+    if total <= 0.0:
+        return [0.0] * len(PHASES)
+    return [phase_us / total for phase_us in us]
+
+
+def _write_vector(v: np.ndarray, active: float, block_size: int,
+                  shares: list[float], elision: float) -> None:
+    """A signature's clustering vector written over ``v`` (``shares``
+    in :data:`PHASES` order): zeroed, then the few entries that are
+    not."""
+    v.fill(0.0)
+    v[0] = active
+    bucket = _log2_bucket(block_size)
+    if bucket >= 0:
+        v[1 + bucket] = 1.0
+    for slot, share in enumerate(shares, _SHARE_0):
+        if share:
+            v[slot] = share
+    if elision:
+        v[-1] = elision
 
 
 @dataclass(frozen=True)
@@ -105,23 +155,18 @@ class PhaseSignature:
     def active_fraction(self) -> float:
         """Fraction of particles in the block; 0.0 (never NaN) for
         empty blocks or unknown N."""
-        if self.n <= 0 or self.block_size <= 0:
-            return 0.0
-        return self.block_size / self.n
+        return _active_fraction(self.block_size, self.n)
 
     @property
     def log2_bucket(self) -> int:
         """Floor log2 of the block size, clamped to the vector's bucket
         range; -1 for an empty block (no bucket lights up)."""
-        if self.block_size <= 0:
-            return -1
-        return min(self.block_size.bit_length() - 1, N_BUCKETS - 1)
+        return _log2_bucket(self.block_size)
 
     @property
     def elision_fraction(self) -> float:
         """Share of j-memory loads elided by the fingerprint cache."""
-        total = self.jmem_loads + self.jmem_elided
-        return self.jmem_elided / total if total > 0 else 0.0
+        return _elision_fraction(self.jmem_loads, self.jmem_elided)
 
     # -- vectors ------------------------------------------------------------
 
@@ -139,23 +184,13 @@ class PhaseSignature:
         """The full clustering vector: schedule part + per-phase
         self-time shares + j-memory elision fraction."""
         v = np.empty(VECTOR_LENGTH, dtype=np.float64)
-        self._write_vector(v)
+        _write_vector(v, self.active_fraction, self.block_size,
+                      self._ordered_shares(), self.elision_fraction)
         return v
 
-    def _write_vector(self, v: np.ndarray) -> None:
-        """:meth:`vector` written over ``v`` (the regime tracker's one
-        reused buffer): zeroed, then the few entries that are not."""
-        v[:] = 0.0
-        v[0] = self.active_fraction
-        bucket = self.log2_bucket
-        if bucket >= 0:
-            v[1 + bucket] = 1.0
-        for phase, share in self.shares.items():
-            if share and phase in _SHARE_SLOT:
-                v[_SHARE_SLOT[phase]] = share
-        elision = self.elision_fraction
-        if elision:
-            v[-1] = elision
+    def _ordered_shares(self) -> list[float]:
+        """:attr:`shares` in :data:`PHASES` order (0.0 where absent)."""
+        return [self.shares.get(p, 0.0) for p in PHASES]
 
     # -- records ------------------------------------------------------------
 
@@ -181,21 +216,10 @@ class PhaseSignature:
         """The signature of one blockstep: a pure projection of the
         fold's record (wall-clock phase shares, which are
         ``normalise_shares(record.phase_us())`` taken in one pass)."""
-        us = [0.0] * len(PHASES)
-        for key, pair in record.self_us.items():
-            if key in _PHASE_SLOT:
-                us[_PHASE_SLOT[key]] += pair[0]
-        for i, phase_us in enumerate(us):
-            if phase_us < 0.0:
-                us[i] = 0.0
-        total = sum(us)
-        if total <= 0.0:
-            shares = dict.fromkeys(PHASES, 0.0)
-        else:
-            shares = {p: phase_us / total for p, phase_us in zip(PHASES, us)}
         return cls(
             record.index, record.t, record.n, record.n_block, record.wall_us,
-            shares, record.jmem_loads, record.jmem_elided, record.t_start_us,
+            dict(zip(PHASES, _phase_shares(record))), record.jmem_loads,
+            record.jmem_elided, record.t_start_us,
         )
 
     @classmethod
@@ -329,7 +353,8 @@ class StreamingKMeans:
         # one expression for every centroid; argmin keeps the first of
         # equal distances, as a strict < scan does
         diff = rows - v
-        d2 = (diff * diff).sum(axis=1)
+        diff *= diff
+        d2 = np.add.reduce(diff, axis=1)  # what .sum(axis=1) calls
         best = int(d2.argmin())
         return best, math.sqrt(d2[best])
 
@@ -354,14 +379,19 @@ class StreamingKMeans:
     def update(self, v: np.ndarray) -> int:
         """Assign ``v`` to a (possibly new) cluster and learn; returns
         the cluster index."""
-        v = self._checked(v)
-        k = self.k
+        return self._learn(self._checked(v))
+
+    def _learn(self, v: np.ndarray) -> int:
+        """:meth:`update` of a vector known to be a float64 vector of
+        the model's length (the regime tracker's own buffer)."""
+        counts = self.counts
+        k = len(counts)
         if k:
             idx, dist = self._nearest(self._rows[:k], v)
             if not (dist > self.spawn_distance and k < self.k_max):
-                self.counts[idx] += 1
+                counts[idx] += 1
                 row = self._rows[idx]
-                row += (v - row) / self.counts[idx]
+                row += (v - row) / counts[idx]
                 return idx
         else:
             self._rows = np.zeros((self.k_max, v.size), dtype=np.float64)
@@ -402,14 +432,21 @@ class _RegimeAccount:
     wall_us: float = 0.0
     block: float = 0.0
     active: float = 0.0
-    shares: dict[str, float] = field(
-        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    #: Share sums in :data:`PHASES` order.
+    shares: list[float] = field(
+        default_factory=lambda: [0.0] * len(PHASES))
     jmem_loads: int = 0
     jmem_elided: int = 0
 
 
 class RegimeTracker:
     """Clusters a signature stream into regimes, online.
+
+    Fed either :class:`PhaseSignature`\\ s (:meth:`update`) or, as a
+    consumer of a :class:`~repro.telemetry.phases.SpanFold`, the fold's
+    :class:`~repro.telemetry.phases.BlockstepRecord`\\ s
+    (:meth:`on_blockstep`, which builds no signature); both feed one
+    learning step and say the same thing of the same blocksteps.
 
     Wraps :class:`StreamingKMeans` with a hold window: a raw
     reassignment only becomes a *regime change* after ``hold``
@@ -439,65 +476,72 @@ class RegimeTracker:
 
     def update(self, sig: PhaseSignature) -> int:
         """Feed one signature; returns the (smoothed) current regime."""
-        sig._write_vector(self._buffer)
-        raw = self.kmeans.update(self._buffer)
-        if raw in self._acc:
-            acc = self._acc[raw]
-        else:
+        return self._learn(
+            sig.blockstep, sig.t, sig.t_start_us, sig.wall_us, sig.n,
+            sig.block_size, sig._ordered_shares(), sig.jmem_loads,
+            sig.jmem_elided)
+
+    def on_blockstep(self, record: BlockstepRecord) -> int:
+        """Feed the fold's record of one blockstep; returns the
+        (smoothed) current regime."""
+        return self._learn(
+            record.index, record.t, record.t_start_us, record.wall_us,
+            record.n, record.n_block, _phase_shares(record),
+            record.jmem_loads, record.jmem_elided)
+
+    def _learn(self, blockstep: int, t: float | None, t_start_us: float,
+               wall_us: float, n: int, block_size: int, shares: list[float],
+               jmem_loads: int, jmem_elided: int) -> int:
+        """The one learning step: vector, k-means, account, hold."""
+        active = _active_fraction(block_size, n)
+        _write_vector(self._buffer, active, block_size, shares,
+                      _elision_fraction(jmem_loads, jmem_elided))
+        raw = self.kmeans._learn(self._buffer)
+        acc = self._acc.get(raw)
+        if acc is None:
             acc = self._acc[raw] = _RegimeAccount()
         acc.count += 1
-        acc.wall_us += sig.wall_us
-        acc.block += sig.block_size
-        acc.active += sig.active_fraction
-        shares = acc.shares
-        for phase, share in sig.shares.items():
-            if phase in shares:
-                shares[phase] += share
-        acc.jmem_loads += sig.jmem_loads
-        acc.jmem_elided += sig.jmem_elided
+        acc.wall_us += wall_us
+        acc.block += block_size
+        acc.active += active
+        acc.shares = [a + s for a, s in zip(acc.shares, shares)]
+        acc.jmem_loads += jmem_loads
+        acc.jmem_elided += jmem_elided
 
+        t_end_us = t_start_us + wall_us
         if self.current is None:
-            self._switch(raw, sig)
+            self._switch(raw, blockstep, t, t_start_us, t_end_us)
         elif raw == self.current:
             self._pending = None
             self._pending_count = 0
         elif raw == self._pending:
             self._pending_count += 1
             if self._pending_count >= self.hold:
-                self._switch(raw, sig)
+                self._switch(raw, blockstep, t, t_start_us, t_end_us)
         else:
             self._pending = raw
             self._pending_count = 1
             if self.hold <= 1:
-                self._switch(raw, sig)
+                self._switch(raw, blockstep, t, t_start_us, t_end_us)
 
         run = self.runs[-1]
         run.count += 1
-        run.t_end_us = sig.t_start_us + sig.wall_us
+        run.t_end_us = t_end_us
         self.count += 1
         return self.current  # type: ignore[return-value]
 
-    def _switch(self, regime: int, sig: PhaseSignature) -> None:
+    def _switch(self, regime: int, blockstep: int, t: float | None,
+                t_start_us: float, t_end_us: float) -> None:
         if self.current is not None:
-            self.changes.append(
-                RegimeChange(
-                    blockstep=sig.blockstep,
-                    t=sig.t,
-                    from_regime=self.current,
-                    to_regime=regime,
-                )
-            )
+            self.changes.append(RegimeChange(
+                blockstep=blockstep, t=t,
+                from_regime=self.current, to_regime=regime))
         self.current = regime
         self._pending = None
         self._pending_count = 0
-        self.runs.append(
-            _RegimeRun(
-                regime=regime,
-                start_blockstep=sig.blockstep,
-                t_start_us=sig.t_start_us,
-                t_end_us=sig.t_start_us + sig.wall_us,
-            )
-        )
+        self.runs.append(_RegimeRun(
+            regime=regime, start_blockstep=blockstep,
+            t_start_us=t_start_us, t_end_us=t_end_us))
 
     # -- views --------------------------------------------------------------
 
@@ -534,8 +578,8 @@ class RegimeTracker:
                     "mean_block_size": acc.block / c if c else 0.0,
                     "mean_active_fraction": acc.active / c if c else 0.0,
                     "mean_wall_us": acc.wall_us / c if c else 0.0,
-                    "shares": {p: acc.shares[p] / c if c else 0.0
-                               for p in PHASES},
+                    "shares": {p: share / c if c else 0.0
+                               for p, share in zip(PHASES, acc.shares)},
                     "jmem_loads": acc.jmem_loads,
                     "jmem_elided": acc.jmem_elided,
                 }

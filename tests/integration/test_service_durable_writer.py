@@ -1,18 +1,23 @@
-"""The supervisor's durable-writer thread, and resume past damage.
+"""The supervisor's durable checkpoint write, and resume past damage.
 
-The stepping thread encodes each checkpoint and hands the bytes to one
-writer thread, which writes, fsyncs and renames the file and only then
-rewrites ``state.json``.  Pinned here:
+At each boundary the stepping thread encodes the checkpoint, writes,
+fsyncs and renames the file, then rewrites ``state.json`` and only then
+publishes the ``checkpoint`` record.  Pinned here:
 - a ``checkpoint`` record is published only once its file is on disk,
   and ``state.json`` never names a checkpoint that is not;
+- the record comes at its own boundary, after that boundary's
+  ``phases`` and headline records;
 - an error inside the durable write (ENOSPC) fails the job with that
   error, and a resume still lands on the uninterrupted run's bits;
-- after every way out of ``execute`` no writer thread is alive, and a
+- on every way out of ``execute`` the job started no thread, and a
   resume leaves no ``*.tmp``;
+- across a kill and a resume the archive is numbered 0 ... n-1, and
+  the closing lines of ``progress.log`` count no consumer error;
 - a resume walks past checkpoints it cannot read, says how many, and
   still lands on the reference bits.
 """
 
+import ast
 import errno
 import json
 import multiprocessing
@@ -31,7 +36,7 @@ from repro.parallel import WorkerLost
 from repro.service import supervisor as supervisor_mod
 from repro.service.bus import SnapshotBus
 from repro.service.consumers import read_archive
-from repro.service.jobs import DurableWriter, JobError, JobPaths, JobSpec
+from repro.service.jobs import JobError, JobSpec
 from repro.service.supervisor import Supervisor
 
 PARAMS = {"model": "plummer", "n": 32, "seed": 9, "t_end": 0.25,
@@ -44,8 +49,7 @@ def submit(root: Path, name: str, params=PARAMS, **spec) -> Supervisor:
     doc = {"schema": "repro.job/1", "kind": "run", "name": name,
            "params": dict(params), "checkpoint_every": 8, "sample_every": 4,
            **spec}
-    return Supervisor.submit(JobSpec.from_dict(doc), root / name,
-                             threaded_bus=False)
+    return Supervisor.submit(JobSpec.from_dict(doc), root / name)
 
 
 def lift_budget(sup: Supervisor) -> None:
@@ -59,8 +63,9 @@ def final_bits(sup: Supervisor) -> bytes:
     return b"".join(getattr(system, k).tobytes() for k in ("pos", "vel", "t", "dt"))
 
 
-def writer_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "durable-writer"]
+def threads_since(before: set[threading.Thread]) -> list[threading.Thread]:
+    """Threads alive now that were not in ``before``."""
+    return [t for t in threading.enumerate() if t not in before]
 
 
 def archive(sup: Supervisor) -> list:
@@ -83,18 +88,24 @@ def parallel_reference(tmp_path_factory):
 
 
 class Watcher:
-    """A synchronous-bus consumer that, on every record, checks what the
-    durability contract promises a reader at that moment; optionally
-    runs ``act(record)`` too."""
+    """A bus consumer that, on every record, checks what the durability
+    contract promises a reader at that moment and which threads are
+    alive that were not when it was made; optionally runs
+    ``act(record)`` too."""
 
     name = "watcher"
 
     def __init__(self, paths, act=None):
         self.paths, self.act = paths, act
+        self.before = set(threading.enumerate())
+        self.seen = 0
+        self.new_threads: list[threading.Thread] = []
         self.readable: list[bool] = []
         self.state_names_a_file: list[bool] = []
 
     def accept(self, record):
+        self.seen += 1
+        self.new_threads += threads_since(self.before)
         if record.kind == "checkpoint":
             path = Path(record.payload["path"])
             ck = read_checkpoint(path)
@@ -115,8 +126,7 @@ def watch(monkeypatch, sup: Supervisor, act=None) -> Watcher:
     watcher = Watcher(sup.paths, act)
     monkeypatch.setattr(
         supervisor_mod, "SnapshotBus",
-        lambda consumers, threaded: SnapshotBus([*consumers, watcher],
-                                                threaded=threaded))
+        lambda consumers: SnapshotBus([*consumers, watcher]))
     return watcher
 
 
@@ -133,23 +143,21 @@ class TestDurability:
         assert watcher.state_names_a_file and all(watcher.state_names_a_file)
         assert final_bits(sup) == reference
 
-    def test_each_checkpoint_record_is_published_at_the_next_boundary(
+    def test_each_checkpoint_record_is_published_at_its_own_boundary(
             self, tmp_path):
-        """Its boundary's ``phases`` record comes first; it comes right
-        before the next boundary's, the last one right before the job's
-        terminal record."""
+        """Its boundary's ``phases`` and headline records come first, at
+        the same ``t``, and nothing else between them; the last one
+        comes right before the job's terminal record."""
         sup = submit(tmp_path, "order")
         assert sup.execute() == "completed"
         records = archive(sup)
         at = {kind: [i for i, r in enumerate(records) if r.kind == kind]
               for kind in ("phases", "checkpoint")}
         assert len(at["checkpoint"]) == len(at["phases"]) >= 3
-        for k, i in enumerate(at["checkpoint"]):
-            own = at["phases"][k]
-            assert own < i
-            assert records[own].t == records[i].t
-            if k + 1 < len(at["phases"]):
-                assert at["phases"][k + 1] == i + 1
+        for own, i in zip(at["phases"], at["checkpoint"]):
+            between = records[own + 1:i]
+            assert {r.kind for r in between} == {"signature", "efficiency"}
+            assert {r.t for r in records[own:i + 1]} == {records[i].t}
         assert [r.kind for r in records[-2:]] == ["checkpoint", "job"]
 
 
@@ -166,11 +174,12 @@ class TestWriterFaults:
             fsync(fd)
 
         monkeypatch.setattr(os, "fsync", full_disk)
+        watcher = watch(monkeypatch, sup)
         with pytest.raises(OSError) as raised:
             sup.execute()
         monkeypatch.undo()
         assert raised.value.errno == errno.ENOSPC
-        assert not writer_threads()
+        assert watcher.seen and not watcher.new_threads
         state = json.loads(sup.paths.state.read_text())
         assert state["status"] == "failed"
         assert state["error"] == f"OSError: {raised.value}"
@@ -187,22 +196,8 @@ class TestWriterFaults:
         assert not list(sup.paths.root.rglob("*.tmp"))
         assert final_bits(sup) == reference
 
-    def test_submit_refuses_a_second_write_in_flight(self, tmp_path):
-        writer = DurableWriter(JobPaths(tmp_path), name="twice", kind="run")
-        try:
-            writer.submit(tmp_path / "a.bin", b"a", record={"n": 1}, fields={})
-            with pytest.raises(RuntimeError, match="in flight"):
-                writer.submit(tmp_path / "b.bin", b"b", record={}, fields={})
-            assert writer.join() == {"n": 1}
-            assert writer.join() is None
-        finally:
-            writer.close()
-        assert (tmp_path / "a.bin").read_bytes() == b"a"
-        assert json.loads((tmp_path / "state.json").read_text())["name"] == "twice"
-        assert not writer_threads()
 
-
-def _interrupt_with_sigterm(monkeypatch, sup):
+def _interrupt_with_sigterm(monkeypatch):
     if threading.current_thread() is not threading.main_thread():
         pytest.skip("signal handlers need the main thread")
     fired = []
@@ -213,11 +208,10 @@ def _interrupt_with_sigterm(monkeypatch, sup):
             fired.append(True)
             os.kill(os.getpid(), signal.SIGTERM)
 
-    watch(monkeypatch, sup, act)
-    return "interrupted"
+    return "interrupted", act
 
 
-def _fail_in_a_step(monkeypatch, sup):
+def _fail_in_a_step(monkeypatch):
     step, calls = BlockTimestepIntegrator.step, []
 
     def failing(self):
@@ -227,24 +221,23 @@ def _fail_in_a_step(monkeypatch, sup):
         return step(self)
 
     monkeypatch.setattr(BlockTimestepIntegrator, "step", failing)
-    return RuntimeError
+    return RuntimeError, None
 
 
-def _lose_a_worker(monkeypatch, sup):
+def _lose_a_worker(monkeypatch):
     def act(record):
         if record.kind == "checkpoint" and record.payload["blockstep"] == 16:
             victim = multiprocessing.active_children()[0]
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(2.0)
 
-    watch(monkeypatch, sup, act)
-    return WorkerLost
+    return WorkerLost, act
 
 
 EXITS = {
-    "completed": (PARAMS, {}, lambda monkeypatch, sup: "completed"),
+    "completed": (PARAMS, {}, lambda monkeypatch: ("completed", None)),
     "blockstep_budget": (PARAMS, {"max_blocksteps": 20},
-                         lambda monkeypatch, sup: "interrupted"),
+                         lambda monkeypatch: ("interrupted", None)),
     "sigterm": (PARAMS, {}, _interrupt_with_sigterm),
     "failed": (PARAMS, {}, _fail_in_a_step),
     "worker_lost": (PARALLEL, {"exec_backend": "process:2"}, _lose_a_worker),
@@ -254,22 +247,27 @@ EXITS = {
 @pytest.mark.parametrize("exit_path", list(EXITS))
 def test_no_writer_outlives_execute_and_a_resume_leaves_no_tmp(
         tmp_path, monkeypatch, exit_path, request):
+    """``execute`` starts no thread: every record, up to the last, finds
+    only the threads that were alive before it began."""
     params, spec, arrange = EXITS[exit_path]
     sup = submit(tmp_path, exit_path, params=params, **spec)
-    expected = arrange(monkeypatch, sup)
+    expected, act = arrange(monkeypatch)
+    watcher = watch(monkeypatch, sup, act)
     if isinstance(expected, str):
         assert sup.execute() == expected
     else:
         with pytest.raises(expected):
             sup.execute()
     monkeypatch.undo()
-    assert not writer_threads()
+    assert watcher.seen and not watcher.new_threads
     if exit_path == "worker_lost":
         assert not multiprocessing.active_children()
 
     lift_budget(sup)
+    watcher = watch(monkeypatch, sup)
     assert sup.execute(resume=True) == "completed"
-    assert not writer_threads()
+    monkeypatch.undo()
+    assert watcher.seen and not watcher.new_threads
     assert not list(sup.paths.root.rglob("*.tmp"))
     reference = request.getfixturevalue(
         "parallel_reference" if params is PARALLEL else "reference")
@@ -313,6 +311,29 @@ class TestResumePastDamage:
         sup = self.interrupted(tmp_path)
         for path in sup.paths.checkpoint_files():
             path.write_bytes(b"")
+        before = set(threading.enumerate())
         with pytest.raises(JobError, match="unreadable"):
             sup.execute(resume=True)
-        assert not writer_threads()
+        assert not threads_since(before)
+
+
+def test_the_archive_is_numbered_across_a_kill_and_a_resume(
+        tmp_path, reference):
+    """One stream, 0 ... n-1, across the seam; each segment's closing
+    progress line counts every record delivered and no error."""
+    sup = submit(tmp_path, "numbered", max_blocksteps=20)
+    assert sup.execute() == "interrupted"
+    first = len(archive(sup))
+    lift_budget(sup)
+    assert sup.execute(resume=True) == "completed"
+    records = archive(sup)
+    assert [r.seq for r in records] == list(range(len(records)))
+    assert records[first].kind == "discontinuity"
+    closing = [ast.literal_eval(line.removeprefix("consumers: "))
+               for line in sup.paths.progress.read_text().splitlines()
+               if line.startswith("consumers: ")]
+    assert [c["archive"]["delivered"] for c in closing] == [
+        first, len(records) - first]
+    for counts in closing:
+        assert all(c["errors"] == 0 for c in counts.values())
+    assert final_bits(sup) == reference

@@ -396,7 +396,7 @@ def service_schedule(params):
     ``params``."""
     doc = {"schema": "repro.job/1", "kind": "run", "name": "prop", "params": params}
     with tempfile.TemporaryDirectory() as tmp:
-        sup = Supervisor.submit(JobSpec.from_dict(doc), Path(tmp) / "prop", threaded_bus=False)
+        sup = Supervisor.submit(JobSpec.from_dict(doc), Path(tmp) / "prop")
         assert sup.execute() == "completed"
         final = read_checkpoint(sup.paths.latest_checkpoint())
     return [int(b) for b in final.integrator_state["stats"]["block_sizes"]]

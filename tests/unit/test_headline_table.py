@@ -24,7 +24,6 @@ from repro.core import BlockTimestepIntegrator
 from repro.io import write_json_atomic
 from repro.models import plummer_model
 from repro.parallel import CopyAlgorithm, ParallelBlockIntegrator, SimNetwork
-from repro.service import jobs as jobs_mod
 from repro.service import supervisor as supervisor_mod
 from repro.service.bus import SnapshotBus
 from repro.service.consumers import read_archive
@@ -76,7 +75,7 @@ def test_bus_state_and_gauges_agree_at_every_checkpoint(
         "schema": "repro.job/1", "kind": "run", "name": "agree",
         "params": params, "checkpoint_every": 8, "sample_every": 8,
     })
-    sup = Supervisor.submit(spec, tmp_path / "agree", threaded_bus=False)
+    sup = Supervisor.submit(spec, tmp_path / "agree")
     real_write_state = supervisor_mod.write_state
     checked: list[str] = []
 
@@ -104,8 +103,6 @@ def test_bus_state_and_gauges_agree_at_every_checkpoint(
         return state
 
     monkeypatch.setattr(supervisor_mod, "write_state", checking_write_state)
-    # a checkpoint's running state is written by the durable-writer thread
-    monkeypatch.setattr(jobs_mod, "write_state", checking_write_state)
     assert sup.execute() == "completed"
     n_checkpoints = sum(
         r.kind == "checkpoint" for r in read_archive(sup.paths.archive))
@@ -268,7 +265,7 @@ class _Collect:
 
 def test_denormal_span_writes_strict_json_with_zero_utilisation(tmp_path):
     consumer = _Collect()
-    bus = SnapshotBus([consumer], threaded=False)
+    bus = SnapshotBus([consumer])
     fields = publish_headlines(bus, 0.0, {"rank": denormal_span_ledger()})
     bus.close()
     paths = JobPaths(tmp_path / "job")

@@ -1,21 +1,28 @@
 """Snapshot bus: records, fan-out, isolation (repro.service.bus).
 
 Properties pinned here: schema-tagged record round-trips, monotone
-sequence numbering, fan-out to every consumer, drop-on-full (a slow
-consumer loses records, never stalls the producer), consumer exception
-isolation, duplicate-name rejection, and the built-in consumers
-(archive round-trip, progress throttling).
+sequence numbering, in-order fan-out to every consumer on the
+producer's thread, consumer exception isolation (a consumer that raises
+on every record is counted, and a supervisor job carrying one still
+lands on the reference bits), duplicate-name rejection, and the
+built-in consumers (archive round-trip, progress throttling).
 """
 
+import ast
 import io
-import json
-import threading
-import time
 
 import pytest
 
+from repro.io.snapshot import read_snapshot
+from repro.service import supervisor as supervisor_mod
 from repro.service.bus import SnapshotBus
-from repro.service.consumers import ArchiveWriter, ProgressReporter, read_archive
+from repro.service.jobs import JobSpec
+from repro.service.consumers import (
+    ArchiveWriter,
+    ProgressReporter,
+    next_seq,
+    read_archive,
+)
 from repro.service.records import (
     KIND_CHECKPOINT,
     KIND_DISCONTINUITY,
@@ -29,18 +36,15 @@ from repro.service.records import (
 
 
 class Collector:
-    """Minimal consumer: remembers everything, optionally slow/broken."""
+    """Minimal consumer: remembers everything, optionally broken."""
 
-    def __init__(self, name="collector", delay=0.0, fail=False):
+    def __init__(self, name="collector", fail=False):
         self.name = name
         self.records = []
-        self.delay = delay
         self.fail = fail
         self.closed = False
 
     def accept(self, record):
-        if self.delay:
-            time.sleep(self.delay)
         if self.fail:
             raise RuntimeError("boom")
         self.records.append(record)
@@ -75,25 +79,15 @@ class TestRecords:
 class TestBusFanOut:
     def test_every_consumer_sees_every_record(self):
         a, b = Collector("a"), Collector("b")
-        with SnapshotBus([a, b], threaded=False) as bus:
+        with SnapshotBus([a, b]) as bus:
             for i in range(5):
                 bus.emit(KIND_STATE, t=float(i), blocksteps=i)
         assert [r.seq for r in a.records] == list(range(5))
         assert a.records == b.records
         assert a.closed and b.closed
 
-    def test_threaded_delivery(self):
-        c = Collector()
-        bus = SnapshotBus([c], threaded=True)
-        for i in range(20):
-            bus.emit(KIND_STATE, t=float(i))
-        stats = bus.close()
-        assert len(c.records) == 20
-        assert stats["collector"]["delivered"] == 20
-        assert stats["collector"]["dropped"] == 0
-
     def test_seq_monotone(self):
-        with SnapshotBus([Collector()], threaded=False) as bus:
+        with SnapshotBus([Collector()]) as bus:
             first = bus.emit(KIND_STATE)
             second = bus.emit(KIND_CHECKPOINT)
         assert second.seq == first.seq + 1
@@ -103,54 +97,59 @@ class TestBusFanOut:
             SnapshotBus([Collector("x"), Collector("x")])
 
     def test_emit_after_close_raises(self):
-        bus = SnapshotBus([Collector()], threaded=False)
+        bus = SnapshotBus([Collector()])
         bus.close()
         with pytest.raises(RuntimeError):
             bus.emit(KIND_STATE)
 
 
 class TestIsolation:
-    def test_slow_consumer_drops_not_stalls(self):
-        """A consumer stuck behind an event must not block the producer:
-        excess records are dropped for that lane only."""
-        gate = threading.Event()
-
-        class Stuck(Collector):
-            def accept(self, record):
-                gate.wait(5.0)
-                super().accept(record)
-
-        stuck, fast = Stuck("stuck"), Collector("fast")
-        bus = SnapshotBus([stuck, fast], capacity=4, threaded=True)
-        start = time.monotonic()
-        for i in range(50):
-            bus.emit(KIND_STATE, t=float(i))
-        elapsed = time.monotonic() - start
-        assert elapsed < 1.0  # producer never waited on the stuck lane
-        gate.set()
-        stats = bus.close()
-        assert stats["stuck"]["dropped"] > 0
-        # records are dropped, never lost track of: every emit is either
-        # delivered or counted as dropped, on both lanes
-        for lane in ("fast", "stuck"):
-            assert stats[lane]["delivered"] + stats[lane]["dropped"] == 50
-        assert stats["fast"]["delivered"] > 0
-
     def test_failing_consumer_counted_not_fatal(self):
         bad, good = Collector("bad", fail=True), Collector("good")
-        with SnapshotBus([bad, good], threaded=False) as bus:
+        with SnapshotBus([bad, good]) as bus:
             for i in range(3):
                 bus.emit(KIND_STATE, t=float(i))
             stats = bus.stats()
         assert stats["bad"]["errors"] == 3
         assert len(good.records) == 3
 
+    def test_a_job_with_a_consumer_that_always_raises(self, tmp_path, monkeypatch):
+        """The job completes on the reference run's bits, the archive
+        holds every record, and the closing line counts every error."""
+        def submit(name):
+            doc = {"schema": "repro.job/1", "kind": "run", "name": name,
+                   "params": {"n": 16, "seed": 4, "t_end": 0.125},
+                   "checkpoint_every": 8, "sample_every": 4}
+            return supervisor_mod.Supervisor.submit(
+                JobSpec.from_dict(doc), tmp_path / name)
+
+        def final_bits(sup):
+            system, _ = read_snapshot(sup.paths.final_snapshot)
+            return [getattr(system, k).tobytes() for k in ("pos", "vel", "t", "dt")]
+
+        reference = submit("reference")
+        assert reference.execute() == "completed"
+        broken = Collector("broken", fail=True)
+        monkeypatch.setattr(supervisor_mod, "SnapshotBus",
+                            lambda consumers: SnapshotBus([*consumers, broken]))
+        sup = submit("broken")
+        assert sup.execute() == "completed"
+        assert final_bits(sup) == final_bits(reference)
+        records = read_archive(sup.paths.archive)
+        assert len(records) == len(read_archive(reference.paths.archive)) > 5
+        closing = sup.paths.progress.read_text().splitlines()[-1]
+        assert closing.startswith("consumers: ")
+        counts = ast.literal_eval(closing.removeprefix("consumers: "))
+        assert counts["broken"] == {"delivered": 0, "errors": len(records)}
+        for name in ("archive", "progress"):
+            assert counts[name] == {"delivered": len(records), "errors": 0}
+
 
 class TestArchiveWriter:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "bus.jsonl"
         writer = ArchiveWriter(path)
-        with SnapshotBus([writer], threaded=False) as bus:
+        with SnapshotBus([writer]) as bus:
             bus.emit(KIND_STATE, t=0.25, blocksteps=4)
             bus.emit(KIND_DISCONTINUITY, t=0.25, blockstep=4)
         records = read_archive(path)
@@ -172,12 +171,24 @@ class TestArchiveWriter:
             writer.close()
         assert [r.seq for r in read_archive(path)] == [0, 1]
 
+    def test_next_seq_reads_the_last_line(self, tmp_path):
+        path = tmp_path / "bus.jsonl"
+        assert next_seq(path) == 0
+        path.write_text("")
+        assert next_seq(path) == 0
+        writer = ArchiveWriter(path)
+        with SnapshotBus([writer]) as bus:
+            bus.emit(KIND_STATE, t=0.0, note="x" * 10_000)
+            assert next_seq(path) == 1
+            bus.emit(KIND_STATE, t=0.0, note="y" * 10_000)
+        assert next_seq(path) == 2
+
 
 class TestProgressReporter:
     def test_renders_and_throttles(self):
         out = io.StringIO()
         rep = ProgressReporter(out, every=2)
-        with SnapshotBus([rep], threaded=False) as bus:
+        with SnapshotBus([rep]) as bus:
             for i in range(4):
                 bus.emit(
                     KIND_STATE, t=float(i), blocksteps=i,

@@ -1,14 +1,17 @@
 """The supervisor's sink chain: the same answers, on a call budget.
 
 The always-on sinks under the service (one span fold feeding the
-signature recorder, the regime tracker and the flops ledger) were
-rewritten as arithmetic on what each stage already holds.  This file
-pins that nothing they *say* moved:
+regime tracker and the flops ledger) were rewritten as arithmetic on
+what each stage already holds.  This file pins that nothing they *say*
+moved:
 
 (a) a golden regime stream recorded at the commit before the rewrite
     (``fb9546b``): regime per blockstep, change list, ``lane()`` and
     ``summary()`` on the full vector, and the assignment by
-    ``SCHEDULE_FEATURES`` alone;
+    ``SCHEDULE_FEATURES`` alone — through both of the tracker's entry
+    points, signatures (``update``) and a fold's records
+    (``on_blockstep``); hypothesis span trees then pin the two entry
+    points to each other bit for bit;
 (b) hypothesis span trees through :class:`SpanFold` against a
     brute-force reference kept here: totals, per-name summaries,
     ``outside_us`` and every :class:`BlockstepRecord`;
@@ -22,6 +25,7 @@ and that the chain stays on its budget without reading a clock:
 import cProfile
 import hashlib
 import json
+import pickle
 import pstats
 import random
 from pathlib import Path
@@ -48,6 +52,7 @@ from repro.telemetry import (
     FlopsLedger,
     PhaseSignature,
     RegimeTracker,
+    SignatureRecorder,
     SpanEvent,
     SpanFold,
     StreamingKMeans,
@@ -63,13 +68,13 @@ from repro.telemetry.phases import JMEM, JMEM_SPAN, ROOT_SPAN
 MARGIN = 1e-9
 
 
-def golden_signatures(count=2000, n=128, seed=24):
-    """Block sizes cycling 1 ... n, phase shares drawn around a
-    size-dependent mix from the standard library's generator (whose
-    stream is fixed across versions), up to a quarter of the j-memory
-    loads elided."""
+def golden_stream(count=2000, n=128, seed=24):
+    """(signature, the phase times its shares came from) pairs: block
+    sizes cycling 1 ... n, phase shares drawn around a size-dependent
+    mix from the standard library's generator (whose stream is fixed
+    across versions), up to a quarter of the j-memory loads elided."""
     rng = random.Random(seed)
-    signatures = []
+    stream = []
     for i in range(count):
         size = 1 + i % n
         pipe = size / n
@@ -78,15 +83,15 @@ def golden_signatures(count=2000, n=128, seed=24):
                0.1 * rng.random(), 0.05 * rng.random(),
                0.05 * rng.random() if i % 7 == 0 else 0.0]
         total = sum(raw)
-        signatures.append(PhaseSignature(
+        stream.append((PhaseSignature(
             blockstep=i, t=i / 1024, n=n, block_size=size,
             wall_us=50.0 + size + rng.random(),
             shares={p: x / total for p, x in zip(PHASES, raw)},
             jmem_loads=3 * n + size,
             jmem_elided=n - size,
             t_start_us=100.0 * i,
-        ))
-    return signatures
+        ), raw))
+    return stream
 
 
 def margins(kmeans, vector):
@@ -107,21 +112,52 @@ def digest(values):
         ",".join(map(str, values)).encode(), digest_size=8).hexdigest()
 
 
-def run_golden(**tracker_kwargs):
-    """The golden stream through one tracker: everything the tracker
-    says, with the margin asserted on every update."""
+#: A phase tag outside :data:`PHASES`: a blockstep span's own
+#: self-time booked under it reaches no share.
+UNSHARED = "unshared"
+
+
+def blockstep_events(sig, raw_us):
+    """One blockstep as the spans a tracer closes: a child per phase
+    lasting that phase's time, under a root that lasts the signature's
+    wall time and keeps its own remainder under :data:`UNSHARED`.  The
+    fold then books each phase's time exactly, so the record's shares
+    are the signature's to the bit."""
+    root = 6 * sig.blockstep + 1
+    kids = [SpanEvent("part", root + 1 + i, root, 1, sig.t_start_us, us,
+                      phase, None, None, {})
+            for i, (phase, us) in enumerate(zip(PHASES, raw_us))]
+    return [*kids, SpanEvent(
+        ROOT_SPAN, root, None, 0, sig.t_start_us, sig.wall_us, UNSHARED,
+        None, None, {"n_block": sig.block_size, "n": sig.n, "t": sig.t,
+                     "jmem_loads": sig.jmem_loads,
+                     "jmem_elided": sig.jmem_elided})]
+
+
+def run_golden(entry="update", **tracker_kwargs):
+    """The golden stream through one tracker entry point (``update``, or
+    a :class:`SpanFold` serving it fed each blockstep's spans):
+    everything the tracker says, with the margin asserted on every
+    update."""
     tracker = RegimeTracker(**tracker_kwargs)
+    fold = SpanFold([tracker])
     kmeans = tracker.kmeans
-    signatures = golden_signatures()
+    stream = golden_stream()
+    signatures = [sig for sig, _ in stream]
     raw, smoothed = [], []
-    for sig in signatures:
+    for sig, raw_us in stream:
         vector = sig.vector()
         if kmeans.k:
             nearest, gap = margins(kmeans, vector)
             assert abs(nearest - kmeans.spawn_distance) > MARGIN
             assert gap > MARGIN
         before = list(kmeans.counts)
-        smoothed.append(tracker.update(sig))
+        if entry == "update":
+            tracker.update(sig)
+        else:
+            for event in blockstep_events(sig, raw_us):
+                fold.emit(event)
+        smoothed.append(tracker.current)
         after = kmeans.counts
         raw.append(len(before) if len(after) > len(before) else next(
             i for i, (a, b) in enumerate(zip(before, after)) if a != b))
@@ -159,9 +195,10 @@ TRACKERS = {
 
 
 class TestGoldenRegimeStream:
+    @pytest.mark.parametrize("entry", ["update", "fold"])
     @pytest.mark.parametrize("name", sorted(TRACKERS))
-    def test_the_regime_a_stream_gets_is_the_regime_it_got(self, name):
-        said = json.loads(json.dumps(run_golden(**TRACKERS[name])))
+    def test_the_regime_a_stream_gets_is_the_regime_it_got(self, name, entry):
+        said = json.loads(json.dumps(run_golden(entry, **TRACKERS[name])))
         golden = GOLDEN[name]
         for key in golden:
             assert said[key] == golden[key], key
@@ -334,6 +371,30 @@ class TestFoldAgainstBruteForce:
                 for s in said.spans} == spans
         assert len(said.spans) == len(spans)
         assert (said.virtual is None) == (not virtual_totals)
+
+
+def said_bitwise(tracker):
+    """Everything a tracker says, as bytes (floats by their bits)."""
+    return pickle.dumps((
+        tracker.summary(), tracker.changes, tracker.runs,
+        [c.tobytes() for c in tracker.kmeans.centroids]))
+
+
+class TestTrackerEntryPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(forests, min_size=1, max_size=6),
+           st.sampled_from(sorted(TRACKERS)))
+    def test_the_fold_record_path_equals_the_signature_path(self, cases, name):
+        direct = RegimeTracker(**TRACKERS[name])
+        signed = RegimeTracker(**TRACKERS[name])
+        folds = (SpanFold([direct]), SpanFold(
+            [SignatureRecorder(callback=signed.update, keep=False)]))
+        for case in cases:
+            for event in close_order(*case):
+                for fold in folds:
+                    fold.emit(event)
+        assert direct.count == signed.count == folds[0].blocksteps
+        assert said_bitwise(direct) == said_bitwise(signed)
 
 
 # -- (c) the ledger's totals are the sum of its records ------------------------
