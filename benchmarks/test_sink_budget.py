@@ -19,7 +19,6 @@ with the same script (only public names are used; the chain itself is
 from __future__ import annotations
 
 import cProfile
-import pstats
 import time
 
 from repro.io import format_table
@@ -114,18 +113,27 @@ def stage_floors(rounds: int = ROUNDS) -> tuple[list[float], float]:
     return floors, fastest_yardstick / YARDSTICK_REF_S
 
 
+def calls_per_blockstep(tracer: Tracer, blocksteps: int = BLOCKSTEPS) -> float:
+    """Python-level calls a replayed blockstep makes through ``tracer``:
+    the call counts of every entry ``cProfile`` keeps, one per code
+    object.  (``pstats`` keys functions by file, line and name, so the
+    generated ``__init__``s of two dataclasses are one entry there and
+    the count runs low.)"""
+    profile = cProfile.Profile()
+    profile.enable()
+    replay_blocksteps(tracer, blocksteps)
+    profile.disable()
+    return sum(entry.callcount for entry in profile.getstats()) / blocksteps
+
+
 def stage_calls() -> list[float]:
-    """Cumulative Python-level calls a blockstep (``cProfile``'s
-    ``total_calls``) after each stage, every regime already seen."""
+    """Cumulative Python-level calls a blockstep after each stage, every
+    regime already seen."""
     calls = []
     for _, factory in STAGES:
         tracer = factory()
         replay_blocksteps(tracer, 2 * len(BLOCK_SIZES))
-        profile = cProfile.Profile()
-        profile.enable()
-        replay_blocksteps(tracer)
-        profile.disable()
-        calls.append(pstats.Stats(profile).total_calls / BLOCKSTEPS)
+        calls.append(calls_per_blockstep(tracer))
     return calls
 
 

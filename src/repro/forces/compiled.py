@@ -125,14 +125,16 @@ def cache_dir() -> Path:
 
 def cpu_identity() -> str:
     """What ``-march=native`` resolves to on this machine, as far as the
-    platform tells: architecture plus the CPU's feature flags."""
+    platform tells: architecture plus the CPU's feature flags.  Without
+    ``/proc/cpuinfo`` it is the architecture alone
+    (``platform.processor()`` would run ``uname -p`` in a child)."""
     try:
         with open("/proc/cpuinfo") as fh:
             flags = next(
                 (line for line in fh if line.startswith(("flags", "Features"))), ""
             )
     except OSError:
-        flags = platform.processor()
+        return platform.machine()
     return f"{platform.machine()} {flags.strip()}"
 
 

@@ -12,6 +12,13 @@ and the git revision the artifact was produced from.  Checkpoint
 headers carry the same fingerprint (:mod:`repro.io.checkpoint`), so a
 resume across machines or commits is visible; it lives outside
 :mod:`repro.bench` so that a checkpoint does not import the harness.
+
+Taking the fingerprint starts no process.  The stdlib's
+``platform.platform()`` and ``platform.processor()`` run ``uname -p`` in
+a child on Linux, a child as large as the parent that
+``RUSAGE_CHILDREN`` then reports as this process's peak memory; so the
+platform string is composed here from ``os.uname()`` and
+``platform.libc_ver()``, and the processor is not probed.
 """
 
 from __future__ import annotations
@@ -53,8 +60,41 @@ def _git_revision(start: Path) -> str | None:
     return None
 
 
+#: What ``platform.platform()`` writes in place of each character that
+#: does not belong in a file name.
+_FILENAME_SAFE = str.maketrans({" ": "_", **dict.fromkeys('/\\:;"()', "-")})
+
+
+def _platform_string() -> str:
+    """``platform.platform()``, composed without its ``uname -p`` child.
+
+    On Linux the stdlib joins system, release, machine, processor,
+    ``with`` and the libc name + version with ``-``; it drops the
+    processor when it is blank (upstream coreutils prints ``unknown``)
+    or equals the machine (distributions that patch ``uname -p`` to
+    print it).  This is that string for both, read from ``os.uname()``
+    and ``platform.libc_ver()``.  Other systems get the stdlib's.
+    """
+    if sys.platform != "linux":
+        return platform.platform()
+    system, _, release, _, machine = (
+        "" if field == "unknown" else field for field in os.uname())
+    words = (system, release, machine, "with", "".join(platform.libc_ver()))
+    text = "-".join(word.strip() for word in words if word)
+    text = text.translate(_FILENAME_SAFE).replace("unknown", "")
+    while "--" in text:
+        text = text.replace("--", "-")
+    return text.rstrip("-")
+
+
 def environment_fingerprint() -> dict[str, Any]:
-    """JSON-ready description of the measuring machine."""
+    """JSON-ready description of the measuring machine.
+
+    ``machine`` carries the architecture.  ``processor`` keeps its key
+    but reads ``None``: the stdlib can only read it from a ``uname -p``
+    child, which prints ``unknown`` or the machine on the systems
+    :func:`_platform_string` composes for.
+    """
     try:
         import numpy
 
@@ -64,9 +104,9 @@ def environment_fingerprint() -> dict[str, Any]:
     return {
         "python": sys.version.split()[0],
         "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
+        "platform": _platform_string(),
         "machine": platform.machine(),
-        "processor": platform.processor() or None,
+        "processor": None,
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
         "kernel_tier": (

@@ -58,27 +58,6 @@ class Histogram:
         b = 0 if v <= 1.0 else math.frexp(v)[1]
         self.bins[b] = self.bins.get(b, 0) + 1
 
-    def observe_many(self, values: np.ndarray) -> None:
-        """:meth:`observe` every element in order, as one call.  The
-        sums stay scalar additions in sequence, so the result is bit
-        for bit that of the element-wise calls; at the sizes a message
-        round has (tens of values) that is also cheaper than any array
-        formulation, whose fixed cost per operation dominates."""
-        observed = np.asarray(values, dtype=float).tolist()
-        if not observed:
-            return
-        total, sq_total, bins = self.total, self.sq_total, self.bins
-        frexp = math.frexp
-        for v in observed:
-            total += v
-            sq_total += v * v
-            b = 0 if v <= 1.0 else frexp(v)[1]
-            bins[b] = bins.get(b, 0) + 1
-        self.count += len(observed)
-        self.total, self.sq_total = total, sq_total
-        self.min = min(self.min, *observed)
-        self.max = max(self.max, *observed)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0

@@ -26,9 +26,13 @@ at once:
 - the goldens (a column of the table) recorded at commits before the
   Hermite tile, the pipeline tile and message rounds existed;
 - faults: a NaN position or velocity ends in a named error before any
-  force comes back, the state untouched.
+  force comes back, the state untouched; a bus consumer that raises on
+  every record leaves a supervisor job on the reference bits, with every
+  record archived and each error counted in the closing ``consumers:``
+  line.
 """
 
+import ast
 import hashlib
 import json
 import tempfile
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +53,9 @@ from repro.core.timestep import NonFiniteForce
 from repro.hardware.fixedpoint import NonFiniteValue
 from repro.io.checkpoint import read_checkpoint, restore_integrator, write_checkpoint
 from repro.parallel import HybridAlgorithm
+from repro.service import supervisor as supervisor_mod
+from repro.service.bus import SnapshotBus
+from repro.service.consumers import read_archive
 from repro.service.jobs import (
     RUN_ALGORITHMS,
     JobSpec,
@@ -87,7 +95,9 @@ class Cell:
     t_end: float = 1.0 / 16.0
     boards: int = 1
     hook: bool = False  # a compute-cost hook advances the virtual clocks
-    fault: str | None = None  # "pos" | "vel": NaN at the first kill point
+    # "pos" | "vel": NaN at the first kill point; "consumer": a supervisor
+    # job whose bus carries a consumer that raises on every record
+    fault: str | None = None
     extra: tuple = ()  # more run params, as sorted items
     golden: tuple = field(default=(), compare=False)  # (digest field, value) pairs
 
@@ -205,6 +215,8 @@ def poison(cell, integ, error):
 def run_and_digest(cell):
     """Run ``cell`` to ``t_end``, killed and resumed from a checkpoint at
     each kill point, check what its observers saw, and digest it."""
+    if cell.fault == "consumer":
+        return supervise_with_a_raising_consumer(cell)
     params = cell.params()
     system, seen, integ = build_system(params), [], None
     with tempfile.TemporaryDirectory() as tmp:
@@ -234,9 +246,15 @@ def run_and_digest(cell):
             seen.append(observed)
     if cell.observe:
         check_observers(integ, seen)
+    return digest(integ, None if serial else algorithm)
+
+
+def digest(integ, algorithm):
+    """What ``integ`` ended on, and what ``algorithm``'s simulated
+    machine recorded (``None``: a serial run)."""
     s, stats = integ.system, integ.stats
     machine = (None, None, None)
-    if not serial:
+    if algorithm is not None:
         networks = getattr(algorithm, "networks", None) or [algorithm.network]
         machine = (sha(net.clock.snapshot().tobytes() for net in networks),
                    sha(json.dumps(net.ledger.as_dict(), sort_keys=True).encode() for net in networks),
@@ -254,17 +272,59 @@ def run_and_digest(cell):
     )
 
 
+class Raises:
+    """A bus consumer that raises on every record."""
+
+    name = "raises"
+
+    def accept(self, record):
+        raise RuntimeError("a consumer that always raises")
+
+    def close(self):
+        pass
+
+
+def supervise_with_a_raising_consumer(cell):
+    """Run ``cell`` as a supervisor job whose bus carries :class:`Raises`
+    beside the same job without it, and digest its final checkpoint: the
+    job completes, its archive holds every record the other's does, and
+    the closing ``consumers:`` line counts one error a record."""
+    doc = {"schema": "repro.job/1", "kind": "run", "params": cell.params(),
+           "checkpoint_every": 8, "sample_every": 4}
+
+    def completed(name):
+        sup = Supervisor.submit(JobSpec.from_dict({**doc, "name": name}), Path(tmp) / name)
+        assert sup.execute() == "completed"
+        return sup
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = completed("clean")
+        with mock.patch.object(supervisor_mod, "SnapshotBus",
+                               lambda consumers: SnapshotBus([*consumers, Raises()])):
+            sup = completed("raising")
+        records = read_archive(sup.paths.archive)
+        assert len(records) == len(read_archive(clean.paths.archive)) > 5
+        closing = sup.paths.progress.read_text().splitlines()[-1]
+        assert closing.startswith("consumers: ")
+        counts = ast.literal_eval(closing.removeprefix("consumers: "))
+        assert counts["raises"] == {"delivered": 0, "errors": len(records)}
+        for name in ("archive", "progress"):
+            assert counts[name] == {"delivered": len(records), "errors": 0}
+        final = read_checkpoint(sup.paths.latest_checkpoint())
+    return digest(restore_integrator(final, backend=build_backend(cell.params())), None)
+
+
 def reference(cell):
     """The run ``cell`` must equal: unobserved, uninterrupted, inline, on
     the batched datapath if it asks for the faithful one."""
     return replace(cell, force="batched" if cell.force == "faithful" else cell.force,
-                   spec="inline", kill=(), resume=None, observe=False)
+                   spec="inline", kill=(), resume=None, observe=False, fault=None)
 
 
 def check(cell):
     """Run ``cell`` and assert every invariant its axes imply."""
     got = run_and_digest(cell)
-    if cell.fault:  # poison() has pinned the error
+    if cell.fault in ("pos", "vel"):  # poison() has pinned the error
         return
     assert got.run == run_and_digest(reference(cell)).run and np.isfinite(got.pos).all()
     if cell.algorithm != "serial":
@@ -360,6 +420,7 @@ CELLS = [
       for name, sizes in CORNERS.items() for size in sizes for spec in SPECS[1:]),
     *(Cell(force=force, seed=3, t_end=1.0, kill=(5,), fault=what, golden=(("raises", error),))
       for force, error in ERRORS.items() for what in ("pos", "vel")),
+    Cell(n=16, seed=4, t_end=0.125, observe=False, fault="consumer"),
 ]
 
 

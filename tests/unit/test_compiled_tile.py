@@ -32,6 +32,7 @@ from repro.hardware import pipeline
 from repro.hardware.blockfloat import BlockFloatOverflow
 from repro.hardware.pipeline import PipelineFormats
 from repro.parallel import network_tile
+from tests.integration.test_no_process import process_events
 
 pytestmark = pytest.mark.tiers
 
@@ -312,6 +313,21 @@ class TestUnforeseenPlatform:
         monkeypatch.setattr(compiled, "find_compiler", lambda: fake_compiler(tmp_path, 0))
         monkeypatch.delattr(compiled.os, "getuid")
         assert_numpy_tier("AttributeError")
+
+    def test_no_proc_cpuinfo(self):
+        """The key's CPU is then the architecture alone, read without
+        starting a process (``platform.processor()`` runs ``uname -p``)."""
+        events, same = process_events("""
+            import builtins, platform
+            from repro.forces import compiled
+            def unreadable(file, *args, open=builtins.open, **kwargs):
+                if file == "/proc/cpuinfo":
+                    raise PermissionError(file)
+                return open(file, *args, **kwargs)
+            builtins.open = unreadable
+            print(compiled.cpu_identity() == platform.machine())
+            """)
+        assert same == "True" and events == []
 
 
 @needs_compiler

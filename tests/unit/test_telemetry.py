@@ -161,21 +161,6 @@ class TestMetrics:
                 assert h.bins == {want: 1}, (k, value)
                 assert pow2_bins(np.array([value])).tolist() == [want]
 
-    def test_observe_many_equals_observing_in_order(self):
-        rng = np.random.default_rng(3)
-        values = np.concatenate([
-            rng.lognormal(3.0, 4.0, 500),
-            [0.0, 0.5, 1.0, np.nextafter(128.0, 0.0), 128.0, 2.0 ** 40],
-        ])
-        one, many = Histogram("h"), Histogram("h")
-        for v in values:
-            one.observe(v)
-        many.observe_many(values[:200])
-        many.observe_many(values[200:])
-        many.observe_many(np.array([]))
-        for field in ("count", "total", "sq_total", "min", "max", "bins"):
-            assert getattr(one, field) == getattr(many, field), field
-
     def test_snapshot_is_json_serialisable(self):
         h = Histogram("h")
         h.observe(3.0)
