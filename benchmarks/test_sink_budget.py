@@ -6,8 +6,16 @@ hook, no physics) through the tracer the job supervisor installs,
 one stage of the sink chain at a time, and reports the blockstep
 *floor* of every stage: the minimum over rounds of the mean over a
 400-blockstep replay, which is what the chain costs when nothing else
-has the core.  The stage table of ``docs/observability.md`` and
-EXPERIMENTS.md is this file's output::
+has the core.
+
+The replay understates what a job pays: between two blocksteps the
+physics runs and evicts the chain's code and data from the caches.  So
+the same stages are also measured *in situ*, inside the integration a
+``service_resume`` job runs (N = 128 Plummer sphere, direct summation,
+to t = 1/2): per blockstep, the floor over interleaved rounds of every
+stage and of the plain run with the tracer off, stamped through the
+integrator's ``observe`` hook.  The stage tables of
+``docs/observability.md`` and EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_sink_budget.py
 
@@ -21,9 +29,17 @@ from __future__ import annotations
 import cProfile
 import time
 
+import numpy as np
+
 from repro.io import format_table
 from repro.service import always_on_sinks
+from repro.service.jobs import build_integrator, build_system
 from repro.telemetry import T_HOST, T_PIPE, RegimeTracker, SpanFold, Tracer
+
+try:  # how a run job feeds the chain; a commit before it has none
+    from repro.service.supervisor import FoldInBatches
+except ImportError:
+    FoldInBatches = None
 
 #: Particle count and block sizes of the replayed stream (the sizes
 #: cycle, so every stage sees the same mix of regimes).
@@ -65,9 +81,11 @@ def replay_blocksteps(tracer: Tracer, blocksteps: int = BLOCKSTEPS) -> None:
 
 
 def supervisor_tracer() -> Tracer:
-    """The tracer ``Supervisor._execute_run`` installs for a run job on
-    direct summation: one fold serving the regime tracker and the flops
-    ledger, nothing retained."""
+    """The chain ``Supervisor._execute_run`` traces a run job on direct
+    summation into: one fold serving the regime tracker and the flops
+    ledger, nothing retained, fed each span as it closes (a job holds
+    the spans and feeds them at its boundaries, which the in-situ table
+    measures too)."""
     fold, _, _ = always_on_sinks()
     return Tracer(enabled=True, sinks=[fold])
 
@@ -76,7 +94,7 @@ def supervisor_tracer() -> Tracer:
 STAGES = (
     ("span open/close + observe hook",
      lambda: Tracer(enabled=True)),
-    ("SpanFold.emit x 5",
+    ("SpanFold.span_step x 5",
      lambda: Tracer(enabled=True, sinks=[SpanFold()])),
     ("BlockstepRecord + RegimeTracker.on_blockstep",
      lambda: Tracer(enabled=True, sinks=[SpanFold([RegimeTracker()])])),
@@ -147,11 +165,99 @@ def stage_table(floors: list[float], calls: list[float]) -> str:
         ["stage", "us / blockstep", "cumulative", "calls", "cumulative"], rows)
 
 
+# -- in situ -------------------------------------------------------------------
+
+#: The physics of the ``service_resume`` job (``benchmarks/e2e``): about
+#: 420 blocksteps of a direct-summation integration.
+INSITU_PARAMS = {"model": "plummer", "n": N, "seed": 2003, "t_end": 0.5,
+                 "backend": "direct"}
+INSITU_ROUNDS = 12
+
+
+class StampingTracer(Tracer):
+    """A tracer that also reads the clock at the end of every blockstep
+    (the integrator's ``observe`` hook), so an integration can be cut
+    into blocksteps."""
+
+    def __init__(self, enabled: bool, sinks=()) -> None:
+        super().__init__(enabled=enabled, sinks=sinks)
+        self.stamps: list[float] = []
+
+    def observe(self, name: str, value: float) -> None:
+        self.stamps.append(time.perf_counter())
+
+
+def integrate(tracer: StampingTracer) -> np.ndarray:
+    """Seconds of every blockstep of the in-situ integration."""
+    integ = build_integrator(build_system(INSITU_PARAMS), INSITU_PARAMS,
+                             tracer=tracer)
+    t0 = time.perf_counter()
+    integ.run(INSITU_PARAMS["t_end"])
+    return np.diff([t0, *tracer.stamps])
+
+
+#: A job that checkpoints this often folds its spans in batches of this
+#: many blocksteps (``service_resume`` checkpoints every 16).
+INSITU_CADENCE = 16
+
+
+class BatchedTracer(StampingTracer):
+    """The whole chain as a run job feeds it: spans held by
+    ``FoldInBatches`` and folded at every :data:`INSITU_CADENCE`-th
+    blockstep, as at a checkpoint boundary."""
+
+    def __init__(self) -> None:
+        self.held = FoldInBatches(supervisor_tracer().sinks[0])
+        super().__init__(True, [self.held])
+
+    def observe(self, name: str, value: float) -> None:
+        if (len(self.stamps) + 1) % INSITU_CADENCE == 0:
+            self.held.drain()
+        super().observe(name, value)
+
+
+def insitu_floors(rounds: int = INSITU_ROUNDS) -> tuple[float, list[float]]:
+    """Blockstep floor [us] of the plain integration (tracer off) and
+    after each stage of :data:`STAGES` (and, where the commit has it,
+    of the chain folded in batches), rounds interleaved: the sum over
+    blocksteps of each blockstep's fastest time, over the blocksteps."""
+    variants = [lambda: StampingTracer(False)] + [
+        lambda factory=factory: StampingTracer(True, factory().sinks)
+        for _, factory in STAGES]
+    if FoldInBatches is not None:
+        variants.append(BatchedTracer)
+    fastest: list[np.ndarray | None] = [None] * len(variants)
+    for _ in range(rounds):
+        for i, variant in enumerate(variants):
+            seconds = integrate(variant())
+            fastest[i] = (seconds if fastest[i] is None
+                          else np.minimum(fastest[i], seconds))
+    plain, *stages = [float(f.mean()) * 1.0e6 for f in fastest]
+    return plain, stages
+
+
+def insitu_table(plain: float, stages: list[float]) -> str:
+    rows, before = [("integration, tracer off", "", f"{plain:.1f}", "")], 0.0
+    for (name, _), floor in zip(STAGES, stages):
+        cost = floor - plain
+        rows.append((name, f"{cost - before:.1f}", f"{floor:.1f}",
+                     f"{cost:.1f}"))
+        before = cost
+    if len(stages) > len(STAGES):
+        floor = stages[-1]
+        rows.append((f"the chain folded every {INSITU_CADENCE} blocksteps",
+                     "", f"{floor:.1f}", f"{floor - plain:.1f}"))
+    return format_table(
+        ["stage", "us / blockstep", "blockstep", "chain"], rows)
+
+
 def test_sink_set_within_budget():
     floors, speed_index = stage_floors()
     print("\n=== Supervisor sink set, blockstep floors at N = 128 ===")
     print(stage_table(floors, stage_calls()))
     print(f"machine speed index {speed_index:.2f}")
+    print("=== The same stages inside the integration, N = 128 to t = 1/2 ===")
+    print(insitu_table(*insitu_floors()))
     # a slow stretch of the box is not the chain's cost; a fast machine
     # earns no allowance
     cost = floors[-1] / max(speed_index, 1.0)
@@ -164,3 +270,4 @@ if __name__ == "__main__":
     floors, speed_index = stage_floors()
     print(stage_table(floors, stage_calls()))
     print(f"machine speed index {speed_index:.2f}")
+    print(insitu_table(*insitu_floors()))

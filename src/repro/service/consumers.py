@@ -62,6 +62,33 @@ def read_archive(path: str | Path) -> list[SnapshotRecord]:
     return records
 
 
+def cut_torn_tail(path: str | Path) -> int:
+    """Cut an archive's last line back to the newline before it when
+    the line has none (a write a kill tore in half); returns the bytes
+    removed (0 when the archive ends on a whole line or is absent)."""
+    try:
+        fh = Path(path).open("r+b")
+    except FileNotFoundError:
+        return 0
+    with fh:
+        size, span = fh.seek(0, 2), 4096
+        if size == 0:
+            return 0
+        fh.seek(size - 1)
+        if fh.read(1) == b"\n":
+            return 0
+        while True:
+            start = max(size - span, 0)
+            fh.seek(start)
+            newline = fh.read().rfind(b"\n")
+            if newline >= 0 or start == 0:
+                break
+            span *= 2
+        keep = start + newline + 1 if newline >= 0 else 0
+        fh.truncate(keep)
+    return size - keep
+
+
 def next_seq(path: str | Path) -> int:
     """The sequence number after an archive's last record (0 when there
     is none), read from its last line alone."""

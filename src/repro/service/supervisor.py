@@ -7,9 +7,11 @@ The loop is:
 * step the block-timestep integrator;
 * every ``sample_every`` blocksteps publish a ``state`` record;
 * every ``checkpoint_every`` blocksteps (or ``checkpoint_every_s``
-  wall seconds) publish ``phases`` and the headline records, then
-  write the checkpoint durably (write, fsync, rename), rewrite
-  ``state.json`` to name it and publish its ``checkpoint`` record;
+  wall seconds) fold the spans closed since the last boundary
+  (:class:`FoldInBatches`), publish ``phases`` and the headline
+  records, then write the checkpoint durably (write, fsync, rename),
+  rewrite ``state.json`` to name it and publish its ``checkpoint``
+  record;
 * on SIGTERM/SIGINT, wall-budget or blockstep-budget exhaustion:
   checkpoint, mark the job ``interrupted`` and exit cleanly;
 * on completion: final checkpoint, raw ``final.npz`` snapshot,
@@ -27,7 +29,8 @@ continues **bit identically** (the kill-point cells of
 explicit about the records that never happened, about checkpoints it
 had to pass over, and about whether the resuming process runs the same
 commit/machine the checkpoint came from.  Its records continue the
-archive's sequence numbers.
+archive's sequence numbers; a last archive line a kill tore in half is
+cut back to the newline before it first, and its bytes are reported.
 
 Wall budgets are cumulative: each checkpoint carries the wall seconds
 consumed so far in its ``clocks`` block, so a job killed and resumed
@@ -63,7 +66,12 @@ from ..telemetry import (
     set_tracer,
 )
 from .bus import SnapshotBus
-from .consumers import ArchiveWriter, ProgressReporter, next_seq
+from .consumers import (
+    ArchiveWriter,
+    ProgressReporter,
+    cut_torn_tail,
+    next_seq,
+)
 from .jobs import (
     JobError,
     JobPaths,
@@ -150,12 +158,21 @@ class Supervisor:
         ``interrupted`` / ``failed``).
         """
         spec = load_job(self.paths.spec)
+        archive = self.paths.archive
+        # a kill inside an archive write leaves half a line: the record
+        # never happened, so the resumed stream takes its seq
+        torn_bytes = cut_torn_tail(archive) if resume else 0
+        try:
+            seq = next_seq(archive)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise JobError(
+                f"{archive}: the last record does not parse ({exc})") from exc
         progress_fh: IO[str] = self.paths.progress.open("a")
         bus = SnapshotBus(
-            [ArchiveWriter(self.paths.archive), ProgressReporter(progress_fh)])
-        bus.seq = next_seq(self.paths.archive)
+            [ArchiveWriter(archive), ProgressReporter(progress_fh)])
+        bus.seq = seq
         try:
-            return self._execute_run(spec, bus, resume)
+            return self._execute_run(spec, bus, resume, torn_bytes)
         finally:
             stats = bus.close()
             progress_fh.write(f"consumers: {stats}\n")
@@ -163,12 +180,14 @@ class Supervisor:
 
     # -- run jobs -----------------------------------------------------------
 
-    def _execute_run(self, spec: JobSpec, bus: SnapshotBus, resume: bool) -> str:
+    def _execute_run(self, spec: JobSpec, bus: SnapshotBus, resume: bool,
+                     torn_bytes: int) -> str:
         params = spec.params
         backend = build_backend(params)
         fold, regimes, eff = always_on_sinks(
             backend if hasattr(backend, "peak_flops") else None)
-        tracer = Tracer(enabled=True, sinks=[fold])
+        spans = FoldInBatches(fold)
+        tracer = Tracer(enabled=True, sinks=[spans])
         # a parallel run's virtual-time results are bit-identical on
         # every execution backend (property-pinned), so the spec's
         # exec_backend — and even a resume that switches it — is purely
@@ -215,6 +234,7 @@ class Supervisor:
                 checkpoint_provenance=ck.provenance,
                 resume_provenance=checkpoint_provenance(),
                 **({"torn_writes_removed": len(torn)} if torn else {}),
+                **({"torn_archive_bytes": torn_bytes} if torn_bytes else {}),
                 **({"unreadable_checkpoints_skipped": unreadable}
                    if unreadable else {}),
             )
@@ -252,7 +272,7 @@ class Supervisor:
             durable, name it in ``state.json`` and only then publish its
             ``checkpoint`` record; returns the ``state.json`` fields."""
             nonlocal last_ck_wall
-            bus.emit(KIND_PHASES, t=integ.t, **fold.snapshot())
+            bus.emit(KIND_PHASES, t=integ.t, **spans.drain().snapshot())
             blockstep = integ.stats.blocksteps
             path = self.paths.checkpoint_path(blockstep)
             fields: dict[str, Any] = {
@@ -386,6 +406,43 @@ class Supervisor:
         }
 
 
+#: Closed spans a run job holds before it folds them, besides at every
+#: checkpoint boundary: about a hundred blocksteps (a job at the default
+#: cadence of 64 blocksteps folds at its boundaries only).
+FOLD_BATCH = 512
+
+
+class FoldInBatches:
+    """A run job's tracer sink: it keeps each closed span's fields and
+    hands them to the fold in one pass, at every checkpoint boundary
+    (:meth:`drain`) and whenever :data:`FOLD_BATCH` spans wait.
+
+    The fold sees the spans in the order they closed, so it cuts the
+    same records and says the same numbers as if fed span by span; the
+    pass runs with the fold's and the observatories' code and data warm,
+    where span by span it ran cold between two slices of physics (at
+    about 2.5 times its replayed cost, ``benchmarks/test_sink_budget.py``).
+    """
+
+    def __init__(self, fold: SpanFold) -> None:
+        self.fold = fold
+        self._spans: list[tuple] = []
+
+    def span_step(self, *fields: Any) -> None:
+        spans = self._spans
+        spans.append(fields)
+        if len(spans) >= FOLD_BATCH:
+            self.drain()
+
+    def drain(self) -> SpanFold:
+        """Fold every waiting span; returns the fold, now up to date."""
+        step = self.fold.span_step
+        for fields in self._spans:
+            step(*fields)
+        self._spans.clear()
+        return self.fold
+
+
 def always_on_sinks(
     hardware: Any = None,
 ) -> tuple[SpanFold, RegimeTracker, FlopsLedger]:
@@ -397,7 +454,7 @@ def always_on_sinks(
     the flops ledger, priced against ``hardware``'s introspected peak
     (or the paper's single host), each reduce the fold's per-blockstep
     records.  Nothing is kept per blockstep, so a week-long run stays
-    O(1).
+    O(1).  A job feeds the fold through :class:`FoldInBatches`.
     """
     regimes = RegimeTracker()
     eff = FlopsLedger(hardware=hardware, keep=False)
@@ -414,13 +471,17 @@ def publish_headlines(
     Each ``summary()`` is taken once; the record's flat scalars and the
     state fields are both projections of that one document through the
     section's headline columns, so the bus, ``state.json``, ``status``
-    and ``metrics`` cannot disagree.
+    and ``metrics`` cannot disagree.  Only the columns those two faces
+    carry are read (a history-only column such as the regime mix is
+    the history row's business).
     """
     fields: dict[str, Any] = {}
     for name, observatory in observatories.items():
         if observatory is not None and observatory.count:
             section, doc = HEADLINE[name], observatory.summary()
-            values = section.read(doc)
+            values = {column.name: column.value(doc)
+                      for column in section.columns
+                      if column.bus or column.state}
             bus.emit(section.kind, t=t, **section.project("bus", values),
                      summary=doc)
             fields.update(section.project("state", values))

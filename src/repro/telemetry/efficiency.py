@@ -46,6 +46,7 @@ network drives one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Any, Callable, Iterable
 
 from ..constants import FLOPS_PER_INTERACTION
@@ -185,19 +186,24 @@ def _account(
 
     # self-time by loss category: everything that is not pipeline,
     # j-memory, communication or barrier time is the host's
-    pipe_us = jmem_us = comm_us = barrier_us = host_us = 0.0
-    for key, pair in record.self_us.items():
-        us = pair[column]
-        if key == T_PIPE:
-            pipe_us = us
-        elif key == JMEM:
-            jmem_us = us
-        elif key == T_COMM:
-            comm_us = us
-        elif key == T_BARRIER:
-            barrier_us = us
-        else:
-            host_us += us
+    slots = record.wall_slots if column == 0 else None
+    if slots is not None:  # the fold's phase vector, in SLOTS order
+        host_us, pipe_us, comm_us, barrier_us, other_us, jmem_us = slots
+        host_us += other_us
+    else:
+        pipe_us = jmem_us = comm_us = barrier_us = host_us = 0.0
+        for key, pair in record.self_us.items():
+            us = pair[column]
+            if key == T_PIPE:
+                pipe_us = us
+            elif key == JMEM:
+                jmem_us = us
+            elif key == T_COMM:
+                comm_us = us
+            elif key == T_BARRIER:
+                barrier_us = us
+            else:
+                host_us += us
 
     # pipeline idle: time the pipelines were busy beyond the work
     # they retired (empty lanes, streaming passes); when the span
@@ -338,7 +344,7 @@ class FlopsLedger:
         # run totals (accounting-clock domain of each record)
         self.peak_flops = 0.0
         self.real_flops = 0.0
-        self.bucket_flops: dict[str, float] = {b: 0.0 for b in BUCKETS}
+        self._bucket_flops = [0.0] * len(BUCKETS)
         self.span_us = 0.0
         self._clocks: set[str] = set()
         self._latest: BlockstepRecord | None = None
@@ -346,6 +352,11 @@ class FlopsLedger:
 
     def emit(self, event: SpanEvent) -> None:
         self.fold.emit(event)
+
+    @property
+    def span_step(self) -> Callable[..., None]:
+        """The fold's step: a tracer hands it each span's fields."""
+        return self.fold.span_step
 
     def on_blockstep(self, record: BlockstepRecord) -> None:
         account = _account(record, self.hardware)
@@ -355,9 +366,7 @@ class FlopsLedger:
         self.peak_flops += peak
         self.real_flops += real
         self.span_us += dur
-        totals = self.bucket_flops
-        for bucket, loss in zip(BUCKETS, losses):
-            totals[bucket] += loss
+        self._bucket_flops = list(map(add, self._bucket_flops, losses))
         self._clocks.add(clock)
         # the frozen per-blockstep record is for whoever asks for it
         if self._keep or self._callback is not None:
@@ -368,6 +377,11 @@ class FlopsLedger:
                 self._callback(rec)
 
     # -- views ---------------------------------------------------------------
+
+    @property
+    def bucket_flops(self) -> dict[str, float]:
+        """Run totals by loss bucket, in :data:`BUCKETS` order."""
+        return dict(zip(BUCKETS, self._bucket_flops))
 
     @property
     def latest(self) -> BlockstepEfficiency | None:
@@ -401,7 +415,7 @@ class FlopsLedger:
         """
         hw = self.hardware
         rate = hw.flops_per_us
-        buckets = dict(self.bucket_flops)
+        buckets = self.bucket_flops
         peak = self.peak_flops
         real = self.real_flops
         span_us = self.span_us

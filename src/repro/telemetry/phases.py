@@ -29,7 +29,10 @@ a span.  Everything that reads self-time is a view of it: run totals
 (:class:`PhaseBreakdown`, the service's ``phases`` record) and, per
 closing ``blockstep`` span, one in-memory :class:`BlockstepRecord`
 handed to the fold's consumers — the phase signature and the flops
-account are pure projections of that record.
+account are pure projections of that record.  A tracer hands the fold
+each span's fields directly (:meth:`SpanFold.span_step`); a retained
+:class:`~repro.telemetry.tracer.SpanEvent` goes through the same step
+(:meth:`SpanFold.emit`).
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ ROOT_SPAN = "blockstep"
 #: bucket; the phase view adds it back into ``T_pipe``).
 JMEM_SPAN = "grape.jmem_load"
 JMEM = "jmem"
+
+#: Slot order of a blockstep record's phase vector
+#: (:attr:`BlockstepRecord.wall_slots`): the phases, then :data:`JMEM`.
+SLOTS: tuple[str, ...] = (*PHASES, JMEM)
+_SLOT = {key: i for i, key in enumerate(SLOTS)}
 
 #: Span-name -> phase map for the instrumented code paths.  Explicit
 #: ``phase=`` arguments on spans always win over this table.
@@ -192,6 +200,11 @@ class BlockstepRecord:
     #: j-memory load/elision counter deltas over the blockstep.
     jmem_loads: int
     jmem_elided: int
+    #: The wall column of :attr:`self_us` in :data:`SLOTS` order (0.0
+    #: where a key is absent), cut once by the fold for its consumers;
+    #: None when a key outside :data:`SLOTS` is present or the record
+    #: was built by hand.  A view of ``self_us``, so not compared.
+    wall_slots: list[float] | None = field(default=None, compare=False)
 
     def phase_us(self, virtual: bool = False) -> dict[str, float]:
         """Self-times by *phase* in one clock (j-memory loads are
@@ -237,21 +250,83 @@ class SpanFold:
         # (name, phase) -> [count, self wall us, total wall us]
         self._spans: dict[tuple[str, str], list] = defaultdict(
             lambda: [0, 0.0, 0.0])
+        # (name, phase tag) -> (resolved phase or None to inherit, record
+        # key, its per-name summary or None, whether it cuts a record,
+        # whether a childless one takes the short path)
+        self._plans: dict[tuple[str, str | None], tuple] = {}
         # open span id -> what its closed children left behind:
         # [their wall us, their virtual us, subtree retries, subtree
-        #  self-times by key, subtree spans still waiting for a phase]
+        #  self-times by key or None, subtree spans still waiting for a
+        #  phase or None]
         self._open: dict[int, list] = {}
 
+    def _plan(self, name: str, phase: str | None) -> tuple:
+        """What a span of this name and tag does, resolved once."""
+        resolved, cuts = resolve_phase(name, phase), name == ROOT_SPAN
+        if resolved is None:
+            plan = (None, None, None, cuts, False)
+        else:
+            key = JMEM if name == JMEM_SPAN and resolved == T_PIPE else resolved
+            plan = (resolved, key, self._spans[name, resolved], cuts, not cuts)
+        self._plans[name, phase] = plan
+        return plan
+
     def emit(self, event: SpanEvent) -> None:
+        """Fold one retained event (:func:`replay`, :class:`PhaseAggregator`)."""
+        self.span_step(event.name, event.span_id, event.parent_id,
+                       event.phase, event.t_start_us, event.dur_us,
+                       event.v_dur_us, event.attrs)
+
+    def span_step(self, name: str, span_id: int, parent: int | None,
+                  phase: str | None, t_start_us: float, wall: float,
+                  virt: float | None, attrs: dict[str, Any]) -> None:
+        """Fold one closed span, given as its event's fields."""
         self.n_events += 1
-        name, wall, virt = event.name, event.dur_us, event.v_dur_us
-        parent = event.parent_id
-        attrs = event.attrs
+        resolved, key, summary, cuts, short = (
+            self._plans.get((name, phase)) or self._plan(name, phase))
         more = attrs.get("exponent_retries") if attrs else None
         retries = int(more) if more else 0
-        below = self._open.pop(event.span_id, None)
-        if below is None:  # childless, the common case: nothing to subtract
-            self_wall, self_virt, times, waiting = wall, virt, {}, []
+        below = self._open.pop(span_id, None)
+        if below is None and short and parent is not None:
+            # childless and resolved inside an open span, the common
+            # case: nothing to subtract, and its self-time is booked
+            # straight into the parent's subtree
+            self_wall = 0.0 if wall < 0.0 else wall
+            self.totals_us[resolved] += self_wall
+            summary[0] += 1
+            summary[1] += self_wall
+            summary[2] += wall
+            if virt is None:
+                pair_virt = 0.0
+            else:
+                self_virt = 0.0 if virt < 0.0 else virt
+                self.virtual_totals_us[resolved] += self_virt
+                pair_virt = 0.0 + self_virt
+            up = self._open.get(parent)
+            if up is None:  # the first child to close donates its state
+                self._open[parent] = [wall, virt or 0.0, retries,
+                                      {key: [0.0 + self_wall, pair_virt]}, None]
+                return
+            up[0] += wall
+            up[1] += virt or 0.0
+            up[2] += retries
+            mine = up[3]
+            if mine is None:
+                up[3] = {key: [0.0 + self_wall, pair_virt]}
+            else:
+                acc = mine.get(key)
+                if acc is None:
+                    mine[key] = [0.0 + self_wall, pair_virt]
+                else:
+                    acc[0] += 0.0 + self_wall
+                    acc[1] += pair_virt
+            return
+        if key is None and parent is None:
+            # inheriting with no ancestor: other, as if tagged so
+            resolved, key, summary, cuts, _ = (
+                self._plans.get((name, T_OTHER)) or self._plan(name, T_OTHER))
+        if below is None:
+            self_wall, self_virt, times, waiting = wall, virt, None, None
         else:
             self_wall = wall - below[0]
             self_virt = None if virt is None else virt - below[1]
@@ -262,27 +337,36 @@ class SpanFold:
             self_wall = 0.0
         if self_virt is not None and self_virt < 0.0:
             self_virt = 0.0
-        phase = resolve_phase(name, event.phase)
-        if phase is None and parent is None:
-            phase = T_OTHER
-        if phase is None:
-            waiting.append((name, wall, self_wall, self_virt))
-        else:  # resolves itself and all that waits beneath it
-            key = JMEM if name == JMEM_SPAN and phase == T_PIPE else phase
-            if key in times:
-                acc = times[key]
+        if resolved is None:
+            if waiting is None:
+                waiting = [(name, wall, self_wall, self_virt)]
             else:
-                acc = times[key] = [0.0, 0.0]
-            self._book(phase, acc, name, wall, self_wall, self_virt)
-            if waiting:
+                waiting.append((name, wall, self_wall, self_virt))
+        else:  # resolves itself and all that waits beneath it
+            if times is None:
+                acc = [0.0, 0.0]
+                times = {key: acc}
+            else:
+                acc = times.get(key)
+                if acc is None:
+                    acc = times[key] = [0.0, 0.0]
+            acc[0] += self_wall
+            self.totals_us[resolved] += self_wall
+            if self_virt is not None:
+                acc[1] += self_virt
+                self.virtual_totals_us[resolved] += self_virt
+            summary[0] += 1
+            summary[1] += self_wall
+            summary[2] += wall
+            if waiting is not None:
                 for span in waiting:
-                    self._book(phase, acc, *span)
-                waiting = []
+                    self._book(resolved, acc, *span)
+                waiting = None
 
-        if name == ROOT_SPAN:
+        if cuts:
             # a blockstep's subtree is its record's, not its parent's
-            self._cut(event, times, retries)
-            retries, times = 0, {}
+            self._cut(t_start_us, wall, virt, attrs, times, retries)
+            retries, times = 0, None
         if parent is None:
             if times:
                 outside, column = self.outside_us, 0 if virt is None else 1
@@ -296,22 +380,30 @@ class SpanFold:
         up[0] += wall
         up[1] += virt or 0.0
         up[2] += retries
-        mine = up[3]
-        for key, pair in times.items():
-            if key in mine:
-                acc = mine[key]
-                acc[0] += pair[0]
-                acc[1] += pair[1]
-            else:  # 0.0 + x: the pair itself
-                mine[key] = pair
-        if waiting:
-            up[4] += waiting
+        if times is not None:
+            mine = up[3]
+            if mine is None:
+                up[3] = times
+            else:
+                for key, pair in times.items():
+                    if key in mine:
+                        acc = mine[key]
+                        acc[0] += pair[0]
+                        acc[1] += pair[1]
+                    else:  # 0.0 + x: the pair itself
+                        mine[key] = pair
+        if waiting is not None:
+            if up[4] is None:
+                up[4] = waiting
+            else:
+                up[4] += waiting
 
     def _book(self, phase: str, acc: list[float], name: str, dur: float,
               self_wall: float, self_virt: float | None) -> None:
-        """Credit one span's self-time to ``phase``: the subtree
-        accumulator of the span that resolved it, the run totals and
-        the per-name summary."""
+        """Credit a span that waited for an ancestor's phase: the
+        subtree accumulator of the span that resolved it, the run
+        totals and the per-name summary (what :meth:`span_step` does
+        inline for a span that resolves itself)."""
         acc[0] += self_wall
         self.totals_us[phase] += self_wall
         if self_virt is not None:
@@ -322,12 +414,21 @@ class SpanFold:
         summary[1] += self_wall
         summary[2] += dur
 
-    def _cut(self, event: SpanEvent, times: dict[str, list[float]],
+    def _cut(self, t_start_us: float, wall: float, virt: float | None,
+             attrs: dict[str, Any], times: dict[str, list[float]] | None,
              retries: int) -> None:
         self.blocksteps += 1
         if not self.consumers:
             return
-        attrs = event.attrs
+        if times is None:
+            times = {}
+        slots = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        for key, pair in times.items():
+            slot = _SLOT.get(key)
+            if slot is None:  # a phase tag outside the taxonomy
+                slots = None
+                break
+            slots[slot] = pair[0]
         t = attrs.get("t")
         # positional, in BlockstepRecord's field order
         record = BlockstepRecord(
@@ -335,13 +436,14 @@ class SpanFold:
             None if t is None else float(t),
             int(attrs.get("n", 0) or 0),
             int(attrs.get("n_block", 0) or 0),
-            float(event.t_start_us),
-            float(event.dur_us),
-            event.v_dur_us,
+            float(t_start_us),
+            float(wall),
+            virt,
             times,
             retries,
             int(attrs.get("jmem_loads", 0) or 0),
             int(attrs.get("jmem_elided", 0) or 0),
+            slots,
         )
         for consumer in self.consumers:
             consumer.on_blockstep(record)

@@ -39,6 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, truediv
 from typing import Any, Callable
 
 import numpy as np
@@ -65,6 +67,7 @@ VECTOR_LENGTH = 1 + N_BUCKETS + len(PHASES) + 1
 #: in :data:`PHASES` order), and where a blockstep record's self-time
 #: keys land in that order (j-memory loads are ``T_pipe`` time).
 _SHARE_0 = 1 + N_BUCKETS
+_SHARE_END = _SHARE_0 + len(PHASES)
 _PHASE_SLOT = {**{p: i for i, p in enumerate(PHASES)},
                JMEM: PHASES.index(T_PIPE)}
 
@@ -101,17 +104,23 @@ def _elision_fraction(loads: int, elided: int) -> float:
 def _phase_shares(record: BlockstepRecord) -> list[float]:
     """A blockstep record's wall-clock phase shares in :data:`PHASES`
     order: ``normalise_shares(record.phase_us())`` taken in one pass."""
-    us = [0.0] * len(PHASES)
-    for key, pair in record.self_us.items():
-        if key in _PHASE_SLOT:
-            us[_PHASE_SLOT[key]] += pair[0]
-    for i, phase_us in enumerate(us):
-        if phase_us < 0.0:
-            us[i] = 0.0
+    slots = record.wall_slots
+    if slots is not None:
+        # the fold's sums of clamped self-times: nothing to clamp
+        host, pipe, comm, barrier, other, jmem = slots
+        us = [host, pipe + jmem, comm, barrier, other]
+    else:
+        us = [0.0] * len(PHASES)
+        for key, pair in record.self_us.items():
+            if key in _PHASE_SLOT:
+                us[_PHASE_SLOT[key]] += pair[0]
+        for i, phase_us in enumerate(us):
+            if phase_us < 0.0:
+                us[i] = 0.0
     total = sum(us)
     if total <= 0.0:
         return [0.0] * len(PHASES)
-    return [phase_us / total for phase_us in us]
+    return list(map(truediv, us, repeat(total)))
 
 
 def _write_vector(v: np.ndarray, active: float, block_size: int,
@@ -294,6 +303,11 @@ class SignatureRecorder:
     def emit(self, event: SpanEvent) -> None:
         self.fold.emit(event)
 
+    @property
+    def span_step(self) -> Callable[..., None]:
+        """The fold's step: a tracer hands it each span's fields."""
+        return self.fold.span_step
+
     def on_blockstep(self, record: BlockstepRecord) -> None:
         sig = PhaseSignature.from_blockstep(record)
         self.count += 1
@@ -326,8 +340,14 @@ class StreamingKMeans:
         self.spawn_distance = float(spawn_distance)
         self.counts: list[int] = []
         # the centroids are the first k rows of one (k_max, d) array,
-        # made when the first vector says what d is
+        # made when the first vector says what d is, beside the buffers
+        # a learning step writes into
         self._rows: np.ndarray | None = None
+        self._buffers: tuple[np.ndarray, ...] = ()
+        self._row_views: list[tuple[np.ndarray, ...]] = []
+        # (centroids, residuals, their squares, squared distances): the
+        # first k rows of each, taken again only when k grows
+        self._live: tuple[np.ndarray, ...] = ()
 
     @property
     def k(self) -> int:
@@ -383,21 +403,39 @@ class StreamingKMeans:
 
     def _learn(self, v: np.ndarray) -> int:
         """:meth:`update` of a vector known to be a float64 vector of
-        the model's length (the regime tracker's own buffer)."""
+        the model's length (the regime tracker's own buffer).  The
+        arithmetic of :meth:`_nearest` and of ``row += (v - row) /
+        count``, each step written into a buffer; ``v - row`` is the
+        negated residual, so the row takes ``residual / count`` off."""
         counts = self.counts
         k = len(counts)
         if k:
-            idx, dist = self._nearest(self._rows[:k], v)
-            if not (dist > self.spawn_distance and k < self.k_max):
+            rows, diff, sq, d2 = self._live
+            np.subtract(rows, v, out=diff)
+            np.multiply(diff, diff, out=sq)
+            np.add.reduce(sq, axis=1, out=d2)
+            idx = int(d2.argmin())
+            if not (math.sqrt(d2[idx]) > self.spawn_distance
+                    and k < self.k_max):
                 counts[idx] += 1
-                row = self._rows[idx]
-                row += (v - row) / counts[idx]
+                row, residual, step = self._row_views[idx]
+                np.divide(residual, counts[idx], out=step)
+                np.subtract(row, step, out=row)
                 return idx
         else:
-            self._rows = np.zeros((self.k_max, v.size), dtype=np.float64)
+            shape = (self.k_max, v.size)
+            self._rows = np.zeros(shape, dtype=np.float64)
+            self._buffers = (np.empty(shape), np.empty(shape),
+                             np.empty(self.k_max))
+            step = np.empty(v.size)
+            # per centroid: (its row, its residual, the step buffer)
+            self._row_views = [(row, residual, step) for row, residual in
+                               zip(self._rows, self._buffers[0])]
         self._rows[k] = v
-        self.counts.append(1)
-        return k
+        counts.append(1)
+        k += 1
+        self._live = (self._rows[:k], *(b[:k] for b in self._buffers))
+        return k - 1
 
 
 # -- regime tracking --------------------------------------------------------
@@ -471,8 +509,13 @@ class RegimeTracker:
         self._pending: int | None = None
         self._pending_count = 0
         self._acc: dict[int, _RegimeAccount] = {}
-        # every signature's vector is written here and learnt from
-        self._buffer = np.empty(VECTOR_LENGTH, dtype=np.float64)
+        # every signature's vector is written here and learnt from; only
+        # the entries that change are rewritten, so the tracker remembers
+        # which block-size bucket the buffer has lit (-1: none) and the
+        # elision fraction it holds
+        self._buffer = np.zeros(VECTOR_LENGTH, dtype=np.float64)
+        self._lit = -1
+        self._elision = 0.0
 
     def update(self, sig: PhaseSignature) -> int:
         """Feed one signature; returns the (smoothed) current regime."""
@@ -493,10 +536,21 @@ class RegimeTracker:
                wall_us: float, n: int, block_size: int, shares: list[float],
                jmem_loads: int, jmem_elided: int) -> int:
         """The one learning step: vector, k-means, account, hold."""
-        active = _active_fraction(block_size, n)
-        _write_vector(self._buffer, active, block_size, shares,
-                      _elision_fraction(jmem_loads, jmem_elided))
-        raw = self.kmeans._learn(self._buffer)
+        # what _write_vector writes, over the previous blockstep's vector
+        v = self._buffer
+        v[0] = active = _active_fraction(block_size, n)
+        bucket = _log2_bucket(block_size)
+        if bucket != self._lit:
+            if self._lit >= 0:
+                v[1 + self._lit] = 0.0
+            if bucket >= 0:
+                v[1 + bucket] = 1.0
+            self._lit = bucket
+        v[_SHARE_0:_SHARE_END] = shares
+        elision = _elision_fraction(jmem_loads, jmem_elided)
+        if elision != self._elision:
+            v[-1] = self._elision = elision
+        raw = self.kmeans._learn(v)
         acc = self._acc.get(raw)
         if acc is None:
             acc = self._acc[raw] = _RegimeAccount()
@@ -504,7 +558,7 @@ class RegimeTracker:
         acc.wall_us += wall_us
         acc.block += block_size
         acc.active += active
-        acc.shares = [a + s for a, s in zip(acc.shares, shares)]
+        acc.shares = list(map(add, acc.shares, shares))
         acc.jmem_loads += jmem_loads
         acc.jmem_elided += jmem_elided
 
@@ -553,8 +607,11 @@ class RegimeTracker:
         """(regime id, share of blocksteps) of the most common regime."""
         if not self._acc or self.count == 0:
             return None, 0.0
-        regime = max(self._acc, key=lambda r: self._acc[r].count)
-        return regime, self._acc[regime].count / self.count
+        regime, most = None, 0
+        for candidate, acc in self._acc.items():  # the first of equals
+            if acc.count > most:
+                regime, most = candidate, acc.count
+        return regime, most / self.count
 
     def lane(self, max_runs: int = 24) -> str:
         """Compact run-length regime sequence, e.g. ``0x41 1x7 0x12``
@@ -567,6 +624,8 @@ class RegimeTracker:
         """Schema-tagged regime summary for artifacts and bus records."""
         dominant, share = self.dominant_regime()
         regimes = []
+        # an account exists only once a blockstep has been counted in it,
+        # so no count below is zero
         for regime in sorted(self._acc):
             acc = self._acc[regime]
             c = acc.count
@@ -574,12 +633,12 @@ class RegimeTracker:
                 {
                     "regime": regime,
                     "count": c,
-                    "share": c / self.count if self.count else 0.0,
-                    "mean_block_size": acc.block / c if c else 0.0,
-                    "mean_active_fraction": acc.active / c if c else 0.0,
-                    "mean_wall_us": acc.wall_us / c if c else 0.0,
-                    "shares": {p: share / c if c else 0.0
-                               for p, share in zip(PHASES, acc.shares)},
+                    "share": c / self.count,
+                    "mean_block_size": acc.block / c,
+                    "mean_active_fraction": acc.active / c,
+                    "mean_wall_us": acc.wall_us / c,
+                    "shares": dict(zip(PHASES,
+                                       map(truediv, acc.shares, repeat(c)))),
                     "jmem_loads": acc.jmem_loads,
                     "jmem_elided": acc.jmem_elided,
                 }

@@ -1,9 +1,12 @@
-"""Span-event sinks: in-memory and the streaming fold.
+"""Span sinks: in-memory and the streaming fold.
 
-A sink is anything with ``emit(event)``; optionally it may also
-release resources (``close()``).  The tracer delivers every finished
-span to each of its sinks in order, so sinks must stay cheap.  A trace kept on disk is a
-Chrome trace document, written on close by
+A sink is anything with ``span_step(name, span_id, parent_id, phase,
+t_start_us, dur_us, v_dur_us, attrs)`` — a fold, handed each finished
+span's fields — or with ``emit(event)``, handed one
+:class:`~repro.telemetry.tracer.SpanEvent` per span; optionally it may
+also release resources (``close()``).  The tracer delivers every
+finished span to each of its sinks, so sinks must stay cheap.  A trace
+kept on disk is a Chrome trace document, written on close by
 :class:`repro.telemetry.TimelineSink`.
 """
 

@@ -9,7 +9,7 @@ the reproduction: code brackets its phases in spans ::
     with tracer.span("corrector", phase=T_HOST, n_active=k):
         ...
 
-and every finished span becomes a :class:`SpanEvent` carrying
+and every finished span is described by
 
 * wall-clock start/duration (``time.perf_counter``, microseconds),
 * optional *virtual*-clock start/duration when the tracer is wired to
@@ -18,6 +18,11 @@ and every finished span becomes a :class:`SpanEvent` carrying
 * nesting structure (id/parent/depth) so an aggregator can compute
   self-times without double counting,
 * free-form attributes (block size, bytes, retry counts, ...).
+
+A sink that folds spans (it has a ``span_step``: the span fold of
+:mod:`repro.telemetry.phases` and the observatories that own one) is
+handed those fields directly, one call a span; a :class:`SpanEvent`
+is built once, and only when some sink keeps events (``emit``).
 
 Disabled tracing is the default and is engineered to be near-free: one
 attribute test and the return of a shared no-op context manager per
@@ -74,20 +79,15 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
+_new_span = object.__new__
 
 
 class _Span:
-    """Live span: times itself and reports to its tracer on exit."""
+    """Live span: times itself and reports to its tracer on exit.  Made
+    only by :meth:`Tracer.span`, which fills its first four slots."""
 
     __slots__ = ("_tracer", "name", "phase", "attrs", "span_id", "parent_id",
-                 "depth", "_t0", "_v0")
-
-    def __init__(self, tracer: "Tracer", name: str, phase: str | None,
-                 attrs: dict[str, Any]) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.phase = phase
-        self.attrs = attrs
+                 "_t0", "_v0")
 
     def set(self, **attrs: Any) -> "_Span":
         """Attach attributes discovered mid-span (e.g. a result count)."""
@@ -101,12 +101,10 @@ class _Span:
         stack = tr._stack
         if stack:
             self.parent_id = stack[-1].span_id
-            self.depth = len(stack)
         else:
             # only a top-level span can be the first a thread opens:
             # the stack belongs to one thread while it is non-empty
             self.parent_id = None
-            self.depth = 0
             tr._owner_thread = get_ident()
         stack.append(self)
         clock = tr.virtual_clock
@@ -114,22 +112,26 @@ class _Span:
         self._t0 = perf_counter()
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
         t1 = perf_counter()
         tr = self._tracer
         clock = tr.virtual_clock
         v0 = self._v0
         tr._stack.pop()
         t0 = self._t0
-        # positional, in SpanEvent's field order
-        event = SpanEvent(
-            self.name, self.span_id, self.parent_id, self.depth,
-            (t0 - tr._epoch) * 1.0e6, (t1 - t0) * 1.0e6, self.phase,
-            v0, None if clock is None else float(clock()) - (v0 or 0.0),
-            self.attrs,
-        )
-        for sink in tr.sinks:
-            sink.emit(event)
+        start, dur = (t0 - tr._epoch) * 1.0e6, (t1 - t0) * 1.0e6
+        v_dur = None if clock is None else float(clock()) - (v0 or 0.0)
+        for step in tr._steps:
+            step(self.name, self.span_id, self.parent_id, self.phase, start,
+                 dur, v_dur, self.attrs)
+        if tr._emits:
+            # positional, in SpanEvent's field order; spans close last
+            # opened first, so the stack is back at this span's depth
+            event = SpanEvent(self.name, self.span_id, self.parent_id,
+                              len(tr._stack), start, dur, self.phase, v0,
+                              v_dur, self.attrs)
+            for emit in tr._emits:
+                emit(event)
         return False
 
 
@@ -147,8 +149,11 @@ class Tracer:
         Master switch.  When False, :meth:`span` returns a shared no-op
         context manager.
     sinks:
-        Objects with ``emit(event)`` (see :mod:`repro.telemetry.sinks`);
-        every finished span is delivered to each in order.
+        Objects with ``span_step(name, span_id, parent_id, phase,
+        t_start_us, dur_us, v_dur_us, attrs)`` (a span fold) or with
+        ``emit(event)`` (see :mod:`repro.telemetry.sinks`); every
+        finished span is delivered to each: first to the folds, then
+        as one :class:`SpanEvent` to the others, each group in order.
     virtual_clock:
         Optional zero-argument callable returning the simulated
         machine's time in microseconds (typically
@@ -164,12 +169,27 @@ class Tracer:
         virtual_clock: Callable[[], float] | None = None,
     ) -> None:
         self.enabled = bool(enabled)
-        self.sinks: list = list(sinks) if sinks is not None else []
+        self.sinks = sinks if sinks is not None else ()
         self.virtual_clock = virtual_clock
         self._stack: list[_Span] = []
         self._serial = 0
         self._epoch = perf_counter()
         self._owner_thread: int | None = None
+
+    # -- sinks ----------------------------------------------------------------
+
+    @property
+    def sinks(self) -> tuple:
+        """The sinks, in the order given."""
+        return self._sinks
+
+    @sinks.setter
+    def sinks(self, sinks) -> None:
+        self._sinks = tuple(sinks)
+        steps = [getattr(sink, "span_step", None) for sink in self._sinks]
+        self._steps = tuple(step for step in steps if step is not None)
+        self._emits = tuple(sink.emit for sink, step in zip(self._sinks, steps)
+                            if step is None)
 
     # -- spans ----------------------------------------------------------------
 
@@ -182,7 +202,10 @@ class Tracer:
         """
         if not self.enabled:
             return _NULL_SPAN
-        return _Span(self, name, phase, attrs)
+        # allocated without an __init__ call: one Python call fewer a span
+        span = _new_span(_Span)
+        span._tracer, span.name, span.phase, span.attrs = self, name, phase, attrs
+        return span
 
     # -- introspection (the sampling profiler's view) -------------------------
 

@@ -29,7 +29,9 @@ at once:
   force comes back, the state untouched; a bus consumer that raises on
   every record leaves a supervisor job on the reference bits, with every
   record archived and each error counted in the closing ``consumers:``
-  line.
+  line; a bus archive whose last line a kill tore in half is cut back to
+  its last whole line on resume, and the job ends on the reference bits
+  with one unbroken record sequence.
 """
 
 import ast
@@ -58,6 +60,7 @@ from repro.service.bus import SnapshotBus
 from repro.service.consumers import read_archive
 from repro.service.jobs import (
     RUN_ALGORITHMS,
+    JobError,
     JobSpec,
     build_backend,
     build_integrator,
@@ -96,7 +99,9 @@ class Cell:
     boards: int = 1
     hook: bool = False  # a compute-cost hook advances the virtual clocks
     # "pos" | "vel": NaN at the first kill point; "consumer": a supervisor
-    # job whose bus carries a consumer that raises on every record
+    # job whose bus carries a consumer that raises on every record;
+    # "torn_archive": a supervisor job stopped at its kill point with the
+    # last archive line torn, then resumed
     fault: str | None = None
     extra: tuple = ()  # more run params, as sorted items
     golden: tuple = field(default=(), compare=False)  # (digest field, value) pairs
@@ -217,6 +222,8 @@ def run_and_digest(cell):
     each kill point, check what its observers saw, and digest it."""
     if cell.fault == "consumer":
         return supervise_with_a_raising_consumer(cell)
+    if cell.fault == "torn_archive":
+        return supervise_with_a_torn_archive(cell)
     params = cell.params()
     system, seen, integ = build_system(params), [], None
     with tempfile.TemporaryDirectory() as tmp:
@@ -311,6 +318,44 @@ def supervise_with_a_raising_consumer(cell):
         for name in ("archive", "progress"):
             assert counts[name] == {"delivered": len(records), "errors": 0}
         final = read_checkpoint(sup.paths.latest_checkpoint())
+    return digest(restore_integrator(final, backend=build_backend(cell.params())), None)
+
+
+def supervise_with_a_torn_archive(cell):
+    """Run ``cell`` as a supervisor job stopped at its kill point, tear
+    the last archive line (40 bytes off the end, as a kill inside the
+    write leaves it) and resume, and digest the final checkpoint.  A
+    whole last line that does not parse stops the resume with the
+    archive named and nothing written; a torn one is cut back to the
+    last newline, its bytes reported in the ``discontinuity`` record,
+    and the records are numbered 0 ... n - 1 across the seam."""
+    (stop,) = cell.kill
+    doc = {"schema": "repro.job/1", "kind": "run", "name": "torn", "params": cell.params(),
+           "checkpoint_every": 8, "sample_every": 4, "max_blocksteps": stop}
+    with tempfile.TemporaryDirectory() as tmp:
+        sup = Supervisor.submit(JobSpec.from_dict(doc), Path(tmp) / "torn")
+        assert sup.execute() == "interrupted"
+        paths = sup.paths
+        spec = json.loads(paths.spec.read_text())
+        del spec["max_blocksteps"]
+        paths.spec.write_text(json.dumps(spec))
+        whole = paths.archive.read_bytes()
+        torn = whole[:-40]
+        kept = torn.rfind(b"\n") + 1
+        assert 0 < kept < len(torn)  # the cut lands inside the last line
+        paths.archive.write_bytes(torn[:kept] + b"not a record\n")
+        before = {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()}
+        with pytest.raises(JobError, match=str(paths.archive)):
+            sup.execute(resume=True)
+        assert {p: p.read_bytes() for p in paths.root.rglob("*") if p.is_file()} == before
+        paths.archive.write_bytes(torn)
+        assert sup.execute(resume=True) == "completed"
+        records = read_archive(paths.archive)
+        assert [r.seq for r in records] == list(range(len(records)))
+        (seam,) = [r for r in records if r.kind == "discontinuity"]
+        assert seam.seq == whole[:kept].count(b"\n")
+        assert seam.payload["torn_archive_bytes"] == len(torn) - kept
+        final = read_checkpoint(paths.latest_checkpoint())
     return digest(restore_integrator(final, backend=build_backend(cell.params())), None)
 
 
@@ -421,6 +466,7 @@ CELLS = [
     *(Cell(force=force, seed=3, t_end=1.0, kill=(5,), fault=what, golden=(("raises", error),))
       for force, error in ERRORS.items() for what in ("pos", "vel")),
     Cell(n=16, seed=4, t_end=0.125, observe=False, fault="consumer"),
+    Cell(n=16, seed=4, t_end=0.125, observe=False, kill=(12,), fault="torn_archive"),
 ]
 
 

@@ -17,6 +17,12 @@ moved:
     ``outside_us`` and every :class:`BlockstepRecord`;
 (c) the ledger's running totals against the sums over
     :meth:`BlockstepEfficiency.from_blockstep` of the same records;
+(d) the tracer's direct path (a fold handed each span's fields, no
+    :class:`SpanEvent` built) against the event path (an
+    :class:`InMemorySink` whose events are replayed), bit for bit, on
+    the span trees of (b) and of ``tests/property/test_prop_span_fold.py``
+    driven through real tracers on a scripted clock — and the run job's
+    way, the same fields held and folded in batches;
 
 and that the chain stays on its budget without reading a clock:
 ``cProfile``'s call count for the replayed blockstep.
@@ -27,6 +33,7 @@ import json
 import pickle
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,15 +56,20 @@ from repro.telemetry import (
     BlockstepEfficiency,
     BlockstepRecord,
     FlopsLedger,
+    InMemorySink,
     PhaseSignature,
     RegimeTracker,
     SignatureRecorder,
     SpanEvent,
     SpanFold,
     StreamingKMeans,
+    Tracer,
     normalise_shares,
+    replay,
 )
+from repro.service import supervisor as supervisor_mod
 from repro.telemetry.phases import JMEM, JMEM_SPAN, ROOT_SPAN
+from tests.property.test_prop_span_fold import forests as unnested_forests
 
 # -- (a) the golden regime stream --------------------------------------------
 
@@ -469,6 +481,110 @@ class TestLedgerTotals:
         for record in records:
             quiet.on_blockstep(record)
         assert quiet.summary() == ledger.summary()
+
+
+# -- (d) the direct path is the event path -------------------------------------
+
+
+class ScriptedClock:
+    """Whole seconds of wall and virtual time that the driver moves by
+    hand, so every duration a tracer computes is an exact float."""
+
+    def __init__(self):
+        self.wall = self.virt = 0
+
+    def read_wall(self):
+        return float(self.wall)
+
+    def read_virt(self):
+        return float(self.virt)
+
+
+def traced(forest, virtual, sinks):
+    """Close ``forest`` through a tracer on a scripted clock: each span
+    opens, its children run, then its own self-times pass."""
+    clock, opened = ScriptedClock(), [0]
+
+    def run(tracer, node):
+        opened[0] += 1
+        serial = opened[0]
+        attrs = {"exponent_retries": node["retries"]} if node["retries"] else {}
+        if node["name"] == ROOT_SPAN:
+            attrs.update(n_block=1 + serial % 5, n=8, t=serial / 8,
+                         jmem_loads=serial % 3, jmem_elided=serial % 2)
+        with tracer.span(node["name"], node["phase"], **attrs):
+            for kid in node["kids"]:
+                run(tracer, kid)
+            clock.wall += node["self_wall"]
+            clock.virt += node["self_virt"]
+
+    with mock.patch("repro.telemetry.tracer.perf_counter", clock.read_wall):
+        tracer = Tracer(enabled=True, sinks=sinks,
+                        virtual_clock=clock.read_virt if virtual else None)
+        for root in forest:
+            run(tracer, root)
+    return tracer
+
+
+def said_by_fold(fold, records):
+    """Everything a fold says, and the records it cut, as bytes (floats
+    by their bits, dicts in their order)."""
+    return pickle.dumps((
+        fold.n_events, fold.blocksteps, dict(fold.totals_us),
+        dict(fold.virtual_totals_us), fold.outside_us,
+        [(s.name, s.phase, s.count, s.self_us, s.total_us)
+         for s in fold.breakdown().spans],
+        [(r, r.wall_slots) for r in records]))
+
+
+class TestDirectPathIsTheEventPath:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(forests, unnested_forests))
+    def test_folds_and_event_sinks(self, case):
+        forest, virtual = case
+        direct, events, mixed = Grab(), InMemorySink(), Grab()
+        alone = InMemorySink()
+        folds = [SpanFold([direct]), SpanFold([mixed])]
+        traced(forest, virtual, [folds[0]])
+        traced(forest, virtual, [events])
+        traced(forest, virtual, [folds[1], alone])
+        replayed = Grab()
+        fold = replay(events.events, replayed)
+        said = said_by_fold(fold, replayed.records)
+        assert said_by_fold(folds[0], direct.records) == said
+        # a fold beside an event sink: the fold as if alone, the sink
+        # handed the very events a tracer without folds builds
+        assert said_by_fold(folds[1], mixed.records) == said
+        assert pickle.dumps(alone.events) == pickle.dumps(events.events)
+        # a run job's sink: held, folded whenever three spans wait, and
+        # the rest at the end
+        batched = Grab()
+        held = supervisor_mod.FoldInBatches(SpanFold([batched]))
+        with mock.patch.object(supervisor_mod, "FOLD_BATCH", 3):
+            traced(forest, virtual, [held])
+        assert said_by_fold(held.drain(), batched.records) == said
+        # the cut phase vector is the record's wall column in slot order
+        for record in direct.records:
+            if record.wall_slots is not None:
+                assert record.wall_slots == [
+                    record.self_us.get(key, [0.0])[0] for key in (*PHASES, JMEM)]
+            else:
+                assert set(record.self_us) - {*PHASES, JMEM}
+
+    @settings(max_examples=60, deadline=None)
+    @given(forests)
+    def test_observatories_as_tracer_sinks(self, case):
+        forest, virtual = case
+        direct = [SignatureRecorder(), FlopsLedger()]
+        traced(forest, virtual, direct)
+        events = InMemorySink()
+        traced(forest, virtual, [events])
+        replayed = [SignatureRecorder(), FlopsLedger()]
+        for observatory in replayed:
+            replay(events.events, observatory)
+        assert direct[0].signatures == replayed[0].signatures
+        assert direct[1].records == replayed[1].records
+        assert direct[1].summary() == replayed[1].summary()
 
 
 # -- the budget, without a clock -----------------------------------------------
