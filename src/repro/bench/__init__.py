@@ -47,20 +47,6 @@ from .compare import (
     compare_benchmark,
 )
 from .env import environment_fingerprint
-from .history import (
-    DEFAULT_HISTORY_PATH,
-    HISTORY_SCHEMA,
-    HistoryError,
-    TrajectoryPoint,
-    artifact_row,
-    env_key,
-    ingest_artifact,
-    prune_history,
-    read_history,
-    render_history_plot,
-    render_history_table,
-    trajectory,
-)
 from .comm import CommCapture, capture_comm_ledger
 from .profiling import (
     ATTRIBUTION_RULES,
@@ -107,18 +93,6 @@ __all__ = [
     "compare_artifacts",
     "compare_benchmark",
     "environment_fingerprint",
-    "HISTORY_SCHEMA",
-    "DEFAULT_HISTORY_PATH",
-    "HistoryError",
-    "TrajectoryPoint",
-    "artifact_row",
-    "env_key",
-    "ingest_artifact",
-    "prune_history",
-    "read_history",
-    "render_history_table",
-    "render_history_plot",
-    "trajectory",
     "CommCapture",
     "capture_comm_ledger",
     "per_regime_efficiency",

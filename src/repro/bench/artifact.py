@@ -9,12 +9,11 @@ model-vs-measured ratios).  The schema is versioned so the regression
 gate can refuse artifacts it does not understand instead of
 mis-reading them.
 
-Optional root keys thread reproducibility through to the history
-store (:mod:`repro.bench.history`): ``seed`` (the ``--seed`` override
-applied to every benchmark's workload), ``tag`` (a free-form label
-such as ``post-vectorise``) and ``exec_backend`` (the
-``--exec-backend`` override applied to every benchmark that dispatches
-rank compute).  All are validated when present.
+Optional root keys record how the run can be repeated: ``seed`` (the
+``--seed`` override applied to every benchmark's workload) and
+``exec_backend`` (the ``--exec-backend`` override applied to every
+benchmark that dispatches rank compute).  Both are validated when
+present.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ ARTIFACT_SPEC = {
         "suite": None,
         "environment": None,
         "seed": opt(int),
-        "tag": opt(str),
-        "notes": opt(str),
         "exec_backend": opt(str),
         "benchmarks": list_of({"fields": {
             "name": None,

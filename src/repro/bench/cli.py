@@ -1,5 +1,5 @@
-"""``python -m repro.bench`` — run / compare / report / profile /
-history / list.
+"""``python -m repro.bench`` — run / compare / calibrate / ledger /
+sample / report / profile / list.
 
 Exit codes are CI-facing and deliberate:
 
@@ -27,25 +27,13 @@ from ..perfmodel.calibrate import (
     save_calibration,
 )
 from ..service.jobs import RUN_PARAMS
-from ..telemetry import (
-    SignatureError,
-    artifact_metrics,
-    write_openmetrics,
-    write_timeline,
-)
+from ..telemetry import SignatureError, write_timeline
 from .artifact import ArtifactError, read_artifact, write_artifact
 from .comm import capture_comm_ledger
-from .compare import compare_artifacts
-from .history import (
+from .compare import (
     DEFAULT_DRIFT_THRESHOLD,
-    DEFAULT_HISTORY_PATH,
     DEFAULT_REL_THRESHOLD,
-    HistoryError,
-    ingest_artifact,
-    prune_history,
-    read_history,
-    render_history_plot,
-    render_history_table,
+    compare_artifacts,
 )
 from .profiling import flight_record_benchmark, profile_benchmark
 from .registry import REGISTRY
@@ -84,8 +72,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             names=args.bench or None,
             progress=lambda line: print(f"  {line}", file=sys.stderr),
             seed=args.seed,
-            tag=args.tag,
-            notes=args.notes,
             exec_backend=args.exec_backend,
         )
     except KeyError as exc:
@@ -96,11 +82,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {args.out} ({len(artifact['benchmarks'])} benchmarks)")
     else:
         print(json.dumps(artifact, indent=2, sort_keys=True))
-    if args.metrics:
-        samples = artifact_metrics(artifact)
-        path = write_openmetrics(args.metrics, samples)
-        print(f"wrote {path} ({len(samples)} metric samples)",
-              file=sys.stderr)
     return 0
 
 
@@ -315,64 +296,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_history(args: argparse.Namespace) -> int:
-    if args.history_command == "ingest":
-        appended_any = False
-        for artifact_path in args.artifacts:
-            artifact = read_artifact(artifact_path)
-            row, appended = ingest_artifact(
-                artifact, args.history, force=args.force, notes=args.notes
-            )
-            appended_any = appended_any or appended
-            status = "ingested" if appended else "already present (skipped)"
-            print(
-                f"{artifact_path}: {status} "
-                f"[suite {row['suite']}, env {row['env_key']}, "
-                f"rev {(row['git_revision'] or '-')[:10]}]"
-            )
-        rows = read_history(args.history)
-        print(f"{args.history}: {len(rows)} rows")
-        return 0
-    if args.history_command == "prune":
-        if not args.drop_env and not args.keep_env and args.keep_last is None:
-            print("error: nothing to prune (pass --drop-env/--keep-env "
-                  "and/or --keep-last)", file=sys.stderr)
-            return 2
-        kept, dropped = prune_history(
-            args.history,
-            drop_envs=args.drop_env or (),
-            keep_envs=args.keep_env or (),
-            keep_last=args.keep_last,
-            dry_run=args.dry_run,
-        )
-        verb = "would drop" if args.dry_run else "dropped"
-        print(f"{args.history}: {verb} {dropped} row(s), kept {kept}")
-        return 0
-    rows = read_history(args.history)
-    if args.history_command == "table":
-        print(
-            render_history_table(
-                rows,
-                fmt=args.format,
-                suite=args.suite,
-                env=args.env,
-            )
-        )
-        return 0
-    if args.history_command == "plot":
-        print(
-            render_history_plot(
-                rows,
-                suite=args.suite,
-                env=args.env,
-                benchmarks=args.bench or None,
-                width=args.width,
-            )
-        )
-        return 0
-    raise AssertionError(f"unhandled history command {args.history_command!r}")
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     for bench in REGISTRY:
@@ -422,18 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the workload seed of every benchmark "
                        "(recorded in the artifact for reproducibility)")
-    p_run.add_argument("--tag", default=None,
-                       help="free-form label recorded in the artifact and "
-                       "its history row (e.g. 'post-vectorise')")
-    p_run.add_argument("--notes", default=None,
-                       help="free-text provenance recorded in the artifact "
-                       "and its history row (e.g. 'dedicated box, "
-                       "governor pinned')")
-    p_run.add_argument("--metrics", default=None, metavar="PATH",
-                       help="also write the artifact's headline gauges "
-                       "(wall medians, fraction of peak, rank skew / "
-                       "utilisation) as an OpenMetrics text file "
-                       "scrapeable by Prometheus")
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="regression gate: current vs baseline")
@@ -547,65 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--format", choices=("text", "json"), default="text")
     p_prof.set_defaults(func=_cmd_profile)
 
-    p_hist = sub.add_parser(
-        "history",
-        help="bench trajectory across commits (ingest / table / plot)")
-    hist_sub = p_hist.add_subparsers(dest="history_command", required=True)
-
-    def _hist_common(p):
-        p.add_argument("--history", default=str(DEFAULT_HISTORY_PATH),
-                       help=f"history file (default {DEFAULT_HISTORY_PATH})")
-
-    p_ing = hist_sub.add_parser(
-        "ingest", help="append BENCH_*.json artifacts to the history")
-    p_ing.add_argument("artifacts", nargs="+",
-                       help="artifact files to ingest")
-    p_ing.add_argument("--force", action="store_true",
-                       help="append even if the (env, revision, suite, "
-                       "label) key already exists")
-    p_ing.add_argument("--notes", default=None,
-                       help="free-text provenance attached to the ingested "
-                       "row(s), overriding any notes in the artifact")
-    _hist_common(p_ing)
-    p_ing.set_defaults(func=_cmd_history)
-
-    p_tab = hist_sub.add_parser(
-        "table", help="render the per-suite trajectory table")
-    p_tab.add_argument("--suite", default=None,
-                       help="restrict to one suite")
-    p_tab.add_argument("--env", default=None,
-                       help="restrict to one environment fingerprint key")
-    p_tab.add_argument("--format", choices=("text", "markdown"),
-                       default="text")
-    _hist_common(p_tab)
-    p_tab.set_defaults(func=_cmd_history)
-
-    p_plot = hist_sub.add_parser(
-        "plot", help="terminal sparklines of median wall time per ingest")
-    p_plot.add_argument("--suite", default=None)
-    p_plot.add_argument("--env", default=None)
-    p_plot.add_argument("--bench", action="append",
-                        help="restrict to this benchmark (repeatable)")
-    p_plot.add_argument("--width", type=int, default=48)
-    _hist_common(p_plot)
-    p_plot.set_defaults(func=_cmd_history)
-
-    p_prune = hist_sub.add_parser(
-        "prune", help="drop retired environments / trim old rows")
-    p_prune.add_argument("--drop-env", action="append", metavar="KEY",
-                         help="drop every row of this environment "
-                         "fingerprint key (repeatable)")
-    p_prune.add_argument("--keep-env", action="append", metavar="KEY",
-                         help="keep only rows of these environment keys "
-                         "(repeatable; mutually exclusive with --drop-env)")
-    p_prune.add_argument("--keep-last", type=int, default=None, metavar="N",
-                         help="keep only the newest N rows per "
-                         "(env, suite, label) series")
-    p_prune.add_argument("--dry-run", action="store_true",
-                         help="report what would be dropped without writing")
-    _hist_common(p_prune)
-    p_prune.set_defaults(func=_cmd_history)
-
     p_list = sub.add_parser("list", help="list registered benchmarks")
     p_list.add_argument("--format", choices=("text", "json"), default="text")
     p_list.set_defaults(func=_cmd_list)
@@ -618,7 +470,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArtifactError, HistoryError, CalibrationError, SignatureError) as exc:
+    except (ArtifactError, CalibrationError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

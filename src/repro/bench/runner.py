@@ -176,8 +176,6 @@ def run_suite(
     registry: BenchmarkRegistry | None = None,
     progress=None,
     seed: int | None = None,
-    tag: str | None = None,
-    notes: str | None = None,
     exec_backend: str | None = None,
 ) -> dict[str, Any]:
     """Run every benchmark in ``suite`` and return a validated artifact.
@@ -185,13 +183,10 @@ def run_suite(
     ``names`` restricts the run to a subset of the suite; ``progress``
     is an optional callable receiving one line per benchmark.  ``seed``
     overrides the workload seed of every benchmark that takes one, and
-    ``tag`` labels the artifact (both land in the artifact root, so
-    history rows stay reproducible and searchable).  ``notes`` is
-    free-text provenance ("dedicated box, governor pinned") persisted
-    into the artifact and its history row.  ``exec_backend`` (an
-    execution-backend spec like ``"process:4"``; see
-    :func:`repro.parallel.resolve_backend`) overrides the backend of
-    every benchmark that dispatches rank compute.
+    ``exec_backend`` (an execution-backend spec like ``"process:4"``;
+    see :func:`repro.parallel.resolve_backend`) the backend of every
+    benchmark that dispatches rank compute; both land in the artifact
+    root, so the run can be repeated.
     """
     registry = registry if registry is not None else REGISTRY
     benchmarks = registry.select(suite)
@@ -231,8 +226,4 @@ def run_suite(
         artifact["seed"] = int(seed)
     if exec_backend is not None:
         artifact["exec_backend"] = str(exec_backend)
-    if tag is not None:
-        artifact["tag"] = str(tag)
-    if notes is not None:
-        artifact["notes"] = str(notes)
     return validate_artifact(artifact, source=f"suite {suite!r}")

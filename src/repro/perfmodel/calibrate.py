@@ -40,6 +40,9 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from ..io.runlog import write_json_atomic
+# a module, not its env_key: provenance imports hardware, which imports
+# this package
+from .. import provenance
 from ..schema import check
 
 #: Bump on breaking layout changes of the calibration file.
@@ -101,6 +104,15 @@ def _comm_networks(entry: dict[str, Any]) -> list[dict[str, Any]]:
         networks, list) else []
 
 
+def model_ratio(entry: dict[str, Any]) -> float | None:
+    """A benchmark entry's ``model_over_measured`` (the analytic eq. 10
+    model's prediction over the measured median), if it publishes one."""
+    value = (entry.get("derived") or {}).get("model_over_measured")
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return float(value)
+
+
 def _measured_us(entry: dict[str, Any]) -> float | None:
     derived = entry.get("derived", {})
     for key in _MEASURED_KEYS:
@@ -118,12 +130,9 @@ def fit_environment(artifacts: list[dict[str, Any]]) -> dict[str, Any]:
     groups; :func:`calibrate_artifacts` does this).  Returns the
     environment entry of the calibration file.
     """
-    # deferred: bench imports perfmodel
-    from ..bench.history import env_key, model_ratio
-
     if not artifacts:
         raise CalibrationError("no artifacts to calibrate from")
-    keys = {env_key(a["environment"]) for a in artifacts}
+    keys = {provenance.env_key(a["environment"]) for a in artifacts}
     if len(keys) != 1:
         raise CalibrationError(
             f"artifacts span {len(keys)} environments; calibrate one at a time"
@@ -208,11 +217,10 @@ def calibrate_artifacts(
     Returns a full calibration document (merge it into an existing file
     with :func:`merge_calibration`).
     """
-    from ..bench.history import env_key  # deferred: bench imports perfmodel
-
     groups: dict[str, list[dict[str, Any]]] = {}
     for artifact in artifacts:
-        groups.setdefault(env_key(artifact["environment"]), []).append(artifact)
+        key = provenance.env_key(artifact["environment"])
+        groups.setdefault(key, []).append(artifact)
     if not groups:
         raise CalibrationError("no artifacts to calibrate from")
     return {
@@ -269,6 +277,5 @@ def calibrated_environment(
     """The calibration entry covering ``environment``, or None."""
     if not calibration:
         return None
-    from ..bench.history import env_key  # deferred: bench imports perfmodel
-
-    return calibration.get("environments", {}).get(env_key(environment))
+    return calibration.get("environments", {}).get(
+        provenance.env_key(environment))

@@ -24,9 +24,9 @@ use it.  A **rule** says what one value must be:
 Beside its spec each summary document keeps its **headline table**: a
 :class:`Section` of :class:`Column` rows, one per number worth quoting,
 each saying how it is read *out of the document* and under which key or
-name every consumer — bus record, ``state.json``, status line, gauge,
-history row, report — carries it.  Consumers project the table; none of
-them picks a key by hand, so none of them can disagree.
+name every consumer — bus record, ``state.json``, status line, report —
+carries it.  Consumers project the table; none of them picks a key by
+hand, so none of them can disagree.
 """
 
 from __future__ import annotations
@@ -164,19 +164,13 @@ class Column:
     """
 
     name: str
-    #: Display format (status line, reports, history table).
+    #: Display format (status line, reports).
     fmt: str = "{}"
     read: tuple[str, ...] | Callable[[dict[str, Any]], Any] | None = None
     #: A flat scalar of the section's bus record.
     bus: bool = True
     #: ``state.json``.
     state: str | bool = False
-    #: A ``repro.bench.history/1`` row.
-    history: str | bool = False
-    #: Gauge exported from a summary document (artifact, ``--metrics``).
-    gauge: str | None = None
-    #: Gauge exported from a job's ``state.json`` (``service metrics``).
-    job_gauge: str | None = None
 
     def key(self, face: str) -> Any:
         key = getattr(self, face)
@@ -196,12 +190,12 @@ class Column:
 
 @dataclass(frozen=True)
 class Section:
-    """The headline table of one summary document.  ``state`` and
-    ``history``, where set, are the key of the object those faces nest
-    the section's columns under."""
+    """The headline table of one summary document.  ``state``, where
+    set, is the key of the object that face nests the section's columns
+    under."""
 
     #: Key of the document in a ``repro.bench/1`` benchmark entry.
-    name: str | None
+    name: str
     columns: tuple[Column, ...]
     #: Bus record kind the document travels under.
     kind: str = ""
@@ -209,7 +203,6 @@ class Section:
     status: str = ""
     report: str = ""
     state: str | None = None
-    history: str | None = None
 
     def read(self, doc: Any) -> dict[str, Any]:
         """Every column, by name, read from one summary document."""

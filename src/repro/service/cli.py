@@ -1,5 +1,5 @@
-"""``python -m repro.service`` — submit / status / resume / tail /
-metrics.
+"""``python -m repro.service`` — submit / resume / status / tail /
+validate.
 
 Exit codes are supervisor-facing and deliberate:
 
@@ -21,12 +21,7 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from ..telemetry import (
-    HEADLINE,
-    job_metrics,
-    render_openmetrics,
-    write_openmetrics,
-)
+from ..telemetry import HEADLINE
 from .consumers import read_archive
 from .jobs import JobError, JobPaths, JobSpec, load_job, read_state
 from .supervisor import Supervisor
@@ -157,29 +152,6 @@ def _cmd_status(args: argparse.Namespace) -> int:
             return 0
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    jobdirs = _resolve_jobdirs(args)
-    if not jobdirs:
-        print("no jobs found", file=sys.stderr)
-        return 2
-    samples = []
-    for jobdir in jobdirs:
-        sup = Supervisor(jobdir)
-        try:
-            status = sup.status()
-        except JobError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        samples.extend(job_metrics(status.get("name", jobdir.name), status))
-    if args.out:
-        path = write_openmetrics(args.out, samples)
-        print(f"wrote {path} ({len(samples)} metric samples)",
-              file=sys.stderr)
-    else:
-        sys.stdout.write(render_openmetrics(samples))
-    return 0
-
-
 def _cmd_tail(args: argparse.Namespace) -> int:
     paths = JobPaths(Path(args.jobdir))
     if not paths.archive.exists():
@@ -254,19 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --watch, stop after N refreshes "
                       "(default: run until interrupted)")
     p_st.set_defaults(func=_cmd_status)
-
-    p_met = sub.add_parser(
-        "metrics",
-        help="project job states into OpenMetrics gauges (Prometheus "
-        "text exposition: progress, efficiency, rank skew/utilisation)")
-    p_met.add_argument("jobdir", nargs="*",
-                       help="job directories (default: all under --dir)")
-    p_met.add_argument("--dir", default="jobs")
-    p_met.add_argument("--out", default=None, metavar="PATH",
-                       help="write to PATH (e.g. metrics.prom for a "
-                       "node-exporter textfile collector); stdout if "
-                       "omitted")
-    p_met.set_defaults(func=_cmd_metrics)
 
     p_tail = sub.add_parser("tail", help="print the newest snapshot-bus "
                             "records of a job")

@@ -120,9 +120,8 @@ class JobSpec:
         if kind != "run":
             raise JobError(
                 f"{source}: kind {kind!r} is not 'run', the only job kind; "
-                "a benchmark sweep is `python -m repro.bench run --out X.json` "
-                "(then `python -m repro.bench history ingest X.json`), a "
-                "calibration `python -m repro.bench calibrate`"
+                "a benchmark sweep is `python -m repro.bench run --out X.json`, "
+                "a calibration `python -m repro.bench calibrate`"
             )
         name = doc.get("name")
         if not isinstance(name, str) or not re.fullmatch(r"[\w.-]{1,64}", name):

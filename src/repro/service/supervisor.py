@@ -470,10 +470,9 @@ def publish_headlines(
 
     Each ``summary()`` is taken once; the record's flat scalars and the
     state fields are both projections of that one document through the
-    section's headline columns, so the bus, ``state.json``, ``status``
-    and ``metrics`` cannot disagree.  Only the columns those two faces
-    carry are read (a history-only column such as the regime mix is
-    the history row's business).
+    section's headline columns, so the bus, ``state.json`` and
+    ``status`` cannot disagree.  Only the columns those two faces carry
+    are read.
     """
     fields: dict[str, Any] = {}
     for name, observatory in observatories.items():

@@ -129,23 +129,12 @@ from .ranks import (
 
 #: The headline registry: each observatory's :class:`repro.schema.Section`
 #: keyed by the name its summary document has in a benchmark entry.  Bus
-#: payloads, ``state.json``, the status line, gauges, history rows and
-#: reports are projections of it.  (Defined before ``openmetrics`` is
-#: imported: the gauge projections read it.)
+#: payloads, ``state.json``, the status line and reports are projections
+#: of it.
 HEADLINE = {
     section.name: section
     for section in (SIGNATURE_HEADLINE, EFFICIENCY_HEADLINE, RANK_HEADLINE)
 }
-
-from .openmetrics import (  # noqa: E402
-    OpenMetricsError,
-    artifact_metrics,
-    job_metrics,
-    parse_openmetrics,
-    rank_summary_metrics,
-    render_openmetrics,
-    write_openmetrics,
-)
 
 __all__ = [
     "Tracer",
@@ -223,11 +212,4 @@ __all__ = [
     "validate_rank_record",
     "validate_rank_section",
     "HEADLINE",
-    "OpenMetricsError",
-    "render_openmetrics",
-    "parse_openmetrics",
-    "write_openmetrics",
-    "artifact_metrics",
-    "job_metrics",
-    "rank_summary_metrics",
 ]

@@ -509,36 +509,28 @@ def validate_efficiency(obj: Any, source: str = "efficiency") -> dict[str, Any]:
     return check(obj, EFFICIENCY_SPEC, source, EfficiencyError)
 
 
-def _bucket_fractions(doc: dict[str, Any]) -> dict[str, float] | None:
-    """Per-bucket loss fractions (of peak), so the trajectory can show
-    where the flops went per ingest."""
+def _top_loss(doc: dict[str, Any]) -> str | None:
+    """The bucket that lost the largest fraction of peak."""
     buckets = doc.get("buckets")
     if not buckets:
         return None
-    return {b: float(buckets.get(b, {}).get("fraction", 0.0)) for b in BUCKETS}
-
-
-def _top_loss(doc: dict[str, Any]) -> str | None:
-    fractions = _bucket_fractions(doc)
-    return max(fractions, key=fractions.get) if fractions else None
+    fractions = {b: float(buckets.get(b, {}).get("fraction", 0.0))
+                 for b in BUCKETS}
+    return max(fractions, key=fractions.get)
 
 
 #: Headline columns of a :meth:`FlopsLedger.summary` document.
 EFFICIENCY_HEADLINE = Section(
-    "efficiency", kind="efficiency", history="efficiency",
+    "efficiency", kind="efficiency",
     status=" eff={fraction_of_peak} ({real_gflops} Gflops)",
     report=("efficiency: {fraction_of_peak} of peak ({real_gflops} real "
             "Gflops) over {blocksteps} blocksteps, {clock} clock"),
     columns=(
-        Column("fraction_of_peak", "{:.2%}", state=True, history=True,
-               gauge="repro_bench_fraction_of_peak",
-               job_gauge="repro_job_fraction_of_peak"),
-        Column("real_gflops", "{:.4g}", state=True, history=True,
-               gauge="repro_bench_real_gflops"),
+        Column("fraction_of_peak", "{:.2%}", state=True),
+        Column("real_gflops", "{:.4g}", state=True),
         Column("blocksteps"),
         Column("clock"),
         Column("top_loss", read=_top_loss),
-        Column("buckets", read=_bucket_fractions, bus=False, history=True),
     ),
 )
 

@@ -668,46 +668,25 @@ def validate_rank_section(obj: Any, source: str = "rank") -> dict[str, Any]:
     return check(obj, RANK_SECTION_SPEC, source, RankError)
 
 
-def _skew_fraction(doc: dict[str, Any]) -> float | None:
-    """Total real straggler skew over total dispatch span, so runs of
-    different lengths compare (0.0 for an empty span)."""
-    skew = doc.get("real_skew_us")
-    if not skew:
-        return None
-    span = float(doc.get("span_wall_us", 0.0))
-    return float(skew.get("total", 0.0)) / span if span > 0 else 0.0
-
-
-#: Headline columns of a :meth:`RankLedger.summary` section.  The
-#: ``repro_job_*`` pair keeps its historical (unsystematic) names.
+#: Headline columns of a :meth:`RankLedger.summary` section.
 RANK_HEADLINE = Section(
-    "rank", kind="rank", state="rank", history="rank",
+    "rank", kind="rank", state="rank",
     status=" ranks={n_ranks} util={utilisation} skew={real_skew_us_mean}us",
     report=("ranks: {n_ranks} on {backends} — utilisation {utilisation}, "
             "real skew mean {real_skew_us_mean} us (max {real_skew_us_max}),"
             " publish {publish_bytes_per_step} B/step"),
     columns=(
-        Column("blocksteps", gauge="repro_rank_blocksteps"),
-        Column("tasks", gauge="repro_rank_tasks"),
+        Column("blocksteps"),
+        Column("tasks"),
         Column("n_ranks", state=True),
-        Column("utilisation", "{:.1%}", state=True, history=True,
-               gauge="repro_rank_utilisation",
-               job_gauge="repro_job_rank_utilisation"),
+        Column("utilisation", "{:.1%}", state=True),
         Column("real_skew_us_mean", "{:.0f}", ("real_skew_us", "mean"),
-               state=True, history=True,
-               gauge="repro_rank_real_skew_us_mean",
-               job_gauge="repro_job_real_skew_us_mean"),
+               state=True),
         Column("real_skew_us_max", "{:.0f}", ("real_skew_us", "max")),
-        Column("publish_bytes_per_step", "{:.0f}", state=True, history=True,
-               gauge="repro_rank_publish_bytes_per_step"),
-        Column("skew_fraction", "{:.1%}", _skew_fraction, bus=False,
-               history=True),
+        Column("publish_bytes_per_step", "{:.0f}", state=True),
+        # read by the report's placement line and `exec_observatory`
         Column("placement_gap_us_mean", "{:+.0f}",
-               ("placement", "gap_us", "mean"), bus=False, history=True,
-               gauge="repro_rank_placement_gap_us_mean"),
-        Column("busy_us", bus=False, gauge="repro_rank_busy_us"),
-        Column("idle_us", bus=False, gauge="repro_rank_idle_us"),
-        Column("publish_bytes", bus=False, gauge="repro_rank_publish_bytes"),
+               ("placement", "gap_us", "mean"), bus=False),
         Column("backends", bus=False,
                read=lambda doc: "/".join(doc.get("backends") or ()) or None),
     ),

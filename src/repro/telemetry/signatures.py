@@ -676,35 +676,21 @@ def validate_signature_summary(obj: Any, source: str = "signatures") -> dict:
     return check(obj, SIGNATURE_SUMMARY_SPEC, source, SignatureError)
 
 
-def _regime_mix(doc: dict[str, Any]) -> dict[str, int] | None:
-    """Blockstep counts per log2 block-size bucket: the regime mix a
-    history row keeps.  Keyed by bucket, not regime id — ids are
-    assigned in discovery order, so a reordered schedule would relabel
-    identical regimes and read as a spurious shift."""
-    mix: dict[str, int] = {}
-    for reg in doc.get("regimes") or ():
-        mean = float(reg.get("mean_block_size", 0.0))
-        key = f"b{int(mean).bit_length() - 1 if mean >= 1.0 else -1}"
-        mix[key] = mix.get(key, 0) + int(reg["count"])
-    return mix or None
-
-
 #: Headline columns of a :meth:`RegimeTracker.summary` document.
 SIGNATURE_HEADLINE = Section(
-    "signatures", kind="signature", history="regimes",
+    "signatures", kind="signature",
     status=(" regime={regime} ({n_regimes} seen, dominant"
             " {dominant_regime} at {dominant_share})"),
     report=("regimes: {n_regimes} over {blocksteps} blocksteps, "
             "{changes} change(s); lane {lane}"),
     columns=(
         Column("regime", read=("current_regime",), state=True),
-        Column("n_regimes", state=True, history="n"),
-        Column("dominant_regime", state=True, history="dominant"),
-        Column("dominant_share", "{:.0%}", state=True, history=True),
+        Column("n_regimes", state=True),
+        Column("dominant_regime", state=True),
+        Column("dominant_share", "{:.0%}", state=True),
         Column("blocksteps", read=("count",)),
         Column("changes"),
         Column("lane", state="regime_lane"),
-        Column("mix", read=_regime_mix, bus=False, history=True),
     ),
 )
 

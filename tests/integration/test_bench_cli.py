@@ -141,8 +141,8 @@ class TestCLI:
 
 
 class TestRankObservatoryBench:
-    """The exec_observatory benchmark and its surfacing: a validated
-    rank section in the artifact and the ``--metrics`` exposition."""
+    """The exec_observatory benchmark: a validated rank section in the
+    artifact."""
 
     def test_artifact_rank_section_validates(self, micro_artifact):
         from repro.telemetry import validate_rank_section
@@ -162,31 +162,10 @@ class TestRankObservatoryBench:
         assert derived["publish_bytes_per_step"] > 0.0
         assert derived["real_skew_us"] >= 0.0
 
-    def test_run_metrics_flag_writes_exposition(self, tmp_path, capsys):
-        from repro.telemetry import parse_openmetrics
-
-        art = tmp_path / "BENCH_m.json"
-        prom = tmp_path / "metrics.prom"
-        rc = main([
-            "run", "--suite", "micro", "--repeats", "1", "--warmup", "0",
-            "--bench", "exec_observatory",
-            "--out", str(art), "--metrics", str(prom),
-        ])
-        assert rc == 0
-        samples = parse_openmetrics(prom.read_text())
-        by_name = {name: value for name, _, value in samples}
-        assert by_name["repro_bench_wall_seconds_median"] > 0.0
-        assert by_name["repro_rank_tasks"] > 0.0
-        assert 0.0 <= by_name["repro_rank_utilisation"] <= 1.0
-        labels = next(
-            l for n, l, _ in samples if n == "repro_rank_tasks"
-        )
-        assert labels["benchmark"] == "exec_observatory"
-
 
 class TestCommCLI:
     """The observability loop: run -> calibrate -> calibrated compare,
-    plus the ledger capture and history prune subcommands."""
+    plus the ledger capture subcommand."""
 
     @pytest.fixture(scope="class")
     def artifact_path(self, tmp_path_factory):
@@ -264,29 +243,6 @@ class TestCommCLI:
         assert main(["ledger", "--bench", "kernel_throughput",
                      "--suite", "micro"]) == 2
         assert "no simulated network" in capsys.readouterr().err
-
-    def test_history_prune(self, artifact_path, tmp_path, capsys):
-        hist = tmp_path / "history.jsonl"
-        art = read_artifact(artifact_path)
-        assert main(["history", "ingest", str(artifact_path),
-                     "--history", str(hist)]) == 0
-        write_artifact({**art, "environment": {
-            **art["environment"], "git_revision": "feedc0de"}}, artifact_path)
-        assert main(["history", "ingest", str(artifact_path),
-                     "--history", str(hist)]) == 0
-        capsys.readouterr()
-
-        assert main(["history", "prune", "--history", str(hist),
-                     "--keep-last", "1", "--dry-run"]) == 0
-        assert "would drop 1" in capsys.readouterr().out
-        assert main(["history", "prune", "--history", str(hist),
-                     "--keep-last", "1"]) == 0
-        assert "dropped 1" in capsys.readouterr().out
-        assert len(hist.read_text().splitlines()) == 1
-
-    def test_history_prune_without_criteria_is_exit_2(self, tmp_path, capsys):
-        assert main(["history", "prune",
-                     "--history", str(tmp_path / "h.jsonl")]) == 2
 
 
 class TestSampleCLI:

@@ -1,4 +1,4 @@
-"""End-to-end flight recorder: sampler + timeline + history + CLI.
+"""End-to-end flight recorder: sampler + timeline + CLI.
 
 The acceptance properties pinned here:
 
@@ -6,11 +6,8 @@ The acceptance properties pinned here:
   attributed via an open span (instrumentation coverage, not luck);
 * ``profile --timeline`` writes Chrome trace-event JSON that parses
   and validates (X events, microsecond ts, pid/tid);
-* ``history ingest/table/plot`` builds a trajectory from >= 2
-  artifacts with deltas and a drift column;
 * ``compare`` exits non-zero on injected model drift;
-* ``run --seed/--tag`` threads reproducibility labels into the
-  artifact.
+* ``run --seed`` threads the workload seed into the artifact.
 """
 
 import copy
@@ -21,7 +18,6 @@ import pytest
 from repro.bench import (
     REGISTRY,
     read_artifact,
-    read_history,
     run_suite,
     write_artifact,
 )
@@ -111,7 +107,7 @@ def micro_artifacts(tmp_path_factory):
     root = tmp_path_factory.mktemp("artifacts")
     first = run_suite("micro", repeats=2, warmup=0, label="flight-a",
                       names=["single_host_speed", "model_sweep"],
-                      seed=1234, tag="baseline")
+                      seed=1234)
     second = copy.deepcopy(first)
     second["label"] = "flight-b"
     second["environment"] = dict(second["environment"])
@@ -128,7 +124,6 @@ class TestSeedAndTag:
     def test_flags_recorded_in_artifact(self, micro_artifacts):
         artifact = read_artifact(micro_artifacts[0])
         assert artifact["seed"] == 1234
-        assert artifact["tag"] == "baseline"
         for entry in artifact["benchmarks"]:
             if "seed" in entry["params"]:
                 assert entry["params"]["seed"] == 1234
@@ -138,43 +133,11 @@ class TestSeedAndTag:
         rc = main([
             "run", "--suite", "micro", "--bench", "model_sweep",
             "--repeats", "1", "--warmup", "0", "--seed", "7",
-            "--tag", "cli-test", "--out", str(out),
+            "--out", str(out),
         ])
         assert rc == 0
         artifact = read_artifact(out)
-        assert artifact["seed"] == 7 and artifact["tag"] == "cli-test"
-
-
-class TestHistoryCLI:
-    def test_ingest_table_plot_round_trip(self, micro_artifacts, tmp_path, capsys):
-        a, b = micro_artifacts
-        hist = tmp_path / "history.jsonl"
-        assert main(["history", "ingest", str(a), str(b),
-                     "--history", str(hist)]) == 0
-        assert len(read_history(hist)) == 2
-        # idempotent: same artifacts again add nothing
-        assert main(["history", "ingest", str(a), str(b),
-                     "--history", str(hist)]) == 0
-        assert len(read_history(hist)) == 2
-        capsys.readouterr()
-
-        assert main(["history", "table", "--history", str(hist)]) == 0
-        table = capsys.readouterr().out
-        assert "single_host_speed" in table
-        assert "%" in table            # a delta against the previous point
-        assert "DRIFT" in table        # the injected 4x model drift
-
-        assert main(["history", "table", "--history", str(hist),
-                     "--format", "markdown"]) == 0
-        assert "| benchmark |" in capsys.readouterr().out
-
-        assert main(["history", "plot", "--history", str(hist)]) == 0
-        assert "model_sweep" in capsys.readouterr().out
-
-    def test_unreadable_history_is_operational_error(self, tmp_path, capsys):
-        bad = tmp_path / "history.jsonl"
-        bad.write_text("{broken\n")
-        assert main(["history", "table", "--history", str(bad)]) == 2
+        assert artifact["seed"] == 7
 
 
 class TestDriftGate:

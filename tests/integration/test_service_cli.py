@@ -11,8 +11,10 @@ exists, and the layering: a checkpointed run job loads no
 ``repro.bench`` module.
 """
 
+import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -231,6 +233,20 @@ class TestRetiredKinds:
             assert command in capsys.readouterr().err
         assert not jobs.exists()
 
+    @pytest.mark.parametrize("kind", COMMANDS)
+    def test_every_bench_command_it_names_exists(self, tmp_path, capsys, kind):
+        """The refusal sends the user to the bench CLI: every ``python -m
+        repro.bench <cmd>`` in it is a subcommand that CLI has."""
+        from repro.bench.cli import build_parser
+
+        assert main(["validate", str(write_spec(tmp_path / "job.json",
+                                                kind=kind))]) == 2
+        named = re.findall(r"python -m repro\.bench (\w+)",
+                           capsys.readouterr().err)
+        (commands,) = (action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        assert named and set(named) <= set(commands), named
+
 
 class TestLayering:
     def test_a_checkpointed_run_loads_no_bench_module(self, tmp_path):
@@ -431,7 +447,7 @@ class TestParallelRunJob:
 
 class TestRankObservatoryService:
     """Parallel run jobs stream real-execution rank telemetry through
-    the bus, the state document, the status line and ``metrics``."""
+    the bus, the state document and the status line."""
 
     @pytest.fixture(scope="class")
     def rank_job(self, tmp_path_factory):
@@ -483,25 +499,3 @@ class TestRankObservatoryService:
                      "--kind", "rank"]) == 0
         out = capsys.readouterr().out
         assert "rank" in out and "utilisation=" in out
-
-    def test_metrics_exposition_round_trips(self, rank_job, capsys):
-        from repro.telemetry import parse_openmetrics
-
-        assert main(["metrics", str(rank_job)]) == 0
-        text = capsys.readouterr().out
-        samples = {name: value
-                   for name, _, value in parse_openmetrics(text)}
-        assert samples["repro_job_blocksteps"] > 0
-        assert samples["repro_job_checkpoints"] >= 1
-        assert 0.0 <= samples["repro_job_rank_utilisation"] <= 1.0
-        assert samples["repro_job_real_skew_us_mean"] >= 0.0
-
-    def test_metrics_out_writes_file(self, rank_job, tmp_path, capsys):
-        from repro.telemetry import parse_openmetrics
-
-        out = tmp_path / "metrics.prom"
-        assert main(["metrics", str(rank_job), "--out", str(out)]) == 0
-        assert parse_openmetrics(out.read_text())
-
-    def test_metrics_no_jobs_is_exit_2(self, tmp_path, capsys):
-        assert main(["metrics", "--dir", str(tmp_path / "empty")]) == 2

@@ -215,7 +215,7 @@ class TestCalibratedDrift:
     ENV = {"python": "3.12", "machine": "x86_64"}
 
     def _calibration_for(self, env):
-        from repro.bench.history import env_key
+        from repro.provenance import env_key
 
         return {
             "schema": "repro.perfmodel.calibration/1",

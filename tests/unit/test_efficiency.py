@@ -1,7 +1,6 @@
 """Unit coverage for the efficiency observatory: degenerate inputs
 (the ISSUE's "never NaN" cases), hardware-profile detection, timeline
-lane/pid registry, the perfmodel bucket mapping, and the history EFF
-flag."""
+lane/pid registry and the perfmodel bucket mapping."""
 
 import math
 
@@ -240,26 +239,6 @@ class TestPerfmodelBuckets:
     def test_bucket_names_match_taxonomy(self):
         buckets = MachineModel(single_node_machine()).efficiency_buckets(256)
         assert set(buckets) == set(BUCKETS) | {"real"}
-
-
-class TestHistoryEffFlag:
-    def test_eff_drop_raises_flag(self):
-        from repro.bench.history import TrajectoryPoint, _traj_rows, judge
-
-        def point(prev, frac):
-            values = {"median_s": 1.0, "fraction_of_peak": frac}
-            deltas, flags = judge(prev, values)
-            return TrajectoryPoint(
-                benchmark="b", suite="s", env_key="e", git_revision=None,
-                tag=None, seed=None, values=values, deltas=deltas,
-                flags=flags,
-            )
-
-        first = point({}, 0.5)
-        rows = _traj_rows({"b": [first, point(first.values, 0.3)]})
-        assert "EFF" in rows[1][-1]
-        rows = _traj_rows({"b": [first, point(first.values, 0.45)]})
-        assert "EFF" not in rows[1][-1]
 
 
 class TestSweepMonotone:

@@ -2,13 +2,11 @@
 observatory states its headline numbers once, as columns read out of
 its summary document, and every consumer projects that table.
 
-Three things are pinned here: (a) under the supervisor the bus record,
-the ``state.json`` written beside it and the ``service metrics`` gauges
-agree ``==`` on every column they share, at every checkpoint; (c) every
-column reads a finite value from a real summary and ``None`` from an
-empty one, and every gauge name is a legal, round-tripping OpenMetrics
-name; and the table in ``docs/observability.md`` lists exactly the
-registry's columns.  The denormal-span rank ledger and the strict JSON
+Three things are pinned here: (a) under the supervisor the bus record
+and the ``state.json`` written beside it agree ``==`` on every column
+they share, at every checkpoint; (c) every column reads a finite value
+from a real summary and ``None`` from an empty one; and the table in
+``docs/observability.md`` lists exactly the registry's columns.  The denormal-span rank ledger and the strict JSON
 writer close the one way a non-finite number used to reach the disk.
 """
 
@@ -19,7 +17,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.history import BENCH, RULES
 from repro.core import BlockTimestepIntegrator
 from repro.io import write_json_atomic
 from repro.models import plummer_model
@@ -38,11 +35,7 @@ from repro.telemetry import (
     SignatureRecorder,
     SpanFold,
     Tracer,
-    job_metrics,
-    parse_openmetrics,
-    render_openmetrics,
 )
-from repro.telemetry.openmetrics import metric_name
 
 EPS2 = (1.0 / 64.0) ** 2
 
@@ -68,7 +61,7 @@ def strict_loads(text):
     (SERIAL, {"signatures", "efficiency"}),
     (PARALLEL, {"signatures", "efficiency", "rank"}),
 ], ids=["serial", "parallel"])
-def test_bus_state_and_gauges_agree_at_every_checkpoint(
+def test_bus_and_state_agree_at_every_checkpoint(
     tmp_path, monkeypatch, params, sections
 ):
     spec = JobSpec.from_dict({
@@ -86,8 +79,6 @@ def test_bus_state_and_gauges_agree_at_every_checkpoint(
         # the synchronous bus has archived this checkpoint's records
         on_bus = {r.kind: r.payload for r in read_archive(paths.archive)}
         on_disk = strict_loads(paths.state.read_text())
-        gauges = {name: value
-                  for name, _, value in job_metrics("agree", sup.status())}
         for section in HEADLINE.values():
             payload = on_bus.get(section.kind)
             if payload is None:
@@ -97,8 +88,6 @@ def test_bus_state_and_gauges_agree_at_every_checkpoint(
             assert shared, section.name
             for column in shared:
                 assert in_state[column.name] == payload[column.name], column
-                if column.job_gauge:
-                    assert gauges[column.job_gauge] == payload[column.name]
             checked.append(section.name)
         return state
 
@@ -175,12 +164,6 @@ class TestEveryColumn:
         for empty in ({}, None, [], {"real_skew_us": None, "placement": 3}):
             assert column.value(empty) is None
 
-    def test_gauge_names_are_legal_and_round_trip(self, section, column):
-        for name in filter(None, (column.gauge, column.job_gauge)):
-            assert metric_name(name) == name
-            sample = (name, {"job": "x"}, 1.5)
-            assert parse_openmetrics(render_openmetrics([sample])) == [sample]
-
 
 def test_registry_shape():
     assert list(HEADLINE) == ["signatures", "efficiency", "rank"]
@@ -195,18 +178,6 @@ def test_registry_shape():
         # the status and report sentences only name columns of the section
         for sentence in (section.status, section.report):
             assert set(re.findall(r"{(\w+)}", sentence)) <= set(names)
-    # history columns, and the gauges, are unique across the registry
-    for face in ("history", "gauge", "job_gauge"):
-        keys = [c.name if face == "history" else c.key(face)
-                for s in (BENCH, *HEADLINE.values())
-                for c in s.columns if c.key(face)]
-        assert len(keys) == len(set(keys)), face
-
-
-def test_every_rule_watches_a_history_column():
-    history = {c.name for s in (BENCH, *HEADLINE.values())
-               for c in s.columns if c.history}
-    assert {rule.column for rule in RULES} <= history
 
 
 def test_bus_payload_and_state_keys_are_the_pinned_ones(summaries):
@@ -274,8 +245,6 @@ def test_denormal_span_writes_strict_json_with_zero_utilisation(tmp_path):
     assert state["rank"]["utilisation"] == 0.0
     (record,) = consumer.records
     assert record.kind == "rank" and record.payload["utilisation"] == 0.0
-    gauges = {n: v for n, _, v in job_metrics("job", state)}
-    assert gauges["repro_job_rank_utilisation"] == 0.0
 
 
 def test_atomic_writer_refuses_non_finite_numbers(tmp_path):
@@ -312,5 +281,4 @@ def test_doc_table_lists_exactly_the_registry_columns():
             listed.add((cells[1].strip("`"), cells[0].strip("`")))
     registry = {(section.name, column.name)
                 for section in HEADLINE.values() for column in section.columns}
-    registry |= {("benchmark", column.name) for column in BENCH.columns}
     assert listed == registry

@@ -1,11 +1,9 @@
-"""Unit tests for the rank observatory (repro.telemetry.ranks) and the
-OpenMetrics projection (repro.telemetry.openmetrics).
+"""Unit tests for the rank observatory (repro.telemetry.ranks).
 
 These pin the contracts the surfacing layers rely on: the exact
 busy + idle == span accounting identity, zero-valued (never NaN)
-degenerate blocksteps, the sum-preserving placement split, the
-timeline lane's pid discipline, and that the OpenMetrics text really
-round-trips through the parser.
+degenerate blocksteps, the sum-preserving placement split and the
+timeline lane's pid discipline.
 """
 
 import math
@@ -18,15 +16,9 @@ from repro.telemetry import (
     IDLE_BUCKETS,
     RANK_PID,
     RANK_SAMPLE_SCHEMA,
-    OpenMetricsError,
     RankError,
     RankLedger,
-    artifact_metrics,
-    job_metrics,
-    parse_openmetrics,
-    rank_summary_metrics,
     rank_trace_events,
-    render_openmetrics,
     validate_rank_record,
     validate_rank_section,
     validate_timeline,
@@ -320,101 +312,6 @@ class TestTraceEvents:
         }
         with pytest.raises(ValueError, match="claimed by two processes"):
             validate_timeline({"traceEvents": events + [impostor]})
-
-
-class TestOpenMetrics:
-    def test_render_parse_round_trip(self):
-        samples = [
-            ("repro_demo_us", {"rank": "0", "note": 'say "hi"\nbye'}, 1.5),
-            ("repro_demo_us", {"rank": "1"}, 2.0),
-            ("repro_other", {}, 3.25),
-        ]
-        text = render_openmetrics(samples, help_text={"repro_other": "doc"})
-        assert text.endswith("# EOF\n")
-        assert "# TYPE repro_demo_us gauge" in text
-        assert "# HELP repro_other doc" in text
-        assert parse_openmetrics(text) == samples
-
-    def test_parse_rejects_missing_eof(self):
-        with pytest.raises(OpenMetricsError, match="EOF"):
-            parse_openmetrics("repro_x 1\n")
-
-    def test_parse_rejects_bad_grammar(self):
-        with pytest.raises(OpenMetricsError, match="unparseable"):
-            parse_openmetrics("!!nope!! {\n# EOF\n")
-        with pytest.raises(OpenMetricsError, match="bad value"):
-            parse_openmetrics("repro_x 1.2.3\n# EOF\n")
-
-    def test_names_are_sanitised(self):
-        text = render_openmetrics([("9 bad.name", {"bad key": "v"}, 1.0)])
-        ((name, labels, value),) = parse_openmetrics(text)
-        assert name == "_9_bad_name"
-        assert labels == {"bad_key": "v"} and value == 1.0
-
-    def test_rank_summary_projection(self):
-        doc = two_step_ledger().summary(comm=TestPlacement.COMM)
-        samples = {
-            (name, labels.get("rank")): value
-            for name, labels, value in rank_summary_metrics(
-                doc, {"suite": "smoke"}
-            )
-        }
-        assert samples[("repro_rank_blocksteps", None)] == 2.0
-        assert samples[("repro_rank_utilisation", None)] == pytest.approx(
-            140.0 / 300.0
-        )
-        assert samples[("repro_rank_real_skew_us_mean", None)] == 20.0
-        assert samples[("repro_rank_placement_gap_us_mean", None)] == 13.5
-        assert samples[("repro_rank_busy_us_by_rank", "0")] == 70.0
-
-    def test_artifact_projection(self):
-        artifact = {
-            "suite": "smoke",
-            "benchmarks": [
-                {
-                    "name": "exec_observatory",
-                    "stats": {"wall_s": {"median": 0.25}},
-                    "efficiency": {
-                        "fraction_of_peak": 0.4,
-                        "real_gflops": 12.0,
-                    },
-                    "rank": two_step_ledger().summary(),
-                }
-            ],
-        }
-        samples = artifact_metrics(artifact)
-        by_name = {name: value for name, _, value in samples}
-        assert by_name["repro_bench_wall_seconds_median"] == 0.25
-        assert by_name["repro_bench_fraction_of_peak"] == 0.4
-        assert by_name["repro_rank_tasks"] == 4.0
-        labels = next(l for n, l, _ in samples if n == "repro_rank_tasks")
-        assert labels["benchmark"] == "exec_observatory"
-        parse_openmetrics(render_openmetrics(samples))
-
-    def test_job_projection(self):
-        status = {
-            "status": "completed",
-            "t": 0.5,
-            "blocksteps": 8,
-            "wall_s": 1.5,
-            "checkpoints": ["a.npz", "b.npz"],
-            "fraction_of_peak": 0.3,
-            "rank": {"real_skew_us_mean": 20.0, "utilisation": 0.5},
-        }
-        by_name = {
-            name: value for name, _, value in job_metrics("demo", status)
-        }
-        assert by_name["repro_job_checkpoints"] == 2.0  # len, not float()
-        assert by_name["repro_job_fraction_of_peak"] == 0.3
-        assert by_name["repro_job_real_skew_us_mean"] == 20.0
-        assert by_name["repro_job_rank_utilisation"] == 0.5
-
-    def test_job_projection_degenerate_status(self):
-        by_name = {
-            name: value for name, _, value in job_metrics("bare", {})
-        }
-        assert by_name["repro_job_t"] == 0.0
-        assert "repro_job_fraction_of_peak" not in by_name
 
 
 samples = st.fixed_dictionaries({
