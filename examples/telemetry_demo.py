@@ -17,7 +17,12 @@ reproduction's real code paths:
    exponent retries - read from the stats objects that count them
    (the tracer records spans only).
 
-Usage:  python examples/telemetry_demo.py [N]
+Given a trace path, step 1's spans are also written there by a
+:class:`TimelineSink` as a Chrome-trace timeline (what ran when, per
+blockstep) - load it in ``chrome://tracing`` or
+https://ui.perfetto.dev.
+
+Usage:  python examples/telemetry_demo.py [N] [trace.json]
 """
 
 from __future__ import annotations
@@ -32,16 +37,19 @@ from repro.parallel.driver import ParallelBlockIntegrator
 from repro.parallel.simcomm import SimNetwork
 
 
-def traced_run(make_integrator, t_end: float, virtual_clock=None):
-    """Run one workload under a fresh tracer; returns (breakdown, integrator)."""
+def traced_run(make_integrator, t_end: float, virtual_clock=None, sinks=()):
+    """Run one workload under a fresh tracer (``sinks`` are added to
+    it and closed after the run); returns (breakdown, integrator)."""
     sink = telemetry.InMemorySink()
-    tracer = telemetry.Tracer(enabled=True, sinks=[sink], virtual_clock=virtual_clock)
+    tracer = telemetry.Tracer(enabled=True, sinks=[sink, *sinks],
+                              virtual_clock=virtual_clock)
     old = telemetry.set_tracer(tracer)
     try:
         integ = make_integrator()
         integ.run(t_end)
     finally:
         telemetry.set_tracer(old)
+    tracer.close()
     breakdown = telemetry.PhaseAggregator().consume(sink.events).breakdown()
     return breakdown, integ
 
@@ -50,7 +58,7 @@ def quantity_table(rows) -> str:
     return format_table(("quantity", "read from", "value"), rows)
 
 
-def main(n: int = 64) -> None:
+def main(n: int = 64, trace_path: str | None = None) -> None:
     eps = constant_softening(n)
     eps2 = eps * eps
     t_end = 0.0625
@@ -59,14 +67,20 @@ def main(n: int = 64) -> None:
     # 1. single host + emulated GRAPE ----------------------------------------
     print("## single host, emulated GRAPE-6 (wall-clock attribution)\n")
     emulator = Grape6Emulator(eps2)
+    timeline = () if trace_path is None else (
+        telemetry.TimelineSink(trace_path, workload="plummer", n=n),)
     breakdown, integ = traced_run(
         lambda: BlockTimestepIntegrator(
             plummer_model(n, seed=4), eps2=eps2, backend=emulator
         ),
         t_end,
+        sinks=timeline,
     )
     print(telemetry.render_breakdown(breakdown, title="emulated single host"))
     print()
+    if trace_path is not None:
+        print(f"wrote {trace_path} ({breakdown.n_events} spans); load it in "
+              "chrome://tracing or https://ui.perfetto.dev\n")
 
     # 2. simulated 4-host cluster --------------------------------------------
     print("## 4 hosts, copy algorithm over simulated NICs "
@@ -112,4 +126,7 @@ def main(n: int = 64) -> None:
     ]))
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 64)
+    main(
+        int(sys.argv[1]) if len(sys.argv) > 1 else 64,
+        sys.argv[2] if len(sys.argv) > 2 else None,
+    )

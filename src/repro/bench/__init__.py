@@ -50,11 +50,9 @@ from .env import environment_fingerprint
 from .comm import CommCapture, capture_comm_ledger
 from .profiling import (
     ATTRIBUTION_RULES,
-    FlightRecording,
     Hotspot,
     ProfileAttribution,
     attribute_profile,
-    flight_record_benchmark,
     profile_benchmark,
 )
 from .registry import REGISTRY, BenchContext, Benchmark, BenchmarkRegistry
@@ -99,10 +97,8 @@ __all__ = [
     "ATTRIBUTION_RULES",
     "Hotspot",
     "ProfileAttribution",
-    "FlightRecording",
     "attribute_profile",
     "profile_benchmark",
-    "flight_record_benchmark",
     "REGISTRY",
     "Benchmark",
     "BenchContext",

@@ -27,7 +27,12 @@ from ..perfmodel.calibrate import (
     save_calibration,
 )
 from ..service.jobs import RUN_PARAMS
-from ..telemetry import SignatureError, write_timeline
+from ..telemetry import (
+    PhaseAggregator,
+    SignatureError,
+    render_breakdown,
+    write_timeline,
+)
 from .artifact import ArtifactError, read_artifact, write_artifact
 from .comm import capture_comm_ledger
 from .compare import (
@@ -35,7 +40,7 @@ from .compare import (
     DEFAULT_REL_THRESHOLD,
     compare_artifacts,
 )
-from .profiling import flight_record_benchmark, profile_benchmark
+from .profiling import profile_benchmark
 from .registry import REGISTRY
 from .report import (
     render_artifact_markdown,
@@ -137,35 +142,29 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    attr = profile_benchmark(bench, params, top=args.top)
+    if args.format == "json":
+        print(json.dumps(attr.as_dict(), indent=2, sort_keys=True))
+    else:
+        print(render_profile_text(attr))
     if args.timeline is None:
-        attr = profile_benchmark(bench, params, top=args.top)
-        if args.format == "json":
-            print(json.dumps(attr.as_dict(), indent=2, sort_keys=True))
-        else:
-            print(render_profile_text(attr))
         return 0
-    # flight-recorder mode: one trial observed by cProfile, the span
-    # tracer and the sampler together; the span tree + sampler ticks
-    # become a chrome://tracing / Perfetto timeline
-    recording = flight_record_benchmark(
-        bench, params, top=args.top, interval_s=args.interval / 1.0e3
-    )
+    # the profiled trial's spans: cProfile names the function, the span
+    # fold gives the exact phase budget and the timeline what ran when
+    if args.format != "json":
+        print()
+        print(render_breakdown(
+            PhaseAggregator().consume(attr.events).breakdown(),
+            title="span attribution (exact self-times)",
+        ))
     path = write_timeline(
         args.timeline,
-        recording.events,
-        samples=recording.samples,
+        attr.events,
         metadata={"benchmark": bench.name, "suite": args.suite,
                   "params": params},
     )
-    if args.format == "json":
-        print(json.dumps(recording.as_dict(), indent=2, sort_keys=True))
-    else:
-        print(render_profile_text(recording.attribution))
-        print()
-        print(recording.sampler_report.render())
     print(
-        f"wrote {path} ({len(recording.events)} spans, "
-        f"{len(recording.samples)} samples); load in chrome://tracing "
+        f"wrote {path} ({len(attr.events)} spans); load in chrome://tracing "
         f"or https://ui.perfetto.dev",
         file=sys.stderr,
     )
@@ -445,16 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile",
                             help="cProfile one benchmark, attribute phases; "
-                            "--timeline adds the full flight recorder")
+                            "--timeline adds the trial's span budget and film")
     p_prof.add_argument("--bench", default="single_host_speed")
     p_prof.add_argument("--suite", default="smoke")
     p_prof.add_argument("--top", type=int, default=15)
     p_prof.add_argument("--timeline", default=None, metavar="PATH",
-                        help="also sample the trial and write its span tree "
-                        "+ sampler ticks as Chrome trace-event JSON")
-    p_prof.add_argument("--interval", type=float, default=2.0,
-                        help="sampler interval in ms (with --timeline; "
-                        "default 2)")
+                        help="also print the trial's exact phase budget "
+                        "and write its span tree as Chrome trace-event JSON")
     p_prof.add_argument("--format", choices=("text", "json"), default="text")
     p_prof.set_defaults(func=_cmd_profile)
 

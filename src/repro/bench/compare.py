@@ -238,14 +238,15 @@ def compare_artifacts(
         {e["name"]: _point(e) for e in art["benchmarks"]}
         for art in (current, baseline))
 
+    adopt = ("no baseline entry; to adopt, re-record the baseline: python -m "
+             f"repro.bench run --suite {current['suite']} "
+             "--out benchmarks/baseline.json")
     verdicts: list[Verdict] = []
     for name, cur in cur_by_name.items():
         base = base_by_name.get(name)
         verdicts.append(
-            Verdict(
-                name, NEW, current_median_s=cur[0],
-                note="no baseline entry; run with --update-baseline to adopt",
-            ) if base is None else _verdict(
+            Verdict(name, NEW, current_median_s=cur[0], note=adopt)
+            if base is None else _verdict(
                 name, cur, base, rel_threshold,
                 drift_threshold if same_env else None))
     verdicts += [

@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..telemetry import (
-    ATTRIBUTION_RULES,
     PHASES,
+    T_BARRIER,
+    T_COMM,
+    T_HOST,
     T_OTHER,
+    T_PIPE,
     InMemorySink,
-    Sample,
-    SamplerReport,
-    SamplingProfiler,
     SpanEvent,
     Tracer,
     set_tracer,
@@ -48,6 +48,27 @@ from .registry import Benchmark, BenchContext
 
 #: (filename, lineno, funcname) — pstats' function key.
 FuncKey = tuple[str, int, str]
+
+#: Ordered direct-attribution rules by module path: (path fragment,
+#: function name or None for any, phase or None for "as its callers").
+#: First match wins; paths are '/'-normalised.
+ATTRIBUTION_RULES: list[tuple[str, str | None, str | None]] = [
+    ("repro/parallel/simcomm.py", "barrier", T_BARRIER),
+    ("repro/parallel/barrier.py", None, T_BARRIER),
+    ("repro/parallel/simcomm.py", None, T_COMM),
+    ("repro/parallel/virtualtime.py", None, T_COMM),
+    ("repro/parallel/", None, T_COMM),
+    ("repro/forces/compiled.py", None, None),
+    ("repro/forces/", None, T_PIPE),
+    ("repro/hardware/", None, T_PIPE),
+    ("repro/telemetry/tracer.py", "span", None),
+    ("repro/telemetry/tracer.py", "__enter__", None),
+    ("repro/telemetry/tracer.py", "__exit__", None),
+    ("repro/telemetry/", None, T_OTHER),
+    ("repro/core/", None, T_HOST),
+    ("repro/perfmodel/", None, T_HOST),
+    ("repro/models/", None, T_HOST),
+]
 
 
 def _direct_phase(func: FuncKey) -> str | None:
@@ -125,6 +146,9 @@ class ProfileAttribution:
     total_s: float
     phase_self_s: dict[str, float] = field(default_factory=dict)
     hotspots: list[Hotspot] = field(default_factory=list)
+    #: the profiled trial's spans (empty when attributing a bare
+    #: profiler): its exact phase budget and its timeline
+    events: list[SpanEvent] = field(default_factory=list, repr=False)
 
     @property
     def attributed_s(self) -> float:
@@ -195,7 +219,9 @@ def profile_benchmark(
     bench: Benchmark, params: dict[str, Any], top: int = 15
 ) -> ProfileAttribution:
     """Run one trial of ``bench`` under cProfile (setup untimed and
-    unprofiled, like the runner) and attribute the result."""
+    unprofiled, like the runner) and attribute the result; the trial's
+    spans ride along in ``events`` (the cProfile overhead inflates their
+    wall times uniformly; relative shares survive)."""
     state = bench.setup(params) if bench.setup is not None else None
     sink = InMemorySink()
     tracer = Tracer(enabled=True, sinks=[sink])
@@ -208,61 +234,6 @@ def profile_benchmark(
         profiler.disable()
     finally:
         set_tracer(old)
-    return attribute_profile(profiler, benchmark=bench.name, top=top)
-
-
-@dataclass
-class FlightRecording:
-    """One benchmark trial seen three ways at once: deterministic
-    cProfile attribution, the span tree (for a timeline export), and
-    the span-correlated sampling profile."""
-
-    benchmark: str
-    attribution: ProfileAttribution
-    events: list[SpanEvent]
-    samples: list[Sample]
-    sampler_report: SamplerReport
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "benchmark": self.benchmark,
-            "profile": self.attribution.as_dict(),
-            "sampler": self.sampler_report.as_dict(),
-            "n_events": len(self.events),
-        }
-
-
-def flight_record_benchmark(
-    bench: Benchmark,
-    params: dict[str, Any],
-    top: int = 15,
-    interval_s: float = 0.002,
-) -> FlightRecording:
-    """Run one trial with the full flight recorder on.
-
-    cProfile, the span tracer and the sampling profiler observe the
-    *same* trial, so the timeline, the hotspot table and the sampler's
-    phase split all describe one execution (the cProfile overhead
-    inflates wall times uniformly; relative shares survive).
-    """
-    state = bench.setup(params) if bench.setup is not None else None
-    sink = InMemorySink()
-    tracer = Tracer(enabled=True, sinks=[sink])
-    ctx = BenchContext(params=dict(params), tracer=tracer, sink=sink)
-    profiler = cProfile.Profile()
-    sampler = SamplingProfiler(tracer, interval_s=interval_s)
-    old = set_tracer(tracer)
-    try:
-        with sampler:
-            profiler.enable()
-            bench.fn(ctx, state)
-            profiler.disable()
-    finally:
-        set_tracer(old)
-    return FlightRecording(
-        benchmark=bench.name,
-        attribution=attribute_profile(profiler, benchmark=bench.name, top=top),
-        events=list(sink.events),
-        samples=list(sampler.samples),
-        sampler_report=sampler.report(),
-    )
+    attribution = attribute_profile(profiler, benchmark=bench.name, top=top)
+    attribution.events = sink.events
+    return attribution

@@ -22,12 +22,9 @@ reproduction's real code paths:
   budget) and hands each closed blockstep to its consumers as one
   :class:`BlockstepRecord`;
 * sinks — in-memory, and the fold itself;
-* :class:`SamplingProfiler` — background-thread sampler whose samples
-  are attributed to the *currently open span* first and to module-path
-  rules only as a fallback (the flight recorder's profiler);
 * :mod:`timeline <repro.telemetry.timeline>` — Chrome trace-event
-  export of span trees (both clock domains) and sampler ticks, for
-  ``chrome://tracing`` / Perfetto.
+  export of span trees (both clock domains), for ``chrome://tracing``
+  / Perfetto.
 
 Quick start::
 
@@ -82,21 +79,10 @@ from .signatures import (
     schedule_signature,
     validate_signature_summary,
 )
-from .sampler import (
-    ATTRIBUTION_RULES,
-    SOURCE_FRAMES,
-    SOURCE_NONE,
-    SOURCE_SPAN,
-    Sample,
-    SamplerReport,
-    SamplingProfiler,
-    attribute_sample,
-)
 from .timeline import (
     TRACE_PIDS,
     TimelineSink,
     build_timeline,
-    sample_events,
     timeline_events,
     validate_timeline,
     write_timeline,
@@ -177,19 +163,10 @@ __all__ = [
     "validate_signature_summary",
     "render_breakdown",
     "breakdown_json",
-    "SamplingProfiler",
-    "ATTRIBUTION_RULES",
-    "Sample",
-    "SamplerReport",
-    "attribute_sample",
-    "SOURCE_SPAN",
-    "SOURCE_FRAMES",
-    "SOURCE_NONE",
     "TimelineSink",
     "TRACE_PIDS",
     "build_timeline",
     "timeline_events",
-    "sample_events",
     "write_timeline",
     "validate_timeline",
     "FlopsLedger",

@@ -103,8 +103,8 @@ def resolve_phase(name: str, phase: str | None) -> str | None:
 
     ``None`` means *inherit*: the nearest ancestor that resolves
     decides, and a span with no such ancestor is ``other``.  Every
-    reader — the fold, the timeline's categories, the sampler — asks
-    here, so they cannot disagree.
+    reader — the fold and the timeline's categories — asks here, so
+    they cannot disagree.
     """
     return phase or DEFAULT_SPAN_PHASES.get(name)
 

@@ -12,10 +12,7 @@ span stream as Trace Event JSON loadable in ``chrome://tracing`` or
 * both clock domains are exported side by side as separate trace
   processes — pid 1 is the wall clock, pid 2 the virtual (simulated
   machine) clock — so the same blockstep can be read in real time and
-  in the time the paper's figures plot;
-* sampler ticks (:mod:`repro.telemetry.sampler`) appear as instant
-  ("i") events, so profiling samples are visually correlated with the
-  spans they were attributed to.
+  in the time the paper's figures plot.
 
 The exporter consumes retained :class:`SpanEvent` lists (an
 :class:`InMemorySink`);
@@ -31,7 +28,6 @@ from typing import Any, Iterable, Sequence
 
 from ..schema import check, list_of
 from .phases import T_OTHER, resolve_phase
-from .sampler import Sample
 from .tracer import SpanEvent
 
 #: Registry of Chrome-trace process ids — one lane group per
@@ -152,26 +148,12 @@ def timeline_events(
     return out
 
 
-def sample_events(
-    samples: Iterable[Sample], pid: int = WALL_PID
-) -> list[dict[str, Any]]:
-    """Sampler ticks as thread-scoped instant ("i") events."""
-    return [
-        trace_event(
-            f"sample:{s.phase}", "sampler", s.t_us, 0.0, pid, s.thread_id,
-            {"phase": s.phase, "source": s.source, "label": s.label},
-        )
-        for s in samples
-    ]
-
-
 def build_timeline(
     events: Sequence[SpanEvent],
-    samples: Iterable[Sample] | None = None,
     metadata: dict[str, Any] | None = None,
     extra_events: Iterable[dict[str, Any]] | None = None,
 ) -> dict[str, Any]:
-    """The full trace document: both clock domains plus sampler ticks.
+    """The full trace document: both clock domains.
 
     ``extra_events`` appends pre-built trace events verbatim — the hook
     the comm-ledger uses (:meth:`repro.parallel.CommLedger.trace_events`
@@ -189,8 +171,6 @@ def build_timeline(
         trace.append(process_name_event(
             VIRTUAL_PID, "virtual clock (simulated machine)"))
         trace += virtual
-    if samples is not None:
-        trace += sample_events(samples)
     if extra_events is not None:
         trace += list(extra_events)
     return {
@@ -203,13 +183,11 @@ def build_timeline(
 def write_timeline(
     path: str | Path,
     events: Sequence[SpanEvent],
-    samples: Iterable[Sample] | None = None,
     metadata: dict[str, Any] | None = None,
     extra_events: Iterable[dict[str, Any]] | None = None,
 ) -> Path:
     """Build and write one trace document; returns the path."""
-    doc = build_timeline(events, samples=samples, metadata=metadata,
-                         extra_events=extra_events)
+    doc = build_timeline(events, metadata=metadata, extra_events=extra_events)
     path = Path(path)
     path.write_text(json.dumps(doc, sort_keys=True) + "\n")
     return path
@@ -253,7 +231,7 @@ TIMELINE_SPEC = {
 
 
 def validate_timeline(doc: Any, source: str = "timeline") -> dict[str, Any]:
-    """Cheap structural check (tests and the CLI run it after export).
+    """Cheap structural check (the tests and CI run it on every export).
 
     Asserts the Trace Event contract the viewers rely on: a
     ``traceEvents`` list whose duration events are "B"/"E"/"X" with
@@ -269,24 +247,16 @@ class TimelineSink:
 
     Buffers span events (timeline files need global sorting and the
     virtual-domain scan, so streaming JSON incrementally buys nothing)
-    and serialises them — plus any sampler attached via
-    :meth:`attach_sampler` — when the tracer closes it.
+    and serialises them when the tracer closes it.
     """
 
     def __init__(self, path: str | Path, **metadata: Any) -> None:
         self.path = Path(path)
         self.metadata = metadata
         self.events: list[SpanEvent] = []
-        self._sampler = None
-
-    def attach_sampler(self, sampler) -> None:
-        """Include ``sampler.samples`` as instant events at close."""
-        self._sampler = sampler
 
     def emit(self, event: SpanEvent) -> None:
         self.events.append(event)
 
     def close(self) -> None:
-        samples = self._sampler.samples if self._sampler is not None else None
-        write_timeline(self.path, self.events, samples=samples,
-                       metadata=self.metadata)
+        write_timeline(self.path, self.events, metadata=self.metadata)

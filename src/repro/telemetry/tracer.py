@@ -38,7 +38,6 @@ threading a tracer handle through every constructor, mirroring the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from threading import get_ident
 from time import perf_counter
 from typing import Any, Callable
 
@@ -99,13 +98,7 @@ class _Span:
         tr._serial += 1
         self.span_id = tr._serial
         stack = tr._stack
-        if stack:
-            self.parent_id = stack[-1].span_id
-        else:
-            # only a top-level span can be the first a thread opens:
-            # the stack belongs to one thread while it is non-empty
-            self.parent_id = None
-            tr._owner_thread = get_ident()
+        self.parent_id = stack[-1].span_id if stack else None
         stack.append(self)
         clock = tr.virtual_clock
         self._v0 = None if clock is None else float(clock())
@@ -174,7 +167,6 @@ class Tracer:
         self._stack: list[_Span] = []
         self._serial = 0
         self._epoch = perf_counter()
-        self._owner_thread: int | None = None
 
     # -- sinks ----------------------------------------------------------------
 
@@ -206,30 +198,6 @@ class Tracer:
         span = _new_span(_Span)
         span._tracer, span.name, span.phase, span.attrs = self, name, phase, attrs
         return span
-
-    # -- introspection (the sampling profiler's view) -------------------------
-
-    def open_spans(self) -> tuple[tuple[str, str | None], ...]:
-        """Snapshot of the currently-open span stack, outermost first.
-
-        Each element is ``(name, phase)``; the phase is the span's
-        explicit ``phase=`` argument or None (the consumer resolves
-        unphased names through the span-name map).  Taking the snapshot
-        copies the list under the GIL, so a background sampler thread
-        may call this while the traced thread opens and closes spans;
-        in the worst case a sample sees a stack that is one span stale,
-        which is exactly the resolution a sampling profiler has anyway.
-        """
-        return tuple((s.name, s.phase) for s in self._stack)
-
-    @property
-    def owner_thread(self) -> int | None:
-        """``threading.get_ident()`` of the last thread to open a span.
-
-        The sampler uses this to correlate span attribution with the
-        right thread's samples; None until the first span opens.
-        """
-        return self._owner_thread
 
     # -- the per-blockstep hook -----------------------------------------------
 

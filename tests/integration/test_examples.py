@@ -71,19 +71,19 @@ class TestExamplesRun:
         assert "core.block_size" in out
         assert "net.messages" in out
 
-    def test_flight_recorder_demo(self, capsys, tmp_path):
+    def test_telemetry_demo_writes_a_trace(self, capsys, tmp_path):
         import json
 
         from repro.telemetry import validate_timeline
 
         trace = tmp_path / "trace.json"
-        out = run_example(
-            "flight_recorder_demo.py", "24", str(trace), capsys=capsys
-        )
-        assert "span attribution" in out
-        assert "sampling profile" in out
+        out = run_example("telemetry_demo.py", "24", str(trace), capsys=capsys)
+        assert "emulated single host" in out
+        assert f"wrote {trace}" in out
         doc = validate_timeline(json.loads(trace.read_text()))
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
+        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert {"blockstep", "grape.force"} <= {e["name"] for e in spans}
+        assert doc["otherData"] == {"workload": "plummer", "n": 24}
 
     def test_service_demo(self, capsys):
         out = run_example("service_demo.py", "24", capsys=capsys)

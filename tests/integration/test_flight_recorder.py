@@ -1,11 +1,10 @@
-"""End-to-end flight recorder: sampler + timeline + CLI.
+"""End-to-end flight recorder: profile + timeline + CLI.
 
 The acceptance properties pinned here:
 
-* a real traced blockstep run has >= 80% of its profiling samples
-  attributed via an open span (instrumentation coverage, not luck);
-* ``profile --timeline`` writes Chrome trace-event JSON that parses
-  and validates (X events, microsecond ts, pid/tid);
+* ``profile --timeline`` writes the profiled trial's spans as Chrome
+  trace-event JSON that parses and validates (X events, microsecond
+  ts, pid/tid) and prints their exact phase budget;
 * ``compare`` exits non-zero on injected model drift;
 * ``run --seed`` threads the workload seed into the artifact.
 """
@@ -16,69 +15,12 @@ import json
 import pytest
 
 from repro.bench import (
-    REGISTRY,
     read_artifact,
     run_suite,
     write_artifact,
 )
 from repro.bench.cli import main
-from repro.bench.profiling import flight_record_benchmark
-from repro.telemetry import SOURCE_SPAN, T_HOST, T_PIPE, validate_timeline
-
-
-@pytest.fixture(scope="module")
-def recording():
-    """A run long enough for some eighty 2 ms samples, a dozen of them
-    on the host side: since the force tiles are compiled the ``micro``
-    size lasts two samples and even ``full`` leaves the host phase one
-    to five, which the assertions below cannot be read from.
-
-    The sampler thread ticks when it next holds the GIL.  At the default
-    5 ms switch interval that is at the next tile call, which releases
-    it; where the woken thread is slow to be scheduled it misses the host
-    tile's ~15 us calls and catches only the emulator's ~200 us ones, and
-    a whole recording lands in ``pipe`` (seen: 78 of 78 samples, with the
-    host 23 % of the wall).  The sampler lowers the switch interval to
-    0.1 ms itself while it runs, so the main thread hands the GIL over
-    wherever it is."""
-    bench = REGISTRY.get("blockstep_phase_breakdown")
-    return flight_record_benchmark(
-        bench, {**bench.params_for("full"), "t_end": 0.5}, interval_s=0.002
-    )
-
-
-class TestFlightRecording:
-    def test_sampler_attribution_beats_eighty_percent(self, recording):
-        """The instrumented blockstep keeps a span open through its
-        hot paths, so nearly every sample is span-attributed; >= 80%
-        is the acceptance floor."""
-        report = recording.sampler_report
-        assert report.n_samples >= 5
-        assert report.span_fraction >= 0.8
-        assert report.attributed_fraction >= 0.8
-
-    def test_samples_cover_host_and_pipe(self, recording):
-        """Both sides of the eq. 10 budget appear: pipeline (force)
-        samples and host (predict/correct/timestep) samples."""
-        counts = recording.sampler_report.phase_counts
-        assert counts.get(T_PIPE, 0) > 0
-        assert counts.get(T_HOST, 0) > 0
-
-    def test_span_correlation_outranks_frame_rules_in_vivo(self, recording):
-        """Samples taken while a host-phase span is open are reported
-        as host even though the path rules would often say otherwise
-        (tracer exits, bench glue)."""
-        span_sourced = [
-            s for s in recording.samples if s.source == SOURCE_SPAN
-        ]
-        assert span_sourced, "expected span-attributed samples"
-        # every span-sourced label is a span name, not a file:func
-        assert all(":" not in s.label for s in span_sourced)
-
-    def test_recording_carries_all_three_views(self, recording):
-        assert recording.attribution.total_s > 0.0          # cProfile
-        assert len(recording.events) > 10                    # span tree
-        assert recording.as_dict()["n_events"] == len(recording.events)
+from repro.telemetry import validate_timeline
 
 
 class TestTimelineCLI:
@@ -86,7 +28,7 @@ class TestTimelineCLI:
         path = tmp_path / "trace.json"
         rc = main([
             "profile", "--bench", "blockstep_phase_breakdown",
-            "--suite", "micro", "--timeline", str(path), "--interval", "2",
+            "--suite", "micro", "--timeline", str(path),
         ])
         assert rc == 0
         doc = validate_timeline(json.loads(path.read_text()))
@@ -97,7 +39,8 @@ class TestTimelineCLI:
         assert wall == sorted(wall)
         assert all("pid" in e and "tid" in e for e in events)
         out = capsys.readouterr().out
-        assert "sampling profile" in out
+        assert "span attribution (exact self-times)" in out
+        assert f"({len(events)} spans)" in out
 
 
 @pytest.fixture(scope="module")

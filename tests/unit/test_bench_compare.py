@@ -117,6 +117,21 @@ class TestMembership:
         assert statuses == {"new": NEW, "old": MISSING}
         assert result.ok  # membership changes never fail the gate
 
+    def test_the_adopt_note_names_a_command_the_cli_parses(self):
+        """A new benchmark's note says how to re-record the baseline,
+        and that command line is one ``python -m repro.bench`` accepts."""
+        import shlex
+
+        from repro.bench.cli import _cmd_run, build_parser
+
+        result = compare_artifacts(make_artifact([make_entry("new", [1.0])]),
+                                   make_artifact([make_entry("old", [1.0])]))
+        verdict = next(v for v in result.verdicts if v.status == NEW)
+        _, command = verdict.note.split("python -m repro.bench ")
+        args = build_parser().parse_args(shlex.split(command))
+        assert args.func is _cmd_run
+        assert (args.suite, args.out) == ("unit", "benchmarks/baseline.json")
+
     def test_degenerate_zero_median_not_comparable(self):
         v = compare_benchmark(make_entry("k", [0.0, 0.0]), make_entry("k", [0.0]))
         assert v.status == PASS

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -255,15 +256,21 @@ class TestOneAnswer:
         child: the child's time is pipe time by the ancestor rule, and
         the post-hoc breakdown, the streaming totals, the signature
         shares and the flops buckets all say so (they used to read
-        pipe / other / other / host)."""
+        pipe / other / other / host).  The tracer runs on a scripted
+        clock, so the 20 us of self time its two ancestors get each is
+        exact and a busy machine cannot move the shares."""
         sink = InMemorySink()
         recorder, ledger = SignatureRecorder(), FlopsLedger()
         fold = SpanFold([recorder, ledger])
-        tracer = Tracer(enabled=True, sinks=[sink, fold])
-        with tracer.span("blockstep", phase=T_HOST, n_block=1, n=2):
-            with tracer.span("grape.force"):
-                with tracer.span("unmapped-child"):
-                    time.sleep(0.002)
+        now = [0.0]
+        with mock.patch("repro.telemetry.tracer.perf_counter", lambda: now[0]):
+            tracer = Tracer(enabled=True, sinks=[sink, fold])
+            with tracer.span("blockstep", phase=T_HOST, n_block=1, n=2):
+                now[0] += 20e-6
+                with tracer.span("grape.force"):
+                    now[0] += 20e-6
+                    with tracer.span("unmapped-child"):
+                        now[0] += 0.002
 
         posthoc = PhaseAggregator().consume(sink.events).breakdown()
         assert posthoc.wall.fraction(T_PIPE) > 0.9

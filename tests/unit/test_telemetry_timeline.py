@@ -2,9 +2,8 @@
 
 Pins the contract the viewers rely on: complete ("X") events with
 microsecond ``ts``/``dur`` and ``pid``/``tid``, monotonic ordering,
-both clock domains as separate trace processes, sampler ticks as
-instant events, and a document that survives a JSON round trip through
-:func:`validate_timeline`.
+both clock domains as separate trace processes, and a document that
+survives a JSON round trip through :func:`validate_timeline`.
 """
 
 import json
@@ -15,12 +14,10 @@ from repro.telemetry import (
     T_COMM,
     T_HOST,
     T_PIPE,
-    Sample,
     SpanEvent,
     TimelineSink,
     Tracer,
     build_timeline,
-    sample_events,
     timeline_events,
     validate_timeline,
     write_timeline,
@@ -92,15 +89,6 @@ class TestTimelineEvents:
             timeline_events(events, clock="cpu")
 
 
-class TestSampleEvents:
-    def test_samples_become_thread_scoped_instants(self):
-        samples = [Sample(12.5, 7, T_PIPE, "span", "force")]
-        (ev,) = sample_events(samples)
-        assert ev["ph"] == "i" and ev["ts"] == 12.5 and ev["tid"] == 7
-        assert ev["cat"] == "sampler"
-        assert ev["args"]["label"] == "force"
-
-
 class TestBuildAndValidate:
     def test_document_shape_and_both_domains(self, events):
         doc = build_timeline(events, metadata={"suite": "micro"})
@@ -132,13 +120,11 @@ class TestBuildAndValidate:
 
     def test_write_round_trip(self, events, tmp_path):
         path = tmp_path / "trace.json"
-        samples = [Sample(15.0, 3, T_PIPE, "span", "force")]
-        write_timeline(path, events, samples=samples, metadata={"k": "v"})
+        write_timeline(path, events, metadata={"k": "v"})
         doc = validate_timeline(json.loads(path.read_text()))
+        assert doc == build_timeline(events, metadata={"k": "v"})
         kinds = {e["ph"] for e in doc["traceEvents"]}
-        assert kinds == {"M", "X", "i"}
-        sampler_events = [e for e in doc["traceEvents"] if e.get("cat") == "sampler"]
-        assert len(sampler_events) == 1
+        assert kinds == {"M", "X"}
 
 
 class TestTimelineSink:
