@@ -48,6 +48,7 @@ from .core import (
     strong_softening,
 )
 from .forces import DirectSummation
+from . import hardware, parallel  # the other tiles' owners: every tile resolves at import
 from .models import (
     binary_black_hole_model,
     cold_sphere,

@@ -21,8 +21,8 @@ call each, where numpy dispatches some forty small-array operations
 (about 100 us a blockstep at every N, for 1 us of arithmetic).  Why the
 bits agree is argued at the top of the C file; that they agree is
 checked when the tile is loaded (:func:`_self_check`), and
-:data:`HERMITE_TIER` / :data:`HERMITE_TIER_REASON` say which tier serves
-this process.  Nothing selects one.
+``compiled.TIERS["hermite_tile"]`` says which tier serves this process.
+Nothing selects one.
 
 The compiled tier points into the caller's arrays, so both tiers refuse
 what it could not point into - anything but C-contiguous float64 of the
@@ -50,7 +50,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..forces.compiled import TileUnavailable, address, entry_point, load_library
+from ..forces.compiled import TileUnavailable, address, entry_point, resolve
 from .corrector import hermite_correct
 from .timestep import NonFiniteForce, aarseth_dt, quantize_block_dt
 
@@ -309,9 +309,13 @@ class _Bound:
         )
 
 
-def _bind(predict_fn, advance_fn) -> HermiteTile:
+def _bind(library) -> HermiteTile:
     """``hermite_tile.c`` behind the numpy tier's two signatures, each
     bound to the arrays it was last called on (:class:`_Bound`)."""
+    predict_fn = entry_point(library, "hermite_predict", [c_double, c_void_p])
+    advance_fn = entry_point(library, "hermite_advance_block", [
+        c_void_p, c_ssize_t, c_void_p, c_double, *[c_void_p] * 3, *[c_double] * 3, c_void_p,
+    ], c_ssize_t)
     predicted = block_state = None
 
     def predict_hermite(t_now, t0, x0, v0, a0, j0, out_x=None, out_v=None):
@@ -385,7 +389,7 @@ def _self_check_system(n: int, n_b: int, t_block: float):
     """A system with a block due at ``t_block`` and the force on it:
     steps 2^-3 .. 2^-40 inside one block, and force changes that put the
     criterion from far below the old step to far above it."""
-    # irregular O(1) values (no RNG: see forces.compiled)
+    # irregular O(1) values (no RNG: see forces.kernels)
     wave = np.sin(np.arange(1.0, 24 * n + 1).reshape(8, n, 3) ** 2)
     s = SimpleNamespace(n=n, **dict(zip(STATE_VECTORS, wave[:6].copy())))
     s.pot, s.t, s.dt = wave[6, :, 0].copy(), np.zeros(n), np.full(n, 2.0**-3)
@@ -445,34 +449,10 @@ def _self_check(tile: HermiteTile) -> None:
             )
 
 
-def resolve_hermite_tier() -> tuple[HermiteTile, str, str]:
-    """``(tile, HERMITE_TIER, HERMITE_TIER_REASON)``: the compiled pair if
-    it builds, loads and passes :func:`_self_check`, else the numpy pair
-    and why.  As :func:`repro.forces.kernels.resolve_kernel_tier`: run
-    once, at import, and nothing the loader meets may escape it."""
-    void_p, ssize_t, double = c_void_p, c_ssize_t, c_double
-    try:
-        library, built = load_library("hermite_tile")
-        tile = _bind(
-            entry_point(library, "hermite_predict", [double, void_p]),
-            entry_point(
-                library, "hermite_advance_block",
-                [void_p, ssize_t, void_p, double] + [void_p] * 3 + [double] * 3 + [void_p],
-                ssize_t,
-            ),
-        )
-        _self_check(tile)
-    except TileUnavailable as exc:
-        return NUMPY_TILE, "numpy", str(exc)
-    except Exception as exc:
-        return NUMPY_TILE, "numpy", f"loader failed: {exc!r}"
-    return tile, "c", built
-
-
 #: The pair serving this process - :data:`NUMPY_TILE`, or ``hermite_tile.c``
-#: behind the same signatures - and which tier it is (``"c"`` | ``"numpy"``)
-#: and why.  Resolved once, at import; the tiers differ in speed only.
-_tile, HERMITE_TIER, HERMITE_TIER_REASON = resolve_hermite_tier()
+#: behind the same signatures - resolved once, at import; the tiers
+#: differ in speed only (``compiled.TIERS["hermite_tile"]`` says which).
+_tile = resolve("hermite_tile", _bind, _self_check, NUMPY_TILE)
 
 #: Eqs. (6)-(7) through the jerk term for all N particles
 #: (:func:`numpy_predict_hermite` documents the signature).

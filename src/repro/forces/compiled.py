@@ -1,11 +1,16 @@
-"""Build, cache and load the compiled tiles (:data:`SOURCES`).
+"""Build, cache, load and self-check the compiled tiles (:data:`SOURCES`).
 
 Each C source ships inside the package of the module that owns its
 numpy twin and is built on first use with the system C compiler into a
-per-user cache, then loaded with :mod:`ctypes`: one path for every
-tile, :func:`load_library` (:func:`load_tile` where the library is one
-function), of which an owner adds only its argument types, a binder
-that validates arrays before pointing into them, and a self-check.
+per-user cache, then loaded with :mod:`ctypes`.  Every tile takes one
+path, :func:`resolve`: load the library (:func:`load_library`), bind it
+with the owner's binder and run the owner's self-check against the
+owner's numpy reference; on any failure the reference serves.
+:data:`TIERS` records which tier serves each tile, and why.  The
+per-tile parts stay with the owner, beside the numpy twin they must
+match (the owner imports this module, so a table of them here would be
+an import cycle): its entry points' argument types (:func:`entry_point`),
+a binder that validates arrays before pointing into them, a self-check.
 Arrays that live longer than a call - a particle system's state, a
 machine's j-memory, a simulated network's clock, round log and
 schedules - are bound once: validated, addressed into a
@@ -13,27 +18,20 @@ schedules - are bound once: validated, addressed into a
 (:mod:`repro.core.hermite_tile`, :func:`repro.hardware.pipeline.bind_j_set`,
 :mod:`repro.parallel.network_tile`); a call then validates and
 addresses (:func:`address`) only what is new in it.
-Nothing here chooses between tiers: a loader (here
-:func:`load_pairwise_tile`; the pipeline tile's is in
-:mod:`repro.hardware.pipeline`, the Hermite tile's in
-:mod:`repro.core.hermite_tile`, the network tile's in
-:mod:`repro.parallel.network_tile`) either returns the compiled tile,
-checked bit for bit against the reference, or raises
-:class:`TileUnavailable` with the reason, and the owner keeps the numpy
-tier.
 
 Cache.  ``$XDG_CACHE_HOME/repro-grape6`` (default ``~/.cache``).  The
 directory must belong to the user and be writable by nobody else, or it
 is refused: a shared library is code, and loading one another user
 could have written is running their code.  A user without a usable
-cache directory gets the numpy tier.  The file name carries a hash of
-source, flags, compiler (resolved path, size, mtime: its version
-without running it) and CPU, so a compiler upgrade or a home directory
-shared between machines rebuilds instead of loading a stale or foreign
-build; once built, an import starts no process.  A build goes to a
-temporary name in the same directory and is renamed into place, so
-concurrent first imports each build their own copy and the last rename
-wins; no reader ever sees a torn file.
+cache directory gets the numpy tier.  The file name
+(:func:`library_path`) carries a hash of source, flags, compiler
+(resolved path, size, mtime: its version without running it) and CPU,
+so a compiler upgrade or a home directory shared between machines
+rebuilds instead of loading a stale or foreign build; once built, an
+import starts no process.  A build goes to a temporary name in the same
+directory and is renamed into place, so concurrent first imports each
+build their own copy and the last rename wins; no reader ever sees a
+torn file.
 
 Flags (:data:`CFLAGS`).  ``-ffp-contract=off`` forbids fusing ``a * b +
 c`` into one rounding, which would change bits; there is no
@@ -60,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 
-#: The compiled tiles, by the name their entry point and library carry.
+#: The compiled tiles' sources, by the name their library carries.
 SOURCES = {
     "pairwise_tile": Path(__file__).with_name("pairwise_tile.c"),
     "pipeline_tile": Path(__file__).parents[1] / "hardware" / "pipeline_tile.c",
@@ -77,11 +75,11 @@ CFLAGS = (
     "-fPIC",
 )
 
-#: ``(n_i, n_j)`` of the load-time self-check: around numpy's 8-wide
-#: unroll, its 128 block, and a halving whose halves halve again.
-SELF_CHECK_TILES = ((3, 7), (2, 9), (2, 128), (3, 129), (2, 300))
-
-TileSums = Callable[[np.ndarray, np.ndarray, np.ndarray, float, bool, np.ndarray], None]
+#: Which tier serves each tile in this process, and why: tile name ->
+#: (``"c"`` | ``"numpy"``, what was built and where, or why not).  Filled
+#: by :func:`resolve` as the owners are imported (``import repro``
+#: imports all four); the tiers differ in speed only.
+TIERS: dict[str, tuple[str, str]] = {}
 
 
 class TileUnavailable(RuntimeError):
@@ -172,6 +170,20 @@ def _build(cc: str, source: Path, target: Path) -> None:
             os.unlink(tmp)
 
 
+def library_path(name: str, cc: str) -> Path:
+    """Where the library built from ``SOURCES[name]`` by ``cc`` lives in
+    the cache: its name carries a hash of source, flags, compiler and
+    CPU, so a change of any of them is a new file."""
+    try:
+        source = SOURCES[name].read_text()
+    except OSError as exc:
+        raise TileUnavailable(f"cannot read the tile's source: {exc}") from exc
+    key = hashlib.sha256(
+        "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
+    ).hexdigest()[:16]
+    return cache_dir() / f"{name}-{key}.so"
+
+
 def load_library(name: str):
     """The library built from ``SOURCES[name]``, and a line saying what
     was built and where.  ``ctypes.CDLL`` releases the GIL for a call.
@@ -182,14 +194,7 @@ def load_library(name: str):
     cc = find_compiler()
     if cc is None:
         raise TileUnavailable("no C compiler (cc, gcc, clang) on PATH")
-    try:
-        source = SOURCES[name].read_text()
-    except OSError as exc:
-        raise TileUnavailable(f"cannot read the tile's source: {exc}") from exc
-    key = hashlib.sha256(
-        "\0".join((source, " ".join(CFLAGS), compiler_identity(cc), cpu_identity())).encode()
-    ).hexdigest()[:16]
-    path = cache_dir() / f"{name}-{key}.so"
+    path = library_path(name, cc)
     if not path.exists():
         _build(cc, SOURCES[name], path)
     try:
@@ -197,6 +202,32 @@ def load_library(name: str):
     except OSError as exc:
         raise TileUnavailable(f"cannot load {path}: {exc}") from exc
     return library, f"{cc} {' '.join(CFLAGS)} -> {path}"
+
+
+def resolve(name: str, bind: Callable, self_check: Callable, reference):
+    """The tier serving tile ``name``: ``bind(library)`` of
+    :func:`load_library`'s library if ``self_check`` passes it (it raises
+    :class:`TileUnavailable` unless the tile answers bit for bit as
+    ``reference`` does), else ``reference``, the numpy tier; which, and
+    why, goes to :data:`TIERS`.  There is nothing to configure.
+
+    An owner calls this once, at import, so that no build, ``dlopen`` or
+    self-check falls inside anything a caller times, and forked workers
+    inherit the library.  So nothing the loader meets may escape: a
+    platform it did not foresee (no home directory, no ``os.getuid``)
+    is one more reason for the numpy tier, not a failed import."""
+    try:
+        library, built = load_library(name)
+        tile = bind(library)
+        self_check(tile)
+    except TileUnavailable as exc:
+        TIERS[name] = ("numpy", str(exc))
+        return reference
+    except Exception as exc:
+        TIERS[name] = ("numpy", f"loader failed: {exc!r}")
+        return reference
+    TIERS[name] = ("c", built)
+    return tile
 
 
 def entry_point(library, symbol: str, argtypes: list, restype=None):
@@ -207,13 +238,6 @@ def entry_point(library, symbol: str, argtypes: list, restype=None):
         raise TileUnavailable(f"{library._name} has no {symbol}") from exc
     fn.argtypes, fn.restype = argtypes, restype
     return fn
-
-
-def load_tile(name: str, argtypes: list, restype=None):
-    """Entry point ``name`` of :func:`load_library`'s ``name``, for a
-    library that is one function, and the line saying what was built."""
-    library, built = load_library(name)
-    return entry_point(library, name, argtypes, restype), built
 
 
 _addressof, _first_byte = ctypes.addressof, ctypes.c_char.from_buffer
@@ -229,60 +253,3 @@ def address(a: np.ndarray) -> int:
         return _addressof(_first_byte(a))
     except (TypeError, ValueError):  # read-only (or strided), or empty
         return a.ctypes.data
-
-
-def _bind(fn) -> TileSums:
-    """``pairwise_tile`` as a function of the arrays the numpy tier takes."""
-    # its four arrays are made by the caller, float64 and writable, and a
-    # one-row tile is 9 us: no call to, and no test in, :func:`address`
-    pointer_to, first = ctypes.byref, ctypes.c_double.from_buffer
-
-    def tile_sums(ci, cj, gm, eps2, mask_self, sums) -> None:
-        n_i, n_j = ci.shape[1], cj.shape[1]
-        for a, shape in ((ci, (6, n_i)), (cj, (6, n_j)), (gm, (n_j,)), (sums, (7, n_i))):
-            if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
-                raise ValueError(f"pairwise tile wants contiguous float64 {shape}")
-        if n_i == 0 or n_j == 0:  # no first element to point at
-            sums.fill(0.0)
-            return
-        fn(pointer_to(first(ci)), n_i, pointer_to(first(cj)), pointer_to(first(gm)),
-           n_j, eps2, mask_self, pointer_to(first(sums)))
-
-    return tile_sums
-
-
-def _self_check(tile: TileSums, reference: TileSums) -> None:
-    """Refuse ``tile`` unless it reproduces ``reference`` bit for bit on
-    :data:`SELF_CHECK_TILES`, targets among the sources, both masks."""
-    for n_i, n_j in SELF_CHECK_TILES:
-        # irregular O(1) coordinates and masses (no RNG: importing
-        # numpy.random costs this import 7 MiB)
-        cj = np.sin(np.arange(1.0, 6 * n_j + 1).reshape(6, n_j) ** 2)
-        ci = np.ascontiguousarray(cj[:, :n_i])
-        gm = 0.1 + np.cos(np.arange(n_j)) ** 2
-        for mask_self in (False, True):
-            got, want = np.empty((7, n_i)), np.empty((7, n_i))
-            tile(ci, cj, gm, 2.0**-12, mask_self, got)
-            reference(ci, cj, gm, 2.0**-12, mask_self, want)
-            if got.tobytes() != want.tobytes():
-                raise TileUnavailable(
-                    f"self-check: compiled tile differs from the numpy tile "
-                    f"at {n_i}x{n_j}, mask_self={mask_self}"
-                )
-
-
-def load_pairwise_tile(reference: TileSums) -> tuple[TileSums, str]:
-    """The compiled tile and a line saying what was built and where.
-
-    Raises :class:`TileUnavailable` as :func:`load_tile` does, or when
-    the result is not bitwise equal to ``reference`` on the self-check
-    tiles.
-    """
-    void_p, ssize_t = ctypes.c_void_p, ctypes.c_ssize_t
-    fn, built = load_tile(
-        "pairwise_tile",
-        [void_p, ssize_t, void_p, void_p, ssize_t, ctypes.c_double, ctypes.c_int, void_p],
-    )
-    tile = _bind(fn)
-    _self_check(tile, reference)
-    return tile, built

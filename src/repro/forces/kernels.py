@@ -41,9 +41,9 @@ holds one i-particle in registers while the j-set streams past, like the
 hardwired pipeline, and is **bitwise identical** to the numpy tier: the
 same IEEE operations in the same order per pair, no fused multiply-add,
 and the j-sum in numpy's pairwise-summation order.  It is checked against
-the numpy tier when it is loaded and refused on any difference, so every
-bit-identity pin holds on either tier and nothing selects one:
-:data:`KERNEL_TIER` and :data:`KERNEL_TIER_REASON` say which tier serves
+the numpy tier when it is loaded (:func:`_self_check`) and refused on any
+difference, so every bit-identity pin holds on either tier and nothing
+selects one: ``compiled.TIERS["pairwise_tile"]`` says which tier serves
 this process and why.
 
 Flop accounting follows the paper's convention of 38 ops per force and
@@ -52,13 +52,14 @@ Flop accounting follows the paper's convention of 38 ops per force and
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import ctypes
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..constants import FLOPS_PER_INTERACTION, G_NBODY
-from .compiled import TileSums, TileUnavailable, load_pairwise_tile
+from .compiled import TileUnavailable, entry_point, resolve
 
 #: Bytes of pairwise intermediates one i-tile may occupy.  Measured on
 #: the claim workloads' tile shapes (EXPERIMENTS.md, "Pairwise kernel"):
@@ -187,30 +188,63 @@ def numpy_tile_sums(
         sums[:, rows] = buf[:7].sum(axis=2)
 
 
-def resolve_kernel_tier() -> tuple[TileSums, str, str]:
-    """``(tile, KERNEL_TIER, KERNEL_TIER_REASON)``: the compiled tile if it
-    can be built, loaded and matches :func:`numpy_tile_sums` bitwise,
-    else the numpy tile and why.  There is nothing to configure.
-
-    This runs at import, so nothing the loader meets may escape it: a
-    platform it did not foresee (no home directory, no ``os.getuid``)
-    is one more reason for the numpy tier, not a package that cannot be
-    imported."""
-    try:
-        tile, built = load_pairwise_tile(numpy_tile_sums)
-    except TileUnavailable as exc:
-        return numpy_tile_sums, "numpy", str(exc)
-    except Exception as exc:
-        return numpy_tile_sums, "numpy", f"loader failed: {exc!r}"
-    return tile, "c", built
+TileSums = Callable[[np.ndarray, np.ndarray, np.ndarray, float, bool, np.ndarray], None]
 
 
-#: Which tier serves :func:`pairwise_acc_jerk_pot` in this process (``"c"``
-#: or ``"numpy"``) and why.  Resolved once, at import, so that no build,
-#: ``dlopen`` or self-check falls inside anything a caller times and
-#: forked pool workers inherit the loaded library.  The tiers differ in
-#: speed only; every bit of every result is the same.
-_tile_sums, KERNEL_TIER, KERNEL_TIER_REASON = resolve_kernel_tier()
+def _bind(library) -> TileSums:
+    """``pairwise_tile.c`` as a function of the arrays the numpy tier takes."""
+    void_p, ssize_t = ctypes.c_void_p, ctypes.c_ssize_t
+    fn = entry_point(
+        library, "pairwise_tile",
+        [void_p, ssize_t, void_p, void_p, ssize_t, ctypes.c_double, ctypes.c_int, void_p],
+    )
+    # its four arrays are made by the caller, float64 and writable, and a
+    # one-row tile is 9 us: no call to, and no test in, compiled.address
+    pointer_to, first = ctypes.byref, ctypes.c_double.from_buffer
+
+    def tile_sums(ci, cj, gm, eps2, mask_self, sums) -> None:
+        n_i, n_j = ci.shape[1], cj.shape[1]
+        for a, shape in ((ci, (6, n_i)), (cj, (6, n_j)), (gm, (n_j,)), (sums, (7, n_i))):
+            if a.shape != shape or a.dtype != np.float64 or not a.flags.c_contiguous:
+                raise ValueError(f"pairwise tile wants contiguous float64 {shape}")
+        if n_i == 0 or n_j == 0:  # no first element to point at
+            sums.fill(0.0)
+            return
+        fn(pointer_to(first(ci)), n_i, pointer_to(first(cj)), pointer_to(first(gm)),
+           n_j, eps2, mask_self, pointer_to(first(sums)))
+
+    return tile_sums
+
+
+#: ``(n_i, n_j)`` of the load-time self-check: around numpy's 8-wide
+#: unroll, its 128 block, and a halving whose halves halve again.
+SELF_CHECK_TILES = ((3, 7), (2, 9), (2, 128), (3, 129), (2, 300))
+
+
+def _self_check(tile: TileSums) -> None:
+    """Refuse ``tile`` unless it reproduces :func:`numpy_tile_sums` bit
+    for bit on :data:`SELF_CHECK_TILES`, targets among the sources, both
+    masks."""
+    for n_i, n_j in SELF_CHECK_TILES:
+        # irregular O(1) coordinates and masses (no RNG: importing
+        # numpy.random costs this import 7 MiB)
+        cj = np.sin(np.arange(1.0, 6 * n_j + 1).reshape(6, n_j) ** 2)
+        ci = np.ascontiguousarray(cj[:, :n_i])
+        gm = 0.1 + np.cos(np.arange(n_j)) ** 2
+        for mask_self in (False, True):
+            got, want = np.empty((7, n_i)), np.empty((7, n_i))
+            tile(ci, cj, gm, 2.0**-12, mask_self, got)
+            numpy_tile_sums(ci, cj, gm, 2.0**-12, mask_self, want)
+            if got.tobytes() != want.tobytes():
+                raise TileUnavailable(
+                    f"self-check: compiled tile differs from the numpy tile "
+                    f"at {n_i}x{n_j}, mask_self={mask_self}"
+                )
+
+
+#: The tile serving :func:`pairwise_acc_jerk_pot` in this process:
+#: ``pairwise_tile.c`` or :func:`numpy_tile_sums` (``compiled.TIERS``).
+_tile_sums = resolve("pairwise_tile", _bind, _self_check, numpy_tile_sums)
 
 
 def pairwise_acc_jerk_pot(

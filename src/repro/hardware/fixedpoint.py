@@ -154,7 +154,9 @@ def carry_save_sum(
     if v.shape[axis] >= 2**31:
         raise ValueError("too many addends for the 32-bit split")
     hi = np.asarray(np.right_shift(v, 32, out=scratch).sum(axis=axis))
-    return hi, np.asarray(v.sum(axis=axis) - (hi << 32))
+    # a ufunc, not ``-``: of two numpy scalars (a 1-D input) ``-`` warns
+    # on the wrap it relies on
+    return hi, np.asarray(np.subtract(v.sum(axis=axis), hi << 32))
 
 
 def combine_lanes_exact(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

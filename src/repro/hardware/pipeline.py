@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..forces.compiled import TileUnavailable, address, entry_point, load_library
+from ..forces.compiled import TileUnavailable, address, entry_point, resolve
 from ..forces.kernels import TILE_BYTES, plane_dot
 from .blockfloat import FRAC_BITS, OVERFLOWS, BlockFloatAccumulator, BlockFloatOverflow
 from .fixedpoint import NOT_FINITE, FixedPointFormat, NonFiniteValue, carry_save_sum
@@ -409,7 +409,7 @@ def _self_check_tiles():
     of the next source (which only the index cuts)."""
     for n_i, n_j, bits, eps2, exponent, mass in SELF_CHECK_TILES:
         formats = replace(PipelineFormats.default(), pair=FloatFormat(bits))
-        # irregular O(1) coordinates and masses (no RNG: see forces.compiled)
+        # irregular O(1) coordinates and masses (no RNG: see forces.kernels)
         wave = np.sin(np.arange(1.0, 6 * n_j + 1).reshape(6, n_j) ** 2)
         cj_q, cj_v, mj = formats.pos.quantize(wave[:3]), wave[3:], mass * (0.1 + wave[0] ** 2)
         cj_q[:, n_j // 2] = cj_q[:, 0]
@@ -420,14 +420,17 @@ def _self_check_tiles():
             yield where, (xi_q, vi, cj_q, cj_v, mj, np.arange(n_j), exponents, eps2, formats, i_index)
 
 
-def _self_check(tile) -> None:
-    """Refuse ``tile`` unless it answers as :func:`numpy_partial_lanes`
-    does on every tile of :func:`_self_check_tiles`."""
+def _self_check(tier: PipelineTier) -> None:
+    """Refuse ``tier`` unless its tile answers as :func:`numpy_partial_lanes`
+    does on every tile of :func:`_self_check_tiles`, and its boundary
+    passes :func:`_self_check_boundary`."""
     for where, args in _self_check_tiles():
-        if lanes_or_overflow(tile, *args) != lanes_or_overflow(numpy_partial_lanes, *args):
+        if (lanes_or_overflow(tier.partial_lanes, *args)
+                != lanes_or_overflow(numpy_partial_lanes, *args)):
             raise TileUnavailable(
                 f"self-check: compiled tile differs from the numpy tile at {where}"
             )
+    _self_check_boundary(tier)
 
 
 def _answer(fn, *args) -> bytes | str | None:
@@ -510,30 +513,12 @@ def _self_check_boundary(tier: PipelineTier) -> None:
                     )
 
 
-def resolve_pipeline_tier() -> tuple[PipelineTier, str, str]:
-    """``(tier, PIPELINE_TIER, PIPELINE_TIER_REASON)``: the compiled tier
-    if it builds, loads and passes :func:`_self_check` and
-    :func:`_self_check_boundary`, else :data:`NUMPY_PIPELINE` and why.
-    As :func:`repro.forces.kernels.resolve_kernel_tier`: run once, at
-    import, and nothing the loader meets may escape it."""
-    try:
-        library, built = load_library("pipeline_tile")
-        tier = _bind(library)
-        _self_check(tier.partial_lanes)
-        _self_check_boundary(tier)
-    except TileUnavailable as exc:
-        return NUMPY_PIPELINE, "numpy", str(exc)
-    except Exception as exc:
-        return NUMPY_PIPELINE, "numpy", f"loader failed: {exc!r}"
-    return tier, "c", built
-
-
 #: The pipeline tier serving this process - :data:`NUMPY_PIPELINE`, or
 #: ``pipeline_tile.c`` behind the same signatures: one target held while
 #: the j-set streams past, the same IEEE operations per pair and the
 #: terms summed as integers, so the tiers agree exactly and nothing
-#: selects one - and which tier it is (``"c"`` | ``"numpy"``) and why.
-_tier, PIPELINE_TIER, PIPELINE_TIER_REASON = resolve_pipeline_tier()
+#: selects one (``compiled.TIERS["pipeline_tile"]`` says which, and why).
+_tier = resolve("pipeline_tile", _bind, _self_check, NUMPY_PIPELINE)
 
 #: The tile (:func:`numpy_partial_lanes` documents the signature).
 partial_lanes = _tier.partial_lanes

@@ -31,8 +31,8 @@ schedule, ``ufunc.at`` through ``_HistColumns.fold`` for the fold.
 ``network_tile.c`` computes the same bits in one call each: every step
 is a sequential IEEE operation in a fixed order (argued at the top of
 the C file), which is checked when the library is loaded
-(:func:`_self_check`).  :data:`NETWORK_TIER` / :data:`NETWORK_TIER_REASON`
-say which tier serves this process.  Nothing selects one.
+(:func:`_self_check`).  ``compiled.TIERS["network_tile"]`` says which
+tier serves this process.  Nothing selects one.
 
 What outlives a call is bound once (:class:`_Bound`): a schedule's
 tables and buffers, the clock and the round log, addressed into the
@@ -53,7 +53,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from ..config import NICConfig
-from ..forces.compiled import TileUnavailable, address, entry_point, load_library
+from ..forces.compiled import TileUnavailable, address, entry_point, resolve
 from .barrier import message_time_us
 
 
@@ -276,7 +276,7 @@ def _self_check_run(tile: NetworkTile, p: int, poison: bool) -> bytes:
     from .virtualtime import VirtualClock
 
     clock, store = VirtualClock(p), LinkStore(p)
-    wave = np.sin(np.arange(1.0, p + 1) ** 2)  # irregular, no RNG (see forces.compiled)
+    wave = np.sin(np.arange(1.0, p + 1) ** 2)  # irregular, no RNG (see forces.kernels)
     for rank, dt in enumerate(np.abs(wave) * 300.0):
         clock.advance(rank, dt)
     if poison:
@@ -350,25 +350,9 @@ def _self_check(tile: NetworkTile) -> None:
         raise TileUnavailable("self-check: compiled fold differs from the numpy fold")
 
 
-def resolve_network_tier() -> tuple[NetworkTile, str, str]:
-    """``(tile, NETWORK_TIER, NETWORK_TIER_REASON)``: the compiled pair if
-    it builds, loads and passes :func:`_self_check`, else the numpy pair
-    and why.  As :func:`repro.forces.kernels.resolve_kernel_tier`: run
-    once, at import, and nothing the loader meets may escape it."""
-    try:
-        library, built = load_library("network_tile")
-        tile = _bind(library)
-        _self_check(tile)
-    except TileUnavailable as exc:
-        return NUMPY_TILE, "numpy", str(exc)
-    except Exception as exc:
-        return NUMPY_TILE, "numpy", f"loader failed: {exc!r}"
-    return tile, "c", built
-
-
 #: The pair serving this process - :data:`NUMPY_TILE`, or
-#: ``network_tile.c`` behind the same signatures - and which tier it is
-#: (``"c"`` | ``"numpy"``) and why.  Resolved once, at import; the tiers
-#: differ in speed only.  :class:`~repro.parallel.simcomm.SimNetwork` and
+#: ``network_tile.c`` behind the same signatures - resolved once, at
+#: import; the tiers differ in speed only (``compiled.TIERS["network_tile"]``
+#: says which).  :class:`~repro.parallel.simcomm.SimNetwork` and
 #: :class:`~repro.parallel.ledger.LinkStore` call through ``_tile``.
-_tile, NETWORK_TIER, NETWORK_TIER_REASON = resolve_network_tier()
+_tile = resolve("network_tile", _bind, _self_check, NUMPY_TILE)

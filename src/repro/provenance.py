@@ -5,10 +5,10 @@ measured on (section 5 quotes host CPU, NIC model and library versions
 next to every Tflops figure; the fig. 19 tuning story *is* a change of
 environment).  Every ``BENCH_*.json`` therefore records enough of the
 substrate to tell "the code got slower" apart from "the machine
-changed": interpreter, platform, numpy, CPU count, which tier of the
-pairwise, pipeline and Hermite tiles served (compiled or numpy: same
-bits, different speed; one field, ``"c"`` only when every tile compiled)
-and the git revision the artifact was produced from.  Checkpoint
+changed": interpreter, platform, numpy, CPU count, which tier the
+compiled tiles ran on (compiled or numpy: same bits, different speed;
+one field, ``"c"`` only when every tile of ``forces.compiled.TIERS``
+compiled) and the git revision the artifact was produced from.  Checkpoint
 headers carry the same fingerprint (:mod:`repro.io.checkpoint`), so a
 resume across machines or commits is visible; it lives outside
 :mod:`repro.bench` so that a checkpoint does not import the harness.
@@ -33,10 +33,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .core import hermite_tile
-from .forces import kernels
-from .hardware import pipeline
-from .parallel import network_tile
+from .forces import compiled
 
 
 def _git_revision(start: Path) -> str | None:
@@ -114,10 +111,7 @@ def environment_fingerprint() -> dict[str, Any]:
         "cpu_count": os.cpu_count(),
         "numpy": numpy_version,
         "kernel_tier": (
-            "c"
-            if kernels.KERNEL_TIER == pipeline.PIPELINE_TIER == hermite_tile.HERMITE_TIER
-            == network_tile.NETWORK_TIER == "c"
-            else "numpy"
+            "c" if all(compiled.TIERS[name][0] == "c" for name in compiled.SOURCES) else "numpy"
         ),
         "git_revision": _git_revision(Path(__file__).resolve()),
     }

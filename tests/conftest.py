@@ -12,11 +12,29 @@ import numpy as np
 import pytest
 
 from repro.core.softening import constant_softening
+from repro.forces import compiled
 from repro.models import plummer_model
 
 #: eps = 1/64 — the paper's constant softening.
 EPS = constant_softening(256)
 EPS2 = EPS * EPS
+
+
+def tiers(name: str, numpy, served) -> list:
+    """The tiers of tile ``name`` a property is asked of: ``numpy``, and
+    ``served`` if this process serves the compiled tier (ids ``numpy``
+    and ``c``)."""
+    compiled_tier = [pytest.param(served, id="c")] if compiled.TIERS[name][0] == "c" else []
+    return [pytest.param(numpy, id="numpy")] + compiled_tier
+
+
+def needs_compiled(*names: str):
+    """Skip unless this process serves every tile of ``names`` compiled."""
+    fallen = [f"{name}: {compiled.TIERS[name][1]}" for name in names
+              if compiled.TIERS[name][0] != "c"]
+    return pytest.mark.skipif(
+        bool(fallen), reason=f"this process runs the numpy tier: {'; '.join(fallen)}"
+    )
 
 
 @pytest.fixture

@@ -41,13 +41,12 @@ from repro.hardware import Grape6Emulator, pipeline
 from repro.hardware.fixedpoint import FixedPointFormat
 from repro.hardware.floatformat import FloatFormat
 from repro.models import plummer_model
+from tests.conftest import needs_compiled, tiers
 
 pytestmark = pytest.mark.tiers
 
 SERVING = hermite_tile.HermiteTile(hermite_tile.predict_hermite, hermite_tile.advance_block)
-TIERS = [pytest.param(NUMPY_TILE, id="numpy")] + (
-    [pytest.param(SERVING, id="c")] if hermite_tile.HERMITE_TIER == "c" else []
-)
+TIERS = tiers("hermite_tile", NUMPY_TILE, SERVING)
 STATE = STATE_VECTORS + STATE_SCALARS
 
 
@@ -251,12 +250,6 @@ def test_the_register_edges(hi, lo, fits):
 
 # -- (d) a fixed number of Python calls ----------------------------------------
 
-needs_compiled_tiers = pytest.mark.skipif(
-    hermite_tile.HERMITE_TIER != "c" or pipeline.PIPELINE_TIER != "c",
-    reason="the pins count the compiled tiers' boundary",
-)
-
-
 def calls(fn) -> int:
     profile = cProfile.Profile()
     profile.enable()
@@ -272,7 +265,7 @@ def emulated_run():
     return s, integ
 
 
-@needs_compiled_tiers
+@needs_compiled("hermite_tile", "pipeline_tile")
 def test_a_force_call_makes_a_fixed_number_of_python_calls():
     s, integ = emulated_run()
     emu, counts = integ.backend, []
@@ -283,7 +276,7 @@ def test_a_force_call_makes_a_fixed_number_of_python_calls():
     assert counts[0] == counts[1] <= 90  # 124 at the parent commit
 
 
-@needs_compiled_tiers
+@needs_compiled("hermite_tile", "pipeline_tile")
 def test_an_emulated_blockstep_makes_a_fixed_number_of_python_calls():
     _, integ = emulated_run()
     counts = {}

@@ -29,9 +29,10 @@ from hypothesis import strategies as st
 from repro.core import BlockTimestepIntegrator, ParticleSystem, hermite_tile
 from repro.core.hermite_tile import NUMPY_TILE, STATE_SCALARS, STATE_VECTORS, state_bytes
 from repro.core.timestep import NonFiniteForce, aarseth_dt
-from repro.forces import DirectSummation
+from repro.forces import DirectSummation, compiled
 from repro.hardware import Grape6Emulator
 from repro.models import plummer_model
+from tests.conftest import needs_compiled, tiers
 
 pytestmark = pytest.mark.tiers
 
@@ -39,15 +40,9 @@ EPS2 = (1.0 / 64.0) ** 2
 STATE = STATE_VECTORS + STATE_SCALARS
 SERVING = hermite_tile.HermiteTile(hermite_tile.predict_hermite, hermite_tile.advance_block)
 
-needs_compiled_tier = pytest.mark.skipif(
-    hermite_tile.HERMITE_TIER != "c",
-    reason=f"this process runs the numpy tier: {hermite_tile.HERMITE_TIER_REASON}",
-)
 #: the tier(s) a refusal is asked of: the numpy one, and the process's if
 #: that is another
-TIERS = [pytest.param(NUMPY_TILE, id="numpy")] + (
-    [pytest.param(SERVING, id="c")] if hermite_tile.HERMITE_TIER == "c" else []
-)
+TIERS = tiers("hermite_tile", NUMPY_TILE, SERVING)
 
 
 # -- (b) compiled tier == numpy tier ------------------------------------------
@@ -105,7 +100,7 @@ def agree(case, **bounds):
     return dt_np
 
 
-@needs_compiled_tier
+@needs_compiled("hermite_tile")
 class TestCompiledTierIsTheNumpyTier:
     @pytest.mark.parametrize("n_b", [1, 2, 7, 8, 9, 48, 64])
     def test_block_sizes_with_mixed_steps(self, n_b):
@@ -452,4 +447,4 @@ class TestPredictHermite:
 
         assert predictor.predict_hermite is hermite_tile.predict_hermite
         assert (hermite_tile.predict_hermite is NUMPY_TILE.predict) == (
-            hermite_tile.HERMITE_TIER == "numpy")
+            compiled.TIERS["hermite_tile"][0] == "numpy")

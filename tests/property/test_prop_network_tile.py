@@ -34,20 +34,15 @@ from repro.forces.compiled import TileUnavailable
 from repro.parallel import MessageSizeError, SimNetwork, network_tile
 from repro.parallel import ledger as ledger_module
 from repro.parallel.network_tile import NUMPY_TILE, NetworkTile
+from tests.conftest import needs_compiled, tiers
 
 pytestmark = pytest.mark.tiers
 
 SERVING = network_tile._tile
 
-needs_compiled_tier = pytest.mark.skipif(
-    network_tile.NETWORK_TIER != "c",
-    reason=f"this process runs the numpy tier: {network_tile.NETWORK_TIER_REASON}",
-)
 #: the tier(s) a refusal is asked of: the numpy one, and the process's if
 #: that is another
-TIERS = [pytest.param(NUMPY_TILE, id="numpy")] + (
-    [pytest.param(SERVING, id="c")] if network_tile.NETWORK_TIER == "c" else []
-)
+TIERS = tiers("network_tile", NUMPY_TILE, SERVING)
 
 #: a NIC whose zero-byte flight is zero: an arrival then ties its clock
 INSTANT = NICConfig(name="instant", rtt_latency_us=0.0, bandwidth_mbs=105.0)
@@ -114,14 +109,14 @@ def run(tile, program) -> str:
     return repr(out)
 
 
-@needs_compiled_tier
+@needs_compiled("network_tile")
 @settings(max_examples=120, deadline=None)
 @given(programs())
 def test_compiled_tier_is_the_numpy_tier(program):
     assert run(SERVING, program) == run(NUMPY_TILE, program)
 
 
-@needs_compiled_tier
+@needs_compiled("network_tile")
 def test_the_cluster_latency_shape_folds_alike():
     """16 ranks, blocks of 15: an exchange and a barrier a blockstep,
     folded every ~13 blocksteps, as the benchmark workload runs it."""

@@ -38,6 +38,7 @@ from repro.forces.kernels import (
     potential_energy,
 )
 from repro.models import plummer_model
+from tests.conftest import needs_compiled
 
 pytestmark = pytest.mark.tiers
 
@@ -90,10 +91,6 @@ def numpy_tier():
         yield
 
 
-needs_compiled_tier = pytest.mark.skipif(
-    kernels.KERNEL_TIER != "c",
-    reason=f"this process runs the numpy tier: {kernels.KERNEL_TIER_REASON}",
-)
 
 
 class TestRowIndependence:
@@ -304,7 +301,7 @@ def as_dtype(a: np.ndarray, how: str) -> np.ndarray:
     return a
 
 
-@needs_compiled_tier
+@needs_compiled("pairwise_tile")
 class TestCompiledTierIsTheNumpyTier:
     @settings(max_examples=120, deadline=None)
     @given(

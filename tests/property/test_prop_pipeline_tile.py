@@ -29,10 +29,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.forces import compiled
 from repro.hardware import Grape6Emulator
 from repro.hardware.blockfloat import BlockFloatAccumulator, BlockFloatOverflow
 from repro.hardware.chip import BlockExponents
-from repro.hardware import pipeline
 from repro.hardware.fixedpoint import exact_int_sum
 from repro.hardware.floatformat import FloatFormat
 from repro.hardware.pipeline import (
@@ -42,6 +42,7 @@ from repro.hardware.pipeline import (
     partial_lanes,
 )
 from repro.models import plummer_model
+from tests.conftest import needs_compiled
 
 pytestmark = pytest.mark.tiers
 
@@ -305,11 +306,6 @@ def test_force_digests_match_the_parent_commit(case):
 # -- (c) compiled tier == numpy tier ------------------------------------------
 
 
-needs_compiled_tier = pytest.mark.skipif(
-    pipeline.PIPELINE_TIER != "c",
-    reason=f"this process runs the numpy tier: {pipeline.PIPELINE_TIER_REASON}",
-)
-
 #: block exponents at which some pair terms of :func:`tile_arguments`
 #: saturate the register and most do not (measured: see
 #: ``test_both_outcomes_occur``)
@@ -357,7 +353,7 @@ def tile_arguments(
     return (*arrays, eps2, fmt, relayout(rows, layout) if index else None)
 
 
-@needs_compiled_tier
+@needs_compiled("pipeline_tile")
 class TestCompiledTierIsTheNumpyTier:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -390,7 +386,7 @@ class TestCompiledTierIsTheNumpyTier:
             assert outcomes[-1] == lanes_or_overflow(numpy_partial_lanes, *args)
         assert outcomes[0] is None and outcomes[-1] is not None
 
-    def test_the_workload_tile(self):
+    def test_a_tile_from_the_workload(self):
         s = plummer_model(256, seed=2003)
         emu = Grape6Emulator(1.0 / 4096.0, boards=2)
         emu.set_j_particles(s.pos, s.vel, s.mass)
@@ -418,7 +414,8 @@ def test_mismatched_arrays_are_refused(tile, bad):
         args[4] = args[4][:9]
     else:
         args[6], args[9] = args[6][:, :1], args[9][:1]
-    if bad == "n_i" and (tile is numpy_partial_lanes or pipeline.PIPELINE_TIER != "c"):
+    served_numpy = compiled.TIERS["pipeline_tile"][0] != "c"
+    if bad == "n_i" and (tile is numpy_partial_lanes or served_numpy):
         tile(*args)
     else:
         with pytest.raises((ValueError, TypeError)):

@@ -75,9 +75,9 @@ class TestAttribution:
         """``repro.core.hermite_tile`` takes its sixteen addresses a
         blockstep through ``repro.forces.compiled.address``: twice the
         pairwise tile's, so the dominant caller is the host."""
-        from repro.core.hermite_tile import HERMITE_TIER
+        from repro.forces.compiled import TIERS
 
-        if HERMITE_TIER != "c":
+        if TIERS["hermite_tile"][0] != "c":
             pytest.skip("the numpy tier takes no addresses")
         bench = REGISTRY.get("single_host_speed")
         attr = profile_benchmark(bench, bench.params_for("micro"), top=500)

@@ -1,21 +1,28 @@
-"""The compiled tiles' loader (repro.forces.compiled).
+"""The compiled tiles' resolver (repro.forces.compiled).
 
-The loader has one job with two outcomes: hand out a compiled tile that
-matches the numpy tier bit for bit, or say why it cannot - in which
-case the owner (:mod:`repro.forces.kernels` for the pairwise tile,
-:mod:`repro.hardware.pipeline` for the pipeline tile,
-:mod:`repro.core.hermite_tile` for the Hermite tile,
-:mod:`repro.parallel.network_tile` for the network tile) serves the
-same bits from numpy, and says so.  Every way it can fail is forced here,
-with the compiler lookup and the cache location patched: no compiler, a
-compiler that fails, a build that computes something else, a cache
-directory someone else could write to, and several processes building
-at once.  There is one loader, so every case runs over every tile of
-:data:`TILES` (inside the test: the test names are pinned).  A library
-with two self-checks has a row for each, under its one name.
+:func:`~repro.forces.compiled.resolve` has one job with two outcomes:
+hand out a compiled tile that matches the numpy tier bit for bit, or
+hand out the numpy tier (the owner's reference: :mod:`repro.forces.kernels`
+for the pairwise tile, :mod:`repro.hardware.pipeline` for the pipeline
+tile, :mod:`repro.core.hermite_tile` for the Hermite tile,
+:mod:`repro.parallel.network_tile` for the network tile) - and record in
+``compiled.TIERS`` which, and why.  Every way it can fail is forced
+here, with the compiler lookup and the cache location patched: no
+compiler, a compiler that fails, a build that computes something else,
+a cache directory someone else could write to, and several processes
+building at once.  There is one resolver, so every case runs over every
+tile of :data:`TILES`, each given to it as its owner gives it (inside
+the test: the test names are pinned).  A library with two answers to
+check has a row for each, under its one name.
+
+A build takes a compiler run of up to a second, so a test builds only
+the libraries its case is about: the rest it copies from this process's
+own cache into its empty one (:func:`seed`), under the names the key
+gives them.
 """
 
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -30,8 +37,9 @@ from repro.forces import compiled, kernels
 from repro.forces.compiled import TileUnavailable
 from repro.hardware import pipeline
 from repro.hardware.blockfloat import BlockFloatOverflow
-from repro.hardware.pipeline import PipelineFormats
+from repro.hardware.pipeline import NUMPY_PIPELINE, PipelineFormats
 from repro.parallel import network_tile
+from tests.conftest import needs_compiled
 from tests.integration.test_no_process import process_events
 
 pytestmark = pytest.mark.tiers
@@ -92,20 +100,28 @@ def bookkeeping(tile):
 
 
 class Tile(NamedTuple):
-    """A row of ``compiled.SOURCES`` as its owner module presents it."""
+    """A row of ``compiled.SOURCES`` as its owner module gives it to
+    :func:`compiled.resolve <repro.forces.compiled.resolve>`."""
 
     name: str
-    resolve: Callable  # () -> (tile, tier, reason)
+    bind: Callable  # library -> tile
+    self_check: Callable  # tile -> None, or TileUnavailable
     reference: Callable  # the numpy tier
     serving: Callable  # () -> the tile this process resolved at import
     answer: Callable  # tile -> bytes, on a fixed problem
     #: an edit of the source that is within an ulp of right
     sabotage: tuple[str, str]
 
+    def resolve(self):
+        """The tile :func:`compiled.resolve` serves, and the tier and
+        reason it records."""
+        tile = compiled.resolve(self.name, self.bind, self.self_check, self.reference)
+        return (tile, *compiled.TIERS[self.name])
+
 
 TILES = (
     Tile(
-        "pairwise_tile", kernels.resolve_kernel_tier, kernels.numpy_tile_sums,
+        "pairwise_tile", kernels._bind, kernels._self_check, kernels.numpy_tile_sums,
         lambda: kernels._tile_sums, forces,
         # the eight accumulators left to right: what a compiler free to
         # reassociate might do
@@ -113,25 +129,25 @@ TILES = (
          "r[0] + r[1] + r[2] + r[3] + r[4] + r[5] + r[6] + r[7]"),
     ),
     Tile(
-        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.NUMPY_PIPELINE,
+        "pipeline_tile", pipeline._bind, pipeline._self_check, NUMPY_PIPELINE,
         lambda: pipeline._tier, lanes,
         # the pair format truncated instead of rounded to nearest
         ("b += ((b >> drop) & odd) + half_less_one;", ""),
     ),
     Tile(
-        "pipeline_tile", pipeline.resolve_pipeline_tier, pipeline.NUMPY_PIPELINE,
+        "pipeline_tile", pipeline._bind, pipeline._self_check, NUMPY_PIPELINE,
         lambda: pipeline._tier, formats,
         # the fixed-point range closed at its top end: 2^63 quanta wrap
         ("(r < top) & (r >= -top)", "(r <= top) & (r >= -top)"),
     ),
     Tile(
-        "hermite_tile", hermite_tile.resolve_hermite_tier, hermite_tile.NUMPY_TILE,
+        "hermite_tile", hermite_tile._bind, hermite_tile._self_check, hermite_tile.NUMPY_TILE,
         lambda: hermite_tile._tile, blockstep,
         # the velocity correction reassociated
         ("(vp[3 * i + c] + h3_6 * a2) + h4_24 * a3", "vp[3 * i + c] + (h3_6 * a2 + h4_24 * a3)"),
     ),
     Tile(
-        "network_tile", network_tile.resolve_network_tier, network_tile.NUMPY_TILE,
+        "network_tile", network_tile._bind, network_tile._self_check, network_tile.NUMPY_TILE,
         lambda: network_tile._tile, bookkeeping,
         # the division by the bandwidth as a multiplication by its
         # reciprocal: what -ffast-math would make of it
@@ -140,11 +156,44 @@ TILES = (
 )
 
 
+#: the library that takes longest to build, which concurrent first
+#: imports race to build, and the one that builds fastest (0.9 and 0.2 s
+#: on a 2-vCPU x86-64 box; the other two 0.2 - 0.5 s)
+SLOWEST, FASTEST = "pipeline_tile", "network_tile"
+
+
+@pytest.fixture(autouse=True)
+def tiers(monkeypatch):
+    """What a test resolves is recorded in a copy of ``compiled.TIERS``:
+    the process's own record is left as it was."""
+    monkeypatch.setattr(compiled, "TIERS", dict(compiled.TIERS))
+
+
+@pytest.fixture(scope="module")
+def served():
+    """The cache this process loaded its own compiled tiles from, read
+    before any test points the cache elsewhere (a wider-scoped fixture
+    is set up first)."""
+    if any(tier != "c" for tier, _ in compiled.TIERS.values()):
+        pytest.skip(f"this process does not serve every tile compiled: {compiled.TIERS}")
+    return compiled.cache_dir()
+
+
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """An empty cache root in place of the user's."""
     monkeypatch.setattr(compiled, "cache_root", lambda: tmp_path)
     return tmp_path / "repro-grape6"
+
+
+def seed(served, names) -> None:
+    """Copy this process's builds of ``names`` into the (patched) cache
+    under the names :func:`compiled.library_path` gives them, so that
+    loading them builds nothing."""
+    cc = compiled.find_compiler()
+    for name in names:
+        target = compiled.library_path(name, cc)
+        shutil.copy(served / target.name, target)
 
 
 def fake_compiler(tmp_path, status: int) -> str:
@@ -213,9 +262,18 @@ class TestFallback:
             assert source.is_file() and source.name == f"{name}.c"
 
     @needs_compiler
-    def test_self_check_mismatch(self, cache, monkeypatch, tmp_path):
+    def test_self_check_mismatch(self, served, cache, monkeypatch, tmp_path):
         """A build within an ulp of right is refused - and only it: the
-        other tile still compiles."""
+        other tiles still load compiled, from the cache, and only the
+        edited sources are built."""
+        seed(served, compiled.SOURCES)
+        real_build, built = compiled._build, []
+
+        def build(cc, source, target):
+            built.append(source.name)
+            real_build(cc, source, target)
+
+        monkeypatch.setattr(compiled, "_build", build)
         for t in TILES:
             right, wrong = t.sabotage
             source = compiled.SOURCES[t.name].read_text()
@@ -226,14 +284,15 @@ class TestFallback:
                 patch.setitem(compiled.SOURCES, t.name, edited)
                 assert_numpy_tier("self-check", [t])
                 assert_compiled_tier([other for other in TILES if other.name != t.name])
+        assert built == [f"edited_{t.name}.c" for t in TILES]
 
     def test_self_check_catches_a_wrong_mask(self):
         def unmasked(ci, cj, gm, eps2, mask_self, sums):
             kernels.numpy_tile_sums(ci, cj, gm, eps2, False, sums)
 
-        compiled._self_check(kernels.numpy_tile_sums, kernels.numpy_tile_sums)
+        kernels._self_check(kernels.numpy_tile_sums)
         with pytest.raises(TileUnavailable, match="mask_self=True"):
-            compiled._self_check(unmasked, kernels.numpy_tile_sums)
+            kernels._self_check(unmasked)
 
     def test_self_check_catches_a_dropped_index_or_flag(self):
         """The pipeline tile's: host indices ignored, or a saturating
@@ -248,10 +307,11 @@ class TestFallback:
                 n_i = args[0].shape[0]
                 return np.zeros((7, n_i), np.int64), np.zeros((7, n_i), np.int64)
 
-        pipeline._self_check(pipeline.numpy_partial_lanes)
+        with np.errstate(all="ignore"):  # the boundary's cases overflow numpy, as they should
+            pipeline._self_check(NUMPY_PIPELINE)
         for wrong in (unindexed, unflagged):
             with pytest.raises(TileUnavailable, match="self-check"):
-                pipeline._self_check(wrong)
+                pipeline._self_check(NUMPY_PIPELINE._replace(partial_lanes=wrong))
 
 
 class TestCacheDirectory:
@@ -343,15 +403,34 @@ class TestBuild:
         monkeypatch.setattr(compiled, "_build", lambda *a: pytest.fail("rebuilt"))
         assert assert_compiled_tier() == built
 
-    def test_the_key_covers_flags_compiler_and_cpu(self, cache, monkeypatch):
-        assert_compiled_tier()
+    def test_the_key_covers_flags_compiler_and_cpu(self, cache, monkeypatch, tmp_path):
+        """Another CPU, compiler, set of flags or source is another
+        library for every tile, named without building it; and the
+        library is built where the key names it."""
+        cc = compiled.find_compiler()
+
+        def paths() -> set:
+            return {compiled.library_path(name, cc) for name in compiled.SOURCES}
+
+        keys = [paths()]
         monkeypatch.setattr(compiled, "cpu_identity", lambda: "another machine")
-        assert_compiled_tier()
+        keys.append(paths())
         monkeypatch.setattr(compiled, "compiler_identity", lambda cc: "an upgraded cc")
-        assert_compiled_tier()
+        keys.append(paths())
         monkeypatch.setattr(compiled, "CFLAGS", (*compiled.CFLAGS, "-DOTHER"))
-        assert_compiled_tier()
-        assert len(list(cache.iterdir())) == 4 * len(compiled.SOURCES)
+        keys.append(paths())
+        for name, source in compiled.SOURCES.items():
+            edited = tmp_path / f"{name}.c"
+            edited.write_text(source.read_text() + "/* edited */\n")
+            monkeypatch.setitem(compiled.SOURCES, name, edited)
+        keys.append(paths())
+        assert len(set().union(*keys)) == 5 * len(compiled.SOURCES)
+        assert list(cache.iterdir()) == []
+
+        [fastest] = [t for t in TILES if t.name == FASTEST]
+        [why] = assert_compiled_tier([fastest])
+        assert list(cache.iterdir()) == [compiled.library_path(FASTEST, cc)]
+        assert str(compiled.library_path(FASTEST, cc)) in why
 
     def test_compiler_identity_follows_links_and_sees_an_upgrade(self, tmp_path):
         real = tmp_path / "gcc-12"
@@ -362,8 +441,9 @@ class TestBuild:
         real.write_text("v1.1")
         assert compiled.compiler_identity(str(tmp_path / "cc")) != before
 
-    def test_the_tile_refuses_arrays_it_cannot_point_into(self, cache):
-        tile, _ = compiled.load_pairwise_tile(kernels.numpy_tile_sums)
+    @needs_compiled("pairwise_tile")
+    def test_the_tile_refuses_arrays_it_cannot_point_into(self):
+        tile = kernels._tile_sums
         ci, cj, gm, sums = np.zeros((6, 2)), np.ones((6, 5)), np.ones(5), np.empty((7, 2))
         tile(ci, cj, gm, 0.25, False, sums)
         for bad in (
@@ -375,20 +455,18 @@ class TestBuild:
             with pytest.raises(ValueError, match="contiguous float64"):
                 tile(*bad[:3], 0.25, False, bad[3])
 
-    def test_processes_building_at_once_leave_one_library(self, tmp_path):
-        """More first imports than cores, on an empty cache: each builds
-        under a temporary name and renames, so every one ends on the
-        compiled tier and the directory holds one whole library a tile."""
-        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PYTHONPATH": str(SRC)}
+    def test_processes_building_at_once_leave_one_library(self, served, cache):
+        """More first imports than cores, on a cache that lacks the
+        slowest library to build: each builds it under a temporary name
+        and renames, so every one ends on the compiled tier and the
+        directory holds one whole library a tile."""
+        seed(served, [name for name in compiled.SOURCES if name != SLOWEST])
+        env = {**os.environ, "XDG_CACHE_HOME": str(cache.parent), "PYTHONPATH": str(SRC)}
         code = (  # printed in the order the libraries' names sort
-            "from repro.core import hermite_tile as h\n"
-            "from repro.forces import kernels as k\n"
-            "from repro.hardware import pipeline as p\n"
-            "from repro.parallel import network_tile as n\n"
-            "print(h.HERMITE_TIER, h.HERMITE_TIER_REASON)\n"
-            "print(n.NETWORK_TIER, n.NETWORK_TIER_REASON)\n"
-            "print(k.KERNEL_TIER, k.KERNEL_TIER_REASON)\n"
-            "print(p.PIPELINE_TIER, p.PIPELINE_TIER_REASON)\n"
+            "import repro\n"
+            "from repro.forces.compiled import TIERS\n"
+            "for name in sorted(TIERS):\n"
+            "    print(*TIERS[name])\n"
         )
         procs = [
             subprocess.Popen(
@@ -399,8 +477,8 @@ class TestBuild:
         ]
         outs = [p.communicate(timeout=300) for p in procs]
         assert [p.returncode for p in procs] == [0] * 6, outs
-        libraries = sorted((tmp_path / "repro-grape6").iterdir())
-        assert len(libraries) == len(compiled.SOURCES), libraries
+        libraries = sorted(cache.iterdir())
+        assert [lib.name.split("-")[0] for lib in libraries] == sorted(compiled.SOURCES)
         for out, _ in outs:
-            for line, library in zip(out.splitlines(), libraries):
+            for line, library in zip(out.splitlines(), libraries, strict=True):
                 assert line.startswith("c ") and str(library) in line, outs

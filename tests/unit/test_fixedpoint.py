@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.forces import compiled
 from repro.hardware import pipeline
 from repro.hardware.fixedpoint import (
     FixedPointFormat,
@@ -19,7 +20,7 @@ pytestmark = pytest.mark.tiers
 #: emulator calls (compiled where this process resolved the C tier).
 TIERS = [
     pytest.param(FixedPointFormat.quantize, id="numpy"),
-    pytest.param(pipeline.quantize, id=f"served-{pipeline.PIPELINE_TIER}"),
+    pytest.param(pipeline.quantize, id=f"served-{compiled.TIERS['pipeline_tile'][0]}"),
 ]
 
 

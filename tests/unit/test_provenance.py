@@ -10,16 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import hermite_tile
-from repro.forces import kernels
-from repro.hardware import pipeline
-from repro.parallel import network_tile
+from repro.forces import compiled
 from repro.provenance import env_key, environment_fingerprint
-
-TILE_TIERS = [
-    (kernels, "KERNEL_TIER"), (pipeline, "PIPELINE_TIER"), (hermite_tile, "HERMITE_TIER"),
-    (network_tile, "NETWORK_TIER"),
-]
 
 ENV_A = {
     "python": "3.12.0", "implementation": "CPython", "platform": "linux",
@@ -45,15 +37,16 @@ class TestEnvKey:
         assert len({env_key(ENV_A), env_key(compiled), env_key(fallback)}) == 3
         assert environment_fingerprint()["kernel_tier"] in ("c", "numpy")
 
-    @pytest.mark.parametrize("fallen", range(len(TILE_TIERS)))
+    @pytest.mark.parametrize("fallen", range(len(compiled.TIERS)))
     def test_kernel_tier_speaks_for_every_tile(self, monkeypatch, fallen):
-        """One field for four tiles: ``"c"`` only if all of them compiled,
+        """One field for every tile: ``"c"`` only if all of them compiled,
         so a resume or a comparison across any one falling back is a
         recorded discontinuity."""
-        for module, name in TILE_TIERS:
-            monkeypatch.setattr(module, name, "c")
+        assert set(compiled.TIERS) == set(compiled.SOURCES)
+        for name in compiled.TIERS:
+            monkeypatch.setitem(compiled.TIERS, name, ("c", "built"))
         assert environment_fingerprint()["kernel_tier"] == "c"
-        monkeypatch.setattr(*TILE_TIERS[fallen], "numpy")
+        monkeypatch.setitem(compiled.TIERS, list(compiled.TIERS)[fallen], ("numpy", "fell back"))
         assert environment_fingerprint()["kernel_tier"] == "numpy"
 
     def test_the_key_is_a_file_format(self):
