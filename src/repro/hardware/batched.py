@@ -20,15 +20,17 @@ tile (:func:`repro.hardware.pipeline.forces`: the sums of
 :func:`~repro.hardware.pipeline.partial_lanes`, the function every chip
 of the faithful schedule runs on its own memory, kept as two-lane int64
 carry-save sums and range-checked and converted to forces beside the
-tile) — and the result is bit-identical to the per-chip schedule,
-enforced by the emulation-mode property tests.
+tile, from targets quantised in the same call) — and the result is
+bit-identical to the per-chip schedule, enforced by the emulation-mode
+property tests.
 
 The j-set the tile streams costs nothing to assemble: the machine's
 memories are one :class:`~repro.hardware.memory.StripedStore` whose
-rows, in host order, *are* that j-set, bound for the tile once per write
-generation (``GatheredJSet.tile``).  Only after a direct chip load (the
-store no longer describes every chip) are the memories gathered, by
-:func:`gather_chips`.
+buffers, in host order and in the tile's component-major layout, *are*
+that j-set, written in place by each load and bound for the tile once
+per allocation (``StripedStore.j_set``).  Only after a direct chip load
+(the store no longer describes every chip) are the memories gathered,
+by :func:`gather_chips`, and bound for the call.
 
 Cycle accounting is preserved: each chip is charged the cycles the
 real schedule would have cost it (``ceil(n_i/48) * vmp_ways * n_j``
@@ -45,10 +47,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..core.predictor import predict_with_snap
 from .chip import GrapeChip
 from .memory import GatheredJSet
-from .pipeline import PipelineFormats, quantize, round_float
 
 
 def gather_chips(chips: list[GrapeChip]) -> GatheredJSet:
@@ -61,27 +61,4 @@ def gather_chips(chips: list[GrapeChip]) -> GatheredJSet:
     mems = [chip.memory for chip in chips]
     return GatheredJSet(
         *(np.concatenate([getattr(m, f.name) for m in mems]) for f in fields(GatheredJSet))
-    )
-
-
-def predict_gather(
-    gather: GatheredJSet, formats: PipelineFormats, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predictor-pipeline pass over the gathered j-set.
-
-    Identical per particle to
-    :func:`repro.hardware.predictor_unit.predict_memory` on the owning
-    chip's memory — the predictor polynomial, the re-quantisation onto
-    the fixed-point grid and the word rounding are all elementwise —
-    but evaluated for the whole machine in one vectorised call (the
-    formats through their compiled twins), and returned component-major
-    like ``cpos_q`` / ``cvel``.
-    """
-    x0 = formats.pos.dequantize(gather.pos_q)
-    xp, vp = predict_with_snap(
-        t, gather.t0, x0, gather.vel, gather.acc, gather.jerk, gather.snap
-    )
-    return (
-        np.ascontiguousarray(quantize(formats.pos, xp, saturate=True).T),
-        np.ascontiguousarray(round_float(formats.word, vp).T),
     )

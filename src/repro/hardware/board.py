@@ -54,18 +54,6 @@ class ProcessorBoard:
             for module in self.modules
         )
 
-    def gather_j(self):
-        """Contiguous view of all 32 chip memories (batched datapath).
-
-        The board-level counterpart of
-        :meth:`repro.hardware.module.ProcessorModule.gather_j`: the
-        broadcast/reduction pair degenerates to one tile evaluation
-        because every level of the reduction network is exact.
-        """
-        from .batched import gather_chips
-
-        return gather_chips(self.all_chips)
-
     @property
     def jmem_used(self) -> int:
         return sum(module.jmem_used for module in self.modules)

@@ -48,12 +48,6 @@ class PartialForce:
         )
 
 
-#: Which of acc, jerk, pot each output plane of the pipeline tile
-#: declares (acc x, y, z; jerk x, y, z; pot), as a column for indexing
-#: a (3, n) exponent table into the tile's (7, n) stack.
-PLANE_OUTPUTS = np.array([[0], [0], [0], [1], [1], [1], [2]])
-
-
 class BlockExponents:
     """Declared per-i-particle block exponents for the three outputs,
     held as the (7, n) plane stack the pipeline tile reads."""
@@ -186,18 +180,12 @@ class GrapeChip:
 
 
 def charge_block(store: StripedStore, config: ChipConfig, n_i: int) -> None:
-    """Charge each chip of ``store`` the cycles one i-block costs it.
-
-    Used by the batched datapath, which computes the forces outside the
-    chips but must account machine time as if each (holding
-    ``store.sizes[c]`` j-particles) had streamed its memory itself:
-    ``ceil(n_i / iparallel)`` passes, ``vmp_ways`` clocks per stored
-    j-particle per pass - the same arithmetic the faithful
-    :meth:`GrapeChip.partial_forces` schedule accrues pass by pass, and
-    the same counter totals (a chip holding nothing makes no pass), as
-    one array operation over the machine's chips, which share
-    ``config``.
-    """
+    """Charge each chip of ``store`` the cycles one i-block costs it, as
+    the batched datapath must: ``ceil(n_i / iparallel)`` passes of
+    ``vmp_ways`` clocks per stored j-particle - what the faithful
+    :meth:`GrapeChip.partial_forces` accrues pass by pass (a chip holding
+    nothing makes no pass), as one array operation over the machine's
+    chips, which share ``config``."""
     if n_i <= 0:
         return
     passes = -(-n_i // config.iparallel)

@@ -15,8 +15,10 @@ hardware storage formats:
 The host library writes each j-particle exactly once, to exactly one
 chip.  The emulator keeps a machine's banks as one :class:`StripedStore`:
 the storage-format rows in host order, with chip ``c`` of ``k`` reading
-rows ``c::k`` (the round-robin stripe).  A machine-wide load is then one
-quantise-and-install, however many chips there are.  A bank written
+rows ``c::k`` (the round-robin stripe).  Like GRAPE-6's own j-memory,
+the store is written in place, in the layout the pipelines stream: a
+machine-wide load is one quantise-and-write into buffers allocated and
+bound for the tile once, however many chips there are.  A bank written
 directly (:meth:`JParticleMemory.load`, one chip's DMA) holds rows of
 its own until the next machine-wide load re-stripes it.
 """
@@ -24,26 +26,22 @@ its own until the next machine-wide load re-stripes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .fixedpoint import FixedPointFormat
 from .floatformat import FloatFormat
-from .pipeline import bind_j_set, quantize, round_float
+from .pipeline import JSet, PipelineFormats, bind_j_set, load_j_set, quantize, round_float
 
 
 @dataclass
 class GatheredJSet:
-    """j-memory rows as contiguous arrays, in the storage formats.
+    """j-memory rows in the storage formats, row-major.
 
-    Either a machine's whole j-set (its :class:`StripedStore`, or
-    :func:`repro.hardware.batched.gather_chips` over its chips) or the
-    rows one bank holds of its own.  ``cpos_q`` / ``cvel`` are the
-    component-major (3, n) blocks the pipeline tile streams, transposed
-    once, on first use, and ``tile`` is the j-set bound for the tile
-    (:func:`~repro.hardware.pipeline.bind_j_set`), also once: a
-    machine's rows are one write generation of its memories.
+    Either a machine's whole j-set (the views :attr:`StripedStore.rows`
+    of its buffers, or :func:`repro.hardware.batched.gather_chips` over
+    its chips) or the rows one bank holds of its own.
     """
 
     pos_q: np.ndarray
@@ -55,48 +53,22 @@ class GatheredJSet:
     snap: np.ndarray
     t0: np.ndarray
 
-    @cached_property
-    def cpos_q(self) -> np.ndarray:
-        return np.ascontiguousarray(self.pos_q.T)
-
-    @cached_property
-    def cvel(self) -> np.ndarray:
-        return np.ascontiguousarray(self.vel.T)
-
-    @cached_property
-    def tile(self):
-        return bind_j_set(self.cpos_q, self.cvel, self.mass, self.host_index)
-
     @property
     def n(self) -> int:
         return self.pos_q.shape[0]
 
 
-def storage_rows(
-    pos_format: FixedPointFormat, word_format: FloatFormat, host_index: np.ndarray,
-    x: np.ndarray, v: np.ndarray, mass: np.ndarray, a=None, jdot=None, snap=None, t0=None,
-) -> GatheredJSet:
-    """j-particles in the storage formats (``mass`` comes word-rounded).
-
-    Models the host's ``g6_set_j_particle`` DMA writes.  Higher
-    derivatives and ``t0`` default to one block of read-only zeros (pure
-    force-evaluation mode, where the host has already predicted the
-    coordinates).  Every format is elementwise, so the rows of any
-    stripe equal those of a load of that stripe alone.  The formats are
-    the compiled twins of the format methods
-    (:func:`~repro.hardware.pipeline.quantize`,
-    :func:`~repro.hardware.pipeline.round_float`).
-    """
-    n = x.shape[0]
+def predictor_words(word_format: FloatFormat, n: int, a=None, jdot=None, snap=None,
+                    t0=None) -> tuple:
+    """``(acc, jerk, snap, t0)`` of n j-particles in the storage formats.
+    Each defaults to one block of read-only zeros (pure force-evaluation
+    mode, where the host has already predicted the coordinates)."""
 
     def word(d):
         return _zeros((n, 3)) if d is None else round_float(word_format, d)
 
-    return GatheredJSet(
-        quantize(pos_format, x), round_float(word_format, v), mass,
-        np.array(host_index, dtype=np.int64), word(a), word(jdot), word(snap),
-        _zeros((n,)) if t0 is None else np.array(t0, dtype=np.float64),
-    )
+    return word(a), word(jdot), word(snap), _zeros((n,)) if t0 is None else np.array(
+        t0, dtype=np.float64)
 
 
 @lru_cache(maxsize=8)
@@ -107,19 +79,25 @@ def _zeros(shape: tuple) -> np.ndarray:
     return zeros
 
 
-_NO_ROWS = GatheredJSet(
-    np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)), np.zeros(0),
-    np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
-    np.zeros(0),
-)
+def _j_memory(n: int) -> JSet:
+    """Buffers for n j-particles in the tile's layout, bound for it."""
+    return bind_j_set(np.empty((3, n), dtype=np.int64), np.empty((3, n)), np.empty(n),
+                      np.empty(n, dtype=np.int64))
+
+
+#: Every store's j-memory before its first load (nothing to write into).
+_NO_J_MEMORY = _j_memory(0)
 
 
 class StripedStore:
     """One machine's chips as a struct of arrays.
 
-    ``rows`` holds the j-memory in host order, and chip ``c`` of ``k``
-    reads rows ``c::k``.  ``sizes`` is the stripe table (rows each chip
-    holds, ``used`` their sum).  ``cycles`` and ``eps2`` are the chips'
+    ``j_set`` holds the j-memory in host order as the pipeline tile
+    streams it (:class:`~repro.hardware.pipeline.JSet`): bound once,
+    grown only for more rows, written in place by every machine-wide
+    load; ``rows`` views it row-major.  Chip ``c`` of ``k`` reads rows
+    ``c::k``.  ``sizes`` is the stripe table (rows each chip holds,
+    ``used`` their sum).  ``cycles`` and ``eps2`` are the chips'
     cycle counters and softening registers.  ``generation`` is the
     machine's write generation, bumped by every load, machine-wide or
     direct.  The batched datapath reads all of it in a fixed number of
@@ -128,7 +106,9 @@ class StripedStore:
 
     def __init__(self, k: int, capacity: int) -> None:
         self.k, self.capacity = k, capacity
-        self.rows = _NO_ROWS
+        self.j_set = _NO_J_MEMORY
+        self._words: tuple | None = None  # None: zeros
+        self._rows: GatheredJSet | None = None
         self.sizes = np.zeros(k, dtype=np.int64)
         self.used = 0
         self.cycles = np.zeros(k, dtype=np.int64)
@@ -138,19 +118,38 @@ class StripedStore:
         self.detached: set[JParticleMemory] = set()
         self._stripe_offsets = k - 1 - np.arange(k)
 
-    def load(self, rows: GatheredJSet) -> None:
-        """Install a machine-wide j-set; every chip reads its stripe."""
-        n = rows.n
+    def load(self, formats: PipelineFormats, host_index, x, v, mass, **derivs) -> None:
+        """Write a machine-wide j-set in place (``mass`` comes
+        word-rounded, ``host_index`` None for ``0 .. n-1``); every chip
+        reads its stripe.  A position off the grid raises and leaves the
+        store as it was."""
+        n = x.shape[0]
         if -(-n // self.k) > self.capacity:
             raise ValueError(
                 f"{n} particles exceed memory capacity {self.k} x {self.capacity}"
             )
+        j_set = self.j_set if n <= self.j_set.capacity else _j_memory(n)
+        load_j_set(j_set, formats, x, v, mass, host_index)
+        self.j_set = j_set
+        self._words = predictor_words(formats.word, n, **derivs) if derivs else None
+        self._rows = None
+        if self.detached or n != self.used:
+            self.sizes = (n + self._stripe_offsets) // self.k
         for mem in self.detached:
             mem._own = None
         self.detached.clear()
-        self.rows, self.used = rows, n
-        self.sizes = (n + self._stripe_offsets) // self.k
+        self.used = n
         self.generation += 1
+
+    @property
+    def rows(self) -> GatheredJSet:
+        """The machine-wide j-set row-major: views of ``j_set``'s buffers
+        (the next load rewrites them) and the predictor words."""
+        if self._rows is None:
+            cj_q, cj_v, mj, host_j = self.j_set.columns()
+            words = self._words or predictor_words(FloatFormat(), len(mj))
+            self._rows = GatheredJSet(cj_q.T, cj_v.T, mj, host_j, *words)
+        return self._rows
 
     def detach(self, mem: JParticleMemory, rows: GatheredJSet) -> None:
         """A direct load of one bank: it holds ``rows`` of its own."""
@@ -228,16 +227,19 @@ class JParticleMemory:
         snap: np.ndarray | None = None,
         t0: np.ndarray | None = None,
     ) -> None:
-        """(Re)load this bank alone, applying the storage formats
-        (:func:`storage_rows`); bumps the machine's write generation."""
+        """(Re)load this bank alone - the host's ``g6_set_j_particle`` DMA
+        writes to one chip - in the storage formats, through their
+        compiled twins; bumps the machine's write generation.  Every
+        format is elementwise, so a stripe's rows equal those of a
+        machine-wide load."""
         n = x.shape[0]
         if n > self.capacity:
             raise ValueError(f"{n} particles exceed memory capacity {self.capacity}")
-        rows = storage_rows(
-            self.pos_format, self.word_format, host_index, x, v,
-            round_float(self.word_format, m), a, jdot, snap, t0,
-        )
-        self.store.detach(self, rows)
+        word = self.word_format
+        self.store.detach(self, GatheredJSet(
+            quantize(self.pos_format, x), round_float(word, v), round_float(word, m),
+            np.array(host_index, dtype=np.int64), *predictor_words(word, n, a, jdot, snap, t0),
+        ))
 
     def __len__(self) -> int:
         return self.n

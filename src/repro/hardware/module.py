@@ -47,17 +47,6 @@ class ProcessorModule:
             chip.partial_forces(xi_q, vi, exponents, t, i_index) for chip in self.chips
         )
 
-    def gather_j(self):
-        """Contiguous view of all chip memories (batched datapath).
-
-        The summation-unit inputs as one j-array: because the adder
-        tree is exact, evaluating the gathered set in one tile is
-        bit-identical to per-chip evaluation plus reduction.
-        """
-        from .batched import gather_chips
-
-        return gather_chips(self.chips)
-
     @property
     def jmem_used(self) -> int:
         return sum(chip.memory.n for chip in self.chips)

@@ -22,15 +22,13 @@ relies on are preserved exactly:
 
 The tile is one library with a numpy tier and a compiled tier
 (:class:`PipelineTier`), and so is the host's side of its boundary: the
-storage formats the j-load, the i-block and the predictor pass are
-quantised and rounded in (:func:`quantize`, :func:`round_float`, twins
-of the format classes' methods), and the conversion of the tile's
-carry-save lanes to forces (:func:`lanes_to_forces`, the twin of
-:meth:`~repro.hardware.blockfloat.BlockFloatAccumulator.to_float_lanes`).
-The batched datapath binds the machine's j-set once per write
-generation (:func:`bind_j_set`) and has :func:`forces` come straight out
-of the tile, row-major; the faithful datapath keeps the lanes and its
-big-integer adder tree.
+storage formats' twins (:func:`quantize`, :func:`round_float`), the
+conversion of carry-save lanes to forces (:func:`lanes_to_forces`), and
+the batched datapath's two crossings a blockstep - a j-load written in
+place into a :class:`JSet` bound once (:func:`load_j_set`), and one call
+from raw targets to forces, their exponents read from the host's table
+and stored back (:func:`forces`).  The faithful datapath keeps the
+lanes and its big-integer adder tree.
 """
 
 from __future__ import annotations
@@ -82,27 +80,16 @@ def numpy_partial_lanes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact j-sums of the quantised pair terms of eqs. (1)-(3).
 
-    Parameters
-    ----------
-    xi_q, vi:
-        (n_i, 3) fixed-point positions (int64 grid integers) and
-        word-rounded velocities of the targets.
-    cj_q, cj_v, mj, host_index_j:
-        The sources, component-major: (3, n_j) int64 positions, (3, n_j)
-        velocities, (n_j,) masses and host indices.
-    exponents:
-        (7, n_i) declared block exponents, one row per output plane
-        (acc x, y, z; jerk x, y, z; pot).
-    i_index:
-        Host indices of the targets; a pair with equal indices is the
-        particle itself and contributes nothing.  So does any pair at
-        exactly zero grid distance, so that an unsoftened configuration
-        cannot divide by zero.
-
-    Returns
-    -------
-    ``(hi, lo)``, (7, n_i) int64 carry-save lanes of the sums over j
-    (:func:`repro.hardware.fixedpoint.carry_save_sum`).  Raises
+    The targets are ``xi_q`` (n_i, 3) grid integers and word-rounded
+    velocities ``vi``; the sources component-major (3, n_j) positions
+    ``cj_q`` and velocities ``cj_v``, (n_j,) masses and host indices;
+    ``exponents`` the (7, n_i) declared block exponents, one row per
+    output plane (acc x, y, z; jerk x, y, z; pot).  A pair with equal
+    host indices (``i_index``, the targets') is the particle itself and
+    contributes nothing, nor does a pair at exactly zero grid distance,
+    so that an unsoftened configuration cannot divide by zero.  Returns
+    ``(hi, lo)``, the (7, n_i) int64 carry-save lanes of the sums over j
+    (:func:`~repro.hardware.fixedpoint.carry_save_sum`); raises
     :class:`~repro.hardware.blockfloat.BlockFloatOverflow` if a single
     contribution does not fit the register (the saturation flag).
 
@@ -188,11 +175,6 @@ def numpy_partial_lanes(
     return hi, lo
 
 
-def numpy_bind_j_set(cj_q, cj_v, mj, host_index_j) -> tuple:
-    """The j-set of :func:`numpy_forces`: the numpy tile binds nothing."""
-    return cj_q, cj_v, mj, host_index_j
-
-
 def numpy_lanes_to_forces(
     hi: np.ndarray, lo: np.ndarray, exponents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,53 +187,19 @@ def numpy_lanes_to_forces(
     return np.ascontiguousarray(out[:3].T), np.ascontiguousarray(out[3:6].T), out[6]
 
 
-def numpy_forces(j_set, xi_q, vi, exponents, eps2, formats, i_index=None):
-    """The forces of a tile on a bound j-set (:func:`bind_j_set`): the
-    lanes of :func:`numpy_partial_lanes` through
-    :func:`numpy_lanes_to_forces`, or None if a total overflows the
-    register - the pipelines have streamed, and the host retries.
-    Raises :class:`BlockFloatOverflow` if a single term saturates."""
-    hi, lo = numpy_partial_lanes(xi_q, vi, *j_set, exponents, eps2, formats, i_index)
-    try:
-        return numpy_lanes_to_forces(hi, lo, exponents)
-    except BlockFloatOverflow:
-        return None
-
-
-class PipelineTier(NamedTuple):
-    """One tier of the pipeline library: the tile, and the host's side of
-    its boundary - the j-set bound once, the forces straight out of the
-    tile, and the storage formats."""
-
-    partial_lanes: Callable
-    bind_j_set: Callable
-    forces: Callable
-    lanes_to_forces: Callable
-    quantize: Callable  # (FixedPointFormat, x, saturate=False) -> int64
-    round_float: Callable  # (FloatFormat, x) -> float64
-
-
-#: The numpy tier: the reference, and what runs without a compiler.  Its
-#: formats are the format classes' own methods.
-NUMPY_PIPELINE = PipelineTier(
-    numpy_partial_lanes, numpy_bind_j_set, numpy_forces, numpy_lanes_to_forces,
-    FixedPointFormat.quantize, FloatFormat.round,
-)
-
-# what pipeline_tile.c answers: its tile entry points (0 when the sums
-# fit) and fixed_point_quantize (0 when every value is on the grid)
-_SATURATES = 1
-_ON_GRID, _NOT_FINITE = 0, 2
 _F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
 
+#: Exponent-table entry of a particle no force was evaluated on yet.
+UNCACHED = np.iinfo(np.int64).min
 
-class _JSetStruct(Structure):
-    """``struct j_set`` of ``pipeline_tile.c``."""
+#: Which of acc, jerk, pot each output plane of the pipeline tile
+#: declares (acc x, y, z; jerk x, y, z; pot), as a column for indexing
+#: a (3, n) exponent table into the tile's (7, n) stack.
+PLANE_OUTPUTS = np.array([[0], [0], [0], [1], [1], [1], [2]])
 
-    _fields_ = [
-        ("n_j", c_ssize_t), ("cj_q", c_void_p), ("cj_v", c_void_p), ("mj", c_void_p),
-        ("host_j", c_void_p),
-    ]
+#: What :func:`forces` answers: the sums fit; a term saturates the register;
+#: a total overflows it; a target has no exponents in the table.
+TILE_FITS, TILE_SATURATES, TILE_OVERFLOWS, TILE_UNCACHED = 0, 1, 2, 3
 
 
 def _contiguous(specs) -> list[np.ndarray]:
@@ -266,20 +214,120 @@ def _contiguous(specs) -> list[np.ndarray]:
     return held
 
 
-class BoundJSet:
-    """A j-set the compiled tile streams, validated and addressed once:
-    it holds the contiguous arrays its struct points into, so no pointer
-    outlives them."""
+class JSet:
+    """A j-set as the tile streams it: ``arrays`` (3, capacity) positions
+    and velocities, (capacity,) masses and host indices, ``n`` columns in
+    use; ``pointer`` addresses the compiled tier's ``struct j_set``."""
 
-    __slots__ = ("arrays", "pointer")
+    __slots__ = ("arrays", "n", "pointer")
 
-    def __init__(self, cj_q, cj_v, mj, host_index_j) -> None:
-        n_j = cj_q.shape[-1]
-        self.arrays = _contiguous((
-            (cj_q, _I8, (3, n_j)), (cj_v, _F8, (3, n_j)), (mj, _F8, (n_j,)),
-            (host_index_j, _I8, (n_j,)),
-        ))
-        self.pointer = byref(_JSetStruct(n_j, *map(address, self.arrays)))
+    def __init__(self, cj_q, cj_v, mj, host_j) -> None:
+        self.n = cj_q.shape[-1]
+        self.arrays = _contiguous(((cj_q, _I8, (3, self.n)), (cj_v, _F8, (3, self.n)),
+                                   (mj, _F8, (self.n,)), (host_j, _I8, (self.n,))))
+        self.pointer = None
+
+    @property
+    def capacity(self) -> int:
+        return len(self.arrays[2])
+
+    def columns(self) -> tuple:
+        return tuple(a[..., : self.n] for a in self.arrays)
+
+
+def _load_arrays(j_set: JSet, x, v, mass, host_index) -> list[np.ndarray]:
+    n = len(x)
+    if n > j_set.capacity:
+        raise ValueError(f"{n} j-particles exceed the j-set's capacity {j_set.capacity}")
+    return _contiguous([(x, _F8, (n, 3)), (v, _F8, (n, 3)), (mass, _F8, (n,))]
+                       + ([] if host_index is None else [(host_index, _I8, (n,))]))
+
+
+def numpy_load_j_set(j_set: JSet, formats: PipelineFormats, x, v, mass, host_index=None):
+    """A j-load of n rows into ``j_set`` in place (``host_index`` None for
+    ``0 .. n-1``); a position off the grid raises as
+    :meth:`FixedPointFormat.quantize` does, and writes nothing."""
+    x, v, mass, *host = _load_arrays(j_set, x, v, mass, host_index)
+    n = len(x)
+    cj_q, cj_v, mj, host_j = j_set.arrays
+    cj_q[:, :n] = formats.pos.quantize(x).T
+    cj_v[:, :n], mj[:n] = formats.word.round(v).T, mass
+    host_j[:n] = host[0] if host else np.arange(n)
+    j_set.n = n
+
+
+def _targets(xi, vi, i_index, cache, exponents) -> list[np.ndarray]:
+    n_i = len(xi)
+    if not (cache.flags.c_contiguous and cache.flags.writeable):
+        raise ValueError("the exponent table must be writable and contiguous")
+    return _contiguous(
+        [(cache, _I8, (3, cache.shape[-1])), (xi, _F8, (n_i, 3)), (vi, _F8, (n_i, 3)),
+         (np.empty((7, n_i), _I8) if exponents is None else exponents, _I8, (7, n_i))]
+        + ([] if i_index is None else [(i_index, _I8, (n_i,))]))
+
+
+def numpy_forces(j_set: JSet, xi, vi, i_index, cache, exponents, eps2, formats):
+    """One force call from raw targets ``xi``, ``vi`` (n_i, 3) with host
+    indices ``i_index`` or None: their (7, n_i) ``exponents`` read from
+    the host's (3, N) table ``cache`` if None, :func:`numpy_partial_lanes`
+    through :func:`numpy_lanes_to_forces`, the exponents back to the
+    table if the sums fit.  Returns ``(answer, exponents, forces or
+    None)``; raises for a negative index, then a target off the grid."""
+    cache, xi, vi, declared, *index = _targets(xi, vi, i_index, cache, exponents)
+    i_index = index[0] if index else None
+    if i_index is not None and i_index.size and i_index.min() < 0:
+        raise ValueError(f"negative particle index {i_index.min()} in indices")
+    xi_q, vi_w = formats.pos.quantize(xi), formats.word.round(vi)
+    if exponents is None:
+        if i_index is None or (i_index.size and (
+                i_index.max() >= cache.shape[1] or (cache[0, i_index] == UNCACHED).any())):
+            return TILE_UNCACHED, None, None
+        declared = cache[PLANE_OUTPUTS, i_index]
+    try:
+        lanes = numpy_partial_lanes(xi_q, vi_w, *j_set.columns(), declared, eps2, formats,
+                                    i_index)
+    except BlockFloatOverflow:
+        return TILE_SATURATES, declared, None
+    try:
+        out = numpy_lanes_to_forces(*lanes, declared)
+    except BlockFloatOverflow:
+        return TILE_OVERFLOWS, declared, None
+    if i_index is not None:
+        covered = i_index < cache.shape[1]
+        cache[:, i_index[covered]] = declared[::3, covered]
+    return TILE_FITS, declared, out
+
+
+class PipelineTier(NamedTuple):
+    """One tier of the pipeline library: the tile, and the host's side of
+    its boundary (module docstring)."""
+
+    partial_lanes: Callable
+    bind_j_set: Callable  # (cj_q, cj_v, mj, host_j) -> JSet
+    load_j_set: Callable
+    forces: Callable
+    lanes_to_forces: Callable
+    quantize: Callable  # (FixedPointFormat, x, saturate=False) -> int64
+    round_float: Callable  # (FloatFormat, x) -> float64
+
+
+#: The numpy tier: the reference, and what runs without a compiler.  Its
+#: formats are the format classes' own methods.
+NUMPY_PIPELINE = PipelineTier(
+    numpy_partial_lanes, JSet, numpy_load_j_set, numpy_forces, numpy_lanes_to_forces,
+    FixedPointFormat.quantize, FloatFormat.round,
+)
+
+# pipeline_tile.c's other answers: pipeline_forces' refusals, and
+# fixed_point_quantize's and pipeline_load's
+_NEGATIVE_INDEX, _TARGET_NOT_FINITE, _ON_GRID, _NOT_FINITE = 4, 6, 0, 2
+
+
+class _JSetStruct(Structure):
+    """``struct j_set`` of ``pipeline_tile.c``."""
+
+    _fields_ = [("n_j", c_ssize_t), ("stride", c_ssize_t)] + [
+        (name, c_void_p) for name in ("cj_q", "cj_v", "mj", "host_j")]
 
 
 def _float64(x) -> np.ndarray:
@@ -294,58 +342,64 @@ def _split(out: np.ndarray, n_i: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def _bind(library) -> PipelineTier:
     """``pipeline_tile.c`` behind the numpy tier's signatures."""
-    void_p, ssize_t = c_void_p, c_ssize_t
-    tile_args = [void_p] * 5 + [ssize_t, c_int, c_double, c_double, c_int, void_p]
-    tile_fn = entry_point(library, "pipeline_tile", tile_args, c_int)
-    forces_fn = entry_point(library, "pipeline_forces", tile_args, c_int)
-    to_forces_fn = entry_point(
-        library, "pipeline_to_forces", [void_p, void_p, ssize_t, c_int, void_p], c_int
+    p, n, i, d = c_void_p, c_ssize_t, c_int, c_double
+    tile_fn = entry_point(library, "pipeline_tile", [p] * 5 + [n, i, d, d, i, p], i)
+    load_fn = entry_point(library, "pipeline_load", [p] * 5 + [n, i, i, i], i)
+    forces_fn = entry_point(
+        library, "pipeline_forces", [p] * 4 + [n, p, n, i, p, i, d, d, i, i, i, i, p], i
     )
-    quantize_fn = entry_point(
-        library, "fixed_point_quantize", [void_p, ssize_t, c_int, c_int, c_int, void_p], c_int
-    )
-    round_fn = entry_point(library, "float_format_round", [void_p, ssize_t, c_int, void_p])
+    to_forces_fn = entry_point(library, "pipeline_to_forces", [p, p, n, i, p], i)
+    quantize_fn = entry_point(library, "fixed_point_quantize", [p, n, i, i, i, p], i)
+    round_fn = entry_point(library, "float_format_round", [p, n, i, p])
 
-    def targets(xi_q, vi, exponents, i_index) -> tuple:
-        """The per-call side of a tile: ``n_i``, the addresses of the
-        targets, exponents and host indices, and the arrays they are in."""
-        n_i = xi_q.shape[0]
-        specs = [
-            (xi_q, _I8, (n_i, 3)), (vi, _F8, (n_i, 3)),
-            (np.asarray(exponents, dtype=np.int64), _I8, (7, n_i)),
-        ]
-        if i_index is not None:
-            specs.append((i_index, _I8, (n_i,)))
-        held = _contiguous(specs)
-        pointers = [address(a) for a in held]
-        return n_i, pointers if i_index is not None else pointers + [None], held
+    def compiled_bind_j_set(cj_q, cj_v, mj, host_j) -> JSet:
+        j_set = JSet(cj_q, cj_v, mj, host_j)
+        j_set.pointer = byref(_JSetStruct(j_set.n, j_set.n, *map(address, j_set.arrays)))
+        return j_set
 
     def compiled_partial_lanes(
         xi_q, vi, cj_q, cj_v, mj, host_index_j, exponents, eps2, formats, i_index=None
     ):
-        n_i, pointers, held = targets(xi_q, vi, exponents, i_index)  # held: alive for the call
-        j_set = BoundJSet(cj_q, cj_v, mj, host_index_j)
+        n_i = xi_q.shape[0]
+        held = _contiguous(  # alive for the call
+            [(xi_q, _I8, (n_i, 3)), (vi, _F8, (n_i, 3)),
+             (np.asarray(exponents, dtype=np.int64), _I8, (7, n_i))]
+            + ([] if i_index is None else [(i_index, _I8, (n_i,))]))
+        j_set = compiled_bind_j_set(cj_q, cj_v, mj, host_index_j)
         lanes = np.empty((2, 7, n_i), dtype=np.int64)
         if n_i and tile_fn(
-            j_set.pointer, *pointers, n_i, FRAC_BITS, formats.pos.resolution, eps2,
-            53 - formats.pair.mantissa_bits, address(lanes),
+            j_set.pointer, *map(address, held), *[None][: 4 - len(held)], n_i, FRAC_BITS,
+            formats.pos.resolution, eps2, 53 - formats.pair.mantissa_bits, address(lanes),
         ):
             raise BlockFloatOverflow(SATURATES)
         return lanes[0], lanes[1]
 
-    def compiled_forces(j_set, xi_q, vi, exponents, eps2, formats, i_index=None):
-        n_i, pointers, held = targets(xi_q, vi, exponents, i_index)  # held: alive for the call
+    def compiled_load_j_set(j_set, formats, x, v, mass, host_index=None):
+        held = _load_arrays(j_set, x, v, mass, host_index)  # alive for the call
+        pos = formats.pos
+        answer = load_fn(j_set.pointer, *map(address, held), *[None][: 4 - len(held)],
+                         len(x), pos.frac_bits, pos.total_bits, formats.word.mantissa_bits)
+        if answer != _ON_GRID:
+            raise NonFiniteValue(NOT_FINITE) if answer == _NOT_FINITE else pos.out_of_range()
+        j_set.n = len(x)
+
+    def compiled_forces(j_set, xi, vi, i_index, cache, exponents, eps2, formats):
+        n_i, pos = len(xi), formats.pos
+        held = _targets(xi, vi, i_index, cache, exponents)  # alive for the call
         out = np.empty(7 * n_i)
-        if n_i:
-            answer = forces_fn(
-                j_set.pointer, *pointers, n_i, FRAC_BITS, formats.pos.resolution, eps2,
-                53 - formats.pair.mantissa_bits, address(out),
-            )
-            if answer == _SATURATES:
-                raise BlockFloatOverflow(SATURATES)
-            if answer:
-                return None
-        return _split(out, n_i)
+        cache, xi, vi, declared, index = [address(a) for a in held] + [None][: 5 - len(held)]
+        answer = forces_fn(
+            j_set.pointer, xi, vi, index, n_i, cache, held[0].shape[1], exponents is None,
+            declared, FRAC_BITS, pos.resolution, eps2, 53 - formats.pair.mantissa_bits,
+            pos.frac_bits, pos.total_bits, formats.word.mantissa_bits, address(out),
+        )
+        if answer <= TILE_OVERFLOWS:
+            return answer, held[3], _split(out, n_i) if answer == TILE_FITS else None
+        if answer == TILE_UNCACHED:
+            return answer, None, None
+        if answer == _NEGATIVE_INDEX:
+            raise ValueError(f"negative particle index {i_index.min()} in indices")
+        raise NonFiniteValue(NOT_FINITE) if answer == _TARGET_NOT_FINITE else pos.out_of_range()
 
     def compiled_lanes_to_forces(hi, lo, exponents):
         n_i = np.shape(exponents)[-1]
@@ -365,10 +419,8 @@ def _bind(library) -> PipelineTier:
             answer = quantize_fn(
                 address(x), x.size, fmt.frac_bits, fmt.total_bits, saturate, address(q)
             )
-            if answer == _NOT_FINITE:
-                raise NonFiniteValue(NOT_FINITE)
             if answer != _ON_GRID:
-                raise fmt.out_of_range()
+                raise NonFiniteValue(NOT_FINITE) if answer == _NOT_FINITE else fmt.out_of_range()
         return q
 
     def compiled_round_float(fmt: FloatFormat, x) -> np.ndarray:
@@ -379,8 +431,8 @@ def _bind(library) -> PipelineTier:
         return out
 
     return PipelineTier(
-        compiled_partial_lanes, BoundJSet, compiled_forces, compiled_lanes_to_forces,
-        compiled_quantize, compiled_round_float,
+        compiled_partial_lanes, compiled_bind_j_set, compiled_load_j_set, compiled_forces,
+        compiled_lanes_to_forces, compiled_quantize, compiled_round_float,
     )
 
 
@@ -421,28 +473,31 @@ def _self_check_tiles():
 
 
 def _self_check(tier: PipelineTier) -> None:
-    """Refuse ``tier`` unless its tile answers as :func:`numpy_partial_lanes`
-    does on every tile of :func:`_self_check_tiles`, and its boundary
-    passes :func:`_self_check_boundary`."""
-    for where, args in _self_check_tiles():
-        if (lanes_or_overflow(tier.partial_lanes, *args)
-                != lanes_or_overflow(numpy_partial_lanes, *args)):
-            raise TileUnavailable(
-                f"self-check: compiled tile differs from the numpy tile at {where}"
-            )
+    """Refuse ``tier`` unless it answers as :data:`NUMPY_PIPELINE` does:
+    its storage formats and lanes-to-forces conversion
+    (:func:`_self_check_boundary`), and its tile, j-load and force call
+    on every tile of :func:`_self_check_tiles` (:func:`_entry_session`)."""
     _self_check_boundary(tier)
+    for where, args in _self_check_tiles():
+        if _entry_session(tier, *args) != _entry_session(NUMPY_PIPELINE, *args):
+            raise TileUnavailable(f"self-check: compiled tile differs from numpy at {where}")
 
 
-def _answer(fn, *args) -> bytes | str | None:
+def _flat(out) -> bytes:
+    """What a boundary function returns as bytes: tuples flattened."""
+    if isinstance(out, tuple):
+        return b"|".join(map(_flat, out))
+    return b"-" if out is None else np.asarray(out).tobytes()
+
+
+def _answer(fn, *args) -> bytes | str:
     """What a boundary function answers, comparably: the bytes of what it
-    returns (None as None), or the name of the error it raises."""
+    returns (:func:`_flat`), or the name of the error it raises."""
     try:
         out = fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__
-    if out is None:
-        return None
-    return b"".join(np.asarray(a).tobytes() for a in (out if isinstance(out, tuple) else (out,)))
+    return _flat(out)
 
 
 #: Values the storage formats are checked on at load time: both zeros,
@@ -464,9 +519,9 @@ FLOAT_WIDTHS = (1, 24, 32, 52, 53)
 
 
 def _self_check_boundary(tier: PipelineTier) -> None:
-    """Refuse ``tier`` unless its storage formats, its lanes-to-forces
-    conversion and its forces call answer as :data:`NUMPY_PIPELINE`
-    does: equal bits, or the same error.  Each value is quantised alone
+    """Refuse ``tier`` unless its storage formats and its lanes-to-forces
+    conversion answer as :data:`NUMPY_PIPELINE` does: equal bits, or
+    the same error.  Each value is quantised alone
     (one out-of-range value refuses a whole array) and all together;
     the lanes sit on both sides of both register ends, and exponents
     run from a quantum that underflows to one that overflows."""
@@ -491,26 +546,50 @@ def _self_check_boundary(tier: PipelineTier) -> None:
             cases.append(("lanes_to_forces", lanes[0], lanes[1], exponents))
     for name, *args in cases:
         with np.errstate(all="ignore"):  # numpy's reference overflows to inf, as it should
-            want = _answer(getattr(NUMPY_PIPELINE, name), *args)
-        if _answer(getattr(tier, name), *args) != want:
+            same = _answer(getattr(tier, name), *args) == _answer(getattr(NUMPY_PIPELINE, name),
+                                                                  *args)
+        if not same:
             raise TileUnavailable(f"self-check: compiled {name} differs from numpy on {args}")
-    for where, (xi_q, vi, *j_set, exponents, eps2, formats, i_index) in _self_check_tiles():
-        # on the targets, and 64 length units away from them where no
-        # term dominates: terms that saturate, totals that overflow and
-        # sums that fit
-        far = xi_q + 2**46
-        for targets, shifts in ((xi_q, (0,)), (far, (16, 20))):
-            for shift in shifts:
-                answers = [
-                    _answer(t.forces, t.bind_j_set(*j_set), targets, vi, exponents + shift,
-                              eps2, formats, i_index)
-                    for t in (tier, NUMPY_PIPELINE)
-                ]
-                if answers[0] != answers[1]:
-                    raise TileUnavailable(
-                        f"self-check: compiled forces differ from numpy at {where}, "
-                        f"declared {shift} bits larger"
-                    )
+
+
+def _entry_session(t: PipelineTier, xi_q, vi, cj_q, cj_v, mj, host_j, exponents, eps2,
+                   formats, i_index) -> list:
+    """What tier ``t``'s tile, j-load and force call answer, in order, on
+    one self-check tile, with the exponent table after each call.  Loads
+    into a j-memory with two spare columns: a NaN, then an out-of-range
+    position (2^23 is past the word's top; neither may write), then the
+    sources.  Force calls: from the empty table; under the declared
+    exponents on the targets and 64 length units away (terms that
+    saturate, totals that overflow, sums that fit); from the filled
+    table; with indices beyond it, a negative index, a NaN and an
+    out-of-range target."""
+    spare = cj_q.shape[1] + 2
+    j_set = t.bind_j_set(np.zeros((3, spare), _I8), np.zeros((3, spare)), np.zeros(spare),
+                         np.zeros(spare, _I8))
+    x, near, far = (formats.pos.dequantize(q) for q in (cj_q.T, xi_q, xi_q + 2**46))
+    said = [lanes_or_overflow(t.partial_lanes, xi_q, vi, cj_q, cj_v, mj, host_j, exponents,
+                              eps2, formats, i_index)]
+    cache = np.full((3, len(xi_q) + 3), UNCACHED)
+
+    def poisoned(a, bad):
+        a = a.copy()
+        a[-1, 1] = bad
+        return a
+
+    for x_load in (poisoned(x, np.nan), poisoned(x, 2.0**23), x):
+        said += [_answer(t.load_j_set, j_set, formats, x_load, cj_v.T, mj,
+                         None if i_index is None else host_j), j_set.n, _flat(tuple(j_set.arrays))]
+    calls = [(near, i_index, None), (near, i_index, exponents), (far, i_index, exponents + 16),
+             (far, i_index, exponents + 20), (near, i_index, None)]
+    calls += [(poisoned(near, bad), i_index, exponents) for bad in (np.nan, 2.0**23)]
+    if i_index is not None:
+        beyond = i_index + cache.shape[1]
+        calls += [(near, beyond, None), (near, beyond, exponents),
+                  (near, np.concatenate(([-1], i_index[1:])), None)]
+    for xi, index, declared in calls:
+        said += [_answer(t.forces, j_set, xi, vi, index, cache, declared, eps2, formats),
+                 _flat(cache)]
+    return said
 
 
 #: The pipeline tier serving this process - :data:`NUMPY_PIPELINE`, or
@@ -522,10 +601,13 @@ _tier = resolve("pipeline_tile", _bind, _self_check, NUMPY_PIPELINE)
 
 #: The tile (:func:`numpy_partial_lanes` documents the signature).
 partial_lanes = _tier.partial_lanes
-#: ``bind_j_set(cj_q, cj_v, mj, host_index_j)``: a j-set validated and
-#: addressed once, for any number of :func:`forces` calls.
+#: ``bind_j_set(cj_q, cj_v, mj, host_j)``: a :class:`JSet` over those
+#: arrays, validated and addressed once, for any number of loads and
+#: :func:`forces` calls.
 bind_j_set = _tier.bind_j_set
-#: The tile's forces on a bound j-set (:func:`numpy_forces`).
+#: A machine-wide j-load in place (:func:`numpy_load_j_set`).
+load_j_set = _tier.load_j_set
+#: One force call from raw targets (:func:`numpy_forces`).
 forces = _tier.forces
 #: Carry-save lanes to forces (:func:`numpy_lanes_to_forces`).
 lanes_to_forces = _tier.lanes_to_forces

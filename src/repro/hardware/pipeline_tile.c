@@ -4,14 +4,19 @@
  * This file is the fast tier beneath repro.hardware.pipeline.  Its
  * contract is identity with the numpy tier, which stays the reference:
  * the loader checks both against each other before it hands this one
- * out.  Five entry points:
+ * out.  Six entry points:
  *
+ *   pipeline_load        a machine-wide j-load, in place: positions
+ *                        quantised and velocities word-rounded straight
+ *                        into the bound j-memory (pipeline.numpy_load_j_set);
+ *   pipeline_forces      one force call from raw targets: quantise and
+ *                        word-round them, take their exponents from the
+ *                        host's (3, N) table, stream the tile, convert
+ *                        the sums to acc, jerk, pot and store the
+ *                        exponents back (pipeline.numpy_forces);
  *   pipeline_tile        the j-sums as carry-save lanes
  *                        (pipeline.numpy_partial_lanes);
- *   pipeline_forces      the same sums range-checked and converted to
- *                        acc, jerk, pot (numpy_partial_lanes, then
- *                        BlockFloatAccumulator.to_float_lanes);
- *   pipeline_to_forces   that conversion alone, of given lanes;
+ *   pipeline_to_forces   the conversion of given lanes to forces;
  *   fixed_point_quantize FixedPointFormat.quantize, both branches;
  *   float_format_round   FloatFormat.round.
  *
@@ -46,21 +51,30 @@
 #define MAGNITUDE UINT64_C(0x7fffffffffffffff)
 #define TWO_62 UINT64_C(0x43d0000000000000)
 
-/* what the tile entry points answer */
-enum { FITS = 0, SATURATES = 1, TOTAL_OVERFLOWS = 2 };
+/* what the tile entry points answer; pipeline_forces also answers the
+ * last four, having computed nothing */
+enum { FITS = 0, SATURATES = 1, TOTAL_OVERFLOWS = 2, UNCACHED = 3, NEGATIVE_INDEX = 4,
+       TARGET_OUT_OF_RANGE = 5, TARGET_NOT_FINITE = 6 };
 
-/* what fixed_point_quantize answers */
+/* what fixed_point_quantize and pipeline_load answer */
 enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
 
-/* The j-memory one call streams: bound once per j-set by the caller
- * (pipeline.bind_j_set), component-major, contiguous. */
+/* The j-memory one call streams, component-major: row c of the
+ * positions and velocities starts at c * stride, and the first n_j
+ * columns are the j-set.  A machine's j-memory is bound once per
+ * allocation (pipeline.bind_j_set) and rewritten in place by
+ * pipeline_load, which sets n_j. */
 struct j_set {
     ptrdiff_t n_j;
-    const int64_t *cj_q;   /* (3, n_j) grid integers */
-    const double *cj_v;    /* (3, n_j) velocities */
-    const double *mj;      /* (n_j,) masses */
-    const int64_t *host_j; /* (n_j,) host indices */
+    ptrdiff_t stride;
+    int64_t *cj_q;   /* (3, stride) grid integers */
+    double *cj_v;    /* (3, stride) velocities */
+    double *mj;      /* (stride,) masses */
+    int64_t *host_j; /* (stride,) host indices */
 };
+
+/* The exponent table's entry for a particle no force was evaluated on. */
+#define NO_EXPONENT INT64_MIN
 
 static inline uint64_t bits_of(double x)
 {
@@ -82,6 +96,51 @@ static inline double power_of_two(int64_t shift)
 {
     shift = shift > 4096 ? 4096 : shift < -4096 ? -4096 : shift;
     return ldexp(1.0, (int)shift);
+}
+
+/* FloatFormat.round of one value: x = m 2^e, 0.5 <= |m| < 1, m rounded
+ * to mantissa_bits bits (nearest even) and scaled back; zeros,
+ * infinities and NaNs pass through.  A normal number is rounded on its
+ * bit pattern, as FloatFormat.round_inplace does, which equals frexp /
+ * rint / ldexp there: nearest even on the significand, a carry running
+ * into the exponent (the next binade, or inf from the top one).  With
+ * one bit kept, that bit is the implicit one, odd, so a tie rounds up
+ * as rint(1.5) does.  Zeros and subnormals take the frexp / ldexp path
+ * numpy takes. */
+static inline double round_word(double x, int mantissa_bits)
+{
+    const int drop = 53 - mantissa_bits;
+    uint64_t b = bits_of(x);
+    const uint64_t biased = (b >> 52) & 0x7ff;
+    if (biased == 0x7ff || drop == 0)
+        return x;
+    if (biased == 0) {
+        int e;
+        const double m = frexp(x, &e);
+        return ldexp(rint(ldexp(m, mantissa_bits)), e - mantissa_bits);
+    }
+    b += (drop == 52 ? 1 : (b >> drop) & 1) + ((UINT64_C(1) << (drop - 1)) - 1);
+    return double_of(b & ~((UINT64_C(1) << drop) - 1));
+}
+
+/* Whether FixedPointFormat.quantize (not saturating) takes every x (n,):
+ * ON_GRID, else NOT_FINITE if one is NaN or infinite, else OUT_OF_RANGE.
+ * On the grid, a value's grid integer is (int64_t)rint(x * 2^frac_bits). */
+static int grid_check(const double *x, ptrdiff_t n, int frac_bits, int total_bits)
+{
+    const double scale = ldexp(1.0, frac_bits), top = ldexp(1.0, total_bits - 1);
+    int outside = 0;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        const double r = rint(x[k] * scale);
+        outside |= !((r < top) & (r >= -top));
+    }
+    if (!outside)
+        return ON_GRID;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        if (!isfinite(x[k]))
+            return NOT_FINITE;
+    }
+    return OUT_OF_RANGE;
 }
 
 /* BlockFloatAccumulator.to_float_lanes of one total hi 2^32 + lo: after
@@ -106,29 +165,54 @@ static inline ptrdiff_t force_slot(int q, ptrdiff_t i, ptrdiff_t n_i)
     return q < 3 ? 3 * i + q : q < 6 ? 3 * n_i + 3 * i + (q - 3) : 6 * n_i + i;
 }
 
-/* xi_q (n_i, 3) grid integers and vi (n_i, 3) velocities of the targets;
+/* The pipelines' arithmetic, shared by every tile entry point. */
+struct formats {
+    int frac_bits;     /* the accumulator's fraction bits */
+    double resolution; /* the position grid's quantum */
+    double eps2;
+    int drop;          /* low mantissa bits the pair format rounds away */
+};
+
+/* The targets: xi_q (n_i, 3) grid integers and vi (n_i, 3) velocities as
+ * they enter the pipelines; or, if xi_q is NULL, raw positions xi on a
+ * grid of 2^pos_frac_bits (checked by grid_check) and raw velocities
+ * vi, quantised and rounded to word_bits here, one target at a time.
  * exponents (7, n_i) the declared block exponents, under which a term c
  * becomes round(c / 2^(e - frac_bits)) quanta; i_index (n_i,) host
- * indices of the targets or NULL; `drop` low mantissa bits are rounded
- * away (nearest even) first.  All contiguous.  Exactly one of lanes
+ * indices of the targets or NULL.  All contiguous. */
+struct targets {
+    ptrdiff_t n_i;
+    const int64_t *xi_q;
+    const double *xi;
+    const double *vi;
+    int pos_frac_bits;
+    int word_bits;
+    const int64_t *exponents;
+    const int64_t *i_index;
+};
+
+/* The j-sums of the targets over the j-set, `drop` low mantissa bits of
+ * every term rounded away (nearest even) first.  Exactly one of lanes
  * (2, 7, n_i: the carry-save lanes hi, lo of the j-sums) and forces
  * (7 n_i: force_slot) receives the sums.  Returns SATURATES, with the
  * outputs unspecified, if a term does not fit the accumulator or is not
  * finite - tested before any conversion to an integer, so that none is
  * ever out of range - and TOTAL_OVERFLOWS if a sum does not fit it. */
-static int stream(const struct j_set *j, const int64_t *xi_q, const double *vi,
-                  const int64_t *exponents, const int64_t *i_index,
-                  ptrdiff_t n_i, int frac_bits, double resolution, double eps2,
-                  int drop, int64_t *lanes, double *forces)
+static int stream(const struct j_set *j, const struct targets *in, const struct formats *f,
+                  int64_t *lanes, double *forces)
 {
-    const ptrdiff_t n_j = j->n_j;
-    const int64_t *restrict qx = j->cj_q, *restrict qy = j->cj_q + n_j,
-                  *restrict qz = j->cj_q + 2 * n_j;
-    const double *restrict u = j->cj_v, *restrict v = j->cj_v + n_j,
-                 *restrict w = j->cj_v + 2 * n_j;
+    const ptrdiff_t n_j = j->n_j, stride = j->stride, n_i = in->n_i;
+    const int64_t *restrict qx = j->cj_q, *restrict qy = j->cj_q + stride,
+                  *restrict qz = j->cj_q + 2 * stride;
+    const double *restrict u = j->cj_v, *restrict v = j->cj_v + stride,
+                 *restrict w = j->cj_v + 2 * stride;
     const double *restrict mj = j->mj;
     const int64_t *restrict host_j = j->host_j;
-    const int by_index = i_index != NULL;
+    const int64_t *exponents = in->exponents;
+    const int by_index = in->i_index != NULL;
+    const double resolution = f->resolution, eps2 = f->eps2;
+    const int drop = f->drop, frac_bits = f->frac_bits;
+    const double pos_scale = ldexp(1.0, in->pos_frac_bits);
     /* drop == 0 rounds nothing: the parity bit must not be added */
     const uint64_t odd = drop ? 1 : 0;
     const uint64_t half_less_one = drop ? (UINT64_C(1) << (drop - 1)) - 1 : 0;
@@ -145,10 +229,20 @@ static int stream(const struct j_set *j, const int64_t *xi_q, const double *vi,
     }
 
     for (ptrdiff_t i = 0; i < n_i; i++) {
-        const uint64_t xi = (uint64_t)xi_q[3 * i], yi = (uint64_t)xi_q[3 * i + 1],
-                       zi = (uint64_t)xi_q[3 * i + 2];
-        const double ui = vi[3 * i], vi_ = vi[3 * i + 1], wi = vi[3 * i + 2];
-        const int64_t self = by_index ? i_index[i] : 0;
+        uint64_t target_q[3];
+        double target_v[3];
+        for (int c = 0; c < 3; c++) {
+            if (in->xi_q != NULL) {
+                target_q[c] = (uint64_t)in->xi_q[3 * i + c];
+                target_v[c] = in->vi[3 * i + c];
+            } else {
+                target_q[c] = (uint64_t)(int64_t)rint(in->xi[3 * i + c] * pos_scale);
+                target_v[c] = round_word(in->vi[3 * i + c], in->word_bits);
+            }
+        }
+        const uint64_t xi = target_q[0], yi = target_q[1], zi = target_q[2];
+        const double ui = target_v[0], vi_ = target_v[1], wi = target_v[2];
+        const int64_t self = by_index ? in->i_index[i] : 0;
         double s[7];
         int64_t sum_hi[7] = {0};
         uint64_t sum[7] = {0};
@@ -238,22 +332,92 @@ static int stream(const struct j_set *j, const int64_t *xi_q, const double *vi,
     return overflow ? TOTAL_OVERFLOWS : FITS;
 }
 
+/* The carry-save lanes (2, 7, n_i) of quantised targets xi_q and vi. */
 int pipeline_tile(const struct j_set *j, const int64_t *xi_q, const double *vi,
                   const int64_t *exponents, const int64_t *i_index, ptrdiff_t n_i,
                   int frac_bits, double resolution, double eps2, int drop,
                   int64_t *lanes)
 {
-    return stream(j, xi_q, vi, exponents, i_index, n_i, frac_bits, resolution, eps2,
-                  drop, lanes, NULL);
+    const struct targets in = {n_i, xi_q, NULL, vi, 0, 53, exponents, i_index};
+    const struct formats f = {frac_bits, resolution, eps2, drop};
+    return stream(j, &in, &f, lanes, NULL);
 }
 
-int pipeline_forces(const struct j_set *j, const int64_t *xi_q, const double *vi,
-                    const int64_t *exponents, const int64_t *i_index, ptrdiff_t n_i,
-                    int frac_bits, double resolution, double eps2, int drop,
-                    double *forces)
+/* A j-set of n rows into the bound j-memory j, in place: x (n, 3)
+ * quantised to a grid of 2^frac_bits in a total_bits word, v (n, 3)
+ * rounded to word_bits, the masses m (n,) as given and the host indices
+ * host (n,), or 0 .. n-1 if NULL; then n_j = n.  The caller has checked
+ * n <= stride.  If a position is off the grid, answers as
+ * fixed_point_quantize does and writes nothing. */
+int pipeline_load(struct j_set *j, const double *x, const double *v, const double *m,
+                  const int64_t *host, ptrdiff_t n, int frac_bits, int total_bits,
+                  int word_bits)
 {
-    return stream(j, xi_q, vi, exponents, i_index, n_i, frac_bits, resolution, eps2,
-                  drop, NULL, forces);
+    const int grid = grid_check(x, 3 * n, frac_bits, total_bits);
+    if (grid != ON_GRID)
+        return grid;
+    const double scale = ldexp(1.0, frac_bits);
+    const ptrdiff_t stride = j->stride;
+    for (ptrdiff_t k = 0; k < n; k++) {
+        for (int c = 0; c < 3; c++) {
+            j->cj_q[c * stride + k] = (int64_t)rint(x[3 * k + c] * scale);
+            j->cj_v[c * stride + k] = round_word(v[3 * k + c], word_bits);
+        }
+        j->mj[k] = m[k];
+        j->host_j[k] = host != NULL ? host[k] : k;
+    }
+    j->n_j = n;
+    return ON_GRID;
+}
+
+/* One force call from raw targets: xi (n_i, 3) positions on a grid of
+ * 2^pos_frac_bits in a pos_total_bits word, vi (n_i, 3) velocities
+ * rounded to word_bits, host indices i_index (n_i,) or NULL.  cache
+ * (3, cache_n) is the host's table of the last exponents (acc, jerk,
+ * pot) each particle was evaluated under, NO_EXPONENT where none was.
+ * If `cached`, the targets' exponents (7, n_i) are read from it -
+ * UNCACHED if a target has no index, or its index is beyond the table
+ * or has no entry - else they are as given.  Then the tile streams
+ * into forces (force_slot), and on FITS the exponents go back to the
+ * table.  Answers NEGATIVE_INDEX, TARGET_NOT_FINITE or
+ * TARGET_OUT_OF_RANGE, in that order of precedence, before anything
+ * else is done. */
+int pipeline_forces(const struct j_set *j, const double *xi, const double *vi,
+                    const int64_t *i_index, ptrdiff_t n_i, int64_t *cache,
+                    ptrdiff_t cache_n, int cached, int64_t *exponents, int frac_bits,
+                    double resolution, double eps2, int drop, int pos_frac_bits,
+                    int pos_total_bits, int word_bits, double *forces)
+{
+    /* which of the table's rows (acc, jerk, pot) plane q declares */
+    static const int row_of[7] = {0, 0, 0, 1, 1, 1, 2};
+    for (ptrdiff_t i = 0; i < n_i && i_index != NULL; i++) {
+        if (i_index[i] < 0)
+            return NEGATIVE_INDEX;
+    }
+    const int grid = grid_check(xi, 3 * n_i, pos_frac_bits, pos_total_bits);
+    if (grid != ON_GRID)
+        return grid == NOT_FINITE ? TARGET_NOT_FINITE : TARGET_OUT_OF_RANGE;
+    if (cached) {
+        if (i_index == NULL)
+            return UNCACHED;
+        for (ptrdiff_t i = 0; i < n_i; i++) {
+            if (i_index[i] >= cache_n || cache[i_index[i]] == NO_EXPONENT)
+                return UNCACHED;
+        }
+        for (int q = 0; q < 7; q++) {
+            for (ptrdiff_t i = 0; i < n_i; i++)
+                exponents[q * n_i + i] = cache[row_of[q] * cache_n + i_index[i]];
+        }
+    }
+    const struct targets in = {n_i, NULL, xi, vi, pos_frac_bits, word_bits, exponents,
+                               i_index};
+    const struct formats f = {frac_bits, resolution, eps2, drop};
+    const int answer = stream(j, &in, &f, NULL, forces);
+    for (ptrdiff_t i = 0; answer == FITS && i < n_i && i_index != NULL; i++) {
+        for (int row = 0; row < 3 && i_index[i] < cache_n; row++)
+            cache[row * cache_n + i_index[i]] = exponents[3 * row * n_i + i];
+    }
+    return answer;
 }
 
 /* lanes (2, 7, n_i) and exponents (7, n_i) -> forces (force_slot);
@@ -308,32 +472,9 @@ int fixed_point_quantize(const double *x, ptrdiff_t n, int frac_bits, int total_
     return ON_GRID;
 }
 
-/* FloatFormat.round of x (n,) into out (n,): x = m 2^e, 0.5 <= |m| < 1,
- * m rounded to mantissa_bits bits (nearest even) and scaled back;
- * zeros, infinities and NaNs pass through.  A normal number is rounded
- * on its bit pattern, as FloatFormat.round_inplace does, which equals
- * frexp / rint / ldexp there: nearest even on the significand, a
- * carry running into the exponent (the next binade, or inf from the
- * top one).  With one bit kept, that bit is the implicit one, odd, so
- * a tie rounds up as rint(1.5) does.  Zeros and subnormals take the
- * frexp / ldexp path numpy takes. */
+/* FloatFormat.round of x (n,) into out (n,) (round_word). */
 void float_format_round(const double *x, ptrdiff_t n, int mantissa_bits, double *out)
 {
-    const int drop = 53 - mantissa_bits;
-    const uint64_t half_less_one = drop ? (UINT64_C(1) << (drop - 1)) - 1 : 0;
-    const uint64_t keep = ~((UINT64_C(1) << drop) - 1);
-    for (ptrdiff_t k = 0; k < n; k++) {
-        uint64_t b = bits_of(x[k]);
-        const uint64_t biased = (b >> 52) & 0x7ff;
-        if (biased == 0x7ff || drop == 0) {
-            out[k] = x[k];
-        } else if (biased == 0) {
-            int e;
-            const double m = frexp(x[k], &e);
-            out[k] = ldexp(rint(ldexp(m, mantissa_bits)), e - mantissa_bits);
-        } else {
-            b += (drop == 52 ? 1 : (b >> drop) & 1) + half_less_one;
-            out[k] = double_of(b & keep);
-        }
-    }
+    for (ptrdiff_t k = 0; k < n; k++)
+        out[k] = round_word(x[k], mantissa_bits);
 }

@@ -19,14 +19,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.predictor import predict_with_snap
-from .memory import JParticleMemory
 from .pipeline import quantize, round_float
 
 
-def predict_memory(
-    mem: JParticleMemory, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict all particles of a memory bank to time ``t``.
+def predict_memory(mem, t: float, formats=None) -> tuple[np.ndarray, np.ndarray]:
+    """Predict all particles of a memory bank to time ``t`` - or of any
+    rows in ``formats``, such as a machine's whole j-set: every step is
+    elementwise, so a particle predicts alike on any chip.
 
     Returns
     -------
@@ -35,10 +34,8 @@ def predict_memory(
     vel:
         Predicted velocities in the chip's float word format.
     """
-    x0 = mem.pos_format.dequantize(mem.pos_q)
-    xp, vp = predict_with_snap(
-        t, mem.t0, x0, mem.vel, mem.acc, mem.jerk, mem.snap
-    )
-    pos_q = quantize(mem.pos_format, xp, saturate=True)
-    vel = round_float(mem.word_format, vp)
-    return pos_q, vel
+    pos, word = (mem.pos_format, mem.word_format) if formats is None else (
+        formats.pos, formats.word)
+    x0 = pos.dequantize(mem.pos_q)
+    xp, vp = predict_with_snap(t, mem.t0, x0, mem.vel, mem.acc, mem.jerk, mem.snap)
+    return quantize(pos, xp, saturate=True), round_float(word, vp)

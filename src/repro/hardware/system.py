@@ -33,17 +33,13 @@ tile (:func:`repro.hardware.pipeline.partial_lanes`):
     memory — with object-dtype big-integer partial sums up the adder
     tree.  Slow, but structurally the machine.
 ``emulation_mode="batched"`` (default)
-    exploits the partition-independence property itself: because the
-    force depends only on the *multiset* of quantised pairwise
-    contributions, the striped store's rows are the machine's whole
-    j-set, bound for the tile once per write generation, and one tile
-    call covers the whole (n_i, n_j) interaction, its carry-save lanes
-    range-checked and converted to forces inside it
-    (:func:`repro.hardware.pipeline.forces`,
-    :mod:`repro.hardware.batched`).  Bit-identical to the faithful
-    path — enforced by the emulation-mode property tests — at an
-    order of magnitude less host time, and at a host cost per call
-    that does not grow with the chip count.
+    exploits the partition-independence property itself: one tile call
+    over the machine's whole j-set, which the striped store holds in
+    the tile's own layout, and the host side in two crossings a
+    blockstep - the load and one call from raw targets to forces
+    (:mod:`repro.hardware.batched`).  Bit-identical to the faithful
+    path — enforced by the emulation-mode property tests — at an order
+    of magnitude less host time, whatever the chip count.
 """
 
 from __future__ import annotations
@@ -55,19 +51,20 @@ import numpy as np
 from ..config import BoardConfig
 from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
-from .batched import GatheredJSet, gather_chips, predict_gather
-from .blockfloat import OVERFLOWS, BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
+from .batched import GatheredJSet, gather_chips
+from .blockfloat import BlockFloatAccumulator, BlockFloatOverflow, suggest_exponent
 from .board import ProcessorBoard
-from .chip import PLANE_OUTPUTS, BlockExponents, charge_block
-from .memory import StripedStore, storage_rows
-from .pipeline import PipelineFormats, bind_j_set, forces, quantize, round_float
+from .chip import BlockExponents, charge_block
+from .memory import StripedStore
+from .pipeline import (
+    PLANE_OUTPUTS, TILE_FITS, TILE_OVERFLOWS, TILE_SATURATES, TILE_UNCACHED, UNCACHED, JSet,
+    PipelineFormats, bind_j_set, forces, quantize, round_float,
+)
+from .predictor_unit import predict_memory
 from .summation import reduce_partials
 
 #: Valid values of ``Grape6Emulator.emulation_mode``.
 EMULATION_MODES = ("batched", "faithful")
-
-#: Exponent-cache entry of a particle no force was evaluated on yet.
-UNCACHED = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -135,6 +132,8 @@ class Grape6Emulator:
         self.exponent_guard = int(exponent_guard)
         self.emulation_mode = emulation_mode
         self.stats = EmulatorStats()
+        # every softening register holding the machine's value, bit for bit
+        self._uniform_eps2 = np.full(len(self._all_chips), self.eps2).tobytes()
 
         self._mass_total = 0.0
         self._j_com = np.zeros(3)
@@ -146,9 +145,6 @@ class Grape6Emulator:
         # per-host-particle exponents (acc, jerk, pot) from the previous
         # call, UNCACHED where none was declared yet; grown on demand
         self._exp = np.full((3, 0), UNCACHED)
-        # the chip memories gathered after a direct chip load, at a generation
-        self._gather: GatheredJSet | None = None
-        self._gather_generation = -1
 
     # -- ForceBackend interface ----------------------------------------------
 
@@ -181,7 +177,7 @@ class Grape6Emulator:
             ):
                 self.stats.jmem_loads_elided += 1
             else:
-                self.load_j_particles(np.arange(x.shape[0]), x, v, m)
+                self.load_j_particles(None, x, v, m)
                 self._resident = (self.jmem.generation, *held[1:], v.tobytes())
         self.stats.jmem_loads += 1
 
@@ -190,20 +186,23 @@ class Grape6Emulator:
 
         Takes what :meth:`~repro.hardware.chip.GrapeChip.load_j_particles`
         takes (derivatives ``a`` / ``jdot`` / ``snap`` and ``t0``
-        optional).  The whole set is quantised once and installed as the
-        striped store, chip ``c`` of ``k`` holding rows ``c::k``: the
-        words per-chip loads of the same stripes would hold, since every
-        storage format is elementwise.  A mass array bitwise equal to the
-        last one loaded is not re-rounded, nor summed again.
+        optional; ``host_index`` None for ``0 .. n-1``), quantised once
+        straight into the striped store (chip ``c`` of ``k`` holds rows
+        ``c::k``: since every format is elementwise, the words per-chip
+        loads would hold).  A mass bitwise equal to the last one loaded
+        is not re-rounded, nor summed again.
         """
         m = np.ascontiguousarray(m, dtype=np.float64)
         mass_in = m.tobytes()
         if mass_in != self._mass_in:
             self._mass_in, self._mass = mass_in, round_float(self.formats.word, m)
-            self._mass.flags.writeable = False  # shared by later loads
             self._mass_total = float(m.sum())
-        fmt = self.formats
-        self.jmem.load(storage_rows(fmt.pos, fmt.word, host_index, x, v, self._mass, **derivs))
+        x = np.asarray(x, dtype=np.float64)
+        if host_index is not None:
+            host_index = np.asarray(host_index, dtype=np.int64)
+        self.jmem.load(
+            self.formats, host_index, x, np.asarray(v, dtype=np.float64), self._mass, **derivs
+        )
         self._j_com = (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
 
     def forces_on(
@@ -226,53 +225,34 @@ class Grape6Emulator:
         xi = np.asarray(xi, dtype=np.float64)
         vi = np.asarray(vi, dtype=np.float64)
         n_i = xi.shape[0]
-        i_index = None
-        if indices is not None:
-            i_index = np.asarray(indices, dtype=np.int64)
-            if i_index.size and i_index.min() < 0:
-                raise ValueError(f"negative particle index {i_index.min()} in indices")
-
+        i_index = None if indices is None else np.asarray(indices, dtype=np.int64)
         with get_tracer().span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
-            xi_q = quantize(self.formats.pos, xi)
-            vi_w = round_float(self.formats.word, vi)
-            exponents = self._initial_exponents(xi, vi, i_index)
-            retries = 0
-            for _ in range(16):
-                try:
-                    acc, jerk, pot = self._evaluate_once(
-                        xi_q, vi_w, exponents, t, i_index
-                    )
+            attempt = self._datapath(xi, vi, i_index, t)
+            exponents, retries = None, 0  # None: the table's
+            while True:
+                answer, exponents, out = attempt(exponents)
+                if answer == TILE_FITS:
                     break
-                except BlockFloatOverflow:
-                    self.stats.exponent_retries += 1
-                    retries += 1
-                    exponents = exponents.bump(8)
-            else:  # 128 bits above the first guess: a pair term is not finite
-                raise BlockFloatOverflow("exponent retry loop failed to converge")
+                if answer == TILE_UNCACHED:
+                    exponents = self._initial_exponents(xi, vi, i_index).planes
+                    continue
+                self.stats.exponent_retries += 1
+                retries += 1
+                if retries == 16:  # 128 bits above the first guess: a term is not finite
+                    raise BlockFloatOverflow("exponent retry loop failed to converge")
+                exponents = exponents + 8
             if retries:
                 span.set(exponent_retries=retries)
-
-        if i_index is not None:  # remember the declared exponents
-            self._exp[:, i_index] = exponents.planes[::3]
         self.stats.force_evaluations += 1
         interactions = n_i * n_j - (n_i if indices is not None else 0)
         self.stats.interactions += interactions
-        return ForceJerkResult(acc=acc, jerk=jerk, pot=pot, interactions=interactions)
+        return ForceJerkResult(*out, interactions=interactions)
 
     # -- datapaths --------------------------------------------------------------
 
-    def _evaluate_once(
-        self,
-        xi_q: np.ndarray,
-        vi_w: np.ndarray,
-        exponents: BlockExponents,
-        t: float | None,
-        i_index: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One evaluation attempt under the declared exponents.
-
-        Raises :class:`BlockFloatOverflow` for the host retry loop;
-        dispatches on :attr:`emulation_mode`.
+    def _datapath(self, xi, vi, i_index, t):
+        """One evaluation attempt under declared (7, n_i) exponents (the
+        table's if None), answering as :func:`~repro.hardware.pipeline.forces`.
 
         The one-tile shortcut is only valid when every chip's softening
         register holds the machine-level value: the multiset argument
@@ -281,56 +261,63 @@ class Grape6Emulator:
         the self-test injects) drops back to the faithful per-chip
         schedule so the degradation stays observable.
         """
-        if self.emulation_mode == "batched" and (self.jmem.eps2 == self.eps2).all():
-            return self._evaluate_batched(xi_q, vi_w, exponents, t, i_index)
-        partial = reduce_partials(
-            board.partial_forces(xi_q, vi_w, exponents, t=t, i_index=i_index)
-            for board in self.boards
-        )
-        return self._to_float(partial, exponents)
+        if self.emulation_mode == "batched" and self.jmem.eps2.tobytes() == self._uniform_eps2:
+            j_set, config = self._j_set(t), self._all_chips[0].config
 
-    def _evaluate_batched(
-        self,
-        xi_q: np.ndarray,
-        vi_w: np.ndarray,
-        exponents: BlockExponents,
-        t: float | None,
-        i_index: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            def batched(exponents):
+                out = forces(j_set, xi, vi, i_index, self._exp, exponents, self.eps2,
+                             self.formats)
+                # the pipelines have streamed (also when a *total*
+                # overflows): charge each chip the faithful schedule's
+                # cycles; a saturating term stops them, and charges nothing
+                if out[0] in (TILE_FITS, TILE_OVERFLOWS):
+                    charge_block(self.jmem, config, xi.shape[0])
+                return out
+
+            return batched
+        if i_index is not None and i_index.size and i_index.min() < 0:
+            raise ValueError(f"negative particle index {i_index.min()} in indices")
+        xi_q, vi_w = quantize(self.formats.pos, xi), round_float(self.formats.word, vi)
+
+        def faithful(planes):
+            if planes is None:
+                return TILE_UNCACHED, None, None
+            exponents = BlockExponents.from_planes(planes)
+            try:
+                partial = reduce_partials(
+                    board.partial_forces(xi_q, vi_w, exponents, t=t, i_index=i_index)
+                    for board in self.boards
+                )
+                out = tuple(  # the boards' exact sums to float: acc, jerk, pot
+                    np.ascontiguousarray(BlockFloatAccumulator(e).to_float(sums))
+                    for e, sums in ((planes[0, :, None], partial.acc),
+                                    (planes[3, :, None], partial.jerk), (planes[6], partial.pot))
+                )
+            except BlockFloatOverflow:
+                return TILE_SATURATES, planes, None
+            if i_index is not None:  # remember the declared exponents
+                self._exp[:, i_index] = planes[::3]
+            return TILE_FITS, planes, out
+
+        return faithful
+
+    def _j_set(self, t: float | None) -> JSet:
+        """The j-set the tile streams: the striped store's own, or else the
+        chip memories (:meth:`_gathered`) predicted to ``t``, bound for
+        the call."""
+        store = self.jmem
+        if t is None and not store.detached:
+            return store.j_set
         gather = self._gathered()
-        if t is None:  # the j-set as loaded: bound once per write generation
-            j_set = gather.tile
-        else:
-            cj_q, cj_v = predict_gather(gather, self.formats, t)
-            j_set = bind_j_set(cj_q, cj_v, gather.mass, gather.host_index)
-        out = forces(j_set, xi_q, vi_w, exponents.planes, self.eps2, self.formats, i_index)
-        # the pipelines have streamed: charge each chip the cycles the
-        # faithful schedule would have cost it (also when a *total*
-        # overflows and the host retries - the hardware streams the
-        # whole memory before the saturation flag is read; an attempt
-        # aborted by per-contribution saturation, raised above, charges
-        # nothing, where the faithful schedule charges the passes before
-        # the saturating one - attempt-local, never in a result)
-        charge_block(self.jmem, self._all_chips[0].config, xi_q.shape[0])
-        if out is None:
-            raise BlockFloatOverflow(OVERFLOWS)
-        return out
+        rows = (gather.pos_q, gather.vel) if t is None else predict_memory(gather, t, self.formats)
+        return bind_j_set(rows[0].T, rows[1].T, gather.mass, gather.host_index)
 
     def _gathered(self) -> GatheredJSet:
-        """The machine's j-set as contiguous arrays.
-
-        While every chip reads its stripe, that is the striped store's
-        own rows.  After a direct chip load (tests poking one memory)
-        the chip memories are gathered instead, once per store write
-        generation.
-        """
+        """The machine's j-set, row-major: the striped store's own rows
+        while every chip reads its stripe, else (after a direct chip
+        load, tests poking one memory) the chip memories gathered."""
         store = self.jmem
-        if not store.detached:
-            return store.rows
-        if self._gather_generation != store.generation:
-            self._gather = gather_chips(self._all_chips)
-            self._gather_generation = store.generation
-        return self._gather
+        return gather_chips(self._all_chips) if store.detached else store.rows
 
     # -- exponent management ---------------------------------------------------
 
@@ -377,16 +364,6 @@ class Grape6Emulator:
     def exp_cache_entries(self) -> int:
         """Number of host particles with a cached block exponent."""
         return int(np.count_nonzero(self._exp[0] != UNCACHED))
-
-    # -- conversion -------------------------------------------------------------
-
-    def _to_float(
-        self, partial, exponents: BlockExponents
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        acc = BlockFloatAccumulator(exponents.acc[:, None]).to_float(partial.acc)
-        jerk = BlockFloatAccumulator(exponents.jerk[:, None]).to_float(partial.jerk)
-        pot = BlockFloatAccumulator(exponents.pot).to_float(partial.pot)
-        return np.ascontiguousarray(acc), np.ascontiguousarray(jerk), pot
 
     # -- introspection ------------------------------------------------------------
 

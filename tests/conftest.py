@@ -37,6 +37,24 @@ def needs_compiled(*names: str):
     )
 
 
+def use_pipeline_tier(monkeypatch, tier) -> None:
+    """Serve ``tier`` (a ``repro.hardware.pipeline.PipelineTier``) to the
+    whole emulator for the rest of the test: every ``repro.hardware``
+    module name bound to an entry of the tier this process resolved is
+    pointed at ``tier``'s."""
+    import sys
+
+    from repro.hardware import pipeline
+
+    served = {id(getattr(pipeline._tier, field)): field for field in pipeline._tier._fields}
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("repro.hardware"):
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in served and not attr.startswith("_"):
+                monkeypatch.setattr(module, attr, getattr(tier, served[id(value)]))
+
+
 @pytest.fixture
 def eps2() -> float:
     return EPS2

@@ -16,9 +16,15 @@ arithmetic itself - the two would drift together.  This file does:
     existed (that of a short block-timestep trajectory is a golden cell
     of ``test_prop_invariants.py``);
 (c) the compiled tier (``pipeline_tile.c``) against the numpy tier it
-    must equal integer for integer, raise for raise.  (a) and (b) run
-    on whichever tier the process resolved; CI runs this file once
-    more with no compiler on PATH.
+    must equal integer for integer, raise for raise;
+(d) the emulator's two crossings a blockstep - the j-load in place and
+    the force call from raw targets - on the served tier against the
+    numpy composition, through the whole emulator: uncached rows, a
+    saturating guess and an overflowing total with their retries,
+    targets off the grid, a negative index, no targets, and a direct
+    bank load or the faithful mode meeting an in-place reload.
+(a), (b) and (d) run on whichever tier the process resolved; CI runs
+this file once more with no compiler on PATH.
 """
 
 import hashlib
@@ -30,19 +36,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.forces import compiled
-from repro.hardware import Grape6Emulator
+from repro.hardware import Grape6Emulator, pipeline
 from repro.hardware.blockfloat import BlockFloatAccumulator, BlockFloatOverflow
 from repro.hardware.chip import BlockExponents
 from repro.hardware.fixedpoint import exact_int_sum
 from repro.hardware.floatformat import FloatFormat
 from repro.hardware.pipeline import (
+    NUMPY_PIPELINE,
+    TILE_FITS,
+    TILE_OVERFLOWS,
+    TILE_SATURATES,
+    UNCACHED,
     PipelineFormats,
     lanes_or_overflow,
     numpy_partial_lanes,
     partial_lanes,
 )
 from repro.models import plummer_model
-from tests.conftest import needs_compiled
+from tests.conftest import needs_compiled, tiers, use_pipeline_tier
 
 pytestmark = pytest.mark.tiers
 
@@ -230,7 +241,7 @@ class TestAgainstOracle:
 
         def tile(exponents, vi):
             partial_lanes(
-                xi_q, vi, gather.cpos_q, gather.cvel, gather.mass,
+                xi_q, vi, gather.pos_q.T, gather.vel.T, gather.mass,
                 gather.host_index, exponents.stacked(), EPS2, fmt,
             )
 
@@ -393,8 +404,8 @@ class TestCompiledTierIsTheNumpyTier:
         gather, fmt = emu._gathered(), emu.formats
         idx = np.arange(31)
         args = (
-            fmt.pos.quantize(s.pos[idx]), fmt.word.round(s.vel[idx]), gather.cpos_q,
-            gather.cvel, gather.mass, gather.host_index,
+            fmt.pos.quantize(s.pos[idx]), fmt.word.round(s.vel[idx]), gather.pos_q.T,
+            gather.vel.T, gather.mass, gather.host_index,
             emu._initial_exponents(s.pos[idx], s.vel[idx], idx).stacked(), emu.eps2, fmt, idx,
         )
         got = lanes_or_overflow(partial_lanes, *args)
@@ -420,3 +431,214 @@ def test_mismatched_arrays_are_refused(tile, bad):
     else:
         with pytest.raises((ValueError, TypeError)):
             tile(*args)
+
+
+# -- (d) the two crossings == the numpy composition ---------------------------
+
+
+def far_cluster(n=300, seed=9):
+    """A j-set clustered at the origin and targets 64 length units away,
+    where every pair term of an output has one sign: their totals are
+    ~n times a term, so a declared exponent can hold every term and not
+    the total."""
+    x, v, m = system(n, seed)
+    targets = x[:5] + 64.0
+    return x, v, m, targets, v[:5]
+
+
+def session(monkeypatch, tier, calls, **emulator) -> list:
+    """What an emulator served by ``tier`` answers to ``calls(emu)``, a
+    list of calls, in order (forces' bytes, None, or the error's name),
+    then its counters, exponent table and cycle counters."""
+    said = []
+    with monkeypatch.context() as patch:
+        use_pipeline_tier(patch, tier)
+        emu = Grape6Emulator(EPS2, boards=2, **emulator)
+        for call in calls(emu):
+            try:
+                out = call()
+            except (ValueError, ArithmeticError) as exc:
+                said.append(type(exc).__name__)
+                continue
+            said.append(None if out is None else b"|".join(
+                np.ascontiguousarray(a).tobytes() for a in (out.acc, out.jerk, out.pot)))
+        st = emu.stats
+        said += [(st.force_evaluations, st.interactions, st.exponent_retries, st.jmem_loads,
+                  st.jmem_loads_elided), emu._exp.tobytes(), emu.jmem.cycles.tobytes()]
+    return said
+
+
+def uncached_rows(emu):
+    x, v, m = system(40, 3)
+    far = np.array([[3.0, -2.0, 1.0]])
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(x[:5], v[:5], np.arange(5)),
+        lambda: emu.forces_on(x[:12], v[:12], np.arange(12)),  # 7 rows uncached
+        lambda: emu.forces_on(x[:12], v[:12], np.arange(12)),  # none
+        lambda: emu.forces_on(x[3:9], v[3:9]),  # no indices: never cached
+        lambda: emu.forces_on(far, v[:1], np.array([1000])),  # beyond the table
+    ]
+
+
+def retries(emu):
+    """guard -30 saturates the first guess; at guard -9 the far targets'
+    totals overflow it while no term saturates."""
+    x, v, m, xi, vi = far_cluster()
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(x[:20], v[:20], np.arange(20)),
+        lambda: emu.forces_on(xi, vi),
+    ]
+
+
+def off_grid(emu):
+    x, v, m = system(30, 4)
+    calls = [lambda: emu.set_j_particles(x, v, m),
+             lambda: emu.forces_on(x[:6], v[:6], np.arange(6))]
+    for bad in (np.nan, np.inf, -np.inf, 2.0**23, -(2.0**23) - 1.0):
+        xi = x[:6].copy()
+        xi[4, 1] = bad
+        calls.append(lambda xi=xi: emu.forces_on(xi, v[:6], np.arange(6)))
+        calls.append(lambda xi=xi: emu.set_j_particles(np.concatenate([x, xi]),
+                                                       np.concatenate([v, v[:6]]),
+                                                       np.concatenate([m, m[:6]])))
+    calls.append(lambda: emu.forces_on(x[:6], v[:6], np.arange(6)))  # the j-set unchanged
+    return calls
+
+
+def negative_index(emu):
+    x, v, m = system(30, 5)
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(x[:6], v[:6], np.arange(6)),
+        lambda: emu.forces_on(x[:6], v[:6], np.array([0, 1, 2, -3, 4, 5])),
+        lambda: emu.forces_on(x[:1], v[:1] * np.nan, np.array([-1])),  # before anything
+        lambda: emu.forces_on(x[:6], v[:6], np.arange(6)),
+    ]
+
+
+def no_targets(emu):
+    x, v, m = system(30, 6)
+    empty = np.zeros((0, 3))
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(empty, empty, np.zeros(0, dtype=np.int64)),
+        lambda: emu.forces_on(empty, empty),
+    ]
+
+
+def reload_in_place(emu):
+    """A direct bank load, then machine-wide reloads into the same
+    buffers (same size, then fewer rows) and a larger one that grows
+    them, each meeting a force call."""
+    x, v, m = system(64, 7)
+    idx = np.arange(10)
+    chip = emu._all_chips[3]
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+        lambda: chip.load_j_particles(np.arange(100, 105), x[:5] + 0.25, v[:5], m[:5]),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+        lambda: emu.set_j_particles(x + 0.5, v, m),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+        lambda: emu.set_j_particles(x[:50], v[:50], m[:50]),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+        lambda: emu.forces_on(x[idx], v[idx], idx, t=0.0625),
+        lambda: emu.set_j_particles(np.concatenate([x, x + 1.0]), np.concatenate([v, v]),
+                                    np.concatenate([m, m])),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+    ]
+
+
+CASES = {
+    "uncached rows": (uncached_rows, {}),
+    "saturating guess": (retries, {"exponent_guard": -30}),
+    "overflowing total": (retries, {"exponent_guard": -9}),
+    "off the grid": (off_grid, {}),
+    "negative index": (negative_index, {}),
+    "no targets": (no_targets, {}),
+    "reload in place": (reload_in_place, {}),
+    "faithful reload in place": (reload_in_place, {"emulation_mode": "faithful"}),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_the_crossings_are_the_numpy_composition(monkeypatch, case):
+    """The served tier's j-load and force call, through the whole
+    emulator, answer as the numpy tier's do: the same forces bit for
+    bit, the same errors at the same calls, the same counters,
+    exponent table and cycles."""
+    calls, emulator = CASES[case]
+    got = session(monkeypatch, pipeline._tier, calls, **emulator)
+    assert got == session(monkeypatch, NUMPY_PIPELINE, calls, **emulator)
+    evaluations, _, retried, _, _ = got[-3]
+    if case == "saturating guess":
+        assert retried > 0
+    if case == "overflowing total":
+        # one overflowing attempt each, charged like one that fits
+        assert retried == evaluations == 2
+    if case == "off the grid":
+        assert got[2:12] == ["NonFiniteValue"] * 6 + ["FixedPointOverflow"] * 4
+        assert got[12] == got[1]
+    if case == "negative index":
+        assert got[2:4] == ["ValueError"] * 2 and got[4] == got[1]
+    if case == "no targets":
+        assert got[1] == got[2] == b"||"
+    if case.endswith("reload in place"):
+        assert all(isinstance(got[k], bytes) for k in (1, 3, 5, 7, 8, 10))
+
+
+@pytest.mark.parametrize("mode", ["batched", "faithful"])
+def test_a_reload_in_place_is_a_fresh_load(mode):
+    """Buffers rewritten in place, with fewer rows, and grown hold what a
+    fresh machine's first load holds, also beside a bank loaded
+    directly: each force call after a load gives a fresh emulator's bits
+    (without host indices, so that both guess their exponents)."""
+    x, v, m = system(64, 7)
+    xi, vi = x[:10] + 0.125, v[:10]
+    bank = (np.arange(100, 105), x[:5] + 0.25, v[:5], m[:5])
+    loads = [((x, v, m), None), ((x, v, m), bank), ((x + 0.5, v, m), None),
+             ((x[:50], v[:50], m[:50]), None), ((x, v, m), bank),
+             ((np.concatenate([x, x + 1.0]), np.concatenate([v, v]), np.concatenate([m, m])),
+              None)]
+    emu = Grape6Emulator(EPS2, boards=2, emulation_mode=mode)
+    for j_set, direct in loads:
+        fresh = Grape6Emulator(EPS2, boards=2, emulation_mode=mode)
+        for machine in (emu, fresh):
+            machine.set_j_particles(*j_set)
+            if direct is not None:
+                machine._all_chips[3].load_j_particles(*direct)
+        got, want = emu.forces_on(xi, vi), fresh.forces_on(xi, vi)
+        for a, b in ((got.acc, want.acc), (got.jerk, want.jerk), (got.pot, want.pot)):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("tier", tiers("pipeline_tile", NUMPY_PIPELINE, pipeline._tier))
+def test_an_overflowing_total_is_answered_apart_from_a_saturating_term(tier):
+    """The force call answers each outcome of the tile for what it is,
+    from a table it fills only when the sums fit: across declared
+    exponents the far targets go from saturating terms, through totals
+    that overflow, to sums that fit, and the tiers agree on every
+    answer, exponent, force and table entry."""
+    x, v, m, xi, vi = far_cluster()
+    fmt = PipelineFormats.default()
+    j_set = tier.bind_j_set(np.empty((3, 300), np.int64), np.empty((3, 300)), np.empty(300),
+                            np.empty(300, np.int64))
+    tier.load_j_set(j_set, fmt, x, v, fmt.word.round(m))
+    answers = []
+    for offset in range(-40, 4):
+        cache = np.full((3, 8), UNCACHED)
+        exponents = np.full((7, 5), offset)
+        answer, used, forces = tier.forces(j_set, xi, vi, np.arange(5), cache, exponents,
+                                           EPS2, fmt)
+        want = NUMPY_PIPELINE.forces(*(NUMPY_PIPELINE.bind_j_set(*j_set.columns()), xi, vi,
+                                       np.arange(5), np.full((3, 8), UNCACHED), exponents,
+                                       EPS2, fmt))
+        assert (answer, used.tobytes()) == (want[0], want[1].tobytes())
+        assert pipeline._flat(forces) == pipeline._flat(want[2])
+        assert (cache[:, :5] != UNCACHED).all() == (answer == TILE_FITS)
+        answers.append(answer)
+    assert answers[0] == TILE_SATURATES and answers[-1] == TILE_FITS
+    assert TILE_OVERFLOWS in answers
+    assert answers == sorted(answers, key=[TILE_SATURATES, TILE_OVERFLOWS, TILE_FITS].index)

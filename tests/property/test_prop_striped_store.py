@@ -6,11 +6,13 @@ chip ``c`` of ``k`` reads rows ``c::k`` of it
 every chip then holds exactly what a per-chip ``load()`` of its stripe
 would hold, before and after direct chip loads; that one batched load
 and force call cost the same number of Python calls whatever the chip
-count; and that a negative host index is refused before it can reach
+count, and cross into the compiled pipeline tile twice, binding
+nothing; and that a negative host index is refused before it can reach
 the exponent cache.
 """
 
 import cProfile
+import ctypes
 import pstats
 
 import numpy as np
@@ -19,7 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import plummer_model
-from repro.hardware import EMULATION_MODES, Grape6Emulator, JParticleMemory
+from repro.forces import compiled
+from repro.hardware import EMULATION_MODES, Grape6Emulator, JParticleMemory, pipeline
+from tests.conftest import needs_compiled, use_pipeline_tier
 
 pytestmark = pytest.mark.tiers
 
@@ -119,6 +123,49 @@ def test_batched_call_costs_the_same_python_calls_at_any_chip_count():
         counts[boards] = call_count(blockstep)
         assert emu.stats.jmem_loads_elided == 0
     assert counts[1] == counts[4]
+
+
+@needs_compiled("pipeline_tile")
+@pytest.mark.parametrize("boards", [1, 2, 4])
+def test_a_blockstep_crosses_into_the_tile_twice(monkeypatch, boards):
+    """One blockstep of the ``serial_grape`` workload's shape (N = 256, a
+    reload that is not elided, then a force call on 31 targets whose
+    exponents are cached) makes two calls into ``pipeline_tile.c`` - the
+    load and the forces - and binds no new ``struct j_set``: the reload
+    writes the buffers bound at the first load.  Counted on the library
+    itself (``errcheck`` sees every call of an entry point), with a
+    tier bound to it serving the whole emulator."""
+    library, _ = compiled.load_library("pipeline_tile")
+    tier = pipeline._bind(library)
+    calls, binds = [], []
+
+    def count(result, func, args):
+        calls.append(func.__name__)
+        return result
+
+    for entry in vars(library).values():
+        if isinstance(entry, ctypes._CFuncPtr):
+            entry.errcheck = count
+
+    def bind_j_set(*arrays):
+        binds.append(arrays[0].shape)
+        return tier.bind_j_set(*arrays)
+
+    use_pipeline_tier(monkeypatch, tier._replace(bind_j_set=bind_j_set))
+    s = plummer_model(256, seed=2003)
+    idx = np.arange(0, 256, 8)[:31]
+    emu = Grape6Emulator(EPS2, boards=boards)
+    emu.set_j_particles(s.pos, s.vel, s.mass)
+    emu.forces_on(s.pos[idx], s.vel[idx], idx)  # exponents cached
+    assert binds == [(3, 256)] and "pipeline_load" in calls  # the first load binds
+    calls.clear(), binds.clear()
+    j_set = emu.jmem.j_set
+    x = s.pos + 1.0e-6
+    emu.set_j_particles(x, s.vel, s.mass)
+    emu.forces_on(x[idx], s.vel[idx], idx)
+    assert calls == ["pipeline_load", "pipeline_forces"]
+    assert binds == [] and emu.jmem.j_set is j_set
+    assert emu.stats.jmem_loads_elided == emu.stats.exponent_retries == 0
 
 
 @pytest.mark.parametrize("mode", EMULATION_MODES)

@@ -63,16 +63,21 @@ def forces(tile):
 
 def lanes(tier):
     """The pipeline tile's lanes from ``tier``, on a fixed tile, and its
-    forces on the same tile."""
+    forces on the same tile, loaded in place and called from raw
+    targets, with the exponent table they leave."""
     rng = np.random.default_rng(5)
     fmt = PipelineFormats.default()
-    x_q, v = fmt.pos.quantize(rng.normal(size=(300, 3))), rng.normal(size=(300, 3))
-    j_set = (np.ascontiguousarray(x_q.T), np.ascontiguousarray(v.T), rng.uniform(0.1, 1, 300),
-             np.arange(300))
-    args = (x_q[:9], v[:9], *j_set, np.full((7, 9), 14), 2.0**-12, fmt, np.arange(9))
-    forces = tier.forces(tier.bind_j_set(*j_set), *args[:2], *args[6:])
-    return pipeline.lanes_or_overflow(tier.partial_lanes, *args) + b"".join(
-        a.tobytes() for a in forces)
+    x, v, m = rng.normal(size=(300, 3)), rng.normal(size=(300, 3)), rng.uniform(0.1, 1, 300)
+    x_q, exponents = fmt.pos.quantize(x), np.full((7, 9), 14)
+    args = (x_q[:9], v[:9], np.ascontiguousarray(x_q.T), np.ascontiguousarray(v.T), m,
+            np.arange(300), exponents, 2.0**-12, fmt, np.arange(9))
+    j_set = tier.bind_j_set(np.empty((3, 300), np.int64), np.empty((3, 300)), np.empty(300),
+                            np.empty(300, np.int64))
+    tier.load_j_set(j_set, fmt, x, v, m)
+    cache = np.full((3, 9), pipeline.UNCACHED)
+    forces = tier.forces(j_set, x[:9], v[:9], np.arange(9), cache, exponents, 2.0**-12, fmt)
+    return (pipeline.lanes_or_overflow(tier.partial_lanes, *args) + pipeline._flat(forces)
+            + cache.tobytes())
 
 
 def formats(tier):
@@ -390,8 +395,8 @@ class TestUnforeseenPlatform:
         assert same == "True" and events == []
 
 
-@needs_compiler
 class TestBuild:
+    @needs_compiler
     def test_builds_once_then_loads_from_the_cache(self, cache, monkeypatch):
         built = assert_compiled_tier()
         libraries = sorted(cache.iterdir())
@@ -403,6 +408,7 @@ class TestBuild:
         monkeypatch.setattr(compiled, "_build", lambda *a: pytest.fail("rebuilt"))
         assert assert_compiled_tier() == built
 
+    @needs_compiler
     def test_the_key_covers_flags_compiler_and_cpu(self, cache, monkeypatch, tmp_path):
         """Another CPU, compiler, set of flags or source is another
         library for every tile, named without building it; and the
@@ -433,6 +439,8 @@ class TestBuild:
         assert str(compiled.library_path(FASTEST, cc)) in why
 
     def test_compiler_identity_follows_links_and_sees_an_upgrade(self, tmp_path):
+        """Needs no compiler: it stats files only, so the no-compiler
+        run of the tier tests runs it too."""
         real = tmp_path / "gcc-12"
         real.write_text("v1")
         (tmp_path / "cc").symlink_to(real)
@@ -441,6 +449,7 @@ class TestBuild:
         real.write_text("v1.1")
         assert compiled.compiler_identity(str(tmp_path / "cc")) != before
 
+    @needs_compiler
     @needs_compiled("pairwise_tile")
     def test_the_tile_refuses_arrays_it_cannot_point_into(self):
         tile = kernels._tile_sums
@@ -455,6 +464,7 @@ class TestBuild:
             with pytest.raises(ValueError, match="contiguous float64"):
                 tile(*bad[:3], 0.25, False, bad[3])
 
+    @needs_compiler
     def test_processes_building_at_once_leave_one_library(self, served, cache):
         """More first imports than cores, on a cache that lacks the
         slowest library to build: each builds it under a temporary name
