@@ -33,9 +33,6 @@ from .artifact import (
     write_artifact,
 )
 from .compare import (
-    CALIBRATED_DRIFT_THRESHOLD,
-    DEFAULT_DRIFT_THRESHOLD,
-    DRIFT,
     IMPROVED,
     MISSING,
     NEW,
@@ -68,8 +65,6 @@ from .stats import TrialStats, percentile, trial_stats
 
 # importing the suites registers the built-in benchmarks
 from . import suites  # noqa: F401  (registration side effect)
-from . import efficiency  # noqa: F401  (registers efficiency_sweep)
-from .efficiency import per_regime_efficiency
 
 __all__ = [
     "SCHEMA",
@@ -83,9 +78,6 @@ __all__ = [
     "IMPROVED",
     "NEW",
     "MISSING",
-    "DRIFT",
-    "DEFAULT_DRIFT_THRESHOLD",
-    "CALIBRATED_DRIFT_THRESHOLD",
     "Verdict",
     "ComparisonResult",
     "compare_artifacts",
@@ -93,7 +85,6 @@ __all__ = [
     "environment_fingerprint",
     "CommCapture",
     "capture_comm_ledger",
-    "per_regime_efficiency",
     "ATTRIBUTION_RULES",
     "Hotspot",
     "ProfileAttribution",

@@ -9,11 +9,11 @@ model-vs-measured ratios).  The schema is versioned so the regression
 gate can refuse artifacts it does not understand instead of
 mis-reading them.
 
-Optional root keys record how the run can be repeated: ``seed`` (the
-``--seed`` override applied to every benchmark's workload) and
-``exec_backend`` (the ``--exec-backend`` override applied to every
-benchmark that dispatches rank compute).  Both are validated when
-present.
+The optional root key ``seed`` records how the run can be repeated
+(the ``--seed`` override applied to every benchmark's workload) and is
+validated when present.  The checker ignores keys its spec does not
+name, so artifacts that still carry the retired root ``exec_backend``
+key validate unchanged.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ ARTIFACT_SPEC = {
         "suite": None,
         "environment": None,
         "seed": opt(int),
-        "exec_backend": opt(str),
         "benchmarks": list_of({"fields": {
             "name": None,
             "paper_ref": None,

@@ -1,11 +1,10 @@
-"""``python -m repro.bench`` — run / compare / calibrate / ledger /
-sample / report / profile / list.
+"""``python -m repro.bench`` — run / compare / ledger / sample / report
+/ profile / list.
 
 Exit codes are CI-facing and deliberate:
 
 * 0 — success (for ``compare``: no regression, or ``--warn-only``);
-* 1 — the regression gate tripped (wall-time regression or model
-  drift);
+* 1 — the regression gate tripped (wall-time regression);
 * 2 — operational error (unreadable artifact, schema mismatch,
   unknown benchmark/suite) — always fatal, even under ``--warn-only``,
   because a gate that cannot read its inputs is not a passing gate.
@@ -18,14 +17,6 @@ import json
 import sys
 from typing import Any, Sequence
 
-from ..perfmodel.calibrate import (
-    DEFAULT_CALIBRATION_PATH,
-    CalibrationError,
-    calibrate_artifacts,
-    load_calibration,
-    merge_calibration,
-    save_calibration,
-)
 from ..service.jobs import RUN_PARAMS
 from ..telemetry import (
     PhaseAggregator,
@@ -35,11 +26,7 @@ from ..telemetry import (
 )
 from .artifact import ArtifactError, read_artifact, write_artifact
 from .comm import capture_comm_ledger
-from .compare import (
-    DEFAULT_DRIFT_THRESHOLD,
-    DEFAULT_REL_THRESHOLD,
-    compare_artifacts,
-)
+from .compare import DEFAULT_REL_THRESHOLD, compare_artifacts
 from .profiling import profile_benchmark
 from .registry import REGISTRY
 from .report import (
@@ -64,7 +51,6 @@ from .sampling import (
 
 # registration side effect: populate REGISTRY with the built-in sweeps
 from . import suites as _suites  # noqa: F401
-from . import efficiency as _efficiency  # noqa: F401
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -77,7 +63,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             names=args.bench or None,
             progress=lambda line: print(f"  {line}", file=sys.stderr),
             seed=args.seed,
-            exec_backend=args.exec_backend,
         )
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,22 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     current = read_artifact(args.current)
     baseline = read_artifact(args.baseline)
-    calibration = (
-        load_calibration(args.calibration) if args.calibration else None
-    )
-    result = compare_artifacts(
-        current,
-        baseline,
-        rel_threshold=args.threshold,
-        drift_threshold=None if args.no_drift else args.drift_threshold,
-        calibration=calibration,
-    )
-    if result.calibrated:
-        print(
-            f"calibrated environment: drift threshold tightened to "
-            f"{result.drift_threshold:.0%}",
-            file=sys.stderr,
-        )
+    result = compare_artifacts(current, baseline, rel_threshold=args.threshold)
     if args.format == "json":
         print(json.dumps(result.as_dict(), indent=2, sort_keys=True))
     elif args.format == "markdown":
@@ -168,37 +138,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         f"or https://ui.perfetto.dev",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    artifacts = [read_artifact(p) for p in args.artifacts]
-    update = calibrate_artifacts(artifacts)
-    calibration = merge_calibration(load_calibration(args.out), update)
-    if args.dry_run:
-        print(json.dumps(update, indent=2, sort_keys=True))
-        return 0
-    save_calibration(calibration, args.out)
-    for key, env in update["environments"].items():
-        nics = ", ".join(
-            f"{name}: flight {fit.get('barrier_flight_us', float('nan')):.1f} us"
-            + (
-                f", rtt {fit['rtt_latency_us']:.0f} us @ "
-                f"{fit['bandwidth_mbs']:.0f} MB/s"
-                if "rtt_latency_us" in fit
-                else ""
-            )
-            for name, fit in sorted(env["nics"].items())
-        ) or "(no comm data)"
-        scale = env.get("host_scale")
-        print(f"env {key}: {env['n_artifacts']} artifact(s); {nics}")
-        if scale is not None:
-            print(f"env {key}: host scale {scale:.3g} "
-                  f"(model us -> measured us)")
-        for name, anchor in sorted(env["model_anchors"].items()):
-            print(f"env {key}: anchor {name}: model/measured {anchor:.3g}")
-    print(f"wrote {args.out} "
-          f"({len(calibration['environments'])} environment(s))")
     return 0
 
 
@@ -336,11 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact label (defaults to the suite name)")
     p_run.add_argument("--bench", action="append",
                        help="restrict to this benchmark (repeatable)")
-    p_run.add_argument("--exec-backend", default=None, dest="exec_backend",
-                       metavar="SPEC",
-                       help="override the execution backend of every "
-                            "benchmark that dispatches rank compute "
-                            "(inline | thread[:N] | process[:N])")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the workload seed of every benchmark "
                        "(recorded in the artifact for reproducibility)")
@@ -353,39 +287,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="relative slowdown threshold (default 0.5)")
     p_cmp.add_argument("--warn-only", action="store_true",
                        help="report regressions but exit 0 (CI soft gate)")
-    p_cmp.add_argument("--drift-threshold", type=float,
-                       default=DEFAULT_DRIFT_THRESHOLD,
-                       help="relative model_over_measured drift that fails "
-                       "the gate (same-environment artifacts only; "
-                       "default 0.5)")
-    p_cmp.add_argument("--no-drift", action="store_true",
-                       help="disable the model-drift check")
-    p_cmp.add_argument("--calibration", default=None, metavar="PATH",
-                       help="calibration file (bench calibrate); when it "
-                       "covers the current environment the drift threshold "
-                       "tightens to 10%%")
     p_cmp.add_argument("--format", choices=("text", "markdown", "json"),
                        default="text")
     p_cmp.set_defaults(func=_cmd_compare)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="fit perfmodel constants from BENCH_*.json artifacts "
-        "(ledger-fed least squares, keyed by environment)")
-    p_cal.add_argument("artifacts", nargs="+",
-                       help="artifact files to fit from")
-    p_cal.add_argument("--out", default=str(DEFAULT_CALIBRATION_PATH),
-                       help=f"calibration file to merge into "
-                       f"(default {DEFAULT_CALIBRATION_PATH})")
-    p_cal.add_argument("--dry-run", action="store_true",
-                       help="print the fit without writing")
-    p_cal.set_defaults(func=_cmd_calibrate)
 
     p_led = sub.add_parser(
         "ledger",
         help="capture one benchmark trial's comm ledger (per-link "
         "traffic, barrier straggler attribution, exchanges)")
-    p_led.add_argument("--bench", default="cluster_speed",
+    p_led.add_argument("--bench", default="exec_observatory",
                        help="benchmark to capture (must attach a "
                        "simulated network)")
     p_led.add_argument("--suite", default="smoke")
@@ -466,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ArtifactError, CalibrationError, SignatureError) as exc:
+    except (ArtifactError, SignatureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -88,7 +88,7 @@ def capture_comm_ledger(
     if not ctx.networks:
         raise ValueError(
             f"benchmark {bench.name!r} attached no simulated network; "
-            "nothing to export (pick a cluster/NIC benchmark)"
+            "nothing to export (pick a cluster benchmark)"
         )
     trace_events: list[dict[str, Any]] = []
     for i, net in enumerate(ctx.networks):

@@ -33,11 +33,6 @@ class BenchContext:
     #: Simulated networks the trial attached; the runner harvests their
     #: comm ledgers into the artifact's ``comm`` section.
     networks: list = field(default_factory=list)
-    #: Hardware the trial modelled (a config dataclass, emulator backend
-    #: or :class:`repro.telemetry.HardwareProfile`); the runner prices
-    #: the artifact's ``efficiency`` waterfall against it.  ``None``
-    #: defaults to the paper's single host.
-    hardware: Any = None
     #: Rank ledgers the trial attached (real-execution observatory);
     #: the runner harvests the first into the artifact's ``rank``
     #: section, cross-attributed against the trial's comm ledgers.
@@ -48,21 +43,18 @@ class BenchContext:
         summary should land in the artifact's ``rank`` section."""
         self.rank_ledgers.append(ledger)
 
-    def attach_network(self, network, primary: bool = True) -> None:
+    def attach_network(self, network) -> None:
         """Register a simulated network with the trial.
 
         Resets the network's traffic counters and comm ledger (fresh
-        trial — counters must not carry over on a reused network) and
-        records it for ledger harvesting.  When ``primary`` (default),
-        also wires the trial's tracer to the network's virtual clock so
-        spans carry virtual timestamps (figs. 16/18 plot the virtual,
-        not the wall, attribution); secondary networks (e.g. the
-        per-cluster fabrics of a hybrid run) keep their ledgers
-        harvested without stealing the tracer's clock.
+        trial — counters must not carry over on a reused network),
+        records it for ledger harvesting, and wires the trial's tracer
+        to the network's virtual clock so spans carry virtual
+        timestamps (fig. 16 plots the virtual, not the wall,
+        attribution).
         """
         network.reset_stats()
-        if primary:
-            network.attach_tracer(self.tracer)
+        network.attach_tracer(self.tracer)
         self.networks.append(network)
 
 

@@ -288,40 +288,18 @@ def render_compare_text(result: ComparisonResult) -> str:
         f"# regression gate (threshold {result.rel_threshold * 100:.0f}%, "
         f"noise floor {result.iqr_factor:.3g} x IQR)"
     )
-    drift_line = _drift_line(result)
     table = format_table(
         ("benchmark", "status", "ratio", "base [ms]", "cur [ms]", "thresh", "note"),
         rows,
     )
-    if result.ok:
-        tail = "verdict: OK"
-    else:
-        parts = []
-        if result.regressed:
-            parts.append(f"{len(result.regressed)} REGRESSED")
-        if result.drifted:
-            parts.append(f"{len(result.drifted)} DRIFT")
-        tail = "verdict: FAILED (" + ", ".join(parts) + ")"
-    return "\n".join([header, drift_line, "", table, "", tail])
-
-
-def _drift_line(result: ComparisonResult) -> str:
-    if result.drift_threshold is None:
-        return "model-drift check: disabled"
-    if not result.drift_checked:
-        return (
-            "model-drift check: skipped (environment fingerprints differ; "
-            "the model/measured ratio re-anchors on a new machine)"
-        )
-    return (
-        f"model-drift check: on "
-        f"(|model/measured change| > {result.drift_threshold * 100:.0f}% fails)"
-    )
+    tail = ("verdict: OK" if result.ok
+            else f"verdict: FAILED ({len(result.regressed)} REGRESSED)")
+    return "\n".join([header, "", table, "", tail])
 
 
 def render_compare_markdown(result: ComparisonResult) -> str:
     icon = {"PASS": "✅", "IMPROVED": "🟢", "REGRESSED": "🔴",
-            "NEW": "🆕", "MISSING": "⚠️", "DRIFT": "🟠"}
+            "NEW": "🆕", "MISSING": "⚠️"}
     rows = [
         (
             f"`{v.name}`",
@@ -334,7 +312,7 @@ def render_compare_markdown(result: ComparisonResult) -> str:
     ]
     head = "## Benchmark regression gate — " + ("OK" if result.ok else "FAILED")
     return "\n".join(
-        [head, "", f"*{_drift_line(result)}*", "",
+        [head, "",
          markdown_table(["benchmark", "status", "ratio", "threshold", "note"], rows)]
     )
 

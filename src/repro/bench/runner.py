@@ -18,6 +18,7 @@ from typing import Any
 
 from ..parallel.ledger import merge_comm_summaries
 from ..telemetry import (
+    BUCKETS,
     HEADLINE,
     FlopsLedger,
     InMemorySink,
@@ -28,11 +29,53 @@ from ..telemetry import (
     replay,
     set_tracer,
 )
-from .efficiency import per_regime_efficiency
 from .env import environment_fingerprint
 from .artifact import SCHEMA, validate_artifact
 from .registry import REGISTRY, Benchmark, BenchContext, BenchmarkRegistry
 from .stats import percentile, trial_stats
+
+
+def per_regime_efficiency(
+    records: list, tracker: Any
+) -> list[dict[str, Any]]:
+    """Join per-blockstep efficiency records onto phase-observatory
+    regime runs (matched on blockstep index), one aggregate row per
+    contiguous regime run: which scheduling regime wastes which flops.
+    """
+    rows: list[dict[str, Any]] = []
+    for run in getattr(tracker, "runs", []):
+        start = run.start_blockstep
+        stop = start + run.count
+        peak = real = 0.0
+        buckets = {b: 0.0 for b in BUCKETS}
+        n_steps = 0
+        for rec in records:
+            if start <= rec.blockstep < stop:
+                peak += rec.peak_flops
+                real += rec.real_flops
+                for b in BUCKETS:
+                    buckets[b] += rec.buckets.get(b, 0.0)
+                n_steps += 1
+        if n_steps == 0:
+            continue
+        rows.append(
+            {
+                "regime": run.regime,
+                "start_blockstep": start,
+                "blocksteps": n_steps,
+                "peak_flops": peak,
+                "real_flops": real,
+                "fraction_of_peak": real / peak if peak > 0 else 0.0,
+                "buckets": {
+                    b: {
+                        "flops": buckets[b],
+                        "fraction": buckets[b] / peak if peak > 0 else 0.0,
+                    }
+                    for b in BUCKETS
+                },
+            }
+        )
+    return rows
 
 
 def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
@@ -51,10 +94,9 @@ def _run_trial(bench: Benchmark, params: dict[str, Any]) -> dict[str, Any]:
         set_tracer(old)
     # one replay of the retained events serves all three observatories:
     # phase totals, per-blockstep signatures clustered into regimes, and
-    # the flops ledger priced against the hardware the trial declared
-    # (ctx.hardware, default single host)
+    # the flops ledger priced against the paper's single host
     regimes = RegimeTracker()
-    ledger = FlopsLedger(hardware=ctx.hardware)
+    ledger = FlopsLedger()
     breakdown = replay(
         sink.events,
         SignatureRecorder(callback=regimes.update, keep=False),
@@ -176,17 +218,13 @@ def run_suite(
     registry: BenchmarkRegistry | None = None,
     progress=None,
     seed: int | None = None,
-    exec_backend: str | None = None,
 ) -> dict[str, Any]:
     """Run every benchmark in ``suite`` and return a validated artifact.
 
     ``names`` restricts the run to a subset of the suite; ``progress``
     is an optional callable receiving one line per benchmark.  ``seed``
-    overrides the workload seed of every benchmark that takes one, and
-    ``exec_backend`` (an execution-backend spec like ``"process:4"``;
-    see :func:`repro.parallel.resolve_backend`) the backend of every
-    benchmark that dispatches rank compute; both land in the artifact
-    root, so the run can be repeated.
+    overrides the workload seed of every benchmark that takes one and
+    lands in the artifact root, so the run can be repeated.
     """
     registry = registry if registry is not None else REGISTRY
     benchmarks = registry.select(suite)
@@ -206,8 +244,6 @@ def run_suite(
         params = bench.params_for(suite)
         if seed is not None and "seed" in params:
             params["seed"] = int(seed)
-        if exec_backend is not None and "exec_backend" in params:
-            params["exec_backend"] = str(exec_backend)
         entry = run_benchmark(bench, params, repeats=repeats, warmup=warmup)
         entries.append(entry)
         if progress is not None:
@@ -224,6 +260,4 @@ def run_suite(
     }
     if seed is not None:
         artifact["seed"] = int(seed)
-    if exec_backend is not None:
-        artifact["exec_backend"] = str(exec_backend)
     return validate_artifact(artifact, source=f"suite {suite!r}")

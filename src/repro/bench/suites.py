@@ -1,29 +1,30 @@
-"""The built-in benchmarks: the paper's sweeps as registered trials.
+"""The built-in benchmarks: the paper's host-timed sweeps as registered
+trials.
 
 Importing this module populates :data:`repro.bench.registry.REGISTRY`
-with the measurements behind the paper's evaluation:
+with the measurements behind the paper's evaluation that take host
+time:
 
 * ``kernel_throughput``       — eq. 9: raw force-kernel speed;
 * ``single_host_speed``       — fig. 13: one host integrating a
   Plummer model, speed in the 57-flop convention;
 * ``emulated_host_force``     — section 3.4: one fully emulated
   (fixed-point, block-floating-point) GRAPE-6 force call;
-* ``cluster_speed``           — figs. 15/16: the copy algorithm over a
-  simulated NIC network, virtual-clock attribution;
-* ``cluster_speed_exec``      — the same cluster workload's force
-  sweeps dispatched on a real execution backend
+* ``emulator_force``          — the same call in both emulation modes,
+  with their bit-identity asserted;
+* ``cluster_speed_exec``      — the cluster workload's force sweeps
+  dispatched on a real execution backend
   (:mod:`repro.parallel.execution`), wall-clock speedup vs inline with
   a bitwise identity check;
-* ``multi_cluster_speed``     — figs. 17/18: copy vs hybrid across
-  clusters as *measured* simulated runs (model-derived compute cost
-  charged to the virtual clocks, comm measured by the ledger);
-* ``nic_survey``              — fig. 19: the same measured run swept
-  over the section-4.4 NIC models, exposing the sustained-speed knee;
+* ``exec_observatory``        — the same integration on all three
+  execution backends under the rank observatory;
 * ``blockstep_phase_breakdown`` — fig. 14: the per-particle-step time
-  budget split into the eq. 10 phases;
-* ``model_sweep``             — the cost of regenerating a figure's
-  analytic curves from the figure table (:data:`repro.figures.FIGURES`;
-  fig. 13's three) — the perfmodel hot path.
+  budget split into the eq. 10 phases.
+
+The virtual-clock runs of figs. 15-19 (simulated clusters, the NIC
+survey, the fraction-of-peak sweep) take no host time worth timing:
+their outputs are exact, and ``benchmarks/test_virtual_runs.py`` pins
+them.
 
 Every workload generator takes an explicit ``seed`` from the params,
 so the trial scatter in ``BENCH_*.json`` reflects timing noise only,
@@ -40,23 +41,20 @@ from typing import Any
 import numpy as np
 
 from ..analysis import run_speed
-from ..config import NICS, cluster_machine, full_machine, single_node_machine
+from ..config import single_node_machine
 from ..constants import FLOPS_PER_INTERACTION
 from ..core import BlockTimestepIntegrator
-from ..figures import FIGURES, rows
 from ..forces import DirectSummation
 from ..hardware import Grape6Emulator
 from ..models import plummer_model
 from ..parallel import (
     CopyAlgorithm,
-    HybridAlgorithm,
     ParallelBlockIntegrator,
     SimNetwork,
     resolve_backend,
 )
 from ..perfmodel import MachineModel
-from ..perfmodel.flops import speed_gflops
-from ..telemetry import HEADLINE, RankLedger, T_HOST, T_PIPE
+from ..telemetry import HEADLINE, RankLedger, T_PIPE
 from .registry import REGISTRY, BenchContext
 
 #: Workload seed shared by the suites (fixed: determinism satellite).
@@ -227,65 +225,6 @@ def emulator_force(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
         "faithful_us_per_call": timings["faithful"] * 1.0e6 / calls,
         "batched_speedup": timings["faithful"] / max(timings["batched"], 1e-12),
         "bit_identical": float(bit_identical),
-    }
-
-
-# -- simulated cluster speed (figs. 15/16) ---------------------------------
-
-
-def _cluster_setup(params: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "system": plummer_model(params["n"], seed=params["seed"]),
-        "network": SimNetwork(params["ranks"]),
-    }
-
-
-@REGISTRY.register(
-    name="cluster_speed",
-    title="simulated multi-host cluster (copy algorithm)",
-    paper_ref="figs. 15-16 / section 4.3",
-    setup=_cluster_setup,
-    suites={
-        "micro": {"n": 48, "ranks": 2, "t_end": 1.0 / 32.0,
-                  "exec_backend": "inline", "seed": DEFAULT_SEED},
-        "smoke": {"n": 128, "ranks": 4, "t_end": 1.0 / 16.0,
-                  "exec_backend": "inline", "seed": DEFAULT_SEED},
-        "full": {"n": 256, "ranks": 4, "t_end": 1.0 / 8.0,
-                 "exec_backend": "inline", "seed": DEFAULT_SEED},
-    },
-)
-def cluster_speed(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
-    n, ranks = ctx.params["n"], ctx.params["ranks"]
-    network: SimNetwork = state["network"]
-    ctx.attach_network(network)
-    executor = resolve_backend(ctx.params.get("exec_backend", "inline"))
-    try:
-        integ = ParallelBlockIntegrator(
-            state["system"], _EPS2,
-            CopyAlgorithm(network, _EPS2, executor=executor),
-        )
-        stats = integ.run(ctx.params["t_end"])
-    finally:
-        executor.close()
-    virtual_us = network.clock.elapsed
-    steps = max(stats.particle_steps, 1)
-    msgs = max(network.stats.messages, 1)
-    model_us = MachineModel(cluster_machine(ranks)).time_per_step_us(n)
-    measured_us_per_step = virtual_us / steps
-    ledger = network.ledger
-    return {
-        "exec_backend": executor.name,
-        "particle_steps": stats.particle_steps,
-        "virtual_ms": virtual_us / 1.0e3,
-        "virtual_us_per_step": measured_us_per_step,
-        "messages": network.stats.messages,
-        "bytes_per_message": network.stats.bytes / msgs,
-        "barriers": network.stats.barriers,
-        "barrier_us_per_step": ledger.barrier_sync_us / steps,
-        "bytes_per_step": ledger.bytes / steps,
-        "straggler_skew": ledger.mean_barrier_skew_us(),
-        "model_us_per_step": model_us,
-        "model_over_measured": model_us / measured_us_per_step,
     }
 
 
@@ -477,160 +416,6 @@ def exec_observatory(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]
     }
 
 
-# -- measured multi-cluster sweeps (figs. 17-19) ---------------------------
-
-
-def _measured_run(ctx: BenchContext, system, algorithm, t_end: float):
-    """Integrate ``system`` under ``algorithm`` and return
-    ``(stats, virtual_us)`` (slowest clock across all of the
-    algorithm's networks)."""
-    networks = getattr(algorithm, "networks", None) or [algorithm.network]
-    for i, net in enumerate(networks):
-        ctx.attach_network(net, primary=(i == 0))
-    integ = ParallelBlockIntegrator(system, _EPS2, algorithm)
-    stats = integ.run(t_end)
-    virtual_us = max(net.clock.elapsed for net in networks)
-    return stats, virtual_us
-
-
-def _multi_cluster_setup(params: dict[str, Any]) -> dict[str, Any]:
-    # one fresh system per variant: the integrator mutates its system,
-    # and both variants must integrate the same initial conditions
-    return {
-        "system_copy": plummer_model(params["n"], seed=params["seed"]),
-        "system_hybrid": plummer_model(params["n"], seed=params["seed"]),
-    }
-
-
-@REGISTRY.register(
-    name="multi_cluster_speed",
-    title="measured multi-cluster runs: copy vs hybrid",
-    paper_ref="figs. 17-18 / section 4.3",
-    setup=_multi_cluster_setup,
-    suites={
-        "micro": {"n": 48, "clusters": 2, "t_end": 1.0 / 32.0,
-                  "seed": DEFAULT_SEED},
-        "smoke": {"n": 96, "clusters": 2, "t_end": 1.0 / 32.0,
-                  "seed": DEFAULT_SEED},
-        "full": {"n": 256, "clusters": 4, "t_end": 1.0 / 16.0,
-                 "seed": DEFAULT_SEED},
-    },
-)
-def multi_cluster_speed(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
-    """Figs. 17/18 as *measured* simulated runs, not model curves.
-
-    Both variants span ``4 * clusters`` hosts: the flat copy algorithm
-    (every host exchanges with every other over the NIC ring) versus
-    the hybrid (2-D grid inside each cluster, copy ring between
-    clusters).  Compute cost is eq. 10's per-host terms
-    (:meth:`MachineModel.compute_hook`); communication and barriers are
-    *not* modelled — the simulated network pays them and the comm
-    ledger measures them in virtual time — so the run's sustained speed
-    is a measurement whose comm side is real (simulated) traffic, and
-    ``model_over_measured`` checks the closed loop.
-    """
-    n, clusters = ctx.params["n"], ctx.params["clusters"]
-    t_end = ctx.params["t_end"]
-    machine = full_machine(clusters)
-    model = MachineModel(machine)
-    hook = model.compute_hook(n)
-
-    copy_net = SimNetwork(4 * clusters, machine.nic)
-    copy_alg = CopyAlgorithm(copy_net, _EPS2, compute_time_us=hook)
-    copy_stats, copy_us = _measured_run(
-        ctx, state["system_copy"], copy_alg, t_end)
-    copy_steps = max(copy_stats.particle_steps, 1)
-
-    hybrid_alg = HybridAlgorithm(
-        clusters, _EPS2, nic=machine.nic, compute_time_us=hook)
-    hyb_stats, hyb_us = _measured_run(
-        ctx, state["system_hybrid"], hybrid_alg, t_end)
-    hyb_steps = max(hyb_stats.particle_steps, 1)
-
-    model_us = model.time_per_step_us(n)
-    copy_ledger = copy_net.ledger
-    hyb_sync = sum(l.barrier_sync_us for l in hybrid_alg.ledgers)
-    hyb_bytes = sum(l.bytes for l in hybrid_alg.ledgers)
-    return {
-        "particle_steps": copy_stats.particle_steps,
-        "copy_us_per_step": copy_us / copy_steps,
-        "hybrid_us_per_step": hyb_us / hyb_steps,
-        "copy_gflops": speed_gflops(n, copy_us / copy_steps),
-        "hybrid_gflops": speed_gflops(n, hyb_us / hyb_steps),
-        "hybrid_over_copy_speed": (copy_us / copy_steps)
-        / (hyb_us / hyb_steps),
-        "copy_barrier_us_per_step": copy_ledger.barrier_sync_us / copy_steps,
-        "hybrid_barrier_us_per_step": hyb_sync / hyb_steps,
-        "copy_bytes_per_step": copy_ledger.bytes / copy_steps,
-        "hybrid_bytes_per_step": hyb_bytes / hyb_steps,
-        "straggler_skew": copy_ledger.mean_barrier_skew_us(),
-        "model_us_per_step": model_us,
-        "model_over_measured": model_us / (hyb_us / hyb_steps),
-    }
-
-
-def _nic_survey_setup(params: dict[str, Any]) -> dict[str, Any]:
-    # one fresh system per NIC (the integrator mutates its system; all
-    # NICs must see identical initial conditions and block schedules)
-    return {
-        nic: plummer_model(params["n"], seed=params["seed"])
-        for nic in params["nics"]
-    }
-
-
-@REGISTRY.register(
-    name="nic_survey",
-    title="NIC latency/bandwidth survey (sustained-speed knee)",
-    paper_ref="fig. 19 / section 4.4",
-    setup=_nic_survey_setup,
-    suites={
-        "micro": {"n": 48, "ranks": 4, "t_end": 1.0 / 32.0,
-                  "nics": ["ns83820", "intel82540em"],
-                  "seed": DEFAULT_SEED},
-        "smoke": {"n": 96, "ranks": 8, "t_end": 1.0 / 32.0,
-                  "nics": ["ns83820", "tigon2", "intel82540em", "myrinet"],
-                  "seed": DEFAULT_SEED},
-        "full": {"n": 256, "ranks": 16, "t_end": 1.0 / 16.0,
-                 "nics": ["ns83820", "tigon2", "intel82540em", "myrinet"],
-                 "seed": DEFAULT_SEED},
-    },
-)
-def nic_survey(ctx: BenchContext, state: dict[str, Any]) -> dict[str, Any]:
-    """Fig. 19's tuning study as measured runs: the same workload on
-    the same host count, swapping only the NIC model.  The knee the
-    paper found — barrier latency, not bandwidth, capping sustained
-    speed at large p — shows up as the barrier fraction of virtual
-    time; the 82540EM beats the NS 83820 because its round trip is 3x
-    shorter."""
-    n, ranks, t_end = ctx.params["n"], ctx.params["ranks"], ctx.params["t_end"]
-    hook = MachineModel(single_node_machine()).compute_hook(n)
-    out: dict[str, Any] = {}
-    speeds: dict[str, float] = {}
-    for nic_name in ctx.params["nics"]:
-        nic = NICS[nic_name]
-        network = SimNetwork(ranks, nic)
-        algorithm = CopyAlgorithm(network, _EPS2, compute_time_us=hook)
-        stats, virtual_us = _measured_run(
-            ctx, state[nic_name], algorithm, t_end)
-        steps = max(stats.particle_steps, 1)
-        ledger = network.ledger
-        gflops = speed_gflops(n, virtual_us / steps)
-        speeds[nic_name] = gflops
-        out[f"{nic_name}_gflops"] = gflops
-        out[f"{nic_name}_us_per_step"] = virtual_us / steps
-        out[f"{nic_name}_barrier_us_per_step"] = (
-            ledger.barrier_sync_us / steps)
-        out[f"{nic_name}_bytes_per_step"] = ledger.bytes / steps
-        out[f"{nic_name}_barrier_fraction"] = (
-            ledger.barrier_sync_us / virtual_us if virtual_us > 0 else 0.0)
-        out[f"{nic_name}_straggler_skew"] = ledger.mean_barrier_skew_us()
-    if "ns83820" in speeds and "intel82540em" in speeds:
-        out["intel_over_ns_speed"] = (
-            speeds["intel82540em"] / speeds["ns83820"])
-    out["best_nic_gflops"] = max(speeds.values())
-    return out
-
-
 # -- blockstep phase breakdown on the emulator (fig. 14 / eq. 10) ----------
 
 
@@ -661,38 +446,4 @@ def blockstep_phase_breakdown(ctx: BenchContext, state: dict[str, Any]) -> dict[
         "blocksteps": stats.blocksteps,
         "mean_block_size": stats.mean_block_size,
         "measured_us_per_step": elapsed * 1.0e6 / max(stats.particle_steps, 1),
-    }
-
-
-# -- analytic model regeneration (figs. 13-18 curves) ----------------------
-
-
-@REGISTRY.register(
-    name="model_sweep",
-    title="analytic perfmodel curve regeneration",
-    paper_ref="fig. 13 (model curves, from the figure table)",
-    suites={
-        "micro": {"points": 4, "sweeps": 1},
-        "smoke": {"points": 12, "sweeps": 25},
-        "full": {"points": 24, "sweeps": 100},
-    },
-)
-def model_sweep(ctx: BenchContext, state: Any) -> dict[str, Any]:
-    # ``sweeps`` repeats the whole curve regeneration so the smoke
-    # timing sits well above scheduler jitter (a single sweep is
-    # sub-millisecond, which would drown the regression gate in noise).
-    points = ctx.params["points"]
-    sweeps = ctx.params.get("sweeps", 1)
-    figure = FIGURES["fig13"]
-    t0 = time.perf_counter()
-    with ctx.tracer.span("model.sweep", phase=T_HOST, points=points):
-        for _ in range(sweeps):
-            table = rows(figure, points)
-    elapsed = time.perf_counter() - t0
-    (tflop,) = figure.anchors
-    return {
-        "points": points,
-        "us_per_point": elapsed * 1.0e6 / (points * sweeps),
-        "speed_at_2e5_gflops": tflop.reproduce(figure),
-        "max_speed_gflops": max(row[1] for row in table),
     }

@@ -7,8 +7,8 @@ beside it (statement, paper value, one tolerance, how to reproduce it
 from the figure's own curves).  :func:`rows` is the only code that
 walks an N grid for a figure; the CSV export below, the text report
 (``examples/figure_sweep.py``), ``benchmarks/test_fig*.py``, the
-``model_sweep`` suite and the reproduction report
-(:mod:`repro.perfmodel.report`) all read the table.
+fig. 13 model pin of ``benchmarks/test_virtual_runs.py`` and the
+reproduction report (:mod:`repro.perfmodel.report`) all read the table.
 
 ``python -m repro.figures [output_dir]`` writes one CSV per figure plus
 the section-5 application table, in the exact series the paper plots,

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..config import BoardConfig
 from .chip import BlockExponents, GrapeChip, PartialForce
+from .memory import StripedStore
 from .module import ProcessorModule
 from .pipeline import PipelineFormats
 from .summation import reduce_partials
@@ -24,12 +25,14 @@ class ProcessorBoard:
         self,
         config: BoardConfig | None = None,
         formats: PipelineFormats | None = None,
+        store: StripedStore | None = None, first: int = 0,
     ) -> None:
         self.config = config if config is not None else BoardConfig()
         self.formats = formats if formats is not None else PipelineFormats.default()
+        per = self.config.chips_per_module
         self.modules = [
-            ProcessorModule(self.config.chips_per_module, self.config.chip, self.formats)
-            for _ in range(self.config.modules)
+            ProcessorModule(per, self.config.chip, self.formats, store, first + m * per)
+            for m in range(self.config.modules)
         ]
 
     @property

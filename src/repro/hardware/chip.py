@@ -87,15 +87,13 @@ class GrapeChip:
     """
 
     def __init__(
-        self, config: ChipConfig | None = None, formats: PipelineFormats | None = None
+        self, config: ChipConfig | None = None, formats: PipelineFormats | None = None,
+        store: StripedStore | None = None, stripe: int = 0,
     ) -> None:
         self.config = config if config is not None else ChipConfig()
         self.formats = formats if formats is not None else PipelineFormats.default()
         self.memory = JParticleMemory(
-            capacity=self.config.jmem_capacity,
-            pos_format=self.formats.pos,
-            word_format=self.formats.word,
-        )
+            self.config.jmem_capacity, self.formats.pos, self.formats.word, store, stripe)
 
     # The chip's registers are its slot of the machine's store.
 

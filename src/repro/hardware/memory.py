@@ -172,16 +172,16 @@ def _row_field(name: str) -> property:
 class JParticleMemory:
     """Memory bank of one pipeline chip.
 
-    The bank is stripe ``stripe`` of ``store``: a machine's
-    :class:`StripedStore`, or a one-stripe store of its own for a bank
-    built alone.
-
     Parameters
     ----------
     capacity:
         Maximum number of j-particles (16384 on the real chip).
     pos_format, word_format:
         Storage formats for positions and for the floating-point words.
+    store, stripe:
+        The bank is stripe ``stripe`` of ``store``, its machine's
+        :class:`StripedStore`; a bank built alone gets stripe 0 of a
+        one-stripe store of its own, whatever ``stripe`` says.
     """
 
     pos_q = _row_field("pos_q")
@@ -200,16 +200,15 @@ class JParticleMemory:
         capacity: int,
         pos_format: FixedPointFormat,
         word_format: FloatFormat,
+        store: StripedStore | None = None, stripe: int = 0,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.pos_format = pos_format
         self.word_format = word_format
-        self.attach(StripedStore(1, capacity), 0)
-
-    def attach(self, store: StripedStore, stripe: int) -> None:
-        """Make this bank stripe ``stripe`` of a machine's ``store``."""
+        if store is None:  # a bank built alone: stripe 0 of a store of its own
+            store, stripe = StripedStore(1, capacity), 0
         self.store, self.stripe, self._own = store, stripe, None
 
     @property

@@ -12,6 +12,7 @@ import numpy as np
 
 from ..config import ChipConfig
 from .chip import BlockExponents, GrapeChip, PartialForce
+from .memory import StripedStore
 from .pipeline import PipelineFormats
 from .summation import reduce_partials
 
@@ -24,11 +25,12 @@ class ProcessorModule:
         chips: int = 4,
         config: ChipConfig | None = None,
         formats: PipelineFormats | None = None,
+        store: StripedStore | None = None, first: int = 0,
     ) -> None:
         if chips < 1:
             raise ValueError("a module needs at least one chip")
         self.formats = formats if formats is not None else PipelineFormats.default()
-        self.chips = [GrapeChip(config, self.formats) for _ in range(chips)]
+        self.chips = [GrapeChip(config, self.formats, store, first + i) for i in range(chips)]
 
     def set_eps2(self, eps2: float) -> None:
         for chip in self.chips:

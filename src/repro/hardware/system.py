@@ -119,14 +119,12 @@ class Grape6Emulator:
             )
         self.eps2 = float(eps2)
         self.formats = formats if formats is not None else PipelineFormats.default()
-        self.boards = [ProcessorBoard(board_config, self.formats) for _ in range(boards)]
-        self._all_chips = [c for b in self.boards for c in b.all_chips]
+        board_config = board_config if board_config is not None else BoardConfig()
         #: The machine's memories and chip registers as one striped store.
-        self.jmem = StripedStore(
-            len(self._all_chips), min(c.memory.capacity for c in self._all_chips)
-        )
-        for c, chip in enumerate(self._all_chips):
-            chip.memory.attach(self.jmem, c)
+        self.jmem = StripedStore(boards * board_config.chips, board_config.chip.jmem_capacity)
+        self.boards = [ProcessorBoard(board_config, self.formats, self.jmem, b * board_config.chips)
+                       for b in range(boards)]
+        self._all_chips = [c for b in self.boards for c in b.all_chips]
         for b in self.boards:
             b.set_eps2(self.eps2)
         self.exponent_guard = int(exponent_guard)

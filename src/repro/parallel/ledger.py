@@ -32,7 +32,7 @@ the other hosts wait for it.
 
 The export is schema-versioned (:data:`COMM_LEDGER_SCHEMA`) and feeds
 three consumers: the ``comm`` section of ``BENCH_*.json`` artifacts
-(:mod:`repro.bench.runner`), the calibration fit of
+(:mod:`repro.bench.runner`), the NIC fit of
 :mod:`repro.perfmodel.calibrate`, and the flight-recorder timeline
 (:meth:`CommLedger.trace_events` renders barriers per rank lane and
 exchanges as annotated Chrome-trace events in the virtual clock
@@ -52,7 +52,7 @@ from ..telemetry.metrics import pow2_bins
 from ..telemetry.timeline import TRACE_PIDS, trace_event, trace_lane
 
 #: Bump on breaking layout changes of the ledger export; the bench
-#: ``ledger`` CLI and the calibration fit refuse mismatches.
+#: ``ledger`` CLI and the artifact checker refuse mismatches.
 COMM_LEDGER_SCHEMA = "repro.comm_ledger/1"
 
 #: Link kinds: payload point-to-point traffic vs the small collective
@@ -594,7 +594,7 @@ def merge_comm_summaries(
 
     Networks are kept individually under ``networks`` (they may model
     different NICs — a hybrid run has one network per cluster plus the
-    inter-cluster links, and the calibration fit must not mix NIC
+    inter-cluster links, and the NIC fit must not mix NIC
     regimes); the top-level counters are totals across all of them.
     """
     summaries = list(summaries)

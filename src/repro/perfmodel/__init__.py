@@ -27,6 +27,8 @@ calibrated, documented model:
 * :mod:`applications` — the section-5 sustained-speed accounting for
   the Kuiper-belt and binary-black-hole production runs, and the
   treecode comparison arithmetic.
+* :mod:`calibrate` — the NIC constants a simulated run was given,
+  recovered from its comm ledgers by least squares.
 
 Calibration: hardware constants come from the paper (90 MHz, 6
 pipelines, 48-fold i-parallelism, NIC latencies/bandwidths of
@@ -61,17 +63,7 @@ from .tuning import (
     crossover_table,
     tuning_ladder,
 )
-from .calibrate import (
-    CALIBRATION_SCHEMA,
-    CalibrationError,
-    calibrate_artifacts,
-    calibrated_environment,
-    fit_environment,
-    load_calibration,
-    merge_calibration,
-    save_calibration,
-    validate_calibration,
-)
+from .calibrate import fit_nics
 
 __all__ = [
     "speed_gflops",
@@ -98,13 +90,5 @@ __all__ = [
     "best_configuration",
     "crossover_table",
     "tuning_ladder",
-    "CALIBRATION_SCHEMA",
-    "CalibrationError",
-    "calibrate_artifacts",
-    "calibrated_environment",
-    "fit_environment",
-    "load_calibration",
-    "merge_calibration",
-    "save_calibration",
-    "validate_calibration",
+    "fit_nics",
 ]

@@ -12,8 +12,6 @@ compiled) and the git revision the artifact was produced from.  Checkpoint
 headers carry the same fingerprint (:mod:`repro.io.checkpoint`), so a
 resume across machines or commits is visible; it lives outside
 :mod:`repro.bench` so that a checkpoint does not import the harness.
-:func:`env_key` names the machine part of a fingerprint: the key the
-regression gate and the perfmodel calibration file match machines by.
 
 Taking the fingerprint starts no process.  The stdlib's
 ``platform.platform()`` and ``platform.processor()`` run ``uname -p`` in
@@ -25,8 +23,6 @@ platform string is composed here from ``os.uname()`` and
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import platform
 import sys
@@ -115,19 +111,3 @@ def environment_fingerprint() -> dict[str, Any]:
         ),
         "git_revision": _git_revision(Path(__file__).resolve()),
     }
-
-
-#: Environment-fingerprint fields that define "the same machine".  The
-#: kernel tier is one: the tiers agree bit for bit but not in speed, so
-#: medians from either side of a tier change are not one series.
-_ENV_KEY_FIELDS = ("python", "implementation", "platform", "machine",
-                   "cpu_count", "numpy", "kernel_tier")
-
-
-def env_key(environment: dict[str, Any]) -> str:
-    """Short stable hash of the fingerprint fields that identify a
-    machine (excludes the git revision: same box, any commit)."""
-    basis = json.dumps(
-        {k: environment.get(k) for k in _ENV_KEY_FIELDS}, sort_keys=True
-    )
-    return hashlib.sha256(basis.encode()).hexdigest()[:12]

@@ -16,8 +16,7 @@ use it.  A **rule** says what one value must be:
 * :func:`list_of` — a list whose items each satisfy a rule;
 * a ``dict`` — an **object spec** with any of the keys ``what`` (the
   noun used when the root is not an object), ``schema`` / ``kind``
-  (required tag values), ``fields`` (key -> rule), ``values`` (one rule
-  for every value of a free-keyed mapping) and ``rules`` (callables
+  (required tag values), ``fields`` (key -> rule) and ``rules`` (callables
   ``f(obj) -> complaint | None`` run once the fields hold: the
   arithmetic identities).
 
@@ -140,8 +139,6 @@ def _check_object(value: Any, spec: dict, where: str) -> None:
         elif key not in value:
             raise _Mismatch(f"{prefix}missing required key {key!r}")
         _check(value[key], rule, f"{where}.{key}" if where else key)
-    for key, entry in value.items() if "values" in spec else ():
-        _check(entry, spec["values"], f"{where}[{key!r}]")
     for rule in spec.get("rules", ()):
         complaint = rule(value)
         if complaint:

@@ -4,8 +4,8 @@ A job is one JSON document of the one kind ``run``: a checkpointed
 integration that samples a model, integrates it to ``t_end`` under the
 block-timestep Hermite scheme and emits snapshot-bus records and
 periodic checkpoints.  This is the paper's production workload (§5)
-made survivable.  Benchmark sweeps and calibration are the bench CLI's
-(``python -m repro.bench run`` / ``calibrate``), not job kinds.
+made survivable.  Benchmark sweeps are the bench CLI's
+(``python -m repro.bench run``), not a job kind.
 
 Job directory layout (all relative to the directory ``submit``
 creates)::
@@ -120,8 +120,7 @@ class JobSpec:
         if kind != "run":
             raise JobError(
                 f"{source}: kind {kind!r} is not 'run', the only job kind; "
-                "a benchmark sweep is `python -m repro.bench run --out X.json`, "
-                "a calibration `python -m repro.bench calibrate`"
+                "a benchmark sweep is `python -m repro.bench run --out X.json`"
             )
         name = doc.get("name")
         if not isinstance(name, str) or not re.fullmatch(r"[\w.-]{1,64}", name):

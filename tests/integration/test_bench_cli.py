@@ -47,22 +47,21 @@ class TestRunner:
     def test_workload_determinism(self, micro_artifact):
         """Seeded workloads: particle-step counts must be identical
         across artifact productions (trial scatter is timing only)."""
-        again = run_suite(
-            "micro", repeats=1, warmup=0, names=["single_host_speed", "cluster_speed"]
-        )
-        for name in ("single_host_speed", "cluster_speed"):
+        names = ["single_host_speed", "blockstep_phase_breakdown"]
+        again = run_suite("micro", repeats=1, warmup=0, names=names)
+        for name in names:
             first = next(e for e in micro_artifact["benchmarks"] if e["name"] == name)
             second = next(e for e in again["benchmarks"] if e["name"] == name)
             assert first["derived"]["particle_steps"] == second["derived"]["particle_steps"]
 
     def test_cluster_has_virtual_phases(self, micro_artifact):
         entry = next(
-            e for e in micro_artifact["benchmarks"] if e["name"] == "cluster_speed"
+            e for e in micro_artifact["benchmarks"] if e["name"] == "exec_observatory"
         )
         virtual = entry["phases"]["virtual_us"]
         assert virtual["comm"] > 0.0
         assert virtual["barrier"] > 0.0
-        assert entry["derived"]["bytes_per_message"] > 0.0
+        assert entry["comm"]["bytes"] / entry["comm"]["messages"] > 0.0
 
     def test_runner_restores_process_tracer(self, micro_artifact):
         assert get_tracer().enabled is False
@@ -106,7 +105,8 @@ class TestCLI:
         assert "cli-test" in capsys.readouterr().out
 
     def test_compare_flags_slowdown_and_warn_only(self, tmp_path, capsys):
-        artifact = run_suite("micro", repeats=1, warmup=0, names=["model_sweep"])
+        artifact = run_suite("micro", repeats=1, warmup=0,
+                             names=["kernel_throughput"])
         base = tmp_path / "baseline.json"
         cur = tmp_path / "current.json"
         write_artifact(artifact, base)
@@ -126,7 +126,7 @@ class TestCLI:
         bad.write_text('{"schema": "nope"}')
         good = tmp_path / "good.json"
         write_artifact(run_suite("micro", repeats=1, warmup=0,
-                                 names=["model_sweep"]), good)
+                                 names=["kernel_throughput"]), good)
         assert main(["compare", str(bad), str(good)]) == 2
         assert main(["compare", str(bad), str(good), "--warn-only"]) == 2
 
@@ -164,73 +164,28 @@ class TestRankObservatoryBench:
 
 
 class TestCommCLI:
-    """The observability loop: run -> calibrate -> calibrated compare,
-    plus the ledger capture subcommand."""
+    """The comm side of the harness: the artifact's ``comm`` section and
+    the ledger capture subcommand."""
 
-    @pytest.fixture(scope="class")
-    def artifact_path(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("comm") / "BENCH_micro.json"
-        rc = main([
-            "run", "--suite", "micro", "--repeats", "1", "--warmup", "0",
-            "--out", str(path), "--label", "comm-test",
-            "--bench", "cluster_speed", "--bench", "multi_cluster_speed",
-            "--bench", "nic_survey",
-        ])
-        assert rc == 0
-        return path
-
-    def test_artifact_carries_comm_section(self, artifact_path):
-        art = read_artifact(artifact_path)
-        entry = next(e for e in art["benchmarks"]
-                     if e["name"] == "multi_cluster_speed")
+    def test_artifact_carries_comm_section(self, micro_artifact):
+        entry = next(e for e in micro_artifact["benchmarks"]
+                     if e["name"] == "exec_observatory")
         comm = entry["comm"]
         assert comm["schema"] == "repro.comm_ledger/1"
         assert comm["barriers"] > 0 and comm["bytes"] > 0
-        assert entry["derived"]["copy_barrier_us_per_step"] > 0.0
-        nic_entry = next(e for e in art["benchmarks"]
-                         if e["name"] == "nic_survey")
-        d = nic_entry["derived"]
-        # fig. 19 ordering: the Intel 82540EM beats the NS 83820
-        assert d["intel82540em_gflops"] > d["ns83820_gflops"]
-        assert d["intel_over_ns_speed"] > 1.0
-
-    def test_calibrate_then_calibrated_compare(self, artifact_path,
-                                               tmp_path, capsys):
-        cal = tmp_path / "calibration.json"
-        assert main(["calibrate", str(artifact_path), "--out", str(cal)]) == 0
-        capsys.readouterr()
-        doc = json.loads(cal.read_text())
-        assert doc["schema"] == "repro.perfmodel.calibration/1"
-        assert len(doc["environments"]) == 1
-
-        rc = main([
-            "compare", str(artifact_path), str(artifact_path),
-            "--calibration", str(cal),
-        ])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "verdict: OK" in captured.out
-        assert "drift threshold tightened" in captured.err
-
-    def test_calibrate_dry_run_writes_nothing(self, artifact_path,
-                                              tmp_path, capsys):
-        cal = tmp_path / "nope.json"
-        assert main(["calibrate", str(artifact_path), "--out", str(cal),
-                     "--dry-run"]) == 0
-        assert not cal.exists()
-        assert "environments" in capsys.readouterr().out
 
     def test_ledger_capture_and_timeline(self, tmp_path, capsys):
         out = tmp_path / "ledger.json"
         timeline = tmp_path / "trace.json"
         rc = main([
-            "ledger", "--bench", "multi_cluster_speed", "--suite", "micro",
+            "ledger", "--suite", "micro",
             "--out", str(out), "--timeline", str(timeline),
         ])
         assert rc == 0
         capsys.readouterr()
         doc = json.loads(out.read_text())
         assert doc["schema"] == "repro.comm_ledger/1"
+        assert doc["benchmark"] == "exec_observatory"
         assert doc["ledgers"], "expected at least one network ledger"
         from repro.telemetry.timeline import validate_timeline
 

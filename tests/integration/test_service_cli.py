@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -218,12 +219,13 @@ class TestSigtermResume:
 
 class TestRetiredKinds:
     COMMANDS = {"sweep": "python -m repro.bench run",
-                "calibrate": "python -m repro.bench calibrate"}
+                "calibrate": "python -m repro.bench run"}
 
     @pytest.mark.parametrize("kind", COMMANDS)
     def test_refused_before_a_job_directory_exists(self, tmp_path, capsys, kind):
-        """A sweep or calibrate spec is the bench CLI's work: ``validate``
-        and ``submit`` refuse it (exit 2) naming that command."""
+        """A sweep or calibrate spec is not a job: ``validate`` and
+        ``submit`` refuse it (exit 2) naming the bench command that runs
+        sweeps."""
         command = self.COMMANDS[kind]
         spec = write_spec(tmp_path / "job.json", kind=kind)
         jobs = tmp_path / "jobs"
@@ -236,16 +238,19 @@ class TestRetiredKinds:
     @pytest.mark.parametrize("kind", COMMANDS)
     def test_every_bench_command_it_names_exists(self, tmp_path, capsys, kind):
         """The refusal sends the user to the bench CLI: every ``python -m
-        repro.bench <cmd>`` in it is a subcommand that CLI has."""
+        repro.bench ...`` in it is a subcommand that CLI has, and its
+        whole command line parses."""
         from repro.bench.cli import build_parser
 
         assert main(["validate", str(write_spec(tmp_path / "job.json",
                                                 kind=kind))]) == 2
-        named = re.findall(r"python -m repro\.bench (\w+)",
+        named = re.findall(r"`python -m repro\.bench ([^`]+)`",
                            capsys.readouterr().err)
         (commands,) = (action.choices for action in build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
-        assert named and set(named) <= set(commands), named
+        assert named and {line.split()[0] for line in named} <= set(commands)
+        for line in named:
+            build_parser().parse_args(shlex.split(line))
 
 
 class TestLayering:

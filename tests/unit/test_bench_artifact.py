@@ -108,3 +108,10 @@ class TestValidation:
         with pytest.raises(ArtifactError):
             write_artifact({"schema": SCHEMA}, tmp_path / "x.json")
         assert not (tmp_path / "x.json").exists()
+
+    def test_the_retired_exec_backend_root_key_still_validates(self):
+        """Artifacts written while ``run`` still took a backend override
+        carry it at the root; the checker ignores keys its spec does not
+        name, so they read back unchanged."""
+        old = {**make_artifact(), "exec_backend": "process:2"}
+        assert validate_artifact(old) is old

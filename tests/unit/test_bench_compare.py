@@ -8,8 +8,6 @@ detection of a genuine 2x slowdown.
 import random
 
 from repro.bench import (
-    CALIBRATED_DRIFT_THRESHOLD,
-    DRIFT,
     IMPROVED,
     MISSING,
     NEW,
@@ -145,150 +143,3 @@ class TestMembership:
         d = result.as_dict()
         assert d["ok"] is True
         assert d["verdicts"][0]["name"] == "k"
-
-
-class TestModelDrift:
-    """The model-drift extension: benchmarks publishing
-    ``model_over_measured`` must keep the ratio stable between
-    baseline and current (same environment only)."""
-
-    def _with_ratio(self, entry, ratio):
-        entry["derived"]["model_over_measured"] = ratio
-        return entry
-
-    def test_stable_ratio_passes(self):
-        base = self._with_ratio(make_entry("k", [1.0, 1.0]), 1.10)
-        cur = self._with_ratio(make_entry("k", [1.0, 1.0]), 1.15)
-        v = compare_benchmark(cur, base, drift_threshold=0.5)
-        assert v.status == PASS
-
-    def test_injected_drift_fails_both_directions(self):
-        base = self._with_ratio(make_entry("k", [1.0, 1.0]), 1.0)
-        up = self._with_ratio(make_entry("k", [1.0, 1.0]), 2.0)
-        down = self._with_ratio(make_entry("k", [1.0, 1.0]), 0.4)
-        assert compare_benchmark(up, base, drift_threshold=0.5).status == DRIFT
-        assert compare_benchmark(down, base, drift_threshold=0.5).status == DRIFT
-        assert compare_benchmark(up, base, drift_threshold=0.5).failed
-
-    def test_regression_outranks_drift(self):
-        """A 2x slowdown with a moved ratio reports REGRESSED — the
-        louder, more actionable finding."""
-        base = self._with_ratio(make_entry("k", [1.0, 1.0]), 1.0)
-        cur = self._with_ratio(make_entry("k", [2.0, 2.0]), 2.0)
-        v = compare_benchmark(cur, base, drift_threshold=0.5)
-        assert v.status == REGRESSED
-
-    def test_threshold_none_disables(self):
-        base = self._with_ratio(make_entry("k", [1.0, 1.0]), 1.0)
-        cur = self._with_ratio(make_entry("k", [1.0, 1.0]), 5.0)
-        assert compare_benchmark(cur, base, drift_threshold=None).status == PASS
-
-    def test_missing_ratio_on_either_side_skips(self):
-        base = make_entry("k", [1.0, 1.0])
-        cur = self._with_ratio(make_entry("k", [1.0, 1.0]), 5.0)
-        assert compare_benchmark(cur, base, drift_threshold=0.5).status == PASS
-
-    def _artifact_pair(self, base_env, cur_env, base_ratio=1.0, cur_ratio=3.0):
-        base = make_artifact([self._with_ratio(make_entry("k", [1.0, 1.0]), base_ratio)])
-        cur = make_artifact([self._with_ratio(make_entry("k", [1.0, 1.0]), cur_ratio)])
-        base["environment"] = base_env
-        cur["environment"] = cur_env
-        return cur, base
-
-    def test_artifact_gate_fails_on_drift_same_env(self):
-        env = {"python": "3.12", "machine": "x86_64"}
-        result = compare_artifacts(*self._artifact_pair(env, dict(env)))
-        assert result.drift_checked
-        assert not result.ok
-        assert [v.name for v in result.drifted] == ["k"]
-
-    def test_drift_skipped_across_environments(self):
-        """A new machine legitimately re-anchors the ratio: the check
-        must not fire against a foreign baseline."""
-        result = compare_artifacts(
-            *self._artifact_pair(
-                {"python": "3.12", "machine": "x86_64"},
-                {"python": "3.12", "machine": "arm64"},
-            )
-        )
-        assert not result.drift_checked
-        assert result.ok
-
-    def test_drift_fields_in_dict(self):
-        env = {"python": "3.12"}
-        result = compare_artifacts(*self._artifact_pair(env, dict(env)))
-        d = result.as_dict()
-        assert d["drift_checked"] is True
-        assert d["drift_threshold"] == 0.5
-        assert d["verdicts"][0]["status"] == DRIFT
-
-
-class TestCalibratedDrift:
-    """With a calibration entry for the current environment the drift
-    threshold tightens from the default 50% to 10%."""
-
-    ENV = {"python": "3.12", "machine": "x86_64"}
-
-    def _calibration_for(self, env):
-        from repro.provenance import env_key
-
-        return {
-            "schema": "repro.perfmodel.calibration/1",
-            "environments": {
-                env_key(env): {"nics": {}, "model_anchors": {"k": 1.0}},
-            },
-        }
-
-    def _pair(self, base_ratio, cur_ratio):
-        def entry(ratio):
-            e = make_entry("k", [1.0, 1.0])
-            e["derived"]["model_over_measured"] = ratio
-            return e
-
-        cur = make_artifact([entry(cur_ratio)])
-        base = make_artifact([entry(base_ratio)])
-        cur["environment"] = dict(self.ENV)
-        base["environment"] = dict(self.ENV)
-        return cur, base
-
-    def test_calibrated_tightens_threshold(self):
-        """A 30% ratio drift passes uncalibrated (50% slack) but fails
-        once the environment is calibrated (10%)."""
-        cur, base = self._pair(1.0, 1.3)
-        loose = compare_artifacts(cur, base)
-        assert loose.ok and not loose.calibrated
-        tight = compare_artifacts(
-            cur, base, calibration=self._calibration_for(self.ENV))
-        assert tight.calibrated
-        assert tight.drift_threshold == CALIBRATED_DRIFT_THRESHOLD
-        assert not tight.ok
-        assert [v.name for v in tight.drifted] == ["k"]
-
-    def test_calibrated_within_ten_percent_passes(self):
-        cur, base = self._pair(1.0, 1.05)
-        result = compare_artifacts(
-            cur, base, calibration=self._calibration_for(self.ENV))
-        assert result.calibrated and result.ok
-
-    def test_foreign_calibration_does_not_tighten(self):
-        cur, base = self._pair(1.0, 1.3)
-        other = self._calibration_for({"python": "3.12", "machine": "arm64"})
-        result = compare_artifacts(cur, base, calibration=other)
-        assert not result.calibrated
-        assert result.ok
-
-    def test_explicit_tighter_threshold_wins(self):
-        """min() semantics: a user threshold below 10% is respected."""
-        cur, base = self._pair(1.0, 1.05)
-        result = compare_artifacts(
-            cur, base, drift_threshold=0.01,
-            calibration=self._calibration_for(self.ENV))
-        assert result.calibrated
-        assert result.drift_threshold == 0.01
-        assert not result.ok
-
-    def test_calibrated_flag_in_dict(self):
-        cur, base = self._pair(1.0, 1.0)
-        result = compare_artifacts(
-            cur, base, calibration=self._calibration_for(self.ENV))
-        assert result.as_dict()["calibrated"] is True

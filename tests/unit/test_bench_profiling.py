@@ -85,7 +85,7 @@ class TestAttribution:
         assert phases == [T_HOST]
 
     def test_cluster_profile_sees_comm(self):
-        bench = REGISTRY.get("cluster_speed")
+        bench = REGISTRY.get("exec_observatory")
         attr = profile_benchmark(bench, bench.params_for("micro"))
         assert attr.phase_self_s[T_COMM] > 0.0
 

@@ -283,6 +283,23 @@ class TestChipAndHierarchy:
         board = ProcessorBoard(BoardConfig())
         assert len(board.all_chips) == 32
 
+    @pytest.mark.parametrize(
+        "unit", [ProcessorModule, lambda: ProcessorBoard(BoardConfig())], ids=["module", "board"])
+    def test_module_and_board_work_alone(self, unit, eps2):
+        """Built without a machine store, every chip's bank keeps a store
+        of its own: registers, loads and counters work on every chip."""
+        built = unit()
+        chips = built.all_chips if isinstance(built, ProcessorBoard) else built.chips
+        built.set_eps2(eps2)
+        x, v, m = tiny_setup(len(chips), seed=3)
+        for i, chip in enumerate(chips):
+            assert chip.memory.stripe == 0 and len(chip.memory.store.eps2) == 1
+            assert chip._eps2 == eps2
+            chip.load_j_particles(np.array([i]), x[i:i + 1], v[i:i + 1], m[i:i + 1])
+            chip.cycles = i
+        assert built.jmem_used == len(chips)
+        assert built.cycles == len(chips) - 1
+
     def test_emulator_stripes_j_particles(self, eps2):
         emu = Grape6Emulator(eps2, boards=2)
         x, v, m = tiny_setup(100, seed=6)
@@ -291,6 +308,24 @@ class TestChipAndHierarchy:
         assert emu.n_chips == 64
         per_chip = [c.memory.n for c in emu._all_chips]
         assert max(per_chip) - min(per_chip) <= 1  # balanced striping
+
+    def test_an_emulator_builds_one_store(self, eps2, monkeypatch):
+        """Every chip's bank is a stripe of the machine's one store from
+        birth: building 64 chips allocates no store per bank."""
+        from repro.hardware.memory import StripedStore
+
+        built = []
+        init = StripedStore.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(StripedStore, "__init__", counting)
+        emu = Grape6Emulator(eps2, boards=2)
+        assert built == [(64, ChipConfig().jmem_capacity)]
+        assert all(chip.memory.store is emu.jmem for chip in emu._all_chips)
+        assert [chip.memory.stripe for chip in emu._all_chips] == list(range(64))
 
     def test_emulator_interaction_accounting(self, eps2):
         emu = Grape6Emulator(eps2, boards=1)

@@ -23,12 +23,6 @@ from repro.parallel.ledger import (
     LedgerError,
     validate_comm_ledger,
 )
-from repro.perfmodel.calibrate import (
-    CALIBRATION_SCHEMA,
-    CALIBRATION_SPEC,
-    CalibrationError,
-    validate_calibration,
-)
 from repro.schema import check
 from repro.telemetry import (
     SIGNATURE_SCHEMA,
@@ -116,10 +110,6 @@ TABLE = {
         lambda: rank_ledger().summary(comm={"mean_barrier_skew_us": 1.0})),
     "comm_ledger": (validate_comm_ledger, LedgerError, COMM_LEDGER_SPEC,
                     comm_doc),
-    "calibration": (
-        validate_calibration, CalibrationError, CALIBRATION_SPEC,
-        lambda: {"schema": CALIBRATION_SCHEMA, "environments": {
-            "box": {"nics": {}, "model_anchors": {}}}}),
     "sample_artifact": (validate_sample_artifact, SignatureError,
                         SAMPLE_ARTIFACT_SPEC, sample_doc),
     "timeline": (
@@ -152,9 +142,6 @@ def breakages(spec, doc, path=()):
         elif isinstance(rule, tuple) and rule[0] == "list" and doc[key] \
                 and isinstance(rule[1], dict):
             yield from breakages(rule[1], doc[key][0], path + (key, 0))
-    if "values" in spec and doc:
-        key = next(iter(doc))
-        yield from breakages(spec["values"], doc[key], path + (key,))
 
 
 def broken(doc, path, edit):
