@@ -13,7 +13,9 @@
  *
  * Each reads the arrays that outlive a call - a system's state, the
  * predictions - through a struct the caller bound once (struct
- * predicted, struct block_state); a call passes only what is new in it.
+ * predicted, struct block_state); the block and the force on it are
+ * copied into buffers bound with them, so a call passes the struct and
+ * what changes: the block size and time.
  *
  * As for the other tiles the contract is bit identity with the numpy
  * twins, which stay the reference; the loader checks both against each
@@ -29,7 +31,10 @@
  *    Block steps are powers of two, for which a product of powers is
  *    exact (or underflows to the same value), so h2 .. h5 are products
  *    here and no pow() is called.  A step that is not a positive power
- *    of two has no place in the block scheme: both tiers refuse it.
+ *    of two has no place in the block scheme: both tiers refuse it.  For
+ *    the same reason x / h2 and x / h3 are x times their reciprocals,
+ *    exact powers of two too while h is within 2^+-340: one rounding
+ *    of the same product either way.
  *
  * 3. |x| of a 3-vector is numpy.linalg.norm's sqrt(add.reduce(x * x)),
  *    and over the short last axis of a contiguous (n, 3) array
@@ -38,7 +43,11 @@
  *    the criterion's last bit except at a boundary, so the loader also
  *    asks numpy directly which order it uses.
  *
- * 4. The floor to a power of two is frexp / ldexp, the calls numpy makes.
+ * 4. The floor to a power of two is frexp / ldexp, the calls numpy
+ *    makes; for a positive normal number that is its bit pattern with
+ *    the mantissa cleared, and a positive power of two (frexp's 0.5) is
+ *    one whose mantissa has one bit set, the implicit one of a normal
+ *    number or one stored bit of a subnormal.
  *
  * Nothing is written to the particle arrays until every block particle
  * has been computed and found good, so a refusal leaves them untouched.
@@ -47,6 +56,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* what hermite_advance_block answers, in its low three bits; the
  * position in the block of the particle concerned is in the bits above */
@@ -101,6 +111,36 @@ void hermite_predict(double t_now, const struct predicted *p)
     }
 }
 
+#define MANTISSA ((UINT64_C(1) << 52) - 1)
+
+static inline uint64_t bits_of(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+/* frexp(h) == 0.5: h a positive power of two, normal or subnormal */
+static inline int positive_power_of_two(double h)
+{
+    const uint64_t b = bits_of(h), e = b >> 52, m = b & MANTISSA;
+    return e == 0 ? m != 0 && (m & (m - 1)) == 0 : e < 0x7ff && m == 0;
+}
+
+/* ldexp(0.5, e) of frexp(q) = (m, e): the largest power of two <= q */
+static inline double floor_power_of_two(double q)
+{
+    const uint64_t b = bits_of(q);
+    if (b - (UINT64_C(1) << 52) < (UINT64_C(0x7fe) << 52)) { /* positive, normal */
+        const uint64_t floor = b & ~MANTISSA;
+        memcpy(&q, &floor, sizeof q);
+        return q;
+    }
+    int exponent;
+    frexp(q, &exponent);
+    return ldexp(0.5, exponent);
+}
+
 static inline double norm3(const double *x)
 {
     const double s0 = x[0] * x[0], s1 = x[1] * x[1], s2 = x[2] * x[2];
@@ -121,36 +161,41 @@ static inline double np_maximum(double a, double b)
 enum { POS = 0, VEL = 3, SNAP = 6, CRACKLE = 9, WORK = 12 };
 
 /* what hermite_advance_block reads and scatters into: xp, vp the (n, 3)
- * predictions at the block time; the (n, 3) and (n,) particle arrays */
+ * predictions at the block time; the (n, 3) and (n,) particle arrays;
+ * then the call's buffers, rows deep: block the indices into them, acc1,
+ * jerk1, pot1 the force on the block, (rows, 3), (rows, 3), (rows,);
+ * dt_new (rows,) the new steps, also scattered into dt; work (rows,
+ * WORK) scratch; and the criterion's constants. */
 struct block_state {
     ptrdiff_t n;
     const double *xp, *vp;
     double *pos, *vel, *acc, *jerk, *snap, *crackle, *pot, *t, *dt;
+    const int64_t *block;
+    const double *acc1, *jerk1, *pot1;
+    double *dt_new, *work;
+    double eta, dt_max, dt_min;
 };
 
-/* block: (n_b,) indices into s's arrays; acc1, jerk1, pot1: the force on
- * the block, (n_b, 3), (n_b, 3), (n_b,); dt_new: (n_b,) the new steps,
- * also scattered into dt, followed by (n_b, WORK) scratch. */
-ptrdiff_t hermite_advance_block(
-    const struct block_state *s, ptrdiff_t n_b, const int64_t *block, double t_block,
-    const double *acc1, const double *jerk1, const double *pot1,
-    double eta, double dt_max, double dt_min, double *dt_new)
+/* The first n_b rows of s's call buffers, advanced to t_block. */
+ptrdiff_t hermite_advance_block(const struct block_state *s, ptrdiff_t n_b, double t_block)
 {
     const ptrdiff_t n = s->n;
     const double *xp = s->xp, *vp = s->vp;
     double *pos = s->pos, *vel = s->vel, *acc = s->acc, *jerk = s->jerk, *snap = s->snap,
            *crackle = s->crackle, *pot = s->pot, *t = s->t, *dt = s->dt;
-    double *work = dt_new + n_b;
+    const int64_t *block = s->block;
+    const double *acc1 = s->acc1, *jerk1 = s->jerk1, *pot1 = s->pot1;
+    const double eta = s->eta, dt_max = s->dt_max, dt_min = s->dt_min;
+    double *dt_new = s->dt_new, *work = s->work;
     ptrdiff_t not_finite = -1, not_positive = -1;
-    int exponent;
 
     for (ptrdiff_t k = 0; k < n_b; k++) {
         if (block[k] < 0 || block[k] >= n)
             return ANSWER(INDEX_OUT_OF_RANGE, k);
     }
     for (ptrdiff_t k = 0; k < n_b; k++) {
-        /* 0.5 for a positive power of two alone: not for h <= 0, NaN, inf */
-        if (frexp(t_block - t[block[k]], &exponent) != 0.5)
+        /* not h <= 0, NaN or inf either */
+        if (!positive_power_of_two(t_block - t[block[k]]))
             return ANSWER(STEP_NOT_A_POWER_OF_TWO, k);
     }
 
@@ -159,15 +204,18 @@ ptrdiff_t hermite_advance_block(
         const double h = t_block - t[i];
         const double h2 = h * h, h3 = h2 * h, h4 = h3 * h, h5 = h4 * h;
         const double h3_6 = h3 / 6.0, h4_24 = h4 / 24.0, h5_120 = h5 / 120.0;
+        const int reciprocal = h >= 0x1p-340 && h <= 0x1p340;
+        const double r2 = 1.0 / h2, r3 = 1.0 / h3;
         const double *a0 = acc + 3 * i, *j0 = jerk + 3 * i;
         const double *a1 = acc1 + 3 * k, *j1 = jerk1 + 3 * k;
         double *w = work + WORK * k;
 
         for (int c = 0; c < 3; c++) {
             const double da = a0[c] - a1[c];
-            const double a2 =
-                (-6.0 * da - h * (4.0 * j0[c] + 2.0 * j1[c])) / h2;
-            const double a3 = (12.0 * da + (6.0 * h) * (j0[c] + j1[c])) / h3;
+            const double n2 = -6.0 * da - h * (4.0 * j0[c] + 2.0 * j1[c]);
+            const double n3 = 12.0 * da + (6.0 * h) * (j0[c] + j1[c]);
+            const double a2 = reciprocal ? n2 * r2 : n2 / h2;
+            const double a3 = reciprocal ? n3 * r3 : n3 / h3;
             w[VEL + c] = (vp[3 * i + c] + h3_6 * a2) + h4_24 * a3;
             w[POS + c] = (xp[3 * i + c] + h4_24 * a2) + h5_120 * a3;
             w[SNAP + c] = a2 + h * a3;
@@ -187,8 +235,7 @@ ptrdiff_t hermite_advance_block(
         double q = np_maximum(np_minimum(ideal, dt_max), dt_min);
         if (not_positive < 0 && q <= 0.0)
             not_positive = k;
-        frexp(q, &exponent);
-        q = np_minimum(ldexp(0.5, exponent), 2.0 * h);
+        q = np_minimum(floor_power_of_two(q), 2.0 * h);
         if (q > h) {
             const double steps = t_block / q;
             if (steps != floor(steps))

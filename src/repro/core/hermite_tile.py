@@ -27,35 +27,31 @@ Nothing selects one.
 The compiled tier points into the caller's arrays, so both tiers refuse
 what it could not point into - anything but C-contiguous float64 of the
 right shape, writeable where it is written, a block that is not int64
-or indexes outside the system.  The arrays that outlive a call (the
-system's state, the predictions buffers) are bound once, keyed on their
-identity: validated, their addresses written into a ``ctypes.Structure``
-the C entry point reads, and held by the binding, so no pointer
-outlives the array it came from (:class:`_Bound`).  A call re-checks
-only that the arrays are the bound ones, of the bound shapes, and that
-those written are still writeable; a swapped, reshaped or read-only
-array makes it validate afresh, and bind or refuse.  What is new in a
-call - the block and the force on it - is validated and addressed per
-call.  A refusal, like a step that is not a positive power of two or a
+or indexes outside the system.  Each entry point is bound once
+(:class:`~repro.forces.compiled.Bound`) to the arrays that outlive a
+call - the system's state, the predictions buffers - and
+:func:`advance_block` also to its constants and to buffers as deep as
+the system, which a call copies the block and the force on it into and
+takes the new steps from (a copy is returned).  A swapped, reshaped or
+read-only array, or other constants, bind anew or are refused.  A
+refusal, like a step that is not a positive power of two or a
 :class:`~repro.core.timestep.NonFiniteForce`, leaves the system
 untouched.
 """
 
 from __future__ import annotations
 
-from ctypes import Structure, byref, c_double, c_ssize_t, c_void_p
-from operator import attrgetter, is_
+from ctypes import Structure, c_double, c_ssize_t, c_void_p
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..forces.compiled import TileUnavailable, address, entry_point, resolve
+from ..forces.compiled import Bound, TileUnavailable, entry_point, resolve
 from .corrector import hermite_correct
 from .timestep import NonFiniteForce, aarseth_dt, quantize_block_dt
 
 _F8, _I8 = np.dtype(np.float64), np.dtype(np.int64)
-_shape, _writeable = attrgetter("shape"), attrgetter("flags.writeable")
 
 #: The (N, 3) and (N,) arrays of a particle system a block is scattered into.
 STATE_VECTORS = ("pos", "vel", "acc", "jerk", "snap", "crackle")
@@ -133,8 +129,9 @@ def _per_call(block, acc1, jerk1, pot1) -> int:
         or not block.flags.c_contiguous
     ):
         raise ValueError("advance_block wants a contiguous 1-D int64 block")
-    n_b = block.shape[0]
-    for a, shape in ((acc1, (n_b, 3)), (jerk1, (n_b, 3)), (pot1, (n_b,))):
+    n_b = len(block)
+    rows = (n_b, 3)
+    for a, shape in ((acc1, rows), (jerk1, rows), (pot1, rows[:1])):
         if (
             type(a) is not np.ndarray or a.dtype != _F8 or a.shape != shape
             or not a.flags.c_contiguous
@@ -281,41 +278,18 @@ class _BlockState(Structure):
     """``struct block_state`` of ``hermite_tile.c``."""
 
     _fields_ = [("n", c_ssize_t)] + [
-        (name, c_void_p) for name in ("xp", "vp", *STATE_VECTORS, *STATE_SCALARS)
-    ]
-
-
-class _Bound:
-    """Arrays an entry point reads across calls, validated and addressed
-    once: the struct of their addresses, and references to them, so that
-    no pointer outlives its array.  A binding is never changed; a call
-    that meets other arrays makes a new one."""
-
-    __slots__ = ("arrays", "shapes", "written", "pointer")
-
-    def __init__(self, struct_type, n: int, arrays: tuple, shapes: list, written: int):
-        self.arrays, self.shapes = arrays, shapes
-        self.written = arrays[len(arrays) - written :]
-        self.pointer = byref(struct_type(n, *map(address, arrays)))
-
-    def holds(self, arrays: tuple) -> bool:
-        """``arrays`` are the bound ones, of the bound shapes, and those
-        written may still be: what a swapped array, an in-place
-        ``a.shape = ...`` or a flip to read-only changes."""
-        return (
-            all(map(is_, arrays, self.arrays))
-            and list(map(_shape, arrays)) == self.shapes
-            and all(map(_writeable, self.written))
-        )
+        (name, c_void_p) for name in (
+            "xp", "vp", *STATE_VECTORS, *STATE_SCALARS, "block", "acc1", "jerk1", "pot1",
+            "dt_new", "work")
+    ] + [(name, c_double) for name in ("eta", "dt_max", "dt_min")]
 
 
 def _bind(library) -> HermiteTile:
     """``hermite_tile.c`` behind the numpy tier's two signatures, each
-    bound to the arrays it was last called on (:class:`_Bound`)."""
+    bound to what it was last called on (module docstring)."""
     predict_fn = entry_point(library, "hermite_predict", [c_double, c_void_p])
-    advance_fn = entry_point(library, "hermite_advance_block", [
-        c_void_p, c_ssize_t, c_void_p, c_double, *[c_void_p] * 3, *[c_double] * 3, c_void_p,
-    ], c_ssize_t)
+    advance_fn = entry_point(
+        library, "hermite_advance_block", [c_void_p, c_ssize_t, c_double], c_ssize_t)
     predicted = block_state = None
 
     def predict_hermite(t_now, t0, x0, v0, a0, j0, out_x=None, out_v=None):
@@ -329,12 +303,11 @@ def _bind(library) -> HermiteTile:
         if bound is None or not bound.holds(arrays):
             rows = out_x.shape
             n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
-            shapes = [(n,), rows, rows, rows, rows, rows, rows]
-            if _unpointable(arrays, shapes, written=2) is not None:
+            if _unpointable(arrays, [(n,), *[rows] * 6], written=2) is not None:
                 # numpy broadcasts, casts, strides and refuses a read-only
                 # buffer: its tier serves
                 return numpy_predict_hermite(t_now, *arrays)
-            bound = predicted = _Bound(_Predicted, n, arrays, shapes, written=2)
+            bound = predicted = Bound(_Predicted, arrays, 2, head=(n,))
         predict_fn(t_now, bound.pointer)
         return out_x, out_v
 
@@ -344,23 +317,25 @@ def _bind(library) -> HermiteTile:
     ):
         nonlocal block_state
         n_b = _per_call(block, acc1, jerk1, pot1)
-        arrays = _block_state(system, xp, vp)
+        arrays, constants = _block_state(system, xp, vp), (eta, dt_max, dt_min)
         bound = block_state
-        if bound is None or not bound.holds(arrays):
-            shapes, written = _block_shapes(system.n), len(STATE_VECTORS + STATE_SCALARS)
-            wanted = _unpointable(arrays, shapes, written)
+        if bound is None or not bound.holds(arrays, constants, n_b):
+            written = len(STATE_VECTORS + STATE_SCALARS)
+            wanted = _unpointable(arrays, _block_shapes(system.n), written)
             if wanted is not None:
                 raise ValueError(f"advance_block wants {wanted}")
-            bound = block_state = _Bound(_BlockState, system.n, arrays, shapes, written)
+            rows = max(n_b, system.n)  # any block of the system fits
+            bound = block_state = Bound(_BlockState, arrays, written, (
+                np.empty(rows, _I8), np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows),
+                np.empty(rows), np.empty((rows, _WORK))), (system.n,), constants, constants)
         if n_b == 0:  # no first element to point at
             return np.empty(0)
-        dt_new = np.empty((1 + _WORK) * n_b)  # the new steps, then scratch
-        answer = advance_fn(
-            bound.pointer, n_b, address(block), t_block, address(acc1), address(jerk1),
-            address(pot1), eta, dt_max, dt_min, address(dt_new),
-        )
+        staged_block, staged_acc, staged_jerk, staged_pot, dt_new, _ = bound.cut(n_b)
+        staged_block[...], staged_acc[...], staged_jerk[...], staged_pot[...] = (
+            block, acc1, jerk1, pot1)
+        answer = advance_fn(bound.pointer, n_b, t_block)
         if answer == 0:
-            return dt_new[:n_b]
+            return dt_new.copy()  # the caller's: no later call writes it
         code, k = answer & 7, answer >> 3
         if code == _NOT_FINITE:
             raise _not_finite(block, k, t_block, blockstep)

@@ -13,11 +13,13 @@ an import cycle): its entry points' argument types (:func:`entry_point`),
 a binder that validates arrays before pointing into them, a self-check.
 Arrays that live longer than a call - a particle system's state, a
 machine's j-memory, a simulated network's clock, round log and
-schedules - are bound once: validated, addressed into a
-``ctypes.Structure`` and held, so that the pointers cannot outlive them
-(:mod:`repro.core.hermite_tile`, :func:`repro.hardware.pipeline.bind_j_set`,
-:mod:`repro.parallel.network_tile`); a call then validates and
-addresses (:func:`address`) only what is new in it.
+schedules - are bound once: validated, addressed (:func:`address`) into
+a ``ctypes.Structure`` and held, so that the pointers cannot outlive
+them.  The host tiles' owners (:mod:`repro.core.hermite_tile`,
+:mod:`repro.hardware.pipeline`) bind there the rest of a call too
+(:class:`Bound`): the constants, and buffers it copies its inputs into
+and takes its answers from, so that a call addresses nothing and passes
+the struct and the two or three scalars that change.
 
 Cache.  ``$XDG_CACHE_HOME/repro-grape6`` (default ``~/.cache``).  The
 directory must belong to the user and be writable by nobody else, or it
@@ -54,6 +56,8 @@ import stat
 import subprocess
 import tempfile
 from collections.abc import Callable
+from itertools import repeat
+from operator import getitem
 from pathlib import Path
 
 import numpy as np
@@ -253,3 +257,45 @@ def address(a: np.ndarray) -> int:
         return _addressof(_first_byte(a))
     except (TypeError, ValueError):  # read-only (or strided), or empty
         return a.ctypes.data
+
+
+class Bound:
+    """What the calls of a compiled entry point share, bound once into a
+    ``struct_type`` (``pointer`` to it): ``head``, the addresses of the
+    caller's ``arrays`` (validated before; held, so that no pointer
+    outlives its array) and of ``buffers`` allocated ``rows`` deep, then
+    ``tail``; ``key`` is what else it was bound for."""
+
+    __slots__ = ("checks", "buffers", "rows", "key", "views", "struct", "pointer")
+
+    def __init__(self, struct_type, arrays: tuple = (), written: int = 0, buffers: tuple = (),
+                 head: tuple = (), tail: tuple = (), key=None) -> None:
+        read = len(arrays) - written  # the last ``written`` arrays are written
+        self.checks = [(a, a.shape, k >= read) for k, a in enumerate(arrays)]
+        self.buffers, self.rows = buffers, len(buffers[0]) if buffers else 0
+        self.key, self.views = key, {}
+        self.struct = struct_type(*head, *map(address, arrays + buffers), *tail)
+        self.pointer = ctypes.byref(self.struct)
+
+    def holds(self, arrays: tuple, key=None, rows: int = 0) -> bool:
+        """A call on ``arrays``, ``key`` and ``rows`` rows may use this
+        binding (else it binds anew): rows and key fit, and the arrays
+        are the bound ones, of the bound shapes, writeable where written
+        - what a swap, an in-place ``a.shape = ...`` or a flip to
+        read-only changes."""
+        if rows > self.rows or key != self.key:
+            return False
+        for a, (bound, shape, written) in zip(arrays, self.checks):
+            if a is not bound or a.shape != shape or written and not a.flags.writeable:
+                return False
+        return True
+
+    def cut(self, n: int) -> tuple:
+        """The first ``n`` rows of every buffer (views, kept for 256 sizes)."""
+        views = self.views.get(n)
+        if views is None:
+            if len(self.views) == 256:
+                self.views.clear()
+            views = self.views[n] = tuple(map(getitem, self.buffers, repeat(slice(n))))
+        return views
+

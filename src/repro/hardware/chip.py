@@ -182,9 +182,7 @@ def charge_block(store: StripedStore, config: ChipConfig, n_i: int) -> None:
     the batched datapath must: ``ceil(n_i / iparallel)`` passes of
     ``vmp_ways`` clocks per stored j-particle - what the faithful
     :meth:`GrapeChip.partial_forces` accrues pass by pass (a chip holding
-    nothing makes no pass), as one array operation over the machine's
-    chips, which share ``config``."""
-    if n_i <= 0:
-        return
-    passes = -(-n_i // config.iparallel)
-    store.cycles += passes * config.vmp_ways * store.sizes
+    nothing makes no pass), for the machine's chips, which share
+    ``config``: one sum, booked into ``store.cycles`` at its next read."""
+    if n_i > 0:
+        store.charged += -(-n_i // config.iparallel) * config.vmp_ways

@@ -98,7 +98,10 @@ class StripedStore:
     load; ``rows`` views it row-major.  Chip ``c`` of ``k`` reads rows
     ``c::k``.  ``sizes`` is the stripe table (rows each chip holds,
     ``used`` their sum).  ``cycles`` and ``eps2`` are the chips'
-    cycle counters and softening registers.  ``generation`` is the
+    cycle counters and softening registers; ``charged`` is the clocks
+    per stored j-particle charged to every chip since ``cycles`` was
+    last read (:func:`~repro.hardware.chip.charge_block`), booked into
+    it at the next read or stripe change.  ``generation`` is the
     machine's write generation, bumped by every load, machine-wide or
     direct.  The batched datapath reads all of it in a fixed number of
     operations, whatever ``k``.
@@ -111,7 +114,8 @@ class StripedStore:
         self._rows: GatheredJSet | None = None
         self.sizes = np.zeros(k, dtype=np.int64)
         self.used = 0
-        self.cycles = np.zeros(k, dtype=np.int64)
+        self._cycles = np.zeros(k, dtype=np.int64)
+        self.charged = 0
         self.eps2 = np.zeros(k)
         self.generation = 0
         #: Banks holding rows of their own until the next machine-wide load.
@@ -134,12 +138,21 @@ class StripedStore:
         self._words = predictor_words(formats.word, n, **derivs) if derivs else None
         self._rows = None
         if self.detached or n != self.used:
+            self._book()
             self.sizes = (n + self._stripe_offsets) // self.k
         for mem in self.detached:
             mem._own = None
         self.detached.clear()
         self.used = n
         self.generation += 1
+
+    def _book(self) -> np.ndarray:
+        if self.charged:
+            self._cycles += self.charged * self.sizes
+            self.charged = 0
+        return self._cycles
+
+    cycles = property(_book, doc="The chips' cycle counters, every charge booked.")
 
     @property
     def rows(self) -> GatheredJSet:
@@ -153,6 +166,7 @@ class StripedStore:
 
     def detach(self, mem: JParticleMemory, rows: GatheredJSet) -> None:
         """A direct load of one bank: it holds ``rows`` of its own."""
+        self._book()
         mem._own = rows
         self.detached.add(mem)
         self.used += rows.n - int(self.sizes[mem.stripe])

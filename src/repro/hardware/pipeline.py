@@ -25,21 +25,25 @@ The tile is one library with a numpy tier and a compiled tier
 storage formats' twins (:func:`quantize`, :func:`round_float`), the
 conversion of carry-save lanes to forces (:func:`lanes_to_forces`), and
 the batched datapath's two crossings a blockstep - a j-load written in
-place into a :class:`JSet` bound once (:func:`load_j_set`), and one call
-from raw targets to forces, their exponents read from the host's table
-and stored back (:func:`forces`).  The faithful datapath keeps the
+place into a :class:`JSet` (:func:`load_j_set`), and one call from raw
+targets to forces, their exponents read from the host's table and
+stored back (:func:`forces`).  Each copies its inputs into buffers
+bound once (:class:`~repro.forces.compiled.Bound`) - a load with the
+j-memory, a force call with the exponent table and the constants - and
+passes the tile the struct, the row count and a flag; the forces it
+returns are a copy, the caller's.  The faithful datapath keeps the
 lanes and its big-integer adder tree.
 """
 
 from __future__ import annotations
 
-from ctypes import Structure, byref, c_double, c_int, c_ssize_t, c_void_p
+from ctypes import Structure, c_double, c_int, c_ssize_t, c_void_p
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..forces.compiled import TileUnavailable, address, entry_point, resolve
+from ..forces.compiled import Bound, TileUnavailable, address, entry_point, resolve
 from ..forces.kernels import TILE_BYTES, plane_dot
 from .blockfloat import FRAC_BITS, OVERFLOWS, BlockFloatAccumulator, BlockFloatOverflow
 from .fixedpoint import NOT_FINITE, FixedPointFormat, NonFiniteValue, carry_save_sum
@@ -202,30 +206,29 @@ PLANE_OUTPUTS = np.array([[0], [0], [0], [1], [1], [1], [2]])
 TILE_FITS, TILE_SATURATES, TILE_OVERFLOWS, TILE_UNCACHED = 0, 1, 2, 3
 
 
-def _contiguous(specs) -> list[np.ndarray]:
-    """The arrays of ``(array, dtype, shape)`` specs, C-contiguous (copied
-    only if they are not), or ValueError for the first that has another
-    dtype or shape: the compiled tile reads through bare pointers."""
-    held = []
+def _check(specs) -> None:
+    """ValueError for the first of ``(array, dtype, shape)`` specs that has
+    another dtype or shape: the compiled tile reads them, or the copies
+    it makes of them, through bare pointers."""
     for a, dtype, shape in specs:
         if a.dtype != dtype or a.shape != shape:
             raise ValueError(f"pipeline tile wants {dtype} {shape}")
-        held.append(a if a.flags.c_contiguous else np.ascontiguousarray(a))
-    return held
 
 
 class JSet:
     """A j-set as the tile streams it: ``arrays`` (3, capacity) positions
-    and velocities, (capacity,) masses and host indices, ``n`` columns in
-    use; ``pointer`` addresses the compiled tier's ``struct j_set``."""
+    and velocities, (capacity,) masses and host indices (contiguous
+    copies if they are not), ``n`` columns in use; on the compiled tier
+    their ``struct j_set`` (``bound``) and the last force ``call``."""
 
-    __slots__ = ("arrays", "n", "pointer")
+    __slots__ = ("arrays", "n", "bound", "call")
 
     def __init__(self, cj_q, cj_v, mj, host_j) -> None:
-        self.n = cj_q.shape[-1]
-        self.arrays = _contiguous(((cj_q, _I8, (3, self.n)), (cj_v, _F8, (3, self.n)),
-                                   (mj, _F8, (self.n,)), (host_j, _I8, (self.n,))))
-        self.pointer = None
+        self.n = n = cj_q.shape[-1]
+        specs = ((cj_q, _I8, (3, n)), (cj_v, _F8, (3, n)), (mj, _F8, (n,)), (host_j, _I8, (n,)))
+        _check(specs)
+        self.arrays = [a if a.flags.c_contiguous else np.ascontiguousarray(a) for a, _, _ in specs]
+        self.bound = self.call = None
 
     @property
     def capacity(self) -> int:
@@ -235,35 +238,53 @@ class JSet:
         return tuple(a[..., : self.n] for a in self.arrays)
 
 
-def _load_arrays(j_set: JSet, x, v, mass, host_index) -> list[np.ndarray]:
+def _load_arrays(j_set: JSet, x, v, mass, host_index) -> int:
+    """``n``, or ValueError for more rows than ``j_set`` holds or an array
+    of another dtype or shape."""
     n = len(x)
     if n > j_set.capacity:
         raise ValueError(f"{n} j-particles exceed the j-set's capacity {j_set.capacity}")
-    return _contiguous([(x, _F8, (n, 3)), (v, _F8, (n, 3)), (mass, _F8, (n,))]
-                       + ([] if host_index is None else [(host_index, _I8, (n,))]))
+    rows = (n, 3)
+    if x.dtype != _F8 or x.shape != rows or v.dtype != _F8 or v.shape != rows:
+        raise ValueError(f"pipeline tile wants {_F8} {rows}")
+    if mass.dtype != _F8 or mass.shape != rows[:1]:
+        raise ValueError(f"pipeline tile wants {_F8} {rows[:1]}")
+    if host_index is not None:
+        _check([(host_index, _I8, rows[:1])])
+    return n
 
 
 def numpy_load_j_set(j_set: JSet, formats: PipelineFormats, x, v, mass, host_index=None):
     """A j-load of n rows into ``j_set`` in place (``host_index`` None for
     ``0 .. n-1``); a position off the grid raises as
     :meth:`FixedPointFormat.quantize` does, and writes nothing."""
-    x, v, mass, *host = _load_arrays(j_set, x, v, mass, host_index)
+    _load_arrays(j_set, x, v, mass, host_index)
     n = len(x)
     cj_q, cj_v, mj, host_j = j_set.arrays
     cj_q[:, :n] = formats.pos.quantize(x).T
     cj_v[:, :n], mj[:n] = formats.word.round(v).T, mass
-    host_j[:n] = host[0] if host else np.arange(n)
+    host_j[:n] = np.arange(n) if host_index is None else host_index
     j_set.n = n
 
 
-def _targets(xi, vi, i_index, cache, exponents) -> list[np.ndarray]:
-    n_i = len(xi)
+def _table(cache) -> None:
+    """ValueError unless ``cache`` is a (3, N) table the tile can write."""
     if not (cache.flags.c_contiguous and cache.flags.writeable):
         raise ValueError("the exponent table must be writable and contiguous")
-    return _contiguous(
-        [(cache, _I8, (3, cache.shape[-1])), (xi, _F8, (n_i, 3)), (vi, _F8, (n_i, 3)),
-         (np.empty((7, n_i), _I8) if exponents is None else exponents, _I8, (7, n_i))]
-        + ([] if i_index is None else [(i_index, _I8, (n_i,))]))
+    _check([(cache, _I8, (3, cache.shape[-1]))])
+
+
+def _targets(xi, vi, i_index, exponents) -> int:
+    """``n_i``, or ValueError for a target array of another dtype or shape."""
+    n_i = len(xi)
+    rows = (n_i, 3)
+    if xi.dtype != _F8 or xi.shape != rows or vi.dtype != _F8 or vi.shape != rows:
+        raise ValueError(f"pipeline tile wants {_F8} {rows}")
+    if exponents is not None:
+        _check([(exponents, _I8, (7, n_i))])
+    if i_index is not None and (i_index.dtype != _I8 or i_index.shape != rows[:1]):
+        raise ValueError(f"pipeline tile wants {_I8} {rows[:1]}")
+    return n_i
 
 
 def numpy_forces(j_set: JSet, xi, vi, i_index, cache, exponents, eps2, formats):
@@ -273,11 +294,12 @@ def numpy_forces(j_set: JSet, xi, vi, i_index, cache, exponents, eps2, formats):
     through :func:`numpy_lanes_to_forces`, the exponents back to the
     table if the sums fit.  Returns ``(answer, exponents, forces or
     None)``; raises for a negative index, then a target off the grid."""
-    cache, xi, vi, declared, *index = _targets(xi, vi, i_index, cache, exponents)
-    i_index = index[0] if index else None
+    _table(cache)
+    _targets(xi, vi, i_index, exponents)
     if i_index is not None and i_index.size and i_index.min() < 0:
         raise ValueError(f"negative particle index {i_index.min()} in indices")
     xi_q, vi_w = formats.pos.quantize(xi), formats.word.round(vi)
+    declared = exponents
     if exponents is None:
         if i_index is None or (i_index.size and (
                 i_index.max() >= cache.shape[1] or (cache[0, i_index] == UNCACHED).any())):
@@ -319,15 +341,38 @@ NUMPY_PIPELINE = PipelineTier(
 )
 
 # pipeline_tile.c's other answers: pipeline_forces' refusals, and
-# fixed_point_quantize's and pipeline_load's
+# fixed_point_quantize's and pipeline_load's; pipeline_forces' flags
 _NEGATIVE_INDEX, _TARGET_NOT_FINITE, _ON_GRID, _NOT_FINITE = 4, 6, 0, 2
+_CACHED, _BY_INDEX = 1, 2
 
 
 class _JSetStruct(Structure):
     """``struct j_set`` of ``pipeline_tile.c``."""
 
     _fields_ = [("n_j", c_ssize_t), ("stride", c_ssize_t)] + [
-        (name, c_void_p) for name in ("cj_q", "cj_v", "mj", "host_j")]
+        (name, c_void_p) for name in ("cj_q", "cj_v", "mj", "host_j", "x", "v", "m", "host")
+    ] + [(name, c_int) for name in ("frac_bits", "total_bits", "word_bits")]
+
+
+class _ForceCallStruct(Structure):
+    """``struct force_call`` of ``pipeline_tile.c``."""
+
+    _fields_ = [(name, c_void_p) for name in ("cache", "xi", "vi", "i_index", "out")] + [
+        ("cache_n", c_ssize_t), ("frac_bits", c_int), ("resolution", c_double),
+        ("eps2", c_double), ("drop", c_int), ("pos_frac_bits", c_int),
+        ("pos_total_bits", c_int), ("word_bits", c_int)]
+
+
+def _force_call(cache, eps2, formats: PipelineFormats, rows: int) -> Bound:
+    """Force calls on the exponent table ``cache``: targets, host indices
+    and the (rows, 14) answers (forces, then exponents)."""
+    pos = formats.pos
+    return Bound(
+        _ForceCallStruct, (cache,), 1,
+        (np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows, _I8), np.empty((rows, 14))),
+        tail=(cache.shape[1], FRAC_BITS, pos.resolution, eps2,
+              53 - formats.pair.mantissa_bits, pos.frac_bits, pos.total_bits,
+              formats.word.mantissa_bits), key=(eps2, formats))
 
 
 def _float64(x) -> np.ndarray:
@@ -336,75 +381,95 @@ def _float64(x) -> np.ndarray:
 
 
 def _split(out: np.ndarray, n_i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """acc (n_i, 3), jerk (n_i, 3), pot (n_i,) of one (7 n_i,) buffer."""
-    return out[: 3 * n_i].reshape(n_i, 3), out[3 * n_i : 6 * n_i].reshape(n_i, 3), out[6 * n_i :]
+    """acc (n_i, 3), jerk (n_i, 3), pot (n_i,) of one buffer's first 7 n_i."""
+    return (out[: 3 * n_i].reshape(n_i, 3), out[3 * n_i : 6 * n_i].reshape(n_i, 3),
+            out[6 * n_i : 7 * n_i])
 
 
 def _bind(library) -> PipelineTier:
     """``pipeline_tile.c`` behind the numpy tier's signatures."""
     p, n, i, d = c_void_p, c_ssize_t, c_int, c_double
     tile_fn = entry_point(library, "pipeline_tile", [p] * 5 + [n, i, d, d, i, p], i)
-    load_fn = entry_point(library, "pipeline_load", [p] * 5 + [n, i, i, i], i)
-    forces_fn = entry_point(
-        library, "pipeline_forces", [p] * 4 + [n, p, n, i, p, i, d, d, i, i, i, i, p], i
-    )
+    load_fn = entry_point(library, "pipeline_load", [p, n, i], i)
+    forces_fn = entry_point(library, "pipeline_forces", [p, p, n, i], i)
     to_forces_fn = entry_point(library, "pipeline_to_forces", [p, p, n, i, p], i)
     quantize_fn = entry_point(library, "fixed_point_quantize", [p, n, i, i, i, p], i)
     round_fn = entry_point(library, "float_format_round", [p, n, i, p])
+    last_call = None  # a j-set without a force call of its own may take it
 
     def compiled_bind_j_set(cj_q, cj_v, mj, host_j) -> JSet:
         j_set = JSet(cj_q, cj_v, mj, host_j)
-        j_set.pointer = byref(_JSetStruct(j_set.n, j_set.n, *map(address, j_set.arrays)))
+        j_set.bound = Bound(_JSetStruct, tuple(j_set.arrays), head=(j_set.n, j_set.n))
         return j_set
 
     def compiled_partial_lanes(
         xi_q, vi, cj_q, cj_v, mj, host_index_j, exponents, eps2, formats, i_index=None
     ):
         n_i = xi_q.shape[0]
-        held = _contiguous(  # alive for the call
-            [(xi_q, _I8, (n_i, 3)), (vi, _F8, (n_i, 3)),
-             (np.asarray(exponents, dtype=np.int64), _I8, (7, n_i))]
-            + ([] if i_index is None else [(i_index, _I8, (n_i,))]))
+        exponents = np.asarray(exponents, dtype=np.int64)
+        _check([(xi_q, _I8, (n_i, 3)), (vi, _F8, (n_i, 3)), (exponents, _I8, (7, n_i))]
+               + ([] if i_index is None else [(i_index, _I8, (n_i,))]))
+        held = [np.ascontiguousarray(a) for a in (xi_q, vi, exponents, i_index)
+                if a is not None]  # alive for the call
         j_set = compiled_bind_j_set(cj_q, cj_v, mj, host_index_j)
         lanes = np.empty((2, 7, n_i), dtype=np.int64)
         if n_i and tile_fn(
-            j_set.pointer, *map(address, held), *[None][: 4 - len(held)], n_i, FRAC_BITS,
+            j_set.bound.pointer, *map(address, held), *[None][: 4 - len(held)], n_i, FRAC_BITS,
             formats.pos.resolution, eps2, 53 - formats.pair.mantissa_bits, address(lanes),
         ):
             raise BlockFloatOverflow(SATURATES)
         return lanes[0], lanes[1]
 
     def compiled_load_j_set(j_set, formats, x, v, mass, host_index=None):
-        held = _load_arrays(j_set, x, v, mass, host_index)  # alive for the call
-        pos = formats.pos
-        answer = load_fn(j_set.pointer, *map(address, held), *[None][: 4 - len(held)],
-                         len(x), pos.frac_bits, pos.total_bits, formats.word.mantissa_bits)
+        n, bound, pos = _load_arrays(j_set, x, v, mass, host_index), j_set.bound, formats.pos
+        if bound.key is not formats:  # the first load: staging rows, and the formats
+            rows = j_set.capacity
+            bound = j_set.bound = Bound(_JSetStruct, tuple(j_set.arrays), 0, (
+                np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows), np.empty(rows, _I8)),
+                (j_set.n, rows), (pos.frac_bits, pos.total_bits, formats.word.mantissa_bits),
+                formats)
+        staged_x, staged_v, staged_m, staged_host = bound.cut(n)
+        staged_x[...], staged_v[...], staged_m[...] = x, v, mass
+        if host_index is not None:
+            staged_host[...] = host_index
+        answer = load_fn(bound.pointer, n, host_index is not None)
         if answer != _ON_GRID:
             raise NonFiniteValue(NOT_FINITE) if answer == _NOT_FINITE else pos.out_of_range()
-        j_set.n = len(x)
+        j_set.n = n
 
     def compiled_forces(j_set, xi, vi, i_index, cache, exponents, eps2, formats):
-        n_i, pos = len(xi), formats.pos
-        held = _targets(xi, vi, i_index, cache, exponents)  # alive for the call
-        out = np.empty(7 * n_i)
-        cache, xi, vi, declared, index = [address(a) for a in held] + [None][: 5 - len(held)]
-        answer = forces_fn(
-            j_set.pointer, xi, vi, index, n_i, cache, held[0].shape[1], exponents is None,
-            declared, FRAC_BITS, pos.resolution, eps2, 53 - formats.pair.mantissa_bits,
-            pos.frac_bits, pos.total_bits, formats.word.mantissa_bits, address(out),
-        )
+        nonlocal last_call
+        call = j_set.call or last_call
+        if call is None or not call.holds((cache,), (eps2, formats), len(xi)):
+            _table(cache)
+            call = _force_call(cache, eps2, formats, max(len(xi), call.rows if call else 0))
+        j_set.call = last_call = call
+        n_i = _targets(xi, vi, i_index, exponents)
+        staged_xi, staged_vi, staged_index, out = call.cut(n_i)
+        staged_xi[...], staged_vi[...] = xi, vi
+        flags = _CACHED if exponents is None else 0
+        if exponents is not None:
+            out.reshape(-1)[7 * n_i :].view(_I8)[:] = exponents.reshape(-1)
+        if i_index is not None:
+            staged_index[...], flags = i_index, flags | _BY_INDEX
+        answer = forces_fn(call.pointer, j_set.bound.pointer, n_i, flags)
         if answer <= TILE_OVERFLOWS:
-            return answer, held[3], _split(out, n_i) if answer == TILE_FITS else None
+            out = out.copy().reshape(-1)  # the caller's: no later call writes it
+            if exponents is None:
+                exponents = out[7 * n_i :].view(_I8).reshape(7, n_i)
+            return answer, exponents, _split(out, n_i) if answer == TILE_FITS else None
         if answer == TILE_UNCACHED:
             return answer, None, None
         if answer == _NEGATIVE_INDEX:
             raise ValueError(f"negative particle index {i_index.min()} in indices")
+        pos = formats.pos
         raise NonFiniteValue(NOT_FINITE) if answer == _TARGET_NOT_FINITE else pos.out_of_range()
 
     def compiled_lanes_to_forces(hi, lo, exponents):
         n_i = np.shape(exponents)[-1]
         lanes = np.ascontiguousarray(np.stack((hi, lo)), dtype=np.int64)
-        exponents = _contiguous([(np.asarray(exponents, dtype=np.int64), _I8, (7, n_i))])[0]
+        exponents = np.ascontiguousarray(exponents, dtype=np.int64)
+        _check([(exponents, _I8, (7, n_i))])
         if lanes.shape != (2, 7, n_i):
             raise ValueError(f"lanes_to_forces wants two (7, {n_i}) lanes")
         out = np.empty(7 * n_i)

@@ -7,13 +7,15 @@
  * out.  Six entry points:
  *
  *   pipeline_load        a machine-wide j-load, in place: positions
- *                        quantised and velocities word-rounded straight
- *                        into the bound j-memory (pipeline.numpy_load_j_set);
- *   pipeline_forces      one force call from raw targets: quantise and
- *                        word-round them, take their exponents from the
- *                        host's (3, N) table, stream the tile, convert
- *                        the sums to acc, jerk, pot and store the
- *                        exponents back (pipeline.numpy_forces);
+ *                        quantised and velocities word-rounded from the
+ *                        bound staging rows straight into the bound
+ *                        j-memory (pipeline.numpy_load_j_set);
+ *   pipeline_forces      one force call from raw targets in bound
+ *                        buffers: quantise and word-round them, take
+ *                        their exponents from the host's (3, N) table,
+ *                        stream the tile, convert the sums to acc, jerk,
+ *                        pot and store the exponents back
+ *                        (pipeline.numpy_forces);
  *   pipeline_tile        the j-sums as carry-save lanes
  *                        (pipeline.numpy_partial_lanes);
  *   pipeline_to_forces   the conversion of given lanes to forces;
@@ -63,7 +65,9 @@ enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
  * positions and velocities starts at c * stride, and the first n_j
  * columns are the j-set.  A machine's j-memory is bound once per
  * allocation (pipeline.bind_j_set) and rewritten in place by
- * pipeline_load, which sets n_j. */
+ * pipeline_load, which sets n_j.  The staging rows x .. host are what
+ * a load copies its inputs into, bound at the first load with the
+ * formats it stores them in. */
 struct j_set {
     ptrdiff_t n_j;
     ptrdiff_t stride;
@@ -71,6 +75,13 @@ struct j_set {
     double *cj_v;    /* (3, stride) velocities */
     double *mj;      /* (stride,) masses */
     int64_t *host_j; /* (stride,) host indices */
+    const double *x;     /* (stride, 3) positions as given */
+    const double *v;     /* (stride, 3) velocities as given */
+    const double *m;     /* (stride,) masses as given */
+    const int64_t *host; /* (stride,) host indices as given */
+    int frac_bits;       /* the position word: fraction bits, */
+    int total_bits;      /* total bits */
+    int word_bits;       /* the velocity word's mantissa bits */
 };
 
 /* The exponent table's entry for a particle no force was evaluated on. */
@@ -343,61 +354,86 @@ int pipeline_tile(const struct j_set *j, const int64_t *xi_q, const double *vi,
     return stream(j, &in, &f, lanes, NULL);
 }
 
-/* A j-set of n rows into the bound j-memory j, in place: x (n, 3)
- * quantised to a grid of 2^frac_bits in a total_bits word, v (n, 3)
- * rounded to word_bits, the masses m (n,) as given and the host indices
- * host (n,), or 0 .. n-1 if NULL; then n_j = n.  The caller has checked
- * n <= stride.  If a position is off the grid, answers as
- * fixed_point_quantize does and writes nothing. */
-int pipeline_load(struct j_set *j, const double *x, const double *v, const double *m,
-                  const int64_t *host, ptrdiff_t n, int frac_bits, int total_bits,
-                  int word_bits)
+/* A j-set of n rows from the staging rows into the bound j-memory j,
+ * in place: x (n, 3) quantised to a grid of 2^frac_bits in a
+ * total_bits word, v (n, 3) rounded to word_bits, the masses m (n,) as
+ * given and the host indices host (n,) if by_host, else 0 .. n-1; then
+ * n_j = n.  The caller has checked n <= stride.  If a position is off
+ * the grid, answers as fixed_point_quantize does and writes nothing. */
+int pipeline_load(struct j_set *j, ptrdiff_t n, int by_host)
 {
-    const int grid = grid_check(x, 3 * n, frac_bits, total_bits);
+    const double *x = j->x, *v = j->v, *m = j->m;
+    const int grid = grid_check(x, 3 * n, j->frac_bits, j->total_bits);
     if (grid != ON_GRID)
         return grid;
-    const double scale = ldexp(1.0, frac_bits);
+    const double scale = ldexp(1.0, j->frac_bits);
     const ptrdiff_t stride = j->stride;
+    const int word_bits = j->word_bits;
     for (ptrdiff_t k = 0; k < n; k++) {
         for (int c = 0; c < 3; c++) {
             j->cj_q[c * stride + k] = (int64_t)rint(x[3 * k + c] * scale);
             j->cj_v[c * stride + k] = round_word(v[3 * k + c], word_bits);
         }
         j->mj[k] = m[k];
-        j->host_j[k] = host != NULL ? host[k] : k;
+        j->host_j[k] = by_host ? j->host[k] : k;
     }
     j->n_j = n;
     return ON_GRID;
 }
 
-/* One force call from raw targets: xi (n_i, 3) positions on a grid of
- * 2^pos_frac_bits in a pos_total_bits word, vi (n_i, 3) velocities
- * rounded to word_bits, host indices i_index (n_i,) or NULL.  cache
- * (3, cache_n) is the host's table of the last exponents (acc, jerk,
- * pot) each particle was evaluated under, NO_EXPONENT where none was.
- * If `cached`, the targets' exponents (7, n_i) are read from it -
- * UNCACHED if a target has no index, or its index is beyond the table
- * or has no entry - else they are as given.  Then the tile streams
- * into forces (force_slot), and on FITS the exponents go back to the
- * table.  Answers NEGATIVE_INDEX, TARGET_NOT_FINITE or
- * TARGET_OUT_OF_RANGE, in that order of precedence, before anything
- * else is done. */
-int pipeline_forces(const struct j_set *j, const double *xi, const double *vi,
-                    const int64_t *i_index, ptrdiff_t n_i, int64_t *cache,
-                    ptrdiff_t cache_n, int cached, int64_t *exponents, int frac_bits,
-                    double resolution, double eps2, int drop, int pos_frac_bits,
-                    int pos_total_bits, int word_bits, double *forces)
+/* A force call's buffers and constants, bound once per exponent table
+ * (pipeline.numpy_forces documents the arguments): the host's table
+ * cache (3, cache_n) of the last exponents (acc, jerk, pot) each
+ * particle was evaluated under, NO_EXPONENT where none was; the
+ * targets xi, vi (rows, 3) on a grid of 2^pos_frac_bits in a
+ * pos_total_bits word and rounded to word_bits, their host indices
+ * i_index (rows,), and out (14 rows) for the forces (force_slot)
+ * followed by the declared exponents (7, n_i) of a call on n_i
+ * targets.  A call copies its targets, and any exponents it declares,
+ * into the first rows. */
+struct force_call {
+    int64_t *cache;
+    const double *xi;
+    const double *vi;
+    const int64_t *i_index;
+    double *out;
+    ptrdiff_t cache_n;
+    int frac_bits;
+    double resolution;
+    double eps2;
+    int drop;
+    int pos_frac_bits;
+    int pos_total_bits;
+    int word_bits;
+};
+
+/* what a force call's flags say: the exponents are the table's, not
+ * given; the targets have host indices */
+enum { CACHED = 1, BY_INDEX = 2 };
+
+/* One force call on j from the raw targets in c's buffers.  If CACHED,
+ * the targets' exponents (7, n_i) are read from the table - UNCACHED if
+ * a target has no index, or its index is beyond the table or has no
+ * entry - else they are as given.  Then the tile streams into forces
+ * (force_slot), and on FITS the exponents go back to the table.
+ * Answers NEGATIVE_INDEX, TARGET_NOT_FINITE or TARGET_OUT_OF_RANGE, in
+ * that order of precedence, before anything else is done. */
+int pipeline_forces(const struct force_call *c, const struct j_set *j, ptrdiff_t n_i,
+                    int flags)
 {
     /* which of the table's rows (acc, jerk, pot) plane q declares */
     static const int row_of[7] = {0, 0, 0, 1, 1, 1, 2};
+    const int64_t *i_index = flags & BY_INDEX ? c->i_index : NULL;
+    int64_t *cache = c->cache, *exponents = (int64_t *)(c->out + 7 * n_i);
+    const ptrdiff_t cache_n = c->cache_n;
     for (ptrdiff_t i = 0; i < n_i && i_index != NULL; i++) {
         if (i_index[i] < 0)
             return NEGATIVE_INDEX;
     }
-    const int grid = grid_check(xi, 3 * n_i, pos_frac_bits, pos_total_bits);
+    const int grid = grid_check(c->xi, 3 * n_i, c->pos_frac_bits, c->pos_total_bits);
     if (grid != ON_GRID)
         return grid == NOT_FINITE ? TARGET_NOT_FINITE : TARGET_OUT_OF_RANGE;
-    if (cached) {
+    if (flags & CACHED) {
         if (i_index == NULL)
             return UNCACHED;
         for (ptrdiff_t i = 0; i < n_i; i++) {
@@ -409,10 +445,10 @@ int pipeline_forces(const struct j_set *j, const double *xi, const double *vi,
                 exponents[q * n_i + i] = cache[row_of[q] * cache_n + i_index[i]];
         }
     }
-    const struct targets in = {n_i, NULL, xi, vi, pos_frac_bits, word_bits, exponents,
-                               i_index};
-    const struct formats f = {frac_bits, resolution, eps2, drop};
-    const int answer = stream(j, &in, &f, NULL, forces);
+    const struct targets in = {n_i, NULL, c->xi, c->vi, c->pos_frac_bits, c->word_bits,
+                               exponents, i_index};
+    const struct formats f = {c->frac_bits, c->resolution, c->eps2, c->drop};
+    const int answer = stream(j, &in, &f, NULL, c->out);
     for (ptrdiff_t i = 0; answer == FITS && i < n_i && i_index != NULL; i++) {
         for (int row = 0; row < 3 && i_index[i] < cache_n; row++)
             cache[row * cache_n + i_index[i]] = exponents[3 * row * n_i + i];

@@ -125,6 +125,7 @@ class Grape6Emulator:
         self.boards = [ProcessorBoard(board_config, self.formats, self.jmem, b * board_config.chips)
                        for b in range(boards)]
         self._all_chips = [c for b in self.boards for c in b.all_chips]
+        self._chip = self._all_chips[0].config  # every chip's
         for b in self.boards:
             b.set_eps2(self.eps2)
         self.exponent_guard = int(exponent_guard)
@@ -134,7 +135,9 @@ class Grape6Emulator:
         self._uniform_eps2 = np.full(len(self._all_chips), self.eps2).tobytes()
 
         self._mass_total = 0.0
-        self._j_com = np.zeros(3)
+        # the last load's barycentre, or until a guess needs it the
+        # (mass, x, mass total) it is taken from, as bytes
+        self._j_com: np.ndarray | tuple = np.zeros(3)
         # the last load's mass as given (bytes); its rounding is _mass,
         # its sum _mass_total
         self._mass_in: bytes | None = None
@@ -175,7 +178,7 @@ class Grape6Emulator:
             ):
                 self.stats.jmem_loads_elided += 1
             else:
-                self.load_j_particles(None, x, v, m)
+                self._load(None, x, v, m, {})
                 self._resident = (self.jmem.generation, *held[1:], v.tobytes())
         self.stats.jmem_loads += 1
 
@@ -190,18 +193,18 @@ class Grape6Emulator:
         loads would hold).  A mass bitwise equal to the last one loaded
         is not re-rounded, nor summed again.
         """
-        m = np.ascontiguousarray(m, dtype=np.float64)
+        if host_index is not None:
+            host_index = np.asarray(host_index, dtype=np.int64)
+        self._load(host_index, np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64),
+                   np.ascontiguousarray(m, dtype=np.float64), derivs)
+
+    def _load(self, host_index, x, v, m, derivs: dict) -> None:
         mass_in = m.tobytes()
         if mass_in != self._mass_in:
             self._mass_in, self._mass = mass_in, round_float(self.formats.word, m)
             self._mass_total = float(m.sum())
-        x = np.asarray(x, dtype=np.float64)
-        if host_index is not None:
-            host_index = np.asarray(host_index, dtype=np.int64)
-        self.jmem.load(
-            self.formats, host_index, x, np.asarray(v, dtype=np.float64), self._mass, **derivs
-        )
-        self._j_com = (m @ x) / self._mass_total if self._mass_total > 0 else np.zeros(3)
+        self.jmem.load(self.formats, host_index, x, v, self._mass, **derivs)
+        self._j_com = (mass_in, x.tobytes(), self._mass_total)
 
     def forces_on(
         self,
@@ -259,8 +262,9 @@ class Grape6Emulator:
         the self-test injects) drops back to the faithful per-chip
         schedule so the degradation stays observable.
         """
-        if self.emulation_mode == "batched" and self.jmem.eps2.tobytes() == self._uniform_eps2:
-            j_set, config = self._j_set(t), self._all_chips[0].config
+        store = self.jmem
+        if self.emulation_mode == "batched" and store.eps2.tobytes() == self._uniform_eps2:
+            j_set = store.j_set if t is None and not store.detached else self._j_set(t)
 
             def batched(exponents):
                 out = forces(j_set, xi, vi, i_index, self._exp, exponents, self.eps2,
@@ -269,7 +273,7 @@ class Grape6Emulator:
                 # overflows): charge each chip the faithful schedule's
                 # cycles; a saturating term stops them, and charges nothing
                 if out[0] in (TILE_FITS, TILE_OVERFLOWS):
-                    charge_block(self.jmem, config, xi.shape[0])
+                    charge_block(store, self._chip, len(xi))
                 return out
 
             return batched
@@ -300,12 +304,9 @@ class Grape6Emulator:
         return faithful
 
     def _j_set(self, t: float | None) -> JSet:
-        """The j-set the tile streams: the striped store's own, or else the
-        chip memories (:meth:`_gathered`) predicted to ``t``, bound for
-        the call."""
-        store = self.jmem
-        if t is None and not store.detached:
-            return store.j_set
+        """The j-set the tile streams when it is not the striped store's
+        own: the chip memories (:meth:`_gathered`), predicted to ``t``
+        if given, bound for the call."""
         gather = self._gathered()
         rows = (gather.pos_q, gather.vel) if t is None else predict_memory(gather, t, self.formats)
         return bind_j_set(rows[0].T, rows[1].T, gather.mass, gather.host_index)
@@ -347,6 +348,11 @@ class Grape6Emulator:
         """The heuristic treats the j-set as a point mass at its
         barycentre: |a| ~ M/(d^2+eps^2), |phi| ~ M/d, |jdot| ~ |a| * v/d —
         crude, but the retry loop makes any guess safe."""
+        if isinstance(self._j_com, tuple):  # m @ x of C-order copies, as at the load
+            mass_in, x_in, total = self._j_com
+            m = np.frombuffer(mass_in).copy()
+            x = np.frombuffer(x_in).reshape(len(m), 3).copy()
+            self._j_com = (m @ x) / total if total > 0 else np.zeros(3)
         d2 = np.sum((xi - self._j_com) ** 2, axis=1) + self.eps2 + 1e-300
         d = np.sqrt(d2)
         vmag = np.linalg.norm(vi, axis=1) + 1e-300
@@ -380,7 +386,7 @@ class Grape6Emulator:
         machine: 6 pipelines x 8-way VMP).  An i-block streams the
         j-memory in passes of this many slots whether or not they are
         filled — the under-population loss of fig. 13."""
-        return self._all_chips[0].config.iparallel
+        return self._chip.iparallel
 
     def peak_flops(self) -> float:
         """Peak speed of this backend [flop/s], 57-op convention.

@@ -18,36 +18,55 @@ Pinned here, beside the tiles' own bit-identity files:
     ``numpy_lanes_to_forces``) on lanes at and around the -2^63 edge and
     both overflow sides, under exponents whose quantum underflows;
 (d) one ``forces_on`` and one emulated blockstep cost a fixed number of
-    Python calls on the compiled tiers, whatever the block size.  At the
-    parent commit, before the boundary was bound: ``forces_on`` at
-    n_i = 1 made 124 calls and ``step()`` 315 (Plummer N = 64, one
-    board).
+    Python calls on the compiled tiers, whatever the block size, counted
+    in ``repro``'s own frames (Plummer N = 64, one board): 22 and 69
+    before a call's i-side buffers were bound with its tile, 15 and 55
+    since; and after the first, an emulated blockstep addresses no array
+    and builds no ``ctypes.Structure``.
 
-(a)-(c) run on whichever tiers the process resolved; CI runs this file
-once more with no compiler on PATH, where the twins are the methods.
+(e) the pipeline's force call keeps its binding to the exponent table
+    only while it holds: a table swapped for a copy is followed and the
+    old one left alone, one flipped to read-only or reshaped in place is
+    refused with nothing written, and more targets than the bound rows
+    bind deeper buffers - all as the numpy tier answers;
+(f) what a call hands back is the caller's: a later call on other
+    targets rewrites no held ``forces_on`` result and no held
+    ``advance_block`` step.
+
+(a)-(c), (e) and (f) run on whichever tiers the process resolved; CI
+runs this file once more with no compiler on PATH, where the twins are
+the methods.
 """
 
 import cProfile
+import ctypes
+import gc
 import pstats
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import BlockTimestepIntegrator, ParticleSystem, hermite_tile
 from repro.core.hermite_tile import NUMPY_TILE, STATE_SCALARS, STATE_VECTORS, state_bytes
+from repro.forces import compiled
 from repro.hardware import Grape6Emulator, pipeline
 from repro.hardware.fixedpoint import FixedPointFormat
 from repro.hardware.floatformat import FloatFormat
+from repro.hardware.pipeline import NUMPY_PIPELINE, TILE_FITS, UNCACHED, PipelineFormats
 from repro.models import plummer_model
-from tests.conftest import needs_compiled, tiers
+from tests.conftest import needs_compiled, tiers, use_pipeline_tier
 
 pytestmark = pytest.mark.tiers
 
 SERVING = hermite_tile.HermiteTile(hermite_tile.predict_hermite, hermite_tile.advance_block)
 TIERS = tiers("hermite_tile", NUMPY_TILE, SERVING)
+PIPELINE_TIERS = tiers("pipeline_tile", NUMPY_PIPELINE, pipeline._tier)
 STATE = STATE_VECTORS + STATE_SCALARS
+EPS2 = (1.0 / 64.0) ** 2
 
 
 # -- (a) a bound context under mutation ----------------------------------------
@@ -250,12 +269,25 @@ def test_the_register_edges(hi, lo, fits):
 
 # -- (d) a fixed number of Python calls ----------------------------------------
 
+REPRO = str(Path(repro.__file__).parent)
+
+
 def calls(fn) -> int:
+    """Calls of functions under ``src/repro`` while ``fn`` runs: the
+    interpreter's and the standard library's own calls differ between
+    Python versions, and a garbage collection would run some other
+    test's finalizers inside the count, so none runs during it."""
+    gc.collect()
+    gc.disable()
     profile = cProfile.Profile()
-    profile.enable()
-    fn()
-    profile.disable()
-    return pstats.Stats(profile).total_calls
+    try:
+        profile.enable()
+        fn()
+        profile.disable()
+    finally:
+        gc.enable()
+    return sum(nc for (file, _, _), (_, nc, *_) in pstats.Stats(profile).stats.items()
+               if file.startswith(REPRO))
 
 
 def emulated_run():
@@ -273,7 +305,7 @@ def test_a_force_call_makes_a_fixed_number_of_python_calls():
         idx = np.arange(n_i)
         emu.forces_on(s.pos[idx], s.vel[idx], idx)
         counts.append(calls(lambda: emu.forces_on(s.pos[idx], s.vel[idx], idx)))
-    assert counts[0] == counts[1] <= 90  # 124 at the parent commit
+    assert counts[0] == counts[1] <= 15  # 22 before the i-side was bound
 
 
 @needs_compiled("hermite_tile", "pipeline_tile")
@@ -284,4 +316,134 @@ def test_an_emulated_blockstep_makes_a_fixed_number_of_python_calls():
         _, block = integ.scheduler.next_block()
         counts[block.size] = calls(integ.step)
     assert len(set(counts.values())) == 1, counts
-    assert counts.popitem()[1] <= 245  # 315 at the parent commit
+    assert counts.popitem()[1] <= 55  # 69 before the i-side was bound
+
+
+def counting(struct, made: list):
+    """``struct`` that notes its name in ``made`` whenever one is built."""
+
+    class Counted(struct):
+        def __init__(self, *args):
+            made.append(struct.__name__)
+            super().__init__(*args)
+
+    return Counted
+
+
+@needs_compiled("hermite_tile", "pipeline_tile")
+def test_a_bound_blockstep_addresses_nothing_and_builds_no_struct(monkeypatch):
+    """After its first, an emulated blockstep of the ``serial_grape``
+    shape (Plummer N = 256, two boards) takes no array's address and
+    builds no ``ctypes.Structure``: both names are wrapped in each
+    binder module's own namespace (a binder imports ``address`` by
+    name).  A state array swapped in then shows that the wrappers
+    count."""
+    s = plummer_model(256, seed=2003)
+    integ = BlockTimestepIntegrator(s, EPS2, backend=Grape6Emulator(EPS2, boards=2))
+    integ.step()
+    made = []
+    for module in (compiled, pipeline, hermite_tile):
+        if hasattr(module, "address"):
+            monkeypatch.setattr(module, "address", lambda a, address=module.address: (
+                made.append("address"), address(a))[1])
+        for name, value in list(vars(module).items()):
+            if isinstance(value, type) and issubclass(value, ctypes.Structure):
+                monkeypatch.setattr(module, name, counting(value, made))
+    for _ in range(8):
+        integ.step()
+    assert made == [] and integ.backend.stats.jmem_loads_elided == 0
+    s.pos = s.pos.copy()
+    integ.step()
+    assert made.count("_Predicted") == made.count("_BlockState") == 1 and "address" in made
+
+
+# -- (e) a bound force call under mutation ---------------------------------------
+
+
+class BoundTable:
+    """A loaded j-set and a force call on nine of its particles under
+    declared exponents, which fills the exponent table and binds the
+    call to it."""
+
+    def __init__(self, tier):
+        s = plummer_model(64, seed=11)
+        self.tier, self.fmt, self.s = tier, PipelineFormats.default(), s
+        self.j_set = tier.bind_j_set(np.empty((3, 64), np.int64), np.empty((3, 64)),
+                                     np.empty(64), np.empty(64, np.int64))
+        tier.load_j_set(self.j_set, self.fmt, s.pos, s.vel, self.fmt.word.round(s.mass))
+        self.table = np.full((3, 64), UNCACHED)
+        assert self.call(self.table, np.arange(9), 12)[0] == TILE_FITS
+
+    def call(self, table, idx, exponent=None):
+        """The answer, declared exponents and forces as bytes."""
+        declared = None if exponent is None else np.full((7, len(idx)), exponent)
+        answer = self.tier.forces(self.j_set, self.s.pos[idx], self.s.vel[idx], idx, table,
+                                  declared, EPS2, self.fmt)
+        return answer[0], pipeline._flat(answer[1:])
+
+
+@pytest.mark.parametrize("tier", PIPELINE_TIERS)
+class TestABoundForceCallUnderMutation:
+    def test_a_table_swapped_for_a_copy_is_followed(self, tier):
+        case, reference = BoundTable(tier), BoundTable(NUMPY_PIPELINE)
+        old = case.table
+        kept = old.copy()
+        case.table, reference.table = old.copy(), reference.table.copy()
+        for idx, exponent in ((np.arange(9), 14), (np.arange(9), None)):
+            got = case.call(case.table, idx, exponent)
+            assert got == reference.call(reference.table, idx, exponent)
+        assert case.table.tobytes() == reference.table.tobytes() != kept.tobytes()
+        assert old.tobytes() == kept.tobytes()  # nothing wrote to the table it replaced
+
+    def test_a_table_flipped_read_only_is_refused(self, tier):
+        case = BoundTable(tier)
+        case.table.flags.writeable = False
+        kept = case.table.tobytes()
+        with pytest.raises(ValueError, match="writable"):
+            case.call(case.table, np.arange(9), 14)
+        assert case.table.tobytes() == kept
+
+    def test_a_table_reshaped_in_place_is_refused(self, tier):
+        case = BoundTable(tier)
+        kept = case.table.tobytes()
+        case.table.shape = (64, 3)
+        with pytest.raises(ValueError):
+            case.call(case.table, np.arange(9), 14)
+        assert case.table.tobytes() == kept
+
+    def test_more_targets_than_rows_bind_deeper_buffers(self, tier):
+        case, reference = BoundTable(tier), BoundTable(NUMPY_PIPELINE)
+        for idx in (np.arange(64), np.arange(3)):
+            for exponent in (13, None):
+                got = case.call(case.table, idx, exponent)
+                assert got == reference.call(reference.table, idx, exponent)
+        assert case.table.tobytes() == reference.table.tobytes()
+
+
+# -- (f) what a call hands back is the caller's ----------------------------------
+
+
+@pytest.mark.parametrize("tier", PIPELINE_TIERS)
+def test_a_held_force_result_is_not_rewritten(monkeypatch, tier):
+    use_pipeline_tier(monkeypatch, tier)
+    s = plummer_model(256, seed=2003)
+    emu = Grape6Emulator(EPS2, boards=2)
+    emu.set_j_particles(s.pos, s.vel, s.mass)
+    emu.forces_on(s.pos, s.vel, np.arange(256))  # every exponent cached: one binding serves
+    first, other = np.arange(0, 256, 8), np.arange(3, 256, 8)
+    held = emu.forces_on(s.pos[first], s.vel[first], first)
+    kept = [a.tobytes() for a in (held.acc, held.jerk, held.pot)]
+    again = emu.forces_on(s.pos[other], s.vel[other], other)
+    assert [a.tobytes() for a in (held.acc, held.jerk, held.pot)] == kept
+    assert again.acc.tobytes() != kept[0] and not np.shares_memory(held.acc, again.acc)
+
+
+@pytest.mark.parametrize("tile", TIERS)
+def test_a_held_dt_new_is_not_rewritten(tile):
+    case = TwoBlocks()
+    case.force[id(case.SECOND)][1][...] *= 1e3  # other steps for the second block
+    held = case.advance(tile, case.FIRST)
+    kept = held.tobytes()
+    again = case.advance(tile, case.SECOND)
+    assert held.tobytes() == kept
+    assert again.tobytes() != kept and not np.shares_memory(held, again)

@@ -551,6 +551,22 @@ def reload_in_place(emu):
     ]
 
 
+def beyond_the_table(emu):
+    """Force calls bound to the exponent table, then one on a host index
+    beyond it, which grows the table - a new array, so the next call
+    binds anew - then calls on the grown table."""
+    x, v, m = system(40, 8)
+    idx, beyond = np.arange(12), np.array([7, 300])
+    return [
+        lambda: emu.set_j_particles(x, v, m),
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+        lambda: emu.forces_on(x[idx], v[idx], idx),  # from the table it is bound to
+        lambda: emu.forces_on(x[3:5], v[3:5], beyond),  # 300: beyond the table
+        lambda: emu.forces_on(x[3:5], v[3:5], beyond),  # from the grown table
+        lambda: emu.forces_on(x[idx], v[idx], idx),
+    ]
+
+
 CASES = {
     "uncached rows": (uncached_rows, {}),
     "saturating guess": (retries, {"exponent_guard": -30}),
@@ -560,6 +576,7 @@ CASES = {
     "no targets": (no_targets, {}),
     "reload in place": (reload_in_place, {}),
     "faithful reload in place": (reload_in_place, {"emulation_mode": "faithful"}),
+    "beyond the table after binding": (beyond_the_table, {}),
 }
 
 
@@ -587,6 +604,10 @@ def test_the_crossings_are_the_numpy_composition(monkeypatch, case):
         assert got[1] == got[2] == b"||"
     if case.endswith("reload in place"):
         assert all(isinstance(got[k], bytes) for k in (1, 3, 5, 7, 8, 10))
+    if case == "beyond the table after binding":
+        assert all(isinstance(got[k], bytes) for k in range(1, 6))
+        table = np.frombuffer(got[-2], dtype=np.int64).reshape(3, -1)
+        assert table.shape[1] == 301 and (table[:, 300] != UNCACHED).all()
 
 
 @pytest.mark.parametrize("mode", ["batched", "faithful"])

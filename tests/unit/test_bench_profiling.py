@@ -72,9 +72,10 @@ class TestAttribution:
         assert attr.phase_self_s[T_PIPE] > 0.0
 
     def test_the_host_binders_addresses_are_host_time(self):
-        """``repro.core.hermite_tile`` takes its sixteen addresses a
-        blockstep through ``repro.forces.compiled.address``: twice the
-        pairwise tile's, so the dominant caller is the host."""
+        """``repro.core.hermite_tile`` binds its arrays and buffers
+        through ``repro.forces.compiled.address`` (``compiled.Bound``),
+        once a run, in the host's phases; the pairwise tile takes no
+        address, so the only caller the profile sees is the host."""
         from repro.forces.compiled import TIERS
 
         if TIERS["hermite_tile"][0] != "c":
