@@ -9,7 +9,10 @@ Plummer N = 256 on two emulated boards, blocks of 31 targets, every
 exponent cached.  ``forces_on`` at n_i = 1 is the force call's fixed
 cost.  A blockstep of that workload pays the j-load and the first force
 call on the new j-set back to back; that pair is floored too, outside
-the budget.  Beside them, outside the budget, it floors the copy algorithm's
+the budget.  Outside the budget too, the direct backend's two crossings
+a blockstep on the ``serial_direct`` workload's shape (Plummer N = 1024,
+blocks of 16): its predict phase and its force phase.  Beside them,
+outside the budget, it floors the copy algorithm's
 two calls a blockstep on the ``cluster_latency`` workload's shape (N =
 128 on 16 simulated hosts, inline, blocks of 15): ``forces_on`` and the
 coherence exchange ``exchange_updated``, and the ledger's fold of one
@@ -58,19 +61,23 @@ COPY_N, COPY_P, COPY_N_B = 128, 16, 15
 #: The ``service_resume`` shape of the checkpoint halves.
 CKPT_N = 128
 
+#: The ``serial_direct`` shape of the direct backend's crossings.
+DIRECT_N, DIRECT_N_B = 1024, 16
+
 #: Calls per round, and rounds interleaved across the crossings (3 000
 #: calls of each in all, spread so that one round meets a quiet moment).
 CALLS, ROUNDS = 200, 15
 
 #: Bound on the four fixed costs together - forces_on at n_i = 1,
 #: set_j_particles, advance_block and predict_hermite [us] - on the
-#: reference box, undisturbed: 13.4-15.9 in its units on a 2-vCPU x86-64
-#: box since each call's i-side is bound with its tile (buffers, constants
-#: and the exponent table in one struct), so the budget is 1.5x the
-#: highest; 19-23 since the emulator's blockstep crosses into its tile
-#: twice, 32-33 before; 40 measured on the reference box before that, 89
-#: before the crossings were bound.
-BUDGET_US = 24.0
+#: reference box, undisturbed: 13.6-15.2 in its units on a 2-vCPU x86-64
+#: box since a bound call tests its arrays in one expression (15.0-16.3
+#: the same day before), so the budget is 1.5x the highest; 13.4-15.9
+#: since each call's i-side is bound with its tile (buffers, constants
+#: and the exponent table in one struct); 19-23 since the emulator's
+#: blockstep crosses into its tile twice, 32-33 before; 40 measured on
+#: the reference box before that, 89 before the crossings were bound.
+BUDGET_US = 23.0
 
 
 def crossings() -> dict:
@@ -134,6 +141,41 @@ def copy_crossings() -> dict:
     }
 
 
+def direct_crossings() -> dict:
+    """The direct backend's two crossings a blockstep on the
+    ``serial_direct`` shape (Plummer N = 1024, blocks of 16), in the
+    ``(call, reset)`` form of :func:`crossings`: its predict phase and its
+    force phase as the integrator runs them.  A backend with
+    ``predict_j`` predicts its resident j-set and the block's rows, then
+    takes the forces on the set's own particles; on a commit without it
+    the host predicts all N, then uploads them and takes the forces on
+    the block's rows."""
+    s = plummer_model(DIRECT_N, seed=2003)
+    integ = BlockTimestepIntegrator(s, EPS2)
+    integ.run(1.0 / 256.0)
+    backend, t = integ.backend, float(s.t.max())
+    xp, vp = np.empty((DIRECT_N, 3)), np.empty((DIRECT_N, 3))
+    block = np.arange(0, DIRECT_N, DIRECT_N // DIRECT_N_B)[:DIRECT_N_B]
+    if hasattr(backend, "predict_j"):
+        def predict():
+            backend.predict_j(t, s, xp, vp, block)
+
+        def force():
+            backend.forces_on(None, None, block)
+    else:
+        def predict():
+            predict_hermite(t, s.t, s.pos, s.vel, s.acc, s.jerk, xp, vp)
+
+        def force():
+            backend.set_j_particles(xp, vp, s.mass)
+            backend.forces_on(xp[block], vp[block], block)
+    predict()
+    return {
+        f"direct predict N = {DIRECT_N}, n_b = {DIRECT_N_B}": (predict, None),
+        f"direct force n_b = {DIRECT_N_B}": (force, None),
+    }
+
+
 def fold_crossing() -> dict:
     """The ledger's fold of one full round log of ``cluster_latency``
     blocksteps - each a ring allgather of the 15-block's shares and a
@@ -180,7 +222,7 @@ def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
     """Floor of every crossing [us] and the machine's speed index over
     the same rounds (1.0 = the undisturbed reference box)."""
     with tempfile.TemporaryDirectory() as tmp:
-        return _floors(rounds, {**crossings(), **copy_crossings(),
+        return _floors(rounds, {**crossings(), **direct_crossings(), **copy_crossings(),
                                 **fold_crossing(), **checkpoint_crossings(Path(tmp))})
 
 
@@ -203,8 +245,8 @@ def _floors(rounds: int, parts: dict) -> tuple[dict, float]:
 def fixed_cost(us: dict) -> float:
     """The four fixed costs together [us]."""
     return sum(v for k, v in us.items()
-               if not k.startswith((f"forces_on n_i = {N_B}", "set_j_particles + ", "copy ",
-                                    "ledger ", "checkpoint ")))
+               if not k.startswith((f"forces_on n_i = {N_B}", "set_j_particles + ", "direct ",
+                                    "copy ", "ledger ", "checkpoint ")))
 
 
 def table(us: dict, speed_index: float) -> str:

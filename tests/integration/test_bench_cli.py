@@ -8,7 +8,9 @@ fingerprint; a self-compare that passes; a slowed artifact that fails.
 """
 
 import copy
+import itertools
 import json
+from unittest import mock
 
 import pytest
 
@@ -210,15 +212,21 @@ class TestSampleCLI:
 
     @pytest.fixture(scope="class")
     def sample_run(self, tmp_path_factory):
+        """One ``sample`` run whose spans are timed by a scripted clock
+        (1 us a reading): the phase signatures, and so the regimes the
+        tracker finds, are the same on any machine under any load."""
         tmp_path = tmp_path_factory.mktemp("sample")
         out_path = tmp_path / "SIG_sample.json"
         timeline = tmp_path / "trace_regimes.json"
-        code = main([
-            "sample", "--model", "plummer", "--n", "16", "--seed", "3",
-            "--t-end", "0.25", "--backend", "direct", "--min-prefix", "8",
-            "--bootstrap", "50", "--format", "json",
-            "--out", str(out_path), "--timeline", str(timeline),
-        ])
+        readings = itertools.count()
+        with mock.patch("repro.telemetry.tracer.perf_counter",
+                        lambda: next(readings) * 1e-6):
+            code = main([
+                "sample", "--model", "plummer", "--n", "16", "--seed", "3",
+                "--t-end", "0.25", "--backend", "direct", "--min-prefix", "8",
+                "--bootstrap", "50", "--format", "json",
+                "--out", str(out_path), "--timeline", str(timeline),
+            ])
         return code, out_path, timeline
 
     def test_exit_code_and_artifact(self, sample_run):
