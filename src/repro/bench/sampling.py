@@ -330,8 +330,9 @@ def _run_probe_windows(
     that window's blocksteps; returns the signatures (re-numbered to
     their global blockstep indices) and, for a timeline, the span events.
 
-    One backend instance serves every window (each blockstep re-uploads
-    the full j-side, so there is no stale state to carry over).
+    One backend instance serves every window (each blockstep rebuilds
+    the whole j-side from the particle arrays, so there is no stale
+    state to carry over).
     """
     backend = build_backend(plan.params)
     signatures: list[PhaseSignature] = []

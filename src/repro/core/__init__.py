@@ -10,7 +10,8 @@ follows the classic structure of Aarseth-style codes:
 * :mod:`timestep` — the Aarseth timestep criterion and the power-of-two
   block quantisation,
 * :mod:`hermite_tile` — the three above as the host's two calls per
-  blockstep (predict all, advance the block), numpy or ``hermite_tile.c``,
+  blockstep (predict all, where the backend does not predict its own
+  j-set; advance the block), numpy or ``hermite_tile.c``,
 * :mod:`scheduler` — the block-timestep scheduler,
 * :mod:`hermite` — shared-timestep Hermite integrator,
 * :mod:`individual` — the individual/block timestep integrator used in
