@@ -1,10 +1,13 @@
 /* Compiled tile for the host's share of a blockstep: the same bits as
  * the numpy code.
  *
- * Two entry points, the fast tier beneath repro.core.hermite_tile:
+ * Three entry points, the fast tier beneath repro.core.hermite_tile:
  *
  *   hermite_predict        eqs. (6)-(7) truncated after the jerk term, all
  *                          N particles (numpy_predict_hermite);
+ *   hermite_predict_j      the same bits, all N into a component-major
+ *                          (6, N) j-set and the block's rows into the
+ *                          (N, 3) predictions (numpy_predict_j_set);
  *   hermite_advance_block  per block particle: the Hermite corrector, the
  *                          Aarseth criterion, the block quantisation and
  *                          the scatter into the particle arrays
@@ -13,7 +16,8 @@
  *
  * Each reads the arrays that outlive a call - a system's state, the
  * predictions - through a struct the caller bound once (struct
- * predicted, struct block_state); the block and the force on it are
+ * predicted, struct predicted_j, struct block_state); the block and the
+ * force on it are
  * copied into buffers bound with them, so a call passes the struct and
  * what changes: the block size and time.
  *
@@ -59,7 +63,8 @@
 #include <string.h>
 
 /* what hermite_advance_block answers, in its low three bits; the
- * position in the block of the particle concerned is in the bits above */
+ * position in the block of the particle concerned is in the bits above
+ * (hermite_predict_j answers 0 or INDEX_OUT_OF_RANGE alone) */
 enum {
     ADVANCED = 0,
     STEP_NOT_A_POWER_OF_TWO = 1, /* nor, then, positive */
@@ -69,6 +74,28 @@ enum {
 };
 
 #define ANSWER(code, k) (((ptrdiff_t)(k) << 3) | (code))
+
+/* One component of eq. (6) through the jerk term, Horner:
+ * x = ((j*dt/6 + a/2)*dt + v)*dt + x.  Both predictors below call this
+ * and predicted_v, so they share one IEEE order by construction. */
+static inline double predicted_x(double dt, double x0, double v0, double a0, double j0)
+{
+    double x = j0 * (dt / 6.0);
+    x += 0.5 * a0;
+    x *= dt;
+    x += v0;
+    x *= dt;
+    return x + x0;
+}
+
+/* eq. (7): v = (j*dt/2 + a)*dt + v */
+static inline double predicted_v(double dt, double v0, double a0, double j0)
+{
+    double v = j0 * (dt / 2.0);
+    v += a0;
+    v *= dt;
+    return v + v0;
+}
 
 /* what hermite_predict reads and writes: (n,) times, (n, 3) stored
  * derivatives, (n, 3) predictions */
@@ -90,25 +117,69 @@ void hermite_predict(double t_now, const struct predicted *p)
      * elements and vectorise, which a per-particle loop does not */
     for (ptrdiff_t i = 0; i < n; i++)
         vp[3 * i] = vp[3 * i + 1] = vp[3 * i + 2] = t_now - t0[i];
-    for (ptrdiff_t k = 0; k < 3 * n; k++) {
-        /* Horner: x = ((j*dt/6 + a/2)*dt + v)*dt + x */
-        const double dt = vp[k];
-        double x = j0[k] * (dt / 6.0);
-        x += 0.5 * a0[k];
-        x *= dt;
-        x += v0[k];
-        x *= dt;
-        x += x0[k];
-        xp[k] = x;
+    for (ptrdiff_t k = 0; k < 3 * n; k++)
+        xp[k] = predicted_x(vp[k], x0[k], v0[k], a0[k], j0[k]);
+    for (ptrdiff_t k = 0; k < 3 * n; k++)
+        vp[k] = predicted_v(vp[k], v0[k], a0[k], j0[k]);
+}
+
+/* what hermite_predict_j reads and writes: the state as for
+ * hermite_predict; cj the (6, n) j-set, rows x y z vx vy vz; xp, vp the
+ * (n, 3) predictions, of which only the block's rows are written; block
+ * the caller's rows, staged */
+struct predicted_j {
+    ptrdiff_t n;
+    const double *t0, *x0, *v0, *a0, *j0;
+    double *cj, *xp, *vp;
+    const int64_t *block;
+};
+
+/* The n particles into the (6, n) cj, each component to its own row.
+ * Restrict parameters and one loop per quantity: gcc 12 vectorises
+ * neither through struct fields nor one loop that writes all six rows. */
+static void predict_component_major(ptrdiff_t n, double t_now, const double *restrict t0,
+                                    const double *restrict x0, const double *restrict v0,
+                                    const double *restrict a0, const double *restrict j0,
+                                    double *restrict cj)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double dt = t_now - t0[i];
+        for (int c = 0; c < 3; c++) {
+            const ptrdiff_t k = 3 * i + c;
+            cj[c * n + i] = predicted_x(dt, x0[k], v0[k], a0[k], j0[k]);
+        }
     }
-    for (ptrdiff_t k = 0; k < 3 * n; k++) {
-        const double dt = vp[k];
-        double v = j0[k] * (dt / 2.0);
-        v += a0[k];
-        v *= dt;
-        v += v0[k];
-        vp[k] = v;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const double dt = t_now - t0[i];
+        for (int c = 0; c < 3; c++) {
+            const ptrdiff_t k = 3 * i + c;
+            cj[(3 + c) * n + i] = predicted_v(dt, v0[k], a0[k], j0[k]);
+        }
     }
+}
+
+/* All n particles into cj and the first n_b rows of the staged block
+ * into xp, vp: 0, or INDEX_OUT_OF_RANGE, before anything is written,
+ * if a block row is outside the set. */
+int hermite_predict_j(double t_now, const struct predicted_j *p, ptrdiff_t n_b)
+{
+    const ptrdiff_t n = p->n;
+    const int64_t *block = p->block;
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        if (block[k] < 0 || block[k] >= n)
+            return INDEX_OUT_OF_RANGE;
+    }
+    double *cj = p->cj;
+    predict_component_major(n, t_now, p->t0, p->x0, p->v0, p->a0, p->j0, cj);
+    double *xp = p->xp, *vp = p->vp;
+    for (ptrdiff_t k = 0; k < n_b; k++) {
+        const ptrdiff_t r = (ptrdiff_t)block[k];
+        for (int c = 0; c < 3; c++) {
+            xp[3 * r + c] = cj[c * n + r];
+            vp[3 * r + c] = cj[(3 + c) * n + r];
+        }
+    }
+    return 0;
 }
 
 #define MANTISSA ((UINT64_C(1) << 52) - 1)

@@ -64,8 +64,8 @@ enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
 /* The j-memory one call streams, component-major: row c of the
  * positions and velocities starts at c * stride, and the first n_j
  * columns are the j-set.  A machine's j-memory is bound once per
- * allocation (pipeline.bind_j_set) and rewritten in place by
- * pipeline_load, which sets n_j.  The staging rows x .. host are what
+ * allocation, at its first load (pipeline.JSet), and rewritten in
+ * place by pipeline_load, which sets n_j.  The staging rows x .. host are what
  * a load copies its inputs into, bound at the first load with the
  * formats it stores them in. */
 struct j_set {

@@ -58,7 +58,7 @@ from .chip import BlockExponents, charge_block
 from .memory import StripedStore
 from .pipeline import (
     PLANE_OUTPUTS, TILE_FITS, TILE_OVERFLOWS, TILE_SATURATES, TILE_UNCACHED, UNCACHED, JSet,
-    PipelineFormats, bind_j_set, forces, quantize, round_float,
+    PipelineFormats, forces, quantize, round_float,
 )
 from .predictor_unit import predict_memory
 from .summation import reduce_partials
@@ -306,10 +306,10 @@ class Grape6Emulator:
     def _j_set(self, t: float | None) -> JSet:
         """The j-set the tile streams when it is not the striped store's
         own: the chip memories (:meth:`_gathered`), predicted to ``t``
-        if given, bound for the call."""
+        if given."""
         gather = self._gathered()
         rows = (gather.pos_q, gather.vel) if t is None else predict_memory(gather, t, self.formats)
-        return bind_j_set(rows[0].T, rows[1].T, gather.mass, gather.host_index)
+        return JSet(rows[0].T, rows[1].T, gather.mass, gather.host_index)
 
     def _gathered(self) -> GatheredJSet:
         """The machine's j-set, row-major: the striped store's own rows

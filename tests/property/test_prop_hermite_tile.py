@@ -38,7 +38,8 @@ pytestmark = pytest.mark.tiers
 
 EPS2 = (1.0 / 64.0) ** 2
 STATE = STATE_VECTORS + STATE_SCALARS
-SERVING = hermite_tile.HermiteTile(hermite_tile.predict_hermite, hermite_tile.advance_block)
+SERVING = hermite_tile.HermiteTile(
+    hermite_tile.predict_hermite, hermite_tile.advance_block, hermite_tile.predict_j_set)
 
 #: the tier(s) a refusal is asked of: the numpy one, and the process's if
 #: that is another

@@ -644,8 +644,8 @@ def test_an_overflowing_total_is_answered_apart_from_a_saturating_term(tier):
     answer, exponent, force and table entry."""
     x, v, m, xi, vi = far_cluster()
     fmt = PipelineFormats.default()
-    j_set = tier.bind_j_set(np.empty((3, 300), np.int64), np.empty((3, 300)), np.empty(300),
-                            np.empty(300, np.int64))
+    j_set = pipeline.JSet(np.empty((3, 300), np.int64), np.empty((3, 300)), np.empty(300),
+                          np.empty(300, np.int64))
     tier.load_j_set(j_set, fmt, x, v, fmt.word.round(m))
     answers = []
     for offset in range(-40, 4):
@@ -653,7 +653,7 @@ def test_an_overflowing_total_is_answered_apart_from_a_saturating_term(tier):
         exponents = np.full((7, 5), offset)
         answer, used, forces = tier.forces(j_set, xi, vi, np.arange(5), cache, exponents,
                                            EPS2, fmt)
-        want = NUMPY_PIPELINE.forces(*(NUMPY_PIPELINE.bind_j_set(*j_set.columns()), xi, vi,
+        want = NUMPY_PIPELINE.forces(*(pipeline.JSet(*j_set.columns()), xi, vi,
                                        np.arange(5), np.full((3, 8), UNCACHED), exponents,
                                        EPS2, fmt))
         assert (answer, used.tobytes()) == (want[0], want[1].tobytes())

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro import plummer_model
 from repro.forces import compiled
-from repro.hardware import EMULATION_MODES, Grape6Emulator, JParticleMemory, pipeline
+from repro.hardware import EMULATION_MODES, Grape6Emulator, JParticleMemory, memory, pipeline
 from tests.conftest import needs_compiled, use_pipeline_tier
 
 pytestmark = pytest.mark.tiers
@@ -131,8 +131,8 @@ def test_a_blockstep_crosses_into_the_tile_twice(monkeypatch, boards):
     """One blockstep of the ``serial_grape`` workload's shape (N = 256, a
     reload that is not elided, then a force call on 31 targets whose
     exponents are cached) makes two calls into ``pipeline_tile.c`` - the
-    load and the forces - and binds no new ``struct j_set``: the reload
-    writes the buffers bound at the first load.  Counted on the library
+    load and the forces - and allocates no new j-memory (``JSet``): the
+    reload writes the buffers bound at the first load.  Counted on the library
     itself (``errcheck`` sees every call of an entry point), with a
     tier bound to it serving the whole emulator."""
     library, _ = compiled.load_library("pipeline_tile")
@@ -147,11 +147,15 @@ def test_a_blockstep_crosses_into_the_tile_twice(monkeypatch, boards):
         if isinstance(entry, ctypes._CFuncPtr):
             entry.errcheck = count
 
-    def bind_j_set(*arrays):
-        binds.append(arrays[0].shape)
-        return tier.bind_j_set(*arrays)
+    class CountedJSet(pipeline.JSet):
+        __slots__ = ()
 
-    use_pipeline_tier(monkeypatch, tier._replace(bind_j_set=bind_j_set))
+        def __init__(self, *arrays):
+            binds.append(arrays[0].shape)
+            super().__init__(*arrays)
+
+    use_pipeline_tier(monkeypatch, tier)
+    monkeypatch.setattr(memory, "JSet", CountedJSet)
     s = plummer_model(256, seed=2003)
     idx = np.arange(0, 256, 8)[:31]
     emu = Grape6Emulator(EPS2, boards=boards)

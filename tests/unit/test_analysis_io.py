@@ -157,6 +157,7 @@ class TestSnapshotIO:
         integ_c.stats = SS()
         integ_c._xp = np.empty_like(restored.pos)
         integ_c._vp = np.empty_like(restored.vel)
+        integ_c._forces_at = integ_c._j_side(integ_c.backend)
         integ_c.scheduler = BlockScheduler(restored.t, restored.dt)
         integ_c.run(0.125)
 
