@@ -12,15 +12,17 @@ call on the new j-set back to back; that pair is floored too, outside
 the budget.  Outside the budget too, the direct backend's two crossings
 a blockstep on the ``serial_direct`` workload's shape (Plummer N = 1024,
 blocks of 16): its predict phase and its force phase.  Beside them,
-outside the budget, it floors the copy algorithm's
-two calls a blockstep on the ``cluster_latency`` workload's shape (N =
-128 on 16 simulated hosts, inline, blocks of 15): ``forces_on`` and the
-coherence exchange ``exchange_updated``, and the ledger's fold of one
-full round log of that workload's messages, printed in reference-box
-units.  Also outside the budget, the two halves of a checkpoint on the
-``service_resume`` workload's shape (Plummer N = 128, every particle
-stepped): the encode and the durable write (open, write, fsync, close,
-rename), both on the thread that steps a job.  The per-part tables of
+outside the budget, it floors the copy algorithm's blockstep on the
+``cluster_latency`` workload's shape (N = 128 on 16 simulated hosts,
+inline, blocks of 15): its predict phase and its force phase as the
+integrator runs them, with the direct backend's two phases on the same
+problem beside them, its coherence exchange ``exchange_updated``, and
+the ledger's fold of one full round log of that workload's messages,
+printed in reference-box units.  Also outside the budget, the two
+halves of a checkpoint on the ``service_resume`` workload's shape
+(Plummer N = 128, every particle stepped): the encode and the durable
+write (open, write, fsync, close, rename), both on the thread that
+steps a job.  The per-part tables of
 EXPERIMENTS.md are this file's output::
 
     PYTHONPATH=src python benchmarks/test_boundary_floors.py
@@ -125,37 +127,14 @@ def crossings() -> dict:
     }
 
 
-def copy_crossings() -> dict:
-    """The copy algorithm's force call and coherence exchange, in the
-    ``(call, reset)`` form of :func:`crossings`.  The exchange's floor
-    leaves out the ledger's fold, which runs once every ~13 calls."""
-    s = plummer_model(COPY_N, seed=2003)
-    copy = CopyAlgorithm(SimNetwork(COPY_P), EPS2)
-    copy.set_j_particles(s.pos, s.vel, s.mass)
-    block = np.arange(0, COPY_N, COPY_N // COPY_N_B)[:COPY_N_B]
-    xi, vi = s.pos[block], s.vel[block]
-    return {
-        f"copy forces_on n_b = {COPY_N_B}": (lambda: copy.forces_on(xi, vi, block), None),
-        f"copy exchange_updated n_b = {COPY_N_B}": (
-            lambda: copy.exchange_updated(block), None),
-    }
-
-
-def direct_crossings() -> dict:
-    """The direct backend's two crossings a blockstep on the
-    ``serial_direct`` shape (Plummer N = 1024, blocks of 16), in the
-    ``(call, reset)`` form of :func:`crossings`: its predict phase and its
-    force phase as the integrator runs them.  A backend with
+def j_side(backend, s, t: float, block: np.ndarray) -> tuple:
+    """A blockstep's predict phase and force phase on ``backend`` as the
+    integrator runs them, for the system ``s`` at ``t``: a backend with
     ``predict_j`` predicts its resident j-set and the block's rows, then
     takes the forces on the set's own particles; on a commit without it
     the host predicts all N, then uploads them and takes the forces on
     the block's rows."""
-    s = plummer_model(DIRECT_N, seed=2003)
-    integ = BlockTimestepIntegrator(s, EPS2)
-    integ.run(1.0 / 256.0)
-    backend, t = integ.backend, float(s.t.max())
-    xp, vp = np.empty((DIRECT_N, 3)), np.empty((DIRECT_N, 3))
-    block = np.arange(0, DIRECT_N, DIRECT_N // DIRECT_N_B)[:DIRECT_N_B]
+    xp, vp = np.empty((s.n, 3)), np.empty((s.n, 3))
     if hasattr(backend, "predict_j"):
         def predict():
             backend.predict_j(t, s, xp, vp, block)
@@ -170,6 +149,43 @@ def direct_crossings() -> dict:
             backend.set_j_particles(xp, vp, s.mass)
             backend.forces_on(xp[block], vp[block], block)
     predict()
+    return predict, force
+
+
+def copy_crossings() -> dict:
+    """The copy algorithm's predict and force phases, the direct
+    backend's on the same problem, and the copy's coherence exchange, in
+    the ``(call, reset)`` form of :func:`crossings`.  The exchange's floor
+    leaves out the ledger's fold, which runs once every ~13 calls."""
+    s = plummer_model(COPY_N, seed=2003)
+    copy = CopyAlgorithm(SimNetwork(COPY_P), EPS2)
+    integ = BlockTimestepIntegrator(s, EPS2)
+    integ.run(1.0 / 64.0)
+    t = float(s.t.max())
+    block = np.arange(0, COPY_N, COPY_N // COPY_N_B)[:COPY_N_B]
+    copy_predict, copy_force = j_side(copy, s, t, block)
+    direct_predict, direct_force = j_side(integ.backend, s, t, block)
+    shape = f"N = {COPY_N}, n_b = {COPY_N_B}"
+    return {
+        f"copy predict {shape}": (copy_predict, None),
+        f"copy force {shape}": (copy_force, None),
+        f"direct predict {shape}": (direct_predict, None),
+        f"direct force {shape}": (direct_force, None),
+        f"copy exchange_updated n_b = {COPY_N_B}": (
+            lambda: copy.exchange_updated(block), None),
+    }
+
+
+def direct_crossings() -> dict:
+    """The direct backend's two crossings a blockstep on the
+    ``serial_direct`` shape (Plummer N = 1024, blocks of 16), in the
+    ``(call, reset)`` form of :func:`crossings`: its predict phase and its
+    force phase as the integrator runs them (:func:`j_side`)."""
+    s = plummer_model(DIRECT_N, seed=2003)
+    integ = BlockTimestepIntegrator(s, EPS2)
+    integ.run(1.0 / 256.0)
+    block = np.arange(0, DIRECT_N, DIRECT_N // DIRECT_N_B)[:DIRECT_N_B]
+    predict, force = j_side(integ.backend, s, float(s.t.max()), block)
     return {
         f"direct predict N = {DIRECT_N}, n_b = {DIRECT_N_B}": (predict, None),
         f"direct force n_b = {DIRECT_N_B}": (force, None),

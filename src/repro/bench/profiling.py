@@ -57,10 +57,11 @@ ATTRIBUTION_RULES: list[tuple[str, str | None, str | None]] = [
     ("repro/parallel/barrier.py", None, T_BARRIER),
     ("repro/parallel/simcomm.py", None, T_COMM),
     ("repro/parallel/virtualtime.py", None, T_COMM),
+    # a resident j-set's prediction: inside the blockstep's host-phase
+    # ``predict`` span, as the tracer has it
+    ("repro/parallel/copy_algorithm.py", "predict_j", T_HOST),
     ("repro/parallel/", None, T_COMM),
     ("repro/forces/compiled.py", None, None),
-    # the resident j-set's prediction: inside the blockstep's host-phase
-    # ``predict`` span, as the tracer has it
     ("repro/forces/direct.py", "predict_j", T_HOST),
     ("repro/forces/", None, T_PIPE),
     ("repro/hardware/", None, T_PIPE),

@@ -16,14 +16,17 @@ Aarseth individual-timestep scheme in its blockstep form, with the
 Where the j-side prediction goes depends on the force backend and is
 settled once, when the integrator is built or restored
 (:meth:`BlockTimestepIntegrator._j_side`).  A backend with
-``predict_j`` (:class:`~repro.forces.direct.DirectSummation`) keeps a
-resident j-set and has all N predicted straight into it
+``predict_j`` (:class:`~repro.forces.direct.DirectSummation`, and the
+copy algorithm, :class:`~repro.parallel.copy_algorithm.CopyAlgorithm`,
+whose every simulated node predicts its own copy) keeps a resident
+j-set and has all N predicted straight into it
 (:func:`~repro.core.hermite_tile.predict_j_set`), as the real machine's
 predictor pipelines extrapolate their j-memory (eqs. 6-7); only the
 block's rows come back, so the host touches O(n_b) rows, as in the
-``t_host`` term of the paper's eq. 10.  Any
-other backend (the emulator, the ``g6_*`` library, the parallel
-algorithms) is uploaded the whole set: the host predicts all N
+``t_host`` term of the paper's eq. 10, and the force call is handed
+only the block's indices.  Any other backend (the emulator, the
+``g6_*`` library, the ring, 2-D grid and hybrid algorithms) is uploaded
+the whole set: the host predicts all N
 (:func:`~repro.core.hermite_tile.predict_hermite`), then
 ``set_j_particles`` and ``forces_on``.  Step 4 is one call into
 :mod:`repro.core.hermite_tile`.

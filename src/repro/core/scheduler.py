@@ -16,10 +16,10 @@ O(N) scan per blockstep (numpy: a ``min``, an ``==`` and a
 but not beside the rest of a blockstep at small N: measured,
 :meth:`BlockScheduler.next_block` is 2.4-3.1 us at N = 128 and 5.7-5.9 us
 at N = 1024, of the 45-50 us a blockstep costs outside the force call
-since the corrector is compiled (:mod:`repro.core.hermite_tile`).  So a
-run loop that only needs the time asks :meth:`BlockScheduler.next_time`
-(the ``min`` alone, 0.8-1.9 us) and the block is extracted once per
-blockstep, by ``step()``.
+since the corrector is compiled (:mod:`repro.core.hermite_tile`).  So
+the scheduler keeps its answer until the next :meth:`BlockScheduler.update`:
+a run loop's :meth:`BlockScheduler.next_time` and the ``step()`` that
+follows it share one scan.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ class BlockScheduler:
         if np.any(dt <= 0.0):
             raise ValueError("all timesteps must be positive")
         self._t_next = t + dt
+        self._next: tuple[float, np.ndarray] | None = None
 
     @classmethod
     def from_t_next(cls, t_next: np.ndarray) -> "BlockScheduler":
@@ -62,6 +63,7 @@ class BlockScheduler:
             raise ValueError("t_next must be a non-empty 1-D array")
         sched = cls.__new__(cls)
         sched._t_next = t_next
+        sched._next = None
         return sched
 
     @property
@@ -72,9 +74,10 @@ class BlockScheduler:
         return v
 
     def next_time(self) -> float:
-        """The next block time alone: what a run loop compares with its
-        end time before :meth:`next_block` is asked for the block."""
-        return float(self._t_next.min())
+        """The next block time: what a run loop compares with its end
+        time before a step asks :meth:`next_block` for the block (the
+        same answer, found once)."""
+        return self.next_block()[0]
 
     def next_block(self) -> tuple[float, np.ndarray]:
         """Return (t_block, indices) of the next block to integrate.
@@ -82,16 +85,21 @@ class BlockScheduler:
         ``indices`` are all particles whose ``t_next`` equals the global
         minimum (exact comparison: block times are sums of powers of
         two, hence exactly representable and exactly equal across
-        particles in the same block).
+        particles in the same block).  The answer is kept until the
+        next :meth:`update`; do not write into ``indices``.
         """
-        t_block = float(self._t_next.min())
-        # int64 whatever the platform's intp: what advance_block points into
-        indices = np.flatnonzero(self._t_next == t_block).astype(np.int64, copy=False)
-        return t_block, indices
+        answer = self._next
+        if answer is None:
+            t_block = float(self._t_next.min())
+            # int64 whatever the platform's intp: what advance_block points into
+            indices = np.flatnonzero(self._t_next == t_block).astype(np.int64, copy=False)
+            answer = self._next = t_block, indices
+        return answer
 
     def update(self, indices: np.ndarray, t_new: float, dt_new: np.ndarray) -> None:
         """Record new times/steps for the particles just integrated."""
         self._t_next[indices] = t_new + dt_new
+        self._next = None
 
     def block_sizes_until(
         self, t: np.ndarray, dt: np.ndarray, t_end: float

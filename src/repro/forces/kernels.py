@@ -211,12 +211,21 @@ def _answers(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class ResidentSet:
     """A j-set held for the tile by the backend that owns it: ``cj``
     (6, n) positions and velocities, component-major, and ``gm`` (n,)
-    ``G m``; on the compiled tier the binding of its force call."""
+    ``G m``; on the compiled tier the binding of its force call.
+
+    Given ``cj`` and ``gm`` (contiguous float64 of those shapes), the set
+    is over arrays it does not own: its owner keeps them alive, and sets
+    over the same arrays share the j-set but not a binding, so each may
+    serve one thread's calls (the execution backends' one set a worker).
+    """
 
     __slots__ = ("n", "cj", "gm", "call")
 
-    def __init__(self, n: int) -> None:
-        self.n, self.cj, self.gm = n, np.empty((6, n)), np.empty(n)
+    def __init__(self, n: int, cj: np.ndarray | None = None,
+                 gm: np.ndarray | None = None) -> None:
+        self.n = n
+        self.cj = np.empty((6, n)) if cj is None else cj
+        self.gm = np.empty(n) if gm is None else gm
         self.call = None
 
     def load(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
@@ -426,6 +435,22 @@ def pairwise_acc_jerk_pot(
     sums = np.empty((7, ci.shape[1]))  # j-sums of acc(3), jerk(3), m/r
     _tile_sums(ci, cj, gm, float(eps2), bool(exclude_self), sums)
     return _answers(sums)
+
+
+def resident_forces(
+    j_set: ResidentSet,
+    xi: np.ndarray | None,
+    vi: np.ndarray | None,
+    rows: np.ndarray | None,
+    eps2: float,
+    exclude_self: bool,
+) -> ForceJerkResult:
+    """Forces on targets ``xi``, ``vi`` (n_i, 3), or, with ``xi`` None, on
+    the set's own particles ``rows``, from the resident set ``j_set``,
+    with the interaction count: the tier's force call on the set."""
+    acc, jerk, pot = _tier.forces(j_set, xi, vi, rows, eps2, exclude_self)
+    n_i = len(pot)
+    return ForceJerkResult(acc, jerk, pot, n_i * j_set.n - (n_i if exclude_self else 0))
 
 
 def acc_jerk_pot_on_targets(

@@ -92,8 +92,10 @@ class ParallelBlockIntegrator(BlockTimestepIntegrator):
         """Rebuild a parallel integrator mid-run from ``state_dict``.
 
         ``algorithm`` is the freshly constructed parallel force backend
-        (it is not checkpointed: every blockstep re-uploads the j-side,
-        so an identically configured algorithm reproduces the same
+        (it is not checkpointed: every blockstep rebuilds the whole
+        j-side from the particle arrays - the copy algorithm predicts it
+        into its resident set, the others have it predicted and uploaded
+        - so an identically configured algorithm reproduces the same
         forces and the same virtual-time charges going forward).
         ``backend`` is accepted for signature compatibility but the
         algorithm, when given, always serves as the force backend.

@@ -7,8 +7,11 @@ module is that one call for the simulated ranks.  A blockstep is made
 of two things:
 
 * **rank compute** — the force tiles, pure array->array calls of
-  :func:`repro.forces.kernels.acc_jerk_pot_on_targets`, so they can run
-  anywhere: the driver thread, a thread pool, or real worker processes.
+  :func:`repro.forces.kernels.acc_jerk_pot_on_targets` on uploaded
+  j-sets, or of :func:`repro.forces.kernels.resident_forces` on the
+  arena's resident j-set (:meth:`ExecutionBackend.resident`, which the
+  copy algorithm predicts in place), so they can run anywhere: the
+  driver thread, a thread pool, or real worker processes.
 * **virtual-time accounting** — sends, recvs, barriers, clock
   advances, ledger records, tracer spans.  This is cheap and
   order-sensitive, so it is *always* replayed by the single driver in
@@ -29,10 +32,12 @@ The one dispatch is :meth:`ExecutionBackend.run_tasks`: a list of
 :class:`~repro.forces.kernels.ForceJerkResult` holding every tile's rows
 in tile order.  The tiles are cut into one contiguous run per worker.
 Unobserved, adjacent tiles of a run that continue each other's i rows
-over one j-set — the copy algorithm's contiguous rank shares — are one
-kernel call: one call inline, one per worker on ``thread:k`` and
-``process:k``.  An attached observer (the rank observatory, which
-measures each rank's tile) gets one call per tile.  Ring and 2-D grid
+over one j-set — the copy algorithm's contiguous rank shares, each the
+resident set's force call on its rows of the block — are one kernel
+call: one call inline, one per worker on ``thread:k`` and
+``process:k``, each worker through its own binding of the set.  An
+attached observer (the rank observatory, which measures each rank's
+tile) gets one call per tile.  Ring and 2-D grid
 tiles differ in their j-sets and are one call each.
 
 Backends
@@ -47,9 +52,9 @@ Backends
 ``process``
     Persistent worker processes, each on a private pipe, over one POSIX
     shared-memory arena that the driver owns: it holds every published
-    array and every tile's output rows.  A dispatch is ONE message per
-    worker (its run of calls: row slices or index arrays, flags and
-    output offsets) and ONE reply per worker (its interaction count,
+    array, the resident j-set and every tile's output rows.  A dispatch
+    is ONE message per worker (its run of calls: row slices or index
+    arrays, flags and output offsets) and ONE reply per worker (its interaction count,
     and samples when observed); the worker writes its rows into the
     arena in place and creates no segment, so its cost is per worker,
     not per rank.  Measured floors and the crossover N are in
@@ -73,7 +78,12 @@ try:  # POSIX only; samples carry zeros where rusage is unavailable
 except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
 
-from ..forces.kernels import ForceJerkResult, acc_jerk_pot_on_targets
+from ..forces.kernels import (
+    ForceJerkResult,
+    ResidentSet,
+    acc_jerk_pot_on_targets,
+    resident_forces,
+)
 
 #: The selectable backend names, in preference order for docs/CLIs.
 EXEC_BACKENDS = ("inline", "thread", "process")
@@ -81,34 +91,51 @@ EXEC_BACKENDS = ("inline", "thread", "process")
 #: The output rows of a dispatch, in the order a call writes them.
 _OUTPUTS = (("acc", 3), ("jerk", 3), ("pot", None))
 _FLOAT64 = np.dtype(np.float64)
+_INT64 = np.dtype(np.int64)
+
+#: ``Tile.j_rows`` of a tile on the resident j-set whose targets are the
+#: set's own particles ``block[i_rows]`` (the published int64 ``block``).
+RESIDENT_BLOCK = "block"
+#: ``Tile.j_rows`` of a tile on the resident j-set whose targets are the
+#: rows ``i_rows`` of the published ``ix``/``iv``.
+RESIDENT_ROWS = "ix"
 
 
 class Tile(NamedTuple):
-    """One force tile: the targets ``i_rows`` of the published
-    ``ix``/``iv`` against the sources ``j_rows`` of ``jx``/``jv``/``jm``,
-    computed for ``rank``.
+    """One force tile, computed for ``rank``: the targets ``i_rows`` of
+    the published ``ix``/``iv`` against the sources ``j_rows`` of the
+    uploaded ``jx``/``jv``/``jm``; or, with ``j_rows`` one of
+    :data:`RESIDENT_BLOCK` and :data:`RESIDENT_ROWS`, targets ``i_rows``
+    of what that names against the whole resident j-set
+    (:meth:`ExecutionBackend.resident`).
 
     ``i_rows`` is a ``slice(lo, hi)`` (explicit bounds, unit step) or an
-    integer index array; ``j_rows`` is a slice.  With ``exclude_self``
-    the kernel drops coincident pairs — set it when targets are also
-    sources.
+    integer index array.  With ``exclude_self`` the kernel drops
+    coincident pairs — set it when targets are also sources.
     """
 
     rank: int
     i_rows: Any
-    j_rows: slice
+    j_rows: slice | str
     exclude_self: bool
 
 
 def _forces(arena: Mapping[str, np.ndarray], tile: Tile, i_rows: Any,
-            eps2: float) -> ForceJerkResult:
-    """The one kernel call: rows ``i_rows`` against ``tile``'s j-set.
+            eps2: float, j_set: ResidentSet | None) -> ForceJerkResult:
+    """The one kernel call: rows ``i_rows`` against ``tile``'s j-set,
+    the resident one through ``j_set`` (the calling worker's binding).
 
-    ``acc_jerk_pot_on_targets`` is looked up when called, so a test can
-    replace the module attribute (a slow, failing or counting kernel)
-    before a pool's workers fork.
+    ``acc_jerk_pot_on_targets`` and ``resident_forces`` are looked up
+    when called, so a test can replace the module attribute (a slow,
+    failing or counting kernel) before a pool's workers fork.
     """
     j = tile.j_rows
+    if j == RESIDENT_BLOCK:
+        return resident_forces(j_set, None, None, arena["block"][i_rows], eps2,
+                               tile.exclude_self)
+    if j == RESIDENT_ROWS:
+        return resident_forces(j_set, arena["ix"][i_rows], arena["iv"][i_rows], None,
+                               eps2, tile.exclude_self)
     return acc_jerk_pot_on_targets(
         arena["ix"][i_rows], arena["iv"][i_rows],
         arena["jx"][j], arena["jv"][j], arena["jm"][j],
@@ -166,9 +193,10 @@ def _monotonic_us() -> float:
     return time.perf_counter() * 1.0e6
 
 
-def _run(arena, out, calls, eps2, observed, attach_bytes=0):
+def _run(arena, out, calls, eps2, observed, j_set, attach_bytes=0):
     """One worker's run of calls, each call's rows written into the
-    ``out`` arrays (acc, jerk, pot) from its first output row on.
+    ``out`` arrays (acc, jerk, pot) from its first output row on, the
+    resident j-set's through the worker's own binding ``j_set``.
     Returns the interactions and, when observed, one
     ``repro.rank_sample/1`` sample per call, ``attach_bytes`` (the arena
     bytes the worker newly attached) charged to the first.
@@ -183,12 +211,12 @@ def _run(arena, out, calls, eps2, observed, attach_bytes=0):
     interactions, samples = 0, []
     for tile, i_rows, row in calls:
         if not observed:
-            res = _forces(arena, tile, i_rows, eps2)
+            res = _forces(arena, tile, i_rows, eps2, j_set)
         else:
             ru0 = resource.getrusage(_RUSAGE_WHO) if resource else None
             t0 = _monotonic_us()
             cpu0 = time.thread_time()
-            res = _forces(arena, tile, i_rows, eps2)
+            res = _forces(arena, tile, i_rows, eps2, j_set)
             cpu_us = (time.thread_time() - cpu0) * 1.0e6
             wall_us = _monotonic_us() - t0
             ru1 = resource.getrusage(_RUSAGE_WHO) if resource else None
@@ -220,8 +248,12 @@ class ExecutionBackend:
     The contract every implementation honours:
 
     * :meth:`publish` makes named arrays visible to the kernel (``ix``
-      / ``iv`` the targets, ``jx`` / ``jv`` / ``jm`` the sources);
-      re-publishing a name replaces it.
+      / ``iv`` the targets, ``jx`` / ``jv`` / ``jm`` the sources,
+      ``block`` the resident set's targets); re-publishing a name
+      replaces it.
+    * :meth:`resident` is the arena's one resident j-set, written in
+      place by its user (:meth:`load_j`, or a predictor) and read by
+      every tile on it.
     * :meth:`run_tasks` evaluates a list of :class:`Tile` records and
       returns their rows **in tile order** — the deterministic merge
       the bit-identity pin relies on.
@@ -248,9 +280,26 @@ class ExecutionBackend:
     #: Arena bytes published over the backend's lifetime.
     publish_bytes: int = 0
     _closed: bool = False
+    #: Cuts of tile tuples: ``(id, merge) -> (tiles, runs, rows)``.
+    _cuts: "dict | None" = None
 
     def publish(self, **arrays: np.ndarray) -> None:
         raise NotImplementedError
+
+    def resident(self, n: int) -> ResidentSet:
+        """The resident j-set of ``n`` particles (made when ``n`` is new):
+        a :class:`~repro.forces.kernels.ResidentSet` over the arena's
+        ``cj`` (6, n) and ``gm`` (n,), the same object from call to call
+        while ``n`` and the arena stay, so that a binding on its arrays
+        (the host predictor's) holds."""
+        raise NotImplementedError
+
+    def load_j(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
+        """Copy (n, 3) ``x``, ``v`` and the ``G m`` of (n,) ``m`` into the
+        resident j-set of n particles; the bytes count as published."""
+        x, v, m = np.asarray(x), np.asarray(v), np.asarray(m)
+        self.resident(len(m)).load(x, v, m)
+        self._note_publish({"x": x, "v": v, "m": m})
 
     def run_tasks(self, tiles: "Sequence[Tile]", eps2: float) -> ForceJerkResult:
         """Evaluate ``tiles`` with softening ``eps2``: one result whose
@@ -262,13 +311,18 @@ class ExecutionBackend:
         on ``thread:k`` or ``process:k`` for a block's contiguous rank
         shares; with an observer attached every tile is its own call,
         so each rank's tile is timed.  A slice ``i_rows`` without
-        explicit bounds and unit step is a ``ValueError``.
+        explicit bounds and unit step is a ``ValueError``.  A tuple of
+        tiles is cut into calls once and the cut kept beside it (the
+        copy algorithm's shares are one tuple per block size).
         """
         if self._closed:
             raise RuntimeError("backend is closed")
         observed = self._observer is not None
         t0 = _monotonic_us() if observed else 0.0
-        runs, rows = _plan(tiles, self.workers, not observed)
+        if tiles.__class__ is tuple:
+            runs, rows = self._cut(tiles, not observed)
+        else:
+            runs, rows = _plan(tiles, self.workers, not observed)
         if runs:
             result, samples = self._dispatch(runs, rows, eps2, observed)
         else:
@@ -287,6 +341,19 @@ class ExecutionBackend:
             self._publish_pending = 0
             self._observer(report)
         return result
+
+    def _cut(self, tiles: tuple, merge: bool):
+        """:func:`_plan` of ``tiles``, kept while ``tiles`` is (at most
+        256 cuts)."""
+        cuts = self._cuts
+        if cuts is None:
+            cuts = self._cuts = {}
+        cut = cuts.get((id(tiles), merge))
+        if cut is None or cut[0] is not tiles:
+            if len(cuts) == 256:
+                cuts.clear()
+            cut = cuts[id(tiles), merge] = (tiles, *_plan(tiles, self.workers, merge))
+        return cut[1], cut[2]
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -314,6 +381,9 @@ class InlineBackend(ExecutionBackend):
 
     def __init__(self) -> None:
         self._arena: dict[str, np.ndarray] = {}
+        #: The resident j-set, one binding of it a worker: ``[0]`` is
+        #: :meth:`resident`'s, the others are over its arrays.
+        self._sets: list[ResidentSet | None] = [None]
 
     def publish(self, **arrays: np.ndarray) -> None:
         if self._closed:
@@ -321,22 +391,36 @@ class InlineBackend(ExecutionBackend):
         self._arena.update(arrays)
         self._note_publish(arrays)
 
+    def resident(self, n: int) -> ResidentSet:
+        j_set = self._sets[0]
+        if j_set is None or j_set.n != n:
+            if self._closed:
+                raise RuntimeError("backend is closed")
+            j_set = ResidentSet(n)
+            self._sets = [j_set, *(ResidentSet(n, j_set.cj, j_set.gm)
+                                   for _ in range(self.workers - 1))]
+        return j_set
+
     def _dispatch(self, runs, rows, eps2, observed):
         if len(runs) == 1 and len(runs[0]) == 1 and not observed:
             tile, i_rows, _ = runs[0][0]  # one call: its rows are the result
-            return _forces(self._arena, tile, i_rows, eps2), []
+            return _forces(self._arena, tile, i_rows, eps2, self._sets[0]), []
         out = (np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows))
         parts = self._map(runs, out, eps2, observed)
         return (ForceJerkResult(*out, sum(n for n, _ in parts)),
                 [s for _, run_samples in parts for s in run_samples])
 
     def _map(self, runs, out, eps2, observed):
-        return [_run(self._arena, out, calls, eps2, observed) for calls in runs]
+        return [_run(self._arena, out, calls, eps2, observed, self._sets[0])
+                for calls in runs]
 
 
 class ThreadBackend(InlineBackend):
     """Thread-pool of rank workers over the driver's arrays (zero-copy):
-    the inline backend with its runs spread over ``workers`` threads."""
+    the inline backend with its runs spread over ``workers`` threads.
+    Run ``w`` calls the resident j-set through binding ``w``: the runs of
+    a dispatch run at once, and a binding's staging buffers serve one
+    call at a time."""
 
     name = "thread"
 
@@ -345,6 +429,7 @@ class ThreadBackend(InlineBackend):
         self.workers = int(workers) if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("need at least one worker")
+        self._sets = [None] * self.workers
         self._pool = None
 
     def _map(self, runs, out, eps2, observed):
@@ -355,8 +440,8 @@ class ThreadBackend(InlineBackend):
 
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-rank")
-        futures = [self._pool.submit(_run, self._arena, out, calls, eps2, observed)
-                   for calls in runs]
+        futures = [self._pool.submit(_run, self._arena, out, calls, eps2, observed, j_set)
+                   for calls, j_set in zip(runs, self._sets)]
         return [f.result() for f in futures]
 
     def close(self) -> None:
@@ -439,13 +524,23 @@ class _Arena:
             self.shm = None
 
 
-def _attached_run(buf, layout, calls, eps2, observed, attach_bytes):
+def _attached_run(buf, layout, calls, eps2, observed, attach_bytes, j_set):
     """A worker's run over the arena views of ``layout`` in ``buf``; the
     views die with this frame, so the segment can be closed later."""
     arena = {key: np.ndarray(shape, dtype, buf, offset)
              for key, (offset, dtype, shape) in layout.items()}
     out = [arena[key] for key, _ in _OUTPUTS]
-    return _run(arena, out, calls, eps2, observed, attach_bytes)
+    return _run(arena, out, calls, eps2, observed, j_set, attach_bytes)
+
+
+def _resident_view(buf, layout) -> ResidentSet | None:
+    """The resident j-set of ``layout`` in ``buf`` (None without one): a
+    worker's own binding of it, kept while the segment and the set's
+    layout are."""
+    if "cj" not in layout:
+        return None
+    (cj, dtype, shape), (gm, _, (n,)) = layout["cj"], layout["gm"]
+    return ResidentSet(n, np.ndarray(shape, dtype, buf, cj), np.ndarray((n,), dtype, buf, gm))
 
 
 def _worker_loop(conn, inherited) -> None:
@@ -466,6 +561,7 @@ def _worker_loop(conn, inherited) -> None:
     for handle in inherited:
         handle.close()
     shm = None  # the attached arena; exiting unmaps it
+    j_set, j_layout = None, None  # the resident set's binding here, over ``shm``
     while True:
         try:
             message = conn.recv()
@@ -477,13 +573,20 @@ def _worker_loop(conn, inherited) -> None:
         try:
             attach_bytes = 0
             if shm is None or shm.name != name:
+                # a view holds no export of the segment, so closing it
+                # unmaps what the binding's views point into: drop it first
+                # (a moved arena may keep the set's layout)
+                j_set, j_layout = None, None
                 if shm is not None:
                     shm.close()
                     shm = None
                 shm = shared_memory.SharedMemory(name=name)
                 attach_bytes = shm.size
+            if (layout.get("cj"), layout.get("gm")) != j_layout:
+                j_set = _resident_view(shm.buf, layout)
+                j_layout = layout.get("cj"), layout.get("gm")
             reply = True, _attached_run(
-                shm.buf, layout, calls, eps2, observed, attach_bytes)
+                shm.buf, layout, calls, eps2, observed, attach_bytes, j_set)
         except Exception as exc:  # a kernel's own: the driver re-raises it
             reply = False, exc
         conn.send(reply)
@@ -496,12 +599,14 @@ class ProcessBackend(ExecutionBackend):
 
     Workers start lazily (``fork`` where available, so they inherit the
     loaded interpreter; ``spawn`` otherwise) and persist across
-    blocksteps.  ``publish`` memcpys each array into the arena — ~56
-    bytes/particle for the j-side per blockstep.  ``run_tasks`` sends
-    each worker its contiguous run of calls (the algorithms emit
-    near-equal tiles in rank order, so that balances to within a tile),
-    reads the replies in worker order and copies the rows out of the
-    arena once.
+    blocksteps.  ``publish`` memcpys each array into the arena.  The
+    resident j-set lives in the arena too, written in place by the
+    driver: a copy-algorithm blockstep publishes only the block's
+    indices, 8 bytes a block particle, where an uploaded j-side costs
+    56 bytes a particle.  ``run_tasks`` sends each worker its
+    contiguous run of calls (the algorithms emit near-equal tiles in
+    rank order, so that balances to within a tile), reads the replies
+    in worker order and copies the rows out of the arena once.
 
     A kernel's exception is re-raised here with its own type once every
     reply of the dispatch has been read, and the backend stays usable; a
@@ -517,6 +622,8 @@ class ProcessBackend(ExecutionBackend):
         self._arena = _Arena()
         self._procs: list = []
         self._conns: list = []
+        self._j: ResidentSet | None = None  # the driver's view of the resident set
+        self._j_shm = None  # the segment it is a view of
 
     def _ensure_pool(self) -> list:
         if not self._procs:
@@ -540,6 +647,20 @@ class ProcessBackend(ExecutionBackend):
         for key, arr in arrays.items():
             self._arena.array(key)[...] = arr
         self._note_publish(arrays)
+
+    def resident(self, n: int) -> ResidentSet:
+        j_set, arena = self._j, self._arena
+        if j_set is None or j_set.n != n or self._j_shm is not arena.shm:
+            if self._closed:
+                raise RuntimeError("backend is closed")
+            # the block's indices and the outputs get room for all n
+            # particles with the set, so no later blockstep moves the arena
+            arena.reserve({"cj": ((6, n), _FLOAT64), "gm": ((n,), _FLOAT64),
+                           "block": ((n,), _INT64), "acc": ((n, 3), _FLOAT64),
+                           "jerk": ((n, 3), _FLOAT64), "pot": ((n,), _FLOAT64)})
+            j_set = self._j = ResidentSet(n, arena.array("cj"), arena.array("gm"))
+            self._j_shm = arena.shm
+        return j_set
 
     def _dispatch(self, runs, rows, eps2, observed):
         arena = self._arena
@@ -588,6 +709,7 @@ class ProcessBackend(ExecutionBackend):
             conn.close()
         self._procs.clear()
         self._conns.clear()
+        self._j = self._j_shm = None
         self._arena.close()
 
     def __del__(self) -> None:  # pragma: no cover - GC safety net

@@ -61,6 +61,7 @@ from repro.hardware.fixedpoint import FixedPointFormat
 from repro.hardware.floatformat import FloatFormat
 from repro.hardware.pipeline import NUMPY_PIPELINE, TILE_FITS, UNCACHED, PipelineFormats
 from repro.models import plummer_model
+from repro.parallel import CopyAlgorithm, ParallelBlockIntegrator, SimNetwork
 from tests.conftest import needs_compiled, tiers, use_pipeline_tier
 
 pytestmark = pytest.mark.tiers
@@ -403,6 +404,31 @@ def test_a_direct_blockstep_makes_a_fixed_number_of_python_calls():
         counts[block.size] = calls(integ.step)
     assert len(set(counts.values())) == 1, counts
     assert counts.popitem()[1] <= 33
+
+
+@needs_compiled("pairwise_tile", "hermite_tile")
+def test_a_copy_blockstep_makes_a_fixed_number_of_python_calls():
+    """The ``cluster_latency`` shape (Plummer N = 128 on 16 simulated
+    hosts, inline, unobserved), at blocksteps of block sizes seen before
+    and with the ledger's round log folded first, so that no fold lands
+    in a count: the algorithm predicts its resident j-set and the
+    block's rows, and its shares are the set's force call; 88 calls a
+    blockstep, 97 (at block sizes 2, 4 and 14) when the host predicted
+    all N and uploaded them."""
+    s = plummer_model(128, seed=2003)
+    integ = ParallelBlockIntegrator(s, EPS2, CopyAlgorithm(SimNetwork(16), EPS2))
+    integ.run(1.0 / 16.0)
+    seen, counts = set(integ.stats.block_sizes), {}
+    while len(counts) < 3:
+        _, block = integ.scheduler.next_block()
+        if block.size in seen:
+            integ.algorithm.network.ledger.summary()  # folds the round log
+            counts[block.size] = calls(integ.step)
+        else:
+            seen.add(block.size)
+            integ.step()
+    assert len(set(counts.values())) == 1, counts
+    assert counts.popitem()[1] <= 88
 
 
 # -- (e) a bound force call under mutation ---------------------------------------

@@ -20,7 +20,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.forces.kernels import acc_jerk_pot_on_targets
+from repro.core import BlockTimestepIntegrator
+from repro.forces.direct import DirectSummation
+from repro.forces.kernels import acc_jerk_pot_on_targets, resident_forces
 from repro.models import plummer_model
 from repro.parallel import (
     CopyAlgorithm,
@@ -462,18 +464,23 @@ def _per_rank(arena, bounds, exclude_self):
 
 @pytest.fixture
 def kernel_calls(monkeypatch, tmp_path):
-    """Count ``acc_jerk_pot_on_targets`` calls per process: the wrapper
-    appends its pid to a file, so workers forked after it was installed
-    are counted too.  Returns a function giving ``{pid: calls}``."""
+    """Count kernel calls per process, through either seam: the uploaded
+    tile (``acc_jerk_pot_on_targets``) and the resident set's force call
+    (``resident_forces``, the copy algorithm's).  The wrapper appends its
+    pid to a file, so workers forked after it was installed are counted
+    too.  Returns a function giving ``{pid: calls}``."""
     log = tmp_path / "calls"
     log.touch()
 
-    def counted(*args, **kwargs):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return acc_jerk_pot_on_targets(*args, **kwargs)
+    def counting(kernel):
+        def counted(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return kernel(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(execution, "acc_jerk_pot_on_targets", counted)
+    for name in ("acc_jerk_pot_on_targets", "resident_forces"):
+        monkeypatch.setattr(execution, name, counting(getattr(execution, name)))
 
     def calls():
         pids = [int(line) for line in log.read_text().split()]
@@ -575,6 +582,97 @@ class TestGroupedTiles:
         grid.finish_forces(plan, grid.executor.run_tasks(plan.tiles, EPS2))
         assert kernel_calls() == {os.getpid(): len(plan.tiles)}
         assert len(plan.tiles) == 4
+
+
+def _serial_forces(system, t, block):
+    """The direct backend's forces on ``block`` of ``system`` predicted
+    to ``t``: what a copy blockstep must give bit for bit."""
+    serial = DirectSummation(EPS2)
+    serial.predict_j(t, system, np.empty_like(system.pos), np.empty_like(system.vel), block)
+    return serial.forces_on(None, None, block)
+
+
+def _developed(n, seed):
+    """A Plummer system with its startup forces: every particle at t = 0
+    with a nonzero acceleration and jerk to predict with."""
+    system = plummer_model(n, seed=seed)
+    BlockTimestepIntegrator(system, EPS2)
+    return system
+
+
+@pytest.mark.tiers
+class TestResidentSet:
+    """The copy algorithm's shares are the resident j-set's force call
+    on their rows of the published block, each worker through its own
+    binding of the one set."""
+
+    def test_thread_workers_call_the_set_at_once_with_the_serial_bits(self, monkeypatch):
+        """Both workers of ``thread:2`` are inside the set's force call
+        at the same time (a barrier holds each until the other arrives)
+        and give the serial rows bit for bit: a binding's staging buffers
+        serve one thread, so neither takes the other's targets."""
+        system = _developed(1024, seed=51)
+        block = np.arange(0, 1024, 3)
+        want = _serial_forces(system, 2.0**-7, block)
+        both_in = threading.Barrier(2, timeout=10.0)
+
+        def meeting(*args):
+            both_in.wait()
+            return resident_forces(*args)
+
+        monkeypatch.setattr(execution, "resident_forces", meeting)
+        copy = CopyAlgorithm(SimNetwork(2), EPS2, executor="thread:2")
+        xp, vp = np.empty_like(system.pos), np.empty_like(system.vel)
+        try:
+            for _ in range(4):
+                copy.predict_j(2.0**-7, system, xp, vp, block)
+                _assert_same_results(copy.forces_on(None, None, block), want)
+            first, second = copy.executor._sets
+        finally:
+            copy.executor.close()
+        assert first is not second and first.cj is second.cj and first.gm is second.gm
+        if first.call is not None:  # the compiled tier's bindings
+            assert not set(map(id, first.call.buffers)) & set(map(id, second.call.buffers))
+
+    def test_a_force_call_before_any_set_is_refused(self):
+        copy = CopyAlgorithm(SimNetwork(2), EPS2)
+        with pytest.raises(RuntimeError, match="before forces_on"):
+            copy.forces_on(None, None, np.arange(4))
+
+    def test_workers_drop_their_binding_when_the_arena_moves(self):
+        """``process:2``'s arena moves twice under a resident set that
+        every worker has bound: targets given as rows add rooms behind
+        the set's (its layout stays), then a larger system grows the set
+        itself.  A view of a segment holds no export of it, so closing
+        the old segment unmaps what a kept binding points into: each
+        worker drops its binding before it closes the segment, no error
+        or lost worker comes back, the rows are the serial ones, no
+        worker maps an old segment and no ``psm_*`` segment outlives the
+        backend."""
+        before = set(os.listdir("/dev/shm"))
+        systems = [_developed(64, seed=53), _developed(256, seed=54)]
+        blocks = [np.arange(0, s.n, 5) for s in systems]
+        wants = [_serial_forces(s, 2.0**-7, b) for s, b in zip(systems, blocks)]
+        copy = CopyAlgorithm(SimNetwork(4), EPS2, executor="process:2")
+        names, maps = [], []
+        try:
+            for system, block, want in zip(systems, blocks, wants):
+                xp, vp = np.empty_like(system.pos), np.empty_like(system.vel)
+                copy.predict_j(2.0**-7, system, xp, vp, block)
+                _assert_same_results(copy.forces_on(None, None, block), want)
+                names.append(copy.executor._arena.shm.name)
+                _assert_same_results(copy.forces_on(xp[block], vp[block], block), want)
+                names.append(copy.executor._arena.shm.name)
+            if os.path.isdir("/proc/self"):
+                for proc in copy.executor._procs:
+                    with open(f"/proc/{proc.pid}/maps") as fh:
+                        maps.append(fh.read())
+        finally:
+            copy.executor.close()
+        *old, new = names
+        assert len(set(names)) == 4
+        assert all(new in m and not any(name in m for name in old) for m in maps)
+        assert _new_segments(before) == []
 
 
 class TestDriverSchedulerScans:

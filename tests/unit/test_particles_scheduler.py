@@ -64,6 +64,21 @@ class TestBlockScheduler:
         sched.update(np.array([1, 2]), 0.375, np.array([0.125, 0.25]))
         assert sched.next_time() == sched.next_block()[0] == 0.5
 
+    def test_the_answer_is_found_once_until_the_next_update(self):
+        """A run loop's ``next_time`` and the step's ``next_block`` share
+        one scan: the answer is kept until ``update``, and a scheduler
+        restored from ``t_next`` finds the same block."""
+        sched = BlockScheduler(np.zeros(4), np.array([0.25, 0.125, 0.125, 0.5]))
+        t_block = sched.next_time()
+        answer = sched.next_block()
+        assert sched.next_block() is answer and answer[0] == t_block == 0.125
+        restored = BlockScheduler.from_t_next(sched.t_next)
+        np.testing.assert_array_equal(restored.next_block()[1], answer[1])
+        sched.update(answer[1], t_block, np.array([0.125, 0.25]))
+        assert sched.next_block() is not answer
+        assert sched.next_time() == 0.25
+        np.testing.assert_array_equal(sched.next_block()[1], [0, 1])
+
     def test_the_block_is_int64_on_every_platform(self):
         """``advance_block`` points a C ``int64_t *`` at it."""
         sched = BlockScheduler(np.zeros(3), np.array([0.5, 0.125, 0.125]))
