@@ -9,7 +9,11 @@ Plummer N = 256 on two emulated boards, blocks of 31 targets, every
 exponent cached.  ``forces_on`` at n_i = 1 is the force call's fixed
 cost.  A blockstep of that workload pays the j-load and the first force
 call on the new j-set back to back; that pair is floored too, outside
-the budget.  Outside the budget too, the direct backend's two crossings
+the budget, and so are the emulator's predict and force phases as the
+integrator runs them - the emulator predicting and loading its own
+j-memory, then the force call on the block's rows of it - with the
+uploaded sequence they replaced beside them (the host predicts all N,
+then that pair).  Outside the budget too, the direct backend's two crossings
 a blockstep on the ``serial_direct`` workload's shape (Plummer N = 1024,
 blocks of 16): its predict phase and its force phase.  Beside them,
 outside the budget, it floors the copy algorithm's blockstep on the
@@ -127,15 +131,15 @@ def crossings() -> dict:
     }
 
 
-def j_side(backend, s, t: float, block: np.ndarray) -> tuple:
+def j_side(backend, s, t: float, block: np.ndarray, uploaded: bool = False) -> tuple:
     """A blockstep's predict phase and force phase on ``backend`` as the
     integrator runs them, for the system ``s`` at ``t``: a backend with
     ``predict_j`` predicts its resident j-set and the block's rows, then
-    takes the forces on the set's own particles; on a commit without it
-    the host predicts all N, then uploads them and takes the forces on
-    the block's rows."""
+    takes the forces on the set's own particles; on a commit without it,
+    or if ``uploaded``, the host predicts all N, then uploads them and
+    takes the forces on the block's rows."""
     xp, vp = np.empty((s.n, 3)), np.empty((s.n, 3))
-    if hasattr(backend, "predict_j"):
+    if hasattr(backend, "predict_j") and not uploaded:
         def predict():
             backend.predict_j(t, s, xp, vp, block)
 
@@ -150,6 +154,28 @@ def j_side(backend, s, t: float, block: np.ndarray) -> tuple:
             backend.forces_on(xp[block], vp[block], block)
     predict()
     return predict, force
+
+
+def emulator_crossings() -> dict:
+    """The emulator's predict and force phases a blockstep on the
+    ``serial_grape`` shape (Plummer N = 256, two boards, blocks of 31,
+    every exponent cached) as the integrator runs them, and the uploaded
+    sequence's beside them, in the ``(call, reset)`` form of
+    :func:`crossings`."""
+    s = plummer_model(N, seed=2003)
+    emu = Grape6Emulator(EPS2, boards=BOARDS, emulation_mode="batched")
+    integ = BlockTimestepIntegrator(s, EPS2, backend=emu)
+    integ.run(1.0 / 32.0)  # every exponent cached
+    block = np.arange(0, N, N // N_B)[:N_B]
+    t = float(s.t.max())
+    shape = f"N = {N}, n_b = {N_B}"
+    phases = {}
+    for name, uploaded in (("emulator", False), ("emulator uploaded", True)):
+        predict, force = j_side(emu, s, t, block, uploaded)
+        force()  # the block's exponents cached under this sequence
+        phases[f"{name} predict {shape}"] = (predict, None)
+        phases[f"{name} force {shape}"] = (force, None)
+    return phases
 
 
 def copy_crossings() -> dict:
@@ -238,8 +264,9 @@ def floors(rounds: int = ROUNDS) -> tuple[dict, float]:
     """Floor of every crossing [us] and the machine's speed index over
     the same rounds (1.0 = the undisturbed reference box)."""
     with tempfile.TemporaryDirectory() as tmp:
-        return _floors(rounds, {**crossings(), **direct_crossings(), **copy_crossings(),
-                                **fold_crossing(), **checkpoint_crossings(Path(tmp))})
+        return _floors(rounds, {**crossings(), **emulator_crossings(), **direct_crossings(),
+                                **copy_crossings(), **fold_crossing(),
+                                **checkpoint_crossings(Path(tmp))})
 
 
 def _floors(rounds: int, parts: dict) -> tuple[dict, float]:
@@ -261,8 +288,8 @@ def _floors(rounds: int, parts: dict) -> tuple[dict, float]:
 def fixed_cost(us: dict) -> float:
     """The four fixed costs together [us]."""
     return sum(v for k, v in us.items()
-               if not k.startswith((f"forces_on n_i = {N_B}", "set_j_particles + ", "direct ",
-                                    "copy ", "ledger ", "checkpoint ")))
+               if not k.startswith((f"forces_on n_i = {N_B}", "set_j_particles + ", "emulator ",
+                                    "direct ", "copy ", "ledger ", "checkpoint ")))
 
 
 def table(us: dict, speed_index: float) -> str:

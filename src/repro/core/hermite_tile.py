@@ -9,7 +9,7 @@ paper's eq. 10.  Here that share is two functions,
   Hermite truncation of eqs. (6)-(7) (or :func:`predict_j_set`, the
   same bits into a force backend's component-major j-set, where the
   backend keeps one: the chip's predictor pipelines, and the host
-  writes only the block's rows);
+  writes only the block's rows; the binding is kept with the set);
 * :func:`advance_block` - per block particle the Hermite corrector
   (:func:`~repro.core.corrector.hermite_correct`), the Aarseth criterion
   (:func:`~repro.core.timestep.aarseth_dt`), the block quantisation
@@ -118,16 +118,20 @@ def numpy_predict_j_set(
     v0: np.ndarray,
     a0: np.ndarray,
     j0: np.ndarray,
-    cj: np.ndarray,
+    j_set,
     xp: np.ndarray,
     vp: np.ndarray,
     block: np.ndarray,
 ) -> None:
     """:func:`numpy_predict_hermite` of all N particles into the (6, N)
-    component-major j-set ``cj`` (rows x y z vx vy vz), and the rows
+    component-major ``j_set.cj`` (rows x y z vx vy vz), and the rows
     ``block`` of the predictions into the (N, 3) ``xp``, ``vp``, whose
-    other rows are left as they were."""
+    other rows are left as they were.  ``j_set`` is the force backend's
+    set that holds ``cj`` (a :class:`~repro.forces.kernels.ResidentSet`,
+    the emulator's :class:`~repro.hardware.pipeline.JSet`); the compiled
+    tier keeps its binding there, in ``j_set.predicted``."""
     xs, vs = numpy_predict_hermite(t_now, t0, x0, v0, a0, j0)
+    cj = j_set.cj
     cj[:3], cj[3:] = xs.T, vs.T
     xp[block], vp[block] = xs[block], vs[block]
 
@@ -312,7 +316,7 @@ def _bind(library) -> HermiteTile:
     advance_fn = entry_point(
         library, "hermite_advance_block", [c_void_p, c_ssize_t, c_double], c_ssize_t)
     predict_j_fn = entry_point(library, "hermite_predict_j", [c_double, c_void_p, c_ssize_t], c_int)
-    predicted = block_state = predicted_j = None
+    predicted = block_state = None
 
     def predict_hermite(t_now, t0, x0, v0, a0, j0, out_x=None, out_v=None):
         nonlocal predicted
@@ -369,26 +373,28 @@ def _bind(library) -> HermiteTile:
             raise ValueError("timesteps must be positive")
         raise RuntimeError(f"hermite_advance_block answered {answer}")
 
-    def predict_j_set(t_now, t0, x0, v0, a0, j0, cj, xp, vp, block):
-        nonlocal predicted_j
-        arrays = (t0, x0, v0, a0, j0, cj, xp, vp)
+    def predict_j_set(t_now, t0, x0, v0, a0, j0, j_set, xp, vp, block):
+        arrays = (t0, x0, v0, a0, j0, j_set.cj, xp, vp)
         if type(block) is not np.ndarray or block.dtype != _I8 or block.ndim != 1:
-            return numpy_predict_j_set(t_now, *arrays, block)  # numpy's indexing serves
-        n_b, bound = len(block), predicted_j
+            # numpy's indexing serves
+            return numpy_predict_j_set(t_now, t0, x0, v0, a0, j0, j_set, xp, vp, block)
+        n_b, bound = len(block), j_set.predicted
         if bound is None or not bound.holds(arrays, rows=n_b):
             rows = xp.shape
             n = rows[0] if len(rows) == 2 and rows[1] == 3 else -1  # -1: no array matches
             if unpointable(arrays, [(n,), *[rows] * 4, (6, n), rows, rows], 3) is not None:
                 # numpy broadcasts, casts, strides and refuses a read-only
                 # buffer: its tier serves
-                return numpy_predict_j_set(t_now, *arrays, block)
-            bound = predicted_j = Bound(
+                return numpy_predict_j_set(t_now, t0, x0, v0, a0, j0, j_set, xp, vp, block)
+            # kept with the set it writes, so that sets predicted in
+            # turn each keep theirs
+            bound = j_set.predicted = Bound(
                 _PredictedJ, arrays, 3, (np.empty(max(n_b, n, 1), _I8),), (n,))
         bound.buffers[0][:n_b] = block
         if predict_j_fn(t_now, bound.pointer, n_b) == _INDEX_OUT_OF_RANGE:
             # found before anything was written: numpy's answer (a
             # negative row wraps, one past the end raises)
-            numpy_predict_j_set(t_now, *arrays, block)
+            numpy_predict_j_set(t_now, t0, x0, v0, a0, j0, j_set, xp, vp, block)
 
     return HermiteTile(predict_hermite, advance_block, predict_j_set)
 
@@ -440,9 +446,10 @@ def predicted_j_bytes(tile: HermiteTile, n: int, block: list) -> bytes:
     wave = np.sin(np.arange(1.0, 12 * n + 1).reshape(4, n, 3) ** 2)
     t0 = 1.0 - np.cos(np.arange(n)) ** 2
     t0[::3] = 1.0
-    cj, xp, vp = np.zeros((6, n)), np.zeros((n, 3)), np.zeros((n, 3))
-    tile.predict_j_set(1.0, t0, *wave.copy(), cj, xp, vp, np.array(block, dtype=np.int64))
-    return cj.tobytes() + xp.tobytes() + vp.tobytes()
+    j_set = SimpleNamespace(cj=np.zeros((6, n)), predicted=None)
+    xp, vp = np.zeros((n, 3)), np.zeros((n, 3))
+    tile.predict_j_set(1.0, t0, *wave.copy(), j_set, xp, vp, np.array(block, dtype=np.int64))
+    return j_set.cj.tobytes() + xp.tobytes() + vp.tobytes()
 
 
 def state_bytes(system, *more) -> bytes:

@@ -96,7 +96,7 @@ class DirectSummation:
         s, j_set = system, self._j
         if j_set is None or j_set.n != s.n:
             j_set = self._j = ResidentSet(s.n)
-        predict_j_set(t, s.t, s.pos, s.vel, s.acc, s.jerk, j_set.cj, xp, vp, block)
+        predict_j_set(t, s.t, s.pos, s.vel, s.acc, s.jerk, j_set, xp, vp, block)
         np.multiply(G_NBODY, s.mass, out=j_set.gm)
 
     @property

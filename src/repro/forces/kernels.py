@@ -211,7 +211,9 @@ def _answers(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class ResidentSet:
     """A j-set held for the tile by the backend that owns it: ``cj``
     (6, n) positions and velocities, component-major, and ``gm`` (n,)
-    ``G m``; on the compiled tier the binding of its force call.
+    ``G m``; on the compiled tier the binding of its force call, and
+    that of the host predictor that writes ``cj`` (``predicted``,
+    :func:`~repro.core.hermite_tile.predict_j_set`).
 
     Given ``cj`` and ``gm`` (contiguous float64 of those shapes), the set
     is over arrays it does not own: its owner keeps them alive, and sets
@@ -219,14 +221,14 @@ class ResidentSet:
     serve one thread's calls (the execution backends' one set a worker).
     """
 
-    __slots__ = ("n", "cj", "gm", "call")
+    __slots__ = ("n", "cj", "gm", "call", "predicted")
 
     def __init__(self, n: int, cj: np.ndarray | None = None,
                  gm: np.ndarray | None = None) -> None:
         self.n = n
         self.cj = np.empty((6, n)) if cj is None else cj
         self.gm = np.empty(n) if gm is None else gm
-        self.call = None
+        self.call = self.predicted = None
 
     def load(self, x: np.ndarray, v: np.ndarray, m: np.ndarray) -> None:
         """Copy (n, 3) ``x``, ``v`` and the ``G m`` of (n,) ``m`` in."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .fixedpoint import FixedPointFormat
 from .floatformat import FloatFormat
-from .pipeline import JSet, PipelineFormats, load_j_set, quantize, round_float
+from .pipeline import JSet, PipelineFormats, load_j_set, load_staged, quantize, round_float
 
 
 @dataclass
@@ -128,15 +128,41 @@ class StripedStore:
         word-rounded, ``host_index`` None for ``0 .. n-1``); every chip
         reads its stripe.  A position off the grid raises and leaves the
         store as it was."""
-        n = x.shape[0]
+        n = self._fits(x.shape[0])
+        j_set = self.j_set if n <= self.j_set.capacity else _j_memory(n)
+        load_j_set(j_set, formats, x, v, mass, host_index)
+        self._install(j_set, n, predictor_words(formats.word, n, **derivs) if derivs else None)
+
+    def staging(self, n: int) -> JSet:
+        """The j-memory a machine-wide load of n rows written into its
+        staging rows in place (a prediction: ``cj`` (6, n), ``m``) goes
+        to, for :meth:`load_staged`: the store's own while it holds
+        exactly n rows, else new buffers, which the load installs."""
+        j_set = self.j_set
+        if j_set.m is None or len(j_set.m) != n:  # not staged, or not n rows
+            j_set = (j_set if j_set.capacity == self._fits(n) else _j_memory(n)).stage()
+        return j_set
+
+    def load_staged(self, formats: PipelineFormats, j_set: JSet) -> None:
+        """Write the machine-wide j-set staged in ``j_set``
+        (:meth:`staging`: masses word-rounded, host indices ``0 .. n-1``)
+        in place, as :meth:`load` does."""
+        n = j_set.capacity
+        load_staged(j_set, formats, n)
+        self._install(j_set, n, None)
+
+    def _fits(self, n: int) -> int:
         if -(-n // self.k) > self.capacity:
             raise ValueError(
                 f"{n} particles exceed memory capacity {self.k} x {self.capacity}"
             )
-        j_set = self.j_set if n <= self.j_set.capacity else _j_memory(n)
-        load_j_set(j_set, formats, x, v, mass, host_index)
+        return n
+
+    def _install(self, j_set: JSet, n: int, words: tuple | None) -> None:
+        """Every chip reads its stripe of the n rows just loaded into
+        ``j_set``, with the predictor ``words`` (None: zeros)."""
         self.j_set = j_set
-        self._words = predictor_words(formats.word, n, **derivs) if derivs else None
+        self._words = words
         self._rows = None
         if self.detached or n != self.used:
             self._book()

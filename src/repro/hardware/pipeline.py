@@ -218,17 +218,33 @@ def _check(specs) -> None:
 class JSet:
     """A j-set as the tile streams it: ``arrays`` (3, capacity) positions
     and velocities, (capacity,) masses and host indices (contiguous
-    copies if they are not), ``n`` columns in use; on the compiled tier
-    their ``struct j_set`` (``bound``) and the last force ``call``."""
+    copies if they are not), ``n`` columns in use.  A load reads its
+    staging rows (:meth:`stage`): ``cj`` (6, capacity) positions and
+    velocities as given, component-major (rows x y z vx vy vz, as a
+    :class:`~repro.forces.kernels.ResidentSet` holds them), ``m`` and
+    ``host`` (capacity,) masses and host indices - its inputs copied
+    there (:func:`load_j_set`), or a prediction written there in place
+    (:func:`load_staged`); a force call on the set's own particles takes
+    its targets from ``cj``.  On the compiled tier: its ``struct j_set``
+    (``bound``), the last force ``call``, and the binding of the
+    predictor that writes ``cj`` (``predicted``,
+    :func:`~repro.core.hermite_tile.predict_j_set`)."""
 
-    __slots__ = ("arrays", "n", "bound", "call")
+    __slots__ = ("arrays", "n", "bound", "call", "cj", "m", "host", "predicted")
 
     def __init__(self, cj_q, cj_v, mj, host_j) -> None:
         self.n = n = cj_q.shape[-1]
         specs = ((cj_q, _I8, (3, n)), (cj_v, _F8, (3, n)), (mj, _F8, (n,)), (host_j, _I8, (n,)))
         _check(specs)
         self.arrays = [a if a.flags.c_contiguous else np.ascontiguousarray(a) for a, _, _ in specs]
-        self.bound = self.call = None
+        self.bound = self.call = self.cj = self.m = self.host = self.predicted = None
+
+    def stage(self) -> "JSet":
+        """The set, its staging rows allocated (zeros) if they were not."""
+        if self.cj is None:
+            rows = self.capacity
+            self.cj, self.m, self.host = np.zeros((6, rows)), np.zeros(rows), np.zeros(rows, _I8)
+        return self
 
     @property
     def capacity(self) -> int:
@@ -254,16 +270,46 @@ def _load_arrays(j_set: JSet, x, v, mass, host_index) -> int:
     return n
 
 
+def _stage(j_set: JSet, x, v, mass, host_index) -> int:
+    """Copy a load's inputs into ``j_set``'s staging rows: ``n``."""
+    n = _load_arrays(j_set, x, v, mass, host_index)
+    cj = j_set.stage().cj
+    cj[:3, :n], cj[3:, :n], j_set.m[:n] = x.T, v.T, mass
+    if host_index is not None:
+        j_set.host[:n] = host_index
+    return n
+
+
+def _staged_rows(j_set: JSet, n: int) -> int:
+    """``n``, or ValueError for more rows than ``j_set`` stages."""
+    if not 0 <= n <= j_set.capacity:
+        raise ValueError(f"{n} j-particles exceed the j-set's capacity {j_set.capacity}")
+    j_set.stage()
+    return n
+
+
 def numpy_load_j_set(j_set: JSet, formats: PipelineFormats, x, v, mass, host_index=None):
     """A j-load of n rows into ``j_set`` in place (``host_index`` None for
-    ``0 .. n-1``); a position off the grid raises as
-    :meth:`FixedPointFormat.quantize` does, and writes nothing."""
-    _load_arrays(j_set, x, v, mass, host_index)
-    n = len(x)
+    ``0 .. n-1``), through its staging rows; a position off the grid
+    raises as :meth:`FixedPointFormat.quantize` does, and writes nothing
+    but the staging rows."""
+    n = _stage(j_set, x, v, mass, host_index)
+    _numpy_load(j_set, formats, n, host_index is not None)
+
+
+def numpy_load_staged(j_set: JSet, formats: PipelineFormats, n: int):
+    """A j-load of ``j_set``'s first ``n`` staging rows as they stand
+    (host indices ``0 .. n-1``), in place; refuses as
+    :func:`numpy_load_j_set` does."""
+    _numpy_load(j_set, formats, _staged_rows(j_set, n), False)
+
+
+def _numpy_load(j_set: JSet, formats: PipelineFormats, n: int, by_host: bool):
+    cj = j_set.cj
     cj_q, cj_v, mj, host_j = j_set.arrays
-    cj_q[:, :n] = formats.pos.quantize(x).T
-    cj_v[:, :n], mj[:n] = formats.word.round(v).T, mass
-    host_j[:n] = np.arange(n) if host_index is None else host_index
+    cj_q[:, :n] = formats.pos.quantize(cj[:3, :n])
+    cj_v[:, :n], mj[:n] = formats.word.round(cj[3:, :n]), j_set.m[:n]
+    host_j[:n] = j_set.host[:n] if by_host else np.arange(n)
     j_set.n = n
 
 
@@ -275,10 +321,18 @@ def _table(cache) -> None:
 
 
 def _targets(xi, vi, i_index, exponents) -> int:
-    """``n_i``, or ValueError for a target array of another dtype or shape."""
-    n_i = len(xi)
+    """``n_i``, or ValueError for a target array of another dtype or shape
+    (with ``xi`` None, the targets are the rows ``i_index``, which must
+    be given)."""
+    if xi is None:
+        if i_index is None:
+            raise ValueError("targets staged in the j-set need their rows")
+        n_i = len(i_index)
+    else:
+        n_i = len(xi)
     rows = (n_i, 3)
-    if xi.dtype != _F8 or xi.shape != rows or vi.dtype != _F8 or vi.shape != rows:
+    if xi is not None and (
+            xi.dtype != _F8 or xi.shape != rows or vi.dtype != _F8 or vi.shape != rows):
         raise ValueError(f"pipeline tile wants {_F8} {rows}")
     if exponents is not None:
         _check([(exponents, _I8, (7, n_i))])
@@ -289,15 +343,23 @@ def _targets(xi, vi, i_index, exponents) -> int:
 
 def numpy_forces(j_set: JSet, xi, vi, i_index, cache, exponents, eps2, formats):
     """One force call from raw targets ``xi``, ``vi`` (n_i, 3) with host
-    indices ``i_index`` or None: their (7, n_i) ``exponents`` read from
+    indices ``i_index`` or None - or, with ``xi`` and ``vi`` None, from
+    the set's own staging rows ``i_index`` (its particles as the last
+    load was given them): their (7, n_i) ``exponents`` read from
     the host's (3, N) table ``cache`` if None, :func:`numpy_partial_lanes`
     through :func:`numpy_lanes_to_forces`, the exponents back to the
     table if the sums fit.  Returns ``(answer, exponents, forces or
-    None)``; raises for a negative index, then a target off the grid."""
+    None)``; raises for a negative index, then a staged row at or past
+    ``j_set.n`` (IndexError), then a target off the grid."""
     _table(cache)
     _targets(xi, vi, i_index, exponents)
     if i_index is not None and i_index.size and i_index.min() < 0:
         raise ValueError(f"negative particle index {i_index.min()} in indices")
+    if xi is None:
+        if i_index.size and i_index.max() >= j_set.n:
+            raise IndexError(f"row {i_index.max()} is not among the {j_set.n} staged")
+        cj = j_set.stage().cj
+        xi, vi = cj[:3, i_index].T, cj[3:, i_index].T
     xi_q, vi_w = formats.pos.quantize(xi), formats.word.round(vi)
     declared = exponents
     if exponents is None:
@@ -326,6 +388,7 @@ class PipelineTier(NamedTuple):
 
     partial_lanes: Callable
     load_j_set: Callable
+    load_staged: Callable
     forces: Callable
     lanes_to_forces: Callable
     quantize: Callable  # (FixedPointFormat, x, saturate=False) -> int64
@@ -335,14 +398,14 @@ class PipelineTier(NamedTuple):
 #: The numpy tier: the reference, and what runs without a compiler.  Its
 #: formats are the format classes' own methods.
 NUMPY_PIPELINE = PipelineTier(
-    numpy_partial_lanes, numpy_load_j_set, numpy_forces, numpy_lanes_to_forces,
-    FixedPointFormat.quantize, FloatFormat.round,
+    numpy_partial_lanes, numpy_load_j_set, numpy_load_staged, numpy_forces,
+    numpy_lanes_to_forces, FixedPointFormat.quantize, FloatFormat.round,
 )
 
 # pipeline_tile.c's other answers: pipeline_forces' refusals, and
 # fixed_point_quantize's and pipeline_load's; pipeline_forces' flags
-_NEGATIVE_INDEX, _TARGET_NOT_FINITE, _ON_GRID, _NOT_FINITE = 4, 6, 0, 2
-_CACHED, _BY_INDEX = 1, 2
+_NEGATIVE_INDEX, _TARGET_NOT_FINITE, _ROW_NOT_STAGED, _ON_GRID, _NOT_FINITE = 4, 6, 7, 0, 2
+_CACHED, _BY_INDEX, _STAGED = 1, 2, 4
 
 
 class _JSetStruct(Structure):
@@ -422,45 +485,66 @@ def _bind(library) -> PipelineTier:
             raise BlockFloatOverflow(SATURATES)
         return lanes[0], lanes[1]
 
-    def compiled_load_j_set(j_set, formats, x, v, mass, host_index=None):
-        n, bound, pos = _load_arrays(j_set, x, v, mass, host_index), j_set.bound, formats.pos
-        if bound is None or bound.key is not formats:  # the first load: staging rows, formats
-            rows = j_set.capacity
-            bound = j_set.bound = Bound(_JSetStruct, tuple(j_set.arrays), 0, (
-                np.empty((rows, 3)), np.empty((rows, 3)), np.empty(rows), np.empty(rows, _I8)),
-                (j_set.n, rows), (pos.frac_bits, pos.total_bits, formats.word.mantissa_bits),
-                formats)
-        staged_x, staged_v, staged_m, staged_host = bound.cut(n)
-        staged_x[...], staged_v[...], staged_m[...] = x, v, mass
-        if host_index is not None:
-            staged_host[...] = host_index
-        answer = load_fn(bound.pointer, n, host_index is not None)
+    def staged_struct(j_set: JSet, formats) -> Bound:
+        """``j_set``'s ``struct j_set`` with its staging rows and
+        ``formats``: bound at its first load (or first force call on
+        its own particles), and again only for other formats."""
+        bound = j_set.bound
+        if bound is None or bound.key is not formats:
+            pos, cj = formats.pos, j_set.stage().cj
+            bound = j_set.bound = Bound(
+                _JSetStruct, (*j_set.arrays, cj, cj[3:], j_set.m, j_set.host),
+                head=(j_set.n, j_set.capacity),
+                tail=(pos.frac_bits, pos.total_bits, formats.word.mantissa_bits), key=formats)
+        return bound
+
+    def load(j_set, formats, n, by_host):
+        bound = j_set.bound
+        if bound is None or bound.key is not formats:
+            bound = staged_struct(j_set, formats)
+        answer = load_fn(bound.pointer, n, by_host)
         if answer != _ON_GRID:
+            pos = formats.pos
             raise NonFiniteValue(NOT_FINITE) if answer == _NOT_FINITE else pos.out_of_range()
         j_set.n = n
 
+    def compiled_load_j_set(j_set, formats, x, v, mass, host_index=None):
+        load(j_set, formats, _stage(j_set, x, v, mass, host_index), host_index is not None)
+
+    def compiled_load_staged(j_set, formats, n):
+        if j_set.m is None or not 0 <= n <= len(j_set.m):  # else staged, and n fits
+            _staged_rows(j_set, n)
+        load(j_set, formats, n, False)
+
     def compiled_forces(j_set, xi, vi, i_index, cache, exponents, eps2, formats):
         nonlocal last_call
+        n_i = _targets(xi, vi, i_index, exponents)
         call = j_set.call or last_call
-        if call is None or not call.holds((cache,), (eps2, formats), len(xi)):
+        if call is None or not call.holds((cache,), (eps2, formats), n_i):
             _table(cache)
-            if call is j_set.call and call is not None and call.fits((eps2, formats), len(xi)):
+            if call is j_set.call and call is not None and call.fits((eps2, formats), n_i):
                 # only this j-set's table moved (grown after an uncached
                 # first call, or swapped): its call points at the new one;
                 # another j-set's call is left to it
                 call.repoint((cache,), cache_n=cache.shape[1])
             else:
-                call = _force_call(cache, eps2, formats, max(len(xi), call.rows if call else 0))
+                call = _force_call(cache, eps2, formats, max(n_i, call.rows if call else 0))
         j_set.call = last_call = call
-        n_i = _targets(xi, vi, i_index, exponents)
         staged_xi, staged_vi, staged_index, out = call.cut(n_i)
-        staged_xi[...], staged_vi[...] = xi, vi
         flags = _CACHED if exponents is None else 0
+        if xi is None:  # the set's own staging rows: pipeline_forces copies them in
+            flags |= _STAGED
+            j_struct = j_set.bound
+            if j_struct is None or j_struct.key is not formats:
+                j_struct = staged_struct(j_set, formats)
+        else:
+            staged_xi[...], staged_vi[...] = xi, vi
+            j_struct = j_set.bound or j_set_struct(j_set)
         if exponents is not None:
             out.reshape(-1)[7 * n_i :].view(_I8)[:] = exponents.reshape(-1)
         if i_index is not None:
             staged_index[...], flags = i_index, flags | _BY_INDEX
-        answer = forces_fn(call.pointer, (j_set.bound or j_set_struct(j_set)).pointer, n_i, flags)
+        answer = forces_fn(call.pointer, j_struct.pointer, n_i, flags)
         if answer <= TILE_OVERFLOWS:
             out = out.copy().reshape(-1)  # the caller's: no later call writes it
             if exponents is None:
@@ -470,6 +554,8 @@ def _bind(library) -> PipelineTier:
             return answer, None, None
         if answer == _NEGATIVE_INDEX:
             raise ValueError(f"negative particle index {i_index.min()} in indices")
+        if answer == _ROW_NOT_STAGED:
+            raise IndexError(f"row {i_index.max()} is not among the {j_set.n} staged")
         pos = formats.pos
         raise NonFiniteValue(NOT_FINITE) if answer == _TARGET_NOT_FINITE else pos.out_of_range()
 
@@ -504,7 +590,7 @@ def _bind(library) -> PipelineTier:
         return out
 
     return PipelineTier(
-        compiled_partial_lanes, compiled_load_j_set, compiled_forces,
+        compiled_partial_lanes, compiled_load_j_set, compiled_load_staged, compiled_forces,
         compiled_lanes_to_forces, compiled_quantize, compiled_round_float,
     )
 
@@ -568,7 +654,7 @@ def _answer(fn, *args) -> bytes | str:
     returns (:func:`_flat`), or the name of the error it raises."""
     try:
         out = fn(*args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, IndexError) as exc:
         return type(exc).__name__
     return _flat(out)
 
@@ -635,7 +721,8 @@ def _entry_session(t: PipelineTier, xi_q, vi, cj_q, cj_v, mj, host_j, exponents,
     exponents on the targets and 64 length units away (terms that
     saturate, totals that overflow, sums that fit); from the filled
     table; with indices beyond it, a negative index, a NaN and an
-    out-of-range target."""
+    out-of-range target.  Then the staging rows written in place (the
+    sources reversed) and loaded as they stand (:func:`_staged_session`)."""
     spare = cj_q.shape[1] + 2
     j_set = JSet(np.zeros((3, spare), _I8), np.zeros((3, spare)), np.zeros(spare),
                  np.zeros(spare, _I8))
@@ -662,6 +749,39 @@ def _entry_session(t: PipelineTier, xi_q, vi, cj_q, cj_v, mj, host_j, exponents,
     for xi, index, declared in calls:
         said += [_answer(t.forces, j_set, xi, vi, index, cache, declared, eps2, formats),
                  _flat(cache)]
+    return said + _staged_session(t, j_set, len(xi_q), i_index, cache, exponents, eps2, formats)
+
+
+def _staged_session(t: PipelineTier, j_set: JSet, n_i, i_index, cache, exponents, eps2,
+                    formats) -> list:
+    """What tier ``t``'s load of the staging rows as they stand and its
+    force calls on the set's own rows answer, continuing
+    :func:`_entry_session` on its loaded ``j_set``: the rows reversed in
+    place (as a predictor writes them), then loads of them with a NaN
+    and an out-of-range position (neither may write), of more rows than
+    the set holds, of all but the last and of all; force calls on the
+    set's rows from the table, under declared exponents and 16 above
+    them, on a row past the set and a negative one; then a refused load
+    and a call on the row it poisoned."""
+    n, cj = j_set.n, j_set.cj
+    cj[:, :n] = cj[:, n - 1 :: -1].copy()
+    said = []
+    for rows, bad in ((n, np.nan), (n, 2.0**23), (j_set.capacity + 1, None), (n - 1, None),
+                      (n, None)):
+        kept = cj[1, n - 1]
+        if bad is not None:
+            cj[1, n - 1] = bad
+        said += [_answer(t.load_staged, j_set, formats, rows), j_set.n, _flat(tuple(j_set.arrays))]
+        cj[1, n - 1] = kept
+    own = np.arange(n_i) if i_index is None else i_index
+    calls = [(own, None), (own, exponents), (own[::-1].copy(), exponents + 16),
+             (np.concatenate(([n], own[1:])), None), (np.concatenate(([-1], own[1:])), None)]
+    cj[1, n - 1] = np.nan
+    said.append(_answer(t.load_staged, j_set, formats, n))
+    calls += [(np.array([n - 1]), exponents[:, :1]), (own, None)]
+    for index, declared in calls:
+        said += [_answer(t.forces, j_set, None, None, index, cache, declared, eps2, formats),
+                 _flat(cache)]
     return said
 
 
@@ -676,6 +796,9 @@ _tier = resolve("pipeline_tile", _bind, _self_check, NUMPY_PIPELINE)
 partial_lanes = _tier.partial_lanes
 #: A machine-wide j-load in place (:func:`numpy_load_j_set`).
 load_j_set = _tier.load_j_set
+#: A machine-wide j-load of the staging rows as they stand
+#: (:func:`numpy_load_staged`).
+load_staged = _tier.load_staged
 #: One force call from raw targets (:func:`numpy_forces`).
 forces = _tier.forces
 #: Carry-save lanes to forces (:func:`numpy_lanes_to_forces`).

@@ -11,7 +11,8 @@
  *                        bound staging rows straight into the bound
  *                        j-memory (pipeline.numpy_load_j_set);
  *   pipeline_forces      one force call from raw targets in bound
- *                        buffers: quantise and word-round them, take
+ *                        buffers, or from the j-set's own staged rows:
+ *                        quantise and word-round them, take
  *                        their exponents from the host's (3, N) table,
  *                        stream the tile, convert the sums to acc, jerk,
  *                        pot and store the exponents back
@@ -39,7 +40,14 @@
  * the j-memory streams past in blocks of at most BLOCK pairs; the seven
  * planes of a block live on the stack and the two carry-save lanes of
  * each output in registers.  A row never sees another row.
+ *
+ * Where the CPU has 512-bit vectors, gcc is asked to use them for this
+ * file (it prefers 256 bits under -march=native): every operation is
+ * elementwise IEEE or integer, so the width changes no bit.
  */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__AVX512F__)
+#pragma GCC target("prefer-vector-width=512")
+#endif
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -56,7 +64,7 @@
 /* what the tile entry points answer; pipeline_forces also answers the
  * last four, having computed nothing */
 enum { FITS = 0, SATURATES = 1, TOTAL_OVERFLOWS = 2, UNCACHED = 3, NEGATIVE_INDEX = 4,
-       TARGET_OUT_OF_RANGE = 5, TARGET_NOT_FINITE = 6 };
+       TARGET_OUT_OF_RANGE = 5, TARGET_NOT_FINITE = 6, ROW_NOT_STAGED = 7 };
 
 /* what fixed_point_quantize and pipeline_load answer */
 enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
@@ -65,9 +73,12 @@ enum { ON_GRID = 0, OUT_OF_RANGE = 1, NOT_FINITE = 2 };
  * positions and velocities starts at c * stride, and the first n_j
  * columns are the j-set.  A machine's j-memory is bound once per
  * allocation, at its first load (pipeline.JSet), and rewritten in
- * place by pipeline_load, which sets n_j.  The staging rows x .. host are what
- * a load copies its inputs into, bound at the first load with the
- * formats it stores them in. */
+ * place by pipeline_load, which sets n_j.  The staging rows x .. host
+ * are what a load reads - its inputs copied in, or a prediction written
+ * there - bound at the first load with the formats it stores them in;
+ * positions and velocities component-major like the j-memory, and what
+ * a force call on the set's own particles (STAGED) takes its targets
+ * from. */
 struct j_set {
     ptrdiff_t n_j;
     ptrdiff_t stride;
@@ -75,8 +86,8 @@ struct j_set {
     double *cj_v;    /* (3, stride) velocities */
     double *mj;      /* (stride,) masses */
     int64_t *host_j; /* (stride,) host indices */
-    const double *x;     /* (stride, 3) positions as given */
-    const double *v;     /* (stride, 3) velocities as given */
+    const double *x;     /* (3, stride) positions as given */
+    const double *v;     /* (3, stride) velocities as given */
     const double *m;     /* (stride,) masses as given */
     const int64_t *host; /* (stride,) host indices as given */
     int frac_bits;       /* the position word: fraction bits, */
@@ -355,26 +366,35 @@ int pipeline_tile(const struct j_set *j, const int64_t *xi_q, const double *vi,
 }
 
 /* A j-set of n rows from the staging rows into the bound j-memory j,
- * in place: x (n, 3) quantised to a grid of 2^frac_bits in a
- * total_bits word, v (n, 3) rounded to word_bits, the masses m (n,) as
- * given and the host indices host (n,) if by_host, else 0 .. n-1; then
- * n_j = n.  The caller has checked n <= stride.  If a position is off
- * the grid, answers as fixed_point_quantize does and writes nothing. */
+ * in place: the first n columns of x (3, stride) quantised to a grid of
+ * 2^frac_bits in a total_bits word, of v (3, stride) rounded to
+ * word_bits, the masses m (n,) as given and the host indices host (n,)
+ * if by_host, else 0 .. n-1; then n_j = n.  The caller has checked
+ * n <= stride.  If a position is off the grid, answers as
+ * fixed_point_quantize does and writes nothing. */
 int pipeline_load(struct j_set *j, ptrdiff_t n, int by_host)
 {
-    const double *x = j->x, *v = j->v, *m = j->m;
-    const int grid = grid_check(x, 3 * n, j->frac_bits, j->total_bits);
+    const ptrdiff_t stride = j->stride;
+    const double scale = ldexp(1.0, j->frac_bits);
+    const int word_bits = j->word_bits;
+    int grid = ON_GRID; /* NOT_FINITE if any row has a NaN or infinity */
+    for (int c = 0; c < 3 && grid != NOT_FINITE; c++) {
+        const int row = grid_check(j->x + c * stride, n, j->frac_bits, j->total_bits);
+        grid = row != ON_GRID ? row : grid;
+    }
     if (grid != ON_GRID)
         return grid;
-    const double scale = ldexp(1.0, j->frac_bits);
-    const ptrdiff_t stride = j->stride;
-    const int word_bits = j->word_bits;
-    for (ptrdiff_t k = 0; k < n; k++) {
-        for (int c = 0; c < 3; c++) {
-            j->cj_q[c * stride + k] = (int64_t)rint(x[3 * k + c] * scale);
-            j->cj_v[c * stride + k] = round_word(v[3 * k + c], word_bits);
+    for (int c = 0; c < 3; c++) {
+        const double *x = j->x + c * stride, *v = j->v + c * stride;
+        int64_t *cj_q = j->cj_q + c * stride;
+        double *cj_v = j->cj_v + c * stride;
+        for (ptrdiff_t k = 0; k < n; k++) {
+            cj_q[k] = (int64_t)rint(x[k] * scale);
+            cj_v[k] = round_word(v[k], word_bits);
         }
-        j->mj[k] = m[k];
+    }
+    for (ptrdiff_t k = 0; k < n; k++) {
+        j->mj[k] = j->m[k];
         j->host_j[k] = by_host ? j->host[k] : k;
     }
     j->n_j = n;
@@ -389,12 +409,13 @@ int pipeline_load(struct j_set *j, ptrdiff_t n, int by_host)
  * pos_total_bits word and rounded to word_bits, their host indices
  * i_index (rows,), and out (14 rows) for the forces (force_slot)
  * followed by the declared exponents (7, n_i) of a call on n_i
- * targets.  A call copies its targets, and any exponents it declares,
- * into the first rows. */
+ * targets.  A call copies its targets (unless pipeline_forces copies
+ * the staged rows there itself), and any exponents it declares, into
+ * the first rows. */
 struct force_call {
     int64_t *cache;
-    const double *xi;
-    const double *vi;
+    double *xi;
+    double *vi;
     const int64_t *i_index;
     double *out;
     ptrdiff_t cache_n;
@@ -408,16 +429,19 @@ struct force_call {
 };
 
 /* what a force call's flags say: the exponents are the table's, not
- * given; the targets have host indices */
-enum { CACHED = 1, BY_INDEX = 2 };
+ * given; the targets have host indices; the targets are the j-set's own
+ * staged rows i_index (with BY_INDEX) */
+enum { CACHED = 1, BY_INDEX = 2, STAGED = 4 };
 
-/* One force call on j from the raw targets in c's buffers.  If CACHED,
- * the targets' exponents (7, n_i) are read from the table - UNCACHED if
- * a target has no index, or its index is beyond the table or has no
- * entry - else they are as given.  Then the tile streams into forces
- * (force_slot), and on FITS the exponents go back to the table.
- * Answers NEGATIVE_INDEX, TARGET_NOT_FINITE or TARGET_OUT_OF_RANGE, in
- * that order of precedence, before anything else is done. */
+/* One force call on j from the raw targets in c's buffers, or, if
+ * STAGED, from the rows i_index of j's staging rows, copied into them
+ * first.  If CACHED, the targets' exponents (7, n_i) are read from the
+ * table - UNCACHED if a target has no index, or its index is beyond the
+ * table or has no entry - else they are as given.  Then the tile
+ * streams into forces (force_slot), and on FITS the exponents go back
+ * to the table.  Answers NEGATIVE_INDEX, ROW_NOT_STAGED (a staged row at
+ * or past n_j), TARGET_NOT_FINITE or TARGET_OUT_OF_RANGE, in that order
+ * of precedence, before anything else is done. */
 int pipeline_forces(const struct force_call *c, const struct j_set *j, ptrdiff_t n_i,
                     int flags)
 {
@@ -429,6 +453,19 @@ int pipeline_forces(const struct force_call *c, const struct j_set *j, ptrdiff_t
     for (ptrdiff_t i = 0; i < n_i && i_index != NULL; i++) {
         if (i_index[i] < 0)
             return NEGATIVE_INDEX;
+    }
+    if (flags & STAGED) {
+        const ptrdiff_t stride = j->stride;
+        for (ptrdiff_t i = 0; i < n_i; i++) {
+            if (i_index[i] >= j->n_j)
+                return ROW_NOT_STAGED;
+        }
+        for (ptrdiff_t i = 0; i < n_i; i++) {
+            for (int q = 0; q < 3; q++) {
+                c->xi[3 * i + q] = j->x[q * stride + i_index[i]];
+                c->vi[3 * i + q] = j->v[q * stride + i_index[i]];
+            }
+        }
     }
     const int grid = grid_check(c->xi, 3 * n_i, c->pos_frac_bits, c->pos_total_bits);
     if (grid != ON_GRID)

@@ -20,6 +20,18 @@ integrator can run on the emulated hardware unchanged.  It
   overflow,
 * reduces the boards' exact partial sums and converts to float.
 
+A blockstep drives it as GRAPE-6's host drives the machine
+(:meth:`Grape6Emulator.predict_j`): the predictor extrapolates the
+whole j-set to the block time (eqs. 6-7) straight into the staging rows
+of the machine's j-memory, one load quantises them into it, and the
+force call's targets are the block's own rows of that j-set - what a
+blockstep hands over is the block's indices.  The prediction runs the
+host's compiled Hermite predictor
+(:func:`~repro.core.hermite_tile.predict_j_set`), so its bits are those
+of the host predicting all N and uploading them (``set_j_particles``,
+then ``forces_on`` on the block's rows), which the startup load, the
+probes and the ``g6_*`` facade still do.
+
 The force returned for a given particle set is bit-identical for any
 number of chips/modules/boards (tested property), because every level
 of the reduction is exact integer arithmetic.
@@ -49,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import BoardConfig
+from ..core.hermite_tile import predict_j_set
 from ..forces.kernels import ForceJerkResult
 from ..telemetry import T_PIPE, get_tracer
 from .batched import GatheredJSet, gather_chips
@@ -136,7 +149,8 @@ class Grape6Emulator:
 
         self._mass_total = 0.0
         # the last load's barycentre, or until a guess needs it the
-        # (mass, x, mass total) it is taken from, as bytes
+        # (mass bytes, x, mass total) it is taken from, x as bytes or as
+        # the j-set whose staging rows hold it (predict_j's)
         self._j_com: np.ndarray | tuple = np.zeros(3)
         # the last load's mass as given (bytes); its rounding is _mass,
         # its sum _mass_total
@@ -199,21 +213,68 @@ class Grape6Emulator:
                    np.ascontiguousarray(m, dtype=np.float64), derivs)
 
     def _load(self, host_index, x, v, m, derivs: dict) -> None:
+        mass_in = self._mass_of(m)
+        try:
+            self.jmem.load(self.formats, host_index, x, v, self._mass, **derivs)
+        except Exception:
+            self._refused()
+            raise
+        self._j_com = (mass_in, x.tobytes(), self._mass_total)
+
+    def _mass_of(self, m: np.ndarray) -> bytes:
+        """``m``'s bytes, its word rounding and sum kept unless it is
+        bitwise the last mass loaded."""
         mass_in = m.tobytes()
         if mass_in != self._mass_in:
             self._mass_in, self._mass = mass_in, round_float(self.formats.word, m)
             self._mass_total = float(m.sum())
-        self.jmem.load(self.formats, host_index, x, v, self._mass, **derivs)
-        self._j_com = (mass_in, x.tobytes(), self._mass_total)
+        return mass_in
+
+    def _refused(self) -> None:
+        """A load that raised may have written the staging rows: a
+        barycentre still to be taken from them is forgotten (the origin,
+        as before a first load)."""
+        if isinstance(self._j_com, tuple) and not isinstance(self._j_com[1], bytes):
+            self._j_com = np.zeros(3)
+
+    def predict_j(self, t: float, system, xp: np.ndarray, vp: np.ndarray,
+                  block: np.ndarray) -> None:
+        """The machine's j-memory is ``system`` predicted to ``t``: eqs.
+        6-7 through the jerk term, the bits of
+        :func:`~repro.core.hermite_tile.predict_hermite`, written into
+        the staging rows of the striped store's j-memory and loaded from
+        there in one crossing (one ``jmem_loads``; every chip reads its
+        stripe again, and a later ``set_j_particles`` reloads).  The rows
+        ``block`` of the (N, 3) predictions ``xp``, ``vp`` are the
+        block's; their other rows are left as they were.  The forces on
+        the block are then ``forces_on(None, None, block)``."""
+        s = system
+        with get_tracer().span("grape.jmem_load", phase=T_PIPE, n_j=s.n):
+            j_set = self.jmem.staging(s.n)
+            mass_in = s.mass.tobytes()
+            if mass_in != self._mass_in:
+                self._mass_of(s.mass)
+            try:
+                predict_j_set(t, s.t, s.pos, s.vel, s.acc, s.jerk, j_set, xp, vp, block)
+                np.copyto(j_set.m, self._mass)
+                self.jmem.load_staged(self.formats, j_set)
+            except Exception:
+                self._refused()
+                raise
+            self._j_com = (mass_in, j_set, self._mass_total)
+        self.stats.jmem_loads += 1
 
     def forces_on(
         self,
-        xi: np.ndarray,
-        vi: np.ndarray,
+        xi: np.ndarray | None,
+        vi: np.ndarray | None,
         indices: np.ndarray | None = None,
         t: float | None = None,
     ) -> ForceJerkResult:
-        """Evaluate acc/jerk/pot on the targets from the loaded j-set.
+        """Evaluate acc/jerk/pot on the targets from the loaded j-set:
+        ``xi``, ``vi`` (n_i, 3), or, with both None, the j-set's own
+        particles ``indices`` as the last machine-wide load was given
+        them (what :meth:`predict_j` predicted).
 
         With ``t`` given, the (emulated) on-chip predictor pipelines
         extrapolate the stored j-particles to that time first — the
@@ -222,11 +283,16 @@ class Grape6Emulator:
         """
         n_j = self.jmem.used
         if n_j == 0:
-            raise RuntimeError("set_j_particles() must be called first")
-        xi = np.asarray(xi, dtype=np.float64)
-        vi = np.asarray(vi, dtype=np.float64)
-        n_i = xi.shape[0]
+            raise RuntimeError("set_j_particles() or predict_j() must be called first")
         i_index = None if indices is None else np.asarray(indices, dtype=np.int64)
+        if xi is None:
+            if i_index is None:
+                raise ValueError("forces_on(None, None, indices) needs the indices")
+            n_i = len(i_index)
+        else:
+            xi = np.asarray(xi, dtype=np.float64)
+            vi = np.asarray(vi, dtype=np.float64)
+            n_i = xi.shape[0]
         with get_tracer().span("grape.force", phase=T_PIPE, n_i=n_i, n_j=n_j) as span:
             attempt = self._datapath(xi, vi, i_index, t)
             exponents, retries = None, 0  # None: the table's
@@ -235,6 +301,8 @@ class Grape6Emulator:
                 if answer == TILE_FITS:
                     break
                 if answer == TILE_UNCACHED:
+                    if xi is None:
+                        xi, vi = self._staged_targets(i_index)
                     exponents = self._initial_exponents(xi, vi, i_index).planes
                     continue
                 self.stats.exponent_retries += 1
@@ -263,8 +331,16 @@ class Grape6Emulator:
         schedule so the degradation stays observable.
         """
         store = self.jmem
-        if self.emulation_mode == "batched" and store.eps2.tobytes() == self._uniform_eps2:
-            j_set = store.j_set if t is None and not store.detached else self._j_set(t)
+        batched = self.emulation_mode == "batched" and store.eps2.tobytes() == self._uniform_eps2
+        if batched and t is None and not store.detached:
+            j_set = store.j_set  # the targets may be its own staged rows
+        else:
+            if xi is None:
+                xi, vi = self._staged_targets(i_index)
+            if batched:
+                j_set = self._j_set(t)
+        n_i = len(i_index) if xi is None else len(xi)
+        if batched:
 
             def batched(exponents):
                 out = forces(j_set, xi, vi, i_index, self._exp, exponents, self.eps2,
@@ -273,7 +349,7 @@ class Grape6Emulator:
                 # overflows): charge each chip the faithful schedule's
                 # cycles; a saturating term stops them, and charges nothing
                 if out[0] in (TILE_FITS, TILE_OVERFLOWS):
-                    charge_block(store, self._chip, len(xi))
+                    charge_block(store, self._chip, n_i)
                 return out
 
             return batched
@@ -302,6 +378,21 @@ class Grape6Emulator:
             return TILE_FITS, planes, out
 
         return faithful
+
+    def _staged_targets(self, i_index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``i_index`` of the last machine-wide load's inputs, as
+        targets (n_i, 3): gathered here for the datapaths whose tile does
+        not stream the store's own j-set."""
+        if i_index.size and i_index.min() < 0:
+            raise ValueError(f"negative particle index {i_index.min()} in indices")
+        j_set = self.jmem.j_set
+        if j_set.cj is None:
+            raise RuntimeError("no machine-wide load has staged the j-set's rows")
+        if i_index.size and i_index.max() >= j_set.n:
+            raise IndexError(f"row {i_index.max()} is not among the {j_set.n} staged")
+        cj = j_set.cj
+        return (np.ascontiguousarray(cj[:3, i_index].T),
+                np.ascontiguousarray(cj[3:, i_index].T))
 
     def _j_set(self, t: float | None) -> JSet:
         """The j-set the tile streams when it is not the striped store's
@@ -351,7 +442,8 @@ class Grape6Emulator:
         if isinstance(self._j_com, tuple):  # m @ x of C-order copies, as at the load
             mass_in, x_in, total = self._j_com
             m = np.frombuffer(mass_in).copy()
-            x = np.frombuffer(x_in).reshape(len(m), 3).copy()
+            x = (np.frombuffer(x_in).reshape(len(m), 3).copy() if isinstance(x_in, bytes)
+                 else x_in.cj[:3, : len(m)].T.copy())
             self._j_com = (m @ x) / total if total > 0 else np.zeros(3)
         d2 = np.sum((xi - self._j_com) ** 2, axis=1) + self.eps2 + 1e-300
         d = np.sqrt(d2)
@@ -363,6 +455,20 @@ class Grape6Emulator:
             jerk=suggest_exponent(acc_est * vmag / d) + guard,
             pot=suggest_exponent(self._mass_total / d) + guard,
         )
+
+    def checkpoint_arrays(self) -> dict[str, np.ndarray]:
+        """What a resumed run needs of this emulator to answer as it
+        would have: the (3, N) exponent table, each particle's block
+        exponents (acc, jerk, pot) from its last force, which the next
+        force reuses (:func:`repro.io.checkpoint.encode_checkpoint`)."""
+        return {"exponent_table": self._exp}
+
+    def restore_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take back what :meth:`checkpoint_arrays` handed over (a copy)."""
+        table = np.array(arrays["exponent_table"], dtype=np.int64)
+        if table.ndim != 2 or table.shape[0] != 3:
+            raise ValueError(f"an exponent table is (3, N), not {table.shape}")
+        self._exp = table
 
     @property
     def exp_cache_entries(self) -> int:

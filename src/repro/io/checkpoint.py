@@ -7,7 +7,12 @@ parameters and counters, the scheduler's pending block times, the RNG
 stream of whatever sampled the model, and virtual/wall clock balances.
 The paper's production runs lived or died by exactly this — week-long
 1.8M/2M-particle integrations on shared hardware, with "file
-operations part of the accounted wall time".
+operations part of the accounted wall time".  A force backend whose
+answers depend on what it kept from earlier blocksteps - the GRAPE-6
+emulator's per-particle block exponents, reused from each particle's
+last force - hands that state over as named arrays
+(``checkpoint_arrays()``, members ``backend_<name>``) and takes it back
+on restore (``restore_arrays``).
 
 Format: NumPy ``.npz`` (one member per array) plus a JSON header
 carried through :func:`repro.io.snapshot.encode_json_safe`, so numpy
@@ -65,8 +70,12 @@ _SYSTEM_ARRAYS = (
 #: — deflate spends most of a write gaining a quarter of their bytes —
 #: and are stored.
 _DEFLATED_MEMBERS = frozenset(
-    {"header", "mass", "t", "dt", "scheduler_t_next", "block_sizes"}
+    {"header", "mass", "t", "dt", "scheduler_t_next", "block_sizes",
+     "backend_exponent_table"}
 )
+
+#: Prefix of the members that carry a force backend's state.
+_BACKEND = "backend_"
 
 
 class CheckpointError(ValueError):
@@ -105,6 +114,8 @@ class Checkpoint:
     integrator_state: dict[str, Any]
     rng: np.random.Generator | None = None
     clocks: dict[str, float] = field(default_factory=dict)
+    #: The force backend's own state (``checkpoint_arrays()``), if any.
+    backend_state: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def t(self) -> float:
@@ -146,11 +157,13 @@ def encode_checkpoint(
         "metadata": dict(metadata or {}),
     }
     header = json.dumps(encode_json_safe(meta))
+    backend_state = getattr(getattr(integrator, "backend", None), "checkpoint_arrays", None)
     return _encode_npz({
         "header": np.frombuffer(header.encode(), dtype=np.uint8),
         "scheduler_t_next": t_next,
         "block_sizes": block_sizes,
         **{name: getattr(integrator.system, name) for name in _SYSTEM_ARRAYS},
+        **{_BACKEND + name: a for name, a in (backend_state() if backend_state else {}).items()},
     })
 
 
@@ -358,6 +371,8 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         integrator_state=state,
         rng=rng,
         clocks=dict(meta.get("clocks", {})),
+        backend_state={name.removeprefix(_BACKEND): a for name, a in arrays.items()
+                       if name.startswith(_BACKEND)},
     )
 
 
@@ -376,7 +391,9 @@ def restore_integrator(
     header's ``metadata`` is the natural place for callers to record
     it.  Passing ``algorithm`` (a parallel force backend) rebuilds a
     :class:`repro.parallel.ParallelBlockIntegrator` instead, so
-    virtual-time parallel runs resume through the same path.
+    virtual-time parallel runs resume through the same path.  A
+    ``backend`` that takes state back (``restore_arrays``) is handed
+    what the checkpointed one kept (:attr:`Checkpoint.backend_state`).
     """
     if algorithm is not None:
         from ..parallel.driver import ParallelBlockIntegrator
@@ -387,6 +404,9 @@ def restore_integrator(
             tracer=tracer,
             algorithm=algorithm,
         )
+    restore = getattr(backend, "restore_arrays", None)
+    if restore is not None and checkpoint.backend_state:
+        restore(checkpoint.backend_state)
     return BlockTimestepIntegrator.from_state(
         checkpoint.system,
         checkpoint.integrator_state,

@@ -112,7 +112,7 @@ class CopyAlgorithm:
         s = system
         self._n = s.n
         j_set = self.executor.resident(s.n)
-        predict_j_set(t, s.t, s.pos, s.vel, s.acc, s.jerk, j_set.cj, xp, vp, block)
+        predict_j_set(t, s.t, s.pos, s.vel, s.acc, s.jerk, j_set, xp, vp, block)
         np.multiply(G_NBODY, s.mass, out=j_set.gm)
 
     def forces_on(

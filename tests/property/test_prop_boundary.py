@@ -21,11 +21,15 @@ Pinned here, beside the tiles' own bit-identity files:
     Python calls on the compiled tiers, whatever the block size, counted
     in ``repro``'s own frames (Plummer N = 64, one board): 22 and 69
     before a call's i-side buffers were bound with its tile, 15 and 55
-    since; and after the first, an emulated blockstep addresses no array
-    and builds no ``ctypes.Structure``.  A fresh emulator's first j-load
+    since, and a blockstep 54 since the emulator predicts and loads its
+    own j-memory; and after the first, an emulated blockstep addresses
+    no array and builds no ``ctypes.Structure``.  A fresh emulator's first j-load
     and first force call build one struct each; a direct blockstep, on
     the backend's resident j-set, makes a fixed number of calls too (N =
     1024).
+
+    The host predictor's binding is kept with the j-set it writes, so
+    sets predicted in turn build no struct after each one's first call.
 
 (e) the pipeline's force call keeps its binding to the exponent table
     only while it holds: a table swapped for a copy is followed and the
@@ -55,7 +59,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core import BlockTimestepIntegrator, ParticleSystem, hermite_tile
 from repro.core.hermite_tile import NUMPY_TILE, STATE_SCALARS, STATE_VECTORS, state_bytes
-from repro.forces import compiled, kernels
+from repro.forces import DirectSummation, compiled, kernels
 from repro.hardware import Grape6Emulator, pipeline
 from repro.hardware.fixedpoint import FixedPointFormat
 from repro.hardware.floatformat import FloatFormat
@@ -321,7 +325,9 @@ def test_an_emulated_blockstep_makes_a_fixed_number_of_python_calls():
         _, block = integ.scheduler.next_block()
         counts[block.size] = calls(integ.step)
     assert len(set(counts.values())) == 1, counts
-    assert counts.popitem()[1] <= 55  # 69 before the i-side was bound
+    # 55 when the host predicted all N and uploaded them, 69 before the
+    # i-side was bound
+    assert counts.popitem()[1] <= 54
 
 
 def counting(struct, made: list):
@@ -359,7 +365,7 @@ def test_a_bound_blockstep_addresses_nothing_and_builds_no_struct(monkeypatch):
     assert made == [] and integ.backend.stats.jmem_loads_elided == 0
     s.pos = s.pos.copy()
     integ.step()
-    assert made.count("_Predicted") == made.count("_BlockState") == 1 and "address" in made
+    assert made.count("_PredictedJ") == made.count("_BlockState") == 1 and "address" in made
 
 
 def count_structs(monkeypatch, made: list) -> None:
@@ -368,6 +374,27 @@ def count_structs(monkeypatch, made: list) -> None:
         for name, value in list(vars(module).items()):
             if isinstance(value, type) and issubclass(value, ctypes.Structure):
                 monkeypatch.setattr(module, name, counting(value, made))
+
+
+@needs_compiled("hermite_tile")
+def test_two_sets_predicted_in_turn_keep_their_bindings(monkeypatch):
+    """The predictor's binding is kept with the j-set it writes: two
+    direct backends and an emulator, each predicting its own system in
+    turn, build no ``ctypes.Structure`` after each one's first call (one
+    binding a process rebound at every call before)."""
+    backends = (DirectSummation(EPS2), DirectSummation(EPS2), Grape6Emulator(EPS2))
+    runs = [(backend, plummer_model(n, seed=3), np.empty((n, 3)), np.empty((n, 3)))
+            for backend, n in zip(backends, (64, 48, 64))]
+    block = np.arange(0, 48, 5)
+    for backend, s, xp, vp in runs:
+        backend.set_j_particles(s.pos, s.vel, s.mass)
+        backend.predict_j(0.0, s, xp, vp, block)
+    made = []
+    count_structs(monkeypatch, made)
+    for _ in range(3):
+        for backend, s, xp, vp in runs:
+            backend.predict_j(0.0, s, xp, vp, block)
+    assert made == []
 
 
 @needs_compiled("pipeline_tile")

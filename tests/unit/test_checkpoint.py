@@ -94,6 +94,45 @@ class TestRoundTrip:
         assert read_checkpoint(ckpt_path).meta["metadata"]["job"] == "demo"
 
 
+class TestBackendState:
+    """The emulator reuses each particle's block exponents from its last
+    force, and they decide the force's low bits: a checkpoint carries
+    the exponent table, and a fresh emulator resumed from it ends on
+    the uninterrupted run's bits (a fresh table guessed them anew, and
+    this run ended elsewhere)."""
+
+    def emulated(self, n=64, seed=13):
+        from repro.hardware import Grape6Emulator
+
+        return BlockTimestepIntegrator(
+            plummer_model(n, seed=seed), EPS2, eta=0.02, backend=Grape6Emulator(EPS2, boards=2))
+
+    def test_a_resumed_emulator_run_is_the_uninterrupted_one(self, ckpt_path):
+        from repro.hardware import Grape6Emulator
+
+        whole = self.emulated()
+        whole.run(1.0)
+        integ = self.emulated()
+        integ.run(1.0, 8)
+        write_checkpoint(ckpt_path, integ)
+        ck = read_checkpoint(ckpt_path)
+        np.testing.assert_array_equal(ck.backend_state["exponent_table"], integ.backend._exp)
+        for table in (ck.backend_state, {}):
+            emu = Grape6Emulator(EPS2, boards=2)
+            resumed = restore_integrator(ck if table else Checkpoint(
+                ck.meta, read_checkpoint(ckpt_path).system, ck.integrator_state), backend=emu)
+            resumed.run(1.0)
+            same = all(np.array_equal(getattr(resumed.system, name), getattr(whole.system, name))
+                       for name in ARRAYS)
+            assert same == bool(table)
+
+    def test_a_direct_run_writes_no_backend_member(self, ckpt_path):
+        write_checkpoint(ckpt_path, make_integrator(steps=3))
+        with zipfile.ZipFile(ckpt_path) as archive:
+            assert not [n for n in archive.namelist() if n.startswith("backend_")]
+        assert read_checkpoint(ckpt_path).backend_state == {}
+
+
 class TestBlockSizes:
     """One entry per blockstep so far: an ``.npz`` member, so the JSON
     header does not grow with the length of the run."""
